@@ -51,7 +51,7 @@ from repro.db.query import ChainQuery, JoinQuery, TableSelection
 from repro.db.schema import Column, Schema
 from repro.db.sql import parse_join_query
 from repro.db.table import Table
-from repro.plan import JoinPlan, KeyedHandleStore, compile_plan
+from repro.plan import JoinPlan, compile_plan
 
 __version__ = "1.0.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "EncryptedTable",
     "JoinPlan",
     "JoinQuery",
-    "KeyedHandleStore",
     "QueryObservation",
     "Schema",
     "SecureJoinClient",

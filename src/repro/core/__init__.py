@@ -21,7 +21,6 @@ from repro.core.engine import (
     SerialEngine,
     get_engine,
 )
-from repro.core.pipeline import PipelineResult, PipelineTimings, run_pipeline
 from repro.core.service import ExecutionService
 from repro.core.polynomials import ZqPolynomial
 from repro.core.scheme import (
@@ -49,8 +48,6 @@ __all__ = [
     "HandleStream",
     "MatchBatch",
     "ParallelEngine",
-    "PipelineResult",
-    "PipelineTimings",
     "SecureJoinClient",
     "SecureJoinParams",
     "SecureJoinScheme",
@@ -62,5 +59,4 @@ __all__ = [
     "SJToken",
     "ZqPolynomial",
     "get_engine",
-    "run_pipeline",
 ]

@@ -92,6 +92,20 @@ class EncryptedJoinQuery:
     priority: int = 0
     deadline: float | None = None
 
+    # A two-way join is the two-table chain: the positional view the
+    # join drive, the series key and the handle pool read.
+    @property
+    def tables(self) -> tuple[str, str]:
+        return (self.left_table, self.right_table)
+
+    @property
+    def tokens(self) -> tuple[SJToken, SJToken]:
+        return (self.left_token, self.right_token)
+
+    @property
+    def prefilters(self) -> tuple:
+        return (self.left_prefilter, self.right_prefilter)
+
 
 @dataclass(frozen=True)
 class EncryptedChainQuery:

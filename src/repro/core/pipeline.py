@@ -1,251 +1,132 @@
-"""The staged streaming join pipeline: SJ.Dec chunk streams → SJ.Match.
+"""The streaming half of the join drive: SJ.Dec chunk streams → SJ.Match.
 
-This is the orchestration layer between the execution engines
+This is the layer between the execution engines
 (:mod:`repro.core.engine`, which emit decrypted handle chunks as they
-complete) and the incremental matchers (:mod:`repro.db.matcher`, which
-pair partial sides).  The pipeline:
+complete) and the chain executor (:mod:`repro.plan.executor`, which
+pairs partial sides).  The join drive (:mod:`repro.core.server`) opens
+the sources; here is what it merges them with:
 
-1. opens both sides' :class:`~repro.core.engine.HandleStream`\\ s up
-   front — pool-backed sides are thereby *admitted together*, so the
-   execution service interleaves their chunk scheduling;
-2. pulls chunks from the two streams alternately, translating chunk
-   offsets back to candidate row indices and feeding the matcher — for
-   inline engines the alternation itself interleaves the two sides'
-   pairing work, for pooled engines the shared poller makes progress on
-   both sides whichever stream is being waited on;
-3. emits newly completed match pairs the moment they exist — first
-   results appear while most of SJ.Dec is still running — and records
-   the stage timings (time to first match, decrypt wait, match time);
-4. returns the canonical right-major pairing plus both engine reports.
+- :class:`HandleSource` adapts one side's
+  :class:`~repro.core.engine.HandleStream` to ``(positions, items)``
+  events — chunk offsets translated to the side's row indices (local on
+  a single store, *global* from a shard), tagged with every chain
+  position that consumes the side;
+- :func:`merge_sources` pulls events from N sources round-robin into
+  one executor.  For inline engines the alternation itself interleaves
+  the sides' pairing work; for pooled engines the shared poller makes
+  progress on every admitted side whichever stream is being waited on.
+  Newly completed tuples are emitted the moment they exist — first
+  results appear while most of SJ.Dec is still running.
 
-The canonical output guarantee: however chunks interleave, the final
-pairing equals the fully materialized decrypt-then-match pass
-byte-for-byte (the matcher sorts into right-major order at the end).
+Two tables or five, one store or many shards, all rows or only the
+delta of a refresh: the difference is the source list, not the loop.
+Because the executor sorts canonically at ``finish()``, the final
+result equals the fully materialized decrypt-then-match pass
+byte-for-byte however the chunks interleave.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 
-from repro.core.engine import EngineReport, HandleStream
-from repro.db.matcher import IncrementalMatcher
+from repro.core.engine import HandleStream
 
-LEFT = "left"
-RIGHT = "right"
+__all__ = ["HandleSource", "merge_sources"]
 
 
-@dataclass
-class PipelineTimings:
-    """Wall-clock stage accounting for one streamed join.
+class HandleSource:
+    """One side's decrypt stream as a merge source.
 
-    ``decrypt_seconds`` is the time spent waiting on the decrypt
-    streams, ``match_seconds`` the time inside the matcher; they
-    overlap the same wall-clock interval (that's the point of the
-    pipeline).  ``time_to_first_match`` is measured from pipeline start
-    and stays 0.0 for empty joins.
-    """
-
-    time_to_first_match: float = 0.0
-    decrypt_seconds: float = 0.0
-    match_seconds: float = 0.0
-    total_seconds: float = 0.0
-
-
-@dataclass
-class PipelineResult:
-    """What one pipeline run produced."""
-
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-    left_report: EngineReport | None = None
-    right_report: EngineReport | None = None
-    timings: PipelineTimings = field(default_factory=PipelineTimings)
-
-
-@dataclass
-class ScatterPipelineResult:
-    """What one N-source merge produced.
-
-    ``outcomes`` holds each source's terminal value (for
-    :class:`SideEventSource`, the side's :class:`EngineReport`) in the
-    order the sources were passed.
-    """
-
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-    outcomes: list = field(default_factory=list)
-    timings: PipelineTimings = field(default_factory=PipelineTimings)
-
-
-class SideEventSource:
-    """Adapt one side's :class:`HandleStream` to scatter events.
-
-    Iteration yields ``(side, items)`` per decrypted chunk, with chunk
-    offsets translated to the side's candidate row indices — the
-    single-store pipeline uses local indices, a shard source passes its
-    *global* indices, which is exactly what makes the merged matcher's
-    output canonical.  With ``payloads`` (aligned with ``rows``) each
+    Iteration yields ``(positions, items)`` per decrypted chunk: every
+    chain position in ``positions`` consumes the same items (the handle
+    pool's fan-out).  With ``payloads`` (aligned with ``rows``) each
     item is ``(row, handle, payload)``; otherwise ``(row, handle)``.
 
+    ``decrypted`` is how many rows the stream runs SJ.Dec over;
+    ``reports`` holds the stream's
+    :class:`~repro.core.engine.EngineReport` once exhausted.
     ``close()`` always closes the underlying stream — even when the
     merge never pulled from this source because a sibling failed first.
-    ``outcome`` is the stream's :class:`EngineReport` once exhausted.
     """
 
     def __init__(
         self,
-        side: str,
+        positions: Sequence[int],
         stream: HandleStream,
         rows: Sequence[int],
         payloads: Sequence[bytes] | None = None,
     ):
-        self.side = side
+        self.positions = tuple(positions)
         self.stream = stream
         self.rows = rows
         self.payloads = payloads
-        self.outcome: EngineReport | None = None
+        self.decrypted = len(rows)
+        self.reports: list = []
 
-    def __iter__(self) -> "SideEventSource":
+    def __iter__(self) -> "HandleSource":
         return self
 
-    def __next__(self) -> tuple[str, list]:
+    def __next__(self) -> tuple[tuple[int, ...], list]:
         try:
             chunk = next(self.stream)
         except StopIteration:
-            self.outcome = self.stream.report
+            self.reports = [self.stream.report]
             raise
-        rows = self.rows
+        start = chunk.start
+        rows = self.rows[start:start + len(chunk.handles)]
         if self.payloads is None:
-            items = [
-                (rows[chunk.start + offset], handle)
-                for offset, handle in enumerate(chunk.handles)
-            ]
+            items = list(zip(rows, chunk.handles))
         else:
-            payloads = self.payloads
-            items = [
-                (
-                    rows[chunk.start + offset],
-                    handle,
-                    payloads[chunk.start + offset],
-                )
-                for offset, handle in enumerate(chunk.handles)
-            ]
-        return self.side, items
+            payloads = self.payloads[start:start + len(chunk.handles)]
+            items = list(zip(rows, chunk.handles, payloads))
+        return self.positions, items
 
     def close(self) -> None:
         self.stream.close()
 
 
-def run_scatter_pipeline(
+def merge_sources(
     sources: Sequence,
-    matcher: IncrementalMatcher,
-    on_items: Callable[[str, list], None] | None = None,
+    executor,
+    on_items: Callable[[tuple[int, ...], list], None],
+    stats,
 ):
-    """Merge N side-event sources into ``matcher``; a generator.
+    """Merge decrypt sources round-robin into ``executor``; a generator.
 
-    The N-source generalization of :func:`run_pipeline` (which is now
-    its two-source wrapper): each source is an iterator of
-    ``(side, items)`` events — ``items`` being ``(row_index, handle)``
-    or ``(row_index, handle, payload)`` tuples — with a ``close()``
-    method and an ``outcome`` attribute valid after exhaustion.  A
-    sharded join contributes one or two sources per shard; because the
-    matcher is fed *global* row indices and sorts canonically at
-    ``finish()``, the merged result is byte-identical to a single-store
-    join no matter how many sources there are or how their chunks
-    interleave.
+    Each source is an iterator of ``(positions, items)`` events —
+    ``items`` being ``(row, handle)`` or ``(row, handle, payload)``
+    tuples.  ``on_items`` sees every event before it is matched (the
+    drive records the adversary observation and retains payloads
+    there).  Yields lists of newly completed chain tuples in discovery
+    order and accumulates the stage wall-clock into
+    ``stats.decrypt_seconds`` (waiting on the streams) and
+    ``stats.match_seconds`` (inside the executor); the two overlap the
+    same interval — that is the pipelining.
 
-    Yields lists of newly matched pairs in discovery order; returns a
-    :class:`ScatterPipelineResult`.  Every source is closed on every
-    exit path (including a sibling source failing), so pooled shard
-    sides always release their admissions.
+    The caller owns the sources and closes them; this loop only stops
+    pulling from the ones that are exhausted.
     """
-    started = time.perf_counter()
-    timings = PipelineTimings()
-    first_match_at: float | None = None
-    feeds = {LEFT: matcher.add_left, RIGHT: matcher.add_right}
     active = list(sources)
-    try:
-        turn = 0
-        while active:
-            source = active[turn % len(active)]
-            waited = time.perf_counter()
-            try:
-                side, items = next(source)
-            except StopIteration:
-                timings.decrypt_seconds += time.perf_counter() - waited
-                active.remove(source)
-                continue
-            timings.decrypt_seconds += time.perf_counter() - waited
-            if on_items is not None:
-                on_items(side, items)
-            matched_at = time.perf_counter()
-            if items and len(items[0]) != 2:
-                fed = [(item[0], item[1]) for item in items]
-            else:
-                fed = items
-            new_pairs = feeds[side](fed)
-            timings.match_seconds += time.perf_counter() - matched_at
-            if new_pairs:
-                if first_match_at is None:
-                    first_match_at = time.perf_counter()
-                    timings.time_to_first_match = first_match_at - started
-                yield new_pairs
-            turn += 1
-    finally:
-        for source in sources:
-            source.close()
-    finish_at = time.perf_counter()
-    pairs = matcher.finish()
-    timings.match_seconds += time.perf_counter() - finish_at
-    timings.total_seconds = time.perf_counter() - started
-    return ScatterPipelineResult(
-        pairs=pairs,
-        outcomes=[getattr(source, "outcome", None) for source in sources],
-        timings=timings,
-    )
-
-
-def run_pipeline(
-    left_stream: HandleStream,
-    right_stream: HandleStream,
-    left_candidates: Sequence[int],
-    right_candidates: Sequence[int],
-    matcher: IncrementalMatcher,
-    on_handles: Callable[[str, list[tuple[int, bytes]]], None] | None = None,
-):
-    """Drive two handle streams into ``matcher``; a generator.
-
-    Yields lists of newly matched ``(left_index, right_index)`` pairs
-    in discovery order as decrypted chunks arrive, and returns a
-    :class:`PipelineResult` (canonical pairs, engine reports, timings)
-    as the generator's value.  ``on_handles(side, items)`` — with
-    ``items`` being ``(row_index, handle_bytes)`` — is invoked per
-    chunk; the server uses it to record the adversary observation.
-
-    Both streams are closed on every exit path, so pooled sides always
-    release their admission state even when the consumer abandons the
-    generator mid-join.
-    """
-    sources = [
-        SideEventSource(LEFT, left_stream, left_candidates),
-        SideEventSource(RIGHT, right_stream, right_candidates),
-    ]
-    inner = run_scatter_pipeline(sources, matcher, on_items=on_handles)
-    try:
-        while True:
-            try:
-                new_pairs = next(inner)
-            except StopIteration as stop:
-                outcome = stop.value
-                break
-            yield new_pairs
-    finally:
-        inner.close()
-        left_stream.close()
-        right_stream.close()
-    return PipelineResult(
-        pairs=outcome.pairs,
-        left_report=left_stream.report,
-        right_report=right_stream.report,
-        timings=outcome.timings,
-    )
+    turn = 0
+    while active:
+        source = active[turn % len(active)]
+        waited = time.perf_counter()
+        try:
+            positions, items = next(source)
+        except StopIteration:
+            stats.decrypt_seconds += time.perf_counter() - waited
+            active.remove(source)
+            continue
+        stats.decrypt_seconds += time.perf_counter() - waited
+        on_items(positions, items)
+        matched_at = time.perf_counter()
+        if items and len(items[0]) != 2:
+            items = [(item[0], item[1]) for item in items]
+        completed = executor.feed(positions[0], items)
+        for position in positions[1:]:
+            completed = completed + executor.feed(position, items)
+        stats.match_seconds += time.perf_counter() - matched_at
+        if completed:
+            yield completed
+        turn += 1

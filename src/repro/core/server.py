@@ -1,4 +1,4 @@
-"""The server side: storage, SJ.Dec, and the streaming join pipeline.
+"""The join drive, and the single store that hosts it.
 
 The server is the semi-honest adversary of the paper's model: it stores
 encrypted tables, applies tokens to produce per-row handles (SJ.Dec) and
@@ -6,14 +6,37 @@ joins rows whose handles match (SJ.Match).  Everything it observes while
 doing so is recorded in :attr:`SecureJoinServer.observations`, which is
 exactly the adversary view the leakage analyzer consumes.
 
-Since the pipeline refactor the two phases overlap: SJ.Dec emits
-decrypted chunks through the execution engines' streams
-(:mod:`repro.core.engine`) and the incremental matchers
-(:mod:`repro.db.matcher`) pair them as they arrive, so
-:meth:`SecureJoinServer.stream_join` surfaces the first matched rows
-while most of the pairing work is still in flight.
-:meth:`SecureJoinServer.execute_join` is the materializing wrapper and
-returns exactly what the old decrypt-then-match pass did.
+A query leaks the equality pattern of the handles of the rows it
+selected, and over a *series* of queries the server may only ever learn
+the transitive closure of those patterns — so "decrypt the selected
+rows not yet seen under this token, match, record what was seen" is one
+operation, and :class:`_JoinHost` runs it for every public entry point
+(``stream_join`` / ``execute_join`` / ``stream_chain`` /
+``execute_chain``, here and on the shard coordinator):
+
+1. look the query up in the series cache and take its entry — or an
+   *empty* one on a miss (a cold run is a refresh of an empty entry);
+2. withdraw the tombstones the entry has not applied yet;
+3. if the entry's table versions are current, open nothing: the
+   retained executor's tuples are the answer (a replay);
+4. otherwise ask the host for decrypt sources over exactly the selected
+   rows the entry holds no handle for — all of them when it is empty —
+   one per distinct ``(table, token)`` side, and merge them round-robin
+   into the entry's :class:`~repro.plan.executor.ChainExecutor`
+   (:func:`~repro.core.pipeline.merge_sources`), re-checking the
+   deadline and recording the observation between events;
+5. fold the sources' reports into one :class:`ServerStats`, then admit
+   the entry to the cache or re-account it.
+
+A two-way join is the two-table chain run in the identity order; its
+public shape (:class:`MatchBatch`, right-major
+:class:`EncryptedJoinResult`) is produced at the API edge.  What differs
+between a store and a fleet is the *host seam* the drive calls:
+``table_epoch`` / ``table_version`` / ``tombstoned_rows`` per table,
+``_open_sources`` (a single store streams its own rows; a coordinator
+asks every shard), ``_payloads`` (the tables here; the entry's retained
+payload maps on a coordinator, which holds no tables) and ``_begin`` /
+``_account`` for engine resolution and scatter accounting.
 """
 
 from __future__ import annotations
@@ -21,11 +44,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.core.client import (
-    EncryptedChainQuery,
-    EncryptedJoinQuery,
-    EncryptedTable,
-)
+from repro.core.client import EncryptedTable
 from repro.core.engine import (
     AutoEngine,
     EngineReport,
@@ -33,28 +52,21 @@ from repro.core.engine import (
     HandleStream,
     get_engine,
 )
-from repro.core.pipeline import LEFT, RIGHT, run_pipeline
+from repro.core.pipeline import HandleSource, merge_sources
 from repro.core.scheme import SecureJoinParams, SecureJoinScheme, SJToken
 from repro.core.service import ExecutionService, QueryQoS
 from repro.crypto.backend import BilinearBackend
-from repro.db.matcher import IncrementalMatcher, get_matcher
 from repro.errors import DeadlineError, QueryError, SchemeError
 from repro.plan import (
-    DEFAULT_HANDLE_STORE_BUDGET,
     MAX_CHAIN_TABLES,
     ChainExecutor,
-    ChainSideSource,
-    KeyedHandleStore,
     compile_plan,
     group_chain_sides,
-    run_chain_pipeline,
 )
 from repro.series.cache import (
     DEFAULT_SERIES_BUDGET,
-    ChainSeriesEntry,
     SeriesCache,
     SeriesEntry,
-    chain_series_key,
     series_key,
 )
 
@@ -149,6 +161,12 @@ class ServerStats:
     plan_nodes: int = 0
     handle_pool_hits: int = 0
 
+    def record(self, decision: dict) -> None:
+        """Append one auditable planner record."""
+        if self.planner is None:
+            self.planner = []
+        self.planner.append(decision)
+
     def merge_report(self, report: EngineReport) -> None:
         """Fold one side's engine report into the per-query totals."""
         self.engine = report.engine
@@ -165,9 +183,7 @@ class ServerStats:
         self.prepared_miller_loops += report.prepared_miller_loops
         self.preparations += report.preparations
         if report.planner is not None:
-            if self.planner is None:
-                self.planner = []
-            self.planner.append(dict(report.planner))
+            self.record(dict(report.planner))
         self.pool_generation = max(self.pool_generation, report.pool_generation)
         self.worker_restarts = max(self.worker_restarts, report.worker_restarts)
         self.concurrent_sides = max(
@@ -237,7 +253,477 @@ class QueryObservation:
     handles: dict[tuple[str, int], bytes] = field(default_factory=dict)
 
 
-class SecureJoinServer:
+class _PairShape:
+    """The two-way join's public shape: :class:`MatchBatch` increments
+    and the right-major :class:`EncryptedJoinResult`."""
+
+    @staticmethod
+    def canonical(executor) -> list[tuple[int, int]]:
+        # The single node's matcher sorts its own pairs right-major (in
+        # place, so a replay re-sorts an already sorted list).
+        return executor.matchers[0].finish()
+
+    @staticmethod
+    def batch(tuples, payloads) -> MatchBatch:
+        left, right = payloads
+        return MatchBatch(
+            index_pairs=list(tuples),
+            left_payloads=[left[i] for i, _ in tuples],
+            right_payloads=[right[j] for _, j in tuples],
+        )
+
+    @classmethod
+    def result(cls, query, tuples, payloads, stats) -> EncryptedJoinResult:
+        final = cls.batch(tuples, payloads)
+        return EncryptedJoinResult(
+            left_table=query.tables[0],
+            right_table=query.tables[1],
+            index_pairs=final.index_pairs,
+            left_payloads=final.left_payloads,
+            right_payloads=final.right_payloads,
+            stats=stats,
+        )
+
+
+class _ChainShape:
+    """The multi-way chain's public shape: :class:`ChainMatchBatch`
+    increments and the lexicographic :class:`EncryptedChainResult`."""
+
+    canonical = staticmethod(ChainExecutor.finish)
+
+    @staticmethod
+    def batch(tuples, payloads) -> ChainMatchBatch:
+        return ChainMatchBatch(
+            tuples=list(tuples),
+            payloads=[
+                tuple(
+                    payloads[position][row]
+                    for position, row in enumerate(combo)
+                )
+                for combo in tuples
+            ],
+        )
+
+    @classmethod
+    def result(cls, query, tuples, payloads, stats) -> EncryptedChainResult:
+        stats.plan_nodes = len(query.tables) - 1
+        final = cls.batch(tuples, payloads)
+        return EncryptedChainResult(
+            tables=tuple(query.tables),
+            tuples=final.tuples,
+            payloads=final.payloads,
+            stats=stats,
+        )
+
+
+def _drain(events):
+    """Run a drive to completion; its return value is the result."""
+    while True:
+        try:
+            next(events)
+        except StopIteration as stop:
+            return stop.value
+
+
+class _JoinHost:
+    """The one join drive (see the module docstring for its steps).
+
+    A host supplies the seam — ``backend``, ``series_cache``,
+    ``observations``, ``table_epoch`` / ``table_version`` /
+    ``tombstoned_rows``, ``_begin``, ``_open_sources``, ``_payloads`` —
+    and inherits the four public entry points.
+    """
+
+    series_cache: SeriesCache | None
+    observations: list[QueryObservation]
+
+    # -- public entry points ----------------------------------------------
+    def stream_join(
+        self,
+        query,
+        algorithm: str = "hash",
+        engine: ExecutionEngine | str | None = None,
+    ):
+        """Run the join as a streaming pipeline; a generator.
+
+        Yields :class:`MatchBatch` increments (pairs in discovery
+        order, with payloads) as soon as decrypted chunks complete the
+        pairings, and returns the final :class:`EncryptedJoinResult` —
+        canonical right-major order, byte-identical to the materialized
+        pass and, on a shard coordinator, to the single-store join over
+        the unpartitioned tables — as the generator's value
+        (``StopIteration.value``).  Closing the generator early releases
+        every pool admission and still records the adversary view of
+        the handles that were computed.
+
+        ``algorithm`` selects the matcher: ``"hash"`` (the paper's
+        expected-O(n) hash join), ``"nested"`` (the O(n^2) loop kept
+        for ablations) or ``"auto"`` (cost-model priced).
+
+        ``engine`` selects the SJ.Dec execution engine for this query
+        (``"serial"``, ``"batched"``, ``"parallel"``, ``"auto"`` or an
+        :class:`~repro.core.engine.ExecutionEngine` instance); when
+        omitted, the query's client hint applies if the server's
+        ``hint_engines`` allowlist permits it, then the server default.
+        A coordinator forwards it to every shard, which resolves it
+        against its own pool.  A concrete engine (or a matcher other
+        than the cached one) is an instruction to *execute* that way —
+        an ablation or accounting run — so it bypasses the series
+        cache's replay and re-seeds the entry.
+        """
+        return (
+            yield from self._drive(query, algorithm, engine, _PairShape, True)
+        )
+
+    def execute_join(
+        self,
+        query,
+        algorithm: str = "hash",
+        engine: ExecutionEngine | str | None = None,
+    ) -> EncryptedJoinResult:
+        """:meth:`stream_join` run to completion: only the final,
+        canonically ordered result is built (no per-batch payloads)."""
+        return _drain(
+            self._drive(query, algorithm, engine, _PairShape, False)
+        )
+
+    def stream_chain(
+        self, query, engine: ExecutionEngine | str | None = None
+    ):
+        """Run a multi-way chain join as a streaming pipeline; a generator.
+
+        Yields :class:`ChainMatchBatch` increments (completed chain
+        tuples in discovery order, with payloads) as the left-deep
+        pipeline completes them, and returns the final
+        :class:`EncryptedChainResult` — canonical lexicographic tuple
+        order — as the generator's value (``StopIteration.value``).
+
+        The join order is chosen per query by the cost-model planner
+        from prefilter-posting cardinality estimates; matching is
+        always hash-based (one incremental matcher per plan node), and
+        each distinct ``(table, token)`` side is decrypted once however
+        many positions consume it (``stats.handle_pool_hits``).
+        """
+        return (
+            yield from self._drive(query, "hash", engine, _ChainShape, True)
+        )
+
+    def execute_chain(
+        self, query, engine: ExecutionEngine | str | None = None
+    ) -> EncryptedChainResult:
+        """:meth:`stream_chain` run to completion."""
+        return _drain(self._drive(query, "hash", engine, _ChainShape, False))
+
+    # -- the drive ---------------------------------------------------------
+    def _drive(self, query, algorithm, engine, shape, streaming):
+        """Steps 1–2: find the query's entry (or start an empty one),
+        then refresh it under its lock.  Yields batches when
+        ``streaming``; returns the result ``shape`` builds."""
+        tables = query.tables
+        n = len(tables)
+        if algorithm not in MATCH_ALGORITHMS:
+            raise QueryError(f"unknown join algorithm {algorithm!r}")
+        if not 2 <= n <= MAX_CHAIN_TABLES:
+            raise QueryError(
+                f"a chain query needs 2..{MAX_CHAIN_TABLES} tables, got {n}"
+            )
+        if len(query.tokens) != n or len(query.prefilters) != n:
+            raise QueryError(
+                "chain query tables, tokens and prefilters must align"
+            )
+        active_engine, stats = self._begin(query, engine)
+        # A literally re-submitted query (same token bytes) has the
+        # same key; each token is hashed once per query, here.
+        key = series_key(query, self.backend)
+        cache = self.series_cache
+        entry = epochs = versions = None
+        if cache is not None:
+            # Maintenance state is captured *before* any candidate is
+            # computed, so a concurrent mutation lands after the
+            # snapshot and shows up as a version mismatch next time.
+            epochs = tuple(map(self.table_epoch, tables))
+            versions = tuple(map(self.table_version, tables))
+            # A concrete per-call engine override ("serial", an
+            # instance, ...) is an instruction to *execute* SJ.Dec that
+            # way, so it bypasses the cached entry; ``None`` and
+            # ``"auto"`` ask for the cheapest correct plan, which the
+            # cache is.  Either way the finished run (re)seeds it.
+            if (
+                engine is None
+                or engine == "auto"
+                or isinstance(engine, AutoEngine)
+            ):
+                entry = cache.lookup(key, epochs)
+            if entry is not None and algorithm not in (
+                "auto",
+                entry.matcher_name,
+            ):
+                # An explicit matcher request must actually exercise
+                # that matcher: the from-scratch pass replaces the entry.
+                entry = None
+            # Per-entry admission is non-blocking: a series whose entry
+            # is mid-refresh on another thread must not starve this
+            # query, so on contention it recomputes from an empty entry
+            # — correct, just not cheap.
+            if entry is not None and not entry.lock.acquire(blocking=False):
+                cache.stats.lock_contention += 1
+                entry = None
+        hit = entry is not None
+        if not hit:
+            entry = SeriesEntry(key, tables, epochs)
+            if cache is not None:
+                # Rows already tombstoned never enter an empty entry,
+                # so they count as applied.
+                entry.applied_tombstones = [
+                    set(self.tombstoned_rows(name)) for name in tables
+                ]
+        try:
+            return (
+                yield from self._refresh(
+                    query, entry, hit, versions, algorithm, active_engine,
+                    stats, shape, streaming,
+                )
+            )
+        finally:
+            if hit:
+                entry.lock.release()
+
+    def _refresh(
+        self, query, entry, hit, versions, algorithm, engine, stats, shape,
+        streaming,
+    ):
+        """Steps 2–5 over one entry (``hit``: it came from the cache)."""
+        tables = entry.tables
+        cache = self.series_cache
+        executor = entry.executor
+        stale = executor is None or entry.versions != versions
+        payloads = self._payloads(query, entry)
+        # The relative deadline is stamped against this host's clock at
+        # admission.  Pooled engines thread the QoS into the admission
+        # scheduler, inline engines check it between chunks, and the
+        # loop below checks it between merged events so the match stage
+        # cannot overrun either.
+        qos = QueryQoS.stamp(query)
+        if hit:
+            if stale:
+                # Dead rows are withdrawn *first*, so they can never
+                # pair with the rows the refresh is about to feed.
+                for position, name in enumerate(tables):
+                    applied = entry.applied_tombstones[position]
+                    new = self.tombstoned_rows(name) - applied
+                    if new:
+                        executor.retract(position, new)
+                        for row in new:
+                            entry.payloads[position].pop(row, None)
+                        applied |= new
+            stats.series_cache_hits = 1
+            stats.reused_handles = entry.reused_handles()
+        # The adversary view starts from the handles the entry reuses —
+        # nothing new is revealed, but the per-query view still
+        # determines the result (what the leakage analyzer relies on) —
+        # and the refresh's newly computed ones accrue below.
+        observation = QueryObservation(query.query_id)
+        if hit:
+            for name, held in zip(tables, executor.handles):
+                for row, handle in held.items():
+                    observation.handles[(name, row)] = handle
+
+        def on_items(positions, items) -> None:
+            name = tables[positions[0]]
+            for item in items:
+                observation.handles[(name, item[0])] = item[1]
+            if items and len(items[0]) == 3:
+                # A host without local tables retains the payloads that
+                # ride the items, per consuming position.
+                for position in positions:
+                    retained = entry.payloads[position]
+                    for row, _, payload in items:
+                        retained[row] = payload
+
+        def emitted() -> None:
+            if not stats.time_to_first_match:
+                stats.time_to_first_match = time.perf_counter() - started
+
+        sources: list = []
+        started = time.perf_counter()
+        try:
+            # Retained tuples stream first, so the union of the yielded
+            # batches still equals the final result.
+            tuples = shape.canonical(executor) if hit else []
+            if tuples:
+                emitted()
+                if streaming:
+                    yield shape.batch(tuples, payloads)
+            if stale:
+                if entry.sides is None:
+                    entry.sides = group_chain_sides(query, entry.key)
+                sides = entry.sides
+                stats.handle_pool_hits = len(tables) - len(sides)
+                # Rows that ever entered a handle map passed the
+                # pre-filter, and tags are immutable, so excluding the
+                # map's rows leaves exactly "inserted since the last
+                # refresh" (everything, for an empty entry).
+                held = [
+                    executor.handles[side.positions[0]] if hit else ()
+                    for side in sides
+                ]
+                # Every source is opened before any is pulled: that is
+                # what co-admits the sides (and shards) on the pools.
+                for source in self._open_sources(
+                    query, sides, held, engine, qos, stats
+                ):
+                    sources.append(source)
+                if executor is None:
+                    executor = self._plan(
+                        entry, sources, algorithm, engine, stats
+                    )
+                for new in merge_sources(sources, executor, on_items, stats):
+                    emitted()
+                    if qos is not None and qos.expired():
+                        raise DeadlineError(
+                            f"query {query.query_id} exceeded its deadline "
+                            f"of {query.deadline}s; cancelled mid-join"
+                        )
+                    if streaming:
+                        yield shape.batch(new, payloads)
+                finish_at = time.perf_counter()
+                tuples = shape.canonical(executor)
+                stats.match_seconds += time.perf_counter() - finish_at
+        finally:
+            # Deterministic on abandonment too (not just refcount GC):
+            # closing the sources releases every pool admission, and the
+            # adversary view is recorded even then — the host *did*
+            # compute those handles, and the leakage analyzer must see
+            # them.
+            for source in sources:
+                source.close()
+            self.observations.append(observation)
+
+        for source in sources:
+            stats.decryptions += source.decrypted
+            for report in source.reports:
+                if report is not None:
+                    stats.merge_report(report)
+        if sources:
+            self._account(stats, sources)
+        elif hit:
+            stats.engine = stats.engine_selected = "series"
+            stats.planner = [{
+                "stage": "series",
+                "outcome": "replay",
+                "reused_handles": stats.reused_handles,
+                "tuples": len(tuples),
+            }]
+        if hit:
+            stats.delta_rows = stats.decryptions
+        stats.matcher = entry.matcher_name
+        stats.matches = len(tuples)
+        stats.probes = executor.probes
+        stats.comparisons = executor.comparisons
+        stats.candidates_left = len(executor.handles[0])
+        stats.candidates_right = len(executor.handles[-1])
+        entry.versions = versions
+        if cache is not None:
+            if not hit:
+                cache.store(entry)
+            elif stale:
+                entry.delta_refreshes += 1
+                cache.stats.delta_refreshes += 1
+                cache.reaccount(entry)
+            else:
+                entry.replays += 1
+                cache.stats.replays += 1
+        return shape.result(query, tuples, payloads, stats)
+
+    def _cost_model(self, engine):
+        """The engine's own (calibrated/custom) cost model, else the
+        backend's default."""
+        from repro.bench.costmodel import default_engine_cost_model
+
+        model = getattr(engine, "cost_model", None)
+        if model is None:
+            model = default_engine_cost_model(self.backend.name)
+        return model
+
+    def _plan(self, entry, sources, algorithm, engine, stats):
+        """Give an empty entry its executor: join order and matcher,
+        priced from the candidate counts the opened sources already
+        know (a remote shard reports its counts only when it finishes)."""
+        tables = entry.tables
+        counts = [0] * len(tables)
+        for source in sources:
+            if source.rows is not None:
+                for position in source.positions:
+                    counts[position] += len(source.rows)
+        distincts = [
+            self._distinct_estimate(name, count)
+            for name, count in zip(tables, counts)
+        ]
+        if len(tables) == 2:
+            # One node, and the identity order keeps ``probes`` counting
+            # right-side rows: nothing to plan but the matcher.
+            order = (0, 1)
+            entry.matcher_name = self._select_matcher(
+                algorithm, stats, counts, distincts, engine
+            )
+        else:
+            plan = compile_plan(self._cost_model(engine), counts, distincts)
+            stats.record(plan.record())
+            order = plan.order
+        entry.executor = ChainExecutor(order, entry.matcher_name)
+        return entry.executor
+
+    def _select_matcher(
+        self, algorithm, stats, counts, distincts, engine
+    ) -> str:
+        """Resolve the SJ.Match algorithm; ``"auto"`` prices the stage.
+
+        The pricing satellite of the planner: hash vs nested estimated
+        with the same cost model the engine planner uses — including a
+        calibrated/custom model configured on an ``auto`` engine —
+        recorded as a ``stage: "match"`` entry in ``stats.planner`` so
+        the full pipeline decision is auditable.  The per-side distinct
+        estimates feed the expected-output term of the pricing (the
+        same posting-profile estimator the multi-way planner uses).
+        """
+        if algorithm != "auto":
+            return algorithm
+        from repro.bench.costmodel import (
+            choose_matcher,
+            estimate_expected_matches,
+        )
+
+        build_rows, probe_rows = counts
+        expected = estimate_expected_matches(build_rows, probe_rows, *distincts)
+        chosen, estimates = choose_matcher(
+            self._cost_model(engine),
+            build_rows=build_rows,
+            probe_rows=probe_rows,
+            expected_matches=expected,
+        )
+        stats.record({
+            "stage": "match",
+            "build_rows": build_rows,
+            "probe_rows": probe_rows,
+            "expected_matches": expected,
+            "chosen": chosen,
+            "estimates": {
+                name: float(sec) for name, sec in estimates.items()
+            },
+        })
+        return chosen
+
+    # -- seam defaults -----------------------------------------------------
+    def _distinct_estimate(self, table_name: str, candidate_count: int):
+        """Estimated distinct join values among a side's candidates;
+        ``None`` = unknown (the estimators then assume all-distinct)."""
+        return None
+
+    def _account(self, stats: ServerStats, sources: list) -> None:
+        """Host-specific accounting over the sources a refresh drained."""
+
+
+class SecureJoinServer(_JoinHost):
     """Stores encrypted tables and executes encrypted equi-joins."""
 
     def __init__(
@@ -248,7 +734,6 @@ class SecureJoinServer:
         hint_engines: tuple[str, ...] = ("serial", "batched"),
         workers: int | None = None,
         series_cache_bytes: int | None = DEFAULT_SERIES_BUDGET,
-        handle_store_bytes: int | None = DEFAULT_HANDLE_STORE_BUDGET,
     ):
         # The server only needs public parameters — never the master key.
         self.scheme = SecureJoinScheme(params, backend)
@@ -287,16 +772,6 @@ class SecureJoinServer:
             if series_cache_bytes
             else None
         )
-        # The cross-series handle store (see :mod:`repro.plan.handles`):
-        # far lighter per query than a series entry, so decrypted
-        # handles outlive their evicted series entries and a cold
-        # series over a warm table reuses them.  ``handle_store_bytes``
-        # is its own budget knob; None or 0 disables it.
-        self.handle_store: KeyedHandleStore | None = (
-            KeyedHandleStore(handle_store_bytes)
-            if handle_store_bytes
-            else None
-        )
         self.observations: list[QueryObservation] = []
 
     # -- lifecycle ----------------------------------------------------------
@@ -309,6 +784,10 @@ class SecureJoinServer:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    @property
+    def backend(self) -> BilinearBackend:
+        return self.scheme.backend
 
     def _resolve_engine(self, engine: ExecutionEngine | str) -> ExecutionEngine:
         """An engine bound to this server's pool; named engines are cached
@@ -341,8 +820,6 @@ class SecureJoinServer:
         self._versions[name] = 0
         if self.series_cache is not None:
             self.series_cache.invalidate_table(name)
-        if self.handle_store is not None:
-            self.handle_store.invalidate_table(name)
 
     def table_epoch(self, name: str) -> int:
         """The table's store generation (0 = never stored)."""
@@ -433,8 +910,6 @@ class SecureJoinServer:
             self._versions[table_name] = (
                 self._versions.get(table_name, 0) + 1
             )
-            if self.handle_store is not None:
-                self.handle_store.forget_rows(table_name, indices)
 
     def tombstoned_rows(self, table_name: str) -> frozenset[int]:
         """The table's deleted row indices (delta-maintenance input)."""
@@ -529,61 +1004,50 @@ class SecureJoinServer:
             min(candidate_count, round(candidate_count * best / table_rows)),
         )
 
-    def _select_matcher(
+    def _begin(self, query, engine) -> tuple[ExecutionEngine, ServerStats]:
+        """The engine this query runs on and who picked it: a per-call
+        override, then an allowlisted client hint, then the default."""
+        if engine is not None:
+            return self._resolve_engine(engine), ServerStats(
+                engine_source="override"
+            )
+        hint = query.engine_hint
+        if hint is not None and hint in self.hint_engines:
+            return self._resolve_engine(hint), ServerStats(
+                engine_source="hint"
+            )
+        return self.engine, ServerStats(engine_source="default")
+
+    def _payloads(self, query, entry) -> list[list[bytes]]:
+        """Payloads by chain position: read from the stored tables."""
+        return [self.table(name).payloads for name in query.tables]
+
+    def _selected_rows(
         self,
-        algorithm: str,
-        stats: ServerStats,
-        build_rows: int,
-        probe_rows: int,
-        active_engine: ExecutionEngine | None = None,
-        build_distinct: int | None = None,
-        probe_distinct: int | None = None,
-    ) -> IncrementalMatcher:
-        """Resolve the SJ.Match algorithm; ``"auto"`` prices the stage.
+        table: EncryptedTable,
+        prefilter: dict[str, frozenset[bytes]] | None,
+        exclude_rows=None,
+    ) -> list[int]:
+        """Live rows surviving the pre-filter, minus ``exclude_rows``."""
+        rows = self._live(table.name, self._candidates(table, prefilter))
+        if exclude_rows:
+            rows = [i for i in rows if i not in exclude_rows]
+        return rows
 
-        The pricing satellite of the planner: hash vs nested estimated
-        with the same cost model the engine planner uses — including a
-        calibrated/custom model configured on an ``auto`` engine —
-        recorded as a ``stage: "match"`` entry in ``stats.planner`` so
-        the full pipeline decision is auditable.  The per-side distinct
-        estimates feed the expected-output term of the pricing (the
-        same posting-profile estimator the multi-way planner uses).
-        """
-        if algorithm == "auto":
-            from repro.bench.costmodel import (
-                choose_matcher,
-                default_engine_cost_model,
-                estimate_expected_matches,
-            )
-
-            model = getattr(active_engine, "cost_model", None)
-            if model is None:
-                model = default_engine_cost_model(self.scheme.backend.name)
-            expected = estimate_expected_matches(
-                build_rows, probe_rows, build_distinct, probe_distinct
-            )
-            chosen, estimates = choose_matcher(
-                model,
-                build_rows=build_rows,
-                probe_rows=probe_rows,
-                expected_matches=expected,
-            )
-            if stats.planner is None:
-                stats.planner = []
-            stats.planner.append({
-                "stage": "match",
-                "build_rows": build_rows,
-                "probe_rows": probe_rows,
-                "expected_matches": expected,
-                "chosen": chosen,
-                "estimates": {
-                    name: float(sec) for name, sec in estimates.items()
-                },
-            })
-        else:
-            chosen = algorithm
-        stats.matcher = chosen
-        return get_matcher(chosen)
+    def _decrypt_stream(
+        self,
+        engine: ExecutionEngine,
+        table: EncryptedTable,
+        token: SJToken,
+        rows: list[int],
+        qos: QueryQoS | None,
+    ) -> HandleStream:
+        return engine.decrypt_stream(
+            self.scheme.backend,
+            token.elements,
+            self._side_ciphertexts(table, token, rows),
+            qos=qos,
+        )
 
     def open_side_stream(
         self,
@@ -598,1133 +1062,65 @@ class SecureJoinServer:
 
         The scatter building block: pre-filter and tombstones applied,
         then SJ.Dec streamed through the resolved engine (bound to
-        *this* server's pool).  A shard coordinator opens one such
-        stream per shard per side and merges the chunks into a single
-        matcher — the caller owns the stream and must close it.
+        *this* server's pool).  A shard opens one such stream per side
+        for its coordinator, which merges every shard's chunks into a
+        single executor — the caller owns the stream and must close it.
         ``exclude_rows`` drops already-decrypted rows from the stream
-        (the delta-scatter path: a coordinator with retained handles
-        asks each shard for only what it has not seen).
+        (the delta path: a coordinator with retained handles asks each
+        shard for only what it has not seen).
         """
         table = self.table(table_name)
-        candidates = self._live(
-            table.name, self._candidates(table, prefilter)
-        )
-        if exclude_rows:
-            candidates = [i for i in candidates if i not in exclude_rows]
+        rows = self._selected_rows(table, prefilter, exclude_rows)
         active_engine = (
             self._resolve_engine(engine) if engine is not None else self.engine
         )
-        stream = active_engine.decrypt_stream(
-            self.scheme.backend,
-            token.elements,
-            self._side_ciphertexts(table, token, candidates),
-            qos=qos,
-        )
-        return candidates, stream
+        return rows, self._decrypt_stream(active_engine, table, token, rows, qos)
 
-    def stream_join(
-        self,
-        query: EncryptedJoinQuery,
-        algorithm: str = "hash",
-        engine: ExecutionEngine | str | None = None,
-    ):
-        """Run the join as a streaming pipeline; a generator.
-
-        Yields :class:`MatchBatch` increments (pairs in discovery
-        order, with payloads) as soon as decrypted chunks complete the
-        pairings, and returns the final :class:`EncryptedJoinResult` —
-        canonical right-major order, byte-identical to the materialized
-        pass — as the generator's value (``StopIteration.value``).
-
-        ``algorithm`` selects the matcher: ``"hash"`` (the paper's
-        expected-O(n) hash join), ``"nested"`` (the O(n^2) loop kept
-        for ablations) or ``"auto"`` (cost-model priced).
-
-        ``engine`` selects the SJ.Dec execution engine for this query
-        (``"serial"``, ``"batched"``, ``"parallel"``, ``"auto"`` or an
-        :class:`~repro.core.engine.ExecutionEngine` instance); when
-        omitted, the query's client hint applies if the server's
-        ``hint_engines`` allowlist permits it, then the server default.
-        Pool-using engines admit their sides to the server's persistent
-        ``execution_service``, where concurrent queries interleave.
-        """
-        left = self.table(query.left_table)
-        right = self.table(query.right_table)
-        events = self._pipeline_events(query, algorithm, engine)
-        try:
-            while True:
-                try:
-                    new_pairs = next(events)
-                except StopIteration as stop:
-                    return stop.value
-                yield MatchBatch(
-                    index_pairs=list(new_pairs),
-                    left_payloads=[left.payloads[i] for i, _ in new_pairs],
-                    right_payloads=[right.payloads[j] for _, j in new_pairs],
-                )
-        finally:
-            # Deterministic on abandonment too (not just refcount GC):
-            # closing the inner drive releases pool admissions and
-            # records the adversary observation.
-            events.close()
-
-    def _pipeline_events(
-        self,
-        query: EncryptedJoinQuery,
-        algorithm: str,
-        engine: ExecutionEngine | str | None,
-    ):
-        """The pipeline drive shared by :meth:`stream_join` (which wraps
-        the emitted pair lists in payload-carrying batches) and
-        :meth:`execute_join` (which discards them — no point building
-        per-batch payload lists nobody reads).  Yields raw new-pair
-        lists; returns the final :class:`EncryptedJoinResult`."""
-        if algorithm not in MATCH_ALGORITHMS:
-            raise QueryError(f"unknown join algorithm {algorithm!r}")
-        if engine is not None:
-            active_engine = self._resolve_engine(engine)
-            engine_source = "override"
-        elif (
-            query.engine_hint is not None
-            and query.engine_hint in self.hint_engines
-        ):
-            active_engine = self._resolve_engine(query.engine_hint)
-            engine_source = "hint"
-        else:
-            active_engine = self.engine
-            engine_source = "default"
-        left = self.table(query.left_table)
-        right = self.table(query.right_table)
-        stats = ServerStats(engine_source=engine_source)
-        observation = QueryObservation(query.query_id)
-        # The query's scheduling QoS (wire v4): the relative deadline is
-        # stamped against the server's clock here, at admission.
-        # Pooled engines thread it into the admission scheduler
-        # (priority-preferring dispatch, mid-flight cancellation);
-        # inline engines check it between chunks; the drive loop below
-        # checks it between pipeline events so the match stage cannot
-        # overrun either.
-        priority = getattr(query, "priority", 0) or 0
-        relative_deadline = getattr(query, "deadline", None)
-        qos: QueryQoS | None = None
-        if priority or relative_deadline is not None:
-            qos = QueryQoS(
-                priority=priority,
-                deadline=(
-                    time.monotonic() + relative_deadline
-                    if relative_deadline is not None
-                    else None
-                ),
+    def _open_sources(self, query, sides, exclude_rows, engine, qos, stats):
+        """One decrypt source per distinct side, over its selected rows
+        minus those the entry already holds a handle for."""
+        selected = []
+        for side, held in zip(sides, exclude_rows):
+            table = self.table(side.table)
+            selected.append(
+                (side, table, self._selected_rows(table, side.prefilter, held))
             )
+        if isinstance(engine, AutoEngine) and any(exclude_rows):
+            engine = self._price_delta(engine, selected, stats)
+        for side, table, rows in selected:
+            stream = self._decrypt_stream(engine, table, side.token, rows, qos)
+            yield HandleSource(side.positions, stream, rows)
 
-        backend = self.scheme.backend
-        cache = self.series_cache
-        # A concrete per-call engine override ("serial", an instance,
-        # ...) is an instruction to *execute* SJ.Dec that way — an
-        # ablation or accounting run — so it bypasses replay; ``None``
-        # and ``"auto"`` ask for the cheapest correct plan, which the
-        # cache is.  Either way the finished run (re)seeds the entry.
-        replay_eligible = (
-            engine is None
-            or engine == "auto"
-            or isinstance(engine, AutoEngine)
-        )
-        key = b""
-        if cache is not None:
-            # A literally re-submitted query (same token bytes) hits the
-            # series cache; lookup drops entries from a replaced epoch.
-            key = series_key(query, backend)
-        if cache is not None and replay_eligible:
-            epochs = (
-                self.table_epoch(left.name),
-                self.table_epoch(right.name),
-            )
-            entry = cache.lookup(key, epochs)
-            if entry is not None and algorithm not in (
-                "auto",
-                entry.matcher_name,
-            ):
-                # An explicit matcher request (an ablation run) must
-                # actually exercise that matcher: disregard the entry
-                # and let the from-scratch pass replace it.
-                entry = None
-            if entry is not None:
-                versions = (
-                    self.table_version(left.name),
-                    self.table_version(right.name),
-                )
-                # Per-entry admission is non-blocking: a series whose
-                # entry is mid-replay/refresh on another thread must
-                # not starve this query (nor unrelated ones), so on
-                # contention we fall through to the miss path and
-                # recompute from scratch — correct, just not cheap.
-                if entry.lock.acquire(blocking=False):
-                    try:
-                        if entry.versions == versions:
-                            return (
-                                yield from self._series_replay_events(
-                                    entry, query, left, right, stats
-                                )
-                            )
-                        return (
-                            yield from self._series_delta_events(
-                                entry,
-                                query,
-                                left,
-                                right,
-                                stats,
-                                qos,
-                                active_engine,
-                                versions,
-                            )
-                        )
-                    finally:
-                        entry.lock.release()
-                cache.stats.lock_contention += 1
-        # Miss path: capture the maintenance state *before* computing
-        # candidates, so a concurrent mutation lands after our snapshot
-        # and shows up as a version mismatch on the next lookup.
-        if cache is not None:
-            miss_epochs = (
-                self.table_epoch(left.name),
-                self.table_epoch(right.name),
-            )
-            miss_versions = (
-                self.table_version(left.name),
-                self.table_version(right.name),
-            )
-            miss_tombstones = {
-                LEFT: set(self._tombstones.get(left.name, ())),
-                RIGHT: set(self._tombstones.get(right.name, ())),
-            }
+    def _price_delta(self, engine: AutoEngine, selected, stats):
+        """Price a refresh: a 3-row delta must not wake the pool, so
+        under the auto planner the delta cost model (serial-favoring
+        dispatch surcharge) picks one engine for the whole pass."""
+        from repro.bench.costmodel import choose_delta_engine
 
-        left_candidates = self._live(
-            left.name, self._candidates(left, query.left_prefilter)
-        )
-        right_candidates = self._live(
-            right.name, self._candidates(right, query.right_prefilter)
-        )
-        stats.candidates_left = len(left_candidates)
-        stats.candidates_right = len(right_candidates)
-        matcher = self._select_matcher(
-            algorithm, stats, len(left_candidates), len(right_candidates),
-            active_engine,
-            build_distinct=self._distinct_estimate(
-                left.name, len(left_candidates)
-            ),
-            probe_distinct=self._distinct_estimate(
-                right.name, len(right_candidates)
-            ),
-        )
-        left_stream: HandleStream | None = None
-        right_stream: HandleStream | None = None
-        try:
-            # Opening both streams before pulling either is what admits
-            # both sides to the pool together: the service interleaves
-            # their chunk scheduling from the first window fill.
-            left_stream = active_engine.decrypt_stream(
-                backend,
-                query.left_token.elements,
-                self._side_ciphertexts(left, query.left_token, left_candidates),
-                qos=qos,
-            )
-            right_stream = active_engine.decrypt_stream(
-                backend,
-                query.right_token.elements,
-                self._side_ciphertexts(
-                    right, query.right_token, right_candidates
-                ),
-                qos=qos,
-            )
-        except BaseException:
-            if left_stream is not None:
-                left_stream.close()
-            if right_stream is not None:
-                right_stream.close()
-            raise
-        stats.decryptions += len(left_candidates) + len(right_candidates)
-
-        sides = {"left": left.name, "right": right.name}
-        # Per-side handle maps retained for the series cache.  Recorded
-        # separately from the observation (which keys by table name and
-        # would collide the two sides of a self-join).
-        retained: dict[str, dict[int, bytes]] | None = (
-            {LEFT: {}, RIGHT: {}} if cache is not None else None
-        )
-
-        def record_handles(side: str, items: list) -> None:
-            table_name = sides[side]
-            for row_index, handle in items:
-                observation.handles[(table_name, row_index)] = handle
-            if retained is not None:
-                side_handles = retained[side]
-                for row_index, handle in items:
-                    side_handles[row_index] = handle
-
-        pipeline = run_pipeline(
-            left_stream,
-            right_stream,
-            left_candidates,
-            right_candidates,
-            matcher,
-            on_handles=record_handles,
-        )
-        try:
-            # Driven manually (not ``yield from``) so the deadline is
-            # re-checked between pipeline events: the decrypt engines
-            # enforce it between chunks, but a long match stage must
-            # not overrun it either.
-            while True:
-                try:
-                    new_pairs = next(pipeline)
-                except StopIteration as stop:
-                    outcome = stop.value
-                    break
-                if qos is not None and qos.expired():
-                    raise DeadlineError(
-                        f"query {query.query_id} exceeded its deadline "
-                        f"of {relative_deadline}s; cancelled mid-join"
-                    )
-                yield new_pairs
-        finally:
-            # Deterministic cleanup when the consumer abandons the
-            # generator: closing the pipeline closes both handle
-            # streams, releasing any pool admissions.  The adversary
-            # view is recorded even then — the server *did* compute
-            # those handles, and the leakage analyzer must see them.
-            pipeline.close()
-            self.observations.append(observation)
-
-        stats.merge_report(outcome.left_report)
-        stats.merge_report(outcome.right_report)
-        pairs = outcome.pairs
-        stats.matches = len(pairs)
-        stats.probes = matcher.stats.probes
-        stats.comparisons = matcher.stats.comparisons
-        stats.time_to_first_match = outcome.timings.time_to_first_match
-        stats.decrypt_seconds = outcome.timings.decrypt_seconds
-        stats.match_seconds = outcome.timings.match_seconds
-        if cache is not None:
-            # Seed the series: retain the handle maps and the live
-            # matcher so a re-submitted query replays and a mutated one
-            # refreshes by delta.  Tombstones excluded by this pass are
-            # recorded as already applied.
-            entry = SeriesEntry(
-                key,
-                left.name,
-                right.name,
-                miss_epochs,
-                miss_versions,
-                matcher,
-                stats.matcher,
-            )
-            entry.handles = retained
-            entry.applied_tombstones = miss_tombstones
-            cache.store(entry)
-        return EncryptedJoinResult(
-            left_table=left.name,
-            right_table=right.name,
-            index_pairs=pairs,
-            left_payloads=[left.payloads[i] for i, _ in pairs],
-            right_payloads=[right.payloads[j] for _, j in pairs],
-            stats=stats,
-        )
-
-    def _series_replay_events(
-        self,
-        entry: SeriesEntry,
-        query: EncryptedJoinQuery,
-        left: EncryptedTable,
-        right: EncryptedTable,
-        stats: ServerStats,
-    ):
-        """Warm replay: the cached canonical result, zero pairing work.
-
-        No decrypt stream is opened, so not a single Miller loop runs;
-        the retained matcher re-sorts its pairs and that *is* the
-        result.  The adversary observation records the *reused* handles
-        — nothing new is revealed, but the per-query view still
-        determines the result (what the leakage analyzer relies on).
-        """
-        observation = QueryObservation(query.query_id)
-        sides = {LEFT: left.name, RIGHT: right.name}
-        for side, table_name in sides.items():
-            for row_index, handle in entry.handles[side].items():
-                observation.handles[(table_name, row_index)] = handle
-        self.observations.append(observation)
-        pairs = entry.matcher.finish()
-        entry.replays += 1
-        if self.series_cache is not None:
-            self.series_cache.stats.replays += 1
-        stats.series_cache_hits = 1
-        stats.reused_handles = entry.reused_handles()
-        stats.matches = len(pairs)
-        stats.probes = entry.matcher.stats.probes
-        stats.comparisons = entry.matcher.stats.comparisons
-        stats.matcher = entry.matcher_name
-        stats.engine = "series"
-        stats.engine_selected = "series"
-        stats.candidates_left = len(entry.handles[LEFT])
-        stats.candidates_right = len(entry.handles[RIGHT])
-        stats.planner = [
-            {
-                "stage": "series",
-                "outcome": "replay",
-                "reused_handles": stats.reused_handles,
-                "pairs": len(pairs),
-            }
+        delta_rows = sum(len(rows) for _, _, rows in selected)
+        pool_started, workers = self.execution_service.warmth()
+        prepared_sides = [
+            table.prepared_rows is not None
+            for _, table, rows in selected
+            if rows
         ]
-        if pairs:
-            yield list(pairs)
-        return EncryptedJoinResult(
-            left_table=left.name,
-            right_table=right.name,
-            index_pairs=pairs,
-            left_payloads=[left.payloads[i] for i, _ in pairs],
-            right_payloads=[right.payloads[j] for _, j in pairs],
-            stats=stats,
+        choice, estimates = choose_delta_engine(
+            self._cost_model(engine),
+            rows=delta_rows,
+            dimension=self.scheme.params.dimension,
+            workers=workers,
+            batch_size=engine.batch_size,
+            parallel_batch_size=max(1, engine.batch_size // 2),
+            pool_warm=pool_started,
+            allowed=engine.candidates,
+            prepared=bool(prepared_sides) and all(prepared_sides),
         )
-
-    def _series_delta_events(
-        self,
-        entry: SeriesEntry,
-        query: EncryptedJoinQuery,
-        left: EncryptedTable,
-        right: EncryptedTable,
-        stats: ServerStats,
-        qos: QueryQoS | None,
-        active_engine: ExecutionEngine,
-        versions: tuple[int, int],
-    ):
-        """Delta refresh: SJ.Dec only what the entry has never seen.
-
-        Tombstones accrued since the last refresh are withdrawn from
-        the retained matcher *first* (so dead rows cannot pair with new
-        arrivals), then only the never-fed live candidate rows are
-        decrypted and fed in.  ``matcher.finish()`` then yields the
-        full canonical result — retained pairs plus the delta's.
-        """
-        cache = self.series_cache
-        matcher = entry.matcher
-        for side, table in ((LEFT, left), (RIGHT, right)):
-            current = set(self._tombstones.get(table.name, ()))
-            new = current - entry.applied_tombstones[side]
-            doomed = [i for i in new if i in entry.handles[side]]
-            if doomed:
-                if side == LEFT:
-                    matcher.retract_left(doomed)
-                else:
-                    matcher.retract_right(doomed)
-                for i in doomed:
-                    del entry.handles[side][i]
-            entry.applied_tombstones[side] |= new
-        stats.series_cache_hits = 1
-        stats.reused_handles = entry.reused_handles()
-        stats.matcher = entry.matcher_name
-
-        left_candidates = self._live(
-            left.name, self._candidates(left, query.left_prefilter)
-        )
-        right_candidates = self._live(
-            right.name, self._candidates(right, query.right_prefilter)
-        )
-        stats.candidates_left = len(left_candidates)
-        stats.candidates_right = len(right_candidates)
-        # Rows that ever entered the handle map passed the pre-filter,
-        # and tags are immutable, so set difference against the handle
-        # map is exactly "inserted since the last refresh".
-        left_delta = [
-            i for i in left_candidates if i not in entry.handles[LEFT]
-        ]
-        right_delta = [
-            i for i in right_candidates if i not in entry.handles[RIGHT]
-        ]
-        delta_rows = len(left_delta) + len(right_delta)
-        stats.delta_rows = delta_rows
-
-        # Price the refresh: a 3-row delta must not wake the pool, so
-        # under the auto planner the delta cost model (serial-favoring
-        # dispatch surcharge) picks the engine for this pass.
-        chosen_engine = active_engine
-        if isinstance(active_engine, AutoEngine):
-            from repro.bench.costmodel import (
-                choose_delta_engine,
-                default_engine_cost_model,
-            )
-
-            model = active_engine.cost_model
-            if model is None:
-                model = default_engine_cost_model(self.scheme.backend.name)
-            pool_started, workers = self.execution_service.warmth()
-            prepared_sides = [
-                table.prepared_rows is not None
-                for table, delta in ((left, left_delta), (right, right_delta))
-                if delta
-            ]
-            choice, estimates = choose_delta_engine(
-                model,
-                rows=delta_rows,
-                dimension=self.scheme.params.dimension,
-                workers=workers,
-                batch_size=active_engine.batch_size,
-                parallel_batch_size=max(1, active_engine.batch_size // 2),
-                pool_warm=pool_started,
-                allowed=active_engine.candidates,
-                prepared=bool(prepared_sides) and all(prepared_sides),
-            )
-            chosen_engine = self._resolve_engine(choice)
-            if stats.planner is None:
-                stats.planner = []
-            stats.planner.append({
-                "stage": "delta",
-                "rows": delta_rows,
-                "chosen": choice,
-                "estimates": {
-                    name: float(sec) for name, sec in estimates.items()
-                },
-            })
-
-        # Stream the retained pairs first so the union of yielded
-        # batches still equals the final result, then the delta's new
-        # pairs as they are discovered.
-        retained_pairs = matcher.finish()
-        if retained_pairs:
-            yield list(retained_pairs)
-
-        observation = QueryObservation(query.query_id)
-        backend = self.scheme.backend
-        left_stream: HandleStream | None = None
-        right_stream: HandleStream | None = None
-        try:
-            left_stream = chosen_engine.decrypt_stream(
-                backend,
-                query.left_token.elements,
-                self._side_ciphertexts(left, query.left_token, left_delta),
-                qos=qos,
-            )
-            right_stream = chosen_engine.decrypt_stream(
-                backend,
-                query.right_token.elements,
-                self._side_ciphertexts(right, query.right_token, right_delta),
-                qos=qos,
-            )
-        except BaseException:
-            if left_stream is not None:
-                left_stream.close()
-            if right_stream is not None:
-                right_stream.close()
-            raise
-        stats.decryptions += delta_rows
-
-        sides = {LEFT: left.name, RIGHT: right.name}
-        # The view starts from the reused handles; the delta's newly
-        # computed ones accrue below — together they determine the
-        # refreshed result, which is what the leakage analyzer checks.
-        for side, table_name in sides.items():
-            for row_index, handle in entry.handles[side].items():
-                observation.handles[(table_name, row_index)] = handle
-
-        def record_handles(side: str, items: list) -> None:
-            table_name = sides[side]
-            side_handles = entry.handles[side]
-            for row_index, handle in items:
-                observation.handles[(table_name, row_index)] = handle
-                side_handles[row_index] = handle
-
-        pipeline = run_pipeline(
-            left_stream,
-            right_stream,
-            left_delta,
-            right_delta,
-            matcher,
-            on_handles=record_handles,
-        )
-        try:
-            while True:
-                try:
-                    new_pairs = next(pipeline)
-                except StopIteration as stop:
-                    outcome = stop.value
-                    break
-                if qos is not None and qos.expired():
-                    raise DeadlineError(
-                        f"query {query.query_id} exceeded its deadline; "
-                        "cancelled mid-refresh"
-                    )
-                yield new_pairs
-        finally:
-            pipeline.close()
-            self.observations.append(observation)
-
-        stats.merge_report(outcome.left_report)
-        stats.merge_report(outcome.right_report)
-        pairs = outcome.pairs
-        stats.matches = len(pairs)
-        stats.probes = matcher.stats.probes
-        stats.comparisons = matcher.stats.comparisons
-        stats.time_to_first_match = outcome.timings.time_to_first_match
-        stats.decrypt_seconds = outcome.timings.decrypt_seconds
-        stats.match_seconds = outcome.timings.match_seconds
-        entry.versions = versions
-        entry.delta_refreshes += 1
-        if cache is not None:
-            cache.stats.delta_refreshes += 1
-            cache.reaccount(entry)
-        return EncryptedJoinResult(
-            left_table=left.name,
-            right_table=right.name,
-            index_pairs=pairs,
-            left_payloads=[left.payloads[i] for i, _ in pairs],
-            right_payloads=[right.payloads[j] for _, j in pairs],
-            stats=stats,
-        )
-
-    # -- multi-way chains --------------------------------------------------
-    def _chain_payloads(
-        self, tables: list[EncryptedTable], tuples
-    ) -> list[tuple[bytes, ...]]:
-        return [
-            tuple(
-                tables[position].payloads[row]
-                for position, row in enumerate(combo)
-            )
-            for combo in tuples
-        ]
-
-    def stream_chain(
-        self,
-        query: EncryptedChainQuery,
-        engine: ExecutionEngine | str | None = None,
-    ):
-        """Run a multi-way chain join as a streaming pipeline; a generator.
-
-        Yields :class:`ChainMatchBatch` increments (completed chain
-        tuples in discovery order, with payloads) as the left-deep
-        pipeline completes them, and returns the final
-        :class:`EncryptedChainResult` — canonical lexicographic tuple
-        order — as the generator's value (``StopIteration.value``).
-
-        The join order is chosen per query by the cost-model planner
-        from prefilter-posting cardinality estimates; matching is
-        always hash-based (one incremental matcher per plan node).
-        """
-        tables = [self.table(name) for name in query.tables]
-        events = self._chain_events(query, engine)
-        try:
-            while True:
-                try:
-                    new_tuples = next(events)
-                except StopIteration as stop:
-                    return stop.value
-                yield ChainMatchBatch(
-                    tuples=list(new_tuples),
-                    payloads=self._chain_payloads(tables, new_tuples),
-                )
-        finally:
-            events.close()
-
-    def execute_chain(
-        self,
-        query: EncryptedChainQuery,
-        engine: ExecutionEngine | str | None = None,
-    ) -> EncryptedChainResult:
-        """Materializing wrapper around :meth:`stream_chain`."""
-        events = self._chain_events(query, engine)
-        while True:
-            try:
-                next(events)
-            except StopIteration as stop:
-                return stop.value
-
-    def _chain_events(
-        self,
-        query: EncryptedChainQuery,
-        engine: ExecutionEngine | str | None,
-    ):
-        """The chain pipeline drive: yields raw completed-tuple lists,
-        returns the final :class:`EncryptedChainResult`.
-
-        The flow mirrors :meth:`_pipeline_events` with three additions:
-        the **planner** compiles the chain into a costed left-deep
-        order, the per-query **handle pool** opens one decrypt stream
-        per distinct (table, token) side (``stats.handle_pool_hits``),
-        and the cross-series **handle store** pre-feeds retained
-        handles so a cold series over a warm table skips their SJ.Dec
-        entirely (counted in ``stats.reused_handles``).
-        """
-        n = len(query.tables)
-        if not 2 <= n <= MAX_CHAIN_TABLES:
-            raise QueryError(
-                f"a chain query needs 2..{MAX_CHAIN_TABLES} tables, got {n}"
-            )
-        if len(query.tokens) != n or len(query.prefilters) != n:
-            raise QueryError(
-                "chain query tables, tokens and prefilters must align"
-            )
-        if engine is not None:
-            active_engine = self._resolve_engine(engine)
-            engine_source = "override"
-        elif (
-            query.engine_hint is not None
-            and query.engine_hint in self.hint_engines
-        ):
-            active_engine = self._resolve_engine(query.engine_hint)
-            engine_source = "hint"
-        else:
-            active_engine = self.engine
-            engine_source = "default"
-        tables = [self.table(name) for name in query.tables]
-        stats = ServerStats(engine_source=engine_source)
-        observation = QueryObservation(query.query_id)
-        priority = getattr(query, "priority", 0) or 0
-        relative_deadline = getattr(query, "deadline", None)
-        qos: QueryQoS | None = None
-        if priority or relative_deadline is not None:
-            qos = QueryQoS(
-                priority=priority,
-                deadline=(
-                    time.monotonic() + relative_deadline
-                    if relative_deadline is not None
-                    else None
-                ),
-            )
-
-        backend = self.scheme.backend
-        cache = self.series_cache
-        replay_eligible = (
-            engine is None
-            or engine == "auto"
-            or isinstance(engine, AutoEngine)
-        )
-        key = b""
-        if cache is not None:
-            key = chain_series_key(query, backend)
-        if cache is not None and replay_eligible:
-            epochs = tuple(self.table_epoch(t.name) for t in tables)
-            entry = cache.lookup(key, epochs)
-            if entry is not None and not isinstance(entry, ChainSeriesEntry):
-                entry = None
-            if entry is not None:
-                versions = tuple(
-                    self.table_version(t.name) for t in tables
-                )
-                if entry.lock.acquire(blocking=False):
-                    try:
-                        if entry.versions == versions:
-                            return (
-                                yield from self._chain_replay_events(
-                                    entry, query, tables, stats
-                                )
-                            )
-                        return (
-                            yield from self._chain_delta_events(
-                                entry,
-                                query,
-                                tables,
-                                stats,
-                                qos,
-                                active_engine,
-                                versions,
-                            )
-                        )
-                    finally:
-                        entry.lock.release()
-                cache.stats.lock_contention += 1
-        if cache is not None:
-            miss_epochs = tuple(self.table_epoch(t.name) for t in tables)
-            miss_versions = tuple(
-                self.table_version(t.name) for t in tables
-            )
-            miss_tombstones = [
-                set(self._tombstones.get(t.name, ())) for t in tables
-            ]
-
-        started = time.perf_counter()
-        candidates = [
-            self._live(t.name, self._candidates(t, prefilter))
-            for t, prefilter in zip(tables, query.prefilters)
-        ]
-        stats.candidates_left = len(candidates[0])
-        stats.candidates_right = len(candidates[-1])
-
-        from repro.bench.costmodel import default_engine_cost_model
-
-        model = getattr(active_engine, "cost_model", None)
-        if model is None:
-            model = default_engine_cost_model(backend.name)
-        distincts = [
-            self._distinct_estimate(t.name, len(c))
-            for t, c in zip(tables, candidates)
-        ]
-        plan = compile_plan(model, [len(c) for c in candidates], distincts)
-        if stats.planner is None:
-            stats.planner = []
-        stats.planner.append(plan.record())
-        stats.plan_nodes = n - 1
-        stats.matcher = "hash"
-        executor = ChainExecutor(plan.order)
-
-        groups = group_chain_sides(query, backend)
-        stats.handle_pool_hits = n - len(groups)
-        position_rows = [set(c) for c in candidates]
-
-        # Cross-series reuse: pre-feed whatever the handle store still
-        # holds for each side, decrypt only the rest.
-        warm_completed: list[tuple[int, ...]] = []
-        cold: list[tuple] = []
-        for group in groups:
-            union_rows = sorted(
-                set().union(*(position_rows[p] for p in group.positions))
-            )
-            warm: dict[int, bytes] = {}
-            if self.handle_store is not None and union_rows:
-                warm = self.handle_store.lookup(
-                    group.table, self.table_epoch(group.table), group.digest
-                )
-            warm_items = [
-                (row, warm[row]) for row in union_rows if row in warm
-            ]
-            cold.append(
-                (group, [row for row in union_rows if row not in warm])
-            )
-            if not warm_items:
-                continue
-            stats.reused_handles += len(warm_items)
-            for row, handle in warm_items:
-                observation.handles[(group.table, row)] = handle
-            for position in group.positions:
-                allowed = position_rows[position]
-                fed = [
-                    (row, handle)
-                    for row, handle in warm_items
-                    if row in allowed
-                ]
-                if fed:
-                    warm_completed.extend(executor.feed(position, fed))
-
-        source_meta: dict[tuple[int, ...], tuple] = {}
-        sources: list[ChainSideSource] = []
-        try:
-            for group, cold_rows in cold:
-                table = self.table(group.table)
-                stream = active_engine.decrypt_stream(
-                    backend,
-                    group.token.elements,
-                    self._side_ciphertexts(table, group.token, cold_rows),
-                    qos=qos,
-                )
-                sources.append(
-                    ChainSideSource(group.positions, stream, cold_rows)
-                )
-                source_meta[tuple(group.positions)] = (
-                    group.table,
-                    self.table_epoch(group.table),
-                    group.digest,
-                )
-        except BaseException:
-            for source in sources:
-                source.close()
-            raise
-        stats.decryptions += sum(len(cold_rows) for _, cold_rows in cold)
-
-        def record_items(positions, items) -> None:
-            table_name, epoch, digest = source_meta[tuple(positions)]
-            for row, handle in items:
-                observation.handles[(table_name, row)] = handle
-            if self.handle_store is not None:
-                self.handle_store.record(table_name, epoch, digest, items)
-
-        pipeline = run_chain_pipeline(
-            sources, executor, position_rows, on_items=record_items
-        )
-        saw_first_match = False
-        try:
-            if warm_completed:
-                saw_first_match = True
-                stats.time_to_first_match = time.perf_counter() - started
-                yield list(warm_completed)
-            while True:
-                try:
-                    new_tuples = next(pipeline)
-                except StopIteration as stop:
-                    outcome = stop.value
-                    break
-                if qos is not None and qos.expired():
-                    raise DeadlineError(
-                        f"query {query.query_id} exceeded its deadline "
-                        f"of {relative_deadline}s; cancelled mid-chain"
-                    )
-                yield new_tuples
-        finally:
-            pipeline.close()
-            # ``pipeline.close()`` on a never-started generator does not
-            # run its body's cleanup, so close the sources directly too
-            # (stream close is idempotent).
-            for source in sources:
-                source.close()
-            self.observations.append(observation)
-
-        for report in outcome.outcomes:
-            if report is not None:
-                stats.merge_report(report)
-        tuples = outcome.tuples
-        stats.matches = len(tuples)
-        stats.probes = executor.probes
-        stats.comparisons = executor.comparisons
-        if not saw_first_match:
-            stats.time_to_first_match = outcome.time_to_first_match
-        stats.decrypt_seconds = outcome.decrypt_seconds
-        stats.match_seconds = outcome.match_seconds
-        if cache is not None:
-            entry = ChainSeriesEntry(
-                key, query.tables, miss_epochs, miss_versions, executor
-            )
-            entry.applied_tombstones = miss_tombstones
-            cache.store(entry)
-        return EncryptedChainResult(
-            tables=tuple(query.tables),
-            tuples=tuples,
-            payloads=self._chain_payloads(tables, tuples),
-            stats=stats,
-        )
-
-    def _chain_replay_events(
-        self,
-        entry: ChainSeriesEntry,
-        query: EncryptedChainQuery,
-        tables: list[EncryptedTable],
-        stats: ServerStats,
-    ):
-        """Warm chain replay: the retained executor's canonical tuples,
-        zero pairing work — the chain counterpart of
-        :meth:`_series_replay_events`."""
-        executor = entry.executor
-        observation = QueryObservation(query.query_id)
-        for position, table in enumerate(tables):
-            for row, handle in executor.handles[position].items():
-                observation.handles[(table.name, row)] = handle
-        self.observations.append(observation)
-        tuples = executor.finish()
-        entry.replays += 1
-        if self.series_cache is not None:
-            self.series_cache.stats.replays += 1
-        stats.series_cache_hits = 1
-        stats.reused_handles = entry.reused_handles()
-        stats.matches = len(tuples)
-        stats.probes = executor.probes
-        stats.comparisons = executor.comparisons
-        stats.matcher = "hash"
-        stats.engine = "series"
-        stats.engine_selected = "series"
-        stats.plan_nodes = len(tables) - 1
-        stats.candidates_left = len(executor.handles[0])
-        stats.candidates_right = len(executor.handles[-1])
-        stats.planner = [
-            {
-                "stage": "series",
-                "outcome": "replay",
-                "reused_handles": stats.reused_handles,
-                "tuples": len(tuples),
-            }
-        ]
-        if tuples:
-            yield list(tuples)
-        return EncryptedChainResult(
-            tables=tuple(query.tables),
-            tuples=tuples,
-            payloads=self._chain_payloads(tables, tuples),
-            stats=stats,
-        )
-
-    def _chain_delta_events(
-        self,
-        entry: ChainSeriesEntry,
-        query: EncryptedChainQuery,
-        tables: list[EncryptedTable],
-        stats: ServerStats,
-        qos: QueryQoS | None,
-        active_engine: ExecutionEngine,
-        versions: tuple[int, ...],
-    ):
-        """Chain delta refresh: retract the new tombstones, then SJ.Dec
-        only never-fed rows into the retained executor — the chain
-        counterpart of :meth:`_series_delta_events`, still pooling
-        shared sides."""
-        cache = self.series_cache
-        executor = entry.executor
-        n = len(tables)
-        for position, table in enumerate(tables):
-            current = set(self._tombstones.get(table.name, ()))
-            new = current - entry.applied_tombstones[position]
-            if new:
-                executor.retract(position, new)
-                entry.applied_tombstones[position] |= new
-        stats.series_cache_hits = 1
-        stats.reused_handles = entry.reused_handles()
-        stats.matcher = "hash"
-        stats.plan_nodes = n - 1
-
-        candidates = [
-            self._live(t.name, self._candidates(t, prefilter))
-            for t, prefilter in zip(tables, query.prefilters)
-        ]
-        stats.candidates_left = len(candidates[0])
-        stats.candidates_right = len(candidates[-1])
-        position_delta = [
-            {i for i in rows if i not in executor.handles[position]}
-            for position, rows in enumerate(candidates)
-        ]
-        delta_rows = sum(len(rows) for rows in position_delta)
-        stats.delta_rows = delta_rows
-
-        chosen_engine = active_engine
-        if isinstance(active_engine, AutoEngine):
-            from repro.bench.costmodel import (
-                choose_delta_engine,
-                default_engine_cost_model,
-            )
-
-            model = active_engine.cost_model
-            if model is None:
-                model = default_engine_cost_model(self.scheme.backend.name)
-            pool_started, workers = self.execution_service.warmth()
-            prepared_sides = [
-                table.prepared_rows is not None
-                for table, delta in zip(tables, position_delta)
-                if delta
-            ]
-            choice, estimates = choose_delta_engine(
-                model,
-                rows=delta_rows,
-                dimension=self.scheme.params.dimension,
-                workers=workers,
-                batch_size=active_engine.batch_size,
-                parallel_batch_size=max(1, active_engine.batch_size // 2),
-                pool_warm=pool_started,
-                allowed=active_engine.candidates,
-                prepared=bool(prepared_sides) and all(prepared_sides),
-            )
-            chosen_engine = self._resolve_engine(choice)
-            if stats.planner is None:
-                stats.planner = []
-            stats.planner.append({
-                "stage": "delta",
-                "rows": delta_rows,
-                "chosen": choice,
-                "estimates": {
-                    name: float(sec) for name, sec in estimates.items()
-                },
-            })
-
-        retained_tuples = executor.finish()
-        if retained_tuples:
-            yield list(retained_tuples)
-
-        observation = QueryObservation(query.query_id)
-        backend = self.scheme.backend
-        for position, table in enumerate(tables):
-            for row, handle in executor.handles[position].items():
-                observation.handles[(table.name, row)] = handle
-
-        groups = group_chain_sides(query, backend)
-        stats.handle_pool_hits = n - len(groups)
-        source_meta: dict[tuple[int, ...], tuple] = {}
-        sources: list[ChainSideSource] = []
-        try:
-            for group in groups:
-                union_rows = sorted(
-                    set().union(
-                        *(position_delta[p] for p in group.positions)
-                    )
-                )
-                table = self.table(group.table)
-                stream = chosen_engine.decrypt_stream(
-                    backend,
-                    group.token.elements,
-                    self._side_ciphertexts(table, group.token, union_rows),
-                    qos=qos,
-                )
-                sources.append(
-                    ChainSideSource(group.positions, stream, union_rows)
-                )
-                source_meta[tuple(group.positions)] = (
-                    group.table,
-                    self.table_epoch(group.table),
-                    group.digest,
-                )
-        except BaseException:
-            for source in sources:
-                source.close()
-            raise
-        stats.decryptions += sum(len(source.rows) for source in sources)
-
-        def record_items(positions, items) -> None:
-            table_name, epoch, digest = source_meta[tuple(positions)]
-            for row, handle in items:
-                observation.handles[(table_name, row)] = handle
-            if self.handle_store is not None:
-                self.handle_store.record(table_name, epoch, digest, items)
-
-        pipeline = run_chain_pipeline(
-            sources, executor, position_delta, on_items=record_items
-        )
-        try:
-            while True:
-                try:
-                    new_tuples = next(pipeline)
-                except StopIteration as stop:
-                    outcome = stop.value
-                    break
-                if qos is not None and qos.expired():
-                    raise DeadlineError(
-                        f"query {query.query_id} exceeded its deadline; "
-                        "cancelled mid-refresh"
-                    )
-                yield new_tuples
-        finally:
-            pipeline.close()
-            for source in sources:
-                source.close()
-            self.observations.append(observation)
-
-        for report in outcome.outcomes:
-            if report is not None:
-                stats.merge_report(report)
-        tuples = outcome.tuples
-        stats.matches = len(tuples)
-        stats.probes = executor.probes
-        stats.comparisons = executor.comparisons
-        stats.time_to_first_match = outcome.time_to_first_match
-        stats.decrypt_seconds = outcome.decrypt_seconds
-        stats.match_seconds = outcome.match_seconds
-        entry.versions = tuple(versions)
-        entry.delta_refreshes += 1
-        if cache is not None:
-            cache.stats.delta_refreshes += 1
-            cache.reaccount(entry)
-        return EncryptedChainResult(
-            tables=tuple(query.tables),
-            tuples=tuples,
-            payloads=self._chain_payloads(tables, tuples),
-            stats=stats,
-        )
-
-    def execute_join(
-        self,
-        query: EncryptedJoinQuery,
-        algorithm: str = "hash",
-        engine: ExecutionEngine | str | None = None,
-    ) -> EncryptedJoinResult:
-        """Run SJ.Dec + SJ.Match and return the joined encrypted rows.
-
-        The materializing wrapper around the streaming pipeline:
-        internally the join still runs staged (chunks are matched as
-        they decrypt, and ``stats`` carries the stage timings), but
-        only the final, canonically ordered result is returned.
-        """
-        events = self._pipeline_events(query, algorithm, engine)
-        while True:
-            try:
-                next(events)
-            except StopIteration as stop:
-                return stop.value
+        stats.record({
+            "stage": "delta",
+            "rows": delta_rows,
+            "chosen": choice,
+            "estimates": {
+                name: float(sec) for name, sec in estimates.items()
+            },
+        })
+        return self._resolve_engine(choice)

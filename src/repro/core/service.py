@@ -116,6 +116,21 @@ class QueryQoS:
     priority: int = 0
     deadline: float | None = None
 
+    @classmethod
+    def stamp(cls, query) -> "QueryQoS | None":
+        """The query's QoS with its relative deadline stamped against
+        this process's clock; ``None`` when the query carries neither."""
+        priority = getattr(query, "priority", 0) or 0
+        relative = getattr(query, "deadline", None)
+        if not priority and relative is None:
+            return None
+        return cls(
+            priority=priority,
+            deadline=(
+                time.monotonic() + relative if relative is not None else None
+            ),
+        )
+
     def expired(self, now: float | None = None) -> bool:
         if self.deadline is None:
             return False

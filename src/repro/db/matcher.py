@@ -120,6 +120,11 @@ class IncrementalMatcher:
         emitted.append(pair)
         self.stats.matches += 1
 
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        """The standing pairs, unordered and uncopied (read-only view)."""
+        return self._pairs
+
     def finish(self) -> list[tuple[int, int]]:
         """All pairs, sorted into the canonical right-major order.
 

@@ -17,7 +17,7 @@ the stream — abandoning a merge mid-flight drops the socket, which the
 shard's handler notices, releasing the shard's pool admissions.
 
 Exposure policy is inherited from :mod:`repro.net`: a shard socket can
-reach exactly ``decode_join_query`` → ``open_scatter_sources``; store
+reach exactly ``decode_join_query`` → ``open_sources``; store
 mutation, pool controls and the observation log are not on the wire.
 """
 
@@ -27,15 +27,17 @@ import socket
 
 from repro.core.client import EncryptedJoinQuery
 from repro.crypto.backend import BilinearBackend
-from repro.errors import NetworkError, ReproError, ShardUnavailableError
+from repro.errors import (
+    NetworkError,
+    QueryError,
+    ReproError,
+    ShardUnavailableError,
+)
 from repro.net.client import _error_from_frame
 from repro.net.protocol import MAX_MESSAGE_SIZE, recv_message, send_message
 from repro.net.server import JoinServiceServer
-from repro.shard.coordinator import (
-    LocalShard,
-    ScatterOutcome,
-    ShardCoordinator,
-)
+from repro.plan.handles import SideGroup
+from repro.shard.coordinator import LocalShard, ShardCoordinator
 from repro.store.wire import (
     ErrorFrame,
     ScatterChunkFrame,
@@ -50,6 +52,10 @@ from repro.store.wire import (
     encode_scatter_final,
     encode_stream_header,
 )
+
+
+#: Wire names of the two chain positions of a two-way scatter.
+_SIDES = ("left", "right")
 
 
 class ShardServiceServer(JoinServiceServer):
@@ -76,17 +82,27 @@ class ShardServiceServer(JoinServiceServer):
 
     def _serve_query(self, sock: socket.socket, request: bytes) -> None:
         backend = self.join_server.scheme.backend
+        sources: list = []
         try:
-            query = decode_join_query(request, backend)
-            sources = self.shard.open_scatter_sources(
-                query, engine=self.engine
-            )
-        except ReproError as error:
-            send_message(
-                sock, encode_error_frame(type(error).__name__, str(error))
-            )
-            return
-        try:
+            try:
+                query = decode_join_query(request, backend)
+                # The scatter frames name a side, not a position, so
+                # the two sides are never pooled here.
+                sides = [
+                    SideGroup(table, token, prefilter, [position])
+                    for position, (table, token, prefilter) in enumerate(
+                        zip(query.tables, query.tokens, query.prefilters)
+                    )
+                ]
+                for source in self.shard.open_sources(
+                    query, sides, engine=self.engine
+                ):
+                    sources.append(source)
+            except ReproError as error:
+                send_message(
+                    sock, encode_error_frame(type(error).__name__, str(error))
+                )
+                return
             send_message(
                 sock,
                 encode_stream_header(
@@ -99,11 +115,13 @@ class ShardServiceServer(JoinServiceServer):
                 while active:
                     source = active[turn % len(active)]
                     try:
-                        side, items = next(source)
+                        positions, items = next(source)
                     except StopIteration:
                         active.remove(source)
                         continue
-                    send_message(sock, encode_scatter_chunk(side, items))
+                    send_message(
+                        sock, encode_scatter_chunk(_SIDES[positions[0]], items)
+                    )
                     turn += 1
             except ReproError as error:
                 send_message(
@@ -111,15 +129,18 @@ class ShardServiceServer(JoinServiceServer):
                     encode_error_frame(type(error).__name__, str(error)),
                 )
                 return
-            final = ScatterFinalFrame(candidates_left=0, candidates_right=0)
-            for source in sources:
-                if source.side == "left":
-                    final.candidates_left = len(source.rows)
-                    final.left_report = source.outcome
-                else:
-                    final.candidates_right = len(source.rows)
-                    final.right_report = source.outcome
-            send_message(sock, encode_scatter_final(final))
+            left, right = sources
+            send_message(
+                sock,
+                encode_scatter_final(
+                    ScatterFinalFrame(
+                        candidates_left=left.decrypted,
+                        candidates_right=right.decrypted,
+                        left_report=left.reports[0],
+                        right_report=right.reports[0],
+                    )
+                ),
+            )
         finally:
             # Covers transport-failure exits: a dropped coordinator
             # socket releases this shard's pool admissions.
@@ -131,10 +152,10 @@ class RemoteShard:
     """Coordinator-side proxy for one :class:`ShardServiceServer`.
 
     Interchangeable with :class:`~repro.shard.LocalShard` inside a
-    :class:`~repro.shard.ShardCoordinator`: ``open_scatter_sources``
-    returns one event source covering both sides (the shard multiplexes
-    them on one stream).  Candidate counts and engine reports arrive in
-    the scatter-final frame, so they fold into the coordinator's stats
+    :class:`~repro.shard.ShardCoordinator`: ``open_sources`` yields one
+    event source covering both sides (the shard multiplexes them on one
+    stream).  Candidate counts and engine reports arrive in the
+    scatter-final frame, so they fold into the coordinator's stats
     exactly like a local shard's.  The partition layout of a remote
     shard is enforced server-side (its ``LocalShard.store`` did it);
     the coordinator's layout validation covers local shards only.
@@ -161,27 +182,28 @@ class RemoteShard:
         self.connect_timeout = connect_timeout
         self._sources: set["_RemoteScatterSource"] = set()
 
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name
-
     def describe(self) -> str:
         return self.name or f"{self.host}:{self.port}"
 
-    def open_scatter_sources(
-        self,
-        query: EncryptedJoinQuery,
-        engine=None,
-        qos=None,
-    ) -> list["_RemoteScatterSource"]:
-        """Connect, send the query (the remote co-admission), and return
-        the single merged event source.  ``engine``/``qos`` are ignored:
-        the shard endpoint picks its own engine, and the query already
-        carries its QoS fields — each shard stamps the relative deadline
-        against its own clock."""
+    def open_sources(
+        self, query, sides, exclude_rows=None, engine=None, qos=None
+    ):
+        """Connect, send the query (the remote co-admission), and yield
+        the single merged event source.  Only the query travels: the
+        endpoint opens both of its sides, picks its own engine, and
+        stamps the relative deadline the query carries against its own
+        clock.  (``exclude_rows`` is always empty here — a coordinator
+        with a remote shard keeps no series cache.)  The wire has no
+        chain scatter frame, so only two-way queries can be served."""
+        if not isinstance(query, EncryptedJoinQuery):
+            raise QueryError(
+                f"shard {self.describe()!r} cannot scatter chain queries; "
+                "the shard wire protocol has no chain frame yet — run "
+                "multi-way chains against in-process shards"
+            )
         source = _RemoteScatterSource(self, query)
         self._sources.add(source)
-        return [source]
+        yield source
 
     def close(self) -> None:
         """Drop every in-flight scatter connection.  Idempotent."""
@@ -222,22 +244,23 @@ def coordinator_from_shard_map(
 class _RemoteScatterSource:
     """One scatter stream from one remote shard, as a merge source.
 
-    Yields ``(side, items)`` events decoded from scatter-chunk frames;
-    sets ``outcome`` (a :class:`~repro.shard.ScatterOutcome`) when the
-    scatter-final frame arrives.  Transport loss at any point raises
+    Yields ``(positions, items)`` events decoded from scatter-chunk
+    frames — the wire's ``left``/``right`` sides are chain positions
+    ``(0,)``/``(1,)`` — and learns ``decrypted`` and ``reports`` when
+    the scatter-final frame arrives.  Transport loss at any point raises
     :class:`~repro.errors.ShardUnavailableError`; server-reported
     failures re-raise as their local exception type (so a remote
     deadline is still a ``DeadlineError``).
     """
 
-    #: No single side / locally known candidate rows — see RemoteShard.
-    side = None
+    #: No locally known candidate rows up front — see RemoteShard.
     rows = None
 
     def __init__(self, shard: RemoteShard, query: EncryptedJoinQuery):
         self.shard = shard
         self.query = query
-        self.outcome: ScatterOutcome | None = None
+        self.decrypted: int | None = None
+        self.reports: list = []
         self._sock: socket.socket | None = None
         self._got_header = False
         try:
@@ -262,7 +285,7 @@ class _RemoteScatterSource:
         return self
 
     def __next__(self):
-        if self.outcome is not None or self._sock is None:
+        if self.decrypted is not None or self._sock is None:
             raise StopIteration
         while True:
             try:
@@ -291,14 +314,12 @@ class _RemoteScatterSource:
                 self._got_header = True
                 continue
             if isinstance(frame, ScatterChunkFrame):
-                return frame.side, frame.items
+                return (_SIDES.index(frame.side),), frame.items
             if isinstance(frame, ScatterFinalFrame):
-                self.outcome = ScatterOutcome(
-                    candidates_left=frame.candidates_left,
-                    candidates_right=frame.candidates_right,
-                    left_report=frame.left_report,
-                    right_report=frame.right_report,
+                self.decrypted = (
+                    frame.candidates_left + frame.candidates_right
                 )
+                self.reports = [frame.left_report, frame.right_report]
                 self.close()
                 raise StopIteration
             self._fail(

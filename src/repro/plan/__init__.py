@@ -13,24 +13,11 @@ spec into a priced, pipelined plan:
   chain tuple surfaces while SJ.Dec is still streaming;
 - :mod:`repro.plan.handles` — the per-query handle pool (each
   (table, token) side decrypted exactly once, however many chain
-  positions consume it) and the cross-series
-  :class:`~repro.plan.handles.KeyedHandleStore` that lets a cold
-  series over a warm table reuse retained handles.
+  positions consume it).
 """
 
-from repro.plan.executor import (
-    ChainExecutor,
-    ChainPipelineResult,
-    ChainSideSource,
-    run_chain_pipeline,
-)
-from repro.plan.handles import (
-    DEFAULT_HANDLE_STORE_BUDGET,
-    KeyedHandleStore,
-    SideGroup,
-    group_chain_sides,
-    token_digest,
-)
+from repro.plan.executor import ChainExecutor
+from repro.plan.handles import SideGroup, group_chain_sides
 from repro.plan.planner import (
     MAX_CHAIN_TABLES,
     JoinPlan,
@@ -40,16 +27,10 @@ from repro.plan.planner import (
 
 __all__ = [
     "ChainExecutor",
-    "ChainPipelineResult",
-    "ChainSideSource",
-    "DEFAULT_HANDLE_STORE_BUDGET",
     "JoinPlan",
-    "KeyedHandleStore",
     "MAX_CHAIN_TABLES",
     "PlanNode",
     "SideGroup",
     "compile_plan",
     "group_chain_sides",
-    "run_chain_pipeline",
-    "token_digest",
 ]

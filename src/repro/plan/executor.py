@@ -8,11 +8,14 @@ early and what the planner's order choice optimizes:
 
 - node 0 pairs the first two positions of the chosen order, keyed by
   handle;
-- every pair a node emits becomes a *tuple id* whose partial tuple and
-  handle cascade immediately into the next node's ``add_left`` — no
-  materialization barrier, so one decrypted chunk can complete full
-  n-way tuples while every other side is still streaming;
-- the final node's tuple ids are complete chain tuples.
+- every pair a non-final node emits becomes a *tuple id* whose partial
+  tuple and handle cascade immediately into the next node's
+  ``add_left`` — no materialization barrier, so one decrypted chunk can
+  complete full n-way tuples while every other side is still streaming;
+- the final node's pairs *are* the complete chain tuples, expanded
+  through the partial tuples on demand.  A two-way join is the chain
+  with that one node: nothing cascades, and the executor holds exactly
+  what the node's matcher holds.
 
 Because matcher retraction returns the dropped pairs
 (:meth:`~repro.db.matcher.IncrementalMatcher.retract_left`), deletes
@@ -29,18 +32,16 @@ shard layout feeding global indices) agree byte-for-byte.
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
-from repro.db.matcher import HashMatcher
+from repro.db.matcher import get_matcher
 from repro.errors import QueryError
 
 
 class ChainExecutor:
     """Incremental n-way chain matcher over a left-deep node order."""
 
-    def __init__(self, order: Sequence[int]):
+    def __init__(self, order: Sequence[int], algorithm: str = "hash"):
         order = tuple(order)
         n = len(order)
         if n < 2:
@@ -62,7 +63,7 @@ class ChainExecutor:
                 )
         self.order = order
         self.arity = n
-        self.matchers = [HashMatcher() for _ in range(n - 1)]
+        self.matchers = [get_matcher(algorithm) for _ in range(n - 1)]
         #: chain position -> (node index, feeds-left?).  ``order[0]``
         #: is the only position feeding a left input; every other
         #: position is the right (probe) input of exactly one node.
@@ -72,12 +73,14 @@ class ChainExecutor:
         #: position -> {row -> handle}: every base item ever fed and
         #: not since retracted (the series cache's retained handles).
         self.handles: list[dict[int, bytes]] = [{} for _ in range(n)]
+        # Tuple ids exist only *between* nodes: the last node's own
+        # pairs are the completed tuples, so a two-table chain keeps
+        # nothing here beyond its single matcher's pair list.
         self._tuples: dict[int, dict[int, int]] = {}
         self._tuple_handle: dict[int, bytes] = {}
         self._pair_tid: list[dict[tuple[int, int], int]] = [
-            {} for _ in range(n - 1)
+            {} for _ in range(n - 2)
         ]
-        self._completed: dict[int, tuple[int, ...]] = {}
         self._next_tid = 0
 
     # -- feeding ----------------------------------------------------------
@@ -127,51 +130,63 @@ class ChainExecutor:
                 f"{self.arity}"
             ) from None
 
+    def _rows(self, node: int, pair) -> dict[int, int]:
+        """The base rows (by chain position) behind one node's pair."""
+        left_id, row = pair
+        if node == 0:
+            return {self.order[0]: left_id, self.order[1]: row}
+        rows = dict(self._tuples[left_id])
+        rows[self.order[node + 1]] = row
+        return rows
+
+    def _complete(self, pairs) -> list[tuple[int, ...]]:
+        """The last node's pairs as full chain tuples."""
+        if self.order == (0, 1):
+            # One node, identity order: a pair already is the tuple.
+            return pairs
+        last = self.arity - 2
+        return [
+            tuple(rows[p] for p in range(self.arity))
+            for rows in (self._rows(last, pair) for pair in pairs)
+        ]
+
     def _cascade(self, node: int, pairs) -> list[tuple[int, ...]]:
+        if node == self.arity - 2:
+            return self._complete(pairs)
         completed: list[tuple[int, ...]] = []
-        last = len(self.matchers) - 1
         for pair in pairs:
-            left_id, row = pair
+            rows = self._rows(node, pair)
             if node == 0:
-                rows = {self.order[0]: left_id, self.order[1]: row}
-                handle = self.handles[self.order[0]][left_id]
+                handle = self.handles[self.order[0]][pair[0]]
             else:
-                rows = dict(self._tuples[left_id])
-                rows[self.order[node + 1]] = row
-                handle = self._tuple_handle[left_id]
+                handle = self._tuple_handle[pair[0]]
             tid = self._next_tid
             self._next_tid += 1
             self._pair_tid[node][pair] = tid
-            if node == last:
-                full = tuple(rows[p] for p in range(self.arity))
-                self._completed[tid] = full
-                completed.append(full)
-            else:
-                self._tuples[tid] = rows
-                self._tuple_handle[tid] = handle
-                emitted = self.matchers[node + 1].add_left([(tid, handle)])
-                completed.extend(self._cascade(node + 1, emitted))
+            self._tuples[tid] = rows
+            self._tuple_handle[tid] = handle
+            emitted = self.matchers[node + 1].add_left([(tid, handle)])
+            completed.extend(self._cascade(node + 1, emitted))
         return completed
 
     def _cascade_retract(self, node: int, dropped) -> list[tuple[int, ...]]:
-        removed: list[tuple[int, ...]] = []
+        if node == self.arity - 2:
+            return self._complete(dropped)
         pair_tid = self._pair_tid[node]
         tids = [
             pair_tid.pop(pair) for pair in dropped if pair in pair_tid
         ]
         if not tids:
-            return removed
-        if node == len(self.matchers) - 1:
-            for tid in tids:
-                full = self._completed.pop(tid, None)
-                if full is not None:
-                    removed.append(full)
-            return removed
+            return []
+        removed = self._cascade_retract(
+            node + 1, self.matchers[node + 1].retract_left(tids)
+        )
+        # Only now: the next node's dropped pairs were expanded through
+        # these partial tuples.
         for tid in tids:
             self._tuples.pop(tid, None)
             self._tuple_handle.pop(tid, None)
-        dropped_next = self.matchers[node + 1].retract_left(tids)
-        return self._cascade_retract(node + 1, dropped_next)
+        return removed
 
     # -- results ----------------------------------------------------------
     def finish(self) -> list[tuple[int, ...]]:
@@ -180,11 +195,11 @@ class ChainExecutor:
         Idempotent and re-callable — a retained executor is finished
         once per replay, after any delta feeding/retraction between.
         """
-        return sorted(self._completed.values())
+        return sorted(self._complete(self.matchers[-1].pairs))
 
     @property
     def matches(self) -> int:
-        return len(self._completed)
+        return self.matchers[-1].stats.matches
 
     @property
     def probes(self) -> int:
@@ -195,7 +210,7 @@ class ChainExecutor:
         return sum(m.stats.comparisons for m in self.matchers)
 
     def reused_handles(self) -> int:
-        return sum(len(side) for side in self.handles)
+        return sum(map(len, self.handles))
 
     def retained_bytes(self) -> int:
         """Accounting for the series cache: handles + tuple state."""
@@ -203,139 +218,6 @@ class ChainExecutor:
         for side in self.handles:
             for handle in side.values():
                 total += len(handle) + 96
-        total += (len(self._tuples) + len(self._completed)) * (
-            80 + 24 * self.arity
-        )
+        total += len(self._tuples) * (80 + 24 * self.arity)
         total += sum(m.stats.matches for m in self.matchers) * 80
         return total
-
-
-class ChainSideSource:
-    """One decrypt stream fanned out to the positions sharing its side.
-
-    The streaming face of the handle pool: iteration yields
-    ``(positions, items)`` per decrypted chunk — ``items`` being
-    ``(row, handle)`` or ``(row, handle, payload)`` tuples with chunk
-    offsets translated through ``rows`` (local indices on the single
-    store, *global* indices from a shard) — and every position in
-    ``positions`` consumes the same items.  ``outcome`` is the
-    stream's :class:`~repro.core.engine.EngineReport` once exhausted.
-    """
-
-    def __init__(
-        self,
-        positions: Sequence[int],
-        stream,
-        rows: Sequence[int],
-        payloads: Sequence[bytes] | None = None,
-    ):
-        self.positions = tuple(positions)
-        self.stream = stream
-        self.rows = rows
-        self.payloads = payloads
-        self.outcome = None
-
-    def __iter__(self) -> "ChainSideSource":
-        return self
-
-    def __next__(self):
-        try:
-            chunk = next(self.stream)
-        except StopIteration:
-            self.outcome = self.stream.report
-            raise
-        rows = self.rows
-        if self.payloads is None:
-            items = [
-                (rows[chunk.start + offset], handle)
-                for offset, handle in enumerate(chunk.handles)
-            ]
-        else:
-            payloads = self.payloads
-            items = [
-                (
-                    rows[chunk.start + offset],
-                    handle,
-                    payloads[chunk.start + offset],
-                )
-                for offset, handle in enumerate(chunk.handles)
-            ]
-        return self.positions, items
-
-    def close(self) -> None:
-        self.stream.close()
-
-
-@dataclass
-class ChainPipelineResult:
-    """What one chain pipeline run produced."""
-
-    tuples: list[tuple[int, ...]] = field(default_factory=list)
-    outcomes: list = field(default_factory=list)
-    time_to_first_match: float = 0.0
-    decrypt_seconds: float = 0.0
-    match_seconds: float = 0.0
-    total_seconds: float = 0.0
-
-
-def run_chain_pipeline(
-    sources: Sequence[ChainSideSource],
-    executor: ChainExecutor,
-    position_rows: Sequence,
-    on_items: Callable[[tuple[int, ...], list], None] | None = None,
-):
-    """Merge chain side sources into ``executor``; a generator.
-
-    ``position_rows[p]`` is the set of candidate rows of chain position
-    ``p`` — a pooled source may cover the *union* of several positions'
-    candidates (one decrypt stream per distinct side), so each position
-    feeds only its own subset.  Yields lists of newly completed chain
-    tuples in discovery order; returns a :class:`ChainPipelineResult`
-    with the canonical sorted tuples.  Every source is closed on every
-    exit path, so pooled sides always release their admissions.
-    """
-    started = time.perf_counter()
-    result = ChainPipelineResult()
-    first_match_at: float | None = None
-    active = list(sources)
-    try:
-        turn = 0
-        while active:
-            source = active[turn % len(active)]
-            waited = time.perf_counter()
-            try:
-                positions, items = next(source)
-            except StopIteration:
-                result.decrypt_seconds += time.perf_counter() - waited
-                active.remove(source)
-                continue
-            result.decrypt_seconds += time.perf_counter() - waited
-            if on_items is not None:
-                on_items(positions, items)
-            matched_at = time.perf_counter()
-            completed: list[tuple[int, ...]] = []
-            for position in positions:
-                allowed = position_rows[position]
-                fed = [
-                    (item[0], item[1])
-                    for item in items
-                    if item[0] in allowed
-                ]
-                if fed:
-                    completed.extend(executor.feed(position, fed))
-            result.match_seconds += time.perf_counter() - matched_at
-            if completed:
-                if first_match_at is None:
-                    first_match_at = time.perf_counter()
-                    result.time_to_first_match = first_match_at - started
-                yield completed
-            turn += 1
-    finally:
-        for source in sources:
-            source.close()
-    finish_at = time.perf_counter()
-    result.tuples = executor.finish()
-    result.match_seconds += time.perf_counter() - finish_at
-    result.total_seconds = time.perf_counter() - started
-    result.outcomes = [getattr(source, "outcome", None) for source in sources]
-    return result

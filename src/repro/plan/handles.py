@@ -1,59 +1,22 @@
-"""Decrypted handles as a reusable asset — within a query and across series.
+"""The per-query handle pool: a (table, token) side is decrypted once.
 
-Two mechanisms, one invariant: **a (table, token) side is never
-decrypted twice while its handles are still reachable.**
+Chain positions naming the same table under byte-identical tokens (and
+the same pre-filter) collapse into one :class:`SideGroup`, so a
+self-join chain opens one decrypt stream and fans its handles out to
+every consuming position.  Handles are a deterministic function of
+(row, token), so the fan-out is sound by construction.
 
-- :func:`group_chain_sides` is the per-query *handle pool*: chain
-  positions naming the same table under byte-identical tokens collapse
-  into one :class:`SideGroup`, so a self-join chain opens one decrypt
-  stream and fans its handles out to every consuming position.
-  Handles are a deterministic function of (row, token), so the fan-out
-  is sound by construction.
-- :class:`KeyedHandleStore` is the *cross-series* store: a byte-
-  budgeted LRU keyed by ``(table, epoch, token digest)`` retaining raw
-  ``row -> handle`` maps.  When the heavyweight series cache has
-  evicted a query's entry (matcher state is expensive) the handles are
-  often still here — a cold series over a warm table then reuses them
-  and decrypts only what the store never saw.  Keying includes the
-  token digest because handles are unlinkable across query keys (the
-  scheme's privacy property): reuse is only ever possible for a
-  literally re-presented token, so serving it reveals nothing new.
-
-Epoch semantics: the store key carries the table's store generation,
-so a wholesale re-store orphans every retained map (and
-``invalidate_table`` reclaims the bytes eagerly).  Versions need no
-key: inserted rows are simply absent (decrypted on demand) and deleted
-rows are dropped via ``forget_rows`` / filtered by the caller's live
-candidate set.
+Across queries the series cache (:mod:`repro.series.cache`) is the one
+retention tier: reuse is only ever possible for a literally re-presented
+token, because handles are unlinkable across query keys (the scheme's
+privacy property).
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
-#: Default byte budget for retained cross-series handles (16 MiB).
-#: Handle maps are far lighter than full series entries (no matcher,
-#: no pairs), so this holds many more sides than the series cache.
-DEFAULT_HANDLE_STORE_BUDGET = 16 * 1024 * 1024
-
-#: Accounting overhead per retained handle beyond its bytes.
-_HANDLE_OVERHEAD = 96
-_ENTRY_OVERHEAD = 256
-
-
-def token_digest(token, backend) -> bytes:
-    """A 32-byte digest of one SJ token's encoded G1 elements.
-
-    Byte-identical tokens — and only those — collide; the digest is the
-    identity under which handles may be shared.
-    """
-    digest = hashlib.blake2b(digest_size=32)
-    for element in token.elements:
-        digest.update(backend.encode_g1(element))
-    return digest.digest()
+from repro.series.cache import SIDE_DIGEST_SIZE
 
 
 @dataclass
@@ -61,163 +24,29 @@ class SideGroup:
     """One distinct (table, token) side and the chain positions it feeds."""
 
     table: str
-    digest: bytes
     token: object
-    prefilters: "list[dict | None]" = field(default_factory=list)
+    prefilter: "dict | None" = None
     positions: list[int] = field(default_factory=list)
 
 
-def group_chain_sides(query, backend) -> list[SideGroup]:
+def group_chain_sides(query, key: bytes) -> list[SideGroup]:
     """The per-query handle pool: distinct sides of a chain query.
 
-    Positions sharing ``(table, token bytes)`` land in one group — one
-    decrypt stream serves them all.  The pool's hit count is
+    ``key`` is the query's :func:`~repro.series.cache.series_key`, whose
+    per-position digests already cover table, token bytes and pre-filter
+    — positions with equal digests land in one group and one decrypt
+    stream serves them all.  The pool's hit count is
     ``total positions - len(groups)``.
     """
-    groups: "OrderedDict[tuple[str, bytes], SideGroup]" = OrderedDict()
-    for position, (table, token) in enumerate(
-        zip(query.tables, query.tokens)
-    ):
-        key = (table, token_digest(token, backend))
-        group = groups.get(key)
+    groups: dict[bytes, SideGroup] = {}
+    for position, table in enumerate(query.tables):
+        digest = key[
+            position * SIDE_DIGEST_SIZE:(position + 1) * SIDE_DIGEST_SIZE
+        ]
+        group = groups.get(digest)
         if group is None:
-            group = SideGroup(table=table, digest=key[1], token=token)
-            groups[key] = group
+            group = groups[digest] = SideGroup(
+                table, query.tokens[position], query.prefilters[position]
+            )
         group.positions.append(position)
-        group.prefilters.append(query.prefilters[position])
     return list(groups.values())
-
-
-@dataclass
-class HandleStoreStats:
-    """Cumulative store behavior counters (diagnostics / tests)."""
-
-    hits: int = 0
-    misses: int = 0
-    reused_rows: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-
-class _StoreEntry:
-    __slots__ = ("key", "table", "handles", "byte_size")
-
-    def __init__(self, key: tuple, table: str):
-        self.key = key
-        self.table = table
-        self.handles: dict[int, bytes] = {}
-        self.byte_size = _ENTRY_OVERHEAD
-
-
-class KeyedHandleStore:
-    """A byte-budgeted LRU of ``(table, epoch, token digest) -> handles``."""
-
-    def __init__(self, budget_bytes: int = DEFAULT_HANDLE_STORE_BUDGET):
-        if budget_bytes < 0:
-            raise ValueError("handle store budget must be >= 0")
-        self.budget_bytes = budget_bytes
-        self._entries: "OrderedDict[tuple, _StoreEntry]" = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
-        self.stats = HandleStoreStats()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def total_bytes(self) -> int:
-        with self._lock:
-            return self._bytes
-
-    def lookup(
-        self, table: str, epoch: int, digest: bytes
-    ) -> dict[int, bytes]:
-        """A *copy* of the retained ``row -> handle`` map (empty on miss).
-
-        Copying keeps the store's accounting authoritative: callers
-        filter and merge freely without aliasing retained state.
-        """
-        with self._lock:
-            entry = self._entries.get((table, epoch, digest))
-            if entry is None:
-                self.stats.misses += 1
-                return {}
-            self._entries.move_to_end(entry.key)
-            self.stats.hits += 1
-            self.stats.reused_rows += len(entry.handles)
-            return dict(entry.handles)
-
-    def record(
-        self,
-        table: str,
-        epoch: int,
-        digest: bytes,
-        items,
-    ) -> None:
-        """Retain freshly decrypted ``(row, handle)`` pairs for the side."""
-        if self.budget_bytes == 0:
-            return
-        key = (table, epoch, digest)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = _StoreEntry(key, table)
-                self._entries[key] = entry
-                self._bytes += entry.byte_size
-            self._bytes -= entry.byte_size
-            for row, handle in items:
-                if row not in entry.handles:
-                    entry.byte_size += len(handle) + _HANDLE_OVERHEAD
-                entry.handles[row] = handle
-            self._bytes += entry.byte_size
-            self._entries.move_to_end(key)
-            while self._bytes > self.budget_bytes and self._entries:
-                oldest = next(iter(self._entries))
-                if oldest == key and len(self._entries) > 1:
-                    self._entries.move_to_end(oldest)
-                    oldest = next(iter(self._entries))
-                self._evict(oldest)
-
-    def forget_rows(self, table: str, rows) -> None:
-        """Drop deleted rows' handles from every entry of ``table``."""
-        doomed = set(rows)
-        if not doomed:
-            return
-        with self._lock:
-            for entry in self._entries.values():
-                if entry.table != table:
-                    continue
-                for row in doomed:
-                    handle = entry.handles.pop(row, None)
-                    if handle is not None:
-                        delta = len(handle) + _HANDLE_OVERHEAD
-                        entry.byte_size -= delta
-                        self._bytes -= delta
-
-    def invalidate_table(self, table: str) -> int:
-        """Drop every entry of ``table`` (the wholesale re-store path)."""
-        with self._lock:
-            doomed = [
-                key
-                for key, entry in self._entries.items()
-                if entry.table == table
-            ]
-            for key in doomed:
-                self._evict(key, invalidation=True)
-            return len(doomed)
-
-    def clear(self) -> None:
-        with self._lock:
-            for key in list(self._entries):
-                self._evict(key)
-
-    def _evict(self, key: tuple, invalidation: bool = False) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return
-        self._bytes -= entry.byte_size
-        if invalidation:
-            self.stats.invalidations += 1
-        else:
-            self.stats.evictions += 1

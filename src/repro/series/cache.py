@@ -1,31 +1,30 @@
-"""The server-resident cross-query cache for repeated joins.
+"""The cross-query cache for a series of joins.
 
-One :class:`SeriesEntry` retains, per ``(left table, right table,
-token-pair digest)``, everything the first execution of that query
-computed and that is worth keeping:
+One :class:`SeriesEntry` retains, per literally re-submitted query —
+two tables or a longer chain, it is the same thing — everything earlier
+executions computed and that is worth keeping: the live
+:class:`~repro.plan.executor.ChainExecutor`, i.e. the decrypted per-row
+**handles** of every chain position (the SJ.Dec output, the expensive
+pairing work) plus the incremental matcher state that already encodes
+every pairing decision made so far.
 
-- the decrypted per-row **handles** of both sides (the SJ.Dec output —
-  the expensive pairing work), keyed by row index;
-- the live :class:`~repro.db.matcher.IncrementalMatcher`, whose state
-  already encodes every pairing decision made so far.
-
-A repeated query then *replays*: ``matcher.finish()`` re-sorts the
-retained pairs into the canonical right-major order and not a single
-Miller loop runs.  A mutated base table is **delta-maintained**: the
-server feeds only the rows inserted since the last refresh through
-SJ.Dec into the retained matcher (``add_left`` / ``add_right`` accept
-increments by construction) and withdraws tombstoned rows with
-``retract_left`` / ``retract_right`` — never re-decrypting what it
-already holds.
+The join drive (:mod:`repro.core.server`) treats every execution as a
+refresh of an entry: a miss starts from an *empty* entry, a re-submitted
+query over unchanged tables opens no decrypt stream at all
+(``executor.finish()`` re-sorts the retained tuples and not a single
+Miller loop runs), and a mutated base table is **delta-maintained** —
+only rows the entry holds no handle for go through SJ.Dec, and
+tombstoned rows are withdrawn with ``executor.retract`` — never
+re-decrypting what it already holds.
 
 Keying and invalidation semantics:
 
-- The digest covers the **token bytes**, so only a literally
-  re-submitted query hits.  This is by design: ``SJ.TokenGen`` draws a
-  fresh query key per query (handles are unlinkable across queries —
-  the scheme's privacy property), so a semantically identical query
-  under fresh tokens is a *miss* that seeds its own entry.  Replaying a
-  hit therefore reveals nothing the adversary has not already seen.
+- The key covers the **token bytes**, so only a literally re-submitted
+  query hits.  This is by design: ``SJ.TokenGen`` draws a fresh query
+  key per query (handles are unlinkable across queries — the scheme's
+  privacy property), so a semantically identical query under fresh
+  tokens is a *miss* that seeds its own entry.  Replaying a hit
+  therefore reveals nothing the adversary has not already seen.
 - Entries are guarded by per-table **epochs** (bumped when a table is
   re-stored wholesale: everything retained is garbage) and **versions**
   (bumped per insert/delete: the entry is stale but delta-repairable).
@@ -33,7 +32,7 @@ Keying and invalidation semantics:
   their retained handle bytes and pair state and evicted LRU.
 
 Concurrency: the cache's own map is lock-protected, and every entry
-carries its own lock — the server holds it across a replay or a delta
+carries its own lock — the drive holds it across a replay or a delta
 refresh, so two threads re-running the same query serialize on the
 entry instead of corrupting the shared matcher.
 """
@@ -45,94 +44,65 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.db.matcher import IncrementalMatcher
-
-LEFT = "left"
-RIGHT = "right"
-
 #: Default byte budget for retained handles/matcher state (64 MiB).
 DEFAULT_SERIES_BUDGET = 64 * 1024 * 1024
 
-#: Accounting overhead charged per retained handle beyond its bytes
-#: (dict slot, int key, bytes header) and per retained pair.
-_HANDLE_OVERHEAD = 96
-_PAIR_OVERHEAD = 80
+#: Bytes of the key contributed by each chain position.
+SIDE_DIGEST_SIZE = 32
+
+#: Accounting overhead charged per retained payload beyond its bytes
+#: (dict slot, int key, bytes header) and per entry.
+_PAYLOAD_OVERHEAD = 96
 _ENTRY_OVERHEAD = 1024
 
 
 def series_key(query, backend) -> bytes:
-    """The cache key of one join query: a digest of what determines its
-    result — the table pair, both SJ tokens (byte-encoded), and both
-    pre-filter tag sets.  Engine and matcher choices are deliberately
-    excluded: they change how the result is computed, never what it is.
+    """The cache key of one query: one digest per chain position over
+    what determines that side's handles and selection — table name, SJ
+    token (byte-encoded) and pre-filter tag set — concatenated in chain
+    order.  Engine and matcher choices are deliberately excluded: they
+    change how the result is computed, never what it is.
+
+    Positions with equal digests are the same ``(table, token)`` side,
+    which is what :func:`~repro.plan.handles.group_chain_sides` pools —
+    so each token is hashed once per query, here.
     """
-    digest = hashlib.blake2b(digest_size=32)
-    for table_name in (query.left_table, query.right_table):
+    digests = []
+    for table_name, token, prefilter in zip(
+        query.tables, query.tokens, query.prefilters
+    ):
+        digest = hashlib.blake2b(digest_size=SIDE_DIGEST_SIZE)
         name = table_name.encode("utf-8")
         digest.update(len(name).to_bytes(4, "big"))
         digest.update(name)
-    for token in (query.left_token, query.right_token):
         for element in token.elements:
             digest.update(backend.encode_g1(element))
-    for prefilter in (query.left_prefilter, query.right_prefilter):
         if prefilter is None:
             digest.update(b"\x00")
-            continue
-        digest.update(b"\x01")
-        for column in sorted(prefilter):
-            name = column.encode("utf-8")
-            digest.update(len(name).to_bytes(4, "big"))
-            digest.update(name)
-            for tag in sorted(prefilter[column]):
-                digest.update(tag)
-    return digest.digest()
-
-
-def chain_series_key(query, backend) -> bytes:
-    """The cache key of one multi-way chain query.
-
-    Same determinants as :func:`series_key` — per-position table names,
-    token bytes and pre-filter tag sets — under a ``chain`` domain
-    prefix, so two-way and chain entries can never collide in one
-    cache.
-    """
-    digest = hashlib.blake2b(digest_size=32)
-    digest.update(b"chain\x00")
-    digest.update(len(query.tables).to_bytes(4, "big"))
-    for table_name in query.tables:
-        name = table_name.encode("utf-8")
-        digest.update(len(name).to_bytes(4, "big"))
-        digest.update(name)
-    for token in query.tokens:
-        for element in token.elements:
-            digest.update(backend.encode_g1(element))
-    for prefilter in query.prefilters:
-        if prefilter is None:
-            digest.update(b"\x00")
-            continue
-        digest.update(b"\x01")
-        for column in sorted(prefilter):
-            name = column.encode("utf-8")
-            digest.update(len(name).to_bytes(4, "big"))
-            digest.update(name)
-            for tag in sorted(prefilter[column]):
-                digest.update(tag)
-    return digest.digest()
+        else:
+            digest.update(b"\x01")
+            for column in sorted(prefilter):
+                name = column.encode("utf-8")
+                digest.update(len(name).to_bytes(4, "big"))
+                digest.update(name)
+                for tag in sorted(prefilter[column]):
+                    digest.update(tag)
+        digests.append(digest.digest())
+    return b"".join(digests)
 
 
 class SeriesEntry:
-    """Retained state of one query: handle maps + the live matcher."""
+    """Retained state of one query; *empty* until its first refresh."""
 
     __slots__ = (
         "key",
-        "left_table",
-        "right_table",
+        "tables",
         "epochs",
         "versions",
-        "handles",
-        "payloads",
-        "matcher",
+        "sides",
+        "executor",
         "matcher_name",
+        "payloads",
         "applied_tombstones",
         "lock",
         "byte_size",
@@ -140,19 +110,10 @@ class SeriesEntry:
         "delta_refreshes",
     )
 
-    def __init__(
-        self,
-        key: bytes,
-        left_table: str,
-        right_table: str,
-        epochs,
-        versions,
-        matcher: IncrementalMatcher,
-        matcher_name: str,
-    ):
+    def __init__(self, key: bytes, tables, epochs=None, versions=None):
         self.key = key
-        self.left_table = left_table
-        self.right_table = right_table
+        #: The chain's table names by position (invalidation scope).
+        self.tables = tuple(tables)
         #: Per-table store generations the entry was built against; an
         #: epoch mismatch means the table was replaced wholesale and
         #: nothing retained is salvageable.
@@ -160,80 +121,19 @@ class SeriesEntry:
         #: Per-table mutation counters at the last (re)fresh; a version
         #: mismatch means the entry is stale but delta-repairable.
         self.versions = versions
-        #: side -> {row index -> handle bytes}: exactly the rows this
-        #: query has ever decrypted and not since retracted.
-        self.handles: dict[str, dict[int, bytes]] = {LEFT: {}, RIGHT: {}}
-        #: side -> {row index -> payload bytes}: only populated by
+        #: The query's distinct ``(table, token)`` sides (the handle
+        #: pool) and the live executor, whose per-position handle maps
+        #: are exactly the rows this query has ever decrypted and not
+        #: since retracted.  Both ``None`` while the entry is empty.
+        self.sides = None
+        self.executor = None
+        self.matcher_name = "hash"
+        #: position -> {row index -> payload bytes}: only populated by
         #: holders that cannot re-read payloads from local tables (the
         #: shard coordinator); the single-store server leaves it empty.
-        self.payloads: dict[str, dict[int, bytes]] = {LEFT: {}, RIGHT: {}}
-        self.matcher = matcher
-        self.matcher_name = matcher_name
-        #: side -> tombstoned row indices already withdrawn (or known
-        #: never-fed), so each delete is applied exactly once.
-        self.applied_tombstones: dict[str, set[int]] = {
-            LEFT: set(),
-            RIGHT: set(),
-        }
-        self.lock = threading.RLock()
-        self.byte_size = 0
-        self.replays = 0
-        self.delta_refreshes = 0
-
-    def recompute_bytes(self) -> int:
-        """Re-account the entry's retained memory (call after refresh)."""
-        total = _ENTRY_OVERHEAD
-        for side_handles in self.handles.values():
-            for handle in side_handles.values():
-                total += len(handle) + _HANDLE_OVERHEAD
-        for side_payloads in self.payloads.values():
-            for payload in side_payloads.values():
-                total += len(payload) + _HANDLE_OVERHEAD
-        total += self.matcher.stats.matches * _PAIR_OVERHEAD
-        self.byte_size = total
-        return total
-
-    def reused_handles(self) -> int:
-        return len(self.handles[LEFT]) + len(self.handles[RIGHT])
-
-    @property
-    def tables(self) -> tuple[str, ...]:
-        """The tables this entry depends on (invalidation scope)."""
-        return (self.left_table, self.right_table)
-
-
-class ChainSeriesEntry:
-    """Retained state of one multi-way chain query.
-
-    The chain counterpart of :class:`SeriesEntry`: instead of two
-    handle maps and a two-way matcher it retains the whole live
-    :class:`~repro.plan.executor.ChainExecutor` — per-position handle
-    maps plus the cascaded per-node matcher state — so a re-submitted
-    chain replays from ``executor.finish()`` and a mutated one is
-    repaired by feeding/retracting per-position deltas.
-    """
-
-    __slots__ = (
-        "key",
-        "tables",
-        "epochs",
-        "versions",
-        "executor",
-        "applied_tombstones",
-        "lock",
-        "byte_size",
-        "replays",
-        "delta_refreshes",
-    )
-
-    def __init__(self, key: bytes, tables, epochs, versions, executor):
-        self.key = key
-        self.tables = tuple(tables)
-        self.epochs = tuple(epochs)
-        self.versions = tuple(versions)
-        self.executor = executor
-        #: Per chain position: tombstoned row indices already withdrawn
-        #: (or known never-fed), so each delete applies exactly once.
+        self.payloads: list[dict[int, bytes]] = [{} for _ in self.tables]
+        #: position -> tombstoned row indices already withdrawn (or
+        #: known never-fed), so each delete is applied exactly once.
         self.applied_tombstones: list[set[int]] = [
             set() for _ in self.tables
         ]
@@ -243,8 +143,15 @@ class ChainSeriesEntry:
         self.delta_refreshes = 0
 
     def recompute_bytes(self) -> int:
-        self.byte_size = _ENTRY_OVERHEAD + self.executor.retained_bytes()
-        return self.byte_size
+        """Re-account the entry's retained memory (call after refresh)."""
+        total = _ENTRY_OVERHEAD
+        if self.executor is not None:
+            total += self.executor.retained_bytes()
+        for position_payloads in self.payloads:
+            for payload in position_payloads.values():
+                total += len(payload) + _PAYLOAD_OVERHEAD
+        self.byte_size = total
+        return total
 
     def reused_handles(self) -> int:
         return self.executor.reused_handles()

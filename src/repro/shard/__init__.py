@@ -7,11 +7,7 @@ gathers the handle streams into one canonical matcher.  Remote shard
 endpoints live in :mod:`repro.net.shard`.
 """
 
-from repro.shard.coordinator import (
-    LocalShard,
-    ScatterOutcome,
-    ShardCoordinator,
-)
+from repro.shard.coordinator import LocalShard, ShardCoordinator
 from repro.shard.partition import (
     DEFAULT_SEED,
     MAX_SHARD_COUNT,
@@ -28,7 +24,6 @@ __all__ = [
     "DEFAULT_SEED",
     "MAX_SHARD_COUNT",
     "LocalShard",
-    "ScatterOutcome",
     "ShardCoordinator",
     "ShardDescriptor",
     "partition_rows",

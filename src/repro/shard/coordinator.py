@@ -4,28 +4,38 @@ The division of labor follows from what partitioning *cannot* do (see
 :mod:`repro.shard.partition`): ciphertexts are randomized and handles
 exist only under a query token, so equal-join-value rows land on
 arbitrary shards and shard-local matching would miss cross-shard pairs.
-The coordinator therefore **scatters SJ.Dec and centralizes SJ.Match**:
+The coordinator therefore **scatters SJ.Dec and centralizes SJ.Match**
+— which makes it just another host of the one join drive
+(:class:`~repro.core.server._JoinHost`; the steps are walked in
+:mod:`repro.core.server`).  A fleet differs from a single store only in
+the host seam:
 
-1. every shard opens decrypt streams for both sides of the query on its
-   *own* :class:`~repro.core.service.ExecutionService` pool (that is
-   the scale-out: n shards = n pools = n hosts' worth of cores), with
-   the query's priority/deadline QoS propagated into each shard's
-   admission scheduler;
-2. the coordinator merges all shards' handle chunks — each translated
-   to *global* row indices — into one incremental matcher, yielding
-   :class:`~repro.core.server.MatchBatch` increments in discovery
-   order exactly like the single-store pipeline;
-3. ``matcher.finish()`` sorts into the canonical right-major order over
-   global indices, so the reassembled
-   :class:`~repro.core.server.EncryptedJoinResult` is **byte-identical
-   to the unsharded join** no matter the shard count, the partition
-   skew, or how chunks interleaved (the property the test suite pins).
+- ``_open_sources`` asks *every shard* for decrypt sources over the
+  query's distinct sides, each on the shard's own
+  :class:`~repro.core.service.ExecutionService` pool (that is the
+  scale-out: n shards = n pools = n hosts' worth of cores) with the
+  query's priority/deadline QoS propagated into each admission
+  scheduler, and each translated to *global* row indices — so the
+  central executor sorts into the same canonical order, and the result
+  is **byte-identical to the unsharded join** no matter the shard
+  count, the partition skew, or how chunks interleaved (the property
+  the test suite pins);
+- epochs / versions / tombstones are the per-shard values side by side;
+- payloads ride the scattered items and are retained on the series
+  entry, because the coordinator holds no tables to re-read them from;
+- ``_account`` adds the per-shard load, skew and the cross-shard
+  planner record to the stats.
+
+Everything else — the series cache (two-way joins and chains alike),
+replay, delta refresh over only the rows the entry has never seen,
+deadline checks between merged events, release of every shard's
+admissions when the consumer abandons the stream — is the drive's.
 
 Failure semantics: a worker crash inside one shard's pool is rescued by
 that shard's own respawn machinery (invisible here, result unchanged);
 a whole shard dying mid-stream — pool closed, endpoint unreachable —
 raises :class:`~repro.errors.ShardUnavailableError` naming the shard,
-after the merge's cleanup has closed every other shard's streams and
+after the drive's cleanup has closed every other shard's streams and
 released their admissions.  Deadline expiry stays a plain
 :class:`~repro.errors.DeadlineError`.
 """
@@ -33,26 +43,19 @@ released their admissions.  Deadline expiry stays a plain
 from __future__ import annotations
 
 import dataclasses
-import time
-from dataclasses import dataclass
 
-from repro.core.client import EncryptedJoinQuery, EncryptedTable
-from repro.core.engine import EngineReport, ExecutionEngine
-from repro.core.pipeline import LEFT, RIGHT, SideEventSource, run_scatter_pipeline
+from repro.core.client import EncryptedTable
+from repro.core.engine import ExecutionEngine
+from repro.core.pipeline import HandleSource
 from repro.core.scheme import SecureJoinParams
 from repro.core.server import (
-    MATCH_ALGORITHMS,
-    ChainMatchBatch,
-    EncryptedChainResult,
-    EncryptedJoinResult,
-    MatchBatch,
     QueryObservation,
     SecureJoinServer,
     ServerStats,
+    _JoinHost,
 )
 from repro.core.service import QueryQoS
 from repro.crypto.backend import BilinearBackend
-from repro.db.matcher import get_matcher
 from repro.errors import (
     DeadlineError,
     NetworkError,
@@ -60,31 +63,8 @@ from repro.errors import (
     SchemeError,
     ShardUnavailableError,
 )
-from repro.plan import (
-    MAX_CHAIN_TABLES,
-    ChainExecutor,
-    ChainSideSource,
-    compile_plan,
-    group_chain_sides,
-    run_chain_pipeline,
-)
-from repro.series.cache import (
-    DEFAULT_SERIES_BUDGET,
-    SeriesCache,
-    SeriesEntry,
-    series_key,
-)
+from repro.series.cache import DEFAULT_SERIES_BUDGET, SeriesCache
 from repro.shard.partition import shard_of_bytes, shard_skew
-
-
-@dataclass
-class ScatterOutcome:
-    """What one remote shard reports after its scatter completes."""
-
-    candidates_left: int = 0
-    candidates_right: int = 0
-    left_report: EngineReport | None = None
-    right_report: EngineReport | None = None
 
 
 class LocalShard:
@@ -129,10 +109,6 @@ class LocalShard:
     def layout(self) -> tuple[int, int, bytes] | None:
         """``(shard_index, shard_count, seed)`` once a table is stored."""
         return self._layout
-
-    @property
-    def backend_name(self) -> str:
-        return self.server.scheme.backend.name
 
     @property
     def backend(self) -> BilinearBackend:
@@ -255,123 +231,52 @@ class LocalShard:
         self.server.store(table)
 
     # -- scatter ----------------------------------------------------------
-    def open_scatter_sources(
-        self,
-        query: EncryptedJoinQuery,
-        engine: ExecutionEngine | str | None = None,
-        qos: QueryQoS | None = None,
-        exclude: dict[str, set[int]] | None = None,
-    ) -> list[SideEventSource]:
-        """Open both sides' decrypt streams on this shard's pool.
-
-        Returns one :class:`~repro.core.pipeline.SideEventSource` per
-        side, emitting ``(global_row, handle, payload)`` items — global
-        indices via the shard descriptor, so the coordinator's matcher
-        operates in the single-store index space.  The query's QoS is
-        stamped here (per shard) unless the caller passes one, so every
-        shard's admission scheduler sees the same priority/deadline.
-        ``exclude`` maps a side to *global* rows the coordinator already
-        holds handles for (the delta-scatter path): those rows are
-        translated to shard-local indices and never decrypted again.
-        """
-        if qos is None:
-            qos = _query_qos(query)
-        sides = (
-            (LEFT, query.left_table, query.left_token, query.left_prefilter),
-            (
-                RIGHT,
-                query.right_table,
-                query.right_token,
-                query.right_prefilter,
-            ),
-        )
-        sources: list[SideEventSource] = []
-        try:
-            for side, table_name, token, prefilter in sides:
-                descriptor = self._descriptors[table_name]
-                exclude_rows: set[int] | None = None
-                excluded_global = (exclude or {}).get(side)
-                if excluded_global:
-                    exclude_rows = {
-                        i
-                        for i, g in enumerate(descriptor.global_indices)
-                        if g in excluded_global
-                    }
-                candidates, stream = self.server.open_side_stream(
-                    table_name,
-                    token,
-                    prefilter,
-                    qos=qos,
-                    engine=engine,
-                    exclude_rows=exclude_rows,
-                )
-                table = self.server.table(table_name)
-                sources.append(SideEventSource(
-                    side,
-                    stream,
-                    [descriptor.global_indices[i] for i in candidates],
-                    [table.payloads[i] for i in candidates],
-                ))
-        except BaseException:
-            for source in sources:
-                source.close()
-            raise
-        return sources
-
-    def open_chain_sources(
+    def open_sources(
         self,
         query,
+        sides,
+        exclude_rows=None,
         engine: ExecutionEngine | str | None = None,
         qos: QueryQoS | None = None,
-    ) -> tuple[list[ChainSideSource], list[list[int]]]:
-        """Open this shard's slice of a multi-way chain scatter.
+    ):
+        """Open this shard's slice of a scatter; yields the sources.
 
-        The per-query handle pool applies *within the shard*: positions
-        sharing a (table, token) side collapse into one
-        :class:`~repro.plan.executor.ChainSideSource` whose items are
-        ``(global_row, handle, payload)`` 3-tuples, so a self-join
-        chain decrypts each shard slice once no matter how many
-        positions consume it.  Positions grouped by
-        :func:`~repro.plan.handles.group_chain_sides` necessarily carry
-        identical pre-filters (byte-identical tokens imply identical
-        selections), so one side stream covers every grouped position.
-
-        Returns ``(sources, position_rows)`` — the second element being
-        each chain position's live candidate rows on this shard, in
-        global indices, for the coordinator's per-position feed filter.
+        One :class:`~repro.core.pipeline.HandleSource` per entry of
+        ``sides`` (the query's distinct ``(table, token)`` sides — a
+        side shared by several chain positions is decrypted once per
+        shard), each on this shard's pool and emitting ``(global_row,
+        handle, payload)`` items: global indices via the shard
+        descriptor, so the coordinator's executor operates in the
+        single-store index space.  ``exclude_rows[i]`` holds the
+        *global* rows the coordinator already has handles for on side
+        ``i`` (the delta path): they are translated to shard-local
+        indices and never decrypted again.  The query's QoS is stamped
+        here (per shard) unless the caller passes one.  A generator, so
+        a caller that collects what it yields can close every opened
+        stream even when a later side fails to open.
         """
         if qos is None:
-            qos = _query_qos(query)
-        groups = group_chain_sides(query, self.server.scheme.backend)
-        position_rows: list[list[int]] = [[] for _ in query.tables]
-        sources: list[ChainSideSource] = []
-        try:
-            for group in groups:
-                descriptor = self._descriptors[group.table]
-                candidates, stream = self.server.open_side_stream(
-                    group.table,
-                    group.token,
-                    group.prefilters[0],
-                    qos=qos,
-                    engine=engine,
-                )
-                table = self.server.table(group.table)
-                global_rows = [
-                    descriptor.global_indices[i] for i in candidates
-                ]
-                payloads = [table.payloads[i] for i in candidates]
-                for position in group.positions:
-                    position_rows[position] = list(global_rows)
-                sources.append(
-                    ChainSideSource(
-                        group.positions, stream, global_rows, payloads
-                    )
-                )
-        except BaseException:
-            for source in sources:
-                source.close()
-            raise
-        return sources, position_rows
+            qos = QueryQoS.stamp(query)
+        for index, side in enumerate(sides):
+            table = self.server.table(side.table)
+            global_indices = self._descriptors[side.table].global_indices
+            held = exclude_rows[index] if exclude_rows else None
+            rows, stream = self.server.open_side_stream(
+                side.table,
+                side.token,
+                side.prefilter,
+                qos=qos,
+                engine=engine,
+                exclude_rows=held and {
+                    i for i, g in enumerate(global_indices) if g in held
+                },
+            )
+            yield HandleSource(
+                side.positions,
+                stream,
+                [global_indices[i] for i in rows],
+                [table.payloads[i] for i in rows],
+            )
 
 
 class _GuardedSource:
@@ -409,28 +314,12 @@ class _GuardedSource:
     def close(self) -> None:
         self.source.close()
 
-    @property
-    def outcome(self):
-        return getattr(self.source, "outcome", None)
+    def __getattr__(self, name):
+        # positions / rows / decrypted / reports are the source's own.
+        return getattr(self.source, name)
 
 
-def _query_qos(query: EncryptedJoinQuery) -> QueryQoS | None:
-    """Stamp the query's relative QoS against this process's clock."""
-    priority = getattr(query, "priority", 0) or 0
-    relative_deadline = getattr(query, "deadline", None)
-    if not priority and relative_deadline is None:
-        return None
-    return QueryQoS(
-        priority=priority,
-        deadline=(
-            time.monotonic() + relative_deadline
-            if relative_deadline is not None
-            else None
-        ),
-    )
-
-
-class ShardCoordinator:
+class ShardCoordinator(_JoinHost):
     """Co-admits a query on every shard and merges the match streams."""
 
     def __init__(
@@ -463,13 +352,15 @@ class ShardCoordinator:
             else None
         )
 
-    def _table_epochs(self, name: str) -> tuple[int, ...]:
+    # -- the host seam: per-table maintenance state -----------------------
+    def table_epoch(self, name: str) -> tuple[int, ...]:
         return tuple(shard.table_epoch(name) for shard in self.shards)
 
-    def _table_versions(self, name: str) -> tuple[int, ...]:
+    def table_version(self, name: str) -> tuple[int, ...]:
         return tuple(shard.table_version(name) for shard in self.shards)
 
-    def _tombstoned_rows(self, name: str) -> set[int]:
+    def tombstoned_rows(self, name: str) -> set[int]:
+        """Deleted rows across the fleet, in global indices."""
         doomed: set[int] = set()
         for shard in self.shards:
             doomed |= shard.tombstoned_global_rows(name)
@@ -569,715 +460,52 @@ class ShardCoordinator:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _backend_name(self) -> str:
-        return self.shards[0].backend_name
+    @property
+    def backend(self) -> BilinearBackend:
+        return self.shards[0].backend
 
-    def _select_matcher(self, algorithm, stats, build_rows, probe_rows):
-        if algorithm == "auto":
-            from repro.bench.costmodel import (
-                choose_matcher,
-                default_engine_cost_model,
-            )
-
-            model = default_engine_cost_model(self._backend_name())
-            chosen, estimates = choose_matcher(
-                model, build_rows=build_rows, probe_rows=probe_rows
-            )
-            if stats.planner is None:
-                stats.planner = []
-            stats.planner.append({
-                "stage": "match",
-                "build_rows": build_rows,
-                "probe_rows": probe_rows,
-                "chosen": chosen,
-                "estimates": {
-                    name: float(sec) for name, sec in estimates.items()
-                },
-            })
-        else:
-            chosen = algorithm
-        stats.matcher = chosen
-        return get_matcher(chosen)
-
-    # -- query execution --------------------------------------------------
-    def stream_join(
-        self,
-        query: EncryptedJoinQuery,
-        algorithm: str = "hash",
-        engine: ExecutionEngine | str | None = None,
-    ):
-        """The sharded mirror of ``SecureJoinServer.stream_join``.
-
-        Yields :class:`~repro.core.server.MatchBatch` increments in
-        discovery order as shard chunks arrive, and returns the final
-        canonical :class:`~repro.core.server.EncryptedJoinResult` as
-        the generator's value — byte-identical (pairs and payloads) to
-        the single-store join over the unpartitioned tables.
-        ``engine`` is forwarded to every shard by *name*, so each
-        shard resolves it against its own pool.
-        """
-        events = self._scatter_events(query, algorithm, engine)
-        try:
-            while True:
-                try:
-                    batch = next(events)
-                except StopIteration as stop:
-                    return stop.value
-                yield batch
-        finally:
-            events.close()
-
-    def execute_join(
-        self,
-        query: EncryptedJoinQuery,
-        algorithm: str = "hash",
-        engine: ExecutionEngine | str | None = None,
-    ) -> EncryptedJoinResult:
-        """Run the scatter-gather join fully materialized."""
-        events = self._scatter_events(query, algorithm, engine)
-        while True:
-            try:
-                next(events)
-            except StopIteration as stop:
-                return stop.value
-
-    # -- multi-way chains --------------------------------------------------
-    def stream_chain(
-        self,
-        query,
-        engine: ExecutionEngine | str | None = None,
-    ):
-        """The sharded mirror of ``SecureJoinServer.stream_chain``.
-
-        Every shard scatters one decrypt stream per distinct (table,
-        token) side of the chain — the handle pool applied shard-
-        locally — and the coordinator merges all shards' chunks, in
-        global indices, into one central
-        :class:`~repro.plan.executor.ChainExecutor` whose order the
-        planner chose from the *merged* candidate counts.  Yields
-        :class:`~repro.core.server.ChainMatchBatch` increments in
-        discovery order; returns the final canonical
-        :class:`~repro.core.server.EncryptedChainResult` as the
-        generator's value — byte-identical to the single-store chain
-        over the unpartitioned tables, whatever the shard count.
-
-        Chain scatters are not series-cached at the coordinator (the
-        retained-executor bookkeeping is per-store; a follow-up), and
-        they require shards that expose ``open_chain_sources`` — a
-        remote shard raises :class:`~repro.errors.QueryError` until the
-        shard wire protocol grows a chain scatter frame.
-        """
-        events = self._chain_scatter_events(query, engine)
-        try:
-            while True:
-                try:
-                    batch = next(events)
-                except StopIteration as stop:
-                    return stop.value
-                yield batch
-        finally:
-            events.close()
-
-    def execute_chain(
-        self,
-        query,
-        engine: ExecutionEngine | str | None = None,
-    ) -> EncryptedChainResult:
-        """Run the scatter-gather chain join fully materialized."""
-        events = self._chain_scatter_events(query, engine)
-        while True:
-            try:
-                next(events)
-            except StopIteration as stop:
-                return stop.value
-
-    def _chain_scatter_events(self, query, engine):
-        n = len(query.tables)
-        if not 2 <= n <= MAX_CHAIN_TABLES:
-            raise QueryError(
-                f"a chain query needs 2..{MAX_CHAIN_TABLES} tables, got {n}"
-            )
-        if len(query.tokens) != n or len(query.prefilters) != n:
-            raise QueryError(
-                "chain query tables, tokens and prefilters must align"
-            )
-        for shard in self.shards:
-            if not hasattr(shard, "open_chain_sources"):
-                name = getattr(shard, "name", None)
-                raise QueryError(
-                    f"shard {name!r} cannot scatter chain queries; the "
-                    "shard wire protocol has no chain frame yet — run "
-                    "multi-way chains against in-process shards"
-                )
-        stats = ServerStats(
-            engine_source="override" if engine is not None else "default"
-        )
-        stats.shards = len(self.shards)
-        observation = QueryObservation(query.query_id)
-        qos = _query_qos(query)
-        relative_deadline = getattr(query, "deadline", None)
-
-        # Scatter: every shard opens its distinct chain sides before
-        # any chunk is pulled, so all pools co-admit the query.
-        sources: list[_GuardedSource] = []
-        position_rows: list[set[int]] = [set() for _ in range(n)]
-        try:
-            for ordinal, shard in enumerate(self.shards):
-                shard_sources, shard_rows = shard.open_chain_sources(
-                    query, engine=engine, qos=qos
-                )
-                for source in shard_sources:
-                    sources.append(_GuardedSource(ordinal, shard, source))
-                for position, rows in enumerate(shard_rows):
-                    position_rows[position].update(rows)
-        except BaseException:
-            for guarded in sources:
-                guarded.close()
-            raise
-        stats.candidates_left = len(position_rows[0])
-        stats.candidates_right = len(position_rows[-1])
-
-        # Plan over the merged global candidate counts: shard-local
-        # counts would mis-rank orders under partition skew.
-        from repro.bench.costmodel import default_engine_cost_model
-
-        model = default_engine_cost_model(self._backend_name())
-        plan = compile_plan(model, [len(rows) for rows in position_rows])
-        if stats.planner is None:
-            stats.planner = []
-        stats.planner.append(plan.record())
-        stats.plan_nodes = n - 1
-        stats.matcher = "hash"
-        executor = ChainExecutor(plan.order)
-        groups = group_chain_sides(query, self.shards[0].backend)
-        stats.handle_pool_hits = n - len(groups)
-
-        tables = list(query.tables)
-        # The coordinator holds no tables, so payloads ride the item
-        # 3-tuples and accumulate per position for batch/final output.
-        payload_maps: list[dict[int, bytes]] = [{} for _ in range(n)]
-
-        def on_items(positions, items) -> None:
-            table_name = tables[positions[0]]
-            for row, handle, payload in items:
-                observation.handles[(table_name, row)] = handle
-                for position in positions:
-                    payload_maps[position][row] = payload
-
-        def tuple_payloads(combos) -> list[tuple[bytes, ...]]:
-            return [
-                tuple(
-                    payload_maps[position][row]
-                    for position, row in enumerate(combo)
-                )
-                for combo in combos
-            ]
-
-        pipeline = run_chain_pipeline(
-            sources, executor, position_rows, on_items=on_items
-        )
-        try:
-            while True:
-                try:
-                    new_tuples = next(pipeline)
-                except StopIteration as stop:
-                    outcome = stop.value
-                    break
-                if qos is not None and qos.expired():
-                    raise DeadlineError(
-                        f"query {query.query_id} exceeded its deadline "
-                        f"of {relative_deadline}s; cancelled mid-chain"
-                    )
-                yield ChainMatchBatch(
-                    tuples=list(new_tuples),
-                    payloads=tuple_payloads(new_tuples),
-                )
-        finally:
-            pipeline.close()
-            # Close the shard streams directly too: closing a pipeline
-            # that never started does not run its body's cleanup.
-            for guarded in sources:
-                guarded.close()
-            self.observations.append(observation)
-
-        # Gather accounting: each side stream covers one distinct side
-        # of one shard, so its row count is that shard's decrypt load.
-        shard_rows = [0] * len(self.shards)
-        for guarded in sources:
-            rows = len(getattr(guarded.source, "rows", None) or ())
-            shard_rows[guarded.ordinal] += rows
-            result = guarded.outcome
-            if isinstance(result, EngineReport):
-                stats.merge_report(result)
-        stats.decryptions = sum(shard_rows)
-        stats.shard_skew = shard_skew(shard_rows)
-        self._record_scatter_plan(stats, shard_rows)
-
-        tuples = outcome.tuples
-        stats.matches = len(tuples)
-        stats.probes = executor.probes
-        stats.comparisons = executor.comparisons
-        stats.time_to_first_match = outcome.time_to_first_match
-        stats.decrypt_seconds = outcome.decrypt_seconds
-        stats.match_seconds = outcome.match_seconds
-        return EncryptedChainResult(
-            tables=tuple(query.tables),
-            tuples=tuples,
-            payloads=tuple_payloads(tuples),
-            stats=stats,
+    # -- the host seam: execution ------------------------------------------
+    def _begin(self, query, engine):
+        """``engine`` is forwarded to every shard as given (a name is
+        resolved against each shard's own pool); client hints are the
+        shards' operators' business, not the coordinator's."""
+        return engine, ServerStats(
+            engine_source="override" if engine is not None else "default",
+            shards=len(self.shards),
         )
 
-    def _scatter_events(self, query, algorithm, engine):
-        if algorithm not in MATCH_ALGORITHMS:
-            raise QueryError(f"unknown join algorithm {algorithm!r}")
-        stats = ServerStats(
-            engine_source="override" if engine is not None else "default"
-        )
-        stats.shards = len(self.shards)
-        observation = QueryObservation(query.query_id)
-        qos = _query_qos(query)
-        relative_deadline = getattr(query, "deadline", None)
+    def _payloads(self, query, entry) -> list[dict[int, bytes]]:
+        """Payloads by chain position: what the scatter retained."""
+        return entry.payloads
 
-        cache = self.series_cache
-        # Mirror of the server's rule: a concrete engine override is an
-        # instruction to execute, so it bypasses replay; None / "auto"
-        # accept the cached plan.
-        replay_eligible = engine is None or engine == "auto"
-        key = b""
-        if cache is not None:
-            key = series_key(query, self.shards[0].backend)
-        if cache is not None and replay_eligible:
-            epochs = (
-                self._table_epochs(query.left_table),
-                self._table_epochs(query.right_table),
-            )
-            entry = cache.lookup(key, epochs)
-            if entry is not None and algorithm not in (
-                "auto",
-                entry.matcher_name,
+    def _open_sources(self, query, sides, exclude_rows, engine, qos, stats):
+        for ordinal, shard in enumerate(self.shards):
+            for source in shard.open_sources(
+                query, sides, exclude_rows, engine=engine, qos=qos
             ):
-                # An explicit matcher request must actually exercise
-                # that matcher; the from-scratch pass replaces the entry.
-                entry = None
-            if entry is not None:
-                versions = (
-                    self._table_versions(query.left_table),
-                    self._table_versions(query.right_table),
-                )
-                # Non-blocking: a contended entry (another query mid-
-                # replay or mid-refresh) is not worth waiting on — the
-                # from-scratch scatter below is always correct, and the
-                # contention is counted so the trade-off is observable.
-                if entry.lock.acquire(blocking=False):
-                    try:
-                        if entry.versions == versions:
-                            return (
-                                yield from self._series_replay_events(
-                                    entry, query, stats
-                                )
-                            )
-                        return (
-                            yield from self._series_delta_events(
-                                entry, query, engine, stats, qos, versions
-                            )
-                        )
-                    finally:
-                        entry.lock.release()
-                cache.stats.lock_contention += 1
-        if cache is not None:
-            # Snapshot the maintenance state before any scatter work so
-            # a concurrent mutation surfaces as a version mismatch on
-            # the next lookup instead of silently staling the entry.
-            miss_epochs = (
-                self._table_epochs(query.left_table),
-                self._table_epochs(query.right_table),
-            )
-            miss_versions = (
-                self._table_versions(query.left_table),
-                self._table_versions(query.right_table),
-            )
-            miss_tombstones = {
-                LEFT: self._tombstoned_rows(query.left_table),
-                RIGHT: self._tombstoned_rows(query.right_table),
-            }
+                yield _GuardedSource(ordinal, shard, source)
 
-        # Scatter: open every shard's sides before pulling any chunk, so
-        # all pools co-admit the query and interleave from the start.
-        sources: list[_GuardedSource] = []
-        try:
-            for ordinal, shard in enumerate(self.shards):
-                for source in shard.open_scatter_sources(
-                    query, engine=engine, qos=qos
-                ):
-                    sources.append(_GuardedSource(ordinal, shard, source))
-        except BaseException:
-            for guarded in sources:
-                guarded.close()
-            raise
+    def _account(self, stats: ServerStats, sources: list) -> None:
+        """Per-shard decrypt loads, their skew, and the cross-shard
+        planner record (auditable, like the per-side engine records):
+        estimated single-store vs scatter seconds and the skew the
+        estimate was discounted by."""
+        from repro.bench.costmodel import estimate_scatter_costs
 
-        # Local sources know their candidate counts now; remote shards
-        # report theirs in the scatter-final outcome.  The auto matcher
-        # prices with what is known up front.
-        known = {LEFT: 0, RIGHT: 0}
-        for guarded in sources:
-            side = getattr(guarded.source, "side", None)
-            rows = getattr(guarded.source, "rows", None)
-            if side in known and rows is not None:
-                known[side] += len(rows)
-        matcher = self._select_matcher(
-            algorithm, stats, known[LEFT], known[RIGHT]
-        )
-
-        tables = {LEFT: query.left_table, RIGHT: query.right_table}
-        payloads: dict[str, dict[int, bytes]] = {LEFT: {}, RIGHT: {}}
-        retained: dict[str, dict[int, bytes]] | None = (
-            {LEFT: {}, RIGHT: {}} if cache is not None else None
-        )
-
-        def on_items(side: str, items: list) -> None:
-            table_name = tables[side]
-            payload_map = payloads[side]
-            for row, handle, payload in items:
-                payload_map[row] = payload
-                observation.handles[(table_name, row)] = handle
-            if retained is not None:
-                side_handles = retained[side]
-                for row, handle, _ in items:
-                    side_handles[row] = handle
-
-        pipeline = run_scatter_pipeline(sources, matcher, on_items=on_items)
-        try:
-            while True:
-                try:
-                    new_pairs = next(pipeline)
-                except StopIteration as stop:
-                    outcome = stop.value
-                    break
-                if qos is not None and qos.expired():
-                    raise DeadlineError(
-                        f"query {query.query_id} exceeded its deadline "
-                        f"of {relative_deadline}s; cancelled mid-join"
-                    )
-                yield MatchBatch(
-                    index_pairs=list(new_pairs),
-                    left_payloads=[
-                        payloads[LEFT][i] for i, _ in new_pairs
-                    ],
-                    right_payloads=[
-                        payloads[RIGHT][j] for _, j in new_pairs
-                    ],
-                )
-        finally:
-            # Closes every shard's streams (releasing their pool
-            # admissions) even when one shard failed or the consumer
-            # abandoned the stream; the partial adversary view is
-            # recorded regardless — those handles were computed.
-            pipeline.close()
-            self.observations.append(observation)
-
-        # Gather accounting: per-shard candidate loads (for the skew
-        # figure), per-side engine reports, matcher stats.
         shard_rows = [0] * len(self.shards)
-        candidates = {LEFT: 0, RIGHT: 0}
         for guarded in sources:
-            result = guarded.outcome
-            if isinstance(result, ScatterOutcome):
-                shard_rows[guarded.ordinal] += (
-                    result.candidates_left + result.candidates_right
-                )
-                candidates[LEFT] += result.candidates_left
-                candidates[RIGHT] += result.candidates_right
-                for report in (result.left_report, result.right_report):
-                    if report is not None:
-                        stats.merge_report(report)
-            else:
-                rows = len(getattr(guarded.source, "rows", None) or ())
-                side = getattr(guarded.source, "side", None)
-                shard_rows[guarded.ordinal] += rows
-                if side in candidates:
-                    candidates[side] += rows
-                if isinstance(result, EngineReport):
-                    stats.merge_report(result)
-        stats.candidates_left = candidates[LEFT]
-        stats.candidates_right = candidates[RIGHT]
-        stats.decryptions = candidates[LEFT] + candidates[RIGHT]
+            shard_rows[guarded.ordinal] += guarded.decrypted
         stats.shard_skew = shard_skew(shard_rows)
-        self._record_scatter_plan(stats, shard_rows)
-
-        pairs = outcome.pairs
-        stats.matches = len(pairs)
-        stats.probes = matcher.stats.probes
-        stats.comparisons = matcher.stats.comparisons
-        stats.time_to_first_match = outcome.timings.time_to_first_match
-        stats.decrypt_seconds = outcome.timings.decrypt_seconds
-        stats.match_seconds = outcome.timings.match_seconds
-        if cache is not None:
-            entry = SeriesEntry(
-                key,
-                query.left_table,
-                query.right_table,
-                miss_epochs,
-                miss_versions,
-                matcher,
-                stats.matcher,
-            )
-            entry.handles = retained
-            # Payloads retained too: on a replay the coordinator has no
-            # local tables to re-read them from.
-            entry.payloads = {
-                LEFT: dict(payloads[LEFT]),
-                RIGHT: dict(payloads[RIGHT]),
-            }
-            entry.applied_tombstones = miss_tombstones
-            cache.store(entry)
-        return EncryptedJoinResult(
-            left_table=query.left_table,
-            right_table=query.right_table,
-            index_pairs=pairs,
-            left_payloads=[payloads[LEFT][i] for i, _ in pairs],
-            right_payloads=[payloads[RIGHT][j] for _, j in pairs],
-            stats=stats,
-        )
-
-    def _series_replay_events(
-        self,
-        entry: SeriesEntry,
-        query: EncryptedJoinQuery,
-        stats: ServerStats,
-    ):
-        """Warm sharded replay: no shard is contacted, no stream opens."""
-        pairs = entry.matcher.finish()
-        entry.replays += 1
-        if self.series_cache is not None:
-            self.series_cache.stats.replays += 1
-        stats.series_cache_hits = 1
-        stats.reused_handles = entry.reused_handles()
-        stats.matches = len(pairs)
-        stats.probes = entry.matcher.stats.probes
-        stats.comparisons = entry.matcher.stats.comparisons
-        stats.matcher = entry.matcher_name
-        stats.engine = "series"
-        stats.engine_selected = "series"
-        stats.candidates_left = len(entry.handles[LEFT])
-        stats.candidates_right = len(entry.handles[RIGHT])
-        stats.planner = [
-            {
-                "stage": "series",
-                "outcome": "replay",
-                "reused_handles": stats.reused_handles,
-                "pairs": len(pairs),
-            }
-        ]
-        observation = QueryObservation(query.query_id)
-        tables = {LEFT: query.left_table, RIGHT: query.right_table}
-        for side, table_name in tables.items():
-            for row, handle in entry.handles[side].items():
-                observation.handles[(table_name, row)] = handle
-        self.observations.append(observation)
-        left_payloads = [entry.payloads[LEFT][i] for i, _ in pairs]
-        right_payloads = [entry.payloads[RIGHT][j] for _, j in pairs]
-        if pairs:
-            yield MatchBatch(
-                index_pairs=list(pairs),
-                left_payloads=list(left_payloads),
-                right_payloads=list(right_payloads),
-            )
-        return EncryptedJoinResult(
-            left_table=query.left_table,
-            right_table=query.right_table,
-            index_pairs=pairs,
-            left_payloads=left_payloads,
-            right_payloads=right_payloads,
-            stats=stats,
-        )
-
-    def _series_delta_events(
-        self,
-        entry: SeriesEntry,
-        query: EncryptedJoinQuery,
-        engine: ExecutionEngine | str | None,
-        stats: ServerStats,
-        qos: QueryQoS | None,
-        versions,
-    ):
-        """Sharded delta refresh: scatter only never-seen rows.
-
-        Newly tombstoned global rows are withdrawn from the retained
-        matcher first, then every shard is asked for its sides *minus*
-        the rows the coordinator already holds handles for — each shard
-        decrypts only its slice of the delta.
-        """
-        cache = self.series_cache
-        matcher = entry.matcher
-        relative_deadline = getattr(query, "deadline", None)
-        for side, table_name in (
-            (LEFT, query.left_table),
-            (RIGHT, query.right_table),
-        ):
-            current = self._tombstoned_rows(table_name)
-            new = current - entry.applied_tombstones[side]
-            doomed = [i for i in new if i in entry.handles[side]]
-            if doomed:
-                if side == LEFT:
-                    matcher.retract_left(doomed)
-                else:
-                    matcher.retract_right(doomed)
-                for i in doomed:
-                    del entry.handles[side][i]
-                    entry.payloads[side].pop(i, None)
-            entry.applied_tombstones[side] |= new
-        stats.series_cache_hits = 1
-        stats.reused_handles = entry.reused_handles()
-        stats.matcher = entry.matcher_name
-
-        exclude = {
-            LEFT: set(entry.handles[LEFT]),
-            RIGHT: set(entry.handles[RIGHT]),
-        }
-        sources: list[_GuardedSource] = []
-        try:
-            for ordinal, shard in enumerate(self.shards):
-                for source in shard.open_scatter_sources(
-                    query, engine=engine, qos=qos, exclude=exclude
-                ):
-                    sources.append(_GuardedSource(ordinal, shard, source))
-        except BaseException:
-            for guarded in sources:
-                guarded.close()
-            raise
-
-        # Stream the retained pairs first so the union of yielded
-        # batches still equals the final canonical result.
-        retained_pairs = matcher.finish()
-        if retained_pairs:
-            yield MatchBatch(
-                index_pairs=list(retained_pairs),
-                left_payloads=[
-                    entry.payloads[LEFT][i] for i, _ in retained_pairs
-                ],
-                right_payloads=[
-                    entry.payloads[RIGHT][j] for _, j in retained_pairs
-                ],
-            )
-
-        observation = QueryObservation(query.query_id)
-        tables = {LEFT: query.left_table, RIGHT: query.right_table}
-        for side, table_name in tables.items():
-            for row, handle in entry.handles[side].items():
-                observation.handles[(table_name, row)] = handle
-
-        def on_items(side: str, items: list) -> None:
-            table_name = tables[side]
-            side_handles = entry.handles[side]
-            side_payloads = entry.payloads[side]
-            for row, handle, payload in items:
-                observation.handles[(table_name, row)] = handle
-                side_handles[row] = handle
-                side_payloads[row] = payload
-
-        pipeline = run_scatter_pipeline(sources, matcher, on_items=on_items)
-        try:
-            while True:
-                try:
-                    new_pairs = next(pipeline)
-                except StopIteration as stop:
-                    outcome = stop.value
-                    break
-                if qos is not None and qos.expired():
-                    raise DeadlineError(
-                        f"query {query.query_id} exceeded its deadline "
-                        f"of {relative_deadline}s; cancelled mid-refresh"
-                    )
-                yield MatchBatch(
-                    index_pairs=list(new_pairs),
-                    left_payloads=[
-                        entry.payloads[LEFT][i] for i, _ in new_pairs
-                    ],
-                    right_payloads=[
-                        entry.payloads[RIGHT][j] for _, j in new_pairs
-                    ],
-                )
-        finally:
-            pipeline.close()
-            self.observations.append(observation)
-
-        # Gather accounting over the delta scatter only.
-        shard_rows = [0] * len(self.shards)
-        delta_rows = 0
-        for guarded in sources:
-            result = guarded.outcome
-            if isinstance(result, ScatterOutcome):
-                rows = result.candidates_left + result.candidates_right
-                shard_rows[guarded.ordinal] += rows
-                delta_rows += rows
-                for report in (result.left_report, result.right_report):
-                    if report is not None:
-                        stats.merge_report(report)
-            else:
-                rows = len(getattr(guarded.source, "rows", None) or ())
-                shard_rows[guarded.ordinal] += rows
-                delta_rows += rows
-                if isinstance(result, EngineReport):
-                    stats.merge_report(result)
-        stats.delta_rows = delta_rows
-        stats.decryptions = delta_rows
-        stats.candidates_left = len(entry.handles[LEFT])
-        stats.candidates_right = len(entry.handles[RIGHT])
-        stats.shard_skew = shard_skew(shard_rows)
-        if stats.planner is None:
-            stats.planner = []
-        stats.planner.append({
-            "stage": "delta",
-            "rows": delta_rows,
-            "rows_per_shard": list(shard_rows),
-            "reused_handles": stats.reused_handles,
-        })
-
-        pairs = outcome.pairs
-        stats.matches = len(pairs)
-        stats.probes = matcher.stats.probes
-        stats.comparisons = matcher.stats.comparisons
-        stats.time_to_first_match = outcome.timings.time_to_first_match
-        stats.decrypt_seconds = outcome.timings.decrypt_seconds
-        stats.match_seconds = outcome.timings.match_seconds
-        entry.versions = versions
-        entry.delta_refreshes += 1
-        if cache is not None:
-            cache.stats.delta_refreshes += 1
-            cache.reaccount(entry)
-        return EncryptedJoinResult(
-            left_table=query.left_table,
-            right_table=query.right_table,
-            index_pairs=pairs,
-            left_payloads=[entry.payloads[LEFT][i] for i, _ in pairs],
-            right_payloads=[entry.payloads[RIGHT][j] for _, j in pairs],
-            stats=stats,
-        )
-
-    def _record_scatter_plan(
-        self, stats: ServerStats, shard_rows: list[int]
-    ) -> None:
-        """Append the cross-shard planner record (auditable, like the
-        per-side engine records): estimated single-store vs scatter
-        seconds and the skew the estimate was discounted by."""
-        from repro.bench.costmodel import (
-            default_engine_cost_model,
-            estimate_scatter_costs,
-        )
-
-        model = default_engine_cost_model(self._backend_name())
         estimates = estimate_scatter_costs(
-            model,
+            self._cost_model(None),
             shard_rows,
             dimension=max(1, stats.max_batch_size or 1),
             workers=max(1, stats.workers),
         )
-        if stats.planner is None:
-            stats.planner = []
-        stats.planner.append({
+        stats.record({
             "stage": "scatter",
             "shards": len(shard_rows),
-            "rows_per_shard": list(shard_rows),
+            "rows_per_shard": shard_rows,
             "skew": stats.shard_skew,
             "estimates": estimates,
         })

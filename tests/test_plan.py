@@ -25,7 +25,7 @@ from repro.bench.costmodel import (
     estimate_expected_matches,
     estimate_plan_costs,
 )
-from repro.core.client import SecureJoinClient
+from repro.core.client import EncryptedChainQuery, SecureJoinClient
 from repro.core.server import SecureJoinServer, ServerStats
 from repro.db.join import chain_join
 from repro.db.predicate import InPredicate
@@ -39,11 +39,10 @@ from repro.net.shard import ShardServiceServer, coordinator_from_shard_map
 from repro.plan import (
     MAX_CHAIN_TABLES,
     ChainExecutor,
-    KeyedHandleStore,
     compile_plan,
     group_chain_sides,
 )
-from repro.series.cache import chain_series_key
+from repro.series.cache import series_key
 from repro.shard.coordinator import LocalShard, ShardCoordinator
 from repro.shard.partition import partition_table
 from repro.store import wire
@@ -328,7 +327,9 @@ class TestHandlePool:
         client, server, tables = _setup(sizes=(9, 12), seed=47)
         with server:
             query = _chain(client, ["T1", "T2", "T1"])
-            assert len(group_chain_sides(query, server.scheme.backend)) == 2
+            assert len(group_chain_sides(
+                query, series_key(query, server.scheme.backend)
+            )) == 2
             result = server.execute_chain(query)
             assert result.stats.handle_pool_hits == 1
             assert result.stats.decryptions == 9 + 12
@@ -362,70 +363,6 @@ class TestHandlePool:
         assert (
             chain_delta.miller_loops + chain_delta.prepared_miller_loops > 0
         )
-
-
-# -- the cross-series handle store -----------------------------------------
-
-
-class TestKeyedHandleStore:
-    def test_lookup_returns_a_copy(self):
-        store = KeyedHandleStore()
-        store.record("T", 0, b"d", [(0, b"h0"), (1, b"h1")])
-        found = store.lookup("T", 0, b"d")
-        found[0] = b"tampered"
-        assert store.lookup("T", 0, b"d")[0] == b"h0"
-
-    def test_keyed_by_table_epoch_and_digest(self):
-        store = KeyedHandleStore()
-        store.record("T", 0, b"d", [(0, b"h")])
-        assert store.lookup("T", 1, b"d") == {}
-        assert store.lookup("T", 0, b"e") == {}
-        assert store.lookup("U", 0, b"d") == {}
-        assert store.lookup("T", 0, b"d") == {0: b"h"}
-
-    def test_budget_evicts_lru(self):
-        # One entry is 256 overhead + 4 * (32 + 96) = 768 bytes, so an
-        # 800-byte budget holds exactly one: recording the second must
-        # evict the least-recently-used first.
-        store = KeyedHandleStore(budget_bytes=800)
-        store.record("T", 0, b"a", [(i, b"x" * 32) for i in range(4)])
-        store.record("T", 0, b"b", [(i, b"y" * 32) for i in range(4)])
-        assert store.lookup("T", 0, b"a") == {}
-        assert len(store.lookup("T", 0, b"b")) == 4
-        assert store.stats.evictions >= 1
-        assert store.total_bytes <= 800
-
-    def test_forget_rows_and_invalidate(self):
-        store = KeyedHandleStore()
-        store.record("T", 0, b"a", [(0, b"h0"), (1, b"h1")])
-        store.record("U", 0, b"b", [(0, b"g0")])
-        store.forget_rows("T", [0])
-        assert store.lookup("T", 0, b"a") == {1: b"h1"}
-        assert store.invalidate_table("T") == 1
-        assert store.lookup("T", 0, b"a") == {}
-        assert store.lookup("U", 0, b"b") == {0: b"g0"}
-
-    def test_zero_budget_disables_retention(self):
-        store = KeyedHandleStore(budget_bytes=0)
-        store.record("T", 0, b"a", [(0, b"h")])
-        assert len(store) == 0
-
-    def test_cross_series_reuse_skips_sjdec(self):
-        # Evict the series entry but keep the handle store: the same
-        # encrypted chain re-runs with zero decryptions.
-        client, server, tables = _setup(seed=59)
-        with server:
-            query = _chain(client, ["T1", "T2", "T3"])
-            first = server.execute_chain(query)
-            assert first.stats.decryptions == 9 + 12 + 7
-            server.series_cache.clear()
-            again = server.execute_chain(query)
-            assert again.stats.series_cache_hits == 0
-            assert again.stats.decryptions == 0
-            assert again.stats.reused_handles == 9 + 12 + 7
-            assert again.tuples == first.tuples
-            assert again.payloads == first.payloads
-            _assert_matches_plaintext(client, again, tables)
 
 
 # -- chain series cache: replay, delta repair, contention ------------------
@@ -466,12 +403,12 @@ class TestChainSeries:
             )
 
     def test_contended_entry_falls_through_to_miss(self):
-        client, server, tables = _setup(seed=67, handle_store_bytes=0)
+        client, server, tables = _setup(seed=67)
         with server:
             query = _chain(client, ["T1", "T2", "T3"])
             first = server.execute_chain(query)
             cache = server.series_cache
-            key = chain_series_key(query, server.scheme.backend)
+            key = series_key(query, server.scheme.backend)
             entry = cache._entries[key]
             contention_before = cache.stats.lock_contention
 
@@ -557,6 +494,44 @@ class TestShardedChains:
             assert result.stats.decryptions == 9 + 12
             assert result.tuples == reference.tuples
             assert result.payloads == reference.payloads
+
+    def test_sharded_chain_series(self):
+        """A chain through the coordinator replays and delta-repairs
+        like the single store's, byte-identically to it."""
+        client, server, tables = _setup(seed=127)
+        backend = server.scheme.backend
+        encrypted = [copy.deepcopy(server.table(t.name)) for t in tables]
+        query = _chain(client, ["T1", "T2", "T3"])
+
+        def assert_same_as_single_store(result):
+            reference = server.execute_chain(query)
+            assert result.tuples == reference.tuples
+            assert result.payloads == reference.payloads
+
+        with server, _sharded(client, backend, encrypted, 2) as coordinator:
+            assert_same_as_single_store(coordinator.execute_chain(query))
+            replay = coordinator.execute_chain(query)
+            assert replay.stats.series_cache_hits == 1
+            assert replay.stats.decryptions == 0
+            assert_same_as_single_store(replay)
+
+            inserted = [(tables[1][0][0], "T2.a"), (tables[1][1][0], "T2.b")]
+            for row in inserted:
+                encrypted_row = client.encrypt_row_for("T2", row)
+                coordinator.insert_row("T2", *encrypted_row)
+                server.insert_row("T2", *encrypted_row)
+            repaired = coordinator.execute_chain(query)
+            assert repaired.stats.series_cache_hits == 1
+            assert repaired.stats.delta_rows == len(inserted)
+            assert repaired.stats.decryptions == len(inserted)
+            assert_same_as_single_store(repaired)
+
+            assert coordinator.delete_rows("T1", [0]) == 1
+            server.delete_rows("T1", [0])
+            shrunk = coordinator.execute_chain(query)
+            assert shrunk.stats.series_cache_hits == 1
+            assert shrunk.stats.decryptions == 0
+            assert_same_as_single_store(shrunk)
 
     def test_remote_shards_reject_chains(self):
         client, server, tables = _setup(sizes=(6, 5), seed=79)
@@ -671,7 +646,6 @@ class TestChainWire:
             # Token bytes survive the round trip, so the decoded query
             # still dedups its shared side (and replays the series).
             server.series_cache.clear()
-            server.handle_store.clear()
             result = server.execute_chain(decoded)
             assert result.stats.handle_pool_hits == 1
             assert result.tuples == reference.tuples
@@ -959,3 +933,69 @@ class TestChainProperties:
             result = coordinator.execute_chain(_chain(client, names))
             assert result.tuples == reference.tuples
             assert result.payloads == reference.payloads
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        left_keys=st.lists(st.integers(0, 4), min_size=0, max_size=10),
+        right_keys=st.lists(st.integers(0, 4), min_size=0, max_size=10),
+        seed=st.integers(min_value=0, max_value=2**20),
+    )
+    def test_join_is_the_two_table_chain(self, left_keys, right_keys, seed):
+        schema = Schema.of(("k", "int"), ("v", "str"))
+        left = Table("L", schema, [(k, f"l{i}") for i, k in enumerate(left_keys)])
+        right = Table(
+            "R", schema, [(k, f"r{i}") for i, k in enumerate(right_keys)]
+        )
+        client = SecureJoinClient.for_tables(
+            [(left, "k"), (right, "k")],
+            in_clause_limit=1,
+            rng=random.Random(seed),
+        )
+        encrypted = [
+            client.encrypt_table(left, "k"), client.encrypt_table(right, "k")
+        ]
+        join_query = client.create_query(
+            JoinQuery.build("L", "R", on=("k", "k"))
+        )
+        # The same tokens, presented as a chain.
+        chain_query = EncryptedChainQuery(
+            query_id=join_query.query_id,
+            tables=join_query.tables,
+            tokens=join_query.tokens,
+            prefilters=join_query.prefilters,
+        )
+        # No series cache: both must execute, not replay one another.
+        with SecureJoinServer(client.params, series_cache_bytes=0) as server:
+            for table in encrypted:
+                server.store(table)
+            joined = server.execute_join(join_query)
+            chained = server.execute_chain(chain_query)
+        pairs = [
+            (i, j)
+            for j, rk in enumerate(right_keys)
+            for i, lk in enumerate(left_keys)
+            if lk == rk
+        ]
+        assert joined.index_pairs == pairs  # right-major
+        assert chained.tuples == sorted(pairs)  # lexicographic
+        assert chained.payloads == [
+            (left_payload, right_payload)
+            for _, left_payload, right_payload in sorted(
+                zip(
+                    joined.index_pairs,
+                    joined.left_payloads,
+                    joined.right_payloads,
+                )
+            )
+        ]
+        for counter in (
+            "miller_loops",
+            "prepared_miller_loops",
+            "final_exponentiations",
+            "decryptions",
+            "probes",
+            "comparisons",
+        ):
+            assert getattr(joined.stats, counter) == getattr(
+                chained.stats, counter
+            )

@@ -25,7 +25,6 @@ from repro.bench.costmodel import (
 )
 from repro.core.client import SecureJoinClient
 from repro.core.server import SecureJoinServer
-from repro.db.matcher import get_matcher
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
@@ -340,9 +339,7 @@ class TestEviction:
     def test_oversized_entry_is_not_cached(self):
         cache = SeriesCache(budget_bytes=8)
         entry = SeriesEntry(
-            key=b"k" * 32, left_table="L", right_table="R",
-            epochs=(1, 1), versions=(0, 0),
-            matcher=get_matcher("hash"), matcher_name="hash",
+            key=b"k" * 32, tables=("L", "R"), epochs=(1, 1), versions=(0, 0),
         )
         assert not cache.store(entry)
         assert cache.lookup(b"k" * 32, (1, 1)) is None
