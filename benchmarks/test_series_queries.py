@@ -10,9 +10,7 @@ from-scratch join.
 ``python benchmarks/test_series_queries.py`` regenerates
 ``BENCH_9.json`` at the repo root (the ROADMAP's perf-trajectory
 artifact): a measured repeated-query + trickle-insert TPC-H mix at
-SF 0.01, plus the honest compressed-store measurement — prepared
-coefficient blocks are near-uniform field elements, so zlib buys
-almost nothing; the number is recorded rather than implied.
+SF 0.01.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro.bench.workloads import build_encrypted_tpch, tpch_query
-from repro.crypto.backend import BN254Backend
-from repro.store.tables import encode_encrypted_table, prepare_encrypted_table
 
 _SCALE_FACTOR = 0.01
 _SELECTIVITY = 1 / 12.5
@@ -124,58 +120,6 @@ def _trickle_insert_series(workload) -> dict:
     }
 
 
-def _compression_series() -> list[dict]:
-    """Honest compressed-store numbers: near-uniform blocks don't shrink.
-
-    The ``compress_prepared`` store flag exists and round-trips, but
-    pairing coefficients are close to uniform field elements, so the
-    measured ratio hovers at 1.0 — recorded so nobody mistakes the
-    flag for a win it does not deliver.
-    """
-    from repro.bench.workloads import clear_cache
-
-    points = []
-    for backend_name, rows in (("fast", 64), ("bn254", 6)):
-        clear_cache()
-        if backend_name == "bn254":
-            import random
-
-            from repro.core.client import SecureJoinClient
-            from repro.db.schema import Schema
-            from repro.db.table import Table
-
-            plain = Table(
-                "T", Schema.of(("k", "int"), ("v", "str")),
-                [(i, f"v{i}") for i in range(rows)],
-            )
-            client = SecureJoinClient.for_tables(
-                [(plain, "k"), (plain, "k")], in_clause_limit=1,
-                backend=BN254Backend(), rng=random.Random(11),
-            )
-            table = client.encrypt_table(plain, "k")
-            backend = client.scheme.backend
-        else:
-            workload = build_encrypted_tpch(
-                0.001, use_cache=False
-            )
-            table = workload.server.table("Customers")
-            backend = workload.server.scheme.backend
-            workload.server.close()
-        prepare_encrypted_table(table, backend)
-        plain_bytes = len(encode_encrypted_table(table, backend))
-        compressed_bytes = len(
-            encode_encrypted_table(table, backend, compress_prepared=True)
-        )
-        points.append({
-            "backend": backend.name,
-            "rows": len(table),
-            "plain_bytes": plain_bytes,
-            "compressed_bytes": compressed_bytes,
-            "ratio": compressed_bytes / plain_bytes,
-        })
-    return points
-
-
 @pytest.mark.slow
 def test_warm_replay_is_5x_and_runs_zero_pairing_ops():
     """Acceptance: the warm repeated query performs zero Miller loops
@@ -225,9 +169,7 @@ def collect_trajectory() -> dict:
             "decrypted handles and live matcher state, warm replays "
             "run zero Miller loops, and inserts are delta-maintained "
             "(SJ.Dec over exactly the new rows, fed into the retained "
-            "matcher). compression_series is the honest "
-            "compress_prepared measurement: near-uniform coefficient "
-            "blocks give a ~1.0 ratio, so the flag stays opt-in."
+            "matcher)."
         ),
         "cpu_count": os.cpu_count(),
         "scale_factor": _SCALE_FACTOR,
@@ -235,7 +177,6 @@ def collect_trajectory() -> dict:
         "backend": "fast",
         "repeated_query": repeated,
         "trickle_insert": trickle,
-        "compression_series": _compression_series(),
     }
 
 

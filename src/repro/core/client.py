@@ -24,7 +24,7 @@ from repro.core.scheme import (
 from repro.crypto.backend import BilinearBackend
 from repro.crypto.hashing import derive_key, keyed_tag
 from repro.crypto.symmetric import SymmetricCipher
-from repro.db.join import chain_schema, joined_prefixes
+from repro.db.join import chain_schema
 from repro.db.query import ChainQuery, JoinQuery, TableSelection
 from repro.db.schema import Schema
 from repro.db.table import Table
@@ -64,58 +64,27 @@ class EncryptedTable:
 
 
 @dataclass(frozen=True)
-class EncryptedJoinQuery:
-    """The query-phase message from client to server.
+class EncryptedChainQuery:
+    """The query-phase message from client to server, by chain position.
+
+    One token per position, all under a *single* query key — that is
+    what makes every position's handles mutually comparable and lets
+    the server's handle pool decrypt each distinct ``(table, token)``
+    side exactly once, however many positions share it.  ``prefilters``
+    are positional (``None`` = no pre-filter).
 
     ``engine_hint`` is an optional request for a server execution engine
     (``"serial"``, ``"batched"``, ``"parallel"`` or ``"auto"`` — the
     server-side cost-model planner); the server may override it, so it
     carries no security weight.
 
-    ``priority`` and ``deadline`` are the query's scheduling QoS
-    (wire v4): higher-priority queries get dispatch preference when
-    concurrent queries share the server's worker pool, and ``deadline``
-    is a *relative* time budget in seconds — the server stamps it
-    against its own clock at admission and cancels the query (releasing
-    its pool admissions) once the budget is exhausted.  Both are
-    advisory scheduling inputs, not security boundaries.
-    """
-
-    query_id: int
-    left_table: str
-    right_table: str
-    left_token: SJToken
-    right_token: SJToken
-    left_prefilter: dict[str, frozenset[bytes]] | None = None
-    right_prefilter: dict[str, frozenset[bytes]] | None = None
-    engine_hint: str | None = None
-    priority: int = 0
-    deadline: float | None = None
-
-    # A two-way join is the two-table chain: the positional view the
-    # join drive, the series key and the handle pool read.
-    @property
-    def tables(self) -> tuple[str, str]:
-        return (self.left_table, self.right_table)
-
-    @property
-    def tokens(self) -> tuple[SJToken, SJToken]:
-        return (self.left_token, self.right_token)
-
-    @property
-    def prefilters(self) -> tuple:
-        return (self.left_prefilter, self.right_prefilter)
-
-
-@dataclass(frozen=True)
-class EncryptedChainQuery:
-    """The query-phase message for a multi-way chain join (wire v7).
-
-    One token per chain position, all under a *single* query key —
-    that is what makes every position's handles mutually comparable
-    and lets the server's handle pool decrypt each distinct
-    ``(table, token)`` side exactly once, however many positions share
-    it.  ``prefilters`` are positional (``None`` = no pre-filter).
+    ``priority`` and ``deadline`` are the query's scheduling QoS:
+    higher-priority queries get dispatch preference when concurrent
+    queries share the server's worker pool, and ``deadline`` is a
+    *relative* time budget in seconds — the server stamps it against
+    its own clock at admission and cancels the query (releasing its
+    pool admissions) once the budget is exhausted.  Both are advisory
+    scheduling inputs, not security boundaries.
     """
 
     query_id: int
@@ -125,6 +94,24 @@ class EncryptedChainQuery:
     engine_hint: str | None = None
     priority: int = 0
     deadline: float | None = None
+
+
+def position_view(name: str, position: int) -> property:
+    """A read-only view of one chain position of a positional field."""
+    return property(lambda self: getattr(self, name)[position])
+
+
+class EncryptedJoinQuery(EncryptedChainQuery):
+    """The two-way join: the two-table chain, answered in right-major
+    pair order.  No fields of its own — only the pair names of the two
+    positions."""
+
+    left_table = position_view("tables", 0)
+    right_table = position_view("tables", 1)
+    left_token = position_view("tokens", 0)
+    right_token = position_view("tokens", 1)
+    left_prefilter = position_view("prefilters", 0)
+    right_prefilter = position_view("prefilters", 1)
 
 
 @dataclass
@@ -400,12 +387,12 @@ class SecureJoinClient:
         self._query_counter += 1
         return EncryptedJoinQuery(
             query_id=self._query_counter,
-            left_table=left.name,
-            right_table=right.name,
-            left_token=left_token,
-            right_token=right_token,
-            left_prefilter=self._prefilter_tokens(left, query.left_selection),
-            right_prefilter=self._prefilter_tokens(right, query.right_selection),
+            tables=(left.name, right.name),
+            tokens=(left_token, right_token),
+            prefilters=(
+                self._prefilter_tokens(left, query.left_selection),
+                self._prefilter_tokens(right, query.right_selection),
+            ),
             engine_hint=engine,
             priority=priority,
             deadline=float(deadline) if deadline is not None else None,
@@ -470,88 +457,35 @@ class SecureJoinClient:
         )
 
     # -- result phase -----------------------------------------------------
-    def _joined_schema(self, left: EncryptedTable, right: EncryptedTable):
-        prefix_left, prefix_right = joined_prefixes(
-            left.name, right.name,
-            set(left.schema.names()), set(right.schema.names()),
-        )
-        return left.schema.concat(
-            right.schema, prefix_self=prefix_left, prefix_other=prefix_right
-        )
-
     def decrypt_match_batch(
         self, left_table: str, right_table: str, batch
     ) -> list[tuple]:
-        """Decrypt one streamed :class:`~repro.core.server.MatchBatch`.
-
-        The incremental counterpart of :meth:`decrypt_result`: the
-        server's :meth:`~repro.core.server.SecureJoinServer.stream_join`
-        yields match batches while pairing is still running, and this
-        turns each into plaintext joined rows immediately — the client
-        sees first results before the join finishes.
-        """
-        left = self._table(left_table)
-        right = self._table(right_table)
-        left_cipher = self._payload_cipher(left.name)
-        right_cipher = self._payload_cipher(right.name)
-        return [
-            _decode_row(left_cipher.decrypt(left_payload))
-            + _decode_row(right_cipher.decrypt(right_payload))
-            for left_payload, right_payload in zip(
-                batch.left_payloads, batch.right_payloads
-            )
-        ]
+        """Decrypt one streamed :class:`~repro.core.server.MatchBatch`:
+        :meth:`decrypt_chain_batch` over the two tables."""
+        return self.decrypt_chain_batch((left_table, right_table), batch)
 
     def stream_decrypt(self, left_table: str, right_table: str, batches):
-        """Decrypt an iterable of streamed match batches lazily.
-
-        Yields ``(index_pairs, rows)`` per batch; wrap around
-        ``server.stream_join(...)`` for an end-to-end streaming join
-        whose first rows arrive while the server is still decrypting.
-        The wrapped generator's return value (for ``stream_join``, the
-        final :class:`~repro.core.server.EncryptedJoinResult` with its
-        stats) is passed through as this generator's return value.
-        """
-        iterator = iter(batches)
-        try:
-            while True:
-                try:
-                    batch = next(iterator)
-                except StopIteration as stop:
-                    return stop.value
-                yield list(batch.index_pairs), self.decrypt_match_batch(
-                    left_table, right_table, batch
-                )
-        finally:
-            # Abandoning this wrapper must deterministically close the
-            # wrapped stream (server-side: releases pool admissions).
-            close = getattr(iterator, "close", None)
-            if close is not None:
-                close()
+        """Decrypt streamed match batches lazily, yielding
+        ``(index_pairs, rows)`` per batch: :meth:`stream_decrypt_chain`
+        over the two tables."""
+        return self.stream_decrypt_chain((left_table, right_table), batches)
 
     def decrypt_result(self, result) -> DecryptedJoinResult:
         """Decrypt an :class:`~repro.core.server.EncryptedJoinResult`."""
-        left = self._table(result.left_table)
-        right = self._table(result.right_table)
-        left_cipher = self._payload_cipher(left.name)
-        right_cipher = self._payload_cipher(right.name)
-        table = Table("join", self._joined_schema(left, right))
-        for left_payload, right_payload in zip(
-            result.left_payloads, result.right_payloads
-        ):
-            left_row = _decode_row(left_cipher.decrypt(left_payload))
-            right_row = _decode_row(right_cipher.decrypt(right_payload))
-            table.insert(left_row + right_row)
-        return DecryptedJoinResult(table, list(result.index_pairs))
+        chain = self.decrypt_chain_result(result)
+        return DecryptedJoinResult(chain.table, chain.index_tuples)
 
     def decrypt_chain_batch(
         self, tables: "tuple[str, ...] | list[str]", batch
     ) -> list[tuple]:
-        """Decrypt one streamed chain match batch into joined rows.
+        """Decrypt one streamed match batch into joined rows.
 
-        ``batch.payloads`` carries one payload tuple per completed
-        chain tuple, in chain-position order; repeated tables share
-        their payload cipher by name.
+        The server's ``stream_join`` / ``stream_chain`` yield match
+        batches while pairing is still running, and this turns each
+        into plaintext joined rows immediately — the client sees first
+        results before the join finishes.  ``batch.payloads`` carries
+        one payload tuple per completed chain tuple, in chain-position
+        order; repeated tables share their payload cipher by name.
         """
         ciphers = [self._payload_cipher(self._table(t).name) for t in tables]
         rows: list[tuple] = []
@@ -563,11 +497,14 @@ class SecureJoinClient:
         return rows
 
     def stream_decrypt_chain(self, tables, batches):
-        """Decrypt an iterable of streamed chain batches lazily.
+        """Decrypt an iterable of streamed match batches lazily.
 
-        Yields ``(index_tuples, rows)`` per batch; passes through the
-        wrapped generator's return value (the final encrypted chain
-        result) like :meth:`stream_decrypt`.
+        Yields ``(index_tuples, rows)`` per batch; wrap around
+        ``server.stream_chain(...)`` for an end-to-end streaming join
+        whose first rows arrive while the server is still decrypting.
+        The wrapped generator's return value (the final encrypted
+        result with its stats) is passed through as this generator's
+        return value.
         """
         iterator = iter(batches)
         try:
@@ -580,6 +517,8 @@ class SecureJoinClient:
                     tables, batch
                 )
         finally:
+            # Abandoning this wrapper must deterministically close the
+            # wrapped stream (server-side: releases pool admissions).
             close = getattr(iterator, "close", None)
             if close is not None:
                 close()

@@ -44,7 +44,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.core.client import EncryptedTable
+from repro.core.client import EncryptedTable, position_view
 from repro.core.engine import (
     AutoEngine,
     EngineReport,
@@ -192,39 +192,16 @@ class ServerStats:
 
 
 @dataclass
-class EncryptedJoinResult:
-    """What the server returns: matched payload pairs plus indices."""
-
-    left_table: str
-    right_table: str
-    index_pairs: list[tuple[int, int]]
-    left_payloads: list[bytes]
-    right_payloads: list[bytes]
-    stats: ServerStats
-
-
-@dataclass
-class MatchBatch:
-    """One increment of a streamed join: pairs matched by one chunk.
-
-    Yielded by :meth:`SecureJoinServer.stream_join` in discovery order
-    (NOT the canonical order of the final result) together with the
-    matched rows' payload blobs, so a client can decrypt joined rows
-    while the server is still pairing.
-    """
-
-    index_pairs: list[tuple[int, int]]
-    left_payloads: list[bytes]
-    right_payloads: list[bytes]
-
-
-@dataclass
 class ChainMatchBatch:
-    """One increment of a streamed multi-way chain join.
+    """One increment of a streamed join.
 
+    Yielded by :meth:`SecureJoinServer.stream_chain` (and, as its
+    two-table case :class:`MatchBatch`, by ``stream_join``):
     ``tuples`` are completed chain tuples (one row index per chain
-    position, positions in chain order) in discovery order; ``payloads``
-    carries each tuple's payload blobs in the same position order.
+    position, positions in chain order) in discovery order (NOT the
+    canonical order of the final result); ``payloads`` carries each
+    tuple's payload blobs in the same position order, so a client can
+    decrypt joined rows while the server is still pairing.
     """
 
     tuples: list[tuple[int, ...]]
@@ -233,12 +210,43 @@ class ChainMatchBatch:
 
 @dataclass
 class EncryptedChainResult:
-    """What the server returns for a multi-way chain join."""
+    """What the server returns: matched row-index tuples in canonical
+    order, each tuple's payload blobs, and the execution stats."""
 
     tables: tuple[str, ...]
     tuples: list[tuple[int, ...]]
     payloads: list[tuple[bytes, ...]]
     stats: ServerStats
+
+
+class _PairViews:
+    """The pair names of a two-table batch or result.  Each payload
+    view builds its list once per access — read it once per batch."""
+
+    @property
+    def index_pairs(self) -> list[tuple[int, int]]:
+        return self.tuples
+
+    @property
+    def left_payloads(self) -> list[bytes]:
+        return [left for left, _ in self.payloads]
+
+    @property
+    def right_payloads(self) -> list[bytes]:
+        return [right for _, right in self.payloads]
+
+
+class MatchBatch(_PairViews, ChainMatchBatch):
+    """One increment of a streamed two-way join: the two-table
+    :class:`ChainMatchBatch`."""
+
+
+class EncryptedJoinResult(_PairViews, EncryptedChainResult):
+    """A two-way join's result: the two-table
+    :class:`EncryptedChainResult`, pairs in right-major order."""
+
+    left_table = position_view("tables", 0)
+    right_table = position_view("tables", 1)
 
 
 @dataclass
@@ -257,63 +265,31 @@ class _PairShape:
     """The two-way join's public shape: :class:`MatchBatch` increments
     and the right-major :class:`EncryptedJoinResult`."""
 
+    batch, result = MatchBatch, EncryptedJoinResult
+
     @staticmethod
     def canonical(executor) -> list[tuple[int, int]]:
         # The single node's matcher sorts its own pairs right-major (in
         # place, so a replay re-sorts an already sorted list).
         return executor.matchers[0].finish()
 
-    @staticmethod
-    def batch(tuples, payloads) -> MatchBatch:
-        left, right = payloads
-        return MatchBatch(
-            index_pairs=list(tuples),
-            left_payloads=[left[i] for i, _ in tuples],
-            right_payloads=[right[j] for _, j in tuples],
-        )
-
-    @classmethod
-    def result(cls, query, tuples, payloads, stats) -> EncryptedJoinResult:
-        final = cls.batch(tuples, payloads)
-        return EncryptedJoinResult(
-            left_table=query.tables[0],
-            right_table=query.tables[1],
-            index_pairs=final.index_pairs,
-            left_payloads=final.left_payloads,
-            right_payloads=final.right_payloads,
-            stats=stats,
-        )
-
 
 class _ChainShape:
     """The multi-way chain's public shape: :class:`ChainMatchBatch`
     increments and the lexicographic :class:`EncryptedChainResult`."""
 
+    batch, result = ChainMatchBatch, EncryptedChainResult
     canonical = staticmethod(ChainExecutor.finish)
 
-    @staticmethod
-    def batch(tuples, payloads) -> ChainMatchBatch:
-        return ChainMatchBatch(
-            tuples=list(tuples),
-            payloads=[
-                tuple(
-                    payloads[position][row]
-                    for position, row in enumerate(combo)
-                )
-                for combo in tuples
-            ],
-        )
 
-    @classmethod
-    def result(cls, query, tuples, payloads, stats) -> EncryptedChainResult:
-        stats.plan_nodes = len(query.tables) - 1
-        final = cls.batch(tuples, payloads)
-        return EncryptedChainResult(
-            tables=tuple(query.tables),
-            tuples=final.tuples,
-            payloads=final.payloads,
-            stats=stats,
-        )
+def _gather(tuples, payloads) -> list[tuple[bytes, ...]]:
+    """Each tuple's payload blobs in position order, gathered one
+    position (column) at a time from the per-position payload maps."""
+    columns = [
+        [held[row] for row in rows]
+        for held, rows in zip(payloads, zip(*tuples))
+    ]
+    return list(zip(*columns))
 
 
 def _drain(events):
@@ -553,7 +529,7 @@ class _JoinHost:
             if tuples:
                 emitted()
                 if streaming:
-                    yield shape.batch(tuples, payloads)
+                    yield shape.batch(list(tuples), _gather(tuples, payloads))
             if stale:
                 if entry.sides is None:
                     entry.sides = group_chain_sides(query, entry.key)
@@ -585,7 +561,7 @@ class _JoinHost:
                             f"of {query.deadline}s; cancelled mid-join"
                         )
                     if streaming:
-                        yield shape.batch(new, payloads)
+                        yield shape.batch(list(new), _gather(new, payloads))
                 finish_at = time.perf_counter()
                 tuples = shape.canonical(executor)
                 stats.match_seconds += time.perf_counter() - finish_at
@@ -633,7 +609,11 @@ class _JoinHost:
             else:
                 entry.replays += 1
                 cache.stats.replays += 1
-        return shape.result(query, tuples, payloads, stats)
+        if shape is _ChainShape:
+            stats.plan_nodes = len(tables) - 1
+        return shape.result(
+            tuple(tables), list(tuples), _gather(tuples, payloads), stats
+        )
 
     def _cost_model(self, engine):
         """The engine's own (calibrated/custom) cost model, else the

@@ -102,7 +102,7 @@ def default_worker_count() -> int:
 
 @dataclass(frozen=True)
 class QueryQoS:
-    """Per-query scheduling inputs, threaded from the wire (v4) header.
+    """Per-query scheduling inputs, threaded from the wire query header.
 
     ``priority``: sides of higher-priority queries get dispatch
     preference at every worker-window refill; equal priorities

@@ -2,14 +2,15 @@
 
 Everything below :mod:`repro.net` exists so the client and the
 untrusted server can run in *separate processes* exchanging nothing but
-byte strings — the paper's deployment model.  The module speaks the v5
+byte strings — the paper's deployment model.  The module speaks the
 wire format of :mod:`repro.store.wire` over TCP with length-prefixed
 messages:
 
 - :class:`~repro.net.server.JoinServiceServer` — a thread-per-connection
-  endpoint that decodes join queries, runs
-  :meth:`~repro.core.server.SecureJoinServer.stream_join`, and emits the
-  chunked result stream (stream-header / match-batch / final frames) so
+  endpoint that decodes queries (two-way joins and longer chains are
+  one message), runs
+  :meth:`~repro.core.server.SecureJoinServer.stream_join` /
+  ``stream_chain``, and emits the chunked result stream (stream-header / match-batch / final frames) so
   remote clients receive matches while SJ.Dec is still running;
 - :class:`~repro.net.client.RemoteJoinClient` — consumes the frame
   stream with bounded buffering (client-side backpressure) and

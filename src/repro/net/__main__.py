@@ -1,7 +1,7 @@
 """Standalone join service process: ``python -m repro.net``.
 
 Builds a :class:`~repro.core.server.SecureJoinServer` from public
-parameters, loads encrypted tables from disk, and serves the v4 frame
+parameters, loads encrypted tables from disk, and serves the frame
 stream until SIGTERM/SIGINT, then drains gracefully: stop accepting,
 finish in-flight query streams, close the worker pool, exit 0.
 

@@ -1,15 +1,15 @@
 """The remote join client: frame-stream consumption with backpressure.
 
 :class:`RemoteJoinClient` owns one TCP connection to a
-:class:`~repro.net.server.JoinServiceServer`.  Queries are encoded with
-the v4 wire format; the response is consumed as a *stream*:
-:meth:`RemoteJoinClient.stream_join` yields each
-:class:`~repro.core.server.MatchBatch` as its frame arrives — matched
-rows reach the caller while the server's SJ.Dec is still running — and
-returns the reassembled canonical
-:class:`~repro.core.server.EncryptedJoinResult` as the generator's
-value, exactly like the in-process
-:meth:`~repro.core.server.SecureJoinServer.stream_join`.
+:class:`~repro.net.server.JoinServiceServer`.  A query — two-way join
+or longer chain, one message either way — is encoded with
+:mod:`repro.store.wire`; the response is consumed as a *stream*:
+:meth:`RemoteJoinClient.stream_join` / ``stream_chain`` yield each match
+batch as its frame arrives — matched rows reach the caller while the
+server's SJ.Dec is still running — and return the reassembled canonical
+result as the generator's value, exactly like the in-process
+:meth:`~repro.core.server.SecureJoinServer.stream_join` /
+``stream_chain``.
 
 Backpressure: a reader thread pulls frames off the socket into a
 *bounded* buffer (``max_buffered_batches``).  When the consumer falls
@@ -35,16 +35,12 @@ from repro.crypto.backend import BilinearBackend
 from repro.errors import NetworkError, QueryError, ReproError
 from repro.net.protocol import MAX_MESSAGE_SIZE, recv_message, send_message
 from repro.store.wire import (
-    ChainBatchFrame,
-    ChainFinalFrame,
-    ChainReassembler,
     ErrorFrame,
     FinalFrame,
     MatchBatchFrame,
     StreamHeaderFrame,
     StreamReassembler,
     decode_frame,
-    encode_chain_query,
     encode_join_query,
 )
 
@@ -133,40 +129,24 @@ class RemoteJoinClient:
         socket carries undelivered frames that can no longer be
         resynchronized) — use one client per abandoned stream, or drain.
         """
-        return (
-            yield from self._stream_query(
-                encode_join_query(query, self.backend),
-                query.query_id,
-                MatchBatchFrame,
-                FinalFrame,
-                StreamReassembler(),
-            )
-        )
+        return self._stream_query(query)
 
     def stream_chain(self, query: EncryptedChainQuery):
         """Run a multi-way chain join remotely; a generator.
 
-        Yields each :class:`~repro.core.server.ChainMatchBatch` as its
-        chain-batch frame arrives and returns the reassembled canonical
+        The same drive as :meth:`stream_join` — on the wire the query's
+        type, not the method, picks the shape of the answer: each
+        :class:`~repro.core.server.ChainMatchBatch` as its frame
+        arrives, then the reassembled canonical
         :class:`~repro.core.server.EncryptedChainResult` as the
-        generator's value — the remote mirror of the in-process
-        :meth:`~repro.core.server.SecureJoinServer.stream_chain`, with
-        the same abandonment semantics as :meth:`stream_join`.
+        generator's value.
         """
-        return (
-            yield from self._stream_query(
-                encode_chain_query(query, self.backend),
-                query.query_id,
-                ChainBatchFrame,
-                ChainFinalFrame,
-                ChainReassembler(),
-            )
-        )
+        return self._stream_query(query)
 
-    def _stream_query(
-        self, request, query_id, batch_type, final_type, reassembler
-    ):
-        """The shared frame-stream drive behind both query kinds."""
+    def _stream_query(self, query):
+        """The one frame-stream drive, at the query's arity."""
+        request = encode_join_query(query, self.backend)
+        reassembler = StreamReassembler(query)
         with self._lock:
             if self._sock is None:
                 raise NetworkError("client is closed")
@@ -205,7 +185,7 @@ class RemoteJoinClient:
                         return
                     frame = decode_frame(data)
                     put(("frame", frame))
-                    if isinstance(frame, (final_type, ErrorFrame)):
+                    if isinstance(frame, (FinalFrame, ErrorFrame)):
                         return
             except ReproError as error:
                 put(("error", error))
@@ -233,18 +213,17 @@ class RemoteJoinClient:
                             "stream did not open with a stream-header "
                             f"frame (got {type(frame).__name__})"
                         )
-                    if frame.query_id != query_id:
+                    if frame.query_id != query.query_id:
                         raise NetworkError(
                             f"stream answers query {frame.query_id}, "
-                            f"expected {query_id}"
+                            f"expected {query.query_id}"
                         )
                     got_header = True
                     continue
-                if isinstance(frame, batch_type):
-                    reassembler.add_batch(frame.batch)
-                    yield frame.batch
+                if isinstance(frame, MatchBatchFrame):
+                    yield reassembler.add_batch(frame.batch)
                     continue
-                if isinstance(frame, final_type):
+                if isinstance(frame, FinalFrame):
                     completed = True
                     return reassembler.finish(frame)
                 raise NetworkError(

@@ -1,26 +1,25 @@
-"""The streamed join service: a TCP endpoint over the v4 wire format.
+"""The streamed join service: a TCP endpoint over the wire format.
 
 :class:`JoinServiceServer` wraps a
 :class:`~repro.core.server.SecureJoinServer` behind a listening socket.
 One thread per connection; each connection serves any number of queries
-sequentially.  Per query the handler emits:
+sequentially.  Per query — a two-way join or a longer chain, it is one
+message and one handler — it emits:
 
 1. one **stream-header frame** acknowledging the query,
-2. a **match-batch frame** per :class:`~repro.core.server.MatchBatch`
-   the streaming pipeline yields — pairs and payloads in discovery
-   order, sent while SJ.Dec is still running,
-3. one **final frame** with the canonical pair order and the
+2. a **match-batch frame** per batch the streaming pipeline yields —
+   index tuples and payloads in discovery order, sent while SJ.Dec is
+   still running,
+3. one **final frame** with the canonical tuple order and the
    :class:`~repro.core.server.ServerStats` — or an **error frame** if
    the query failed (bad payload, unknown table, deadline exceeded...).
 
 Exposure policy: the socket can reach exactly ``decode_join_query`` →
-``stream_join`` (and, since v7, ``decode_chain_query`` →
-``stream_chain`` for multi-way chain queries, dispatched by magic
-prefix on the same port).  Client engine hints pass through the same
-``hint_engines`` allowlist gate as in-process hints; priority/deadline
-QoS from the v4 query header feed the admission scheduler; pool
-controls, engine overrides, the observation log and store mutation are
-not reachable from the wire.
+``stream_join`` / ``stream_chain`` (picked by the query's type).
+Client engine hints pass through the same ``hint_engines`` allowlist
+gate as in-process hints; priority/deadline QoS from the query header
+feed the admission scheduler; pool controls, engine overrides, the
+observation log and store mutation are not reachable from the wire.
 
 Graceful drain (:meth:`JoinServiceServer.shutdown`): stop accepting new
 connections, let in-flight query streams finish, close idle
@@ -34,19 +33,16 @@ import socket
 import threading
 import time
 
+from repro.core.client import EncryptedJoinQuery
 from repro.core.server import SecureJoinServer
 from repro.errors import NetworkError, ReproError
 from repro.net.protocol import MAX_MESSAGE_SIZE, recv_message, send_message
 from repro.store.wire import (
-    decode_chain_query,
     decode_join_query,
-    encode_chain_batch,
-    encode_chain_final,
     encode_error_frame,
     encode_final_frame,
     encode_match_batch,
     encode_stream_header,
-    is_chain_query,
 )
 
 
@@ -62,7 +58,7 @@ class _Connection:
 
 
 class JoinServiceServer:
-    """Thread-per-connection TCP server speaking the v4 frame stream."""
+    """Thread-per-connection TCP server speaking the frame stream."""
 
     def __init__(
         self,
@@ -88,7 +84,8 @@ class JoinServiceServer:
         self._handlers: list[threading.Thread] = []
         self._draining = threading.Event()
         self._started = False
-        #: Completed query streams (diagnostics and tests).
+        #: Completed query streams: answers whose closing frame was sent,
+        #: not error replies or streams the client abandoned.
         self.queries_served = 0
 
     # -- lifecycle --------------------------------------------------------
@@ -181,7 +178,6 @@ class JoinServiceServer:
                 finally:
                     with self._lock:
                         connection.busy = False
-                        self.queries_served += 1
         finally:
             with self._lock:
                 self._connections.discard(connection)
@@ -191,97 +187,55 @@ class JoinServiceServer:
                 pass
 
     def _serve_query(self, sock: socket.socket, request: bytes) -> None:
-        """Decode one query, stream its result frames.
+        """Decode one query and send its answer, frame by frame.
 
-        Library failures (codec, scheme, deadline) are reported in-band
-        as an error frame; transport failures propagate and drop the
-        connection.  Multi-way chain queries arrive on the same port
-        with their own magic and are dispatched by a prefix sniff.
+        Library failures (codec, scheme, deadline) — at decode time or
+        mid-flight — terminate the response in-band with an error frame
+        so the client sees *why*; transport failures propagate and drop
+        the connection.
         """
-        if is_chain_query(request):
-            self._serve_chain_query(sock, request)
-            return
-        backend = self.join_server.scheme.backend
+        frames = None
         try:
-            query = decode_join_query(request, backend)
-        except ReproError as error:
-            send_message(
-                sock, encode_error_frame(type(error).__name__, str(error))
-            )
-            return
-        stream = self.join_server.stream_join(
-            query, algorithm=self.algorithm
-        )
-        try:
-            send_message(
-                sock,
-                encode_stream_header(
-                    query.query_id, query.left_table, query.right_table
-                ),
-            )
             try:
-                while True:
-                    try:
-                        batch = next(stream)
-                    except StopIteration as stop:
-                        result = stop.value
-                        break
-                    send_message(sock, encode_match_batch(batch))
+                query = decode_join_query(
+                    request, self.join_server.scheme.backend
+                )
+                frames = self._answer(query)
+                for frame in frames:
+                    send_message(sock, frame)
             except ReproError as error:
-                # stream_join failed mid-flight (unknown table, bad
-                # token dimension, deadline exceeded...): terminate the
-                # response in-band so the client sees *why*.
                 send_message(
-                    sock,
-                    encode_error_frame(type(error).__name__, str(error)),
+                    sock, encode_error_frame(type(error).__name__, str(error))
                 )
                 return
-            send_message(sock, encode_final_frame(result))
+            with self._lock:
+                self.queries_served += 1
         finally:
             # Covers the transport-failure exits too: abandoning the
-            # generator releases the query's pool admissions.
-            stream.close()
+            # answer releases the query's pool admissions.
+            if frames is not None:
+                frames.close()
 
-    def _serve_chain_query(self, sock: socket.socket, request: bytes) -> None:
-        """Stream one multi-way chain query's result frames.
-
-        Same exposure policy and error discipline as two-way queries;
-        the stream-header frame names the chain's endpoint tables, so
-        v4 clients that cannot speak chains still see a well-formed
-        stream opening before the unfamiliar chain frames arrive.
-        """
-        backend = self.join_server.scheme.backend
-        try:
-            query = decode_chain_query(request, backend)
-        except ReproError as error:
-            send_message(
-                sock, encode_error_frame(type(error).__name__, str(error))
+    def _answer(self, query):
+        """The encoded frames answering ``query``, lazily: stream
+        header, one match batch per pipeline increment, final frame.
+        The query's type picks the order (and shape) it is answered in."""
+        if isinstance(query, EncryptedJoinQuery):
+            stream = self.join_server.stream_join(
+                query, algorithm=self.algorithm
             )
-            return
-        stream = self.join_server.stream_chain(query)
+        else:
+            stream = self.join_server.stream_chain(query)
         try:
-            send_message(
-                sock,
-                encode_stream_header(
-                    query.query_id, query.tables[0], query.tables[-1]
-                ),
-            )
-            try:
-                while True:
-                    try:
-                        batch = next(stream)
-                    except StopIteration as stop:
-                        result = stop.value
-                        break
-                    if batch.tuples:
-                        send_message(sock, encode_chain_batch(batch))
-            except ReproError as error:
-                send_message(
-                    sock,
-                    encode_error_frame(type(error).__name__, str(error)),
-                )
-                return
-            send_message(sock, encode_chain_final(result))
+            yield encode_stream_header(query.query_id, *query.tables)
+            while True:
+                try:
+                    batch = next(stream)
+                except StopIteration as stop:
+                    result = stop.value
+                    break
+                yield encode_match_batch(batch)
+            yield encode_final_frame(result)
         finally:
             stream.close()
 

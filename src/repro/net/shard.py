@@ -4,9 +4,11 @@ A :class:`ShardServiceServer` wraps one :class:`~repro.shard.LocalShard`
 behind a socket.  Every query it receives *is* a scatter request — a
 shard endpoint has no other contract, so no wire flag is needed: the
 response stream is a stream-header frame, one **scatter-chunk frame**
-per decrypted handle chunk (global row indices + handles + payloads,
-either side, in completion order), and one **scatter-final frame**
-carrying the shard's candidate counts and per-side engine reports.
+per decrypted handle chunk (the chain positions it feeds + global row
+indices + handles + payloads, any side, in completion order), and one
+**scatter-final frame** carrying the shard's per-side candidate counts
+and engine reports.  Sides are positional, so a two-way join and a
+longer chain scatter through the same frames.
 
 :class:`RemoteShard` is the coordinator-side proxy: it satisfies the
 same source protocol as a local shard, so
@@ -25,18 +27,13 @@ from __future__ import annotations
 
 import socket
 
-from repro.core.client import EncryptedJoinQuery
 from repro.crypto.backend import BilinearBackend
-from repro.errors import (
-    NetworkError,
-    QueryError,
-    ReproError,
-    ShardUnavailableError,
-)
+from repro.errors import NetworkError, SchemeError, ShardUnavailableError
 from repro.net.client import _error_from_frame
 from repro.net.protocol import MAX_MESSAGE_SIZE, recv_message, send_message
 from repro.net.server import JoinServiceServer
-from repro.plan.handles import SideGroup
+from repro.plan import group_chain_sides
+from repro.series.cache import series_key
 from repro.shard.coordinator import LocalShard, ShardCoordinator
 from repro.store.wire import (
     ErrorFrame,
@@ -45,17 +42,11 @@ from repro.store.wire import (
     ShardMapFrame,
     StreamHeaderFrame,
     decode_frame,
-    decode_join_query,
-    encode_error_frame,
     encode_join_query,
     encode_scatter_chunk,
     encode_scatter_final,
     encode_stream_header,
 )
-
-
-#: Wire names of the two chain positions of a two-way scatter.
-_SIDES = ("left", "right")
 
 
 class ShardServiceServer(JoinServiceServer):
@@ -80,66 +71,36 @@ class ShardServiceServer(JoinServiceServer):
         self.shard = shard
         self.engine = engine
 
-    def _serve_query(self, sock: socket.socket, request: bytes) -> None:
+    def _answer(self, query):
+        """The encoded scatter frames for ``query``, lazily: every
+        distinct side is opened (co-admitted on this shard's pool)
+        before the stream header goes out, then their chunks are sent
+        round-robin, then the per-side totals."""
         backend = self.join_server.scheme.backend
+        sides = group_chain_sides(query, series_key(query, backend))
         sources: list = []
         try:
-            try:
-                query = decode_join_query(request, backend)
-                # The scatter frames name a side, not a position, so
-                # the two sides are never pooled here.
-                sides = [
-                    SideGroup(table, token, prefilter, [position])
-                    for position, (table, token, prefilter) in enumerate(
-                        zip(query.tables, query.tokens, query.prefilters)
-                    )
-                ]
-                for source in self.shard.open_sources(
-                    query, sides, engine=self.engine
-                ):
-                    sources.append(source)
-            except ReproError as error:
-                send_message(
-                    sock, encode_error_frame(type(error).__name__, str(error))
+            for source in self.shard.open_sources(
+                query, sides, engine=self.engine
+            ):
+                sources.append(source)
+            yield encode_stream_header(query.query_id, *query.tables)
+            active = list(sources)
+            turn = 0
+            while active:
+                source = active[turn % len(active)]
+                try:
+                    positions, items = next(source)
+                except StopIteration:
+                    active.remove(source)
+                    continue
+                yield encode_scatter_chunk(positions, items)
+                turn += 1
+            yield encode_scatter_final(
+                ScatterFinalFrame(
+                    candidates=[source.decrypted for source in sources],
+                    reports=[source.reports[0] for source in sources],
                 )
-                return
-            send_message(
-                sock,
-                encode_stream_header(
-                    query.query_id, query.left_table, query.right_table
-                ),
-            )
-            try:
-                active = list(sources)
-                turn = 0
-                while active:
-                    source = active[turn % len(active)]
-                    try:
-                        positions, items = next(source)
-                    except StopIteration:
-                        active.remove(source)
-                        continue
-                    send_message(
-                        sock, encode_scatter_chunk(_SIDES[positions[0]], items)
-                    )
-                    turn += 1
-            except ReproError as error:
-                send_message(
-                    sock,
-                    encode_error_frame(type(error).__name__, str(error)),
-                )
-                return
-            left, right = sources
-            send_message(
-                sock,
-                encode_scatter_final(
-                    ScatterFinalFrame(
-                        candidates_left=left.decrypted,
-                        candidates_right=right.decrypted,
-                        left_report=left.reports[0],
-                        right_report=right.reports[0],
-                    )
-                ),
             )
         finally:
             # Covers transport-failure exits: a dropped coordinator
@@ -153,7 +114,7 @@ class RemoteShard:
 
     Interchangeable with :class:`~repro.shard.LocalShard` inside a
     :class:`~repro.shard.ShardCoordinator`: ``open_sources`` yields one
-    event source covering both sides (the shard multiplexes them on one
+    event source covering every side (the shard multiplexes them on one
     stream).  Candidate counts and engine reports arrive in the
     scatter-final frame, so they fold into the coordinator's stats
     exactly like a local shard's.  The partition layout of a remote
@@ -190,17 +151,12 @@ class RemoteShard:
     ):
         """Connect, send the query (the remote co-admission), and yield
         the single merged event source.  Only the query travels: the
-        endpoint opens both of its sides, picks its own engine, and
-        stamps the relative deadline the query carries against its own
-        clock.  (``exclude_rows`` is always empty here — a coordinator
-        with a remote shard keeps no series cache.)  The wire has no
-        chain scatter frame, so only two-way queries can be served."""
-        if not isinstance(query, EncryptedJoinQuery):
-            raise QueryError(
-                f"shard {self.describe()!r} cannot scatter chain queries; "
-                "the shard wire protocol has no chain frame yet — run "
-                "multi-way chains against in-process shards"
-            )
+        endpoint groups and opens the query's distinct sides itself
+        (the grouping is a function of the query bytes, so it equals
+        ``sides``), picks its own engine, and stamps the relative
+        deadline the query carries against its own clock.
+        (``exclude_rows`` is always empty here — a coordinator with a
+        remote shard keeps no series cache.)"""
         source = _RemoteScatterSource(self, query)
         self._sources.add(source)
         yield source
@@ -219,7 +175,7 @@ def coordinator_from_shard_map(
 ) -> ShardCoordinator:
     """Bootstrap a coordinator from a decoded ``shard_map`` frame.
 
-    The client-side consumer of the v5 shard-map message: one
+    The client-side consumer of the shard-map message: one
     :class:`RemoteShard` per listed endpoint, ordered by shard index,
     wrapped in a ready-to-query
     :class:`~repro.shard.ShardCoordinator`.  The frame's layout
@@ -244,10 +200,10 @@ def coordinator_from_shard_map(
 class _RemoteScatterSource:
     """One scatter stream from one remote shard, as a merge source.
 
-    Yields ``(positions, items)`` events decoded from scatter-chunk
-    frames — the wire's ``left``/``right`` sides are chain positions
-    ``(0,)``/``(1,)`` — and learns ``decrypted`` and ``reports`` when
-    the scatter-final frame arrives.  Transport loss at any point raises
+    Yields the ``(positions, items)`` events of the scatter-chunk
+    frames and learns ``decrypted`` and ``reports`` when the
+    scatter-final frame arrives.  Transport loss or an undecodable or
+    out-of-protocol frame at any point raises
     :class:`~repro.errors.ShardUnavailableError`; server-reported
     failures re-raise as their local exception type (so a remote
     deadline is still a ``DeadlineError``).
@@ -256,7 +212,7 @@ class _RemoteScatterSource:
     #: No locally known candidate rows up front — see RemoteShard.
     rows = None
 
-    def __init__(self, shard: RemoteShard, query: EncryptedJoinQuery):
+    def __init__(self, shard: RemoteShard, query):
         self.shard = shard
         self.query = query
         self.decrypted: int | None = None
@@ -294,7 +250,10 @@ class _RemoteScatterSource:
                 self._fail(f"transport failed mid-scatter: {error}", error)
             if data is None:
                 self._fail("closed the connection mid-scatter", None)
-            frame = decode_frame(data)
+            try:
+                frame = decode_frame(data)
+            except SchemeError as error:
+                self._fail(f"sent an undecodable frame: {error}", error)
             if isinstance(frame, ErrorFrame):
                 self.close()
                 raise _error_from_frame(frame)
@@ -314,12 +273,17 @@ class _RemoteScatterSource:
                 self._got_header = True
                 continue
             if isinstance(frame, ScatterChunkFrame):
-                return (_SIDES.index(frame.side),), frame.items
+                if max(frame.positions) >= len(self.query.tables):
+                    self._fail(
+                        f"sent a chunk for chain positions "
+                        f"{frame.positions} of a "
+                        f"{len(self.query.tables)}-table query",
+                        None,
+                    )
+                return frame.positions, frame.items
             if isinstance(frame, ScatterFinalFrame):
-                self.decrypted = (
-                    frame.candidates_left + frame.candidates_right
-                )
-                self.reports = [frame.left_report, frame.right_report]
+                self.decrypted = sum(frame.candidates)
+                self.reports = frame.reports
                 self.close()
                 raise StopIteration
             self._fail(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 
 from repro.errors import SchemeError
 
@@ -36,6 +35,10 @@ class Reader:
 
     def u32(self) -> int:
         return struct.unpack(">I", self.take(4))[0]
+
+    def u32s(self, count: int) -> tuple[int, ...]:
+        """A run of ``count`` u32s, unpacked in one call."""
+        return struct.unpack(f">{count}I", self.take(4 * count))
 
     def blob(self) -> bytes:
         return self.take(self.u32())
@@ -71,6 +74,10 @@ class Writer:
     def u32(self, value: int) -> "Writer":
         return self.raw(struct.pack(">I", value))
 
+    def u32s(self, values) -> "Writer":
+        """A run of u32s, packed in one call (mirror of ``Reader.u32s``)."""
+        return self.raw(struct.pack(f">{len(values)}I", *values))
+
     def blob(self, data: bytes) -> "Writer":
         return self.u32(len(data)).raw(data)
 
@@ -85,28 +92,22 @@ def write_header(writer: Writer, magic: bytes, version: int, header: dict) -> No
     writer.blob(json.dumps(header, sort_keys=True).encode("utf-8"))
 
 
-def read_header(
-    reader: Reader, magic: bytes, version: int, min_version: int | None = None
-) -> dict:
+def read_header(reader: Reader, magic: bytes, version: int) -> dict:
     """Parse and validate ``magic || version || length || JSON header``.
 
-    ``min_version`` (default: exactly ``version``) opens a
-    backward-compatibility window: formats that only *add* optional
-    header fields across versions can accept every version in
-    ``[min_version, version]`` and let callers default the missing keys.
+    Each format has exactly one current version: any other version byte
+    is rejected, naming the one this build speaks.
     """
     seen = reader.take(len(magic))
     if seen != magic:
         raise SchemeError(
             f"bad magic {seen!r}; expected {magic!r} (wrong file type?)"
         )
-    if min_version is None:
-        min_version = version
     seen_version = reader.u8()
-    if not min_version <= seen_version <= version:
+    if seen_version != version:
         raise SchemeError(
             f"unsupported format version {seen_version}; this build reads "
-            f"versions {min_version}..{version}"
+            f"and writes only version {version}"
         )
     try:
         header = json.loads(reader.blob().decode("utf-8"))
@@ -150,61 +151,3 @@ def read_element_vector(reader: Reader, size: int) -> list[bytes]:
             f"{reader.remaining} remain"
         )
     return [reader.take(size) for _ in range(count)]
-
-
-def write_compressed_element_vector(
-    writer: Writer, elements: list[bytes], size: int, level: int = 6
-) -> None:
-    """A fixed-element-size vector stored zlib-compressed.
-
-    Layout: ``u32 count || blob(zlib(concatenation))``.  Worth it for
-    sections with internal structure (the prepared-row coefficient
-    blocks share flag bytes and padding); near-uniform ciphertext bytes
-    barely shrink, which is why this is opt-in per section, not the
-    default for every vector.
-    """
-    payload = bytearray()
-    for element in elements:
-        if len(element) != size:
-            raise SchemeError(
-                f"element of {len(element)} bytes in a vector of {size}-byte "
-                "elements"
-            )
-        payload += element
-    writer.u32(len(elements))
-    writer.blob(zlib.compress(bytes(payload), level))
-
-
-def read_compressed_element_vector(reader: Reader, size: int) -> list[bytes]:
-    """Inverse of :func:`write_compressed_element_vector` (validating).
-
-    The expected plaintext size is ``count * size``, known before
-    inflating, so decompression is capped at exactly that budget plus
-    one probe byte — a zlib bomb (tiny blob, huge expansion) fails fast
-    instead of ballooning memory, and a short stream fails loudly.
-    """
-    if size < 1:
-        raise SchemeError(f"element size must be positive, got {size}")
-    count = reader.u32()
-    compressed = reader.blob()
-    expected = count * size
-    inflater = zlib.decompressobj()
-    try:
-        data = inflater.decompress(compressed, expected + 1)
-    except zlib.error as error:
-        raise SchemeError(f"corrupt compressed vector: {error}") from error
-    if len(data) > expected:
-        raise SchemeError(
-            f"compressed vector inflates past its declared "
-            f"{count} x {size} bytes"
-        )
-    if len(data) != expected or not inflater.eof:
-        raise SchemeError(
-            f"compressed vector holds {len(data)} bytes; "
-            f"{count} elements of {size} bytes need {expected}"
-        )
-    if inflater.unused_data:
-        raise SchemeError(
-            "trailing garbage after the compressed vector's zlib stream"
-        )
-    return [data[i * size:(i + 1) * size] for i in range(count)]

@@ -2,10 +2,10 @@
 
 The file keeps only what the server legitimately holds — SJ ciphertext
 vectors, opaque payload blobs, (optionally) pre-filter tags, and
-(optionally, format v2) per-row pairing precomputation.  No plaintext
-and no key material ever reaches this format; the prepared coefficients
-are a deterministic function of the ciphertexts, so they carry no
-information the ciphertexts don't already.
+(optionally) per-row pairing precomputation.  No plaintext and no key
+material ever reaches this format; the prepared coefficients are a
+deterministic function of the ciphertexts, so they carry no information
+the ciphertexts don't already.
 """
 
 from __future__ import annotations
@@ -21,29 +21,19 @@ from repro.shard.partition import ShardDescriptor, validate_shard_layout
 from repro.store.codec import (
     Reader,
     Writer,
-    read_compressed_element_vector,
     read_element_vector,
     read_header,
-    write_compressed_element_vector,
     write_element_vector,
     write_header,
 )
 
 _MAGIC = b"RPROETBL"
-#: v2 adds the optional prepared-rows section (precomputed Miller-loop
-#: line coefficients, stored with the row so warm queries replay them);
-#: v3 adds the optional shard descriptor (layout header key plus the
-#: shard's global row indices as a trailing u32 section), so one shard's
-#: table file round-trips with its place in the partition.  v1/v2 files
-#: remain readable — they simply load unprepared / unsharded.
-#: v4 adds optional zlib compression of the prepared-rows section
-#: (header flag ``prepared_compressed``): the coefficient blocks share
-#: flag bytes and zero padding, so the dominant section of a warm table
-#: file shrinks.  Ciphertexts and payloads stay uncompressed — they are
-#: near-uniform bytes and would only pay CPU for nothing.  v1..v3 files
-#: load unchanged (the flag defaults to false).
-_VERSION = 4
-_MIN_VERSION = 1
+#: The one store version.  The pre-filter tags, the prepared-rows
+#: section (precomputed Miller-loop line coefficients, stored with the
+#: row so warm queries replay them) and the shard descriptor (layout
+#: header key plus the shard's global row indices as a trailing u32
+#: section) are optional *sections* of it, announced by header keys.
+_VERSION = 5
 _TAG_SIZE = 32
 #: Longest accepted hex-encoded partitioner seed (raw seed <= 64 bytes,
 #: mirroring :data:`repro.shard.partition._MAX_SEED_SIZE`).
@@ -70,16 +60,9 @@ def prepare_encrypted_table(
 
 
 def encode_encrypted_table(
-    table: EncryptedTable,
-    backend: BilinearBackend,
-    compress_prepared: bool = False,
+    table: EncryptedTable, backend: BilinearBackend
 ) -> bytes:
-    """Serialize an encrypted table to bytes.
-
-    ``compress_prepared`` stores the prepared-rows section (usually the
-    bulk of a warm file) zlib-compressed; readers of this build load
-    either form, older readers reject the file by version.
-    """
+    """Serialize an encrypted table to bytes."""
     prepared = table.prepared_rows
     if prepared is not None and len(prepared) != len(table.ciphertexts):
         raise SchemeError(
@@ -106,7 +89,6 @@ def encode_encrypted_table(
         "prepared_element_size": (
             backend.prepared_element_size if prepared is not None else 0
         ),
-        "prepared_compressed": bool(compress_prepared and prepared),
     }
     shard = table.shard
     if shard is not None:
@@ -135,28 +117,12 @@ def encode_encrypted_table(
                 writer, table.prefilter_tags[column], _TAG_SIZE
             )
     if prepared is not None:
-        if compress_prepared:
-            # One stream over the whole section: per-row streams would
-            # pay zlib's framing per row and deny the dictionary any
-            # cross-row context.  The layout inside is deterministic
-            # (n_rows x dimension fixed-size elements), so flattening
-            # loses nothing.
-            write_compressed_element_vector(
+        for row in prepared:
+            write_element_vector(
                 writer,
-                [
-                    backend.encode_prepared(e)
-                    for row in prepared
-                    for e in row
-                ],
+                [backend.encode_prepared(e) for e in row],
                 backend.prepared_element_size,
             )
-        else:
-            for row in prepared:
-                write_element_vector(
-                    writer,
-                    [backend.encode_prepared(e) for e in row],
-                    backend.prepared_element_size,
-                )
     if shard is not None:
         for index in shard.global_indices:
             writer.u32(index)
@@ -168,9 +134,7 @@ def decode_encrypted_table(
 ) -> EncryptedTable:
     """Inverse of :func:`encode_encrypted_table` (validating)."""
     reader = Reader(data)
-    header = read_header(
-        reader, _MAGIC, _VERSION, min_version=_MIN_VERSION
-    )
+    header = read_header(reader, _MAGIC, _VERSION)
     if header["backend"] != backend.name:
         raise SchemeError(
             f"table was encrypted under backend {header['backend']!r}, "
@@ -211,29 +175,14 @@ def decode_encrypted_table(
                 f"prepared-element size {element_size} != backend's "
                 f"{backend.prepared_element_size} (different backend?)"
             )
-        if header.get("prepared_compressed"):
-            flat = read_compressed_element_vector(reader, element_size)
-            if len(flat) != n_rows * dimension:
-                raise SchemeError(
-                    f"compressed prepared section has {len(flat)} "
-                    f"elements; header says {n_rows} x {dimension}"
-                )
-            rows = [
-                flat[i * dimension:(i + 1) * dimension]
-                for i in range(n_rows)
-            ]
-        else:
-            rows = []
-            for row_index in range(n_rows):
-                raw = read_element_vector(reader, element_size)
-                if len(raw) != dimension:
-                    raise SchemeError(
-                        f"prepared row {row_index} has {len(raw)} "
-                        f"elements; header says {dimension}"
-                    )
-                rows.append(raw)
         prepared_rows = []
-        for row_index, raw in enumerate(rows):
+        for row_index in range(n_rows):
+            raw = read_element_vector(reader, element_size)
+            if len(raw) != dimension:
+                raise SchemeError(
+                    f"prepared row {row_index} has {len(raw)} "
+                    f"elements; header says {dimension}"
+                )
             prepared_rows.append(
                 PreparedRow(
                     ciphertexts[row_index].elements,
@@ -289,21 +238,16 @@ def save_encrypted_table(
     path: str | os.PathLike,
     backend: BilinearBackend,
     prepare: bool = False,
-    compress_prepared: bool = False,
 ) -> None:
     """Write an encrypted table to ``path`` (atomic via rename).
 
     ``prepare=True`` attaches per-row pairing precomputation before
     writing (see :func:`prepare_encrypted_table`), so the table loads
     warm: every future query over it replays stored coefficients.
-    ``compress_prepared=True`` additionally stores that section
-    zlib-compressed (see :func:`encode_encrypted_table`).
     """
     if prepare:
         prepare_encrypted_table(table, backend)
-    data = encode_encrypted_table(
-        table, backend, compress_prepared=compress_prepared
-    )
+    data = encode_encrypted_table(table, backend)
     temp_path = f"{path}.tmp"
     with open(temp_path, "wb") as handle:
         handle.write(data)

@@ -1,35 +1,48 @@
-"""Wire formats for the query-phase messages.
+"""Wire formats for the query-phase messages: one message family.
 
-Message types crossing the client/server boundary at query time:
+What crosses the client/server boundary at query time:
 
-- the **join query** (client -> server): table names, the two SJ tokens,
-  optional pre-filter tag sets, and — since version 4 — the query's
-  scheduling QoS (``priority`` and a relative ``deadline``);
-- the **join result** (server -> client): matched index pairs and the
-  corresponding opaque payload blobs, fully materialized;
-- the **result stream frames** (server -> client, version 4): a
-  stream-header frame, repeated match-batch frames carrying pairs and
+- the **query** (client -> server): a table name, an SJ token and an
+  optional pre-filter tag set *per chain position*, plus the query's
+  scheduling QoS (``priority`` and a relative ``deadline``).  A two-way
+  join is the two-position case; its ``pair`` header flag is the only
+  thing that asks for the answer in the right-major pair order of
+  ``stream_join`` instead of the lexicographic order of
+  ``stream_chain``;
+- the **result stream frames** (server -> client): a stream-header
+  frame, repeated match-batch frames carrying index tuples and their
   payloads in discovery order, and a final frame carrying the canonical
-  pair order plus :class:`~repro.core.server.ServerStats` — so a remote
-  client receives matched rows while SJ.Dec is still running.
+  tuple order plus :class:`~repro.core.server.ServerStats` — so a
+  remote client receives matched rows while SJ.Dec is still running.
+  Failures travel in-stream as an error frame;
+- the **scatter frames** (shard -> coordinator): scatter-chunk frames
+  carrying one side's decrypted handle events with the chain positions
+  that consume them, a scatter-final frame with the per-side candidate
+  counts and engine reports, and the shard-map frame describing a
+  partitioned deployment;
+- the **join result** (server -> client), the materialized two-way
+  answer in one message.
 
 Together with :mod:`repro.store.tables` this lets the two parties run in
 separate processes (or machines) with nothing but byte strings between
 them — the deployment model of the paper's system.  :mod:`repro.net`
 carries these bytes over TCP.
 
-Every decoder here treats its input as hostile: counts, sizes and header
-fields are validated against the payload actually present *before* any
-allocation or body read, and every failure — truncation, corruption,
-type confusion — raises :class:`~repro.errors.SchemeError`.  Nothing
-else may escape: the network service feeds these decoders bytes from
-arbitrary remote peers.
+There is exactly one wire version: every message is stamped with it,
+and any other version byte is rejected by name.  Every decoder here
+treats its input as hostile: counts, sizes and header fields are
+validated against the payload actually present *before* any allocation
+or body read, and every failure — truncation, corruption, type
+confusion — raises :class:`~repro.errors.SchemeError`.  Nothing else may
+escape: the network service feeds these decoders bytes from arbitrary
+remote peers.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from itertools import chain
 
 from repro.core.client import EncryptedChainQuery, EncryptedJoinQuery
 from repro.core.engine import EngineReport
@@ -55,45 +68,11 @@ from repro.store.codec import (
 )
 
 _QUERY_MAGIC = b"RPROJQRY"
-_CHAIN_QUERY_MAGIC = b"RPROJCQY"
 _RESULT_MAGIC = b"RPROJRES"
 _FRAME_MAGIC = b"RPROJFRM"
-# Version 2: queries carry ``engine_hint``; result stats carry the
-# execution-engine fields (engine, batches, workers, pairing op counts)
-# plus — since the planner PR — ``engine_source`` / ``engine_selected``,
-# the per-side ``planner`` records and the persistent-pool lifecycle
-# counters.
-# Version 3 (the streaming-pipeline PR): result stats additionally
-# carry the matcher choice (``matcher``), the pipeline stage timings
-# (``time_to_first_match`` / ``decrypt_seconds`` / ``match_seconds``)
-# and the admission counter ``concurrent_sides``.
-# Version 4 (the network-service PR): queries carry the optional QoS
-# fields ``priority`` and ``deadline``, and the chunked result stream
-# (stream-header / match-batch / final / error frames, magic
-# ``RPROJFRM``) exists at all.  All header additions are optional JSON
-# keys, so version-1..3 payloads still decode: missing fields take
-# their defaults, unknown ones from newer minor revisions are ignored.
-# Version 5 (the sharding PR): the scatter frames exist — shard-map
-# (the coordinator's view of a partitioned deployment), scatter-chunk
-# (one shard's decrypted handle events with *global* row indices and
-# payloads) and scatter-final (per-side candidate counts and engine
-# reports) — and result stats carry ``shards`` / ``shard_skew``.
-# Version 6 (the query-series PR): result stats carry the cross-query
-# cache counters ``series_cache_hits`` / ``delta_rows`` /
-# ``reused_handles``.  Optional JSON keys again, so v1..v5 payloads
-# still decode and v5 decoders ignore the new fields.
-# Version 7 (the multi-way-plan PR): the chain query message exists
-# (magic ``RPROJCQY`` — 2..8 tables, one token and optional pre-filter
-# per position), the result stream grows the ``chain_batch`` /
-# ``chain_final`` frame kinds carrying n-ary index tuples, and result
-# stats carry ``plan_nodes`` / ``handle_pool_hits`` — optional JSON
-# keys, so v1..v6 payloads still decode.
-_VERSION = 7
-_MIN_VERSION = 1
-# Frames did not exist before v4, so their compatibility window starts
-# there; chain queries arrived in v7.
-_FRAME_MIN_VERSION = 4
-_CHAIN_MIN_VERSION = 7
+#: The one wire version, stamped on every message of every kind; a
+#: peer speaking any other is rejected by :func:`read_header`.
+_VERSION = 8
 _TAG_SIZE = 32
 
 #: Priority magnitude cap: wire-supplied priorities are clamped into a
@@ -111,8 +90,6 @@ FRAME_ERROR = "error"
 FRAME_SHARD_MAP = "shard_map"
 FRAME_SCATTER_CHUNK = "scatter_chunk"
 FRAME_SCATTER_FINAL = "scatter_final"
-FRAME_CHAIN_BATCH = "chain_batch"
-FRAME_CHAIN_FINAL = "chain_final"
 
 _REPORT_FIELDS = {field.name for field in dataclasses.fields(EngineReport)}
 
@@ -164,37 +141,35 @@ def _as_dict(value, key: str) -> dict:
     return value
 
 
-def _opt_str_list(value, key: str) -> list[str] | None:
-    if value is None:
-        return None
-    if not isinstance(value, list) or not all(
-        isinstance(item, str) for item in value
-    ):
+def _as_list(value, key: str) -> list:
+    if not isinstance(value, list):
         raise SchemeError(
-            f"header field {key!r} must be null or a list of strings"
+            f"header field {key!r} must be a list, got "
+            f"{type(value).__name__}"
         )
     return value
 
 
-def _qos_fields(header: dict) -> tuple[int, float | None]:
-    """Validate the v4 ``priority`` / ``deadline`` header fields.
+def _as_str_list(value, key: str) -> list[str]:
+    if not all(isinstance(item, str) for item in _as_list(value, key)):
+        raise SchemeError(f"header field {key!r} must be a list of strings")
+    return value
 
-    Absent fields (v1..v3 payloads, or default-QoS v4 queries) take the
-    neutral defaults.  ``deadline`` is *relative*: a per-query time
-    budget in seconds, stamped against the receiving server's clock at
-    admission — clients and servers need not agree on wall-clock time.
+
+def _qos_fields(header: dict) -> tuple[int, float | None]:
+    """Validate the ``priority`` / ``deadline`` header fields.
+
+    ``deadline`` is *relative*: a per-query time budget in seconds,
+    stamped against the receiving server's clock at admission — clients
+    and servers need not agree on wall-clock time.
     """
-    priority = header.get("priority", 0)
-    if priority is not None:
-        priority = _as_int(priority, "priority")
-        if abs(priority) > MAX_PRIORITY_MAGNITUDE:
-            raise SchemeError(
-                f"priority {priority} outside "
-                f"[-{MAX_PRIORITY_MAGNITUDE}, {MAX_PRIORITY_MAGNITUDE}]"
-            )
-    else:
-        priority = 0
-    deadline = header.get("deadline")
+    priority = _as_int(_require(header, "priority"), "priority")
+    if abs(priority) > MAX_PRIORITY_MAGNITUDE:
+        raise SchemeError(
+            f"priority {priority} outside "
+            f"[-{MAX_PRIORITY_MAGNITUDE}, {MAX_PRIORITY_MAGNITUDE}]"
+        )
+    deadline = _require(header, "deadline")
     if deadline is not None:
         if isinstance(deadline, bool) or not isinstance(
             deadline, (int, float)
@@ -212,7 +187,17 @@ def _qos_fields(header: dict) -> tuple[int, float | None]:
     return priority, deadline
 
 
-# -- join query ------------------------------------------------------------
+def _chain_tables(header: dict) -> tuple[str, ...]:
+    """The ``tables`` header field: one name per chain position."""
+    tables = _as_str_list(_require(header, "tables"), "tables")
+    if not 2 <= len(tables) <= MAX_CHAIN_TABLES:
+        raise SchemeError(
+            f"a query names 2..{MAX_CHAIN_TABLES} tables, got {len(tables)}"
+        )
+    return tuple(tables)
+
+
+# -- query -----------------------------------------------------------------
 
 
 def _write_prefilter(
@@ -227,27 +212,32 @@ def _write_prefilter(
 
 
 def encode_join_query(
-    query: EncryptedJoinQuery, backend: BilinearBackend
+    query: EncryptedChainQuery, backend: BilinearBackend
 ) -> bytes:
-    """Serialize the client's query message."""
+    """Serialize the client's query message (one token per position).
+
+    Token bytes are preserved exactly, so positions that shared a token
+    object on the client still share byte-identical tokens after a
+    round trip — the identity the server's handle pool groups by.
+    """
     writer = Writer()
     body = Writer()
-    for token in (query.left_token, query.right_token):
+    for token in query.tokens:
         write_element_vector(
             body,
             [backend.encode_g1(e) for e in token.elements],
             backend.g1_element_size,
         )
-    left_columns = _write_prefilter(body, query.left_prefilter)
-    right_columns = _write_prefilter(body, query.right_prefilter)
+    prefilter_columns = [
+        _write_prefilter(body, prefilter) for prefilter in query.prefilters
+    ]
     header = {
         "query_id": query.query_id,
-        "left_table": query.left_table,
-        "right_table": query.right_table,
+        "tables": list(query.tables),
+        "pair": isinstance(query, EncryptedJoinQuery),
         "backend": backend.name,
         "g1_element_size": backend.g1_element_size,
-        "left_prefilter_columns": left_columns,
-        "right_prefilter_columns": right_columns,
+        "prefilter_columns": prefilter_columns,
         "engine_hint": query.engine_hint,
         "priority": query.priority,
         "deadline": query.deadline,
@@ -259,10 +249,11 @@ def encode_join_query(
 
 def decode_join_query(
     data: bytes, backend: BilinearBackend
-) -> EncryptedJoinQuery:
-    """Inverse of :func:`encode_join_query` (validating)."""
+) -> EncryptedChainQuery:
+    """Inverse of :func:`encode_join_query` (validating): an
+    :class:`EncryptedJoinQuery` when the ``pair`` flag is set."""
     reader = Reader(data)
-    header = read_header(reader, _QUERY_MAGIC, _VERSION, _MIN_VERSION)
+    header = read_header(reader, _QUERY_MAGIC, _VERSION)
     header_backend = _as_str(_require(header, "backend"), "backend")
     if header_backend != backend.name:
         raise SchemeError(
@@ -284,145 +275,26 @@ def decode_join_query(
             f"{backend.g1_element_size}-byte elements (mismatched backend "
             "parameterization)"
         )
-    engine_hint = header.get("engine_hint")
-    if engine_hint is not None and not isinstance(engine_hint, str):
-        raise SchemeError(
-            "header field 'engine_hint' must be null or a string"
-        )
-    priority, deadline = _qos_fields(header)
-    tokens = []
-    for _ in range(2):
-        raw = read_element_vector(reader, backend.g1_element_size)
-        tokens.append(SJToken(tuple(backend.decode_g1(e) for e in raw)))
-
-    def read_prefilter(columns):
-        if columns is None:
-            return None
-        return {
-            column: frozenset(read_element_vector(reader, _TAG_SIZE))
-            for column in columns
-        }
-
-    left_prefilter = read_prefilter(
-        _opt_str_list(
-            header.get("left_prefilter_columns"), "left_prefilter_columns"
-        )
-    )
-    right_prefilter = read_prefilter(
-        _opt_str_list(
-            header.get("right_prefilter_columns"), "right_prefilter_columns"
-        )
-    )
-    reader.expect_end()
-    return EncryptedJoinQuery(
-        query_id=_as_int(_require(header, "query_id"), "query_id"),
-        left_table=_as_str(_require(header, "left_table"), "left_table"),
-        right_table=_as_str(_require(header, "right_table"), "right_table"),
-        left_token=tokens[0],
-        right_token=tokens[1],
-        left_prefilter=left_prefilter,
-        right_prefilter=right_prefilter,
-        engine_hint=engine_hint,
-        priority=priority,
-        deadline=deadline,
-    )
-
-
-# -- chain query (v7) ------------------------------------------------------
-
-
-def encode_chain_query(
-    query: EncryptedChainQuery, backend: BilinearBackend
-) -> bytes:
-    """Serialize a multi-way chain query (one token per position).
-
-    Token bytes are preserved exactly, so positions that shared a token
-    object on the client still share byte-identical tokens after a
-    round trip — the identity the server's handle pool groups by.
-    """
-    writer = Writer()
-    body = Writer()
-    for token in query.tokens:
-        write_element_vector(
-            body,
-            [backend.encode_g1(e) for e in token.elements],
-            backend.g1_element_size,
-        )
-    prefilter_columns = [
-        _write_prefilter(body, prefilter) for prefilter in query.prefilters
-    ]
-    header = {
-        "query_id": query.query_id,
-        "tables": list(query.tables),
-        "backend": backend.name,
-        "g1_element_size": backend.g1_element_size,
-        "prefilter_columns": prefilter_columns,
-        "engine_hint": query.engine_hint,
-        "priority": query.priority,
-        "deadline": query.deadline,
-    }
-    write_header(writer, _CHAIN_QUERY_MAGIC, _VERSION, header)
-    writer.raw(body.getvalue())
-    return writer.getvalue()
-
-
-def is_chain_query(data: bytes) -> bool:
-    """Cheap dispatch sniff: does this payload open with the chain magic?"""
-    return data[: len(_CHAIN_QUERY_MAGIC)] == _CHAIN_QUERY_MAGIC
-
-
-def _chain_tables(header: dict) -> list[str]:
-    tables = _require(header, "tables")
-    if not isinstance(tables, list) or not all(
-        isinstance(name, str) for name in tables
-    ):
-        raise SchemeError("header field 'tables' must be a list of strings")
-    if not 2 <= len(tables) <= MAX_CHAIN_TABLES:
-        raise SchemeError(
-            f"a chain query names 2..{MAX_CHAIN_TABLES} tables, got "
-            f"{len(tables)}"
-        )
-    return tables
-
-
-def decode_chain_query(
-    data: bytes, backend: BilinearBackend
-) -> EncryptedChainQuery:
-    """Inverse of :func:`encode_chain_query` (validating)."""
-    reader = Reader(data)
-    header = read_header(
-        reader, _CHAIN_QUERY_MAGIC, _VERSION, _CHAIN_MIN_VERSION
-    )
-    header_backend = _as_str(_require(header, "backend"), "backend")
-    if header_backend != backend.name:
-        raise SchemeError(
-            f"query was built for backend {header_backend!r}, "
-            f"cannot decode with {backend.name!r}"
-        )
-    declared_size = _as_int(
-        _require(header, "g1_element_size"), "g1_element_size", minimum=1
-    )
-    if declared_size != backend.g1_element_size:
-        raise SchemeError(
-            f"query tokens carry {declared_size}-byte G1 elements, but "
-            f"backend {backend.name!r} uses "
-            f"{backend.g1_element_size}-byte elements (mismatched backend "
-            "parameterization)"
-        )
     tables = _chain_tables(header)
-    engine_hint = header.get("engine_hint")
+    pair = _require(header, "pair")
+    if not isinstance(pair, bool) or (pair and len(tables) != 2):
+        raise SchemeError(
+            "header field 'pair' must be a boolean, true only for a "
+            "two-table query"
+        )
+    engine_hint = _require(header, "engine_hint")
     if engine_hint is not None and not isinstance(engine_hint, str):
         raise SchemeError(
             "header field 'engine_hint' must be null or a string"
         )
     priority, deadline = _qos_fields(header)
-    prefilter_columns = _require(header, "prefilter_columns")
-    if not isinstance(prefilter_columns, list) or len(
-        prefilter_columns
-    ) != len(tables):
+    prefilter_columns = _as_list(
+        _require(header, "prefilter_columns"), "prefilter_columns"
+    )
+    if len(prefilter_columns) != len(tables):
         raise SchemeError(
             "header field 'prefilter_columns' must list one entry per "
-            "chain table"
+            "query table"
         )
     tokens = []
     for _ in tables:
@@ -430,18 +302,20 @@ def decode_chain_query(
         tokens.append(SJToken(tuple(backend.decode_g1(e) for e in raw)))
     prefilters = []
     for position, columns in enumerate(prefilter_columns):
-        columns = _opt_str_list(columns, f"prefilter_columns[{position}]")
         if columns is None:
             prefilters.append(None)
-        else:
-            prefilters.append({
-                column: frozenset(read_element_vector(reader, _TAG_SIZE))
-                for column in columns
-            })
+            continue
+        prefilters.append({
+            column: frozenset(read_element_vector(reader, _TAG_SIZE))
+            for column in _as_str_list(
+                columns, f"prefilter_columns[{position}]"
+            )
+        })
     reader.expect_end()
-    return EncryptedChainQuery(
+    query_type = EncryptedJoinQuery if pair else EncryptedChainQuery
+    return query_type(
         query_id=_as_int(_require(header, "query_id"), "query_id"),
-        tables=tuple(tables),
+        tables=tables,
         tokens=tuple(tokens),
         prefilters=tuple(prefilters),
         engine_hint=engine_hint,
@@ -450,7 +324,7 @@ def decode_chain_query(
     )
 
 
-# -- join result (materialized) -------------------------------------------
+# -- stats block and index tuples (shared by the result and the frames) ---
 
 
 def _stats_dict(stats: ServerStats) -> dict:
@@ -490,8 +364,8 @@ def _stats_dict(stats: ServerStats) -> dict:
 
 
 def _decode_stats(header: dict) -> ServerStats:
-    # Tolerant stats decode: absent fields (older payloads) default,
-    # unknown fields (newer minor revisions) are dropped.
+    # The stats block is an open record: absent fields take the
+    # dataclass defaults, unknown ones are dropped.
     stats = _as_dict(_require(header, "stats"), "stats")
     return ServerStats(**{
         key: value
@@ -500,26 +374,45 @@ def _decode_stats(header: dict) -> ServerStats:
     })
 
 
-def _read_pairs(reader: Reader, header: dict) -> list[tuple[int, int]]:
-    """Read the ``n_pairs`` index pairs, validating the count up front.
+def _rows(flat, arity: int) -> list[tuple]:
+    """Regroup a flat run into ``arity``-tuples: ``zip`` drawing
+    ``arity`` times per row from one shared iterator."""
+    return list(zip(*[iter(flat)] * arity))
+
+
+def _write_tuples(writer: Writer, tuples) -> None:
+    """The index tuples as one flat u32 run."""
+    writer.u32s(list(chain.from_iterable(tuples)))
+
+
+def _read_tuples(
+    reader: Reader, header: dict, key: str, arity: int, with_payloads: bool
+) -> list[tuple[int, ...]]:
+    """Read ``header[key]`` index tuples of ``arity`` u32s each.
 
     The count is header-supplied and therefore untrusted: a negative
     value must not silently yield an empty range, and an absurdly large
-    one must fail *before* spinning through per-element reads.  Each
-    pair is two u32s = 8 bytes, so ``remaining // 8`` bounds any count a
-    well-formed body could satisfy.
+    one must fail *before* any read.  Each tuple needs ``arity`` u32
+    indices (4 bytes each) plus — when payload blobs follow — ``arity``
+    blob length prefixes (4 bytes each), so the per-tuple floor bounds
+    any count a well-formed body could satisfy.
     """
-    n_pairs = _as_int(_require(header, "n_pairs"), "n_pairs", minimum=0)
-    if n_pairs * 8 > reader.remaining:
+    count = _as_int(_require(header, key), key, minimum=0)
+    per_tuple = arity * (8 if with_payloads else 4)
+    if count * per_tuple > reader.remaining:
         raise SchemeError(
-            f"bad pair count {n_pairs}: {n_pairs} index pairs need "
-            f"{n_pairs * 8} bytes, but only {reader.remaining} remain"
+            f"bad tuple count {count}: {count} index tuples need at "
+            f"least {count * per_tuple} bytes, but only "
+            f"{reader.remaining} remain"
         )
-    return [(reader.u32(), reader.u32()) for _ in range(n_pairs)]
+    return _rows(reader.u32s(count * arity), arity)
+
+
+# -- join result (materialized) -------------------------------------------
 
 
 def encode_join_result(result: EncryptedJoinResult) -> bytes:
-    """Serialize the server's result message."""
+    """Serialize the server's materialized two-way result message."""
     writer = Writer()
     header = {
         "left_table": result.left_table,
@@ -528,9 +421,7 @@ def encode_join_result(result: EncryptedJoinResult) -> bytes:
         "stats": _stats_dict(result.stats),
     }
     write_header(writer, _RESULT_MAGIC, _VERSION, header)
-    for left_index, right_index in result.index_pairs:
-        writer.u32(left_index)
-        writer.u32(right_index)
+    _write_tuples(writer, result.index_pairs)
     for payload in result.left_payloads:
         writer.blob(payload)
     for payload in result.right_payloads:
@@ -541,22 +432,23 @@ def encode_join_result(result: EncryptedJoinResult) -> bytes:
 def decode_join_result(data: bytes) -> EncryptedJoinResult:
     """Inverse of :func:`encode_join_result` (validating)."""
     reader = Reader(data)
-    header = read_header(reader, _RESULT_MAGIC, _VERSION, _MIN_VERSION)
-    pairs = _read_pairs(reader, header)
-    left_payloads = [reader.blob() for _ in range(len(pairs))]
-    right_payloads = [reader.blob() for _ in range(len(pairs))]
+    header = read_header(reader, _RESULT_MAGIC, _VERSION)
+    pairs = _read_tuples(reader, header, "n_pairs", 2, with_payloads=True)
+    left_payloads = [reader.blob() for _ in pairs]
+    right_payloads = [reader.blob() for _ in pairs]
     reader.expect_end()
     return EncryptedJoinResult(
-        left_table=_as_str(_require(header, "left_table"), "left_table"),
-        right_table=_as_str(_require(header, "right_table"), "right_table"),
-        index_pairs=pairs,
-        left_payloads=left_payloads,
-        right_payloads=right_payloads,
+        tables=(
+            _as_str(_require(header, "left_table"), "left_table"),
+            _as_str(_require(header, "right_table"), "right_table"),
+        ),
+        tuples=pairs,
+        payloads=list(zip(left_payloads, right_payloads)),
         stats=_decode_stats(header),
     )
 
 
-# -- result stream frames (v4) --------------------------------------------
+# -- result stream frames --------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
@@ -564,29 +456,28 @@ class StreamHeaderFrame:
     """Opens one result stream: identifies the query being answered."""
 
     query_id: int
-    left_table: str
-    right_table: str
+    tables: tuple[str, ...]
 
 
 @dataclasses.dataclass
 class MatchBatchFrame:
-    """One streamed increment: pairs (discovery order) plus payloads."""
+    """One streamed increment: index tuples (discovery order) plus
+    their payloads, at the arity of the query being answered."""
 
-    batch: MatchBatch
+    batch: ChainMatchBatch
 
 
 @dataclasses.dataclass
 class FinalFrame:
-    """Closes a stream: canonical pair order plus the server stats.
+    """Closes a stream: canonical tuple order plus the server stats.
 
     Payload blobs already travelled in the match-batch frames;
     :class:`StreamReassembler` stitches them back into the canonical
     order this frame dictates.
     """
 
-    left_table: str
-    right_table: str
-    index_pairs: list[tuple[int, int]]
+    tables: tuple[str, ...]
+    tuples: list[tuple[int, ...]]
     stats: ServerStats
 
 
@@ -598,48 +489,43 @@ class ErrorFrame:
     message: str
 
 
-def encode_stream_header(
-    query_id: int, left_table: str, right_table: str
-) -> bytes:
+def encode_stream_header(query_id: int, *tables: str) -> bytes:
     writer = Writer()
     write_header(writer, _FRAME_MAGIC, _VERSION, {
         "kind": FRAME_STREAM_HEADER,
         "query_id": query_id,
-        "left_table": left_table,
-        "right_table": right_table,
+        "tables": list(tables),
     })
     return writer.getvalue()
 
 
-def encode_match_batch(batch: MatchBatch) -> bytes:
+def encode_match_batch(batch: ChainMatchBatch) -> bytes:
+    """One match-batch frame: the tuples as one flat u32 run, then each
+    tuple's payload blobs in position order."""
     writer = Writer()
     write_header(writer, _FRAME_MAGIC, _VERSION, {
         "kind": FRAME_MATCH_BATCH,
-        "n_pairs": len(batch.index_pairs),
+        # An empty batch has no tuple to read the arity from; any valid
+        # one describes its empty body.
+        "arity": len(batch.tuples[0]) if batch.tuples else 2,
+        "n_tuples": len(batch.tuples),
     })
-    for left_index, right_index in batch.index_pairs:
-        writer.u32(left_index)
-        writer.u32(right_index)
-    for payload in batch.left_payloads:
-        writer.blob(payload)
-    for payload in batch.right_payloads:
+    _write_tuples(writer, batch.tuples)
+    for payload in chain.from_iterable(batch.payloads):
         writer.blob(payload)
     return writer.getvalue()
 
 
-def encode_final_frame(result: EncryptedJoinResult) -> bytes:
-    """The stream's closing frame: canonical pairs + stats, no payloads."""
+def encode_final_frame(result: EncryptedChainResult) -> bytes:
+    """The stream's closing frame: canonical tuples + stats, no payloads."""
     writer = Writer()
     write_header(writer, _FRAME_MAGIC, _VERSION, {
         "kind": FRAME_FINAL,
-        "left_table": result.left_table,
-        "right_table": result.right_table,
-        "n_pairs": len(result.index_pairs),
+        "tables": list(result.tables),
+        "n_tuples": len(result.tuples),
         "stats": _stats_dict(result.stats),
     })
-    for left_index, right_index in result.index_pairs:
-        writer.u32(left_index)
-        writer.u32(right_index)
+    _write_tuples(writer, result.tuples)
     return writer.getvalue()
 
 
@@ -653,7 +539,7 @@ def encode_error_frame(error_type: str, message: str) -> bytes:
     return writer.getvalue()
 
 
-# -- scatter frames (v5) ---------------------------------------------------
+# -- scatter frames --------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
@@ -677,23 +563,23 @@ class ScatterChunkFrame:
     """One shard's decrypt increment: global-index handle events.
 
     ``items`` holds ``(global_row_index, handle, payload)`` tuples for
-    one side — exactly the event stream the coordinator's merged
-    matcher consumes, so a remote shard is interchangeable with a local
-    one.
+    one distinct ``(table, token)`` side, and ``positions`` the chain
+    positions that consume it — exactly the event stream the
+    coordinator's merged executor consumes, so a remote shard is
+    interchangeable with a local one.
     """
 
-    side: str
+    positions: tuple[int, ...]
     items: list[tuple[int, bytes, bytes]]
 
 
 @dataclasses.dataclass
 class ScatterFinalFrame:
-    """Closes one shard's scatter: candidate counts + engine reports."""
+    """Closes one shard's scatter: per distinct side, in the order the
+    shard opened them, the candidate count and the engine report."""
 
-    candidates_left: int
-    candidates_right: int
-    left_report: EngineReport | None = None
-    right_report: EngineReport | None = None
+    candidates: list[int]
+    reports: list[EngineReport | None]
 
 
 def encode_shard_map(shard_map: ShardMapFrame) -> bytes:
@@ -710,11 +596,11 @@ def encode_shard_map(shard_map: ShardMapFrame) -> bytes:
     return writer.getvalue()
 
 
-def encode_scatter_chunk(side: str, items: list) -> bytes:
+def encode_scatter_chunk(positions, items: list) -> bytes:
     writer = Writer()
     write_header(writer, _FRAME_MAGIC, _VERSION, {
         "kind": FRAME_SCATTER_CHUNK,
-        "side": side,
+        "positions": list(positions),
         "n_rows": len(items),
     })
     for row, handle, payload in items:
@@ -724,22 +610,15 @@ def encode_scatter_chunk(side: str, items: list) -> bytes:
     return writer.getvalue()
 
 
-def _report_dict(report: EngineReport | None) -> dict | None:
-    if report is None:
-        return None
-    return dataclasses.asdict(report)
-
-
 def encode_scatter_final(final: ScatterFinalFrame) -> bytes:
     writer = Writer()
     write_header(writer, _FRAME_MAGIC, _VERSION, {
         "kind": FRAME_SCATTER_FINAL,
-        "candidates_left": final.candidates_left,
-        "candidates_right": final.candidates_right,
-        "reports": {
-            "left": _report_dict(final.left_report),
-            "right": _report_dict(final.right_report),
-        },
+        "candidates": list(final.candidates),
+        "reports": [
+            None if report is None else dataclasses.asdict(report)
+            for report in final.reports
+        ],
     })
     return writer.getvalue()
 
@@ -762,13 +641,9 @@ def _decode_shard_map(header: dict) -> ShardMapFrame:
     # A decodable seed must also be a *usable* one — same bounds the
     # partitioner enforces.
     validate_shard_layout(0, shard_count, seed)
-    tables = header.get("tables", [])
-    if not isinstance(tables, list) or not all(
-        isinstance(name, str) for name in tables
-    ):
-        raise SchemeError("shard-map tables must be a list of strings")
-    endpoints = _require(header, "endpoints")
-    if not isinstance(endpoints, list) or len(endpoints) != shard_count:
+    tables = _as_str_list(_require(header, "tables"), "tables")
+    endpoints = _as_list(_require(header, "endpoints"), "endpoints")
+    if len(endpoints) != shard_count:
         raise SchemeError(
             f"shard map must carry exactly {shard_count} endpoints"
         )
@@ -791,9 +666,19 @@ def _decode_shard_map(header: dict) -> ShardMapFrame:
 
 
 def _decode_scatter_chunk(reader: Reader, header: dict) -> ScatterChunkFrame:
-    side = _as_str(_require(header, "side"), "side")
-    if side not in ("left", "right"):
-        raise SchemeError(f"scatter chunk side must be left/right, got {side!r}")
+    positions = [
+        _as_int(position, "positions", minimum=0)
+        for position in _as_list(_require(header, "positions"), "positions")
+    ]
+    if (
+        not positions
+        or len(set(positions)) != len(positions)
+        or max(positions) >= MAX_CHAIN_TABLES
+    ):
+        raise SchemeError(
+            f"a scatter chunk feeds 1..{MAX_CHAIN_TABLES} distinct chain "
+            f"positions below {MAX_CHAIN_TABLES}, got {positions}"
+        )
     n_rows = _as_int(_require(header, "n_rows"), "n_rows", minimum=0)
     # Each row needs at least a u32 index plus two blob length prefixes
     # (12 bytes), so remaining//12 bounds any count a well-formed body
@@ -807,7 +692,7 @@ def _decode_scatter_chunk(reader: Reader, header: dict) -> ScatterChunkFrame:
         (reader.u32(), reader.blob(), reader.blob()) for _ in range(n_rows)
     ]
     reader.expect_end()
-    return ScatterChunkFrame(side=side, items=items)
+    return ScatterChunkFrame(positions=tuple(positions), items=items)
 
 
 def _decode_report(value, key: str) -> EngineReport | None:
@@ -833,131 +718,23 @@ def _decode_report(value, key: str) -> EngineReport | None:
 
 
 def _decode_scatter_final(header: dict) -> ScatterFinalFrame:
-    reports = _as_dict(header.get("reports", {}), "reports")
+    candidates = _as_list(_require(header, "candidates"), "candidates")
+    reports = _as_list(_require(header, "reports"), "reports")
+    if not 1 <= len(candidates) <= MAX_CHAIN_TABLES or len(reports) != len(
+        candidates
+    ):
+        raise SchemeError(
+            f"a scatter final carries one candidate count and one report "
+            f"for each of its 1..{MAX_CHAIN_TABLES} sides"
+        )
     return ScatterFinalFrame(
-        candidates_left=_as_int(
-            _require(header, "candidates_left"), "candidates_left", minimum=0
-        ),
-        candidates_right=_as_int(
-            _require(header, "candidates_right"),
-            "candidates_right",
-            minimum=0,
-        ),
-        left_report=_decode_report(reports.get("left"), "reports.left"),
-        right_report=_decode_report(reports.get("right"), "reports.right"),
-    )
-
-
-# -- chain frames (v7) -----------------------------------------------------
-
-
-@dataclasses.dataclass
-class ChainBatchFrame:
-    """One streamed chain increment: n-ary tuples plus their payloads."""
-
-    batch: ChainMatchBatch
-
-
-@dataclasses.dataclass
-class ChainFinalFrame:
-    """Closes a chain stream: canonical tuple order plus server stats."""
-
-    tables: tuple[str, ...]
-    tuples: list[tuple[int, ...]]
-    stats: ServerStats
-
-
-def encode_chain_batch(batch: ChainMatchBatch) -> bytes:
-    if not batch.tuples:
-        raise SchemeError("chain batch must carry at least one tuple")
-    arity = len(batch.tuples[0])
-    writer = Writer()
-    write_header(writer, _FRAME_MAGIC, _VERSION, {
-        "kind": FRAME_CHAIN_BATCH,
-        "arity": arity,
-        "n_tuples": len(batch.tuples),
-    })
-    for combo in batch.tuples:
-        for row in combo:
-            writer.u32(row)
-    for payload_combo in batch.payloads:
-        for payload in payload_combo:
-            writer.blob(payload)
-    return writer.getvalue()
-
-
-def encode_chain_final(result: EncryptedChainResult) -> bytes:
-    """The chain stream's closing frame: canonical tuples + stats."""
-    writer = Writer()
-    write_header(writer, _FRAME_MAGIC, _VERSION, {
-        "kind": FRAME_CHAIN_FINAL,
-        "tables": list(result.tables),
-        "arity": len(result.tables),
-        "n_tuples": len(result.tuples),
-        "stats": _stats_dict(result.stats),
-    })
-    for combo in result.tuples:
-        for row in combo:
-            writer.u32(row)
-    return writer.getvalue()
-
-
-def _chain_arity(header: dict) -> int:
-    arity = _as_int(_require(header, "arity"), "arity", minimum=2)
-    if arity > MAX_CHAIN_TABLES:
-        raise SchemeError(
-            f"chain arity {arity} exceeds the cap {MAX_CHAIN_TABLES}"
-        )
-    return arity
-
-
-def _read_tuples(
-    reader: Reader, header: dict, arity: int, with_payloads: bool
-) -> list[tuple[int, ...]]:
-    """Read ``n_tuples`` n-ary index tuples, validating the count first.
-
-    Each tuple needs ``arity`` u32 indices (4 bytes each) plus — in a
-    batch frame — ``arity`` blob length prefixes (4 bytes each), so the
-    per-tuple floor bounds any count a well-formed body could satisfy,
-    checked before any allocation.
-    """
-    n_tuples = _as_int(_require(header, "n_tuples"), "n_tuples", minimum=0)
-    per_tuple = arity * (8 if with_payloads else 4)
-    if n_tuples * per_tuple > reader.remaining:
-        raise SchemeError(
-            f"bad tuple count {n_tuples}: {n_tuples} chain tuples need at "
-            f"least {n_tuples * per_tuple} bytes, but only "
-            f"{reader.remaining} remain"
-        )
-    return [
-        tuple(reader.u32() for _ in range(arity)) for _ in range(n_tuples)
-    ]
-
-
-def _decode_chain_batch(reader: Reader, header: dict) -> ChainBatchFrame:
-    arity = _chain_arity(header)
-    tuples = _read_tuples(reader, header, arity, with_payloads=True)
-    payloads = [
-        tuple(reader.blob() for _ in range(arity)) for _ in tuples
-    ]
-    reader.expect_end()
-    return ChainBatchFrame(ChainMatchBatch(tuples=tuples, payloads=payloads))
-
-
-def _decode_chain_final(reader: Reader, header: dict) -> ChainFinalFrame:
-    arity = _chain_arity(header)
-    tables = _chain_tables(header)
-    if len(tables) != arity:
-        raise SchemeError(
-            f"chain final frame names {len(tables)} tables but declares "
-            f"arity {arity}"
-        )
-    tuples = _read_tuples(reader, header, arity, with_payloads=False)
-    reader.expect_end()
-    return ChainFinalFrame(
-        tables=tuple(tables),
-        tuples=tuples,
-        stats=_decode_stats(header),
+        candidates=[
+            _as_int(count, "candidates", minimum=0) for count in candidates
+        ],
+        reports=[
+            _decode_report(report, f"reports[{side}]")
+            for side, report in enumerate(reports)
+        ],
     )
 
 
@@ -971,48 +748,39 @@ def decode_frame(
     | ShardMapFrame
     | ScatterChunkFrame
     | ScatterFinalFrame
-    | ChainBatchFrame
-    | ChainFinalFrame
 ):
-    """Decode one result-stream frame (validating, v4+ only)."""
+    """Decode one result-stream or scatter frame (validating)."""
     reader = Reader(data)
-    header = read_header(
-        reader, _FRAME_MAGIC, _VERSION, _FRAME_MIN_VERSION
-    )
+    header = read_header(reader, _FRAME_MAGIC, _VERSION)
     kind = _as_str(_require(header, "kind"), "kind")
     if kind == FRAME_STREAM_HEADER:
         reader.expect_end()
         return StreamHeaderFrame(
             query_id=_as_int(_require(header, "query_id"), "query_id"),
-            left_table=_as_str(
-                _require(header, "left_table"), "left_table"
-            ),
-            right_table=_as_str(
-                _require(header, "right_table"), "right_table"
-            ),
+            tables=_chain_tables(header),
         )
     if kind == FRAME_MATCH_BATCH:
-        pairs = _read_pairs(reader, header)
-        left_payloads = [reader.blob() for _ in range(len(pairs))]
-        right_payloads = [reader.blob() for _ in range(len(pairs))]
+        arity = _as_int(_require(header, "arity"), "arity", minimum=2)
+        if arity > MAX_CHAIN_TABLES:
+            raise SchemeError(
+                f"batch arity {arity} exceeds the cap {MAX_CHAIN_TABLES}"
+            )
+        tuples = _read_tuples(
+            reader, header, "n_tuples", arity, with_payloads=True
+        )
+        payloads = _rows(
+            [reader.blob() for _ in range(len(tuples) * arity)], arity
+        )
         reader.expect_end()
-        return MatchBatchFrame(MatchBatch(
-            index_pairs=pairs,
-            left_payloads=left_payloads,
-            right_payloads=right_payloads,
-        ))
+        return MatchBatchFrame(ChainMatchBatch(tuples, payloads))
     if kind == FRAME_FINAL:
-        pairs = _read_pairs(reader, header)
+        tables = _chain_tables(header)
+        tuples = _read_tuples(
+            reader, header, "n_tuples", len(tables), with_payloads=False
+        )
         reader.expect_end()
         return FinalFrame(
-            left_table=_as_str(
-                _require(header, "left_table"), "left_table"
-            ),
-            right_table=_as_str(
-                _require(header, "right_table"), "right_table"
-            ),
-            index_pairs=pairs,
-            stats=_decode_stats(header),
+            tables=tables, tuples=tuples, stats=_decode_stats(header)
         )
     if kind == FRAME_ERROR:
         reader.expect_end()
@@ -1030,128 +798,75 @@ def decode_frame(
     if kind == FRAME_SCATTER_FINAL:
         reader.expect_end()
         return _decode_scatter_final(header)
-    if kind == FRAME_CHAIN_BATCH:
-        return _decode_chain_batch(reader, header)
-    if kind == FRAME_CHAIN_FINAL:
-        return _decode_chain_final(reader, header)
     raise SchemeError(f"unknown frame kind {kind!r}")
 
 
 class StreamReassembler:
-    """Rebuild the canonical :class:`EncryptedJoinResult` from a stream.
+    """Rebuild the canonical answer to ``query`` from its frame stream.
 
-    Match-batch frames deliver pairs and payloads in discovery order;
-    the final frame dictates the canonical pair order.  Feed each batch
+    Match-batch frames deliver tuples and payloads in discovery order;
+    the final frame dictates the canonical tuple order.  Feed each batch
     to :meth:`add_batch` and close with :meth:`finish` — the result is
-    byte-identical (up to run-dependent stats) to what the in-process
-    ``execute_join`` would have returned.
+    byte-identical, up to run-dependent stats, to what the in-process
+    ``execute_join`` / ``execute_chain`` would have returned, and like
+    there the query's type picks the shape: :class:`MatchBatch` /
+    :class:`EncryptedJoinResult` for an :class:`EncryptedJoinQuery`.
+    Every frame must answer *this* query: a tuple or payload
+    combination of another arity, a tuple delivered twice, a final
+    frame naming other tables, another count, or a tuple no batch
+    delivered, all raise :class:`~repro.errors.SchemeError`.
     """
 
-    def __init__(self):
-        self._payloads: dict[tuple[int, int], tuple[bytes, bytes]] = {}
-
-    def add_batch(self, batch: MatchBatch) -> None:
-        if not (
-            len(batch.index_pairs)
-            == len(batch.left_payloads)
-            == len(batch.right_payloads)
-        ):
-            raise SchemeError("match batch with mismatched payload counts")
-        for pair, left, right in zip(
-            batch.index_pairs, batch.left_payloads, batch.right_payloads
-        ):
-            key = (pair[0], pair[1])
-            if key in self._payloads:
-                raise SchemeError(
-                    f"stream delivered pair {key} more than once"
-                )
-            self._payloads[key] = (left, right)
-
-    def finish(self, final: FinalFrame) -> EncryptedJoinResult:
-        if len(final.index_pairs) != len(self._payloads):
-            raise SchemeError(
-                f"stream delivered {len(self._payloads)} pairs but the "
-                f"final frame claims {len(final.index_pairs)}"
-            )
-        left_payloads = []
-        right_payloads = []
-        for pair in final.index_pairs:
-            try:
-                left, right = self._payloads[pair]
-            except KeyError:
-                raise SchemeError(
-                    f"final frame names pair {pair} that no match batch "
-                    "delivered"
-                ) from None
-            left_payloads.append(left)
-            right_payloads.append(right)
-        return EncryptedJoinResult(
-            left_table=final.left_table,
-            right_table=final.right_table,
-            index_pairs=list(final.index_pairs),
-            left_payloads=left_payloads,
-            right_payloads=right_payloads,
-            stats=final.stats,
+    def __init__(self, query: EncryptedChainQuery):
+        self._tables = tuple(query.tables)
+        pair = isinstance(query, EncryptedJoinQuery)
+        self._batch_type = MatchBatch if pair else ChainMatchBatch
+        self._result_type = (
+            EncryptedJoinResult if pair else EncryptedChainResult
         )
-
-
-class ChainReassembler:
-    """Rebuild the canonical :class:`EncryptedChainResult` from a stream.
-
-    The chain counterpart of :class:`StreamReassembler`: chain-batch
-    frames deliver tuples and payloads in discovery order, the chain
-    final frame dictates the canonical lexicographic order — and every
-    cross-check (duplicate tuple, count mismatch, unknown tuple,
-    drifting arity) raises :class:`~repro.errors.SchemeError`.
-    """
-
-    def __init__(self):
         self._payloads: dict[tuple[int, ...], tuple[bytes, ...]] = {}
-        self._arity: int | None = None
 
-    def _check_arity(self, combo: tuple[int, ...]) -> None:
-        if self._arity is None:
-            self._arity = len(combo)
-        elif len(combo) != self._arity:
-            raise SchemeError(
-                f"stream mixed chain arities {self._arity} and "
-                f"{len(combo)}"
-            )
-
-    def add_batch(self, batch: ChainMatchBatch) -> None:
+    def add_batch(self, batch: ChainMatchBatch) -> ChainMatchBatch:
+        """Check and retain one decoded batch; returns it in the
+        query's shape."""
         if len(batch.tuples) != len(batch.payloads):
-            raise SchemeError("chain batch with mismatched payload counts")
+            raise SchemeError("match batch with mismatched payload counts")
+        arity = len(self._tables)
         for combo, payload_combo in zip(batch.tuples, batch.payloads):
-            combo = tuple(combo)
-            self._check_arity(combo)
-            if len(payload_combo) != len(combo):
+            if len(combo) != arity or len(payload_combo) != arity:
                 raise SchemeError(
-                    "chain batch payload arity differs from tuple arity"
+                    f"match batch carries a tuple of arity {len(combo)} "
+                    f"with {len(payload_combo)} payloads in the answer "
+                    f"to a {arity}-table query"
                 )
+            combo = tuple(combo)
             if combo in self._payloads:
                 raise SchemeError(
-                    f"stream delivered chain tuple {combo} more than once"
+                    f"stream delivered tuple {combo} more than once"
                 )
             self._payloads[combo] = tuple(payload_combo)
+        return self._batch_type(batch.tuples, batch.payloads)
 
-    def finish(self, final: ChainFinalFrame) -> EncryptedChainResult:
+    def finish(self, final: FinalFrame) -> EncryptedChainResult:
+        if tuple(final.tables) != self._tables:
+            raise SchemeError(
+                f"final frame answers a query over {tuple(final.tables)}, "
+                f"expected {self._tables}"
+            )
         if len(final.tuples) != len(self._payloads):
             raise SchemeError(
-                f"stream delivered {len(self._payloads)} chain tuples but "
-                f"the final frame claims {len(final.tuples)}"
+                f"stream delivered {len(self._payloads)} tuples but the "
+                f"final frame claims {len(final.tuples)}"
             )
-        payloads = []
-        for combo in final.tuples:
-            self._check_arity(tuple(combo))
-            try:
-                payloads.append(self._payloads[tuple(combo)])
-            except KeyError:
-                raise SchemeError(
-                    f"final frame names chain tuple {tuple(combo)} that "
-                    "no chain batch delivered"
-                ) from None
-        return EncryptedChainResult(
-            tables=tuple(final.tables),
+        try:
+            payloads = [self._payloads[tuple(c)] for c in final.tuples]
+        except KeyError as missing:
+            raise SchemeError(
+                f"final frame names tuple {missing.args[0]} that no match "
+                "batch delivered"
+            ) from None
+        return self._result_type(
+            tables=self._tables,
             tuples=[tuple(combo) for combo in final.tuples],
             payloads=payloads,
             stats=final.stats,

@@ -266,6 +266,7 @@ class TestPayloads:
         client, server, db = _setup()
         query = JoinQuery.build("Teams", "Employees", on=("key", "team"))
         result = server.execute_join(client.create_query(query))
-        result.left_payloads[0] = b"\x00" * len(result.left_payloads[0])
+        left, right = result.payloads[0]
+        result.payloads[0] = (b"\x00" * len(left), right)
         with pytest.raises(CryptoError):
             client.decrypt_result(result)

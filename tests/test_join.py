@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db.database import Database
-from repro.db.join import hash_join, nested_loop_join
+from repro.db.join import (
+    chain_prefixes,
+    chain_schema,
+    hash_join,
+    joined_prefixes,
+    nested_loop_join,
+)
 from repro.db.predicate import InPredicate
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
@@ -153,3 +159,29 @@ class TestDatabase:
         query = JoinQuery.build("L", "R", on=("k", "k"), where_left={"k": [1]})
         with pytest.raises(QueryError):
             db.execute(query)
+
+
+class TestJoinedSchemaIsTheTwoTableChainSchema:
+    """The client decrypts a two-way result through the chain path, so
+    the chain prefix rule at n = 2 must be the two-way rule the
+    plaintext :func:`hash_join` reference applies."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        names=st.tuples(*[st.sampled_from(["A", "B", "A.1"])] * 2),
+        columns=st.tuples(
+            *[st.sets(st.sampled_from("kxyz"), min_size=1)] * 2
+        ),
+    )
+    def test_prefixes_and_schema_agree(self, names, columns):
+        assert chain_prefixes(list(names), list(columns)) == joined_prefixes(
+            *names, *columns
+        )
+        left, right = (
+            Schema.of(*[(column, "int") for column in sorted(c)])
+            for c in columns
+        )
+        prefix_left, prefix_right = joined_prefixes(*names, *columns)
+        assert chain_schema(names, [left, right]) == left.concat(
+            right, prefix_self=prefix_left, prefix_other=prefix_right
+        )

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.client import SecureJoinClient
 from repro.core.engine import BatchedEngine
-from repro.core.server import SecureJoinServer, ServerStats
+from repro.core.server import MatchBatch, SecureJoinServer, ServerStats
 from repro.core.service import ExecutionService, QueryQoS
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
@@ -209,7 +209,7 @@ class TestRemoteErrors:
     def test_unknown_table_maps_to_query_error(self):
         client, server = _fixture(n_rows=4)
         query = _query(client)
-        object.__setattr__(query, "right_table", "NOPE")
+        query = dataclasses.replace(query, tables=(query.left_table, "NOPE"))
         with JoinServiceServer(server) as service:
             host, port = service.address
             with RemoteJoinClient(host, port, client.scheme.backend) as rc:
@@ -365,6 +365,38 @@ class TestBackpressure:
             # The service remains healthy for new clients.
             with RemoteJoinClient(host, port, client.scheme.backend) as rc2:
                 assert rc2.execute_join(_query(client)).index_pairs
+
+
+    def test_queries_served_counts_completed_streams_only(self):
+        """An error reply and a stream cut by a vanished client are not
+        served queries; only an answer whose final frame went out is."""
+        client, server = _fixture(n_rows=6)
+        backend = client.scheme.backend
+        with JoinServiceServer(server) as service:
+            host, port = service.address
+            with RemoteJoinClient(host, port, backend) as rc:
+                assert rc.execute_join(_query(client)).index_pairs
+                unknown = dataclasses.replace(
+                    _query(client), tables=("L", "NOPE")
+                )
+                with pytest.raises(QueryError):
+                    rc.execute_join(unknown)
+
+            # An answer far larger than any socket buffer: the handler
+            # is still blocked sending it when the client walks away.
+            def flood(query, algorithm="hash"):
+                yield MatchBatch([(0, 0)], [(bytes(32 << 20), b"")])
+
+            server.stream_join = flood
+            with socket.create_connection((host, port), timeout=10) as sock:
+                send_message(sock, encode_join_query(_query(client), backend))
+                opening = decode_frame(recv_message(sock))
+                assert isinstance(opening, StreamHeaderFrame)
+            deadline = time.monotonic() + 10
+            while service.active_connections and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert service.active_connections == 0
+            assert service.queries_served == 1
 
 
 # -- graceful drain ---------------------------------------------------------

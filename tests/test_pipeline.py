@@ -1,5 +1,5 @@
 """The streaming join pipeline: matcher kernels, stream/materialized
-byte-identity, early emission, matcher pricing, and wire v3.
+byte-identity, early emission, matcher pricing, and the wire stats.
 
 The contract under test: however the decrypted chunks interleave —
 per-row serial streams, per-batch inline streams, out-of-order pooled
@@ -456,10 +456,10 @@ class TestMatcherAuto:
         server.close()
 
 
-# -- wire v3 --------------------------------------------------------------
+# -- wire: pipeline stats -------------------------------------------------
 
 
-class TestWireV3:
+class TestWirePipelineStats:
     def _result(self):
         client, server = _build([1, 2, 2], [2, 2, 5])
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
@@ -483,35 +483,3 @@ class TestWireV3:
         assert (
             decoded.stats.concurrent_sides == result.stats.concurrent_sides
         )
-
-    def test_v2_payload_still_decodes_with_defaults(self):
-        """A v2 (pre-pipeline) stats block takes pipeline defaults."""
-        from repro.store import wire as wire_module
-        from repro.store.codec import Writer, write_header
-        from repro.store.wire import decode_join_result
-
-        writer = Writer()
-        write_header(
-            writer, b"RPROJRES", 2,
-            {
-                "left_table": "L", "right_table": "R", "n_pairs": 1,
-                "stats": {
-                    "candidates_left": 3, "candidates_right": 2,
-                    "decryptions": 5, "probes": 2, "comparisons": 3,
-                    "matches": 1, "engine": "parallel",
-                    "pool_generation": 4,
-                },
-            },
-        )
-        writer.u32(0)
-        writer.u32(0)
-        writer.blob(b"left-payload")
-        writer.blob(b"right-payload")
-        decoded = decode_join_result(writer.getvalue())
-        assert wire_module._VERSION >= 3
-        assert decoded.stats.engine == "parallel"
-        assert decoded.stats.pool_generation == 4
-        # Pipeline fields: dataclass defaults.
-        assert decoded.stats.matcher == "hash"
-        assert decoded.stats.time_to_first_match == 0.0
-        assert decoded.stats.concurrent_sides == 0

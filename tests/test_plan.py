@@ -26,13 +26,13 @@ from repro.bench.costmodel import (
     estimate_plan_costs,
 )
 from repro.core.client import EncryptedChainQuery, SecureJoinClient
-from repro.core.server import SecureJoinServer, ServerStats
+from repro.core.server import SecureJoinServer
 from repro.db.join import chain_join
 from repro.db.predicate import InPredicate
 from repro.db.query import ChainQuery, JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
-from repro.errors import BenchmarkError, QueryError, SchemeError
+from repro.errors import BenchmarkError, QueryError
 from repro.net.client import RemoteJoinClient
 from repro.net.server import JoinServiceServer
 from repro.net.shard import ShardServiceServer, coordinator_from_shard_map
@@ -46,7 +46,7 @@ from repro.series.cache import series_key
 from repro.shard.coordinator import LocalShard, ShardCoordinator
 from repro.shard.partition import partition_table
 from repro.store import wire
-from repro.store.wire import ChainMatchBatch, ShardMapFrame
+from repro.store.wire import ShardMapFrame
 
 KEYS = tuple(range(4))
 
@@ -533,11 +533,14 @@ class TestShardedChains:
             assert shrunk.stats.decryptions == 0
             assert_same_as_single_store(shrunk)
 
-    def test_remote_shards_reject_chains(self):
-        client, server, tables = _setup(sizes=(6, 5), seed=79)
+    def test_remote_fleet_serves_chains(self):
+        """Two remote shards behind ``coordinator_from_shard_map``
+        answer chains byte-identically to the single store — the
+        scatter frames are positional, so no code on that path knows
+        how many tables a query names."""
+        client, server, tables = _setup(seed=79)
         backend = server.scheme.backend
         encrypted = [copy.deepcopy(server.table(t.name)) for t in tables]
-        server.close()
         shards = [
             LocalShard(client.params, workers=2, name=f"s{i}")
             for i in range(2)
@@ -554,15 +557,41 @@ class TestShardedChains:
                 ShardMapFrame(
                     shard_count=2,
                     seed=seed,
-                    tables=("T1", "T2"),
+                    tables=("T1", "T2", "T3"),
                     endpoints=tuple(endpoints),
                 )
             )
         )
         try:
-            with coordinator_from_shard_map(frame, backend) as coordinator:
-                with pytest.raises(QueryError, match="chain"):
-                    coordinator.execute_chain(_chain(client, ["T1", "T2"]))
+            with server, coordinator_from_shard_map(
+                frame, backend
+            ) as coordinator:
+                for names in (["T1", "T2", "T3"], ["T1", "T2", "T1"]):
+                    query = _chain(client, names)
+                    reference = server.execute_chain(query)
+                    result = coordinator.execute_chain(query)
+                    assert result.tables == reference.tables
+                    assert result.tuples == reference.tuples
+                    assert result.payloads == reference.payloads
+                    assert result.stats.shards == 2
+                    assert (
+                        result.stats.decryptions
+                        == reference.stats.decryptions
+                    )
+                    batches, final = _drain(coordinator.stream_chain(query))
+                    assert final.tuples == reference.tuples
+                    assert final.payloads == reference.payloads
+                    assert sorted(
+                        combo for batch in batches for combo in batch.tuples
+                    ) == reference.tuples
+                # The pooled side of T1 ⋈ T2 ⋈ T1 was decrypted once per
+                # shard: the pairing work of the two-table chain.
+                assert result.stats.handle_pool_hits == 1
+                two_way = coordinator.execute_chain(
+                    _chain(client, ["T1", "T2"])
+                )
+                assert result.stats.miller_loops == two_way.stats.miller_loops
+                assert result.stats.decryptions == 9 + 12
         finally:
             for service in services:
                 service.shutdown()
@@ -617,7 +646,7 @@ class TestShardedChains:
                 service.shutdown()
 
 
-# -- wire v7: chain queries and frames -------------------------------------
+# -- chain queries over the wire (frames: tests/test_wire_fuzz.py) ---------
 
 
 class TestChainWire:
@@ -628,20 +657,10 @@ class TestChainWire:
             query = _chain(
                 client, ["T1", "T2", "T1"], priority=2, deadline=30.0
             )
-            blob = wire.encode_chain_query(query, backend)
-            assert wire.is_chain_query(blob)
-            assert not wire.is_chain_query(
-                wire.encode_join_query(
-                    client.create_query(
-                        JoinQuery.build("T1", "T2", on=("k", "k"))
-                    ),
-                    backend,
-                )
+            decoded = wire.decode_join_query(
+                wire.encode_join_query(query, backend), backend
             )
-            decoded = wire.decode_chain_query(blob, backend)
-            assert decoded.tables == query.tables
-            assert decoded.query_id == query.query_id
-            assert decoded.priority == 2 and decoded.deadline == 30.0
+            assert decoded == query
             reference = server.execute_chain(query)
             # Token bytes survive the round trip, so the decoded query
             # still dedups its shared side (and replays the series).
@@ -650,139 +669,6 @@ class TestChainWire:
             assert result.stats.handle_pool_hits == 1
             assert result.tuples == reference.tuples
             assert result.payloads == reference.payloads
-
-    def test_frame_round_trips(self):
-        batch = ChainMatchBatch(
-            tuples=[(1, 2, 3), (4, 5, 6)],
-            payloads=[(b"a", b"b", b"c"), (b"d", b"e", b"f")],
-        )
-        frame = wire.decode_frame(wire.encode_chain_batch(batch))
-        assert isinstance(frame, wire.ChainBatchFrame)
-        assert frame.batch.tuples == batch.tuples
-        assert frame.batch.payloads == batch.payloads
-
-        client, server, _ = _setup(sizes=(5, 6), seed=97)
-        with server:
-            result = server.execute_chain(_chain(client, ["T1", "T2"]))
-        final = wire.decode_frame(wire.encode_chain_final(result))
-        assert isinstance(final, wire.ChainFinalFrame)
-        assert final.tables == result.tables
-        assert final.tuples == result.tuples
-        assert final.stats.plan_nodes == result.stats.plan_nodes
-        assert final.stats.handle_pool_hits == result.stats.handle_pool_hits
-
-    def test_empty_batch_rejected_at_encode(self):
-        with pytest.raises(SchemeError):
-            wire.encode_chain_batch(ChainMatchBatch(tuples=[], payloads=[]))
-
-    def test_reassembler_rejects_duplicates_and_drift(self):
-        reassembler = wire.ChainReassembler()
-        batch = ChainMatchBatch(
-            tuples=[(0, 1)], payloads=[(b"a", b"b")]
-        )
-        reassembler.add_batch(batch)
-        with pytest.raises(SchemeError, match="more than once"):
-            reassembler.add_batch(batch)
-        with pytest.raises(SchemeError, match="arities"):
-            reassembler.add_batch(
-                ChainMatchBatch(
-                    tuples=[(0, 1, 2)], payloads=[(b"a", b"b", b"c")]
-                )
-            )
-
-    def test_reassembler_cross_checks_final(self):
-        reassembler = wire.ChainReassembler()
-        reassembler.add_batch(
-            ChainMatchBatch(tuples=[(0, 1)], payloads=[(b"a", b"b")])
-        )
-        with pytest.raises(SchemeError, match="claims"):
-            reassembler.finish(
-                wire.ChainFinalFrame(
-                    tables=("L", "R"), tuples=[], stats=ServerStats()
-                )
-            )
-        with pytest.raises(SchemeError, match="no chain batch"):
-            reassembler.finish(
-                wire.ChainFinalFrame(
-                    tables=("L", "R"), tuples=[(7, 7)], stats=ServerStats()
-                )
-            )
-
-
-class TestChainWireHostile:
-    """Hostile chain payloads: only SchemeError may escape."""
-
-    def _query_blob(self):
-        client, server, _ = _setup(sizes=(4, 3), seed=101)
-        backend = server.scheme.backend
-        server.close()
-        query = _chain(client, ["T1", "T2", "T1"])
-        return wire.encode_chain_query(query, backend), backend
-
-    def test_query_truncated_at_every_offset(self):
-        blob, backend = self._query_blob()
-        for cut in range(len(blob)):
-            with pytest.raises(SchemeError):
-                wire.decode_chain_query(blob[:cut], backend)
-
-    def test_frames_truncated_at_every_offset(self):
-        batch_blob = wire.encode_chain_batch(
-            ChainMatchBatch(
-                tuples=[(1, 2, 3)], payloads=[(b"aa", b"bb", b"cc")]
-            )
-        )
-        client, server, _ = _setup(sizes=(4, 3), seed=103)
-        with server:
-            result = server.execute_chain(_chain(client, ["T1", "T2"]))
-        final_blob = wire.encode_chain_final(result)
-        for blob in (batch_blob, final_blob):
-            for cut in range(len(blob)):
-                try:
-                    wire.decode_frame(blob[:cut])
-                except SchemeError:
-                    pass
-
-    def _rewrite_frame_header(self, blob, **overrides):
-        import json
-
-        from repro.store.codec import Reader, Writer
-
-        reader = Reader(blob)
-        magic = reader.take(8)
-        version = reader.u8()
-        header = json.loads(reader.blob())
-        body = blob[len(blob) - reader.remaining:]
-        header.update(overrides)
-        writer = Writer()
-        writer.raw(magic).u8(version)
-        writer.blob(json.dumps(header).encode("utf-8"))
-        writer.raw(body)
-        return writer.getvalue()
-
-    def test_oversized_tuple_count_rejected_before_allocation(self):
-        blob = wire.encode_chain_batch(
-            ChainMatchBatch(tuples=[(1, 2)], payloads=[(b"a", b"b")])
-        )
-        hostile = self._rewrite_frame_header(blob, n_tuples=2**31)
-        with pytest.raises(SchemeError, match="bad tuple count"):
-            wire.decode_frame(hostile)
-
-    @pytest.mark.parametrize("arity", [0, 1, -3, MAX_CHAIN_TABLES + 1, "x"])
-    def test_bad_arity_rejected(self, arity):
-        blob = wire.encode_chain_batch(
-            ChainMatchBatch(tuples=[(1, 2)], payloads=[(b"a", b"b")])
-        )
-        with pytest.raises(SchemeError):
-            wire.decode_frame(self._rewrite_frame_header(blob, arity=arity))
-
-    def test_final_tables_must_match_arity(self):
-        client, server, _ = _setup(sizes=(4, 3), seed=107)
-        with server:
-            result = server.execute_chain(_chain(client, ["T1", "T2"]))
-        blob = wire.encode_chain_final(result)
-        hostile = self._rewrite_frame_header(blob, tables=["T1", "T2", "T3"])
-        with pytest.raises(SchemeError):
-            wire.decode_frame(hostile)
 
 
 # -- the remote chain path -------------------------------------------------

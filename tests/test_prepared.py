@@ -503,23 +503,6 @@ class TestStoredPreparedTables:
         )
         assert loaded.prepared_rows is None
 
-    def test_v1_files_still_load(self):
-        from repro.store import tables as tables_module
-        from repro.store.tables import (
-            decode_encrypted_table,
-            encode_encrypted_table,
-        )
-
-        table, backend = self._encrypted_table()
-        blob = bytearray(encode_encrypted_table(table, backend))
-        # Rewrite the version byte to 1: a pre-prepared-rows file.
-        version_offset = len(tables_module._MAGIC)
-        assert blob[version_offset] == tables_module._VERSION
-        blob[version_offset] = 1
-        loaded = decode_encrypted_table(bytes(blob), backend)
-        assert loaded.prepared_rows is None
-        assert len(loaded.ciphertexts) == 3
-
     def test_save_with_prepare_flag(self, tmp_path):
         from repro.store.tables import (
             load_encrypted_table,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import json
 import random
-import struct
 
 import pytest
 from hypothesis import given, settings
@@ -360,28 +359,6 @@ class TestWireStats:
         assert decoded.stats.series_cache_hits == 1
         assert decoded.stats.delta_rows == 1
         assert decoded.stats.reused_handles == delta.stats.reused_handles
-        server.close()
-
-    def test_v5_results_still_load_with_zero_series_counters(self):
-        client, server = _setup()
-        query = _query(client)
-        blob = encode_join_result(server.execute_join(query))
-        # Rewrite as a version-5 payload: drop the counters a v5 writer
-        # did not have and stamp the older version byte.
-        magic = blob[:8]
-        (header_len,) = struct.unpack(">I", blob[9:13])
-        header = json.loads(blob[13:13 + header_len])
-        for key in ("series_cache_hits", "delta_rows", "reused_handles"):
-            del header["stats"][key]
-        raw = json.dumps(header, sort_keys=True).encode("utf-8")
-        legacy = (
-            magic + bytes([5]) + struct.pack(">I", len(raw)) + raw
-            + blob[13 + header_len:]
-        )
-        decoded = decode_join_result(legacy)
-        assert decoded.stats.series_cache_hits == 0
-        assert decoded.stats.delta_rows == 0
-        assert decoded.stats.reused_handles == 0
         server.close()
 
     def test_future_stats_keys_are_dropped(self):

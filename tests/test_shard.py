@@ -542,3 +542,52 @@ class TestRemoteShards:
         assert shards[0].server.execution_service.active_sides == 0
         coordinator.close()
         shards[0].close()
+
+    def test_garbage_from_a_shard_is_a_named_shard_failure(self):
+        """A shard endpoint that answers with an undecodable frame is a
+        ShardUnavailableError naming the shard (the codec's SchemeError
+        as its cause), like every other shard failure — and the local
+        surviving shard releases its admissions."""
+        import socket as socket_module
+
+        from repro.net import recv_message, send_message
+        from repro.store import wire
+
+        client, backend, tables, _ = _fixture(
+            [i % 4 for i in range(40)], [i % 4 for i in range(40)]
+        )
+        shards = _sharded(client, backend, tables, 2)
+        listener = socket_module.create_server(("127.0.0.1", 0))
+
+        def fake_endpoint():
+            sock, _ = listener.accept()
+            with sock:
+                query = wire.decode_join_query(recv_message(sock), backend)
+                send_message(
+                    sock,
+                    wire.encode_stream_header(query.query_id, *query.tables),
+                )
+                good = wire.encode_error_frame("QueryError", "x")
+                send_message(sock, good[:13] + b"{bad" + good[17:])
+                sock.recv(1)  # hold the socket until the proxy drops it
+
+        thread = threading.Thread(target=fake_endpoint, daemon=True)
+        thread.start()
+        host, port = listener.getsockname()[:2]
+        remote = RemoteShard(host, port, backend, name="garbler")
+        try:
+            with ShardCoordinator([shards[0], remote]) as coordinator:
+                with pytest.raises(
+                    ShardUnavailableError, match="garbler.*undecodable"
+                ) as caught:
+                    coordinator.execute_join(
+                        _query(client), engine="parallel"
+                    )
+                assert isinstance(caught.value.__cause__, SchemeError)
+                assert (
+                    shards[0].server.execution_service.active_sides == 0
+                )
+        finally:
+            listener.close()
+            thread.join(timeout=5.0)
+            shards[0].close()

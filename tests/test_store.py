@@ -157,25 +157,7 @@ class TestEncryptedTableFormat:
 
 
 class TestShardedTableFormat:
-    """Format v3: the optional shard descriptor section."""
-
-    @staticmethod
-    def _patched(blob: bytes, version: int, drop_keys: tuple = ()) -> bytes:
-        """Re-stamp a table blob with an older version byte, optionally
-        dropping header keys that version did not have."""
-        import json
-        import struct
-
-        header_length = struct.unpack(">I", blob[9:13])[0]
-        header = json.loads(blob[13:13 + header_length])
-        for key in drop_keys:
-            header.pop(key, None)
-        new_header = json.dumps(header, sort_keys=True).encode("utf-8")
-        return (
-            blob[:8] + bytes([version])
-            + struct.pack(">I", len(new_header)) + new_header
-            + blob[13 + header_length:]
-        )
+    """The optional shard descriptor section of the store format."""
 
     def test_sharded_round_trip(self):
         from repro.shard import partition_table
@@ -223,36 +205,6 @@ class TestShardedTableFormat:
         assert result.index_pairs == reference.index_pairs
         assert result.left_payloads == reference.left_payloads
         assert result.right_payloads == reference.right_payloads
-
-    def test_v1_table_still_loads(self):
-        """A pre-prepared-rows, pre-shard file loads unprepared and
-        unsharded."""
-        client, enc_left, _ = _fixture()
-        backend = client.scheme.backend
-        blob = self._patched(
-            encode_encrypted_table(enc_left, backend), 1,
-            drop_keys=("prepared", "prepared_element_size", "shard"),
-        )
-        decoded = decode_encrypted_table(blob, backend)
-        assert decoded.shard is None
-        assert decoded.prepared_rows is None
-        assert decoded.payloads == enc_left.payloads
-
-    def test_v2_table_still_loads(self):
-        """A v2 file (prepared rows, no shard key) loads unsharded."""
-        from repro.store.tables import prepare_encrypted_table
-
-        client, enc_left, _ = _fixture()
-        backend = client.scheme.backend
-        prepare_encrypted_table(enc_left, backend)
-        blob = self._patched(
-            encode_encrypted_table(enc_left, backend), 2,
-            drop_keys=("shard",),
-        )
-        decoded = decode_encrypted_table(blob, backend)
-        assert decoded.shard is None
-        assert decoded.prepared_rows is not None
-        assert len(decoded.prepared_rows) == len(enc_left.ciphertexts)
 
     def test_descriptor_row_count_mismatch_rejected_on_encode(self):
         from repro.shard import ShardDescriptor
@@ -368,8 +320,6 @@ except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
     HAVE_HYPOTHESIS = False
 
 from repro.core.server import EncryptedJoinResult, ServerStats
-from repro.store import wire as wire_module
-from repro.store.codec import write_element_vector
 
 
 def _planner_record(chosen: str, rows: int, estimate: float) -> dict:
@@ -388,7 +338,7 @@ def _planner_record(chosen: str, rows: int, estimate: float) -> dict:
 
 
 class TestWireV2Stats:
-    """Round-trip properties for the v2 stats block (planner included)."""
+    """Round-trip properties for the stats block (planner included)."""
 
     @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
     @settings(max_examples=25, deadline=None)
@@ -440,11 +390,9 @@ class TestWireV2Stats:
             worker_restarts=worker_restarts,
         )
         result = EncryptedJoinResult(
-            left_table="L",
-            right_table="R",
-            index_pairs=[(i, i + 1) for i in range(n_pairs)],
-            left_payloads=[b"l%d" % i for i in range(n_pairs)],
-            right_payloads=[b"r%d" % i for i in range(n_pairs)],
+            tables=("L", "R"),
+            tuples=[(i, i + 1) for i in range(n_pairs)],
+            payloads=[(b"l%d" % i, b"r%d" % i) for i in range(n_pairs)],
             stats=stats,
         )
         decoded = decode_join_result(encode_join_result(result))
@@ -454,10 +402,9 @@ class TestWireV2Stats:
         assert decoded.right_payloads == result.right_payloads
 
     def test_unknown_future_stats_fields_ignored(self):
-        """A newer minor revision may add stats keys; we must not crash."""
+        """The stats block is an open record: an unknown key is dropped."""
         result = EncryptedJoinResult(
-            left_table="L", right_table="R", index_pairs=[],
-            left_payloads=[], right_payloads=[], stats=ServerStats(),
+            tables=("L", "R"), tuples=[], payloads=[], stats=ServerStats(),
         )
         blob = bytearray(encode_join_result(result))
         # Re-encode with an extra stats key spliced into the header JSON.
@@ -476,87 +423,3 @@ class TestWireV2Stats:
         )
         decoded = decode_join_result(patched)
         assert decoded.stats == ServerStats()
-
-
-class TestWireV1BackwardCompat:
-    """Version-1 payloads (pre-engine-fields) must still decode."""
-
-    def _v1_query_bytes(self, client, encrypted_query) -> bytes:
-        backend = client.scheme.backend
-        writer = Writer()
-        body = Writer()
-        for token in (encrypted_query.left_token, encrypted_query.right_token):
-            write_element_vector(
-                body,
-                [backend.encode_g1(e) for e in token.elements],
-                backend.g1_element_size,
-            )
-        header = {
-            "query_id": encrypted_query.query_id,
-            "left_table": encrypted_query.left_table,
-            "right_table": encrypted_query.right_table,
-            "backend": backend.name,
-            "g1_element_size": backend.g1_element_size,
-            "left_prefilter_columns": None,
-            "right_prefilter_columns": None,
-            # v1 had no "engine_hint" key.
-        }
-        write_header(writer, b"RPROJQRY", 1, header)
-        writer.raw(body.getvalue())
-        return writer.getvalue()
-
-    def test_v1_query_decodes_and_executes(self):
-        client, enc_left, enc_right = _fixture(seed=13)
-        server = SecureJoinServer(client.params)
-        server.store(enc_left)
-        server.store(enc_right)
-        query = JoinQuery.build("L", "R", on=("k", "k"))
-        encrypted_query = client.create_query(query)
-        v1_blob = self._v1_query_bytes(client, encrypted_query)
-
-        decoded = decode_join_query(v1_blob, client.scheme.backend)
-        assert decoded.engine_hint is None
-        assert decoded.left_token == encrypted_query.left_token
-        result = server.execute_join(decoded)
-        assert sorted(result.index_pairs) == [(0, 0), (2, 0)]
-
-    def test_v1_result_decodes_with_default_engine_stats(self):
-        writer = Writer()
-        header = {
-            "left_table": "L",
-            "right_table": "R",
-            "n_pairs": 1,
-            # The v1 stats block: no engine fields at all.
-            "stats": {
-                "candidates_left": 3,
-                "candidates_right": 2,
-                "decryptions": 5,
-                "probes": 2,
-                "comparisons": 3,
-                "matches": 1,
-            },
-        }
-        write_header(writer, b"RPROJRES", 1, header)
-        writer.u32(0).u32(0)
-        writer.blob(b"left-payload")
-        writer.blob(b"right-payload")
-
-        decoded = decode_join_result(writer.getvalue())
-        assert decoded.index_pairs == [(0, 0)]
-        assert decoded.stats.decryptions == 5
-        # Engine fields take their dataclass defaults.
-        assert decoded.stats.engine == "batched"
-        assert decoded.stats.engine_source == "default"
-        assert decoded.stats.planner is None
-        assert decoded.stats.pool_generation == 0
-
-    def test_version_zero_and_future_versions_rejected(self):
-        for bad_version in (0, wire_module._VERSION + 1):
-            writer = Writer()
-            write_header(
-                writer, b"RPROJRES", bad_version,
-                {"left_table": "L", "right_table": "R", "n_pairs": 0,
-                 "stats": {}},
-            )
-            with pytest.raises(SchemeError):
-                decode_join_result(writer.getvalue())

@@ -1,39 +1,59 @@
-"""Malformed-payload property suite for the wire codecs.
+"""Malformed-payload property suite for the one wire message family.
 
 The network service (:mod:`repro.net`) feeds these decoders bytes from
 arbitrary remote peers, so the contract is absolute: for *any* input —
-truncated at any byte offset, bit-flipped anywhere in the header,
-carrying hostile counts — the only exception a decoder may raise is
+truncated at any byte offset, bit-flipped anywhere, carrying hostile
+counts — the only exception a decoder may raise is
 :class:`~repro.errors.SchemeError`.  Never ``MemoryError`` (a count
 that commits a huge allocation), never ``struct.error`` / ``KeyError``
 / ``TypeError`` (internals leaking), and never a hang.
 
-Also pins the v4 round-trip (priority/deadline, stream frames) and the
-v1–v3 backward-compatibility window.
+One table of sample messages (:func:`_samples` — the query at arity 2
+and 5, every frame kind, the materialized result) rides the same
+truncation / bit-flip / version machinery, and its bytes are pinned
+under ``tests/data/``: there is one wire version and one store version,
+so no version ladder would notice the format drifting.  After a
+*deliberate* format change bump the version and regenerate the golden
+files with ``PYTHONPATH=src python tests/test_wire_fuzz.py``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.store.tables as tables_module
 import repro.store.wire as wire_module
-from repro.core.client import SecureJoinClient
+from repro.core.client import (
+    EncryptedChainQuery,
+    EncryptedJoinQuery,
+    EncryptedTable,
+)
+from repro.core.engine import EngineReport
+from repro.core.scheme import SJRowCiphertext, SJToken
 from repro.core.server import (
+    ChainMatchBatch,
+    EncryptedChainResult,
     EncryptedJoinResult,
     MatchBatch,
-    SecureJoinServer,
     ServerStats,
 )
-from repro.db.query import JoinQuery
+from repro.crypto.backend import get_backend
 from repro.db.schema import Schema
-from repro.db.table import Table
 from repro.errors import SchemeError
+from repro.plan import MAX_CHAIN_TABLES
+from repro.shard.partition import ShardDescriptor
 from repro.store.codec import Reader, Writer, read_element_vector, write_header
+from repro.store.tables import (
+    decode_encrypted_table,
+    encode_encrypted_table,
+    prepare_encrypted_table,
+)
 from repro.store.wire import (
     MAX_PRIORITY_MAGNITUDE,
     ErrorFrame,
@@ -58,156 +78,276 @@ from repro.store.wire import (
     encode_stream_header,
 )
 
+BACKEND = get_backend("fast")
+VERSION = wire_module._VERSION
+DATA = Path(__file__).parent / "data"
 
-def _fixture(seed=6):
-    left = Table("L", Schema.of(("k", "int"), ("c", "str")),
-                 [(1, "x"), (2, "y"), (1, "z")])
-    right = Table("R", Schema.of(("k", "int"), ("d", "str")),
-                  [(1, "p"), (3, "q")])
-    client = SecureJoinClient.for_tables(
-        [(left, "k"), (right, "k")],
-        in_clause_limit=2,
-        rng=random.Random(seed),
+
+# -- the sample messages ---------------------------------------------------
+
+
+def _token(seed: int) -> SJToken:
+    return SJToken(tuple(seed * 1000 + i for i in range(4)))
+
+
+def _tags(*seeds: int) -> frozenset[bytes]:
+    return frozenset(bytes([seed]) * 32 for seed in seeds)
+
+
+def _join_query(**overrides) -> EncryptedJoinQuery:
+    fields = dict(
+        query_id=7,
+        tables=("L", "R"),
+        tokens=(_token(1), _token(2)),
+        prefilters=({"c": _tags(1, 2)}, None),
+        engine_hint="batched",
+        priority=5,
+        deadline=12.5,
     )
-    enc_left = client.encrypt_table(left, "k")
-    enc_right = client.encrypt_table(right, "k")
-    return client, enc_left, enc_right
+    fields.update(overrides)
+    return EncryptedJoinQuery(**fields)
 
 
-def _query_bytes(seed=6, **query_kwargs):
-    client, _, _ = _fixture(seed=seed)
-    query = client.create_query(
-        JoinQuery.build("L", "R", on=("k", "k")), **query_kwargs
+def _chain_query(arity: int = 5) -> EncryptedChainQuery:
+    """Positions 0 and 3 share one token object (the pooled side)."""
+    tokens = [_token(10 + position) for position in range(arity)]
+    if arity > 3:
+        tokens[3] = tokens[0]
+    return EncryptedChainQuery(
+        query_id=8,
+        tables=tuple(f"T{position % 3}" for position in range(arity)),
+        tokens=tuple(tokens),
+        prefilters=(None, {"a": _tags(3), "b": _tags(4, 5)})
+        + (None,) * (arity - 2),
     )
-    return encode_join_query(query, client.scheme.backend), client
 
 
-def _result_bytes():
-    result = EncryptedJoinResult(
-        left_table="L",
-        right_table="R",
-        index_pairs=[(0, 0), (2, 0), (1, 1)],
-        left_payloads=[b"pl0", b"pl2", b"pl1"],
-        right_payloads=[b"pr0", b"pr0", b"pr1"],
-        stats=ServerStats(matches=3),
+def _join_result() -> EncryptedJoinResult:
+    return EncryptedJoinResult(
+        tables=("L", "R"),
+        tuples=[(0, 0), (2, 0), (1, 1)],
+        payloads=[(b"pl0", b"pr0"), (b"pl2", b"pr0"), (b"pl1", b"pr1")],
+        stats=ServerStats(matches=3, shards=3, shard_skew=1.5),
     )
-    return encode_join_result(result), result
 
 
-def _frame_bytes():
-    batch = MatchBatch(
-        index_pairs=[(2, 0), (0, 0)],
-        left_payloads=[b"a", b"b"],
-        right_payloads=[b"c", b"d"],
+def _chain_result() -> EncryptedChainResult:
+    return EncryptedChainResult(
+        tables=("T0", "T1", "T0"),
+        tuples=[(0, 4, 1), (0, 4, 2), (3, 1, 1)],
+        payloads=[(b"a0", b"b4", b"a1"), (b"a0", b"b4", b"a2"),
+                  (b"a3", b"b1", b"a1")],
+        stats=ServerStats(matches=3, plan_nodes=2, handle_pool_hits=1),
     )
-    result = EncryptedJoinResult(
-        left_table="L",
-        right_table="R",
-        index_pairs=[(0, 0), (2, 0)],
-        left_payloads=[b"b", b"a"],
-        right_payloads=[b"d", b"c"],
-        stats=ServerStats(matches=2),
-    )
-    from repro.core.engine import EngineReport
 
+
+def _samples() -> dict[str, bytes]:
+    chain = _chain_result()
     return {
+        "query_join": encode_join_query(_join_query(), BACKEND),
+        "query_chain5": encode_join_query(_chain_query(5), BACKEND),
+        "result": encode_join_result(_join_result()),
         "stream_header": encode_stream_header(7, "L", "R"),
-        "match_batch": encode_match_batch(batch),
-        "final": encode_final_frame(result),
+        "match_batch": encode_match_batch(ChainMatchBatch(
+            tuples=[chain.tuples[2], chain.tuples[0]],
+            payloads=[chain.payloads[2], chain.payloads[0]],
+        )),
+        "final": encode_final_frame(chain),
         "error": encode_error_frame("QueryError", "boom"),
-        # v5 scatter frames ride through the same truncation/bit-flip
-        # machinery as the v4 frames.
         "shard_map": encode_shard_map(ShardMapFrame(
             shard_count=2,
             seed=b"repro-shard-v1",
             tables=("L", "R"),
             endpoints=(("h0", 9000), ("h1", 9001)),
         )),
-        "scatter_chunk": encode_scatter_chunk("left", [
+        "scatter_chunk": encode_scatter_chunk((1,), [
             (4, b"\x11" * 32, b"payload-4"),
             (9, b"\x22" * 32, b""),
         ]),
+        "scatter_chunk_pooled": encode_scatter_chunk((0, 2), [
+            (6, b"\x33" * 32, b"payload-6"),
+        ]),
         "scatter_final": encode_scatter_final(ScatterFinalFrame(
-            candidates_left=3,
-            candidates_right=2,
-            left_report=EngineReport(engine="parallel", workers=2),
-            right_report=EngineReport(engine="batched", batches=1),
+            candidates=[3, 2],
+            reports=[
+                EngineReport(engine="parallel", workers=2),
+                EngineReport(engine="batched", batches=1),
+            ],
         )),
     }
 
 
-#: Exceptions that must never escape a decoder, however hostile the
-#: input.  ``MemoryError`` means an unvalidated count committed an
-#: allocation; the rest are implementation details leaking through.
-_FORBIDDEN = (
-    MemoryError,
-    OverflowError,
-    KeyError,
-    IndexError,
-    TypeError,
-    ValueError,
-    AttributeError,
-)
+def _decode(name: str, blob: bytes):
+    if name.startswith("query"):
+        return decode_join_query(blob, BACKEND)
+    if name == "result":
+        return decode_join_result(blob)
+    return decode_frame(blob)
+
+
+def _table_blob() -> bytes:
+    """A stored table with every optional section of the store format."""
+    table = EncryptedTable(
+        name="T",
+        schema=Schema.of(("k", "int"), ("c", "str")),
+        join_column="k",
+        attribute_columns=("c",),
+        ciphertexts=[SJRowCiphertext((11, 12, 13)), SJRowCiphertext((21, 22, 23))],
+        payloads=[b"row-0", b"row-1"],
+        prefilter_tags={"c": [b"\x01" * 32, b"\x02" * 32]},
+        shard=ShardDescriptor(
+            shard_index=1, shard_count=2, seed=b"repro-shard-v1",
+            global_indices=(3, 8),
+        ),
+    )
+    prepare_encrypted_table(table, BACKEND)
+    return encode_encrypted_table(table, BACKEND)
+
+
+SAMPLES = _samples()
+TABLE_BLOB = _table_blob()
+
+
+def _rewrite_header(blob: bytes, **overrides) -> bytes:
+    """Re-emit a valid message with hostile header fields."""
+    reader = Reader(blob)
+    magic = reader.take(8)
+    version = reader.u8()
+    header = json.loads(reader.blob())
+    body = blob[len(blob) - reader.remaining:]
+    header.update(overrides)
+    writer = Writer()
+    writer.raw(magic).u8(version)
+    # json.dumps cannot emit NaN/Infinity by default; some tests need
+    # exactly those hostile values on the wire, so allow them here (the
+    # *decoder* must reject them).
+    writer.blob(json.dumps(header, allow_nan=True).encode("utf-8"))
+    writer.raw(body)
+    return writer.getvalue()
+
+
+def _frame(header: dict, body: bytes = b"") -> bytes:
+    writer = Writer()
+    write_header(writer, b"RPROJFRM", VERSION, header)
+    return writer.raw(body).getvalue()
 
 
 def _assert_only_scheme_error(decode, blob):
-    """Decoding ``blob`` either succeeds or raises exactly SchemeError."""
+    """Decoding ``blob`` either succeeds or raises exactly SchemeError.
+
+    Anything else — ``MemoryError`` from an unvalidated count,
+    ``KeyError`` / ``TypeError`` / ``struct.error`` from internals
+    leaking — propagates and fails the test with the real traceback.
+    """
     try:
         decode(blob)
     except SchemeError:
         pass
-    # Anything in _FORBIDDEN (or any other exception) propagates and
-    # fails the test with the real traceback.
 
 
-# -- truncation at every byte offset ---------------------------------------
+# -- truncation and corruption, every message kind -------------------------
 
 
 class TestTruncation:
-    """Every proper prefix of a valid payload fails with SchemeError."""
+    """Every proper prefix of a valid message fails with SchemeError."""
 
-    def test_query_truncated_at_every_offset(self):
-        blob, client = _query_bytes()
-        backend = client.scheme.backend
-        for cut in range(len(blob)):
-            prefix = blob[:cut]
-            with pytest.raises(SchemeError):
-                decode_join_query(prefix, backend)
-
-    def test_result_truncated_at_every_offset(self):
-        blob, _ = _result_bytes()
+    @pytest.mark.parametrize("name", sorted(SAMPLES))
+    def test_truncated_at_every_offset(self, name):
+        blob = SAMPLES[name]
         for cut in range(len(blob)):
             with pytest.raises(SchemeError):
-                decode_join_result(blob[:cut])
+                _decode(name, blob[:cut])
 
-    @pytest.mark.parametrize("kind", sorted(_frame_bytes()))
-    def test_frame_truncated_at_every_offset(self, kind):
-        blob = _frame_bytes()[kind]
-        for cut in range(len(blob)):
-            with pytest.raises(SchemeError):
-                decode_frame(blob[:cut])
 
-    def test_query_with_prefilter_truncated_at_every_offset(self):
-        left = Table("L", Schema.of(("k", "int"), ("c", "str")),
-                     [(1, "x"), (2, "y")])
-        right = Table("R", Schema.of(("k", "int"), ("d", "str")),
-                      [(1, "p")])
-        client = SecureJoinClient.for_tables(
-            [(left, "k"), (right, "k")],
-            in_clause_limit=2,
-            rng=random.Random(3),
-            enable_prefilter=True,
+class TestCorruption:
+    """Single-bit corruption anywhere in a message: only SchemeError.
+
+    Flips land in the magic, the version byte, the header length, the
+    JSON header, and the body — every region of the message.  Decoding
+    may still *succeed* (some JSON bytes are don't-cares); it must never
+    raise anything but SchemeError.
+    """
+
+    @settings(max_examples=600, deadline=None)
+    @given(name=st.sampled_from(sorted(SAMPLES)), data=st.data())
+    def test_bit_flips(self, name, data):
+        blob = SAMPLES[name]
+        offset = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        bit = data.draw(st.integers(min_value=0, max_value=7))
+        corrupted = bytearray(blob)
+        corrupted[offset] ^= 1 << bit
+        _assert_only_scheme_error(
+            lambda b: _decode(name, b), bytes(corrupted)
         )
-        client.encrypt_table(left, "k")
-        client.encrypt_table(right, "k")
-        query = client.create_query(JoinQuery.build(
-            "L", "R", on=("k", "k"), where_left={"c": ["x"]},
-        ))
-        blob = encode_join_query(query, client.scheme.backend)
-        assert query.left_prefilter  # the interesting body section exists
-        for cut in range(len(blob)):
-            with pytest.raises(SchemeError):
-                decode_join_query(blob[:cut], client.scheme.backend)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        header_json=st.dictionaries(
+            st.text(max_size=12),
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.integers(min_value=-(2**70), max_value=2**70),
+                st.floats(allow_nan=False),
+                st.text(max_size=16),
+                st.lists(st.integers(), max_size=4),
+            ),
+            max_size=6,
+        ),
+        body=st.binary(max_size=64),
+    )
+    def test_arbitrary_headers_never_leak_internals(self, header_json, body):
+        # Well-formed JSON of arbitrary shape: type confusion territory.
+        for magic, name in (
+            (b"RPROJQRY", "query"), (b"RPROJRES", "result"),
+            (b"RPROJFRM", "frame"),
+        ):
+            writer = Writer()
+            write_header(writer, magic, VERSION, header_json)
+            writer.raw(body)
+            _assert_only_scheme_error(
+                lambda b: _decode(name, b), writer.getvalue()
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from([
+            "stream_header", "match_batch", "final", "error", "shard_map",
+            "scatter_chunk", "scatter_final",
+        ]),
+        fields=st.dictionaries(
+            st.sampled_from([
+                "query_id", "tables", "arity", "n_tuples", "stats",
+                "positions", "n_rows", "candidates", "reports",
+            ]),
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.integers(min_value=-(2**40), max_value=2**40),
+                st.text(max_size=4),
+                st.lists(
+                    st.one_of(st.integers(-2, 9), st.text(max_size=2),
+                              st.none(), st.lists(st.integers(), max_size=2)),
+                    max_size=10,
+                ),
+                st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+            ),
+        ),
+        body=st.binary(max_size=48),
+    )
+    def test_typed_frame_headers_never_leak_internals(
+        self, kind, fields, body
+    ):
+        # The right field names with the wrong shapes, per frame kind.
+        _assert_only_scheme_error(
+            decode_frame, _frame({"kind": kind, **fields}, body)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=st.binary(max_size=128))
+    def test_random_bytes_never_leak_internals(self, blob):
+        for name in ("query", "result", "frame"):
+            _assert_only_scheme_error(lambda b: _decode(name, b), blob)
 
 
 # -- hostile counts and sizes ----------------------------------------------
@@ -217,9 +357,8 @@ class TestHostileCounts:
     """Wire-supplied counts must be bounded before any allocation."""
 
     def test_element_vector_count_bounded_by_remaining(self):
-        # A count claiming ~4 billion elements with a 12-byte body: the
-        # old code built the list element-by-element until truncation;
-        # worse counts could MemoryError.  Now it fails up front.
+        # A count claiming ~4 billion elements with a 12-byte body must
+        # fail up front, not build a list until truncation (or worse).
         writer = Writer()
         writer.u32(0xFFFFFFFF).raw(b"\x00" * 12)
         with pytest.raises(SchemeError, match="bad element-vector count"):
@@ -241,235 +380,152 @@ class TestHostileCounts:
 
     @pytest.mark.parametrize("n_pairs", [-1, -(2**40)])
     def test_result_negative_pair_count_rejected(self, n_pairs):
-        writer = Writer()
-        write_header(writer, b"RPROJRES", wire_module._VERSION, {
-            "left_table": "L", "right_table": "R",
-            "n_pairs": n_pairs, "stats": {},
-        })
+        hostile = _rewrite_header(SAMPLES["result"], n_pairs=n_pairs)
         with pytest.raises(SchemeError, match="n_pairs"):
-            decode_join_result(writer.getvalue())
+            decode_join_result(hostile)
 
-    @pytest.mark.parametrize("n_pairs", [1, 10**6, 2**61])
-    def test_result_oversized_pair_count_rejected_before_read(self, n_pairs):
-        # No body bytes at all: any positive count exceeds remaining//8.
-        writer = Writer()
-        write_header(writer, b"RPROJRES", wire_module._VERSION, {
-            "left_table": "L", "right_table": "R",
-            "n_pairs": n_pairs, "stats": {},
-        })
-        with pytest.raises(SchemeError, match="bad pair count"):
-            decode_join_result(writer.getvalue())
+    @pytest.mark.parametrize("count", [10**6, 2**31, 2**61])
+    @pytest.mark.parametrize(
+        "name, key", [("result", "n_pairs"), ("match_batch", "n_tuples"),
+                      ("final", "n_tuples")],
+    )
+    def test_oversized_tuple_count_rejected_before_read(
+        self, name, key, count
+    ):
+        hostile = _rewrite_header(SAMPLES[name], **{key: count})
+        with pytest.raises(SchemeError, match="bad tuple count"):
+            _decode(name, hostile)
 
-    def test_match_batch_frame_oversized_pair_count_rejected(self):
-        writer = Writer()
-        write_header(writer, b"RPROJFRM", wire_module._VERSION, {
-            "kind": "match_batch", "n_pairs": 2**32,
-        })
-        with pytest.raises(SchemeError, match="bad pair count"):
-            decode_frame(writer.getvalue())
+    @pytest.mark.parametrize(
+        "arity", [0, 1, -3, MAX_CHAIN_TABLES + 1, "x", None, 2.0, True]
+    )
+    def test_batch_bad_arity_rejected(self, arity):
+        with pytest.raises(SchemeError):
+            decode_frame(_rewrite_header(SAMPLES["match_batch"], arity=arity))
+
+    @pytest.mark.parametrize(
+        "tables",
+        [[], ["T"], ["T"] * (MAX_CHAIN_TABLES + 1), "T0T1", [1, 2], None],
+    )
+    @pytest.mark.parametrize("name", ["final", "stream_header"])
+    def test_frame_tables_validated(self, name, tables):
+        with pytest.raises(SchemeError, match="tables"):
+            decode_frame(_rewrite_header(SAMPLES[name], tables=tables))
+
+    @pytest.mark.parametrize("tables", [["T0", "T1"], ["T0", "T1"] * 2])
+    def test_final_tables_must_fit_the_tuple_run(self, tables):
+        # A valid table list of the wrong length mis-sizes the tuple
+        # run: trailing bytes or a short read, never a mis-parse.
+        with pytest.raises(SchemeError):
+            decode_frame(_rewrite_header(SAMPLES["final"], tables=tables))
 
     def test_query_g1_size_mismatch_is_a_clear_error(self):
-        # Satellite 1: a query built by a differently parameterized
-        # backend must fail on the declared element size, not with a
-        # misleading truncated-blob error deep in the body.
-        blob, client = _query_bytes()
-        backend = client.scheme.backend
-        reader = Reader(blob)
-        reader.take(len(b"RPROJQRY"))
-        reader.u8()
-        header = json.loads(reader.blob())
-        body = blob[len(blob) - reader.remaining:]
-        header["g1_element_size"] = backend.g1_element_size + 1
-        writer = Writer()
-        write_header(writer, b"RPROJQRY", wire_module._VERSION, header)
-        writer.raw(body)
+        # A query built by a differently parameterized backend must fail
+        # on the declared element size, not with a misleading
+        # truncated-blob error deep in the body.
+        hostile = _rewrite_header(
+            SAMPLES["query_join"], g1_element_size=BACKEND.g1_element_size + 1
+        )
         with pytest.raises(SchemeError, match="mismatched backend"):
-            decode_join_query(writer.getvalue(), backend)
+            decode_join_query(hostile, BACKEND)
+
+    def test_query_backend_mismatch_rejected(self):
+        hostile = _rewrite_header(SAMPLES["query_chain5"], backend="bn254")
+        with pytest.raises(SchemeError, match="backend"):
+            decode_join_query(hostile, BACKEND)
 
     def test_query_priority_magnitude_capped(self):
-        blob, client = _query_bytes()
-        backend = client.scheme.backend
-        for hostile in (MAX_PRIORITY_MAGNITUDE + 1, -(2**300)):
-            rewritten = _rewrite_query_header(blob, priority=hostile)
+        for hostile in (MAX_PRIORITY_MAGNITUDE + 1, -(2**300), None, "1"):
+            rewritten = _rewrite_header(
+                SAMPLES["query_join"], priority=hostile
+            )
             with pytest.raises(SchemeError, match="priority"):
-                decode_join_query(rewritten, backend)
+                decode_join_query(rewritten, BACKEND)
 
     @pytest.mark.parametrize(
         "deadline", [0, -1.5, float("nan"), float("inf"), "soon", True]
     )
     def test_query_bad_deadline_rejected(self, deadline):
-        blob, client = _query_bytes()
-        rewritten = _rewrite_query_header(blob, deadline=deadline)
+        rewritten = _rewrite_header(SAMPLES["query_chain5"], deadline=deadline)
         with pytest.raises(SchemeError, match="deadline"):
-            decode_join_query(rewritten, client.scheme.backend)
+            decode_join_query(rewritten, BACKEND)
 
-
-def _rewrite_query_header(blob: bytes, **overrides) -> bytes:
-    """Re-emit a valid query blob with hostile header fields."""
-    reader = Reader(blob)
-    reader.take(len(b"RPROJQRY"))
-    version = reader.u8()
-    header = json.loads(reader.blob())
-    body = blob[len(blob) - reader.remaining:]
-    header.update(overrides)
-    writer = Writer()
-    writer.raw(b"RPROJQRY").u8(version)
-    # json.dumps cannot emit NaN/Infinity by default; these tests need
-    # exactly those hostile values on the wire, so allow them here (the
-    # *decoder* must reject them).
-    writer.blob(json.dumps(header, allow_nan=True).encode("utf-8"))
-    writer.raw(body)
-    return writer.getvalue()
-
-
-# -- property-based corruption ---------------------------------------------
-
-
-_QUERY_BLOB, _QUERY_CLIENT = _query_bytes(seed=11)
-_RESULT_BLOB, _ = _result_bytes()
-_FRAME_BLOBS = _frame_bytes()
-
-
-def _header_span(blob: bytes, magic_len: int = 8) -> tuple[int, int]:
-    """Byte range of the JSON header inside ``blob``."""
-    reader = Reader(blob)
-    reader.take(magic_len)
-    reader.u8()
-    length = reader.u32()
-    start = magic_len + 1 + 4
-    return start, start + length
-
-
-class TestHeaderBitFlips:
-    """Single-bit corruption anywhere in the message: only SchemeError.
-
-    Flips land in the magic, the version byte, the header length, the
-    JSON header, and the body — every region of the message.  Decoding
-    may still *succeed* (some JSON bytes are don't-cares); it must never
-    raise anything but SchemeError.
-    """
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        offset=st.integers(min_value=0, max_value=len(_QUERY_BLOB) - 1),
-        bit=st.integers(min_value=0, max_value=7),
+    @pytest.mark.parametrize(
+        "name, pair",
+        [("query_join", None), ("query_join", 1), ("query_join", "yes"),
+         ("query_chain5", True), ("query_chain5", 0)],
     )
-    def test_query_bit_flips(self, offset, bit):
-        corrupted = bytearray(_QUERY_BLOB)
-        corrupted[offset] ^= 1 << bit
-        _assert_only_scheme_error(
-            lambda b: decode_join_query(b, _QUERY_CLIENT.scheme.backend),
-            bytes(corrupted),
+    def test_query_pair_flag_validated(self, name, pair):
+        # The flag is a boolean, and only a two-table query may ask for
+        # the pair order.
+        with pytest.raises(SchemeError, match="pair"):
+            decode_join_query(_rewrite_header(SAMPLES[name], pair=pair), BACKEND)
+
+    @pytest.mark.parametrize(
+        "key", ["query_id", "tables", "pair", "backend", "g1_element_size",
+                "prefilter_columns", "engine_hint", "priority", "deadline"],
+    )
+    def test_query_header_fields_are_all_required(self, key):
+        # One version: no field is optional-with-a-default any more.
+        reader = Reader(SAMPLES["query_join"])
+        reader.take(8), reader.u8()
+        header = json.loads(reader.blob())
+        body = SAMPLES["query_join"][-reader.remaining:]
+        del header[key]
+        writer = Writer()
+        write_header(writer, b"RPROJQRY", VERSION, header)
+        with pytest.raises(SchemeError, match=key):
+            decode_join_query(writer.raw(body).getvalue(), BACKEND)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [[None], [None] * 6, [None, None, None, None, "a"],
+         [None, None, None, None, [1]], "abcde", None],
+    )
+    def test_query_prefilter_columns_validated(self, columns):
+        hostile = _rewrite_header(
+            SAMPLES["query_chain5"], prefilter_columns=columns
         )
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        offset=st.integers(min_value=0, max_value=len(_RESULT_BLOB) - 1),
-        bit=st.integers(min_value=0, max_value=7),
-    )
-    def test_result_bit_flips(self, offset, bit):
-        corrupted = bytearray(_RESULT_BLOB)
-        corrupted[offset] ^= 1 << bit
-        _assert_only_scheme_error(decode_join_result, bytes(corrupted))
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        kind=st.sampled_from(sorted(_FRAME_BLOBS)),
-        data=st.data(),
-    )
-    def test_frame_bit_flips(self, kind, data):
-        blob = _FRAME_BLOBS[kind]
-        offset = data.draw(
-            st.integers(min_value=0, max_value=len(blob) - 1)
-        )
-        bit = data.draw(st.integers(min_value=0, max_value=7))
-        corrupted = bytearray(blob)
-        corrupted[offset] ^= 1 << bit
-        _assert_only_scheme_error(decode_frame, bytes(corrupted))
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        header_json=st.dictionaries(
-            st.text(max_size=12),
-            st.one_of(
-                st.none(),
-                st.booleans(),
-                st.integers(min_value=-(2**70), max_value=2**70),
-                st.floats(allow_nan=False),
-                st.text(max_size=16),
-                st.lists(st.integers(), max_size=4),
-            ),
-            max_size=6,
-        ),
-        body=st.binary(max_size=64),
-    )
-    def test_arbitrary_headers_never_leak_internals(self, header_json, body):
-        # Well-formed JSON of arbitrary shape: type confusion territory.
-        for magic, decode in (
-            (b"RPROJQRY",
-             lambda b: decode_join_query(b, _QUERY_CLIENT.scheme.backend)),
-            (b"RPROJRES", decode_join_result),
-            (b"RPROJFRM", decode_frame),
-        ):
-            writer = Writer()
-            write_header(writer, magic, wire_module._VERSION, header_json)
-            writer.raw(body)
-            _assert_only_scheme_error(decode, writer.getvalue())
-
-    @settings(max_examples=150, deadline=None)
-    @given(blob=st.binary(max_size=128))
-    def test_random_bytes_never_leak_internals(self, blob):
-        _assert_only_scheme_error(
-            lambda b: decode_join_query(b, _QUERY_CLIENT.scheme.backend),
-            blob,
-        )
-        _assert_only_scheme_error(decode_join_result, blob)
-        _assert_only_scheme_error(decode_frame, blob)
-
-
-# -- hostile scatter frames (v5) -------------------------------------------
+        with pytest.raises(SchemeError):
+            decode_join_query(hostile, BACKEND)
 
 
 class TestHostileScatterFrames:
     """Shard-map / scatter frames under hostile headers: bounded counts,
-    validated endpoints and seeds, only SchemeError escaping."""
+    validated positions, endpoints and seeds, only SchemeError escaping."""
 
     @pytest.mark.parametrize("n_rows", [-1, 1, 10**6, 2**61])
     def test_scatter_chunk_bad_row_count_rejected_before_read(self, n_rows):
-        writer = Writer()
-        write_header(writer, b"RPROJFRM", wire_module._VERSION, {
-            "kind": "scatter_chunk", "side": "left", "n_rows": n_rows,
-        })
+        hostile = _frame(
+            {"kind": "scatter_chunk", "positions": [0], "n_rows": n_rows}
+        )
         with pytest.raises(SchemeError, match="row count|n_rows"):
-            decode_frame(writer.getvalue())
+            decode_frame(hostile)
 
-    @pytest.mark.parametrize("side", ["middle", "", 3, None, ["left"]])
-    def test_scatter_chunk_bad_side_rejected(self, side):
-        writer = Writer()
-        write_header(writer, b"RPROJFRM", wire_module._VERSION, {
-            "kind": "scatter_chunk", "side": side, "n_rows": 0,
-        })
-        with pytest.raises(SchemeError, match="side"):
-            decode_frame(writer.getvalue())
+    @pytest.mark.parametrize(
+        "positions",
+        [[], [0, 0], [MAX_CHAIN_TABLES], [-1], ["left"], "left", None, 3,
+         [[0]], [True], list(range(MAX_CHAIN_TABLES + 1)), [1.0]],
+    )
+    def test_scatter_chunk_bad_positions_rejected(self, positions):
+        hostile = _rewrite_header(
+            SAMPLES["scatter_chunk"], positions=positions
+        )
+        with pytest.raises(SchemeError, match="position"):
+            decode_frame(hostile)
 
     @pytest.mark.parametrize("count", [0, -1, 1025, 2**40, True, "2", None])
     def test_shard_map_hostile_count_rejected(self, count):
-        writer = Writer()
-        write_header(writer, b"RPROJFRM", wire_module._VERSION, {
-            "kind": "shard_map", "shard_count": count,
-            "seed": "aa", "tables": [], "endpoints": [],
-        })
+        hostile = _rewrite_header(
+            SAMPLES["shard_map"], shard_count=count, endpoints=[]
+        )
         with pytest.raises(SchemeError, match="shard"):
-            decode_frame(writer.getvalue())
+            decode_frame(hostile)
 
     def test_shard_map_endpoint_count_must_match(self):
-        writer = Writer()
-        write_header(writer, b"RPROJFRM", wire_module._VERSION, {
-            "kind": "shard_map", "shard_count": 3, "seed": "aa",
-            "tables": ["L"], "endpoints": [["h", 1], ["h", 2]],
-        })
+        hostile = _rewrite_header(SAMPLES["shard_map"], shard_count=3)
         with pytest.raises(SchemeError, match="exactly 3 endpoints"):
-            decode_frame(writer.getvalue())
+            decode_frame(hostile)
 
     @pytest.mark.parametrize(
         "endpoint",
@@ -477,160 +533,142 @@ class TestHostileScatterFrames:
          ["h", "80"], None],
     )
     def test_shard_map_bad_endpoint_rejected(self, endpoint):
-        writer = Writer()
-        write_header(writer, b"RPROJFRM", wire_module._VERSION, {
-            "kind": "shard_map", "shard_count": 1, "seed": "aa",
-            "tables": [], "endpoints": [endpoint],
-        })
+        hostile = _rewrite_header(
+            SAMPLES["shard_map"], endpoints=[["h0", 9000], endpoint]
+        )
         with pytest.raises(SchemeError):
-            decode_frame(writer.getvalue())
+            decode_frame(hostile)
 
     @pytest.mark.parametrize("seed", ["", "zz", "a" * 200, 7, None, "abc"])
     def test_shard_map_bad_seed_rejected(self, seed):
-        writer = Writer()
-        write_header(writer, b"RPROJFRM", wire_module._VERSION, {
-            "kind": "shard_map", "shard_count": 1, "seed": seed,
-            "tables": [], "endpoints": [["h", 1]],
-        })
         with pytest.raises(SchemeError):
-            decode_frame(writer.getvalue())
+            decode_frame(_rewrite_header(SAMPLES["shard_map"], seed=seed))
 
     @pytest.mark.parametrize(
         "reports",
         [
-            "not-a-dict",
-            {"left": "not-a-dict"},
-            {"left": {"planner": "not-a-dict"}},
-            {"left": {"engine": {"nested": True}}},
+            "not-a-list",
+            {"left": None},
+            ["not-a-dict", None],
+            [{"planner": "not-a-dict"}, None],
+            [None],
+            [None, None, None],
         ],
     )
     def test_scatter_final_malformed_reports_rejected(self, reports):
-        writer = Writer()
-        write_header(writer, b"RPROJFRM", wire_module._VERSION, {
-            "kind": "scatter_final", "candidates_left": 1,
-            "candidates_right": 1, "reports": reports,
-        })
-        _assert_only_scheme_error(decode_frame, writer.getvalue())
+        hostile = _rewrite_header(SAMPLES["scatter_final"], reports=reports)
+        with pytest.raises(SchemeError, match="report"):
+            decode_frame(hostile)
 
-    @pytest.mark.parametrize("count", [-1, "3", None, 1.5])
-    def test_scatter_final_bad_candidate_counts_rejected(self, count):
-        writer = Writer()
-        write_header(writer, b"RPROJFRM", wire_module._VERSION, {
-            "kind": "scatter_final", "candidates_left": count,
-            "candidates_right": 0, "reports": {},
-        })
-        with pytest.raises(SchemeError, match="candidates_left"):
-            decode_frame(writer.getvalue())
-
-
-# -- v4 round-trip ----------------------------------------------------------
-
-
-class TestWireV4RoundTrip:
-    def test_query_qos_round_trips(self):
-        client, _, _ = _fixture(seed=21)
-        query = client.create_query(
-            JoinQuery.build("L", "R", on=("k", "k")),
-            priority=5,
-            deadline=12.5,
+    @pytest.mark.parametrize(
+        "candidates",
+        [[-1, 0], ["3", 0], [None, 0], [1.5, 0], [True, 0], 5, None, [],
+         [0] * (MAX_CHAIN_TABLES + 1), [3]],
+    )
+    def test_scatter_final_bad_candidate_counts_rejected(self, candidates):
+        hostile = _rewrite_header(
+            SAMPLES["scatter_final"], candidates=candidates
         )
-        decoded = decode_join_query(
-            encode_join_query(query, client.scheme.backend),
-            client.scheme.backend,
+        with pytest.raises(SchemeError, match="candidate"):
+            decode_frame(hostile)
+
+
+# -- round trips ------------------------------------------------------------
+
+
+@st.composite
+def _arity_and_rows(draw):
+    arity = draw(st.integers(min_value=2, max_value=MAX_CHAIN_TABLES))
+    rows = draw(st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(0, 2**32 - 1)] * arity),
+            st.tuples(*[st.binary(max_size=12)] * arity),
+        ),
+        max_size=6,
+        unique_by=lambda row: row[0],
+    ))
+    return arity, [r[0] for r in rows], [r[1] for r in rows]
+
+
+class TestRoundTrip:
+    """``decode(encode(x)) == x`` at every arity the family carries."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=_arity_and_rows(),
+        priority=st.integers(-MAX_PRIORITY_MAGNITUDE, MAX_PRIORITY_MAGNITUDE),
+        deadline=st.one_of(st.none(), st.floats(0.001, 1e6)),
+        hint=st.sampled_from([None, "serial", "auto"]),
+        pair=st.booleans(),
+    )
+    def test_query_batch_and_final_round_trip(
+        self, shape, priority, deadline, hint, pair
+    ):
+        arity, tuples, payloads = shape
+        pair = pair and arity == 2
+        query_type = EncryptedJoinQuery if pair else EncryptedChainQuery
+        template = _chain_query(arity)
+        query = query_type(
+            query_id=len(tuples),
+            tables=template.tables,
+            tokens=template.tokens,
+            prefilters=template.prefilters,
+            engine_hint=hint,
+            priority=priority,
+            deadline=deadline,
         )
-        assert decoded.priority == 5
-        assert decoded.deadline == 12.5
-        assert decoded.left_token == query.left_token
-        assert decoded.right_token == query.right_token
+        decoded = decode_join_query(encode_join_query(query, BACKEND), BACKEND)
+        assert decoded == query and type(decoded) is query_type
 
-    def test_query_defaults_round_trip(self):
-        blob, client = _query_bytes(seed=22)
-        decoded = decode_join_query(blob, client.scheme.backend)
-        assert decoded.priority == 0
-        assert decoded.deadline is None
+        batch = (MatchBatch if pair else ChainMatchBatch)(tuples, payloads)
+        frame = decode_frame(encode_match_batch(batch))
+        assert isinstance(frame, MatchBatchFrame)
+        assert frame.batch.tuples == tuples
+        assert frame.batch.payloads == payloads
 
-    def test_all_frames_round_trip(self):
-        header = decode_frame(encode_stream_header(42, "L", "R"))
-        assert header == StreamHeaderFrame(42, "L", "R")
-
-        batch = MatchBatch(
-            index_pairs=[(3, 1), (0, 2)],
-            left_payloads=[b"lp3", b"lp0"],
-            right_payloads=[b"rp1", b"rp2"],
+        result = (EncryptedJoinResult if pair else EncryptedChainResult)(
+            query.tables, tuples, payloads, ServerStats(matches=len(tuples))
         )
-        decoded_batch = decode_frame(encode_match_batch(batch))
-        assert isinstance(decoded_batch, MatchBatchFrame)
-        assert decoded_batch.batch == batch
-
-        _, result = _result_bytes()
         final = decode_frame(encode_final_frame(result))
-        assert isinstance(final, FinalFrame)
-        assert final.index_pairs == result.index_pairs
-        assert final.stats == result.stats
+        assert final == FinalFrame(query.tables, tuples, result.stats)
 
-        error = decode_frame(encode_error_frame("DeadlineError", "late"))
-        assert error == ErrorFrame("DeadlineError", "late")
+        reassembler = StreamReassembler(query)
+        assert reassembler.add_batch(frame.batch) == batch
+        assert reassembler.finish(final) == result
 
-    def test_reassembler_rebuilds_canonical_result(self):
-        _, result = _result_bytes()
-        # Deliver the pairs across two batches in scrambled order.
-        reassembler = StreamReassembler()
-        reassembler.add_batch(MatchBatch(
-            index_pairs=[result.index_pairs[2], result.index_pairs[0]],
-            left_payloads=[result.left_payloads[2], result.left_payloads[0]],
-            right_payloads=[
-                result.right_payloads[2], result.right_payloads[0],
-            ],
-        ))
-        reassembler.add_batch(MatchBatch(
-            index_pairs=[result.index_pairs[1]],
-            left_payloads=[result.left_payloads[1]],
-            right_payloads=[result.right_payloads[1]],
-        ))
-        final = decode_frame(encode_final_frame(result))
-        rebuilt = reassembler.finish(final)
-        assert rebuilt == result
-        assert encode_join_result(rebuilt) == encode_join_result(result)
+        if pair:
+            # The pair names are views of the positional columns.
+            assert decoded.left_table == query.tables[0]
+            assert decoded.right_table == query.tables[1]
+            assert (decoded.left_token, decoded.right_token) == query.tokens
+            assert (
+                decoded.left_prefilter, decoded.right_prefilter
+            ) == query.prefilters
+            for shaped in (batch, result):
+                assert shaped.index_pairs == tuples
+                assert shaped.left_payloads == [p[0] for p in payloads]
+                assert shaped.right_payloads == [p[1] for p in payloads]
+            assert (result.left_table, result.right_table) == query.tables
+            assert decode_join_result(encode_join_result(result)) == result
 
-    def test_reassembler_rejects_duplicate_and_missing_pairs(self):
-        _, result = _result_bytes()
-        final = decode_frame(encode_final_frame(result))
-        batch = MatchBatch(
-            index_pairs=[result.index_pairs[0]],
-            left_payloads=[result.left_payloads[0]],
-            right_payloads=[result.right_payloads[0]],
-        )
-        reassembler = StreamReassembler()
-        reassembler.add_batch(batch)
-        with pytest.raises(SchemeError, match="more than once"):
-            reassembler.add_batch(batch)
-        with pytest.raises(SchemeError, match="claims"):
-            StreamReassemblerWith(batch).finish(final)
+    def test_shared_tokens_stay_byte_identical(self):
+        # What the server's handle pool groups by survives the wire.
+        decoded = decode_join_query(SAMPLES["query_chain5"], BACKEND)
+        assert decoded.tokens[0] == decoded.tokens[3]
+        assert decoded.tokens[0] != decoded.tokens[1]
 
-    def test_reassembler_rejects_final_naming_undelivered_pair(self):
-        _, result = _result_bytes()
-        reassembler = StreamReassembler()
-        reassembler.add_batch(MatchBatch(
-            index_pairs=[(90, 90), (91, 91), (92, 92)],
-            left_payloads=[b"x", b"y", b"z"],
-            right_payloads=[b"x", b"y", b"z"],
-        ))
-        final = decode_frame(encode_final_frame(result))
-        with pytest.raises(SchemeError, match="no match batch delivered"):
-            reassembler.finish(final)
+    def test_empty_batch_round_trips(self):
+        for batch_type in (MatchBatch, ChainMatchBatch):
+            frame = decode_frame(encode_match_batch(batch_type([], [])))
+            assert frame.batch == ChainMatchBatch([], [])
 
-
-def StreamReassemblerWith(batch: MatchBatch) -> StreamReassembler:
-    reassembler = StreamReassembler()
-    reassembler.add_batch(batch)
-    return reassembler
-
-
-# -- v5 round-trip ----------------------------------------------------------
-
-
-class TestWireV5RoundTrip:
-    def test_shard_map_round_trips(self):
+    def test_control_frames_round_trip(self):
+        assert decode_frame(
+            encode_stream_header(42, "A", "B", "A")
+        ) == StreamHeaderFrame(42, ("A", "B", "A"))
+        assert decode_frame(
+            encode_error_frame("DeadlineError", "late")
+        ) == ErrorFrame("DeadlineError", "late")
         shard_map = ShardMapFrame(
             shard_count=4,
             seed=b"repro-shard-v1",
@@ -642,151 +680,161 @@ class TestWireV5RoundTrip:
         )
         assert decode_frame(encode_shard_map(shard_map)) == shard_map
 
-    def test_scatter_chunk_round_trips(self):
+    @pytest.mark.parametrize("positions", [(1,), (0, 2), (7, 3, 0)])
+    def test_scatter_chunk_round_trips(self, positions):
         items = [(0, b"\x00" * 48, b"p0"), (7, b"\xff" * 48, b"")]
-        decoded = decode_frame(encode_scatter_chunk("right", items))
-        assert isinstance(decoded, ScatterChunkFrame)
-        assert decoded.side == "right"
-        assert decoded.items == items
+        decoded = decode_frame(encode_scatter_chunk(positions, items))
+        assert decoded == ScatterChunkFrame(positions, items)
 
     def test_scatter_final_round_trips_reports(self):
-        from repro.core.engine import EngineReport
-
         final = ScatterFinalFrame(
-            candidates_left=11,
-            candidates_right=0,
-            left_report=EngineReport(
-                engine="parallel", batches=3, workers=2, miller_loops=44,
-            ),
-            right_report=None,
+            candidates=[11, 0, 4],
+            reports=[
+                EngineReport(
+                    engine="parallel", batches=3, workers=2, miller_loops=44,
+                ),
+                None,
+                EngineReport(engine="serial", planner={"stage": "side"}),
+            ],
         )
         assert decode_frame(encode_scatter_final(final)) == final
 
     def test_scatter_final_tolerates_unknown_report_fields(self):
-        # Newer minor revisions may add report fields; they must drop,
-        # not crash — mirroring the stats decode.
-        writer = Writer()
-        write_header(writer, b"RPROJFRM", wire_module._VERSION, {
-            "kind": "scatter_final", "candidates_left": 1,
-            "candidates_right": 2,
-            "reports": {
-                "left": {"engine": "batched", "from_the_future": 9},
-                "right": None,
-            },
-        })
-        decoded = decode_frame(writer.getvalue())
-        assert decoded.left_report.engine == "batched"
-        assert decoded.right_report is None
+        # The report is an open record like the stats block: unknown
+        # fields drop, they do not crash.
+        decoded = decode_frame(_frame({
+            "kind": "scatter_final", "candidates": [1, 2],
+            "reports": [{"engine": "batched", "from_the_future": 9}, None],
+        }))
+        assert decoded.reports[0].engine == "batched"
+        assert decoded.reports[1] is None
 
-    def test_scatter_frames_accept_v4_stamp(self):
-        # The frame channel's compat window starts at v4; a v4-stamped
-        # scatter frame (e.g. a patched older peer) still decodes.
-        writer = Writer()
-        write_header(writer, b"RPROJFRM", 4, {
-            "kind": "scatter_final", "candidates_left": 0,
-            "candidates_right": 0, "reports": {},
-        })
-        decoded = decode_frame(writer.getvalue())
-        assert decoded == ScatterFinalFrame(0, 0)
 
-    def test_result_stats_carry_shard_fields(self):
-        stats = ServerStats(matches=1, shards=3, shard_skew=1.5)
-        result = EncryptedJoinResult(
-            left_table="L", right_table="R",
-            index_pairs=[(0, 0)], left_payloads=[b"l"],
-            right_payloads=[b"r"], stats=stats,
+# -- the reassembler ---------------------------------------------------------
+
+
+class TestReassembler:
+    def _final(self, result) -> FinalFrame:
+        return decode_frame(encode_final_frame(result))
+
+    def test_rebuilds_canonical_result(self):
+        result = _join_result()
+        # Deliver the pairs across two batches in scrambled order.
+        reassembler = StreamReassembler(_join_query())
+        reassembler.add_batch(ChainMatchBatch(
+            [result.tuples[2], result.tuples[0]],
+            [result.payloads[2], result.payloads[0]],
+        ))
+        last = reassembler.add_batch(
+            ChainMatchBatch([result.tuples[1]], [result.payloads[1]])
         )
-        decoded = decode_join_result(encode_join_result(result))
-        assert decoded.stats.shards == 3
-        assert decoded.stats.shard_skew == 1.5
-        # And a v4 peer's stats (no shard keys) default to unsharded.
-        writer = Writer()
-        write_header(writer, b"RPROJRES", 4, {
-            "left_table": "L", "right_table": "R", "n_pairs": 0,
-            "stats": {"matches": 0},
-        })
-        legacy = decode_join_result(writer.getvalue())
-        assert legacy.stats.shards == 0
-        assert legacy.stats.shard_skew == 0.0
+        assert last == MatchBatch([result.tuples[1]], [result.payloads[1]])
+        rebuilt = reassembler.finish(self._final(result))
+        assert rebuilt == result
+        assert encode_join_result(rebuilt) == encode_join_result(result)
 
+    def test_shape_follows_the_query_type(self):
+        result = _chain_result()
+        query = dataclasses.replace(_chain_query(3), tables=result.tables)
+        reassembler = StreamReassembler(query)
+        batch = ChainMatchBatch(result.tuples, result.payloads)
+        assert reassembler.add_batch(batch) == batch
+        assert reassembler.finish(self._final(result)) == result
 
-# -- v1..v3 backward compatibility -----------------------------------------
+    def test_rejects_duplicate_and_miscounted_tuples(self):
+        result = _join_result()
+        batch = MatchBatch([result.tuples[0]], [result.payloads[0]])
+        reassembler = StreamReassembler(_join_query())
+        reassembler.add_batch(batch)
+        with pytest.raises(SchemeError, match="more than once"):
+            reassembler.add_batch(batch)
+        with pytest.raises(SchemeError, match="claims"):
+            reassembler.finish(self._final(result))
 
+    def test_rejects_final_naming_undelivered_tuple(self):
+        result = _join_result()
+        reassembler = StreamReassembler(_join_query())
+        reassembler.add_batch(MatchBatch(
+            [(90, 90), (91, 91), (92, 92)],
+            [(b"x", b"x"), (b"y", b"y"), (b"z", b"z")],
+        ))
+        with pytest.raises(SchemeError, match="no match batch delivered"):
+            reassembler.finish(self._final(result))
 
-class TestBackwardCompat:
-    """v1–v3 payloads still decode; QoS fields default; frames are v4+."""
-
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_older_query_versions_decode_with_default_qos(self, version):
-        client, enc_left, enc_right = _fixture(seed=31)
-        backend = client.scheme.backend
-        query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        writer = Writer()
-        body = Writer()
-        for token in (query.left_token, query.right_token):
-            from repro.store.codec import write_element_vector
-            write_element_vector(
-                body,
-                [backend.encode_g1(e) for e in token.elements],
-                backend.g1_element_size,
+    def test_rejects_drifting_arity(self):
+        reassembler = StreamReassembler(_join_query())
+        with pytest.raises(SchemeError, match="arity"):
+            reassembler.add_batch(
+                ChainMatchBatch([(0, 1, 2)], [(b"a", b"b", b"c")])
             )
-        header = {
-            "query_id": query.query_id,
-            "left_table": "L",
-            "right_table": "R",
-            "backend": backend.name,
-            "g1_element_size": backend.g1_element_size,
-            "left_prefilter_columns": None,
-            "right_prefilter_columns": None,
-        }
-        if version >= 2:
-            header["engine_hint"] = None
-        # No "priority"/"deadline" keys before v4.
-        write_header(writer, b"RPROJQRY", version, header)
-        writer.raw(body.getvalue())
+        with pytest.raises(SchemeError, match="arity"):
+            reassembler.add_batch(ChainMatchBatch([(0, 1)], [(b"a",)]))
+        with pytest.raises(SchemeError, match="mismatched payload counts"):
+            reassembler.add_batch(ChainMatchBatch([(0, 1)], []))
 
-        decoded = decode_join_query(writer.getvalue(), backend)
-        assert decoded.priority == 0
-        assert decoded.deadline is None
-        assert decoded.left_token == query.left_token
+    def test_rejects_final_for_other_tables(self):
+        reassembler = StreamReassembler(_join_query())
+        for tables in (("L", "X"), ("L", "R", "L")):
+            with pytest.raises(SchemeError, match="expected"):
+                reassembler.finish(FinalFrame(tables, [], ServerStats()))
 
-        server = SecureJoinServer(client.params)
-        server.store(enc_left)
-        server.store(enc_right)
-        result = server.execute_join(decoded)
-        assert sorted(result.index_pairs) == [(0, 0), (2, 0)]
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_older_result_versions_decode(self, version):
-        writer = Writer()
-        write_header(writer, b"RPROJRES", version, {
-            "left_table": "L", "right_table": "R", "n_pairs": 0,
-            "stats": {"matches": 0},
-        })
-        decoded = decode_join_result(writer.getvalue())
-        assert decoded.index_pairs == []
-        assert decoded.stats.matches == 0
+# -- one version ---------------------------------------------------------------
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_frames_reject_pre_v4_versions(self, version):
-        writer = Writer()
-        write_header(writer, b"RPROJFRM", version, {
-            "kind": "error", "error_type": "QueryError", "message": "m",
-        })
-        with pytest.raises(SchemeError, match="version"):
-            decode_frame(writer.getvalue())
 
-    def test_future_versions_rejected_everywhere(self):
-        future = wire_module._VERSION + 1
-        for magic, decode in (
-            (b"RPROJQRY",
-             lambda b: decode_join_query(
-                 b, _QUERY_CLIENT.scheme.backend
-             )),
-            (b"RPROJRES", decode_join_result),
-            (b"RPROJFRM", decode_frame),
-        ):
-            writer = Writer()
-            write_header(writer, magic, future, {})
-            with pytest.raises(SchemeError, match="version"):
-                decode(writer.getvalue())
+class TestOneVersion:
+    """Every message kind, and the store file, is stamped with the one
+    current version; any other version byte is rejected by name."""
+
+    @pytest.mark.parametrize("offset", [-VERSION, -1, +1, 255 - VERSION])
+    @pytest.mark.parametrize("name", sorted(SAMPLES))
+    def test_other_wire_versions_rejected(self, name, offset):
+        blob = bytearray(SAMPLES[name])
+        assert blob[8] == VERSION
+        blob[8] = VERSION + offset
+        with pytest.raises(SchemeError, match=f"only version {VERSION}"):
+            _decode(name, bytes(blob))
+
+    @pytest.mark.parametrize("offset", [-1, +1])
+    def test_other_store_versions_rejected(self, offset):
+        current = tables_module._VERSION
+        for version in (0, current + offset, 255):
+            blob = bytearray(TABLE_BLOB)
+            assert blob[8] == current
+            blob[8] = version
+            with pytest.raises(SchemeError, match=f"only version {current}"):
+                decode_encrypted_table(bytes(blob), BACKEND)
+
+
+# -- golden bytes --------------------------------------------------------------
+
+
+def _golden() -> dict[str, bytes]:
+    files = {f"wire_{name}.bin": blob for name, blob in SAMPLES.items()}
+    files["store_table.bin"] = TABLE_BLOB
+    return files
+
+
+class TestGoldenBytes:
+    """The committed bytes of one message of each kind: an encoder that
+    drifts fails here even though every round trip still passes."""
+
+    @pytest.mark.parametrize("filename", sorted(_golden()))
+    def test_encoders_reproduce_the_committed_bytes(self, filename):
+        assert (DATA / filename).read_bytes() == _golden()[filename]
+
+    def test_committed_bytes_decode(self):
+        for name in SAMPLES:
+            _decode(name, (DATA / f"wire_{name}.bin").read_bytes())
+        table = decode_encrypted_table(
+            (DATA / "store_table.bin").read_bytes(), BACKEND
+        )
+        assert table.shard.global_indices == (3, 8)
+        assert len(table.prepared_rows) == 2
+
+
+if __name__ == "__main__":
+    DATA.mkdir(exist_ok=True)
+    for filename, blob in _golden().items():
+        (DATA / filename).write_bytes(blob)
+        print(f"wrote {DATA / filename} ({len(blob)} bytes)")
