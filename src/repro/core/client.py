@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import threading
 from dataclasses import dataclass, field
 
 from repro.core.engine import ENGINE_NAMES
@@ -22,7 +23,7 @@ from repro.core.scheme import (
     SJToken,
 )
 from repro.crypto.backend import BilinearBackend
-from repro.crypto.hashing import derive_key, keyed_tag
+from repro.crypto.hashing import PrekeyedHmac, derive_key
 from repro.crypto.symmetric import SymmetricCipher
 from repro.db.join import chain_schema
 from repro.db.query import ChainQuery, JoinQuery, TableSelection
@@ -130,6 +131,11 @@ class DecryptedChainResult:
     index_tuples: list[tuple[int, ...]] = field(default_factory=list)
 
 
+#: Bound on the result memo, in retained payload (ciphertext) bytes,
+#: summed over a client's tables; at the cap the memo is cleared whole.
+_MEMO_PAYLOAD_BYTES = 8 << 20
+
+
 class SecureJoinClient:
     """Client: table encryption, token generation, result decryption."""
 
@@ -159,6 +165,14 @@ class SecureJoinClient:
         self.prefilter_columns = prefilter_columns
         self._query_counter = 0
         self._tables: dict[str, EncryptedTable] = {}
+        # Ciphers and tag HMACs by key label, each keyed once.
+        self._keyed: dict[str, SymmetricCipher | PrekeyedHmac] = {}
+        # The result memo, per table: payload bytes -> decoded row, for
+        # payloads whose MAC verified — one that recurs in an answer or
+        # in a later query of the series is decrypted once.
+        self._memos: dict[str, dict[bytes, tuple]] = {}
+        self._memo_bytes = 0
+        self._memo_lock = threading.Lock()
 
     # -- helpers -----------------------------------------------------------
     @staticmethod
@@ -187,11 +201,19 @@ class SecureJoinClient:
             prefilter_columns=prefilter_columns,
         )
 
-    def _payload_cipher(self, table_name: str) -> SymmetricCipher:
-        return SymmetricCipher(derive_key(self._master_secret, f"payload.{table_name}"))
+    def _keyed_by(self, label: str, build):
+        """``build(the subkey derived for label)``, built once per client."""
+        keyed = self._keyed.get(label)
+        if keyed is None:
+            keyed = build(derive_key(self._master_secret, label))
+            self._keyed[label] = keyed
+        return keyed
 
-    def _prefilter_key(self, table_name: str, column: str) -> bytes:
-        return derive_key(self._master_secret, f"prefilter.{table_name}.{column}")
+    def _payload_cipher(self, table_name: str) -> SymmetricCipher:
+        return self._keyed_by(f"payload.{table_name}", SymmetricCipher)
+
+    def _prefilter_mac(self, table_name: str, column: str) -> PrekeyedHmac:
+        return self._keyed_by(f"prefilter.{table_name}.{column}", PrekeyedHmac)
 
     # -- upload phase -------------------------------------------------------
     def encrypt_table(self, table: Table, join_column: str) -> EncryptedTable:
@@ -228,8 +250,8 @@ class SecureJoinClient:
                     and column not in self.prefilter_columns
                 ):
                     continue
-                key = self._prefilter_key(table.name, column)
-                prefilter[column] = [keyed_tag(key, row[index]) for row in table]
+                tag = self._prefilter_mac(table.name, column).tag
+                prefilter[column] = [tag(row[index]) for row in table]
         encrypted = EncryptedTable(
             name=table.name,
             schema=table.schema,
@@ -268,9 +290,8 @@ class SecureJoinClient:
         if encrypted.prefilter_tags is not None:
             tags = {}
             for column in encrypted.prefilter_tags:
-                key = self._prefilter_key(table_name, column)
-                tags[column] = keyed_tag(
-                    key, row[encrypted.schema.index_of(column)]
+                tags[column] = self._prefilter_mac(table_name, column).tag(
+                    row[encrypted.schema.index_of(column)]
                 )
         return ciphertext, payload, tags
 
@@ -313,8 +334,8 @@ class SecureJoinClient:
                 # The column carries no searchable tags; the polynomial
                 # encoding in the SJ token still enforces the selection.
                 continue
-            key = self._prefilter_key(encrypted.name, column)
-            tokens[column] = frozenset(keyed_tag(key, v) for v in values)
+            tag = self._prefilter_mac(encrypted.name, column).tag
+            tokens[column] = frozenset(tag(v) for v in values)
         return tokens or None
 
     @staticmethod
@@ -485,16 +506,43 @@ class SecureJoinClient:
         into plaintext joined rows immediately — the client sees first
         results before the join finishes.  ``batch.payloads`` carries
         one payload tuple per completed chain tuple, in chain-position
-        order; repeated tables share their payload cipher by name.
+        order; repeated tables share their payload cipher (and memo) by
+        name.
         """
-        ciphers = [self._payload_cipher(self._table(t).name) for t in tables]
+        return self._decrypt_rows(tables, batch.payloads)
+
+    def _decrypt_rows(self, tables, payload_tuples) -> list[tuple]:
+        """The joined plaintext row of every payload tuple, through the
+        result memo: only a payload not seen before is decrypted."""
+        sides = [
+            (
+                self._payload_cipher(self._table(name).name),
+                self._memos.setdefault(name, {}),
+            )
+            for name in tables  # _table: only tables this client encrypted
+        ]
         rows: list[tuple] = []
-        for payload_tuple in batch.payloads:
+        for payload_tuple in payload_tuples:
             joined: tuple = ()
-            for cipher, payload in zip(ciphers, payload_tuple):
-                joined = joined + _decode_row(cipher.decrypt(payload))
+            for (cipher, memo), payload in zip(sides, payload_tuple):
+                row = memo.get(payload)
+                if row is None:
+                    row = _decode_row(cipher.decrypt(payload))
+                    self._remember(memo, payload, row)
+                joined += row
             rows.append(joined)
         return rows
+
+    def _remember(self, memo: dict[bytes, tuple], payload: bytes, row: tuple):
+        """Admit a verified payload's row; clear every table's memo
+        (in place: decrypt loops hold references) at the byte cap."""
+        with self._memo_lock:
+            self._memo_bytes += len(payload)
+            if self._memo_bytes > _MEMO_PAYLOAD_BYTES:
+                for table_memo in list(self._memos.values()):
+                    table_memo.clear()
+                self._memo_bytes = len(payload)
+            memo[payload] = row
 
     def stream_decrypt_chain(self, tables, batches):
         """Decrypt an iterable of streamed match batches lazily.
@@ -534,13 +582,9 @@ class SecureJoinClient:
         schema = chain_schema(
             [t.name for t in encrypted], [t.schema for t in encrypted]
         )
-        ciphers = [self._payload_cipher(t.name) for t in encrypted]
         table = Table("join", schema)
-        for payload_tuple in result.payloads:
-            joined: tuple = ()
-            for cipher, payload in zip(ciphers, payload_tuple):
-                joined = joined + _decode_row(cipher.decrypt(payload))
-            table.insert(joined)
+        for row in self._decrypt_rows(result.tables, result.payloads):
+            table.insert(row)
         return DecryptedChainResult(table, list(result.tuples))
 
 

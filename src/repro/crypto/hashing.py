@@ -19,6 +19,10 @@ import struct
 
 Value = str | int | float | bytes | bool | None
 
+_HMAC_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
 
 def encode_value(value: Value) -> bytes:
     """Canonical, type-tagged byte encoding of a cell value.
@@ -56,6 +60,41 @@ def hash_bytes_to_zq(data: bytes, q: int, domain: bytes = b"repro.Hb") -> int:
     return int.from_bytes(digest, "big") % q
 
 
+class PrekeyedHmac:
+    """HMAC-SHA256 with the key schedule done once: the pad states are
+    hashed at construction and copied per message.  Equals
+    ``hmac.digest(key, msg, "sha256")`` for every key length."""
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes):
+        if len(key) > _HMAC_BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_HMAC_BLOCK, b"\0")
+        self._inner = hashlib.sha256(key.translate(_IPAD))
+        self._outer = hashlib.sha256(key.translate(_OPAD))
+
+    def inner(self, prefix: bytes):
+        """An inner state primed with ``prefix``: ``copy()`` it per
+        message sharing the prefix, ``update`` the rest, :meth:`finish`."""
+        state = self._inner.copy()
+        state.update(prefix)
+        return state
+
+    def finish(self, inner) -> bytes:
+        """The MAC of the message fed to ``inner``."""
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+    def digest(self, message: bytes) -> bytes:
+        return self.finish(self.inner(message))
+
+    def tag(self, value: Value, domain: bytes = b"repro.tag") -> bytes:
+        """:func:`keyed_tag` of ``value`` under this key."""
+        return self.digest(domain + b"|" + encode_value(value))
+
+
 def keyed_tag(key: bytes, value: Value, domain: bytes = b"repro.tag") -> bytes:
     """Deterministic keyed tag of a cell value (HMAC-SHA256).
 
@@ -64,7 +103,7 @@ def keyed_tag(key: bytes, value: Value, domain: bytes = b"repro.tag") -> bytes:
     searchable-encryption pre-filter and the deterministic-encryption
     baseline.
     """
-    return hmac.new(key, domain + b"|" + encode_value(value), hashlib.sha256).digest()
+    return PrekeyedHmac(key).tag(value, domain)
 
 
 def derive_key(master: bytes, label: str) -> bytes:

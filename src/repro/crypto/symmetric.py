@@ -11,26 +11,15 @@ in here.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import os
 
+from repro.crypto.hashing import PrekeyedHmac
 from repro.errors import CryptoError
 
 _NONCE_LEN = 16
 _MAC_LEN = 16
 _BLOCK_LEN = 32
-
-
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    blocks = []
-    for counter in range((length + _BLOCK_LEN - 1) // _BLOCK_LEN):
-        blocks.append(
-            hmac.new(
-                key, nonce + counter.to_bytes(8, "big"), hashlib.sha256
-            ).digest()
-        )
-    return b"".join(blocks)[:length]
 
 
 class SymmetricCipher:
@@ -39,8 +28,28 @@ class SymmetricCipher:
     def __init__(self, key: bytes):
         if len(key) < 16:
             raise CryptoError("symmetric key must be at least 16 bytes")
-        self._enc_key = hmac.new(key, b"enc", hashlib.sha256).digest()
-        self._mac_key = hmac.new(key, b"mac", hashlib.sha256).digest()
+        root = PrekeyedHmac(key)
+        self._enc = PrekeyedHmac(root.digest(b"enc"))
+        self._mac = PrekeyedHmac(root.digest(b"mac"))
+
+    def _xor_keystream(self, nonce: bytes, data: bytes) -> bytes:
+        """``data`` XOR the keystream ``HMAC(enc, nonce || counter)``,
+        counter = 0, 1, ... as 8 big-endian bytes, one block each."""
+        length = len(data)
+        primed = self._enc.inner(nonce)
+        finish = self._enc.finish
+        blocks = []
+        for counter in range((length + _BLOCK_LEN - 1) // _BLOCK_LEN):
+            inner = primed.copy()
+            inner.update(counter.to_bytes(8, "big"))
+            blocks.append(finish(inner))
+        stream = b"".join(blocks)
+        # One big-integer XOR; the shift drops the last block's unused tail.
+        unused_bits = 8 * (len(stream) - length)
+        return (
+            int.from_bytes(data, "big")
+            ^ (int.from_bytes(stream, "big") >> unused_bits)
+        ).to_bytes(length, "big")
 
     def encrypt(self, plaintext: bytes, nonce: bytes | None = None) -> bytes:
         """Return ``nonce || ciphertext || mac`` (fresh random nonce)."""
@@ -48,20 +57,14 @@ class SymmetricCipher:
             nonce = os.urandom(_NONCE_LEN)
         if len(nonce) != _NONCE_LEN:
             raise CryptoError(f"nonce must be {_NONCE_LEN} bytes")
-        stream = _keystream(self._enc_key, nonce, len(plaintext))
-        body = bytes(p ^ s for p, s in zip(plaintext, stream))
-        mac = hmac.new(self._mac_key, nonce + body, hashlib.sha256).digest()
-        return nonce + body + mac[:_MAC_LEN]
+        sealed = nonce + self._xor_keystream(nonce, plaintext)
+        return sealed + self._mac.digest(sealed)[:_MAC_LEN]
 
     def decrypt(self, blob: bytes) -> bytes:
         """Verify the MAC and return the plaintext."""
         if len(blob) < _NONCE_LEN + _MAC_LEN:
             raise CryptoError("ciphertext too short")
-        nonce = blob[:_NONCE_LEN]
-        body = blob[_NONCE_LEN:-_MAC_LEN]
-        mac = blob[-_MAC_LEN:]
-        expected = hmac.new(self._mac_key, nonce + body, hashlib.sha256).digest()
-        if not hmac.compare_digest(mac, expected[:_MAC_LEN]):
+        expected = self._mac.digest(blob[:-_MAC_LEN])
+        if not hmac.compare_digest(blob[-_MAC_LEN:], expected[:_MAC_LEN]):
             raise CryptoError("MAC verification failed")
-        stream = _keystream(self._enc_key, nonce, len(body))
-        return bytes(c ^ s for c, s in zip(body, stream))
+        return self._xor_keystream(blob[:_NONCE_LEN], blob[_NONCE_LEN:-_MAC_LEN])

@@ -55,6 +55,8 @@ class _Connection:
         #: True while a query stream is in flight on this connection —
         #: drain waits for busy connections and force-closes idle ones.
         self.busy = False
+        #: The serving thread: tracked here, so it goes with the connection.
+        self.handler: threading.Thread | None = None
 
 
 class JoinServiceServer:
@@ -81,7 +83,6 @@ class JoinServiceServer:
         self._accept_thread: threading.Thread | None = None
         self._lock = threading.Lock()
         self._connections: set[_Connection] = set()
-        self._handlers: list[threading.Thread] = []
         self._draining = threading.Event()
         self._started = False
         #: Completed query streams: answers whose closing frame was sent,
@@ -143,14 +144,14 @@ class JoinServiceServer:
                     continue
                 connection = _Connection(sock, peer)
                 self._connections.add(connection)
-                handler = threading.Thread(
+                connection.handler = threading.Thread(
                     target=self._serve_connection,
                     args=(connection,),
                     name=f"repro-net-conn-{peer}",
                     daemon=True,
                 )
-                self._handlers.append(handler)
-            handler.start()
+                # Under the lock: shutdown() joins registered handlers.
+                connection.handler.start()
 
     def _serve_connection(self, connection: _Connection) -> None:
         sock = connection.sock
@@ -271,6 +272,7 @@ class JoinServiceServer:
         # their sockets — their in-flight stream finishes first (drain)
         # or is cut (not drain).
         with self._lock:
+            handlers = [c.handler for c in self._connections]
             for connection in list(self._connections):
                 if not drain or not connection.busy:
                     _force_close(connection.sock)
@@ -284,7 +286,7 @@ class JoinServiceServer:
             with self._lock:
                 for connection in list(self._connections):
                     _force_close(connection.sock)
-        for handler in self._handlers:
+        for handler in handlers:
             handler.join(timeout=max(0.1, deadline - time.monotonic()))
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)

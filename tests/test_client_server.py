@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.client import SecureJoinClient
+from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
+from repro.crypto.hashing import derive_key, keyed_tag
+from repro.crypto.symmetric import SymmetricCipher
 from repro.db.database import Database
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
@@ -270,3 +274,142 @@ class TestPayloads:
         result.payloads[0] = (b"\x00" * len(left), right)
         with pytest.raises(CryptoError):
             client.decrypt_result(result)
+
+
+@pytest.fixture
+def decrypt_spy(monkeypatch):
+    """Every blob handed to ``SymmetricCipher.decrypt``, in call order."""
+    calls: list[bytes] = []
+    real = SymmetricCipher.decrypt
+
+    def spy(self, blob):
+        calls.append(blob)
+        return real(self, blob)
+
+    monkeypatch.setattr(SymmetricCipher, "decrypt", spy)
+    return calls
+
+
+class TestResultMemo:
+    """The client decrypts each distinct payload once (op-counted)."""
+
+    QUERY = JoinQuery.build("Teams", "Employees", on=("key", "team"))
+
+    def _result(self):
+        client, server, db = _setup()
+        result = server.execute_join(client.create_query(self.QUERY))
+        # Two teams, four employees, four matches: eight payloads
+        # returned, six of them distinct.
+        assert len(result.payloads) == 4
+        return client, server, db, result
+
+    def test_one_to_many_decrypts_each_distinct_payload_once(self, decrypt_spy):
+        client, _, db, result = self._result()
+        decrypted = client.decrypt_result(result)
+        distinct = {p for pair in result.payloads for p in pair}
+        assert len(distinct) == 6
+        assert sorted(decrypt_spy) == sorted(distinct)
+        assert sorted(decrypted.table.rows()) == sorted(
+            db.execute(self.QUERY).table.rows()
+        )
+
+    def test_second_decrypt_of_an_answer_runs_zero_decrypts(self, decrypt_spy):
+        client, server, _, result = self._result()
+        first = client.decrypt_result(result)
+        del decrypt_spy[:]
+        again = client.decrypt_result(result)
+        # A re-submitted query returns the same stored payloads.
+        resubmitted = client.decrypt_result(
+            server.execute_join(client.create_query(self.QUERY))
+        )
+        assert decrypt_spy == []
+        assert again.table.rows() == first.table.rows()
+        assert sorted(resubmitted.table.rows()) == sorted(first.table.rows())
+
+    def test_tampered_payload_fails_beside_its_memoized_original(self):
+        client, _, _, result = self._result()
+        client.decrypt_result(result)
+        entries = {name: dict(memo) for name, memo in client._memos.items()}
+        left, right = result.payloads[0]
+        tampered = bytes([left[0] ^ 0x01]) + left[1:]
+        result.payloads[0] = (tampered, right)
+        with pytest.raises(CryptoError):
+            client.decrypt_result(result)
+        # The failed decrypt admitted nothing; the original still sits.
+        assert client._memos == entries
+        assert left in client._memos["Teams"]
+        assert tampered not in client._memos["Teams"]
+
+    def test_rows_identical_across_memo_clears(self, monkeypatch):
+        monkeypatch.setattr("repro.core.client._MEMO_PAYLOAD_BYTES", 300)
+        teams = Table("Teams", Schema.of(("key", "int"), ("name", "str")),
+                      [(k, f"team-{k}") for k in range(6)])
+        staff = Table("Staff", Schema.of(("id", "int"), ("team", "int")),
+                      [(i, i % 6) for i in range(30)])
+        client = SecureJoinClient.for_tables(
+            [(teams, "key"), (staff, "team")], rng=random.Random(3)
+        )
+        server = SecureJoinServer(
+            client.params, engine=BatchedEngine(batch_size=4)
+        )
+        server.store(client.encrypt_table(teams, "key"))
+        server.store(client.encrypt_table(staff, "team"))
+        db = Database()
+        db.add_table(teams)
+        db.add_table(staff)
+        query = JoinQuery.build("Teams", "Staff", on=("key", "team"))
+        encrypted = client.create_query(query)
+
+        streamed: list[tuple] = []
+        stream = server.stream_join(encrypted)
+        while True:
+            try:
+                batch = next(stream)
+            except StopIteration as stop:
+                result = stop.value
+                break
+            streamed.extend(client.decrypt_match_batch("Teams", "Staff", batch))
+            assert client._memo_bytes <= 300
+        assert len(streamed) == 30
+        distinct = {p for pair in result.payloads for p in pair}
+        assert len(distinct) == 36 and sum(map(len, distinct)) > 300
+        assert sum(map(len, client._memos.values())) < 36  # it did clear
+        materialized = client.decrypt_chain_result(result).table.rows()
+        truth = db.execute(query).table.rows()
+        assert sorted(streamed) == sorted(materialized) == sorted(truth)
+
+    def test_tables_holding_an_identical_blob_share_no_entry(self):
+        client, _, _, result = self._result()
+        client.decrypt_result(result)
+        blob = result.payloads[0][0]
+        assert blob in client._memos["Teams"]
+        # The same bytes in the other table's position are decrypted
+        # under that table's key (and fail) instead of hitting the memo.
+        batch = SimpleNamespace(payloads=[(blob, blob)])
+        with pytest.raises(CryptoError):
+            client.decrypt_chain_batch(("Teams", "Employees"), batch)
+        assert blob not in client._memos["Employees"]
+
+
+class TestKeyedStateIsBuiltOnce:
+    def test_payload_cipher_is_cached_per_table(self):
+        client, _, _ = _setup()
+        assert client._payload_cipher("Teams") is client._payload_cipher("Teams")
+        assert client._payload_cipher("Teams") is not client._payload_cipher(
+            "Employees"
+        )
+
+    def test_prefilter_tags_are_keyed_tag_bytes(self):
+        client, _, _ = _setup(enable_prefilter=True)
+        _, employees = _example_tables()
+        stored = client._table("Employees").prefilter_tags
+        assert set(stored) == {"record", "employee", "role"}
+        row = (5, "Ada", "Tester", 2)
+        _, _, inserted = client.encrypt_row_for("Employees", row)
+        for column, tags in stored.items():
+            key = derive_key(
+                client._master_secret, f"prefilter.Employees.{column}"
+            )
+            index = employees.schema.index_of(column)
+            assert tags == [keyed_tag(key, r[index]) for r in employees]
+            assert inserted[column] == keyed_tag(key, row[index])

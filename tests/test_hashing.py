@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hmac
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.hashing import (
+    PrekeyedHmac,
     derive_key,
     encode_value,
     hash_bytes_to_zq,
@@ -78,6 +81,33 @@ class TestKeyedTag:
 
     def test_length(self):
         assert len(keyed_tag(b"k", "x")) == 32
+
+
+class TestPrekeyedHmac:
+    @given(st.binary(max_size=200), st.binary(max_size=300))
+    def test_is_hmac_sha256_for_every_key_length(self, key, message):
+        assert PrekeyedHmac(key).digest(message) == hmac.digest(
+            key, message, "sha256"
+        )
+
+    @given(st.binary(max_size=80), st.binary(max_size=80))
+    def test_primed_inner_state_splits_the_message(self, prefix, rest):
+        mac = PrekeyedHmac(b"k" * 32)
+        primed = mac.inner(prefix)
+        for _ in range(2):  # the primed state is reusable
+            inner = primed.copy()
+            inner.update(rest)
+            assert mac.finish(inner) == mac.digest(prefix + rest)
+
+    def test_tag_is_keyed_tag(self):
+        for value in (None, True, 7, 1.5, b"y", "s"):
+            for domain in (b"repro.tag", b"d"):
+                expected = hmac.digest(
+                    b"k", domain + b"|" + encode_value(value), "sha256"
+                )
+                assert PrekeyedHmac(b"k").tag(value, domain) == expected
+                assert keyed_tag(b"k", value, domain) == expected
+            assert PrekeyedHmac(b"k").tag(value) == keyed_tag(b"k", value)
 
 
 class TestDeriveKey:

@@ -11,6 +11,7 @@ and graceful drain.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 import socket
 import threading
@@ -470,6 +471,44 @@ class TestDrain:
         service.start()
         service.shutdown()
         service.shutdown()
+
+
+class TestHandlerTracking:
+    def test_finished_handlers_are_not_retained(self):
+        """A long-lived server keeps a handler ``Thread`` per *live*
+        connection, not one per connection ever accepted."""
+
+        def handler_threads():
+            gc.collect()
+            return sum(
+                isinstance(obj, threading.Thread)
+                and obj.name.startswith("repro-net-conn-")
+                for obj in gc.get_objects()
+            )
+
+        client, server = _fixture(n_rows=4)
+        before = handler_threads()
+        with JoinServiceServer(server) as service:
+            host, port = service.address
+            held = socket.create_connection((host, port), timeout=10)
+            try:
+                for _ in range(20):
+                    with RemoteJoinClient(
+                        host, port, client.scheme.backend
+                    ) as rc:
+                        rc.execute_join(_query(client))
+                deadline = time.monotonic() + 10
+                while (
+                    service.active_connections > 1
+                    or handler_threads() - before > 2
+                ) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert service.active_connections == 1
+                # The held connection's handler, plus the one the accept
+                # loop's locals still name (the last it accepted) — not 21.
+                assert 1 <= handler_threads() - before <= 2
+            finally:
+                held.close()
 
 
 # -- QoS: priority-preferring dispatch and deadline cancellation ------------
