@@ -293,21 +293,26 @@ FAST_ENGINE_COSTS = EngineCostModel(
     prepared_miller_loop=3.5e-7,
 )
 
-#: Defaults for the pure-Python BN254 pairing (seconds per Miller loop):
-#: compute dwarfs IPC, so the planner fans out whenever the pool has
-#: more than one worker.
+#: Defaults for the pure-Python BN254 pairing: compute dwarfs IPC, so the
+#: planner fans out whenever the pool has more than one worker.  The
+#: three pairing constants are what ``python -m repro.bench
+#: --calibrate-out PATH --calibrate-backend bn254`` measures on the flat
+#: kernel (dimension 8, one 2-vCPU box; CI prints its own beside them).
 BN254_ENGINE_COSTS = EngineCostModel(
     backend="bn254",
-    miller_loop=0.5,
-    final_exponentiation=0.7,
+    # One pair's share of a row's simultaneous loop.
+    miller_loop=2.5e-3,
+    # Solved from serial minus batched, so it also carries the shared
+    # squarings and inversions a lone pairing does not get.
+    final_exponentiation=6e-3,
     row_overhead=1.5e-6,
     batch_overhead=4e-5,
     element_transport=2e-5,
     chunk_overhead=1e-3,
     pool_spawn=5e-2,
-    # Replaying stored coefficients in the fused multi-pairing loop
-    # costs about a third of a raw Miller loop (see BENCH_7.json).
-    prepared_miller_loop=0.17,
+    # Replaying stored coefficients skips the twist arithmetic: about
+    # half of a raw pair's share.
+    prepared_miller_loop=1.3e-3,
 )
 
 _DEFAULT_ENGINE_COSTS = {

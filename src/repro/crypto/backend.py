@@ -32,9 +32,6 @@ from repro.crypto.pairing import multi_pairing, pairing
 from repro.crypto.pairing_fast import (
     PREPARED_ELEMENT_SIZE,
     G2Prepared,
-    final_exponentiation_fast,
-    miller_loop_fast,
-    multi_miller_prepared,
     multi_pairing_fast,
     pairing_fast,
 )
@@ -327,6 +324,7 @@ class _FixedBaseTable:
 
     def __init__(self, base, order: int):
         self._infinity = type(base).infinity()
+        self._sum = type(base).sum
         self._order = order
         digits = (1 << self.WINDOW) - 1
         self._table = []
@@ -344,16 +342,16 @@ class _FixedBaseTable:
 
     def power(self, exponent: int):
         exponent %= self._order
-        result = self._infinity
+        entries = []
         index = 0
         mask = (1 << self.WINDOW) - 1
         while exponent:
             digit = exponent & mask
             if digit:
-                result = result + self._table[index][digit]
+                entries.append(self._table[index][digit])
             exponent >>= self.WINDOW
             index += 1
-        return result
+        return self._sum(entries)
 
 
 class BN254Backend(BilinearBackend):
@@ -447,32 +445,25 @@ class BN254Backend(BilinearBackend):
     ) -> BN254GT:
         """Multi-pairing over raw G2 points, prepared elements, or a mix.
 
-        Prepared elements skip the twist arithmetic via replay (and all
-        prepared pairs of one call share a simultaneous Miller loop);
-        raw leftovers run the ordinary loop.  The accumulated product is
-        the same field element either way, so handles stay
-        byte-identical across paths.
+        Every live pair goes through one simultaneous Miller loop:
+        prepared elements replay their stored lines, raw ones step
+        their twist points beside them.  The accumulated product is the
+        same field element either way, so handles stay byte-identical
+        across paths.
         """
         if len(g1_vector) != len(g2_vector):
             raise CryptoError("pairing vectors must have the same length")
-        raw: list[tuple] = []
-        prepared: list[tuple] = []
-        for p, q in zip(g1_vector, g2_vector):
-            if p.is_infinity() or q.is_infinity():
-                continue
-            (prepared if isinstance(q, G2Prepared) else raw).append((p, q))
-        self.ops.miller_loops += len(raw)
-        self.ops.prepared_miller_loops += len(prepared)
-        if prepared:
+        live = [
+            (p, q) for p, q in zip(g1_vector, g2_vector)
+            if not (p.is_infinity() or q.is_infinity())
+        ]
+        prepared = sum(1 for _, q in live if isinstance(q, G2Prepared))
+        self.ops.miller_loops += len(live) - prepared
+        self.ops.prepared_miller_loops += prepared
+        if live:
             self.ops.final_exponentiations += 1
-            accumulator = multi_miller_prepared(prepared)
-            for p, q in raw:
-                accumulator = accumulator * miller_loop_fast(q, p)
-            return BN254GT(final_exponentiation_fast(accumulator))
-        if raw:
-            self.ops.final_exponentiations += 1
-        multi = multi_pairing_fast if self.use_fast_pairing else multi_pairing
-        return BN254GT(multi(raw))
+        fast = self.use_fast_pairing or prepared  # the reference has no replay
+        return BN254GT((multi_pairing_fast if fast else multi_pairing)(live))
 
     def prepare_row(self, g2_vector: Sequence) -> PreparedRow:
         elements = tuple(g2_vector)

@@ -28,6 +28,62 @@ P = FIELD_MODULUS
 TWIST_B = Fp2(CURVE_B) * XI.inverse()
 
 
+def _fp2_mul(a0, a1, b0, b1):
+    return (a0 * b0 - a1 * b1) % P, (a0 * b1 + a1 * b0) % P
+
+
+def _fp2_sqr(a0, a1):
+    return (a0 + a1) * (a0 - a1) % P, 2 * a0 * a1 % P
+
+
+def _sum_affine(points):
+    """Sum affine points ``(x0, x1, y0, y1)`` over Fp2 in Jacobian
+    coordinates: mixed additions, one inversion at the end.
+
+    The law of ``y^2 = x^3 + b`` does not involve ``b``, so the same
+    code serves the twist (G2) and, with zero imaginary parts, G1.
+    Returns the affine sum, or ``None`` for the point at infinity.
+    """
+    X0 = X1 = Y0 = Y1 = Z0 = Z1 = 0
+    for x0, x1, y0, y1 in points:
+        if not (Z0 or Z1):
+            X0, X1, Y0, Y1, Z0, Z1 = x0, x1, y0, y1, 1, 0
+            continue
+        zz = _fp2_sqr(Z0, Z1)
+        u0, u1 = _fp2_mul(x0, x1, *zz)
+        s0, s1 = _fp2_mul(y0, y1, *_fp2_mul(Z0, Z1, *zz))
+        h0, h1, r0, r1 = (u0 - X0) % P, (u1 - X1) % P, s0 - Y0, s1 - Y1
+        if not (h0 or h1):
+            if r0 % P or r1 % P:  # T + (-T)
+                Z0 = Z1 = 0
+                continue
+            # T + T: double the affine copy (a = 0, Z = 1).
+            m0, m1 = _fp2_sqr(x0, x1)
+            m0, m1 = 3 * m0, 3 * m1
+            yy = _fp2_sqr(y0, y1)
+            v0, v1 = _fp2_mul(4 * x0, 4 * x1, *yy)
+            q0, q1 = _fp2_sqr(*yy)
+            X0, X1 = _fp2_sqr(m0, m1)
+            X0, X1 = (X0 - 2 * v0) % P, (X1 - 2 * v1) % P
+            Y0, Y1 = _fp2_mul(m0, m1, v0 - X0, v1 - X1)
+            Y0, Y1, Z0, Z1 = Y0 - 8 * q0, Y1 - 8 * q1, 2 * y0, 2 * y1
+            continue
+        hh = _fp2_sqr(h0, h1)
+        c0, c1 = _fp2_mul(h0, h1, *hh)
+        v0, v1 = _fp2_mul(X0, X1, *hh)
+        X0, X1 = _fp2_sqr(r0, r1)
+        X0, X1 = (X0 - c0 - 2 * v0) % P, (X1 - c1 - 2 * v1) % P
+        t0, t1 = _fp2_mul(Y0, Y1, c0, c1)
+        Y0, Y1 = _fp2_mul(r0, r1, v0 - X0, v1 - X1)
+        Y0, Y1 = Y0 - t0, Y1 - t1
+        Z0, Z1 = _fp2_mul(Z0, Z1, h0, h1)
+    if not (Z0 or Z1):
+        return None
+    i0, i1 = Fp2(Z0, Z1).inverse().to_tuple()
+    ii = _fp2_sqr(i0, i1)
+    return _fp2_mul(X0, X1, *ii) + _fp2_mul(Y0, Y1, *_fp2_mul(i0, i1, *ii))
+
+
 class G1Point:
     """An affine point on the BN254 curve over Fp."""
 
@@ -66,6 +122,16 @@ class G1Point:
 
     def __hash__(self) -> int:
         return hash(("G1", self.x, self.y))
+
+    @staticmethod
+    def sum(points) -> "G1Point":
+        """Sum many points with a single inversion (see ``_sum_affine``)."""
+        total = _sum_affine(
+            (p.x, 0, p.y, 0) for p in points if not p.is_infinity()
+        )
+        if total is None:
+            return G1Point.infinity()
+        return G1Point(total[0], total[2], check=False)
 
     # -- group law -----------------------------------------------------
     def __neg__(self) -> "G1Point":
@@ -178,6 +244,17 @@ class G2Point:
         if self.is_infinity():
             return hash(("G2", None))
         return hash(("G2", self.x.to_tuple(), self.y.to_tuple()))
+
+    @staticmethod
+    def sum(points) -> "G2Point":
+        """Sum many points with a single inversion (see ``_sum_affine``)."""
+        total = _sum_affine(
+            (p.x.c0, p.x.c1, p.y.c0, p.y.c1)
+            for p in points if not p.is_infinity()
+        )
+        if total is None:
+            return G2Point.infinity()
+        return G2Point(Fp2(*total[:2]), Fp2(*total[2:]), check=False)
 
     def __neg__(self) -> "G2Point":
         if self.is_infinity():

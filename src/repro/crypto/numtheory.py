@@ -34,13 +34,15 @@ def mod_inverse(a: int, modulus: int) -> int:
 
     Raises :class:`FieldError` if ``a`` is not invertible.
     """
-    a %= modulus
-    if a == 0:
-        raise FieldError("0 has no modular inverse")
-    g, x, _ = egcd(a, modulus)
-    if g != 1:
-        raise FieldError(f"{a} is not invertible modulo {modulus}")
-    return x % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        a %= modulus
+        if a == 0:
+            raise FieldError("0 has no modular inverse") from None
+        raise FieldError(
+            f"{a} is not invertible modulo {modulus}"
+        ) from None
 
 
 def naf_digits(k: int) -> list[int]:

@@ -1,19 +1,24 @@
 """Optimized optimal-ate pairing: the production code path.
 
-Three standard optimizations over :mod:`repro.crypto.pairing` (the
-reference implementation both are tested against):
+What it does beyond :mod:`repro.crypto.pairing` (the reference
+implementation it is tested against, byte for byte):
 
-1. **Miller loop on the twist.** Point arithmetic stays in affine Fp2
-   coordinates on the twist curve; only the *line values* enter Fp12,
-   as sparse elements ``a + b*w + c*(v*w)`` — one cheap Fp2 inversion
-   per step instead of a full Fp12 inversion.
-2. **Sparse line multiplication.** ``Fp12.mul_by_line`` multiplies by
-   the 3-of-12 sparse line value at roughly half the cost of a generic
-   Fp12 multiplication.
-3. **Addition-chain hard part.** The final exponentiation's hard part
-   ``(p^4 - p^2 + 1)/r`` uses the Scott et al. addition chain (three
-   63-bit exponentiations by the BN parameter x plus Frobenius maps)
-   instead of a 1020-bit square-and-multiply.
+1. **Miller loop on the twist, on raw integers.** Point arithmetic
+   stays in affine Fp2 coordinates on the twist curve, spelled out on
+   plain ints; only the *line values* enter Fp12, as sparse elements
+   ``a + b*w + c*(v*w)`` multiplied in by
+   :func:`~repro.crypto.field.fp12_mul_by_line`.
+2. **One simultaneous loop per row.** Every pair of a multi-pairing —
+   raw G2 point or :class:`G2Prepared` — runs through
+   :func:`multi_miller_prepared`: one shared squaring of the flat
+   accumulator per iteration, raw points stepped in lock-step so the
+   slope denominators of a step cost a *single* modular inversion
+   (Montgomery's trick), prepared points replaying stored coefficients.
+3. **Addition-chain hard part with cyclotomic squarings.** The final
+   exponentiation's hard part ``(p^4 - p^2 + 1)/r`` uses the Scott et
+   al. addition chain (three 63-bit exponentiations by the BN parameter
+   x plus Frobenius maps); everything after the easy part lives in the
+   cyclotomic subgroup, so its squarings are Granger-Scott ones.
 
 The derivation of the line coefficients for the D-twist untwisting
 ``psi(x', y') = (x' w^2, y' w^3)``:
@@ -26,26 +31,32 @@ The derivation of the line coefficients for the D-twist untwisting
 
 **Prepared points.**  Every line above is determined by the G2
 trajectory alone: the slope and the constant ``c = lambda' xT - yT``
-never touch the G1 argument, which only enters through the cheap sparse
-multiplication ``f.mul_by_line(yP, -(slope * xP), c)``.
-:class:`G2Prepared` precomputes the ``(slope, c)`` sequence of one G2
-point once (all the twist point arithmetic and Fp2 inversions), and
-:func:`miller_loop_prepared` replays it against any G1 point.
-:func:`multi_pairing_prepared` goes further: a *simultaneous* Miller
-loop over all pairs sharing a single ``f.square()`` per iteration — the
-accumulator invariant ``F = prod_i f_i`` is preserved because
-``(prod f_i)^2 * prod l_i = prod (f_i^2 l_i)``, so the result is the
+never touch the G1 argument, which only enters through the sparse
+multiplication by ``(yP, -slope * xP, c)``.  :class:`G2Prepared` holds
+the ``(slope, c)`` sequence of one G2 point (all the twist point
+arithmetic and inversions, paid once), and the loop replays it against
+any G1 point.  Sharing one squaring across pairs keeps the accumulator
+equal to the product of the independent Miller values —
+``(prod f_i)^2 * prod l_i = prod (f_i^2 l_i)`` — so the result is the
 exact field element the independent loops would produce (and therefore
 byte-identical after the final exponentiation).
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.crypto.curve import G1Point, G2Point
-from repro.crypto.field import XI, Fp2, Fp12
-from repro.crypto.numtheory import naf_digits
+from repro.crypto.field import (
+    XI,
+    Fp2,
+    Fp12,
+    fp12_mul_by_line,
+    fp12_square,
+)
+from repro.crypto.numtheory import mod_inverse, naf_digits
 from repro.crypto.params import ATE_LOOP_COUNT, BN_X, FIELD_MODULUS
-from repro.errors import PairingError
+from repro.errors import FieldError, PairingError
 
 P = FIELD_MODULUS
 
@@ -62,75 +73,87 @@ def _twist_frobenius(point: _TwistPoint) -> _TwistPoint:
     return x.conjugate() * _FROB_X, y.conjugate() * _FROB_Y
 
 
-_LineCoeffs = tuple[Fp2, Fp2]
+#: A twist point, or the ``(slope, c)`` of one line, as four raw ints.
+_Flat4 = tuple[int, int, int, int]
 
 
-def _line_double(t: _TwistPoint) -> tuple[Fp2, Fp2, _TwistPoint]:
-    """Line through ``T, T``: ``(slope, c, 2T)`` — all point math in Fp2."""
-    x1, y1 = t
-    slope = x1.square().mul_scalar(3) * (y1 + y1).inverse()
-    x3 = slope.square() - x1 - x1
-    y3 = slope * (x1 - x3) - y1
-    return slope, slope * x1 - y1, (x3, y3)
+def _flat_point(x: Fp2, y: Fp2) -> _Flat4:
+    return (x.c0, x.c1, y.c0, y.c1)
 
 
-def _line_add(
-    t: _TwistPoint, q: _TwistPoint
-) -> tuple[Fp2, Fp2, _TwistPoint]:
-    """Line through ``T, Q``: ``(slope, c, T+Q)`` (handles tangency)."""
-    x1, y1 = t
-    x2, y2 = q
-    if x1 == x2:
-        if y1 == y2:
-            return _line_double(t)
-        # Vertical line: x_P - x_T * v;  T + (-T) = infinity should never
-        # occur inside the optimal-ate loop for subgroup inputs.
-        raise PairingError("degenerate addition in Miller loop")
-    slope = (y2 - y1) * (x2 - x1).inverse()
-    x3 = slope.square() - x1 - x2
-    y3 = slope * (x1 - x3) - y1
-    return slope, slope * x1 - y1, (x3, y3)
+def _line_step(
+    ts: list[_Flat4], qs: list[_Flat4]
+) -> tuple[list[_Flat4], list[_Flat4]]:
+    """Lines through ``T_i, Q_i`` (tangents where they coincide) for all
+    ``i`` at once: ``([(slope, c)_i], [T_i + Q_i])``, all in raw Fp2.
+
+    The slope denominators are inverted together: their Fp2 norms are
+    multiplied up, inverted once, and unwound (Montgomery's trick).
+    """
+    pending = []
+    product = 1
+    for (x0, x1, y0, y1), (u0, u1, v0, v1) in zip(ts, qs):
+        if x0 == u0 and x1 == u1:
+            if y0 != v0 or y1 != v1:
+                # Vertical line: T + (-T) = infinity should never occur
+                # inside the optimal-ate loop for subgroup inputs.
+                raise PairingError("degenerate addition in Miller loop")
+            n0, n1 = 3 * (x0 + x1) * (x0 - x1), 6 * x0 * x1
+            d0, d1 = 2 * y0, 2 * y1
+        else:
+            n0, n1, d0, d1 = v0 - y0, v1 - y1, u0 - x0, u1 - x1
+        norm = (d0 * d0 + d1 * d1) % P
+        if norm == 0:
+            raise FieldError("cannot invert zero in Fp2")
+        # numerator * conj(denominator), to be scaled by 1 / norm.
+        pending.append((n0 * d0 + n1 * d1, n1 * d0 - n0 * d1,
+                        product, norm, x0, x1, y0, y1, u0, u1))
+        product = product * norm % P
+    inverse = mod_inverse(product, P)
+    lines, sums = [], []
+    for f0, f1, prefix, norm, x0, x1, y0, y1, u0, u1 in reversed(pending):
+        scale = inverse * prefix % P
+        inverse = inverse * norm % P
+        s0, s1 = f0 * scale % P, f1 * scale % P
+        r0 = ((s0 + s1) * (s0 - s1) - x0 - u0) % P
+        r1 = (2 * s0 * s1 - x1 - u1) % P
+        c0, c1 = s0 * x0 - s1 * x1 - y0, s0 * x1 + s1 * x0 - y1
+        lines.append((s0, s1, c0 % P, c1 % P))
+        # y3 = slope * (x1 - x3) - y1 = c - slope * x3.
+        sums.append((r0, r1, (c0 - s0 * r0 + s1 * r1) % P,
+                     (c1 - s0 * r1 - s1 * r0) % P))
+    lines.reverse()
+    sums.reverse()
+    return lines, sums
 
 
-def _double_step(
-    f: Fp12, t: _TwistPoint, xp: int, yp: int
-) -> tuple[Fp12, _TwistPoint]:
-    """``f *= line_{T,T}(P); T = 2T``."""
-    slope, c, t = _line_double(t)
-    return f.mul_by_line(yp, -(slope.mul_scalar(xp)), c), t
+def _ate_lines(points: list[_Flat4]):
+    """Yield, step by step, the ``(slope, c)`` line coefficients of each
+    point's optimal-ate trajectory, in exactly the order the Miller loop
+    consumes them.
 
-
-def _add_step(
-    f: Fp12, t: _TwistPoint, q: _TwistPoint, xp: int, yp: int
-) -> tuple[Fp12, _TwistPoint]:
-    """``f *= line_{T,Q}(P); T = T + Q``."""
-    slope, c, t = _line_add(t, q)
-    return f.mul_by_line(yp, -(slope.mul_scalar(xp)), c), t
-
-
-def _ate_coefficients(q_affine: _TwistPoint):
-    """Yield the ``(slope, c)`` line coefficients of ``Q``'s optimal-ate
-    trajectory, in exactly the order the Miller loop consumes them.
-
-    This is the single source of truth for the trajectory: the raw loop,
-    the preparation builder and the replay schedule all derive from it,
-    so prepared replay is *structurally* guaranteed to consume the same
+    This is the single source of truth for the trajectory: the loop's
+    raw pairs and the preparation builder both derive from it, so
+    prepared replay is *structurally* guaranteed to consume the same
     coefficients in the same order as the raw loop computes them.
     """
-    t = q_affine
+    ts = points
     for i in range(ATE_LOOP_COUNT.bit_length() - 2, -1, -1):
-        slope, c, t = _line_double(t)
-        yield slope, c
+        lines, ts = _line_step(ts, ts)
+        yield lines
         if (ATE_LOOP_COUNT >> i) & 1:
-            slope, c, t = _line_add(t, q_affine)
-            yield slope, c
+            lines, ts = _line_step(ts, points)
+            yield lines
     # Frobenius correction steps: T += pi(Q); T += -pi^2(Q).
-    q1 = _twist_frobenius(q_affine)
-    q2 = _twist_frobenius(q1)
-    slope, c, t = _line_add(t, q1)
-    yield slope, c
-    slope, c, _ = _line_add(t, (q2[0], -q2[1]))
-    yield slope, c
+    q1s = [
+        _twist_frobenius((Fp2(x0, x1), Fp2(y0, y1)))
+        for x0, x1, y0, y1 in points
+    ]
+    lines, ts = _line_step(ts, [_flat_point(*q1) for q1 in q1s])
+    yield lines
+    q2s = [_twist_frobenius(q1) for q1 in q1s]
+    lines, _ = _line_step(ts, [_flat_point(x, -y) for x, y in q2s])
+    yield lines
 
 
 def _replay_schedule() -> tuple[bool, ...]:
@@ -162,15 +185,16 @@ class G2Prepared:
     """The Miller-loop precomputation of one G2 point.
 
     Holds the ``(slope, c)`` line coefficients of the point's full
-    optimal-ate trajectory — everything about the loop that does *not*
-    depend on the G1 argument.  Replaying them against a G1 point skips
-    all twist point arithmetic and every Fp2 inversion of the raw loop.
-    Instances are immutable and reusable across any number of pairings.
+    optimal-ate trajectory, four raw ints per line — everything about
+    the loop that does *not* depend on the G1 argument.  Replaying them
+    against a G1 point skips all twist point arithmetic and every
+    inversion of the raw loop.  Instances are immutable and reusable
+    across any number of pairings.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[_LineCoeffs, ...]):
+    def __init__(self, coeffs: tuple[_Flat4, ...]):
         if coeffs and len(coeffs) != PREPARED_COEFF_COUNT:
             raise PairingError(
                 f"prepared point has {len(coeffs)} line coefficients; "
@@ -184,7 +208,9 @@ class G2Prepared:
         to an empty trajectory, matching the raw loop's early return)."""
         if q.is_infinity():
             return cls(())
-        return cls(tuple(_ate_coefficients((q.x, q.y))))
+        return cls(tuple(
+            lines[0] for lines in _ate_lines([_flat_point(q.x, q.y)])
+        ))
 
     def is_infinity(self) -> bool:
         return not self.coeffs
@@ -193,11 +219,10 @@ class G2Prepared:
         """Fixed-size canonical serialization (store/transport)."""
         if self.is_infinity():
             return b"\x01" + b"\x00" * (PREPARED_ELEMENT_SIZE - 1)
-        parts = [b"\x00"]
-        for slope, c in self.coeffs:
-            for value in (slope.c0, slope.c1, c.c0, c.c1):
-                parts.append(value.to_bytes(32, "big"))
-        return b"".join(parts)
+        return b"\x00" + b"".join(
+            value.to_bytes(32, "big")
+            for line in self.coeffs for value in line
+        )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "G2Prepared":
@@ -211,49 +236,54 @@ class G2Prepared:
             return cls(())
         if data[0] != 0:
             raise PairingError(f"bad prepared-element flag {data[0]}")
-        coeffs = []
-        for offset in range(1, len(data), 128):
-            values = [
-                int.from_bytes(data[offset + i * 32:offset + (i + 1) * 32],
-                               "big")
-                for i in range(4)
-            ]
-            if any(v >= P for v in values):
-                raise PairingError(
-                    "prepared-element coordinate out of field range"
-                )
-            coeffs.append((Fp2(values[0], values[1]),
-                           Fp2(values[2], values[3])))
-        return cls(tuple(coeffs))
+        values = [
+            int.from_bytes(data[offset:offset + 32], "big")
+            for offset in range(1, len(data), 32)
+        ]
+        if any(v >= P for v in values):
+            raise PairingError(
+                "prepared-element coordinate out of field range"
+            )
+        return cls(tuple(
+            tuple(values[i:i + 4]) for i in range(0, len(values), 4)
+        ))
 
 
-def miller_loop_fast(q: G2Point, p: G1Point) -> Fp12:
-    """The optimal-ate Miller loop with twist-native arithmetic."""
+def multi_miller_prepared(pairs: list[tuple[G1Point, object]]) -> Fp12:
+    """``prod_i miller(Q_i, P_i)`` as one *simultaneous* loop, each
+    ``Q_i`` a raw :class:`G2Point` or a :class:`G2Prepared`.
+
+    One shared squaring per ate iteration covers every pair —
+    ``(prod f_i)^2 = prod f_i^2`` keeps the accumulator equal to the
+    product of the independent Miller values at every step, so the
+    result is the identical field element at a fraction of the Fp12
+    squaring work.  Infinity pairs must be filtered by the caller.
+    """
+    raw_g1, raw_g2, prepared = [], [], []
+    for p, q in pairs:
+        if isinstance(q, G2Prepared):
+            prepared.append((p.x, p.y, q.coeffs))
+        else:
+            raw_g1.append((p.x, p.y))
+            raw_g2.append(_flat_point(q.x, q.y))
+    raw_lines = _ate_lines(raw_g2) if raw_g2 else repeat(())
+    f = Fp12.one().c
+    for index, (squares, lines) in enumerate(zip(_REPLAY_SQUARES, raw_lines)):
+        if squares:
+            f = fp12_square(f)
+        for (xp, yp), (s0, s1, c0, c1) in zip(raw_g1, lines):
+            f = fp12_mul_by_line(f, yp, -s0 * xp % P, -s1 * xp % P, c0, c1)
+        for xp, yp, coeffs in prepared:
+            s0, s1, c0, c1 = coeffs[index]
+            f = fp12_mul_by_line(f, yp, -s0 * xp % P, -s1 * xp % P, c0, c1)
+    return Fp12.from_flat(f)
+
+
+def miller_loop_fast(q: G2Point | G2Prepared, p: G1Point) -> Fp12:
+    """The optimal-ate Miller loop of one pair (raw or prepared ``q``)."""
     if q.is_infinity() or p.is_infinity():
         return Fp12.one()
-    xp, yp = p.x, p.y
-    f = Fp12.one()
-    for squares, (slope, c) in zip(
-        _REPLAY_SQUARES, _ate_coefficients((q.x, q.y))
-    ):
-        if squares:
-            f = f.square()
-        f = f.mul_by_line(yp, -(slope.mul_scalar(xp)), c)
-    return f
-
-
-def miller_loop_prepared(prepared: G2Prepared, p: G1Point) -> Fp12:
-    """Replay a prepared trajectory against ``P`` — no point arithmetic,
-    no inversions; exactly the value :func:`miller_loop_fast` computes."""
-    if prepared.is_infinity() or p.is_infinity():
-        return Fp12.one()
-    xp, yp = p.x, p.y
-    f = Fp12.one()
-    for squares, (slope, c) in zip(_REPLAY_SQUARES, prepared.coeffs):
-        if squares:
-            f = f.square()
-        f = f.mul_by_line(yp, -(slope.mul_scalar(xp)), c)
-    return f
+    return multi_miller_prepared([(p, q)])
 
 
 #: NAF recoding of the BN parameter x, MSB first.  Fixed for the curve,
@@ -267,13 +297,13 @@ def _pow_by_x(f: Fp12) -> Fp12:
     Only called on cyclotomic-subgroup elements (the easy part of the
     final exponentiation runs first), where ``conjugate`` computes the
     inverse — so the NAF's -1 digits cost a conjugation (sign flips)
-    instead of a full Fp12 inversion, and the ladder does fewer
-    multiplications than the plain binary ``pow``.
+    instead of a full Fp12 inversion — and squaring is the cheap
+    cyclotomic one.
     """
     inverse = f.conjugate()
     result = Fp12.one()
     for digit in _BN_X_NAF:
-        result = result.square()
+        result = result.cyclotomic_square()
         if digit == 1:
             result = result * f
         elif digit == -1:
@@ -286,7 +316,8 @@ def final_exponentiation_fast(f: Fp12) -> Fp12:
     if f.is_zero():
         raise PairingError("final exponentiation of zero (degenerate input)")
     # Easy part: f^((p^6 - 1)(p^2 + 1)).  The result is in the cyclotomic
-    # subgroup, where conjugation computes inverses.
+    # subgroup, where conjugation computes inverses and every squaring
+    # below may be the cyclotomic one.
     t = f.conjugate() * f.inverse()
     t = t.frobenius().frobenius() * t
 
@@ -300,85 +331,43 @@ def final_exponentiation_fast(f: Fp12) -> Fp12:
     y3 = fu.frobenius()
     fu2p = fu2.frobenius()
     fu3p = fu3.frobenius()
-    y2 = fu2.frobenius().frobenius()
+    y2 = fu2p.frobenius()
     y0 = fp * fp2 * fp3
     y1 = t.conjugate()
     y5 = fu2.conjugate()
     y3 = y3.conjugate()
     y4 = (fu * fu2p).conjugate()
     y6 = (fu3 * fu3p).conjugate()
-    t0 = y6.square() * y4 * y5
+    t0 = y6.cyclotomic_square() * y4 * y5
     t1 = y3 * y5 * t0
     t0 = t0 * y2
-    t1 = (t1.square() * t0).square()
+    t1 = (t1.cyclotomic_square() * t0).cyclotomic_square()
     t0 = t1 * y1
     t1 = t1 * y0
-    t0 = t0.square()
+    t0 = t0.cyclotomic_square()
     return t1 * t0
 
 
-def pairing_fast(p: G1Point, q: G2Point) -> Fp12:
+def pairing_fast(p: G1Point, q: G2Point | G2Prepared) -> Fp12:
     """The optimized optimal-ate pairing; agrees with the reference exactly."""
-    if p.is_infinity() or q.is_infinity():
-        return Fp12.one()
-    return final_exponentiation_fast(miller_loop_fast(q, p))
+    return multi_pairing_fast([(p, q)])
 
 
-def multi_pairing_fast(pairs: list[tuple[G1Point, G2Point]]) -> Fp12:
-    """``prod_i e(P_i, Q_i)`` with one shared final exponentiation."""
-    accumulator = Fp12.one()
-    nontrivial = False
-    for p, q in pairs:
-        if p.is_infinity() or q.is_infinity():
-            continue
-        accumulator = accumulator * miller_loop_fast(q, p)
-        nontrivial = True
-    if not nontrivial:
-        return Fp12.one()
-    return final_exponentiation_fast(accumulator)
-
-
-def pairing_prepared(p: G1Point, prepared: G2Prepared) -> Fp12:
-    """One full pairing from a prepared G2 point; agrees with
-    :func:`pairing_fast` exactly."""
-    if p.is_infinity() or prepared.is_infinity():
-        return Fp12.one()
-    return final_exponentiation_fast(miller_loop_prepared(prepared, p))
-
-
-def multi_miller_prepared(
-    pairs: list[tuple[G1Point, G2Prepared]]
-) -> Fp12:
-    """``prod_i miller(Q_i, P_i)`` as a *simultaneous* prepared loop.
-
-    One shared ``f.square()`` per ate iteration covers every pair —
-    ``(prod f_i)^2 = prod f_i^2`` keeps the accumulator equal to the
-    product of the independent Miller values at every step, so the
-    result is the identical field element at a fraction of the Fp12
-    squaring work.  Infinity pairs must be filtered by the caller.
-    """
-    points = [(p.x, p.y, prepared.coeffs) for p, prepared in pairs]
-    f = Fp12.one()
-    for index, squares in enumerate(_REPLAY_SQUARES):
-        if squares:
-            f = f.square()
-        for xp, yp, coeffs in points:
-            slope, c = coeffs[index]
-            f = f.mul_by_line(yp, -(slope.mul_scalar(xp)), c)
-    return f
-
-
-def multi_pairing_prepared(
-    pairs: list[tuple[G1Point, G2Prepared]]
-) -> Fp12:
-    """``prod_i e(P_i, Q_i)`` over prepared points: simultaneous Miller
-    loop plus one shared final exponentiation.  Byte-identical to
-    :func:`multi_pairing_fast` (and the reference) on the same inputs."""
+def multi_pairing_fast(pairs: list[tuple[G1Point, object]]) -> Fp12:
+    """``prod_i e(P_i, Q_i)`` — raw or prepared ``Q_i`` — as one
+    simultaneous Miller loop plus one shared final exponentiation.
+    Byte-identical to the reference on the same inputs."""
     live = [
-        (p, prepared)
-        for p, prepared in pairs
-        if not (p.is_infinity() or prepared.is_infinity())
+        (p, q) for p, q in pairs
+        if not (p.is_infinity() or q.is_infinity())
     ]
     if not live:
         return Fp12.one()
     return final_exponentiation_fast(multi_miller_prepared(live))
+
+
+#: A prepared point takes the same route as a raw one — the same values,
+#: minus the point arithmetic — so each ``*_prepared`` name is its twin.
+miller_loop_prepared = miller_loop_fast
+pairing_prepared = pairing_fast
+multi_pairing_prepared = multi_pairing_fast

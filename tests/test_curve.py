@@ -189,3 +189,52 @@ class TestNAFScalarMul:
         assert adds["n"] == naf_weight
         assert doubles["n"] == len(digits)
         assert naf_weight < bin(k).count("1") or naf_weight <= 2
+
+
+@pytest.mark.parametrize("group", [G1Point, G2Point])
+class TestJacobianSum:
+    """``sum`` accumulates in Jacobian coordinates and inverts once; it
+    must return the very point repeated affine ``+`` returns."""
+
+    @staticmethod
+    def _chain(group, points):
+        total = group.infinity()
+        for point in points:
+            total = total + point
+        return total
+
+    def test_matches_affine_chain(self, group):
+        g = group.generator()
+        points = [g * _rng.randrange(1, CURVE_ORDER) for _ in range(7)]
+        total = group.sum(points)
+        assert total.to_bytes() == self._chain(group, points).to_bytes()
+        group.from_bytes(total.to_bytes())  # still on the curve
+
+    def test_collisions_and_infinity(self, group):
+        g = group.generator()
+        a, b = g * 1234567, g * 7654321
+        infinity = group.infinity()
+        for points in (
+            [],
+            [infinity],
+            [a],
+            [a, a],                      # doubling inside the sum
+            [a, -a],                     # cancels to infinity ...
+            [a, -a, b],                  # ... and restarts from it
+            [a, b, a + b],               # running total equals the addend
+            [a, b, -(a + b), b],
+            [infinity, a, infinity, b],
+            [a, a, a, a],
+        ):
+            assert group.sum(points) == self._chain(group, points)
+
+    def test_fixed_base_powers_are_byte_identical(self, group, bn254_backend):
+        g = group.generator()
+        powers = (
+            bn254_backend.g1_powers if group is G1Point
+            else bn254_backend.g2_powers
+        )
+        exponents = [0, 1, 15, 16, 17, 2**252, CURVE_ORDER - 1, CURVE_ORDER,
+                     _rng.randrange(CURVE_ORDER), -3]
+        for exponent, point in zip(exponents, powers(exponents)):
+            assert point.to_bytes() == (g * exponent).to_bytes()

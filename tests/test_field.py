@@ -185,3 +185,171 @@ class TestFp12:
         """The definitive check: frobenius(a) == a^p for a random element."""
         a = _random_fp12()
         assert a.frobenius() == a.pow(P)
+
+
+# ---------------------------------------------------------------------
+# The flat Fp12 kernel against an independent model.
+#
+# Fp12 is also Fp[w] / (w^12 - 18 w^6 + 82): w^6 = xi = 9 + u gives
+# u = w^6 - 9, and u^2 = -1 becomes the modulus.  The model multiplies
+# degree-11 polynomials the schoolbook way and reduces after every
+# product — no tower, no Karatsuba, no lazy reduction.
+# ---------------------------------------------------------------------
+
+#: Exponent of ``w`` carried by each Fp2 coefficient, in the order
+#: ``Fp12.to_bytes`` writes them (b0.a0, b0.a1, b0.a2, b1.a0, b1.a1, b1.a2).
+_W_POWERS = (0, 2, 4, 1, 3, 5)
+
+
+def _fp12_from_ints(values) -> Fp12:
+    pairs = [Fp2(values[i], values[i + 1]) for i in range(0, 12, 2)]
+    return Fp12(Fp6(*pairs[:3]), Fp6(*pairs[3:]))
+
+
+def _to_poly(element: Fp12) -> list[int]:
+    data = element.to_bytes()
+    ints = [int.from_bytes(data[i:i + 32], "big") for i in range(0, 384, 32)]
+    poly = [0] * 12
+    for index, power in enumerate(_W_POWERS):
+        x, y = ints[2 * index], ints[2 * index + 1]
+        # (x + y u) w^k = (x - 9 y) w^k + y w^(k+6)
+        poly[power] = (x - 9 * y) % P
+        poly[power + 6] = y
+    return poly
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * 23
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % P
+    for k in range(22, 11, -1):  # w^12 = 18 w^6 - 82
+        out[k - 6] = (out[k - 6] + 18 * out[k]) % P
+        out[k - 12] = (out[k - 12] - 82 * out[k]) % P
+    return out[:12]
+
+
+def _poly_pow(a: list[int], exponent: int) -> list[int]:
+    result = [1] + [0] * 11
+    for bit in bin(exponent)[2:]:
+        result = _poly_mul(result, result)
+        if bit == "1":
+            result = _poly_mul(result, a)
+    return result
+
+
+_coefficient = st.integers(min_value=0, max_value=P - 1)
+_edge_or_random = st.one_of(
+    st.sampled_from([
+        [P - 1] * 12,                    # every lazy sum at its largest
+        [0] * 12,
+        [1] + [0] * 11,
+        [0] * 6 + [P - 1] + [0] * 5,     # a lone w
+        [P - 1, 0] * 6,
+        [0, P - 1] * 6,
+    ]),
+    st.lists(_coefficient, min_size=12, max_size=12),
+)
+fp12_elements = _edge_or_random.map(_fp12_from_ints)
+
+
+class TestFlatKernelAgainstSchoolbookModel:
+    @given(fp12_elements, fp12_elements)
+    @settings(max_examples=60, deadline=None)
+    def test_mul(self, a, b):
+        assert _to_poly(a * b) == _poly_mul(_to_poly(a), _to_poly(b))
+
+    @given(fp12_elements)
+    @settings(max_examples=60, deadline=None)
+    def test_square(self, a):
+        assert _to_poly(a.square()) == _poly_mul(_to_poly(a), _to_poly(a))
+
+    @given(fp12_elements, _coefficient, fp2_elements, fp2_elements)
+    @settings(max_examples=60, deadline=None)
+    def test_mul_by_line(self, f, a, b, c):
+        line = [0] * 12   # a + b w + c v w, and v w = w^3
+        line[0] = a
+        line[1], line[7] = (b.c0 - 9 * b.c1) % P, b.c1
+        line[3], line[9] = (c.c0 - 9 * c.c1) % P, c.c1
+        assert _to_poly(f.mul_by_line(a, b, c)) == _poly_mul(_to_poly(f), line)
+
+    def test_mul_by_line_at_the_largest_inputs(self):
+        top = Fp2(P - 1, P - 1)
+        f = _fp12_from_ints([P - 1] * 12)
+        line = [0] * 12
+        line[0] = P - 1
+        line[1] = line[3] = (P - 1 - 9 * (P - 1)) % P
+        line[7] = line[9] = P - 1
+        assert _to_poly(f.mul_by_line(P - 1, top, top)) == _poly_mul(
+            _to_poly(f), line
+        )
+
+    @given(fp12_elements)
+    @settings(max_examples=40, deadline=None)
+    def test_inverse(self, a):
+        if a.is_zero():
+            with pytest.raises(FieldError):
+                a.inverse()
+            return
+        product = _poly_mul(_to_poly(a), _to_poly(a.inverse()))
+        assert product == [1] + [0] * 11
+
+    @given(fp12_elements)
+    @settings(max_examples=40, deadline=None)
+    def test_conjugate(self, a):
+        # b0 - b1 w: the odd powers of w change sign.
+        expected = [
+            -x % P if power % 2 else x
+            for power, x in enumerate(_to_poly(a))
+        ]
+        assert _to_poly(a.conjugate()) == expected
+
+    @given(fp12_elements)
+    @settings(max_examples=8, deadline=None)
+    def test_frobenius(self, a):
+        assert _to_poly(a.frobenius()) == _poly_pow(_to_poly(a), P)
+
+    @given(fp12_elements, fp12_elements)
+    @settings(max_examples=40, deadline=None)
+    def test_add_sub_neg(self, a, b):
+        pa, pb = _to_poly(a), _to_poly(b)
+        assert _to_poly(a + b) == [(x + y) % P for x, y in zip(pa, pb)]
+        assert _to_poly(a - b) == [(x - y) % P for x, y in zip(pa, pb)]
+        assert _to_poly(-a) == [-x % P for x in pa]
+
+    def test_tower_views_round_trip(self):
+        a = _random_fp12()
+        assert Fp12(a.b0, a.b1) == a
+        # Fp6 sits inside Fp12 as the w-free elements.
+        assert Fp12(a.b0, Fp6.zero()) * Fp12(a.b1, Fp6.zero()) == Fp12(
+            a.b0 * a.b1, Fp6.zero()
+        )
+
+
+class TestCyclotomicSquare:
+    @staticmethod
+    def _easy_part(f: Fp12) -> Fp12:
+        t = f.conjugate() * f.inverse()
+        return t.frobenius().frobenius() * t
+
+    @given(fp12_elements)
+    @settings(max_examples=25, deadline=None)
+    def test_equals_square_after_the_easy_part(self, f):
+        if f.is_zero():
+            return
+        t = self._easy_part(f)
+        assert t.cyclotomic_square() == t.square()
+        assert _to_poly(t.cyclotomic_square()) == _poly_mul(
+            _to_poly(t), _to_poly(t)
+        )
+
+    def test_not_valid_on_a_generic_element(self):
+        # Granger-Scott squaring uses the relations an element of the
+        # cyclotomic subgroup satisfies (a^(p^6+1) = 1 and
+        # a^(p^4-p^2+1) = 1) to drop half the products; w alone
+        # satisfies neither, and the shortcut returns something else
+        # than w^2 = v.  Hence: only ever after the easy part.
+        w = Fp12(Fp6.zero(), Fp6.one())
+        assert w.cyclotomic_square() != w.square()
+        a = _random_fp12()
+        assert a.cyclotomic_square() != a.square()

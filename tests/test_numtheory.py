@@ -42,12 +42,19 @@ class TestModInverse:
         assert a * inv % CURVE_ORDER == 1
 
     def test_zero_raises(self):
-        with pytest.raises(FieldError):
-            nt.mod_inverse(0, 7)
+        for zero in (0, 7, -14):
+            with pytest.raises(FieldError, match="^0 has no modular inverse$"):
+                nt.mod_inverse(zero, 7)
 
     def test_non_invertible_raises(self):
-        with pytest.raises(FieldError):
+        with pytest.raises(FieldError, match="^6 is not invertible modulo 9$"):
             nt.mod_inverse(6, 9)
+        with pytest.raises(FieldError, match="^6 is not invertible modulo 9$"):
+            nt.mod_inverse(-3, 9)
+
+    def test_negative_and_oversized_inputs(self):
+        assert nt.mod_inverse(-3, 7) == nt.mod_inverse(4, 7) == 2
+        assert nt.mod_inverse(3 + 7 * 10**30, 7) == 5
 
     @given(st.integers(min_value=1, max_value=CURVE_ORDER - 1))
     def test_inverse_property(self, a):

@@ -5,9 +5,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.client import SecureJoinClient
+from repro.core.server import SecureJoinServer
+from repro.crypto.backend import BN254Backend
 from repro.crypto.curve import G1Point, G2Point, untwist
-from repro.crypto.field import Fp12
+from repro.crypto.field import Fp2, Fp12
+from repro.db.query import JoinQuery
+from repro.db.schema import Schema
+from repro.db.table import Table
+from repro.errors import FieldError, PairingError
 from repro.crypto.pairing import (
     final_exponentiation,
     miller_loop,
@@ -16,10 +25,12 @@ from repro.crypto.pairing import (
 )
 from repro.crypto.numtheory import naf_digits
 from repro.crypto.pairing_fast import (
+    G2Prepared,
     _pow_by_x,
     _twist_frobenius,
     final_exponentiation_fast,
     miller_loop_fast,
+    multi_miller_prepared,
     multi_pairing_fast,
     pairing_fast,
 )
@@ -123,17 +134,6 @@ class TestSparseMultiplication:
                     Fp6(b, c, Fp2.zero()))
         assert f.mul_by_line(a, b, c) == f * line
 
-    def test_mul_by_vertical_matches_generic(self):
-        from repro.crypto.field import Fp2, Fp6
-
-        f = Fp12(
-            Fp6(Fp2(1, 2), Fp2(3, 4), Fp2(5, 6)),
-            Fp6(Fp2(7, 8), Fp2(9, 10), Fp2(11, 12)),
-        )
-        a, b = 999, Fp2(13, 14)
-        vertical = Fp12(Fp6(Fp2(a), b, Fp2.zero()), Fp6.zero())
-        assert f.mul_by_vertical(a, b) == f * vertical
-
 
 class TestNAFPowByX:
     """The cyclotomic NAF ladder inside the final exponentiation."""
@@ -168,3 +168,99 @@ class TestNAFPowByX:
                 pairing_fast(p, q).to_bytes()
                 == pairing(p, q).to_bytes()
             )
+
+
+_scalar = st.integers(min_value=1, max_value=CURVE_ORDER - 1)
+
+
+@pytest.mark.bn254
+class TestSimultaneousMillerLoop:
+    """One loop for a whole row: raw points stepped in lock-step with a
+    batched inversion, prepared points replayed beside them."""
+
+    @given(
+        st.lists(st.tuples(_scalar, _scalar, st.booleans()),
+                 min_size=1, max_size=6)
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_equals_product_of_independent_loops(self, triples):
+        g1, g2 = G1Point.generator(), G2Point.generator()
+        pairs = [(g1 * a, g2 * b) for a, b, _ in triples]
+        expected = Fp12.one()
+        for p, q in pairs:
+            expected = expected * miller_loop_fast(q, p)
+        mixed = [
+            (p, G2Prepared.from_point(q) if prepared else q)
+            for (p, q), (_, _, prepared) in zip(pairs, triples)
+        ]
+        assert multi_miller_prepared(pairs) == expected
+        assert multi_miller_prepared(mixed) == expected
+
+    def test_infinity_entries_are_skipped(self):
+        g1, g2 = G1Point.generator(), G2Point.generator()
+        live = [(g1 * 3, g2 * 5), (g1 * 7, G2Prepared.from_point(g2 * 11))]
+        padded = [
+            (G1Point.infinity(), g2),
+            live[0],
+            (g1, G2Point.infinity()),
+            live[1],
+            (g1, G2Prepared.from_point(G2Point.infinity())),
+        ]
+        assert multi_pairing_fast(padded) == multi_pairing_fast(live)
+        backend = BN254Backend()
+        handle = backend.pair_vectors(*zip(*padded))
+        assert handle.value == multi_pairing_fast(live)
+        assert backend.ops.snapshot() == (1, 1, 1, 0, 0)
+
+    def test_degenerate_addition_raises_inside_a_batch(self):
+        # (0, y) is an inflection point of y^2 = x^3 + y^2, so 2Q = -Q:
+        # the loop's first addition meets T = -Q, the vertical line the
+        # affine formulas cannot take.  The batched inversion must not
+        # hide it behind a healthy neighbour's denominator.
+        good = G2Point.generator() * 9
+        bad = G2Point(Fp2(0), Fp2(5, 7), check=False)
+        p = G1Point.generator()
+        for pairs in ([(p, bad)], [(p, good), (p, bad), (p, good)]):
+            with pytest.raises(PairingError, match="degenerate addition"):
+                multi_miller_prepared(pairs)
+        with pytest.raises(PairingError, match="degenerate addition"):
+            G2Prepared.from_point(bad)
+
+    def test_two_torsion_point_raises_field_error(self):
+        # y = 0: the tangent is vertical, its denominator 2y is zero.
+        bad = G2Point(Fp2(3, 4), Fp2(0), check=False)
+        pairs = [(G1Point.generator(), G2Point.generator()),
+                 (G1Point.generator(), bad)]
+        with pytest.raises(FieldError, match="cannot invert zero in Fp2"):
+            multi_miller_prepared(pairs)
+
+
+@pytest.mark.bn254
+class TestSmallJoinOpCounts:
+    """The shape perfbench's ``bn254_small`` runs: 2 + 4 rows, d = 5."""
+
+    def test_cold_query_then_replay(self, bn254_backend):
+        schema = Schema.of(("k", "int"), ("v", "str"))
+        left = Table("L", schema, [(7, "l0"), (8, "l1")])
+        right = Table("R", schema, [(7, "r0"), (8, "r1"), (7, "r2"), (8, "r3")])
+        client = SecureJoinClient.for_tables(
+            [(left, "k"), (right, "k")], in_clause_limit=1,
+            backend=bn254_backend, rng=random.Random(16),
+        )
+        with SecureJoinServer(client.params, backend=bn254_backend) as server:
+            server.store(client.encrypt_table(left, "k"))
+            server.store(client.encrypt_table(right, "k"))
+            query = client.create_query(
+                JoinQuery.build("L", "R", on=("k", "k"))
+            )
+            before = bn254_backend.ops.snapshot()
+            cold = server.execute_join(query)
+            spent = bn254_backend.ops.since(before)
+            assert (spent.miller_loops, spent.final_exponentiations) == (30, 6)
+            assert spent.prepared_miller_loops == 0
+            before = bn254_backend.ops.snapshot()
+            replay = server.execute_join(query)
+            assert bn254_backend.ops.since(before).snapshot() == (0, 0, 0, 0, 0)
+        assert sorted(cold.index_pairs) == sorted(replay.index_pairs) == [
+            (0, 0), (0, 2), (1, 1), (1, 3)
+        ]
