@@ -296,15 +296,17 @@ FAST_ENGINE_COSTS = EngineCostModel(
 #: Defaults for the pure-Python BN254 pairing: compute dwarfs IPC, so the
 #: planner fans out whenever the pool has more than one worker.  The
 #: three pairing constants are what ``python -m repro.bench
-#: --calibrate-out PATH --calibrate-backend bn254`` measures on the flat
-#: kernel (dimension 8, one 2-vCPU box; CI prints its own beside them).
+#: --calibrate-out PATH --calibrate-backend bn254`` measures on the
+#: chunk kernel (dimension 8, 24 rows in one chunk, one 2-vCPU box at
+#: the faster of its two speeds; CI prints its own beside them).
 BN254_ENGINE_COSTS = EngineCostModel(
     backend="bn254",
-    # One pair's share of a row's simultaneous loop.
-    miller_loop=2.5e-3,
-    # Solved from serial minus batched, so it also carries the shared
-    # squarings and inversions a lone pairing does not get.
-    final_exponentiation=6e-3,
+    # One pair's share of a chunk's simultaneous loop: 88 line products
+    # and its twist steps, the inversions shared by the whole chunk.
+    miller_loop=1.9e-3,
+    # Solved from serial minus batched, so it also carries the
+    # squarings and inversions a lone pairing does not get to share.
+    final_exponentiation=7.5e-3,
     row_overhead=1.5e-6,
     batch_overhead=4e-5,
     element_transport=2e-5,
@@ -312,7 +314,7 @@ BN254_ENGINE_COSTS = EngineCostModel(
     pool_spawn=5e-2,
     # Replaying stored coefficients skips the twist arithmetic: about
     # half of a raw pair's share.
-    prepared_miller_loop=1.3e-3,
+    prepared_miller_loop=1.0e-3,
 )
 
 _DEFAULT_ENGINE_COSTS = {

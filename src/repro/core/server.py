@@ -292,6 +292,12 @@ def _gather(tuples, payloads) -> list[tuple[bytes, ...]]:
     return list(zip(*columns))
 
 
+#: Most retained tuples one replayed batch carries.  A cached answer
+#: streams in slices, as a cold one streams in chunks: over the socket
+#: a batch is one message, and a message has a size limit.
+_REPLAY_SLICE = 1024
+
+
 def _drain(events):
     """Run a drive to completion; its return value is the result."""
     while True:
@@ -529,7 +535,9 @@ class _JoinHost:
             if tuples:
                 emitted()
                 if streaming:
-                    yield shape.batch(list(tuples), _gather(tuples, payloads))
+                    for start in range(0, len(tuples), _REPLAY_SLICE):
+                        piece = tuples[start:start + _REPLAY_SLICE]
+                        yield shape.batch(piece, _gather(piece, payloads))
             if stale:
                 if entry.sides is None:
                     entry.sides = group_chain_sides(query, entry.key)

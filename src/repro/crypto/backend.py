@@ -32,7 +32,8 @@ from repro.crypto.pairing import multi_pairing, pairing
 from repro.crypto.pairing_fast import (
     PREPARED_ELEMENT_SIZE,
     G2Prepared,
-    multi_pairing_fast,
+    final_exponentiation_fast,
+    multi_miller_rows,
     pairing_fast,
 )
 from repro.crypto.params import CURVE_ORDER
@@ -443,37 +444,53 @@ class BN254Backend(BilinearBackend):
     def pair_vectors(
         self, g1_vector: Sequence[G1Point], g2_vector: Sequence
     ) -> BN254GT:
-        """Multi-pairing over raw G2 points, prepared elements, or a mix.
+        """Multi-pairing over raw G2 points, prepared elements, or a mix:
+        the one-row case of :meth:`pair_vectors_batch`."""
+        return self.pair_vectors_batch(g1_vector, [g2_vector])[0]
 
-        Every live pair goes through one simultaneous Miller loop:
+    def pair_vectors_batch(
+        self, g1_vector: Sequence[G1Point], g2_vectors: Sequence[Sequence]
+    ) -> list[BN254GT]:
+        """SJ.Dec for a chunk of rows in one simultaneous Miller loop.
+
+        Every live pair of every row goes through one kernel call:
         prepared elements replay their stored lines, raw ones step
-        their twist points beside them.  The accumulated product is the
-        same field element either way, so handles stay byte-identical
-        across paths.
+        their twist points beside them — all rows' raw points in one
+        lock-step trajectory, so an ate step costs the chunk a single
+        inversion.  Each row's accumulated product is the same field
+        element on every path, so handles stay byte-identical.
         """
-        if len(g1_vector) != len(g2_vector):
-            raise CryptoError("pairing vectors must have the same length")
-        live = [
-            (p, q) for p, q in zip(g1_vector, g2_vector)
-            if not (p.is_infinity() or q.is_infinity())
-        ]
-        prepared = sum(1 for _, q in live if isinstance(q, G2Prepared))
-        self.ops.miller_loops += len(live) - prepared
-        self.ops.prepared_miller_loops += prepared
-        if live:
+        handles: list[BN254GT | None] = [None] * len(g2_vectors)
+        rows, slots = [], []
+        for slot, g2_vector in enumerate(g2_vectors):
+            if len(g1_vector) != len(g2_vector):
+                raise CryptoError("pairing vectors must have the same length")
+            live = [
+                (p, q) for p, q in zip(g1_vector, g2_vector)
+                if not (p.is_infinity() or q.is_infinity())
+            ]
+            prepared = sum(1 for _, q in live if isinstance(q, G2Prepared))
+            self.ops.miller_loops += len(live) - prepared
+            self.ops.prepared_miller_loops += prepared
+            if not live:
+                handles[slot] = self.gt_identity()
+                continue
             self.ops.final_exponentiations += 1
-        fast = self.use_fast_pairing or prepared  # the reference has no replay
-        return BN254GT((multi_pairing_fast if fast else multi_pairing)(live))
+            if self.use_fast_pairing or prepared:
+                rows.append(live)
+                slots.append(slot)
+            else:  # the correctness ablation; the reference has no replay
+                handles[slot] = BN254GT(multi_pairing(live))
+        for slot, value in zip(slots, multi_miller_rows(rows)):
+            handles[slot] = BN254GT(final_exponentiation_fast(value))
+        return handles
 
     def prepare_row(self, g2_vector: Sequence) -> PreparedRow:
         elements = tuple(g2_vector)
         self.ops.preparations += sum(
             1 for q in elements if not q.is_infinity()
         )
-        return PreparedRow(
-            elements,
-            tuple(G2Prepared.from_point(q) for q in elements),
-        )
+        return PreparedRow(elements, tuple(G2Prepared.from_points(elements)))
 
     @property
     def prepared_element_size(self) -> int:
@@ -580,14 +597,6 @@ class FastBackend(BilinearBackend):
         if raw or prepared:
             self.ops.final_exponentiations += 1
         return FastGT(total % q, q)
-
-    def pair_vectors_batch(
-        self, g1_vector: Sequence[int], g2_vectors: Sequence[Sequence]
-    ) -> list[FastGT]:
-        return [
-            self.pair_vectors(g1_vector, g2_vector)
-            for g2_vector in g2_vectors
-        ]
 
     def prepare_row(self, g2_vector: Sequence) -> PreparedRow:
         elements = tuple(g2_vector)

@@ -45,6 +45,32 @@ def mod_inverse(a: int, modulus: int) -> int:
         ) from None
 
 
+def signed_window_digits(k: int, width: int) -> list[int]:
+    """Width-``width`` non-adjacent form of ``k >= 0``, LSB first: every
+    nonzero digit is odd with ``|digit| < 2**(width - 1)`` and is
+    followed by at least ``width - 1`` zeros.
+
+    ``k == sum(d * 2**i for i, d in enumerate(digits))``; the nonzero
+    density is ``1 / (width + 1)``, paid for with a table of the odd
+    multiples below ``2**(width - 1)`` and cheap negation.
+    """
+    if k < 0:
+        raise FieldError("NAF recoding expects a non-negative scalar")
+    window = 1 << width
+    digits = []
+    while k:
+        if k & 1:
+            digit = k & (window - 1)
+            if digit >= window >> 1:
+                digit -= window
+            k -= digit
+        else:
+            digit = 0
+        digits.append(digit)
+        k >>= 1
+    return digits
+
+
 def naf_digits(k: int) -> list[int]:
     """Non-adjacent form of ``k >= 0``: digits in ``{-1, 0, 1}``, LSB first.
 
@@ -53,18 +79,7 @@ def naf_digits(k: int) -> list[int]:
     drops from 1/2 (binary) to 1/3 — fewer group additions in a
     double-and-add ladder, at the price of needing cheap negation.
     """
-    if k < 0:
-        raise FieldError("NAF recoding expects a non-negative scalar")
-    digits = []
-    while k:
-        if k & 1:
-            digit = 2 - (k & 3)
-            k -= digit
-        else:
-            digit = 0
-        digits.append(digit)
-        k >>= 1
-    return digits
+    return signed_window_digits(k, 2)
 
 
 def is_probable_prime(n: int, rounds: int = 40) -> bool:

@@ -33,7 +33,9 @@ _MAGIC = b"RPROETBL"
 #: row so warm queries replay them) and the shard descriptor (layout
 #: header key plus the shard's global row indices as a trailing u32
 #: section) are optional *sections* of it, announced by header keys.
-_VERSION = 5
+#: Version 6: a prepared element holds the signed-digit ate trajectory
+#: (88 line coefficients; version 5 stored the binary loop's 102).
+_VERSION = 6
 _TAG_SIZE = 32
 #: Longest accepted hex-encoded partitioner seed (raw seed <= 64 bytes,
 #: mirroring :data:`repro.shard.partition._MAX_SEED_SIZE`).

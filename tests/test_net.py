@@ -25,7 +25,7 @@ from repro.core.client import SecureJoinClient
 from repro.core.engine import BatchedEngine
 from repro.core.server import MatchBatch, SecureJoinServer, ServerStats
 from repro.core.service import ExecutionService, QueryQoS
-from repro.db.query import JoinQuery
+from repro.db.query import ChainQuery, JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.errors import (
@@ -279,6 +279,58 @@ class TestRemoteErrors:
                 # Cancellation is in-band: the connection still serves.
                 good = rc.execute_join(_query(client))
                 assert good.index_pairs
+
+
+class TestReplayedAnswerIsFramed:
+    """A cached answer streams in slices, as a cold one streams in
+    chunks: re-submitting a query must not turn its whole answer into
+    one message that the receiver's size limit refuses."""
+
+    LIMIT = 256 * 1024
+
+    @pytest.mark.parametrize("arity", [2, 3], ids=["join", "chain3"])
+    def test_resubmission_fits_the_message_limit(self, arity):
+        # Distinct keys: 3000 matches, a few dozen per cold chunk.
+        names = ["T1", "T2", "T3"][:arity]
+        tables = [
+            Table(name, Schema.of(("k", "int"), ("v", "str")),
+                  [(i, f"{name}.{i}") for i in range(3000)])
+            for name in names
+        ]
+        client = SecureJoinClient.for_tables(
+            [(t, "k") for t in tables], in_clause_limit=1,
+            rng=random.Random(23),
+        )
+        server = SecureJoinServer(client.params)
+        for table in tables:
+            server.store(client.encrypt_table(table, "k"))
+        if arity == 2:
+            query = client.create_query(
+                JoinQuery.build("T1", "T2", on=("k", "k"))
+            )
+        else:
+            query = client.create_chain_query(
+                ChainQuery.build([(name, "k") for name in names])
+            )
+        with server, JoinServiceServer(server) as service:
+            host, port = service.address
+            with RemoteJoinClient(
+                host, port, client.scheme.backend,
+                max_message_size=self.LIMIT,
+            ) as rc:
+                stream_of = (
+                    rc.stream_join if arity == 2 else rc.stream_chain
+                )
+                _, cold = _drain(stream_of(query))
+                assert len(cold.tuples) == 3000
+                batches, replay = _drain(stream_of(query))
+        assert replay.stats.series_cache_hits == 1
+        assert [len(batch.tuples) for batch in batches] == [1024, 1024, 952]
+        assert sorted(
+            row for batch in batches for row in batch.tuples
+        ) == sorted(replay.tuples)
+        assert replay.tuples == cold.tuples
+        assert replay.payloads == cold.payloads
 
 
 # -- hint allowlist gate ----------------------------------------------------

@@ -108,6 +108,23 @@ class TestLegendreAndSqrt:
         assert r * r % FIELD_MODULUS == a
 
 
+class TestSignedWindowDigits:
+    @given(st.integers(min_value=0, max_value=2**256),
+           st.integers(min_value=2, max_value=5))
+    def test_reconstructs_with_sparse_odd_digits(self, k, width):
+        digits = nt.signed_window_digits(k, width)
+        assert sum(d << i for i, d in enumerate(digits)) == k
+        assert all(d % 2 and abs(d) < 1 << (width - 1) for d in digits if d)
+        # A nonzero digit is followed by at least width - 1 zeros.
+        nonzero = [i for i, d in enumerate(digits) if d]
+        assert all(b - a >= width for a, b in zip(nonzero, nonzero[1:]))
+        assert not digits or digits[-1] > 0
+
+    def test_rejects_negative(self):
+        with pytest.raises(FieldError):
+            nt.signed_window_digits(-1, 3)
+
+
 class TestCrt:
     def test_pair(self):
         x, m = nt.crt_pair(2, 3, 3, 5)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.client import SecureJoinClient
@@ -23,18 +24,22 @@ from repro.crypto.pairing import (
     multi_pairing,
     pairing,
 )
-from repro.crypto.numtheory import naf_digits
+from repro.crypto.numtheory import naf_digits, signed_window_digits
 from repro.crypto.pairing_fast import (
+    _REPLAY_SQUARES,
+    PREPARED_COEFF_COUNT,
+    PREPARED_ELEMENT_SIZE,
     G2Prepared,
     _pow_by_x,
     _twist_frobenius,
     final_exponentiation_fast,
     miller_loop_fast,
     multi_miller_prepared,
+    multi_miller_rows,
     multi_pairing_fast,
     pairing_fast,
 )
-from repro.crypto.params import BN_X, CURVE_ORDER
+from repro.crypto.params import ATE_LOOP_COUNT, BN_X, CURVE_ORDER
 
 _rng = random.Random(2718)
 
@@ -136,16 +141,33 @@ class TestSparseMultiplication:
 
 
 class TestNAFPowByX:
-    """The cyclotomic NAF ladder inside the final exponentiation."""
+    """The two fixed exponents the kernel walks in signed digits — the
+    ate loop count in NAF, the BN parameter in a width-3 window — and
+    the ladder inside the final exponentiation."""
 
-    def test_bn_x_naf_weight_pinned(self):
-        # x = 4965661367192848881 has binary weight 28; its NAF weight
-        # is 24.  The ladder multiplies once per nonzero digit, so this
+    def test_bn_x_window_weight_pinned(self):
+        # x = 4965661367192848881 has binary weight 28 and NAF weight
+        # 24; in a width-3 window (digits +-1, +-3) it has 18 nonzero
+        # digits.  The ladder multiplies once per nonzero digit, so this
         # pin IS the op-count regression test for _pow_by_x.
-        digits = naf_digits(BN_X)
+        digits = signed_window_digits(BN_X, 3)
         assert sum(d << i for i, d in enumerate(digits)) == BN_X
-        assert sum(1 for d in digits if d) == 24
+        assert set(digits) <= {0, 1, -1, 3, -3}
+        assert sum(1 for d in digits if d) == 18
+        assert sum(1 for d in naf_digits(BN_X) if d) == 24
         assert bin(BN_X).count("1") == 28
+
+    def test_ate_loop_schedule_pinned(self):
+        # 6x + 2 has 65 bits of weight 37 (64 + 36 + 2 = 102 lines in
+        # plain binary); its NAF has 66 digits of weight 22, so a
+        # trajectory is 65 doublings + 21 additions + 2 Frobenius steps.
+        assert ATE_LOOP_COUNT.bit_length() == 65
+        assert bin(ATE_LOOP_COUNT).count("1") == 37
+        digits = naf_digits(ATE_LOOP_COUNT)
+        assert (len(digits), sum(1 for d in digits if d)) == (66, 22)
+        assert len(_REPLAY_SQUARES) == PREPARED_COEFF_COUNT == 88
+        assert sum(_REPLAY_SQUARES) == 65
+        assert PREPARED_ELEMENT_SIZE == 11265
 
     def test_pow_by_x_matches_generic_pow_on_cyclotomic_input(self):
         # _pow_by_x uses conjugation as inversion, which is only valid
@@ -159,8 +181,9 @@ class TestNAFPowByX:
         assert _pow_by_x(t) == t.pow(BN_X)
 
     def test_pairing_byte_identity_with_reference(self):
-        # The NAF ladders (curve scalar_mul + _pow_by_x) must not move
-        # a single byte of the pairing output vs the reference path.
+        # The signed-digit ladders (curve scalar_mul, the ate loop,
+        # _pow_by_x) must not move a single byte of the pairing output
+        # vs the reference path, which walks plain binary.
         for _ in range(3):
             p = G1Point.generator() * _rng.randrange(1, CURVE_ORDER)
             q = G2Point.generator() * _rng.randrange(1, CURVE_ORDER)
@@ -225,14 +248,123 @@ class TestSimultaneousMillerLoop:
                 multi_miller_prepared(pairs)
         with pytest.raises(PairingError, match="degenerate addition"):
             G2Prepared.from_point(bad)
+        # ... nor behind a healthy neighbour *row* of the same chunk.
+        healthy = [(p, good), (p, good)]
+        with pytest.raises(PairingError, match="degenerate addition"):
+            multi_miller_rows([healthy, [(p, good), (p, bad)], healthy])
+        with pytest.raises(PairingError, match="degenerate addition"):
+            G2Prepared.from_points([good, bad, good])
+        with pytest.raises(PairingError, match="degenerate addition"):
+            BN254Backend().pair_vectors_batch(
+                [p, p], [[good, good], [good, bad], [good, good]]
+            )
 
     def test_two_torsion_point_raises_field_error(self):
         # y = 0: the tangent is vertical, its denominator 2y is zero.
+        # Caught by name before the chunk's shared inversion, which
+        # would only report that some product was not invertible.
         bad = G2Point(Fp2(3, 4), Fp2(0), check=False)
-        pairs = [(G1Point.generator(), G2Point.generator()),
-                 (G1Point.generator(), bad)]
+        p, good = G1Point.generator(), G2Point.generator()
+        pairs = [(p, good), (p, bad)]
         with pytest.raises(FieldError, match="cannot invert zero in Fp2"):
             multi_miller_prepared(pairs)
+        with pytest.raises(FieldError, match="cannot invert zero in Fp2"):
+            multi_miller_rows([[(p, good)], pairs, [(p, good)]])
+        with pytest.raises(FieldError, match="cannot invert zero in Fp2"):
+            BN254Backend().pair_vectors_batch(
+                [p, p], [[good, good], [good, bad], [good, good]]
+            )
+
+
+# A small pool of G2 elements in every form a stored row can hold them.
+_INFINITY = G2Point.infinity()
+_POOL_SCALARS = (5, 2**200 + 9, CURVE_ORDER - 3)
+
+
+@functools.cache
+def _element_pool():
+    points = [G2Point.generator() * s for s in _POOL_SCALARS]
+    return points, G2Prepared.from_points(points)
+
+
+_element = st.one_of(
+    st.tuples(st.sampled_from(["raw", "prepared"]),
+              st.integers(0, len(_POOL_SCALARS) - 1)),
+    st.just(("infinity", 0)),
+    st.just(("prepared_infinity", 0)),
+)
+_D = 3
+_row = st.one_of(
+    st.lists(_element, min_size=_D, max_size=_D),
+    st.just([("infinity", 0)] * _D),
+)
+
+
+@pytest.mark.bn254
+class TestChunkKernel:
+    """A chunk of rows in one lock-step trajectory is the rows one at a
+    time: same handles, same operation counts."""
+
+    @given(
+        st.lists(_row, min_size=1, max_size=6),
+        st.lists(st.integers(0, 40), min_size=_D, max_size=_D),
+    )
+    @example(
+        [[("raw", 0), ("prepared", 1), ("infinity", 0)],
+         [("infinity", 0)] * _D,
+         [("prepared_infinity", 0), ("raw", 2), ("raw", 1)]],
+        [7, 0, 9],
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_batch_equals_rows_one_at_a_time(self, shapes, token_scalars):
+        points, prepared = _element_pool()
+        forms = {
+            "raw": points.__getitem__,
+            "prepared": prepared.__getitem__,
+            "infinity": lambda _: _INFINITY,
+            "prepared_infinity": lambda _: G2Prepared(()),
+        }
+        rows = [[forms[kind](i) for kind, i in shape] for shape in shapes]
+        # A zero scalar is the G1 point at infinity.
+        token = [G1Point.generator() * s for s in token_scalars]
+        backend = BN254Backend()
+        before = backend.ops.snapshot()
+        batched = backend.pair_vectors_batch(token, rows)
+        batch_ops = backend.ops.since(before)
+        before = backend.ops.snapshot()
+        singly = [backend.pair_vectors(token, row) for row in rows]
+        assert [gt.to_bytes() for gt in batched] == [
+            gt.to_bytes() for gt in singly
+        ]
+        assert batch_ops == backend.ops.since(before)
+        live = [
+            [q for s, q in zip(token_scalars, row)
+             if s and not q.is_infinity()]
+            for row in rows
+        ]
+        assert batch_ops.final_exponentiations == sum(map(bool, live))
+        assert batch_ops.prepared_miller_loops == sum(
+            isinstance(q, G2Prepared) for row in live for q in row
+        )
+        assert batch_ops.miller_loops == (
+            sum(map(len, live)) - batch_ops.prepared_miller_loops
+        )
+
+    def test_lock_step_preparation_is_point_by_point_preparation(self):
+        points, _ = _element_pool()
+        qs = [points[0], _INFINITY, points[1], points[2], _INFINITY]
+        together = G2Prepared.from_points(qs)
+        assert [t.coeffs for t in together] == [
+            G2Prepared.from_point(q).coeffs for q in qs
+        ]
+        assert [len(t.coeffs) for t in together] == [88, 0, 88, 88, 0]
+        assert G2Prepared.from_points([]) == []
+        backend = BN254Backend()
+        row = backend.prepare_row(qs)
+        assert [t.coeffs for t in row.prepared] == [
+            t.coeffs for t in together
+        ]
+        assert backend.ops.preparations == 3
 
 
 @pytest.mark.bn254

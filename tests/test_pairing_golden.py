@@ -6,7 +6,11 @@ a field bug common to both would pass them all.  The bytes in
 ``tests/data/pairing_bn254.bin`` were written before the flat kernel
 replaced the object tower; a kernel change must reproduce them exactly.
 Regenerate (only after a *deliberate* change of representation) with
-``PYTHONPATH=src python tests/test_pairing_golden.py``.
+``PYTHONPATH=src python tests/test_pairing_golden.py``, which names the
+sections whose bytes moved.  The signed-digit ate loop moved
+``miller_value`` and ``prepared_sha256`` (a different trajectory to the
+same point); the five pairing and handle sections are still the bytes
+of the object tower.
 """
 
 from __future__ import annotations
@@ -109,7 +113,13 @@ def test_golden_sections_are_consistent(sections):
 
 
 if __name__ == "__main__":
+    fresh = _sections()
+    before = _stored() if GOLDEN.exists() else {}
+    changed = [
+        name for name in _SECTION_SIZES if fresh[name] != before.get(name)
+    ]
     GOLDEN.parent.mkdir(exist_ok=True)
-    blob = b"".join(_sections()[name] for name in _SECTION_SIZES)
+    blob = b"".join(fresh[name] for name in _SECTION_SIZES)
     GOLDEN.write_bytes(blob)
     print(f"wrote {GOLDEN} ({len(blob)} bytes)")
+    print("sections changed:", ", ".join(changed) or "none")

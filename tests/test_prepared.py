@@ -36,6 +36,7 @@ from repro.crypto.pairing_fast import (
     pairing_fast,
     pairing_prepared,
 )
+from repro.errors import PairingError, SchemeError
 
 try:
     from hypothesis import given, settings
@@ -260,6 +261,21 @@ class TestPreparedCodec:
         )
         replayed = backend.pair_vectors(token, decoded)
         assert direct.to_bytes() == replayed.to_bytes()
+
+    def test_binary_loop_element_refused_by_name(self):
+        # What the plain-binary ate loop stored: 102 coefficients.
+        backend = BN254Backend()
+        assert backend.prepared_element_size == 1 + 88 * 128 == 11265
+        stale = bytes(1 + 102 * 128)
+        assert len(stale) == 13057
+        with pytest.raises(
+            PairingError, match="needs 11265 bytes, got 13057"
+        ):
+            backend.decode_prepared(stale)
+        with pytest.raises(
+            PairingError, match="102 line coefficients.*needs 88"
+        ):
+            G2Prepared(((0, 0, 0, 0),) * 102)
 
 
 class TestThreadSafeFixedBase:
@@ -542,9 +558,14 @@ class TestStoredPreparedTables:
             payloads=[b"p0", b"p1"],
         )
         prepare_encrypted_table(table, backend)
-        loaded = decode_encrypted_table(
-            encode_encrypted_table(table, backend), backend
-        )
+        blob = encode_encrypted_table(table, backend)
+        loaded = decode_encrypted_table(blob, backend)
+        # A file from before the signed-digit trajectory is refused by
+        # its version, not by a size that happens to differ.
+        with pytest.raises(
+            SchemeError, match="unsupported format version 5"
+        ):
+            decode_encrypted_table(blob[:8] + b"\x05" + blob[9:], backend)
         token = backend.g1_powers([3, 4])
         for row_index in range(2):
             raw = backend.pair_vectors(

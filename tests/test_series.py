@@ -39,10 +39,10 @@ RIGHT_ROWS = [(2, "b0"), (3, "b1"), (4, "b2")]
 
 
 def _setup(seed=41, series_cache_bytes=None, enable_prefilter=False,
-           **server_kwargs):
+           left_rows=LEFT_ROWS, right_rows=RIGHT_ROWS, **server_kwargs):
     """Two small joined tables on one server; default cache budget."""
-    left = Table("L", Schema.of(("k", "int"), ("a", "str")), LEFT_ROWS)
-    right = Table("R", Schema.of(("k", "int"), ("b", "str")), RIGHT_ROWS)
+    left = Table("L", Schema.of(("k", "int"), ("a", "str")), left_rows)
+    right = Table("R", Schema.of(("k", "int"), ("b", "str")), right_rows)
     client = SecureJoinClient.for_tables(
         [(left, "k"), (right, "k")],
         in_clause_limit=2,
@@ -397,9 +397,10 @@ class TestCostModelPersistence:
 # -- sharded series -------------------------------------------------------
 
 
-def _sharded_setup(seed=43, n_shards=2, series_cache_bytes=None):
-    left = Table("L", Schema.of(("k", "int"), ("a", "str")), LEFT_ROWS)
-    right = Table("R", Schema.of(("k", "int"), ("b", "str")), RIGHT_ROWS)
+def _sharded_setup(seed=43, n_shards=2, series_cache_bytes=None,
+                   left_rows=LEFT_ROWS, right_rows=RIGHT_ROWS):
+    left = Table("L", Schema.of(("k", "int"), ("a", "str")), left_rows)
+    right = Table("R", Schema.of(("k", "int"), ("b", "str")), right_rows)
     client = SecureJoinClient.for_tables(
         [(left, "k"), (right, "k")],
         in_clause_limit=2,
@@ -484,6 +485,37 @@ class TestShardedSeries:
 
 
 ENGINES = (None, "auto", "serial", "batched", "parallel")
+
+
+class TestSlicedReplay:
+    """A retained answer longer than one replay slice streams as several
+    batches, and streamed == materialized still holds on both hosts."""
+
+    # 3 keys x 20 x 20 rows: 1200 matches, one slice and a bit.
+    ROWS = [(i % 3, f"v{i}") for i in range(60)]
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["store", "fleet"])
+    def test_streamed_replay_matches_materialized(self, sharded):
+        if sharded:
+            client, host, shards = _sharded_setup(
+                left_rows=self.ROWS, right_rows=self.ROWS
+            )
+        else:
+            client, host = _setup(left_rows=self.ROWS, right_rows=self.ROWS)
+            shards = [host]
+        query = _query(client)
+        cold = host.execute_join(query)
+        batches, warm = _drain(host.stream_join(query))
+        assert warm.stats.series_cache_hits == 1
+        assert [len(batch.index_pairs) for batch in batches] == [1024, 176]
+        streamed = [pair for batch in batches for pair in batch.index_pairs]
+        assert streamed == warm.index_pairs
+        assert [
+            payloads for batch in batches for payloads in batch.payloads
+        ] == warm.payloads
+        _assert_identical(warm, cold)
+        for shard in shards:
+            shard.close()
 
 
 class TestInterleavings:
