@@ -16,12 +16,15 @@ against the bilinear backend:
   worker pool (:class:`~repro.core.service.ExecutionService`): workers
   are forked lazily, survive across queries, cache the backend and
   decoded tokens, and read ciphertext chunks out of shared memory.
-- :class:`AutoEngine` — the cost-model planner: estimates each
-  engine's runtime per side from the candidate count, the scheme
-  dimension and per-operation timings
-  (:mod:`repro.bench.costmodel`), corrects the estimates with online
-  observations of its own past queries, and delegates to the cheapest
-  engine.
+- :class:`AutoEngine` — the cost-model planner: per side, estimates
+  the batched and the pooled run from the candidate count, the scheme
+  dimension and per-operation timings (:mod:`repro.plan.cost`), and
+  fans out only when the pool wins by the model's margin.
+
+:class:`SerialEngine` is the ablation baseline and nothing else: it is
+reachable per call (``engine="serial"``) or through an operator's
+``hint_engines`` opt-in, the planner never prices it, and the default
+hint allowlist does not offer it to remote clients.
 
 Since the streaming-pipeline refactor the primary interface is
 :meth:`ExecutionEngine.decrypt_stream`: a :class:`HandleStream` of
@@ -48,11 +51,10 @@ from repro.core.service import (
     ExecutionService,
     QueryQoS,
     default_worker_count,
-    get_default_service,
-    peek_default_service,
 )
 from repro.crypto.backend import BilinearBackend, PreparedRow
 from repro.errors import DeadlineError, QueryError
+from repro.plan.cost import choose_engine, default_engine_cost_model
 
 #: Rows per chunk when a batching engine is built without an explicit size.
 DEFAULT_BATCH_SIZE = 64
@@ -294,8 +296,8 @@ class ParallelEngine(ExecutionEngine):
     :class:`~repro.core.service.ExecutionService` — lazily started the
     first time it is needed and shared by every concurrently admitted
     side — and their chunks stream back in completion order.  A server
-    binds its own service via :meth:`bind_service`; standalone engines
-    fall back to the process-wide default service.
+    binds its own service via :meth:`bind_service`; an engine no pool
+    was ever bound to runs every side inline.
     """
 
     name = "parallel"
@@ -318,17 +320,15 @@ class ParallelEngine(ExecutionEngine):
         self._service = service
 
     def effective_workers(self) -> int:
-        """Workers a pooled side would actually use: the engine's own
-        cap, further capped by the pool it is (or would be) bound to."""
-        service = self._service or peek_default_service()
-        if service is not None:
-            return min(self.workers, service.worker_target)
-        return self.workers
+        """Workers a side would actually get: the engine's own cap,
+        further capped by the pool it is bound to — one, unbound."""
+        if self._service is None:
+            return 1
+        return min(self.workers, self._service.worker_target)
 
     def pool_warm(self) -> bool:
         """Whether a pooled side would find its workers already forked."""
-        service = self._service or peek_default_service()
-        return service is not None and service.started
+        return self._service is not None and self._service.started
 
     def bind_service(self, service: ExecutionService) -> None:
         """Attach the pool this engine should use.
@@ -343,16 +343,15 @@ class ParallelEngine(ExecutionEngine):
         ):
             self._service = service
 
-    @property
-    def service(self) -> ExecutionService:
-        if self._service is None:
-            self._service = get_default_service()
-        return self._service
-
     def decrypt_stream(
         self, backend, token_elements, ciphertext_vectors, qos=None
     ):
-        if self.workers == 1 or len(ciphertext_vectors) <= self.batch_size:
+        service = self._service
+        if (
+            service is None
+            or self.workers == 1
+            or len(ciphertext_vectors) <= self.batch_size
+        ):
             inline = self._inline.decrypt_stream(
                 backend, token_elements, ciphertext_vectors, qos=qos
             )
@@ -366,7 +365,6 @@ class ParallelEngine(ExecutionEngine):
 
             return HandleStream(run_inline(), on_close=inline.close)
 
-        service = self.service
         side = service.admit_side(
             backend,
             token_elements,
@@ -410,112 +408,70 @@ class ParallelEngine(ExecutionEngine):
         )
 
 
-#: Engines the planner may pick from, in "prefer the cheaper estimate,
-#: break ties towards batched" order.
-PLANNER_CANDIDATES = ("serial", "batched", "parallel")
-
-
 class AutoEngine(ExecutionEngine):
-    """The cost-model planner: per side, run the cheapest engine.
+    """The cost-model planner: per side, fan out only when it pays.
 
-    For every candidate side the planner estimates the runtime of each
-    candidate engine from the candidate count, the scheme dimension and
-    a per-operation cost model (:mod:`repro.bench.costmodel` — default
-    models per backend, or a calibrated/custom one), then delegates to
-    the winner.  Estimates, inputs, the choice and the side's *observed*
-    runtime are recorded in the report so ``ServerStats`` (and the wire
-    format) expose why a query ran the way it did.
-
-    Selection is conservative: ``parallel`` must beat ``batched`` by
-    the model's margin before it is chosen, so ``auto`` never trades a
-    sure thing for pool overhead.  With ``calibrate_online`` (the
-    default) the planner also learns from itself: each side's observed
-    seconds update a per-engine multiplicative correction
-    (:class:`~repro.bench.costmodel.OnlineCalibrator`), so a model
-    that's off on this hardware converges after a handful of queries.
+    For every candidate side the planner estimates the batched and the
+    pooled run from the candidate count, the scheme dimension and a
+    per-operation cost model (:mod:`repro.plan.cost` — the backend's
+    built-in model, or a calibrated/custom ``cost_model``), and runs the
+    side on the pool only when ``parallel`` beats ``batched`` by the
+    model's margin — so ``auto`` never trades a sure thing for pool
+    overhead.  Inputs, both estimates, the choice and the side's
+    *observed* seconds are recorded in the report, so ``ServerStats``
+    (and the wire format) show predicted against actual for every side.
+    The model is fixed for the engine's lifetime: an operator corrects
+    it by calibrating offline (``python -m repro.bench
+    --calibrate-out``), not by the planner watching itself.
     """
 
     name = "auto"
 
     def __init__(
         self,
-        candidates: tuple[str, ...] = PLANNER_CANDIDATES,
         cost_model=None,
         workers: int | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         service: ExecutionService | None = None,
-        calibrate_online: bool = True,
-        calibrator=None,
     ):
-        unknown = [c for c in candidates if c not in PLANNER_CANDIDATES]
-        if unknown:
-            raise QueryError(
-                f"unknown planner candidates {unknown}; "
-                f"use a subset of {PLANNER_CANDIDATES}"
-            )
-        if not candidates:
-            raise QueryError("planner needs at least one candidate engine")
-        self.candidates = tuple(candidates)
         self.cost_model = cost_model
         self.batch_size = batch_size
-        if calibrator is None and calibrate_online:
-            from repro.bench.costmodel import OnlineCalibrator
-
-            calibrator = OnlineCalibrator()
-        self.calibrator = calibrator
-        self._engines: dict[str, ExecutionEngine] = {
-            "serial": SerialEngine(),
-            "batched": BatchedEngine(batch_size),
-            "parallel": ParallelEngine(
-                workers=workers,
-                batch_size=max(1, batch_size // 2),
-                service=service,
-            ),
-        }
+        self._inline = BatchedEngine(batch_size)
+        self._pooled = ParallelEngine(
+            workers=workers,
+            batch_size=max(1, batch_size // 2),
+            service=service,
+        )
 
     def bind_service(self, service: ExecutionService) -> None:
-        self._engines["parallel"].bind_service(service)
-
-    def _model_for(self, backend: BilinearBackend):
-        from repro.bench.costmodel import default_engine_cost_model
-
-        if self.cost_model is not None:
-            return self.cost_model
-        return default_engine_cost_model(backend.name)
+        self._pooled.bind_service(service)
 
     def decrypt_stream(
         self, backend, token_elements, ciphertext_vectors, qos=None
     ):
-        from repro.bench.costmodel import choose_engine
-
-        parallel: ParallelEngine = self._engines["parallel"]
-        pool_warm = parallel.pool_warm()
+        pooled = self._pooled
+        pool_warm = pooled.pool_warm()
         # Price the pool the side would *actually* get: the engine's
         # worker cap further capped by the bound service's size.
-        workers = parallel.effective_workers()
-        corrections = (
-            self.calibrator.corrections() if self.calibrator else None
-        )
+        workers = pooled.effective_workers()
         # A prepared (warm) table replays stored line coefficients
         # instead of running full Miller loops, so price the side with
-        # the model's prepared constant — this is what makes the
-        # planner prefer cheaper inline engines once a table is warm.
+        # the model's prepared constant.
         prepared_rows = bool(ciphertext_vectors) and all(
             isinstance(row, PreparedRow) for row in ciphertext_vectors
         )
         choice, estimates = choose_engine(
-            self._model_for(backend),
+            self.cost_model or default_engine_cost_model(backend.name),
             rows=len(ciphertext_vectors),
             dimension=len(token_elements),
             workers=workers,
             batch_size=self.batch_size,
-            parallel_batch_size=parallel.batch_size,
+            parallel_batch_size=pooled.batch_size,
             pool_warm=pool_warm,
-            allowed=self.candidates,
-            corrections=corrections,
             prepared=prepared_rows,
         )
-        inner = self._engines[choice].decrypt_stream(
+        engine = pooled if choice == pooled.name else self._inline
+        inner = engine.decrypt_stream(
             backend, token_elements, ciphertext_vectors, qos=qos
         )
 
@@ -524,7 +480,7 @@ class AutoEngine(ExecutionEngine):
             # chunks (resume-to-yield).  The pipeline interleaves both
             # sides' streams, so wall-clock from open to exhaustion
             # would charge each side with the other side's work too and
-            # bias the calibrator toward ~2x corrections.
+            # read about twice the estimate it is recorded beside.
             elapsed = 0.0
             while True:
                 resumed = time.perf_counter()
@@ -551,26 +507,6 @@ class AutoEngine(ExecutionEngine):
                 },
                 "actual_seconds": elapsed,
             }
-            if corrections:
-                report.planner["corrections"] = dict(corrections)
-            # Feed the *uncorrected* model prediction back, so the
-            # correction converges on actual/predicted instead of
-            # chasing its own output.  Two kinds of sides are not
-            # attributable and must not be observed: (a) the parallel
-            # engine's inline fallback (pool_generation stays 0 — the
-            # model priced a pooled run, reality was single-threaded),
-            # and (b) pooled sides that interleaved with another
-            # admitted side (concurrent_sides > 1 — the shared poller
-            # charges the co-execution wall to whichever side holds
-            # the poll, so per-resume accrual splits it arbitrarily).
-            unattributable = choice == "parallel" and (
-                report.pool_generation == 0 or report.concurrent_sides > 1
-            )
-            if self.calibrator is not None and not unattributable:
-                raw = estimates[choice] / (
-                    corrections.get(choice, 1.0) if corrections else 1.0
-                )
-                self.calibrator.observe(choice, raw, elapsed)
             return report
 
         return HandleStream(run(), on_close=inner.close)

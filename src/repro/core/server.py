@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 from repro.core.client import EncryptedTable, position_view
 from repro.core.engine import (
+    ENGINE_NAMES,
     AutoEngine,
     EngineReport,
     ExecutionEngine,
@@ -63,6 +64,7 @@ from repro.plan import (
     compile_plan,
     group_chain_sides,
 )
+from repro.plan.cost import default_engine_cost_model
 from repro.series.cache import (
     DEFAULT_SERIES_BUDGET,
     SeriesCache,
@@ -70,9 +72,10 @@ from repro.series.cache import (
     series_key,
 )
 
-#: Matcher algorithms ``execute_join`` accepts; ``"auto"`` prices hash
-#: vs nested with the cost model (see :mod:`repro.bench.costmodel`).
-MATCH_ALGORITHMS = ("hash", "nested", "auto")
+#: Matcher algorithms ``execute_join`` accepts: the paper's hash join,
+#: and the nested loop its Section 6.5 comparison measures it against —
+#: a per-call argument only, no planner or deployment option picks it.
+MATCH_ALGORITHMS = ("hash", "nested")
 
 
 @dataclass
@@ -94,8 +97,7 @@ class ServerStats:
     ``engine_selected`` is what actually executed — it differs from
     ``engine`` only under the ``"auto"`` planner, whose per-side inputs
     and cost estimates land in ``planner`` (one dict per decrypted
-    side, plus a ``stage: "match"`` record when the matcher was priced
-    too).  ``matcher`` names the SJ.Match algorithm that ran.
+    side).  ``matcher`` names the SJ.Match algorithm that ran.
     ``pool_generation`` / ``worker_restarts`` expose the persistent
     pool's lifecycle: the generation only moves when the pool is
     actually (re)created, so equal generations across queries prove
@@ -112,8 +114,8 @@ class ServerStats:
     Scatter-gather fields (set by the shard coordinator; 0 for a
     single-store join): ``shards`` is how many shards served the query
     and ``shard_skew`` the candidate-row imbalance across them (max
-    over mean; 1.0 = perfectly uniform) — the quantity the planner's
-    cross-shard pricing discounts the ideal ``1/n`` speedup by.
+    over mean; 1.0 = perfectly uniform) — what discounts the ideal
+    ``1/n`` speedup of the scatter.
 
     Query-series fields: ``series_cache_hits`` is 1 when the query hit
     the server's cross-query cache (a warm replay or a delta refresh),
@@ -292,10 +294,11 @@ def _gather(tuples, payloads) -> list[tuple[bytes, ...]]:
     return list(zip(*columns))
 
 
-#: Most retained tuples one replayed batch carries.  A cached answer
-#: streams in slices, as a cold one streams in chunks: over the socket
-#: a batch is one message, and a message has a size limit.
-_REPLAY_SLICE = 1024
+#: Most tuples one streamed batch carries, replayed or cold.  A cached
+#: answer is one list and one chunk can complete any number of tuples
+#: under a repeated key; over the socket a batch is one message, and a
+#: message has a size limit.
+_BATCH_SLICE = 1024
 
 
 def _drain(events):
@@ -339,8 +342,8 @@ class _JoinHost:
         the handles that were computed.
 
         ``algorithm`` selects the matcher: ``"hash"`` (the paper's
-        expected-O(n) hash join), ``"nested"`` (the O(n^2) loop kept
-        for ablations) or ``"auto"`` (cost-model priced).
+        expected-O(n) hash join) or ``"nested"`` (the O(n^2) loop kept
+        as the comparison baseline).
 
         ``engine`` selects the SJ.Dec execution engine for this query
         (``"serial"``, ``"batched"``, ``"parallel"``, ``"auto"`` or an
@@ -436,10 +439,7 @@ class _JoinHost:
                 or isinstance(engine, AutoEngine)
             ):
                 entry = cache.lookup(key, epochs)
-            if entry is not None and algorithm not in (
-                "auto",
-                entry.matcher_name,
-            ):
+            if entry is not None and algorithm != entry.matcher_name:
                 # An explicit matcher request must actually exercise
                 # that matcher: the from-scratch pass replaces the entry.
                 entry = None
@@ -526,6 +526,11 @@ class _JoinHost:
             if not stats.time_to_first_match:
                 stats.time_to_first_match = time.perf_counter() - started
 
+        def batches(tuples: list):
+            for start in range(0, len(tuples), _BATCH_SLICE):
+                piece = tuples[start:start + _BATCH_SLICE]
+                yield shape.batch(piece, _gather(piece, payloads))
+
         sources: list = []
         started = time.perf_counter()
         try:
@@ -535,9 +540,7 @@ class _JoinHost:
             if tuples:
                 emitted()
                 if streaming:
-                    for start in range(0, len(tuples), _REPLAY_SLICE):
-                        piece = tuples[start:start + _REPLAY_SLICE]
-                        yield shape.batch(piece, _gather(piece, payloads))
+                    yield from batches(tuples)
             if stale:
                 if entry.sides is None:
                     entry.sides = group_chain_sides(query, entry.key)
@@ -554,7 +557,7 @@ class _JoinHost:
                 # Every source is opened before any is pulled: that is
                 # what co-admits the sides (and shards) on the pools.
                 for source in self._open_sources(
-                    query, sides, held, engine, qos, stats
+                    query, sides, held, engine, qos
                 ):
                     sources.append(source)
                 if executor is None:
@@ -569,7 +572,7 @@ class _JoinHost:
                             f"of {query.deadline}s; cancelled mid-join"
                         )
                     if streaming:
-                        yield shape.batch(list(new), _gather(new, payloads))
+                        yield from batches(new)
                 finish_at = time.perf_counter()
                 tuples = shape.canonical(executor)
                 stats.match_seconds += time.perf_counter() - finish_at
@@ -623,83 +626,36 @@ class _JoinHost:
             tuple(tables), list(tuples), _gather(tuples, payloads), stats
         )
 
-    def _cost_model(self, engine):
-        """The engine's own (calibrated/custom) cost model, else the
-        backend's default."""
-        from repro.bench.costmodel import default_engine_cost_model
-
-        model = getattr(engine, "cost_model", None)
-        if model is None:
-            model = default_engine_cost_model(self.backend.name)
-        return model
-
     def _plan(self, entry, sources, algorithm, engine, stats):
-        """Give an empty entry its executor: join order and matcher,
+        """Give an empty entry its executor.  A chain's join order is
         priced from the candidate counts the opened sources already
         know (a remote shard reports its counts only when it finishes)."""
         tables = entry.tables
-        counts = [0] * len(tables)
-        for source in sources:
-            if source.rows is not None:
-                for position in source.positions:
-                    counts[position] += len(source.rows)
-        distincts = [
-            self._distinct_estimate(name, count)
-            for name, count in zip(tables, counts)
-        ]
         if len(tables) == 2:
             # One node, and the identity order keeps ``probes`` counting
-            # right-side rows: nothing to plan but the matcher.
+            # right-side rows: nothing to plan.
             order = (0, 1)
-            entry.matcher_name = self._select_matcher(
-                algorithm, stats, counts, distincts, engine
-            )
         else:
-            plan = compile_plan(self._cost_model(engine), counts, distincts)
+            counts = [0] * len(tables)
+            for source in sources:
+                if source.rows is not None:
+                    for position in source.positions:
+                        counts[position] += len(source.rows)
+            distincts = [
+                self._distinct_estimate(name, count)
+                for name, count in zip(tables, counts)
+            ]
+            # An auto engine's own (calibrated/custom) cost model, else
+            # the backend's built-in one.
+            model = getattr(engine, "cost_model", None)
+            if model is None:
+                model = default_engine_cost_model(self.backend.name)
+            plan = compile_plan(model, counts, distincts)
             stats.record(plan.record())
             order = plan.order
-        entry.executor = ChainExecutor(order, entry.matcher_name)
+        entry.matcher_name = algorithm
+        entry.executor = ChainExecutor(order, algorithm)
         return entry.executor
-
-    def _select_matcher(
-        self, algorithm, stats, counts, distincts, engine
-    ) -> str:
-        """Resolve the SJ.Match algorithm; ``"auto"`` prices the stage.
-
-        The pricing satellite of the planner: hash vs nested estimated
-        with the same cost model the engine planner uses — including a
-        calibrated/custom model configured on an ``auto`` engine —
-        recorded as a ``stage: "match"`` entry in ``stats.planner`` so
-        the full pipeline decision is auditable.  The per-side distinct
-        estimates feed the expected-output term of the pricing (the
-        same posting-profile estimator the multi-way planner uses).
-        """
-        if algorithm != "auto":
-            return algorithm
-        from repro.bench.costmodel import (
-            choose_matcher,
-            estimate_expected_matches,
-        )
-
-        build_rows, probe_rows = counts
-        expected = estimate_expected_matches(build_rows, probe_rows, *distincts)
-        chosen, estimates = choose_matcher(
-            self._cost_model(engine),
-            build_rows=build_rows,
-            probe_rows=probe_rows,
-            expected_matches=expected,
-        )
-        stats.record({
-            "stage": "match",
-            "build_rows": build_rows,
-            "probe_rows": probe_rows,
-            "expected_matches": expected,
-            "chosen": chosen,
-            "estimates": {
-                name: float(sec) for name, sec in estimates.items()
-            },
-        })
-        return chosen
 
     # -- seam defaults -----------------------------------------------------
     def _distinct_estimate(self, table_name: str, candidate_count: int):
@@ -719,7 +675,7 @@ class SecureJoinServer(_JoinHost):
         params: SecureJoinParams,
         backend: BilinearBackend | None = None,
         engine: ExecutionEngine | str | None = None,
-        hint_engines: tuple[str, ...] = ("serial", "batched"),
+        hint_engines: tuple[str, ...] = ("batched",),
         workers: int | None = None,
         series_cache_bytes: int | None = DEFAULT_SERIES_BUDGET,
     ):
@@ -736,11 +692,18 @@ class SecureJoinServer(_JoinHost):
         # (see execute_join) take precedence.  ``hint_engines`` is the
         # allowlist of engines a client hint may select: hints are
         # advisory, and the resources they spend belong to the server,
-        # so "parallel" (the worker pool) and "auto" (which may choose
-        # it) require the operator to opt in here.  Disallowed hints
-        # fall back to the default.
+        # so "parallel" (the worker pool), "auto" (which may choose it)
+        # and "serial" (the ablation baseline, several times slower)
+        # require the operator to opt in here.  Disallowed hints fall
+        # back to the default.
         self.engine = get_engine(engine, service=self.execution_service)
         self.hint_engines = frozenset(hint_engines)
+        unknown = sorted(self.hint_engines.difference(ENGINE_NAMES))
+        if unknown:
+            raise QueryError(
+                f"unknown hint engines {unknown}; use a subset of "
+                f"{ENGINE_NAMES}"
+            )
         self._engine_cache: dict[str, ExecutionEngine] = {}
         self._tables: dict[str, EncryptedTable] = {}
         # Inverted index over pre-filter tags: table -> column -> tag -> rows.
@@ -1064,51 +1027,11 @@ class SecureJoinServer(_JoinHost):
         )
         return rows, self._decrypt_stream(active_engine, table, token, rows, qos)
 
-    def _open_sources(self, query, sides, exclude_rows, engine, qos, stats):
+    def _open_sources(self, query, sides, exclude_rows, engine, qos):
         """One decrypt source per distinct side, over its selected rows
         minus those the entry already holds a handle for."""
-        selected = []
         for side, held in zip(sides, exclude_rows):
             table = self.table(side.table)
-            selected.append(
-                (side, table, self._selected_rows(table, side.prefilter, held))
-            )
-        if isinstance(engine, AutoEngine) and any(exclude_rows):
-            engine = self._price_delta(engine, selected, stats)
-        for side, table, rows in selected:
+            rows = self._selected_rows(table, side.prefilter, held)
             stream = self._decrypt_stream(engine, table, side.token, rows, qos)
             yield HandleSource(side.positions, stream, rows)
-
-    def _price_delta(self, engine: AutoEngine, selected, stats):
-        """Price a refresh: a 3-row delta must not wake the pool, so
-        under the auto planner the delta cost model (serial-favoring
-        dispatch surcharge) picks one engine for the whole pass."""
-        from repro.bench.costmodel import choose_delta_engine
-
-        delta_rows = sum(len(rows) for _, _, rows in selected)
-        pool_started, workers = self.execution_service.warmth()
-        prepared_sides = [
-            table.prepared_rows is not None
-            for _, table, rows in selected
-            if rows
-        ]
-        choice, estimates = choose_delta_engine(
-            self._cost_model(engine),
-            rows=delta_rows,
-            dimension=self.scheme.params.dimension,
-            workers=workers,
-            batch_size=engine.batch_size,
-            parallel_batch_size=max(1, engine.batch_size // 2),
-            pool_warm=pool_started,
-            allowed=engine.candidates,
-            prepared=bool(prepared_sides) and all(prepared_sides),
-        )
-        stats.record({
-            "stage": "delta",
-            "rows": delta_rows,
-            "chosen": choice,
-            "estimates": {
-                name: float(sec) for name, sec in estimates.items()
-            },
-        })
-        return self._resolve_engine(choice)

@@ -1,9 +1,7 @@
 """A persistent parallel execution service with multi-query admission.
 
-PR 2's service owned a long-lived worker pool but admitted **one side
-of one query at a time**: ``run_side`` monopolized the pool until the
-side was fully decrypted.  This module turns it into an admission
-scheduler feeding a streaming pipeline:
+A long-lived worker pool behind an admission scheduler that feeds the
+streaming pipeline:
 
 - **Chunk streams, not materialized sides.**  :meth:`admit_side`
   registers a side and :meth:`stream_chunks` yields decrypted chunks
@@ -20,11 +18,11 @@ scheduler feeding a streaming pipeline:
   a context the moment its side is done.  Crash respawn re-installs
   every *active* side on the replacement worker, so one query's crash
   recovery never disturbs another's state.
-- **Lazy, persistent workers** (unchanged): nothing is spawned at
+- **Lazy, persistent workers**: nothing is spawned at
   construction, the pool survives across queries (``pool_generation``
   only moves when the pool is actually (re)created), the backend ships
   once per worker lifetime, and ``close()`` is idempotent.
-- **Shared-memory ciphertext transport** (unchanged): one segment per
+- **Shared-memory ciphertext transport**: one segment per
   side, chunk messages carry ``(start, count)`` offsets; where POSIX
   shared memory is unavailable each chunk ships as one contiguous
   ``bytes`` buffer.
@@ -38,8 +36,9 @@ under the service lock, so concurrent admissions never interleave
 messages on one pipe.
 
 The service is *owned* by :class:`~repro.core.server.SecureJoinServer`
-(one service per server); engine instances used standalone lazily
-create a process-wide default service.
+(one service per server, bound to every pool-using engine the server
+resolves).  There is no process-wide pool: an engine nobody bound a
+service to runs inline.
 """
 
 from __future__ import annotations
@@ -90,8 +89,8 @@ _POLL_TIMEOUT = 0.2
 #: segment attach then deadlocks forever (the worker sits "alive" and
 #: never serves a chunk).  Every fork and every tracker-touching
 #: segment operation in this module serializes on this mutex; it is
-#: process-global because several services (server-owned + the default
-#: singleton) may fork and admit concurrently in one process.
+#: process-global because several services (one per server or shard)
+#: may fork and admit concurrently in one process.
 _FORK_SAFETY_MUTEX = threading.Lock()
 
 
@@ -401,12 +400,12 @@ class ExecutionService:
 
     One instance serves many queries: construct it freely (construction
     spawns nothing), admit sides with :meth:`admit_side` +
-    :meth:`stream_chunks` (or the materializing :meth:`run_side`), and
-    :meth:`close` when done — or use it as a context manager.  A closed
-    service transparently restarts on next use (``generation`` then
-    increments, which is how tests assert the pool was *not* recreated
-    between queries).  Any number of sides may be in flight at once;
-    they interleave chunk scheduling fairly on the shared pool.
+    :meth:`stream_chunks`, and :meth:`close` when done — or use it as a
+    context manager.  A closed service transparently restarts on next
+    use (``generation`` then increments, which is how tests assert the
+    pool was *not* recreated between queries).  Any number of sides may
+    be in flight at once; they interleave chunk scheduling fairly on
+    the shared pool.
     """
 
     def __init__(
@@ -451,17 +450,6 @@ class ExecutionService:
     @property
     def started(self) -> bool:
         return bool(self._workers)
-
-    def warmth(self) -> tuple[bool, int]:
-        """``(pool_started, worker_target)`` without spawning anything.
-
-        The series delta planner prices a refresh with this: admitting
-        a 3-row delta must never be the thing that wakes a cold pool,
-        so the decision needs the pool's state *without* touching it
-        (``ensure_started`` would fork workers as a side effect).
-        """
-        with self._lock:
-            return bool(self._workers), self.worker_target
 
     @property
     def closed(self) -> bool:
@@ -768,7 +756,7 @@ class ExecutionService:
         """Yield ``(start_offset, handles)`` chunks as workers finish.
 
         Chunks arrive in completion order, not row order — callers that
-        need row order sort by the start offset (:meth:`run_side` does).
+        need row order sort by the start offset.
         Returns the side's :class:`SideReport` as the generator's value
         and releases the side's context on the way out.
         """
@@ -885,45 +873,6 @@ class ExecutionService:
                 except FileNotFoundError:  # pragma: no cover - double unlink
                     pass
             side.segment = None
-
-    # -- materializing wrapper -------------------------------------------
-    def run_side(
-        self,
-        backend: BilinearBackend,
-        token_elements: Sequence,
-        ciphertext_vectors: Sequence[Sequence],
-        batch_size: int,
-        max_workers: int | None = None,
-    ) -> tuple[list[bytes], SideReport]:
-        """Decrypt one side through the pool, fully materialized.
-
-        Returns the handles in row order plus a :class:`SideReport` —
-        the pre-streaming API, kept for callers that need the whole
-        side at once.
-        """
-        side = self.admit_side(
-            backend, token_elements, ciphertext_vectors, batch_size,
-            max_workers=max_workers,
-        )
-        stream = self.stream_chunks(side)
-        results: dict[int, list[bytes]] = {}
-        report: SideReport | None = None
-        try:
-            while True:
-                try:
-                    start, handles = next(stream)
-                except StopIteration as stop:
-                    report = stop.value
-                    break
-                results[start] = handles
-        finally:
-            self.release_side(side)
-        handles = [
-            handle
-            for start in sorted(results)
-            for handle in results[start]
-        ]
-        return handles, report
 
     # -- scheduling internals (all require self._lock) --------------------
     def _encode_rows(self, backend, ciphertext_vectors, dimension) -> bytes:
@@ -1149,41 +1098,3 @@ class ExecutionService:
         self._workers[slot] = replacement
         self.worker_restarts += 1
         self._install_active_sides(replacement)
-
-
-_DEFAULT_SERVICE: ExecutionService | None = None
-_DEFAULT_SERVICE_LOCK = threading.Lock()
-
-
-def get_default_service() -> ExecutionService:
-    """The process-wide fallback service for engines used standalone.
-
-    Engines resolved by a :class:`~repro.core.server.SecureJoinServer`
-    are bound to the server's own service; a bare ``ParallelEngine``
-    (no server in sight) shares this singleton so ad-hoc uses still get
-    a warm, persistent pool instead of one pool per engine instance.
-    """
-    global _DEFAULT_SERVICE
-    with _DEFAULT_SERVICE_LOCK:
-        if _DEFAULT_SERVICE is None:
-            _DEFAULT_SERVICE = ExecutionService()
-        return _DEFAULT_SERVICE
-
-
-def peek_default_service() -> ExecutionService | None:
-    """The process-wide service if one exists, without creating it.
-
-    The planner uses this to price pool warmth for engines that would
-    fall back to the default service — creating the (cheap but stateful)
-    singleton as a side effect of *estimating* would be wrong.
-    """
-    return _DEFAULT_SERVICE
-
-
-def shutdown_default_service() -> None:
-    """Close the process-wide service (tests and explicit teardowns)."""
-    global _DEFAULT_SERVICE
-    with _DEFAULT_SERVICE_LOCK:
-        if _DEFAULT_SERVICE is not None:
-            _DEFAULT_SERVICE.close()
-            _DEFAULT_SERVICE = None

@@ -26,12 +26,12 @@ import signal
 import sys
 import threading
 
-from repro.bench.costmodel import EngineCostModel
-from repro.core.engine import AutoEngine
+from repro.core.engine import ENGINE_NAMES, AutoEngine
 from repro.core.scheme import SecureJoinParams
 from repro.core.server import SecureJoinServer
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, QueryError
 from repro.net.server import JoinServiceServer
+from repro.plan.cost import EngineCostModel
 from repro.store.tables import load_encrypted_table
 
 
@@ -65,13 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine",
         default=None,
-        help="default execution engine (serial/batched/parallel/auto)",
+        help=f"default execution engine ({'/'.join(ENGINE_NAMES)})",
     )
     parser.add_argument(
         "--hint-engines",
-        default="serial,batched",
-        help="comma-separated allowlist of client engine hints "
-        "(default: serial,batched — pool engines need operator opt-in)",
+        default="batched",
+        help="comma-separated allowlist of client engine hints (default: "
+        "batched — the pool engines and the serial baseline are opt-in)",
     )
     parser.add_argument(
         "--workers", type=int, default=None, help="worker pool size"
@@ -84,9 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "prices the auto planner with this machine's measured constants",
     )
     parser.add_argument(
-        "--algorithm", default="hash", help="join matcher (hash/sort)"
-    )
-    parser.add_argument(
         "--drain-timeout",
         type=float,
         default=30.0,
@@ -95,21 +92,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad(option: str, problem) -> int:
+    """Report one unusable option on stderr; returns the exit code."""
+    print(f"bad {option}: {problem}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         params_dict = json.loads(args.params)
     except ValueError as error:
-        print(f"bad --params JSON: {error}", file=sys.stderr)
-        return 2
+        return _bad("--params JSON", error)
     if not isinstance(params_dict, dict):
-        print("bad --params JSON: expected an object", file=sys.stderr)
-        return 2
+        return _bad("--params JSON", "expected an object")
     try:
         params = SecureJoinParams(**params_dict)
     except TypeError as error:
-        print(f"bad --params fields: {error}", file=sys.stderr)
-        return 2
+        return _bad("--params fields", error)
     hint_engines = tuple(
         name.strip()
         for name in args.hint_engines.split(",")
@@ -120,22 +120,22 @@ def main(argv: list[str] | None = None) -> int:
         try:
             cost_model = EngineCostModel.load(args.cost_model)
         except BenchmarkError as error:
-            print(f"bad --cost-model: {error}", file=sys.stderr)
-            return 2
+            return _bad("--cost-model", error)
         if engine not in (None, "auto"):
-            print(
-                "--cost-model requires the auto engine "
-                f"(got --engine {engine})",
-                file=sys.stderr,
+            return _bad(
+                "--cost-model",
+                f"requires the auto engine (got --engine {engine})",
             )
-            return 2
         engine = AutoEngine(cost_model=cost_model)
-    join_server = SecureJoinServer(
-        params,
-        engine=engine,
-        hint_engines=hint_engines,
-        workers=args.workers,
-    )
+    try:
+        join_server = SecureJoinServer(
+            params,
+            engine=engine,
+            hint_engines=hint_engines,
+            workers=args.workers,
+        )
+    except QueryError as error:
+        return _bad("--engine / --hint-engines / --workers", error)
     for path in args.table:
         join_server.store(
             load_encrypted_table(path, join_server.scheme.backend)
@@ -144,7 +144,6 @@ def main(argv: list[str] | None = None) -> int:
         join_server,
         host=args.host,
         port=args.port,
-        algorithm=args.algorithm,
         drain_timeout=args.drain_timeout,
     )
     host, port = service.start()

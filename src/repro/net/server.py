@@ -67,13 +67,11 @@ class JoinServiceServer:
         join_server: SecureJoinServer,
         host: str = "127.0.0.1",
         port: int = 0,
-        algorithm: str = "hash",
         max_message_size: int = MAX_MESSAGE_SIZE,
         backlog: int = 32,
         drain_timeout: float = 30.0,
     ):
         self.join_server = join_server
-        self.algorithm = algorithm
         self.max_message_size = max_message_size
         self.drain_timeout = drain_timeout
         self._host = host
@@ -222,9 +220,7 @@ class JoinServiceServer:
         header, one match batch per pipeline increment, final frame.
         The query's type picks the order (and shape) it is answered in."""
         if isinstance(query, EncryptedJoinQuery):
-            stream = self.join_server.stream_join(
-                query, algorithm=self.algorithm
-            )
+            stream = self.join_server.stream_join(query)
         else:
             stream = self.join_server.stream_chain(query)
         try:

@@ -4,9 +4,14 @@ The paper's workload is a *series* of equi-joins, and real analytic
 chains touch three or more tables.  This package turns an n-way chain
 spec into a priced, pipelined plan:
 
+- :mod:`repro.plan.cost` — what the runtime prices, and with what: the
+  per-operation :class:`~repro.plan.cost.EngineCostModel`, the
+  pool-or-inline decision of the ``auto`` engine and the join-order
+  decision of a chain (imports nothing from ``repro.core`` or
+  ``repro.bench``);
 - :mod:`repro.plan.planner` — compiles a chain of candidate
   cardinalities into a left-deep join order via the cost model's
-  prefilter-posting estimates (:func:`~repro.bench.costmodel.choose_join_order`);
+  prefilter-posting estimates (:func:`~repro.plan.cost.choose_join_order`);
 - :mod:`repro.plan.executor` — the pipelined executor: each node's
   match increments cascade directly into the next node's incremental
   matcher, so there is no materialization barrier and the first full

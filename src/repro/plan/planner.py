@@ -5,9 +5,9 @@ key every position's handles are mutually comparable, so a full chain
 match is an n-way handle-equality class and any *contiguous* left-deep
 order computes it without cross products.  The planner enumerates those
 orders (``n * 2^(n-2)`` of them — tiny for the n <= 8 chains the wire
-accepts), prices each with the engine cost model's matcher constants
-and the prefilter-posting cardinality/distinct estimates, and picks the
-cheapest.  SJ.Dec cost is excluded from the comparison on purpose: the
+accepts), prices each with the cost model's hash-match constants
+(:func:`repro.plan.cost.choose_join_order`) and the prefilter-posting
+cardinality/distinct estimates, and picks the cheapest.  SJ.Dec cost is excluded from the comparison on purpose: the
 handle pool decrypts every (table, token) side exactly once regardless
 of order, so orders compete on match-stage work alone.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import QueryError
+from repro.plan.cost import choose_join_order, estimate_expected_matches
 
 #: Chain length bound shared with the wire codec: past this the
 #: exhaustive order enumeration stops being free and the query header
@@ -83,18 +84,11 @@ def compile_plan(
 ) -> JoinPlan:
     """Choose the join order for a chain and lay out its nodes.
 
-    ``model`` is an :class:`~repro.bench.costmodel.EngineCostModel`;
+    ``model`` is an :class:`~repro.plan.cost.EngineCostModel`;
     ``cardinalities[i]`` is position ``i``'s candidate row count after
     pre-filtering; ``distincts[i]`` the estimated distinct join values
     on that side (``None`` → assume all-distinct).
     """
-    # Imported lazily: repro.bench pulls in workload builders that
-    # import the server, which imports this package.
-    from repro.bench.costmodel import (
-        choose_join_order,
-        estimate_expected_matches,
-    )
-
     n = len(cardinalities)
     if not 2 <= n <= MAX_CHAIN_TABLES:
         raise QueryError(

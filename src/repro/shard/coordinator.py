@@ -23,8 +23,7 @@ the host seam:
 - epochs / versions / tombstones are the per-shard values side by side;
 - payloads ride the scattered items and are retained on the series
   entry, because the coordinator holds no tables to re-read them from;
-- ``_account`` adds the per-shard load, skew and the cross-shard
-  planner record to the stats.
+- ``_account`` adds the per-shard loads and their skew to the stats.
 
 Everything else — the series cache (two-way joins and chains alike),
 replay, delta refresh over only the rows the entry has never seen,
@@ -478,7 +477,7 @@ class ShardCoordinator(_JoinHost):
         """Payloads by chain position: what the scatter retained."""
         return entry.payloads
 
-    def _open_sources(self, query, sides, exclude_rows, engine, qos, stats):
+    def _open_sources(self, query, sides, exclude_rows, engine, qos):
         for ordinal, shard in enumerate(self.shards):
             for source in shard.open_sources(
                 query, sides, exclude_rows, engine=engine, qos=qos
@@ -486,26 +485,15 @@ class ShardCoordinator(_JoinHost):
                 yield _GuardedSource(ordinal, shard, source)
 
     def _account(self, stats: ServerStats, sources: list) -> None:
-        """Per-shard decrypt loads, their skew, and the cross-shard
-        planner record (auditable, like the per-side engine records):
-        estimated single-store vs scatter seconds and the skew the
-        estimate was discounted by."""
-        from repro.bench.costmodel import estimate_scatter_costs
-
+        """Per-shard decrypt loads and their skew, as one auditable
+        ``stage: "scatter"`` record beside the per-side engine records."""
         shard_rows = [0] * len(self.shards)
         for guarded in sources:
             shard_rows[guarded.ordinal] += guarded.decrypted
         stats.shard_skew = shard_skew(shard_rows)
-        estimates = estimate_scatter_costs(
-            self._cost_model(None),
-            shard_rows,
-            dimension=max(1, stats.max_batch_size or 1),
-            workers=max(1, stats.workers),
-        )
         stats.record({
             "stage": "scatter",
             "shards": len(shard_rows),
             "rows_per_shard": shard_rows,
             "skew": stats.shard_skew,
-            "estimates": estimates,
         })

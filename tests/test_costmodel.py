@@ -1,6 +1,11 @@
-"""Tests for the join cost model and paper-shape extrapolation."""
+"""Tests for the join cost model and paper-shape extrapolation
+(:mod:`repro.bench.costmodel`), and for the two decisions the runtime
+prices (:mod:`repro.plan.cost`)."""
 
 from __future__ import annotations
+
+import itertools
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,8 @@ from repro.bench.costmodel import (
 )
 from repro.bench.harness import BenchmarkRecord
 from repro.errors import BenchmarkError
+
+_DATA = Path(__file__).parent / "data"
 
 
 class TestExpectedDecryptions:
@@ -123,13 +130,14 @@ class TestEngineCostModel:
     """The planner's per-engine runtime estimates and decision rule."""
 
     def _model(self, **overrides):
-        from repro.bench.costmodel import FAST_ENGINE_COSTS
+        from repro.plan.cost import FAST_ENGINE_COSTS
         from dataclasses import replace
 
         return replace(FAST_ENGINE_COSTS, **overrides)
 
     def test_default_models_per_backend(self):
-        from repro.bench.costmodel import (
+        from repro.bench import costmodel
+        from repro.plan.cost import (
             BN254_ENGINE_COSTS,
             FAST_ENGINE_COSTS,
             default_engine_cost_model,
@@ -139,23 +147,48 @@ class TestEngineCostModel:
         assert default_engine_cost_model("bn254") is BN254_ENGINE_COSTS
         # Unknown backends fall back to the fast-backend shape.
         assert default_engine_cost_model("???") is FAST_ENGINE_COSTS
+        # The name the gating benchmark imports is the runtime's own.
+        assert costmodel.default_engine_cost_model is default_engine_cost_model
 
-    def test_serial_never_cheaper_than_batched(self):
-        """Structural: same Miller loops, strictly more final
-        exponentiations, and batch overhead <= one final exponentiation."""
-        from repro.bench.costmodel import estimate_engine_costs
+    def test_two_candidate_rule_reproduces_the_three_candidate_decisions(self):
+        """``tests/data/engine_decisions.bin`` holds what the previous
+        planner — three candidates, ``select_engine`` over ``allowed=
+        ("batched", "parallel")``, no corrections — decided at 22 960
+        points per built-in model (one bit per point, 1 = parallel,
+        written on the commit before ``serial`` left the planner; there
+        it never won a single point with all three allowed either).
+        The one-rule planner must decide every point the same way."""
+        from repro.plan.cost import (
+            BN254_ENGINE_COSTS,
+            FAST_ENGINE_COSTS,
+            choose_engine,
+        )
 
-        model = self._model()
-        for rows in (0, 1, 2, 7, 64, 1000, 131072):
-            for dimension in (2, 5, 21, 88):
-                est = estimate_engine_costs(
-                    model, rows=rows, dimension=dimension,
-                    workers=4, batch_size=64,
-                )
-                assert est["serial"] >= est["batched"]
+        golden = (_DATA / "engine_decisions.bin").read_bytes()
+        grid = list(itertools.product(
+            (FAST_ENGINE_COSTS, BN254_ENGINE_COSTS),
+            list(range(200)) + [500, 1_000, 5_000, 20_000, 100_000],
+            (2, 3, 5, 8, 13, 21, 40),
+            (1, 2, 4, 8),
+            (False, True),
+            (False, True),
+        ))
+        assert len(grid) == 45_920 == 8 * len(golden)
+        parallel = {"fast": 0, "bn254": 0}
+        for index, point in enumerate(grid):
+            model, rows, dimension, workers, warm, prepared = point
+            chosen, estimates = choose_engine(
+                model, rows=rows, dimension=dimension, workers=workers,
+                batch_size=64, pool_warm=warm, prepared=prepared,
+            )
+            assert set(estimates) == {"batched", "parallel"}
+            expected = (golden[index // 8] >> (7 - index % 8)) & 1
+            assert chosen == ("parallel" if expected else "batched"), point
+            parallel[model.backend] += expected
+        assert parallel == {"fast": 0, "bn254": 16_125}
 
     def test_parallel_wins_when_compute_dominates(self):
-        from repro.bench.costmodel import BN254_ENGINE_COSTS, choose_engine
+        from repro.plan.cost import BN254_ENGINE_COSTS, choose_engine
 
         chosen, estimates = choose_engine(
             BN254_ENGINE_COSTS, rows=64, dimension=21,
@@ -167,7 +200,7 @@ class TestEngineCostModel:
     def test_transport_dominates_on_fast_backend(self):
         """Exponent-group pairings are so cheap that IPC always loses:
         auto must stick to batched at any realistic size."""
-        from repro.bench.costmodel import choose_engine
+        from repro.plan.cost import choose_engine
 
         model = self._model()
         for rows in (10, 1000, 100000):
@@ -178,7 +211,7 @@ class TestEngineCostModel:
             assert chosen == "batched"
 
     def test_single_worker_never_parallel(self):
-        from repro.bench.costmodel import BN254_ENGINE_COSTS, choose_engine
+        from repro.plan.cost import BN254_ENGINE_COSTS, choose_engine
 
         chosen, _ = choose_engine(
             BN254_ENGINE_COSTS, rows=512, dimension=21,
@@ -188,7 +221,7 @@ class TestEngineCostModel:
 
     def test_switch_margin_protects_the_default(self):
         """A candidate barely under batched must NOT displace it."""
-        from repro.bench.costmodel import choose_engine
+        from repro.plan.cost import choose_engine
 
         # Make parallel ~20% cheaper than batched: inside the 25% margin.
         model = self._model(
@@ -215,20 +248,26 @@ class TestEngineCostModel:
         assert chosen == "parallel"
 
     def test_zero_rows_tie_goes_to_batched(self):
-        """An empty side costs 0.0 under every engine; the tie must go
-        to the default, never to serial via dict ordering."""
-        from repro.bench.costmodel import choose_engine
+        """An empty side costs 0.0 inline, and on a warm pool too; the
+        tie must go to the default, whatever the margin."""
+        from repro.plan.cost import choose_engine
 
         chosen, estimates = choose_engine(
             self._model(), rows=0, dimension=5, workers=4, batch_size=64
         )
         assert chosen == "batched"
-        assert estimates["serial"] == estimates["batched"] == 0.0
+        assert estimates["batched"] == 0.0
         # A cold pool still charges its spawn cost, even for zero rows.
         assert estimates["parallel"] > 0.0
+        chosen, estimates = choose_engine(
+            self._model(switch_margin=0.5), rows=0, dimension=5,
+            workers=4, batch_size=64, pool_warm=True,
+        )
+        assert estimates == {"batched": 0.0, "parallel": 0.0}
+        assert chosen == "batched"
 
     def test_cold_pool_charges_spawn_cost(self):
-        from repro.bench.costmodel import estimate_engine_costs
+        from repro.plan.cost import estimate_engine_costs
 
         model = self._model()
         cold = estimate_engine_costs(
@@ -244,28 +283,36 @@ class TestEngineCostModel:
         )
         assert cold["batched"] == warm["batched"]
 
-    def test_allowlist_restricts_choice(self):
-        from repro.bench.costmodel import BN254_ENGINE_COSTS, choose_engine
-        from repro.errors import BenchmarkError
+    def test_retired_planner_inputs_are_refused(self):
+        """No candidate allowlist and no correction factors: passing
+        one is an error, not a silently ignored keyword."""
+        from repro.plan.cost import BN254_ENGINE_COSTS, choose_engine
 
-        chosen, _ = choose_engine(
-            BN254_ENGINE_COSTS, rows=64, dimension=21, workers=4,
-            batch_size=64, allowed=("serial", "batched"),
-        )
-        assert chosen == "batched"
-        chosen, _ = choose_engine(
-            BN254_ENGINE_COSTS, rows=64, dimension=21, workers=4,
-            batch_size=64, allowed=("serial",),
-        )
-        assert chosen == "serial"
-        with pytest.raises(BenchmarkError):
+        point = dict(rows=64, dimension=21, workers=4, batch_size=64)
+        with pytest.raises(TypeError):
+            choose_engine(BN254_ENGINE_COSTS, allowed=("serial",), **point)
+        with pytest.raises(TypeError):
             choose_engine(
-                BN254_ENGINE_COSTS, rows=64, dimension=21, workers=4,
-                batch_size=64, allowed=(),
+                BN254_ENGINE_COSTS, corrections={"parallel": 100.0}, **point
             )
 
+    def test_cost_model_file_of_the_previous_version_loads(self):
+        """``tests/data/cost_model_pr17.json`` is ``BN254_ENGINE_COSTS``
+        as the previous version saved it, with the three constants that
+        version still had; an operator's calibrated file keeps loading."""
+        import json
+
+        from repro.plan.cost import BN254_ENGINE_COSTS, EngineCostModel
+
+        path = _DATA / "cost_model_pr17.json"
+        retired = {"nested_compare", "delta_dispatch", "shard_dispatch"}
+        assert retired <= set(json.loads(path.read_text())["model"])
+        loaded = EngineCostModel.load(path)
+        assert loaded == BN254_ENGINE_COSTS
+        assert not retired & set(vars(loaded))
+
     def test_invalid_inputs(self):
-        from repro.bench.costmodel import estimate_engine_costs
+        from repro.plan.cost import estimate_engine_costs
         from repro.errors import BenchmarkError
 
         with pytest.raises(BenchmarkError):
@@ -289,13 +336,17 @@ class TestCalibration:
         assert model.backend == "fast"
         assert model.miller_loop > 0
         assert model.final_exponentiation > 0
-        # Calibrated timings must preserve the structural ordering.
-        from repro.bench.costmodel import estimate_engine_costs
+        assert model.prepared_miller_loop > 0
+        # Only the pairing constants are measured; what the pool
+        # charges is inherited from the backend's built-in model.
+        from repro.plan.cost import FAST_ENGINE_COSTS, estimate_engine_costs
 
+        assert model.chunk_overhead == FAST_ENGINE_COSTS.chunk_overhead
+        assert model.pool_spawn == FAST_ENGINE_COSTS.pool_spawn
         est = estimate_engine_costs(
             model, rows=256, dimension=6, workers=2, batch_size=64
         )
-        assert est["batched"] <= est["serial"]
+        assert 0.0 < est["batched"] < est["parallel"]
 
     def test_calibrate_rejects_degenerate_shapes(self):
         from repro.bench.costmodel import calibrate_engine_cost_model
@@ -308,88 +359,13 @@ class TestCalibration:
             calibrate_engine_cost_model(FastBackend(), rows=0)
 
 
-class TestOnlineCalibrator:
-    """The planner's feedback loop: observed runtimes correct estimates."""
+class TestPlannerRecord:
+    """Predicted against actual, per side, with nothing learnt from it."""
 
-    def test_corrections_start_neutral(self):
-        from repro.bench.costmodel import OnlineCalibrator
-
-        calibrator = OnlineCalibrator(min_samples=2)
-        assert calibrator.correction("batched") == 1.0
-        assert calibrator.corrections() == {}
-        calibrator.observe("batched", predicted_seconds=1.0,
-                           actual_seconds=3.0)
-        # One sample is below min_samples: still neutral.
-        assert calibrator.correction("batched") == 1.0
-
-    def test_converges_to_observed_ratio(self):
-        from repro.bench.costmodel import OnlineCalibrator
-
-        calibrator = OnlineCalibrator(alpha=0.5, min_samples=2)
-        for _ in range(8):
-            calibrator.observe("batched", 1.0, 3.0)
-        assert calibrator.correction("batched") == pytest.approx(3.0, rel=0.01)
-        assert calibrator.observations("batched") == 8
-        assert "batched" in calibrator.corrections()
-
-    def test_clamped_and_ignores_degenerate_observations(self):
-        from repro.bench.costmodel import OnlineCalibrator
-
-        calibrator = OnlineCalibrator(min_samples=1, clamp=(0.5, 2.0))
-        calibrator.observe("serial", 1.0, 100.0)
-        assert calibrator.correction("serial") == 2.0
-        calibrator.observe("parallel", 0.0, 1.0)   # no prediction: skipped
-        calibrator.observe("parallel", 1.0, 0.0)   # no runtime: skipped
-        assert calibrator.observations("parallel") == 0
-
-    def test_invalid_configuration(self):
-        from repro.bench.costmodel import OnlineCalibrator
-        from repro.errors import BenchmarkError
-
-        with pytest.raises(BenchmarkError):
-            OnlineCalibrator(alpha=0.0)
-        with pytest.raises(BenchmarkError):
-            OnlineCalibrator(min_samples=0)
-
-    def test_corrections_change_the_planner_choice(self):
-        """A model that overrates the pool is corrected away from it."""
-        from repro.bench.costmodel import BN254_ENGINE_COSTS, choose_engine
-
-        # The BN254 model picks parallel here...
-        chosen, _ = choose_engine(
-            BN254_ENGINE_COSTS, rows=64, dimension=21,
-            workers=4, batch_size=64, pool_warm=True,
-        )
-        assert chosen == "parallel"
-        # ...but observations saying parallel runs 100x the estimate
-        # (transport-bound hardware) push the planner back to batched.
-        corrected, estimates = choose_engine(
-            BN254_ENGINE_COSTS, rows=64, dimension=21,
-            workers=4, batch_size=64, pool_warm=True,
-            corrections={"parallel": 100.0},
-        )
-        assert corrected == "batched"
-        assert estimates["parallel"] > estimates["batched"]
-
-    def test_calibrate_from_stats_rebuilds_corrections(self):
-        """Recorded planner dicts (ServerStats.planner) re-seed the
-        calibrator after a restart."""
-        from repro.bench.costmodel import calibrate_from_stats
-
-        records = [
-            {"chosen": "batched", "estimates": {"batched": 1.0},
-             "actual_seconds": 2.0},
-            {"chosen": "batched", "estimates": {"batched": 1.0},
-             "actual_seconds": 2.0},
-            {"stage": "match", "chosen": "hash"},       # no actual: skipped
-            "not-a-dict",                               # tolerated
-        ]
-        calibrator = calibrate_from_stats(records)
-        assert calibrator.correction("batched") == pytest.approx(2.0)
-
-    def test_auto_engine_records_and_learns(self):
-        """End to end: the auto engine's planner records carry observed
-        seconds, and after a handful of queries its corrections warm up."""
+    def test_auto_engine_records_predicted_and_actual(self):
+        """End to end: every side's planner record carries both
+        estimates and the observed seconds — and the model the engine
+        prices with is the same object after the queries as before."""
         import random
 
         from repro.core.client import SecureJoinClient
@@ -411,124 +387,58 @@ class TestOnlineCalibrator:
         server.store(client.encrypt_table(left, "k"))
         server.store(client.encrypt_table(right, "k"))
         engine = AutoEngine(batch_size=8)
-        assert engine.calibrator is not None
         query = JoinQuery.build("L", "R", on=("k", "k"))
+        first = server.execute_join(client.create_query(query), engine=engine)
         for _ in range(3):
             result = server.execute_join(
                 client.create_query(query), engine=engine
             )
-        for side in result.stats.planner:
+        assert len(result.stats.planner) == 2
+        for side, before in zip(result.stats.planner, first.stats.planner):
             assert side["actual_seconds"] > 0.0
-            assert side["chosen"] in side["estimates"]
-        # Two sides per query, three queries: past min_samples for the
-        # (always chosen, on the fast backend) batched engine.
-        assert engine.calibrator.observations("batched") >= 2
-        assert "batched" in engine.calibrator.corrections()
-        # Later planner records expose the corrections they ran under.
-        assert "corrections" in result.stats.planner[-1]
+            assert set(side["estimates"]) == {"batched", "parallel"}
+            assert side["chosen"] == "batched"
+            # Same inputs, same model: the fourth query is priced
+            # exactly as the first was.
+            assert side["estimates"] == before["estimates"]
+            assert "corrections" not in side
+        assert engine.cost_model is None
+        assert not hasattr(engine, "calibrator")
         server.close()
 
 
 class TestMatcherCostModel:
-    """Pricing the SJ.Match stage: hash vs nested."""
+    """Pricing one hash-match node, the unit of the join-order choice."""
 
     def _model(self):
-        from repro.bench.costmodel import FAST_ENGINE_COSTS
+        from repro.plan.cost import FAST_ENGINE_COSTS
 
         return FAST_ENGINE_COSTS
 
-    def test_hash_wins_at_scale(self):
-        from repro.bench.costmodel import choose_matcher
-
-        chosen, estimates = choose_matcher(
-            self._model(), build_rows=1000, probe_rows=1000
-        )
-        assert chosen == "hash"
-        assert estimates["hash"] < estimates["nested"]
-
-    def test_nested_wins_on_tiny_sides(self):
-        from repro.bench.costmodel import choose_matcher
-
-        chosen, estimates = choose_matcher(
-            self._model(), build_rows=1, probe_rows=2
-        )
-        assert chosen == "nested"
-        assert estimates["nested"] < estimates["hash"]
-
-    def test_quadratic_term_dominates(self):
-        from repro.bench.costmodel import estimate_matcher_costs
+    def test_hash_cost_is_linear_in_rows(self):
+        from repro.plan.cost import estimate_match_cost
 
         model = self._model()
-        small = estimate_matcher_costs(model, 100, 100)
-        large = estimate_matcher_costs(model, 200, 200)
-        assert large["nested"] == pytest.approx(4 * small["nested"])
-        assert large["hash"] == pytest.approx(2 * small["hash"])
+        small = estimate_match_cost(model, 100, 100)
+        large = estimate_match_cost(model, 200, 200)
+        assert small == pytest.approx(
+            100 * model.hash_build + 100 * model.hash_probe
+        )
+        assert large == pytest.approx(2 * small)
 
-    def test_expected_matches_charge_both(self):
-        from repro.bench.costmodel import estimate_matcher_costs
+    def test_expected_matches_are_charged(self):
+        from repro.plan.cost import estimate_match_cost
 
         model = self._model()
-        without = estimate_matcher_costs(model, 50, 50, expected_matches=0)
-        with_matches = estimate_matcher_costs(
-            model, 50, 50, expected_matches=10
-        )
-        emit = 10 * model.pair_emit
-        assert with_matches["hash"] == pytest.approx(without["hash"] + emit)
-        assert with_matches["nested"] == pytest.approx(
-            without["nested"] + emit
-        )
+        without = estimate_match_cost(model, 50, 50, expected_matches=0)
+        with_matches = estimate_match_cost(model, 50, 50, expected_matches=10)
+        assert with_matches == pytest.approx(without + 10 * model.pair_emit)
 
     def test_invalid_inputs(self):
-        from repro.bench.costmodel import estimate_matcher_costs
+        from repro.plan.cost import estimate_match_cost
         from repro.errors import BenchmarkError
 
         with pytest.raises(BenchmarkError):
-            estimate_matcher_costs(self._model(), -1, 5)
+            estimate_match_cost(self._model(), -1, 5)
         with pytest.raises(BenchmarkError):
-            estimate_matcher_costs(self._model(), 5, 5, expected_matches=-1)
-
-    def test_inline_fallback_does_not_poison_parallel_correction(self):
-        """A side priced as pooled but executed on the parallel engine's
-        inline fallback must not feed the calibrator: the observation
-        would charge the pooled estimate with single-threaded reality."""
-        import random
-        from dataclasses import replace
-
-        from repro.bench.costmodel import FAST_ENGINE_COSTS
-        from repro.core.client import SecureJoinClient
-        from repro.core.engine import AutoEngine
-        from repro.core.server import SecureJoinServer
-        from repro.db.query import JoinQuery
-        from repro.db.schema import Schema
-        from repro.db.table import Table
-
-        # Compute-dominated model: parallel wins by the margin even at
-        # tiny sizes -- which the parallel engine then runs inline.
-        model = replace(
-            FAST_ENGINE_COSTS,
-            miller_loop=1.0, final_exponentiation=1.0,
-            element_transport=0.0, chunk_overhead=0.0, pool_spawn=0.0,
-        )
-        left = Table("L", Schema.of(("k", "int"), ("a", "str")),
-                     [(i % 3, f"a{i}") for i in range(6)])
-        right = Table("R", Schema.of(("k", "int"), ("b", "str")),
-                      [(i % 3, f"b{i}") for i in range(4)])
-        client = SecureJoinClient.for_tables(
-            [(left, "k"), (right, "k")], in_clause_limit=1,
-            rng=random.Random(7),
-        )
-        server = SecureJoinServer(client.params, workers=2)
-        server.store(client.encrypt_table(left, "k"))
-        server.store(client.encrypt_table(right, "k"))
-        engine = AutoEngine(cost_model=model, workers=2, batch_size=64)
-        query = JoinQuery.build("L", "R", on=("k", "k"))
-        for _ in range(3):
-            result = server.execute_join(
-                client.create_query(query), engine=engine
-            )
-        # The planner chose parallel, the engine ran inline...
-        assert result.stats.engine_selected == "parallel"
-        assert result.stats.pool_generation == 0
-        # ...and the calibrator recorded nothing for it.
-        assert engine.calibrator.observations("parallel") == 0
-        server.close()
+            estimate_match_cost(self._model(), 5, 5, expected_matches=-1)

@@ -10,7 +10,9 @@ component.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.errors import QueryError
+from repro.plan.cost import FAST_ENGINE_COSTS
 
 try:
     from hypothesis import given, settings
@@ -48,7 +51,8 @@ ENGINES = (
 )
 
 
-def _build(left_keys, right_keys, seed=7, num_attributes=1, in_clause_limit=2):
+def _build(left_keys, right_keys, seed=7, num_attributes=1, in_clause_limit=2,
+           **server_kwargs):
     """Encrypted L/R tables with ``num_attributes`` non-join columns (m)
     and IN-clause bound ``in_clause_limit`` (t) — the scheme dimension
     grows with both, which is exactly what the m/t property grid varies."""
@@ -71,7 +75,7 @@ def _build(left_keys, right_keys, seed=7, num_attributes=1, in_clause_limit=2):
         [(left, "k"), (right, "k")], in_clause_limit=in_clause_limit,
         rng=random.Random(seed),
     )
-    server = SecureJoinServer(client.params)
+    server = SecureJoinServer(client.params, **server_kwargs)
     server.store(client.encrypt_table(left, "k"))
     server.store(client.encrypt_table(right, "k"))
     return client, server
@@ -303,7 +307,9 @@ class TestAccounting:
         assert result.stats.final_exponentiations == 24
 
     def test_engine_hint_and_override_precedence(self):
-        client, server = _build([1, 2], [2, 3])
+        client, server = _build(
+            [1, 2], [2, 3], hint_engines=("serial", "batched")
+        )
         query = JoinQuery.build("L", "R", on=("k", "k"))
 
         hinted = client.create_query(query, engine="serial")
@@ -338,8 +344,34 @@ class TestAccounting:
             open_server.store(server.table(table))
         assert open_server.execute_join(hinted).stats.engine == "parallel"
 
-    def test_engine_source_recorded(self):
+    def test_serial_hint_requires_server_opt_in(self):
+        """The ablation baseline is several times slower than the
+        default: a remote client cannot ask a default server for it."""
         client, server = _build([1, 2], [2, 3])
+        assert server.hint_engines == {"batched"}
+        hinted = client.create_query(
+            JoinQuery.build("L", "R", on=("k", "k")), engine="serial"
+        )
+        ignored = server.execute_join(hinted)
+        assert ignored.stats.engine == "batched"
+        assert ignored.stats.engine_source == "default"
+        open_server = SecureJoinServer(
+            client.params, hint_engines=("serial", "batched")
+        )
+        for table in ("L", "R"):
+            open_server.store(server.table(table))
+        honoured = open_server.execute_join(hinted)
+        assert honoured.stats.engine == "serial"
+        assert honoured.stats.engine_source == "hint"
+        assert honoured.index_pairs == ignored.index_pairs
+        # A name no engine answers to is a typo, not an allowlist.
+        with pytest.raises(QueryError, match="warp-drive"):
+            SecureJoinServer(client.params, hint_engines=("warp-drive",))
+
+    def test_engine_source_recorded(self):
+        client, server = _build(
+            [1, 2], [2, 3], hint_engines=("serial", "batched")
+        )
         query = JoinQuery.build("L", "R", on=("k", "k"))
         plain = client.create_query(query)
         assert server.execute_join(plain).stats.engine_source == "default"
@@ -385,20 +417,19 @@ class TestPlanner:
         assert right_side["rows"] == 4
         for side in result.stats.planner:
             assert side["dimension"] >= 2
-            assert set(side["estimates"]) == {"serial", "batched", "parallel"}
-            assert side["chosen"] in ("serial", "batched", "parallel")
+            assert set(side["estimates"]) == {"batched", "parallel"}
+            assert side["chosen"] in ("batched", "parallel")
             assert side["chosen"] == min(
                 side["estimates"], key=side["estimates"].get
             ) or side["chosen"] == "batched"
         # engine_selected names what actually executed.
         assert result.stats.engine_selected in (
-            "serial", "batched", "parallel",
-            "batched+parallel", "parallel+batched",
+            "batched", "parallel", "batched+parallel", "parallel+batched",
         )
 
     def test_auto_never_picks_serial_with_default_models(self):
         """Serial can never beat batched (same Miller loops, strictly
-        more final exponentiations), and the planner knows it."""
+        more final exponentiations), so the planner does not price it."""
         for rows in ([3], [0] * 40):
             client, server = _build(rows, [0, 1])
             encrypted = client.create_query(
@@ -407,6 +438,7 @@ class TestPlanner:
             result = server.execute_join(encrypted, engine="auto")
             for side in result.stats.planner:
                 assert side["chosen"] != "serial"
+                assert "serial" not in side["estimates"]
 
     def test_auto_matches_batched_results_exactly(self):
         client, server = _build([1, 2, 2, 3] * 6, [2, 3, 4])
@@ -416,18 +448,6 @@ class TestPlanner:
         assert auto.index_pairs == batched.index_pairs
         assert (
             server.observations[-2].handles == server.observations[-1].handles
-        )
-
-    def test_auto_honors_candidate_allowlist(self):
-        client, server = _build([1, 2, 3], [2, 3])
-        encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        pinned = AutoEngine(candidates=("serial",))
-        result = server.execute_join(encrypted, engine=pinned)
-        assert result.stats.engine == "auto"
-        assert result.stats.engine_selected == "serial"
-        # Serial profile: one final exponentiation per Miller loop.
-        assert (
-            result.stats.final_exponentiations == result.stats.miller_loops
         )
 
     def test_auto_hint_requires_server_opt_in(self):
@@ -467,9 +487,55 @@ class TestPlanner:
 
     def test_invalid_planner_configuration(self):
         with pytest.raises(QueryError):
-            AutoEngine(candidates=("warp-drive",))
+            AutoEngine(batch_size=0)
         with pytest.raises(QueryError):
-            AutoEngine(candidates=())
+            AutoEngine(workers=0)
+        # Retired options are refused, not silently accepted: the
+        # planner has two fixed candidates and learns nothing online.
+        with pytest.raises(TypeError):
+            AutoEngine(candidates=("serial",))
+        with pytest.raises(TypeError):
+            AutoEngine(calibrate_online=False)
+        with pytest.raises(TypeError):
+            AutoEngine(calibrator=object())
+
+    @pytest.mark.parametrize("name", ["parallel", "auto"])
+    def test_unbound_pooled_engine_runs_inline(self, name):
+        """There is no process-wide pool to fall back on: an engine no
+        service was bound to decrypts inline, and the planner prices
+        the one worker it would really get."""
+        client, server = _build([i % 4 for i in range(20)], [0, 1])
+        encrypted = client.create_query(
+            JoinQuery.build("L", "R", on=("k", "k"))
+        )
+        side = (
+            server.backend,
+            encrypted.left_token.elements,
+            [row.elements for row in server.table("L").ciphertexts],
+        )
+        # A pool that charges nothing and needs no margin: the planner
+        # prefers it even at one worker (it saves the batch overhead).
+        free_pool = replace(
+            FAST_ENGINE_COSTS, switch_margin=1.0,
+            element_transport=0.0, chunk_overhead=0.0, pool_spawn=0.0,
+        )
+        if name == "parallel":
+            engine = ParallelEngine(workers=2, batch_size=4)
+        else:
+            engine = AutoEngine(cost_model=free_pool, workers=2, batch_size=8)
+        children = multiprocessing.active_children()
+        handles, report = engine.decrypt_handles(*side)
+        assert multiprocessing.active_children() == children
+        assert handles == BatchedEngine(4).decrypt_handles(*side)[0]
+        assert report.engine == name
+        assert (report.pool_generation, report.workers) == (0, 1)
+        assert report.batches == 5 and report.max_batch_size == 4
+        if name == "auto":
+            assert report.planner["workers"] == 1
+            assert report.planner["pool_warm"] is False
+            assert report.selected == "parallel"
+        else:
+            assert engine.effective_workers() == 1
 
 
 @pytest.mark.bn254

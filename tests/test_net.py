@@ -282,20 +282,20 @@ class TestRemoteErrors:
 
 
 class TestReplayedAnswerIsFramed:
-    """A cached answer streams in slices, as a cold one streams in
-    chunks: re-submitting a query must not turn its whole answer into
-    one message that the receiver's size limit refuses."""
+    """A batch is one message, and a receiver refuses a message over its
+    size limit: a cached answer streams in slices, and so does the cold
+    increment of a chunk that completes thousands of tuples at once."""
 
     LIMIT = 256 * 1024
 
-    @pytest.mark.parametrize("arity", [2, 3], ids=["join", "chain3"])
-    def test_resubmission_fits_the_message_limit(self, arity):
-        # Distinct keys: 3000 matches, a few dozen per cold chunk.
-        names = ["T1", "T2", "T3"][:arity]
+    def _stream_twice(self, keys_per_table):
+        """Serve tables ``T1..Tn`` (one row per listed key) to a client
+        with the small limit; drain the query cold, then re-submitted."""
+        names = [f"T{i + 1}" for i in range(len(keys_per_table))]
         tables = [
             Table(name, Schema.of(("k", "int"), ("v", "str")),
-                  [(i, f"{name}.{i}") for i in range(3000)])
-            for name in names
+                  [(key, f"{name}.{i}") for i, key in enumerate(keys)])
+            for name, keys in zip(names, keys_per_table)
         ]
         client = SecureJoinClient.for_tables(
             [(t, "k") for t in tables], in_clause_limit=1,
@@ -304,7 +304,7 @@ class TestReplayedAnswerIsFramed:
         server = SecureJoinServer(client.params)
         for table in tables:
             server.store(client.encrypt_table(table, "k"))
-        if arity == 2:
+        if len(names) == 2:
             query = client.create_query(
                 JoinQuery.build("T1", "T2", on=("k", "k"))
             )
@@ -319,16 +319,39 @@ class TestReplayedAnswerIsFramed:
                 max_message_size=self.LIMIT,
             ) as rc:
                 stream_of = (
-                    rc.stream_join if arity == 2 else rc.stream_chain
+                    rc.stream_join if len(names) == 2 else rc.stream_chain
                 )
-                _, cold = _drain(stream_of(query))
-                assert len(cold.tuples) == 3000
-                batches, replay = _drain(stream_of(query))
+                return _drain(stream_of(query)), _drain(stream_of(query))
+
+    @pytest.mark.parametrize("arity", [2, 3], ids=["join", "chain3"])
+    def test_resubmission_fits_the_message_limit(self, arity):
+        # Distinct keys: 3000 matches, a few dozen per cold chunk.
+        (_, cold), (batches, replay) = self._stream_twice(
+            [range(3000)] * arity
+        )
+        assert len(cold.tuples) == 3000
         assert replay.stats.series_cache_hits == 1
         assert [len(batch.tuples) for batch in batches] == [1024, 1024, 952]
         assert sorted(
             row for batch in batches for row in batch.tuples
         ) == sorted(replay.tuples)
+        assert replay.tuples == cold.tuples
+        assert replay.payloads == cold.payloads
+
+    @pytest.mark.parametrize("arity", [2, 3], ids=["join", "chain3"])
+    def test_cold_increment_fits_the_message_limit(self, arity):
+        # One key: whichever chunk arrives last completes all 3000
+        # tuples in one increment (299 KB as one message).
+        sizes = [50, 60, 1][:arity]
+        (batches, cold), (_, replay) = self._stream_twice(
+            [[7] * size for size in sizes]
+        )
+        assert cold.stats.series_cache_hits == 0
+        assert [len(batch.tuples) for batch in batches] == [1024, 1024, 952]
+        assert sorted(
+            row for batch in batches for row in batch.tuples
+        ) == sorted(cold.tuples)
+        assert len(cold.tuples) == 3000
         assert replay.tuples == cold.tuples
         assert replay.payloads == cold.payloads
 

@@ -56,6 +56,10 @@ def _dataset(tmp_path, n_rows=40, seed=23):
     return client, paths
 
 
+#: Well-formed ``--params``, for runs that must fail on another option.
+_PARAMS_JSON = '{"num_attributes": 1, "in_clause_limit": 1}'
+
+
 def _params_json(client) -> str:
     params = client.params
     return json.dumps({
@@ -247,18 +251,47 @@ class TestServerProcess:
             time.sleep(0.1)
         assert not leftover, f"orphaned pool workers: {leftover}"
 
-    def test_bad_params_fail_fast(self, tmp_path):
+    @staticmethod
+    def _run_cli(*options):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(_SRC)
-        process = subprocess.run(
-            [
-                sys.executable, "-m", "repro.net",
-                "--params", "not json",
-            ],
+        return subprocess.run(
+            [sys.executable, "-m", "repro.net", *options],
             env=env,
             cwd=_REPO_ROOT,
             capture_output=True,
             timeout=60,
         )
+
+    def test_bad_params_fail_fast(self, tmp_path):
+        process = self._run_cli("--params", "not json")
         assert process.returncode == 2
         assert b"bad --params" in process.stderr
+
+    @pytest.mark.parametrize(
+        "options, complaint",
+        [
+            (("--engine", "bogus"), b"unknown execution engine 'bogus'"),
+            (("--hint-engines", "batched,bogus"), b"unknown hint engines"),
+            (("--workers", "0"), b"worker count must be at least 1"),
+        ],
+        ids=["engine", "hint-engines", "workers"],
+    )
+    def test_bad_engine_options_fail_fast(self, options, complaint):
+        """Refused before anything listens: one ``bad --...`` line and
+        exit code 2, no traceback, no service that fails every query."""
+        process = self._run_cli("--params", _PARAMS_JSON, *options)
+        assert process.returncode == 2
+        (line,) = process.stderr.splitlines()
+        assert line.startswith(b"bad --engine / --hint-engines / --workers: ")
+        assert complaint in line
+
+    def test_algorithm_option_is_gone(self):
+        """The matcher is not a deployment choice (and ``sort``, which
+        the old help text offered, never existed)."""
+        process = self._run_cli(
+            "--params", _PARAMS_JSON, "--algorithm", "sort"
+        )
+        assert process.returncode == 2
+        assert b"unrecognized arguments: --algorithm" in process.stderr
+        assert b"Traceback" not in process.stderr

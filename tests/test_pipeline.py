@@ -409,43 +409,31 @@ class TestEarlyEmission:
             assert result.index_pairs == reference.index_pairs
 
 
-# -- matcher pricing ------------------------------------------------------
+# -- the matcher is a per-call argument, never priced ----------------------
 
 
 class TestMatcherAuto:
-    def test_auto_picks_hash_at_scale(self):
-        client, server = _build([i % 7 for i in range(64)],
-                                [i % 7 for i in range(64)])
-        query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        result = server.execute_join(query, algorithm="auto")
-        assert result.stats.matcher == "hash"
-        match_records = [
-            record for record in (result.stats.planner or [])
-            if record.get("stage") == "match"
-        ]
-        assert len(match_records) == 1
-        record = match_records[0]
-        assert record["build_rows"] == 64
-        assert record["probe_rows"] == 64
-        assert set(record["estimates"]) == {"hash", "nested"}
-        assert record["chosen"] == "hash"
-        server.close()
+    """There is no ``auto`` matcher: a join matches by hash unless the
+    call itself asks for the nested-loop baseline."""
 
-    def test_auto_picks_nested_for_tiny_sides(self):
+    def test_auto_algorithm_rejected(self):
+        from repro.core.server import MATCH_ALGORITHMS
+
+        assert MATCH_ALGORITHMS == ("hash", "nested")
         client, server = _build([1], [1, 2])
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        result = server.execute_join(query, algorithm="auto")
-        assert result.stats.matcher == "nested"
-        assert result.index_pairs == [(0, 0)]
-        server.close()
-
-    def test_auto_matcher_result_identical_to_hash(self):
-        client, server = _build([1, 2, 2, 5] * 8, [2, 5, 7] * 8)
-        query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        auto = server.execute_join(query, algorithm="auto")
-        hashed = server.execute_join(query, algorithm="hash")
-        assert auto.index_pairs == hashed.index_pairs
-        assert auto.left_payloads == hashed.left_payloads
+        with pytest.raises(QueryError, match="unknown join algorithm"):
+            server.execute_join(query, algorithm="auto")
+        with pytest.raises(QueryError, match="unknown join algorithm"):
+            next(server.stream_join(query, algorithm="auto"))
+        # Tiny sides, where the priced matcher used to pick nested:
+        # hash, and no match-stage planner record.
+        result = server.execute_join(query, engine="auto")
+        assert result.stats.matcher == "hash"
+        assert all("stage" not in record for record in result.stats.planner)
+        nested = server.execute_join(query, algorithm="nested")
+        assert nested.stats.matcher == "nested"
+        assert nested.index_pairs == result.index_pairs == [(0, 0)]
         server.close()
 
     def test_unknown_algorithm_rejected(self):
@@ -463,7 +451,7 @@ class TestWirePipelineStats:
     def _result(self):
         client, server = _build([1, 2, 2], [2, 2, 5])
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        result = server.execute_join(query, algorithm="auto", engine="auto")
+        result = server.execute_join(query, engine="auto")
         server.close()
         return result
 

@@ -19,12 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.costmodel import (
-    choose_join_order,
-    default_engine_cost_model,
-    estimate_expected_matches,
-    estimate_plan_costs,
-)
 from repro.core.client import EncryptedChainQuery, SecureJoinClient
 from repro.core.server import SecureJoinServer
 from repro.db.join import chain_join
@@ -41,6 +35,12 @@ from repro.plan import (
     ChainExecutor,
     compile_plan,
     group_chain_sides,
+)
+from repro.plan.cost import (
+    choose_join_order,
+    default_engine_cost_model,
+    estimate_expected_matches,
+    estimate_plan_costs,
 )
 from repro.series.cache import series_key
 from repro.shard.coordinator import LocalShard, ShardCoordinator

@@ -391,7 +391,7 @@ class TestEnginePreparedEquivalence:
         from repro.core.engine import AutoEngine
 
         backend, token, rows, prepared = self._fixture()
-        engine = AutoEngine(candidates=("serial", "batched"))
+        engine = AutoEngine()
         _, report = engine.decrypt_handles(backend, token, prepared)
         assert report.planner["prepared_rows"] is True
         assert report.planner["prepared_miller_loops"] > 0
@@ -579,31 +579,25 @@ class TestStoredPreparedTables:
 
 class TestCostModelPrepared:
     def test_prepared_pricing_lowers_bn254_estimates(self):
-        from repro.bench.costmodel import (
-            BN254_ENGINE_COSTS,
-            estimate_engine_costs,
-        )
+        from repro.plan.cost import BN254_ENGINE_COSTS, estimate_engine_costs
 
         kwargs = dict(rows=64, dimension=8, workers=4, batch_size=16)
         cold = estimate_engine_costs(BN254_ENGINE_COSTS, **kwargs)
         warm = estimate_engine_costs(
             BN254_ENGINE_COSTS, prepared=True, **kwargs
         )
-        for engine in ("serial", "batched", "parallel"):
+        for engine in ("batched", "parallel"):
             assert warm[engine] < cold[engine]
 
     def test_choose_engine_accepts_prepared(self):
-        from repro.bench.costmodel import (
-            FAST_ENGINE_COSTS,
-            choose_engine,
-        )
+        from repro.plan.cost import FAST_ENGINE_COSTS, choose_engine
 
         choice, estimates = choose_engine(
             FAST_ENGINE_COSTS, rows=32, dimension=4, workers=2,
             batch_size=16, prepared=True,
         )
-        assert choice in ("serial", "batched", "parallel")
-        assert set(estimates) == {"serial", "batched", "parallel"}
+        assert choice in ("batched", "parallel")
+        assert set(estimates) == {"batched", "parallel"}
 
     def test_calibration_learns_prepared_constant(self):
         from repro.bench.costmodel import calibrate_engine_cost_model

@@ -10,6 +10,7 @@ a cache-less server holding the same tables.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import random
 
@@ -17,17 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.costmodel import (
-    EngineCostModel,
-    choose_delta_engine,
-    default_engine_cost_model,
-)
 from repro.core.client import SecureJoinClient
+from repro.core.engine import AutoEngine
 from repro.core.server import SecureJoinServer
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.errors import BenchmarkError
+from repro.plan.cost import EngineCostModel, default_engine_cost_model
 from repro.series.cache import SeriesCache, SeriesEntry, series_key
 from repro.shard.coordinator import LocalShard, ShardCoordinator
 from repro.shard.partition import partition_table
@@ -272,13 +270,28 @@ class TestDeltaMaintenance:
         assert streamed == sorted(result.index_pairs)
         server.close()
 
-    def test_delta_planner_prices_small_deltas_serial(self):
-        model = default_engine_cost_model("fast")
-        chosen, estimates = choose_delta_engine(
-            model, rows=3, dimension=4, workers=4, pool_warm=True
+    def test_small_delta_never_wakes_the_pool(self):
+        """No delta pricing is needed for this: however cheap the
+        planner believes the pool to be, a side of at most one chunk
+        runs inline, one layer below the planner."""
+        free_pool = dataclasses.replace(
+            default_engine_cost_model("fast"),
+            miller_loop=1.0, final_exponentiation=1.0,
+            element_transport=0.0, chunk_overhead=0.0, pool_spawn=0.0,
         )
-        assert chosen == "serial"
-        assert set(estimates) == {"serial", "batched", "parallel"}
+        client, server = _setup(workers=2)
+        engine = AutoEngine(cost_model=free_pool, workers=2)
+        query = _query(client)
+        server.execute_join(query, engine=engine)
+        server.insert_row("R", *client.encrypt_row_for("R", (2, "fresh")))
+        delta = server.execute_join(query, engine=engine)
+        assert delta.stats.series_cache_hits == 1
+        assert delta.stats.delta_rows == 1
+        assert "parallel" in delta.stats.engine_selected.split("+")
+        assert delta.stats.pool_generation == 0
+        assert not server.execution_service.started
+        assert all("stage" not in record for record in delta.stats.planner)
+        server.close()
 
 
 # -- invalidation ---------------------------------------------------------
@@ -493,6 +506,9 @@ class TestSlicedReplay:
 
     # 3 keys x 20 x 20 rows: 1200 matches, one slice and a bit.
     ROWS = [(i % 3, f"v{i}") for i in range(60)]
+    # 3 keys x 40 x 40 rows: the first right-hand chunk of a cold run
+    # (of a shard's slice, on a fleet) completes more than one slice.
+    COLD_ROWS = [(i % 3, f"v{i}") for i in range(120)]
 
     @pytest.mark.parametrize("sharded", [False, True], ids=["store", "fleet"])
     def test_streamed_replay_matches_materialized(self, sharded):
@@ -514,6 +530,38 @@ class TestSlicedReplay:
             payloads for batch in batches for payloads in batch.payloads
         ] == warm.payloads
         _assert_identical(warm, cold)
+        for shard in shards:
+            shard.close()
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["store", "fleet"])
+    def test_streamed_cold_run_is_sliced_and_matches_materialized(
+        self, sharded
+    ):
+        """A cold increment is cut by the same bound as a replayed
+        answer: one chunk under a repeated key may complete any number
+        of tuples, and a batch is one message."""
+        rows = self.COLD_ROWS
+        if sharded:
+            client, host, shards = _sharded_setup(
+                left_rows=rows, right_rows=rows
+            )
+        else:
+            client, host = _setup(left_rows=rows, right_rows=rows)
+            shards = [host]
+        query = _query(client)
+        batches, cold = _drain(host.stream_join(query))
+        assert cold.stats.series_cache_hits == 0
+        sizes = [len(batch.index_pairs) for batch in batches]
+        assert sum(sizes) == len(cold.index_pairs) == 4800
+        assert max(sizes) == 1024
+        streamed = {
+            pair: payloads
+            for batch in batches
+            for pair, payloads in zip(batch.index_pairs, batch.payloads)
+        }
+        assert streamed == dict(zip(cold.index_pairs, cold.payloads))
+        # A per-call engine executes from scratch, materialized.
+        _assert_identical(cold, host.execute_join(query, engine="batched"))
         for shard in shards:
             shard.close()
 

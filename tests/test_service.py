@@ -127,7 +127,8 @@ class TestServiceExecution:
             ExecutionService(workers=0)
         service = ExecutionService(workers=1)
         with pytest.raises(QueryError):
-            service.run_side(None, [], [], batch_size=0)
+            service.admit_side(None, [], [], batch_size=0)
+        assert service.active_sides == 0 and not service.started
 
 
 class TestPoolReuse:

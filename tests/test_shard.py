@@ -333,7 +333,12 @@ class TestScatterGather:
                 record for record in result.stats.planner
                 if record.get("stage") == "scatter"
             ]
-            assert scatter and scatter[0]["rows_per_shard"] == [0, 18]
+            assert scatter == [{
+                "stage": "scatter",
+                "shards": 2,
+                "rows_per_shard": [0, 18],
+                "skew": pytest.approx(2.0),
+            }]
 
     def test_abandoned_stream_releases_every_shard(self):
         client, backend, tables, _ = _fixture(
