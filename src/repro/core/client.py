@@ -13,6 +13,7 @@ import os
 import random
 import threading
 from dataclasses import dataclass, field
+from operator import add
 
 from repro.core.engine import ENGINE_NAMES
 from repro.core.scheme import (
@@ -513,25 +514,28 @@ class SecureJoinClient:
 
     def _decrypt_rows(self, tables, payload_tuples) -> list[tuple]:
         """The joined plaintext row of every payload tuple, through the
-        result memo: only a payload not seen before is decrypted."""
-        sides = [
-            (
-                self._payload_cipher(self._table(name).name),
-                self._memos.setdefault(name, {}),
-            )
-            for name in tables  # _table: only tables this client encrypted
-        ]
-        rows: list[tuple] = []
-        for payload_tuple in payload_tuples:
-            joined: tuple = ()
-            for (cipher, memo), payload in zip(sides, payload_tuple):
-                row = memo.get(payload)
-                if row is None:
-                    row = _decode_row(cipher.decrypt(payload))
-                    self._remember(memo, payload, row)
-                joined += row
-            rows.append(joined)
-        return rows
+        result memo one chain position (column) at a time: a lookup per
+        payload at C speed, and only a payload not seen before is
+        decrypted.  A streamed answer names a row by one shared
+        ``bytes`` object, whose hash is computed once and which hits
+        the memo by identity."""
+        joined = None
+        for name, column in zip(tables, zip(*payload_tuples)):
+            # _table: only tables this client encrypted
+            cipher = self._payload_cipher(self._table(name).name)
+            memo = self._memos.setdefault(name, {})
+            rows = list(map(memo.get, column))
+            if None in rows:
+                for index, payload in enumerate(column):
+                    if rows[index] is None:
+                        # Admitted earlier in this very loop, perhaps.
+                        row = memo.get(payload)
+                        if row is None:
+                            row = _decode_row(cipher.decrypt(payload))
+                            self._remember(memo, payload, row)
+                        rows[index] = row
+            joined = rows if joined is None else map(add, joined, rows)
+        return list(joined or ())
 
     def _remember(self, memo: dict[bytes, tuple], payload: bytes, row: tuple):
         """Admit a verified payload's row; clear every table's memo

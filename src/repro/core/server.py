@@ -18,7 +18,10 @@ operation, and :class:`_JoinHost` runs it for every public entry point
    *empty* one on a miss (a cold run is a refresh of an empty entry);
 2. withdraw the tombstones the entry has not applied yet;
 3. if the entry's table versions are current, open nothing: the
-   retained executor's tuples are the answer (a replay);
+   answer is the one the retained executor finished last time, its
+   payloads are gathered once for the batches and the result alike, and
+   the adversary view is the entry's own dict, shared (a replay — it
+   sorts nothing and allocates nothing per held handle);
 4. otherwise ask the host for decrypt sources over exactly the selected
    rows the entry holds no handle for — all of them when it is empty —
    one per distinct ``(table, token)`` side, and merge them round-robin
@@ -256,7 +259,10 @@ class QueryObservation:
     """The adversary view of one query: every handle the server computed.
 
     ``handles`` maps ``(table_name, row_index)`` to the handle bytes.
-    Equal bytes mean the server observed a true equality pair.
+    Equal bytes mean the server observed a true equality pair.  Read it,
+    never write it: a replayed query reveals nothing new, so its
+    ``handles`` *is* the dict of the refresh it replays (the series
+    entry's ``view``), the same object in every replay's observation.
     """
 
     query_id: int
@@ -271,8 +277,8 @@ class _PairShape:
 
     @staticmethod
     def canonical(executor) -> list[tuple[int, int]]:
-        # The single node's matcher sorts its own pairs right-major (in
-        # place, so a replay re-sorts an already sorted list).
+        # The single node's matcher keeps its own pairs right-major
+        # (sorted in place, and only when a pair arrived since).
         return executor.matchers[0].finish()
 
 
@@ -284,11 +290,11 @@ class _ChainShape:
     canonical = staticmethod(ChainExecutor.finish)
 
 
-def _gather(tuples, payloads) -> list[tuple[bytes, ...]]:
+def gather_payloads(tuples, payloads) -> list[tuple[bytes, ...]]:
     """Each tuple's payload blobs in position order, gathered one
     position (column) at a time from the per-position payload maps."""
     columns = [
-        [held[row] for row in rows]
+        map(held.__getitem__, rows)
         for held, rows in zip(payloads, zip(*tuples))
     ]
     return list(zip(*columns))
@@ -486,8 +492,16 @@ class _JoinHost:
         # loop below checks it between merged events so the match stage
         # cannot overrun either.
         qos = QueryQoS.stamp(query)
+        # The adversary view starts from the handles the entry reuses —
+        # nothing new is revealed, but the per-query view still
+        # determines the result (what the leakage analyzer relies on).
+        # A replay shares the dict its last refresh recorded; a stale
+        # hit copies it once, because earlier observations hold the old
+        # one, and the refresh's newly computed handles accrue below.
+        view = entry.view
         if hit:
             if stale:
+                view = entry.view = dict(view)
                 # Dead rows are withdrawn *first*, so they can never
                 # pair with the rows the refresh is about to feed.
                 for position, name in enumerate(tables):
@@ -497,23 +511,16 @@ class _JoinHost:
                         executor.retract(position, new)
                         for row in new:
                             entry.payloads[position].pop(row, None)
+                            view.pop((name, row), None)
                         applied |= new
             stats.series_cache_hits = 1
             stats.reused_handles = entry.reused_handles()
-        # The adversary view starts from the handles the entry reuses —
-        # nothing new is revealed, but the per-query view still
-        # determines the result (what the leakage analyzer relies on) —
-        # and the refresh's newly computed ones accrue below.
-        observation = QueryObservation(query.query_id)
-        if hit:
-            for name, held in zip(tables, executor.handles):
-                for row, handle in held.items():
-                    observation.handles[(name, row)] = handle
+        observation = QueryObservation(query.query_id, view)
 
         def on_items(positions, items) -> None:
             name = tables[positions[0]]
             for item in items:
-                observation.handles[(name, item[0])] = item[1]
+                view[(name, item[0])] = item[1]
             if items and len(items[0]) == 3:
                 # A host without local tables retains the payloads that
                 # ride the items, per consuming position.
@@ -526,10 +533,10 @@ class _JoinHost:
             if not stats.time_to_first_match:
                 stats.time_to_first_match = time.perf_counter() - started
 
-        def batches(tuples: list):
+        def batches(tuples: list, gathered: list):
             for start in range(0, len(tuples), _BATCH_SLICE):
-                piece = tuples[start:start + _BATCH_SLICE]
-                yield shape.batch(piece, _gather(piece, payloads))
+                stop = start + _BATCH_SLICE
+                yield shape.batch(tuples[start:stop], gathered[start:stop])
 
         sources: list = []
         started = time.perf_counter()
@@ -539,8 +546,12 @@ class _JoinHost:
             tuples = shape.canonical(executor) if hit else []
             if tuples:
                 emitted()
-                if streaming:
-                    yield from batches(tuples)
+            if streaming or not stale:
+                # A replay gathers once: its batches are slices of the
+                # list its result carries.
+                gathered = gather_payloads(tuples, payloads)
+            if streaming:
+                yield from batches(tuples, gathered)
             if stale:
                 if entry.sides is None:
                     entry.sides = group_chain_sides(query, entry.key)
@@ -572,10 +583,11 @@ class _JoinHost:
                             f"of {query.deadline}s; cancelled mid-join"
                         )
                     if streaming:
-                        yield from batches(new)
+                        yield from batches(new, gather_payloads(new, payloads))
                 finish_at = time.perf_counter()
                 tuples = shape.canonical(executor)
                 stats.match_seconds += time.perf_counter() - finish_at
+                gathered = gather_payloads(tuples, payloads)
         finally:
             # Deterministic on abandonment too (not just refcount GC):
             # closing the sources releases every pool admission, and the
@@ -622,9 +634,7 @@ class _JoinHost:
                 cache.stats.replays += 1
         if shape is _ChainShape:
             stats.plan_nodes = len(tables) - 1
-        return shape.result(
-            tuple(tables), list(tuples), _gather(tuples, payloads), stats
-        )
+        return shape.result(tuple(tables), tuples, gathered, stats)
 
     def _plan(self, entry, sources, algorithm, engine, stats):
         """Give an empty entry its executor.  A chain's join order is
@@ -764,11 +774,13 @@ class SecureJoinServer(_JoinHost):
                 index[column] = postings
         self._tag_index[encrypted_table.name] = index
         # Re-storing replaces the table wholesale: a new epoch makes
-        # every retained series entry for it unreachable, and the
-        # mutation counter restarts with the new contents.
+        # every retained series entry for it unreachable, the mutation
+        # counter restarts with the new contents, and the old table's
+        # tombstones name none of its rows.
         name = encrypted_table.name
         self._epochs[name] = self._epochs.get(name, 0) + 1
         self._versions[name] = 0
+        self._tombstones.pop(name, None)
         if self.series_cache is not None:
             self.series_cache.invalidate_table(name)
 

@@ -39,7 +39,9 @@ chunks, and deleted rows are withdrawn with :meth:`retract_left` /
 (so it can never pair with future arrivals) and drop its emitted pairs.
 ``finish()`` is idempotent and re-callable, so every resume yields the
 canonical pairing of the *current* row set — byte-identical to a
-from-scratch join over the live rows.
+from-scratch join over the live rows — and it sorts only when a pair was
+emitted since the last call: a replay of an unchanged entry copies the
+standing order.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ class IncrementalMatcher:
     def __init__(self) -> None:
         self.stats = MatcherStats()
         self._pairs: list[tuple[int, int]] = []
+        #: ``len(_pairs)`` when :meth:`finish` last sorted it; pairs only
+        #: arrive by append, so an equal length means "still sorted".
+        self._sorted = 0
 
     # -- feeding ----------------------------------------------------------
     def add_left(
@@ -109,6 +114,11 @@ class IncrementalMatcher:
         dropped: list[tuple[int, int]] = []
         for pair in self._pairs:
             (dropped if pair[position] in removed else kept).append(pair)
+        # Dropping keeps a sorted list sorted (and an unsorted one must
+        # not pass for sorted once its length falls back).
+        self._sorted = (
+            len(kept) if self._sorted == len(self._pairs) else -1
+        )
         self._pairs = kept
         self.stats.matches -= len(dropped)
         return dropped
@@ -129,10 +139,15 @@ class IncrementalMatcher:
         """All pairs, sorted into the canonical right-major order.
 
         Idempotent and re-callable: a retained matcher is finished once
-        per replay, after any delta feeding/retraction in between.
+        per replay, after any delta feeding/retraction in between, and
+        re-sorts only if a pair arrived since the last call.  The list
+        returned is the caller's own.
         """
-        self._pairs.sort(key=lambda pair: (pair[1], pair[0]))
-        return list(self._pairs)
+        pairs = self._pairs
+        if self._sorted != len(pairs):
+            pairs.sort(key=lambda pair: (pair[1], pair[0]))
+            self._sorted = len(pairs)
+        return list(pairs)
 
 
 class HashMatcher(IncrementalMatcher):

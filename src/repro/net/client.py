@@ -221,7 +221,7 @@ class RemoteJoinClient:
                     got_header = True
                     continue
                 if isinstance(frame, MatchBatchFrame):
-                    yield reassembler.add_batch(frame.batch)
+                    yield reassembler.add_batch(frame)
                     continue
                 if isinstance(frame, FinalFrame):
                     completed = True

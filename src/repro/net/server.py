@@ -8,8 +8,8 @@ message and one handler — it emits:
 
 1. one **stream-header frame** acknowledging the query,
 2. a **match-batch frame** per batch the streaming pipeline yields —
-   index tuples and payloads in discovery order, sent while SJ.Dec is
-   still running,
+   index tuples in discovery order and the payloads of the rows this
+   stream has not carried yet, sent while SJ.Dec is still running,
 3. one **final frame** with the canonical tuple order and the
    :class:`~repro.core.server.ServerStats` — or an **error frame** if
    the query failed (bad payload, unknown table, deadline exceeded...).
@@ -223,6 +223,9 @@ class JoinServiceServer:
             stream = self.join_server.stream_join(query)
         else:
             stream = self.join_server.stream_chain(query)
+        # The stream's state: per chain position, the rows whose payload
+        # an earlier frame carried — each travels once per answer.
+        sent = [set() for _ in query.tables]
         try:
             yield encode_stream_header(query.query_id, *query.tables)
             while True:
@@ -231,7 +234,7 @@ class JoinServiceServer:
                 except StopIteration as stop:
                     result = stop.value
                     break
-                yield encode_match_batch(batch)
+                yield encode_match_batch(batch, sent)
             yield encode_final_frame(result)
         finally:
             stream.close()

@@ -82,6 +82,9 @@ class ChainExecutor:
             {} for _ in range(n - 2)
         ]
         self._next_tid = 0
+        #: The canonical answer as :meth:`finish` last built it; ``None``
+        #: once a feed or a retraction may have changed it.
+        self._finished: list[tuple[int, ...]] | None = None
 
     # -- feeding ----------------------------------------------------------
     def feed(
@@ -94,6 +97,7 @@ class ChainExecutor:
         delta-repair inserts — exactly like the two-way matchers.
         """
         node, is_left = self._role(position)
+        self._finished = None
         side_handles = self.handles[position]
         for row, handle in items:
             side_handles[row] = handle
@@ -113,6 +117,7 @@ class ChainExecutor:
         if not rows:
             return []
         node, is_left = self._role(position)
+        self._finished = None
         for row in rows:
             del self.handles[position][row]
         if is_left:
@@ -193,9 +198,13 @@ class ChainExecutor:
         """All completed chain tuples, sorted lexicographically.
 
         Idempotent and re-callable — a retained executor is finished
-        once per replay, after any delta feeding/retraction between.
+        once per replay, after any delta feeding/retraction between —
+        and expanded and sorted only if something was fed or retracted
+        since the last call.  The list returned is the caller's own.
         """
-        return sorted(self._complete(self.matchers[-1].pairs))
+        if self._finished is None:
+            self._finished = sorted(self._complete(self.matchers[-1].pairs))
+        return list(self._finished)
 
     @property
     def matches(self) -> int:
@@ -220,4 +229,10 @@ class ChainExecutor:
                 total += len(handle) + 96
         total += len(self._tuples) * (80 + 24 * self.arity)
         total += sum(m.stats.matches for m in self.matchers) * 80
+        if self._finished is not None:
+            # A list slot per tuple; in the identity two-table order the
+            # tuples are the matcher's own pair objects, otherwise each
+            # is an expanded tuple of its own.
+            expanded = 0 if self.order == (0, 1) else 40 + 8 * self.arity
+            total += len(self._finished) * (8 + expanded)
         return total

@@ -10,12 +10,14 @@ every pairing decision made so far.
 
 The join drive (:mod:`repro.core.server`) treats every execution as a
 refresh of an entry: a miss starts from an *empty* entry, a re-submitted
-query over unchanged tables opens no decrypt stream at all
-(``executor.finish()`` re-sorts the retained tuples and not a single
-Miller loop runs), and a mutated base table is **delta-maintained** —
-only rows the entry holds no handle for go through SJ.Dec, and
-tombstoned rows are withdrawn with ``executor.retract`` — never
-re-decrypting what it already holds.
+query over unchanged tables opens no decrypt stream at all — not a
+single Miller loop runs, the executor hands back the canonical answer it
+finished last time (nothing is re-sorted or re-expanded) and the query's
+adversary view *is* the :attr:`SeriesEntry.view` its last refresh
+recorded, shared and not copied — and a mutated base table is
+**delta-maintained**: only rows the entry holds no handle for go through
+SJ.Dec, and tombstoned rows are withdrawn with ``executor.retract`` —
+never re-decrypting what it already holds.
 
 Keying and invalidation semantics:
 
@@ -29,7 +31,11 @@ Keying and invalidation semantics:
   re-stored wholesale: everything retained is garbage) and **versions**
   (bumped per insert/delete: the entry is stale but delta-repairable).
 - Memory is bounded by a **byte budget**: entries are accounted by
-  their retained handle bytes and pair state and evicted LRU.
+  their retained handle bytes, pair state and finished answer, and
+  evicted LRU.  The adversary view is not charged: its handle bytes are
+  the executor's own objects, and its key tuples and slots belong to
+  the host's observation log, which holds the same dict and frees
+  nothing — evicting the entry would not release them.
 
 Concurrency: the cache's own map is lock-protected, and every entry
 carries its own lock — the drive holds it across a replay or a delta
@@ -101,6 +107,7 @@ class SeriesEntry:
         "versions",
         "sides",
         "executor",
+        "view",
         "matcher_name",
         "payloads",
         "applied_tombstones",
@@ -127,6 +134,15 @@ class SeriesEntry:
         #: since retracted.  Both ``None`` while the entry is empty.
         self.sides = None
         self.executor = None
+        #: ``(table, row) -> handle`` for everything the executor was
+        #: fed and has not since had retracted: the adversary view of
+        #: the entry's last refresh.  A replay's
+        #: :class:`~repro.core.server.QueryObservation` shares this very
+        #: dict, so it is never mutated once that refresh has ended — a
+        #: stale hit works on a copy and stores the copy here.  The
+        #: observation log owns it (see the module docstring), so
+        #: :meth:`recompute_bytes` does not charge it.
+        self.view: dict[tuple[str, int], bytes] = {}
         self.matcher_name = "hash"
         #: position -> {row index -> payload bytes}: only populated by
         #: holders that cannot re-read payloads from local tables (the

@@ -10,11 +10,17 @@ What crosses the client/server boundary at query time:
   ``stream_join`` instead of the lexicographic order of
   ``stream_chain``;
 - the **result stream frames** (server -> client): a stream-header
-  frame, repeated match-batch frames carrying index tuples and their
-  payloads in discovery order, and a final frame carrying the canonical
-  tuple order plus :class:`~repro.core.server.ServerStats` — so a
-  remote client receives matched rows while SJ.Dec is still running.
-  Failures travel in-stream as an error frame;
+  frame, repeated match-batch frames carrying index tuples in discovery
+  order, and a final frame carrying the canonical tuple order plus
+  :class:`~repro.core.server.ServerStats` — so a remote client receives
+  matched rows while SJ.Dec is still running.  Match batches are
+  **row-referenced**: a tuple names its rows, and a row's payload
+  travels once per stream, in the first frame whose tuples name it —
+  per chain position three runs (row indices in first-reference order,
+  payload lengths, the payloads concatenated).  The encoder is handed
+  the stream's set of delivered rows; :func:`decode_frame` stays
+  stateless and :class:`StreamReassembler` resolves rows to payloads
+  across frames.  Failures travel in-stream as an error frame;
 - the **scatter frames** (shard -> coordinator): scatter-chunk frames
   carrying one side's decrypted handle events with the chain positions
   that consume them, a scatter-final frame with the per-side candidate
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from itertools import chain
+from itertools import accumulate, chain
 
 from repro.core.client import EncryptedChainQuery, EncryptedJoinQuery
 from repro.core.engine import EngineReport
@@ -53,6 +59,7 @@ from repro.core.server import (
     EncryptedJoinResult,
     MatchBatch,
     ServerStats,
+    gather_payloads,
 )
 from repro.plan import MAX_CHAIN_TABLES
 from repro.shard.partition import MAX_SHARD_COUNT, validate_shard_layout
@@ -72,7 +79,7 @@ _RESULT_MAGIC = b"RPROJRES"
 _FRAME_MAGIC = b"RPROJFRM"
 #: The one wire version, stamped on every message of every kind; a
 #: peer speaking any other is rejected by :func:`read_header`.
-_VERSION = 8
+_VERSION = 9
 _TAG_SIZE = 32
 
 #: Priority magnitude cap: wire-supplied priorities are clamped into a
@@ -393,9 +400,10 @@ def _read_tuples(
     The count is header-supplied and therefore untrusted: a negative
     value must not silently yield an empty range, and an absurdly large
     one must fail *before* any read.  Each tuple needs ``arity`` u32
-    indices (4 bytes each) plus — when payload blobs follow — ``arity``
-    blob length prefixes (4 bytes each), so the per-tuple floor bounds
-    any count a well-formed body could satisfy.
+    indices (4 bytes each) plus — when a payload blob per index follows
+    (the materialized result) — ``arity`` blob length prefixes (4 bytes
+    each), so the per-tuple floor bounds any count a well-formed body
+    could satisfy.
     """
     count = _as_int(_require(header, key), key, minimum=0)
     per_tuple = arity * (8 if with_payloads else 4)
@@ -461,17 +469,21 @@ class StreamHeaderFrame:
 
 @dataclasses.dataclass
 class MatchBatchFrame:
-    """One streamed increment: index tuples (discovery order) plus
-    their payloads, at the arity of the query being answered."""
+    """One streamed increment, as decoded: the index tuples (discovery
+    order, at the arity of the query being answered) and, per chain
+    position, ``{row: payload}`` for the rows this frame carries — the
+    ones its stream had not carried before.  A tuple may name a row an
+    earlier frame carried; :class:`StreamReassembler` resolves those."""
 
-    batch: ChainMatchBatch
+    tuples: list[tuple[int, ...]]
+    rows: list[dict[int, bytes]]
 
 
 @dataclasses.dataclass
 class FinalFrame:
     """Closes a stream: canonical tuple order plus the server stats.
 
-    Payload blobs already travelled in the match-batch frames;
+    Payloads already travelled in the match-batch frames;
     :class:`StreamReassembler` stitches them back into the canonical
     order this frame dictates.
     """
@@ -499,20 +511,55 @@ def encode_stream_header(query_id: int, *tables: str) -> bytes:
     return writer.getvalue()
 
 
-def encode_match_batch(batch: ChainMatchBatch) -> bytes:
-    """One match-batch frame: the tuples as one flat u32 run, then each
-    tuple's payload blobs in position order."""
+def encode_match_batch(
+    batch: ChainMatchBatch, sent: list[set[int]] | None = None
+) -> bytes:
+    """One match-batch frame: the tuples as one flat u32 run, then per
+    chain position the rows this stream has not carried yet — their
+    indices in first-reference order, their payload lengths, their
+    payloads concatenated.
+
+    ``sent`` is the stream's state: per position, the rows earlier
+    frames delivered; the rows this frame carries are added to it.
+    Without it the frame starts from a fresh state and is
+    self-contained.
+    """
+    tuples = batch.tuples
+    if len(batch.payloads) != len(tuples):
+        raise SchemeError("match batch with mismatched payload counts")
+    if sent is None:
+        # An empty batch has no tuple to read the arity from; any valid
+        # one describes its empty body.
+        sent = [set() for _ in range(len(tuples[0]) if tuples else 2)]
+    elif tuples and len(tuples[0]) != len(sent):
+        raise SchemeError(
+            f"match batch of arity {len(tuples[0])} on a stream of arity "
+            f"{len(sent)}"
+        )
+    fresh: list[dict[int, bytes]] = []
+    for delivered, rows, payloads in zip(
+        sent, zip(*tuples), zip(*batch.payloads)
+    ):
+        # First-reference order, each row once; a row's payload is its
+        # stored blob, the same bytes in every tuple that names it.
+        new = dict(zip(rows, payloads))
+        for row in delivered.intersection(new):
+            del new[row]
+        delivered.update(new)
+        fresh.append(new)
+    fresh += [{}] * (len(sent) - len(fresh))
     writer = Writer()
     write_header(writer, _FRAME_MAGIC, _VERSION, {
         "kind": FRAME_MATCH_BATCH,
-        # An empty batch has no tuple to read the arity from; any valid
-        # one describes its empty body.
-        "arity": len(batch.tuples[0]) if batch.tuples else 2,
-        "n_tuples": len(batch.tuples),
+        "arity": len(sent),
+        "n_tuples": len(tuples),
+        "n_rows": [len(new) for new in fresh],
     })
-    _write_tuples(writer, batch.tuples)
-    for payload in chain.from_iterable(batch.payloads):
-        writer.blob(payload)
+    _write_tuples(writer, tuples)
+    for new in fresh:
+        writer.u32s(list(new))
+        writer.u32s(list(map(len, new.values())))
+        writer.raw(b"".join(new.values()))
     return writer.getvalue()
 
 
@@ -738,6 +785,43 @@ def _decode_scatter_final(header: dict) -> ScatterFinalFrame:
     )
 
 
+def _decode_match_batch(reader: Reader, header: dict) -> MatchBatchFrame:
+    arity = _as_int(_require(header, "arity"), "arity", minimum=2)
+    if arity > MAX_CHAIN_TABLES:
+        raise SchemeError(
+            f"batch arity {arity} exceeds the cap {MAX_CHAIN_TABLES}"
+        )
+    tuples = _read_tuples(
+        reader, header, "n_tuples", arity, with_payloads=False
+    )
+    n_rows = [
+        _as_int(count, "n_rows", minimum=0)
+        for count in _as_list(_require(header, "n_rows"), "n_rows")
+    ]
+    # A carried row needs at least its u32 index and its u32 length, so
+    # remaining//8 bounds any counts a well-formed body could satisfy —
+    # checked before any per-row allocation.
+    if len(n_rows) != arity or sum(n_rows) * 8 > reader.remaining:
+        raise SchemeError(
+            f"bad row counts {n_rows}: a batch of arity {arity} carries "
+            f"{arity} row runs of at least 8 bytes per row, and only "
+            f"{reader.remaining} bytes remain"
+        )
+    rows: list[dict[int, bytes]] = []
+    for count in n_rows:
+        indices = reader.u32s(count)
+        ends = list(accumulate(reader.u32s(count)))
+        blob = reader.take(ends[-1] if ends else 0)
+        carried = dict(zip(
+            indices, map(blob.__getitem__, map(slice, [0] + ends, ends))
+        ))
+        if len(carried) != count:
+            raise SchemeError("match batch carries a row more than once")
+        rows.append(carried)
+    reader.expect_end()
+    return MatchBatchFrame(tuples, rows)
+
+
 def decode_frame(
     data: bytes,
 ) -> (
@@ -760,19 +844,7 @@ def decode_frame(
             tables=_chain_tables(header),
         )
     if kind == FRAME_MATCH_BATCH:
-        arity = _as_int(_require(header, "arity"), "arity", minimum=2)
-        if arity > MAX_CHAIN_TABLES:
-            raise SchemeError(
-                f"batch arity {arity} exceeds the cap {MAX_CHAIN_TABLES}"
-            )
-        tuples = _read_tuples(
-            reader, header, "n_tuples", arity, with_payloads=True
-        )
-        payloads = _rows(
-            [reader.blob() for _ in range(len(tuples) * arity)], arity
-        )
-        reader.expect_end()
-        return MatchBatchFrame(ChainMatchBatch(tuples, payloads))
+        return _decode_match_batch(reader, header)
     if kind == FRAME_FINAL:
         tables = _chain_tables(header)
         tuples = _read_tuples(
@@ -804,17 +876,20 @@ def decode_frame(
 class StreamReassembler:
     """Rebuild the canonical answer to ``query`` from its frame stream.
 
-    Match-batch frames deliver tuples and payloads in discovery order;
-    the final frame dictates the canonical tuple order.  Feed each batch
+    Match-batch frames deliver tuples in discovery order and each row's
+    payload once, in the first frame that names it; the final frame
+    dictates the canonical tuple order.  Feed each decoded batch frame
     to :meth:`add_batch` and close with :meth:`finish` — the result is
     byte-identical, up to run-dependent stats, to what the in-process
     ``execute_join`` / ``execute_chain`` would have returned, and like
     there the query's type picks the shape: :class:`MatchBatch` /
     :class:`EncryptedJoinResult` for an :class:`EncryptedJoinQuery`.
-    Every frame must answer *this* query: a tuple or payload
-    combination of another arity, a tuple delivered twice, a final
-    frame naming other tables, another count, or a tuple no batch
-    delivered, all raise :class:`~repro.errors.SchemeError`.
+    Every tuple naming a row gets the *same* ``bytes`` object for it.
+    Every frame must answer *this* query: a frame or tuple of another
+    arity, a row carried twice, a tuple naming a row no frame carried, a
+    tuple delivered twice, a final frame naming other tables, another
+    count, or anything but a permutation of the delivered tuples, all
+    raise :class:`~repro.errors.SchemeError`.
     """
 
     def __init__(self, query: EncryptedChainQuery):
@@ -824,50 +899,64 @@ class StreamReassembler:
         self._result_type = (
             EncryptedJoinResult if pair else EncryptedChainResult
         )
-        self._payloads: dict[tuple[int, ...], tuple[bytes, ...]] = {}
+        #: Per chain position, every row the stream carried so far.
+        self._rows: list[dict[int, bytes]] = [{} for _ in self._tables]
+        #: Every tuple delivered so far, with its resolved payloads.
+        self._delivered: dict[tuple[int, ...], tuple[bytes, ...]] = {}
 
-    def add_batch(self, batch: ChainMatchBatch) -> ChainMatchBatch:
-        """Check and retain one decoded batch; returns it in the
-        query's shape."""
-        if len(batch.tuples) != len(batch.payloads):
-            raise SchemeError("match batch with mismatched payload counts")
+    def add_batch(self, frame: MatchBatchFrame) -> ChainMatchBatch:
+        """Check and retain one decoded batch frame; returns its batch,
+        payloads resolved, in the query's shape."""
         arity = len(self._tables)
-        for combo, payload_combo in zip(batch.tuples, batch.payloads):
-            if len(combo) != arity or len(payload_combo) != arity:
-                raise SchemeError(
-                    f"match batch carries a tuple of arity {len(combo)} "
-                    f"with {len(payload_combo)} payloads in the answer "
-                    f"to a {arity}-table query"
-                )
-            combo = tuple(combo)
-            if combo in self._payloads:
-                raise SchemeError(
-                    f"stream delivered tuple {combo} more than once"
-                )
-            self._payloads[combo] = tuple(payload_combo)
-        return self._batch_type(batch.tuples, batch.payloads)
+        tuples = frame.tuples
+        if len(frame.rows) != arity or not set(map(len, tuples)) <= {arity}:
+            raise SchemeError(
+                f"match batch of another arity in the answer to a "
+                f"{arity}-table query"
+            )
+        for carried, new in zip(self._rows, frame.rows):
+            if not carried.keys().isdisjoint(new):
+                raise SchemeError("stream carried a row more than once")
+            carried.update(new)
+        try:
+            payloads = gather_payloads(tuples, self._rows)
+        except KeyError as missing:
+            raise SchemeError(
+                f"match batch names row {missing.args[0]} that no frame "
+                "carried"
+            ) from None
+        delivered = self._delivered
+        expected = len(delivered) + len(tuples)
+        delivered.update(zip(tuples, payloads))
+        if len(delivered) != expected:
+            raise SchemeError("stream delivered a tuple more than once")
+        return self._batch_type(tuples, payloads)
 
     def finish(self, final: FinalFrame) -> EncryptedChainResult:
+        """The canonical result; consumes what the batches delivered."""
         if tuple(final.tables) != self._tables:
             raise SchemeError(
                 f"final frame answers a query over {tuple(final.tables)}, "
                 f"expected {self._tables}"
             )
-        if len(final.tuples) != len(self._payloads):
+        delivered = self._delivered
+        if len(final.tuples) != len(delivered):
             raise SchemeError(
-                f"stream delivered {len(self._payloads)} tuples but the "
+                f"stream delivered {len(delivered)} tuples but the "
                 f"final frame claims {len(final.tuples)}"
             )
         try:
-            payloads = [self._payloads[tuple(c)] for c in final.tuples]
+            # Equal counts, and each delivered tuple can be taken once:
+            # only a permutation of them gets through.
+            payloads = list(map(delivered.pop, final.tuples))
         except KeyError as missing:
             raise SchemeError(
                 f"final frame names tuple {missing.args[0]} that no match "
-                "batch delivered"
+                "batch delivered, or names it twice"
             ) from None
         return self._result_type(
             tables=self._tables,
-            tuples=[tuple(combo) for combo in final.tuples],
+            tuples=final.tuples,
             payloads=payloads,
             stats=final.stats,
         )

@@ -110,6 +110,18 @@ class TestDelete:
         assert after.stats.decryptions < before.stats.decryptions
         assert after.stats.matches == 0
 
+    def test_restored_table_has_no_deleted_rows(self):
+        # A table replaced wholesale is a new table: the old one's
+        # tombstones must not hide (or, on a shard, mis-index) its rows.
+        client, server = _setup()
+        server.delete_rows("L", [0])
+        assert _join_pairs(client, server) == [(1, 1)]
+        left = Table("L", Schema.of(("k", "int"), ("c", "str")),
+                     [(1, "x"), (2, "y")])
+        server.store(client.encrypt_table(left, "k"))
+        assert server.tombstoned_rows("L") == frozenset()
+        assert _join_pairs(client, server) == [(0, 0), (1, 1)]
+
     def test_delete_idempotent(self):
         client, server = _setup()
         server.delete_rows("R", [0])

@@ -45,6 +45,7 @@ from repro.store.wire import (
     FinalFrame,
     MatchBatchFrame,
     StreamHeaderFrame,
+    StreamReassembler,
     decode_frame,
     encode_join_query,
     encode_join_result,
@@ -354,6 +355,99 @@ class TestReplayedAnswerIsFramed:
         assert len(cold.tuples) == 3000
         assert replay.tuples == cold.tuples
         assert replay.payloads == cold.payloads
+
+
+class _CountingSocket:
+    """Counts the bytes ``recv`` hands out; the rest is the socket's."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self.received = 0
+
+    def recv(self, size: int) -> bytes:
+        chunk = self._sock.recv(size)
+        self.received += len(chunk)
+        return chunk
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestEachRowTravelsOnce:
+    """A stream carries each matched row's payload once, however many
+    tuples name the row — counted on a real socket, byte for byte."""
+
+    def test_payload_bytes_on_the_socket_are_the_distinct_rows(self):
+        # 50 x 60 rows under one key: 3000 tuples name 110 rows.
+        sizes = {"T1": 50, "T2": 60}
+        tables = [
+            Table(name, Schema.of(("k", "int"), ("v", "str")),
+                  [(7, f"{name}.{i}" * (1 + i % 5)) for i in range(size)])
+            for name, size in sizes.items()
+        ]
+        client = SecureJoinClient.for_tables(
+            [(t, "k") for t in tables], in_clause_limit=1,
+            rng=random.Random(29),
+        )
+        encrypted = [client.encrypt_table(t, "k") for t in tables]
+        distinct = sum(len(p) for e in encrypted for p in e.payloads)
+        server = SecureJoinServer(client.params)
+        for table in encrypted:
+            server.store(table)
+        query = client.create_query(JoinQuery.build("T1", "T2", on=("k", "k")))
+        request = encode_join_query(query, client.scheme.backend)
+        answers = []
+        with server, JoinServiceServer(server) as service:
+            with socket.create_connection(service.address, timeout=30) as raw:
+                sock = _CountingSocket(raw)
+                for _ in ("cold", "replayed"):
+                    before = sock.received
+                    send_message(sock, request)
+                    opening = decode_frame(recv_message(sock))
+                    assert isinstance(opening, StreamHeaderFrame)
+                    reassembler = StreamReassembler(query)
+                    carried = rows = frames = 0
+                    while True:
+                        frame = decode_frame(recv_message(sock))
+                        frames += 1
+                        if isinstance(frame, FinalFrame):
+                            break
+                        carried += sum(
+                            len(payload)
+                            for held in frame.rows
+                            for payload in held.values()
+                        )
+                        rows += sum(map(len, frame.rows))
+                        reassembler.add_batch(frame)
+                    answers.append(reassembler.finish(frame))
+                    # Every payload byte of every matched row, once.
+                    assert (rows, carried) == (110, distinct)
+                    # The rest of what the socket carried is framing:
+                    # the index tuples twice (batches, final order), an
+                    # index and a length per carried row, a length
+                    # prefix and a header per message.
+                    framing = sock.received - before - carried
+                    assert framing >= 2 * 3000 * 2 * 4 + 110 * 8
+                    assert framing <= 2 * 3000 * 2 * 4 + 110 * 8 + (
+                        (frames + 1) * 160 + 1500
+                    )
+        cold, replayed = answers
+        assert (cold.stats.series_cache_hits,
+                replayed.stats.series_cache_hits) == (0, 1)
+        assert len(cold.tuples) == 3000
+        assert replayed.tuples == cold.tuples
+        assert replayed.payloads == cold.payloads
+        assert sum(
+            len(payload) for combo in cold.payloads for payload in combo
+        ) > 25 * distinct
+        reference = SecureJoinServer(client.params, series_cache_bytes=0)
+        with reference:
+            for table in encrypted:
+                reference.store(table)
+            expected = reference.execute_join(query)
+        assert (cold.tuples, cold.payloads) == (
+            expected.tuples, expected.payloads
+        )
 
 
 # -- hint allowlist gate ----------------------------------------------------

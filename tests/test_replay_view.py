@@ -1,0 +1,433 @@
+"""What a re-submitted query shares with the refresh it replays.
+
+A replay reveals nothing new, so it records no new adversary view: its
+:class:`~repro.core.server.QueryObservation` holds the very dict the
+entry's last refresh built (``SeriesEntry.view``), and its answer is the
+one the retained executor finished last time.  Sharing is only sound if
+nobody writes to what is shared, so the contract pinned here is the one
+the copying drive had: after every query the view equals the handles the
+entry's executor holds, no earlier observation ever changes, a delete
+withdraws its rows from the next view, and a feed or a retraction
+invalidates the finished answer — on a single store and on a fleet.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.plan.executor as executor_module
+from repro.core.client import EncryptedChainQuery, SecureJoinClient
+from repro.core.engine import BatchedEngine
+from repro.core.server import SecureJoinServer
+from repro.db.matcher import get_matcher
+from repro.db.query import ChainQuery, JoinQuery
+from repro.db.schema import Schema
+from repro.db.table import Table
+from repro.plan import ChainExecutor
+from repro.series.cache import series_key
+from repro.shard.coordinator import LocalShard, ShardCoordinator
+from repro.shard.partition import partition_table
+
+SCHEMA = Schema.of(("k", "int"), ("v", "str"))
+NAMES = ("T1", "T2", "T3")
+KEYS = 3
+
+
+def _tables(sizes=(5, 6, 4)):
+    return [
+        Table(name, SCHEMA, [(i % KEYS, f"{name}.{i}") for i in range(size)])
+        for name, size in zip(NAMES, sizes)
+    ]
+
+
+def _client(tables, seed=29):
+    return SecureJoinClient.for_tables(
+        [(table, "k") for table in tables],
+        in_clause_limit=1,
+        rng=random.Random(seed),
+    )
+
+
+class _Store:
+    """A single store; two-row chunks, so a refresh can be abandoned
+    between chunks."""
+
+    def __init__(self, client, tables):
+        self.client = client
+        self.host = SecureJoinServer(
+            client.params, engine=BatchedEngine(batch_size=2)
+        )
+        for table in tables:
+            self.restore(table)
+
+    def restore(self, table) -> None:
+        self.host.store(self.client.encrypt_table(table, "k"))
+
+    def size(self, name) -> int:
+        return len(self.host.table(name))
+
+    def close(self) -> None:
+        self.host.close()
+
+
+class _Fleet:
+    """Two in-process shards behind a coordinator."""
+
+    def __init__(self, client, tables):
+        self.client = client
+        self.shards = [
+            LocalShard(
+                client.params,
+                engine=BatchedEngine(batch_size=2),
+                workers=1,
+                name=f"shard-{index}",
+            )
+            for index in range(2)
+        ]
+        for table in tables:
+            self.restore(table)
+        self.host = ShardCoordinator(self.shards)
+
+    def restore(self, table) -> None:
+        encrypted = self.client.encrypt_table(table, "k")
+        backend = self.shards[0].backend
+        for piece in partition_table(encrypted, backend, len(self.shards)):
+            self.shards[piece.shard.shard_index].store(piece)
+
+    def size(self, name) -> int:
+        return 1 + max(s.max_global_index(name) for s in self.shards)
+
+    def close(self) -> None:
+        self.host.close()
+
+
+def _held_view(entry) -> dict:
+    """The view the copying drive built on every hit: one entry per
+    handle the executor holds, keyed by table name."""
+    return {
+        (name, row): handle
+        for name, held in zip(entry.tables, entry.executor.handles)
+        for row, handle in held.items()
+    }
+
+
+def _queries(client):
+    """A pair query, a three-table chain, and the pair's tokens again as
+    a two-table chain (which shares the pair's entry)."""
+    pair = client.create_query(JoinQuery.build("T1", "T2", on=("k", "k")))
+    chain = client.create_chain_query(
+        ChainQuery.build([(name, "k") for name in NAMES])
+    )
+    same_tokens = EncryptedChainQuery(
+        query_id=pair.query_id,
+        tables=pair.tables,
+        tokens=pair.tokens,
+        prefilters=pair.prefilters,
+    )
+    return [pair, chain, same_tokens]
+
+
+def _submit(host, query, abandon: bool):
+    """Run (or start and abandon) ``query``; the result, or ``None``."""
+    pair = hasattr(query, "left_table")
+    stream = (host.stream_join if pair else host.stream_chain)(query)
+    try:
+        while True:
+            next(stream)
+            if abandon:
+                stream.close()
+                return None
+    except StopIteration as stop:
+        return stop.value
+
+
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["query", "query", "abandon", "insert", "delete", "store"]
+        ),
+        st.integers(0, 2),
+        st.integers(0, 50),
+    ),
+    min_size=2,
+    max_size=12,
+)
+
+
+class TestSharedViewIsTheCopiedView:
+    @pytest.mark.parametrize("deployment", [_Store, _Fleet])
+    @settings(max_examples=25, deadline=None)
+    @given(ops=OPS)
+    def test_any_interleaving(self, deployment, ops):
+        tables = _tables()
+        client = _client(tables)
+        deployed = deployment(client, tables)
+        queries = _queries(client)
+        host = deployed.host
+        copies: list[dict] = []
+        previous_key = None  # key of the query the op before this ran
+        try:
+            for kind, which, value in ops:
+                name = NAMES[which]
+                if kind == "insert":
+                    row = (value % KEYS, f"{name}.new{value}")
+                    host.insert_row(name, *client.encrypt_row_for(name, row))
+                elif kind == "delete":
+                    host.delete_rows(name, [value % deployed.size(name)])
+                elif kind == "store":
+                    deployed.restore(tables[which])
+                if kind not in ("query", "abandon"):
+                    previous_key = None
+                    continue
+                query = queries[which]
+                key = series_key(query, host.backend)
+                result = _submit(host, query, abandon=kind == "abandon")
+                assert len(host.observations) == len(copies) + 1
+                observed = host.observations[-1]
+                copies.append(dict(observed.handles))
+                entry = host.series_cache._entries.get(key)
+                if entry is None:
+                    # Only a cold run that never finished leaves none.
+                    assert result is None
+                else:
+                    # Whatever the executor was fed — all of a finished
+                    # refresh, part of an abandoned one — and nothing
+                    # that was retracted.
+                    assert entry.view == _held_view(entry)
+                    assert observed.handles == entry.view
+                for table_name in query.tables:
+                    for row in host.tombstoned_rows(table_name):
+                        assert (table_name, row) not in observed.handles
+                if result is not None and result.stats.engine == "series":
+                    # A pure replay records the entry's dict itself, so
+                    # consecutive ones record one object.
+                    assert observed.handles is entry.view
+                    if previous_key == key:
+                        assert (
+                            observed.handles
+                            is host.observations[-2].handles
+                        )
+                previous_key = key
+                # No later query rewrites an earlier query's view.
+                for earlier, copy in zip(host.observations, copies):
+                    assert earlier.handles == copy
+        finally:
+            deployed.close()
+
+    @pytest.mark.parametrize("deployment", [_Store, _Fleet])
+    def test_replays_share_a_stale_hit_copies_an_abandoned_one_keeps(
+        self, deployment
+    ):
+        """The same contract, walked by hand once."""
+        tables = _tables()
+        client = _client(tables)
+        deployed = deployment(client, tables)
+        pair = _queries(client)[0]
+        host = deployed.host
+        try:
+            key = series_key(pair, host.backend)
+            host.execute_join(pair)
+            host.execute_join(pair)
+            host.execute_join(pair)
+            cold, first, second = host.observations
+            assert cold.handles is first.handles is second.handles
+            entry = host.series_cache._entries[key]
+            assert first.handles is entry.view == _held_view(entry)
+            before = dict(entry.view)
+
+            # A delete makes the next hit stale: it works on a copy,
+            # without the withdrawn row; the shared dict is untouched.
+            host.delete_rows("T1", [1])
+            host.execute_join(pair)
+            stale = host.observations[-1]
+            assert stale.handles is not second.handles
+            assert second.handles == before
+            assert ("T1", 1) in before and ("T1", 1) not in stale.handles
+            assert stale.handles is entry.view == _held_view(entry)
+
+            # Abandon a refresh after its first increment: the view is
+            # what the executor was fed so far, and the next query
+            # finishes the job from there.
+            for value in range(4):
+                row = (value % KEYS, f"T2.late{value}")
+                host.insert_row("T2", *client.encrypt_row_for("T2", row))
+            assert _submit(host, pair, abandon=True) is None
+            abandoned = host.observations[-1]
+            assert abandoned.handles is entry.view == _held_view(entry)
+            assert stale.handles is not abandoned.handles
+            partial = len(abandoned.handles)
+            assert len(stale.handles) <= partial < len(stale.handles) + 4
+            result = host.execute_join(pair)
+            assert result.stats.decryptions == len(stale.handles) + 4 - partial
+            assert len(entry.view) == len(stale.handles) + 4
+            assert len(abandoned.handles) == partial
+        finally:
+            deployed.close()
+
+
+class _CountingList(list):
+    """A pair list that counts how often it is sorted."""
+
+    sorts = 0
+
+    def sort(self, **kwargs):
+        self.sorts += 1
+        super().sort(**kwargs)
+
+
+class TestFinishedAnswerIsMemoized:
+    def test_matcher_sorts_only_after_a_new_pair(self):
+        matcher = get_matcher("hash")
+        pairs = matcher._pairs = _CountingList()
+        matcher.add_left([(0, b"x"), (1, b"y"), (2, b"x")])
+        matcher.add_right([(1, b"x"), (0, b"y")])
+        expected = [(1, 0), (0, 1), (2, 1)]
+        assert matcher.finish() == expected and pairs.sorts == 1
+        first = matcher.finish()
+        assert first == expected and pairs.sorts == 1
+        # The caller's own list: mutating it corrupts nothing.
+        first.clear()
+        assert matcher.finish() == expected and pairs.sorts == 1
+        matcher.add_left([(3, b"y")])
+        expected = [(1, 0), (3, 0), (0, 1), (2, 1)]
+        assert matcher.finish() == expected and pairs.sorts == 2
+        assert matcher.finish() == expected and pairs.sorts == 2
+
+    def test_matcher_retraction_keeps_order_and_never_fakes_it(self):
+        matcher = get_matcher("hash")
+        matcher.add_left([(0, b"x"), (1, b"x"), (2, b"x")])
+        matcher.add_right([(1, b"x"), (0, b"x")])
+        matcher.finish()
+        # Dropping from a sorted list leaves it sorted...
+        matcher.retract_left([1])
+        assert matcher._sorted == len(matcher.pairs) == 4
+        assert matcher.finish() == [(0, 0), (2, 0), (0, 1), (2, 1)]
+        # ... but a list that grew unsorted and shrank back to its old
+        # length is not.
+        matcher.add_left([(1, b"x"), (3, b"x")])
+        matcher.retract_left([0, 2])
+        assert len(matcher.pairs) == 4
+        assert matcher.finish() == [(1, 0), (3, 0), (1, 1), (3, 1)]
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0), (1, 0, 2), (1, 2, 0)])
+    def test_executor_expands_and_sorts_only_after_a_change(
+        self, order, monkeypatch
+    ):
+        calls = []
+
+        def counting_sorted(iterable):
+            calls.append(1)
+            return sorted(iterable)
+
+        monkeypatch.setattr(
+            executor_module, "sorted", counting_sorted, raising=False
+        )
+        sides = [
+            [(row, bytes([row % 2])) for row in range(size)]
+            for size in (4, 3, 5)
+        ][:len(order)]
+
+        def reference(held):
+            fresh = ChainExecutor(order)
+            for position in order:
+                fresh.feed(position, held[position])
+            return fresh.finish()
+
+        def finish(executor):
+            """``(answer, how many times it sorted)``."""
+            before = len(calls)
+            return executor.finish(), len(calls) - before
+
+        executor = ChainExecutor(order)
+        for position in order:
+            executor.feed(position, sides[position])
+        answer, sorts = finish(executor)
+        assert answer == reference(sides) and answer and sorts == 1
+        # Nothing fed, nothing retracted: same answer, no second sort,
+        # and each call's list is the caller's own.
+        again, sorts = finish(executor)
+        assert again == answer and again is not answer and sorts == 0
+        again.clear()
+        assert finish(executor) == (answer, 0)
+        charged = executor.retained_bytes()
+
+        late = [(9, bytes([1]))]
+        executor.feed(order[-1], late)
+        sides[order[-1]] = sides[order[-1]] + late
+        fed, sorts = finish(executor)
+        assert fed == reference(sides) and len(fed) > len(answer)
+        assert sorts == 1 and finish(executor) == (fed, 0)
+        assert executor.retained_bytes() > charged
+
+        executor.retract(order[0], [0, 2])
+        sides[order[0]] = [
+            item for item in sides[order[0]] if item[0] not in (0, 2)
+        ]
+        shrunk, sorts = finish(executor)
+        assert shrunk == reference(sides) and len(shrunk) < len(fed)
+        assert sorts == 1
+        # A retraction that withdraws nothing changes nothing.
+        executor.retract(order[0], [0, 2])
+        assert finish(executor) == (shrunk, 0)
+
+    def test_the_memo_is_charged_to_the_entry(self):
+        pair_only = ChainExecutor((0, 1))
+        chained = ChainExecutor((0, 1))
+        three = ChainExecutor((0, 1, 2))
+        for executor in (pair_only, chained, three):
+            for position in range(executor.arity):
+                executor.feed(position, [(r, b"h") for r in range(3)])
+        baseline = chained.retained_bytes()
+        # The pair order is the matcher's own list, sorted in place.
+        pair_only.matchers[0].finish()
+        assert pair_only.retained_bytes() == baseline
+        # The lexicographic order of a two-table chain is a second list
+        # over the same nine pair objects: a slot each.
+        assert len(chained.finish()) == 9
+        assert chained.retained_bytes() == baseline + 9 * 8
+        assert chained.finish()[0] is chained.matchers[0].pairs[0]
+        # A longer chain's tuples are expanded objects of their own.
+        before = three.retained_bytes()
+        assert len(three.finish()) == 27
+        assert three.retained_bytes() == before + 27 * (8 + 40 + 8 * 3)
+
+    def test_pair_and_chain_replay_one_entry_each_in_its_own_order(self):
+        # Keys laid out so that right-major and lexicographic differ.
+        tables = _tables()
+        client = _client(tables)
+        with SecureJoinServer(client.params) as server:
+            for table in tables:
+                server.store(client.encrypt_table(table, "k"))
+            pair, _, same_tokens = _queries(client)
+            cold = server.execute_join(pair)
+            as_chain = server.execute_chain(same_tokens)
+            as_pair = server.execute_join(pair)
+            again = server.execute_chain(same_tokens)
+            assert len(server.series_cache) == 1
+            assert server.series_cache.stats.replays == 3
+            for replay in (as_chain, as_pair, again):
+                assert replay.stats.engine == "series"
+            right_major = sorted(cold.tuples, key=lambda t: (t[1], t[0]))
+            assert cold.tuples == as_pair.tuples == right_major
+            assert as_chain.tuples == again.tuples == sorted(cold.tuples)
+            assert right_major != sorted(cold.tuples)
+            assert dict(zip(as_chain.tuples, as_chain.payloads)) == dict(
+                zip(cold.tuples, cold.payloads)
+            )
+            assert as_pair.payloads == cold.payloads
+
+            # A feed between them invalidates both orders.
+            server.insert_row(
+                "T2", *client.encrypt_row_for("T2", (0, "T2.late"))
+            )
+            grown = server.execute_join(pair)
+            grown_chain = server.execute_chain(same_tokens)
+            assert len(grown.tuples) > len(cold.tuples)
+            assert grown_chain.tuples == sorted(grown.tuples)
+            assert grown.tuples == sorted(
+                grown.tuples, key=lambda t: (t[1], t[0])
+            )

@@ -16,7 +16,7 @@ from repro.baselines.api import make_pair
 from repro.bench.experiments import example_queries, example_tables
 from repro.core.client import SecureJoinClient
 from repro.core.server import SecureJoinServer
-from repro.db.query import JoinQuery
+from repro.db.query import ChainQuery, JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.leakage.pairs import minimal_query_leakage
@@ -129,3 +129,55 @@ class TestSimulationMatchesReality:
         )
         assert len(views) == 2
         assert views[1].handles[("A", 0)] == views[1].handles[("A", 1)]
+
+
+class TestViewOfARepeatedTable:
+    """A chain may name one table twice under different tokens; the
+    server then computes two handles for each of its rows, and the
+    adversary view has to hold both."""
+
+    @staticmethod
+    def _run():
+        schema = Schema.of(("k", "int"), ("v", "str"))
+        a = Table("A", schema, [(i % 3, f"A.{i}") for i in range(6)])
+        b = Table("B", schema, [(i % 3, f"B.{i}") for i in range(5)])
+        client = SecureJoinClient.for_tables(
+            [(a, "k"), (b, "k")], in_clause_limit=1, rng=random.Random(7)
+        )
+        server = SecureJoinServer(client.params)
+        for table in (a, b):
+            server.store(client.encrypt_table(table, "k"))
+        query = client.create_chain_query(ChainQuery.build(
+            [("A", "k"), ("B", "k"), ("A", "k")],
+            where=[{"v": ["A.0"]}, None, {"v": ["A.1"]}],
+        ))
+        result = server.execute_chain(query)
+        (entry,) = server.series_cache._entries.values()
+        return server, result, entry.executor
+
+    def test_both_sides_of_the_table_are_computed(self):
+        server, result, executor = self._run()
+        assert result.stats.decryptions == 17
+        assert [len(held) for held in executor.handles] == [6, 5, 6]
+        first, _, second = executor.handles
+        assert all(first[row] != second[row] for row in range(6))
+        server.close()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="QueryObservation.handles is keyed by (table name, row), so "
+        "the second side's six handles overwrite the first's: 17 computed, "
+        "11 recorded.  Changing the key shape ripples into repro.leakage; "
+        "see ROADMAP, leakage ledger.",
+    )
+    def test_the_view_records_every_handle_it_computed(self):
+        server, result, executor = self._run()
+        try:
+            recorded = server.observations[-1].handles
+            assert len(recorded) == result.stats.decryptions
+            assert set(recorded.values()) == {
+                handle for held in executor.handles
+                for handle in held.values()
+            }
+        finally:
+            server.close()

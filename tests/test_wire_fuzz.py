@@ -404,6 +404,87 @@ class TestHostileCounts:
             decode_frame(_rewrite_header(SAMPLES["match_batch"], arity=arity))
 
     @pytest.mark.parametrize(
+        "n_rows",
+        [[2, 2], [2, 2, 2, 0], [], [-1, 2, 3], [2, 2, -(2**40)],
+         [10**6, 2, 2], [2, 2, 2**61], [2, True, 2], [2, "2", 2],
+         [2, None, 2], [2.0, 2, 2], 6, "222", None, {"0": 2}],
+    )
+    def test_batch_bad_row_counts_rejected_before_read(self, n_rows):
+        # One count per chain position, each bounded by what the body
+        # could hold — before any run is unpacked or sliced.
+        hostile = _rewrite_header(SAMPLES["match_batch"], n_rows=n_rows)
+        with pytest.raises(SchemeError, match="n_rows|row counts"):
+            decode_frame(hostile)
+
+    def test_batch_row_counts_are_required(self):
+        reader = Reader(SAMPLES["match_batch"])
+        reader.take(8), reader.u8()
+        header = json.loads(reader.blob())
+        del header["n_rows"]
+        body = SAMPLES["match_batch"][-reader.remaining:]
+        with pytest.raises(SchemeError, match="n_rows"):
+            decode_frame(_frame(header, body))
+
+    def test_batch_row_counts_that_fit_the_bound_still_misparse_safely(self):
+        # Counts small enough to pass the up-front bound but not the
+        # ones the body was written with: a short read or trailing
+        # bytes, never a mis-parse.
+        for n_rows in ([1, 2, 2], [2, 2, 3], [0, 0, 0], [3, 3, 3]):
+            with pytest.raises(SchemeError):
+                decode_frame(
+                    _rewrite_header(SAMPLES["match_batch"], n_rows=n_rows)
+                )
+
+    @staticmethod
+    def _batch_body(tuples, runs) -> bytes:
+        """A match-batch body written run by run: ``runs`` holds, per
+        position, ``(row indices, payload lengths, payload bytes)``."""
+        writer = Writer()
+        writer.u32s([index for combo in tuples for index in combo])
+        for indices, lengths, blob in runs:
+            writer.u32s(indices).u32s(lengths).raw(blob)
+        return writer.getvalue()
+
+    def _batch(self, tuples, runs) -> bytes:
+        return _frame({
+            "kind": "match_batch", "arity": len(runs),
+            "n_tuples": len(tuples),
+            "n_rows": [len(indices) for indices, _, _ in runs],
+        }, self._batch_body(tuples, runs))
+
+    def test_batch_written_by_hand_decodes(self):
+        frame = decode_frame(self._batch(
+            [(0, 5), (1, 5)],
+            [([0, 1], [2, 0], b"l0"), ([5], [3], b"r05")],
+        ))
+        assert frame == MatchBatchFrame(
+            [(0, 5), (1, 5)], [{0: b"l0", 1: b""}, {5: b"r05"}]
+        )
+
+    @pytest.mark.parametrize("lengths", [[2, 1], [3, 0], [2**32 - 1, 0]])
+    def test_batch_lengths_summing_past_the_body_rejected(self, lengths):
+        # The last run's lengths claim more payload bytes than remain.
+        hostile = self._batch(
+            [(0, 5), (1, 5)], [([5], [3], b"r05"), ([0, 1], lengths, b"l0")]
+        )
+        with pytest.raises(SchemeError, match="truncated"):
+            decode_frame(hostile)
+
+    def test_batch_lengths_summing_short_of_the_body_rejected(self):
+        hostile = self._batch(
+            [(0, 5), (1, 5)], [([0, 1], [1, 0], b"l0"), ([5], [3], b"r05")]
+        )
+        with pytest.raises(SchemeError):
+            decode_frame(hostile)
+
+    def test_batch_row_index_twice_in_one_run_rejected(self):
+        hostile = self._batch(
+            [(0, 5), (1, 5)], [([0, 0], [1, 1], b"l0"), ([5], [3], b"r05")]
+        )
+        with pytest.raises(SchemeError, match="row more than once"):
+            decode_frame(hostile)
+
+    @pytest.mark.parametrize(
         "tables",
         [[], ["T"], ["T"] * (MAX_CHAIN_TABLES + 1), "T0T1", [1, 2], None],
     )
@@ -576,18 +657,42 @@ class TestHostileScatterFrames:
 # -- round trips ------------------------------------------------------------
 
 
+#: Row indices from a small pool recur across tuples (and batches);
+#: the wide range keeps the u32 edges in play.
+_ROW_INDEX = st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1))
+
+
 @st.composite
-def _arity_and_rows(draw):
+def _arity_and_rows(draw, max_size=6):
+    """``(arity, tuples, payloads)``: unique index tuples, and one
+    payload per distinct row of each chain position — a row's payload is
+    its stored blob, the same bytes in every tuple naming it."""
     arity = draw(st.integers(min_value=2, max_value=MAX_CHAIN_TABLES))
-    rows = draw(st.lists(
-        st.tuples(
-            st.tuples(*[st.integers(0, 2**32 - 1)] * arity),
-            st.tuples(*[st.binary(max_size=12)] * arity),
-        ),
-        max_size=6,
-        unique_by=lambda row: row[0],
+    tuples = draw(st.lists(
+        st.tuples(*[_ROW_INDEX] * arity), max_size=max_size, unique=True
     ))
-    return arity, [r[0] for r in rows], [r[1] for r in rows]
+    stored = [
+        {
+            row: draw(st.binary(max_size=12))
+            for row in sorted({combo[position] for combo in tuples})
+        }
+        for position in range(arity)
+    ]
+    payloads = [
+        tuple(held[row] for held, row in zip(stored, combo))
+        for combo in tuples
+    ]
+    return arity, tuples, payloads
+
+
+def _first_reference_rows(tuples, payloads, arity) -> list[dict[int, bytes]]:
+    """Per position, ``{row: payload}`` in first-reference order: what a
+    self-contained frame of these tuples carries."""
+    rows: list[dict[int, bytes]] = [{} for _ in range(arity)]
+    for combo, blobs in zip(tuples, payloads):
+        for carried, row, blob in zip(rows, combo, blobs):
+            carried.setdefault(row, blob)
+    return rows
 
 
 class TestRoundTrip:
@@ -623,8 +728,13 @@ class TestRoundTrip:
         batch = (MatchBatch if pair else ChainMatchBatch)(tuples, payloads)
         frame = decode_frame(encode_match_batch(batch))
         assert isinstance(frame, MatchBatchFrame)
-        assert frame.batch.tuples == tuples
-        assert frame.batch.payloads == payloads
+        assert frame.tuples == tuples
+        if tuples:
+            carried = _first_reference_rows(tuples, payloads, arity)
+            assert frame.rows == carried
+            assert [list(rows) for rows in frame.rows] == [
+                list(rows) for rows in carried
+            ]
 
         result = (EncryptedJoinResult if pair else EncryptedChainResult)(
             query.tables, tuples, payloads, ServerStats(matches=len(tuples))
@@ -632,8 +742,15 @@ class TestRoundTrip:
         final = decode_frame(encode_final_frame(result))
         assert final == FinalFrame(query.tables, tuples, result.stats)
 
+        if not tuples:
+            # Nothing to read the arity from: the stream's state says.
+            frame = decode_frame(
+                encode_match_batch(batch, [set() for _ in range(arity)])
+            )
+            assert frame == MatchBatchFrame([], [{}] * arity)
         reassembler = StreamReassembler(query)
-        assert reassembler.add_batch(frame.batch) == batch
+        rebuilt = reassembler.add_batch(frame)
+        assert rebuilt == batch and type(rebuilt) is type(batch)
         assert reassembler.finish(final) == result
 
         if pair:
@@ -660,7 +777,79 @@ class TestRoundTrip:
     def test_empty_batch_round_trips(self):
         for batch_type in (MatchBatch, ChainMatchBatch):
             frame = decode_frame(encode_match_batch(batch_type([], [])))
-            assert frame.batch == ChainMatchBatch([], [])
+            assert frame == MatchBatchFrame([], [{}, {}])
+            # On a stream the state gives the arity, and stays empty.
+            sent = [set(), set(), set()]
+            frame = decode_frame(encode_match_batch(batch_type([], []), sent))
+            assert frame == MatchBatchFrame([], [{}, {}, {}])
+            assert sent == [set(), set(), set()]
+
+    def test_encoder_refuses_a_batch_that_does_not_fit_its_stream(self):
+        with pytest.raises(SchemeError, match="mismatched payload counts"):
+            encode_match_batch(ChainMatchBatch([(0, 1)], []))
+        with pytest.raises(SchemeError, match="arity"):
+            encode_match_batch(
+                ChainMatchBatch([(0, 1)], [(b"a", b"b")]),
+                [set(), set(), set()],
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_stream_of_batches_round_trips(self, data):
+        """A stream with recurring rows: every payload travels once,
+        the reassembled batches and result equal the input, and every
+        tuple naming a row shares one ``bytes`` object for it."""
+        arity, tuples, payloads = data.draw(_arity_and_rows(max_size=14))
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(tuples)), max_size=4
+        )))
+        bounds = [0, *cuts, len(tuples)]
+        batches = [
+            ChainMatchBatch(tuples[start:stop], payloads[start:stop])
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+        query = dataclasses.replace(_chain_query(arity), query_id=1)
+        sent = [set() for _ in range(arity)]
+        frames = [
+            decode_frame(encode_match_batch(batch, sent)) for batch in batches
+        ]
+        stored = _first_reference_rows(tuples, payloads, arity)
+        assert sent == [set(held) for held in stored]
+        # Each row exactly once over the whole stream.
+        for position, held in enumerate(stored):
+            carried = [
+                row for frame in frames for row in frame.rows[position]
+            ]
+            assert sorted(carried) == sorted(held)
+        assert all(len(frame.rows) == arity for frame in frames)
+        reassembler = StreamReassembler(query)
+        rebuilt = [reassembler.add_batch(frame) for frame in frames]
+        assert rebuilt == batches
+        for position in range(arity):
+            objects: dict[int, bytes] = {}
+            for batch in rebuilt:
+                for combo, blobs in zip(batch.tuples, batch.payloads):
+                    shared = objects.setdefault(
+                        combo[position], blobs[position]
+                    )
+                    assert shared is blobs[position]
+        order = data.draw(st.permutations(range(len(tuples))))
+        result = EncryptedChainResult(
+            query.tables,
+            [tuples[i] for i in order],
+            [payloads[i] for i in order],
+            ServerStats(matches=len(tuples)),
+        )
+        final = decode_frame(encode_final_frame(result))
+        assert reassembler.finish(final) == result
+        # The stateless path: each frame encoded without stream state
+        # is self-contained and resolves, alone, to the same batch.
+        for batch in batches:
+            alone = decode_frame(encode_match_batch(batch))
+            if batch.tuples:
+                assert StreamReassembler(query).add_batch(alone) == batch
+            else:
+                assert alone == MatchBatchFrame([], [{}, {}])
 
     def test_control_frames_round_trip(self):
         assert decode_frame(
@@ -713,64 +902,118 @@ class TestRoundTrip:
 # -- the reassembler ---------------------------------------------------------
 
 
+def _stream_frames(*batches) -> list[MatchBatchFrame]:
+    """The batches as one stream's decoded frames (shared row state)."""
+    sent = [set() for _ in batches[0].tuples[0]]
+    return [decode_frame(encode_match_batch(b, sent)) for b in batches]
+
+
 class TestReassembler:
     def _final(self, result) -> FinalFrame:
         return decode_frame(encode_final_frame(result))
 
     def test_rebuilds_canonical_result(self):
         result = _join_result()
-        # Deliver the pairs across two batches in scrambled order.
+        # Deliver the pairs across two batches in scrambled order; the
+        # second names a right row the first already carried.
         reassembler = StreamReassembler(_join_query())
-        reassembler.add_batch(ChainMatchBatch(
-            [result.tuples[2], result.tuples[0]],
-            [result.payloads[2], result.payloads[0]],
-        ))
-        last = reassembler.add_batch(
-            ChainMatchBatch([result.tuples[1]], [result.payloads[1]])
+        first, second = _stream_frames(
+            ChainMatchBatch(
+                [result.tuples[2], result.tuples[0]],
+                [result.payloads[2], result.payloads[0]],
+            ),
+            ChainMatchBatch([result.tuples[1]], [result.payloads[1]]),
         )
+        assert second.rows == [{2: b"pl2"}, {}]
+        reassembler.add_batch(first)
+        last = reassembler.add_batch(second)
         assert last == MatchBatch([result.tuples[1]], [result.payloads[1]])
         rebuilt = reassembler.finish(self._final(result))
         assert rebuilt == result
         assert encode_join_result(rebuilt) == encode_join_result(result)
+        # One object per row, however many tuples name it.
+        assert rebuilt.payloads[0][1] is rebuilt.payloads[1][1]
 
     def test_shape_follows_the_query_type(self):
         result = _chain_result()
         query = dataclasses.replace(_chain_query(3), tables=result.tables)
         reassembler = StreamReassembler(query)
         batch = ChainMatchBatch(result.tuples, result.payloads)
-        assert reassembler.add_batch(batch) == batch
+        (frame,) = _stream_frames(batch)
+        assert reassembler.add_batch(frame) == batch
         assert reassembler.finish(self._final(result)) == result
 
     def test_rejects_duplicate_and_miscounted_tuples(self):
         result = _join_result()
         batch = MatchBatch([result.tuples[0]], [result.payloads[0]])
         reassembler = StreamReassembler(_join_query())
-        reassembler.add_batch(batch)
-        with pytest.raises(SchemeError, match="more than once"):
-            reassembler.add_batch(batch)
+        (frame,) = _stream_frames(batch)
+        reassembler.add_batch(frame)
+        # Again, naming the rows already carried and carrying none.
+        with pytest.raises(SchemeError, match="tuple more than once"):
+            reassembler.add_batch(MatchBatchFrame(frame.tuples, [{}, {}]))
         with pytest.raises(SchemeError, match="claims"):
             reassembler.finish(self._final(result))
+
+    def test_rejects_a_row_carried_by_two_frames(self):
+        result = _join_result()
+        reassembler = StreamReassembler(_join_query())
+        # Two self-contained frames are not one stream: the second
+        # carries right row 0 again.
+        reassembler.add_batch(decode_frame(encode_match_batch(
+            MatchBatch([result.tuples[0]], [result.payloads[0]])
+        )))
+        with pytest.raises(SchemeError, match="row more than once"):
+            reassembler.add_batch(decode_frame(encode_match_batch(
+                MatchBatch([result.tuples[1]], [result.payloads[1]])
+            )))
+
+    def test_rejects_a_tuple_naming_a_row_no_frame_carried(self):
+        reassembler = StreamReassembler(_join_query())
+        reassembler.add_batch(
+            MatchBatchFrame([(0, 0)], [{0: b"pl0"}, {0: b"pr0"}])
+        )
+        for combo in ((0, 1), (2, 0)):
+            with pytest.raises(SchemeError, match="no frame carried"):
+                reassembler.add_batch(MatchBatchFrame([combo], [{}, {}]))
 
     def test_rejects_final_naming_undelivered_tuple(self):
         result = _join_result()
         reassembler = StreamReassembler(_join_query())
-        reassembler.add_batch(MatchBatch(
+        (frame,) = _stream_frames(MatchBatch(
             [(90, 90), (91, 91), (92, 92)],
             [(b"x", b"x"), (b"y", b"y"), (b"z", b"z")],
         ))
+        reassembler.add_batch(frame)
         with pytest.raises(SchemeError, match="no match batch delivered"):
             reassembler.finish(self._final(result))
+
+    def test_rejects_final_naming_a_delivered_tuple_twice(self):
+        # The count is right and every named tuple was delivered, but
+        # one is named twice in place of the other: the final order
+        # must be a permutation of what the batches delivered.
+        reassembler = StreamReassembler(_join_query())
+        (frame,) = _stream_frames(
+            MatchBatch([(0, 0), (1, 1)], [(b"a", b"b"), (b"c", b"d")])
+        )
+        reassembler.add_batch(frame)
+        with pytest.raises(SchemeError, match="twice"):
+            reassembler.finish(
+                FinalFrame(("L", "R"), [(0, 0), (0, 0)], ServerStats())
+            )
 
     def test_rejects_drifting_arity(self):
         reassembler = StreamReassembler(_join_query())
         with pytest.raises(SchemeError, match="arity"):
-            reassembler.add_batch(
-                ChainMatchBatch([(0, 1, 2)], [(b"a", b"b", b"c")])
-            )
+            reassembler.add_batch(MatchBatchFrame(
+                [(0, 1, 2)], [{0: b"a"}, {1: b"b"}, {2: b"c"}]
+            ))
         with pytest.raises(SchemeError, match="arity"):
-            reassembler.add_batch(ChainMatchBatch([(0, 1)], [(b"a",)]))
-        with pytest.raises(SchemeError, match="mismatched payload counts"):
-            reassembler.add_batch(ChainMatchBatch([(0, 1)], []))
+            reassembler.add_batch(MatchBatchFrame([(0, 1)], [{0: b"a"}]))
+        with pytest.raises(SchemeError, match="arity"):
+            reassembler.add_batch(
+                MatchBatchFrame([(0, 1), (0, 1, 2)], [{0: b"a"}, {1: b"b"}])
+            )
 
     def test_rejects_final_for_other_tables(self):
         reassembler = StreamReassembler(_join_query())
@@ -786,12 +1029,16 @@ class TestOneVersion:
     """Every message kind, and the store file, is stamped with the one
     current version; any other version byte is rejected by name."""
 
-    @pytest.mark.parametrize("offset", [-VERSION, -1, +1, 255 - VERSION])
+    # Fixed offsets, wrapping in the byte, so that a version bump
+    # renames no test: the one before, the one after, an old one, and
+    # whatever lands on 0 and on 255.
+    @pytest.mark.parametrize("offset", [-8, -1, +1, 247, 246])
     @pytest.mark.parametrize("name", sorted(SAMPLES))
     def test_other_wire_versions_rejected(self, name, offset):
         blob = bytearray(SAMPLES[name])
         assert blob[8] == VERSION
-        blob[8] = VERSION + offset
+        blob[8] = (VERSION + offset) % 256
+        assert blob[8] != VERSION
         with pytest.raises(SchemeError, match=f"only version {VERSION}"):
             _decode(name, bytes(blob))
 
