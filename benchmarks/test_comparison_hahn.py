@@ -15,7 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import HahnScheme
+from repro.bench.experiments import comparison_with_hahn, side_handles
 from repro.bench.workloads import build_encrypted_tpch, tpch_query
+from repro.db.matcher import get_matcher
 from repro.db.query import JoinQuery
 from repro.tpch.generator import TPCHGenerator
 
@@ -28,29 +30,44 @@ _SELECTIVITY = 1 / 12.5  # the densest series: most selected rows
 def test_matcher_scaling(benchmark, scale_factor, algorithm):
     workload = build_encrypted_tpch(scale_factor, in_clause_limit=1)
     query = tpch_query(_SELECTIVITY, in_clause_size=1)
-    encrypted_query = workload.client.create_query(query)
-
-    result = benchmark.pedantic(
-        lambda: workload.server.execute_join(encrypted_query, algorithm=algorithm),
-        rounds=3, iterations=1,
+    # Each side decrypted once; the matchers alone are on the clock.
+    left, right = side_handles(
+        workload.server, workload.client.create_query(query)
     )
-    assert result.stats.matches > 0
+
+    def match():
+        matcher = get_matcher(algorithm)
+        matcher.add_left(left)
+        matcher.add_right(right)
+        return matcher.finish()
+
+    pairs = benchmark.pedantic(match, rounds=3, iterations=1)
+    assert pairs
+    assert pairs == workload.server.execute_join(
+        workload.client.create_query(query)
+    ).index_pairs
 
 
 def test_comparison_counts_quadratic_vs_linear():
     """The O(n) / O(n^2) separation, independent of wall-clock noise."""
-    small = build_encrypted_tpch(_SCALE_FACTORS[0], in_clause_limit=1)
-    large = build_encrypted_tpch(_SCALE_FACTORS[-1], in_clause_limit=1)
-    query = tpch_query(_SELECTIVITY)
-    scale = _SCALE_FACTORS[-1] / _SCALE_FACTORS[0]
-
+    sizes = {"small": _SCALE_FACTORS[0], "large": _SCALE_FACTORS[-1]}
+    scale = sizes["large"] / sizes["small"]
+    result = comparison_with_hahn(
+        scale_factors=tuple(sizes.values()), selectivity=_SELECTIVITY,
+        repeats=1,
+    )
     counts = {}
-    for name, workload in (("small", small), ("large", large)):
-        for algorithm in ("hash", "nested"):
-            result = workload.server.execute_join(
-                workload.client.create_query(query), algorithm=algorithm
-            )
-            counts[(name, algorithm)] = result.stats.comparisons
+    for name, scale_factor in sizes.items():
+        hash_rec, nested_rec = (
+            result.filter(scale_factor=scale_factor, algorithm=algorithm)[0]
+            for algorithm in ("hash", "nested")
+        )
+        assert hash_rec.extra["matches"] == nested_rec.extra["matches"] > 0
+        assert (
+            hash_rec.extra["decryptions"] == nested_rec.extra["decryptions"]
+        )
+        counts[(name, "hash")] = hash_rec.extra["comparisons"]
+        counts[(name, "nested")] = nested_rec.extra["comparisons"]
 
     nested_growth = counts[("large", "nested")] / counts[("small", "nested")]
     hash_growth = counts[("large", "hash")] / counts[("small", "hash")]

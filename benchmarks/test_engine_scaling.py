@@ -9,7 +9,10 @@ the backend decides the scale ceiling:
   per row (d× fewer, d = scheme dimension);
 - ``parallel`` — the batched plan fanned out over the *persistent*
   worker pool (no per-query fork since the execution-service PR);
-- ``auto`` — the cost-model planner picking among the above per side.
+- ``auto`` — the cost-model planner picking batched or parallel per side.
+
+A server has one engine, fixed where it is built, so each engine gets
+its own server over the workload's encrypted tables.
 
 ``REPRO_BENCH_FULL=1`` widens the sweep as for the other benchmarks.
 Run ``python -m repro.bench`` for the paper-style engine table, or
@@ -24,23 +27,44 @@ import time
 import pytest
 
 from benchmarks.conftest import SCALE_FACTORS
+from repro.baselines import SerialEngine
 from repro.bench.workloads import build_encrypted_tpch, tpch_query
+from repro.core.server import SecureJoinServer
 from repro.crypto.backend import FastBackend
 
 _SELECTIVITY = 1 / 12.5  # densest series: the most decryptions per query
 _ENGINES = ("serial", "batched", "parallel", "auto")
 
+#: One server per (workload, engine), cached like the workloads are.
+_SERVERS: dict[tuple[float, object], SecureJoinServer] = {}
+
+
+def _server(workload, engine) -> SecureJoinServer:
+    """The server built with ``engine`` (a runtime name, ``"serial"``
+    for the naive baseline, or an instance) over ``workload``'s
+    encrypted tables — without a series cache, like the workload's own:
+    a repeated query must measure SJ.Dec, not a replay."""
+    key = (workload.scale_factor, engine)
+    server = _SERVERS.get(key)
+    if server is None:
+        server = _SERVERS[key] = SecureJoinServer(
+            workload.client.params,
+            engine=SerialEngine() if engine == "serial" else engine,
+            series_cache_bytes=None,
+        )
+        for name in ("Customers", "Orders"):
+            server.store(workload.server.table(name))
+    return server
+
 
 @pytest.fixture(autouse=True)
 def _close_cached_pools():
-    """Workloads (and their servers) are cached module-wide; close any
-    worker pool a test warmed up so idle workers don't accumulate under
-    the rest of the session.  Pools restart lazily, so this is safe."""
+    """Servers are cached module-wide; close any worker pool a test
+    warmed up so idle workers don't accumulate under the rest of the
+    session.  Pools restart lazily, so this is safe."""
     yield
-    from repro.bench.workloads import _CACHE
-
-    for workload in _CACHE.values():
-        workload.server.close()
+    for server in _SERVERS.values():
+        server.close()
 
 
 @pytest.mark.parametrize("scale_factor", list(SCALE_FACTORS))
@@ -51,8 +75,9 @@ def test_engine_scaling(benchmark, scale_factor, engine):
         tpch_query(_SELECTIVITY, in_clause_size=1)
     )
 
+    server = _server(workload, engine)
     result = benchmark.pedantic(
-        lambda: workload.server.execute_join(encrypted_query, engine=engine),
+        lambda: server.execute_join(encrypted_query),
         rounds=3, iterations=1,
     )
     assert result.stats.engine == engine
@@ -65,8 +90,8 @@ def test_batched_final_exponentiation_savings():
     encrypted_query = workload.client.create_query(
         tpch_query(_SELECTIVITY, in_clause_size=1)
     )
-    serial = workload.server.execute_join(encrypted_query, engine="serial")
-    batched = workload.server.execute_join(encrypted_query, engine="batched")
+    serial = _server(workload, "serial").execute_join(encrypted_query)
+    batched = _server(workload, "batched").execute_join(encrypted_query)
 
     assert serial.stats.candidates_left >= 64  # a 64-handle (or larger) side
     assert serial.index_pairs == batched.index_pairs
@@ -83,8 +108,8 @@ def test_parallel_engine_matches_batched_plan():
     encrypted_query = workload.client.create_query(
         tpch_query(_SELECTIVITY, in_clause_size=1)
     )
-    batched = workload.server.execute_join(encrypted_query, engine="batched")
-    parallel = workload.server.execute_join(encrypted_query, engine="parallel")
+    batched = _server(workload, "batched").execute_join(encrypted_query)
+    parallel = _server(workload, "parallel").execute_join(encrypted_query)
 
     assert parallel.index_pairs == batched.index_pairs
     assert parallel.stats.final_exponentiations == (
@@ -102,15 +127,16 @@ def test_parallel_pool_persists_across_queries():
         tpch_query(_SELECTIVITY, in_clause_size=1)
     )
 
+    server = _server(workload, "parallel")
     start = time.perf_counter()
-    cold = workload.server.execute_join(encrypted_query, engine="parallel")
+    cold = server.execute_join(encrypted_query)
     cold_seconds = time.perf_counter() - start
 
     warm_seconds = []
     generations = []
     for _ in range(3):
         start = time.perf_counter()
-        warm = workload.server.execute_join(encrypted_query, engine="parallel")
+        warm = server.execute_join(encrypted_query)
         warm_seconds.append(time.perf_counter() - start)
         generations.append(warm.stats.pool_generation)
         assert warm.index_pairs == cold.index_pairs
@@ -134,15 +160,14 @@ def test_warm_pool_beats_per_query_pool():
         tpch_query(_SELECTIVITY, in_clause_size=1)
     )
     # Warm the server-owned pool once.
-    warm_result = workload.server.execute_join(
-        encrypted_query, engine="parallel"
-    )
+    server = _server(workload, "parallel")
+    warm_result = server.execute_join(encrypted_query)
 
     def best_warm(rounds=3):
         best = float("inf")
         for _ in range(rounds):
             start = time.perf_counter()
-            workload.server.execute_join(encrypted_query, engine="parallel")
+            server.execute_join(encrypted_query)
             best = min(best, time.perf_counter() - start)
         return best
 
@@ -150,11 +175,13 @@ def test_warm_pool_beats_per_query_pool():
         best = float("inf")
         for _ in range(rounds):
             service = ExecutionService(workers=2)
-            engine = ParallelEngine(workers=2, service=service)
-            start = time.perf_counter()
-            result = workload.server.execute_join(
-                encrypted_query, engine=engine
+            # Built (tables stored) before the clock starts: the gap
+            # under test is the fork, not the server's construction.
+            own_pool = _server(
+                workload, ParallelEngine(workers=2, service=service)
             )
+            start = time.perf_counter()
+            result = own_pool.execute_join(encrypted_query)
             service.close()
             best = min(best, time.perf_counter() - start)
             assert result.index_pairs == warm_result.index_pairs
@@ -231,10 +258,8 @@ def test_auto_planner_is_never_slower_than_default():
         encrypted_query = workload.client.create_query(
             tpch_query(_SELECTIVITY, in_clause_size=1)
         )
-        batched = workload.server.execute_join(
-            encrypted_query, engine="batched"
-        )
-        auto = workload.server.execute_join(encrypted_query, engine="auto")
+        batched = _server(workload, "batched").execute_join(encrypted_query)
+        auto = _server(workload, "auto").execute_join(encrypted_query)
         assert auto.index_pairs == batched.index_pairs
         assert auto.stats.planner is not None
         for side in auto.stats.planner:

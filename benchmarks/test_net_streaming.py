@@ -26,7 +26,6 @@ from repro.net import JoinServiceServer, RemoteJoinClient
 
 _SELECTIVITY = 1 / 12.5  # densest series: the most decryptions per query
 _SCALE_FACTOR = 0.01
-_ENGINE = "batched"
 
 
 @pytest.fixture(autouse=True)
@@ -41,13 +40,13 @@ def _close_cached_pools():
 def _workload_and_query():
     workload = build_encrypted_tpch(_SCALE_FACTOR, in_clause_limit=1)
     encrypted_query = workload.client.create_query(
-        tpch_query(_SELECTIVITY, in_clause_size=1), engine=_ENGINE
+        tpch_query(_SELECTIVITY, in_clause_size=1)
     )
     return workload, encrypted_query
 
 
 def _inprocess_first_match_seconds(server, encrypted_query) -> float:
-    stream = server.stream_join(encrypted_query, engine=_ENGINE)
+    stream = server.stream_join(encrypted_query)
     start = time.perf_counter()
     try:
         next(stream)
@@ -148,7 +147,7 @@ def collect_trajectory(rounds: int = 5) -> dict:
         "workload": {
             "scale_factor": _SCALE_FACTOR,
             "selectivity": _SELECTIVITY,
-            "engine": _ENGINE,
+            "engine": workload.server.engine.name,
             "num_customers": workload.num_customers,
             "num_orders": workload.num_orders,
             "matches": full.stats.matches,

@@ -18,6 +18,7 @@ import pytest
 
 from benchmarks.conftest import SCALE_FACTORS
 from repro.bench.workloads import build_encrypted_tpch, tpch_query
+from repro.core.server import SecureJoinServer
 
 _SELECTIVITY = 1 / 12.5  # densest series: the most decryptions per query
 
@@ -33,9 +34,9 @@ def _close_cached_pools():
         workload.server.close()
 
 
-def _first_match_seconds(server, encrypted_query, engine="batched"):
+def _first_match_seconds(server, encrypted_query):
     """Drive ``stream_join`` until the first batch only."""
-    stream = server.stream_join(encrypted_query, engine=engine)
+    stream = server.stream_join(encrypted_query)
     start = time.perf_counter()
     try:
         next(stream)
@@ -115,32 +116,35 @@ def test_concurrent_admission_throughput():
         workload.client.create_query(tpch_query(_SELECTIVITY, in_clause_size=1))
         for _ in range(4)
     ]
-    reference = workload.server.execute_join(encrypted[0], engine="batched")
+    reference = workload.server.execute_join(encrypted[0])
     results = [None] * len(encrypted)
+    pooled = SecureJoinServer(
+        workload.client.params, engine="parallel", series_cache_bytes=None
+    )
+    for name in ("Customers", "Orders"):
+        pooled.store(workload.server.table(name))
 
     def run(slot):
-        results[slot] = workload.server.execute_join(
-            encrypted[slot], engine="parallel"
-        )
+        results[slot] = pooled.execute_join(encrypted[slot])
 
     threads = [
         threading.Thread(target=run, args=(slot,))
         for slot in range(len(encrypted))
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    with pooled:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
 
     for slot, result in enumerate(results):
         assert result is not None
         if slot == 0:
             assert result.index_pairs == reference.index_pairs
         assert result.stats.matches == reference.stats.matches
-    service = workload.server.execution_service
-    # One pool incarnation served every concurrent query (the cached
-    # workload server may have spawned earlier pools for other
-    # benchmark modules; what matters is no per-query respawn here).
+    service = pooled.execution_service
+    # One pool incarnation served every concurrent query: no per-query
+    # respawn.
     assert len({r.stats.pool_generation for r in results}) == 1
     assert service.generation == results[0].stats.pool_generation
     assert service.peak_concurrent_sides >= 2

@@ -70,12 +70,14 @@ def _query(client):
 
 
 def _single_store_run(client, tables) -> tuple:
-    server = SecureJoinServer(client.params, workers=_WORKERS)
+    server = SecureJoinServer(
+        client.params, engine="parallel", workers=_WORKERS
+    )
     for table in tables:
         server.store(table)
     try:
         start = time.perf_counter()
-        result = server.execute_join(_query(client), engine="parallel")
+        result = server.execute_join(_query(client))
         seconds = time.perf_counter() - start
     finally:
         server.close()
@@ -84,7 +86,10 @@ def _single_store_run(client, tables) -> tuple:
 
 def _sharded_run(client, backend, tables, n_shards: int) -> tuple:
     shards = [
-        LocalShard(client.params, workers=_WORKERS, name=f"shard-{i}")
+        LocalShard(
+            client.params, engine="parallel", workers=_WORKERS,
+            name=f"shard-{i}",
+        )
         for i in range(n_shards)
     ]
     for table in tables:
@@ -93,9 +98,7 @@ def _sharded_run(client, backend, tables, n_shards: int) -> tuple:
     coordinator = ShardCoordinator(shards)
     try:
         start = time.perf_counter()
-        result = coordinator.execute_join(
-            _query(client), engine="parallel"
-        )
+        result = coordinator.execute_join(_query(client))
         seconds = time.perf_counter() - start
     finally:
         coordinator.close()

@@ -16,6 +16,10 @@ every scheme and compare the equality pairs each one reveals:
   are nested-loop, and only primary-key/foreign-key joins are supported.
 - :class:`~repro.baselines.securejoin_adapter.SecureJoinAdapter` — the
   paper's scheme behind the same interface.
+
+Beside the schemes sits the *execution* baseline of the engine
+ablation: :class:`~repro.baselines.serial.SerialEngine`, the naive
+product of pairings, handed to the server an ablation builds.
 """
 
 from repro.baselines.api import JoinScheme, SchemeAnswer
@@ -23,6 +27,7 @@ from repro.baselines.cryptdb import CryptDBScheme
 from repro.baselines.deterministic import DeterministicScheme
 from repro.baselines.hahn import HahnScheme
 from repro.baselines.securejoin_adapter import SecureJoinAdapter
+from repro.baselines.serial import SerialEngine
 
 __all__ = [
     "CryptDBScheme",
@@ -31,4 +36,5 @@ __all__ = [
     "JoinScheme",
     "SchemeAnswer",
     "SecureJoinAdapter",
+    "SerialEngine",
 ]

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
-
 from repro.baselines.api import JoinScheme, Pair, RowRef, SchemeAnswer, make_pair
 from repro.core.client import SecureJoinClient
 from repro.core.server import SecureJoinServer
 from repro.db.query import JoinQuery
 from repro.db.table import Table
+from repro.leakage.pairs import transitive_closure
 
 
 class SecureJoinAdapter(JoinScheme):
@@ -62,22 +61,11 @@ class SecureJoinAdapter(JoinScheme):
         exactly the transitive closure of the union of per-query
         leakages — the paper's claimed (and minimal) leakage.
         """
-        graph = nx.Graph()
+        observed: set[Pair] = set()
         for observation in self._server.observations:
             by_handle: dict[bytes, list[RowRef]] = {}
             for ref, handle in observation.handles.items():
                 by_handle.setdefault(handle, []).append(ref)
             for refs in by_handle.values():
-                if len(refs) < 2:
-                    continue
-                anchor = refs[0]
-                graph.add_node(anchor)
-                for other in refs[1:]:
-                    graph.add_edge(anchor, other)
-        pairs: set[Pair] = set()
-        for component in nx.connected_components(graph):
-            members = sorted(component)
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    pairs.add(make_pair(members[a], members[b]))
-        return pairs
+                observed.update(make_pair(refs[0], other) for other in refs[1:])
+        return transitive_closure(observed)

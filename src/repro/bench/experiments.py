@@ -17,11 +17,14 @@ from repro.baselines import (
     DeterministicScheme,
     HahnScheme,
     SecureJoinAdapter,
+    SerialEngine,
 )
 from repro.bench.harness import BenchmarkRecord, ExperimentResult, time_callable
 from repro.bench.workloads import build_encrypted_tpch, tpch_query
 from repro.core.scheme import SecureJoinParams, SecureJoinScheme
+from repro.core.server import SecureJoinServer
 from repro.crypto.backend import get_backend
+from repro.db.matcher import get_matcher
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
@@ -175,6 +178,24 @@ def figure4(
     return result
 
 
+def side_handles(server, encrypted_query) -> list[list[tuple[int, bytes]]]:
+    """Each side of a query drained once through SJ.Dec on ``server``:
+    per chain position, its ``(row, handle)`` items as they arrived."""
+    sides = []
+    for table, token, prefilter in zip(
+        encrypted_query.tables,
+        encrypted_query.tokens,
+        encrypted_query.prefilters,
+    ):
+        rows, stream = server.open_side_stream(table, token, prefilter)
+        side: list = []
+        for chunk in stream:
+            end = chunk.start + len(chunk.handles)
+            side.extend(zip(rows[chunk.start:end], chunk.handles))
+        sides.append(side)
+    return sides
+
+
 def comparison_with_hahn(
     scale_factors=(0.002, 0.004, 0.006, 0.008, 0.01),
     selectivity: float = 1 / 100,
@@ -182,10 +203,11 @@ def comparison_with_hahn(
 ) -> ExperimentResult:
     """Section 6.5: hash join (ours) vs. nested-loop join (Hahn et al.).
 
-    Both matchers run on the *same* encrypted handles, so the measured gap
-    is purely the join algorithm — the structural advantage the paper
-    claims (expected O(n) vs O(n^2)).  Comparison counts are recorded so
-    the quadratic blow-up is visible independently of wall-clock noise.
+    Each side is decrypted once and both matchers run on the *same*
+    encrypted handles, so the measured gap is purely the join algorithm
+    — the structural advantage the paper claims (expected O(n) vs
+    O(n^2)).  Comparison counts are recorded so the quadratic blow-up is
+    visible independently of wall-clock noise.
     """
     result = ExperimentResult(
         name="comparison_hahn",
@@ -196,24 +218,27 @@ def comparison_with_hahn(
             scale_factor, in_clause_limit=1, prefilter=True
         )
         query = tpch_query(selectivity, in_clause_size=1)
-        encrypted_query = workload.client.create_query(query)
+        left, right = side_handles(
+            workload.server, workload.client.create_query(query)
+        )
         for algorithm in ("hash", "nested"):
             holder = {}
 
             def run():
-                holder["result"] = workload.server.execute_join(
-                    encrypted_query, algorithm=algorithm
-                )
+                matcher = holder["matcher"] = get_matcher(algorithm)
+                matcher.add_left(left)
+                matcher.add_right(right)
+                matcher.finish()
 
             mean, stdev = time_callable(run, repeats=repeats)
-            stats = holder["result"].stats
+            stats = holder["matcher"].stats
             result.records.append(BenchmarkRecord(
                 {"scale_factor": scale_factor, "algorithm": algorithm},
                 mean, stdev, repeats,
                 extra={
                     "comparisons": stats.comparisons,
                     "matches": stats.matches,
-                    "decryptions": stats.decryptions,
+                    "decryptions": len(left) + len(right),
                 },
             ))
     return result
@@ -228,20 +253,21 @@ def engine_ablation(
 ) -> ExperimentResult:
     """Ablation: SJ.Dec execution engine vs. join runtime and pairing ops.
 
-    Runs the Figure 3 workload under each execution engine
-    (:mod:`repro.core.engine`) and records the pairing-operation counts
-    alongside wall-clock time, so both the shared-final-exponentiation
-    saving of the batched engine and the fan-out of the parallel engine
-    are visible.  The parallel engine runs on the workload server's
-    persistent pool, so its first record pays the one-time fork and the
-    rest measure the warm path; ``auto`` records what the planner chose
-    per query (``engine_selected``).  Since the streaming-pipeline PR
-    each record also carries the pipeline stage timings —
-    ``time_to_first_match`` (how long until the matcher emitted its
-    first pair, the streaming win over full-side materialization),
-    ``decrypt_seconds`` and ``match_seconds``.  Use
-    :func:`repro.bench.harness.speedup_series` with
-    ``baseline_group="serial"`` to summarize.
+    Runs the Figure 3 workload on one server per execution engine
+    (:mod:`repro.core.engine`, plus the naive
+    :class:`~repro.baselines.SerialEngine` under the name ``"serial"``),
+    all over the same encrypted tables, and records the
+    pairing-operation counts alongside wall-clock time, so both the
+    shared-final-exponentiation saving of the batched engine and the
+    fan-out of the parallel engine are visible.  Each server keeps its
+    pool across the repeats, so the parallel engine's first run pays the
+    one-time fork and the rest measure the warm path; ``auto`` records
+    what the planner chose per query (``engine_selected``).  Each record
+    also carries the pipeline stage timings — ``time_to_first_match``
+    (how long until the matcher emitted its first pair, the streaming
+    win over full-side materialization), ``decrypt_seconds`` and
+    ``match_seconds``.  Use :func:`repro.bench.harness.speedup_series`
+    with ``baseline_group="serial"`` to summarize.
     """
     result = ExperimentResult(
         name="engine_ablation",
@@ -255,13 +281,20 @@ def engine_ablation(
         encrypted_query = workload.client.create_query(query)
         for engine in engines:
             holder = {}
+            # No series cache, as on the workload server: every repeat
+            # must measure SJ.Dec, not a replay.
+            with SecureJoinServer(
+                workload.client.params,
+                engine=SerialEngine() if engine == SerialEngine.name else engine,
+                series_cache_bytes=None,
+            ) as server:
+                for name in encrypted_query.tables:
+                    server.store(workload.server.table(name))
 
-            def run():
-                holder["result"] = workload.server.execute_join(
-                    encrypted_query, engine=engine
-                )
+                def run():
+                    holder["result"] = server.execute_join(encrypted_query)
 
-            mean, stdev = time_callable(run, repeats=repeats)
+                mean, stdev = time_callable(run, repeats=repeats)
             stats = holder["result"].stats
             result.records.append(BenchmarkRecord(
                 {"scale_factor": scale_factor, "engine": engine},
@@ -281,9 +314,6 @@ def engine_ablation(
                     "concurrent_sides": stats.concurrent_sides,
                 },
             ))
-        # The workload server is cached across drivers; don't leave its
-        # worker pool idling after the measurements (it restarts lazily).
-        workload.server.close()
     return result
 
 

@@ -18,7 +18,6 @@ from repro.core.engine import (
     HandleChunk,
     HandleStream,
     ParallelEngine,
-    SerialEngine,
     get_engine,
 )
 from repro.core.service import ExecutionService
@@ -52,7 +51,6 @@ __all__ = [
     "SecureJoinParams",
     "SecureJoinScheme",
     "SecureJoinServer",
-    "SerialEngine",
     "ServerStats",
     "SJMasterKey",
     "SJRowCiphertext",

@@ -15,7 +15,6 @@ import threading
 from dataclasses import dataclass, field
 from operator import add
 
-from repro.core.engine import ENGINE_NAMES
 from repro.core.scheme import (
     SecureJoinParams,
     SecureJoinScheme,
@@ -75,11 +74,6 @@ class EncryptedChainQuery:
     side exactly once, however many positions share it.  ``prefilters``
     are positional (``None`` = no pre-filter).
 
-    ``engine_hint`` is an optional request for a server execution engine
-    (``"serial"``, ``"batched"``, ``"parallel"`` or ``"auto"`` — the
-    server-side cost-model planner); the server may override it, so it
-    carries no security weight.
-
     ``priority`` and ``deadline`` are the query's scheduling QoS:
     higher-priority queries get dispatch preference when concurrent
     queries share the server's worker pool, and ``deadline`` is a
@@ -93,7 +87,6 @@ class EncryptedChainQuery:
     tables: tuple[str, ...]
     tokens: tuple[SJToken, ...]
     prefilters: "tuple[dict[str, frozenset[bytes]] | None, ...]"
-    engine_hint: str | None = None
     priority: int = 0
     deadline: float | None = None
 
@@ -340,14 +333,7 @@ class SecureJoinClient:
         return tokens or None
 
     @staticmethod
-    def _validate_qos(
-        engine: str | None, priority: int, deadline: float | None
-    ) -> None:
-        if engine is not None and engine not in ENGINE_NAMES:
-            raise QueryError(
-                f"unknown execution engine {engine!r}; "
-                f"use one of {ENGINE_NAMES}"
-            )
+    def _validate_qos(priority: int, deadline: float | None) -> None:
         if isinstance(priority, bool) or not isinstance(priority, int):
             raise QueryError("priority must be an integer")
         if deadline is not None and (
@@ -360,16 +346,10 @@ class SecureJoinClient:
     def create_query(
         self,
         query: JoinQuery,
-        engine: str | None = None,
         priority: int = 0,
         deadline: float | None = None,
     ) -> EncryptedJoinQuery:
         """SJ.TokenGen for both tables under one fresh query key.
-
-        ``engine`` attaches an execution-engine hint for the server —
-        one of ``"serial"``, ``"batched"``, ``"parallel"`` or ``"auto"``
-        (validated here so typos fail on the client side; the server
-        honors it only if its ``hint_engines`` allowlist permits).
 
         ``priority`` (higher runs sooner under contention) and
         ``deadline`` (a relative time budget in seconds; the server
@@ -377,7 +357,7 @@ class SecureJoinClient:
         scheduling QoS — validated here so malformed values fail on the
         client side instead of as a server-side decode error.
         """
-        self._validate_qos(engine, priority, deadline)
+        self._validate_qos(priority, deadline)
         left = self._table(query.left_table)
         right = self._table(query.right_table)
         if query.left_join_column != left.join_column:
@@ -415,7 +395,6 @@ class SecureJoinClient:
                 self._prefilter_tokens(left, query.left_selection),
                 self._prefilter_tokens(right, query.right_selection),
             ),
-            engine_hint=engine,
             priority=priority,
             deadline=float(deadline) if deadline is not None else None,
         )
@@ -423,7 +402,6 @@ class SecureJoinClient:
     def create_chain_query(
         self,
         query: ChainQuery,
-        engine: str | None = None,
         priority: int = 0,
         deadline: float | None = None,
     ) -> EncryptedChainQuery:
@@ -436,7 +414,7 @@ class SecureJoinClient:
         (token generation is randomized, so regenerating would defeat
         the server's byte-level side dedup without changing semantics).
         """
-        self._validate_qos(engine, priority, deadline)
+        self._validate_qos(priority, deadline)
         if query.max_in_size() > self.params.in_clause_limit:
             raise QueryError(
                 f"IN clause of size {query.max_in_size()} exceeds the "
@@ -473,7 +451,6 @@ class SecureJoinClient:
             tables=tuple(query.tables),
             tokens=tuple(tokens),
             prefilters=tuple(prefilters),
-            engine_hint=engine,
             priority=priority,
             deadline=float(deadline) if deadline is not None else None,
         )

@@ -1,16 +1,14 @@
 """Execution engines: how the server turns ciphertexts into handles.
 
 SJ.Dec over a candidate side is the server's hot path — one product of
-pairings per row.  The engines here trade off how that work is issued
-against the bilinear backend:
+pairings per row.  A server has one engine, fixed where it is built
+(``SecureJoinServer(engine=…)`` / ``LocalShard(engine=…)`` /
+``python -m repro.net --engine``), and every query it serves runs on it:
 
-- :class:`SerialEngine` — the naive baseline: one *full pairing per
-  vector component* (d Miller loops and d final exponentiations per
-  row), combined in GT.  This is the "one pairing at a time" path the
-  ablation benchmarks call the naive product of pairings.
-- :class:`BatchedEngine` — groups rows into chunks and issues each chunk
-  through :meth:`~repro.crypto.backend.BilinearBackend.pair_vectors_batch`,
-  so every row costs d Miller loops but only *one* shared final
+- :class:`BatchedEngine` (the default) — groups rows into chunks and
+  issues each chunk through
+  :meth:`~repro.crypto.backend.BilinearBackend.pair_vectors_batch`, so
+  every row costs d Miller loops but only *one* shared final
   exponentiation — the multi-pairing optimization applied to the join.
 - :class:`ParallelEngine` — fans the chunks out across a *persistent*
   worker pool (:class:`~repro.core.service.ExecutionService`): workers
@@ -21,17 +19,16 @@ against the bilinear backend:
   dimension and per-operation timings (:mod:`repro.plan.cost`), and
   fans out only when the pool wins by the model's margin.
 
-:class:`SerialEngine` is the ablation baseline and nothing else: it is
-reachable per call (``engine="serial"``) or through an operator's
-``hint_engines`` opt-in, the planner never prices it, and the default
-hint allowlist does not offer it to remote clients.
+The naive product of pairings the ablations measure these against is
+not a runtime name: :class:`repro.baselines.SerialEngine` is an
+:class:`ExecutionEngine` an ablation hands to the server it builds.
 
-Since the streaming-pipeline refactor the primary interface is
-:meth:`ExecutionEngine.decrypt_stream`: a :class:`HandleStream` of
-:class:`HandleChunk` batches emitted *as they are decrypted* (pooled
-engines emit them in completion order), so the matcher can start
-pairing while SJ.Dec is still running.  :meth:`decrypt_handles` is the
-materializing wrapper — it drains the stream and reassembles row order.
+The interface is :meth:`ExecutionEngine.decrypt_stream`: a
+:class:`HandleStream` of :class:`HandleChunk` batches emitted *as they
+are decrypted* (pooled engines emit them in completion order), so the
+matcher can start pairing while SJ.Dec is still running.
+:meth:`decrypt_handles` is the materializing wrapper — it drains the
+stream and reassembles row order.
 
 All engines produce byte-identical handles: the final exponentiation is
 a group homomorphism, so the per-pair product equals the shared-exponent
@@ -187,61 +184,6 @@ class ExecutionEngine(ABC):
 def _chunked(items: Sequence, size: int) -> list[tuple[int, Sequence]]:
     """``(start_offset, slice)`` chunks covering ``items`` in order."""
     return [(i, items[i : i + size]) for i in range(0, len(items), size)]
-
-
-class SerialEngine(ExecutionEngine):
-    """One full pairing per vector component, one row at a time.
-
-    Every component pair costs a Miller loop *and* a final
-    exponentiation; the GT partial products are combined with the group
-    operation.  On the fast backend the arithmetic (and therefore the
-    handle bytes) is identical to the batched path — only the modeled
-    operation counts differ.  Streams one chunk per row.
-    """
-
-    name = "serial"
-
-    def decrypt_stream(
-        self, backend, token_elements, ciphertext_vectors, qos=None
-    ):
-        def run():
-            miller_loops = 0
-            final_exponentiations = 0
-            prepared_miller_loops = 0
-            for offset, ciphertext in enumerate(ciphertext_vectors):
-                if qos is not None and qos.expired():
-                    raise DeadlineError(
-                        "query exceeded its deadline; serial side "
-                        f"cancelled at row {offset}"
-                    )
-                # Per-chunk op accounting: interleaved streams share the
-                # backend's process-wide counters, so a start-to-end
-                # snapshot would absorb the other side's work.  This is
-                # exact for one thread; concurrent inline queries on one
-                # backend can still misattribute ops across threads
-                # (stats only — pooled sides count in their workers).
-                snapshot = backend.ops.snapshot()
-                accumulator = backend.gt_identity()
-                for g1, g2 in zip(token_elements, ciphertext):
-                    accumulator = backend.gt_mul(
-                        accumulator, backend.pair(g1, g2)
-                    )
-                delta = backend.ops.since(snapshot)
-                miller_loops += delta.miller_loops
-                final_exponentiations += delta.final_exponentiations
-                prepared_miller_loops += delta.prepared_miller_loops
-                yield HandleChunk(offset, [accumulator.to_bytes()])
-            return EngineReport(
-                engine=self.name,
-                batches=len(ciphertext_vectors),
-                max_batch_size=1 if ciphertext_vectors else 0,
-                workers=1,
-                miller_loops=miller_loops,
-                final_exponentiations=final_exponentiations,
-                prepared_miller_loops=prepared_miller_loops,
-            )
-
-        return HandleStream(run())
 
 
 class BatchedEngine(ExecutionEngine):
@@ -513,7 +455,6 @@ class AutoEngine(ExecutionEngine):
 
 
 _ENGINE_FACTORIES = {
-    SerialEngine.name: SerialEngine,
     BatchedEngine.name: BatchedEngine,
     ParallelEngine.name: ParallelEngine,
     AutoEngine.name: AutoEngine,
@@ -522,11 +463,9 @@ _ENGINE_FACTORIES = {
 ENGINE_NAMES = tuple(_ENGINE_FACTORIES)
 
 
-#: The default engine: behaviorally identical to the pre-engine code
-#: path (one shared final exponentiation per row) plus chunking; the
-#: serial engine is the naive ablation baseline, not the default, and
-#: ``auto`` (the planner) is opt-in until its models are calibrated on
-#: the operator's hardware.
+#: The default engine: one shared final exponentiation per row, plus
+#: chunking; ``auto`` (the planner) is opt-in until its models are
+#: calibrated on the operator's hardware.
 DEFAULT_ENGINE_NAME = BatchedEngine.name
 
 

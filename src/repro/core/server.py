@@ -38,8 +38,13 @@ between a store and a fleet is the *host seam* the drive calls:
 ``table_epoch`` / ``table_version`` / ``tombstoned_rows`` per table,
 ``_open_sources`` (a single store streams its own rows; a coordinator
 asks every shard), ``_payloads`` (the tables here; the entry's retained
-payload maps on a coordinator, which holds no tables) and ``_begin`` /
-``_account`` for engine resolution and scatter accounting.
+payload maps on a coordinator, which holds no tables) and ``_account``
+for scatter accounting.
+
+How SJ.Dec is issued is not a property of a query: a store has one
+:class:`~repro.core.engine.ExecutionEngine`, fixed where it is built
+(``SecureJoinServer(engine=…)``), and one matcher, the paper's hash
+join — so every entry point takes the query and nothing else.
 """
 
 from __future__ import annotations
@@ -49,8 +54,6 @@ from dataclasses import dataclass, field
 
 from repro.core.client import EncryptedTable, position_view
 from repro.core.engine import (
-    ENGINE_NAMES,
-    AutoEngine,
     EngineReport,
     ExecutionEngine,
     HandleStream,
@@ -75,32 +78,25 @@ from repro.series.cache import (
     series_key,
 )
 
-#: Matcher algorithms ``execute_join`` accepts: the paper's hash join,
-#: and the nested loop its Section 6.5 comparison measures it against —
-#: a per-call argument only, no planner or deployment option picks it.
-MATCH_ALGORITHMS = ("hash", "nested")
-
 
 @dataclass
 class ServerStats:
     """Operation counts for one join execution.
 
-    ``comparisons`` counts handle-equality work in the matcher: the
-    nested-loop matcher compares every candidate pair (O(n·m)); the hash
-    matcher performs one hash-key comparison per probe plus one equality
-    confirmation per bucket entry it emits (O(n + m + output)).
+    ``comparisons`` counts handle-equality work in the hash matcher:
+    one hash-key comparison per probe plus one equality confirmation per
+    bucket entry it emits (O(n + m + output)).
 
     ``miller_loops`` / ``final_exponentiations`` record the pairing work
     of SJ.Dec as issued by the execution engine (see
     :mod:`repro.core.engine`); ``batches``, ``max_batch_size`` and
     ``workers`` describe how that work was grouped and fanned out.
 
-    ``engine`` is the engine that ran the query; ``engine_source`` says
-    who picked it (``"default"`` / ``"hint"`` / ``"override"``);
-    ``engine_selected`` is what actually executed — it differs from
-    ``engine`` only under the ``"auto"`` planner, whose per-side inputs
-    and cost estimates land in ``planner`` (one dict per decrypted
-    side).  ``matcher`` names the SJ.Match algorithm that ran.
+    ``engine`` is the host's engine (``"series"`` for a replay, which
+    ran none); ``engine_selected`` is what actually executed — it
+    differs from ``engine`` only under the ``"auto"`` planner, whose
+    per-side inputs and cost estimates land in ``planner`` (one dict
+    per decrypted side).
     ``pool_generation`` / ``worker_restarts`` expose the persistent
     pool's lifecycle: the generation only moves when the pool is
     actually (re)created, so equal generations across queries prove
@@ -114,9 +110,10 @@ class ServerStats:
     worker pool while this query ran (>= 2 proves interleaving, 0 means
     the query never used the pool).
 
-    Scatter-gather fields (set by the shard coordinator; 0 for a
-    single-store join): ``shards`` is how many shards served the query
-    and ``shard_skew`` the candidate-row imbalance across them (max
+    Scatter-gather fields (set by the shard coordinator when it
+    scatters; 0 for a single-store join and for a replay, which asks no
+    shard): ``shards`` is how many shards served the query and
+    ``shard_skew`` the candidate-row imbalance across them (max
     over mean; 1.0 = perfectly uniform) — what discounts the ideal
     ``1/n`` speedup of the scatter.
 
@@ -143,12 +140,10 @@ class ServerStats:
     final_exponentiations: int = 0
     prepared_miller_loops: int = 0
     preparations: int = 0
-    engine_source: str = "default"
     engine_selected: str = ""
     planner: list | None = None
     pool_generation: int = 0
     worker_restarts: int = 0
-    matcher: str = "hash"
     time_to_first_match: float = 0.0
     decrypt_seconds: float = 0.0
     match_seconds: float = 0.0
@@ -321,20 +316,18 @@ class _JoinHost:
 
     A host supplies the seam — ``backend``, ``series_cache``,
     ``observations``, ``table_epoch`` / ``table_version`` /
-    ``tombstoned_rows``, ``_begin``, ``_open_sources``, ``_payloads`` —
-    and inherits the four public entry points.
+    ``tombstoned_rows``, ``_open_sources``, ``_payloads`` — and inherits
+    the four public entry points.
     """
 
     series_cache: SeriesCache | None
     observations: list[QueryObservation]
+    #: The host's own SJ.Dec engine; ``None`` on a host that decrypts
+    #: nothing itself (a coordinator: each shard has its own).
+    engine: ExecutionEngine | None = None
 
     # -- public entry points ----------------------------------------------
-    def stream_join(
-        self,
-        query,
-        algorithm: str = "hash",
-        engine: ExecutionEngine | str | None = None,
-    ):
+    def stream_join(self, query):
         """Run the join as a streaming pipeline; a generator.
 
         Yields :class:`MatchBatch` increments (pairs in discovery
@@ -346,41 +339,15 @@ class _JoinHost:
         (``StopIteration.value``).  Closing the generator early releases
         every pool admission and still records the adversary view of
         the handles that were computed.
-
-        ``algorithm`` selects the matcher: ``"hash"`` (the paper's
-        expected-O(n) hash join) or ``"nested"`` (the O(n^2) loop kept
-        as the comparison baseline).
-
-        ``engine`` selects the SJ.Dec execution engine for this query
-        (``"serial"``, ``"batched"``, ``"parallel"``, ``"auto"`` or an
-        :class:`~repro.core.engine.ExecutionEngine` instance); when
-        omitted, the query's client hint applies if the server's
-        ``hint_engines`` allowlist permits it, then the server default.
-        A coordinator forwards it to every shard, which resolves it
-        against its own pool.  A concrete engine (or a matcher other
-        than the cached one) is an instruction to *execute* that way —
-        an ablation or accounting run — so it bypasses the series
-        cache's replay and re-seeds the entry.
         """
-        return (
-            yield from self._drive(query, algorithm, engine, _PairShape, True)
-        )
+        return (yield from self._drive(query, _PairShape, True))
 
-    def execute_join(
-        self,
-        query,
-        algorithm: str = "hash",
-        engine: ExecutionEngine | str | None = None,
-    ) -> EncryptedJoinResult:
+    def execute_join(self, query) -> EncryptedJoinResult:
         """:meth:`stream_join` run to completion: only the final,
         canonically ordered result is built (no per-batch payloads)."""
-        return _drain(
-            self._drive(query, algorithm, engine, _PairShape, False)
-        )
+        return _drain(self._drive(query, _PairShape, False))
 
-    def stream_chain(
-        self, query, engine: ExecutionEngine | str | None = None
-    ):
+    def stream_chain(self, query):
         """Run a multi-way chain join as a streaming pipeline; a generator.
 
         Yields :class:`ChainMatchBatch` increments (completed chain
@@ -390,30 +357,24 @@ class _JoinHost:
         order — as the generator's value (``StopIteration.value``).
 
         The join order is chosen per query by the cost-model planner
-        from prefilter-posting cardinality estimates; matching is
-        always hash-based (one incremental matcher per plan node), and
-        each distinct ``(table, token)`` side is decrypted once however
-        many positions consume it (``stats.handle_pool_hits``).
+        from prefilter-posting cardinality estimates (one incremental
+        hash matcher per plan node), and each distinct ``(table,
+        token)`` side is decrypted once however many positions consume
+        it (``stats.handle_pool_hits``).
         """
-        return (
-            yield from self._drive(query, "hash", engine, _ChainShape, True)
-        )
+        return (yield from self._drive(query, _ChainShape, True))
 
-    def execute_chain(
-        self, query, engine: ExecutionEngine | str | None = None
-    ) -> EncryptedChainResult:
+    def execute_chain(self, query) -> EncryptedChainResult:
         """:meth:`stream_chain` run to completion."""
-        return _drain(self._drive(query, "hash", engine, _ChainShape, False))
+        return _drain(self._drive(query, _ChainShape, False))
 
     # -- the drive ---------------------------------------------------------
-    def _drive(self, query, algorithm, engine, shape, streaming):
+    def _drive(self, query, shape, streaming):
         """Steps 1–2: find the query's entry (or start an empty one),
         then refresh it under its lock.  Yields batches when
         ``streaming``; returns the result ``shape`` builds."""
         tables = query.tables
         n = len(tables)
-        if algorithm not in MATCH_ALGORITHMS:
-            raise QueryError(f"unknown join algorithm {algorithm!r}")
         if not 2 <= n <= MAX_CHAIN_TABLES:
             raise QueryError(
                 f"a chain query needs 2..{MAX_CHAIN_TABLES} tables, got {n}"
@@ -422,7 +383,6 @@ class _JoinHost:
             raise QueryError(
                 "chain query tables, tokens and prefilters must align"
             )
-        active_engine, stats = self._begin(query, engine)
         # A literally re-submitted query (same token bytes) has the
         # same key; each token is hashed once per query, here.
         key = series_key(query, self.backend)
@@ -434,21 +394,7 @@ class _JoinHost:
             # snapshot and shows up as a version mismatch next time.
             epochs = tuple(map(self.table_epoch, tables))
             versions = tuple(map(self.table_version, tables))
-            # A concrete per-call engine override ("serial", an
-            # instance, ...) is an instruction to *execute* SJ.Dec that
-            # way, so it bypasses the cached entry; ``None`` and
-            # ``"auto"`` ask for the cheapest correct plan, which the
-            # cache is.  Either way the finished run (re)seeds it.
-            if (
-                engine is None
-                or engine == "auto"
-                or isinstance(engine, AutoEngine)
-            ):
-                entry = cache.lookup(key, epochs)
-            if entry is not None and algorithm != entry.matcher_name:
-                # An explicit matcher request must actually exercise
-                # that matcher: the from-scratch pass replaces the entry.
-                entry = None
+            entry = cache.lookup(key, epochs)
             # Per-entry admission is non-blocking: a series whose entry
             # is mid-refresh on another thread must not starve this
             # query, so on contention it recomputes from an empty entry
@@ -468,19 +414,16 @@ class _JoinHost:
         try:
             return (
                 yield from self._refresh(
-                    query, entry, hit, versions, algorithm, active_engine,
-                    stats, shape, streaming,
+                    query, entry, hit, versions, shape, streaming
                 )
             )
         finally:
             if hit:
                 entry.lock.release()
 
-    def _refresh(
-        self, query, entry, hit, versions, algorithm, engine, stats, shape,
-        streaming,
-    ):
+    def _refresh(self, query, entry, hit, versions, shape, streaming):
         """Steps 2–5 over one entry (``hit``: it came from the cache)."""
+        stats = ServerStats()
         tables = entry.tables
         cache = self.series_cache
         executor = entry.executor
@@ -567,14 +510,10 @@ class _JoinHost:
                 ]
                 # Every source is opened before any is pulled: that is
                 # what co-admits the sides (and shards) on the pools.
-                for source in self._open_sources(
-                    query, sides, held, engine, qos
-                ):
+                for source in self._open_sources(query, sides, held, qos):
                     sources.append(source)
                 if executor is None:
-                    executor = self._plan(
-                        entry, sources, algorithm, engine, stats
-                    )
+                    executor = self._plan(entry, sources, stats)
                 for new in merge_sources(sources, executor, on_items, stats):
                     emitted()
                     if qos is not None and qos.expired():
@@ -615,7 +554,6 @@ class _JoinHost:
             }]
         if hit:
             stats.delta_rows = stats.decryptions
-        stats.matcher = entry.matcher_name
         stats.matches = len(tuples)
         stats.probes = executor.probes
         stats.comparisons = executor.comparisons
@@ -636,7 +574,7 @@ class _JoinHost:
             stats.plan_nodes = len(tables) - 1
         return shape.result(tuple(tables), tuples, gathered, stats)
 
-    def _plan(self, entry, sources, algorithm, engine, stats):
+    def _plan(self, entry, sources, stats):
         """Give an empty entry its executor.  A chain's join order is
         priced from the candidate counts the opened sources already
         know (a remote shard reports its counts only when it finishes)."""
@@ -657,14 +595,13 @@ class _JoinHost:
             ]
             # An auto engine's own (calibrated/custom) cost model, else
             # the backend's built-in one.
-            model = getattr(engine, "cost_model", None)
+            model = getattr(self.engine, "cost_model", None)
             if model is None:
                 model = default_engine_cost_model(self.backend.name)
             plan = compile_plan(model, counts, distincts)
             stats.record(plan.record())
             order = plan.order
-        entry.matcher_name = algorithm
-        entry.executor = ChainExecutor(order, algorithm)
+        entry.executor = ChainExecutor(order)
         return entry.executor
 
     # -- seam defaults -----------------------------------------------------
@@ -685,36 +622,22 @@ class SecureJoinServer(_JoinHost):
         params: SecureJoinParams,
         backend: BilinearBackend | None = None,
         engine: ExecutionEngine | str | None = None,
-        hint_engines: tuple[str, ...] = ("batched",),
         workers: int | None = None,
         series_cache_bytes: int | None = DEFAULT_SERIES_BUDGET,
     ):
         # The server only needs public parameters — never the master key.
         self.scheme = SecureJoinScheme(params, backend)
         # The server owns one persistent worker pool for its whole
-        # lifetime; every pool-using engine it resolves is bound to it.
+        # lifetime; its engine, if it uses a pool, is bound to it.
         # Construction is lazy — no process is forked until a query
         # actually fans out — and ``close()`` (or using the server as a
         # context manager) tears it down.  Concurrent queries (and the
         # two sides of one query) are co-admitted and interleave on it.
         self.execution_service = ExecutionService(workers=workers)
-        # Default execution engine; per-query overrides and client hints
-        # (see execute_join) take precedence.  ``hint_engines`` is the
-        # allowlist of engines a client hint may select: hints are
-        # advisory, and the resources they spend belong to the server,
-        # so "parallel" (the worker pool), "auto" (which may choose it)
-        # and "serial" (the ablation baseline, several times slower)
-        # require the operator to opt in here.  Disallowed hints fall
-        # back to the default.
+        # The engine every query runs on: the operator's choice, made
+        # here and nowhere else — the resources it spends are the
+        # server's, so neither a caller nor a client picks per query.
         self.engine = get_engine(engine, service=self.execution_service)
-        self.hint_engines = frozenset(hint_engines)
-        unknown = sorted(self.hint_engines.difference(ENGINE_NAMES))
-        if unknown:
-            raise QueryError(
-                f"unknown hint engines {unknown}; use a subset of "
-                f"{ENGINE_NAMES}"
-            )
-        self._engine_cache: dict[str, ExecutionEngine] = {}
         self._tables: dict[str, EncryptedTable] = {}
         # Inverted index over pre-filter tags: table -> column -> tag -> rows.
         self._tag_index: dict[str, dict[str, dict[bytes, list[int]]]] = {}
@@ -749,18 +672,6 @@ class SecureJoinServer(_JoinHost):
     @property
     def backend(self) -> BilinearBackend:
         return self.scheme.backend
-
-    def _resolve_engine(self, engine: ExecutionEngine | str) -> ExecutionEngine:
-        """An engine bound to this server's pool; named engines are cached
-        so repeated ``engine="parallel"`` calls reuse one instance (and
-        therefore one warm pool) instead of re-instantiating per query."""
-        if isinstance(engine, ExecutionEngine):
-            return get_engine(engine, service=self.execution_service)
-        cached = self._engine_cache.get(engine)
-        if cached is None:
-            cached = get_engine(engine, service=self.execution_service)
-            self._engine_cache[engine] = cached
-        return cached
 
     # -- storage ------------------------------------------------------------
     def store(self, encrypted_table: EncryptedTable) -> None:
@@ -967,20 +878,6 @@ class SecureJoinServer(_JoinHost):
             min(candidate_count, round(candidate_count * best / table_rows)),
         )
 
-    def _begin(self, query, engine) -> tuple[ExecutionEngine, ServerStats]:
-        """The engine this query runs on and who picked it: a per-call
-        override, then an allowlisted client hint, then the default."""
-        if engine is not None:
-            return self._resolve_engine(engine), ServerStats(
-                engine_source="override"
-            )
-        hint = query.engine_hint
-        if hint is not None and hint in self.hint_engines:
-            return self._resolve_engine(hint), ServerStats(
-                engine_source="hint"
-            )
-        return self.engine, ServerStats(engine_source="default")
-
     def _payloads(self, query, entry) -> list[list[bytes]]:
         """Payloads by chain position: read from the stored tables."""
         return [self.table(name).payloads for name in query.tables]
@@ -999,13 +896,12 @@ class SecureJoinServer(_JoinHost):
 
     def _decrypt_stream(
         self,
-        engine: ExecutionEngine,
         table: EncryptedTable,
         token: SJToken,
         rows: list[int],
         qos: QueryQoS | None,
     ) -> HandleStream:
-        return engine.decrypt_stream(
+        return self.engine.decrypt_stream(
             self.scheme.backend,
             token.elements,
             self._side_ciphertexts(table, token, rows),
@@ -1018,14 +914,12 @@ class SecureJoinServer(_JoinHost):
         token: SJToken,
         prefilter: dict[str, frozenset[bytes]] | None = None,
         qos: QueryQoS | None = None,
-        engine: ExecutionEngine | str | None = None,
         exclude_rows: set[int] | None = None,
     ) -> tuple[list[int], HandleStream]:
         """Open one side's decrypt stream: ``(candidates, stream)``.
 
         The scatter building block: pre-filter and tombstones applied,
-        then SJ.Dec streamed through the resolved engine (bound to
-        *this* server's pool).  A shard opens one such stream per side
+        then SJ.Dec streamed through this server's engine (and pool).  A shard opens one such stream per side
         for its coordinator, which merges every shard's chunks into a
         single executor — the caller owns the stream and must close it.
         ``exclude_rows`` drops already-decrypted rows from the stream
@@ -1034,16 +928,13 @@ class SecureJoinServer(_JoinHost):
         """
         table = self.table(table_name)
         rows = self._selected_rows(table, prefilter, exclude_rows)
-        active_engine = (
-            self._resolve_engine(engine) if engine is not None else self.engine
-        )
-        return rows, self._decrypt_stream(active_engine, table, token, rows, qos)
+        return rows, self._decrypt_stream(table, token, rows, qos)
 
-    def _open_sources(self, query, sides, exclude_rows, engine, qos):
+    def _open_sources(self, query, sides, exclude_rows, qos):
         """One decrypt source per distinct side, over its selected rows
         minus those the entry already holds a handle for."""
         for side, held in zip(sides, exclude_rows):
             table = self.table(side.table)
             rows = self._selected_rows(table, side.prefilter, held)
-            stream = self._decrypt_stream(engine, table, side.token, rows, qos)
+            stream = self._decrypt_stream(table, side.token, rows, qos)
             yield HandleSource(side.positions, stream, rows)

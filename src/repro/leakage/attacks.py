@@ -19,10 +19,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.baselines.api import Pair, RowRef
 from repro.db.table import Table
+from repro.leakage.pairs import connected_components
 
 
 @dataclass
@@ -47,12 +46,7 @@ def equivalence_classes(
     Rows not appearing in any pair form singleton classes — the attacker
     knows nothing links them, but they still count toward the total.
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(universe)
-    for pair in pairs:
-        a, b = tuple(pair)
-        graph.add_edge(a, b)
-    return [sorted(component) for component in nx.connected_components(graph)]
+    return connected_components(universe, pairs)
 
 
 def frequency_attack(

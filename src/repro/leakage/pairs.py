@@ -13,9 +13,8 @@ Terminology follows Section 2.1 of the paper:
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable
 from itertools import combinations
-
-import networkx as nx
 
 from repro.baselines.api import Pair, RowRef, make_pair
 from repro.db.query import JoinQuery
@@ -65,15 +64,37 @@ def minimal_query_leakage(
     return _pairs_of_groups(groups)
 
 
+def connected_components(
+    nodes: Iterable[Hashable], edges: Iterable[Iterable[Hashable]]
+) -> list[list]:
+    """The classes of the equivalence ``edges`` generate over ``nodes``
+    and their own endpoints: each a sorted list, in the order their
+    first member was seen (``nodes`` first, then edge endpoints)."""
+    parent: dict = {}
+
+    def find(node):
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            # Path halving: point at the grandparent on the way up.
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for node in nodes:
+        find(node)
+    for a, b in edges:
+        parent[find(b)] = find(a)
+    components: dict = {}
+    for node in parent:
+        components.setdefault(find(node), []).append(node)
+    return [sorted(component) for component in components.values()]
+
+
 def transitive_closure(pairs: set[Pair]) -> set[Pair]:
     """Close a pair set under transitivity of equality."""
-    graph = nx.Graph()
-    for pair in pairs:
-        a, b = tuple(pair)
-        graph.add_edge(a, b)
     closed: set[Pair] = set()
-    for component in nx.connected_components(graph):
-        for a, b in combinations(sorted(component), 2):
+    for component in connected_components((), pairs):
+        for a, b in combinations(component, 2):
             closed.add(make_pair(a, b))
     return closed
 

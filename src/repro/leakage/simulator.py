@@ -19,9 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.baselines.api import Pair, RowRef
+from repro.leakage.pairs import connected_components
 
 
 @dataclass
@@ -73,13 +72,8 @@ class TraceSimulator:
         equality_pairs: set[Pair],
     ) -> SimulatedView:
         """One query's simulated view from ``sigma(q_i)``."""
-        graph = nx.Graph()
-        graph.add_nodes_from(decrypted_rows)
-        for pair in equality_pairs:
-            a, b = tuple(pair)
-            graph.add_edge(a, b)
         view = SimulatedView(query_id)
-        for component in nx.connected_components(graph):
+        for component in connected_components(decrypted_rows, equality_pairs):
             handle = self._fresh_handle()
             for ref in component:
                 view.handles[ref] = handle

@@ -26,11 +26,11 @@ messages:
 
 Exposure policy (after the FateForger encrypted-deployment notes): only
 the query/result API is externally consumable.  A remote peer can send
-join queries (with the advisory ``engine_hint`` gated by the operator's
-``hint_engines`` allowlist, and per-query ``priority`` / ``deadline``
-QoS) and receive result frames — nothing else.  Pool controls, engine
-overrides, store mutation and service internals are never reachable
-from the socket.
+join queries (with per-query ``priority`` / ``deadline`` QoS, the only
+clear header fields that steer execution) and receive result frames —
+nothing else.  Pool controls, the choice of engine (the operator's, at
+construction: ``--engine``), store mutation and service internals are
+never reachable from the socket.
 """
 
 from repro.net.client import RemoteJoinClient

@@ -65,13 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine",
         default=None,
-        help=f"default execution engine ({'/'.join(ENGINE_NAMES)})",
-    )
-    parser.add_argument(
-        "--hint-engines",
-        default="batched",
-        help="comma-separated allowlist of client engine hints (default: "
-        "batched — the pool engines and the serial baseline are opt-in)",
+        help=f"the server's execution engine ({'/'.join(ENGINE_NAMES)}; "
+        "default batched)",
     )
     parser.add_argument(
         "--workers", type=int, default=None, help="worker pool size"
@@ -110,11 +105,6 @@ def main(argv: list[str] | None = None) -> int:
         params = SecureJoinParams(**params_dict)
     except TypeError as error:
         return _bad("--params fields", error)
-    hint_engines = tuple(
-        name.strip()
-        for name in args.hint_engines.split(",")
-        if name.strip()
-    )
     engine: str | AutoEngine | None = args.engine
     if args.cost_model is not None:
         try:
@@ -129,13 +119,10 @@ def main(argv: list[str] | None = None) -> int:
         engine = AutoEngine(cost_model=cost_model)
     try:
         join_server = SecureJoinServer(
-            params,
-            engine=engine,
-            hint_engines=hint_engines,
-            workers=args.workers,
+            params, engine=engine, workers=args.workers
         )
     except QueryError as error:
-        return _bad("--engine / --hint-engines / --workers", error)
+        return _bad("--engine / --workers", error)
     for path in args.table:
         join_server.store(
             load_encrypted_table(path, join_server.scheme.backend)

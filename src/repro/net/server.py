@@ -15,11 +15,11 @@ message and one handler — it emits:
    the query failed (bad payload, unknown table, deadline exceeded...).
 
 Exposure policy: the socket can reach exactly ``decode_join_query`` →
-``stream_join`` / ``stream_chain`` (picked by the query's type).
-Client engine hints pass through the same ``hint_engines`` allowlist
-gate as in-process hints; priority/deadline QoS from the query header
-feed the admission scheduler; pool controls, engine overrides, the
-observation log and store mutation are not reachable from the wire.
+``stream_join`` / ``stream_chain`` (picked by the query's type), on the
+engine the operator built the server with.  Priority/deadline QoS from
+the query header feed the admission scheduler; pool controls, the
+choice of engine, the observation log and store mutation are not
+reachable from the wire.
 
 Graceful drain (:meth:`JoinServiceServer.shutdown`): stop accepting new
 connections, let in-flight query streams finish, close idle

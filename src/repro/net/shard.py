@@ -55,8 +55,7 @@ class ShardServiceServer(JoinServiceServer):
     Reuses the whole connection/drain machinery of the join service;
     only the per-query handler differs: instead of running the local
     match pipeline it streams the shard's raw decrypt events so the
-    coordinator can match centrally.  ``engine`` (a name, resolved
-    against this shard's own pool) applies to every scatter it serves.
+    coordinator can match centrally, on the shard's own engine.
     """
 
     def __init__(
@@ -64,12 +63,10 @@ class ShardServiceServer(JoinServiceServer):
         shard: LocalShard,
         host: str = "127.0.0.1",
         port: int = 0,
-        engine: str | None = None,
         **kwargs,
     ):
         super().__init__(shard.server, host=host, port=port, **kwargs)
         self.shard = shard
-        self.engine = engine
 
     def _answer(self, query):
         """The encoded scatter frames for ``query``, lazily: every
@@ -80,9 +77,7 @@ class ShardServiceServer(JoinServiceServer):
         sides = group_chain_sides(query, series_key(query, backend))
         sources: list = []
         try:
-            for source in self.shard.open_sources(
-                query, sides, engine=self.engine
-            ):
+            for source in self.shard.open_sources(query, sides):
                 sources.append(source)
             yield encode_stream_header(query.query_id, *query.tables)
             active = list(sources)
@@ -146,14 +141,12 @@ class RemoteShard:
     def describe(self) -> str:
         return self.name or f"{self.host}:{self.port}"
 
-    def open_sources(
-        self, query, sides, exclude_rows=None, engine=None, qos=None
-    ):
+    def open_sources(self, query, sides, exclude_rows=None, qos=None):
         """Connect, send the query (the remote co-admission), and yield
         the single merged event source.  Only the query travels: the
         endpoint groups and opens the query's distinct sides itself
         (the grouping is a function of the query bytes, so it equals
-        ``sides``), picks its own engine, and stamps the relative
+        ``sides``), runs them on its own engine, and stamps the relative
         deadline the query carries against its own clock.
         (``exclude_rows`` is always empty here — a coordinator with a
         remote shard keeps no series cache.)"""

@@ -34,14 +34,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.db.matcher import get_matcher
+from repro.db.matcher import HashMatcher
 from repro.errors import QueryError
 
 
 class ChainExecutor:
     """Incremental n-way chain matcher over a left-deep node order."""
 
-    def __init__(self, order: Sequence[int], algorithm: str = "hash"):
+    def __init__(self, order: Sequence[int]):
         order = tuple(order)
         n = len(order)
         if n < 2:
@@ -63,7 +63,7 @@ class ChainExecutor:
                 )
         self.order = order
         self.arity = n
-        self.matchers = [get_matcher(algorithm) for _ in range(n - 1)]
+        self.matchers = [HashMatcher() for _ in range(n - 1)]
         #: chain position -> (node index, feeds-left?).  ``order[0]``
         #: is the only position feeding a left input; every other
         #: position is the right (probe) input of exactly one node.

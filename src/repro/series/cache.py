@@ -66,8 +66,8 @@ def series_key(query, backend) -> bytes:
     """The cache key of one query: one digest per chain position over
     what determines that side's handles and selection — table name, SJ
     token (byte-encoded) and pre-filter tag set — concatenated in chain
-    order.  Engine and matcher choices are deliberately excluded: they
-    change how the result is computed, never what it is.
+    order.  Nothing about *how* the host computes the result is in the
+    key: that is fixed where the host is built, not per query.
 
     Positions with equal digests are the same ``(table, token)`` side,
     which is what :func:`~repro.plan.handles.group_chain_sides` pools —
@@ -108,7 +108,6 @@ class SeriesEntry:
         "sides",
         "executor",
         "view",
-        "matcher_name",
         "payloads",
         "applied_tombstones",
         "lock",
@@ -143,7 +142,6 @@ class SeriesEntry:
         #: observation log owns it (see the module docstring), so
         #: :meth:`recompute_bytes` does not charge it.
         self.view: dict[tuple[str, int], bytes] = {}
-        self.matcher_name = "hash"
         #: position -> {row index -> payload bytes}: only populated by
         #: holders that cannot re-read payloads from local tables (the
         #: shard coordinator); the single-store server leaves it empty.

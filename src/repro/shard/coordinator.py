@@ -23,7 +23,8 @@ the host seam:
 - epochs / versions / tombstones are the per-shard values side by side;
 - payloads ride the scattered items and are retained on the series
   entry, because the coordinator holds no tables to re-read them from;
-- ``_account`` adds the per-shard loads and their skew to the stats.
+- ``_account`` adds the shard count, the per-shard loads and their
+  skew to the stats.
 
 Everything else — the series cache (two-way joins and chains alike),
 replay, delta refresh over only the rows the entry has never seen,
@@ -235,7 +236,6 @@ class LocalShard:
         query,
         sides,
         exclude_rows=None,
-        engine: ExecutionEngine | str | None = None,
         qos: QueryQoS | None = None,
     ):
         """Open this shard's slice of a scatter; yields the sources.
@@ -243,7 +243,7 @@ class LocalShard:
         One :class:`~repro.core.pipeline.HandleSource` per entry of
         ``sides`` (the query's distinct ``(table, token)`` sides — a
         side shared by several chain positions is decrypted once per
-        shard), each on this shard's pool and emitting ``(global_row,
+        shard), each on this shard's own engine and pool and emitting ``(global_row,
         handle, payload)`` items: global indices via the shard
         descriptor, so the coordinator's executor operates in the
         single-store index space.  ``exclude_rows[i]`` holds the
@@ -265,7 +265,6 @@ class LocalShard:
                 side.token,
                 side.prefilter,
                 qos=qos,
-                engine=engine,
                 exclude_rows=held and {
                     i for i, g in enumerate(global_indices) if g in held
                 },
@@ -464,23 +463,14 @@ class ShardCoordinator(_JoinHost):
         return self.shards[0].backend
 
     # -- the host seam: execution ------------------------------------------
-    def _begin(self, query, engine):
-        """``engine`` is forwarded to every shard as given (a name is
-        resolved against each shard's own pool); client hints are the
-        shards' operators' business, not the coordinator's."""
-        return engine, ServerStats(
-            engine_source="override" if engine is not None else "default",
-            shards=len(self.shards),
-        )
-
     def _payloads(self, query, entry) -> list[dict[int, bytes]]:
         """Payloads by chain position: what the scatter retained."""
         return entry.payloads
 
-    def _open_sources(self, query, sides, exclude_rows, engine, qos):
+    def _open_sources(self, query, sides, exclude_rows, qos):
         for ordinal, shard in enumerate(self.shards):
             for source in shard.open_sources(
-                query, sides, exclude_rows, engine=engine, qos=qos
+                query, sides, exclude_rows, qos=qos
             ):
                 yield _GuardedSource(ordinal, shard, source)
 
@@ -490,6 +480,7 @@ class ShardCoordinator(_JoinHost):
         shard_rows = [0] * len(self.shards)
         for guarded in sources:
             shard_rows[guarded.ordinal] += guarded.decrypted
+        stats.shards = len(shard_rows)
         stats.shard_skew = shard_skew(shard_rows)
         stats.record({
             "stage": "scatter",

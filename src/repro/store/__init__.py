@@ -5,23 +5,16 @@
 - :mod:`repro.store.tables` — save/load encrypted tables to disk (what
   the DBMS server persists),
 - :mod:`repro.store.wire` — serialize the client->server query message
-  and the server->client result message, so the two parties can live in
+  and the server->client result frames, so the two parties can live in
   different processes.
 """
 
 from repro.store.tables import load_encrypted_table, save_encrypted_table
-from repro.store.wire import (
-    decode_join_query,
-    decode_join_result,
-    encode_join_query,
-    encode_join_result,
-)
+from repro.store.wire import decode_join_query, encode_join_query
 
 __all__ = [
     "decode_join_query",
-    "decode_join_result",
     "encode_join_query",
-    "encode_join_result",
     "load_encrypted_table",
     "save_encrypted_table",
 ]

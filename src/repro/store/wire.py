@@ -25,9 +25,7 @@ What crosses the client/server boundary at query time:
   carrying one side's decrypted handle events with the chain positions
   that consume them, a scatter-final frame with the per-side candidate
   counts and engine reports, and the shard-map frame describing a
-  partitioned deployment;
-- the **join result** (server -> client), the materialized two-way
-  answer in one message.
+  partitioned deployment.
 
 Together with :mod:`repro.store.tables` this lets the two parties run in
 separate processes (or machines) with nothing but byte strings between
@@ -75,19 +73,16 @@ from repro.store.codec import (
 )
 
 _QUERY_MAGIC = b"RPROJQRY"
-_RESULT_MAGIC = b"RPROJRES"
 _FRAME_MAGIC = b"RPROJFRM"
 #: The one wire version, stamped on every message of every kind; a
 #: peer speaking any other is rejected by :func:`read_header`.
-_VERSION = 9
+_VERSION = 10
 _TAG_SIZE = 32
 
 #: Priority magnitude cap: wire-supplied priorities are clamped into a
 #: sane range so a hostile header cannot smuggle unbounded integers
 #: into the scheduler's comparisons.
 MAX_PRIORITY_MAGNITUDE = 2**16
-
-_STATS_FIELDS = {field.name for field in dataclasses.fields(ServerStats)}
 
 #: Frame kind tags (the ``kind`` header field of ``RPROJFRM`` payloads).
 FRAME_STREAM_HEADER = "stream_header"
@@ -97,8 +92,6 @@ FRAME_ERROR = "error"
 FRAME_SHARD_MAP = "shard_map"
 FRAME_SCATTER_CHUNK = "scatter_chunk"
 FRAME_SCATTER_FINAL = "scatter_final"
-
-_REPORT_FIELDS = {field.name for field in dataclasses.fields(EngineReport)}
 
 #: Longest accepted hex-encoded partitioner seed in a shard-map frame
 #: (raw seed <= 64 bytes, mirroring the partitioner's own cap).
@@ -245,7 +238,6 @@ def encode_join_query(
         "backend": backend.name,
         "g1_element_size": backend.g1_element_size,
         "prefilter_columns": prefilter_columns,
-        "engine_hint": query.engine_hint,
         "priority": query.priority,
         "deadline": query.deadline,
     }
@@ -289,11 +281,6 @@ def decode_join_query(
             "header field 'pair' must be a boolean, true only for a "
             "two-table query"
         )
-    engine_hint = _require(header, "engine_hint")
-    if engine_hint is not None and not isinstance(engine_hint, str):
-        raise SchemeError(
-            "header field 'engine_hint' must be null or a string"
-        )
     priority, deadline = _qos_fields(header)
     prefilter_columns = _as_list(
         _require(header, "prefilter_columns"), "prefilter_columns"
@@ -325,60 +312,49 @@ def decode_join_query(
         tables=tables,
         tokens=tuple(tokens),
         prefilters=tuple(prefilters),
-        engine_hint=engine_hint,
         priority=priority,
         deadline=deadline,
     )
 
 
-# -- stats block and index tuples (shared by the result and the frames) ---
+# -- open records and index tuples -----------------------------------------
 
 
-def _stats_dict(stats: ServerStats) -> dict:
-    return {
-        "candidates_left": stats.candidates_left,
-        "candidates_right": stats.candidates_right,
-        "decryptions": stats.decryptions,
-        "probes": stats.probes,
-        "comparisons": stats.comparisons,
-        "matches": stats.matches,
-        "engine": stats.engine,
-        "batches": stats.batches,
-        "max_batch_size": stats.max_batch_size,
-        "workers": stats.workers,
-        "miller_loops": stats.miller_loops,
-        "final_exponentiations": stats.final_exponentiations,
-        "prepared_miller_loops": stats.prepared_miller_loops,
-        "preparations": stats.preparations,
-        "engine_source": stats.engine_source,
-        "engine_selected": stats.engine_selected,
-        "planner": stats.planner,
-        "pool_generation": stats.pool_generation,
-        "worker_restarts": stats.worker_restarts,
-        "matcher": stats.matcher,
-        "time_to_first_match": stats.time_to_first_match,
-        "decrypt_seconds": stats.decrypt_seconds,
-        "match_seconds": stats.match_seconds,
-        "concurrent_sides": stats.concurrent_sides,
-        "shards": stats.shards,
-        "shard_skew": stats.shard_skew,
-        "series_cache_hits": stats.series_cache_hits,
-        "delta_rows": stats.delta_rows,
-        "reused_handles": stats.reused_handles,
-        "plan_nodes": stats.plan_nodes,
-        "handle_pool_hits": stats.handle_pool_hits,
-    }
+#: What a value of an open record's field may be, by the field's
+#: declared type (a float may arrive whole; ``bool`` is never an int).
+_FIELD_TYPES = {
+    "int": int,
+    "float": (int, float),
+    "str": str,
+    "list | None": (list, type(None)),
+    "dict | None": (dict, type(None)),
+}
 
 
-def _decode_stats(header: dict) -> ServerStats:
-    # The stats block is an open record: absent fields take the
-    # dataclass defaults, unknown ones are dropped.
-    stats = _as_dict(_require(header, "stats"), "stats")
-    return ServerStats(**{
-        key: value
-        for key, value in stats.items()
-        if key in _STATS_FIELDS
-    })
+def _decode_record(record_type, value, key: str):
+    """One of the wire's two open records — the stats block of a final
+    frame, a side's engine report in a scatter final — as its
+    dataclass.  Absent fields take the defaults and unknown ones are
+    dropped; a present value of another type than its field declares is
+    refused here, not where the host first adds to it."""
+    record = _as_dict(value, key)
+    fields = {}
+    for field in dataclasses.fields(record_type):
+        if field.name not in record:
+            continue
+        field_value = record[field.name]
+        if isinstance(field_value, bool) or not isinstance(
+            field_value, _FIELD_TYPES[field.type]
+        ):
+            raise SchemeError(
+                f"{key} field {field.name!r} must be {field.type}, got "
+                f"{type(field_value).__name__}"
+            )
+        fields[field.name] = field_value
+    try:
+        return record_type(**fields)
+    except TypeError:
+        raise SchemeError(f"{key} lacks a required field") from None
 
 
 def _rows(flat, arity: int) -> list[tuple]:
@@ -393,67 +369,24 @@ def _write_tuples(writer: Writer, tuples) -> None:
 
 
 def _read_tuples(
-    reader: Reader, header: dict, key: str, arity: int, with_payloads: bool
+    reader: Reader, header: dict, key: str, arity: int
 ) -> list[tuple[int, ...]]:
     """Read ``header[key]`` index tuples of ``arity`` u32s each.
 
     The count is header-supplied and therefore untrusted: a negative
     value must not silently yield an empty range, and an absurdly large
     one must fail *before* any read.  Each tuple needs ``arity`` u32
-    indices (4 bytes each) plus — when a payload blob per index follows
-    (the materialized result) — ``arity`` blob length prefixes (4 bytes
-    each), so the per-tuple floor bounds any count a well-formed body
-    could satisfy.
+    indices (4 bytes each), a floor that bounds any count a well-formed
+    body could satisfy.
     """
     count = _as_int(_require(header, key), key, minimum=0)
-    per_tuple = arity * (8 if with_payloads else 4)
-    if count * per_tuple > reader.remaining:
+    if count * arity * 4 > reader.remaining:
         raise SchemeError(
             f"bad tuple count {count}: {count} index tuples need at "
-            f"least {count * per_tuple} bytes, but only "
+            f"least {count * arity * 4} bytes, but only "
             f"{reader.remaining} remain"
         )
     return _rows(reader.u32s(count * arity), arity)
-
-
-# -- join result (materialized) -------------------------------------------
-
-
-def encode_join_result(result: EncryptedJoinResult) -> bytes:
-    """Serialize the server's materialized two-way result message."""
-    writer = Writer()
-    header = {
-        "left_table": result.left_table,
-        "right_table": result.right_table,
-        "n_pairs": len(result.index_pairs),
-        "stats": _stats_dict(result.stats),
-    }
-    write_header(writer, _RESULT_MAGIC, _VERSION, header)
-    _write_tuples(writer, result.index_pairs)
-    for payload in result.left_payloads:
-        writer.blob(payload)
-    for payload in result.right_payloads:
-        writer.blob(payload)
-    return writer.getvalue()
-
-
-def decode_join_result(data: bytes) -> EncryptedJoinResult:
-    """Inverse of :func:`encode_join_result` (validating)."""
-    reader = Reader(data)
-    header = read_header(reader, _RESULT_MAGIC, _VERSION)
-    pairs = _read_tuples(reader, header, "n_pairs", 2, with_payloads=True)
-    left_payloads = [reader.blob() for _ in pairs]
-    right_payloads = [reader.blob() for _ in pairs]
-    reader.expect_end()
-    return EncryptedJoinResult(
-        tables=(
-            _as_str(_require(header, "left_table"), "left_table"),
-            _as_str(_require(header, "right_table"), "right_table"),
-        ),
-        tuples=pairs,
-        payloads=list(zip(left_payloads, right_payloads)),
-        stats=_decode_stats(header),
-    )
 
 
 # -- result stream frames --------------------------------------------------
@@ -570,7 +503,7 @@ def encode_final_frame(result: EncryptedChainResult) -> bytes:
         "kind": FRAME_FINAL,
         "tables": list(result.tables),
         "n_tuples": len(result.tuples),
-        "stats": _stats_dict(result.stats),
+        "stats": dataclasses.asdict(result.stats),
     })
     _write_tuples(writer, result.tuples)
     return writer.getvalue()
@@ -742,28 +675,6 @@ def _decode_scatter_chunk(reader: Reader, header: dict) -> ScatterChunkFrame:
     return ScatterChunkFrame(positions=tuple(positions), items=items)
 
 
-def _decode_report(value, key: str) -> EngineReport | None:
-    if value is None:
-        return None
-    report = _as_dict(value, key)
-    # Tolerant like the stats decode: absent fields default, unknown
-    # ones are dropped — but ``planner`` must stay JSON-shaped.
-    fields = {
-        name: field_value
-        for name, field_value in report.items()
-        if name in _REPORT_FIELDS
-    }
-    planner = fields.get("planner")
-    if planner is not None and not isinstance(planner, dict):
-        raise SchemeError(
-            "report field 'planner' must be null or an object"
-        )
-    try:
-        return EngineReport(**fields)
-    except TypeError:
-        raise SchemeError(f"malformed engine report in {key!r}") from None
-
-
 def _decode_scatter_final(header: dict) -> ScatterFinalFrame:
     candidates = _as_list(_require(header, "candidates"), "candidates")
     reports = _as_list(_require(header, "reports"), "reports")
@@ -779,7 +690,9 @@ def _decode_scatter_final(header: dict) -> ScatterFinalFrame:
             _as_int(count, "candidates", minimum=0) for count in candidates
         ],
         reports=[
-            _decode_report(report, f"reports[{side}]")
+            None
+            if report is None
+            else _decode_record(EngineReport, report, f"reports[{side}]")
             for side, report in enumerate(reports)
         ],
     )
@@ -791,9 +704,7 @@ def _decode_match_batch(reader: Reader, header: dict) -> MatchBatchFrame:
         raise SchemeError(
             f"batch arity {arity} exceeds the cap {MAX_CHAIN_TABLES}"
         )
-    tuples = _read_tuples(
-        reader, header, "n_tuples", arity, with_payloads=False
-    )
+    tuples = _read_tuples(reader, header, "n_tuples", arity)
     n_rows = [
         _as_int(count, "n_rows", minimum=0)
         for count in _as_list(_require(header, "n_rows"), "n_rows")
@@ -847,12 +758,14 @@ def decode_frame(
         return _decode_match_batch(reader, header)
     if kind == FRAME_FINAL:
         tables = _chain_tables(header)
-        tuples = _read_tuples(
-            reader, header, "n_tuples", len(tables), with_payloads=False
-        )
+        tuples = _read_tuples(reader, header, "n_tuples", len(tables))
         reader.expect_end()
         return FinalFrame(
-            tables=tables, tuples=tuples, stats=_decode_stats(header)
+            tables=tables,
+            tuples=tuples,
+            stats=_decode_record(
+                ServerStats, _require(header, "stats"), "stats"
+            ),
         )
     if kind == FRAME_ERROR:
         reader.expect_end()

@@ -383,16 +383,14 @@ class TestPlannerRecord:
             [(left, "k"), (right, "k")], in_clause_limit=1,
             rng=random.Random(3),
         )
-        server = SecureJoinServer(client.params)
+        engine = AutoEngine(batch_size=8)
+        server = SecureJoinServer(client.params, engine=engine)
         server.store(client.encrypt_table(left, "k"))
         server.store(client.encrypt_table(right, "k"))
-        engine = AutoEngine(batch_size=8)
         query = JoinQuery.build("L", "R", on=("k", "k"))
-        first = server.execute_join(client.create_query(query), engine=engine)
+        first = server.execute_join(client.create_query(query))
         for _ in range(3):
-            result = server.execute_join(
-                client.create_query(query), engine=engine
-            )
+            result = server.execute_join(client.create_query(query))
         assert len(result.stats.planner) == 2
         for side, before in zip(result.stats.planner, first.stats.planner):
             assert side["actual_seconds"] > 0.0

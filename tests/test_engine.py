@@ -5,7 +5,8 @@ The contract under test: serial, batched and parallel engines return
 handles) for every workload, while their ``ServerStats`` expose the
 different pairing-work profiles — the batched path shares one final
 exponentiation per row where the serial path pays one per vector
-component.
+component.  A server has one engine, fixed where it is built, so every
+comparison runs one server per engine over the same encrypted tables.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from dataclasses import replace
 
 import pytest
 
+from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
 from repro.core.engine import (
+    ENGINE_NAMES,
     AutoEngine,
     BatchedEngine,
     ParallelEngine,
-    SerialEngine,
     _chunked,
     get_engine,
 )
@@ -91,18 +93,38 @@ def _expected_pairs(left_keys, right_keys):
     ]
 
 
+def _with_engine(client, server, engine):
+    """A server built with ``engine`` over ``server``'s encrypted tables."""
+    sibling = SecureJoinServer(
+        client.params, backend=server.backend, engine=engine
+    )
+    for name in ("L", "R"):
+        sibling.store(server.table(name))
+    return sibling
+
+
+def _run(client, server, encrypted, engine):
+    """``encrypted`` on a server built with ``engine``:
+    ``(result, adversary view)``.  The server is left open: a shared
+    pooled engine stays bound to the first live pool it was given."""
+    sibling = _with_engine(client, server, engine)
+    result = sibling.execute_join(encrypted)
+    (observation,) = sibling.observations
+    return result, observation
+
+
 def _run_engines(client, server, query):
-    results = []
-    for engine in ENGINES:
-        encrypted = client.create_query(query)
-        results.append(server.execute_join(encrypted, engine=engine))
-    return results
+    """One fresh query per engine: ``(results, observations)``."""
+    runs = [
+        _run(client, server, client.create_query(query), engine)
+        for engine in ENGINES
+    ]
+    return [result for result, _ in runs], [seen for _, seen in runs]
 
 
-def _assert_equivalent(results, server):
+def _assert_equivalent(results, observations):
     base = results[0]
-    observations = server.observations[-len(results):]
-    for result, observation in zip(results[1:], observations[1:]):
+    for result in results[1:]:
         assert result.index_pairs == base.index_pairs
         assert result.left_payloads == base.left_payloads
         assert result.right_payloads == base.right_payloads
@@ -124,21 +146,21 @@ class TestEquivalence:
             right_keys = [rng.randrange(6) for _ in range(rng.randrange(1, 14))]
             client, server = _build(left_keys, right_keys, seed=trial)
             query = JoinQuery.build("L", "R", on=("k", "k"))
-            results = _run_engines(client, server, query)
+            results, observations = _run_engines(client, server, query)
             for result in results:
                 assert result.index_pairs == _expected_pairs(
                     left_keys, right_keys
                 )
-            _assert_equivalent(results, server)
+            _assert_equivalent(results, observations)
 
     def test_same_token_same_handles(self):
         """With one shared query, all engines observe identical bytes."""
         client, server = _build([1, 2, 2, 3], [2, 2, 3, 4, 1])
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        handle_sets = []
-        for engine in ENGINES:
-            server.execute_join(encrypted, engine=engine)
-            handle_sets.append(dict(server.observations[-1].handles))
+        handle_sets = [
+            dict(_run(client, server, encrypted, engine)[1].handles)
+            for engine in ENGINES
+        ]
         assert all(handles == handle_sets[0] for handles in handle_sets[1:])
 
     @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
@@ -151,13 +173,13 @@ class TestEquivalence:
     def test_property_round_trip(self, left_keys, right_keys, seed):
         client, server = _build(left_keys, right_keys, seed=seed)
         query = JoinQuery.build("L", "R", on=("k", "k"))
-        results = _run_engines(client, server, query)
+        results, observations = _run_engines(client, server, query)
         expected = _expected_pairs(left_keys, right_keys)
         for result in results:
             assert result.index_pairs == expected
             decrypted = client.decrypt_result(result)
             assert len(decrypted.table) == len(expected)
-        _assert_equivalent(results, server)
+        _assert_equivalent(results, observations)
 
     @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
     @settings(max_examples=10, deadline=None)
@@ -186,9 +208,9 @@ class TestEquivalence:
         expected = _expected_pairs(left_keys, right_keys)
         handle_sets = []
         for engine in ENGINES:
-            result = server.execute_join(shared, engine=engine)
+            result, observation = _run(client, server, shared, engine)
             assert result.index_pairs == expected
-            handle_sets.append(dict(server.observations[-1].handles))
+            handle_sets.append(dict(observation.handles))
         # One shared token: every engine must observe the same bytes.
         assert all(handles == handle_sets[0] for handles in handle_sets[1:])
 
@@ -197,10 +219,14 @@ class TestEquivalence:
 
         workload = build_encrypted_tpch(0.002, in_clause_limit=1)
         encrypted = workload.client.create_query(tpch_query(1 / 12.5))
-        results = [
-            workload.server.execute_join(encrypted, engine=engine)
-            for engine in ("serial", "batched", "parallel", "auto")
-        ]
+        results = []
+        for engine in (SerialEngine(), "batched", "parallel", "auto"):
+            with SecureJoinServer(
+                workload.client.params, engine=engine
+            ) as server:
+                for name in encrypted.tables:
+                    server.store(workload.server.table(name))
+                results.append(server.execute_join(encrypted))
         assert results[0].stats.matches > 0
         for result in results[1:]:
             assert result.index_pairs == results[0].index_pairs
@@ -226,9 +252,7 @@ class TestChunking:
         client, server = _build([1, 2], [])
         query = JoinQuery.build("L", "R", on=("k", "k"))
         for engine in ENGINES:
-            result = server.execute_join(
-                client.create_query(query), engine=engine
-            )
+            result, _ = _run(client, server, client.create_query(query), engine)
             assert result.index_pairs == []
             assert result.stats.candidates_right == 0
 
@@ -236,17 +260,15 @@ class TestChunking:
         client, server = _build([3], [3])
         query = JoinQuery.build("L", "R", on=("k", "k"))
         for engine in ENGINES:
-            result = server.execute_join(
-                client.create_query(query), engine=engine
-            )
+            result, _ = _run(client, server, client.create_query(query), engine)
             assert result.index_pairs == [(0, 0)]
 
     def test_batch_exceeds_side_size(self):
-        client, server = _build([1, 1, 2], [1, 2])
-        query = JoinQuery.build("L", "R", on=("k", "k"))
-        result = server.execute_join(
-            client.create_query(query), engine=BatchedEngine(batch_size=100)
+        client, server = _build(
+            [1, 1, 2], [1, 2], engine=BatchedEngine(batch_size=100)
         )
+        query = JoinQuery.build("L", "R", on=("k", "k"))
+        result = server.execute_join(client.create_query(query))
         # One chunk per side.
         assert result.stats.batches == 2
         assert result.stats.max_batch_size == 3
@@ -260,6 +282,14 @@ class TestChunking:
             ParallelEngine(batch_size=0)
         with pytest.raises(QueryError):
             get_engine("warp-drive")
+        # The naive baseline is an engine, not a runtime name.
+        assert ENGINE_NAMES == ("batched", "parallel", "auto")
+        with pytest.raises(QueryError, match="unknown execution engine"):
+            get_engine("serial")
+        with pytest.raises(QueryError, match="unknown execution engine"):
+            SecureJoinServer(
+                SecureJoinClient(num_attributes=1).params, engine="serial"
+            )
 
 
 class TestAccounting:
@@ -276,8 +306,8 @@ class TestAccounting:
         client, server = _build(left_keys, right_keys)
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
 
-        serial = server.execute_join(encrypted, engine="serial")
-        batched = server.execute_join(encrypted, engine="batched")
+        serial, _ = _run(client, server, encrypted, SerialEngine())
+        batched, _ = _run(client, server, encrypted, "batched")
 
         assert serial.index_pairs == batched.index_pairs
         rows = serial.stats.decryptions
@@ -293,11 +323,13 @@ class TestAccounting:
         )
 
     def test_stats_record_batches_and_workers(self):
-        client, server = _build([i % 4 for i in range(20)], [0, 1, 2, 3])
-        encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        result = server.execute_join(
-            encrypted, engine=ParallelEngine(workers=2, batch_size=5)
+        client, server = _build(
+            [i % 4 for i in range(20)], [0, 1, 2, 3],
+            engine=ParallelEngine(workers=2, batch_size=5),
         )
+        encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
+        with server:
+            result = server.execute_join(encrypted)
         # Left side: 20 rows in 4 chunks through the pool (2 workers);
         # right side: 4 rows, inline fallback (1 chunk).
         assert result.stats.engine == "parallel"
@@ -306,109 +338,44 @@ class TestAccounting:
         assert result.stats.max_batch_size == 5
         assert result.stats.final_exponentiations == 24
 
-    def test_engine_hint_and_override_precedence(self):
-        client, server = _build(
-            [1, 2], [2, 3], hint_engines=("serial", "batched")
-        )
-        query = JoinQuery.build("L", "R", on=("k", "k"))
-
-        hinted = client.create_query(query, engine="serial")
-        assert hinted.engine_hint == "serial"
-        assert server.execute_join(hinted).stats.engine == "serial"
-        # An explicit engine argument beats the hint.
-        assert (
-            server.execute_join(hinted, engine="batched").stats.engine
-            == "batched"
-        )
-        # Without hint or argument, the server default (batched) applies.
-        plain = client.create_query(query)
-        assert server.execute_join(plain).stats.engine == "batched"
-        # A server built with an explicit default engine uses it.
-        serial_server = SecureJoinServer(client.params, engine="serial")
-        assert serial_server.engine.name == "serial"
-        with pytest.raises(QueryError):
-            client.create_query(query, engine="warp-drive")
-
-    def test_parallel_hint_requires_server_opt_in(self):
-        """Hints spend server resources, so "parallel" is allowlisted."""
+    def test_the_engine_is_the_one_the_server_was_built_with(self):
         client, server = _build([1, 2], [2, 3])
         query = JoinQuery.build("L", "R", on=("k", "k"))
-        hinted = client.create_query(query, engine="parallel")
-        # Default allowlist ignores the hint: server default applies.
-        assert server.execute_join(hinted).stats.engine == "batched"
-        # An operator who opts in gets the hinted engine.
-        open_server = SecureJoinServer(
-            client.params, hint_engines=("serial", "batched", "parallel")
+        # Built without one, the server runs batched.
+        assert server.engine.name == "batched"
+        assert server.execute_join(client.create_query(query)).stats.engine == (
+            "batched"
         )
-        for table in ("L", "R"):
-            open_server.store(server.table(table))
-        assert open_server.execute_join(hinted).stats.engine == "parallel"
+        # Built with one — a runtime name or any ExecutionEngine, which
+        # is how an ablation gets its naive server — it runs that.
+        for engine, name in ((SerialEngine(), "serial"), ("auto", "auto")):
+            with _with_engine(client, server, engine) as built:
+                assert built.engine.name == name
+                stats = built.execute_join(client.create_query(query)).stats
+            assert stats.engine == name
 
-    def test_serial_hint_requires_server_opt_in(self):
-        """The ablation baseline is several times slower than the
-        default: a remote client cannot ask a default server for it."""
-        client, server = _build([1, 2], [2, 3])
-        assert server.hint_engines == {"batched"}
-        hinted = client.create_query(
-            JoinQuery.build("L", "R", on=("k", "k")), engine="serial"
-        )
-        ignored = server.execute_join(hinted)
-        assert ignored.stats.engine == "batched"
-        assert ignored.stats.engine_source == "default"
-        open_server = SecureJoinServer(
-            client.params, hint_engines=("serial", "batched")
-        )
-        for table in ("L", "R"):
-            open_server.store(server.table(table))
-        honoured = open_server.execute_join(hinted)
-        assert honoured.stats.engine == "serial"
-        assert honoured.stats.engine_source == "hint"
-        assert honoured.index_pairs == ignored.index_pairs
-        # A name no engine answers to is a typo, not an allowlist.
-        with pytest.raises(QueryError, match="warp-drive"):
-            SecureJoinServer(client.params, hint_engines=("warp-drive",))
+    def test_final_frame_round_trips_engine_fields(self):
+        from repro.store.wire import decode_frame, encode_final_frame
 
-    def test_engine_source_recorded(self):
         client, server = _build(
-            [1, 2], [2, 3], hint_engines=("serial", "batched")
+            [1, 2, 2], [2, 2, 5], engine=ParallelEngine(workers=2, batch_size=1)
         )
-        query = JoinQuery.build("L", "R", on=("k", "k"))
-        plain = client.create_query(query)
-        assert server.execute_join(plain).stats.engine_source == "default"
-        hinted = client.create_query(query, engine="serial")
-        assert server.execute_join(hinted).stats.engine_source == "hint"
-        overridden = server.execute_join(hinted, engine="batched")
-        assert overridden.stats.engine_source == "override"
-        assert overridden.stats.engine_selected == "batched"
-
-    def test_wire_format_round_trips_engine_fields(self):
-        from repro.store.wire import (
-            decode_join_query,
-            decode_join_result,
-            encode_join_query,
-            encode_join_result,
-        )
-
-        client, server = _build([1, 2, 2], [2, 2, 5])
-        backend = client.scheme.backend
-        encrypted = client.create_query(
-            JoinQuery.build("L", "R", on=("k", "k")), engine="parallel"
-        )
-        decoded = decode_join_query(encode_join_query(encrypted, backend), backend)
-        assert decoded.engine_hint == "parallel"
-
-        result = server.execute_join(encrypted, engine="batched")
-        round_tripped = decode_join_result(encode_join_result(result))
-        assert round_tripped.stats == result.stats
+        encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
+        with server:
+            result = server.execute_join(encrypted)
+        assert result.stats.engine == "parallel" and result.stats.workers == 2
+        assert decode_frame(encode_final_frame(result)).stats == result.stats
 
 
 class TestPlanner:
     """The ``auto`` engine: per-side cost-model engine selection."""
 
     def test_auto_records_planner_inputs_per_side(self):
-        client, server = _build([i % 4 for i in range(20)], [0, 1, 2, 3])
+        client, server = _build(
+            [i % 4 for i in range(20)], [0, 1, 2, 3], engine="auto"
+        )
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        result = server.execute_join(encrypted, engine="auto")
+        result = server.execute_join(encrypted)
         assert result.stats.engine == "auto"
         assert result.stats.planner is not None
         assert len(result.stats.planner) == 2  # one record per side
@@ -431,11 +398,11 @@ class TestPlanner:
         """Serial can never beat batched (same Miller loops, strictly
         more final exponentiations), so the planner does not price it."""
         for rows in ([3], [0] * 40):
-            client, server = _build(rows, [0, 1])
+            client, server = _build(rows, [0, 1], engine="auto")
             encrypted = client.create_query(
                 JoinQuery.build("L", "R", on=("k", "k"))
             )
-            result = server.execute_join(encrypted, engine="auto")
+            result = server.execute_join(encrypted)
             for side in result.stats.planner:
                 assert side["chosen"] != "serial"
                 assert "serial" not in side["estimates"]
@@ -443,27 +410,10 @@ class TestPlanner:
     def test_auto_matches_batched_results_exactly(self):
         client, server = _build([1, 2, 2, 3] * 6, [2, 3, 4])
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        auto = server.execute_join(encrypted, engine="auto")
-        batched = server.execute_join(encrypted, engine="batched")
+        auto, auto_view = _run(client, server, encrypted, "auto")
+        batched, batched_view = _run(client, server, encrypted, "batched")
         assert auto.index_pairs == batched.index_pairs
-        assert (
-            server.observations[-2].handles == server.observations[-1].handles
-        )
-
-    def test_auto_hint_requires_server_opt_in(self):
-        """"auto" may choose the pool, so it is allowlisted like parallel."""
-        client, server = _build([1, 2], [2, 3])
-        query = JoinQuery.build("L", "R", on=("k", "k"))
-        hinted = client.create_query(query, engine="auto")
-        assert hinted.engine_hint == "auto"
-        # Default allowlist: hint ignored, server default applies.
-        assert server.execute_join(hinted).stats.engine == "batched"
-        open_server = SecureJoinServer(
-            client.params, hint_engines=("serial", "batched", "auto")
-        )
-        for table in ("L", "R"):
-            open_server.store(server.table(table))
-        assert open_server.execute_join(hinted).stats.engine == "auto"
+        assert auto_view.handles == batched_view.handles
 
     def test_auto_as_server_default(self):
         client, _ = _build([1, 2], [2, 3])
@@ -477,11 +427,13 @@ class TestPlanner:
 
         with ExecutionService(workers=2) as service:
             engine = AutoEngine(workers=8, service=service)
-            client, server = _build([i % 3 for i in range(9)], [0, 1, 2])
+            client, server = _build(
+                [i % 3 for i in range(9)], [0, 1, 2], engine=engine
+            )
             encrypted = client.create_query(
                 JoinQuery.build("L", "R", on=("k", "k"))
             )
-            result = server.execute_join(encrypted, engine=engine)
+            result = server.execute_join(encrypted)
             for side in result.stats.planner:
                 assert side["workers"] == 2
 
@@ -555,13 +507,11 @@ class TestBN254CrossCheck:
         server.store(client.encrypt_table(right, "k"))
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
 
-        serial = server.execute_join(encrypted, engine="serial")
-        batched = server.execute_join(encrypted, engine="batched")
+        serial, serial_view = _run(client, server, encrypted, SerialEngine())
+        batched, batched_view = _run(client, server, encrypted, "batched")
 
         assert serial.index_pairs == batched.index_pairs == [(0, 0)]
-        assert dict(server.observations[-2].handles) == dict(
-            server.observations[-1].handles
-        )
+        assert dict(serial_view.handles) == dict(batched_view.handles)
         # Real counts: serial pays one final exponentiation per Miller
         # loop, batched one per row.
         assert serial.stats.final_exponentiations == serial.stats.miller_loops

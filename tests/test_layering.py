@@ -1,19 +1,30 @@
-"""The runtime never imports the benchmark package.
+"""Which way the arrows point, and how few of them there are.
 
 ``repro.bench`` reproduces the paper's figures *with* the runtime; what
 the runtime prices with lives in :mod:`repro.plan.cost`.  The arrow
 points one way: ``core`` / ``plan`` / ``shard`` / ``net`` (and
 everything below them) import nothing from ``repro.bench``, not even
-lazily inside a function.
+lazily inside a function.  The client module needs no engine, pool or
+shared memory; nothing under ``src/`` imports a third-party package the
+requirements file does not name; and every host answers a query through
+the same four one-argument entry points.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from repro.core.server import SecureJoinServer
+from repro.net import RemoteJoinClient
+from repro.shard import ShardCoordinator
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _SRC = _REPO_ROOT / "src"
@@ -45,10 +56,10 @@ join = client.create_query(JoinQuery.build("A", "B", on=("k", "k")))
 chain = client.create_chain_query(
     ChainQuery.build([("A", "k"), ("B", "k"), ("C", "k")])
 )
-with SecureJoinServer(client.params) as server:
+with SecureJoinServer(client.params, engine="auto") as server:
     for table in encrypted:
         server.store(table)
-    auto = server.execute_join(join, engine="auto")
+    auto = server.execute_join(join)
     assert auto.stats.engine == "auto" and len(auto.stats.planner) == 2
     planned = server.execute_chain(chain)
     assert planned.stats.planner[0]["stage"] == "plan"
@@ -106,3 +117,69 @@ def test_import_rule_holds_in_every_source_file():
             ):
                 offenders.append((str(path), f"function-level {module}"))
     assert not offenders
+
+
+def test_every_third_party_import_is_declared():
+    """``pip install -r requirements-dev.txt`` is all a clean machine
+    gets: a top-level module imported anywhere under ``src/`` is the
+    standard library's, the package's own, or named there."""
+    requirements = _REPO_ROOT / "requirements-dev.txt"
+    declared = {
+        re.split(r"[<>=!~\[; ]", line, maxsplit=1)[0].replace("-", "_").lower()
+        for line in requirements.read_text().splitlines()
+        if line.strip() and not line.startswith("#")
+    }
+    undeclared = set()
+    for path in sorted((_SRC / "repro").rglob("*.py")):
+        for module, _ in _imports(path):
+            top = module.split(".")[0]
+            if (
+                top != "repro"
+                and top not in sys.stdlib_module_names
+                and top.lower() not in declared
+            ):
+                undeclared.add((str(path.relative_to(_SRC)), top))
+    assert not undeclared
+
+
+#: ``repro`` and ``repro.core`` re-export the server beside the client,
+#: so their ``__init__`` files are kept from running: what is loaded is
+#: what ``repro.core.client`` itself needs, transitively.
+_CLIENT_ALONE = """
+import sys, types
+for name, path in (("repro", "{src}/repro"), ("repro.core", "{src}/repro/core")):
+    package = types.ModuleType(name)
+    package.__path__ = [path]
+    sys.modules[name] = package
+import repro.core.client
+assert sys.modules["repro.core.client"].SecureJoinClient
+print(sorted(
+    name for name in sys.modules
+    if name in ("repro.core.engine", "repro.core.service", "repro.core.server")
+    or name.startswith("multiprocessing")
+))
+"""
+
+
+def test_the_client_module_needs_no_engine_pool_or_shared_memory():
+    process = subprocess.run(
+        [sys.executable, "-c", _CLIENT_ALONE.format(src=_SRC)],
+        cwd=_REPO_ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert process.returncode == 0, process.stderr
+    assert process.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "host",
+    [SecureJoinServer, ShardCoordinator, RemoteJoinClient],
+    ids=lambda host: host.__name__,
+)
+def test_every_host_answers_through_the_same_four_signatures(host):
+    """How a query executes is decided where the host is built: each
+    entry point takes the query and nothing else."""
+    for name in (
+        "stream_join", "execute_join", "stream_chain", "execute_chain"
+    ):
+        parameters = inspect.signature(getattr(host, name)).parameters
+        assert list(parameters) == ["self", "query"], (host, name)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     CryptDBScheme,
@@ -20,6 +22,7 @@ from repro.db.table import Table
 from repro.leakage.analyzer import analyze_schemes, minimal_floor
 from repro.leakage.pairs import (
     all_true_pairs,
+    connected_components,
     is_super_additive,
     minimal_query_leakage,
     transitive_closure,
@@ -86,6 +89,49 @@ class TestTransitiveClosure:
         a, b, c = ("T", 1), ("T", 2), ("T", 3)
         once = transitive_closure({make_pair(a, b), make_pair(b, c)})
         assert transitive_closure(once) == once
+
+
+class TestConnectedComponents:
+    """The union-find under every closure: classes of the equivalence
+    the edges generate, over the listed nodes and the edges' own."""
+
+    def test_first_seen_order_and_sorted_members(self):
+        assert connected_components(
+            [5, 3, 9], [(4, 3), (1, 4), (7, 8)]
+        ) == [[5], [1, 3, 4], [9], [7, 8]]
+
+    def test_accepts_pairs_and_repeated_or_looping_edges(self):
+        edges = [frozenset((1, 2)), (2, 1), (3, 3), (2, 1)]
+        assert connected_components((), edges) == [[1, 2], [3]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nodes=st.lists(st.integers(0, 11), max_size=12),
+        edges=st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20
+        ),
+    )
+    def test_property_equals_the_brute_force_closure(self, nodes, edges):
+        """Random edge sets over at most 12 nodes, isolated nodes
+        included, against reachability closed by repeated relaxation."""
+        universe = list(dict.fromkeys(
+            nodes + [end for edge in edges for end in edge]
+        ))
+        reach = {node: {node} for node in universe}
+        changed = True
+        while changed:
+            changed = False
+            for a, b in edges:
+                merged = reach[a] | reach[b]
+                for node in merged:
+                    if reach[node] != merged:
+                        reach[node] = merged
+                        changed = True
+        expected = []
+        for node in universe:
+            if sorted(reach[node]) not in expected:
+                expected.append(sorted(reach[node]))
+        assert connected_components(nodes, edges) == expected
 
 
 class TestSuperAdditivity:

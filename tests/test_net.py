@@ -3,7 +3,7 @@
 Covers the full remote-join path over real sockets: streamed
 match-batch delivery (multiple frames before the final frame,
 byte-identical reassembly against the in-process result), in-band
-error reporting, client-side backpressure, the hint-allowlist gate,
+error reporting, client-side backpressure, the operator's engine,
 QoS threading (priority-preferring dispatch, deadline cancellation)
 and graceful drain.
 """
@@ -21,6 +21,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
 from repro.core.engine import BatchedEngine
 from repro.core.server import MatchBatch, SecureJoinServer, ServerStats
@@ -48,7 +49,6 @@ from repro.store.wire import (
     StreamReassembler,
     decode_frame,
     encode_join_query,
-    encode_join_result,
 )
 
 
@@ -120,9 +120,7 @@ class TestRemoteJoin:
         assert result.index_pairs == reference.index_pairs
         assert result.left_payloads == reference.left_payloads
         assert result.right_payloads == reference.right_payloads
-        assert encode_join_result(_normalize(result)) == encode_join_result(
-            _normalize(reference)
-        )
+        assert _normalize(result) == _normalize(reference)
         # The remote stats still describe a real execution.
         assert result.stats.matches == len(reference.index_pairs)
 
@@ -450,33 +448,23 @@ class TestEachRowTravelsOnce:
         )
 
 
-# -- hint allowlist gate ----------------------------------------------------
+# -- the engine is the operator's ---------------------------------------------
 
 
-class TestHintGate:
-    def test_allowed_hint_is_honored(self):
-        client, server = _fixture(
-            n_rows=6, engine="serial", hint_engines=("serial", "batched")
-        )
+class TestServerEngine:
+    def test_remote_queries_run_on_the_engine_the_server_was_built_with(self):
+        client, server = _fixture(n_rows=6, engine=SerialEngine())
+        batched = SecureJoinServer(client.params)
+        for name in ("L", "R"):
+            batched.store(server.table(name))
+        reference = batched.execute_join(_query(client))
         with JoinServiceServer(server) as service:
             host, port = service.address
             with RemoteJoinClient(host, port, client.scheme.backend) as rc:
-                result = rc.execute_join(_query(client, engine="batched"))
-        assert result.stats.engine_source == "hint"
-        assert result.stats.engine == "batched"
-
-    def test_disallowed_hint_falls_back_to_default(self):
-        client, server = _fixture(
-            n_rows=6, engine="serial", hint_engines=("serial",)
-        )
-        with JoinServiceServer(server) as service:
-            host, port = service.address
-            with RemoteJoinClient(host, port, client.scheme.backend) as rc:
-                result = rc.execute_join(_query(client, engine="batched"))
-        # The hint is advisory and gated: not on the allowlist, so the
-        # server default runs and the stats say so.
-        assert result.stats.engine_source == "default"
-        assert result.stats.engine == "serial"
+                result = rc.execute_join(_query(client))
+        assert result.stats.engine == result.stats.engine_selected == "serial"
+        assert result.stats.final_exponentiations == result.stats.miller_loops
+        assert _normalize(result) == _normalize(reference)
 
 
 # -- client-side backpressure -----------------------------------------------
@@ -554,7 +542,7 @@ class TestBackpressure:
 
             # An answer far larger than any socket buffer: the handler
             # is still blocked sending it when the client walks away.
-            def flood(query, algorithm="hash"):
+            def flood(query):
                 yield MatchBatch([(0, 0)], [(bytes(32 << 20), b"")])
 
             server.stream_join = flood

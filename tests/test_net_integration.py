@@ -154,9 +154,7 @@ class TestServerProcess:
         client, paths = _dataset(tmp_path)
         reference = _reference(client, paths)
         baseline_pids = _python_pids()
-        process, host, port = _launch(
-            tmp_path, client, paths, "--engine", "serial",
-        )
+        process, host, port = _launch(tmp_path, client, paths)
         try:
             results = {}
             errors = []
@@ -195,11 +193,11 @@ class TestServerProcess:
         assert not leftover, f"orphaned processes: {leftover}"
 
     def test_sigterm_mid_stream_drains_gracefully(self, tmp_path):
-        client, paths = _dataset(tmp_path, n_rows=60)
+        # Four chunks a side on the default engine: several batches.
+        client, paths = _dataset(tmp_path, n_rows=200)
         reference = _reference(client, paths)
         process, host, port = _launch(
-            tmp_path, client, paths, "--engine", "serial",
-            "--drain-timeout", "60",
+            tmp_path, client, paths, "--drain-timeout", "60",
         )
         rc = RemoteJoinClient(
             host, port, client.scheme.backend, max_buffered_batches=1
@@ -272,10 +270,11 @@ class TestServerProcess:
         "options, complaint",
         [
             (("--engine", "bogus"), b"unknown execution engine 'bogus'"),
-            (("--hint-engines", "batched,bogus"), b"unknown hint engines"),
+            # The ablation baseline is not a runtime name.
+            (("--engine", "serial"), b"unknown execution engine 'serial'"),
             (("--workers", "0"), b"worker count must be at least 1"),
         ],
-        ids=["engine", "hint-engines", "workers"],
+        ids=["engine", "serial", "workers"],
     )
     def test_bad_engine_options_fail_fast(self, options, complaint):
         """Refused before anything listens: one ``bad --...`` line and
@@ -283,15 +282,21 @@ class TestServerProcess:
         process = self._run_cli("--params", _PARAMS_JSON, *options)
         assert process.returncode == 2
         (line,) = process.stderr.splitlines()
-        assert line.startswith(b"bad --engine / --hint-engines / --workers: ")
+        assert line.startswith(b"bad --engine / --workers: ")
         assert complaint in line
 
-    def test_algorithm_option_is_gone(self):
-        """The matcher is not a deployment choice (and ``sort``, which
-        the old help text offered, never existed)."""
-        process = self._run_cli(
-            "--params", _PARAMS_JSON, "--algorithm", "sort"
-        )
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--algorithm", "sort"), ("--hint-engines", "batched")],
+        ids=["algorithm", "hint-engines"],
+    )
+    def test_retired_options_are_gone(self, option, value):
+        """Neither the matcher nor a client's say in the engine is a
+        deployment choice (and ``sort``, which the old help text
+        offered, never existed)."""
+        process = self._run_cli("--params", _PARAMS_JSON, option, value)
         assert process.returncode == 2
-        assert b"unrecognized arguments: --algorithm" in process.stderr
+        assert (
+            f"unrecognized arguments: {option}".encode() in process.stderr
+        )
         assert b"Traceback" not in process.stderr

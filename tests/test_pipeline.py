@@ -1,5 +1,5 @@
 """The streaming join pipeline: matcher kernels, stream/materialized
-byte-identity, early emission, matcher pricing, and the wire stats.
+byte-identity, early emission, the one matcher, and the wire stats.
 
 The contract under test: however the decrypted chunks interleave —
 per-row serial streams, per-batch inline streams, out-of-order pooled
@@ -14,13 +14,9 @@ import random
 
 import pytest
 
+from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
-from repro.core.engine import (
-    AutoEngine,
-    BatchedEngine,
-    ParallelEngine,
-    SerialEngine,
-)
+from repro.core.engine import AutoEngine, BatchedEngine, ParallelEngine
 from repro.core.server import SecureJoinServer
 from repro.db.matcher import (
     HashMatcher,
@@ -30,7 +26,6 @@ from repro.db.matcher import (
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
-from repro.errors import QueryError
 
 try:
     from hypothesis import given, settings
@@ -40,8 +35,9 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
     HAVE_HYPOTHESIS = False
 
-# Module-scoped engines: the pooled engine's pool is spawned once and
-# shared by every test (part of the contract under test).
+# Module-scoped engines, one server built per engine per test: the
+# pooled engine's pool is spawned once and shared by every test (part of
+# the contract under test).
 ENGINES = (
     SerialEngine(),
     BatchedEngine(batch_size=3),
@@ -181,7 +177,7 @@ class TestMatcherKernels:
 # -- streamed vs. materialized joins --------------------------------------
 
 
-def _build(left_keys, right_keys, seed=7):
+def _build(left_keys, right_keys, seed=7, engine=None):
     left = Table(
         "L", Schema.of(("k", "int"), ("a", "str")),
         [(k, f"a{i}") for i, k in enumerate(left_keys)],
@@ -194,10 +190,18 @@ def _build(left_keys, right_keys, seed=7):
         [(left, "k"), (right, "k")], in_clause_limit=1,
         rng=random.Random(seed),
     )
-    server = SecureJoinServer(client.params, workers=2)
+    server = SecureJoinServer(client.params, engine=engine, workers=2)
     server.store(client.encrypt_table(left, "k"))
     server.store(client.encrypt_table(right, "k"))
     return client, server
+
+
+def _with_engine(client, server, engine):
+    """A server built with ``engine`` over ``server``'s encrypted tables."""
+    sibling = SecureJoinServer(client.params, engine=engine, workers=2)
+    for name in ("L", "R"):
+        sibling.store(server.table(name))
+    return sibling
 
 
 def _materialized_reference(server, query, engine):
@@ -247,9 +251,8 @@ class TestStreamedEquivalence:
                 expected_pairs, expected_left, expected_right = (
                     _materialized_reference(server, query, BatchedEngine(4))
                 )
-                batches, result = _drain(
-                    server.stream_join(query, engine=engine)
-                )
+                with _with_engine(client, server, engine) as sibling:
+                    batches, result = _drain(sibling.stream_join(query))
                 assert result.index_pairs == expected_pairs
                 assert result.left_payloads == expected_left
                 assert result.right_payloads == expected_right
@@ -286,9 +289,8 @@ class TestStreamedEquivalence:
             )
             assert expected_pairs == reference
             for engine in ENGINES:
-                batches, result = _drain(
-                    server.stream_join(query, engine=engine)
-                )
+                with _with_engine(client, server, engine) as sibling:
+                    batches, result = _drain(sibling.stream_join(query))
                 assert result.index_pairs == expected_pairs
                 assert result.left_payloads == expected_left
                 assert result.right_payloads == expected_right
@@ -297,14 +299,18 @@ class TestStreamedEquivalence:
                 ]
                 assert sorted(streamed) == sorted(expected_pairs)
 
-    def test_nested_algorithm_streams_identically(self):
+    def test_nested_matcher_agrees_on_the_observed_handles(
+        self, nested_rematch
+    ):
+        """The §6.5 baseline on the very handles the server matched by
+        hash: same pairs, one comparison per candidate pair."""
         client, server = _build([2, 2, 4, 6], [2, 4, 4, 9])
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        hash_result = server.execute_join(query, algorithm="hash")
-        nested_result = server.execute_join(query, algorithm="nested")
-        assert nested_result.index_pairs == hash_result.index_pairs
-        assert nested_result.stats.matcher == "nested"
-        assert hash_result.stats.matcher == "hash"
+        hash_result = server.execute_join(query)
+        nested = nested_rematch(server, hash_result)
+        assert nested.finish() == hash_result.index_pairs
+        assert nested.stats.comparisons == 4 * 4
+        assert hash_result.stats.comparisons == 4 + len(hash_result.index_pairs)
         server.close()
 
 
@@ -314,20 +320,20 @@ class TestEarlyEmission:
         chunk: more than one batch, and the first batch is a strict
         subset of the final result."""
         client, server = _build([i % 5 for i in range(40)],
-                                [i % 5 for i in range(40)])
+                                [i % 5 for i in range(40)],
+                                engine=BatchedEngine(batch_size=4))
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
-            batches, result = _drain(
-                server.stream_join(query, engine=BatchedEngine(batch_size=4))
-            )
+            batches, result = _drain(server.stream_join(query))
         assert len(batches) > 1
         assert 0 < len(batches[0].index_pairs) < len(result.index_pairs)
 
     def test_stage_timings_recorded(self):
         client, server = _build([i % 3 for i in range(30)],
-                                [i % 3 for i in range(30)])
+                                [i % 3 for i in range(30)],
+                                engine=BatchedEngine(4))
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        result = server.execute_join(query, engine=BatchedEngine(4))
+        result = server.execute_join(query)
         stats = result.stats
         assert stats.matches > 0
         assert stats.time_to_first_match > 0.0
@@ -350,13 +356,13 @@ class TestEarlyEmission:
     def test_both_sides_interleave_on_the_pool(self):
         """One query, two large sides, pooled engine: the service must
         co-admit them (concurrent_sides >= 2), on one pool generation."""
-        client, server = _build([i % 9 for i in range(90)],
-                                [i % 9 for i in range(90)])
+        client, server = _build(
+            [i % 9 for i in range(90)], [i % 9 for i in range(90)],
+            engine=ParallelEngine(workers=2, batch_size=4),
+        )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
-            result = server.execute_join(
-                query, engine=ParallelEngine(workers=2, batch_size=4)
-            )
+            result = server.execute_join(query)
             assert result.stats.concurrent_sides >= 2
             assert result.stats.pool_generation == 1
             assert server.execution_service.peak_concurrent_sides >= 2
@@ -390,13 +396,14 @@ class TestEarlyEmission:
         """Dropping a stream mid-join must not leak admitted sides, and
         must still record the adversary observation for the handles the
         server did compute."""
-        client, server = _build([i % 4 for i in range(60)],
-                                [i % 4 for i in range(60)])
+        client, server = _build(
+            [i % 4 for i in range(60)], [i % 4 for i in range(60)],
+            engine=ParallelEngine(workers=2, batch_size=4),
+        )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
-            engine = ParallelEngine(workers=2, batch_size=4)
             observations_before = len(server.observations)
-            stream = server.stream_join(query, engine=engine)
+            stream = server.stream_join(query)
             next(stream)  # first batch only
             stream.close()
             assert server.execution_service.active_sides == 0
@@ -404,43 +411,31 @@ class TestEarlyEmission:
             assert len(server.observations) == observations_before + 1
             assert len(server.observations[-1].handles) > 0
             # The pool is still healthy for the next (full) query.
-            result = server.execute_join(query, engine=engine)
-            reference = server.execute_join(query, engine=BatchedEngine(4))
+            result = server.execute_join(query)
+            with _with_engine(client, server, BatchedEngine(4)) as sibling:
+                reference = sibling.execute_join(query)
             assert result.index_pairs == reference.index_pairs
 
 
-# -- the matcher is a per-call argument, never priced ----------------------
+# -- one matcher, never priced ---------------------------------------------
 
 
-class TestMatcherAuto:
-    """There is no ``auto`` matcher: a join matches by hash unless the
-    call itself asks for the nested-loop baseline."""
+class TestOneMatcher:
+    """A join matches by hash: no entry point takes an algorithm, and
+    the ``auto`` engine prices SJ.Dec only."""
 
-    def test_auto_algorithm_rejected(self):
-        from repro.core.server import MATCH_ALGORITHMS
-
-        assert MATCH_ALGORITHMS == ("hash", "nested")
-        client, server = _build([1], [1, 2])
+    def test_auto_engine_records_no_match_stage(self):
+        # Tiny sides, where a priced matcher used to pick nested.
+        client, server = _build([1], [1, 2], engine="auto")
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        with pytest.raises(QueryError, match="unknown join algorithm"):
-            server.execute_join(query, algorithm="auto")
-        with pytest.raises(QueryError, match="unknown join algorithm"):
-            next(server.stream_join(query, algorithm="auto"))
-        # Tiny sides, where the priced matcher used to pick nested:
-        # hash, and no match-stage planner record.
-        result = server.execute_join(query, engine="auto")
-        assert result.stats.matcher == "hash"
+        result = server.execute_join(query)
+        assert result.index_pairs == [(0, 0)]
+        assert len(result.stats.planner) == 2
         assert all("stage" not in record for record in result.stats.planner)
-        nested = server.execute_join(query, algorithm="nested")
-        assert nested.stats.matcher == "nested"
-        assert nested.index_pairs == result.index_pairs == [(0, 0)]
-        server.close()
-
-    def test_unknown_algorithm_rejected(self):
-        client, server = _build([1], [1])
-        query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        with pytest.raises(QueryError):
-            server.execute_join(query, algorithm="sorted-merge")
+        with pytest.raises(TypeError):
+            server.execute_join(query, algorithm="nested")
+        with pytest.raises(TypeError):
+            server.stream_join(query, algorithm="nested")
         server.close()
 
 
@@ -451,17 +446,16 @@ class TestWirePipelineStats:
     def _result(self):
         client, server = _build([1, 2, 2], [2, 2, 5])
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        result = server.execute_join(query, engine="auto")
-        server.close()
+        with server, _with_engine(client, server, "auto") as sibling:
+            result = sibling.execute_join(query)
         return result
 
     def test_round_trips_pipeline_fields(self):
-        from repro.store.wire import decode_join_result, encode_join_result
+        from repro.store.wire import decode_frame, encode_final_frame
 
         result = self._result()
-        decoded = decode_join_result(encode_join_result(result))
+        decoded = decode_frame(encode_final_frame(result))
         assert decoded.stats == result.stats
-        assert decoded.stats.matcher == result.stats.matcher
         assert (
             decoded.stats.time_to_first_match
             == result.stats.time_to_first_match

@@ -239,7 +239,6 @@ class TestChainExecution:
             result = server.execute_chain(_chain(client, ["T1", "T2", "T3"]))
             assert result.tables == ("T1", "T2", "T3")
             assert result.stats.plan_nodes == 2
-            assert result.stats.matcher == "hash"
             assert result.stats.decryptions == 9 + 12 + 7
             _assert_matches_plaintext(client, result, tables)
 

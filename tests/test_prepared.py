@@ -345,13 +345,17 @@ class TestEnginePreparedEquivalence:
 
     @pytest.mark.parametrize("name", ["serial", "batched", "auto"])
     def test_inline_engines(self, name):
+        from repro.baselines import SerialEngine
         from repro.core.engine import get_engine
 
+        def engine():
+            return SerialEngine() if name == "serial" else get_engine(name)
+
         backend, token, rows, prepared = self._fixture()
-        raw_handles, raw_report = get_engine(name).decrypt_handles(
+        raw_handles, raw_report = engine().decrypt_handles(
             backend, token, rows
         )
-        warm_handles, warm_report = get_engine(name).decrypt_handles(
+        warm_handles, warm_report = engine().decrypt_handles(
             backend, token, prepared
         )
         assert raw_handles == warm_handles

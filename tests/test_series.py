@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
 from repro.core.engine import AutoEngine
 from repro.core.server import SecureJoinServer
@@ -29,8 +30,7 @@ from repro.plan.cost import EngineCostModel, default_engine_cost_model
 from repro.series.cache import SeriesCache, SeriesEntry, series_key
 from repro.shard.coordinator import LocalShard, ShardCoordinator
 from repro.shard.partition import partition_table
-from repro.store import wire
-from repro.store.wire import decode_join_result, encode_join_result
+from repro.store.wire import decode_frame, encode_final_frame
 
 LEFT_ROWS = [(1, "a0"), (2, "a1"), (3, "a2"), (2, "a3")]
 RIGHT_ROWS = [(2, "b0"), (3, "b1"), (4, "b2")]
@@ -61,9 +61,12 @@ def _query(client, **kwargs):
     )
 
 
-def _mirror(client, server):
-    """A cache-less server holding deep copies of ``server``'s tables."""
-    mirror = SecureJoinServer(client.params, series_cache_bytes=0)
+def _mirror(client, server, engine=None):
+    """A cache-less server, built with ``engine``, holding deep copies
+    of ``server``'s tables."""
+    mirror = SecureJoinServer(
+        client.params, engine=engine, series_cache_bytes=0
+    )
     for name in ("L", "R"):
         mirror.store(copy.deepcopy(server.table(name)))
     for name in ("L", "R"):
@@ -158,29 +161,6 @@ class TestWarmReplay:
         scratch = _mirror(client, server)
         _assert_identical(warm, scratch.execute_join(query))
         scratch.close()
-        server.close()
-
-    def test_explicit_engine_override_bypasses_replay(self):
-        # A concrete engine override is an instruction to *execute*
-        # SJ.Dec that way (ablation runs depend on it), so it must not
-        # be served from the cache.
-        client, server = _setup()
-        query = _query(client)
-        cold = server.execute_join(query)
-        rerun = server.execute_join(query, engine="serial")
-        assert rerun.stats.series_cache_hits == 0
-        assert rerun.stats.decryptions == cold.stats.decryptions
-        _assert_identical(rerun, cold)
-        server.close()
-
-    def test_explicit_matcher_mismatch_bypasses_replay(self):
-        client, server = _setup()
-        query = _query(client)
-        cold = server.execute_join(query, algorithm="hash")
-        rerun = server.execute_join(query, algorithm="nested")
-        assert rerun.stats.series_cache_hits == 0
-        assert rerun.stats.matcher == "nested"
-        _assert_identical(rerun, cold)
         server.close()
 
     def test_disabled_cache_never_hits(self):
@@ -279,12 +259,13 @@ class TestDeltaMaintenance:
             miller_loop=1.0, final_exponentiation=1.0,
             element_transport=0.0, chunk_overhead=0.0, pool_spawn=0.0,
         )
-        client, server = _setup(workers=2)
-        engine = AutoEngine(cost_model=free_pool, workers=2)
+        client, server = _setup(
+            workers=2, engine=AutoEngine(cost_model=free_pool, workers=2)
+        )
         query = _query(client)
-        server.execute_join(query, engine=engine)
+        server.execute_join(query)
         server.insert_row("R", *client.encrypt_row_for("R", (2, "fresh")))
-        delta = server.execute_join(query, engine=engine)
+        delta = server.execute_join(query)
         assert delta.stats.series_cache_hits == 1
         assert delta.stats.delta_rows == 1
         assert "parallel" in delta.stats.engine_selected.split("+")
@@ -368,14 +349,21 @@ class TestWireStats:
         server.insert_row("R", *client.encrypt_row_for("R", (2, "w")))
         delta = server.execute_join(query)
         assert delta.stats.delta_rows == 1
-        decoded = decode_join_result(encode_join_result(delta))
+        decoded = decode_frame(encode_final_frame(delta))
         assert decoded.stats.series_cache_hits == 1
         assert decoded.stats.delta_rows == 1
         assert decoded.stats.reused_handles == delta.stats.reused_handles
         server.close()
 
     def test_future_stats_keys_are_dropped(self):
-        assert "series_cache_hits" in wire._STATS_FIELDS
+        # The stats block is the dataclass as it is, so the series
+        # counters are wire fields; a key no field answers to is dropped
+        # (tests/test_store.py::test_unknown_future_stats_fields_ignored).
+        from repro.core.server import ServerStats
+
+        assert {"series_cache_hits", "delta_rows", "reused_handles"} <= set(
+            dataclasses.asdict(ServerStats())
+        )
 
 
 # -- cost-model persistence ----------------------------------------------
@@ -497,7 +485,9 @@ class TestShardedSeries:
 # -- interleavings are byte-identical to from-scratch ---------------------
 
 
-ENGINES = (None, "auto", "serial", "batched", "parallel")
+#: Sampled per *server*: the host and its from-scratch mirror are both
+#: built with the engine, so every one of them runs through the cache.
+ENGINES = (None, "auto", SerialEngine(), "batched", "parallel")
 
 
 class TestSlicedReplay:
@@ -560,16 +550,22 @@ class TestSlicedReplay:
             for pair, payloads in zip(batch.index_pairs, batch.payloads)
         }
         assert streamed == dict(zip(cold.index_pairs, cold.payloads))
-        # A per-call engine executes from scratch, materialized.
-        _assert_identical(cold, host.execute_join(query, engine="batched"))
+        # With the entry dropped, the same query executes from
+        # scratch, materialized.
+        host.series_cache.clear()
+        scratch = host.execute_join(query)
+        assert scratch.stats.series_cache_hits == 0
+        _assert_identical(cold, scratch)
         for shard in shards:
             shard.close()
 
 
 class TestInterleavings:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "engine", ENGINES, ids=lambda engine: getattr(engine, "name", None)
+    )
     def test_fixed_interleaving_every_engine(self, engine):
-        client, server = _setup(workers=2)
+        client, server = _setup(workers=2, engine=engine)
         query = _query(client)
         steps = [
             ("query", None),
@@ -592,9 +588,9 @@ class TestInterleavings:
                 table, rows = payload
                 server.delete_rows(table, rows)
             else:
-                result = server.execute_join(query, engine=engine)
-                scratch = _mirror(client, server)
-                reference = scratch.execute_join(query, engine=engine)
+                result = server.execute_join(query)
+                scratch = _mirror(client, server, engine)
+                reference = scratch.execute_join(query)
                 _assert_identical(result, reference)
                 scratch.close()
         server.close()
@@ -664,7 +660,7 @@ class TestInterleavings:
     )
     @settings(max_examples=15, deadline=None)
     def test_property_any_interleaving_matches_scratch(self, engine, ops):
-        client, server = _setup(workers=2)
+        client, server = _setup(workers=2, engine=engine)
         try:
             query = _query(client)
             counter = 0
@@ -687,9 +683,9 @@ class TestInterleavings:
                             table, [live[value % len(live)]]
                         )
                 else:
-                    result = server.execute_join(query, engine=engine)
-                    scratch = _mirror(client, server)
-                    reference = scratch.execute_join(query, engine=engine)
+                    result = server.execute_join(query)
+                    scratch = _mirror(client, server, engine)
+                    reference = scratch.execute_join(query)
                     _assert_identical(result, reference)
                     scratch.close()
             batches, streamed = _drain(server.stream_join(query))

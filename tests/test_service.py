@@ -42,7 +42,9 @@ def _open_fds() -> int:
     ) else -1
 
 
-def _fixture(rows: int = 40, seed: int = 9):
+def _fixture(rows: int = 40, seed: int = 9, engine=None):
+    """Two tables on a server built with ``engine`` and no series cache:
+    the pool is under test, so every submission must reach SJ.Dec."""
     left = Table(
         "L", Schema.of(("k", "int"), ("a", "str")),
         [(i % 7, f"a{i}") for i in range(rows)],
@@ -55,10 +57,30 @@ def _fixture(rows: int = 40, seed: int = 9):
         [(left, "k"), (right, "k")], in_clause_limit=1,
         rng=random.Random(seed),
     )
-    server = SecureJoinServer(client.params, workers=2)
+    server = SecureJoinServer(
+        client.params, engine=engine, workers=2, series_cache_bytes=None
+    )
     server.store(client.encrypt_table(left, "k"))
     server.store(client.encrypt_table(right, "k"))
     return client, server
+
+
+def _with_engine(client, server, engine):
+    """A server built with ``engine`` over ``server``'s encrypted tables
+    (an engine already bound to a live pool keeps it)."""
+    sibling = SecureJoinServer(
+        client.params, engine=engine, workers=2, series_cache_bytes=None
+    )
+    for name in ("L", "R"):
+        sibling.store(server.table(name))
+    return sibling
+
+
+def _inline(client, server, query):
+    """The inline batched reference: ``(result, adversary view)``."""
+    with _with_engine(client, server, BatchedEngine(4)) as sibling:
+        result = sibling.execute_join(query)
+    return result, sibling.observations[-1]
 
 
 def _parallel(batch_size: int = 4) -> ParallelEngine:
@@ -68,18 +90,15 @@ def _parallel(batch_size: int = 4) -> ParallelEngine:
 class TestServiceExecution:
     def test_run_side_matches_batched_engine(self):
         """Pooled handles are byte-identical to the inline batched path."""
-        client, server = _fixture()
+        client, server = _fixture(engine=_parallel())
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
-            pooled = server.execute_join(query, engine=_parallel())
-            inline = server.execute_join(query, engine=BatchedEngine(4))
+            pooled = server.execute_join(query)
+            inline, inline_view = _inline(client, server, query)
             assert pooled.index_pairs == inline.index_pairs
             assert pooled.left_payloads == inline.left_payloads
             # Same token => identical handle bytes observed per row.
-            assert (
-                server.observations[-2].handles
-                == server.observations[-1].handles
-            )
+            assert server.observations[-1].handles == inline_view.handles
             assert (
                 pooled.stats.final_exponentiations
                 == inline.stats.final_exponentiations
@@ -87,38 +106,42 @@ class TestServiceExecution:
 
     def test_lazy_start(self):
         """Constructing servers and services forks nothing."""
-        client, server = _fixture()
+        client, server = _fixture(engine=_parallel(batch_size=1000))
         assert not server.execution_service.started
         assert server.execution_service.generation == 0
         # A small query stays inline: still no pool.
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        result = server.execute_join(query, engine=_parallel(batch_size=1000))
+        result = server.execute_join(query)
         assert result.stats.pool_generation == 0
         assert not server.execution_service.started
         server.close()
 
     def test_zero_copy_fallback_matches_shared_memory(self):
         """With SHM disabled the bytes-per-chunk fallback is identical."""
-        client, server = _fixture()
+        client, server = _fixture(engine=_parallel())
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
-            shm = server.execute_join(query, engine=_parallel())
+            shm = server.execute_join(query)
         no_shm_service = ExecutionService(workers=2, use_shared_memory=False)
         engine = ParallelEngine(workers=2, batch_size=4, service=no_shm_service)
+        no_shm_server = _with_engine(client, server, engine)
         with no_shm_service:
-            fallback = server.execute_join(query, engine=engine)
+            fallback = no_shm_server.execute_join(query)
+        assert not no_shm_server.execution_service.started
         assert fallback.index_pairs == shm.index_pairs
         assert (
-            server.observations[-2].handles == server.observations[-1].handles
+            no_shm_server.observations[-1].handles
+            == server.observations[-1].handles
         )
 
     def test_max_workers_caps_engine_narrower_than_pool(self):
         service = ExecutionService(workers=3)
-        client, server = _fixture()
-        engine = ParallelEngine(workers=2, batch_size=4, service=service)
+        client, server = _fixture(
+            engine=ParallelEngine(workers=2, batch_size=4, service=service)
+        )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with service:
-            result = server.execute_join(query, engine=engine)
+            result = server.execute_join(query)
             assert len(service.worker_pids()) == 3
             assert result.stats.workers <= 2
 
@@ -134,15 +157,14 @@ class TestServiceExecution:
 class TestPoolReuse:
     def test_sequential_queries_reuse_one_pool(self):
         """The headline fix over PR 1: no pool re-creation per query."""
-        client, server = _fixture()
-        engine = _parallel()
+        client, server = _fixture(engine=_parallel())
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
             generations = []
             pids = set()
             for _ in range(8):
                 encrypted = client.create_query(query)
-                result = server.execute_join(encrypted, engine=engine)
+                result = server.execute_join(encrypted)
                 generations.append(result.stats.pool_generation)
                 pids.update(server.execution_service.worker_pids())
             assert generations == [1] * 8
@@ -151,32 +173,27 @@ class TestPoolReuse:
             assert len(pids) == 2
 
     def test_no_process_or_fd_leak_across_50_queries(self):
-        client, server = _fixture()
-        engine = _parallel()
+        client, server = _fixture(engine=_parallel())
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
             # Warm up: spawn the pool, then measure.
-            server.execute_join(client.create_query(query), engine=engine)
+            server.execute_join(client.create_query(query))
             children_before = _alive_children()
             fds_before = _open_fds()
             for _ in range(50):
-                server.execute_join(client.create_query(query), engine=engine)
+                server.execute_join(client.create_query(query))
             assert _alive_children() == children_before
             assert _open_fds() == fds_before
             assert server.execution_service.generation == 1
         assert server.execution_service.worker_pids() == []
 
-    def test_engine_cached_by_name_shares_pool(self):
-        """String overrides resolve to one cached engine, one warm pool."""
-        client, server = _fixture()
+    def test_engine_named_at_construction_shares_pool(self):
+        """A name resolves once, to one engine on the server's own pool."""
+        client, server = _fixture(engine="parallel")
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
-            first = server.execute_join(
-                client.create_query(query), engine="parallel"
-            )
-            second = server.execute_join(
-                client.create_query(query), engine="parallel"
-            )
+            first = server.execute_join(client.create_query(query))
+            second = server.execute_join(client.create_query(query))
             # Small rows may run inline; force pool use via row count.
             assert first.stats.engine == second.stats.engine == "parallel"
             assert (
@@ -187,19 +204,16 @@ class TestPoolReuse:
 
 class TestCrashResilience:
     def test_pool_survives_idle_worker_kill(self):
-        client, server = _fixture()
-        engine = _parallel()
+        client, server = _fixture(engine=_parallel())
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
-            baseline = server.execute_join(
-                client.create_query(query), engine=engine
-            )
+            baseline = server.execute_join(client.create_query(query))
             victim = server.execution_service.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
             time.sleep(0.1)
             shared = client.create_query(query)
-            expected = server.execute_join(shared, engine=BatchedEngine(4))
-            recovered = server.execute_join(shared, engine=engine)
+            expected, _ = _inline(client, server, shared)
+            recovered = server.execute_join(shared)
             assert recovered.index_pairs == expected.index_pairs
             assert recovered.index_pairs == baseline.index_pairs
             assert server.execution_service.worker_restarts >= 1
@@ -207,11 +221,10 @@ class TestCrashResilience:
             assert recovered.stats.pool_generation == 1
 
     def test_pool_survives_mid_query_worker_kill(self):
-        client, server = _fixture(rows=120)
-        engine = ParallelEngine(workers=2, batch_size=2)
+        client, server = _fixture(rows=120, engine=_parallel(2))
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
-            expected = server.execute_join(query, engine=BatchedEngine(4))
+            expected, expected_view = _inline(client, server, query)
             service = server.execution_service
 
             def killer():
@@ -228,13 +241,10 @@ class TestCrashResilience:
 
             thread = threading.Thread(target=killer)
             thread.start()
-            recovered = server.execute_join(query, engine=engine)
+            recovered = server.execute_join(query)
             thread.join()
             assert recovered.index_pairs == expected.index_pairs
-            assert (
-                server.observations[-2].handles
-                == server.observations[-1].handles
-            )
+            assert server.observations[-1].handles == expected_view.handles
 
 
 class TestConcurrentAdmission:
@@ -243,22 +253,17 @@ class TestConcurrentAdmission:
     def test_concurrent_queries_interleave_on_one_pool(self):
         """N threads, one server, one warm pool: every query correct,
         no per-query pool respawn, sides demonstrably co-admitted."""
-        client, server = _fixture(rows=120)
-        engine = ParallelEngine(workers=2, batch_size=4)
+        client, server = _fixture(rows=120, engine=_parallel(4))
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
-            reference = server.execute_join(
-                client.create_query(query), engine=BatchedEngine(4)
-            )
+            reference, _ = _inline(client, server, client.create_query(query))
             encrypted = [client.create_query(query) for _ in range(12)]
             results = [None] * len(encrypted)
             errors = []
 
             def run(slot):
                 try:
-                    results[slot] = server.execute_join(
-                        encrypted[slot], engine=engine
-                    )
+                    results[slot] = server.execute_join(encrypted[slot])
                 except Exception as exc:  # pragma: no cover - must not happen
                     errors.append(exc)
 
@@ -287,12 +292,11 @@ class TestConcurrentAdmission:
     def test_concurrent_queries_with_mid_query_crash(self):
         """A worker SIGKILLed while several queries are in flight: every
         query still completes correctly on the same pool generation."""
-        client, server = _fixture(rows=160)
-        engine = ParallelEngine(workers=2, batch_size=2)
+        client, server = _fixture(rows=160, engine=_parallel(2))
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
             shared = client.create_query(query)
-            reference = server.execute_join(shared, engine=BatchedEngine(4))
+            reference, _ = _inline(client, server, shared)
             service = server.execution_service
             results = []
             errors = []
@@ -300,7 +304,7 @@ class TestConcurrentAdmission:
 
             def run():
                 try:
-                    result = server.execute_join(shared, engine=engine)
+                    result = server.execute_join(shared)
                     with lock:
                         results.append(result)
                 except Exception as exc:  # pragma: no cover
@@ -337,12 +341,11 @@ class TestConcurrentAdmission:
     def test_no_leaks_across_concurrent_batches(self):
         """Repeated waves of concurrent queries leave no extra
         processes, FDs, or admitted sides behind."""
-        client, server = _fixture(rows=60)
-        engine = ParallelEngine(workers=2, batch_size=4)
+        client, server = _fixture(rows=60, engine=_parallel(4))
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
             # Warm up: spawn the pool, then measure.
-            server.execute_join(client.create_query(query), engine=engine)
+            server.execute_join(client.create_query(query))
             children_before = _alive_children()
             fds_before = _open_fds()
             for _ in range(5):
@@ -350,7 +353,6 @@ class TestConcurrentAdmission:
                     threading.Thread(
                         target=server.execute_join,
                         args=(client.create_query(query),),
-                        kwargs={"engine": engine},
                     )
                     for _ in range(4)
                 ]
@@ -365,11 +367,10 @@ class TestConcurrentAdmission:
 
     def test_backend_switch_refused_while_sides_active(self):
         """Per-query isolation: an admitted side pins the pool backend."""
-        client, server = _fixture(rows=80)
-        engine = ParallelEngine(workers=2, batch_size=4)
+        client, server = _fixture(rows=80, engine=_parallel(4))
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
-            stream = server.stream_join(query, engine=engine)
+            stream = server.stream_join(query)
             # Start the join (admits sides) but do not finish it.
             try:
                 next(stream)
@@ -390,11 +391,9 @@ class TestConcurrentAdmission:
 
 class TestLifecycle:
     def test_close_is_idempotent(self):
-        client, server = _fixture()
-        engine = _parallel()
+        client, server = _fixture(engine=_parallel())
         server.execute_join(
-            client.create_query(JoinQuery.build("L", "R", on=("k", "k"))),
-            engine=engine,
+            client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         )
         assert server.execution_service.started
         server.close()
@@ -409,11 +408,10 @@ class TestLifecycle:
         assert not service.started
 
     def test_context_manager_closes_pool(self):
-        client, server = _fixture()
+        client, server = _fixture(engine=_parallel())
         with server as managed:
             managed.execute_join(
-                client.create_query(JoinQuery.build("L", "R", on=("k", "k"))),
-                engine=_parallel(),
+                client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
             )
             assert managed.execution_service.started
         assert not server.execution_service.started
@@ -421,13 +419,12 @@ class TestLifecycle:
     def test_reuse_after_close_bumps_generation(self):
         """A closed service transparently restarts; the generation proves
         it was a restart rather than silent reuse."""
-        client, server = _fixture()
-        engine = _parallel()
+        client, server = _fixture(engine=_parallel())
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
-            first = server.execute_join(client.create_query(query), engine=engine)
+            first = server.execute_join(client.create_query(query))
             assert first.stats.pool_generation == 1
-        second = server.execute_join(client.create_query(query), engine=engine)
+        second = server.execute_join(client.create_query(query))
         assert second.stats.pool_generation == 2
         assert second.index_pairs == first.index_pairs
         server.close()

@@ -32,6 +32,7 @@ import time
 
 import pytest
 
+from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
 from repro.core.server import SecureJoinServer
 from repro.crypto.backend import get_backend
@@ -60,10 +61,11 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
     HAVE_HYPOTHESIS = False
 
-#: Engines are passed to the coordinator by *name*: engine instances
-#: stay bound to the first service they run on, so each shard's server
-#: must resolve its own instance against its own pool.
-ENGINE_NAMES = ("serial", "batched", "parallel")
+#: Engines a fleet's shards are built with.  The pooled one goes by
+#: *name*: an instance stays bound to the first service it runs on, so
+#: each shard's server must resolve its own against its own pool.  The
+#: naive baseline holds no state and has no runtime name.
+ENGINES = (None, SerialEngine(), "batched", "parallel")
 
 
 def _alive_children() -> int:
@@ -110,10 +112,16 @@ def _query(client, **kwargs):
     )
 
 
-def _sharded(client, backend, tables, n_shards, assignments=None, workers=2):
-    """Build ``n_shards`` local shards holding the partitioned tables."""
+def _sharded(
+    client, backend, tables, n_shards, assignments=None, workers=2,
+    engine=None,
+):
+    """Build ``n_shards`` local shards, each on its own ``engine``,
+    holding the partitioned tables."""
     shards = [
-        LocalShard(client.params, workers=workers, name=f"shard-{i}")
+        LocalShard(
+            client.params, engine=engine, workers=workers, name=f"shard-{i}"
+        )
         for i in range(n_shards)
     ]
     for position, table in enumerate(tables):
@@ -291,13 +299,15 @@ class TestScatterGather:
             [i % 5 for i in range(14)], [i % 5 for i in range(11)]
         )
         for n_shards in (1, 2, 3):
-            shards = _sharded(client, backend, tables, n_shards)
-            with ShardCoordinator(shards) as coordinator:
-                for engine in (None,) + ENGINE_NAMES:
-                    result = coordinator.execute_join(
-                        _query(client), engine=engine
-                    )
+            for engine in ENGINES:
+                shards = _sharded(
+                    client, backend, tables, n_shards, engine=engine
+                )
+                with ShardCoordinator(shards) as coordinator:
+                    result = coordinator.execute_join(_query(client))
                     _assert_identical(result, ref, n_shards)
+                    name = getattr(engine, "name", engine) or "batched"
+                    assert result.stats.engine == name
 
     def test_streamed_batches_reassemble_canonically(self):
         client, backend, tables, ref = _fixture(
@@ -344,11 +354,9 @@ class TestScatterGather:
         client, backend, tables, _ = _fixture(
             [i % 2 for i in range(30)], [i % 2 for i in range(30)]
         )
-        shards = _sharded(client, backend, tables, 2)
+        shards = _sharded(client, backend, tables, 2, engine="parallel")
         with ShardCoordinator(shards) as coordinator:
-            stream = coordinator.stream_join(
-                _query(client), engine="parallel"
-            )
+            stream = coordinator.stream_join(_query(client))
             next(stream)  # at least one batch in flight
             stream.close()
             for shard in shards:
@@ -376,7 +384,7 @@ class TestScatterGather:
         left_keys=st.lists(st.integers(0, 4), min_size=0, max_size=10),
         right_keys=st.lists(st.integers(0, 4), min_size=0, max_size=10),
         n_shards=st.integers(1, 4),
-        engine=st.sampled_from((None,) + ENGINE_NAMES),
+        engine=st.sampled_from(ENGINES),
         data=st.data(),
     )
     def test_property_identical_for_any_partition(
@@ -395,10 +403,11 @@ class TestScatterGather:
             for table in tables
         ]
         shards = _sharded(
-            client, backend, tables, n_shards, assignments=assignments
+            client, backend, tables, n_shards, assignments=assignments,
+            engine=engine,
         )
         with ShardCoordinator(shards) as coordinator:
-            result = coordinator.execute_join(_query(client), engine=engine)
+            result = coordinator.execute_join(_query(client))
             _assert_identical(result, ref, n_shards)
 
 
@@ -413,7 +422,7 @@ class TestFaultInjection:
         client, backend, tables, ref = _fixture(
             [i % 6 for i in range(72)], [i % 6 for i in range(72)]
         )
-        shards = _sharded(client, backend, tables, 2)
+        shards = _sharded(client, backend, tables, 2, engine="parallel")
         victim_service = shards[0].server.execution_service
         stop = threading.Event()
 
@@ -432,9 +441,7 @@ class TestFaultInjection:
         with ShardCoordinator(shards) as coordinator:
             thread.start()
             try:
-                result = coordinator.execute_join(
-                    _query(client), engine="parallel"
-                )
+                result = coordinator.execute_join(_query(client))
             finally:
                 stop.set()
                 thread.join()
@@ -457,9 +464,12 @@ class TestFaultInjection:
             [0 if i < 4 else 1 for i in range(left_n)],
             [0 if i < 4 else 1 for i in range(right_n)],
         ]
-        shards = _sharded(client, backend, tables, 2, assignments=assignments)
+        shards = _sharded(
+            client, backend, tables, 2, assignments=assignments,
+            engine="parallel",
+        )
         coordinator = ShardCoordinator(shards)
-        stream = coordinator.stream_join(_query(client), engine="parallel")
+        stream = coordinator.stream_join(_query(client))
         next(stream)
         shards[1].server.execution_service.close()
         with pytest.raises(ShardUnavailableError, match="shard 1"):
@@ -533,12 +543,15 @@ class TestRemoteShards:
             [0 if i < 4 else 1 for i in range(left_n)],
             [0 if i < 4 else 1 for i in range(right_n)],
         ]
-        shards = _sharded(client, backend, tables, 2, assignments=assignments)
-        service = ShardServiceServer(shards[1], engine="parallel")
+        shards = _sharded(
+            client, backend, tables, 2, assignments=assignments,
+            engine="parallel",
+        )
+        service = ShardServiceServer(shards[1])
         host, port = service.start()
         remote = RemoteShard(host, port, backend, name="doomed")
         coordinator = ShardCoordinator([shards[0], remote])
-        stream = coordinator.stream_join(_query(client), engine="parallel")
+        stream = coordinator.stream_join(_query(client))
         next(stream)
         service.shutdown(drain=False, timeout=0.0)
         with pytest.raises(ShardUnavailableError):
@@ -548,11 +561,13 @@ class TestRemoteShards:
         coordinator.close()
         shards[0].close()
 
-    def test_garbage_from_a_shard_is_a_named_shard_failure(self):
-        """A shard endpoint that answers with an undecodable frame is a
-        ShardUnavailableError naming the shard (the codec's SchemeError
-        as its cause), like every other shard failure — and the local
-        surviving shard releases its admissions."""
+    @staticmethod
+    def _against_a_fake_endpoint(answer, match):
+        """Scatter over one pooled local shard and one fake endpoint
+        that sends the stream header and then ``answer(wire)``: the
+        coordinator must raise a ShardUnavailableError matching
+        ``match`` (a codec SchemeError as its cause) and the surviving
+        local shard must release its admissions."""
         import socket as socket_module
 
         from repro.net import recv_message, send_message
@@ -561,7 +576,7 @@ class TestRemoteShards:
         client, backend, tables, _ = _fixture(
             [i % 4 for i in range(40)], [i % 4 for i in range(40)]
         )
-        shards = _sharded(client, backend, tables, 2)
+        shards = _sharded(client, backend, tables, 2, engine="parallel")
         listener = socket_module.create_server(("127.0.0.1", 0))
 
         def fake_endpoint():
@@ -572,8 +587,7 @@ class TestRemoteShards:
                     sock,
                     wire.encode_stream_header(query.query_id, *query.tables),
                 )
-                good = wire.encode_error_frame("QueryError", "x")
-                send_message(sock, good[:13] + b"{bad" + good[17:])
+                send_message(sock, answer(wire))
                 sock.recv(1)  # hold the socket until the proxy drops it
 
         thread = threading.Thread(target=fake_endpoint, daemon=True)
@@ -583,11 +597,9 @@ class TestRemoteShards:
         try:
             with ShardCoordinator([shards[0], remote]) as coordinator:
                 with pytest.raises(
-                    ShardUnavailableError, match="garbler.*undecodable"
+                    ShardUnavailableError, match=match
                 ) as caught:
-                    coordinator.execute_join(
-                        _query(client), engine="parallel"
-                    )
+                    coordinator.execute_join(_query(client))
                 assert isinstance(caught.value.__cause__, SchemeError)
                 assert (
                     shards[0].server.execution_service.active_sides == 0
@@ -596,3 +608,36 @@ class TestRemoteShards:
             listener.close()
             thread.join(timeout=5.0)
             shards[0].close()
+
+    def test_garbage_from_a_shard_is_a_named_shard_failure(self):
+        """A shard endpoint that answers with an undecodable frame is a
+        ShardUnavailableError naming the shard (the codec's SchemeError
+        as its cause), like every other shard failure — and the local
+        surviving shard releases its admissions."""
+
+        def garbage(wire):
+            good = wire.encode_error_frame("QueryError", "x")
+            return good[:13] + b"{bad" + good[17:]
+
+        self._against_a_fake_endpoint(garbage, "garbler.*undecodable")
+
+    def test_mistyped_report_from_a_shard_is_a_named_shard_failure(self):
+        """A scatter final that decodes as JSON but whose engine report
+        says ``"batches": "x"`` used to reach the coordinator's stats
+        fold and die there as a TypeError, outside every guard.  It is
+        refused where it is decoded: a named shard failure, admissions
+        released."""
+        from repro.store.codec import Writer, write_header
+
+        def mistyped(wire):
+            writer = Writer()
+            write_header(writer, b"RPROJFRM", wire._VERSION, {
+                "kind": wire.FRAME_SCATTER_FINAL,
+                "candidates": [40, 40],
+                "reports": [{"engine": "batched", "batches": "x"}, None],
+            })
+            return writer.getvalue()
+
+        self._against_a_fake_endpoint(
+            mistyped, "garbler.*undecodable.*batches"
+        )

@@ -21,10 +21,12 @@ from repro.store.tables import (
     save_encrypted_table,
 )
 from repro.store.wire import (
+    StreamReassembler,
+    decode_frame,
     decode_join_query,
-    decode_join_result,
+    encode_final_frame,
     encode_join_query,
-    encode_join_result,
+    encode_match_batch,
 )
 
 
@@ -285,9 +287,21 @@ class TestWireFormats:
 
         query = JoinQuery.build("L", "R", on=("k", "k"))
         wire_query = encode_join_query(client.create_query(query), backend)
-        result = server.execute_join(decode_join_query(wire_query, backend))
-        wire_result = encode_join_result(result)
-        decrypted = client.decrypt_result(decode_join_result(wire_result))
+        received = decode_join_query(wire_query, backend)
+        stream = server.stream_join(received)
+        sent = [set(), set()]
+        wire_frames = []
+        while True:
+            try:
+                wire_frames.append(encode_match_batch(next(stream), sent))
+            except StopIteration as stop:
+                wire_frames.append(encode_final_frame(stop.value))
+                break
+        *batches, final = map(decode_frame, wire_frames)
+        reassembler = StreamReassembler(received)
+        for batch in batches:
+            reassembler.add_batch(batch)
+        decrypted = client.decrypt_result(reassembler.finish(final))
         assert len(decrypted.table) == 2
 
     def test_result_round_trip_preserves_stats(self):
@@ -297,9 +311,9 @@ class TestWireFormats:
         server.store(enc_right)
         query = JoinQuery.build("L", "R", on=("k", "k"))
         result = server.execute_join(client.create_query(query))
-        decoded = decode_join_result(encode_join_result(result))
+        decoded = decode_frame(encode_final_frame(result))
         assert decoded.stats == result.stats
-        assert decoded.index_pairs == result.index_pairs
+        assert decoded.tuples == result.index_pairs
 
     def test_query_backend_mismatch(self):
         client, _, _ = _fixture()
@@ -345,7 +359,6 @@ class TestWireV2Stats:
     @given(
         counts=st.lists(st.integers(0, 2**31 - 1), min_size=7, max_size=7),
         engine=st.sampled_from(["serial", "batched", "parallel", "auto"]),
-        source=st.sampled_from(["default", "hint", "override"]),
         selected=st.sampled_from(
             ["serial", "batched", "parallel", "batched+parallel"]
         ),
@@ -365,7 +378,7 @@ class TestWireV2Stats:
         n_pairs=st.integers(0, 5),
     )
     def test_stats_round_trip_property(
-        self, counts, engine, source, selected, pool_generation,
+        self, counts, engine, selected, pool_generation,
         worker_restarts, planner_sides, n_pairs,
     ):
         stats = ServerStats(
@@ -381,7 +394,6 @@ class TestWireV2Stats:
             workers=1 + counts[6] % 8,
             miller_loops=counts[2],
             final_exponentiations=counts[3],
-            engine_source=source,
             engine_selected=selected,
             planner=(
                 [_planner_record(*side) for side in planner_sides] or None
@@ -395,18 +407,16 @@ class TestWireV2Stats:
             payloads=[(b"l%d" % i, b"r%d" % i) for i in range(n_pairs)],
             stats=stats,
         )
-        decoded = decode_join_result(encode_join_result(result))
+        decoded = decode_frame(encode_final_frame(result))
         assert decoded.stats == stats
-        assert decoded.index_pairs == result.index_pairs
-        assert decoded.left_payloads == result.left_payloads
-        assert decoded.right_payloads == result.right_payloads
+        assert decoded.tuples == result.index_pairs
 
     def test_unknown_future_stats_fields_ignored(self):
         """The stats block is an open record: an unknown key is dropped."""
         result = EncryptedJoinResult(
             tables=("L", "R"), tuples=[], payloads=[], stats=ServerStats(),
         )
-        blob = bytearray(encode_join_result(result))
+        blob = bytearray(encode_final_frame(result))
         # Re-encode with an extra stats key spliced into the header JSON.
         import json
         import struct
@@ -421,5 +431,5 @@ class TestWireV2Stats:
             magic_version
             + struct.pack(">I", len(new_header)) + new_header + body
         )
-        decoded = decode_join_result(patched)
+        decoded = decode_frame(patched)
         assert decoded.stats == ServerStats()

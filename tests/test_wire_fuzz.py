@@ -9,7 +9,7 @@ that commits a huge allocation), never ``struct.error`` / ``KeyError``
 / ``TypeError`` (internals leaking), and never a hang.
 
 One table of sample messages (:func:`_samples` — the query at arity 2
-and 5, every frame kind, the materialized result) rides the same
+and 5, every frame kind) rides the same
 truncation / bit-flip / version machinery, and its bytes are pinned
 under ``tests/data/``: there is one wire version and one store version,
 so no version ladder would notice the format drifting.  After a
@@ -66,11 +66,9 @@ from repro.store.wire import (
     StreamReassembler,
     decode_frame,
     decode_join_query,
-    decode_join_result,
     encode_error_frame,
     encode_final_frame,
     encode_join_query,
-    encode_join_result,
     encode_match_batch,
     encode_scatter_chunk,
     encode_scatter_final,
@@ -100,7 +98,6 @@ def _join_query(**overrides) -> EncryptedJoinQuery:
         tables=("L", "R"),
         tokens=(_token(1), _token(2)),
         prefilters=({"c": _tags(1, 2)}, None),
-        engine_hint="batched",
         priority=5,
         deadline=12.5,
     )
@@ -146,7 +143,6 @@ def _samples() -> dict[str, bytes]:
     return {
         "query_join": encode_join_query(_join_query(), BACKEND),
         "query_chain5": encode_join_query(_chain_query(5), BACKEND),
-        "result": encode_join_result(_join_result()),
         "stream_header": encode_stream_header(7, "L", "R"),
         "match_batch": encode_match_batch(ChainMatchBatch(
             tuples=[chain.tuples[2], chain.tuples[0]],
@@ -180,8 +176,6 @@ def _samples() -> dict[str, bytes]:
 def _decode(name: str, blob: bytes):
     if name.startswith("query"):
         return decode_join_query(blob, BACKEND)
-    if name == "result":
-        return decode_join_result(blob)
     return decode_frame(blob)
 
 
@@ -298,10 +292,7 @@ class TestCorruption:
     )
     def test_arbitrary_headers_never_leak_internals(self, header_json, body):
         # Well-formed JSON of arbitrary shape: type confusion territory.
-        for magic, name in (
-            (b"RPROJQRY", "query"), (b"RPROJRES", "result"),
-            (b"RPROJFRM", "frame"),
-        ):
+        for magic, name in ((b"RPROJQRY", "query"), (b"RPROJFRM", "frame")):
             writer = Writer()
             write_header(writer, magic, VERSION, header_json)
             writer.raw(body)
@@ -346,7 +337,7 @@ class TestCorruption:
     @settings(max_examples=150, deadline=None)
     @given(blob=st.binary(max_size=128))
     def test_random_bytes_never_leak_internals(self, blob):
-        for name in ("query", "result", "frame"):
+        for name in ("query", "frame"):
             _assert_only_scheme_error(lambda b: _decode(name, b), blob)
 
 
@@ -378,16 +369,16 @@ class TestHostileCounts:
             Reader(writer.getvalue()), size=4
         ) == write_element
 
-    @pytest.mark.parametrize("n_pairs", [-1, -(2**40)])
-    def test_result_negative_pair_count_rejected(self, n_pairs):
-        hostile = _rewrite_header(SAMPLES["result"], n_pairs=n_pairs)
-        with pytest.raises(SchemeError, match="n_pairs"):
-            decode_join_result(hostile)
+    @pytest.mark.parametrize("count", [-1, -(2**40)])
+    @pytest.mark.parametrize("name", ["match_batch", "final"])
+    def test_negative_tuple_count_rejected(self, name, count):
+        hostile = _rewrite_header(SAMPLES[name], n_tuples=count)
+        with pytest.raises(SchemeError, match="n_tuples"):
+            decode_frame(hostile)
 
     @pytest.mark.parametrize("count", [10**6, 2**31, 2**61])
     @pytest.mark.parametrize(
-        "name, key", [("result", "n_pairs"), ("match_batch", "n_tuples"),
-                      ("final", "n_tuples")],
+        "name, key", [("match_batch", "n_tuples"), ("final", "n_tuples")],
     )
     def test_oversized_tuple_count_rejected_before_read(
         self, name, key, count
@@ -544,7 +535,7 @@ class TestHostileCounts:
 
     @pytest.mark.parametrize(
         "key", ["query_id", "tables", "pair", "backend", "g1_element_size",
-                "prefilter_columns", "engine_hint", "priority", "deadline"],
+                "prefilter_columns", "priority", "deadline"],
     )
     def test_query_header_fields_are_all_required(self, key):
         # One version: no field is optional-with-a-default any more.
@@ -654,6 +645,137 @@ class TestHostileScatterFrames:
             decode_frame(hostile)
 
 
+# -- the two open records ---------------------------------------------------
+
+
+#: JSON values of every shape a hostile peer can put in a record field.
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+class TestOpenRecords:
+    """The stats block of a final frame and the engine reports of a
+    scatter final are open records — absent fields default, unknown
+    ones drop — but a present field of the wrong type is a
+    ``SchemeError`` at the decoder, not a ``TypeError`` /
+    ``AttributeError`` in the host that later adds to it."""
+
+    @pytest.mark.parametrize(
+        "stats",
+        [
+            {"matches": "lots"},
+            {"planner": "oops"},
+            {"engine": 7},
+            {"matches": True},
+            {"matches": 1.0},
+            {"shard_skew": "1.5"},
+            {"decrypt_seconds": None},
+            {"planner": {"stage": "plan"}},
+            {"matches": "lots", "planner": "oops", "engine": 7},
+            "not-a-dict",
+            ["matches", 3],
+            None,
+        ],
+    )
+    def test_final_frame_with_mistyped_stats_rejected(self, stats):
+        hostile = _rewrite_header(SAMPLES["final"], stats=stats)
+        with pytest.raises(SchemeError, match="stats"):
+            decode_frame(hostile)
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            {"engine": "batched", "batches": "x"},
+            {"engine": 7},
+            {"engine": "batched", "workers": True},
+            {"engine": "batched", "miller_loops": 2.5},
+            {"engine": "batched", "planner": ["side"]},
+            {"engine": "batched", "selected": None},
+            {"batches": 1},
+            {},
+            0,
+            "",
+            False,
+        ],
+    )
+    def test_scatter_final_with_mistyped_report_rejected(self, report):
+        hostile = _rewrite_header(
+            SAMPLES["scatter_final"], reports=[report, None]
+        )
+        with pytest.raises(SchemeError, match="report"):
+            decode_frame(hostile)
+
+    def test_well_typed_records_still_decode_openly(self):
+        # A float field may arrive as a whole number; unknown fields
+        # drop; absent ones take the dataclass defaults.
+        final = decode_frame(_rewrite_header(
+            SAMPLES["final"],
+            stats={"matches": 3, "shard_skew": 2, "planner": [{"stage": "x"}],
+                   "from_the_future": "y"},
+        ))
+        assert final.stats == ServerStats(
+            matches=3, shard_skew=2, planner=[{"stage": "x"}]
+        )
+        scatter = decode_frame(_rewrite_header(
+            SAMPLES["scatter_final"],
+            reports=[{"engine": "auto", "planner": {"rows": 3}}, None],
+        ))
+        assert scatter.reports == [
+            EngineReport(engine="auto", planner={"rows": 3}), None
+        ]
+
+    def test_the_stats_block_names_every_field_once(self):
+        # The encoder writes the dataclass as it is: no hand-kept list.
+        reader = Reader(SAMPLES["final"])
+        reader.take(8), reader.u8()
+        header = json.loads(reader.blob())
+        assert sorted(header["stats"]) == sorted(
+            field.name for field in dataclasses.fields(ServerStats)
+        )
+        assert len(header["stats"]) == 29
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stats=st.dictionaries(
+            st.sampled_from(
+                [field.name for field in dataclasses.fields(ServerStats)]
+            ),
+            _JSON_VALUES,
+            max_size=6,
+        ),
+        report=st.dictionaries(
+            st.sampled_from(
+                [field.name for field in dataclasses.fields(EngineReport)]
+            ),
+            _JSON_VALUES,
+            max_size=6,
+        ),
+    )
+    def test_whatever_decodes_is_safe_to_account(self, stats, report):
+        """Any record the decoder lets through can be used the way the
+        hosts use it: folded into a query's totals, appended to."""
+        try:
+            decoded = decode_frame(
+                _rewrite_header(SAMPLES["final"], stats=stats)
+            ).stats
+            side = decode_frame(_rewrite_header(
+                SAMPLES["scatter_final"], reports=[report, None]
+            )).reports[0]
+        except SchemeError:
+            return
+        decoded.merge_report(side)
+        decoded.record({"stage": "scatter"})
+        decoded.decryptions += 1
+        decoded.shard_skew += 0.5
+
+
 # -- round trips ------------------------------------------------------------
 
 
@@ -703,11 +825,10 @@ class TestRoundTrip:
         shape=_arity_and_rows(),
         priority=st.integers(-MAX_PRIORITY_MAGNITUDE, MAX_PRIORITY_MAGNITUDE),
         deadline=st.one_of(st.none(), st.floats(0.001, 1e6)),
-        hint=st.sampled_from([None, "serial", "auto"]),
         pair=st.booleans(),
     )
     def test_query_batch_and_final_round_trip(
-        self, shape, priority, deadline, hint, pair
+        self, shape, priority, deadline, pair
     ):
         arity, tuples, payloads = shape
         pair = pair and arity == 2
@@ -718,7 +839,6 @@ class TestRoundTrip:
             tables=template.tables,
             tokens=template.tokens,
             prefilters=template.prefilters,
-            engine_hint=hint,
             priority=priority,
             deadline=deadline,
         )
@@ -766,7 +886,6 @@ class TestRoundTrip:
                 assert shaped.left_payloads == [p[0] for p in payloads]
                 assert shaped.right_payloads == [p[1] for p in payloads]
             assert (result.left_table, result.right_table) == query.tables
-            assert decode_join_result(encode_join_result(result)) == result
 
     def test_shared_tokens_stay_byte_identical(self):
         # What the server's handle pool groups by survives the wire.
@@ -930,7 +1049,6 @@ class TestReassembler:
         assert last == MatchBatch([result.tuples[1]], [result.payloads[1]])
         rebuilt = reassembler.finish(self._final(result))
         assert rebuilt == result
-        assert encode_join_result(rebuilt) == encode_join_result(result)
         # One object per row, however many tuples name it.
         assert rebuilt.payloads[0][1] is rebuilt.payloads[1][1]
 
