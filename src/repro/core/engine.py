@@ -12,8 +12,8 @@ pairings per row.  A server has one engine, fixed where it is built
   exponentiation — the multi-pairing optimization applied to the join.
 - :class:`ParallelEngine` — fans the chunks out across a *persistent*
   worker pool (:class:`~repro.core.service.ExecutionService`): workers
-  are forked lazily, survive across queries, cache the backend and
-  decoded tokens, and read ciphertext chunks out of shared memory.
+  are forked lazily, survive across queries and cache the backend and
+  decoded tokens; the pool's width is the owning server's ``workers``.
 - :class:`AutoEngine` — the cost-model planner: per side, estimates
   the batched and the pooled run from the candidate count, the scheme
   dimension and per-operation timings (:mod:`repro.plan.cost`), and
@@ -44,11 +44,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.service import (
-    ExecutionService,
-    QueryQoS,
-    default_worker_count,
-)
+from repro.core.service import ExecutionService, QueryQoS
 from repro.crypto.backend import BilinearBackend, PreparedRow
 from repro.errors import DeadlineError, QueryError
 from repro.plan.cost import choose_engine, default_engine_cost_model
@@ -238,35 +234,30 @@ class ParallelEngine(ExecutionEngine):
     :class:`~repro.core.service.ExecutionService` — lazily started the
     first time it is needed and shared by every concurrently admitted
     side — and their chunks stream back in completion order.  A server
-    binds its own service via :meth:`bind_service`; an engine no pool
-    was ever bound to runs every side inline.
+    binds its own service via :meth:`bind_service`, and the pool's
+    width is that server's ``workers``: the engine has none of its own.
+    An engine no pool was ever bound to runs every side inline.
     """
 
     name = "parallel"
 
     def __init__(
         self,
-        workers: int | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE // 2,
         service: ExecutionService | None = None,
     ):
-        if workers is not None and workers < 1:
-            raise QueryError("worker count must be at least 1")
         if batch_size < 1:
             raise QueryError("batch size must be at least 1")
-        self.workers = (
-            workers if workers is not None else default_worker_count()
-        )
         self.batch_size = batch_size
         self._inline = BatchedEngine(batch_size)
         self._service = service
 
     def effective_workers(self) -> int:
-        """Workers a side would actually get: the engine's own cap,
-        further capped by the pool it is bound to — one, unbound."""
+        """Workers a side would actually get: the width of the pool the
+        engine is bound to — one, unbound."""
         if self._service is None:
             return 1
-        return min(self.workers, self._service.worker_target)
+        return self._service.worker_target
 
     def pool_warm(self) -> bool:
         """Whether a pooled side would find its workers already forked."""
@@ -289,11 +280,7 @@ class ParallelEngine(ExecutionEngine):
         self, backend, token_elements, ciphertext_vectors, qos=None
     ):
         service = self._service
-        if (
-            service is None
-            or self.workers == 1
-            or len(ciphertext_vectors) <= self.batch_size
-        ):
+        if service is None or len(ciphertext_vectors) <= self.batch_size:
             inline = self._inline.decrypt_stream(
                 backend, token_elements, ciphertext_vectors, qos=qos
             )
@@ -312,7 +299,6 @@ class ParallelEngine(ExecutionEngine):
             token_elements,
             ciphertext_vectors,
             self.batch_size,
-            max_workers=self.workers,
             qos=qos,
         )
 
@@ -334,10 +320,10 @@ class ParallelEngine(ExecutionEngine):
                 batches=side_report.chunks,
                 max_batch_size=side_report.max_chunk,
                 workers=side_report.workers_used,
-                miller_loops=side_report.miller_loops,
-                final_exponentiations=side_report.final_exponentiations,
-                prepared_miller_loops=side_report.prepared_miller_loops,
-                preparations=side_report.preparations,
+                miller_loops=side_report.ops.miller_loops,
+                final_exponentiations=side_report.ops.final_exponentiations,
+                prepared_miller_loops=side_report.ops.prepared_miller_loops,
+                preparations=side_report.ops.preparations,
                 pool_generation=side_report.pool_generation,
                 worker_restarts=side_report.worker_restarts,
                 concurrent_sides=side_report.concurrent_sides,
@@ -372,7 +358,6 @@ class AutoEngine(ExecutionEngine):
     def __init__(
         self,
         cost_model=None,
-        workers: int | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         service: ExecutionService | None = None,
     ):
@@ -380,9 +365,7 @@ class AutoEngine(ExecutionEngine):
         self.batch_size = batch_size
         self._inline = BatchedEngine(batch_size)
         self._pooled = ParallelEngine(
-            workers=workers,
-            batch_size=max(1, batch_size // 2),
-            service=service,
+            batch_size=max(1, batch_size // 2), service=service
         )
 
     def bind_service(self, service: ExecutionService) -> None:
@@ -393,8 +376,8 @@ class AutoEngine(ExecutionEngine):
     ):
         pooled = self._pooled
         pool_warm = pooled.pool_warm()
-        # Price the pool the side would *actually* get: the engine's
-        # worker cap further capped by the bound service's size.
+        # Price the pool the side would *actually* get: the bound
+        # service's width.
         workers = pooled.effective_workers()
         # A prepared (warm) table replays stored line coefficients
         # instead of running full Miller loops, so price the side with

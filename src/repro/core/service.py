@@ -1,7 +1,7 @@
 """A persistent parallel execution service with multi-query admission.
 
-A long-lived worker pool behind an admission scheduler that feeds the
-streaming pipeline:
+A long-lived :class:`~concurrent.futures.ProcessPoolExecutor` behind an
+admission scheduler that feeds the streaming pipeline:
 
 - **Chunk streams, not materialized sides.**  :meth:`admit_side`
   registers a side and :meth:`stream_chunks` yields decrypted chunks
@@ -9,94 +9,64 @@ streaming pipeline:
   the matcher can start pairing while SJ.Dec is still running.
 - **Multi-query admission.**  Any number of sides — the two sides of
   one join, or sides of concurrent queries from different threads — may
-  be admitted at once.  Chunk dispatch round-robins across admitted
-  sides at every worker-window refill, so concurrent queries interleave
-  fairly on the shared warm pool instead of serializing.
-- **Per-side contexts.**  Each side gets its own context id, token
-  install, and shared-memory segment; workers hold many contexts at
-  once (tokens still cached by digest), and a ``release`` message drops
-  a context the moment its side is done.  Crash respawn re-installs
-  every *active* side on the replacement worker, so one query's crash
-  recovery never disturbs another's state.
-- **Lazy, persistent workers**: nothing is spawned at
-  construction, the pool survives across queries (``pool_generation``
-  only moves when the pool is actually (re)created), the backend ships
-  once per worker lifetime, and ``close()`` is idempotent.
-- **Shared-memory ciphertext transport**: one segment per
-  side, chunk messages carry ``(start, count)`` offsets; where POSIX
-  shared memory is unavailable each chunk ships as one contiguous
-  ``bytes`` buffer.
+  be admitted at once.  One *pump* hands their chunks to the executor:
+  highest priority first, round-robin within equals, at most
+  ``_PREFETCH_PER_WORKER`` per worker in flight pool-wide; the
+  executor's call queue feeds whichever worker is idle.
+- **Lazy, persistent workers**: nothing is spawned at construction, the
+  pool survives across queries (``generation`` only moves when the pool
+  is started, restarted after :meth:`close`, or switched to another
+  backend), the backend ships once per worker, a chunk travels as one
+  contiguous ``bytes`` slice of its side's encoded rows beside the
+  side's encoded token, and ``close()`` is idempotent.
+- **A crash costs a retry, never an answer.**  A dying worker breaks
+  the executor: every chunk it held is re-queued and the whole pool is
+  replaced (``worker_restarts`` counts replacements, ``generation``
+  stays; the survivors' caches are rebuilt too), within a per-side
+  rescue budget and a no-progress breaker.
 
-Thread model: consumers drive progress cooperatively.  Whichever
-consumer thread needs results next becomes the *poller* (guarded by
-``_polling``), waits on the worker pipes once, distributes everything
-that arrived to the owning sides' queues, refills worker windows
-round-robin, and wakes the other consumers.  All pipe sends happen
-under the service lock, so concurrent admissions never interleave
-messages on one pipe.
+Thread model: each future's done-callback (on the executor's manager
+thread) records its result under the service lock, pumps again and
+wakes the waiting consumers; consumer threads shut executors down,
+*outside* the lock (:meth:`ExecutionService._reap`).
 
 The service is *owned* by :class:`~repro.core.server.SecureJoinServer`
-(one service per server, bound to every pool-using engine the server
-resolves).  There is no process-wide pool: an engine nobody bound a
-service to runs inline.
+(bound to every pool-using engine it resolves), whose ``workers`` is
+the one place a pool's width is set.  There is no process-wide pool: an
+engine nobody bound a service to runs inline.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import itertools
-import multiprocessing
 import os
 import threading
 import time
 import traceback
 from collections import deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
-from multiprocessing.connection import Connection, wait
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field
 
-from repro.crypto.backend import BilinearBackend, PreparedRow
+from repro.crypto.backend import (
+    BilinearBackend,
+    PairingOpCounter,
+    PreparedRow,
+)
 from repro.errors import DeadlineError, QueryError
 
-try:  # pragma: no cover - exercised indirectly via the transport choice
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - always present on CPython >= 3.8
-    _shared_memory = None
-
-#: How many chunks may sit in one worker's pipe before the scheduler
-#: waits for a result (keeps workers busy without queueing a whole side
-#: into one pipe, which would defeat work stealing and fairness).
+#: Chunks per worker the executor may hold at once: keeps workers busy
+#: without handing over a whole side, which would defeat priorities.
 _PREFETCH_PER_WORKER = 2
 
-#: Decoded tokens cached per worker (FIFO-evicted).
-_TOKEN_CACHE_SIZE = 32
-
-#: Prepared rows rebuilt per worker, keyed by row-ciphertext digest
-#: (FIFO-evicted).  Prepared coefficients are large (~13 KB/element on
-#: BN254), so like the fixed-base tables they are *rebuilt lazily* in
-#: each worker rather than shipped over the pipe; repeated queries over
-#: the same warm table then hit the cache and replay coefficients.
+#: Prepared rows cached per worker (:func:`_prepared_row`; FIFO-evicted).
 _PREPARED_CACHE_SIZE = 256
 
-#: How long one poll on the worker pipes blocks before re-checking
-#: liveness and side state (seconds).
-_POLL_TIMEOUT = 0.2
-
-#: Forking a worker while any thread is inside shared-memory
-#: bookkeeping is unsafe: ``SharedMemory`` create/unlink talk to the
-#: process-wide resource tracker under a tracker-internal lock, and a
-#: child forked at that moment inherits the lock *held* — its first
-#: segment attach then deadlocks forever (the worker sits "alive" and
-#: never serves a chunk).  Every fork and every tracker-touching
-#: segment operation in this module serializes on this mutex; it is
-#: process-global because several services (one per server or shard)
-#: may fork and admit concurrently in one process.
-_FORK_SAFETY_MUTEX = threading.Lock()
-
-
-def default_worker_count() -> int:
-    """The service's default pool size (matches the PR 1 parallel engine)."""
-    return max(2, os.cpu_count() or 1)
+#: How long a consumer waits for progress before re-checking its side's
+#: deadline and state (seconds).
+_WAIT_TIMEOUT = 0.2
 
 
 @dataclass(frozen=True)
@@ -108,8 +78,8 @@ class QueryQoS:
     round-robin as before.  ``deadline`` is *absolute* in
     ``time.monotonic()`` terms — the admitting layer stamps the query's
     relative wire budget against the local clock; once past it the side
-    is cancelled (pending chunks dropped, context released) and its
-    consumer receives a :class:`~repro.errors.DeadlineError`.
+    is cancelled (nothing more of it is dispatched) and its consumer
+    receives a :class:`~repro.errors.DeadlineError`.
     """
 
     priority: int = 0
@@ -143,13 +113,10 @@ class SideReport:
     chunks: int = 0
     max_chunk: int = 0
     workers_used: int = 0
-    miller_loops: int = 0
-    final_exponentiations: int = 0
-    prepared_miller_loops: int = 0
-    preparations: int = 0
+    #: Pairing work the workers did for this side.
+    ops: PairingOpCounter = field(default_factory=PairingOpCounter)
     pool_generation: int = 0
     worker_restarts: int = 0
-    shared_memory: bool = False
     #: Peak number of sides admitted concurrently while this side ran
     #: (>= 2 means this side actually interleaved with another).
     concurrent_sides: int = 1
@@ -157,242 +124,119 @@ class SideReport:
 
 # -- worker side ----------------------------------------------------------
 
-
-def _attach_shared_memory(name: str):
-    """Attach to an existing segment without owning its lifetime.
-
-    Under ``fork`` the worker shares the main process's resource
-    tracker, where attach-registration is an idempotent set-add that the
-    owner's ``unlink`` later removes — nothing to fix up.  Under other
-    start methods the worker has its *own* tracker, which would unlink
-    the (still in use) segment when the worker exits; undo the
-    registration there.
-    """
-    segment = _shared_memory.SharedMemory(name=name)
-    if multiprocessing.get_start_method() != "fork":
-        try:  # pragma: no cover - depends on interpreter internals
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:
-            pass
-    return segment
+#: Per-worker state, set by :func:`_init_worker` in each pooled process
+#: (never in the service's own): the pool's backend, and prepared rows
+#: by row-ciphertext digest.
+_worker_backend: BilinearBackend | None = None
+_worker_prepared: dict[bytes, PreparedRow] = {}
 
 
-def _decode_rows(
-    backend: BilinearBackend, buffer, start: int, count: int, dimension: int
-) -> list[list]:
-    """Decode ``count`` ciphertext rows from a flat encoded buffer."""
-    element_size = backend.g2_element_size
-    stride = dimension * element_size
-    rows = []
-    for row_index in range(start, start + count):
-        base = row_index * stride
-        rows.append([
-            backend.decode_g2(
-                bytes(buffer[base + i * element_size:
-                             base + (i + 1) * element_size])
-            )
-            for i in range(dimension)
-        ])
-    return rows
-
-
-def _prepared_rows(
-    backend: BilinearBackend,
-    cache: dict[bytes, PreparedRow],
-    buffer,
-    start: int,
-    count: int,
-    dimension: int,
-) -> list[PreparedRow]:
-    """Rebuild prepared rows for a chunk, keyed by row-ciphertext digest.
-
-    The transport ships raw G2 ciphertexts (prepared coefficients are
-    ~40x larger); workers rebuild the precomputation lazily and reuse it
-    across chunks and queries through a digest-keyed FIFO cache, so only
-    the first query over a table pays the preparation cost.
-    """
-    element_size = backend.g2_element_size
-    stride = dimension * element_size
-    rows = []
-    for row_index in range(start, start + count):
-        base = row_index * stride
-        raw = bytes(buffer[base:base + stride])
-        digest = hashlib.blake2b(raw, digest_size=16).digest()
-        row = cache.get(digest)
-        if row is None:
-            decoded = [
-                backend.decode_g2(
-                    raw[i * element_size:(i + 1) * element_size]
-                )
-                for i in range(dimension)
-            ]
-            row = backend.prepare_row(decoded)
-            if len(cache) >= _PREPARED_CACHE_SIZE:
-                cache.pop(next(iter(cache)))
-            cache[digest] = row
-        rows.append(row)
-    return rows
-
-
-def _service_worker(conn: Connection, backend: BilinearBackend) -> None:
-    """Worker main loop: install contexts, decrypt chunks, report results.
-
-    Messages arrive on one FIFO pipe, so a ``ctx`` install is always
-    processed before the chunks that reference it.  The worker holds
-    *many* contexts at once — one per admitted side — each with its own
-    shared-memory segment; ``release`` drops a context when its side
-    finishes.  The backend lives for the worker's whole lifetime and
-    decoded tokens are cached by digest, so repeated queries cost
-    nothing but the chunk descriptors.
-    """
+def _init_worker(backend: BilinearBackend) -> None:
+    """The executor's initializer: the backend ships once per worker and
+    lives as long as it does, with fresh caches and op counters (a
+    forked worker inherits its parent's)."""
+    global _worker_backend
     backend.ops.reset()
-    token_cache: dict[bytes, tuple] = {}
-    prepared_cache: dict[bytes, PreparedRow] = {}
-    # ctx_id -> (token, dimension, shared-memory segment | None, prepared)
-    contexts: dict[int, tuple] = {}
-    try:
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "stop":
-                return
-            if kind == "ctx":
-                (
-                    _, ctx_id, digest, token_bytes, dimension, shm_name,
-                    prepared,
-                ) = message
-                token = token_cache.get(digest)
-                if token is None:
-                    token = tuple(
-                        backend.decode_g1(raw) for raw in token_bytes
-                    )
-                    if len(token_cache) >= _TOKEN_CACHE_SIZE:
-                        token_cache.pop(next(iter(token_cache)))
-                    token_cache[digest] = token
-                segment = None
-                if shm_name is not None:
-                    # A vanished segment means the install is stale (the
-                    # side it belonged to was already released); skip it —
-                    # no chunk for this context will need serving.
-                    try:
-                        segment = _attach_shared_memory(shm_name)
-                    except (FileNotFoundError, OSError):
-                        continue
-                contexts[ctx_id] = (token, dimension, segment, prepared)
-                continue
-            if kind == "release":
-                _, ctx_id = message
-                released = contexts.pop(ctx_id, None)
-                if released is not None and released[2] is not None:
-                    released[2].close()
-                continue
-            if kind == "chunk":
-                _, ctx_id, start, count, payload = message
-                try:
-                    context = contexts.get(ctx_id)
-                    if context is None:
-                        raise QueryError(
-                            f"chunk for unknown context {ctx_id}"
-                        )
-                    token, dimension, segment, prepared = context
-                    if payload is not None:
-                        buffer, offset = payload, 0
-                    else:
-                        buffer, offset = segment.buf, start
-                    snapshot = backend.ops.snapshot()
-                    if prepared:
-                        rows = _prepared_rows(
-                            backend, prepared_cache, buffer, offset,
-                            count, dimension,
-                        )
-                    else:
-                        rows = _decode_rows(
-                            backend, buffer, offset, count, dimension
-                        )
-                    gts = backend.pair_vectors_batch(token, rows)
-                    delta = backend.ops.since(snapshot)
-                    conn.send((
-                        "done", ctx_id, start,
-                        [gt.to_bytes() for gt in gts],
-                        delta.miller_loops, delta.final_exponentiations,
-                        delta.prepared_miller_loops, delta.preparations,
-                    ))
-                except Exception:
-                    conn.send((
-                        "error", ctx_id, start, traceback.format_exc()
-                    ))
-    except (EOFError, KeyboardInterrupt, BrokenPipeError):
-        pass
-    finally:
-        for context in contexts.values():
-            if context[2] is not None:
-                context[2].close()
-        conn.close()
+    _worker_backend = backend
+    _worker_prepared.clear()
+
+
+def _decode_row(backend: BilinearBackend, raw: bytes, dimension: int) -> list:
+    size = backend.g2_element_size
+    return [
+        backend.decode_g2(raw[i * size:(i + 1) * size])
+        for i in range(dimension)
+    ]
+
+
+def _prepared_row(
+    backend: BilinearBackend, raw: bytes, dimension: int
+) -> PreparedRow:
+    """Rebuild a prepared row, keyed by row-ciphertext digest.
+
+    Prepared coefficients are large (~13 KB/element on BN254, ~40x the
+    ciphertext), so like the fixed-base tables they are rebuilt lazily
+    in each worker rather than shipped, and reused across chunks and
+    queries: only the first query over a table pays the preparation.
+    """
+    digest = hashlib.blake2b(raw, digest_size=16).digest()
+    row = _worker_prepared.get(digest)
+    if row is None:
+        row = backend.prepare_row(_decode_row(backend, raw, dimension))
+        if len(_worker_prepared) >= _PREPARED_CACHE_SIZE:
+            _worker_prepared.pop(next(iter(_worker_prepared)))
+        _worker_prepared[digest] = row
+    return row
+
+
+def _decrypt_chunk(
+    token_bytes: Sequence[bytes], prepared: bool, chunk: bytes
+) -> tuple[int, list[bytes], PairingOpCounter]:
+    """Decrypt one chunk in a pooled worker: ``(pid, handles, the
+    pairing work it took)``.  The token is decoded per chunk: 46 µs at
+    the paper's d = 19 on BN254, against >= 400 ms of pairings."""
+    backend = _worker_backend
+    token = [backend.decode_g1(raw) for raw in token_bytes]
+    dimension = len(token)
+    stride = dimension * backend.g2_element_size
+    snapshot = backend.ops.snapshot()
+    decode = _prepared_row if prepared else _decode_row
+    rows = [
+        decode(backend, chunk[base:base + stride], dimension)
+        for base in range(0, len(chunk), stride)
+    ]
+    handles = [
+        gt.to_bytes() for gt in backend.pair_vectors_batch(token, rows)
+    ]
+    return os.getpid(), handles, backend.ops.since(snapshot)
+
+
+def _encode_rows(backend, ciphertext_vectors, dimension) -> bytes:
+    """A side's rows as one flat buffer of encoded G2 elements."""
+    parts = []
+    for row in ciphertext_vectors:
+        if len(row) != dimension:
+            raise QueryError(
+                f"ciphertext dimension {len(row)} != token dimension "
+                f"{dimension}"
+            )
+        # Prepared rows travel as their raw G2 elements; the worker
+        # rebuilds (and caches) the precomputation on its side.
+        elements = row.elements if isinstance(row, PreparedRow) else row
+        for element in elements:
+            parts.append(backend.encode_g2(element))
+    return b"".join(parts)
 
 
 # -- main-process side ----------------------------------------------------
 
 
-class _WorkerHandle:
-    """One pooled worker: its process, pipe and outstanding chunks."""
-
-    def __init__(self, index: int, process, conn: Connection):
-        self.index = index
-        self.process = process
-        self.conn = conn
-        # (ctx_id, start) -> (ctx_id, start, count) for crash requeue.
-        self.outstanding: dict[tuple[int, int], tuple] = {}
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-
+@dataclass(eq=False)
 class _SideState:
-    """One admitted side: its transport, chunk queues and progress."""
+    """One admitted side: its encoded rows, chunk queue and progress."""
 
-    def __init__(
-        self,
-        ctx_id: int,
-        install: tuple,
-        segment,
-        encoded: bytes,
-        stride: int,
-        pending: deque,
-        max_workers: int,
-        allowed_workers: frozenset[int],
-        rescue_budget: int,
-        qos: QueryQoS,
-    ):
-        self.ctx_id = ctx_id
-        self.install = install
-        self.segment = segment
-        self.encoded = encoded
-        self.stride = stride
-        self.pending = pending
-        self.qos = qos
-        #: Set when the side's deadline lapsed; consumers raise
-        #: :class:`DeadlineError` instead of a generic failure.
-        self.expired = False
-        self.n_chunks = len(pending)
-        self.max_workers = max_workers
-        self.allowed_workers = allowed_workers
-        self.rescue_budget = rescue_budget
-        #: Chunks completed by workers, awaiting the consumer.
-        self.completed: deque[tuple[int, list[bytes]]] = deque()
-        self.seen_starts: set[int] = set()
-        self.done_chunks = 0
-        #: worker index -> number of this side's chunks it is holding.
-        self.holding: dict[int, int] = {}
-        self.workers_ever: set[int] = set()
-        self.error: str | None = None
-        self.released = False
-        self.report = SideReport()
+    #: ``(encoded token, prepared)``: what every chunk of this side
+    #: carries to its worker beside its rows.
+    call: tuple
+    #: ``(start row, encoded rows)`` chunks not yet handed to the pool
+    #: (a chunk a dead pool held comes back to the front).
+    pending: deque
+    rescue_budget: int
+    qos: QueryQoS
+    report: SideReport
+    #: The dead executor this side's budget was last charged for: one
+    #: crash loses many chunks and costs one rescue.
+    charged_for: ProcessPoolExecutor | None = None
+    #: Chunks completed by workers, awaiting the consumer.
+    completed: deque = field(default_factory=deque)
+    done_chunks: int = 0
+    #: Pids of the workers that served this side's chunks.
+    pids: set = field(default_factory=set)
+    error: str | None = None
 
     @property
     def finished(self) -> bool:
-        return self.done_chunks >= self.n_chunks
+        return self.done_chunks >= self.report.chunks
 
 
 class ExecutionService:
@@ -403,91 +247,69 @@ class ExecutionService:
     :meth:`stream_chunks`, and :meth:`close` when done — or use it as a
     context manager.  A closed service transparently restarts on next
     use (``generation`` then increments, which is how tests assert the
-    pool was *not* recreated between queries).  Any number of sides may
-    be in flight at once; they interleave chunk scheduling fairly on
-    the shared pool.
+    pool was *not* recreated between queries).
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        use_shared_memory: bool | None = None,
-        name: str | None = None,
-    ):
+    def __init__(self, workers: int | None = None, name: str | None = None):
         if workers is not None and workers < 1:
             raise QueryError("worker count must be at least 1")
-        #: Optional label threaded into pool-death error messages — in a
-        #: sharded deployment every shard owns a pool, and "the pool
-        #: died" is not actionable without saying *whose*.
+        #: Optional label for pool-death error messages: every shard owns
+        #: a pool, and "the pool died" is not actionable without *whose*.
         self.name = name
+        #: The pool's width; by default one worker per core, at least two.
         self.worker_target = (
-            workers if workers is not None else default_worker_count()
+            workers if workers is not None else max(2, os.cpu_count() or 1)
         )
-        if use_shared_memory is None:
-            use_shared_memory = _shared_memory is not None
-        self.use_shared_memory = use_shared_memory and _shared_memory is not None
         #: Incremented every time the pool is (re)started.
         self.generation = 0
-        #: Cumulative count of workers respawned after a crash.
+        #: Pool replacements after a worker crash (every worker goes).
         self.worker_restarts = 0
-        #: Sides admitted to the pool (not counting inline fallbacks).
-        self.sides_executed = 0
         #: High-water mark of concurrently admitted sides.
         self.peak_concurrent_sides = 0
-        self._workers: list[_WorkerHandle] = []
+        #: The live pool, made by the pump at the first chunk after a
+        #: start or a crash.
+        self._executor: ProcessPoolExecutor | None = None
+        #: Executors awaiting shutdown; the pump submits nothing — so
+        #: nothing forks — while one is still here (:meth:`_reap`).
+        self._retired: list[ProcessPoolExecutor] = []
+        self._reaping = threading.Lock()
+        #: What the pool was started on; ``None`` = not started.
         self._backend: BilinearBackend | None = None
-        self._ctx_counter = itertools.count(1)
-        self._closed = False
+        #: True after :meth:`close` until the next (lazy) restart.
+        self.closed = False
         self._lock = threading.RLock()
         self._progress = threading.Condition(self._lock)
-        self._active: dict[int, _SideState] = {}
-        self._rr: deque[int] = deque()
-        self._polling = False
+        #: Admitted sides, in rotation order.
+        self._active: list[_SideState] = []
+        self._in_flight = 0
+        self._pumping = False
+        #: The current pool's workers, learned from their results.
+        self._pids: set[int] = set()
         self._rescues_since_progress = 0
-        self._admit_offset = 0
 
     # -- lifecycle --------------------------------------------------------
     @property
     def started(self) -> bool:
-        return bool(self._workers)
-
-    @property
-    def closed(self) -> bool:
-        """True after :meth:`close` until the next (lazy) restart."""
-        return self._closed
+        return self._backend is not None
 
     @property
     def active_sides(self) -> int:
         """How many sides are currently admitted (diagnostics)."""
-        with self._lock:
-            return len(self._active)
+        return len(self._active)
 
     def worker_pids(self) -> list[int]:
-        """PIDs of the live pool (for lifecycle tests and diagnostics)."""
+        """PIDs of the current pool's workers that have served a chunk
+        (for lifecycle tests and diagnostics)."""
         with self._lock:
-            return [w.process.pid for w in self._workers if w.alive()]
+            return sorted(self._pids)
 
     def _label(self) -> str:
         return f" {self.name!r}" if self.name else ""
 
-    def _spawn_worker(self, index: int) -> _WorkerHandle:
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
-        process = multiprocessing.Process(
-            target=_service_worker,
-            args=(child_conn, self._backend),
-            daemon=True,
-            name=f"repro-sjdec-{self.generation}-{index}",
-        )
-        with _FORK_SAFETY_MUTEX:
-            process.start()
-        child_conn.close()
-        return _WorkerHandle(index, process, parent_conn)
-
     @staticmethod
     def _backend_fingerprint(backend: BilinearBackend) -> tuple:
         """What must match for pooled workers to be reusable: semantics,
-        not object identity (backends are stateless but for op counters,
-        which are per-process anyway)."""
+        not identity (backends are stateless but for op counters)."""
         return (
             type(backend).__qualname__,
             backend.name,
@@ -498,13 +320,12 @@ class ExecutionService:
     def ensure_started(self, backend: BilinearBackend) -> None:
         """Start (or restart) the pool bound to ``backend``.
 
-        The backend is shipped once, as each worker's spawn argument;
-        asking for a semantically different backend restarts the pool,
-        since the per-worker caches would be poisoned otherwise — but
-        never while other sides are still executing on the old one.
+        Workers fork at the first chunk.  A semantically different
+        backend restarts the pool (the per-worker caches would be
+        poisoned otherwise) — never while sides still execute on it.
         """
         with self._lock:
-            if self._workers and (
+            if self._backend is not None and (
                 self._backend_fingerprint(self._backend)
                 != self._backend_fingerprint(backend)
             ):
@@ -513,82 +334,54 @@ class ExecutionService:
                         "cannot switch the pool to a different backend "
                         f"while {len(self._active)} side(s) are active"
                     )
-                self._stop_workers()
-            if not self._workers:
+                self._retire_locked()
+                self._backend = None
+            if self._backend is None:
                 self._backend = backend
                 self.generation += 1
-                self._closed = False
-                if self.use_shared_memory:
-                    # Start the resource tracker *before* forking so
-                    # workers inherit it instead of each spawning (and
-                    # exiting with) a tracker of their own.
-                    try:  # pragma: no cover - tracker internals
-                        from multiprocessing import resource_tracker
+                self.closed = False
 
-                        resource_tracker.ensure_running()
-                    except Exception:
-                        pass
-                self._workers = [
-                    self._spawn_worker(i) for i in range(self.worker_target)
-                ]
-            else:
-                self._respawn_dead_workers()
+    def _retire_locked(self) -> None:
+        if self._executor is not None:
+            self._retired.append(self._executor)
+            self._executor = None
+        self._pids.clear()
 
-    def _respawn_dead_workers(self) -> None:
-        """Replace workers that died while idle.  Replacements receive
-        the installs of every active side, so in-flight queries keep
-        working; their lost chunks are requeued by the poller."""
-        for slot, worker in enumerate(self._workers):
-            if not worker.alive():
-                self._requeue_outstanding(worker)
-                worker.conn.close()
-                replacement = self._spawn_worker(worker.index)
-                self._workers[slot] = replacement
-                self.worker_restarts += 1
-                self._install_active_sides(replacement)
+    def _reap(self) -> None:
+        """Shut retired executors down, then let the pump run again.
 
-    def _install_active_sides(self, worker: _WorkerHandle) -> None:
-        for side in self._active.values():
-            if side.released:
-                continue
-            try:
-                worker.conn.send(side.install)
-            except OSError:  # pragma: no cover - instant respawn death
-                pass
+        Never called with the service lock held: a retired executor's
+        manager thread may be inside a done-callback waiting for it, and
+        shutting down joins that thread.  The pump holds back until the
+        list is empty, so a replacement's workers fork only after the
+        pool they replace has closed its pipes: a child forked earlier
+        would hold them open, and a chunk half-written to the dead pool
+        would block its teardown forever.
+        """
+        if not self._retired:
+            return
+        with self._reaping:
+            with self._lock:
+                retired = list(self._retired)
+            for executor in retired:
+                executor.shutdown(wait=True, cancel_futures=True)
+            with self._progress:
+                del self._retired[: len(retired)]
+                self._pump_locked()
+                self._progress.notify_all()
 
     def close(self) -> None:
         """Stop the pool.  Idempotent; the service may be reused after."""
         with self._progress:
-            if self._closed and not self._workers:
-                return
-            self._stop_workers()
-            self._closed = True
+            self._retire_locked()
+            self._backend = None
+            self.closed = True
             # Consumers blocked on in-flight sides must fail, not hang.
-            for side in self._active.values():
-                if not side.finished and side.error is None:
-                    side.error = (
-                        f"execution service{self._label()} was closed "
-                        "mid-side"
-                    )
+            self._fail_sides_locked(
+                f"execution service{self._label()} was closed mid-side"
+            )
             self._progress.notify_all()
-
-    def _stop_workers(self) -> None:
-        for worker in self._workers:
-            try:
-                worker.conn.send(("stop",))
-            except (OSError, ValueError):
-                pass
-        for worker in self._workers:
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():  # pragma: no cover - stuck worker
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-            worker.conn.close()
-            # Release the Process object's pidfd/sentinel immediately
-            # rather than waiting for GC (keeps FD counts flat).
-            if hasattr(worker.process, "close"):
-                worker.process.close()
-        self._workers = []
+        self._reap()
 
     def __enter__(self) -> "ExecutionService":
         return self
@@ -603,151 +396,61 @@ class ExecutionService:
         token_elements: Sequence,
         ciphertext_vectors: Sequence[Sequence],
         batch_size: int,
-        max_workers: int | None = None,
         qos: QueryQoS | None = None,
     ) -> _SideState:
         """Register one side with the scheduler and start dispatching.
 
         Returns a side handle to pass to :meth:`stream_chunks` (and, on
-        abnormal exits, :meth:`release_side` — releasing is idempotent
-        and also happens automatically when the stream is drained).
-        ``max_workers`` caps how many pooled workers this side may use
-        concurrently (an engine configured narrower than the pool stays
-        narrower); other sides are free to use the rest.  ``qos``
-        attaches the owning query's priority and absolute deadline (see
-        :class:`QueryQoS`).
+        abnormal exits, :meth:`release_side` — idempotent, and automatic
+        once the stream is drained).  ``qos`` is the owning query's
+        priority and absolute deadline (:class:`QueryQoS`).
         """
         if batch_size < 1:
             raise QueryError("batch size must be at least 1")
-        if qos is None:
-            qos = QueryQoS()
-        # Transport preparation touches only local data; doing the
-        # per-element encode and the shared-memory copy outside the
-        # lock keeps a large admission from stalling the queries
-        # already running on the pool.
+        # Encoding touches only local data; doing it outside the lock
+        # keeps a large admission from stalling the queries already
+        # running on the pool.
         dimension = len(token_elements)
         n_rows = len(ciphertext_vectors)
-        # Prepared sides ship raw G2 ciphertexts (the precomputation is
-        # ~40x larger than the ciphertext); workers rebuild coefficients
-        # lazily, keyed by row digest, like the fixed-base tables.
         prepared = n_rows > 0 and all(
             isinstance(row, PreparedRow) for row in ciphertext_vectors
         )
-        encoded = self._encode_rows(backend, ciphertext_vectors, dimension)
-        segment = self._create_segment(encoded)
+        encoded = _encode_rows(backend, ciphertext_vectors, dimension)
         token_bytes = [backend.encode_g1(e) for e in token_elements]
-        digest = hashlib.blake2b(
-            b"".join(token_bytes), digest_size=16
-        ).digest()
-        pending: deque[tuple[int, int]] = deque(
-            (start, min(batch_size, n_rows - start))
+        stride = dimension * backend.g2_element_size
+        pending: deque[tuple[int, bytes]] = deque(
+            (start, encoded[start * stride:(start + batch_size) * stride])
             for start in range(0, n_rows, batch_size)
         )
-        try:
-            with self._progress:
-                self.ensure_started(backend)
-                self.sides_executed += 1
-                # A fresh admission gets a fresh no-progress rescue
-                # breaker: the breaker exists to stop runaway respawn
-                # loops within one pumping episode, not to poison later
-                # queries after the environment recovered.
-                self._rescues_since_progress = 0
-                ctx_id = next(self._ctx_counter)
-                install = (
-                    "ctx", ctx_id, digest, token_bytes, dimension,
-                    segment.name if segment is not None else None,
-                    prepared,
-                )
-                limit = min(
-                    max_workers if max_workers is not None
-                    else self.worker_target,
-                    len(self._workers),
-                )
-                side = _SideState(
-                    ctx_id=ctx_id,
-                    install=install,
-                    segment=segment,
-                    # Once the rows live in the segment the flat copy is
-                    # dead weight; chunk messages only slice it on the
-                    # no-shared-memory fallback path.
-                    encoded=b"" if segment is not None else encoded,
-                    stride=dimension * backend.g2_element_size,
-                    pending=pending,
-                    max_workers=max(1, limit),
-                    allowed_workers=self._assign_workers(max(1, limit)),
-                    rescue_budget=3 * max(1, len(self._workers)) + 5,
-                    qos=qos,
-                )
-                side.report = SideReport(
-                    chunks=side.n_chunks,
-                    max_chunk=max((count for _, count in pending), default=0),
+        with self._progress:
+            self.ensure_started(backend)
+            # A fresh admission gets a fresh no-progress breaker: it is
+            # there to stop a runaway restart loop, not to poison later
+            # queries after the environment recovered.
+            self._rescues_since_progress = 0
+            side = _SideState(
+                call=(token_bytes, prepared),
+                pending=pending,
+                rescue_budget=3 * self.worker_target + 5,
+                qos=qos if qos is not None else QueryQoS(),
+                report=SideReport(
+                    chunks=len(pending),
+                    max_chunk=min(batch_size, n_rows),
                     pool_generation=self.generation,
-                    shared_memory=segment is not None,
+                ),
+            )
+            self._active.append(side)
+            peak = len(self._active)
+            self.peak_concurrent_sides = max(
+                self.peak_concurrent_sides, peak
+            )
+            for active in self._active:
+                active.report.concurrent_sides = max(
+                    active.report.concurrent_sides, peak
                 )
-
-                if not self._install_everywhere(side):
-                    raise QueryError(
-                        "execution service has no reachable workers "
-                        "after a restart"
-                    )
-                self._active[ctx_id] = side
-                self._rr.append(ctx_id)
-                peak = len(self._active)
-                self.peak_concurrent_sides = max(
-                    self.peak_concurrent_sides, peak
-                )
-                for active in self._active.values():
-                    active.report.concurrent_sides = max(
-                        active.report.concurrent_sides, peak
-                    )
-                self._fill_windows_locked()
-                self._progress.notify_all()
-        except BaseException:
-            # The side never registered; free the segment created
-            # outside the lock (release_side will never see it).
-            if segment is not None:
-                with _FORK_SAFETY_MUTEX:
-                    segment.close()
-                    try:
-                        segment.unlink()
-                    except FileNotFoundError:  # pragma: no cover
-                        pass
-            raise
+            self._pump_locked()
+        self._reap()
         return side
-
-    def _assign_workers(self, limit: int) -> frozenset[int]:
-        """The worker indices this side may occupy.  Narrower-than-pool
-        sides get a rotating slice so concurrent narrow sides spread
-        over different workers instead of all camping on worker 0."""
-        indices = [worker.index for worker in self._workers]
-        if limit >= len(indices):
-            return frozenset(indices)
-        offset = self._admit_offset % len(indices)
-        self._admit_offset += limit
-        rotated = indices[offset:] + indices[:offset]
-        return frozenset(rotated[:limit])
-
-    def _install_everywhere(self, side: _SideState) -> bool:
-        """Install the side's context on every live worker.  Installing
-        beyond the side's allowed workers is deliberate: crash rescue
-        may respawn any slot, and installs are a few hundred bytes."""
-        for attempt in range(2):
-            sent = 0
-            for worker in self._workers:
-                if not worker.alive():
-                    continue
-                try:
-                    worker.conn.send(side.install)
-                    sent += 1
-                except OSError:
-                    continue
-            if sent:
-                return True
-            if attempt == 0:
-                # Every worker was dead or unreachable at once; replace
-                # the dead and retry once.
-                self._respawn_dead_workers()
-        return False
 
     # -- streaming --------------------------------------------------------
     def stream_chunks(
@@ -755,346 +458,163 @@ class ExecutionService:
     ) -> Iterator[tuple[int, list[bytes]]]:
         """Yield ``(start_offset, handles)`` chunks as workers finish.
 
-        Chunks arrive in completion order, not row order — callers that
-        need row order sort by the start offset.
-        Returns the side's :class:`SideReport` as the generator's value
-        and releases the side's context on the way out.
+        Chunks arrive in completion order — callers that need row order
+        sort by the start offset.  Returns the side's :class:`SideReport`
+        as the generator's value and releases the side on the way out.
         """
         try:
             while True:
-                items, report = self._next_progress(side)
-                for item in items:
-                    yield item
-                if report is not None:
-                    return report
+                self._reap()
+                with self._progress:
+                    if side.qos.expired():
+                        raise DeadlineError(
+                            "query exceeded its deadline; side cancelled "
+                            f"after {side.done_chunks}/{side.report.chunks}"
+                            " chunks"
+                        )
+                    if side.error is not None:
+                        raise QueryError(
+                            f"pooled SJ.Dec side failed:\n{side.error}"
+                        )
+                    items = list(side.completed)
+                    side.completed.clear()
+                    if not items and side.finished:
+                        return side.report
+                    if not items and not self._retired:
+                        self._progress.wait(timeout=_WAIT_TIMEOUT)
+                yield from items
         finally:
             self.release_side(side)
 
-    def _next_progress(
-        self, side: _SideState
-    ) -> tuple[list[tuple[int, list[bytes]]], SideReport | None]:
-        """Block until ``side`` has new chunks, is finished, or failed.
-
-        Exactly one consumer thread polls the worker pipes at a time
-        (the ``_polling`` baton); everything it collects is routed to
-        the owning sides, so the other consumers find their chunks
-        ready the moment they re-check.
-        """
-        while True:
-            with self._progress:
-                if side.expired or side.qos.expired():
-                    if not side.expired:
-                        side.expired = True
-                        side.pending.clear()
-                    raise DeadlineError(
-                        "query exceeded its deadline; side cancelled "
-                        f"after {side.done_chunks}/{side.n_chunks} chunks"
-                    )
-                if side.error is not None:
-                    raise QueryError(
-                        f"pooled SJ.Dec side failed:\n{side.error}"
-                    )
-                if side.completed:
-                    items = list(side.completed)
-                    side.completed.clear()
-                    return items, None
-                if side.finished:
-                    self._finalize_side_locked(side)
-                    return [], side.report
-                if not self._workers:
-                    raise QueryError(
-                        f"execution service{self._label()} was closed "
-                        "while a side was executing"
-                    )
-                if self._polling:
-                    self._progress.wait(timeout=0.1)
-                    continue
-                self._polling = True
-                conns = [w.conn for w in self._workers if w.alive()]
-            ready = []
-            try:
-                try:
-                    ready = wait(conns, timeout=_POLL_TIMEOUT) if conns else []
-                except (OSError, ValueError):
-                    ready = []
-            finally:
-                with self._progress:
-                    self._polling = False
-                    try:
-                        if ready:
-                            self._process_ready_locked(ready)
-                        else:
-                            self._rescue_dead_locked()
-                        self._fill_windows_locked()
-                    finally:
-                        self._progress.notify_all()
-
-    def _finalize_side_locked(self, side: _SideState) -> None:
-        side.report.workers_used = len(side.workers_ever)
-        side.report.worker_restarts = self.worker_restarts
-
     def release_side(self, side: _SideState) -> None:
-        """Retire a side: drop its context everywhere, free its segment.
-
-        Idempotent, and safe mid-flight (abandoned sides simply stop
-        being scheduled; results for released contexts are dropped).
-        """
+        """Retire a side: it stops being scheduled.  Idempotent, and
+        safe mid-flight (results still on their way are dropped)."""
         with self._progress:
-            if side.released:
-                return
-            side.released = True
-            self._active.pop(side.ctx_id, None)
-            try:
-                self._rr.remove(side.ctx_id)
-            except ValueError:
-                pass
-            for worker in self._workers:
-                stale = [
-                    key for key in worker.outstanding
-                    if key[0] == side.ctx_id
-                ]
-                for key in stale:
-                    worker.outstanding.pop(key, None)
-                if worker.alive():
-                    try:
-                        worker.conn.send(("release", side.ctx_id))
-                    except (OSError, ValueError):
-                        pass
-            self._cleanup_segment(side)
-            side.report.worker_restarts = self.worker_restarts
-            self._progress.notify_all()
-
-    def _cleanup_segment(self, side: _SideState) -> None:
-        if side.segment is not None:
-            with _FORK_SAFETY_MUTEX:
-                side.segment.close()
-                try:
-                    side.segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - double unlink
-                    pass
-            side.segment = None
+            if side in self._active:
+                self._active.remove(side)
+                side.pending.clear()
+                side.report.workers_used = len(side.pids)
+                side.report.worker_restarts = self.worker_restarts
+                self._progress.notify_all()
+        self._reap()
 
     # -- scheduling internals (all require self._lock) --------------------
-    def _encode_rows(self, backend, ciphertext_vectors, dimension) -> bytes:
-        parts = []
-        for row in ciphertext_vectors:
-            if len(row) != dimension:
-                raise QueryError(
-                    f"ciphertext dimension {len(row)} != token dimension "
-                    f"{dimension}"
-                )
-            # Prepared rows travel as their raw G2 elements; the worker
-            # rebuilds (and caches) the precomputation on its side.
-            elements = (
-                row.elements if isinstance(row, PreparedRow) else row
-            )
-            for element in elements:
-                parts.append(backend.encode_g2(element))
-        return b"".join(parts)
-
-    def _create_segment(self, encoded: bytes):
-        if not self.use_shared_memory or not encoded:
-            return None
-        try:
-            with _FORK_SAFETY_MUTEX:
-                segment = _shared_memory.SharedMemory(
-                    create=True, size=len(encoded)
-                )
-        except (OSError, ValueError):  # pragma: no cover - no /dev/shm
-            self.use_shared_memory = False
-            return None
-        segment.buf[: len(encoded)] = encoded
-        return segment
-
-    def _chunk_message(self, side: _SideState, start: int, count: int):
-        if side.segment is not None:
-            payload = None
-        else:
-            # Zero-copy-ish fallback: one contiguous bytes slice per
-            # chunk (pickled as a single buffer, not element by element).
-            payload = side.encoded[
-                start * side.stride:(start + count) * side.stride
-            ]
-        return ("chunk", side.ctx_id, start, count, payload)
-
-    def _pick_side_locked(self, worker: _WorkerHandle) -> _SideState | None:
-        """The next side whose chunk this worker should run: the
+    def _pick_side_locked(self) -> _SideState | None:
+        """The next side whose chunk goes to the pool: the
         highest-priority admitted side with pending work, round-robin
-        within equal priorities, honoring per-side worker caps (a side
-        may occupy a new worker only from its allowed set and only
-        below its cap).  The chosen side moves to the back of the
-        rotation so equal-priority sides keep interleaving fairly."""
+        within equal priorities (the chosen side moves to the back of
+        the rotation).  A side whose deadline lapsed is cancelled:
+        nothing more of it is dispatched, and its consumer raises."""
+        now = time.monotonic()
         best: _SideState | None = None
-        for _ in range(len(self._rr)):
-            ctx_id = self._rr[0]
-            self._rr.rotate(-1)
-            side = self._active.get(ctx_id)
-            if side is None or side.released or not side.pending:
-                continue
-            if side.error is not None or side.expired:
-                continue
-            eligible = worker.index in side.holding or (
-                worker.index in side.allowed_workers
-                and len(side.holding) < side.max_workers
-            )
-            if not eligible:
+        for side in self._active:
+            if (
+                not side.pending
+                or side.error is not None
+                or side.qos.expired(now)
+            ):
                 continue
             if best is None or side.qos.priority > best.qos.priority:
                 best = side
         if best is not None:
-            # The full scan left the rotation where it started; demote
-            # the winner explicitly so its equal-priority peers get the
-            # next pick.
-            try:
-                self._rr.remove(best.ctx_id)
-            except ValueError:  # pragma: no cover - released concurrently
-                pass
-            else:
-                self._rr.append(best.ctx_id)
+            self._active.remove(best)
+            self._active.append(best)
         return best
 
-    def _cancel_expired_locked(self) -> None:
-        """Cancel sides whose deadline lapsed: drop their pending chunks
-        so no further work is dispatched, and wake their consumers (who
-        then raise :class:`DeadlineError` and release the side)."""
-        now = time.monotonic()
-        expired_any = False
-        for side in self._active.values():
-            if side.expired or side.error is not None:
-                continue
-            if side.qos.expired(now):
-                side.expired = True
-                side.pending.clear()
-                expired_any = True
-        if expired_any:
+    def _pump_locked(self) -> None:
+        """Hand chunks to the executor until its window is full or no
+        admitted side has one to give."""
+        if self._pumping:
+            # A future that was already done ran its callback inside
+            # ``add_done_callback`` below; the loop it interrupted goes on.
+            return
+        self._pumping = True
+        try:
+            window = _PREFETCH_PER_WORKER * self.worker_target
+            while self._in_flight < window and not self._retired:
+                side = self._pick_side_locked()
+                if side is None:
+                    return
+                if self._executor is None:
+                    # The first chunk since the start, or since a crash:
+                    # the same pool incarnation with fresh workers.
+                    self._executor = ProcessPoolExecutor(
+                        max_workers=self.worker_target,
+                        initializer=_init_worker,
+                        initargs=(self._backend,),
+                    )
+                executor = self._executor
+                chunk = side.pending.popleft()
+                try:
+                    future = executor.submit(
+                        _decrypt_chunk, *side.call, chunk[1]
+                    )
+                except BrokenProcessPool:
+                    # A worker died while the pool was idle.
+                    self._chunk_lost_locked(executor, side, chunk)
+                    return
+                self._in_flight += 1
+                future.add_done_callback(functools.partial(
+                    self._chunk_done, executor, side, chunk
+                ))
+        finally:
+            self._pumping = False
+
+    def _chunk_done(self, executor, side, chunk, future) -> None:
+        """A chunk's future resolved (on the executor's manager thread):
+        record the result or re-queue the lost chunk, and pump again."""
+        with self._progress:
+            self._in_flight -= 1
+            if future.cancelled():
+                pass  # by close(), which has failed its side already
+            elif isinstance(error := future.exception(), BrokenProcessPool):
+                self._chunk_lost_locked(executor, side, chunk)
+            elif error is not None:
+                side.error = "".join(traceback.format_exception(error))
+            else:
+                pid, handles, ops = future.result()
+                self._rescues_since_progress = 0
+                if executor is self._executor:
+                    self._pids.add(pid)
+                if side in self._active:
+                    side.pids.add(pid)
+                    side.done_chunks += 1
+                    side.completed.append((chunk[0], handles))
+                    side.report.ops.add(ops)
+            self._pump_locked()
             self._progress.notify_all()
 
-    def _fill_windows_locked(self) -> None:
-        if not self._active:
-            return
-        self._cancel_expired_locked()
-        for worker in self._workers:
-            if not worker.alive():
-                continue
-            while len(worker.outstanding) < _PREFETCH_PER_WORKER:
-                side = self._pick_side_locked(worker)
-                if side is None:
-                    break
-                start, count = side.pending.popleft()
-                try:
-                    worker.conn.send(self._chunk_message(side, start, count))
-                except (OSError, ValueError):
-                    side.pending.appendleft((start, count))
-                    break
-                worker.outstanding[(side.ctx_id, start)] = (
-                    side.ctx_id, start, count,
-                )
-                side.holding[worker.index] = (
-                    side.holding.get(worker.index, 0) + 1
-                )
-                side.workers_ever.add(worker.index)
-
-    def _release_holding(self, side: _SideState, worker_index: int) -> None:
-        count = side.holding.get(worker_index, 0) - 1
-        if count > 0:
-            side.holding[worker_index] = count
-        else:
-            side.holding.pop(worker_index, None)
-
-    def _process_ready_locked(self, ready) -> None:
-        for conn in ready:
-            worker = next(
-                (w for w in self._workers if w.conn is conn), None
-            )
-            if worker is None:
-                continue
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                self._rescue_worker_locked(worker)
-                continue
-            kind = message[0]
-            if kind == "done":
-                (
-                    _, ctx_id, start, handles, millers, fexps,
-                    prepared_millers, preparations,
-                ) = message
-                if worker.outstanding.pop((ctx_id, start), None) is not None:
-                    self._rescues_since_progress = 0
-                side = self._active.get(ctx_id)
-                if side is None or side.released:
-                    continue
-                self._release_holding(side, worker.index)
-                if start in side.seen_starts:
-                    # A rescue recomputed a chunk the original worker
-                    # had already delivered; keep the first result.
-                    continue
-                side.seen_starts.add(start)
-                side.done_chunks += 1
-                side.completed.append((start, handles))
-                side.report.miller_loops += millers
-                side.report.final_exponentiations += fexps
-                side.report.prepared_miller_loops += prepared_millers
-                side.report.preparations += preparations
-            elif kind == "error":
-                _, ctx_id, start, trace = message
-                worker.outstanding.pop((ctx_id, start), None)
-                side = self._active.get(ctx_id)
-                if side is None or side.released:
-                    continue
-                self._release_holding(side, worker.index)
-                side.error = trace
-
-    def _rescue_dead_locked(self) -> None:
-        for worker in list(self._workers):
-            if not worker.alive():
-                self._rescue_worker_locked(worker)
-
-    def _requeue_outstanding(self, worker: _WorkerHandle) -> set:
-        """Requeue a dead worker's chunks to their sides; returns the
-        sides affected."""
-        affected = set()
-        for ctx_id, start, count in list(worker.outstanding.values()):
-            side = self._active.get(ctx_id)
-            if side is None or side.released:
-                continue
-            self._release_holding(side, worker.index)
-            if start not in side.seen_starts:
-                side.pending.appendleft((start, count))
-            affected.add(side)
-        worker.outstanding.clear()
-        return affected
-
-    def _rescue_worker_locked(self, worker: _WorkerHandle) -> None:
-        """Replace a dead worker, requeue its chunks, reinstall every
-        active side's context on the replacement."""
-        affected = self._requeue_outstanding(worker)
-        for side in affected:
-            side.rescue_budget -= 1
+    def _chunk_lost_locked(self, executor, side, chunk) -> None:
+        """The pool died under this chunk: give it back to its side,
+        charge the side's budget and retire the pool, each once per dead
+        pool.  The pump starts the replacement once a consumer has shut
+        the dead pool down."""
+        if side in self._active:
+            side.pending.appendleft(chunk)
+            if side.charged_for is not executor:
+                side.charged_for = executor
+                side.rescue_budget -= 1
             if side.rescue_budget < 0 and side.error is None:
                 side.error = (
                     f"execution-service{self._label()} workers keep dying "
-                    f"(restarted {self.worker_restarts} total); "
-                    "refusing to respawn further for this side"
+                    f"(restarted {self.worker_restarts} total); refusing "
+                    "to restart further for this side"
                 )
-        # A worker dying with no chunks decrements no side budget; the
-        # progress-free rescue counter stops deterministic spawn deaths
-        # (bad environment, unpicklable backend) from forking forever.
+        if executor is not self._executor:
+            return
+        self._retire_locked()
+        self.worker_restarts += 1
+        # The budget stops a chunk that kills every pool it meets; this
+        # progress-free counter stops deaths no chunk causes (bad
+        # environment, unpicklable backend) from forking forever.
         self._rescues_since_progress += 1
         if self._rescues_since_progress > 3 * self.worker_target + 5:
-            for side in self._active.values():
-                if side.error is None:
-                    side.error = (
-                        "execution-service workers keep dying before "
-                        "making progress; refusing to respawn further"
-                    )
-            # No replacement: leave the slot dead (the next admission's
-            # ensure_started respawns it) but release its pipe now.
-            worker.conn.close()
-            return
-        worker.conn.close()
-        slot = self._workers.index(worker)
-        replacement = self._spawn_worker(worker.index)
-        self._workers[slot] = replacement
-        self.worker_restarts += 1
-        self._install_active_sides(replacement)
+            self._fail_sides_locked(
+                "execution-service workers keep dying before making "
+                "progress; refusing to restart further"
+            )
+
+    def _fail_sides_locked(self, message: str) -> None:
+        for side in self._active:
+            if not side.finished and side.error is None:
+                side.error = message

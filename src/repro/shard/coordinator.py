@@ -32,7 +32,8 @@ deadline checks between merged events, release of every shard's
 admissions when the consumer abandons the stream — is the drive's.
 
 Failure semantics: a worker crash inside one shard's pool is rescued by
-that shard's own respawn machinery (invisible here, result unchanged);
+that shard's own service, which replaces the pool and re-runs the lost
+chunks (invisible here but for ``worker_restarts``, result unchanged);
 a whole shard dying mid-stream — pool closed, endpoint unreachable —
 raises :class:`~repro.errors.ShardUnavailableError` naming the shard,
 after the drive's cleanup has closed every other shard's streams and

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+import time
 
 import pytest
 
@@ -25,6 +28,50 @@ def fast_backend() -> FastBackend:
 def bn254_backend() -> BN254Backend:
     """Session-scoped so the fixed-base tables are built once."""
     return BN254Backend()
+
+
+class SleepingBackend(FastBackend):
+    """A fast backend whose every chunk takes 50 ms *asleep* — a sleep,
+    not a spin, so it is load-independent: long enough that every worker
+    of a small pool is demonstrably busy at once, whatever the machine
+    is doing."""
+
+    def pair_vectors_batch(self, g1_vector, g2_vectors):
+        time.sleep(0.05)
+        return super().pair_vectors_batch(g1_vector, g2_vectors)
+
+
+@pytest.fixture
+def sleeping_backend() -> SleepingBackend:
+    return SleepingBackend()
+
+
+class CrashOnceBackend(FastBackend):
+    """Deterministic crash injection: the first pooled worker to decrypt
+    a chunk on this backend SIGKILLs itself mid-chunk — exactly one
+    worker, every run.  "First" is whoever wins the exclusive create of
+    the flag file; the process that built the backend (inline sides,
+    reference runs) never dies."""
+
+    def __init__(self, flag_path):
+        super().__init__()
+        self.flag_path = str(flag_path)
+        self.builder_pid = os.getpid()
+
+    def pair_vectors_batch(self, g1_vector, g2_vectors):
+        if os.getpid() != self.builder_pid:
+            try:
+                os.close(os.open(self.flag_path, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return super().pair_vectors_batch(g1_vector, g2_vectors)
+
+
+@pytest.fixture
+def crash_once_backend(tmp_path) -> CrashOnceBackend:
+    return CrashOnceBackend(tmp_path / "worker-crashed")
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ import copy
 import multiprocessing
 import os
 import random
-from multiprocessing import resource_tracker
 
 import pytest
 
@@ -93,9 +92,6 @@ def _identical(result, expected) -> bool:
 @pytest.mark.parametrize("arity", [2, 3])
 @pytest.mark.parametrize("sharded", [False, True], ids=["store", "fleet"])
 def test_close_after_first_batch(sharded, arity, phase):
-    # The shared-memory tracker (and its pipe) lives for the whole
-    # process once anything starts it; start it before counting.
-    resource_tracker.ensure_running()
     children_before = len(multiprocessing.active_children())
     fds_before = _open_fds()
     names = ["T1", "T2", "T3"][:arity]

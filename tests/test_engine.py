@@ -44,11 +44,12 @@ except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
 
 # Module-scoped engine instances so the parallel engine's persistent
 # pool is spawned once and reused by every test (and every Hypothesis
-# example) — which is itself part of the contract under test.
+# example) — which is itself part of the contract under test.  The pool
+# is the first binding server's, two workers wide (``_with_engine``).
 ENGINES = (
     SerialEngine(),
     BatchedEngine(batch_size=3),
-    ParallelEngine(workers=2, batch_size=4),
+    ParallelEngine(batch_size=4),
     AutoEngine(batch_size=3),
 )
 
@@ -96,7 +97,7 @@ def _expected_pairs(left_keys, right_keys):
 def _with_engine(client, server, engine):
     """A server built with ``engine`` over ``server``'s encrypted tables."""
     sibling = SecureJoinServer(
-        client.params, backend=server.backend, engine=engine
+        client.params, backend=server.backend, engine=engine, workers=2
     )
     for name in ("L", "R"):
         sibling.store(server.table(name))
@@ -277,8 +278,6 @@ class TestChunking:
         with pytest.raises(QueryError):
             BatchedEngine(batch_size=0)
         with pytest.raises(QueryError):
-            ParallelEngine(workers=0)
-        with pytest.raises(QueryError):
             ParallelEngine(batch_size=0)
         with pytest.raises(QueryError):
             get_engine("warp-drive")
@@ -322,10 +321,13 @@ class TestAccounting:
             >= 2 * batched.stats.final_exponentiations
         )
 
-    def test_stats_record_batches_and_workers(self):
+    def test_stats_record_batches_and_workers(self, sleeping_backend):
+        # Chunks that take 50 ms asleep: both workers demonstrably serve
+        # (which worker takes a microsecond chunk is the OS's choice).
         client, server = _build(
             [i % 4 for i in range(20)], [0, 1, 2, 3],
-            engine=ParallelEngine(workers=2, batch_size=5),
+            backend=sleeping_backend, workers=2,
+            engine=ParallelEngine(batch_size=5),
         )
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
@@ -354,11 +356,12 @@ class TestAccounting:
                 stats = built.execute_join(client.create_query(query)).stats
             assert stats.engine == name
 
-    def test_final_frame_round_trips_engine_fields(self):
+    def test_final_frame_round_trips_engine_fields(self, sleeping_backend):
         from repro.store.wire import decode_frame, encode_final_frame
 
         client, server = _build(
-            [1, 2, 2], [2, 2, 5], engine=ParallelEngine(workers=2, batch_size=1)
+            [1, 2, 2], [2, 2, 5], backend=sleeping_backend, workers=2,
+            engine=ParallelEngine(batch_size=1),
         )
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
@@ -421,12 +424,12 @@ class TestPlanner:
         assert auto_server.engine.name == "auto"
 
     def test_planner_prices_actual_pool_size(self):
-        """The estimate must divide work by the pool the side really
-        gets (engine cap ∧ service size), not the engine cap alone."""
+        """The planner prices the bound pool's width: the estimate
+        divides work by the pool the side really gets."""
         from repro.core.service import ExecutionService
 
-        with ExecutionService(workers=2) as service:
-            engine = AutoEngine(workers=8, service=service)
+        with ExecutionService(workers=3) as service:
+            engine = AutoEngine(service=service)
             client, server = _build(
                 [i % 3 for i in range(9)], [0, 1, 2], engine=engine
             )
@@ -435,13 +438,11 @@ class TestPlanner:
             )
             result = server.execute_join(encrypted)
             for side in result.stats.planner:
-                assert side["workers"] == 2
+                assert side["workers"] == service.worker_target == 3
 
     def test_invalid_planner_configuration(self):
         with pytest.raises(QueryError):
             AutoEngine(batch_size=0)
-        with pytest.raises(QueryError):
-            AutoEngine(workers=0)
         # Retired options are refused, not silently accepted: the
         # planner has two fixed candidates and learns nothing online.
         with pytest.raises(TypeError):
@@ -472,9 +473,9 @@ class TestPlanner:
             element_transport=0.0, chunk_overhead=0.0, pool_spawn=0.0,
         )
         if name == "parallel":
-            engine = ParallelEngine(workers=2, batch_size=4)
+            engine = ParallelEngine(batch_size=4)
         else:
-            engine = AutoEngine(cost_model=free_pool, workers=2, batch_size=8)
+            engine = AutoEngine(cost_model=free_pool, batch_size=8)
         children = multiprocessing.active_children()
         handles, report = engine.decrypt_handles(*side)
         assert multiprocessing.active_children() == children

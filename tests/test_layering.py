@@ -5,9 +5,11 @@ the runtime prices with lives in :mod:`repro.plan.cost`.  The arrow
 points one way: ``core`` / ``plan`` / ``shard`` / ``net`` (and
 everything below them) import nothing from ``repro.bench``, not even
 lazily inside a function.  The client module needs no engine, pool or
-shared memory; nothing under ``src/`` imports a third-party package the
-requirements file does not name; and every host answers a query through
-the same four one-argument entry points.
+shared memory — and the server, which does need a pool, needs neither
+shared memory nor the resource tracker; nothing under ``src/`` imports a
+third-party package the requirements file does not name; every host
+answers a query through the same four one-argument entry points; and a
+pool's width and transport are not parameters of anything.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.engine import AutoEngine, ParallelEngine
 from repro.core.server import SecureJoinServer
+from repro.core.service import ExecutionService
 from repro.net import RemoteJoinClient
 from repro.shard import ShardCoordinator
 
@@ -168,6 +172,39 @@ def test_the_client_module_needs_no_engine_pool_or_shared_memory():
     )
     assert process.returncode == 0, process.stderr
     assert process.stdout.strip() == "[]"
+
+
+def test_the_server_module_needs_no_shared_memory_or_resource_tracker():
+    """The pool has one transport — bytes through the executor's own
+    queue — so serving loads nothing that manages POSIX segments."""
+    process = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, repro.core.server\n"
+            "print(sorted(name for name in sys.modules if name in ("
+            "'multiprocessing.shared_memory', "
+            "'multiprocessing.resource_tracker')))",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        cwd=_REPO_ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert process.returncode == 0, process.stderr
+    assert process.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "function, removed",
+    [
+        (ParallelEngine.__init__, "workers"),
+        (AutoEngine.__init__, "workers"),
+        (ExecutionService.__init__, "use_shared_memory"),
+        (ExecutionService.admit_side, "max_workers"),
+    ],
+    ids=lambda value: getattr(value, "__qualname__", value),
+)
+def test_a_pools_width_and_transport_are_not_options(function, removed):
+    """One width, set by the server's ``workers``; one transport."""
+    assert removed not in inspect.signature(function).parameters
 
 
 @pytest.mark.parametrize(

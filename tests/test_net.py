@@ -16,16 +16,18 @@ import random
 import socket
 import threading
 import time
-from collections import deque
-from types import SimpleNamespace
+from concurrent.futures import Future
 
 import pytest
+
+import repro.core.service as service_module
 
 from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
 from repro.core.engine import BatchedEngine
 from repro.core.server import MatchBatch, SecureJoinServer, ServerStats
 from repro.core.service import ExecutionService, QueryQoS
+from repro.crypto.backend import FastBackend, PairingOpCounter
 from repro.db.query import ChainQuery, JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
@@ -671,70 +673,101 @@ class TestHandlerTracking:
 # -- QoS: priority-preferring dispatch and deadline cancellation ------------
 
 
-def _fake_side(ctx_id, priority=0, pending=1):
-    return SimpleNamespace(
-        ctx_id=ctx_id,
-        released=False,
-        pending=deque([(i, 1) for i in range(pending)]),
-        error=None,
-        expired=False,
-        holding={},
-        allowed_workers=frozenset({0}),
-        max_workers=1,
-        qos=QueryQoS(priority=priority),
-    )
+class _RecordingExecutor:
+    """Stands in for the process pool (the one place a test substitutes
+    a fake): ``submit`` records the chunk's encoded token and returns a
+    future the test resolves by hand, so the pump's picks can be read
+    off one at a time."""
+
+    def __init__(self, **kwargs):
+        self.calls: list[tuple[tuple, Future]] = []
+
+    def submit(self, function, token_bytes, *args):
+        future = Future()
+        self.calls.append((tuple(token_bytes), future))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
-def _scheduler_with(sides):
-    service = ExecutionService(workers=1)
-    for side in sides:
-        service._active[side.ctx_id] = side
-        service._rr.append(side.ctx_id)
-    return service
+class _Scheduler:
+    """A one-worker service over the recording executor whose window
+    (two chunks) a filler side already fills: every admitted side waits,
+    and each resolved future makes the pump pick exactly one chunk."""
+
+    def __init__(self, monkeypatch):
+        self.executors: list[_RecordingExecutor] = []
+
+        def build(**kwargs):
+            self.executors.append(_RecordingExecutor(**kwargs))
+            return self.executors[-1]
+
+        monkeypatch.setattr(service_module, "ProcessPoolExecutor", build)
+        self.backend = FastBackend()
+        self.service = ExecutionService(workers=1)
+        self.names: dict[tuple, str] = {}
+        self.resolved = 0
+        self.admit("filler", pending=2)
+
+    def admit(self, name, priority=0, pending=1, deadline=None):
+        # A distinct token per side: its bytes name the side's chunks.
+        token = self.backend.g1_powers([len(self.names) + 1])
+        self.names[tuple(map(self.backend.encode_g1, token))] = name
+        return self.service.admit_side(
+            self.backend, token,
+            [self.backend.g2_powers([row + 1]) for row in range(pending)],
+            batch_size=1,
+            qos=QueryQoS(priority=priority, deadline=deadline),
+        )
+
+    def picks(self, count):
+        """Resolve ``count`` futures, oldest first; the sides the pump
+        submitted a chunk of in response, in order."""
+        (executor,) = self.executors
+        before = len(executor.calls)
+        for _ in range(count):
+            _, future = executor.calls[self.resolved]
+            self.resolved += 1
+            future.set_result((0, [b"handle"], PairingOpCounter()))
+        return [self.names[token] for token, _ in executor.calls[before:]]
 
 
 class TestPriorityScheduling:
-    def test_higher_priority_side_wins_the_refill(self):
-        low = _fake_side(1, priority=0)
-        high = _fake_side(2, priority=7)
-        service = _scheduler_with([low, high])
-        worker = SimpleNamespace(index=0)
-        assert service._pick_side_locked(worker) is high
+    def test_higher_priority_side_wins_the_refill(self, monkeypatch):
+        scheduler = _Scheduler(monkeypatch)
+        scheduler.admit("low", priority=0)
+        scheduler.admit("high", priority=7)
+        assert scheduler.picks(1) == ["high"]
 
-    def test_negative_priority_defers_to_neutral(self):
-        background = _fake_side(1, priority=-5)
-        neutral = _fake_side(2, priority=0)
-        service = _scheduler_with([background, neutral])
-        worker = SimpleNamespace(index=0)
-        assert service._pick_side_locked(worker) is neutral
+    def test_negative_priority_defers_to_neutral(self, monkeypatch):
+        scheduler = _Scheduler(monkeypatch)
+        scheduler.admit("background", priority=-5)
+        scheduler.admit("neutral", priority=0)
+        assert scheduler.picks(1) == ["neutral"]
 
-    def test_equal_priorities_round_robin(self):
-        a = _fake_side(1, priority=3, pending=4)
-        b = _fake_side(2, priority=3, pending=4)
-        service = _scheduler_with([a, b])
-        worker = SimpleNamespace(index=0)
-        picks = [service._pick_side_locked(worker).ctx_id for _ in range(4)]
-        assert picks == [1, 2, 1, 2]
+    def test_equal_priorities_round_robin(self, monkeypatch):
+        scheduler = _Scheduler(monkeypatch)
+        scheduler.admit("a", priority=3, pending=4)
+        scheduler.admit("b", priority=3, pending=4)
+        assert scheduler.picks(4) == ["a", "b", "a", "b"]
 
-    def test_expired_and_errored_sides_are_skipped(self):
-        dead = _fake_side(1, priority=9)
-        dead.expired = True
-        failed = _fake_side(2, priority=9)
+    def test_expired_and_errored_sides_are_skipped(self, monkeypatch):
+        scheduler = _Scheduler(monkeypatch)
+        scheduler.admit("dead", priority=9, deadline=time.monotonic() - 1.0)
+        failed = scheduler.admit("failed", priority=9)
         failed.error = "boom"
-        ok = _fake_side(3, priority=0)
-        service = _scheduler_with([dead, failed, ok])
-        worker = SimpleNamespace(index=0)
-        assert service._pick_side_locked(worker) is ok
+        scheduler.admit("ok", priority=0)
+        assert scheduler.picks(1) == ["ok"]
 
-    def test_priority_outranks_rotation_position(self):
+    def test_priority_outranks_rotation_position(self, monkeypatch):
         # Even sitting at the back of the rotation, the high-priority
         # side is picked first on a fresh refill.
-        sides = [_fake_side(i, priority=0, pending=2) for i in (1, 2, 3)]
-        high = _fake_side(4, priority=1, pending=2)
-        service = _scheduler_with(sides + [high])
-        worker = SimpleNamespace(index=0)
-        assert service._pick_side_locked(worker) is high
-        assert service._pick_side_locked(worker) is high
+        scheduler = _Scheduler(monkeypatch)
+        for name in ("one", "two", "three"):
+            scheduler.admit(name, priority=0, pending=2)
+        scheduler.admit("high", priority=1, pending=2)
+        assert scheduler.picks(2) == ["high", "high"]
 
 
 class TestDeadlineCancellation:

@@ -41,7 +41,7 @@ except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
 ENGINES = (
     SerialEngine(),
     BatchedEngine(batch_size=3),
-    ParallelEngine(workers=2, batch_size=4),
+    ParallelEngine(batch_size=4),
     AutoEngine(batch_size=3),
 )
 
@@ -358,7 +358,7 @@ class TestEarlyEmission:
         co-admit them (concurrent_sides >= 2), on one pool generation."""
         client, server = _build(
             [i % 9 for i in range(90)], [i % 9 for i in range(90)],
-            engine=ParallelEngine(workers=2, batch_size=4),
+            engine=ParallelEngine(batch_size=4),
         )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
@@ -398,7 +398,7 @@ class TestEarlyEmission:
         server did compute."""
         client, server = _build(
             [i % 4 for i in range(60)], [i % 4 for i in range(60)],
-            engine=ParallelEngine(workers=2, batch_size=4),
+            engine=ParallelEngine(batch_size=4),
         )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:

@@ -369,9 +369,7 @@ class TestEnginePreparedEquivalence:
 
         backend, token, rows, prepared = self._fixture()
         with ExecutionService(workers=2) as service:
-            engine = ParallelEngine(
-                workers=2, batch_size=4, service=service
-            )
+            engine = ParallelEngine(batch_size=4, service=service)
             raw_handles, raw_report = engine.decrypt_handles(
                 backend, token, rows
             )

@@ -260,7 +260,7 @@ class TestDeltaMaintenance:
             element_transport=0.0, chunk_overhead=0.0, pool_spawn=0.0,
         )
         client, server = _setup(
-            workers=2, engine=AutoEngine(cost_model=free_pool, workers=2)
+            workers=2, engine=AutoEngine(cost_model=free_pool)
         )
         query = _query(client)
         server.execute_join(query)

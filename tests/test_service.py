@@ -3,12 +3,13 @@
 The contract under test: :class:`~repro.core.service.ExecutionService`
 is lazy (no process before the first pooled side), persistent (many
 queries reuse one pool — ``pool_generation`` never moves), crash
-resilient (a SIGKILLed worker is respawned and its chunks recomputed),
-clean (idempotent ``close``, context-manager support, and flat
-process/FD counts across dozens of queries), and — since the streaming
-pipeline PR — a fair multi-query admission scheduler: concurrent
-queries (and both sides of one query) interleave chunk scheduling on
-one warm pool with isolated per-side contexts.
+resilient (a SIGKILLed worker costs a pool restart and its chunks are
+recomputed), wide (an idle worker never waits behind a busy one's
+backlog, and the pool's width is the server's ``workers``), clean
+(idempotent ``close``, context-manager support, and flat process/FD
+counts across dozens of queries), and — since the streaming pipeline
+PR — a fair multi-query admission scheduler: concurrent queries (and
+both sides of one query) interleave chunk scheduling on one warm pool.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ def _open_fds() -> int:
     ) else -1
 
 
-def _fixture(rows: int = 40, seed: int = 9, engine=None):
+def _fixture(
+    rows: int = 40, seed: int = 9, engine=None, right_rows=None,
+    backend=None, workers: int = 2,
+):
     """Two tables on a server built with ``engine`` and no series cache:
     the pool is under test, so every submission must reach SJ.Dec."""
     left = Table(
@@ -51,14 +55,18 @@ def _fixture(rows: int = 40, seed: int = 9, engine=None):
     )
     right = Table(
         "R", Schema.of(("k", "int"), ("b", "str")),
-        [(i % 7, f"b{i}") for i in range(rows // 2)],
+        [
+            (i % 7, f"b{i}")
+            for i in range(rows // 2 if right_rows is None else right_rows)
+        ],
     )
     client = SecureJoinClient.for_tables(
         [(left, "k"), (right, "k")], in_clause_limit=1,
         rng=random.Random(seed),
     )
     server = SecureJoinServer(
-        client.params, engine=engine, workers=2, series_cache_bytes=None
+        client.params, backend=backend, engine=engine, workers=workers,
+        series_cache_bytes=None,
     )
     server.store(client.encrypt_table(left, "k"))
     server.store(client.encrypt_table(right, "k"))
@@ -84,7 +92,9 @@ def _inline(client, server, query):
 
 
 def _parallel(batch_size: int = 4) -> ParallelEngine:
-    return ParallelEngine(workers=2, batch_size=batch_size)
+    """A pooled engine; its width is the ``workers=2`` of the server
+    that binds it."""
+    return ParallelEngine(batch_size=batch_size)
 
 
 class TestServiceExecution:
@@ -116,34 +126,39 @@ class TestServiceExecution:
         assert not server.execution_service.started
         server.close()
 
-    def test_zero_copy_fallback_matches_shared_memory(self):
-        """With SHM disabled the bytes-per-chunk fallback is identical."""
-        client, server = _fixture(engine=_parallel())
+    def test_an_idle_worker_takes_the_second_chunk(self, sleeping_backend):
+        """The window is filled across the pool, not worker by worker: a
+        side of exactly two chunks occupies both workers of two."""
+        token = sleeping_backend.g1_powers(range(1, 4))
+        side = [
+            sleeping_backend.g2_powers(range(r + 1, r + 4)) for r in range(8)
+        ]
+        with ExecutionService(workers=2) as service:
+            engine = ParallelEngine(batch_size=4, service=service)
+            handles, report = engine.decrypt_handles(
+                sleeping_backend, token, side
+            )
+        assert handles == BatchedEngine(4).decrypt_handles(
+            sleeping_backend, token, side
+        )[0]
+        assert report.batches == 2
+        assert report.workers == 2
+
+    def test_the_servers_width_is_the_sides_width(self, sleeping_backend):
+        """One width, set where the server is built: what ``python -m
+        repro.net --engine parallel --workers 3`` builds gives a side of
+        three slow chunks three workers (the right side runs inline)."""
+        client, server = _fixture(
+            rows=96, right_rows=7, engine="parallel", workers=3,
+            backend=sleeping_backend,
+        )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
-            shm = server.execute_join(query)
-        no_shm_service = ExecutionService(workers=2, use_shared_memory=False)
-        engine = ParallelEngine(workers=2, batch_size=4, service=no_shm_service)
-        no_shm_server = _with_engine(client, server, engine)
-        with no_shm_service:
-            fallback = no_shm_server.execute_join(query)
-        assert not no_shm_server.execution_service.started
-        assert fallback.index_pairs == shm.index_pairs
-        assert (
-            no_shm_server.observations[-1].handles
-            == server.observations[-1].handles
-        )
-
-    def test_max_workers_caps_engine_narrower_than_pool(self):
-        service = ExecutionService(workers=3)
-        client, server = _fixture(
-            engine=ParallelEngine(workers=2, batch_size=4, service=service)
-        )
-        query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        with service:
             result = server.execute_join(query)
-            assert len(service.worker_pids()) == 3
-            assert result.stats.workers <= 2
+            expected, _ = _inline(client, server, query)
+        assert result.index_pairs == expected.index_pairs
+        assert result.stats.batches == 4
+        assert result.stats.workers == 3
 
     def test_invalid_configuration(self):
         with pytest.raises(QueryError):
@@ -217,34 +232,20 @@ class TestCrashResilience:
             assert recovered.index_pairs == expected.index_pairs
             assert recovered.index_pairs == baseline.index_pairs
             assert server.execution_service.worker_restarts >= 1
-            # Same pool generation: respawn, not re-creation.
+            # Same pool generation: restart, not re-creation.
             assert recovered.stats.pool_generation == 1
 
-    def test_pool_survives_mid_query_worker_kill(self):
-        client, server = _fixture(rows=120, engine=_parallel(2))
+    def test_pool_survives_mid_query_worker_kill(self, crash_once_backend):
+        client, server = _fixture(
+            rows=120, engine=_parallel(2), backend=crash_once_backend
+        )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
             expected, expected_view = _inline(client, server, query)
-            service = server.execution_service
-
-            def killer():
-                deadline = time.time() + 2.0
-                while time.time() < deadline:
-                    pids = service.worker_pids()
-                    if pids:
-                        try:
-                            os.kill(pids[0], signal.SIGKILL)
-                        except ProcessLookupError:
-                            pass
-                        return
-                    time.sleep(0.005)
-
-            thread = threading.Thread(target=killer)
-            thread.start()
             recovered = server.execute_join(query)
-            thread.join()
             assert recovered.index_pairs == expected.index_pairs
             assert server.observations[-1].handles == expected_view.handles
+            assert server.execution_service.worker_restarts >= 1
 
 
 class TestConcurrentAdmission:
@@ -289,10 +290,14 @@ class TestConcurrentAdmission:
             assert service.peak_concurrent_sides >= 2
             assert max(r.stats.concurrent_sides for r in results) >= 2
 
-    def test_concurrent_queries_with_mid_query_crash(self):
+    def test_concurrent_queries_with_mid_query_crash(
+        self, crash_once_backend
+    ):
         """A worker SIGKILLed while several queries are in flight: every
         query still completes correctly on the same pool generation."""
-        client, server = _fixture(rows=160, engine=_parallel(2))
+        client, server = _fixture(
+            rows=160, engine=_parallel(2), backend=crash_once_backend
+        )
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
             shared = client.create_query(query)
@@ -311,20 +316,7 @@ class TestConcurrentAdmission:
                     with lock:
                         errors.append(exc)
 
-            def killer():
-                deadline = time.time() + 2.0
-                while time.time() < deadline:
-                    pids = service.worker_pids()
-                    if pids:
-                        try:
-                            os.kill(pids[0], signal.SIGKILL)
-                        except ProcessLookupError:  # pragma: no cover
-                            pass
-                        return
-                    time.sleep(0.005)
-
             threads = [threading.Thread(target=run) for _ in range(3)]
-            threads.append(threading.Thread(target=killer))
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -334,9 +326,10 @@ class TestConcurrentAdmission:
             assert len(results) == 3
             for result in results:
                 assert result.index_pairs == reference.index_pairs
-            # Respawn, not pool re-creation.
+            # Restart, not pool re-creation.
             assert service.generation == 1
             assert all(r.stats.pool_generation == 1 for r in results)
+            assert service.worker_restarts >= 1
 
     def test_no_leaks_across_concurrent_batches(self):
         """Repeated waves of concurrent queries leave no extra

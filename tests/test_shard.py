@@ -24,11 +24,9 @@ import json
 import multiprocessing
 import os
 import random
-import signal
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 
@@ -114,13 +112,15 @@ def _query(client, **kwargs):
 
 def _sharded(
     client, backend, tables, n_shards, assignments=None, workers=2,
-    engine=None,
+    engine=None, shard_backend=None,
 ):
-    """Build ``n_shards`` local shards, each on its own ``engine``,
-    holding the partitioned tables."""
+    """Build ``n_shards`` local shards, each on its own ``engine``
+    (decrypting on ``shard_backend``, when given), holding the
+    partitioned tables."""
     shards = [
         LocalShard(
-            client.params, engine=engine, workers=workers, name=f"shard-{i}"
+            client.params, backend=shard_backend, engine=engine,
+            workers=workers, name=f"shard-{i}",
         )
         for i in range(n_shards)
     ]
@@ -415,38 +415,26 @@ class TestScatterGather:
 
 
 class TestFaultInjection:
-    def test_worker_sigkill_mid_scatter_is_rescued(self):
+    def test_worker_sigkill_mid_scatter_is_rescued(self, crash_once_backend):
         """SIGKILL one shard's pool worker while the scatter is in
-        flight: the shard's own rescue respawns it, the merged result is
-        byte-identical, and the restart is visible in the stats."""
+        flight: the shard's own rescue restarts its pool, the merged
+        result is byte-identical, and the restart is visible in the
+        stats."""
         client, backend, tables, ref = _fixture(
             [i % 6 for i in range(72)], [i % 6 for i in range(72)]
         )
-        shards = _sharded(client, backend, tables, 2, engine="parallel")
-        victim_service = shards[0].server.execution_service
-        stop = threading.Event()
-
-        def killer():
-            while not stop.is_set():
-                pids = victim_service.worker_pids()
-                if pids:
-                    try:
-                        os.kill(pids[0], signal.SIGKILL)
-                    except ProcessLookupError:  # pragma: no cover
-                        pass
-                    return
-                time.sleep(0.001)
-
-        thread = threading.Thread(target=killer)
+        shards = _sharded(
+            client, backend, tables, 2, engine="parallel",
+            shard_backend=crash_once_backend,
+        )
         with ShardCoordinator(shards) as coordinator:
-            thread.start()
-            try:
-                result = coordinator.execute_join(_query(client))
-            finally:
-                stop.set()
-                thread.join()
+            result = coordinator.execute_join(_query(client))
             _assert_identical(result, ref, 2)
             assert result.stats.worker_restarts >= 1
+            assert sum(
+                shard.server.execution_service.worker_restarts
+                for shard in shards
+            ) == 1
 
     def test_shard_death_mid_stream_raises_and_releases(self):
         """Hard-kill one whole shard's pool mid-stream: the consumer
