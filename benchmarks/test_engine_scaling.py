@@ -1,18 +1,20 @@
-"""Execution-engine ablation: serial vs. batched vs. parallel SJ.Dec.
+"""Execution ablation: serial vs. inline vs. pooled SJ.Dec.
 
 The server-side join is pairing-bound, so how SJ.Dec is issued against
-the backend decides the scale ceiling:
+the backend decides the scale ceiling.  Each label is a way to build
+the server:
 
 - ``serial`` — the naive product of pairings (one final exponentiation
-  per vector component per row);
-- ``batched`` — chunked multi-pairings, one shared final exponentiation
-  per row (d× fewer, d = scheme dimension);
-- ``parallel`` — the batched plan fanned out over the *persistent*
-  worker pool (no per-query fork since the execution-service PR);
-- ``auto`` — the cost-model planner picking batched or parallel per side.
+  per vector component per row), handed in as an engine instance;
+- ``batched`` — the default build: one worker, chunked multi-pairings
+  inline, one shared final exponentiation per row (d× fewer, d = scheme
+  dimension);
+- ``parallel`` — two workers and a cost model under which the pool
+  always pays: the batched plan fanned out over the *persistent* worker
+  pool (forked once, not per query);
+- ``auto`` — two workers and the built-in model pricing each side.
 
-A server has one engine, fixed where it is built, so each engine gets
-its own server over the workload's encrypted tables.
+Each label gets its own server over the workload's encrypted tables.
 
 ``REPRO_BENCH_FULL=1`` widens the sweep as for the other benchmarks.
 Run ``python -m repro.bench`` for the paper-style engine table, or
@@ -33,31 +35,47 @@ import pytest
 from benchmarks.conftest import SCALE_FACTORS
 from repro.baselines import SerialEngine
 from repro.bench.workloads import build_encrypted_tpch, tpch_query
+from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
+from tests.conftest import FORCE_POOL
 
 _SELECTIVITY = 1 / 12.5  # densest series: the most decryptions per query
-_ENGINES = ("serial", "batched", "parallel", "auto")
 
-#: One server per (workload, engine), cached like the workloads are.
-_SERVERS: dict[tuple[float, object], SecureJoinServer] = {}
+#: Server arguments per label, and what each label's stats report as
+#: ``engine_selected`` on the fast backend, whose own model never pools.
+_BUILDS = {
+    "serial": (lambda: {"engine": SerialEngine()}, "serial"),
+    "batched": (lambda: {}, "batched"),
+    "parallel": (
+        lambda: {"engine": BatchedEngine(cost_model=FORCE_POOL), "workers": 2},
+        "parallel",
+    ),
+    "auto": (lambda: {"workers": 2}, "batched"),
+}
+
+#: One server per (workload, label), cached like the workloads are.
+_SERVERS: dict[tuple[float, str], SecureJoinServer] = {}
 
 
-def _server(workload, engine) -> SecureJoinServer:
-    """The server built with ``engine`` (a runtime name, ``"serial"``
-    for the naive baseline, or an instance) over ``workload``'s
+def _build(workload, engine: str) -> SecureJoinServer:
+    """A server built as ``_BUILDS[engine]`` says over ``workload``'s
     encrypted tables — without a series cache, like the workload's own:
     a repeated query must measure SJ.Dec, not a replay."""
-    key = (workload.scale_factor, engine)
-    server = _SERVERS.get(key)
-    if server is None:
-        server = _SERVERS[key] = SecureJoinServer(
-            workload.client.params,
-            engine=SerialEngine() if engine == "serial" else engine,
-            series_cache_bytes=None,
-        )
-        for name in ("Customers", "Orders"):
-            server.store(workload.server.table(name))
+    server = SecureJoinServer(
+        workload.client.params, series_cache_bytes=None,
+        **_BUILDS[engine][0](),
+    )
+    for name in ("Customers", "Orders"):
+        server.store(workload.server.table(name))
     return server
+
+
+def _server(workload, engine: str) -> SecureJoinServer:
+    """The cached :func:`_build` for ``(workload, engine)``."""
+    key = (workload.scale_factor, engine)
+    if key not in _SERVERS:
+        _SERVERS[key] = _build(workload, engine)
+    return _SERVERS[key]
 
 
 @pytest.fixture(autouse=True)
@@ -71,7 +89,7 @@ def _close_cached_pools():
 
 
 @pytest.mark.parametrize("scale_factor", list(SCALE_FACTORS))
-@pytest.mark.parametrize("engine", _ENGINES)
+@pytest.mark.parametrize("engine", list(_BUILDS))
 def test_engine_scaling(benchmark, scale_factor, engine):
     workload = build_encrypted_tpch(scale_factor, in_clause_limit=1)
     encrypted_query = workload.client.create_query(
@@ -83,7 +101,10 @@ def test_engine_scaling(benchmark, scale_factor, engine):
         lambda: server.execute_join(encrypted_query),
         rounds=3, iterations=1,
     )
-    assert result.stats.engine == engine
+    assert result.stats.engine == (
+        "serial" if engine == "serial" else "batched"
+    )
+    assert result.stats.engine_selected == _BUILDS[engine][1]
     assert result.stats.matches > 0
 
 
@@ -114,6 +135,7 @@ def test_parallel_engine_matches_batched_plan():
     batched = _server(workload, "batched").execute_join(encrypted_query)
     parallel = _server(workload, "parallel").execute_join(encrypted_query)
 
+    assert parallel.stats.engine_selected == "parallel"
     assert parallel.index_pairs == batched.index_pairs
     assert parallel.stats.final_exponentiations == (
         batched.stats.final_exponentiations
@@ -155,9 +177,6 @@ def test_warm_pool_beats_per_query_pool():
     cheaper than one that spawns (and tears down) a pool of its own —
     the old per-query-fork behavior.  Holds on any core count: the gap
     is the fork cost itself."""
-    from repro.core.engine import ParallelEngine
-    from repro.core.service import ExecutionService
-
     workload = build_encrypted_tpch(0.004, in_clause_limit=1)
     encrypted_query = workload.client.create_query(
         tpch_query(_SELECTIVITY, in_clause_size=1)
@@ -177,13 +196,12 @@ def test_warm_pool_beats_per_query_pool():
     def best_per_query_pool(rounds=3):
         best = float("inf")
         for _ in range(rounds):
-            service = ExecutionService(workers=2)
             # Built (tables stored) before the clock starts: the gap
             # under test is the fork, not the server's construction.
-            own_pool = _server(workload, ParallelEngine(service=service))
+            own_pool = _build(workload, "parallel")
             start = time.perf_counter()
             result = own_pool.execute_join(encrypted_query)
-            service.close()
+            own_pool.close()
             best = min(best, time.perf_counter() - start)
             assert result.index_pairs == warm_result.index_pairs
         return best
@@ -240,6 +258,7 @@ def _pool_cpu_profile(
         "worker_cpu_s": [
             [round(cpu, 3) for cpu in pool] for pool in worker_cpu
         ],
+        "selected": report.selected,
         "chunks": report.batches,
         "workers": report.workers,
         "preparations": report.preparations,
@@ -255,12 +274,12 @@ def _pool_cpu_profile(
 def test_pool_pays_in_cpu_seconds_at_the_papers_dimension():
     """The pool's reason to exist, measured where it can be: real
     pairings at the paper's dimension (Customers, m = 8, t = 1: d = 19),
-    one 64-row side, two workers, ``ParallelEngine``'s default chunk
-    size — two chunks, so each worker must get one.  Raw rows must
-    predict >= 1.6x at an overhead <= 1.15; prepared rows are recorded
-    (their worker-side cache is keyed to whichever worker last saw a
-    row, so the speed-up moves with the preparations redone)."""
-    from repro.core.engine import BatchedEngine, ParallelEngine
+    one 64-row side, two workers, the engine's default pooled chunk —
+    two chunks, so each worker must get one.  The engine must choose
+    the pool by itself, under the built-in BN254 model; then raw rows
+    must predict >= 1.6x at an overhead <= 1.15; prepared rows are
+    recorded (their worker-side cache is keyed to whichever worker last
+    saw a row, so the speed-up moves with the preparations redone)."""
     from repro.core.service import ExecutionService
     from repro.crypto.backend import BN254Backend
 
@@ -279,8 +298,11 @@ def test_pool_pays_in_cpu_seconds_at_the_papers_dimension():
     prepared = [backend.prepare_row(row) for row in raw]
     others = {child.pid for child in multiprocessing.active_children()}
     with ExecutionService(workers=2) as service:
-        pooled = ParallelEngine(service=service)
-        inline = BatchedEngine(pooled.batch_size)
+        pooled = BatchedEngine()
+        pooled.bind_service(service)
+        # Inline in the pooled chunk size: the comparison is of where
+        # the same chunks run.
+        inline = BatchedEngine(pooled.batch_size // 2)
         # Fork the workers, and fill their prepared-row caches, off the
         # clock: the check is of a warm pool.
         pooled.decrypt_handles(backend, token, prepared)
@@ -300,15 +322,17 @@ def test_pool_pays_in_cpu_seconds_at_the_papers_dimension():
     print(f"\npool CPU-seconds at d={dimension}, {rows} rows, w=2:")
     for kind, numbers in profile.items():
         print(f"  {kind}: {json.dumps(numbers)}")
+    assert profile["raw"]["selected"] == "parallel"
+    assert profile["prepared"]["selected"] == "parallel"
     assert profile["raw"]["chunks"] == 2 and profile["raw"]["workers"] == 2
     assert profile["raw"]["overhead"] <= 1.15
     assert profile["raw"]["predicted_speedup"] >= 1.6
 
 
 def test_auto_planner_is_never_slower_than_default():
-    """Acceptance: on the benchmarked grid the planner's choice is
-    estimated no slower than the static default, and its measured
-    results are identical to batched's."""
+    """Acceptance: on the benchmarked grid a two-worker server's choice
+    is estimated no slower than running inline, and its measured
+    results are identical to the default build's."""
     for scale_factor in SCALE_FACTORS:
         workload = build_encrypted_tpch(scale_factor, in_clause_limit=1)
         encrypted_query = workload.client.create_query(

@@ -18,7 +18,9 @@ import pytest
 
 from benchmarks.conftest import SCALE_FACTORS
 from repro.bench.workloads import build_encrypted_tpch, tpch_query
+from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
+from tests.conftest import FORCE_POOL
 
 _SELECTIVITY = 1 / 12.5  # densest series: the most decryptions per query
 
@@ -119,7 +121,8 @@ def test_concurrent_admission_throughput():
     reference = workload.server.execute_join(encrypted[0])
     results = [None] * len(encrypted)
     pooled = SecureJoinServer(
-        workload.client.params, engine="parallel", series_cache_bytes=None
+        workload.client.params, engine=BatchedEngine(cost_model=FORCE_POOL),
+        workers=2, series_cache_bytes=None,
     )
     for name in ("Customers", "Orders"):
         pooled.store(workload.server.table(name))

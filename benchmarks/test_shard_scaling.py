@@ -31,12 +31,14 @@ from repro.bench.costmodel import (
     estimate_scatter_costs,
 )
 from repro.core.client import SecureJoinClient
+from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
 from repro.crypto.backend import BN254Backend
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.shard import LocalShard, ShardCoordinator, partition_table
+from tests.conftest import FORCE_POOL
 
 #: Shard counts of the measured series; 1 is the sharded-but-trivial
 #: baseline (coordinator overhead with no fan-out).
@@ -71,7 +73,8 @@ def _query(client):
 
 def _single_store_run(client, tables) -> tuple:
     server = SecureJoinServer(
-        client.params, engine="parallel", workers=_WORKERS
+        client.params, engine=BatchedEngine(cost_model=FORCE_POOL),
+        workers=_WORKERS,
     )
     for table in tables:
         server.store(table)
@@ -87,8 +90,8 @@ def _single_store_run(client, tables) -> tuple:
 def _sharded_run(client, backend, tables, n_shards: int) -> tuple:
     shards = [
         LocalShard(
-            client.params, engine="parallel", workers=_WORKERS,
-            name=f"shard-{i}",
+            client.params, engine=BatchedEngine(cost_model=FORCE_POOL),
+            workers=_WORKERS, name=f"shard-{i}",
         )
         for i in range(n_shards)
     ]

@@ -1,12 +1,11 @@
 """The naive product of pairings: SJ.Dec one pairing at a time.
 
-The baseline the engine ablation measures the runtime's engines
-against (:mod:`repro.core.engine`): one *full pairing per vector
-component* — d Miller loops and d final exponentiations per row —
-combined in GT.  It is an
+The baseline the engine ablation measures the runtime's one engine
+against (:class:`~repro.core.engine.BatchedEngine`): one *full pairing
+per vector component* — d Miller loops and d final exponentiations per
+row — combined in GT.  It is an
 :class:`~repro.core.engine.ExecutionEngine`, so an ablation builds its
-naive server with ``SecureJoinServer(params, engine=SerialEngine())``;
-no runtime name selects it.
+naive server with ``SecureJoinServer(params, engine=SerialEngine())``.
 """
 
 from __future__ import annotations

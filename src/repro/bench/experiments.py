@@ -244,25 +244,36 @@ def comparison_with_hahn(
     return result
 
 
+#: The engine ablation's rows, as server arguments: the naive product
+#: of pairings, the one engine inline (width 1), and the one engine on
+#: a two-worker pool priced by the backend's built-in model.
+_ABLATION_SERVERS = {
+    "serial": lambda: {"engine": SerialEngine()},
+    "inline": lambda: {},
+    "pooled": lambda: {"workers": 2},
+}
+
+
 def engine_ablation(
     scale_factors=(0.01, 0.02, 0.04),
     selectivity: float = 1 / 12.5,
-    engines=("serial", "batched", "parallel", "auto"),
+    engines=tuple(_ABLATION_SERVERS),
     repeats: int = 3,
     prefilter: bool = True,
 ) -> ExperimentResult:
-    """Ablation: SJ.Dec execution engine vs. join runtime and pairing ops.
+    """Ablation: how SJ.Dec is issued vs. join runtime and pairing ops.
 
-    Runs the Figure 3 workload on one server per execution engine
-    (:mod:`repro.core.engine`, plus the naive
-    :class:`~repro.baselines.SerialEngine` under the name ``"serial"``),
-    all over the same encrypted tables, and records the
+    Runs the Figure 3 workload on one server per row of
+    ``_ABLATION_SERVERS`` — ``serial`` (the naive
+    :class:`~repro.baselines.SerialEngine`), ``inline`` and ``pooled``
+    — all over the same encrypted tables, and records the
     pairing-operation counts alongside wall-clock time, so both the
-    shared-final-exponentiation saving of the batched engine and the
-    fan-out of the parallel engine are visible.  Each server keeps its
-    pool across the repeats, so the parallel engine's first run pays the
-    one-time fork and the rest measure the warm path; ``auto`` records
-    what the planner chose per query (``engine_selected``).  Each record
+    shared-final-exponentiation saving of the batched engine and what
+    the pool does are visible.  Each server keeps its pool across the
+    repeats, so a pooled first run pays the one-time fork and the rest
+    measure the warm path; ``engine_selected`` records what the cost
+    model chose — ``batched`` throughout on the fast backend, where the
+    pool never pays.  Each record
     also carries the pipeline stage timings — ``time_to_first_match``
     (how long until the matcher emitted its first pair, the streaming
     win over full-side materialization), ``decrypt_seconds`` and
@@ -285,8 +296,8 @@ def engine_ablation(
             # must measure SJ.Dec, not a replay.
             with SecureJoinServer(
                 workload.client.params,
-                engine=SerialEngine() if engine == SerialEngine.name else engine,
                 series_cache_bytes=None,
+                **_ABLATION_SERVERS[engine](),
             ) as server:
                 for name in encrypted_query.tables:
                     server.store(workload.server.table(name))

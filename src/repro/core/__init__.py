@@ -12,13 +12,10 @@
 
 from repro.core.client import DecryptedJoinResult, SecureJoinClient
 from repro.core.engine import (
-    AutoEngine,
     BatchedEngine,
     ExecutionEngine,
     HandleChunk,
     HandleStream,
-    ParallelEngine,
-    get_engine,
 )
 from repro.core.service import ExecutionService
 from repro.core.polynomials import ZqPolynomial
@@ -37,7 +34,6 @@ from repro.core.server import (
 )
 
 __all__ = [
-    "AutoEngine",
     "BatchedEngine",
     "DecryptedJoinResult",
     "EncryptedJoinResult",
@@ -46,7 +42,6 @@ __all__ = [
     "HandleChunk",
     "HandleStream",
     "MatchBatch",
-    "ParallelEngine",
     "SecureJoinClient",
     "SecureJoinParams",
     "SecureJoinScheme",
@@ -56,5 +51,4 @@ __all__ = [
     "SJRowCiphertext",
     "SJToken",
     "ZqPolynomial",
-    "get_engine",
 ]

@@ -12,8 +12,8 @@ the sources; here is what it merges them with:
   a single store, *global* from a shard), tagged with every chain
   position that consumes the side;
 - :func:`merge_sources` pulls events from N sources round-robin into
-  one executor.  For inline engines the alternation itself interleaves
-  the sides' pairing work; for pooled engines the service's pump makes
+  one executor.  For inline sides the alternation itself interleaves
+  the sides' pairing work; for pooled sides the service's pump makes
   progress on every admitted side whichever stream is being waited on.
   Newly completed tuples are emitted the moment they exist — first
   results appear while most of SJ.Dec is still running.

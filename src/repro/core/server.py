@@ -42,8 +42,8 @@ payload maps on a coordinator, which holds no tables) and ``_account``
 for scatter accounting.
 
 How SJ.Dec is issued is not a property of a query: a store has one
-:class:`~repro.core.engine.ExecutionEngine`, fixed where it is built
-(``SecureJoinServer(engine=…)``), and one matcher, the paper's hash
+:class:`~repro.core.engine.BatchedEngine`, one pool ``workers`` wide
+(``SecureJoinServer(workers=…)``) and one matcher, the paper's hash
 join — so every entry point takes the query and nothing else.
 """
 
@@ -54,10 +54,10 @@ from dataclasses import dataclass, field
 
 from repro.core.client import EncryptedTable, position_view
 from repro.core.engine import (
+    BatchedEngine,
     EngineReport,
     ExecutionEngine,
     HandleStream,
-    get_engine,
 )
 from repro.core.pipeline import HandleSource, merge_sources
 from repro.core.scheme import SecureJoinParams, SecureJoinScheme, SJToken
@@ -93,10 +93,10 @@ class ServerStats:
     ``workers`` describe how that work was grouped and fanned out.
 
     ``engine`` is the host's engine (``"series"`` for a replay, which
-    ran none); ``engine_selected`` is what actually executed — it
-    differs from ``engine`` only under the ``"auto"`` planner, whose
-    per-side inputs and cost estimates land in ``planner`` (one dict
-    per decrypted side).
+    ran none); ``engine_selected`` is what actually executed
+    (``"parallel"`` for a side that ran on the pool).  On a server at
+    least two workers wide every side is priced, and its inputs, cost
+    estimates and choice land in ``planner`` (one dict per side).
     ``pool_generation`` / ``worker_restarts`` expose the persistent
     pool's lifecycle: the generation only moves when the pool is
     actually (re)created, so equal generations across queries prove
@@ -593,8 +593,8 @@ class _JoinHost:
                 self._distinct_estimate(name, count)
                 for name, count in zip(tables, counts)
             ]
-            # An auto engine's own (calibrated/custom) cost model, else
-            # the backend's built-in one.
+            # The engine's own (calibrated) cost model, else the
+            # backend's built-in one.
             model = getattr(self.engine, "cost_model", None)
             if model is None:
                 model = default_engine_cost_model(self.backend.name)
@@ -621,23 +621,32 @@ class SecureJoinServer(_JoinHost):
         self,
         params: SecureJoinParams,
         backend: BilinearBackend | None = None,
-        engine: ExecutionEngine | str | None = None,
-        workers: int | None = None,
+        engine: ExecutionEngine | None = None,
+        workers: int = 1,
         series_cache_bytes: int | None = DEFAULT_SERIES_BUDGET,
     ):
+        # The engine every query runs on, fixed here and nowhere else —
+        # the resources it spends are the server's, so neither a caller
+        # nor a client picks per query.  An instance, never a name.
+        if engine is None:
+            engine = BatchedEngine()
+        elif not isinstance(engine, ExecutionEngine):
+            raise QueryError(
+                "engine must be an ExecutionEngine instance, not "
+                f"{type(engine).__name__} {engine!r}"
+            )
         # The server only needs public parameters — never the master key.
         self.scheme = SecureJoinScheme(params, backend)
-        # The server owns one persistent worker pool for its whole
-        # lifetime; its engine, if it uses a pool, is bound to it.
-        # Construction is lazy — no process is forked until a query
-        # actually fans out — and ``close()`` (or using the server as a
+        # The server owns one persistent worker pool, ``workers`` wide,
+        # for its whole lifetime, and binds its engine to it.
+        # Construction is lazy — no process is forked until a side goes
+        # to the pool — and ``close()`` (or using the server as a
         # context manager) tears it down.  Concurrent queries (and the
         # two sides of one query) are co-admitted and interleave on it.
         self.execution_service = ExecutionService(workers=workers)
-        # The engine every query runs on: the operator's choice, made
-        # here and nowhere else — the resources it spends are the
-        # server's, so neither a caller nor a client picks per query.
-        self.engine = get_engine(engine, service=self.execution_service)
+        if isinstance(engine, BatchedEngine):
+            engine.bind_service(self.execution_service)
+        self.engine = engine
         self._tables: dict[str, EncryptedTable] = {}
         # Inverted index over pre-filter tags: table -> column -> tag -> rows.
         self._tag_index: dict[str, dict[str, dict[bytes, list[int]]]] = {}

@@ -31,9 +31,9 @@ wakes the waiting consumers; consumer threads shut executors down,
 *outside* the lock (:meth:`ExecutionService._reap`).
 
 The service is *owned* by :class:`~repro.core.server.SecureJoinServer`
-(bound to every pool-using engine it resolves), whose ``workers`` is
-the one place a pool's width is set.  There is no process-wide pool: an
-engine nobody bound a service to runs inline.
+(bound to its engine), whose ``workers`` is the one place a pool's
+width is set.  There is no process-wide pool: an engine nobody bound a
+service to runs inline.
 """
 
 from __future__ import annotations

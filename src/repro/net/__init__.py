@@ -28,9 +28,9 @@ Exposure policy (after the FateForger encrypted-deployment notes): only
 the query/result API is externally consumable.  A remote peer can send
 join queries (with per-query ``priority`` / ``deadline`` QoS, the only
 clear header fields that steer execution) and receive result frames —
-nothing else.  Pool controls, the choice of engine (the operator's, at
-construction: ``--engine``), store mutation and service internals are
-never reachable from the socket.
+nothing else.  Pool controls (the operator's, at construction:
+``--workers``, ``--cost-model``), store mutation and service internals
+are never reachable from the socket.
 """
 
 from repro.net.client import RemoteJoinClient

@@ -14,7 +14,8 @@ Example::
 
 With ``--port 0`` the OS picks a free port; ``--port-file`` publishes
 the actual ``host:port`` for clients (written atomically, so a watcher
-never reads a partial line).
+never reads a partial line).  ``--workers N`` (default 1) is how many
+pool workers the server may fork.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import signal
 import sys
 import threading
 
-from repro.core.engine import ENGINE_NAMES, AutoEngine
+from repro.core.engine import BatchedEngine
 from repro.core.scheme import SecureJoinParams
 from repro.core.server import SecureJoinServer
 from repro.errors import BenchmarkError, QueryError
@@ -63,20 +64,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the bound host:port here once listening",
     )
     parser.add_argument(
-        "--engine",
-        default=None,
-        help=f"the server's execution engine ({'/'.join(ENGINE_NAMES)}; "
-        "default batched)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, help="worker pool size"
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes the server may fork (default 1: every "
+        "side runs inline)",
     )
     parser.add_argument(
         "--cost-model",
         default=None,
         metavar="PATH",
         help="JSON cost model from python -m repro.bench --calibrate-out; "
-        "prices the auto planner with this machine's measured constants",
+        "prices pool-or-inline per side with this machine's measured "
+        "constants (needs --workers 2 or more)",
     )
     parser.add_argument(
         "--drain-timeout",
@@ -105,24 +105,25 @@ def main(argv: list[str] | None = None) -> int:
         params = SecureJoinParams(**params_dict)
     except TypeError as error:
         return _bad("--params fields", error)
-    engine: str | AutoEngine | None = args.engine
+    engine = None
     if args.cost_model is not None:
+        if args.workers < 2:
+            return _bad(
+                "--cost-model",
+                "the model prices nothing at width 1 (give --workers 2 "
+                "or more)",
+            )
         try:
             cost_model = EngineCostModel.load(args.cost_model)
         except BenchmarkError as error:
             return _bad("--cost-model", error)
-        if engine not in (None, "auto"):
-            return _bad(
-                "--cost-model",
-                f"requires the auto engine (got --engine {engine})",
-            )
-        engine = AutoEngine(cost_model=cost_model)
+        engine = BatchedEngine(cost_model=cost_model)
     try:
         join_server = SecureJoinServer(
             params, engine=engine, workers=args.workers
         )
     except QueryError as error:
-        return _bad("--engine / --workers", error)
+        return _bad("--workers", error)
     for path in args.table:
         join_server.store(
             load_encrypted_table(path, join_server.scheme.backend)

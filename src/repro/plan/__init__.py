@@ -6,7 +6,7 @@ spec into a priced, pipelined plan:
 
 - :mod:`repro.plan.cost` — what the runtime prices, and with what: the
   per-operation :class:`~repro.plan.cost.EngineCostModel`, the
-  pool-or-inline decision of the ``auto`` engine and the join-order
+  pool-or-inline decision of a side on a pooled server and the join-order
   decision of a chain (imports nothing from ``repro.core`` or
   ``repro.bench``);
 - :mod:`repro.plan.planner` — compiles a chain of candidate

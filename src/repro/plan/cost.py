@@ -4,10 +4,11 @@ A query's server-side work is SJ.Dec over the selected rows, then a
 hash match.  Two decisions about that work can come out differently
 from the default, and this module prices exactly those:
 
-- **Does a side fan out on the worker pool or run inline?**  Asked only
-  under the opt-in ``engine="auto"``: :func:`choose_engine` estimates
-  the side on the ``batched`` engine and on the ``parallel`` one and
-  picks ``parallel`` only when it wins by the model's ``switch_margin``.
+- **Does a side fan out on the worker pool or run inline?**  Asked
+  only on a server at least two workers wide, for a side of more than
+  one pooled chunk: :func:`choose_engine` estimates the side inline
+  (``batched``) and on the pool (``parallel``) and picks ``parallel``
+  only when it wins by the model's ``switch_margin``.
 - **In which left-deep order does a chain match?**
   :func:`choose_join_order` prices every contiguous order's hash-match
   work from candidate counts and distinct estimates.  SJ.Dec is the
@@ -52,8 +53,8 @@ class EngineCostModel:
 
     ``switch_margin`` is the planner's conservatism: ``parallel`` must
     beat ``batched`` by at least this factor before it is chosen, so
-    estimate noise can never make ``auto`` slower than the static
-    default.
+    estimate noise can never make a pooled side slower than an inline
+    one.
 
     The match stage is priced as the hash matcher it always is:
     ``hash_build`` / ``hash_probe`` are the per-item bucket insert and
@@ -273,9 +274,8 @@ def choose_engine(
     """The planner decision for one side: ``(chosen, estimates)``.
 
     ``parallel`` iff its estimate beats ``batched`` by the model's
-    ``switch_margin``; ties and anything inside the margin go to the
-    static default — the guarantee behind "auto is never slower than
-    batched".
+    ``switch_margin``; ties and anything inside the margin run inline —
+    the guarantee behind "the pool is never chosen to be slower".
     """
     estimates = estimate_engine_costs(
         model, rows, dimension, workers, batch_size,

@@ -11,11 +11,12 @@ The coordinator therefore **scatters SJ.Dec and centralizes SJ.Match**
 the host seam:
 
 - ``_open_sources`` asks *every shard* for decrypt sources over the
-  query's distinct sides, each on the shard's own
+  query's distinct sides, each on the shard's own engine — and, on a
+  shard built at least two workers wide, its own
   :class:`~repro.core.service.ExecutionService` pool (that is the
   scale-out: n shards = n pools = n hosts' worth of cores) with the
   query's priority/deadline QoS propagated into each admission
-  scheduler, and each translated to *global* row indices — so the
+  scheduler — and each translated to *global* row indices — so the
   central executor sorts into the same canonical order, and the result
   is **byte-identical to the unsharded join** no matter the shard
   count, the partition skew, or how chunks interleaved (the property
@@ -73,7 +74,8 @@ class LocalShard:
 
     Wraps a dedicated :class:`~repro.core.server.SecureJoinServer`
     (and therefore a dedicated
-    :class:`~repro.core.service.ExecutionService`); only tables split
+    :class:`~repro.core.service.ExecutionService`, ``workers`` wide —
+    1 by default, so every side runs inline); only tables split
     by :func:`~repro.shard.partition.partition_table` may be stored,
     and every stored table must agree on the shard layout — a
     descriptor from a different shard count or seed is rejected, which
@@ -84,8 +86,8 @@ class LocalShard:
         self,
         params: SecureJoinParams,
         backend: BilinearBackend | None = None,
-        engine: ExecutionEngine | str | None = None,
-        workers: int | None = None,
+        engine: ExecutionEngine | None = None,
+        workers: int = 1,
         name: str | None = None,
     ):
         self.name = name

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import signal
@@ -9,8 +10,42 @@ import time
 
 import pytest
 
+from repro.core.engine import DEFAULT_BATCH_SIZE, BatchedEngine
 from repro.crypto.backend import BN254Backend, FastBackend
 from repro.db.matcher import NestedMatcher
+from repro.plan.cost import FAST_ENGINE_COSTS
+
+#: A cost model under which the pool always pays: pairings at 1 s, and
+#: a pool that charges nothing to spawn, to ship a row or to schedule a
+#: chunk.  On a server two workers wide, every side of more than one
+#: pooled chunk goes to the pool — how tests reach the pool on the fast
+#: backend, whose own model never sends a side there.
+FORCE_POOL = dataclasses.replace(
+    FAST_ENGINE_COSTS,
+    miller_loop=1.0,
+    final_exponentiation=1.0,
+    prepared_miller_loop=1.0,
+    element_transport=0.0,
+    chunk_overhead=0.0,
+    pool_spawn=0.0,
+)
+
+#: The two server shapes the property suites sample: one worker wide
+#: with the default model (every side inline, nothing priced), and two
+#: workers wide with :data:`FORCE_POOL`.
+SERVER_SHAPES = ("inline", "pooled")
+
+
+def server_shape(shape: str, batch_size: int = DEFAULT_BATCH_SIZE) -> dict:
+    """``SecureJoinServer`` / ``LocalShard`` arguments for one of
+    :data:`SERVER_SHAPES`, with a fresh engine — an engine serves the
+    pool of the first server it is bound to."""
+    if shape == "inline":
+        return {"engine": BatchedEngine(batch_size), "workers": 1}
+    return {
+        "engine": BatchedEngine(batch_size, cost_model=FORCE_POOL),
+        "workers": 2,
+    }
 
 
 @pytest.fixture

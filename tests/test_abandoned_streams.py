@@ -19,16 +19,18 @@ import random
 import pytest
 
 from repro.core.client import SecureJoinClient
+from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
 from repro.db.query import ChainQuery, JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.shard import LocalShard, ShardCoordinator, partition_table
+from tests.conftest import FORCE_POOL
 
 ROWS = 120
 KEYS = 40
-#: More than two pooled chunks per shard and side (the parallel engine
-#: runs anything up to 32 rows inline).
+#: More than two pooled chunks per shard and side (a side of up to 32
+#: rows, one pooled chunk, runs inline).
 DELTA = 160
 
 
@@ -61,12 +63,18 @@ def _build(sharded: bool, names):
     for table in encrypted:
         reference.store(copy.deepcopy(table))
     if not sharded:
-        host = SecureJoinServer(client.params, engine="parallel", workers=2)
+        host = SecureJoinServer(
+            client.params, engine=BatchedEngine(cost_model=FORCE_POOL),
+            workers=2,
+        )
         for table in encrypted:
             host.store(table)
         return client, host, [host.execution_service], reference
     shards = [
-        LocalShard(client.params, engine="parallel", workers=2, name=f"s{i}")
+        LocalShard(
+            client.params, engine=BatchedEngine(cost_model=FORCE_POOL),
+            workers=2, name=f"s{i}",
+        )
         for i in range(2)
     ]
     backend = reference.scheme.backend

@@ -369,7 +369,7 @@ class TestPlannerRecord:
         import random
 
         from repro.core.client import SecureJoinClient
-        from repro.core.engine import AutoEngine
+        from repro.core.engine import BatchedEngine
         from repro.core.server import SecureJoinServer
         from repro.db.query import JoinQuery
         from repro.db.schema import Schema
@@ -383,8 +383,8 @@ class TestPlannerRecord:
             [(left, "k"), (right, "k")], in_clause_limit=1,
             rng=random.Random(3),
         )
-        engine = AutoEngine(batch_size=8)
-        server = SecureJoinServer(client.params, engine=engine)
+        engine = BatchedEngine(batch_size=8)
+        server = SecureJoinServer(client.params, engine=engine, workers=2)
         server.store(client.encrypt_table(left, "k"))
         server.store(client.encrypt_table(right, "k"))
         query = JoinQuery.build("L", "R", on=("k", "k"))

@@ -1,38 +1,33 @@
-"""Execution engines: result equivalence, batching edge cases, accounting.
+"""The execution engine: result equivalence, batching edge cases,
+accounting, and the one pool-or-inline rule.
 
-The contract under test: serial, batched and parallel engines return
-*byte-identical* join results (index pairs, payloads and observed
-handles) for every workload, while their ``ServerStats`` expose the
-different pairing-work profiles — the batched path shares one final
-exponentiation per row where the serial path pays one per vector
-component.  A server has one engine, fixed where it is built, so every
-comparison runs one server per engine over the same encrypted tables.
+The contract under test: the naive serial baseline and the one engine —
+inline, priced at width two, or on the pool — return *byte-identical*
+join results (index pairs, payloads and observed handles) for every
+workload, while their ``ServerStats`` expose the different pairing-work
+profiles — the batched path shares one final exponentiation per row
+where the serial path pays one per vector component — and say what ran.
+A server has one engine, fixed where it is built, so every comparison
+runs one server per engine over the same encrypted tables.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import random
-from dataclasses import replace
 
 import pytest
 
 from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
-from repro.core.engine import (
-    ENGINE_NAMES,
-    AutoEngine,
-    BatchedEngine,
-    ParallelEngine,
-    _chunked,
-    get_engine,
-)
+from repro.core.engine import BatchedEngine, _chunked
 from repro.core.server import SecureJoinServer
+from repro.core.service import ExecutionService
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.errors import QueryError
-from repro.plan.cost import FAST_ENGINE_COSTS
+from tests.conftest import FORCE_POOL
 
 try:
     from hypothesis import given, settings
@@ -42,15 +37,18 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
     HAVE_HYPOTHESIS = False
 
-# Module-scoped engine instances so the parallel engine's persistent
-# pool is spawned once and reused by every test (and every Hypothesis
-# example) — which is itself part of the contract under test.  The pool
-# is the first binding server's, two workers wide (``_with_engine``).
+# Module-scoped ``(engine, server width)`` pairs, so the pooled
+# engine's persistent pool is spawned once and reused by every test (and
+# every Hypothesis example) — which is itself part of the contract under
+# test.  Each engine keeps the pool of the first server bound to it:
+# inline and unpriced at width 1, priced by the built-in model at width
+# 2 (the fast backend's never pools), and on the pool under
+# ``FORCE_POOL`` in chunks of 4.
 ENGINES = (
-    SerialEngine(),
-    BatchedEngine(batch_size=3),
-    ParallelEngine(batch_size=4),
-    AutoEngine(batch_size=3),
+    (SerialEngine(), 1),
+    (BatchedEngine(batch_size=3), 1),
+    (BatchedEngine(batch_size=8, cost_model=FORCE_POOL), 2),
+    (BatchedEngine(batch_size=3), 2),
 )
 
 
@@ -94,21 +92,23 @@ def _expected_pairs(left_keys, right_keys):
     ]
 
 
-def _with_engine(client, server, engine):
-    """A server built with ``engine`` over ``server``'s encrypted tables."""
+def _with_engine(client, server, engine, workers=1):
+    """A server ``workers`` wide, built with ``engine``, over
+    ``server``'s encrypted tables."""
     sibling = SecureJoinServer(
-        client.params, backend=server.backend, engine=engine, workers=2
+        client.params, backend=server.backend, engine=engine,
+        workers=workers,
     )
     for name in ("L", "R"):
         sibling.store(server.table(name))
     return sibling
 
 
-def _run(client, server, encrypted, engine):
+def _run(client, server, encrypted, engine, workers=1):
     """``encrypted`` on a server built with ``engine``:
     ``(result, adversary view)``.  The server is left open: a shared
-    pooled engine stays bound to the first live pool it was given."""
-    sibling = _with_engine(client, server, engine)
+    engine stays bound to the first live pool it was given."""
+    sibling = _with_engine(client, server, engine, workers)
     result = sibling.execute_join(encrypted)
     (observation,) = sibling.observations
     return result, observation
@@ -117,7 +117,7 @@ def _run(client, server, encrypted, engine):
 def _run_engines(client, server, query):
     """One fresh query per engine: ``(results, observations)``."""
     runs = [
-        _run(client, server, client.create_query(query), engine)
+        _run(client, server, client.create_query(query), *engine)
         for engine in ENGINES
     ]
     return [result for result, _ in runs], [seen for _, seen in runs]
@@ -159,7 +159,7 @@ class TestEquivalence:
         client, server = _build([1, 2, 2, 3], [2, 2, 3, 4, 1])
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         handle_sets = [
-            dict(_run(client, server, encrypted, engine)[1].handles)
+            dict(_run(client, server, encrypted, *engine)[1].handles)
             for engine in ENGINES
         ]
         assert all(handles == handle_sets[0] for handles in handle_sets[1:])
@@ -196,7 +196,7 @@ class TestEquivalence:
         self, num_attributes, in_clause_limit, left_size, right_size,
         key_space, seed,
     ):
-        """All engines (incl. pooled and the planner) are byte-identical
+        """Serial, inline, priced and pooled runs are byte-identical
         for random scheme dimensions (m, t) and candidate counts."""
         rng = random.Random(seed)
         left_keys = [rng.randrange(key_space) for _ in range(left_size)]
@@ -209,7 +209,7 @@ class TestEquivalence:
         expected = _expected_pairs(left_keys, right_keys)
         handle_sets = []
         for engine in ENGINES:
-            result, observation = _run(client, server, shared, engine)
+            result, observation = _run(client, server, shared, *engine)
             assert result.index_pairs == expected
             handle_sets.append(dict(observation.handles))
         # One shared token: every engine must observe the same bytes.
@@ -221,10 +221,13 @@ class TestEquivalence:
         workload = build_encrypted_tpch(0.002, in_clause_limit=1)
         encrypted = workload.client.create_query(tpch_query(1 / 12.5))
         results = []
-        for engine in (SerialEngine(), "batched", "parallel", "auto"):
-            with SecureJoinServer(
-                workload.client.params, engine=engine
-            ) as server:
+        for built in (
+            {"engine": SerialEngine()},
+            {},
+            {"engine": BatchedEngine(cost_model=FORCE_POOL), "workers": 2},
+            {"workers": 2},
+        ):
+            with SecureJoinServer(workload.client.params, **built) as server:
                 for name in encrypted.tables:
                     server.store(workload.server.table(name))
                 results.append(server.execute_join(encrypted))
@@ -253,7 +256,7 @@ class TestChunking:
         client, server = _build([1, 2], [])
         query = JoinQuery.build("L", "R", on=("k", "k"))
         for engine in ENGINES:
-            result, _ = _run(client, server, client.create_query(query), engine)
+            result, _ = _run(client, server, client.create_query(query), *engine)
             assert result.index_pairs == []
             assert result.stats.candidates_right == 0
 
@@ -261,7 +264,7 @@ class TestChunking:
         client, server = _build([3], [3])
         query = JoinQuery.build("L", "R", on=("k", "k"))
         for engine in ENGINES:
-            result, _ = _run(client, server, client.create_query(query), engine)
+            result, _ = _run(client, server, client.create_query(query), *engine)
             assert result.index_pairs == [(0, 0)]
 
     def test_batch_exceeds_side_size(self):
@@ -277,17 +280,10 @@ class TestChunking:
     def test_invalid_configuration(self):
         with pytest.raises(QueryError):
             BatchedEngine(batch_size=0)
-        with pytest.raises(QueryError):
-            ParallelEngine(batch_size=0)
-        with pytest.raises(QueryError):
-            get_engine("warp-drive")
-        # The naive baseline is an engine, not a runtime name.
-        assert ENGINE_NAMES == ("batched", "parallel", "auto")
-        with pytest.raises(QueryError, match="unknown execution engine"):
-            get_engine("serial")
-        with pytest.raises(QueryError, match="unknown execution engine"):
+        # There are no engine names: ``engine=`` takes an instance.
+        with pytest.raises(QueryError, match="not str 'parallel'"):
             SecureJoinServer(
-                SecureJoinClient(num_attributes=1).params, engine="serial"
+                SecureJoinClient(num_attributes=1).params, engine="parallel"
             )
 
 
@@ -306,7 +302,7 @@ class TestAccounting:
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
 
         serial, _ = _run(client, server, encrypted, SerialEngine())
-        batched, _ = _run(client, server, encrypted, "batched")
+        batched, _ = _run(client, server, encrypted, BatchedEngine())
 
         assert serial.index_pairs == batched.index_pairs
         rows = serial.stats.decryptions
@@ -327,14 +323,19 @@ class TestAccounting:
         client, server = _build(
             [i % 4 for i in range(20)], [0, 1, 2, 3],
             backend=sleeping_backend, workers=2,
-            engine=ParallelEngine(batch_size=5),
+            engine=BatchedEngine(batch_size=10, cost_model=FORCE_POOL),
         )
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
             result = server.execute_join(encrypted)
-        # Left side: 20 rows in 4 chunks through the pool (2 workers);
-        # right side: 4 rows, inline fallback (1 chunk).
-        assert result.stats.engine == "parallel"
+        # Left side: 20 rows in 4 chunks of 5 through the pool (2
+        # workers); right side: 4 rows, one pooled chunk's worth, so
+        # inline (1 chunk).
+        assert result.stats.engine == "batched"
+        assert result.stats.engine_selected == "parallel+batched"
+        assert [side["chosen"] for side in result.stats.planner] == [
+            "parallel", "batched",
+        ]
         assert result.stats.workers == 2
         assert result.stats.batches == 5
         assert result.stats.max_batch_size == 5
@@ -348,11 +349,15 @@ class TestAccounting:
         assert server.execute_join(client.create_query(query)).stats.engine == (
             "batched"
         )
-        # Built with one — a runtime name or any ExecutionEngine, which
-        # is how an ablation gets its naive server — it runs that.
-        for engine, name in ((SerialEngine(), "serial"), ("auto", "auto")):
+        # Built with one — any ExecutionEngine, which is how an ablation
+        # gets its naive server and a calibration its model — it runs
+        # that very instance.
+        for engine, name in (
+            (SerialEngine(), "serial"),
+            (BatchedEngine(cost_model=FORCE_POOL), "batched"),
+        ):
             with _with_engine(client, server, engine) as built:
-                assert built.engine.name == name
+                assert built.engine is engine
                 stats = built.execute_join(client.create_query(query)).stats
             assert stats.engine == name
 
@@ -361,25 +366,28 @@ class TestAccounting:
 
         client, server = _build(
             [1, 2, 2], [2, 2, 5], backend=sleeping_backend, workers=2,
-            engine=ParallelEngine(batch_size=1),
+            engine=BatchedEngine(batch_size=2, cost_model=FORCE_POOL),
         )
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
             result = server.execute_join(encrypted)
-        assert result.stats.engine == "parallel" and result.stats.workers == 2
+        assert result.stats.engine_selected == "parallel"
+        assert result.stats.workers == 2
         assert decode_frame(encode_final_frame(result)).stats == result.stats
 
 
 class TestPlanner:
-    """The ``auto`` engine: per-side cost-model engine selection."""
+    """The one rule: on a server at least two workers wide, a side goes
+    to the pool iff it spans more than one pooled chunk and the cost
+    model prices the pool cheaper; every priced side is recorded."""
 
     def test_auto_records_planner_inputs_per_side(self):
         client, server = _build(
-            [i % 4 for i in range(20)], [0, 1, 2, 3], engine="auto"
+            [i % 4 for i in range(20)], [0, 1, 2, 3], workers=2
         )
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         result = server.execute_join(encrypted)
-        assert result.stats.engine == "auto"
+        assert result.stats.engine == "batched"
         assert result.stats.planner is not None
         assert len(result.stats.planner) == 2  # one record per side
         left_side, right_side = result.stats.planner
@@ -396,12 +404,13 @@ class TestPlanner:
         assert result.stats.engine_selected in (
             "batched", "parallel", "batched+parallel", "parallel+batched",
         )
+        server.close()
 
     def test_auto_never_picks_serial_with_default_models(self):
         """Serial can never beat batched (same Miller loops, strictly
         more final exponentiations), so the planner does not price it."""
         for rows in ([3], [0] * 40):
-            client, server = _build(rows, [0, 1], engine="auto")
+            client, server = _build(rows, [0, 1], workers=2)
             encrypted = client.create_query(
                 JoinQuery.build("L", "R", on=("k", "k"))
             )
@@ -409,54 +418,70 @@ class TestPlanner:
             for side in result.stats.planner:
                 assert side["chosen"] != "serial"
                 assert "serial" not in side["estimates"]
+            server.close()
 
     def test_auto_matches_batched_results_exactly(self):
+        """A side the model sends to the pool yields the handles and
+        the pairs of the inline run."""
         client, server = _build([1, 2, 2, 3] * 6, [2, 3, 4])
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        auto, auto_view = _run(client, server, encrypted, "auto")
-        batched, batched_view = _run(client, server, encrypted, "batched")
-        assert auto.index_pairs == batched.index_pairs
-        assert auto_view.handles == batched_view.handles
+        pooled, pooled_view = _run(
+            client, server, encrypted,
+            BatchedEngine(batch_size=8, cost_model=FORCE_POOL), workers=2,
+        )
+        batched, batched_view = _run(client, server, encrypted, BatchedEngine())
+        assert pooled.stats.engine_selected == "parallel+batched"
+        assert batched.stats.planner is None
+        assert pooled.index_pairs == batched.index_pairs
+        assert pooled_view.handles == batched_view.handles
 
     def test_auto_as_server_default(self):
+        """Pricing is what the default engine does once the server is
+        two workers wide; there is no engine name to ask for it."""
         client, _ = _build([1, 2], [2, 3])
-        auto_server = SecureJoinServer(client.params, engine="auto")
-        assert auto_server.engine.name == "auto"
+        with pytest.raises(QueryError, match="ExecutionEngine instance"):
+            SecureJoinServer(client.params, engine="auto")
+        with SecureJoinServer(client.params, workers=2) as server:
+            assert type(server.engine) is BatchedEngine
+            assert server.engine.cost_model is None
+            assert server.engine.name == "batched"
 
     def test_planner_prices_actual_pool_size(self):
         """The planner prices the bound pool's width: the estimate
         divides work by the pool the side really gets."""
-        from repro.core.service import ExecutionService
-
-        with ExecutionService(workers=3) as service:
-            engine = AutoEngine(service=service)
-            client, server = _build(
-                [i % 3 for i in range(9)], [0, 1, 2], engine=engine
-            )
-            encrypted = client.create_query(
-                JoinQuery.build("L", "R", on=("k", "k"))
-            )
-            result = server.execute_join(encrypted)
-            for side in result.stats.planner:
-                assert side["workers"] == service.worker_target == 3
+        client, server = _build(
+            [i % 3 for i in range(9)], [0, 1, 2], workers=3
+        )
+        encrypted = client.create_query(
+            JoinQuery.build("L", "R", on=("k", "k"))
+        )
+        result = server.execute_join(encrypted)
+        for side in result.stats.planner:
+            assert side["workers"] == server.execution_service.worker_target
+            assert side["workers"] == 3
+        server.close()
 
     def test_invalid_planner_configuration(self):
         with pytest.raises(QueryError):
-            AutoEngine(batch_size=0)
-        # Retired options are refused, not silently accepted: the
-        # planner has two fixed candidates and learns nothing online.
-        with pytest.raises(TypeError):
-            AutoEngine(candidates=("serial",))
-        with pytest.raises(TypeError):
-            AutoEngine(calibrate_online=False)
-        with pytest.raises(TypeError):
-            AutoEngine(calibrator=object())
+            BatchedEngine(batch_size=0, cost_model=FORCE_POOL)
+        # Retired options are refused, not silently accepted: the rule
+        # has two fixed candidates, learns nothing online, and the pool
+        # and its width are the server's.
+        for retired in (
+            {"candidates": ("serial",)},
+            {"calibrate_online": False},
+            {"calibrator": object()},
+            {"service": ExecutionService(workers=2)},
+            {"workers": 2},
+        ):
+            with pytest.raises(TypeError):
+                BatchedEngine(**retired)
 
-    @pytest.mark.parametrize("name", ["parallel", "auto"])
-    def test_unbound_pooled_engine_runs_inline(self, name):
+    def test_engine_below_width_two_runs_inline(self):
         """There is no process-wide pool to fall back on: an engine no
-        service was bound to decrypts inline, and the planner prices
-        the one worker it would really get."""
+        service was bound to — or bound to a pool one worker wide —
+        decrypts inline and prices nothing, however cheap its model
+        says the pool is."""
         client, server = _build([i % 4 for i in range(20)], [0, 1])
         encrypted = client.create_query(
             JoinQuery.build("L", "R", on=("k", "k"))
@@ -466,29 +491,118 @@ class TestPlanner:
             encrypted.left_token.elements,
             [row.elements for row in server.table("L").ciphertexts],
         )
-        # A pool that charges nothing and needs no margin: the planner
-        # prefers it even at one worker (it saves the batch overhead).
-        free_pool = replace(
-            FAST_ENGINE_COSTS, switch_margin=1.0,
-            element_transport=0.0, chunk_overhead=0.0, pool_spawn=0.0,
-        )
-        if name == "parallel":
-            engine = ParallelEngine(batch_size=4)
-        else:
-            engine = AutoEngine(cost_model=free_pool, batch_size=8)
+        unbound = BatchedEngine(batch_size=8, cost_model=FORCE_POOL)
+        one_wide = BatchedEngine(batch_size=8, cost_model=FORCE_POOL)
+        service = ExecutionService(workers=1)
+        one_wide.bind_service(service)
         children = multiprocessing.active_children()
-        handles, report = engine.decrypt_handles(*side)
-        assert multiprocessing.active_children() == children
-        assert handles == BatchedEngine(4).decrypt_handles(*side)[0]
-        assert report.engine == name
-        assert (report.pool_generation, report.workers) == (0, 1)
-        assert report.batches == 5 and report.max_batch_size == 4
-        if name == "auto":
-            assert report.planner["workers"] == 1
-            assert report.planner["pool_warm"] is False
-            assert report.selected == "parallel"
-        else:
-            assert engine.effective_workers() == 1
+        for engine in (unbound, one_wide):
+            handles, report = engine.decrypt_handles(*side)
+            assert multiprocessing.active_children() == children
+            assert handles == BatchedEngine(4).decrypt_handles(*side)[0]
+            assert report.engine == "batched"
+            assert (report.selected, report.planner) == ("", None)
+            assert (report.pool_generation, report.workers) == (0, 1)
+            assert report.batches == 3 and report.max_batch_size == 8
+        assert not service.started
+
+    def test_a_side_of_one_pooled_chunk_reports_what_ran(self):
+        """On a warm two-worker pool under a model that always prices
+        the pool cheaper, a side of at most one pooled chunk runs inline
+        and says so: ``selected`` and the planner's ``chosen`` both name
+        the engine that produced its chunks."""
+        client, server = _build([i % 4 for i in range(12)], [0, 1, 2])
+        encrypted = client.create_query(
+            JoinQuery.build("L", "R", on=("k", "k"))
+        )
+        token = encrypted.left_token.elements
+        rows = [row.elements for row in server.table("L").ciphertexts]
+        engine = BatchedEngine(batch_size=8, cost_model=FORCE_POOL)
+        with ExecutionService(workers=2) as service:
+            engine.bind_service(service)
+            # Warm the pool: 12 rows are three pooled chunks.
+            engine.decrypt_handles(server.backend, token, rows)
+            assert service.started
+            expected = BatchedEngine().decrypt_handles(
+                server.backend, token, rows
+            )[0]
+            for count in (1, 4, 5, 12):
+                handles, report = engine.decrypt_handles(
+                    server.backend, token, rows[:count]
+                )
+                assert handles == expected[:count]
+                pooled = report.pool_generation == service.generation
+                assert pooled == (count > 4), count
+                assert report.planner["pool_warm"] is True
+                assert report.selected == report.planner["chosen"]
+                assert report.selected == ("parallel" if pooled else "batched")
+        # Through a server: two 3-row sides on a warm pool run inline,
+        # and the stats say so.
+        small_client, small = _build([1, 2, 3], [2, 3, 4])
+        with _with_engine(
+            small_client, small,
+            BatchedEngine(batch_size=8, cost_model=FORCE_POOL), workers=2,
+        ) as built:
+            built.engine.decrypt_handles(server.backend, token, rows)
+            stats = built.execute_join(small_client.create_query(
+                JoinQuery.build("L", "R", on=("k", "k"))
+            )).stats
+        assert stats.engine == stats.engine_selected == "batched"
+        assert [side["chosen"] for side in stats.planner] == [
+            "batched", "batched",
+        ]
+        assert all(side["pool_warm"] for side in stats.planner)
+
+
+class TestDefaultPath:
+    """Built with default arguments — every server and shard the
+    benchmark builds — the engine runs its inline loop after one width
+    check, and prices nothing."""
+
+    def test_default_builds_never_consult_the_model(self, monkeypatch):
+        import repro.core.engine
+        from repro.db.query import ChainQuery
+        from repro.shard import LocalShard, ShardCoordinator, partition_table
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("choose_engine consulted at width 1")
+
+        monkeypatch.setattr(repro.core.engine, "choose_engine", refuse)
+        tables = [
+            Table(name, Schema.of(("k", "int"), ("v", "str")),
+                  [(i % 4, f"{name}.{i}") for i in range(rows)])
+            for name, rows in (("A", 90), ("B", 70), ("C", 40))
+        ]
+        client = SecureJoinClient.for_tables(
+            [(table, "k") for table in tables], in_clause_limit=1,
+            rng=random.Random(5),
+        )
+        encrypted = [client.encrypt_table(table, "k") for table in tables]
+        join = client.create_query(JoinQuery.build("A", "B", on=("k", "k")))
+        chain = client.create_chain_query(
+            ChainQuery.build([("A", "k"), ("B", "k"), ("C", "k")])
+        )
+        with SecureJoinServer(client.params) as server:
+            for table in encrypted:
+                server.store(table)
+            runs = [server.execute_join(join), server.execute_chain(chain)]
+            assert runs[0].stats.planner is None
+            shards = [LocalShard(client.params) for _ in range(2)]
+            for table in encrypted[:2]:
+                for piece in partition_table(table, server.backend, 2):
+                    shards[piece.shard.shard_index].store(piece)
+            with ShardCoordinator(shards) as coordinator:
+                runs.append(coordinator.execute_join(join))
+            assert runs[2].index_pairs == runs[0].index_pairs
+            assert not server.execution_service.started
+        for result in runs:
+            stats = result.stats
+            assert stats.engine == stats.engine_selected == "batched"
+            # Only the chain's order and the fleet's scatter are
+            # recorded: no side was priced.
+            assert all("stage" in record for record in stats.planner or ())
+            assert (stats.workers, stats.pool_generation) == (1, 0)
+        assert all(not shard.server.execution_service.started for shard in shards)
 
 
 @pytest.mark.bn254
@@ -509,7 +623,7 @@ class TestBN254CrossCheck:
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
 
         serial, serial_view = _run(client, server, encrypted, SerialEngine())
-        batched, batched_view = _run(client, server, encrypted, "batched")
+        batched, batched_view = _run(client, server, encrypted, BatchedEngine())
 
         assert serial.index_pairs == batched.index_pairs == [(0, 0)]
         assert dict(serial_view.handles) == dict(batched_view.handles)

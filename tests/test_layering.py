@@ -8,8 +8,9 @@ lazily inside a function.  The client module needs no engine, pool or
 shared memory — and the server, which does need a pool, needs neither
 shared memory nor the resource tracker; nothing under ``src/`` imports a
 third-party package the requirements file does not name; every host
-answers a query through the same four one-argument entry points; and a
-pool's width and transport are not parameters of anything.
+answers a query through the same four one-argument entry points; a
+pool's width and transport are not parameters of anything; and there is
+one engine, exported under no other name.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import AutoEngine, ParallelEngine
+import repro.core
+import repro.core.engine
+from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
 from repro.core.service import ExecutionService
 from repro.net import RemoteJoinClient
@@ -34,8 +37,8 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 _SRC = _REPO_ROOT / "src"
 
 #: Runs in a fresh interpreter: every runtime package imported, then one
-#: query down each path that prices something — the ``auto`` engine,
-#: a chain's join order, a sharded join.
+#: query down each path that prices something — a side on a two-worker
+#: server, a chain's join order, a sharded join.
 _DRIVE = """
 import random, sys
 import repro, repro.core, repro.plan, repro.shard, repro.net
@@ -60,11 +63,11 @@ join = client.create_query(JoinQuery.build("A", "B", on=("k", "k")))
 chain = client.create_chain_query(
     ChainQuery.build([("A", "k"), ("B", "k"), ("C", "k")])
 )
-with SecureJoinServer(client.params, engine="auto") as server:
+with SecureJoinServer(client.params, workers=2) as server:
     for table in encrypted:
         server.store(table)
-    auto = server.execute_join(join)
-    assert auto.stats.engine == "auto" and len(auto.stats.planner) == 2
+    priced = server.execute_join(join)
+    assert priced.stats.engine == "batched" and len(priced.stats.planner) == 2
     planned = server.execute_chain(chain)
     assert planned.stats.planner[0]["stage"] == "plan"
     shards = [LocalShard(client.params) for _ in range(2)]
@@ -73,7 +76,7 @@ with SecureJoinServer(client.params, engine="auto") as server:
             shards[piece.shard.shard_index].store(piece)
     with ShardCoordinator(shards) as coordinator:
         sharded = coordinator.execute_join(join)
-    assert sharded.index_pairs == auto.index_pairs
+    assert sharded.index_pairs == priced.index_pairs
 print(sorted(name for name in sys.modules if name.startswith("repro.bench")))
 """
 
@@ -195,8 +198,7 @@ def test_the_server_module_needs_no_shared_memory_or_resource_tracker():
 @pytest.mark.parametrize(
     "function, removed",
     [
-        (ParallelEngine.__init__, "workers"),
-        (AutoEngine.__init__, "workers"),
+        (BatchedEngine.__init__, "workers"),
         (ExecutionService.__init__, "use_shared_memory"),
         (ExecutionService.admit_side, "max_workers"),
     ],
@@ -205,6 +207,14 @@ def test_the_server_module_needs_no_shared_memory_or_resource_tracker():
 def test_a_pools_width_and_transport_are_not_options(function, removed):
     """One width, set by the server's ``workers``; one transport."""
     assert removed not in inspect.signature(function).parameters
+
+
+@pytest.mark.parametrize("module", [repro.core.engine, repro.core])
+def test_there_are_no_engine_names(module):
+    """The server has one engine: neither the engine module nor the
+    package exports the retired engines or a name table."""
+    for retired in ("ParallelEngine", "AutoEngine", "ENGINE_NAMES", "get_engine"):
+        assert not hasattr(module, retired), (module.__name__, retired)
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.net import RemoteJoinClient
 from repro.store.tables import save_encrypted_table
+from tests.conftest import FORCE_POOL
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _SRC = _REPO_ROOT / "src"
@@ -227,15 +228,20 @@ class TestServerProcess:
 
     def test_worker_pool_shuts_down_with_the_server(self, tmp_path):
         client, paths = _dataset(tmp_path, n_rows=80)
+        # A calibration under which the pool always pays, so the
+        # server's two workers really fork.
+        model = tmp_path / "force-pool.json"
+        FORCE_POOL.save(model)
         baseline_pids = _python_pids()
         process, host, port = _launch(
             tmp_path, client, paths,
-            "--engine", "parallel", "--workers", "2",
+            "--workers", "2", "--cost-model", str(model),
         )
         try:
             with RemoteJoinClient(host, port, client.scheme.backend) as rc:
                 result = rc.execute_join(_query(client))
                 assert result.index_pairs
+                assert "parallel" in result.stats.engine_selected
         finally:
             process.send_signal(signal.SIGTERM)
             returncode = _finish(process, timeout=60)
@@ -269,31 +275,46 @@ class TestServerProcess:
     @pytest.mark.parametrize(
         "options, complaint",
         [
-            (("--engine", "bogus"), b"unknown execution engine 'bogus'"),
-            # The ablation baseline is not a runtime name.
-            (("--engine", "serial"), b"unknown execution engine 'serial'"),
-            (("--workers", "0"), b"worker count must be at least 1"),
+            (
+                ("--workers", "0"),
+                b"bad --workers: worker count must be at least 1",
+            ),
+            # One worker is the default: a model would price nothing.
+            (
+                ("--cost-model", "model.json"),
+                b"bad --cost-model: the model prices nothing at width 1",
+            ),
+            (
+                ("--workers", "2", "--cost-model", "missing.json"),
+                b"bad --cost-model: cannot load cost model from missing.json",
+            ),
         ],
-        ids=["engine", "serial", "workers"],
+        ids=["workers", "cost-model-at-width-1", "cost-model-unreadable"],
     )
     def test_bad_engine_options_fail_fast(self, options, complaint):
-        """Refused before anything listens: one ``bad --...`` line and
-        exit code 2, no traceback, no service that fails every query."""
+        """The execution options — the pool's width and the model that
+        prices it — are refused before anything listens: one ``bad
+        --...`` line and exit code 2, no traceback, no service that
+        fails every query."""
         process = self._run_cli("--params", _PARAMS_JSON, *options)
         assert process.returncode == 2
         (line,) = process.stderr.splitlines()
-        assert line.startswith(b"bad --engine / --workers: ")
-        assert complaint in line
+        assert line.startswith(complaint)
 
     @pytest.mark.parametrize(
         "option, value",
-        [("--algorithm", "sort"), ("--hint-engines", "batched")],
-        ids=["algorithm", "hint-engines"],
+        [
+            ("--algorithm", "sort"),
+            ("--hint-engines", "batched"),
+            ("--engine", "parallel"),
+        ],
+        ids=["algorithm", "hint-engines", "engine"],
     )
     def test_retired_options_are_gone(self, option, value):
-        """Neither the matcher nor a client's say in the engine is a
-        deployment choice (and ``sort``, which the old help text
-        offered, never existed)."""
+        """Neither the matcher, nor a client's say in the engine, nor an
+        engine name is a deployment choice (and ``sort``, which the old
+        help text offered, never existed): the server has one engine,
+        and ``--workers`` is how wide it may go."""
         process = self._run_cli("--params", _PARAMS_JSON, option, value)
         assert process.returncode == 2
         assert (

@@ -16,7 +16,7 @@ import pytest
 
 from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
-from repro.core.engine import AutoEngine, BatchedEngine, ParallelEngine
+from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
 from repro.db.matcher import (
     HashMatcher,
@@ -26,6 +26,7 @@ from repro.db.matcher import (
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
+from tests.conftest import FORCE_POOL
 
 try:
     from hypothesis import given, settings
@@ -35,15 +36,17 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
     HAVE_HYPOTHESIS = False
 
-# Module-scoped engines, one server built per engine per test: the
-# pooled engine's pool is spawned once and shared by every test (part of
-# the contract under test).
-ENGINES = (
-    SerialEngine(),
-    BatchedEngine(batch_size=3),
-    ParallelEngine(batch_size=4),
-    AutoEngine(batch_size=3),
-)
+def _engines():
+    """Server arguments per engine, fresh engines each call (an engine
+    keeps the pool of the first server bound to it): serial, inline,
+    on a two-worker pool in chunks of 4, and priced by the built-in
+    model at width 2."""
+    return (
+        {"engine": SerialEngine()},
+        {"engine": BatchedEngine(batch_size=3), "workers": 1},
+        {"engine": BatchedEngine(batch_size=8, cost_model=FORCE_POOL)},
+        {"engine": BatchedEngine(batch_size=3)},
+    )
 
 
 # -- matcher kernels ------------------------------------------------------
@@ -196,9 +199,10 @@ def _build(left_keys, right_keys, seed=7, engine=None):
     return client, server
 
 
-def _with_engine(client, server, engine):
-    """A server built with ``engine`` over ``server``'s encrypted tables."""
-    sibling = SecureJoinServer(client.params, engine=engine, workers=2)
+def _with_engine(client, server, engine=None, workers=2):
+    """A server ``workers`` wide, built with ``engine``, over
+    ``server``'s encrypted tables."""
+    sibling = SecureJoinServer(client.params, engine=engine, workers=workers)
     for name in ("L", "R"):
         sibling.store(server.table(name))
     return sibling
@@ -247,11 +251,11 @@ class TestStreamedEquivalence:
         client, server = _build([1, 1, 2, 3, 5] * 4, [1, 2, 2, 5, 8] * 3)
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
-            for engine in ENGINES:
+            for built in _engines():
                 expected_pairs, expected_left, expected_right = (
                     _materialized_reference(server, query, BatchedEngine(4))
                 )
-                with _with_engine(client, server, engine) as sibling:
+                with _with_engine(client, server, **built) as sibling:
                     batches, result = _drain(sibling.stream_join(query))
                 assert result.index_pairs == expected_pairs
                 assert result.left_payloads == expected_left
@@ -288,8 +292,8 @@ class TestStreamedEquivalence:
                 _materialized_reference(server, query, BatchedEngine(3))
             )
             assert expected_pairs == reference
-            for engine in ENGINES:
-                with _with_engine(client, server, engine) as sibling:
+            for built in _engines():
+                with _with_engine(client, server, **built) as sibling:
                     batches, result = _drain(sibling.stream_join(query))
                 assert result.index_pairs == expected_pairs
                 assert result.left_payloads == expected_left
@@ -354,11 +358,11 @@ class TestEarlyEmission:
         server.close()
 
     def test_both_sides_interleave_on_the_pool(self):
-        """One query, two large sides, pooled engine: the service must
+        """One query, two large sides, both on the pool: the service must
         co-admit them (concurrent_sides >= 2), on one pool generation."""
         client, server = _build(
             [i % 9 for i in range(90)], [i % 9 for i in range(90)],
-            engine=ParallelEngine(batch_size=4),
+            engine=BatchedEngine(batch_size=8, cost_model=FORCE_POOL),
         )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
@@ -398,7 +402,7 @@ class TestEarlyEmission:
         server did compute."""
         client, server = _build(
             [i % 4 for i in range(60)], [i % 4 for i in range(60)],
-            engine=ParallelEngine(batch_size=4),
+            engine=BatchedEngine(batch_size=8, cost_model=FORCE_POOL),
         )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
@@ -422,11 +426,12 @@ class TestEarlyEmission:
 
 class TestOneMatcher:
     """A join matches by hash: no entry point takes an algorithm, and
-    the ``auto`` engine prices SJ.Dec only."""
+    the engine prices SJ.Dec only."""
 
     def test_auto_engine_records_no_match_stage(self):
-        # Tiny sides, where a priced matcher used to pick nested.
-        client, server = _build([1], [1, 2], engine="auto")
+        # Tiny sides, where a priced matcher used to pick nested; two
+        # workers wide, so the engine prices every side.
+        client, server = _build([1], [1, 2])
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         result = server.execute_join(query)
         assert result.index_pairs == [(0, 0)]
@@ -446,7 +451,7 @@ class TestWirePipelineStats:
     def _result(self):
         client, server = _build([1, 2, 2], [2, 2, 5])
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        with server, _with_engine(client, server, "auto") as sibling:
+        with server, _with_engine(client, server) as sibling:
             result = sibling.execute_join(query)
         return result
 

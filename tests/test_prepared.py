@@ -332,7 +332,8 @@ class TestWindowedFixedBase:
 
 
 class TestEnginePreparedEquivalence:
-    """All engines yield identical handles on raw and prepared rows."""
+    """Serial, inline, priced and pooled runs yield identical handles on
+    raw and prepared rows."""
 
     def _fixture(self):
         backend = FastBackend()
@@ -345,11 +346,21 @@ class TestEnginePreparedEquivalence:
 
     @pytest.mark.parametrize("name", ["serial", "batched", "auto"])
     def test_inline_engines(self, name):
+        """``auto`` is the engine priced on a two-worker pool by the
+        built-in model, which keeps every fast-backend side inline."""
         from repro.baselines import SerialEngine
-        from repro.core.engine import get_engine
+        from repro.core.engine import BatchedEngine
+        from repro.core.service import ExecutionService
+
+        service = ExecutionService(workers=2)
 
         def engine():
-            return SerialEngine() if name == "serial" else get_engine(name)
+            if name == "serial":
+                return SerialEngine()
+            built = BatchedEngine()
+            if name == "auto":
+                built.bind_service(service)
+            return built
 
         backend, token, rows, prepared = self._fixture()
         raw_handles, raw_report = engine().decrypt_handles(
@@ -358,18 +369,23 @@ class TestEnginePreparedEquivalence:
         warm_handles, warm_report = engine().decrypt_handles(
             backend, token, prepared
         )
+        assert not service.started
+        if name == "auto":
+            assert raw_report.selected == warm_report.selected == "batched"
         assert raw_handles == warm_handles
         assert raw_report.prepared_miller_loops == 0
         assert warm_report.miller_loops == 0
         assert warm_report.prepared_miller_loops == raw_report.miller_loops
 
     def test_parallel_engine_pooled(self):
-        from repro.core.engine import ParallelEngine
+        from repro.core.engine import BatchedEngine
         from repro.core.service import ExecutionService
+        from tests.conftest import FORCE_POOL
 
         backend, token, rows, prepared = self._fixture()
         with ExecutionService(workers=2) as service:
-            engine = ParallelEngine(batch_size=4, service=service)
+            engine = BatchedEngine(batch_size=8, cost_model=FORCE_POOL)
+            engine.bind_service(service)
             raw_handles, raw_report = engine.decrypt_handles(
                 backend, token, rows
             )
@@ -380,6 +396,7 @@ class TestEnginePreparedEquivalence:
                 backend, token, prepared
             )
         assert raw_handles == warm_handles == again_handles
+        assert raw_report.selected == warm_report.selected == "parallel"
         assert warm_report.miller_loops == 0
         assert warm_report.prepared_miller_loops == raw_report.miller_loops
         # First prepared pass rebuilds coefficients worker-side; the
@@ -390,10 +407,12 @@ class TestEnginePreparedEquivalence:
         assert again_report.preparations <= warm_report.preparations
 
     def test_auto_planner_records_prepared(self):
-        from repro.core.engine import AutoEngine
+        from repro.core.engine import BatchedEngine
+        from repro.core.service import ExecutionService
 
         backend, token, rows, prepared = self._fixture()
-        engine = AutoEngine()
+        engine = BatchedEngine()
+        engine.bind_service(ExecutionService(workers=2))
         _, report = engine.decrypt_handles(backend, token, prepared)
         assert report.planner["prepared_rows"] is True
         assert report.planner["prepared_miller_loops"] > 0

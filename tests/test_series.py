@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
-from repro.core.engine import AutoEngine
+from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
@@ -31,6 +31,7 @@ from repro.series.cache import SeriesCache, SeriesEntry, series_key
 from repro.shard.coordinator import LocalShard, ShardCoordinator
 from repro.shard.partition import partition_table
 from repro.store.wire import decode_frame, encode_final_frame
+from tests.conftest import FORCE_POOL, SERVER_SHAPES, server_shape
 
 LEFT_ROWS = [(1, "a0"), (2, "a1"), (3, "a2"), (2, "a3")]
 RIGHT_ROWS = [(2, "b0"), (3, "b1"), (4, "b2")]
@@ -61,12 +62,10 @@ def _query(client, **kwargs):
     )
 
 
-def _mirror(client, server, engine=None):
-    """A cache-less server, built with ``engine``, holding deep copies
-    of ``server``'s tables."""
-    mirror = SecureJoinServer(
-        client.params, engine=engine, series_cache_bytes=0
-    )
+def _mirror(client, server, **built):
+    """A cache-less server, built with ``built``'s arguments, holding
+    deep copies of ``server``'s tables."""
+    mirror = SecureJoinServer(client.params, series_cache_bytes=0, **built)
     for name in ("L", "R"):
         mirror.store(copy.deepcopy(server.table(name)))
     for name in ("L", "R"):
@@ -252,15 +251,10 @@ class TestDeltaMaintenance:
 
     def test_small_delta_never_wakes_the_pool(self):
         """No delta pricing is needed for this: however cheap the
-        planner believes the pool to be, a side of at most one chunk
-        runs inline, one layer below the planner."""
-        free_pool = dataclasses.replace(
-            default_engine_cost_model("fast"),
-            miller_loop=1.0, final_exponentiation=1.0,
-            element_transport=0.0, chunk_overhead=0.0, pool_spawn=0.0,
-        )
+        model believes the pool to be, a side of at most one pooled
+        chunk runs inline — and the stats say it ran inline."""
         client, server = _setup(
-            workers=2, engine=AutoEngine(cost_model=free_pool)
+            workers=2, engine=BatchedEngine(cost_model=FORCE_POOL)
         )
         query = _query(client)
         server.execute_join(query)
@@ -268,7 +262,7 @@ class TestDeltaMaintenance:
         delta = server.execute_join(query)
         assert delta.stats.series_cache_hits == 1
         assert delta.stats.delta_rows == 1
-        assert "parallel" in delta.stats.engine_selected.split("+")
+        assert delta.stats.engine_selected == "batched"
         assert delta.stats.pool_generation == 0
         assert not server.execution_service.started
         assert all("stage" not in record for record in delta.stats.planner)
@@ -485,9 +479,21 @@ class TestShardedSeries:
 # -- interleavings are byte-identical to from-scratch ---------------------
 
 
-#: Sampled per *server*: the host and its from-scratch mirror are both
-#: built with the engine, so every one of them runs through the cache.
-ENGINES = (None, "auto", SerialEngine(), "batched", "parallel")
+#: How a server is built, per label: the host and its from-scratch
+#: mirror are both built so, and every one of them runs through the
+#: cache.  ``None`` is the default build; ``auto`` prices every side
+#: with the built-in model at width 2; ``parallel`` sends every side of
+#: more than one pooled chunk (4 rows) to a two-worker pool.
+ENGINES = {
+    None: lambda: {},
+    "auto": lambda: {"workers": 2},
+    "serial": lambda: {"engine": SerialEngine()},
+    "batched": lambda: {"engine": BatchedEngine()},
+    "parallel": lambda: {
+        "engine": BatchedEngine(batch_size=8, cost_model=FORCE_POOL),
+        "workers": 2,
+    },
+}
 
 
 class TestSlicedReplay:
@@ -561,11 +567,9 @@ class TestSlicedReplay:
 
 
 class TestInterleavings:
-    @pytest.mark.parametrize(
-        "engine", ENGINES, ids=lambda engine: getattr(engine, "name", None)
-    )
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_fixed_interleaving_every_engine(self, engine):
-        client, server = _setup(workers=2, engine=engine)
+        client, server = _setup(**ENGINES[engine]())
         query = _query(client)
         steps = [
             ("query", None),
@@ -589,7 +593,7 @@ class TestInterleavings:
                 server.delete_rows(table, rows)
             else:
                 result = server.execute_join(query)
-                scratch = _mirror(client, server, engine)
+                scratch = _mirror(client, server, **ENGINES[engine]())
                 reference = scratch.execute_join(query)
                 _assert_identical(result, reference)
                 scratch.close()
@@ -637,7 +641,7 @@ class TestInterleavings:
             shard.close()
 
     @given(
-        engine=st.sampled_from(ENGINES),
+        shape=st.sampled_from(SERVER_SHAPES),
         ops=st.lists(
             st.one_of(
                 st.tuples(
@@ -659,8 +663,9 @@ class TestInterleavings:
         ),
     )
     @settings(max_examples=15, deadline=None)
-    def test_property_any_interleaving_matches_scratch(self, engine, ops):
-        client, server = _setup(workers=2, engine=engine)
+    def test_property_any_interleaving_matches_scratch(self, shape, ops):
+        # Pooled chunks of 2 rows: the tables' 3-4 rows reach the pool.
+        client, server = _setup(**server_shape(shape, batch_size=4))
         try:
             query = _query(client)
             counter = 0
@@ -684,7 +689,9 @@ class TestInterleavings:
                         )
                 else:
                     result = server.execute_join(query)
-                    scratch = _mirror(client, server, engine)
+                    scratch = _mirror(
+                        client, server, **server_shape(shape, batch_size=4)
+                    )
                     reference = scratch.execute_join(query)
                     _assert_identical(result, reference)
                     scratch.close()

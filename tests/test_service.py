@@ -24,13 +24,14 @@ import time
 import pytest
 
 from repro.core.client import SecureJoinClient
-from repro.core.engine import BatchedEngine, ParallelEngine
+from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
 from repro.core.service import ExecutionService
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.errors import QueryError
+from tests.conftest import FORCE_POOL
 
 
 def _alive_children() -> int:
@@ -91,16 +92,17 @@ def _inline(client, server, query):
     return result, sibling.observations[-1]
 
 
-def _parallel(batch_size: int = 4) -> ParallelEngine:
-    """A pooled engine; its width is the ``workers=2`` of the server
-    that binds it."""
-    return ParallelEngine(batch_size=batch_size)
+def _pooled(chunk: int = 4) -> BatchedEngine:
+    """An engine that sends every side of more than ``chunk`` rows to
+    the pool, in chunks of ``chunk``; the pool's width is the
+    ``workers=2`` of the server that binds it."""
+    return BatchedEngine(batch_size=2 * chunk, cost_model=FORCE_POOL)
 
 
 class TestServiceExecution:
     def test_run_side_matches_batched_engine(self):
         """Pooled handles are byte-identical to the inline batched path."""
-        client, server = _fixture(engine=_parallel())
+        client, server = _fixture(engine=_pooled())
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
             pooled = server.execute_join(query)
@@ -116,7 +118,7 @@ class TestServiceExecution:
 
     def test_lazy_start(self):
         """Constructing servers and services forks nothing."""
-        client, server = _fixture(engine=_parallel(batch_size=1000))
+        client, server = _fixture(engine=_pooled(1000))
         assert not server.execution_service.started
         assert server.execution_service.generation == 0
         # A small query stays inline: still no pool.
@@ -134,7 +136,8 @@ class TestServiceExecution:
             sleeping_backend.g2_powers(range(r + 1, r + 4)) for r in range(8)
         ]
         with ExecutionService(workers=2) as service:
-            engine = ParallelEngine(batch_size=4, service=service)
+            engine = _pooled(4)
+            engine.bind_service(service)
             handles, report = engine.decrypt_handles(
                 sleeping_backend, token, side
             )
@@ -146,11 +149,12 @@ class TestServiceExecution:
 
     def test_the_servers_width_is_the_sides_width(self, sleeping_backend):
         """One width, set where the server is built: what ``python -m
-        repro.net --engine parallel --workers 3`` builds gives a side of
-        three slow chunks three workers (the right side runs inline)."""
+        repro.net --workers 3`` builds, under a cost model that prices
+        the pool cheaper, gives a side of three slow chunks three
+        workers (the right side, one chunk's worth, runs inline)."""
         client, server = _fixture(
-            rows=96, right_rows=7, engine="parallel", workers=3,
-            backend=sleeping_backend,
+            rows=96, right_rows=7, engine=BatchedEngine(cost_model=FORCE_POOL),
+            workers=3, backend=sleeping_backend,
         )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
@@ -172,7 +176,7 @@ class TestServiceExecution:
 class TestPoolReuse:
     def test_sequential_queries_reuse_one_pool(self):
         """The headline fix over PR 1: no pool re-creation per query."""
-        client, server = _fixture(engine=_parallel())
+        client, server = _fixture(engine=_pooled())
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
             generations = []
@@ -188,7 +192,7 @@ class TestPoolReuse:
             assert len(pids) == 2
 
     def test_no_process_or_fd_leak_across_50_queries(self):
-        client, server = _fixture(engine=_parallel())
+        client, server = _fixture(engine=_pooled())
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
             # Warm up: spawn the pool, then measure.
@@ -203,23 +207,26 @@ class TestPoolReuse:
         assert server.execution_service.worker_pids() == []
 
     def test_engine_named_at_construction_shares_pool(self):
-        """A name resolves once, to one engine on the server's own pool."""
-        client, server = _fixture(engine="parallel")
+        """The engine handed in at construction is bound once, to the
+        server's own pool, and every query shares it."""
+        engine = BatchedEngine(cost_model=FORCE_POOL)
+        client, server = _fixture(engine=engine)
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
             first = server.execute_join(client.create_query(query))
             second = server.execute_join(client.create_query(query))
-            # Small rows may run inline; force pool use via row count.
-            assert first.stats.engine == second.stats.engine == "parallel"
-            assert (
-                server.execution_service.generation
-                == max(first.stats.pool_generation, 1)
-            )
+            assert server.engine is engine
+            # 40 rows are two pooled chunks; the 20-row side runs inline.
+            for stats in (first.stats, second.stats):
+                assert stats.engine == "batched"
+                assert stats.engine_selected == "parallel+batched"
+                assert stats.pool_generation == 1
+            assert server.execution_service.generation == 1
 
 
 class TestCrashResilience:
     def test_pool_survives_idle_worker_kill(self):
-        client, server = _fixture(engine=_parallel())
+        client, server = _fixture(engine=_pooled())
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
             baseline = server.execute_join(client.create_query(query))
@@ -237,7 +244,7 @@ class TestCrashResilience:
 
     def test_pool_survives_mid_query_worker_kill(self, crash_once_backend):
         client, server = _fixture(
-            rows=120, engine=_parallel(2), backend=crash_once_backend
+            rows=120, engine=_pooled(2), backend=crash_once_backend
         )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
@@ -254,7 +261,7 @@ class TestConcurrentAdmission:
     def test_concurrent_queries_interleave_on_one_pool(self):
         """N threads, one server, one warm pool: every query correct,
         no per-query pool respawn, sides demonstrably co-admitted."""
-        client, server = _fixture(rows=120, engine=_parallel(4))
+        client, server = _fixture(rows=120, engine=_pooled(4))
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
             reference, _ = _inline(client, server, client.create_query(query))
@@ -296,7 +303,7 @@ class TestConcurrentAdmission:
         """A worker SIGKILLed while several queries are in flight: every
         query still completes correctly on the same pool generation."""
         client, server = _fixture(
-            rows=160, engine=_parallel(2), backend=crash_once_backend
+            rows=160, engine=_pooled(2), backend=crash_once_backend
         )
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
@@ -334,7 +341,7 @@ class TestConcurrentAdmission:
     def test_no_leaks_across_concurrent_batches(self):
         """Repeated waves of concurrent queries leave no extra
         processes, FDs, or admitted sides behind."""
-        client, server = _fixture(rows=60, engine=_parallel(4))
+        client, server = _fixture(rows=60, engine=_pooled(4))
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
             # Warm up: spawn the pool, then measure.
@@ -360,7 +367,7 @@ class TestConcurrentAdmission:
 
     def test_backend_switch_refused_while_sides_active(self):
         """Per-query isolation: an admitted side pins the pool backend."""
-        client, server = _fixture(rows=80, engine=_parallel(4))
+        client, server = _fixture(rows=80, engine=_pooled(4))
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
             stream = server.stream_join(query)
@@ -384,7 +391,7 @@ class TestConcurrentAdmission:
 
 class TestLifecycle:
     def test_close_is_idempotent(self):
-        client, server = _fixture(engine=_parallel())
+        client, server = _fixture(engine=_pooled())
         server.execute_join(
             client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         )
@@ -401,7 +408,7 @@ class TestLifecycle:
         assert not service.started
 
     def test_context_manager_closes_pool(self):
-        client, server = _fixture(engine=_parallel())
+        client, server = _fixture(engine=_pooled())
         with server as managed:
             managed.execute_join(
                 client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
@@ -412,7 +419,7 @@ class TestLifecycle:
     def test_reuse_after_close_bumps_generation(self):
         """A closed service transparently restarts; the generation proves
         it was a restart rather than silent reuse."""
-        client, server = _fixture(engine=_parallel())
+        client, server = _fixture(engine=_pooled())
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:
             first = server.execute_join(client.create_query(query))

@@ -32,6 +32,7 @@ import pytest
 
 from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
+from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
 from repro.crypto.backend import get_backend
 from repro.db.query import JoinQuery
@@ -50,6 +51,7 @@ from repro.shard import (
     shard_skew,
     validate_shard_layout,
 )
+from tests.conftest import FORCE_POOL, SERVER_SHAPES, server_shape
 
 try:
     from hypothesis import given, settings
@@ -59,11 +61,26 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
     HAVE_HYPOTHESIS = False
 
-#: Engines a fleet's shards are built with.  The pooled one goes by
-#: *name*: an instance stays bound to the first service it runs on, so
-#: each shard's server must resolve its own against its own pool.  The
-#: naive baseline holds no state and has no runtime name.
-ENGINES = (None, SerialEngine(), "batched", "parallel")
+#: How a fleet's shards are built, per label, as ``LocalShard``
+#: arguments.  Each shard gets a fresh engine: an engine stays bound to
+#: the first pool it is given, so shards must not share one.  ``None``
+#: is the default (one worker, every side inline); ``batched`` prices
+#: every side with the built-in model on two workers; ``parallel``
+#: sends every side of more than 32 rows to a two-worker pool; the
+#: property suite's two shapes pool sides of more than 2 rows.
+SHARD_BUILDS = {
+    None: lambda: {},
+    "serial": lambda: {"engine": SerialEngine()},
+    "batched": lambda: {"engine": BatchedEngine(), "workers": 2},
+    "parallel": lambda: {
+        "engine": BatchedEngine(cost_model=FORCE_POOL), "workers": 2,
+    },
+    **{
+        shape: (lambda shape=shape: server_shape(shape, batch_size=4))
+        for shape in SERVER_SHAPES
+    },
+}
+ENGINES = (None, "serial", "batched", "parallel")
 
 
 def _alive_children() -> int:
@@ -111,16 +128,16 @@ def _query(client, **kwargs):
 
 
 def _sharded(
-    client, backend, tables, n_shards, assignments=None, workers=2,
-    engine=None, shard_backend=None,
+    client, backend, tables, n_shards, assignments=None, build=None,
+    shard_backend=None,
 ):
-    """Build ``n_shards`` local shards, each on its own ``engine``
+    """Build ``n_shards`` local shards as ``SHARD_BUILDS[build]`` says
     (decrypting on ``shard_backend``, when given), holding the
     partitioned tables."""
     shards = [
         LocalShard(
-            client.params, backend=shard_backend, engine=engine,
-            workers=workers, name=f"shard-{i}",
+            client.params, backend=shard_backend, name=f"shard-{i}",
+            **SHARD_BUILDS[build](),
         )
         for i in range(n_shards)
     ]
@@ -301,13 +318,14 @@ class TestScatterGather:
         for n_shards in (1, 2, 3):
             for engine in ENGINES:
                 shards = _sharded(
-                    client, backend, tables, n_shards, engine=engine
+                    client, backend, tables, n_shards, build=engine
                 )
                 with ShardCoordinator(shards) as coordinator:
                     result = coordinator.execute_join(_query(client))
                     _assert_identical(result, ref, n_shards)
-                    name = getattr(engine, "name", engine) or "batched"
-                    assert result.stats.engine == name
+                    assert result.stats.engine == (
+                        "serial" if engine == "serial" else "batched"
+                    )
 
     def test_streamed_batches_reassemble_canonically(self):
         client, backend, tables, ref = _fixture(
@@ -354,7 +372,7 @@ class TestScatterGather:
         client, backend, tables, _ = _fixture(
             [i % 2 for i in range(30)], [i % 2 for i in range(30)]
         )
-        shards = _sharded(client, backend, tables, 2, engine="parallel")
+        shards = _sharded(client, backend, tables, 2, build="parallel")
         with ShardCoordinator(shards) as coordinator:
             stream = coordinator.stream_join(_query(client))
             next(stream)  # at least one batch in flight
@@ -384,13 +402,13 @@ class TestScatterGather:
         left_keys=st.lists(st.integers(0, 4), min_size=0, max_size=10),
         right_keys=st.lists(st.integers(0, 4), min_size=0, max_size=10),
         n_shards=st.integers(1, 4),
-        engine=st.sampled_from(ENGINES),
+        shape=st.sampled_from(SERVER_SHAPES),
         data=st.data(),
     )
     def test_property_identical_for_any_partition(
-        self, left_keys, right_keys, n_shards, engine, data
+        self, left_keys, right_keys, n_shards, shape, data
     ):
-        """Hypothesis-drawn keys, shard counts, skews and engines: the
+        """Hypothesis-drawn keys, shard counts, skews and server shapes: the
         scatter-gather result is always byte-identical to the single
         store — including under arbitrary (drawn) row placements."""
         client, backend, tables, ref = _fixture(left_keys, right_keys)
@@ -404,7 +422,7 @@ class TestScatterGather:
         ]
         shards = _sharded(
             client, backend, tables, n_shards, assignments=assignments,
-            engine=engine,
+            build=shape,
         )
         with ShardCoordinator(shards) as coordinator:
             result = coordinator.execute_join(_query(client))
@@ -424,7 +442,7 @@ class TestFaultInjection:
             [i % 6 for i in range(72)], [i % 6 for i in range(72)]
         )
         shards = _sharded(
-            client, backend, tables, 2, engine="parallel",
+            client, backend, tables, 2, build="parallel",
             shard_backend=crash_once_backend,
         )
         with ShardCoordinator(shards) as coordinator:
@@ -454,7 +472,7 @@ class TestFaultInjection:
         ]
         shards = _sharded(
             client, backend, tables, 2, assignments=assignments,
-            engine="parallel",
+            build="parallel",
         )
         coordinator = ShardCoordinator(shards)
         stream = coordinator.stream_join(_query(client))
@@ -533,7 +551,7 @@ class TestRemoteShards:
         ]
         shards = _sharded(
             client, backend, tables, 2, assignments=assignments,
-            engine="parallel",
+            build="parallel",
         )
         service = ShardServiceServer(shards[1])
         host, port = service.start()
@@ -564,7 +582,7 @@ class TestRemoteShards:
         client, backend, tables, _ = _fixture(
             [i % 4 for i in range(40)], [i % 4 for i in range(40)]
         )
-        shards = _sharded(client, backend, tables, 2, engine="parallel")
+        shards = _sharded(client, backend, tables, 2, build="parallel")
         listener = socket_module.create_server(("127.0.0.1", 0))
 
         def fake_endpoint():
