@@ -477,11 +477,15 @@ class TestPlanner:
             with pytest.raises(TypeError):
                 BatchedEngine(**retired)
 
-    def test_engine_below_width_two_runs_inline(self):
+    @pytest.mark.parametrize(
+        "cost_model", [FORCE_POOL, None], ids=["parallel", "auto"]
+    )
+    def test_unbound_pooled_engine_runs_inline(self, cost_model):
         """There is no process-wide pool to fall back on: an engine no
         service was bound to — or bound to a pool one worker wide —
-        decrypts inline and prices nothing, however cheap its model
-        says the pool is."""
+        decrypts inline and prices nothing, whether its model says the
+        pool always pays (``parallel``) or is the built-in one the
+        engine decides by (``auto``)."""
         client, server = _build([i % 4 for i in range(20)], [0, 1])
         encrypted = client.create_query(
             JoinQuery.build("L", "R", on=("k", "k"))
@@ -491,8 +495,8 @@ class TestPlanner:
             encrypted.left_token.elements,
             [row.elements for row in server.table("L").ciphertexts],
         )
-        unbound = BatchedEngine(batch_size=8, cost_model=FORCE_POOL)
-        one_wide = BatchedEngine(batch_size=8, cost_model=FORCE_POOL)
+        unbound = BatchedEngine(batch_size=8, cost_model=cost_model)
+        one_wide = BatchedEngine(batch_size=8, cost_model=cost_model)
         service = ExecutionService(workers=1)
         one_wide.bind_service(service)
         children = multiprocessing.active_children()

@@ -275,6 +275,16 @@ class TestServerProcess:
     @pytest.mark.parametrize(
         "options, complaint",
         [
+            # The server has one engine: no name selects another, and
+            # the ablation baseline is not a runtime engine either.
+            (
+                ("--engine", "parallel"),
+                b"error: unrecognized arguments: --engine parallel",
+            ),
+            (
+                ("--engine", "serial"),
+                b"error: unrecognized arguments: --engine serial",
+            ),
             (
                 ("--workers", "0"),
                 b"bad --workers: worker count must be at least 1",
@@ -289,32 +299,36 @@ class TestServerProcess:
                 b"bad --cost-model: cannot load cost model from missing.json",
             ),
         ],
-        ids=["workers", "cost-model-at-width-1", "cost-model-unreadable"],
+        ids=[
+            "engine", "serial",
+            "workers", "cost-model-at-width-1", "cost-model-unreadable",
+        ],
     )
     def test_bad_engine_options_fail_fast(self, options, complaint):
         """The execution options — the pool's width and the model that
         prices it — are refused before anything listens: one ``bad
         --...`` line and exit code 2, no traceback, no service that
-        fails every query."""
+        fails every query.  An engine name is no option at all: argparse
+        refuses it after its usage text."""
         process = self._run_cli("--params", _PARAMS_JSON, *options)
         assert process.returncode == 2
-        (line,) = process.stderr.splitlines()
-        assert line.startswith(complaint)
+        assert b"Traceback" not in process.stderr
+        lines = process.stderr.splitlines()
+        if complaint.startswith(b"bad --"):
+            (line,) = lines
+            assert line.startswith(complaint)
+        else:
+            assert lines[-1].endswith(complaint)
 
     @pytest.mark.parametrize(
         "option, value",
-        [
-            ("--algorithm", "sort"),
-            ("--hint-engines", "batched"),
-            ("--engine", "parallel"),
-        ],
-        ids=["algorithm", "hint-engines", "engine"],
+        [("--algorithm", "sort"), ("--hint-engines", "batched")],
+        ids=["algorithm", "hint-engines"],
     )
     def test_retired_options_are_gone(self, option, value):
-        """Neither the matcher, nor a client's say in the engine, nor an
-        engine name is a deployment choice (and ``sort``, which the old
-        help text offered, never existed): the server has one engine,
-        and ``--workers`` is how wide it may go."""
+        """Neither the matcher nor a client's say in the engine is a
+        deployment choice (and ``sort``, which the old help text
+        offered, never existed)."""
         process = self._run_cli("--params", _PARAMS_JSON, option, value)
         assert process.returncode == 2
         assert (
