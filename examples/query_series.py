@@ -20,8 +20,11 @@ from repro import (
     Table,
 )
 from repro.baselines import HahnScheme, SecureJoinAdapter
+from repro.bench.experiments import side_handles
 from repro.errors import QueryError
 from repro.leakage import analyze_schemes
+from repro.leakage.analyzer import minimal_floor
+from repro.leakage.pairs import class_pairs
 
 
 def main() -> None:
@@ -71,20 +74,39 @@ def main() -> None:
     ]
 
     print("Running a series of three queries...\n")
-    for i, query in enumerate(queries, start=1):
-        result = server.execute_join(client.create_query(query))
+    encrypted = [client.create_query(query) for query in queries]
+    for i, (query, sent) in enumerate(zip(queries, encrypted), start=1):
+        result = server.execute_join(sent)
         decrypted = client.decrypt_result(result)
         print(f"t{i}: {query}")
         print(f"    {len(decrypted.table)} joined rows, "
               f"{result.stats.decryptions} decryptions\n")
 
-    # Handles for the same row differ across queries: unlinkable.
-    first, second = server.observations[0], server.observations[1]
-    shared = set(first.handles) & set(second.handles)
-    relinked = [r for r in shared if first.handles[r] == second.handles[r]]
+    # Handles for the same row differ across queries: unlinkable.  These
+    # are the handles each query's tokens give its rows, byte for byte
+    # what the server holds for that query.
+    first, second = (
+        {
+            (table, row): handle
+            for table, side in zip(sent.tables, side_handles(server, sent))
+            for row, handle in side
+        }
+        for sent in encrypted[:2]
+    )
+    shared = first.keys() & second.keys()
+    relinked = [r for r in shared if first[r] == second[r]]
     print(f"Rows decrypted by both q1 and q2: {len(shared)}; "
           f"handles that coincide across the queries: {len(relinked)}")
     assert not relinked, "fresh query keys must make handles unlinkable"
+
+    # What the server keeps of the whole series is the closure of what
+    # each query revealed — the paper's floor, pair for pair.
+    tables = [(suppliers, "region"), (shipments, "region")]
+    learned = class_pairs(server.ledger.classes())
+    floor = minimal_floor(tables, queries)[-1]
+    print(f"Equality pairs the server has linked: {len(learned)}; "
+          f"the floor (closure of the per-query minimum): {len(floor)}")
+    assert learned == floor, "the server learns the closure and no more"
 
     # Hahn et al.'s scheme cannot even express this workload: the join is
     # many-to-many (duplicate regions on both sides), but their

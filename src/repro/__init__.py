@@ -40,7 +40,6 @@ from repro.core.server import (
     ChainMatchBatch,
     EncryptedChainResult,
     EncryptedJoinResult,
-    QueryObservation,
     SecureJoinServer,
     ServerStats,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "EncryptedTable",
     "JoinPlan",
     "JoinQuery",
-    "QueryObservation",
     "Schema",
     "SecureJoinClient",
     "SecureJoinParams",

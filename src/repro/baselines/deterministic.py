@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import os
 
-from repro.baselines.api import JoinScheme, Pair, RowRef, SchemeAnswer, make_pair
+from repro.baselines.api import JoinScheme, Pair, RowRef, SchemeAnswer
 from repro.crypto.hashing import derive_key, keyed_tag
 from repro.db.query import JoinQuery
 from repro.db.table import Table
 from repro.errors import QueryError
+from repro.leakage.pairs import class_pairs
 
 
 class DeterministicScheme(JoinScheme):
@@ -91,9 +92,4 @@ class DeterministicScheme(JoinScheme):
         for table_name, tags in self._join_tags.items():
             for index, tag in enumerate(tags):
                 by_tag.setdefault(tag, []).append((table_name, index))
-        pairs: set[Pair] = set()
-        for refs in by_tag.values():
-            for a in range(len(refs)):
-                for b in range(a + 1, len(refs)):
-                    pairs.add(make_pair(refs[a], refs[b]))
-        return pairs
+        return class_pairs(by_tag.values())

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import os
 
-from repro.baselines.api import JoinScheme, Pair, RowRef, SchemeAnswer, make_pair
+from repro.baselines.api import JoinScheme, Pair, RowRef, SchemeAnswer
 from repro.crypto.hashing import derive_key, keyed_tag
 from repro.db.query import JoinQuery, TableSelection
 from repro.db.table import Table
 from repro.errors import QueryError
+from repro.leakage.pairs import class_pairs
 
 
 class HahnScheme(JoinScheme):
@@ -102,9 +103,4 @@ class HahnScheme(JoinScheme):
         for table_name, index in self._unwrapped:
             tag = self._join_tags[table_name][index]
             by_tag.setdefault(tag, []).append((table_name, index))
-        pairs: set[Pair] = set()
-        for refs in by_tag.values():
-            for a in range(len(refs)):
-                for b in range(a + 1, len(refs)):
-                    pairs.add(make_pair(refs[a], refs[b]))
-        return pairs
+        return class_pairs(by_tag.values())

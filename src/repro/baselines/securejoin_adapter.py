@@ -1,23 +1,23 @@
 """The paper's Secure Join scheme behind the common baseline interface.
 
 The adapter wires a :class:`~repro.core.client.SecureJoinClient` and
-:class:`~repro.core.server.SecureJoinServer` together and derives the
-adversary's knowledge from the server's recorded query observations:
-handles that coincide *within* a query are directly observed equalities,
-and the transitive closure over all observations is everything a
-computationally bounded adversary can infer (Corollaries 5.2.1/5.2.2).
+:class:`~repro.core.server.SecureJoinServer` together and reads the
+adversary's knowledge off the server's leakage ledger: handles that
+coincide within a query are directly observed equalities, and their
+transitive closure is everything a computationally bounded adversary
+can infer (Corollaries 5.2.1/5.2.2).
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.baselines.api import JoinScheme, Pair, RowRef, SchemeAnswer, make_pair
+from repro.baselines.api import JoinScheme, Pair, SchemeAnswer
 from repro.core.client import SecureJoinClient
 from repro.core.server import SecureJoinServer
 from repro.db.query import JoinQuery
 from repro.db.table import Table
-from repro.leakage.pairs import transitive_closure
+from repro.leakage.pairs import class_pairs
 
 
 class SecureJoinAdapter(JoinScheme):
@@ -57,15 +57,7 @@ class SecureJoinAdapter(JoinScheme):
 
         Within one query, rows with equal handles form observed
         equivalence groups; across queries the adversary chains groups
-        that share a row.  Connected components of that graph are
-        exactly the transitive closure of the union of per-query
-        leakages — the paper's claimed (and minimal) leakage.
+        that share a row.  The server's ledger keeps the classes of
+        that closure — the paper's claimed (and minimal) leakage.
         """
-        observed: set[Pair] = set()
-        for observation in self._server.observations:
-            by_handle: dict[bytes, list[RowRef]] = {}
-            for ref, handle in observation.handles.items():
-                by_handle.setdefault(handle, []).append(ref)
-            for refs in by_handle.values():
-                observed.update(make_pair(refs[0], other) for other in refs[1:])
-        return transitive_closure(observed)
+        return class_pairs(self._server.ledger.classes())

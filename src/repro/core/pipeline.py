@@ -97,12 +97,11 @@ def merge_sources(
     Each source is an iterator of ``(positions, items)`` events —
     ``items`` being ``(row, handle)`` or ``(row, handle, payload)``
     tuples.  ``on_items`` sees every event before it is matched (the
-    drive records the adversary observation and retains payloads
-    there).  Yields lists of newly completed chain tuples in discovery
-    order and accumulates the stage wall-clock into
-    ``stats.decrypt_seconds`` (waiting on the streams) and
-    ``stats.match_seconds`` (inside the executor); the two overlap the
-    same interval — that is the pipelining.
+    drive finds equal handles and retains payloads there).  Yields lists
+    of newly completed chain tuples in discovery order and accumulates
+    the stage wall-clock into ``stats.decrypt_seconds`` (waiting on the
+    streams) and ``stats.match_seconds`` (inside the executor); the two
+    overlap the same interval — that is the pipelining.
 
     The caller owns the sources and closes them; this loop only stops
     pulling from the ones that are exhausted.

@@ -2,14 +2,13 @@
 
 The server is the semi-honest adversary of the paper's model: it stores
 encrypted tables, applies tokens to produce per-row handles (SJ.Dec) and
-joins rows whose handles match (SJ.Match).  Everything it observes while
-doing so is recorded in :attr:`SecureJoinServer.observations`, which is
-exactly the adversary view the leakage analyzer consumes.
+joins rows whose handles match (SJ.Match).
 
 A query leaks the equality pattern of the handles of the rows it
 selected, and over a *series* of queries the server may only ever learn
-the transitive closure of those patterns — so "decrypt the selected
-rows not yet seen under this token, match, record what was seen" is one
+the transitive closure of those patterns — the host's
+:class:`~repro.series.ledger.LeakageLedger` — so "decrypt the selected
+rows not yet seen under this token, match, link what was seen" is one
 operation, and :class:`_JoinHost` runs it for every public entry point
 (``stream_join`` / ``execute_join`` / ``stream_chain`` /
 ``execute_chain``, here and on the shard coordinator):
@@ -20,14 +19,15 @@ operation, and :class:`_JoinHost` runs it for every public entry point
 3. if the entry's table versions are current, open nothing: the
    answer is the one the retained executor finished last time, its
    payloads are gathered once for the batches and the result alike, and
-   the adversary view is the entry's own dict, shared (a replay — it
-   sorts nothing and allocates nothing per held handle);
+   nothing new is linked (a replay — it sorts nothing and allocates
+   nothing per held handle);
 4. otherwise ask the host for decrypt sources over exactly the selected
    rows the entry holds no handle for — all of them when it is empty —
    one per distinct ``(table, token)`` side, and merge them round-robin
    into the entry's :class:`~repro.plan.executor.ChainExecutor`
    (:func:`~repro.core.pipeline.merge_sources`), re-checking the
-   deadline and recording the observation between events;
+   deadline between events and linking, even if abandoned, each fed row
+   to the entry's rows with its handle;
 5. fold the sources' reports into one :class:`ServerStats`, then admit
    the entry to the cache or re-account it.
 
@@ -50,7 +50,7 @@ join — so every entry point takes the query and nothing else.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.client import EncryptedTable, position_view
 from repro.core.engine import (
@@ -77,6 +77,7 @@ from repro.series.cache import (
     SeriesEntry,
     series_key,
 )
+from repro.series.ledger import LeakageLedger
 
 
 @dataclass
@@ -249,21 +250,6 @@ class EncryptedJoinResult(_PairViews, EncryptedChainResult):
     right_table = position_view("tables", 1)
 
 
-@dataclass
-class QueryObservation:
-    """The adversary view of one query: every handle the server computed.
-
-    ``handles`` maps ``(table_name, row_index)`` to the handle bytes.
-    Equal bytes mean the server observed a true equality pair.  Read it,
-    never write it: a replayed query reveals nothing new, so its
-    ``handles`` *is* the dict of the refresh it replays (the series
-    entry's ``view``), the same object in every replay's observation.
-    """
-
-    query_id: int
-    handles: dict[tuple[str, int], bytes] = field(default_factory=dict)
-
-
 class _PairShape:
     """The two-way join's public shape: :class:`MatchBatch` increments
     and the right-major :class:`EncryptedJoinResult`."""
@@ -315,13 +301,13 @@ class _JoinHost:
     """The one join drive (see the module docstring for its steps).
 
     A host supplies the seam — ``backend``, ``series_cache``,
-    ``observations``, ``table_epoch`` / ``table_version`` /
+    ``ledger``, ``table_epoch`` / ``table_version`` /
     ``tombstoned_rows``, ``_open_sources``, ``_payloads`` — and inherits
     the four public entry points.
     """
 
     series_cache: SeriesCache | None
-    observations: list[QueryObservation]
+    ledger: LeakageLedger
     #: The host's own SJ.Dec engine; ``None`` on a host that decrypts
     #: nothing itself (a coordinator: each shard has its own).
     engine: ExecutionEngine | None = None
@@ -337,8 +323,8 @@ class _JoinHost:
         pass and, on a shard coordinator, to the single-store join over
         the unpartitioned tables — as the generator's value
         (``StopIteration.value``).  Closing the generator early releases
-        every pool admission and still records the adversary view of
-        the handles that were computed.
+        every pool admission and still links, in the ledger, the rows
+        whose computed handles coincide.
         """
         return (yield from self._drive(query, _PairShape, True))
 
@@ -435,35 +421,51 @@ class _JoinHost:
         # loop below checks it between merged events so the match stage
         # cannot overrun either.
         qos = QueryQoS.stamp(query)
-        # The adversary view starts from the handles the entry reuses —
-        # nothing new is revealed, but the per-query view still
-        # determines the result (what the leakage analyzer relies on).
-        # A replay shares the dict its last refresh recorded; a stale
-        # hit copies it once, because earlier observations hold the old
-        # one, and the refresh's newly computed handles accrue below.
-        view = entry.view
+        # ``first`` maps a handle to the first row fed under it (on a
+        # hit, from every handle the entry ever fed, withdrawn ones too);
+        # each later row with that handle is linked to that one.  A row
+        # is the int ``row * width + slot`` (``slot``: its table's first
+        # position) until the ledger takes it: a ``(table, row)`` tuple
+        # per fed row costs the cyclic collector ≈ 4 ms a cold perfbench
+        # ``chain3_inproc`` query (2-vCPU x86).
+        width, slots = len(tables), [tables.index(t) for t in tables]
+        first: dict[bytes, int] = {}
+        linked: list[int] = []  # (earlier row, later row) pairs, flat
         if hit:
             if stale:
-                view = entry.view = dict(view)
                 # Dead rows are withdrawn *first*, so they can never
                 # pair with the rows the refresh is about to feed.
                 for position, name in enumerate(tables):
                     applied = entry.applied_tombstones[position]
                     new = self.tombstoned_rows(name) - applied
                     if new:
+                        held = executor.handles[position]
+                        for row in new & held.keys():
+                            code = row * width + slots[position]
+                            entry.withdrawn[held[row]] = code
                         executor.retract(position, new)
                         for row in new:
                             entry.payloads[position].pop(row, None)
-                            view.pop((name, row), None)
                         applied |= new
+                first.update(entry.withdrawn)
+                for side in entry.sides:
+                    position = side.positions[0]
+                    for row, handle in executor.handles[position].items():
+                        first[handle] = row * width + slots[position]
             stats.series_cache_hits = 1
             stats.reused_handles = entry.reused_handles()
-        observation = QueryObservation(query.query_id, view)
+
+        def node(code: int) -> tuple[str, int]:
+            row, slot = divmod(code, width)
+            return tables[slot], row
 
         def on_items(positions, items) -> None:
-            name = tables[positions[0]]
+            slot = slots[positions[0]]
             for item in items:
-                view[(name, item[0])] = item[1]
+                code = item[0] * width + slot
+                seen = first.setdefault(item[1], code)
+                if seen != code:
+                    linked.extend((seen, code))
             if items and len(items[0]) == 3:
                 # A host without local tables retains the payloads that
                 # ride the items, per consuming position.
@@ -530,12 +532,12 @@ class _JoinHost:
         finally:
             # Deterministic on abandonment too (not just refcount GC):
             # closing the sources releases every pool admission, and the
-            # adversary view is recorded even then — the host *did*
-            # compute those handles, and the leakage analyzer must see
-            # them.
+            # links are recorded even then — the host *did* compute
+            # those handles, and the leakage analyzer must see them.
             for source in sources:
                 source.close()
-            self.observations.append(observation)
+            nodes = map(node, linked)
+            self.ledger.link(zip(nodes, nodes))
 
         for source in sources:
             stats.decryptions += source.decrypted
@@ -665,7 +667,7 @@ class SecureJoinServer(_JoinHost):
             if series_cache_bytes
             else None
         )
-        self.observations: list[QueryObservation] = []
+        self.ledger = LeakageLedger()
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:

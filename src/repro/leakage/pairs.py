@@ -19,11 +19,13 @@ from itertools import combinations
 from repro.baselines.api import Pair, RowRef, make_pair
 from repro.db.query import JoinQuery
 from repro.db.table import Table
+from repro.series.ledger import LeakageLedger
 
 
-def _pairs_of_groups(groups: dict[object, list[RowRef]]) -> set[Pair]:
+def class_pairs(classes: Iterable[list[RowRef]]) -> set[Pair]:
+    """Every pair of rows that share a class."""
     pairs: set[Pair] = set()
-    for refs in groups.values():
+    for refs in classes:
         for a, b in combinations(refs, 2):
             pairs.add(make_pair(a, b))
     return pairs
@@ -36,7 +38,7 @@ def all_true_pairs(tables: list[tuple[Table, str]]) -> set[Pair]:
         index = table.schema.index_of(join_column)
         for i, row in enumerate(table):
             groups.setdefault(row[index], []).append((table.name, i))
-    return _pairs_of_groups(groups)
+    return class_pairs(groups.values())
 
 
 def minimal_query_leakage(
@@ -61,7 +63,7 @@ def minimal_query_leakage(
         join_index = table.schema.index_of(join_column)
         for i in table.matching_indices(predicate):
             groups.setdefault(table[i][join_index], []).append((table_name, i))
-    return _pairs_of_groups(groups)
+    return class_pairs(groups.values())
 
 
 def connected_components(
@@ -70,33 +72,15 @@ def connected_components(
     """The classes of the equivalence ``edges`` generate over ``nodes``
     and their own endpoints: each a sorted list, in the order their
     first member was seen (``nodes`` first, then edge endpoints)."""
-    parent: dict = {}
-
-    def find(node):
-        parent.setdefault(node, node)
-        while parent[node] != node:
-            # Path halving: point at the grandparent on the way up.
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for node in nodes:
-        find(node)
-    for a, b in edges:
-        parent[find(b)] = find(a)
-    components: dict = {}
-    for node in parent:
-        components.setdefault(find(node), []).append(node)
-    return [sorted(component) for component in components.values()]
+    ledger = LeakageLedger()
+    ledger.link((node, node) for node in nodes)
+    ledger.link(edges)
+    return ledger.classes()
 
 
 def transitive_closure(pairs: set[Pair]) -> set[Pair]:
     """Close a pair set under transitivity of equality."""
-    closed: set[Pair] = set()
-    for component in connected_components((), pairs):
-        for a, b in combinations(component, 2):
-            closed.add(make_pair(a, b))
-    return closed
+    return class_pairs(connected_components((), pairs))
 
 
 def is_super_additive(

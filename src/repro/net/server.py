@@ -18,7 +18,7 @@ Exposure policy: the socket can reach exactly ``decode_join_query`` →
 ``stream_join`` / ``stream_chain`` (picked by the query's type), on the
 engine the operator built the server with.  Priority/deadline QoS from
 the query header feed the admission scheduler; pool controls, the
-choice of engine, the observation log and store mutation are not
+choice of engine, the leakage ledger and store mutation are not
 reachable from the wire.
 
 Graceful drain (:meth:`JoinServiceServer.shutdown`): stop accepting new

@@ -20,7 +20,7 @@ shard's handler notices, releasing the shard's pool admissions.
 
 Exposure policy is inherited from :mod:`repro.net`: a shard socket can
 reach exactly ``decode_join_query`` → ``open_sources``; store
-mutation, pool controls and the observation log are not on the wire.
+mutation, pool controls and the leakage ledger are not on the wire.
 """
 
 from __future__ import annotations

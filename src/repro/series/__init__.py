@@ -5,7 +5,8 @@ encrypted tables.  This package retains what the first execution of a
 query computed — the decrypted per-row handles and the live incremental
 matcher — so a repeated query replays the canonical result with zero
 pairing work, and base-table mutations are delta-maintained instead of
-forcing a from-scratch re-join.  See :mod:`repro.series.cache`.
+forcing a from-scratch re-join.  See :mod:`repro.series.cache` (and
+:mod:`repro.series.ledger`: what the series revealed).
 """
 
 from repro.series.cache import (

@@ -11,13 +11,11 @@ every pairing decision made so far.
 The join drive (:mod:`repro.core.server`) treats every execution as a
 refresh of an entry: a miss starts from an *empty* entry, a re-submitted
 query over unchanged tables opens no decrypt stream at all — not a
-single Miller loop runs, the executor hands back the canonical answer it
-finished last time (nothing is re-sorted or re-expanded) and the query's
-adversary view *is* the :attr:`SeriesEntry.view` its last refresh
-recorded, shared and not copied — and a mutated base table is
-**delta-maintained**: only rows the entry holds no handle for go through
-SJ.Dec, and tombstoned rows are withdrawn with ``executor.retract`` —
-never re-decrypting what it already holds.
+single Miller loop runs, and the executor hands back the canonical
+answer it finished last time (nothing is re-sorted or re-expanded) — and
+a mutated base table is **delta-maintained**: only rows the entry holds
+no handle for go through SJ.Dec, and tombstoned rows are withdrawn with
+``executor.retract`` — never re-decrypting what it already holds.
 
 Keying and invalidation semantics:
 
@@ -31,11 +29,8 @@ Keying and invalidation semantics:
   re-stored wholesale: everything retained is garbage) and **versions**
   (bumped per insert/delete: the entry is stale but delta-repairable).
 - Memory is bounded by a **byte budget**: entries are accounted by
-  their retained handle bytes, pair state and finished answer, and
-  evicted LRU.  The adversary view is not charged: its handle bytes are
-  the executor's own objects, and its key tuples and slots belong to
-  the host's observation log, which holds the same dict and frees
-  nothing — evicting the entry would not release them.
+  their retained handle bytes, pair state, finished answer and
+  withdrawn rows, and evicted LRU.
 
 Concurrency: the cache's own map is lock-protected, and every entry
 carries its own lock — the drive holds it across a replay or a delta
@@ -56,8 +51,8 @@ DEFAULT_SERIES_BUDGET = 64 * 1024 * 1024
 #: Bytes of the key contributed by each chain position.
 SIDE_DIGEST_SIZE = 32
 
-#: Accounting overhead charged per retained payload beyond its bytes
-#: (dict slot, int key, bytes header) and per entry.
+#: Accounting overhead charged per retained payload or withdrawn handle
+#: beyond its bytes (dict slot, int, bytes header) and per entry.
 _PAYLOAD_OVERHEAD = 96
 _ENTRY_OVERHEAD = 1024
 
@@ -107,7 +102,7 @@ class SeriesEntry:
         "versions",
         "sides",
         "executor",
-        "view",
+        "withdrawn",
         "payloads",
         "applied_tombstones",
         "lock",
@@ -133,15 +128,10 @@ class SeriesEntry:
         #: since retracted.  Both ``None`` while the entry is empty.
         self.sides = None
         self.executor = None
-        #: ``(table, row) -> handle`` for everything the executor was
-        #: fed and has not since had retracted: the adversary view of
-        #: the entry's last refresh.  A replay's
-        #: :class:`~repro.core.server.QueryObservation` shares this very
-        #: dict, so it is never mutated once that refresh has ended — a
-        #: stale hit works on a copy and stores the copy here.  The
-        #: observation log owns it (see the module docstring), so
-        #: :meth:`recompute_bytes` does not charge it.
-        self.view: dict[tuple[str, int], bytes] = {}
+        #: ``handle -> row`` (as the drive numbers it: ``row *
+        #: len(tables) + slot``) for every row a delete withdrew, so a
+        #: later refresh can link to it.  It grows with deletes alone.
+        self.withdrawn: dict[bytes, int] = {}
         #: position -> {row index -> payload bytes}: only populated by
         #: holders that cannot re-read payloads from local tables (the
         #: shard coordinator); the single-store server leaves it empty.
@@ -164,6 +154,8 @@ class SeriesEntry:
         for position_payloads in self.payloads:
             for payload in position_payloads.values():
                 total += len(payload) + _PAYLOAD_OVERHEAD
+        for handle in self.withdrawn:
+            total += len(handle) + _PAYLOAD_OVERHEAD
         self.byte_size = total
         return total
 

@@ -50,12 +50,7 @@ from repro.core.client import EncryptedTable
 from repro.core.engine import ExecutionEngine
 from repro.core.pipeline import HandleSource
 from repro.core.scheme import SecureJoinParams
-from repro.core.server import (
-    QueryObservation,
-    SecureJoinServer,
-    ServerStats,
-    _JoinHost,
-)
+from repro.core.server import SecureJoinServer, ServerStats, _JoinHost
 from repro.core.service import QueryQoS
 from repro.crypto.backend import BilinearBackend
 from repro.errors import (
@@ -66,6 +61,7 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.series.cache import DEFAULT_SERIES_BUDGET, SeriesCache
+from repro.series.ledger import LeakageLedger
 from repro.shard.partition import shard_of_bytes, shard_skew
 
 
@@ -332,10 +328,7 @@ class ShardCoordinator(_JoinHost):
             raise SchemeError("a shard coordinator needs at least one shard")
         self.shards = list(shards)
         self._validate_layouts()
-        #: Adversary view per query, mirroring
-        #: :attr:`~repro.core.server.SecureJoinServer.observations` —
-        #: the coordinator sees every handle the shards computed.
-        self.observations: list[QueryObservation] = []
+        self.ledger = LeakageLedger()
         # The coordinator keeps its *own* series cache (handles plus
         # payloads — it holds no tables to re-read them from), but only
         # when every shard exposes the maintenance counters and a

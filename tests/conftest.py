@@ -14,6 +14,7 @@ from repro.core.engine import DEFAULT_BATCH_SIZE, BatchedEngine
 from repro.crypto.backend import BN254Backend, FastBackend
 from repro.db.matcher import NestedMatcher
 from repro.plan.cost import FAST_ENGINE_COSTS
+from repro.series.cache import series_key
 
 #: A cost model under which the pool always pays: pairings at 1 s, and
 #: a pool that charges nothing to spawn, to ship a row or to schedule a
@@ -109,24 +110,33 @@ def crash_once_backend(tmp_path) -> CrashOnceBackend:
     return CrashOnceBackend(tmp_path / "worker-crashed")
 
 
+def held_handles(host, query) -> dict[tuple[int, int], bytes]:
+    """``{(position, row): handle}``: every handle ``query``'s series
+    entry on ``host`` holds — what its runs computed and no delete has
+    withdrawn since.  The host must cache series."""
+    entry = host.series_cache._entries[series_key(query, host.backend)]
+    return {
+        (position, row): handle
+        for position, held in enumerate(entry.executor.handles)
+        for row, handle in held.items()
+    }
+
+
 @pytest.fixture
 def nested_rematch():
     """The Section 6.5 baseline on the very handles a server just matched
-    by hash: ``rematch(server, result)`` feeds the last observation's
-    handles (two distinct tables) to a :class:`NestedMatcher` and
-    returns it finished — ``.finish()`` is its right-major pairing,
-    ``.stats`` its quadratic comparison count."""
+    by hash: ``rematch(server, query)`` feeds the two positions' held
+    handles to a :class:`NestedMatcher` and returns it finished —
+    ``.finish()`` is its right-major pairing, ``.stats`` its quadratic
+    comparison count."""
 
-    def rematch(server, result) -> NestedMatcher:
-        view = server.observations[-1].handles
+    def rematch(server, query) -> NestedMatcher:
         matcher = NestedMatcher()
-        for name, feed in zip(
-            result.tables, (matcher.add_left, matcher.add_right)
-        ):
-            feed([
-                (row, handle)
-                for (table, row), handle in view.items() if table == name
-            ])
+        sides: tuple[list, list] = ([], [])
+        for (position, row), handle in held_handles(server, query).items():
+            sides[position].append((row, handle))
+        matcher.add_left(sides[0])
+        matcher.add_right(sides[1])
         matcher.finish()
         return matcher
 

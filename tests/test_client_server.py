@@ -17,6 +17,7 @@ from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.errors import CryptoError, QueryError
+from tests.conftest import held_handles
 
 
 def _example_tables():
@@ -99,8 +100,12 @@ class TestEndToEnd:
     def test_nested_algorithm_same_result(self, nested_rematch):
         client, server, db = _setup()
         query = JoinQuery.build("Teams", "Employees", on=("key", "team"))
-        hash_result, _ = _roundtrip(client, server, db, query)
-        nested_result = nested_rematch(server, hash_result)
+        encrypted = client.create_query(query)
+        hash_result = server.execute_join(encrypted)
+        decrypted = client.decrypt_result(hash_result)
+        truth = db.execute(query)
+        assert sorted(decrypted.table.rows()) == sorted(truth.table.rows())
+        nested_result = nested_rematch(server, encrypted)
         assert hash_result.index_pairs == nested_result.finish()
         # Nested compares every candidate pair; the hash matcher does one
         # probe comparison per right row plus one per emitted pair.  On
@@ -233,22 +238,32 @@ class TestValidation:
 
 class TestObservations:
     def test_server_records_one_observation_per_query(self):
+        """Two fresh queries are two series: each has its own entry,
+        holding a handle for every row it decrypted."""
         client, server, db = _setup()
         query = JoinQuery.build("Teams", "Employees", on=("key", "team"))
-        server.execute_join(client.create_query(query))
-        server.execute_join(client.create_query(query))
-        assert len(server.observations) == 2
-        assert server.observations[0].query_id != server.observations[1].query_id
+        first = client.create_query(query)
+        second = client.create_query(query)
+        assert first.query_id != second.query_id
+        for encrypted in (first, second):
+            result = server.execute_join(encrypted)
+            held = held_handles(server, encrypted)
+            assert len(held) == result.stats.decryptions == 2 + 4
+        assert len(server.series_cache) == 2
 
     def test_handles_unlinkable_across_queries(self):
-        """The same row produces different handles under different queries."""
+        """The same row produces different handles under different
+        queries: two entries' held handles share no value."""
         client, server, db = _setup()
         query = JoinQuery.build("Teams", "Employees", on=("key", "team"))
-        server.execute_join(client.create_query(query))
-        server.execute_join(client.create_query(query))
-        first, second = server.observations
-        for ref, handle in first.handles.items():
-            assert second.handles[ref] != handle
+        first = client.create_query(query)
+        second = client.create_query(query)
+        server.execute_join(first)
+        server.execute_join(second)
+        first_held = held_handles(server, first)
+        second_held = held_handles(server, second)
+        assert first_held.keys() == second_held.keys()
+        assert not set(first_held.values()) & set(second_held.values())
 
 
 class TestPayloads:

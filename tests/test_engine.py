@@ -27,7 +27,7 @@ from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.errors import QueryError
-from tests.conftest import FORCE_POOL
+from tests.conftest import FORCE_POOL, held_handles
 
 try:
     from hypothesis import given, settings
@@ -106,16 +106,15 @@ def _with_engine(client, server, engine, workers=1):
 
 def _run(client, server, encrypted, engine, workers=1):
     """``encrypted`` on a server built with ``engine``:
-    ``(result, adversary view)``.  The server is left open: a shared
+    ``(result, held handles)``.  The server is left open: a shared
     engine stays bound to the first live pool it was given."""
     sibling = _with_engine(client, server, engine, workers)
     result = sibling.execute_join(encrypted)
-    (observation,) = sibling.observations
-    return result, observation
+    return result, held_handles(sibling, encrypted)
 
 
 def _run_engines(client, server, query):
-    """One fresh query per engine: ``(results, observations)``."""
+    """One fresh query per engine: ``(results, held handles)``."""
     runs = [
         _run(client, server, client.create_query(query), *engine)
         for engine in ENGINES
@@ -123,7 +122,7 @@ def _run_engines(client, server, query):
     return [result for result, _ in runs], [seen for _, seen in runs]
 
 
-def _assert_equivalent(results, observations):
+def _assert_equivalent(results, handle_sets):
     base = results[0]
     for result in results[1:]:
         assert result.index_pairs == base.index_pairs
@@ -132,11 +131,11 @@ def _assert_equivalent(results, observations):
         assert result.stats.matches == base.stats.matches
         assert result.stats.decryptions == base.stats.decryptions
     # Handles differ across queries (fresh query keys) but each engine
-    # must observe handles with the same equality pattern per query;
+    # must compute handles with the same equality pattern per query;
     # within one query the three runs used three different tokens, so we
     # only compare the join outputs above and the per-run handle counts.
-    for observation, result in zip(observations, results):
-        assert len(observation.handles) == result.stats.decryptions
+    for handles, result in zip(handle_sets, results):
+        assert len(handles) == result.stats.decryptions
 
 
 class TestEquivalence:
@@ -147,19 +146,19 @@ class TestEquivalence:
             right_keys = [rng.randrange(6) for _ in range(rng.randrange(1, 14))]
             client, server = _build(left_keys, right_keys, seed=trial)
             query = JoinQuery.build("L", "R", on=("k", "k"))
-            results, observations = _run_engines(client, server, query)
+            results, handle_sets = _run_engines(client, server, query)
             for result in results:
                 assert result.index_pairs == _expected_pairs(
                     left_keys, right_keys
                 )
-            _assert_equivalent(results, observations)
+            _assert_equivalent(results, handle_sets)
 
     def test_same_token_same_handles(self):
-        """With one shared query, all engines observe identical bytes."""
+        """With one shared query, all engines compute identical bytes."""
         client, server = _build([1, 2, 2, 3], [2, 2, 3, 4, 1])
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         handle_sets = [
-            dict(_run(client, server, encrypted, *engine)[1].handles)
+            _run(client, server, encrypted, *engine)[1]
             for engine in ENGINES
         ]
         assert all(handles == handle_sets[0] for handles in handle_sets[1:])
@@ -174,13 +173,13 @@ class TestEquivalence:
     def test_property_round_trip(self, left_keys, right_keys, seed):
         client, server = _build(left_keys, right_keys, seed=seed)
         query = JoinQuery.build("L", "R", on=("k", "k"))
-        results, observations = _run_engines(client, server, query)
+        results, handle_sets = _run_engines(client, server, query)
         expected = _expected_pairs(left_keys, right_keys)
         for result in results:
             assert result.index_pairs == expected
             decrypted = client.decrypt_result(result)
             assert len(decrypted.table) == len(expected)
-        _assert_equivalent(results, observations)
+        _assert_equivalent(results, handle_sets)
 
     @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
     @settings(max_examples=10, deadline=None)
@@ -209,10 +208,10 @@ class TestEquivalence:
         expected = _expected_pairs(left_keys, right_keys)
         handle_sets = []
         for engine in ENGINES:
-            result, observation = _run(client, server, shared, *engine)
+            result, handles = _run(client, server, shared, *engine)
             assert result.index_pairs == expected
-            handle_sets.append(dict(observation.handles))
-        # One shared token: every engine must observe the same bytes.
+            handle_sets.append(handles)
+        # One shared token: every engine must compute the same bytes.
         assert all(handles == handle_sets[0] for handles in handle_sets[1:])
 
     def test_tpch_workload_equivalence(self):
@@ -425,15 +424,17 @@ class TestPlanner:
         the pairs of the inline run."""
         client, server = _build([1, 2, 2, 3] * 6, [2, 3, 4])
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        pooled, pooled_view = _run(
+        pooled, pooled_handles = _run(
             client, server, encrypted,
             BatchedEngine(batch_size=8, cost_model=FORCE_POOL), workers=2,
         )
-        batched, batched_view = _run(client, server, encrypted, BatchedEngine())
+        batched, batched_handles = _run(
+            client, server, encrypted, BatchedEngine()
+        )
         assert pooled.stats.engine_selected == "parallel+batched"
         assert batched.stats.planner is None
         assert pooled.index_pairs == batched.index_pairs
-        assert pooled_view.handles == batched_view.handles
+        assert pooled_handles == batched_handles
 
     def test_auto_as_server_default(self):
         """Pricing is what the default engine does once the server is
@@ -626,11 +627,15 @@ class TestBN254CrossCheck:
         server.store(client.encrypt_table(right, "k"))
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
 
-        serial, serial_view = _run(client, server, encrypted, SerialEngine())
-        batched, batched_view = _run(client, server, encrypted, BatchedEngine())
+        serial, serial_handles = _run(
+            client, server, encrypted, SerialEngine()
+        )
+        batched, batched_handles = _run(
+            client, server, encrypted, BatchedEngine()
+        )
 
         assert serial.index_pairs == batched.index_pairs == [(0, 0)]
-        assert dict(serial_view.handles) == dict(batched_view.handles)
+        assert serial_handles == batched_handles
         # Real counts: serial pays one final exponentiation per Miller
         # loop, batched one per row.
         assert serial.stats.final_exponentiations == serial.stats.miller_loops

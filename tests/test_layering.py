@@ -6,7 +6,8 @@ points one way: ``core`` / ``plan`` / ``shard`` / ``net`` (and
 everything below them) import nothing from ``repro.bench``, not even
 lazily inside a function.  The client module needs no engine, pool or
 shared memory — and the server, which does need a pool, needs neither
-shared memory nor the resource tracker; nothing under ``src/`` imports a
+shared memory nor the resource tracker, nor the leakage analysis that
+reads its ledger; nothing under ``src/`` imports a
 third-party package the requirements file does not name; every host
 answers a query through the same four one-argument entry points; a
 pool's width and transport are not parameters of anything; and there is
@@ -25,8 +26,10 @@ from pathlib import Path
 
 import pytest
 
+import repro
 import repro.core
 import repro.core.engine
+import repro.core.server
 from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
 from repro.core.service import ExecutionService
@@ -193,6 +196,32 @@ def test_the_server_module_needs_no_shared_memory_or_resource_tracker():
     )
     assert process.returncode == 0, process.stderr
     assert process.stdout.strip() == "[]"
+
+
+def test_the_server_loads_no_leakage_analysis_or_baseline():
+    """The server feeds its leakage ledger but never analyzes it:
+    ``repro.leakage`` imports the baselines, and the baselines import
+    the server, so a server that reached either would close a cycle."""
+    process = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, repro.core.server\n"
+            "print(sorted(name for name in sys.modules if name.startswith(("
+            "'repro.leakage', 'repro.baselines'))))",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        cwd=_REPO_ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert process.returncode == 0, process.stderr
+    assert process.stdout.strip() == "[]"
+
+
+def test_there_is_no_observation_log():
+    """A host keeps what its queries revealed as a ledger of classes,
+    not as one record per query: nothing exports the record type."""
+    for module in (repro, repro.core.server):
+        assert not [n for n in dir(module) if n.endswith("Observation")]
+    assert not [n for n in repro.__all__ if n.endswith("Observation")]
 
 
 @pytest.mark.parametrize(

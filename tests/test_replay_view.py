@@ -1,14 +1,13 @@
-"""What a re-submitted query shares with the refresh it replays.
+"""What a re-submitted query keeps from the refreshes before it.
 
-A replay reveals nothing new, so it records no new adversary view: its
-:class:`~repro.core.server.QueryObservation` holds the very dict the
-entry's last refresh built (``SeriesEntry.view``), and its answer is the
-one the retained executor finished last time.  Sharing is only sound if
-nobody writes to what is shared, so the contract pinned here is the one
-the copying drive had: after every query the view equals the handles the
-entry's executor holds, no earlier observation ever changes, a delete
-withdraws its rows from the next view, and a feed or a retraction
-invalidates the finished answer — on a single store and on a fleet.
+A replay's answer is the one the retained executor finished last time,
+and a refresh feeds the executor only the rows it holds no handle for.
+That is only sound if the executor's held handles follow the tables: the
+contract pinned here is that a delete withdraws its rows from the held
+handles, a finished refresh holds every live selected row, an abandoned
+refresh resumes by decrypting exactly the rows it had not reached, and a
+feed or a retraction invalidates the finished answer — on a single store
+and on a fleet.
 """
 
 from __future__ import annotations
@@ -105,14 +104,10 @@ class _Fleet:
         self.host.close()
 
 
-def _held_view(entry) -> dict:
-    """The view the copying drive built on every hit: one entry per
-    handle the executor holds, keyed by table name."""
-    return {
-        (name, row): handle
-        for name, held in zip(entry.tables, entry.executor.handles)
-        for row, handle in held.items()
-    }
+def _held(host, query) -> int:
+    """How many handles ``query``'s entry holds, over all positions."""
+    entry = host.series_cache._entries[series_key(query, host.backend)]
+    return entry.reused_handles()
 
 
 def _queries(client):
@@ -131,14 +126,16 @@ def _queries(client):
     return [pair, chain, same_tokens]
 
 
-def _submit(host, query, abandon: bool):
-    """Run (or start and abandon) ``query``; the result, or ``None``."""
+def _submit(host, query, batches: int = 0):
+    """Run ``query`` to completion and return its result — or, with
+    ``batches``, close its stream after that many batches (``None``)."""
     pair = hasattr(query, "left_table")
     stream = (host.stream_join if pair else host.stream_chain)(query)
     try:
         while True:
             next(stream)
-            if abandon:
+            batches -= 1
+            if not batches:
                 stream.close()
                 return None
     except StopIteration as stop:
@@ -158,7 +155,7 @@ OPS = st.lists(
 )
 
 
-class TestSharedViewIsTheCopiedView:
+class TestHeldHandles:
     @pytest.mark.parametrize("deployment", [_Store, _Fleet])
     @settings(max_examples=25, deadline=None)
     @given(ops=OPS)
@@ -168,8 +165,6 @@ class TestSharedViewIsTheCopiedView:
         deployed = deployment(client, tables)
         queries = _queries(client)
         host = deployed.host
-        copies: list[dict] = []
-        previous_key = None  # key of the query the op before this ran
         try:
             for kind, which, value in ops:
                 name = NAMES[which]
@@ -181,45 +176,32 @@ class TestSharedViewIsTheCopiedView:
                 elif kind == "store":
                     deployed.restore(tables[which])
                 if kind not in ("query", "abandon"):
-                    previous_key = None
                     continue
                 query = queries[which]
                 key = series_key(query, host.backend)
-                result = _submit(host, query, abandon=kind == "abandon")
-                assert len(host.observations) == len(copies) + 1
-                observed = host.observations[-1]
-                copies.append(dict(observed.handles))
+                result = _submit(
+                    host, query, batches=1 if kind == "abandon" else 0
+                )
                 entry = host.series_cache._entries.get(key)
                 if entry is None:
                     # Only a cold run that never finished leaves none.
                     assert result is None
-                else:
-                    # Whatever the executor was fed — all of a finished
-                    # refresh, part of an abandoned one — and nothing
-                    # that was retracted.
-                    assert entry.view == _held_view(entry)
-                    assert observed.handles == entry.view
-                for table_name in query.tables:
-                    for row in host.tombstoned_rows(table_name):
-                        assert (table_name, row) not in observed.handles
-                if result is not None and result.stats.engine == "series":
-                    # A pure replay records the entry's dict itself, so
-                    # consecutive ones record one object.
-                    assert observed.handles is entry.view
-                    if previous_key == key:
-                        assert (
-                            observed.handles
-                            is host.observations[-2].handles
-                        )
-                previous_key = key
-                # No later query rewrites an earlier query's view.
-                for earlier, copy in zip(host.observations, copies):
-                    assert earlier.handles == copy
+                    continue
+                for position, table_name in enumerate(query.tables):
+                    held = entry.executor.handles[position].keys()
+                    dead = host.tombstoned_rows(table_name)
+                    # A deleted row leaves the held handles ...
+                    assert not held & dead
+                    if result is not None:
+                        # ... and a finished refresh holds every live
+                        # row (these queries select them all).
+                        size = deployed.size(table_name)
+                        assert held == set(range(size)) - dead
         finally:
             deployed.close()
 
     @pytest.mark.parametrize("deployment", [_Store, _Fleet])
-    def test_replays_share_a_stale_hit_copies_an_abandoned_one_keeps(
+    def test_a_delete_withdraws_an_abandoned_refresh_resumes(
         self, deployment
     ):
         """The same contract, walked by hand once."""
@@ -232,39 +214,32 @@ class TestSharedViewIsTheCopiedView:
             key = series_key(pair, host.backend)
             host.execute_join(pair)
             host.execute_join(pair)
-            host.execute_join(pair)
-            cold, first, second = host.observations
-            assert cold.handles is first.handles is second.handles
+            replay = host.execute_join(pair)
+            assert replay.stats.engine == "series"
             entry = host.series_cache._entries[key]
-            assert first.handles is entry.view == _held_view(entry)
-            before = dict(entry.view)
+            assert _held(host, pair) == 5 + 6
 
-            # A delete makes the next hit stale: it works on a copy,
-            # without the withdrawn row; the shared dict is untouched.
+            # A delete withdraws its row from the next hit's handles,
+            # without decrypting anything.
             host.delete_rows("T1", [1])
-            host.execute_join(pair)
-            stale = host.observations[-1]
-            assert stale.handles is not second.handles
-            assert second.handles == before
-            assert ("T1", 1) in before and ("T1", 1) not in stale.handles
-            assert stale.handles is entry.view == _held_view(entry)
+            stale = host.execute_join(pair)
+            assert stale.stats.decryptions == 0
+            assert 1 not in entry.executor.handles[0]
+            assert _held(host, pair) == 4 + 6
 
-            # Abandon a refresh after its first increment: the view is
-            # what the executor was fed so far, and the next query
-            # finishes the job from there.
+            # Abandon a refresh after its first new increment (the first
+            # batch is the retained answer): the executor holds what it
+            # was fed so far, and the next query decrypts exactly the
+            # rows it had left.
             for value in range(4):
                 row = (value % KEYS, f"T2.late{value}")
                 host.insert_row("T2", *client.encrypt_row_for("T2", row))
-            assert _submit(host, pair, abandon=True) is None
-            abandoned = host.observations[-1]
-            assert abandoned.handles is entry.view == _held_view(entry)
-            assert stale.handles is not abandoned.handles
-            partial = len(abandoned.handles)
-            assert len(stale.handles) <= partial < len(stale.handles) + 4
+            assert _submit(host, pair, batches=2) is None
+            partial = _held(host, pair)
+            assert 4 + 6 < partial < 4 + 6 + 4
             result = host.execute_join(pair)
-            assert result.stats.decryptions == len(stale.handles) + 4 - partial
-            assert len(entry.view) == len(stale.handles) + 4
-            assert len(abandoned.handles) == partial
+            assert result.stats.decryptions == 4 + 6 + 4 - partial
+            assert _held(host, pair) == 4 + 6 + 4
         finally:
             deployed.close()
 

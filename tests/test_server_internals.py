@@ -1,4 +1,5 @@
-"""Focused tests for server internals: tag index, candidates, observations."""
+"""Focused tests for server internals: tag index, candidates, what the
+server can link."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from repro.store.tables import (
     decode_encrypted_table,
     encode_encrypted_table,
 )
+from tests.conftest import held_handles
 
 
 def _setup(seed=41):
@@ -87,25 +89,30 @@ class TestTagIndex:
 
 class TestObservationsWithPrefilter:
     def test_only_candidates_observed(self):
-        """The adversary view contains exactly the decrypted rows."""
+        """The server decrypts, and so can link, exactly the candidates:
+        L rows 1 and 3 share join values with R rows but fail the
+        filter, so only the k = 1 class is revealed."""
         client, server = _setup()
-        query = JoinQuery.build("L", "R", on=("k", "k"),
-                                where_left={"c": ["x"]})
-        server.execute_join(client.create_query(query))
-        observation = server.observations[-1]
-        left_refs = [ref for ref in observation.handles if ref[0] == "L"]
-        assert sorted(left_refs) == [("L", 0), ("L", 2)]
+        query = client.create_query(JoinQuery.build(
+            "L", "R", on=("k", "k"), where_left={"c": ["x"]}
+        ))
+        server.execute_join(query)
+        left_rows = [row for position, row in held_handles(server, query)
+                     if position == 0]
+        assert sorted(left_rows) == [0, 2]
+        assert server.ledger.classes() == [[("L", 0), ("L", 2), ("R", 0)]]
 
     def test_matching_handles_within_query(self):
         """Rows 0 and 2 share join value 1 and both pass the filter."""
         client, server = _setup()
-        query = JoinQuery.build("L", "R", on=("k", "k"),
-                                where_left={"c": ["x"]})
-        server.execute_join(client.create_query(query))
-        handles = server.observations[-1].handles
-        assert handles[("L", 0)] == handles[("L", 2)]
-        assert handles[("L", 0)] == handles[("R", 0)]
-        assert handles[("L", 0)] != handles[("R", 1)]
+        query = client.create_query(JoinQuery.build(
+            "L", "R", on=("k", "k"), where_left={"c": ["x"]}
+        ))
+        server.execute_join(query)
+        handles = held_handles(server, query)
+        assert handles[(0, 0)] == handles[(0, 2)]
+        assert handles[(0, 0)] == handles[(1, 0)]
+        assert handles[(0, 0)] != handles[(1, 1)]
 
 
 class TestPrefilterMismatches:
@@ -193,7 +200,7 @@ class TestMatcherComparisonAccounting:
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         result = server.execute_join(query)
         if algorithm == "nested":
-            return self._nested_rematch(server, result).stats
+            return self._nested_rematch(server, query).stats
         return result.stats
 
     def test_hash_comparisons_formula(self):

@@ -31,7 +31,8 @@ from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.errors import QueryError
-from tests.conftest import FORCE_POOL
+from repro.series.cache import DEFAULT_SERIES_BUDGET
+from tests.conftest import FORCE_POOL, held_handles
 
 
 def _alive_children() -> int:
@@ -46,10 +47,12 @@ def _open_fds() -> int:
 
 def _fixture(
     rows: int = 40, seed: int = 9, engine=None, right_rows=None,
-    backend=None, workers: int = 2,
+    backend=None, workers: int = 2, series_cache_bytes=None,
 ):
-    """Two tables on a server built with ``engine`` and no series cache:
-    the pool is under test, so every submission must reach SJ.Dec."""
+    """Two tables on a server built with ``engine`` and, unless a test
+    that submits each query once reads its held handles, no series
+    cache: the pool is under test, so every submission must reach
+    SJ.Dec."""
     left = Table(
         "L", Schema.of(("k", "int"), ("a", "str")),
         [(i % 7, f"a{i}") for i in range(rows)],
@@ -67,7 +70,7 @@ def _fixture(
     )
     server = SecureJoinServer(
         client.params, backend=backend, engine=engine, workers=workers,
-        series_cache_bytes=None,
+        series_cache_bytes=series_cache_bytes,
     )
     server.store(client.encrypt_table(left, "k"))
     server.store(client.encrypt_table(right, "k"))
@@ -76,20 +79,19 @@ def _fixture(
 
 def _with_engine(client, server, engine):
     """A server built with ``engine`` over ``server``'s encrypted tables
-    (an engine already bound to a live pool keeps it)."""
-    sibling = SecureJoinServer(
-        client.params, engine=engine, workers=2, series_cache_bytes=None
-    )
+    (an engine already bound to a live pool keeps it).  It caches
+    series, so its held handles can be read: each runs one query."""
+    sibling = SecureJoinServer(client.params, engine=engine, workers=2)
     for name in ("L", "R"):
         sibling.store(server.table(name))
     return sibling
 
 
 def _inline(client, server, query):
-    """The inline batched reference: ``(result, adversary view)``."""
+    """The inline batched reference: ``(result, held handles)``."""
     with _with_engine(client, server, BatchedEngine(4)) as sibling:
         result = sibling.execute_join(query)
-    return result, sibling.observations[-1]
+    return result, held_handles(sibling, query)
 
 
 def _pooled(chunk: int = 4) -> BatchedEngine:
@@ -102,15 +104,17 @@ def _pooled(chunk: int = 4) -> BatchedEngine:
 class TestServiceExecution:
     def test_run_side_matches_batched_engine(self):
         """Pooled handles are byte-identical to the inline batched path."""
-        client, server = _fixture(engine=_pooled())
+        client, server = _fixture(
+            engine=_pooled(), series_cache_bytes=DEFAULT_SERIES_BUDGET
+        )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
             pooled = server.execute_join(query)
-            inline, inline_view = _inline(client, server, query)
+            inline, inline_handles = _inline(client, server, query)
             assert pooled.index_pairs == inline.index_pairs
             assert pooled.left_payloads == inline.left_payloads
-            # Same token => identical handle bytes observed per row.
-            assert server.observations[-1].handles == inline_view.handles
+            # Same token => identical handle bytes computed per row.
+            assert held_handles(server, query) == inline_handles
             assert (
                 pooled.stats.final_exponentiations
                 == inline.stats.final_exponentiations
@@ -244,14 +248,15 @@ class TestCrashResilience:
 
     def test_pool_survives_mid_query_worker_kill(self, crash_once_backend):
         client, server = _fixture(
-            rows=120, engine=_pooled(2), backend=crash_once_backend
+            rows=120, engine=_pooled(2), backend=crash_once_backend,
+            series_cache_bytes=DEFAULT_SERIES_BUDGET,
         )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
-            expected, expected_view = _inline(client, server, query)
+            expected, expected_handles = _inline(client, server, query)
             recovered = server.execute_join(query)
             assert recovered.index_pairs == expected.index_pairs
-            assert server.observations[-1].handles == expected_view.handles
+            assert held_handles(server, query) == expected_handles
             assert server.execution_service.worker_restarts >= 1
 
 

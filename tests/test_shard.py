@@ -51,7 +51,12 @@ from repro.shard import (
     shard_skew,
     validate_shard_layout,
 )
-from tests.conftest import FORCE_POOL, SERVER_SHAPES, server_shape
+from tests.conftest import (
+    FORCE_POOL,
+    SERVER_SHAPES,
+    held_handles,
+    server_shape,
+)
 
 try:
     from hypothesis import given, settings
@@ -381,20 +386,23 @@ class TestScatterGather:
                 assert shard.server.execution_service.active_sides == 0
 
     def test_observations_cover_all_shards(self):
-        """The coordinator's adversary view matches the single store's:
-        it sees every handle, under global row indices."""
+        """The coordinator sees what the single store sees: every
+        handle, under global row indices, and so the same links."""
         client, backend, tables, _ = _fixture([1, 2, 3, 4], [2, 3, 4, 5])
         server = SecureJoinServer(client.params)
         for table in tables:
             server.store(table)
         query = _query(client)
         server.execute_join(query)
-        single_view = server.observations[-1].handles
+        single_handles = held_handles(server, query)
+        single_classes = server.ledger.classes()
         server.close()
+        assert len(single_handles) == 8 and len(single_classes) == 3
         shards = _sharded(client, backend, tables, 2)
         with ShardCoordinator(shards) as coordinator:
             coordinator.execute_join(query)
-            assert coordinator.observations[-1].handles == single_view
+            assert held_handles(coordinator, query) == single_handles
+            assert coordinator.ledger.classes() == single_classes
 
     @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
     @settings(max_examples=10, deadline=None)

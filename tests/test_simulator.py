@@ -3,7 +3,10 @@
 The operational content of the security theorem: an adversary view built
 by the simulator from the trace alone has exactly the same match
 structure as the real scheme's view.  These tests compute both views on
-concrete query series and compare them.
+concrete query series and compare them — per query, and as what the
+series reveals: the simulated views fed into a
+:class:`~repro.series.ledger.LeakageLedger` must equal the server's own
+ledger after every query.
 """
 
 from __future__ import annotations
@@ -21,22 +24,33 @@ from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.leakage.pairs import minimal_query_leakage
 from repro.leakage.simulator import TraceSimulator
+from repro.series.ledger import LeakageLedger
+from tests.conftest import held_handles
 
 
 def _real_views(tables, queries, seed=5, prefilter=True):
-    """Run the real scheme; return the server's per-query views."""
+    """Run the real scheme one query at a time; yield each query's view
+    (``(table, row) -> handle``, every handle the server computed for
+    it) with the server, whose ledger has just taken that query in."""
     client = SecureJoinClient.for_tables(
         [(t, c) for t, c in tables],
         in_clause_limit=4,
         rng=random.Random(seed),
         enable_prefilter=prefilter,
     )
-    server = SecureJoinServer(client.params)
-    for table, join_column in tables:
-        server.store(client.encrypt_table(table, join_column))
-    for query in queries:
-        server.execute_join(client.create_query(query))
-    return server.observations
+    with SecureJoinServer(client.params) as server:
+        for table, join_column in tables:
+            server.store(client.encrypt_table(table, join_column))
+        for query in queries:
+            encrypted = client.create_query(query)
+            server.execute_join(encrypted)
+            view = {
+                (encrypted.tables[position], row): handle
+                for (position, row), handle in held_handles(
+                    server, encrypted
+                ).items()
+            }
+            yield view, server
 
 
 def _match_classes(handles: dict) -> set[frozenset]:
@@ -44,6 +58,38 @@ def _match_classes(handles: dict) -> set[frozenset]:
     for ref, handle in handles.items():
         groups.setdefault(handle, []).append(ref)
     return {frozenset(refs) for refs in groups.values() if len(refs) >= 2}
+
+
+def _link(ledger: LeakageLedger, classes) -> None:
+    """Feed one view's match classes into ``ledger``."""
+    ledger.link(
+        (first, other)
+        for first, *rest in map(sorted, classes)
+        for other in rest
+    )
+
+
+def _as_sets(ledger: LeakageLedger) -> set[frozenset]:
+    return {frozenset(cls) for cls in ledger.classes()}
+
+
+def _simulate_series(tables, queries, simulator, prefilter=True):
+    """Simulate every query of the series from its trace beside the real
+    run, checking the per-query match structure and the two ledgers."""
+    simulated = LeakageLedger()
+    for (real, server), query in zip(
+        _real_views(tables, queries, prefilter=prefilter), queries
+    ):
+        # The trace: which rows were decrypted and their equality pairs.
+        decrypted = list(real)
+        sigma = minimal_query_leakage(tables, query)
+        if prefilter:
+            decrypted_set = set(decrypted)
+            sigma = {p for p in sigma if all(r in decrypted_set for r in p)}
+        view = simulator.simulate_query(0, decrypted, sigma)
+        assert view.match_classes() == _match_classes(real)
+        _link(simulated, view.match_classes())
+        assert _as_sets(simulated) == _as_sets(server.ledger)
 
 
 class TestSimulatedView:
@@ -80,23 +126,10 @@ class TestSimulationMatchesReality:
 
     @pytest.mark.parametrize("prefilter", [True, False])
     def test_example_workload(self, prefilter):
-        tables = example_tables()
-        queries = example_queries()
-        observations = _real_views(tables, queries, prefilter=prefilter)
-        simulator = TraceSimulator(rng=random.Random(7))
-        for observation, query in zip(observations, queries):
-            # The trace: which rows were decrypted and their equality pairs.
-            decrypted = list(observation.handles.keys())
-            sigma = minimal_query_leakage(tables, query)
-            if prefilter:
-                decrypted_set = set(decrypted)
-                sigma = {
-                    p for p in sigma if all(r in decrypted_set for r in p)
-                }
-            view = simulator.simulate_query(
-                observation.query_id, decrypted, sigma
-            )
-            assert view.match_classes() == _match_classes(observation.handles)
+        _simulate_series(
+            example_tables(), example_queries(),
+            TraceSimulator(rng=random.Random(7)), prefilter=prefilter,
+        )
 
     def test_many_to_many_workload(self):
         left = Table("L", Schema.of(("k", "int"), ("c", "str")),
@@ -111,15 +144,10 @@ class TestSimulationMatchesReality:
                             where_right={"d": ["q"]}),
             JoinQuery.build("L", "R", on=("k", "k")),
         ]
-        observations = _real_views(tables, queries, prefilter=False)
-        simulator = TraceSimulator(rng=random.Random(8))
-        for observation, query in zip(observations, queries):
-            decrypted = list(observation.handles.keys())
-            sigma = minimal_query_leakage(tables, query)
-            view = simulator.simulate_query(
-                observation.query_id, decrypted, sigma
-            )
-            assert view.match_classes() == _match_classes(observation.handles)
+        _simulate_series(
+            tables, queries, TraceSimulator(rng=random.Random(8)),
+            prefilter=False,
+        )
 
     def test_simulate_series_length(self):
         simulator = TraceSimulator(rng=random.Random(9))
@@ -133,8 +161,8 @@ class TestSimulationMatchesReality:
 
 class TestViewOfARepeatedTable:
     """A chain may name one table twice under different tokens; the
-    server then computes two handles for each of its rows, and the
-    adversary view has to hold both."""
+    server then computes two handles for each of its rows, and what it
+    learns has to account for both."""
 
     @staticmethod
     def _run():
@@ -163,21 +191,38 @@ class TestViewOfARepeatedTable:
         assert all(first[row] != second[row] for row in range(6))
         server.close()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="QueryObservation.handles is keyed by (table name, row), so "
-        "the second side's six handles overwrite the first's: 17 computed, "
-        "11 recorded.  Changing the key shape ripples into repro.leakage; "
-        "see ROADMAP, leakage ledger.",
-    )
-    def test_the_view_records_every_handle_it_computed(self):
+    def test_the_ledger_links_every_equality_it_computed(self):
+        """Every equality among the 17 handles, at all three positions,
+        lies inside one ledger class, and no class joins rows that no
+        chain of equal handles connects."""
         server, result, executor = self._run()
         try:
-            recorded = server.observations[-1].handles
-            assert len(recorded) == result.stats.decryptions
-            assert set(recorded.values()) == {
-                handle for held in executor.handles
-                for handle in held.values()
+            by_handle: dict[bytes, set] = {}
+            for name, held in zip(("A", "B", "A"), executor.handles):
+                for row, handle in held.items():
+                    by_handle.setdefault(handle, set()).add((name, row))
+            assert sum(map(len, executor.handles)) == 17
+            classes = _as_sets(server.ledger)
+            for nodes in by_handle.values():
+                if len(nodes) >= 2:
+                    assert any(nodes <= cls for cls in classes)
+            for cls in classes:
+                # From any member, equal-handle groups reach the class.
+                reached = {min(cls)}
+                while True:
+                    grown = reached.union(*(
+                        nodes for nodes in by_handle.values()
+                        if nodes & reached
+                    ))
+                    if grown == reached:
+                        break
+                    reached = grown
+                assert reached == cls
+            # A.0 (first position's selection) and A.1 (third's) each
+            # share their key with two rows of B: both links are kept.
+            assert classes == {
+                frozenset({("A", 0), ("B", 0), ("B", 3)}),
+                frozenset({("A", 1), ("B", 1), ("B", 4)}),
             }
         finally:
             server.close()
