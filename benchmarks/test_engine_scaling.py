@@ -37,6 +37,7 @@ from repro.baselines import SerialEngine
 from repro.bench.workloads import build_encrypted_tpch, tpch_query
 from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
+from repro.core.service import chunk_spans
 from tests.conftest import FORCE_POOL
 
 _SELECTIVITY = 1 / 12.5  # densest series: the most decryptions per query
@@ -145,8 +146,8 @@ def test_parallel_engine_matches_batched_plan():
 
 def test_parallel_pool_persists_across_queries():
     """Acceptance: no per-query pool spawn.  After warmup, repeated
-    queries report the same pool generation and warm runs are not
-    slower than the cold one that paid the fork."""
+    queries report the same pool generation; the cold and warm
+    wall-clock times are printed, not asserted."""
     workload = build_encrypted_tpch(0.004, in_clause_limit=1)
     encrypted_query = workload.client.create_query(
         tpch_query(_SELECTIVITY, in_clause_size=1)
@@ -166,17 +167,25 @@ def test_parallel_pool_persists_across_queries():
         generations.append(warm.stats.pool_generation)
         assert warm.index_pairs == cold.index_pairs
 
+    # The same generation is the proof that no warm query re-spawned
+    # the pool; how long each took is recorded.
     assert generations == [cold.stats.pool_generation] * 3
-    # Warm queries skip the fork: allow scheduling noise, but a warm run
-    # re-spawning the pool (the PR 1 behavior) would clearly fail this.
-    assert min(warm_seconds) <= cold_seconds * 1.5
+    print(
+        f"\ncold {cold_seconds * 1e3:.1f} ms, warm "
+        + ", ".join(f"{seconds * 1e3:.1f}" for seconds in warm_seconds)
+        + " ms"
+    )
+
+
+def _child_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
 
 
 def test_warm_pool_beats_per_query_pool():
-    """Acceptance vs PR 1: a query on the warm persistent pool must be
-    cheaper than one that spawns (and tears down) a pool of its own —
-    the old per-query-fork behavior.  Holds on any core count: the gap
-    is the fork cost itself."""
+    """Acceptance: a query on the warm persistent pool forks no process,
+    while one that brings a pool of its own — the old per-query-fork
+    behavior — forks its workers and loses them at close.  Counted in
+    child pids, not timed; the best wall-clock of each is printed."""
     workload = build_encrypted_tpch(0.004, in_clause_limit=1)
     encrypted_query = workload.client.create_query(
         tpch_query(_SELECTIVITY, in_clause_size=1)
@@ -184,29 +193,32 @@ def test_warm_pool_beats_per_query_pool():
     # Warm the server-owned pool once.
     server = _server(workload, "parallel")
     warm_result = server.execute_join(encrypted_query)
+    known = _child_pids()
+    assert set(server.execution_service.worker_pids()) <= known
 
-    def best_warm(rounds=3):
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            server.execute_join(encrypted_query)
-            best = min(best, time.perf_counter() - start)
-        return best
+    warm_seconds, own_seconds = [], []
+    for _ in range(3):
+        start = time.perf_counter()
+        result = server.execute_join(encrypted_query)
+        warm_seconds.append(time.perf_counter() - start)
+        assert result.stats.engine_selected == "parallel"
+        assert not _child_pids() - known
 
-    def best_per_query_pool(rounds=3):
-        best = float("inf")
-        for _ in range(rounds):
-            # Built (tables stored) before the clock starts: the gap
-            # under test is the fork, not the server's construction.
-            own_pool = _build(workload, "parallel")
-            start = time.perf_counter()
-            result = own_pool.execute_join(encrypted_query)
-            own_pool.close()
-            best = min(best, time.perf_counter() - start)
-            assert result.index_pairs == warm_result.index_pairs
-        return best
-
-    assert best_warm() < best_per_query_pool()
+        # Built (tables stored) before the clock starts: the gap under
+        # test is the fork, not the server's construction.
+        own_pool = _build(workload, "parallel")
+        start = time.perf_counter()
+        result = own_pool.execute_join(encrypted_query)
+        forked = _child_pids() - known
+        own_pool.close()
+        own_seconds.append(time.perf_counter() - start)
+        assert result.index_pairs == warm_result.index_pairs
+        assert len(forked) == own_pool.execution_service.worker_target
+        assert not _child_pids() & forked
+    print(
+        f"\nwarm pool best {min(warm_seconds) * 1e3:.1f} ms, "
+        f"per-query pool best {min(own_seconds) * 1e3:.1f} ms"
+    )
 
 
 def _cpu_seconds(pid: int) -> float:
@@ -230,8 +242,10 @@ def _pool_cpu_profile(
     The box also runs at two speeds for minutes at a time, so each
     ratio is taken within one round — inline, then pooled, seconds
     apart — and reported as the median over ``rounds``: a change of
-    speed can spoil the one round it falls in, not the median."""
-    inline_cpu, parent_cpu, worker_cpu = [], [], []
+    speed can spoil the one round it falls in, not the median.  The
+    wall-clock from opening the pooled stream to its first chunk is
+    recorded too (``first_handle_ms``), not asserted."""
+    inline_cpu, parent_cpu, worker_cpu, first_ms = [], [], [], []
     for _ in range(rounds):
         start = time.process_time()
         inline_handles, _ = inline.decrypt_handles(backend, token, rows)
@@ -239,12 +253,21 @@ def _pool_cpu_profile(
 
         before = [_cpu_seconds(pid) for pid in workers]
         start = time.process_time()
-        pooled_handles, report = pooled.decrypt_handles(backend, token, rows)
+        opened = time.perf_counter()
+        stream = pooled.decrypt_stream(backend, token, rows)
+        chunks = {}
+        for chunk in stream:
+            if not chunks:
+                first_ms.append((time.perf_counter() - opened) * 1e3)
+            chunks[chunk.start] = chunk.handles
         parent_cpu.append(time.process_time() - start)
         worker_cpu.append(
             [_cpu_seconds(pid) - was for pid, was in zip(workers, before)]
         )
-        assert pooled_handles == inline_handles
+        report = stream.report
+        assert [
+            handle for offset in sorted(chunks) for handle in chunks[offset]
+        ] == inline_handles
     each = list(zip(inline_cpu, parent_cpu, worker_cpu))
     return {
         "predicted_speedup": round(statistics.median(
@@ -258,6 +281,7 @@ def _pool_cpu_profile(
         "worker_cpu_s": [
             [round(cpu, 3) for cpu in pool] for pool in worker_cpu
         ],
+        "first_handle_ms": [round(ms, 1) for ms in first_ms],
         "selected": report.selected,
         "chunks": report.batches,
         "workers": report.workers,
@@ -274,12 +298,16 @@ def _pool_cpu_profile(
 def test_pool_pays_in_cpu_seconds_at_the_papers_dimension():
     """The pool's reason to exist, measured where it can be: real
     pairings at the paper's dimension (Customers, m = 8, t = 1: d = 19),
-    one 64-row side, two workers, the engine's default pooled chunk —
-    two chunks, so each worker must get one.  The engine must choose
-    the pool by itself, under the built-in BN254 model; then raw rows
-    must predict >= 1.6x at an overhead <= 1.15; prepared rows are
-    recorded (their worker-side cache is keyed to whichever worker last
-    saw a row, so the speed-up moves with the preparations redone)."""
+    one 64-row side, two workers, the engine's default pooled chunk of
+    32 rows, which the schedule cuts as 1, 2, 4, 8, 16, 17, 8, 4, 2, 1
+    and 1 rows: eleven chunks that in-order dispatch spreads 32 / 32
+    over the two workers, the first of them one row, so the first
+    handle (recorded) leaves after one pairing product, not after 32.
+    The engine must choose the pool by itself, under the built-in BN254
+    model; then raw rows must predict >= 1.6x at an overhead <= 1.15;
+    prepared rows are recorded (their worker-side cache is keyed to
+    whichever worker last saw a row, so the speed-up moves with the
+    preparations redone)."""
     from repro.core.service import ExecutionService
     from repro.crypto.backend import BN254Backend
 
@@ -300,8 +328,8 @@ def test_pool_pays_in_cpu_seconds_at_the_papers_dimension():
     with ExecutionService(workers=2) as service:
         pooled = BatchedEngine()
         pooled.bind_service(service)
-        # Inline in the pooled chunk size: the comparison is of where
-        # the same chunks run.
+        # Inline chunks capped at the pooled chunk size: the comparison
+        # is of where the rows run, not of how large a chunk may grow.
         inline = BatchedEngine(pooled.batch_size // 2)
         # Fork the workers, and fill their prepared-row caches, off the
         # clock: the check is of a warm pool.
@@ -324,7 +352,8 @@ def test_pool_pays_in_cpu_seconds_at_the_papers_dimension():
         print(f"  {kind}: {json.dumps(numbers)}")
     assert profile["raw"]["selected"] == "parallel"
     assert profile["prepared"]["selected"] == "parallel"
-    assert profile["raw"]["chunks"] == 2 and profile["raw"]["workers"] == 2
+    assert profile["raw"]["chunks"] == len(chunk_spans(rows, 32, 2))
+    assert profile["raw"]["workers"] == 2
     assert profile["raw"]["overhead"] <= 1.15
     assert profile["raw"]["predicted_speedup"] >= 1.6
 

@@ -5,9 +5,13 @@ pairings per row, each row independent of the others.  A server has one
 engine, :class:`BatchedEngine`: it issues a side's rows in chunks
 through :meth:`~repro.crypto.backend.BilinearBackend.pair_vectors_batch`,
 so every row costs d Miller loops but only *one* shared final
-exponentiation, and on a server at least two workers wide it decides
-per side, by one rule (:meth:`BatchedEngine._plan`), whether to spread
-the chunks over the server's persistent worker pool
+exponentiation.  The chunks ramp 1, 2, 4, … rows up to the chunk size
+(:func:`~repro.core.service.chunk_spans`, the one place a side is cut,
+inline and on the pool alike), so a side's first handle — and a join's
+first match — waits for one row, not a whole chunk.  On a server at
+least two workers wide the engine decides per side, by one rule
+(:meth:`BatchedEngine._plan`), whether to spread the chunks over the
+server's persistent worker pool
 (:class:`~repro.core.service.ExecutionService`).  The server's
 ``workers`` is the one execution setting; at width 1, the default,
 nothing is priced and every side runs inline.  ``engine=`` on the
@@ -37,12 +41,20 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.service import ExecutionService, QueryQoS
+from repro.core.service import (
+    ExecutionService,
+    QueryQoS,
+    chunk_spans,
+    max_span,
+)
 from repro.crypto.backend import BilinearBackend, PreparedRow
 from repro.errors import DeadlineError, QueryError
 from repro.plan.cost import choose_engine, default_engine_cost_model
 
-#: Rows per chunk when a batching engine is built without an explicit size.
+#: The largest inline chunk when a batching engine is built without an
+#: explicit size (a pooled chunk is at most half of it).  Not every
+#: chunk's size: a side's chunks ramp 1, 2, 4, … rows up to it
+#: (:func:`~repro.core.service.chunk_spans`).
 DEFAULT_BATCH_SIZE = 64
 
 
@@ -171,18 +183,16 @@ class ExecutionEngine(ABC):
         return handles, stream.report
 
 
-def _chunked(items: Sequence, size: int) -> list[tuple[int, Sequence]]:
-    """``(start_offset, slice)`` chunks covering ``items`` in order."""
-    return [(i, items[i : i + size]) for i in range(0, len(items), size)]
-
-
 class BatchedEngine(ExecutionEngine):
     """Chunked multi-pairing decryption with shared final exponentiations,
     on the server's worker pool when the cost model says it pays.
 
-    A side runs inline in chunks of ``batch_size`` rows, or on the pool
-    (the owning server's, bound with :meth:`bind_service` — the engine
-    has no width of its own) in chunks of ``batch_size // 2``.
+    A side runs inline, or on the pool (the owning server's, bound with
+    :meth:`bind_service` — the engine has no width of its own), in the
+    chunks :func:`~repro.core.service.chunk_spans` cuts: 1, 2, 4, … rows
+    up to ``batch_size`` inline, or up to ``batch_size // 2`` on the
+    pool, where no chunk also exceeds the rows left ÷ the pool's width.
+    So a side's first handles leave after one row.
     ``cost_model`` is the operator's calibration (``None`` = the
     backend's built-in model), fixed for the engine's lifetime.
     """
@@ -214,10 +224,18 @@ class BatchedEngine(ExecutionEngine):
         """The pool-or-inline decision for one side: its planner record,
         or ``None`` when nothing is priced (unbound, or bound to a pool
         one worker wide: the side runs inline).  Otherwise the side goes
-        to the pool iff it spans more than one pooled chunk (one chunk
-        would run on one worker, behind the pool's IPC) and
+        to the pool iff it spans more than one pooled chunk and
         :func:`~repro.plan.cost.choose_engine` prices ``parallel``
         cheaper at the pool's width; ``chosen`` names the outcome.
+
+        Both halves of the rule still price flat chunks of
+        ``batch_size`` (inline) and ``batch_size // 2`` (pooled): the
+        one-chunk cut-off dates from when such a side ran as one chunk
+        on one worker, and ``estimates`` count ⌈rows ÷ chunk⌉ chunks,
+        not the :func:`~repro.core.service.chunk_spans` schedule that
+        runs and whose seconds are filed beside them as
+        ``actual_seconds``.  Both wait for the model to be re-priced on
+        the schedule (ROADMAP item 3).
         """
         service = self._service
         if service is None or service.worker_target < 2:
@@ -249,6 +267,7 @@ class BatchedEngine(ExecutionEngine):
             "pool_warm": pool_warm,
             "prepared_rows": prepared_rows,
             "chosen": choice,
+            # Priced on flat chunks, not the schedule that runs (above).
             "estimates": {name: float(sec) for name, sec in estimates.items()},
         }
 
@@ -279,18 +298,20 @@ class BatchedEngine(ExecutionEngine):
         )
 
     def _inline(self, backend, token_elements, ciphertext_vectors, qos):
-        chunks = _chunked(ciphertext_vectors, self.batch_size)
+        spans = chunk_spans(len(ciphertext_vectors), self.batch_size)
         miller_loops = 0
         final_exponentiations = 0
         prepared_miller_loops = 0
-        for start, chunk in chunks:
+        for start, stop in spans:
             if qos is not None and qos.expired():
                 raise DeadlineError(
                     "query exceeded its deadline; batched side "
                     f"cancelled at row {start}"
                 )
             snapshot = backend.ops.snapshot()
-            gts = backend.pair_vectors_batch(token_elements, chunk)
+            gts = backend.pair_vectors_batch(
+                token_elements, ciphertext_vectors[start:stop]
+            )
             delta = backend.ops.since(snapshot)
             miller_loops += delta.miller_loops
             final_exponentiations += delta.final_exponentiations
@@ -298,8 +319,8 @@ class BatchedEngine(ExecutionEngine):
             yield HandleChunk(start, [gt.to_bytes() for gt in gts])
         return EngineReport(
             engine=self.name,
-            batches=len(chunks),
-            max_batch_size=max((len(c) for _, c in chunks), default=0),
+            batches=len(spans),
+            max_batch_size=max_span(spans),
             workers=1,
             miller_loops=miller_loops,
             final_exponentiations=final_exponentiations,

@@ -15,8 +15,11 @@ the sources; here is what it merges them with:
   one executor.  For inline sides the alternation itself interleaves
   the sides' pairing work; for pooled sides the service's pump makes
   progress on every admitted side whichever stream is being waited on.
-  Newly completed tuples are emitted the moment they exist — first
-  results appear while most of SJ.Dec is still running.
+  Newly completed tuples are emitted the moment they exist, and every
+  side's first chunk is one row
+  (:func:`~repro.core.service.chunk_spans`), so a join whose first rows
+  match yields its first tuple after one SJ.Dec row per side, while
+  nearly all of SJ.Dec is still running.
 
 Two tables or five, one store or many shards, all rows or only the
 delta of a refresh: the difference is the source list, not the loop.

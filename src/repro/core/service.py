@@ -6,7 +6,9 @@ admission scheduler that feeds the streaming pipeline:
 - **Chunk streams, not materialized sides.**  :meth:`admit_side`
   registers a side and :meth:`stream_chunks` yields decrypted chunks
   *as workers complete them* (out of order, with their row offsets), so
-  the matcher can start pairing while SJ.Dec is still running.
+  the matcher can start pairing while SJ.Dec is still running.  A side
+  is cut by :func:`chunk_spans`, as an inline side is: the first chunk
+  is one row, and the tail is spread over the workers.
 - **Multi-query admission.**  Any number of sides — the two sides of
   one join, or sides of concurrent queries from different threads — may
   be admitted at once.  One *pump* hands their chunks to the executor:
@@ -189,6 +191,35 @@ def _decrypt_chunk(
         gt.to_bytes() for gt in backend.pair_vectors_batch(token, rows)
     ]
     return os.getpid(), handles, backend.ops.since(snapshot)
+
+
+def chunk_spans(rows: int, size: int, width: int = 1) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` spans one SJ.Dec side of ``rows`` rows is
+    cut into, in row order: the only place a side is cut, inline
+    (``width`` 1) and on a pool ``width`` workers wide alike.
+
+    Span *k* holds ``min(size, 2**k, ceil(remaining / width))`` rows.
+    The first chunk is one row, so a side's first handle — and a join's
+    first match — leaves after one pairing product, not after ``size``;
+    doubling keeps the extra chunks to about ``log2(size)``; and no
+    chunk exceeds the rows still to cut over the pool's width, so the
+    side's tail is spread across the workers (guided self-scheduling)
+    instead of landing on one of them.
+    """
+    if size < 1 or width < 1:
+        raise QueryError("chunk size and width must be at least 1")
+    spans = []
+    start, ramp = 0, 1
+    while start < rows:
+        stop = start + min(ramp, -(-(rows - start) // width))
+        spans.append((start, stop))
+        start, ramp = stop, min(2 * ramp, size)
+    return spans
+
+
+def max_span(spans: Sequence[tuple[int, int]]) -> int:
+    """The largest chunk :func:`chunk_spans` cut (0 for an empty side)."""
+    return max((stop - start for start, stop in spans), default=0)
 
 
 def _encode_rows(backend, ciphertext_vectors, dimension) -> bytes:
@@ -405,13 +436,12 @@ class ExecutionService:
         once the stream is drained).  ``qos`` is the owning query's
         priority and absolute deadline (:class:`QueryQoS`).
         """
-        if batch_size < 1:
-            raise QueryError("batch size must be at least 1")
+        n_rows = len(ciphertext_vectors)
+        spans = chunk_spans(n_rows, batch_size, self.worker_target)
         # Encoding touches only local data; doing it outside the lock
         # keeps a large admission from stalling the queries already
         # running on the pool.
         dimension = len(token_elements)
-        n_rows = len(ciphertext_vectors)
         prepared = n_rows > 0 and all(
             isinstance(row, PreparedRow) for row in ciphertext_vectors
         )
@@ -419,8 +449,8 @@ class ExecutionService:
         token_bytes = [backend.encode_g1(e) for e in token_elements]
         stride = dimension * backend.g2_element_size
         pending: deque[tuple[int, bytes]] = deque(
-            (start, encoded[start * stride:(start + batch_size) * stride])
-            for start in range(0, n_rows, batch_size)
+            (start, encoded[start * stride:stop * stride])
+            for start, stop in spans
         )
         with self._progress:
             self.ensure_started(backend)
@@ -434,8 +464,8 @@ class ExecutionService:
                 rescue_budget=3 * self.worker_target + 5,
                 qos=qos if qos is not None else QueryQoS(),
                 report=SideReport(
-                    chunks=len(pending),
-                    max_chunk=min(batch_size, n_rows),
+                    chunks=len(spans),
+                    max_chunk=max_span(spans),
                     pool_generation=self.generation,
                 ),
             )

@@ -82,6 +82,22 @@ def sleeping_backend() -> SleepingBackend:
     return SleepingBackend()
 
 
+class PacedBackend(FastBackend):
+    """A fast backend whose every chunk sleeps 30 ms *per row*: a
+    chunk's time grows with its rows whatever the machine is doing, so
+    of two pooled chunks dispatched together the one-row chunk
+    completes before the two-row one."""
+
+    def pair_vectors_batch(self, g1_vector, g2_vectors):
+        time.sleep(0.03 * len(g2_vectors))
+        return super().pair_vectors_batch(g1_vector, g2_vectors)
+
+
+@pytest.fixture
+def paced_backend() -> PacedBackend:
+    return PacedBackend()
+
+
 class CrashOnceBackend(FastBackend):
     """Deterministic crash injection: the first pooled worker to decrypt
     a chunk on this backend SIGKILLs itself mid-chunk — exactly one

@@ -20,9 +20,9 @@ import pytest
 
 from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
-from repro.core.engine import BatchedEngine, _chunked
+from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
-from repro.core.service import ExecutionService
+from repro.core.service import ExecutionService, chunk_spans
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
@@ -43,7 +43,7 @@ except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
 # test.  Each engine keeps the pool of the first server bound to it:
 # inline and unpriced at width 1, priced by the built-in model at width
 # 2 (the fast backend's never pools), and on the pool under
-# ``FORCE_POOL`` in chunks of 4.
+# ``FORCE_POOL`` in chunks of up to 4.
 ENGINES = (
     (SerialEngine(), 1),
     (BatchedEngine(batch_size=3), 1),
@@ -238,20 +238,63 @@ class TestEquivalence:
 
 
 class TestChunking:
+    """Every side is cut by ``chunk_spans``: 1, 2, 4, … rows up to the
+    chunk size, and on a pool no chunk over the rows left ÷ its width."""
+
     def test_chunks_cover_in_order(self):
-        items = list(range(10))
-        chunks = _chunked(items, 3)
-        assert [start for start, _ in chunks] == [0, 3, 6, 9]
-        assert [x for _, chunk in chunks for x in chunk] == items
+        assert chunk_spans(10, 3) == [(0, 1), (1, 3), (3, 6), (6, 9), (9, 10)]
+        assert chunk_spans(64, 64) == [
+            (0, 1), (1, 3), (3, 7), (7, 15), (15, 31), (31, 63), (63, 64),
+        ]
 
     def test_chunk_larger_than_side(self):
-        assert _chunked([1, 2], 64) == [(0, [1, 2])]
+        assert chunk_spans(2, 64) == [(0, 1), (1, 2)]
+        assert chunk_spans(7, 64) == [(0, 1), (1, 3), (3, 7)]
 
     def test_chunk_of_one(self):
-        assert _chunked([1, 2, 3], 1) == [(0, [1]), (1, [2]), (2, [3])]
+        assert chunk_spans(3, 1) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_the_tail_is_spread_over_the_pool(self):
+        """The committed CPU-seconds check's side (64 rows, 32-row
+        pooled chunks, two workers): doubling alone would end 16, 32, 1,
+        and the busiest worker would get 42 rows; the tail rule cuts
+        it so that in-order dispatch splits it 32 / 32."""
+        sizes = [stop - start for start, stop in chunk_spans(64, 32, 2)]
+        assert sizes == [1, 2, 4, 8, 16, 17, 8, 4, 2, 1, 1]
+        loads = [0, 0]
+        for size in sizes:
+            loads[loads.index(min(loads))] += size
+        assert loads == [32, 32]
+
+    @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(0, 300),
+        size=st.integers(1, 80),
+        width=st.integers(1, 5),
+    )
+    def test_property_spans(self, rows, size, width):
+        """The spans cover ``[0, rows)`` once and in order, start with
+        one row, never exceed ``size`` nor the rows left ÷ ``width``,
+        and at width 1 double until ``size``."""
+        spans = chunk_spans(rows, size, width)
+        assert [
+            row for start, stop in spans for row in range(start, stop)
+        ] == list(range(rows))
+        sizes = [stop - start for start, stop in spans]
+        assert sizes[:1] == ([1] if rows else [])
+        assert all(1 <= n <= size for n in sizes)
+        assert all(
+            width * (stop - start) < rows - start + width
+            for start, stop in spans
+        )
+        if width == 1:
+            assert sizes[:-1] == [
+                min(2 ** k, size) for k in range(len(sizes) - 1)
+            ]
 
     def test_empty_side(self):
-        assert _chunked([], 4) == []
+        assert chunk_spans(0, 4) == []
         client, server = _build([1, 2], [])
         query = JoinQuery.build("L", "R", on=("k", "k"))
         for engine in ENGINES:
@@ -272,13 +315,17 @@ class TestChunking:
         )
         query = JoinQuery.build("L", "R", on=("k", "k"))
         result = server.execute_join(client.create_query(query))
-        # One chunk per side.
-        assert result.stats.batches == 2
-        assert result.stats.max_batch_size == 3
+        # The ramp, not the size, cuts a small side: 1 + 2 rows on the
+        # left and 1 + 1 on the right.
+        assert result.stats.batches == 4
+        assert result.stats.max_batch_size == 2
 
     def test_invalid_configuration(self):
         with pytest.raises(QueryError):
             BatchedEngine(batch_size=0)
+        for size, width in ((0, 1), (4, 0)):
+            with pytest.raises(QueryError):
+                chunk_spans(4, size, width)
         # There are no engine names: ``engine=`` takes an instance.
         with pytest.raises(QueryError, match="not str 'parallel'"):
             SecureJoinServer(
@@ -327,16 +374,17 @@ class TestAccounting:
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
             result = server.execute_join(encrypted)
-        # Left side: 20 rows in 4 chunks of 5 through the pool (2
-        # workers); right side: 4 rows, one pooled chunk's worth, so
-        # inline (1 chunk).
+        # Left side: 20 rows through the pool (2 workers) in 8 chunks of
+        # 1, 2, 4, 5, 4, 2, 1, 1 rows (at most 5, and at most half the
+        # rows left); right side: 4 rows, one pooled chunk's worth, so
+        # inline, in 3 chunks of 1, 2, 1 rows.
         assert result.stats.engine == "batched"
         assert result.stats.engine_selected == "parallel+batched"
         assert [side["chosen"] for side in result.stats.planner] == [
             "parallel", "batched",
         ]
         assert result.stats.workers == 2
-        assert result.stats.batches == 5
+        assert result.stats.batches == 8 + 3
         assert result.stats.max_batch_size == 5
         assert result.stats.final_exponentiations == 24
 
@@ -508,7 +556,8 @@ class TestPlanner:
             assert report.engine == "batched"
             assert (report.selected, report.planner) == ("", None)
             assert (report.pool_generation, report.workers) == (0, 1)
-            assert report.batches == 3 and report.max_batch_size == 8
+            # Inline chunks of 1, 2, 4, 8 and 5 rows.
+            assert report.batches == 5 and report.max_batch_size == 8
         assert not service.started
 
     def test_a_side_of_one_pooled_chunk_reports_what_ran(self):

@@ -341,18 +341,29 @@ class TestReplayedAnswerIsFramed:
 
     @pytest.mark.parametrize("arity", [2, 3], ids=["join", "chain3"])
     def test_cold_increment_fits_the_message_limit(self, arity):
-        # One key: whichever chunk arrives last completes all 3000
-        # tuples in one increment (299 KB as one message).
-        sizes = [50, 60, 1][:arity]
+        # One key, so every chunk completes the cross product of its
+        # rows with the other sides' rows so far.  The 120-row side's
+        # chunks are 1, 2, 4, …, 32 and 57 rows, the 50-row side's 1, 2,
+        # 4, 8, 16 and 19: the last chunk completes 57 × 50 = 2850
+        # tuples in one increment (≈ 285 KB as one message), sliced
+        # into 1024 + 1024 + 802; before it, the join's 32-row chunk
+        # completes 1600 (1024 + 576) and the chain's 19-row chunk 1197
+        # (1024 + 173), the chain's planner feeding the sides in
+        # another order.
+        sizes = [50, 120, 1][:arity]
         (batches, cold), (_, replay) = self._stream_twice(
             [[7] * size for size in sizes]
         )
         assert cold.stats.series_cache_hits == 0
-        assert [len(batch.tuples) for batch in batches] == [1024, 1024, 952]
+        ramp = [1, 2, 6, 12, 28, 56, 120, 240, 496]
+        assert [len(batch.tuples) for batch in batches] == ramp + {
+            2: [589, 1024, 576, 1024, 1024, 802],
+            3: [992, 1024, 173, 1024, 1024, 802],
+        }[arity]
         assert sorted(
             row for batch in batches for row in batch.tuples
         ) == sorted(cold.tuples)
-        assert len(cold.tuples) == 3000
+        assert len(cold.tuples) == 6000
         assert replay.tuples == cold.tuples
         assert replay.payloads == cold.payloads
 

@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.client import SecureJoinClient
 from repro.core.server import SecureJoinServer
+from repro.db.join import hash_join
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
@@ -35,13 +36,19 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 _SRC = _REPO_ROOT / "src"
 
 
-def _dataset(tmp_path, n_rows=40, seed=23):
-    """Encrypt two joinable tables to disk; return (client, paths)."""
+def _plain(n_rows):
+    """The two joinable plaintext tables: keys ``i % 7`` on both."""
     keys = [i % 7 for i in range(n_rows)]
     left = Table("L", Schema.of(("k", "int"), ("a", "str")),
                  [(k, f"a{i}") for i, k in enumerate(keys)])
     right = Table("R", Schema.of(("k", "int"), ("b", "str")),
                   [(k, f"b{i}") for i, k in enumerate(keys)])
+    return left, right
+
+
+def _dataset(tmp_path, n_rows=40, seed=23):
+    """Encrypt two joinable tables to disk; return (client, paths)."""
+    left, right = _plain(n_rows)
     client = SecureJoinClient.for_tables(
         [(left, "k"), (right, "k")],
         in_clause_limit=1,
@@ -193,8 +200,42 @@ class TestServerProcess:
         assert process.pid not in leftover
         assert not leftover, f"orphaned processes: {leftover}"
 
+    def test_first_batch_is_the_match_of_each_sides_first_row(
+        self, tmp_path
+    ):
+        """Through the socket, the first batch is the one tuple of the
+        two rows 0 (keys ``i % 7`` match there): it left after one
+        SJ.Dec row per side, before the last of either side's six
+        chunks (1, 2, 4, 8, 16 and 9 rows).  The whole answer is the
+        plaintext join's, streamed or materialized."""
+        client, paths = _dataset(tmp_path)
+        process, host, port = _launch(tmp_path, client, paths)
+        try:
+            with RemoteJoinClient(host, port, client.scheme.backend) as rc:
+                stream = rc.stream_join(_query(client))
+                batches = []
+                while True:
+                    try:
+                        batches.append(next(stream))
+                    except StopIteration as stop:
+                        result = stop.value
+                        break
+        finally:
+            process.send_signal(signal.SIGTERM)
+            returncode = _finish(process)
+        assert returncode == 0
+        assert batches[0].index_pairs == [(0, 0)]
+        reference = hash_join(*_plain(40), "k", "k")
+        assert result.index_pairs == reference.index_pairs
+        assert sorted(
+            pair for batch in batches for pair in batch.index_pairs
+        ) == sorted(reference.index_pairs)
+        decrypted = client.decrypt_result(result)
+        assert decrypted.table.rows() == reference.table.rows()
+
     def test_sigterm_mid_stream_drains_gracefully(self, tmp_path):
-        # Four chunks a side on the default engine: several batches.
+        # Nine chunks a side on the default engine (1, 2, 4, … 64 rows,
+        # then 9): several batches.
         client, paths = _dataset(tmp_path, n_rows=200)
         reference = _reference(client, paths)
         process, host, port = _launch(

@@ -96,7 +96,7 @@ def _inline(client, server, query):
 
 def _pooled(chunk: int = 4) -> BatchedEngine:
     """An engine that sends every side of more than ``chunk`` rows to
-    the pool, in chunks of ``chunk``; the pool's width is the
+    the pool, in chunks of at most ``chunk``; the pool's width is the
     ``workers=2`` of the server that binds it."""
     return BatchedEngine(batch_size=2 * chunk, cost_model=FORCE_POOL)
 
@@ -134,13 +134,14 @@ class TestServiceExecution:
 
     def test_an_idle_worker_takes_the_second_chunk(self, sleeping_backend):
         """The window is filled across the pool, not worker by worker: a
-        side of exactly two chunks occupies both workers of two."""
+        side of exactly two chunks — two rows on a pool of two, which
+        the schedule cuts one row apiece — occupies both workers."""
         token = sleeping_backend.g1_powers(range(1, 4))
         side = [
-            sleeping_backend.g2_powers(range(r + 1, r + 4)) for r in range(8)
+            sleeping_backend.g2_powers(range(r + 1, r + 4)) for r in range(2)
         ]
         with ExecutionService(workers=2) as service:
-            engine = _pooled(4)
+            engine = _pooled(1)
             engine.bind_service(service)
             handles, report = engine.decrypt_handles(
                 sleeping_backend, token, side
@@ -148,14 +149,18 @@ class TestServiceExecution:
         assert handles == BatchedEngine(4).decrypt_handles(
             sleeping_backend, token, side
         )[0]
+        assert report.selected == "parallel"
         assert report.batches == 2
         assert report.workers == 2
 
     def test_the_servers_width_is_the_sides_width(self, sleeping_backend):
         """One width, set where the server is built: what ``python -m
         repro.net --workers 3`` builds, under a cost model that prices
-        the pool cheaper, gives a side of three slow chunks three
-        workers (the right side, one chunk's worth, runs inline)."""
+        the pool cheaper, gives a 96-row side three workers.  The
+        schedule cuts it into 15 slow chunks (1, 2, 4, 8, 16, then 22,
+        15, 10, 6, 4, 3, 2, 1, 1, 1: never more than a third of the
+        rows left); the right side, 7 rows, runs inline in chunks of
+        1, 2 and 4."""
         client, server = _fixture(
             rows=96, right_rows=7, engine=BatchedEngine(cost_model=FORCE_POOL),
             workers=3, backend=sleeping_backend,
@@ -165,7 +170,8 @@ class TestServiceExecution:
             result = server.execute_join(query)
             expected, _ = _inline(client, server, query)
         assert result.index_pairs == expected.index_pairs
-        assert result.stats.batches == 4
+        assert result.stats.batches == 15 + 3
+        assert result.stats.max_batch_size == 22
         assert result.stats.workers == 3
 
     def test_invalid_configuration(self):
