@@ -24,8 +24,14 @@ import threading
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
-from repro.crypto.curve import G1Point, G2Point
+from repro.crypto.curve import (
+    G1Point,
+    G2Point,
+    add_affine_pairs,
+    sum_affine_lists,
+)
 from repro.crypto.field import Fp12
 from repro.crypto.numtheory import is_probable_prime
 from repro.crypto.pairing import multi_pairing, pairing
@@ -36,7 +42,7 @@ from repro.crypto.pairing_fast import (
     multi_miller_rows,
     pairing_fast,
 )
-from repro.crypto.params import CURVE_ORDER
+from repro.crypto.params import CURVE_ORDER, FIELD_MODULUS as P
 from repro.errors import CryptoError
 
 
@@ -311,48 +317,83 @@ class BilinearBackend(ABC):
 
 
 class _FixedBaseTable:
-    """Windowed precomputation of a fixed base point.
+    """Signed 8-bit windowed precomputation of a fixed base point.
 
-    For 4-bit windows the table holds every multiple ``d * (base << 4i)``
-    with ``1 <= d < 16``, so a scalar multiplication is one point
-    addition per *non-zero window digit* (~60 on average for 254-bit
-    scalars) with no doublings at all — versus a doubling plus half an
-    addition per bit for plain double-and-add.  Built once per base per
-    process; pooled workers rebuild lazily rather than shipping it.
+    Window ``i`` holds ``j * 2^{8i} * base`` for ``1 <= j <= 128`` (32
+    windows for BN254's 254-bit order, 4096 affine points).  An exponent
+    is recoded into digits in ``[-127, 128]``, a negative digit taking
+    its entry with ``y`` negated, so a power is the sum of one entry per
+    non-zero digit (~32 for a random exponent) and no doubling at all.
+    :meth:`powers` adds up all of a call's powers in one
+    :func:`~repro.crypto.curve.sum_affine_lists` call, and the build
+    runs on the same kernel: the window bases by doubling, then all
+    windows at once, entries ``h + 1 .. 2h`` as ``h * base`` plus
+    entries ``1 .. h``, in seven rounds.  One table per group per
+    process (:func:`_fixed_base_table`); pooled workers never need one.
     """
 
-    WINDOW = 4
+    WINDOW = 8
 
     def __init__(self, base, order: int):
-        self._infinity = type(base).infinity()
-        self._sum = type(base).sum
+        self._from_affine = type(base).from_affine
         self._order = order
-        digits = (1 << self.WINDOW) - 1
-        self._table = []
-        current = base
-        for _ in range((order.bit_length() + self.WINDOW - 1) // self.WINDOW):
-            row = [self._infinity, current]
-            accumulator = current
-            for _ in range(digits - 1):
-                accumulator = accumulator + current
-                row.append(accumulator)
-            self._table.append(row)
-            # accumulator == digits * current, so one more addition
-            # shifts the window base: (digits + 1) * current.
-            current = accumulator + current
+        windows = (order.bit_length() + self.WINDOW) // self.WINDOW
+        bases = [base.affine()]
+        for _ in range(self.WINDOW * (windows - 1)):
+            [doubled] = add_affine_pairs([(bases[-1], bases[-1])])
+            bases.append(doubled)
+        self._rows = [[bases[self.WINDOW * i]] for i in range(windows)]
+        for _ in range(self.WINDOW - 1):
+            sums = iter(add_affine_pairs([
+                (row[-1], entry) for row in self._rows for entry in row
+            ]))
+            for row in self._rows:
+                row.extend(islice(sums, len(row)))
 
-    def power(self, exponent: int):
-        exponent %= self._order
-        entries = []
-        index = 0
+    def powers(self, exponents: Sequence[int]) -> list:
+        """``[e * base for e in exponents]``, summed together."""
+        half = 1 << (self.WINDOW - 1)
         mask = (1 << self.WINDOW) - 1
-        while exponent:
-            digit = exponent & mask
-            if digit:
-                entries.append(self._table[index][digit])
-            exponent >>= self.WINDOW
-            index += 1
-        return self._sum(entries)
+        lists = []
+        for exponent in exponents:
+            exponent %= self._order
+            terms = []
+            for row in self._rows:
+                if not exponent:
+                    break
+                digit = exponent & mask
+                exponent >>= self.WINDOW
+                if digit > half:
+                    digit -= 1 << self.WINDOW
+                    exponent += 1
+                if digit > 0:
+                    terms.append(row[digit - 1])
+                elif digit < 0:
+                    x0, x1, y0, y1 = row[-digit - 1]
+                    terms.append((x0, x1, -y0 % P, -y1 % P))
+            lists.append(terms)
+        return [self._from_affine(total) for total in sum_affine_lists(lists)]
+
+
+_TABLES: dict[type, _FixedBaseTable] = {}
+_TABLES_LOCK = threading.Lock()
+
+
+def _fixed_base_table(group) -> _FixedBaseTable:
+    """The process's table for ``group``'s generator, built on first use.
+
+    Double-checked under a lock: concurrent consumer threads (the
+    admission scheduler runs several) and every backend instance share
+    one build, and none sees a half-built table.
+    """
+    table = _TABLES.get(group)
+    if table is None:
+        with _TABLES_LOCK:
+            table = _TABLES.get(group)
+            if table is None:
+                table = _FixedBaseTable(group.generator(), CURVE_ORDER)
+                _TABLES[group] = table
+    return table
 
 
 class BN254Backend(BilinearBackend):
@@ -367,22 +408,17 @@ class BN254Backend(BilinearBackend):
 
     def __init__(self, use_fast_pairing: bool = True):
         super().__init__()
-        self._g1_table: _FixedBaseTable | None = None
-        self._g2_table: _FixedBaseTable | None = None
         self._gt_base: Fp12 | None = None
         self._build_lock = threading.Lock()
         self.use_fast_pairing = use_fast_pairing
 
     def __getstate__(self):
-        # The fixed-base tables and the GT base are pure caches and
-        # dominate the pickled size (hundreds of curve points).  The
-        # execution service ships the backend to each pooled worker once
-        # at spawn; dropping the caches keeps that message small and
-        # workers rebuild lazily.  The build lock is unpicklable anyway;
-        # __setstate__ gives the clone a fresh one.
+        # The GT base is a pure cache.  The execution service ships the
+        # backend to each pooled worker once at spawn; dropping it keeps
+        # that message small and workers rebuild lazily.  The build lock
+        # is unpicklable anyway; __setstate__ gives the clone a fresh
+        # one.  The fixed-base tables are module state, never pickled.
         state = self.__dict__.copy()
-        state["_g1_table"] = None
-        state["_g2_table"] = None
         state["_gt_base"] = None
         del state["_build_lock"]
         return state
@@ -394,29 +430,6 @@ class BN254Backend(BilinearBackend):
     @property
     def order(self) -> int:
         return CURVE_ORDER
-
-    def _g1(self) -> _FixedBaseTable:
-        # Double-checked build-once: concurrent consumer threads (the
-        # admission scheduler runs several) must not each pay the
-        # table construction, nor observe a half-built one.
-        table = self._g1_table
-        if table is None:
-            with self._build_lock:
-                table = self._g1_table
-                if table is None:
-                    table = _FixedBaseTable(G1Point.generator(), CURVE_ORDER)
-                    self._g1_table = table
-        return table
-
-    def _g2(self) -> _FixedBaseTable:
-        table = self._g2_table
-        if table is None:
-            with self._build_lock:
-                table = self._g2_table
-                if table is None:
-                    table = _FixedBaseTable(G2Point.generator(), CURVE_ORDER)
-                    self._g2_table = table
-        return table
 
     def _gt_generator(self) -> Fp12:
         """The cached base ``e(g1, g2)`` — one pairing per backend
@@ -434,12 +447,10 @@ class BN254Backend(BilinearBackend):
         return base
 
     def g1_powers(self, exponents: Sequence[int]) -> list[G1Point]:
-        table = self._g1()
-        return [table.power(e) for e in exponents]
+        return _fixed_base_table(G1Point).powers(exponents)
 
     def g2_powers(self, exponents: Sequence[int]) -> list[G2Point]:
-        table = self._g2()
-        return [table.power(e) for e in exponents]
+        return _fixed_base_table(G2Point).powers(exponents)
 
     def pair_vectors(
         self, g1_vector: Sequence[G1Point], g2_vector: Sequence

@@ -10,6 +10,8 @@ curve over Fp12, which the pairing's line functions operate on.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.crypto.field import XI, Fp2, Fp6, Fp12
 from repro.crypto.numtheory import mod_inverse, naf_digits
 from repro.crypto.params import (
@@ -28,60 +30,105 @@ P = FIELD_MODULUS
 TWIST_B = Fp2(CURVE_B) * XI.inverse()
 
 
-def _fp2_mul(a0, a1, b0, b1):
-    return (a0 * b0 - a1 * b1) % P, (a0 * b1 + a1 * b0) % P
+def _batch_inverse(values):
+    """The inverses mod P of non-zero ``values`` with a single ``pow``
+    (Montgomery's trick: three multiplications per value instead of an
+    inversion each)."""
+    if not values:
+        return []
+    prefixes = []
+    product = 1
+    for value in values:
+        prefixes.append(product)
+        product = product * value % P
+    inverse = pow(product, -1, P)
+    inverses = [0] * len(values)
+    for k in range(len(values) - 1, -1, -1):
+        inverses[k] = inverse * prefixes[k] % P
+        inverse = inverse * values[k] % P
+    return inverses
 
 
-def _fp2_sqr(a0, a1):
-    return (a0 + a1) * (a0 - a1) % P, 2 * a0 * a1 % P
-
-
-def _sum_affine(points):
-    """Sum affine points ``(x0, x1, y0, y1)`` over Fp2 in Jacobian
-    coordinates: mixed additions, one inversion at the end.
+def add_affine_pairs(pairs):
+    """``[a + b for a, b in pairs]`` on affine points ``(x0, x1, y0, y1)``
+    over Fp2, every slope's denominator sharing one inversion.
 
     The law of ``y^2 = x^3 + b`` does not involve ``b``, so the same
     code serves the twist (G2) and, with zero imaginary parts, G1.
-    Returns the affine sum, or ``None`` for the point at infinity.
+    ``a == b`` is a doubling and ``a == -b`` gives ``None``, the point
+    at infinity; neither input may be infinity.  Coordinates in and out
+    are reduced mod P.
     """
-    X0 = X1 = Y0 = Y1 = Z0 = Z1 = 0
-    for x0, x1, y0, y1 in points:
-        if not (Z0 or Z1):
-            X0, X1, Y0, Y1, Z0, Z1 = x0, x1, y0, y1, 1, 0
+    slopes = []
+    norms = []
+    for (ax0, ax1, ay0, ay1), (bx0, bx1, by0, by1) in pairs:
+        if ax0 != bx0 or ax1 != bx1:
+            n0, n1, d0, d1 = by0 - ay0, by1 - ay1, bx0 - ax0, bx1 - ax1
+        elif ay0 == by0 and ay1 == by1 and (ay0 or ay1):
+            # T + T: the tangent slope 3x^2 / 2y (a = 0).
+            n0, n1 = 3 * (ax0 + ax1) * (ax0 - ax1), 6 * ax0 * ax1
+            d0, d1 = 2 * ay0, 2 * ay1
+        else:  # T + (-T)
+            slopes.append(None)
             continue
-        zz = _fp2_sqr(Z0, Z1)
-        u0, u1 = _fp2_mul(x0, x1, *zz)
-        s0, s1 = _fp2_mul(y0, y1, *_fp2_mul(Z0, Z1, *zz))
-        h0, h1, r0, r1 = (u0 - X0) % P, (u1 - X1) % P, s0 - Y0, s1 - Y1
-        if not (h0 or h1):
-            if r0 % P or r1 % P:  # T + (-T)
-                Z0 = Z1 = 0
+        slopes.append((n0, n1, d0, d1))
+        # 1 / (d0 + d1 u) = (d0 - d1 u) / (d0^2 + d1^2), and the norm
+        # of a non-zero element is non-zero (-1 is not a square mod P).
+        norms.append((d0 * d0 + d1 * d1) % P)
+    inverses = iter(_batch_inverse(norms))
+    sums = []
+    for ((ax0, ax1, ay0, ay1), (bx0, bx1, _, _)), slope in zip(pairs, slopes):
+        if slope is None:
+            sums.append(None)
+            continue
+        n0, n1, d0, d1 = slope
+        inverse = next(inverses)
+        # The slope n / d = n * conj(d) / norm(d), written out: this
+        # loop is all of SJ.Enc and SJ.TokenGen on BN254.
+        l0 = (n0 * d0 + n1 * d1) % P * inverse % P
+        l1 = (n1 * d0 - n0 * d1) % P * inverse % P
+        x0 = ((l0 + l1) * (l0 - l1) - ax0 - bx0) % P
+        x1 = (2 * l0 * l1 - ax1 - bx1) % P
+        t0, t1 = ax0 - x0, ax1 - x1
+        sums.append((
+            x0,
+            x1,
+            (l0 * t0 - l1 * t1 - ay0) % P,
+            (l0 * t1 + l1 * t0 - ay1) % P,
+        ))
+    return sums
+
+
+def sum_affine_lists(lists):
+    """One sum per list of affine points ``(x0, x1, y0, y1)``, every
+    list added up at once.
+
+    Each round adds every list's terms in adjacent pairs through one
+    :func:`add_affine_pairs` call, so a round costs one inversion for
+    all lists together and ``n`` terms take ``ceil(log2 n)`` rounds.  A
+    pair that cancels drops out of its list; a list left empty sums to
+    ``None``, the point at infinity.
+    """
+    levels = list(lists)
+    while True:
+        pairs = [
+            (terms[k], terms[k + 1])
+            for terms in levels
+            for k in range(0, len(terms) - 1, 2)
+        ]
+        if not pairs:
+            return [terms[0] if terms else None for terms in levels]
+        sums = iter(add_affine_pairs(pairs))
+        for slot, terms in enumerate(levels):
+            if len(terms) < 2:
                 continue
-            # T + T: double the affine copy (a = 0, Z = 1).
-            m0, m1 = _fp2_sqr(x0, x1)
-            m0, m1 = 3 * m0, 3 * m1
-            yy = _fp2_sqr(y0, y1)
-            v0, v1 = _fp2_mul(4 * x0, 4 * x1, *yy)
-            q0, q1 = _fp2_sqr(*yy)
-            X0, X1 = _fp2_sqr(m0, m1)
-            X0, X1 = (X0 - 2 * v0) % P, (X1 - 2 * v1) % P
-            Y0, Y1 = _fp2_mul(m0, m1, v0 - X0, v1 - X1)
-            Y0, Y1, Z0, Z1 = Y0 - 8 * q0, Y1 - 8 * q1, 2 * y0, 2 * y1
-            continue
-        hh = _fp2_sqr(h0, h1)
-        c0, c1 = _fp2_mul(h0, h1, *hh)
-        v0, v1 = _fp2_mul(X0, X1, *hh)
-        X0, X1 = _fp2_sqr(r0, r1)
-        X0, X1 = (X0 - c0 - 2 * v0) % P, (X1 - c1 - 2 * v1) % P
-        t0, t1 = _fp2_mul(Y0, Y1, c0, c1)
-        Y0, Y1 = _fp2_mul(r0, r1, v0 - X0, v1 - X1)
-        Y0, Y1 = Y0 - t0, Y1 - t1
-        Z0, Z1 = _fp2_mul(Z0, Z1, h0, h1)
-    if not (Z0 or Z1):
-        return None
-    i0, i1 = Fp2(Z0, Z1).inverse().to_tuple()
-    ii = _fp2_sqr(i0, i1)
-    return _fp2_mul(X0, X1, *ii) + _fp2_mul(Y0, Y1, *_fp2_mul(i0, i1, *ii))
+            halved = [
+                total for total in islice(sums, len(terms) // 2)
+                if total is not None
+            ]
+            if len(terms) % 2:
+                halved.append(terms[-1])
+            levels[slot] = halved
 
 
 class G1Point:
@@ -123,15 +170,24 @@ class G1Point:
     def __hash__(self) -> int:
         return hash(("G1", self.x, self.y))
 
+    def affine(self) -> tuple[int, int, int, int]:
+        """``(x, 0, y, 0)``: the point as the curve kernel's Fp2 tuple."""
+        return self.x, 0, self.y, 0
+
+    @staticmethod
+    def from_affine(coordinates) -> "G1Point":
+        """Inverse of :meth:`affine`; ``None`` is the point at infinity."""
+        if coordinates is None:
+            return G1Point.infinity()
+        return G1Point(coordinates[0], coordinates[2], check=False)
+
     @staticmethod
     def sum(points) -> "G1Point":
-        """Sum many points with a single inversion (see ``_sum_affine``)."""
-        total = _sum_affine(
-            (p.x, 0, p.y, 0) for p in points if not p.is_infinity()
+        """Sum many points (see :func:`sum_affine_lists`)."""
+        [total] = sum_affine_lists(
+            [[p.affine() for p in points if not p.is_infinity()]]
         )
-        if total is None:
-            return G1Point.infinity()
-        return G1Point(total[0], total[2], check=False)
+        return G1Point.from_affine(total)
 
     # -- group law -----------------------------------------------------
     def __neg__(self) -> "G1Point":
@@ -245,16 +301,25 @@ class G2Point:
             return hash(("G2", None))
         return hash(("G2", self.x.to_tuple(), self.y.to_tuple()))
 
+    def affine(self) -> tuple[int, int, int, int]:
+        """``(x.c0, x.c1, y.c0, y.c1)``: the curve kernel's tuple."""
+        return self.x.c0, self.x.c1, self.y.c0, self.y.c1
+
+    @staticmethod
+    def from_affine(coordinates) -> "G2Point":
+        """Inverse of :meth:`affine`; ``None`` is the point at infinity."""
+        if coordinates is None:
+            return G2Point.infinity()
+        x0, x1, y0, y1 = coordinates
+        return G2Point(Fp2(x0, x1), Fp2(y0, y1), check=False)
+
     @staticmethod
     def sum(points) -> "G2Point":
-        """Sum many points with a single inversion (see ``_sum_affine``)."""
-        total = _sum_affine(
-            (p.x.c0, p.x.c1, p.y.c0, p.y.c1)
-            for p in points if not p.is_infinity()
+        """Sum many points (see :func:`sum_affine_lists`)."""
+        [total] = sum_affine_lists(
+            [[p.affine() for p in points if not p.is_infinity()]]
         )
-        if total is None:
-            return G2Point.infinity()
-        return G2Point(Fp2(*total[:2]), Fp2(*total[2:]), check=False)
+        return G2Point.from_affine(total)
 
     def __neg__(self) -> "G2Point":
         if self.is_infinity():

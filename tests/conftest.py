@@ -62,7 +62,8 @@ def fast_backend() -> FastBackend:
 
 @pytest.fixture(scope="session")
 def bn254_backend() -> BN254Backend:
-    """Session-scoped so the fixed-base tables are built once."""
+    """Session-scoped so the GT base is paired once (the fixed-base
+    tables are per process whatever the backend)."""
     return BN254Backend()
 
 

@@ -129,11 +129,19 @@ class TestBackendPickling:
         import pickle
 
         # Populate the caches, then pickle: the blob must stay small
-        # (the tables hold hundreds of curve points) and the clone must
-        # rebuild them lazily with identical results.
-        point = bn254_backend.g1_power(7)
+        # (a table holds thousands of curve points; they are module
+        # state, so no backend carries one) and the clone's powers must
+        # be byte-identical.
+        exponents = [7, 0, CURVE_ORDER - 1, 2**200 + 129]
+        g1 = bn254_backend.g1_powers(exponents)
+        g2 = bn254_backend.g2_powers(exponents)
         blob = pickle.dumps(bn254_backend)
         assert len(blob) < 4096
         clone = pickle.loads(blob)
-        assert clone._g1_table is None and clone._g2_table is None
-        assert clone.g1_power(7) == point
+        assert not any("table" in name for name in vars(clone))
+        assert [p.to_bytes() for p in clone.g1_powers(exponents)] == [
+            p.to_bytes() for p in g1
+        ]
+        assert [p.to_bytes() for p in clone.g2_powers(exponents)] == [
+            p.to_bytes() for p in g2
+        ]

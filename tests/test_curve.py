@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from repro.crypto.curve import G1Point, G2Point, TWIST_B, embed_g1, untwist
+from repro.crypto.curve import (
+    TWIST_B,
+    G1Point,
+    G2Point,
+    embed_g1,
+    sum_affine_lists,
+    untwist,
+)
 from repro.crypto.field import Fp2, Fp12
 from repro.crypto.numtheory import naf_digits
 from repro.crypto.params import CURVE_ORDER
@@ -193,8 +200,10 @@ class TestNAFScalarMul:
 
 @pytest.mark.parametrize("group", [G1Point, G2Point])
 class TestJacobianSum:
-    """``sum`` accumulates in Jacobian coordinates and inverts once; it
-    must return the very point repeated affine ``+`` returns."""
+    """``sum`` runs the lock-step affine kernel (``sum_affine_lists``:
+    pairwise rounds, one shared inversion per round; the name is the
+    Jacobian sum's it replaced); it must return the very point repeated
+    affine ``+`` returns."""
 
     @staticmethod
     def _chain(group, points):
@@ -228,13 +237,43 @@ class TestJacobianSum:
         ):
             assert group.sum(points) == self._chain(group, points)
 
+    def test_many_lists_in_one_call(self, group):
+        """Lists of every length, degenerate ones beside ordinary ones,
+        summed in one kernel call: each must be its own affine chain."""
+        g = group.generator()
+        a, b = g * 1234567, g * 7654321
+        ordinary = [g * _rng.randrange(1, CURVE_ORDER) for _ in range(9)]
+        lists = [
+            [],
+            ordinary[:5],
+            [a, a],
+            [a, -a],
+            [],
+            [a, -a, b],
+            ordinary,
+            [a, b, a + b],
+            [a],
+            [a, a, a, a],
+            ordinary[:2],
+            [a, -a, a, -a],
+        ]
+        sums = sum_affine_lists(
+            [[point.affine() for point in points] for points in lists]
+        )
+        assert len(sums) == len(lists)
+        for points, total in zip(lists, sums):
+            expected = self._chain(group, points)
+            assert group.from_affine(total).to_bytes() == expected.to_bytes()
+            assert (total is None) == expected.is_infinity()
+
     def test_fixed_base_powers_are_byte_identical(self, group, bn254_backend):
         g = group.generator()
         powers = (
             bn254_backend.g1_powers if group is G1Point
             else bn254_backend.g2_powers
         )
-        exponents = [0, 1, 15, 16, 17, 2**252, CURVE_ORDER - 1, CURVE_ORDER,
+        exponents = [0, 1, 15, 16, 17, 127, 128, 129, 255, 256, 2**252,
+                     CURVE_ORDER - 1, CURVE_ORDER,
                      _rng.randrange(CURVE_ORDER), -3]
         for exponent, point in zip(exponents, powers(exponents)):
             assert point.to_bytes() == (g * exponent).to_bytes()

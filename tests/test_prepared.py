@@ -16,6 +16,7 @@ import threading
 
 import pytest
 
+from repro.crypto import backend as backend_module
 from repro.crypto.backend import (
     BN254Backend,
     FastBackend,
@@ -289,22 +290,28 @@ class TestThreadSafeFixedBase:
             original_init(self, base, order)
 
         monkeypatch.setattr(_FixedBaseTable, "__init__", counting_init)
-        backend = BN254Backend()
+        # The tables are per process: start from an empty cache.
+        monkeypatch.setattr(backend_module, "_TABLES", {})
+        backends = [BN254Backend(), BN254Backend()]
         barrier = threading.Barrier(4)
         results = []
 
-        def race():
+        def race(backend):
             barrier.wait()
             results.append(backend.g1_power(7))
 
-        threads = [threading.Thread(target=race) for _ in range(4)]
+        threads = [
+            threading.Thread(target=race, args=(backends[i % 2],))
+            for i in range(4)
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        # One G1 table build despite four racing threads, and every
-        # thread saw the same point.
+        # One G1 table build despite four racing threads on two
+        # backends, and every thread saw the same point.
         assert len(builds) == 1
+        assert len(results) == 4
         assert all(point == results[0] for point in results)
 
     @pytest.mark.bn254
