@@ -249,7 +249,7 @@ def comparison_with_hahn(
 #: a two-worker pool priced by the backend's built-in model.
 _ABLATION_SERVERS = {
     "serial": lambda: {"engine": SerialEngine()},
-    "inline": lambda: {},
+    "inline": lambda: {"workers": 1},
     "pooled": lambda: {"workers": 2},
 }
 

@@ -13,9 +13,10 @@ least two workers wide the engine decides per side, by one rule
 (:meth:`BatchedEngine._plan`), whether to spread the chunks over the
 server's persistent worker pool
 (:class:`~repro.core.service.ExecutionService`).  The server's
-``workers`` is the one execution setting; at width 1, the default,
-nothing is priced and every side runs inline.  ``engine=`` on the
-server takes an :class:`ExecutionEngine` instance: how a calibration
+``workers`` is the one execution setting, by default the CPUs the
+process may run on (:func:`~repro.core.service.default_width`); at
+width 1 nothing is priced and every side runs inline.  ``engine=`` on
+the server takes an :class:`ExecutionEngine` instance: how a calibration
 (``BatchedEngine(cost_model=…)``) or an ablation's naive baseline
 (:class:`repro.baselines.SerialEngine`) gets in.
 
@@ -222,30 +223,29 @@ class BatchedEngine(ExecutionEngine):
 
     def _plan(self, backend, dimension: int, ciphertext_vectors) -> dict | None:
         """The pool-or-inline decision for one side: its planner record,
-        or ``None`` when nothing is priced (unbound, or bound to a pool
-        one worker wide: the side runs inline).  Otherwise the side goes
-        to the pool iff it spans more than one pooled chunk and
+        or ``None`` when nothing is priced (unbound, bound to a pool one
+        worker wide, or an empty side: the side runs inline).  Otherwise
+        the side goes to the pool iff it has at least two rows — a
+        single row is one chunk, which no worker can share — and
         :func:`~repro.plan.cost.choose_engine` prices ``parallel``
         cheaper at the pool's width; ``chosen`` names the outcome.
 
-        Both halves of the rule still price flat chunks of
-        ``batch_size`` (inline) and ``batch_size // 2`` (pooled): the
-        one-chunk cut-off dates from when such a side ran as one chunk
-        on one worker, and ``estimates`` count ⌈rows ÷ chunk⌉ chunks,
-        not the :func:`~repro.core.service.chunk_spans` schedule that
-        runs and whose seconds are filed beside them as
-        ``actual_seconds``.  Both wait for the model to be re-priced on
-        the schedule (ROADMAP item 3).
+        The pool is priced warm: it is persistent, so its start is paid
+        once per server, not by whichever side comes first.  The
+        ``estimates`` still count flat chunks, ⌈rows ÷ ``batch_size``⌉
+        inline and ⌈rows ÷ ``batch_size // 2``⌉ pooled, not the
+        :func:`~repro.core.service.chunk_spans` schedule that runs and
+        whose seconds are filed beside them as ``actual_seconds``
+        (ROADMAP item 3).
         """
         service = self._service
-        if service is None or service.worker_target < 2:
-            return None
         rows = len(ciphertext_vectors)
-        pool_warm = service.started
+        if service is None or service.worker_target < 2 or not rows:
+            return None
         # A prepared (warm) table replays stored line coefficients
         # instead of running full Miller loops, so price the side with
         # the model's prepared constant.
-        prepared_rows = rows > 0 and all(
+        prepared_rows = all(
             isinstance(row, PreparedRow) for row in ciphertext_vectors
         )
         choice, estimates = choose_engine(
@@ -255,16 +255,15 @@ class BatchedEngine(ExecutionEngine):
             workers=service.worker_target,
             batch_size=self.batch_size,
             parallel_batch_size=self._pooled_chunk,
-            pool_warm=pool_warm,
+            pool_warm=True,
             prepared=prepared_rows,
         )
-        if rows <= self._pooled_chunk:
+        if rows < 2:
             choice = "batched"
         return {
             "rows": rows,
             "dimension": dimension,
             "workers": service.worker_target,
-            "pool_warm": pool_warm,
             "prepared_rows": prepared_rows,
             "chosen": choice,
             # Priced on flat chunks, not the schedule that runs (above).

@@ -624,7 +624,7 @@ class SecureJoinServer(_JoinHost):
         params: SecureJoinParams,
         backend: BilinearBackend | None = None,
         engine: ExecutionEngine | None = None,
-        workers: int = 1,
+        workers: int | None = None,
         series_cache_bytes: int | None = DEFAULT_SERIES_BUDGET,
     ):
         # The engine every query runs on, fixed here and nowhere else —
@@ -639,8 +639,9 @@ class SecureJoinServer(_JoinHost):
             )
         # The server only needs public parameters — never the master key.
         self.scheme = SecureJoinScheme(params, backend)
-        # The server owns one persistent worker pool, ``workers`` wide,
-        # for its whole lifetime, and binds its engine to it.
+        # The server owns one persistent worker pool, ``workers`` wide
+        # (by default, the CPUs the process may run on), for its whole
+        # lifetime, and binds its engine to it.
         # Construction is lazy — no process is forked until a side goes
         # to the pool — and ``close()`` (or using the server as a
         # context manager) tears it down.  Concurrent queries (and the

@@ -14,7 +14,11 @@ admission scheduler that feeds the streaming pipeline:
   be admitted at once.  One *pump* hands their chunks to the executor:
   highest priority first, round-robin within equals, at most
   ``_PREFETCH_PER_WORKER`` per worker in flight pool-wide; the
-  executor's call queue feeds whichever worker is idle.
+  executor's call queue feeds whichever worker is idle.  Admission
+  dispatches nothing: the pump first runs when a side is pulled, so
+  the sides a query opens before pulling any are dealt together
+  (L0, R0, L1, R1, …), and a join's first match waits for one row per
+  side, not for the first side's opening chunks.
 - **Lazy, persistent workers**: nothing is spawned at construction, the
   pool survives across queries (``generation`` only moves when the pool
   is started, restarted after :meth:`close`, or switched to another
@@ -34,8 +38,9 @@ wakes the waiting consumers; consumer threads shut executors down,
 
 The service is *owned* by :class:`~repro.core.server.SecureJoinServer`
 (bound to its engine), whose ``workers`` is the one place a pool's
-width is set.  There is no process-wide pool: an engine nobody bound a
-service to runs inline.
+width is set; left out, it is :func:`default_width`, the CPUs the
+process may run on.  There is no process-wide pool: an engine nobody
+bound a service to runs inline.
 """
 
 from __future__ import annotations
@@ -69,6 +74,17 @@ _PREPARED_CACHE_SIZE = 256
 #: How long a consumer waits for progress before re-checking its side's
 #: deadline and state (seconds).
 _WAIT_TIMEOUT = 0.2
+
+
+def default_width() -> int:
+    """How many workers a pool is by default: the CPUs this process may
+    run on (its affinity mask, so ``taskset`` and cgroup CPU sets count),
+    or every CPU where the platform has no affinity call.  One CPU means
+    a pool one worker wide: every side runs inline, nothing is priced."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -287,9 +303,9 @@ class ExecutionService:
         #: Optional label for pool-death error messages: every shard owns
         #: a pool, and "the pool died" is not actionable without *whose*.
         self.name = name
-        #: The pool's width; by default one worker per core, at least two.
+        #: The pool's width; by default :func:`default_width`.
         self.worker_target = (
-            workers if workers is not None else max(2, os.cpu_count() or 1)
+            workers if workers is not None else default_width()
         )
         #: Incremented every time the pool is (re)started.
         self.generation = 0
@@ -429,7 +445,9 @@ class ExecutionService:
         batch_size: int,
         qos: QueryQoS | None = None,
     ) -> _SideState:
-        """Register one side with the scheduler and start dispatching.
+        """Register one side with the scheduler; nothing is dispatched
+        until a side is pulled (:meth:`stream_chunks`), so sides opened
+        together are dealt together.
 
         Returns a side handle to pass to :meth:`stream_chunks` (and, on
         abnormal exits, :meth:`release_side` — idempotent, and automatic
@@ -478,8 +496,6 @@ class ExecutionService:
                 active.report.concurrent_sides = max(
                     active.report.concurrent_sides, peak
                 )
-            self._pump_locked()
-        self._reap()
         return side
 
     # -- streaming --------------------------------------------------------
@@ -489,13 +505,16 @@ class ExecutionService:
         """Yield ``(start_offset, handles)`` chunks as workers finish.
 
         Chunks arrive in completion order — callers that need row order
-        sort by the start offset.  Returns the side's :class:`SideReport`
-        as the generator's value and releases the side on the way out.
+        sort by the start offset.  The first pull starts the pump (for
+        every admitted side, not only this one).  Returns the side's
+        :class:`SideReport` as the generator's value and releases the
+        side on the way out.
         """
         try:
             while True:
                 self._reap()
                 with self._progress:
+                    self._pump_locked()
                     if side.qos.expired():
                         raise DeadlineError(
                             "query exceeded its deadline; side cancelled "

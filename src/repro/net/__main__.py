@@ -14,8 +14,10 @@ Example::
 
 With ``--port 0`` the OS picks a free port; ``--port-file`` publishes
 the actual ``host:port`` for clients (written atomically, so a watcher
-never reads a partial line).  ``--workers N`` (default 1) is how many
-pool workers the server may fork.
+never reads a partial line).  ``--workers N`` is how many pool
+workers the server may fork; by default, as many as the CPUs the
+process may run on (its affinity, so ``taskset -c 0`` means one: every
+side inline).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import threading
 from repro.core.engine import BatchedEngine
 from repro.core.scheme import SecureJoinParams
 from repro.core.server import SecureJoinServer
+from repro.core.service import default_width
 from repro.errors import BenchmarkError, QueryError
 from repro.net.server import JoinServiceServer
 from repro.plan.cost import EngineCostModel
@@ -66,9 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
-        help="worker processes the server may fork (default 1: every "
-        "side runs inline)",
+        default=None,
+        help="worker processes the server may fork (default: the CPUs "
+        "this process may run on; 1 runs every side inline)",
     )
     parser.add_argument(
         "--cost-model",
@@ -76,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="JSON cost model from python -m repro.bench --calibrate-out; "
         "prices pool-or-inline per side with this machine's measured "
-        "constants (needs --workers 2 or more)",
+        "constants (needs a width of 2 or more)",
     )
     parser.add_argument(
         "--drain-timeout",
@@ -105,9 +108,10 @@ def main(argv: list[str] | None = None) -> int:
         params = SecureJoinParams(**params_dict)
     except TypeError as error:
         return _bad("--params fields", error)
+    workers = args.workers if args.workers is not None else default_width()
     engine = None
     if args.cost_model is not None:
-        if args.workers < 2:
+        if workers == 1:
             return _bad(
                 "--cost-model",
                 "the model prices nothing at width 1 (give --workers 2 "
@@ -120,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         engine = BatchedEngine(cost_model=cost_model)
     try:
         join_server = SecureJoinServer(
-            params, engine=engine, workers=args.workers
+            params, engine=engine, workers=workers
         )
     except QueryError as error:
         return _bad("--workers", error)

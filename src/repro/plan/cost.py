@@ -5,10 +5,11 @@ hash match.  Two decisions about that work can come out differently
 from the default, and this module prices exactly those:
 
 - **Does a side fan out on the worker pool or run inline?**  Asked
-  only on a server at least two workers wide, for a side of more than
-  one pooled chunk: :func:`choose_engine` estimates the side inline
-  (``batched``) and on the pool (``parallel``) and picks ``parallel``
-  only when it wins by the model's ``switch_margin``.
+  only on a server at least two workers wide, for a side of at least
+  one row (a one-row side runs inline whatever the answer):
+  :func:`choose_engine` estimates the side inline (``batched``) and on
+  the pool (``parallel``) and picks ``parallel`` only when it wins by
+  the model's ``switch_margin``.
 - **In which left-deep order does a chain match?**
   :func:`choose_join_order` prices every contiguous order's hash-match
   work from candidate counts and distinct estimates.  SJ.Dec is the

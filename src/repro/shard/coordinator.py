@@ -71,9 +71,9 @@ class LocalShard:
     Wraps a dedicated :class:`~repro.core.server.SecureJoinServer`
     (and therefore a dedicated
     :class:`~repro.core.service.ExecutionService`, ``workers`` wide —
-    1 by default, so every side runs inline); only tables split
-    by :func:`~repro.shard.partition.partition_table` may be stored,
-    and every stored table must agree on the shard layout — a
+    by default as many as the CPUs the process may run on); only tables
+    split by :func:`~repro.shard.partition.partition_table` may be
+    stored, and every stored table must agree on the shard layout — a
     descriptor from a different shard count or seed is rejected, which
     is what makes repartitioning explicit rather than silent.
     """
@@ -83,7 +83,7 @@ class LocalShard:
         params: SecureJoinParams,
         backend: BilinearBackend | None = None,
         engine: ExecutionEngine | None = None,
-        workers: int = 1,
+        workers: int | None = None,
         name: str | None = None,
     ):
         self.name = name

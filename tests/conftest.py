@@ -10,17 +10,21 @@ import time
 
 import pytest
 
+from repro.core.client import SecureJoinClient
 from repro.core.engine import DEFAULT_BATCH_SIZE, BatchedEngine
 from repro.crypto.backend import BN254Backend, FastBackend
 from repro.db.matcher import NestedMatcher
+from repro.db.query import JoinQuery
+from repro.db.schema import Schema
+from repro.db.table import Table
 from repro.plan.cost import FAST_ENGINE_COSTS
 from repro.series.cache import series_key
 
 #: A cost model under which the pool always pays: pairings at 1 s, and
 #: a pool that charges nothing to spawn, to ship a row or to schedule a
-#: chunk.  On a server two workers wide, every side of more than one
-#: pooled chunk goes to the pool — how tests reach the pool on the fast
-#: backend, whose own model never sends a side there.
+#: chunk.  On a server two workers wide, every side of two rows or more
+#: goes to the pool — how tests reach the pool on the fast backend,
+#: whose own model never sends a side there.
 FORCE_POOL = dataclasses.replace(
     FAST_ENGINE_COSTS,
     miller_loop=1.0,
@@ -125,6 +129,23 @@ class CrashOnceBackend(FastBackend):
 @pytest.fixture
 def crash_once_backend(tmp_path) -> CrashOnceBackend:
     return CrashOnceBackend(tmp_path / "worker-crashed")
+
+
+def bn254_small_join(backend):
+    """The shape of perfbench's ``bn254_small``: ``L`` of 2 rows and
+    ``R`` of 4, each ``R`` row matching one ``L`` row, at d = 5 on
+    ``backend`` — ``(client, encrypted [L, R], join query)``.  Row 0 of
+    each side match, so a join's first match needs one row per side."""
+    schema = Schema.of(("k", "int"), ("v", "str"))
+    left = Table("L", schema, [(7, "l0"), (8, "l1")])
+    right = Table("R", schema, [(7, "r0"), (8, "r1"), (7, "r2"), (8, "r3")])
+    client = SecureJoinClient.for_tables(
+        [(left, "k"), (right, "k")], in_clause_limit=1,
+        backend=backend, rng=random.Random(16),
+    )
+    encrypted = [client.encrypt_table(table, "k") for table in (left, right)]
+    query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
+    return client, encrypted, query
 
 
 def held_handles(host, query) -> dict[tuple[int, int], bytes]:

@@ -29,8 +29,7 @@ from tests.conftest import FORCE_POOL
 
 ROWS = 120
 KEYS = 40
-#: More than two pooled chunks per shard and side (a side of up to 32
-#: rows, one pooled chunk, runs inline).
+#: More than two pooled chunks per shard and side.
 DELTA = 160
 
 

@@ -14,6 +14,7 @@ runs one server per engine over the same encrypted tables.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
 
 import pytest
@@ -23,10 +24,12 @@ from repro.core.client import SecureJoinClient
 from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
 from repro.core.service import ExecutionService, chunk_spans
+from repro.crypto.backend import FastBackend
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.errors import QueryError
+from repro.plan.cost import FAST_ENGINE_COSTS, estimate_engine_costs
 from tests.conftest import FORCE_POOL, held_handles
 
 try:
@@ -376,12 +379,12 @@ class TestAccounting:
             result = server.execute_join(encrypted)
         # Left side: 20 rows through the pool (2 workers) in 8 chunks of
         # 1, 2, 4, 5, 4, 2, 1, 1 rows (at most 5, and at most half the
-        # rows left); right side: 4 rows, one pooled chunk's worth, so
-        # inline, in 3 chunks of 1, 2, 1 rows.
+        # rows left); right side: 4 rows, through the pool too, in 3
+        # chunks of 1, 2, 1 rows.
         assert result.stats.engine == "batched"
-        assert result.stats.engine_selected == "parallel+batched"
+        assert result.stats.engine_selected == "parallel"
         assert [side["chosen"] for side in result.stats.planner] == [
-            "parallel", "batched",
+            "parallel", "parallel",
         ]
         assert result.stats.workers == 2
         assert result.stats.batches == 8 + 3
@@ -411,22 +414,25 @@ class TestAccounting:
     def test_final_frame_round_trips_engine_fields(self, sleeping_backend):
         from repro.store.wire import decode_frame, encode_final_frame
 
+        # The left side's three one-row chunks have the pool to
+        # themselves, so both workers serve it; the one-row right side
+        # runs inline.
         client, server = _build(
-            [1, 2, 2], [2, 2, 5], backend=sleeping_backend, workers=2,
+            [1, 2, 2], [2], backend=sleeping_backend, workers=2,
             engine=BatchedEngine(batch_size=2, cost_model=FORCE_POOL),
         )
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
             result = server.execute_join(encrypted)
-        assert result.stats.engine_selected == "parallel"
+        assert result.stats.engine_selected == "parallel+batched"
         assert result.stats.workers == 2
         assert decode_frame(encode_final_frame(result)).stats == result.stats
 
 
 class TestPlanner:
     """The one rule: on a server at least two workers wide, a side goes
-    to the pool iff it spans more than one pooled chunk and the cost
-    model prices the pool cheaper; every priced side is recorded."""
+    to the pool iff it has two rows or more and the cost model prices
+    the (warm) pool cheaper; every non-empty side is recorded."""
 
     def test_auto_records_planner_inputs_per_side(self):
         client, server = _build(
@@ -479,7 +485,7 @@ class TestPlanner:
         batched, batched_handles = _run(
             client, server, encrypted, BatchedEngine()
         )
-        assert pooled.stats.engine_selected == "parallel+batched"
+        assert pooled.stats.engine_selected == "parallel"
         assert batched.stats.planner is None
         assert pooled.index_pairs == batched.index_pairs
         assert pooled_handles == batched_handles
@@ -560,95 +566,147 @@ class TestPlanner:
             assert report.batches == 5 and report.max_batch_size == 8
         assert not service.started
 
-    def test_a_side_of_one_pooled_chunk_reports_what_ran(self):
-        """On a warm two-worker pool under a model that always prices
-        the pool cheaper, a side of at most one pooled chunk runs inline
-        and says so: ``selected`` and the planner's ``chosen`` both name
-        the engine that produced its chunks."""
+    def test_a_one_row_side_reports_what_ran(self):
+        """On a two-worker pool under a model that always prices the
+        pool cheaper, every side of two rows or more goes to the pool
+        and a one-row side — one chunk, which no worker can share — runs
+        inline; ``selected`` and the planner's ``chosen`` both name the
+        engine that produced the side's chunks."""
         client, server = _build([i % 4 for i in range(12)], [0, 1, 2])
         encrypted = client.create_query(
             JoinQuery.build("L", "R", on=("k", "k"))
         )
         token = encrypted.left_token.elements
         rows = [row.elements for row in server.table("L").ciphertexts]
+        expected = BatchedEngine().decrypt_handles(
+            server.backend, token, rows
+        )[0]
         engine = BatchedEngine(batch_size=8, cost_model=FORCE_POOL)
         with ExecutionService(workers=2) as service:
             engine.bind_service(service)
-            # Warm the pool: 12 rows are three pooled chunks.
-            engine.decrypt_handles(server.backend, token, rows)
-            assert service.started
-            expected = BatchedEngine().decrypt_handles(
-                server.backend, token, rows
-            )[0]
-            for count in (1, 4, 5, 12):
+            for count in (1, 2, 4, 5, 12):
                 handles, report = engine.decrypt_handles(
                     server.backend, token, rows[:count]
                 )
                 assert handles == expected[:count]
-                pooled = report.pool_generation == service.generation
-                assert pooled == (count > 4), count
-                assert report.planner["pool_warm"] is True
+                pooled = report.pool_generation == 1
+                assert pooled == (count >= 2), count
+                assert report.planner["rows"] == count
                 assert report.selected == report.planner["chosen"]
                 assert report.selected == ("parallel" if pooled else "batched")
-        # Through a server: two 3-row sides on a warm pool run inline,
-        # and the stats say so.
-        small_client, small = _build([1, 2, 3], [2, 3, 4])
+        # Through a server: two one-row sides run inline, and the stats
+        # say so.
+        small_client, small = _build([1], [1])
         with _with_engine(
             small_client, small,
             BatchedEngine(batch_size=8, cost_model=FORCE_POOL), workers=2,
         ) as built:
-            built.engine.decrypt_handles(server.backend, token, rows)
             stats = built.execute_join(small_client.create_query(
                 JoinQuery.build("L", "R", on=("k", "k"))
             )).stats
+            assert not built.execution_service.started
         assert stats.engine == stats.engine_selected == "batched"
         assert [side["chosen"] for side in stats.planner] == [
             "batched", "batched",
         ]
-        assert all(side["pool_warm"] for side in stats.planner)
+
+    def test_the_pool_is_priced_warm_before_it_starts(self):
+        """The pool is persistent: its start is paid once per server,
+        so the first side is priced on a warm pool like every other."""
+        client, server = _build([i % 4 for i in range(12)], [0, 1, 2])
+        encrypted = client.create_query(
+            JoinQuery.build("L", "R", on=("k", "k"))
+        )
+        token = encrypted.left_token.elements
+        rows = [row.elements for row in server.table("L").ciphertexts]
+        engine = BatchedEngine(batch_size=8)
+        with ExecutionService(workers=2) as service:
+            engine.bind_service(service)
+            _, report = engine.decrypt_handles(server.backend, token, rows)
+            assert not service.started
+        warm = estimate_engine_costs(
+            FAST_ENGINE_COSTS, rows=12, dimension=len(token), workers=2,
+            batch_size=8, parallel_batch_size=4, pool_warm=True,
+        )
+        assert report.planner["estimates"] == warm
+        assert report.selected == "batched"
+
+    def test_an_empty_side_is_not_priced(self, monkeypatch):
+        """No rows, no decision: an empty side gets no ``choose_engine``
+        call and no planner record."""
+        import repro.core.engine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an empty side was priced")
+
+        monkeypatch.setattr(repro.core.engine, "choose_engine", refuse)
+        engine = BatchedEngine(cost_model=FORCE_POOL)
+        with ExecutionService(workers=2) as service:
+            engine.bind_service(service)
+            handles, report = engine.decrypt_handles(
+                FastBackend(), FastBackend().g1_powers([1, 2]), []
+            )
+            assert not service.started
+        assert handles == []
+        assert (report.selected, report.planner, report.batches) == (
+            "", None, 0,
+        )
+
+
+def _default_builds(tables):
+    """A join, a chain and a two-shard join, each on a store built with
+    default arguments (the benchmark's shape): ``(runs, servers)``."""
+    from repro.db.query import ChainQuery
+    from repro.shard import LocalShard, ShardCoordinator, partition_table
+
+    client = SecureJoinClient.for_tables(
+        [(table, "k") for table in tables], in_clause_limit=1,
+        rng=random.Random(5),
+    )
+    encrypted = [client.encrypt_table(table, "k") for table in tables]
+    join = client.create_query(JoinQuery.build("A", "B", on=("k", "k")))
+    chain = client.create_chain_query(
+        ChainQuery.build([("A", "k"), ("B", "k"), ("C", "k")])
+    )
+    with SecureJoinServer(client.params) as server:
+        for table in encrypted:
+            server.store(table)
+        runs = [server.execute_join(join), server.execute_chain(chain)]
+        shards = [LocalShard(client.params) for _ in range(2)]
+        for table in encrypted[:2]:
+            for piece in partition_table(table, server.backend, 2):
+                shards[piece.shard.shard_index].store(piece)
+        with ShardCoordinator(shards) as coordinator:
+            runs.append(coordinator.execute_join(join))
+        assert runs[2].index_pairs == runs[0].index_pairs
+    return runs, [server] + [shard.server for shard in shards]
+
+
+_DEFAULT_TABLES = [
+    Table(name, Schema.of(("k", "int"), ("v", "str")),
+          [(i % 4, f"{name}.{i}") for i in range(rows)])
+    for name, rows in (("A", 90), ("B", 70), ("C", 40))
+]
 
 
 class TestDefaultPath:
     """Built with default arguments — every server and shard the
-    benchmark builds — the engine runs its inline loop after one width
-    check, and prices nothing."""
+    benchmark builds — a store is as wide as the CPUs the process may
+    run on.  On one CPU the engine runs its inline loop after one width
+    check and prices nothing; on two it prices every side, and on the
+    fast backend the built-in model keeps every one inline."""
 
     def test_default_builds_never_consult_the_model(self, monkeypatch):
         import repro.core.engine
-        from repro.db.query import ChainQuery
-        from repro.shard import LocalShard, ShardCoordinator, partition_table
 
         def refuse(*args, **kwargs):
             raise AssertionError("choose_engine consulted at width 1")
 
         monkeypatch.setattr(repro.core.engine, "choose_engine", refuse)
-        tables = [
-            Table(name, Schema.of(("k", "int"), ("v", "str")),
-                  [(i % 4, f"{name}.{i}") for i in range(rows)])
-            for name, rows in (("A", 90), ("B", 70), ("C", 40))
-        ]
-        client = SecureJoinClient.for_tables(
-            [(table, "k") for table in tables], in_clause_limit=1,
-            rng=random.Random(5),
-        )
-        encrypted = [client.encrypt_table(table, "k") for table in tables]
-        join = client.create_query(JoinQuery.build("A", "B", on=("k", "k")))
-        chain = client.create_chain_query(
-            ChainQuery.build([("A", "k"), ("B", "k"), ("C", "k")])
-        )
-        with SecureJoinServer(client.params) as server:
-            for table in encrypted:
-                server.store(table)
-            runs = [server.execute_join(join), server.execute_chain(chain)]
-            assert runs[0].stats.planner is None
-            shards = [LocalShard(client.params) for _ in range(2)]
-            for table in encrypted[:2]:
-                for piece in partition_table(table, server.backend, 2):
-                    shards[piece.shard.shard_index].store(piece)
-            with ShardCoordinator(shards) as coordinator:
-                runs.append(coordinator.execute_join(join))
-            assert runs[2].index_pairs == runs[0].index_pairs
-            assert not server.execution_service.started
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        children = multiprocessing.active_children()
+        runs, servers = _default_builds(_DEFAULT_TABLES)
+        assert runs[0].stats.planner is None
         for result in runs:
             stats = result.stats
             assert stats.engine == stats.engine_selected == "batched"
@@ -656,7 +714,42 @@ class TestDefaultPath:
             # recorded: no side was priced.
             assert all("stage" in record for record in stats.planner or ())
             assert (stats.workers, stats.pool_generation) == (1, 0)
-        assert all(not shard.server.execution_service.started for shard in shards)
+        for server in servers:
+            assert server.execution_service.worker_target == 1
+            assert not server.execution_service.started
+        assert multiprocessing.active_children() == children
+
+    def test_two_cpu_default_builds_price_every_side_inline(
+        self, monkeypatch
+    ):
+        """Two CPUs, default builds: every side with rows is priced at
+        width 2 and runs inline on the fast backend, so no worker is
+        forked and the answers are the one-CPU ones."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        narrow, _ = _default_builds(_DEFAULT_TABLES)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        children = multiprocessing.active_children()
+        runs, servers = _default_builds(_DEFAULT_TABLES)
+        for result, reference in zip(runs, narrow):
+            assert result.tuples == reference.tuples
+            stats = result.stats
+            assert stats.engine == stats.engine_selected == "batched"
+            assert (stats.workers, stats.pool_generation) == (1, 0)
+            sides = [r for r in stats.planner if "stage" not in r]
+            assert sides and all(
+                (side["workers"], side["chosen"]) == (2, "batched")
+                for side in sides
+            )
+        # One record per (side, shard) that had rows: the join's two
+        # sides, the chain's three, each shard's two.
+        assert [
+            len([r for r in run.stats.planner if "stage" not in r])
+            for run in runs
+        ] == [2, 3, 4]
+        for server in servers:
+            assert server.execution_service.worker_target == 2
+            assert not server.execution_service.started
+        assert multiprocessing.active_children() == children
 
 
 @pytest.mark.bn254

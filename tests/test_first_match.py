@@ -15,14 +15,22 @@ alike.  The contract, asserted on counts rather than clocks:
   deployment is checked in ``tests/test_net_integration.py``);
 - every answer is byte-identical to the plaintext reference join
   (:func:`repro.db.join.hash_join`), and the streamed batches
-  reassemble it.
+  reassemble it;
+- on real pairings, a server as wide as two CPUs (the default there)
+  deals both sides of a ``bn254_small``-shaped join to its pool
+  together, and its first batch leaves after one row per side, as at
+  one worker, with the same answer and the same pairing counts.
 """
 
 from __future__ import annotations
 
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+
+import repro.core.service as service_module
 
 from repro.core.client import SecureJoinClient
 from repro.core.engine import BatchedEngine
@@ -33,8 +41,9 @@ from repro.db.join import hash_join
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
+from repro.plan.executor import ChainExecutor
 from repro.shard import LocalShard, ShardCoordinator, partition_table
-from tests.conftest import FORCE_POOL
+from tests.conftest import FORCE_POOL, bn254_small_join
 
 #: Rows per side: several chunks inline (1, 2, 4, 8, 5 at chunk size 8)
 #: and on the pool (eight chunks of at most 4 rows at width 2).
@@ -187,3 +196,62 @@ class TestFirstBatch:
         assert len(result.index_pairs) == ROWS * ROWS
         assert result.stats.shards == 2
         _assert_reference(client, plain, [first, *batches], result)
+
+
+@pytest.mark.bn254
+class TestDefaultWidth:
+    def test_two_cpus_first_batch_after_one_row_per_side(
+        self, monkeypatch, bn254_backend
+    ):
+        """The ``bn254_small`` shape (2 + 4 rows, d = 5) on a default
+        server two CPUs wide — both sides on its pool — against one
+        worker wide: the same answer byte for byte, the same 30 Miller
+        loops and 6 final exponentiations, and on both the first batch
+        leaves once the matcher has been fed one row of each side.  On
+        the pool those two rows are the first two chunks dealt, so the
+        two workers start on them together."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        dealt = []
+
+        class DealingPool(ProcessPoolExecutor):
+            def submit(self, function, token_bytes, prepared, chunk):
+                dealt.append((tuple(token_bytes), len(chunk)))
+                return super().submit(function, token_bytes, prepared, chunk)
+
+        monkeypatch.setattr(service_module, "ProcessPoolExecutor", DealingPool)
+        fed = []
+        feed = ChainExecutor.feed
+
+        def counting_feed(executor, position, items):
+            fed.append((position, len(items)))
+            return feed(executor, position, items)
+
+        monkeypatch.setattr(ChainExecutor, "feed", counting_feed)
+        client, tables, query = bn254_small_join(bn254_backend)
+        runs = []
+        for workers in (None, 1):
+            with SecureJoinServer(
+                client.params, backend=bn254_backend, workers=workers
+            ) as server:
+                for table in tables:
+                    server.store(table)
+                fed.clear()
+                stream = server.stream_join(query)
+                first = next(stream)
+                assert sorted(fed) == [(0, 1), (1, 1)], workers
+                assert first.index_pairs == [(0, 0)]
+                batches, result = _drain(stream)
+            runs.append(result)
+            stats = result.stats
+            assert (stats.miller_loops, stats.final_exponentiations) == (30, 6)
+        pooled, inline = runs
+        assert pooled.stats.engine_selected == "parallel"
+        row_bytes = 5 * bn254_backend.g2_element_size
+        assert dealt[:2] == [
+            (tuple(map(bn254_backend.encode_g1, token.elements)), row_bytes)
+            for token in (query.left_token, query.right_token)
+        ]
+        assert inline.stats.planner is None
+        assert pooled.tuples == inline.tuples
+        assert pooled.payloads == inline.payloads
+        assert sorted(pooled.index_pairs) == [(0, 0), (0, 2), (1, 1), (1, 3)]

@@ -705,7 +705,9 @@ class _RecordingExecutor:
 class _Scheduler:
     """A one-worker service over the recording executor whose window
     (two chunks) a filler side already fills: every admitted side waits,
-    and each resolved future makes the pump pick exactly one chunk."""
+    and each resolved future makes the pump pick exactly one chunk.
+    Admission dispatches nothing, so the filler is dealt by one pull —
+    of an empty side, whose stream ends at once."""
 
     def __init__(self, monkeypatch):
         self.executors: list[_RecordingExecutor] = []
@@ -720,6 +722,8 @@ class _Scheduler:
         self.names: dict[tuple, str] = {}
         self.resolved = 0
         self.admit("filler", pending=2)
+        assert list(self.service.stream_chunks(self.admit("", pending=0))) == []
+        assert len(self.executors[0].calls) == 2
 
     def admit(self, name, priority=0, pending=1, deadline=None):
         # A distinct token per side: its bytes name the side's chunks.
@@ -779,6 +783,48 @@ class TestPriorityScheduling:
             scheduler.admit(name, priority=0, pending=2)
         scheduler.admit("high", priority=1, pending=2)
         assert scheduler.picks(2) == ["high", "high"]
+
+
+class TestDealingOrder:
+    def test_sides_opened_together_are_dealt_together(self, monkeypatch):
+        """Admission dispatches nothing: the first pull of either of two
+        sides opened before it deals both round-robin — L0, R0, L1, R1
+        — so a two-worker pool starts on one row of each side."""
+        executors: list[_RecordingExecutor] = []
+
+        def build(**kwargs):
+            executors.append(_RecordingExecutor(**kwargs))
+            return executors[-1]
+
+        monkeypatch.setattr(service_module, "ProcessPoolExecutor", build)
+        backend = FastBackend()
+        service = ExecutionService(workers=2)
+        names, sides = {}, []
+        for name in ("L", "R"):
+            token = backend.g1_powers([len(names) + 1])
+            names[tuple(map(backend.encode_g1, token))] = name
+            sides.append(service.admit_side(
+                backend, token,
+                [backend.g2_powers([row + 1]) for row in range(4)],
+                batch_size=1,
+            ))
+        assert executors == []
+        stream = service.stream_chunks(sides[0])
+        pull = threading.Thread(target=next, args=(stream,), daemon=True)
+        pull.start()
+        deadline = time.monotonic() + 30.0
+        while not executors or len(executors[0].calls) < 4:
+            assert time.monotonic() < deadline, "nothing was dealt"
+            time.sleep(0.01)
+        (executor,) = executors
+        # The window is two chunks per worker: four dealt, none resolved.
+        assert [names[token] for token, _ in executor.calls] == [
+            "L", "R", "L", "R",
+        ]
+        executor.calls[0][1].set_result((0, [b"handle"], PairingOpCounter()))
+        pull.join(timeout=30.0)
+        assert not pull.is_alive()
+        service.close()
 
 
 class TestDeadlineCancellation:

@@ -330,9 +330,9 @@ class TestServerProcess:
                 ("--workers", "0"),
                 b"bad --workers: worker count must be at least 1",
             ),
-            # One worker is the default: a model would price nothing.
+            # At one worker a model would price nothing.
             (
-                ("--cost-model", "model.json"),
+                ("--workers", "1", "--cost-model", "model.json"),
                 b"bad --cost-model: the model prices nothing at width 1",
             ),
             (

@@ -251,13 +251,16 @@ class TestDeltaMaintenance:
 
     def test_small_delta_never_wakes_the_pool(self):
         """No delta pricing is needed for this: however cheap the
-        model believes the pool to be, a side of at most one pooled
-        chunk runs inline — and the stats say it ran inline."""
+        model believes the pool to be, a one-row side runs inline — and
+        the stats say it ran inline — while the delta's empty side is
+        not priced at all.  The cold query ran on the pool; closed
+        after it, the pool stays closed through the delta."""
         client, server = _setup(
             workers=2, engine=BatchedEngine(cost_model=FORCE_POOL)
         )
         query = _query(client)
-        server.execute_join(query)
+        assert server.execute_join(query).stats.engine_selected == "parallel"
+        server.execution_service.close()
         server.insert_row("R", *client.encrypt_row_for("R", (2, "fresh")))
         delta = server.execute_join(query)
         assert delta.stats.series_cache_hits == 1
@@ -265,7 +268,26 @@ class TestDeltaMaintenance:
         assert delta.stats.engine_selected == "batched"
         assert delta.stats.pool_generation == 0
         assert not server.execution_service.started
-        assert all("stage" not in record for record in delta.stats.planner)
+        (record,) = delta.stats.planner
+        assert (record["rows"], record["chosen"]) == (1, "batched")
+        server.close()
+
+    def test_a_refresh_with_nothing_to_decrypt_prices_nothing(self):
+        """After a delete the re-submitted query refreshes, and both
+        sides it opens are empty: neither is priced, so no planner
+        record is filed and the pool is never asked."""
+        client, server = _setup(
+            workers=2, engine=BatchedEngine(cost_model=FORCE_POOL)
+        )
+        query = _query(client)
+        server.execute_join(query)
+        server.execution_service.close()
+        server.delete_rows("R", [0])
+        refresh = server.execute_join(query)
+        assert refresh.stats.series_cache_hits == 1
+        assert refresh.stats.delta_rows == 0
+        assert refresh.stats.planner is None
+        assert not server.execution_service.started
         server.close()
 
 
@@ -481,9 +503,10 @@ class TestShardedSeries:
 
 #: How a server is built, per label: the host and its from-scratch
 #: mirror are both built so, and every one of them runs through the
-#: cache.  ``None`` is the default build; ``auto`` prices every side
-#: with the built-in model at width 2; ``parallel`` sends every side of
-#: more than one pooled chunk (4 rows) to a two-worker pool.
+#: cache.  ``None`` is the default build, as wide as the CPUs the
+#: process may run on; ``auto`` prices every side with the built-in
+#: model at width 2; ``parallel`` sends every side of two rows or more
+#: to a two-worker pool.
 ENGINES = {
     None: lambda: {},
     "auto": lambda: {"workers": 2},

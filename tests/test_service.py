@@ -95,8 +95,8 @@ def _inline(client, server, query):
 
 
 def _pooled(chunk: int = 4) -> BatchedEngine:
-    """An engine that sends every side of more than ``chunk`` rows to
-    the pool, in chunks of at most ``chunk``; the pool's width is the
+    """An engine that sends every side of two rows or more to the
+    pool, in chunks of at most ``chunk``; the pool's width is the
     ``workers=2`` of the server that binds it."""
     return BatchedEngine(batch_size=2 * chunk, cost_model=FORCE_POOL)
 
@@ -121,16 +121,28 @@ class TestServiceExecution:
             )
 
     def test_lazy_start(self):
-        """Constructing servers and services forks nothing."""
-        client, server = _fixture(engine=_pooled(1000))
-        assert not server.execution_service.started
-        assert server.execution_service.generation == 0
-        # A small query stays inline: still no pool.
-        query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        result = server.execute_join(query)
-        assert result.stats.pool_generation == 0
-        assert not server.execution_service.started
-        server.close()
+        """Constructing servers and services forks nothing, and neither
+        does a query whose sides all run inline: one-row sides under a
+        model that always prices the pool cheaper, or 40- and 20-row
+        sides under the fast backend's built-in model."""
+        for rows, right_rows, engine in (
+            (1, 1, _pooled()), (40, None, BatchedEngine()),
+        ):
+            client, server = _fixture(
+                rows=rows, right_rows=right_rows, engine=engine
+            )
+            assert not server.execution_service.started
+            assert server.execution_service.generation == 0
+            query = client.create_query(
+                JoinQuery.build("L", "R", on=("k", "k"))
+            )
+            result = server.execute_join(query)
+            assert [side["chosen"] for side in result.stats.planner] == [
+                "batched", "batched",
+            ]
+            assert result.stats.pool_generation == 0
+            assert not server.execution_service.started
+            server.close()
 
     def test_an_idle_worker_takes_the_second_chunk(self, sleeping_backend):
         """The window is filled across the pool, not worker by worker: a
@@ -159,8 +171,8 @@ class TestServiceExecution:
         the pool cheaper, gives a 96-row side three workers.  The
         schedule cuts it into 15 slow chunks (1, 2, 4, 8, 16, then 22,
         15, 10, 6, 4, 3, 2, 1, 1, 1: never more than a third of the
-        rows left); the right side, 7 rows, runs inline in chunks of
-        1, 2 and 4."""
+        rows left); the right side, 7 rows, goes to the pool too, in
+        chunks of 1, 2, 2, 1 and 1."""
         client, server = _fixture(
             rows=96, right_rows=7, engine=BatchedEngine(cost_model=FORCE_POOL),
             workers=3, backend=sleeping_backend,
@@ -170,7 +182,7 @@ class TestServiceExecution:
             result = server.execute_join(query)
             expected, _ = _inline(client, server, query)
         assert result.index_pairs == expected.index_pairs
-        assert result.stats.batches == 15 + 3
+        assert result.stats.batches == 15 + 5
         assert result.stats.max_batch_size == 22
         assert result.stats.workers == 3
 
@@ -226,10 +238,10 @@ class TestPoolReuse:
             first = server.execute_join(client.create_query(query))
             second = server.execute_join(client.create_query(query))
             assert server.engine is engine
-            # 40 rows are two pooled chunks; the 20-row side runs inline.
+            # Both sides, 40 rows and 20, go to the pool.
             for stats in (first.stats, second.stats):
                 assert stats.engine == "batched"
-                assert stats.engine_selected == "parallel+batched"
+                assert stats.engine_selected == "parallel"
                 assert stats.pool_generation == 1
             assert server.execution_service.generation == 1
 
