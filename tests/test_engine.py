@@ -716,7 +716,9 @@ class TestDefaultPath:
             assert (stats.workers, stats.pool_generation) == (1, 0)
         for server in servers:
             assert server.execution_service.worker_target == 1
-            assert not server.execution_service.started
+            # The generation moves when a pool starts; closing does not
+            # reset it.
+            assert server.execution_service.generation == 0
         assert multiprocessing.active_children() == children
 
     def test_two_cpu_default_builds_price_every_side_inline(
@@ -748,7 +750,7 @@ class TestDefaultPath:
         ] == [2, 3, 4]
         for server in servers:
             assert server.execution_service.worker_target == 2
-            assert not server.execution_service.started
+            assert server.execution_service.generation == 0
         assert multiprocessing.active_children() == children
 
 
