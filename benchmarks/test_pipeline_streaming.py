@@ -19,9 +19,8 @@ import pytest
 
 from benchmarks.conftest import SCALE_FACTORS
 from repro.bench.workloads import build_encrypted_tpch, tpch_query
-from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
-from tests.conftest import FORCE_POOL
+from tests.conftest import PoolEngine
 
 _SELECTIVITY = 1 / 12.5  # densest series: the most decryptions per query
 
@@ -129,7 +128,7 @@ def test_concurrent_admission_throughput():
     reference = workload.server.execute_join(encrypted[0])
     results = [None] * len(encrypted)
     pooled = SecureJoinServer(
-        workload.client.params, engine=BatchedEngine(cost_model=FORCE_POOL),
+        workload.client.params, engine=PoolEngine(),
         workers=2, series_cache_bytes=None,
     )
     for name in ("Customers", "Orders"):

@@ -4,7 +4,7 @@ The acceptance claim of the prepared-rows PR: once a table's per-row
 line coefficients are precomputed, a repeated query replays them in the
 fused multi-pairing loop at well under half the raw Miller-loop cost —
 measured both in op-counter-derived equivalent cost (prepared loops
-priced by the calibrated replay constant) and in wall-clock.
+priced at the measured replay/raw ratio) and in wall-clock.
 
 ``python benchmarks/test_prepared_pairing.py`` regenerates
 ``BENCH_7.json`` at the repo root (the ROADMAP's perf-trajectory

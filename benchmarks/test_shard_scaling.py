@@ -4,9 +4,9 @@ The acceptance claim of the sharding PR: partitioning an encrypted
 store across ``n`` shards divides the SJ.Dec work ``1/n`` per shard
 (max rows per shard shrinks accordingly), the coordinator's merged
 result stays byte-identical to the single store at every shard count,
-and the calibrated cost model prices the scatter makespan (slowest
-shard + per-shard dispatch) so the planner can see the parallel
-speedup before spending it.
+and the built-in cost model prices the scatter makespan (slowest
+shard + per-shard dispatch), so the parallel speedup is estimated
+beside the measurement.
 
 ``python benchmarks/test_shard_scaling.py`` regenerates
 ``BENCH_8.json`` at the repo root (the ROADMAP's perf-trajectory
@@ -31,14 +31,13 @@ from repro.bench.costmodel import (
     estimate_scatter_costs,
 )
 from repro.core.client import SecureJoinClient
-from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
 from repro.crypto.backend import BN254Backend
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.shard import LocalShard, ShardCoordinator, partition_table
-from tests.conftest import FORCE_POOL
+from tests.conftest import PoolEngine
 
 #: Shard counts of the measured series; 1 is the sharded-but-trivial
 #: baseline (coordinator overhead with no fan-out).
@@ -73,7 +72,7 @@ def _query(client):
 
 def _single_store_run(client, tables) -> tuple:
     server = SecureJoinServer(
-        client.params, engine=BatchedEngine(cost_model=FORCE_POOL),
+        client.params, engine=PoolEngine(),
         workers=_WORKERS,
     )
     for table in tables:
@@ -90,7 +89,7 @@ def _single_store_run(client, tables) -> tuple:
 def _sharded_run(client, backend, tables, n_shards: int) -> tuple:
     shards = [
         LocalShard(
-            client.params, engine=BatchedEngine(cost_model=FORCE_POOL),
+            client.params, engine=PoolEngine(),
             workers=_WORKERS, name=f"shard-{i}",
         )
         for i in range(n_shards)
@@ -203,7 +202,7 @@ def collect_trajectory() -> dict:
             "gather to one central matcher, and the merged result is "
             "byte-identical to the single store at every shard count. "
             "max_rows_per_shard tracks the 1/n work division; "
-            "model_estimates is the calibrated planner view (scatter "
+            "model_estimates is the built-in cost model's view (scatter "
             "makespan = slowest shard + per-shard dispatch). Wall-clock "
             "speedup requires one core per shard pool (see cpu_count)."
         ),

@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 
 from repro.bench import experiments
-from repro.bench.costmodel import calibrate_engine_cost_model
 from repro.bench.harness import ExperimentResult, format_series_table
-from repro.crypto.backend import get_backend
 
 
 def _print_result(result: ExperimentResult, columns: list[str]) -> None:
@@ -39,30 +37,7 @@ def main() -> None:
         "--skip-bn254", action="store_true",
         help="skip the real-pairing micro-benchmarks",
     )
-    parser.add_argument(
-        "--calibrate-out", default=None, metavar="PATH",
-        help="calibrate the engine cost model on this machine, save it "
-        "as JSON to PATH, and exit (feed it to python -m repro.net "
-        "--cost-model)",
-    )
-    parser.add_argument(
-        "--calibrate-backend", default="fast",
-        help="backend to calibrate when --calibrate-out is given "
-        "(fast/bn254; default fast)",
-    )
     args = parser.parse_args()
-
-    if args.calibrate_out:
-        backend = get_backend(args.calibrate_backend)
-        model = calibrate_engine_cost_model(backend)
-        model.save(args.calibrate_out)
-        print(
-            f"calibrated {backend.name} cost model "
-            f"(miller_loop={model.miller_loop:.3e}s, "
-            f"final_exponentiation={model.final_exponentiation:.3e}s) "
-            f"-> {args.calibrate_out}"
-        )
-        return
 
     print("Leakage (Section 2.1, Example 2.1)")
     print("==================================")

@@ -18,12 +18,12 @@ all four reported Figure 3 corner points to < 1% relative error.
 
 from __future__ import annotations
 
-import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.bench.harness import BenchmarkRecord
 from repro.errors import BenchmarkError
+# ``default_engine_cost_model`` is re-exported: the gating benchmark
+# (perfbench/workloads.py) imports it from here.
 from repro.plan.cost import EngineCostModel, default_engine_cost_model
 
 # TPC-H row counts per unit scale factor.
@@ -51,8 +51,8 @@ class CostModel:
 def fit_join_cost(records: list[BenchmarkRecord]) -> CostModel:
     """Least-squares fit over records carrying decryptions/matches extras."""
     # numpy is a dev-only dependency; importing it lazily keeps the
-    # rest of this module (calibration, ``python -m repro.bench``)
-    # usable in a bare install that never fits measurement series.
+    # rest of this module (``python -m repro.bench``) usable in a bare
+    # install that never fits measurement series.
     import numpy as np
 
     rows = [
@@ -123,11 +123,11 @@ def implied_paper_unit_cost() -> float:
     return sum(costs) / len(costs)
 
 
-# -- measuring and reporting the runtime's cost model ---------------------
-# The model itself, and the two decisions priced with it, are the
-# runtime's: :mod:`repro.plan.cost`.  What stays here is what only a
-# benchmark does with it — measure its constants, report a scatter
-# estimate beside a measured shard series.
+# -- reporting with the runtime's cost model ------------------------------
+# The model itself, and the chain-order decision priced with it, are
+# the runtime's: :mod:`repro.plan.cost`.  What stays here is what only
+# a benchmark does with it — report a scatter estimate beside a
+# measured shard series.
 
 #: Per-shard coordination cost of a scatter-gather join (seconds):
 #: admitting the query on one more shard's pool and merging its chunk
@@ -177,69 +177,6 @@ def estimate_scatter_costs(
         "skew": (max(counts) / mean) if mean else 1.0,
         "speedup": (single / scatter) if scatter > 0.0 else 1.0,
     }
-
-
-def calibrate_engine_cost_model(
-    backend,
-    dimension: int = 8,
-    rows: int = 24,
-    repeats: int = 3,
-) -> EngineCostModel:
-    """Measure per-op pairing costs on ``backend``; keep default overheads.
-
-    Times the serial (full pairing per component), batched
-    (``pair_vectors_batch``) and prepared-replay (``prepare_row`` once,
-    then batched over the prepared rows) paths over a synthetic side
-    and solves for the Miller-loop, final-exponentiation and
-    prepared-replay costs; transport and scheduling constants are
-    inherited from the backend's default model (measuring those would
-    itself require spawning a pool).
-    """
-    if dimension < 2 or rows < 1:
-        raise BenchmarkError("calibration needs dimension >= 2 and rows >= 1")
-    token = backend.g1_powers(range(1, dimension + 1))
-    side = [
-        backend.g2_powers(range(r + 1, r + dimension + 1))
-        for r in range(rows)
-    ]
-    prepared_side = [backend.prepare_row(row) for row in side]
-
-    def measure(fn) -> float:
-        best = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    def run_batched():
-        backend.pair_vectors_batch(token, side)
-
-    def run_prepared():
-        backend.pair_vectors_batch(token, prepared_side)
-
-    def run_serial():
-        for row in side:
-            accumulator = backend.gt_identity()
-            for g1, g2 in zip(token, row):
-                accumulator = backend.gt_mul(
-                    accumulator, backend.pair(g1, g2)
-                )
-
-    batched_row = measure(run_batched) / rows    # d*miller + 1*fexp
-    prepared_row = measure(run_prepared) / rows  # d*prep_miller + 1*fexp
-    serial_row = measure(run_serial) / rows      # d*(miller + fexp)
-    base = default_engine_cost_model(backend.name)
-    fexp = max((serial_row - batched_row) / (dimension - 1), 0.0)
-    miller = max((batched_row - fexp) / dimension, 1e-12)
-    prep_miller = max((prepared_row - fexp) / dimension, 1e-12)
-    return replace(
-        base,
-        backend=backend.name,
-        miller_loop=miller,
-        final_exponentiation=max(fexp, 1e-12),
-        prepared_miller_loop=prep_miller,
-    )
 
 
 def paper_shape_errors(unit_cost: float | None = None) -> dict[tuple, float]:

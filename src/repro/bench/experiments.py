@@ -246,7 +246,7 @@ def comparison_with_hahn(
 
 #: The engine ablation's rows, as server arguments: the naive product
 #: of pairings, the one engine inline (width 1), and the one engine on
-#: a two-worker pool priced by the backend's built-in model.
+#: a two-worker pool, which a side uses iff the backend's pool pays.
 _ABLATION_SERVERS = {
     "serial": lambda: {"engine": SerialEngine()},
     "inline": lambda: {"workers": 1},
@@ -271,9 +271,9 @@ def engine_ablation(
     shared-final-exponentiation saving of the batched engine and what
     the pool does are visible.  Each server keeps its pool across the
     repeats, so a pooled first run pays the one-time fork and the rest
-    measure the warm path; ``engine_selected`` records what the cost
-    model chose — ``batched`` throughout on the fast backend, where the
-    pool never pays.  Each record
+    measure the warm path; ``engine_selected`` records what ran —
+    ``batched`` throughout on the fast backend, where the pool never
+    pays.  Each record
     also carries the pipeline stage timings — ``time_to_first_match``
     (how long until the matcher emitted its first pair, the streaming
     win over full-side materialization), ``decrypt_seconds`` and

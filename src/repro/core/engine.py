@@ -9,15 +9,15 @@ exponentiation.  The chunks ramp 1, 2, 4, … rows up to the chunk size
 (:func:`~repro.core.service.chunk_spans`, the one place a side is cut,
 inline and on the pool alike), so a side's first handle — and a join's
 first match — waits for one row, not a whole chunk.  On a server at
-least two workers wide the engine decides per side, by one rule
-(:meth:`BatchedEngine._plan`), whether to spread the chunks over the
-server's persistent worker pool
-(:class:`~repro.core.service.ExecutionService`).  The server's
-``workers`` is the one execution setting, by default the CPUs the
-process may run on (:func:`~repro.core.service.default_width`); at
-width 1 nothing is priced and every side runs inline.  ``engine=`` on
-the server takes an :class:`ExecutionEngine` instance: how a calibration
-(``BatchedEngine(cost_model=…)``) or an ablation's naive baseline
+least two workers wide a side of two rows or more goes to the server's
+persistent worker pool (:class:`~repro.core.service.ExecutionService`)
+iff its backend's ``pool_pays`` says a pairing outweighs shipping its
+row to a worker (:meth:`BatchedEngine.pools_side`): never on the fast
+backend, always on BN254.  The server's ``workers`` is the one
+execution setting, by default the CPUs the process may run on
+(:func:`~repro.core.service.default_width`); at width 1 nothing is
+decided and every side runs inline.  ``engine=`` on the server takes an
+:class:`ExecutionEngine` instance: how an ablation's naive baseline
 (:class:`repro.baselines.SerialEngine`) gets in.
 
 The interface is :meth:`ExecutionEngine.decrypt_stream`: a
@@ -37,7 +37,6 @@ arithmetic agrees by construction.  Engines report their work in an
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -48,9 +47,8 @@ from repro.core.service import (
     chunk_spans,
     max_span,
 )
-from repro.crypto.backend import BilinearBackend, PreparedRow
+from repro.crypto.backend import BilinearBackend
 from repro.errors import DeadlineError, QueryError
-from repro.plan.cost import choose_engine, default_engine_cost_model
 
 #: The largest inline chunk when a batching engine is built without an
 #: explicit size (a pooled chunk is at most half of it).  Not every
@@ -63,11 +61,12 @@ DEFAULT_BATCH_SIZE = 64
 class EngineReport:
     """What one engine invocation did, for ``ServerStats`` accounting.
 
-    ``selected`` is what executed the side when the engine priced it:
-    ``"parallel"`` for a side that ran on the pool, ``"batched"`` for
-    one that ran inline; it stays empty when nothing was priced (a
-    server one worker wide).  ``planner`` carries that decision's
-    inputs, cost estimates and the side's observed runtime;
+    ``selected`` is what executed the side when the engine decided
+    between pool and inline: ``"parallel"`` for a side that ran on the
+    pool, ``"batched"`` for one that ran inline; it stays empty when
+    nothing was decided (a server one worker wide, or an empty side).
+    ``planner`` is always ``None``: the scatter-final frame still
+    carries the slot, so a report encodes as it did.
     ``pool_generation`` / ``worker_restarts`` / ``concurrent_sides``
     surface the persistent pool's lifecycle and admission state when the
     side ran through it.
@@ -186,7 +185,7 @@ class ExecutionEngine(ABC):
 
 class BatchedEngine(ExecutionEngine):
     """Chunked multi-pairing decryption with shared final exponentiations,
-    on the server's worker pool when the cost model says it pays.
+    on the server's worker pool when the backend's pairings pay for it.
 
     A side runs inline, or on the pool (the owning server's, bound with
     :meth:`bind_service` — the engine has no width of its own), in the
@@ -194,17 +193,14 @@ class BatchedEngine(ExecutionEngine):
     up to ``batch_size`` inline, or up to ``batch_size // 2`` on the
     pool, where no chunk also exceeds the rows left ÷ the pool's width.
     So a side's first handles leave after one row.
-    ``cost_model`` is the operator's calibration (``None`` = the
-    backend's built-in model), fixed for the engine's lifetime.
     """
 
     name = "batched"
 
-    def __init__(self, batch_size: int = DEFAULT_BATCH_SIZE, cost_model=None):
+    def __init__(self, batch_size: int = DEFAULT_BATCH_SIZE):
         if batch_size < 1:
             raise QueryError("batch size must be at least 1")
         self.batch_size = batch_size
-        self.cost_model = cost_model
         self._pooled_chunk = max(1, batch_size // 2)
         self._service: ExecutionService | None = None
 
@@ -221,67 +217,27 @@ class BatchedEngine(ExecutionEngine):
         ):
             self._service = service
 
-    def _plan(self, backend, dimension: int, ciphertext_vectors) -> dict | None:
-        """The pool-or-inline decision for one side: its planner record,
-        or ``None`` when nothing is priced (unbound, bound to a pool one
-        worker wide, or an empty side: the side runs inline).  Otherwise
-        the side goes to the pool iff it has at least two rows — a
-        single row is one chunk, which no worker can share — and
-        :func:`~repro.plan.cost.choose_engine` prices ``parallel``
-        cheaper at the pool's width; ``chosen`` names the outcome.
-
-        The pool is priced warm: it is persistent, so its start is paid
-        once per server, not by whichever side comes first.  The
-        ``estimates`` still count flat chunks, ⌈rows ÷ ``batch_size``⌉
-        inline and ⌈rows ÷ ``batch_size // 2``⌉ pooled, not the
-        :func:`~repro.core.service.chunk_spans` schedule that runs and
-        whose seconds are filed beside them as ``actual_seconds``
-        (ROADMAP item 3).
-        """
-        service = self._service
-        rows = len(ciphertext_vectors)
-        if service is None or service.worker_target < 2 or not rows:
-            return None
-        # A prepared (warm) table replays stored line coefficients
-        # instead of running full Miller loops, so price the side with
-        # the model's prepared constant.
-        prepared_rows = all(
-            isinstance(row, PreparedRow) for row in ciphertext_vectors
-        )
-        choice, estimates = choose_engine(
-            self.cost_model or default_engine_cost_model(backend.name),
-            rows=rows,
-            dimension=dimension,
-            workers=service.worker_target,
-            batch_size=self.batch_size,
-            parallel_batch_size=self._pooled_chunk,
-            pool_warm=True,
-            prepared=prepared_rows,
-        )
-        if rows < 2:
-            choice = "batched"
-        return {
-            "rows": rows,
-            "dimension": dimension,
-            "workers": service.worker_target,
-            "prepared_rows": prepared_rows,
-            "chosen": choice,
-            # Priced on flat chunks, not the schedule that runs (above).
-            "estimates": {name: float(sec) for name, sec in estimates.items()},
-        }
+    def pools_side(self, backend: BilinearBackend, rows: int) -> bool:
+        """Whether a side of ``rows`` rows goes to a pool at least two
+        workers wide: a single row is one chunk, which no worker can
+        share, and from two rows up it is the backend's ``pool_pays``
+        (a pairing against what shipping its row costs)."""
+        return rows >= 2 and backend.pool_pays
 
     def decrypt_stream(
         self, backend, token_elements, ciphertext_vectors, qos=None
     ):
-        planner = self._plan(backend, len(token_elements), ciphertext_vectors)
-        if planner is None or planner["chosen"] == "batched":
-            chunks = self._inline(
-                backend, token_elements, ciphertext_vectors, qos
-            )
-            if planner is None:
-                return HandleStream(chunks)
-            return HandleStream(_recorded(chunks, planner))
         service = self._service
+        rows = len(ciphertext_vectors)
+        # Unbound, one worker wide, or an empty side: nothing to decide.
+        if service is None or service.worker_target < 2 or not rows:
+            return HandleStream(
+                self._inline(backend, token_elements, ciphertext_vectors, qos)
+            )
+        if not self.pools_side(backend, rows):
+            return HandleStream(self._inline(
+                backend, token_elements, ciphertext_vectors, qos, "batched"
+            ))
         side = service.admit_side(
             backend,
             token_elements,
@@ -292,11 +248,13 @@ class BatchedEngine(ExecutionEngine):
         # on_close covers the abandoned-before-started case (the
         # generator's finally only runs once the generator has run).
         return HandleStream(
-            _recorded(self._pooled(service, side), planner),
+            self._pooled(service, side),
             on_close=lambda: service.release_side(side),
         )
 
-    def _inline(self, backend, token_elements, ciphertext_vectors, qos):
+    def _inline(
+        self, backend, token_elements, ciphertext_vectors, qos, selected=""
+    ):
         spans = chunk_spans(len(ciphertext_vectors), self.batch_size)
         miller_loops = 0
         final_exponentiations = 0
@@ -324,6 +282,7 @@ class BatchedEngine(ExecutionEngine):
             miller_loops=miller_loops,
             final_exponentiations=final_exponentiations,
             prepared_miller_loops=prepared_miller_loops,
+            selected=selected,
         )
 
     def _pooled(self, service, side):
@@ -347,33 +306,8 @@ class BatchedEngine(ExecutionEngine):
             final_exponentiations=side_report.ops.final_exponentiations,
             prepared_miller_loops=side_report.ops.prepared_miller_loops,
             preparations=side_report.ops.preparations,
+            selected="parallel",
             pool_generation=side_report.pool_generation,
             worker_restarts=side_report.worker_restarts,
             concurrent_sides=side_report.concurrent_sides,
         )
-
-
-def _recorded(chunks, planner: dict):
-    """Pass a priced side's chunks through, then file its planner
-    record with the seconds the stream spent producing its own chunks
-    (resume-to-yield: the pipeline interleaves both sides' streams, so
-    open-to-exhaustion wall-clock would charge each with the other's
-    work and read about twice the estimate recorded beside it)."""
-    elapsed = 0.0
-    while True:
-        resumed = time.perf_counter()
-        try:
-            chunk = next(chunks)
-        except StopIteration as stop:
-            report = stop.value
-            break
-        finally:
-            elapsed += time.perf_counter() - resumed
-        yield chunk
-    report.selected = planner["chosen"]
-    report.planner = {
-        **planner,
-        "prepared_miller_loops": report.prepared_miller_loops,
-        "actual_seconds": elapsed,
-    }
-    return report

@@ -11,10 +11,12 @@ the sources; here is what it merges them with:
   events — chunk offsets translated to the side's row indices (local on
   a single store, *global* from a shard), tagged with every chain
   position that consumes the side;
-- :func:`merge_sources` pulls events from N sources round-robin into
-  one executor.  For inline sides the alternation itself interleaves
-  the sides' pairing work; for pooled sides the service's pump makes
-  progress on every admitted side whichever stream is being waited on.
+- :func:`round_robin` deals events from N sources in turn, and
+  :func:`merge_sources` feeds them into one executor (a remote shard
+  sends them as frames instead).  For inline sides the alternation
+  itself interleaves the sides' pairing work; for pooled sides the
+  service's pump makes progress on every admitted side whichever
+  stream is being waited on.
   Newly completed tuples are emitted the moment they exist, and every
   side's first chunk is one row
   (:func:`~repro.core.service.chunk_spans`), so a join whose first rows
@@ -35,7 +37,7 @@ from collections.abc import Callable, Sequence
 
 from repro.core.engine import HandleStream
 
-__all__ = ["HandleSource", "merge_sources"]
+__all__ = ["HandleSource", "merge_sources", "round_robin"]
 
 
 class HandleSource:
@@ -89,6 +91,23 @@ class HandleSource:
         self.stream.close()
 
 
+def round_robin(sources: Sequence):
+    """Events from ``sources`` in turn, one per source per round, until
+    every source is exhausted; an exhausted one drops out of the
+    rotation.  The caller owns the sources and closes them."""
+    active = list(sources)
+    turn = 0
+    while active:
+        source = active[turn % len(active)]
+        try:
+            event = next(source)
+        except StopIteration:
+            active.remove(source)
+            continue
+        yield event
+        turn += 1
+
+
 def merge_sources(
     sources: Sequence,
     executor,
@@ -106,21 +125,17 @@ def merge_sources(
     streams) and ``stats.match_seconds`` (inside the executor); the two
     overlap the same interval — that is the pipelining.
 
-    The caller owns the sources and closes them; this loop only stops
-    pulling from the ones that are exhausted.
+    The sources are dealt by :func:`round_robin`; the caller owns them
+    and closes them.
     """
-    active = list(sources)
-    turn = 0
-    while active:
-        source = active[turn % len(active)]
+    events = round_robin(sources)
+    while True:
         waited = time.perf_counter()
-        try:
-            positions, items = next(source)
-        except StopIteration:
-            stats.decrypt_seconds += time.perf_counter() - waited
-            active.remove(source)
-            continue
+        event = next(events, None)
         stats.decrypt_seconds += time.perf_counter() - waited
+        if event is None:
+            return
+        positions, items = event
         on_items(positions, items)
         matched_at = time.perf_counter()
         if items and len(items[0]) != 2:
@@ -131,4 +146,3 @@ def merge_sources(
         stats.match_seconds += time.perf_counter() - matched_at
         if completed:
             yield completed
-        turn += 1

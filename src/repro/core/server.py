@@ -95,9 +95,9 @@ class ServerStats:
 
     ``engine`` is the host's engine (``"series"`` for a replay, which
     ran none); ``engine_selected`` is what actually executed
-    (``"parallel"`` for a side that ran on the pool).  On a server at
-    least two workers wide every side is priced, and its inputs, cost
-    estimates and choice land in ``planner`` (one dict per side).
+    (``"parallel"`` for a side that ran on the pool).  ``planner`` holds
+    the query's auditable records: a chain's ``"plan"``, a fleet's
+    ``"scatter"``, a replay's ``"series"``.
     ``pool_generation`` / ``worker_restarts`` expose the persistent
     pool's lifecycle: the generation only moves when the pool is
     actually (re)created, so equal generations across queries prove
@@ -183,8 +183,6 @@ class ServerStats:
         self.final_exponentiations += report.final_exponentiations
         self.prepared_miller_loops += report.prepared_miller_loops
         self.preparations += report.preparations
-        if report.planner is not None:
-            self.record(dict(report.planner))
         self.pool_generation = max(self.pool_generation, report.pool_generation)
         self.worker_restarts = max(self.worker_restarts, report.worker_restarts)
         self.concurrent_sides = max(
@@ -595,12 +593,11 @@ class _JoinHost:
                 self._distinct_estimate(name, count)
                 for name, count in zip(tables, counts)
             ]
-            # The engine's own (calibrated) cost model, else the
-            # backend's built-in one.
-            model = getattr(self.engine, "cost_model", None)
-            if model is None:
-                model = default_engine_cost_model(self.backend.name)
-            plan = compile_plan(model, counts, distincts)
+            plan = compile_plan(
+                default_engine_cost_model(self.backend.name),
+                counts,
+                distincts,
+            )
             stats.record(plan.record())
             order = plan.order
         entry.executor = ChainExecutor(order)
@@ -754,9 +751,17 @@ class SecureJoinServer(_JoinHost):
 
         The scheme is row-wise, so inserts are O(1): no existing
         ciphertext is touched and future queries cover the new row
-        automatically.
+        automatically.  A refused insert changes nothing.
         """
         table = self.table(table_name)
+        if table.prefilter_tags is not None and (
+            prefilter_tags is None
+            or set(prefilter_tags) != set(table.prefilter_tags)
+        ):
+            raise QueryError(
+                "insert into a pre-filtered table must carry tags for "
+                f"exactly the columns {sorted(table.prefilter_tags)}"
+            )
         index = len(table.ciphertexts)
         table.ciphertexts.append(ciphertext)
         table.payloads.append(payload)
@@ -767,13 +772,6 @@ class SecureJoinServer(_JoinHost):
                 self.scheme.backend.prepare_row(ciphertext.elements)
             )
         if table.prefilter_tags is not None:
-            if prefilter_tags is None or set(prefilter_tags) != set(
-                table.prefilter_tags
-            ):
-                raise QueryError(
-                    "insert into a pre-filtered table must carry tags for "
-                    f"exactly the columns {sorted(table.prefilter_tags)}"
-                )
             for column, tag in prefilter_tags.items():
                 table.prefilter_tags[column].append(tag)
                 self._tag_index[table_name][column].setdefault(
@@ -783,15 +781,15 @@ class SecureJoinServer(_JoinHost):
         return index
 
     def delete_rows(self, table_name: str, indices: list[int]) -> None:
-        """Tombstone rows: they stop participating in every future query."""
+        """Tombstone rows: they stop participating in every future query.
+        A refused delete (any index out of range) tombstones none."""
         table = self.table(table_name)
-        tombstones = self._tombstones.setdefault(table_name, set())
         for index in indices:
             if not 0 <= index < len(table.ciphertexts):
                 raise QueryError(
                     f"row index {index} out of range for {table_name!r}"
                 )
-            tombstones.add(index)
+        self._tombstones.setdefault(table_name, set()).update(indices)
         if indices:
             self._versions[table_name] = (
                 self._versions.get(table_name, 0) + 1

@@ -80,7 +80,7 @@ def default_width() -> int:
     """How many workers a pool is by default: the CPUs this process may
     run on (its affinity mask, so ``taskset`` and cgroup CPU sets count),
     or every CPU where the platform has no affinity call.  One CPU means
-    a pool one worker wide: every side runs inline, nothing is priced."""
+    a pool one worker wide: every side runs inline, nothing is decided."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:

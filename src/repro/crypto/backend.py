@@ -108,9 +108,9 @@ class PairingOpCounter:
 
     ``prepared_miller_loops`` counts Miller loops served by replaying a
     stored row's precomputation (:class:`~repro.crypto.pairing_fast.G2Prepared`)
-    instead of running full twist arithmetic — the distinction the
-    planner's prepared-row constant is calibrated on.  ``preparations``
-    counts trajectory builds (paid once per stored element), and
+    instead of running full twist arithmetic — the work the
+    prepared-rows optimization saves.  ``preparations`` counts
+    trajectory builds (paid once per stored element), and
     ``gt_exponentiations`` counts GT exponentiations (``gt_pow`` /
     ``gt_generator_power``), which previously did pairing-scale work
     without touching the counter at all.
@@ -206,6 +206,10 @@ class BilinearBackend(ABC):
     """The group-operation interface the Secure Join scheme is generic over."""
 
     name: str
+    #: Whether a pairing costs enough against shipping its row to a
+    #: worker process that a side of two rows or more runs faster on the
+    #: server's pool than inline (:class:`~repro.core.engine.BatchedEngine`).
+    pool_pays: bool = False
 
     def __init__(self):
         self.ops = PairingOpCounter()
@@ -405,6 +409,9 @@ class BN254Backend(BilinearBackend):
     """
 
     name = "bn254"
+    # Milliseconds of pure-Python pairing per row against microseconds
+    # of IPC: the pool pays from the second row on.
+    pool_pays = True
 
     def __init__(self, use_fast_pairing: bool = True):
         super().__init__()

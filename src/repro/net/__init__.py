@@ -29,7 +29,7 @@ the query/result API is externally consumable.  A remote peer can send
 join queries (with per-query ``priority`` / ``deadline`` QoS, the only
 clear header fields that steer execution) and receive result frames —
 nothing else.  Pool controls (the operator's, at construction:
-``--workers``, ``--cost-model``), store mutation and service internals
+``--workers``), store mutation and service internals
 are never reachable from the socket.
 """
 

@@ -29,13 +29,10 @@ import signal
 import sys
 import threading
 
-from repro.core.engine import BatchedEngine
 from repro.core.scheme import SecureJoinParams
 from repro.core.server import SecureJoinServer
-from repro.core.service import default_width
-from repro.errors import BenchmarkError, QueryError
+from repro.errors import QueryError
 from repro.net.server import JoinServiceServer
-from repro.plan.cost import EngineCostModel
 from repro.store.tables import load_encrypted_table
 
 
@@ -74,14 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "this process may run on; 1 runs every side inline)",
     )
     parser.add_argument(
-        "--cost-model",
-        default=None,
-        metavar="PATH",
-        help="JSON cost model from python -m repro.bench --calibrate-out; "
-        "prices pool-or-inline per side with this machine's measured "
-        "constants (needs a width of 2 or more)",
-    )
-    parser.add_argument(
         "--drain-timeout",
         type=float,
         default=30.0,
@@ -108,24 +97,8 @@ def main(argv: list[str] | None = None) -> int:
         params = SecureJoinParams(**params_dict)
     except TypeError as error:
         return _bad("--params fields", error)
-    workers = args.workers if args.workers is not None else default_width()
-    engine = None
-    if args.cost_model is not None:
-        if workers == 1:
-            return _bad(
-                "--cost-model",
-                "the model prices nothing at width 1 (give --workers 2 "
-                "or more)",
-            )
-        try:
-            cost_model = EngineCostModel.load(args.cost_model)
-        except BenchmarkError as error:
-            return _bad("--cost-model", error)
-        engine = BatchedEngine(cost_model=cost_model)
     try:
-        join_server = SecureJoinServer(
-            params, engine=engine, workers=workers
-        )
+        join_server = SecureJoinServer(params, workers=args.workers)
     except QueryError as error:
         return _bad("--workers", error)
     for path in args.table:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import socket
 
+from repro.core.pipeline import round_robin
 from repro.crypto.backend import BilinearBackend
 from repro.errors import NetworkError, SchemeError, ShardUnavailableError
 from repro.net.client import _error_from_frame
@@ -80,17 +81,8 @@ class ShardServiceServer(JoinServiceServer):
             for source in self.shard.open_sources(query, sides):
                 sources.append(source)
             yield encode_stream_header(query.query_id, *query.tables)
-            active = list(sources)
-            turn = 0
-            while active:
-                source = active[turn % len(active)]
-                try:
-                    positions, items = next(source)
-                except StopIteration:
-                    active.remove(source)
-                    continue
+            for positions, items in round_robin(sources):
                 yield encode_scatter_chunk(positions, items)
-                turn += 1
             yield encode_scatter_final(
                 ScatterFinalFrame(
                     candidates=[source.decrypted for source in sources],

@@ -5,10 +5,9 @@ chains touch three or more tables.  This package turns an n-way chain
 spec into a priced, pipelined plan:
 
 - :mod:`repro.plan.cost` — what the runtime prices, and with what: the
-  per-operation :class:`~repro.plan.cost.EngineCostModel`, the
-  pool-or-inline decision of a side on a pooled server and the join-order
-  decision of a chain (imports nothing from ``repro.core`` or
-  ``repro.bench``);
+  per-backend :class:`~repro.plan.cost.EngineCostModel` and the
+  join-order decision of a chain (imports nothing from ``repro.core``
+  or ``repro.bench``);
 - :mod:`repro.plan.planner` — compiles a chain of candidate
   cardinalities into a left-deep join order via the cost model's
   prefilter-posting estimates (:func:`~repro.plan.cost.choose_join_order`);

@@ -1,39 +1,24 @@
-"""What the runtime prices: pool-or-inline per side, and chain order.
+"""What the runtime prices: the order a chain matches in.
 
 A query's server-side work is SJ.Dec over the selected rows, then a
-hash match.  Two decisions about that work can come out differently
-from the default, and this module prices exactly those:
+hash match.  Whether a side's SJ.Dec runs on the worker pool is not
+priced: it is the backend's ``pool_pays``
+(:meth:`~repro.core.engine.BatchedEngine.pools_side`).  What is priced
+is the left-deep order a chain matches in:
+:func:`choose_join_order` prices every contiguous order's hash-match
+work from candidate counts and distinct estimates.  SJ.Dec is the same
+under every order, so orders compete on the match stage alone.
 
-- **Does a side fan out on the worker pool or run inline?**  Asked
-  only on a server at least two workers wide, for a side of at least
-  one row (a one-row side runs inline whatever the answer):
-  :func:`choose_engine` estimates the side inline (``batched``) and on
-  the pool (``parallel``) and picks ``parallel`` only when it wins by
-  the model's ``switch_margin``.
-- **In which left-deep order does a chain match?**
-  :func:`choose_join_order` prices every contiguous order's hash-match
-  work from candidate counts and distinct estimates.  SJ.Dec is the
-  same under every order, so orders compete on the match stage alone.
-
-Both read their per-operation timings from one :class:`EngineCostModel`
-— a built-in per backend, or a file measured on the operator's machine
-(``python -m repro.bench --calibrate-out PATH``, loaded by
-``python -m repro.net --cost-model PATH``).  That offline calibration
-is the only correction there is: nothing here learns from the queries
-it prices.
+The timings come from one built-in :class:`EngineCostModel` per
+backend; nothing here learns from the queries it prices.
 
 This is a runtime module: it imports nothing from :mod:`repro.bench`
-or :mod:`repro.core`.  The paper-figure fitting and the calibration
-measurement live in :mod:`repro.bench.costmodel`, which imports from
-here.
+or :mod:`repro.core`.  The paper-figure fitting and the scatter
+estimate live in :mod:`repro.bench.costmodel`, which imports from here.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import math
-import os
 from dataclasses import dataclass
 
 from repro.errors import BenchmarkError
@@ -41,21 +26,12 @@ from repro.errors import BenchmarkError
 
 @dataclass(frozen=True)
 class EngineCostModel:
-    """Per-operation timings (seconds) behind both decisions.
+    """Per-operation timings (seconds) of one backend.
 
-    A side costs, per engine,
-
-    - ``batched``:  ``d`` Miller loops and one shared final
-      exponentiation per row, plus a per-chunk dispatch cost;
-    - ``parallel``: that pairing work divided across ``workers``, plus
-      what the persistent pool charges — a one-time spawn cost when the
-      pool is cold, per-element encode/transport/decode, and a
-      per-chunk scheduling round trip.
-
-    ``switch_margin`` is the planner's conservatism: ``parallel`` must
-    beat ``batched`` by at least this factor before it is chosen, so
-    estimate noise can never make a pooled side slower than an inline
-    one.
+    ``miller_loop``, ``final_exponentiation`` and ``row_overhead`` price
+    one row of SJ.Dec — ``d`` Miller loops and one shared final
+    exponentiation — for the scatter estimate beside a measured shard
+    series (:func:`repro.bench.costmodel.estimate_scatter_costs`).
 
     The match stage is priced as the hash matcher it always is:
     ``hash_build`` / ``hash_probe`` are the per-item bucket insert and
@@ -67,127 +43,23 @@ class EngineCostModel:
     miller_loop: float
     final_exponentiation: float
     row_overhead: float
-    batch_overhead: float
-    element_transport: float
-    chunk_overhead: float
-    pool_spawn: float
-    switch_margin: float = 1.25
     hash_build: float = 2.5e-7
     hash_probe: float = 3.0e-7
     pair_emit: float = 2.0e-7
-    #: Per-component cost of replaying a prepared row's stored line
-    #: coefficients instead of a full Miller loop (``None`` = no
-    #: prepared pricing; fall back to ``miller_loop``).
-    prepared_miller_loop: float | None = None
-
-    # -- persistence ------------------------------------------------------
-    def save(self, path: str | os.PathLike) -> None:
-        """Write the model as JSON (atomic via rename), so a restarted
-        server prices with what a previous calibration measured."""
-        payload = {
-            "format": _COST_MODEL_FORMAT,
-            "version": _COST_MODEL_VERSION,
-            "model": dataclasses.asdict(self),
-        }
-        temp_path = f"{path}.tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(temp_path, path)
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "EngineCostModel":
-        """Inverse of :meth:`save` (validating).
-
-        Unknown model keys (another version's writer — an older one's
-        retired constants included) are dropped; absent optional fields
-        take their defaults — the same tolerant-decode posture as the
-        wire stats.  Anything structurally wrong (bad format tag,
-        non-numeric constant, missing required field) raises
-        :class:`~repro.errors.BenchmarkError`, never a raw decode error.
-        """
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise BenchmarkError(
-                f"cannot load cost model from {path}: {error}"
-            ) from error
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != _COST_MODEL_FORMAT
-            or not isinstance(payload.get("model"), dict)
-        ):
-            raise BenchmarkError(
-                f"{path} is not a saved engine cost model"
-            )
-        raw = payload["model"]
-        known = {field.name: field for field in dataclasses.fields(cls)}
-        kwargs = {}
-        for name, value in raw.items():
-            field = known.get(name)
-            if field is None:
-                continue
-            if name == "backend":
-                if not isinstance(value, str) or not value:
-                    raise BenchmarkError(
-                        "cost model 'backend' must be a non-empty string"
-                    )
-            elif value is None:
-                if name != "prepared_miller_loop":
-                    raise BenchmarkError(
-                        f"cost model constant {name!r} must be a number"
-                    )
-            elif isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ) or not math.isfinite(value) or value < 0:
-                raise BenchmarkError(
-                    f"cost model constant {name!r} must be a finite "
-                    f"non-negative number, got {value!r}"
-                )
-            else:
-                value = float(value)
-            kwargs[name] = value
-        required = {
-            name
-            for name, field in known.items()
-            if field.default is dataclasses.MISSING
-        }
-        missing = sorted(required - set(kwargs))
-        if missing:
-            raise BenchmarkError(
-                f"saved cost model is missing required constants {missing}"
-            )
-        return cls(**kwargs)
 
 
-_COST_MODEL_FORMAT = "repro-engine-cost-model"
-_COST_MODEL_VERSION = 1
-
-
-#: Defaults measured on the fast (exponent-group) backend: pairing work
-#: is a handful of modular multiplications, so transport dominates and
-#: the planner correctly prefers ``batched`` at every realistic size.
+#: Defaults measured on the fast (exponent-group) backend: a pairing is
+#: a handful of modular multiplications.
 FAST_ENGINE_COSTS = EngineCostModel(
     backend="fast",
     miller_loop=3.5e-7,
     final_exponentiation=1.5e-6,
     row_overhead=1.5e-6,
-    batch_overhead=1e-6,
-    element_transport=1.2e-6,
-    chunk_overhead=4e-4,
-    pool_spawn=3e-2,
-    # The fast backend models a prepared replay as the same modular
-    # multiply as a raw pairing — only the BN254 backend actually saves.
-    prepared_miller_loop=3.5e-7,
 )
 
-#: Defaults for the pure-Python BN254 pairing: compute dwarfs IPC, so the
-#: planner fans out whenever the pool has more than one worker.  The
-#: three pairing constants are what ``python -m repro.bench
-#: --calibrate-out PATH --calibrate-backend bn254`` measures on the
-#: chunk kernel (dimension 8, 24 rows in one chunk, one 2-vCPU box at
-#: the faster of its two speeds; CI prints its own beside them).
+#: Defaults for the pure-Python BN254 pairing, measured on the chunk
+#: kernel (dimension 8, 24 rows in one chunk, one 2-vCPU box at the
+#: faster of its two speeds).
 BN254_ENGINE_COSTS = EngineCostModel(
     backend="bn254",
     # One pair's share of a chunk's simultaneous loop: 88 line products
@@ -197,13 +69,6 @@ BN254_ENGINE_COSTS = EngineCostModel(
     # squarings and inversions a lone pairing does not get to share.
     final_exponentiation=7.5e-3,
     row_overhead=1.5e-6,
-    batch_overhead=4e-5,
-    element_transport=2e-5,
-    chunk_overhead=1e-3,
-    pool_spawn=5e-2,
-    # Replaying stored coefficients skips the twist arithmetic: about
-    # half of a raw pair's share.
-    prepared_miller_loop=1.0e-3,
 )
 
 _DEFAULT_ENGINE_COSTS = {
@@ -215,79 +80,6 @@ _DEFAULT_ENGINE_COSTS = {
 def default_engine_cost_model(backend_name: str) -> EngineCostModel:
     """The built-in cost model for a backend (fast-backend shape if unknown)."""
     return _DEFAULT_ENGINE_COSTS.get(backend_name, FAST_ENGINE_COSTS)
-
-
-# -- pool or inline, per side --------------------------------------------
-
-
-def estimate_engine_costs(
-    model: EngineCostModel,
-    rows: int,
-    dimension: int,
-    workers: int,
-    batch_size: int,
-    parallel_batch_size: int | None = None,
-    pool_warm: bool = False,
-    prepared: bool = False,
-) -> dict[str, float]:
-    """Predicted seconds for one side, inline and pooled:
-    ``{"batched": ..., "parallel": ...}``.
-
-    ``prepared`` prices the side's Miller-loop work with the model's
-    ``prepared_miller_loop`` constant — the coefficient-replay cost of
-    a warm prepared table — instead of the raw ``miller_loop``.
-    """
-    if rows < 0 or dimension < 1:
-        raise BenchmarkError("need rows >= 0 and dimension >= 1")
-    workers = max(1, workers)
-    if parallel_batch_size is None:
-        parallel_batch_size = max(1, batch_size // 2)
-    miller = model.miller_loop
-    if prepared and model.prepared_miller_loop is not None:
-        miller = model.prepared_miller_loop
-    pairing_rows = rows * (
-        dimension * miller + model.final_exponentiation
-    )
-    overhead_rows = rows * model.row_overhead
-    batches = math.ceil(rows / batch_size) if rows else 0
-    batched = pairing_rows + overhead_rows + batches * model.batch_overhead
-    chunks = math.ceil(rows / parallel_batch_size) if rows else 0
-    parallel = (
-        (0.0 if pool_warm else model.pool_spawn * workers)
-        + rows * dimension * model.element_transport
-        + chunks * model.chunk_overhead
-        + pairing_rows / workers
-        + overhead_rows
-    )
-    return {"batched": batched, "parallel": parallel}
-
-
-def choose_engine(
-    model: EngineCostModel,
-    rows: int,
-    dimension: int,
-    workers: int,
-    batch_size: int,
-    parallel_batch_size: int | None = None,
-    pool_warm: bool = False,
-    prepared: bool = False,
-) -> tuple[str, dict[str, float]]:
-    """The planner decision for one side: ``(chosen, estimates)``.
-
-    ``parallel`` iff its estimate beats ``batched`` by the model's
-    ``switch_margin``; ties and anything inside the margin run inline —
-    the guarantee behind "the pool is never chosen to be slower".
-    """
-    estimates = estimate_engine_costs(
-        model, rows, dimension, workers, batch_size,
-        parallel_batch_size, pool_warm, prepared=prepared,
-    )
-    batched, parallel = estimates["batched"], estimates["parallel"]
-    # Strictly cheaper as well: a margin below 1 must not hand the pool
-    # a tie (an empty side on a warm pool prices 0.0 either way).
-    if parallel < batched and parallel * model.switch_margin <= batched:
-        return "parallel", estimates
-    return "batched", estimates
 
 
 # -- chain order ----------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import random
 import signal
@@ -17,27 +16,20 @@ from repro.db.matcher import NestedMatcher
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
-from repro.plan.cost import FAST_ENGINE_COSTS
 from repro.series.cache import series_key
 
-#: A cost model under which the pool always pays: pairings at 1 s, and
-#: a pool that charges nothing to spawn, to ship a row or to schedule a
-#: chunk.  On a server two workers wide, every side of two rows or more
-#: goes to the pool — how tests reach the pool on the fast backend,
-#: whose own model never sends a side there.
-FORCE_POOL = dataclasses.replace(
-    FAST_ENGINE_COSTS,
-    miller_loop=1.0,
-    final_exponentiation=1.0,
-    prepared_miller_loop=1.0,
-    element_transport=0.0,
-    chunk_overhead=0.0,
-    pool_spawn=0.0,
-)
+class PoolEngine(BatchedEngine):
+    """The engine as if every backend's pool paid: on a server two
+    workers wide, every side of two rows or more goes to the pool — how
+    tests reach the pool on the fast backend, whose pool never pays."""
+
+    def pools_side(self, backend, rows):
+        return rows >= 2
+
 
 #: The two server shapes the property suites sample: one worker wide
-#: with the default model (every side inline, nothing priced), and two
-#: workers wide with :data:`FORCE_POOL`.
+#: (every side inline, nothing decided), and two workers wide with
+#: :class:`PoolEngine`.
 SERVER_SHAPES = ("inline", "pooled")
 
 
@@ -48,7 +40,7 @@ def server_shape(shape: str, batch_size: int = DEFAULT_BATCH_SIZE) -> dict:
     if shape == "inline":
         return {"engine": BatchedEngine(batch_size), "workers": 1}
     return {
-        "engine": BatchedEngine(batch_size, cost_model=FORCE_POOL),
+        "engine": PoolEngine(batch_size),
         "workers": 2,
     }
 

@@ -19,13 +19,12 @@ import random
 import pytest
 
 from repro.core.client import SecureJoinClient
-from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
 from repro.db.query import ChainQuery, JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.shard import LocalShard, ShardCoordinator, partition_table
-from tests.conftest import FORCE_POOL
+from tests.conftest import PoolEngine
 
 ROWS = 120
 KEYS = 40
@@ -63,7 +62,7 @@ def _build(sharded: bool, names):
         reference.store(copy.deepcopy(table))
     if not sharded:
         host = SecureJoinServer(
-            client.params, engine=BatchedEngine(cost_model=FORCE_POOL),
+            client.params, engine=PoolEngine(),
             workers=2,
         )
         for table in encrypted:
@@ -71,7 +70,7 @@ def _build(sharded: bool, names):
         return client, host, [host.execution_service], reference
     shards = [
         LocalShard(
-            client.params, engine=BatchedEngine(cost_model=FORCE_POOL),
+            client.params, engine=PoolEngine(),
             workers=2, name=f"s{i}",
         )
         for i in range(2)

@@ -1,6 +1,6 @@
 """Tests for the join cost model and paper-shape extrapolation
-(:mod:`repro.bench.costmodel`), and for the two decisions the runtime
-prices (:mod:`repro.plan.cost`)."""
+(:mod:`repro.bench.costmodel`), the built-in per-backend models
+(:mod:`repro.plan.cost`) and the pool-or-inline rule that needs none."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from repro.bench.costmodel import (
     predict_with_unit_cost,
 )
 from repro.bench.harness import BenchmarkRecord
+from repro.crypto.backend import FastBackend
 from repro.errors import BenchmarkError
 
 _DATA = Path(__file__).parent / "data"
@@ -126,14 +127,24 @@ class TestPaperShape:
         assert len(PAPER_FIGURE3_POINTS) == 4
 
 
+class _PayingBackend(FastBackend):
+    """The fast backend as if its pool paid, as BN254's does."""
+
+    pool_pays = True
+
+
+def _side(backend, rows: int, dimension: int = 5):
+    """A token and ``rows`` ciphertext rows of ``dimension`` elements."""
+    token = backend.g1_powers(range(1, dimension + 1))
+    return token, [
+        backend.g2_powers(range(r + 1, r + dimension + 1))
+        for r in range(rows)
+    ]
+
+
 class TestEngineCostModel:
-    """The planner's per-engine runtime estimates and decision rule."""
-
-    def _model(self, **overrides):
-        from repro.plan.cost import FAST_ENGINE_COSTS
-        from dataclasses import replace
-
-        return replace(FAST_ENGINE_COSTS, **overrides)
+    """The built-in models, and the pool-or-inline rule that replaced
+    pricing each side with them."""
 
     def test_default_models_per_backend(self):
         from repro.bench import costmodel
@@ -151,22 +162,20 @@ class TestEngineCostModel:
         assert costmodel.default_engine_cost_model is default_engine_cost_model
 
     def test_two_candidate_rule_reproduces_the_three_candidate_decisions(self):
-        """``tests/data/engine_decisions.bin`` holds what the previous
+        """``tests/data/engine_decisions.bin`` holds what an earlier
         planner — three candidates, ``select_engine`` over ``allowed=
         ("batched", "parallel")``, no corrections — decided at 22 960
-        points per built-in model (one bit per point, 1 = parallel,
-        written on the commit before ``serial`` left the planner; there
-        it never won a single point with all three allowed either).
-        The one-rule planner must decide every point the same way."""
-        from repro.plan.cost import (
-            BN254_ENGINE_COSTS,
-            FAST_ENGINE_COSTS,
-            choose_engine,
-        )
+        points per built-in model (one bit per point, 1 = parallel).
+        The engine only ever decides on a warm pool at least two
+        workers wide, for a side of two rows or more: on that reachable
+        subset, 8 526 points per backend, the backend's ``pool_pays``
+        must decide every point the same way."""
+        from repro.core.engine import BatchedEngine
+        from repro.crypto.backend import BN254Backend
 
         golden = (_DATA / "engine_decisions.bin").read_bytes()
         grid = list(itertools.product(
-            (FAST_ENGINE_COSTS, BN254_ENGINE_COSTS),
+            (FastBackend, BN254Backend),
             list(range(200)) + [500, 1_000, 5_000, 20_000, 100_000],
             (2, 3, 5, 8, 13, 21, 40),
             (1, 2, 4, 8),
@@ -174,235 +183,136 @@ class TestEngineCostModel:
             (False, True),
         ))
         assert len(grid) == 45_920 == 8 * len(golden)
+        engine = BatchedEngine()
+        reachable = {"fast": 0, "bn254": 0}
         parallel = {"fast": 0, "bn254": 0}
         for index, point in enumerate(grid):
-            model, rows, dimension, workers, warm, prepared = point
-            chosen, estimates = choose_engine(
-                model, rows=rows, dimension=dimension, workers=workers,
-                batch_size=64, pool_warm=warm, prepared=prepared,
-            )
-            assert set(estimates) == {"batched", "parallel"}
+            backend, rows, _, workers, warm, _ = point
+            if not (warm and workers >= 2 and rows >= 2):
+                continue
             expected = (golden[index // 8] >> (7 - index % 8)) & 1
-            assert chosen == ("parallel" if expected else "batched"), point
-            parallel[model.backend] += expected
-        assert parallel == {"fast": 0, "bn254": 16_125}
+            # The class attribute is the rule's input: no backend (and
+            # no BN254 table) needs building.
+            assert engine.pools_side(backend, rows) == bool(expected), point
+            reachable[backend.name] += 1
+            parallel[backend.name] += expected
+        assert reachable == {"fast": 8_526, "bn254": 8_526}
+        assert parallel == {"fast": 0, "bn254": 8_526}
 
     def test_parallel_wins_when_compute_dominates(self):
-        from repro.plan.cost import BN254_ENGINE_COSTS, choose_engine
+        """A BN254 pairing is milliseconds of pure Python against
+        microseconds of IPC: from two rows up its sides go to the pool."""
+        from repro.core.engine import BatchedEngine
+        from repro.crypto.backend import BN254Backend
 
-        chosen, estimates = choose_engine(
-            BN254_ENGINE_COSTS, rows=64, dimension=21,
-            workers=4, batch_size=64, pool_warm=False,
-        )
-        assert chosen == "parallel"
-        assert estimates["parallel"] < estimates["batched"]
+        engine = BatchedEngine()
+        assert BN254Backend.pool_pays
+        assert [engine.pools_side(BN254Backend, rows)
+                for rows in (1, 2, 64)] == [False, True, True]
 
     def test_transport_dominates_on_fast_backend(self):
         """Exponent-group pairings are so cheap that IPC always loses:
-        auto must stick to batched at any realistic size."""
-        from repro.plan.cost import choose_engine
+        a fast-backend side stays inline at any size, on any width."""
+        from repro.core.engine import BatchedEngine
+        from repro.core.service import ExecutionService
 
-        model = self._model()
-        for rows in (10, 1000, 100000):
-            chosen, _ = choose_engine(
-                model, rows=rows, dimension=21, workers=8,
-                batch_size=64, pool_warm=True,
-            )
-            assert chosen == "batched"
+        assert not FastBackend.pool_pays
+        backend = FastBackend()
+        token, rows = _side(backend, 40)
+        engine = BatchedEngine(batch_size=8)
+        with ExecutionService(workers=8) as service:
+            engine.bind_service(service)
+            for count in (2, 10, 40):
+                _, report = engine.decrypt_handles(
+                    backend, token, rows[:count]
+                )
+                assert report.selected == "batched"
+            assert not service.started
 
     def test_single_worker_never_parallel(self):
-        from repro.plan.cost import BN254_ENGINE_COSTS, choose_engine
+        """One worker wide, nothing is decided: even a backend whose
+        pool pays runs inline."""
+        from repro.core.engine import BatchedEngine
+        from repro.core.service import ExecutionService
 
-        chosen, _ = choose_engine(
-            BN254_ENGINE_COSTS, rows=512, dimension=21,
-            workers=1, batch_size=64, pool_warm=True,
-        )
-        assert chosen == "batched"
-
-    def test_switch_margin_protects_the_default(self):
-        """A candidate barely under batched must NOT displace it."""
-        from repro.plan.cost import choose_engine
-
-        # Make parallel ~20% cheaper than batched: inside the 25% margin.
-        model = self._model(
-            element_transport=0.0, chunk_overhead=0.0, pool_spawn=0.0,
-            miller_loop=1e-6, final_exponentiation=1e-9,
-            row_overhead=2e-5, switch_margin=1.25,
-        )
-        chosen, estimates = choose_engine(
-            model, rows=1000, dimension=10, workers=2,
-            batch_size=64, pool_warm=True,
-        )
-        assert estimates["parallel"] < estimates["batched"]
-        assert chosen == "batched"
-        # Widen the gap beyond the margin: parallel may take over.
-        model = self._model(
-            element_transport=0.0, chunk_overhead=0.0, pool_spawn=0.0,
-            miller_loop=1e-6, final_exponentiation=1e-9,
-            row_overhead=0.0, switch_margin=1.25,
-        )
-        chosen, _ = choose_engine(
-            model, rows=1000, dimension=10, workers=4,
-            batch_size=64, pool_warm=True,
-        )
-        assert chosen == "parallel"
+        backend = _PayingBackend()
+        token, rows = _side(backend, 12)
+        engine = BatchedEngine(batch_size=8)
+        with ExecutionService(workers=1) as service:
+            engine.bind_service(service)
+            _, report = engine.decrypt_handles(backend, token, rows)
+            assert not service.started
+        assert (report.selected, report.workers) == ("", 1)
 
     def test_zero_rows_tie_goes_to_batched(self):
-        """An empty side costs 0.0 inline, and on a warm pool too; the
-        tie must go to the default, whatever the margin."""
-        from repro.plan.cost import choose_engine
+        """An empty side is nothing to share: it runs inline and
+        selects nothing, even where the pool pays."""
+        from repro.core.engine import BatchedEngine
+        from repro.core.service import ExecutionService
 
-        chosen, estimates = choose_engine(
-            self._model(), rows=0, dimension=5, workers=4, batch_size=64
+        backend = _PayingBackend()
+        token, _ = _side(backend, 0)
+        engine = BatchedEngine()
+        with ExecutionService(workers=4) as service:
+            engine.bind_service(service)
+            handles, report = engine.decrypt_handles(backend, token, [])
+            assert not service.started
+        assert handles == []
+        assert (report.engine, report.selected, report.batches) == (
+            "batched", "", 0,
         )
-        assert chosen == "batched"
-        assert estimates["batched"] == 0.0
-        # A cold pool still charges its spawn cost, even for zero rows.
-        assert estimates["parallel"] > 0.0
-        chosen, estimates = choose_engine(
-            self._model(switch_margin=0.5), rows=0, dimension=5,
-            workers=4, batch_size=64, pool_warm=True,
-        )
-        assert estimates == {"batched": 0.0, "parallel": 0.0}
-        assert chosen == "batched"
 
     def test_cold_pool_charges_spawn_cost(self):
-        from repro.plan.cost import estimate_engine_costs
+        """The pool is forked by the first side sent to it and then
+        kept: its spawn is paid once, so no side is decided on whether
+        the pool is warm yet."""
+        from repro.core.engine import BatchedEngine
+        from repro.core.service import ExecutionService
 
-        model = self._model()
-        cold = estimate_engine_costs(
-            model, rows=100, dimension=5, workers=4, batch_size=64,
-            pool_warm=False,
-        )
-        warm = estimate_engine_costs(
-            model, rows=100, dimension=5, workers=4, batch_size=64,
-            pool_warm=True,
-        )
-        assert cold["parallel"] == pytest.approx(
-            warm["parallel"] + 4 * model.pool_spawn
-        )
-        assert cold["batched"] == warm["batched"]
+        backend = _PayingBackend()
+        token, rows = _side(backend, 6)
+        engine = BatchedEngine()
+        with ExecutionService(workers=2) as service:
+            engine.bind_service(service)
+            assert not service.started
+            generations = [
+                engine.decrypt_handles(backend, token, rows)[1]
+                .pool_generation
+                for _ in range(3)
+            ]
+        assert generations == [1, 1, 1]
 
     def test_retired_planner_inputs_are_refused(self):
-        """No candidate allowlist and no correction factors: passing
-        one is an error, not a silently ignored keyword."""
-        from repro.plan.cost import BN254_ENGINE_COSTS, choose_engine
+        """No per-side price is left to feed: the pricing functions are
+        gone, and a cost model handed to the engine is an error, not a
+        silently ignored keyword."""
+        import repro.plan.cost
+        from repro.core.engine import BatchedEngine
 
-        point = dict(rows=64, dimension=21, workers=4, batch_size=64)
+        for name in ("choose_engine", "estimate_engine_costs"):
+            assert not hasattr(repro.plan.cost, name)
         with pytest.raises(TypeError):
-            choose_engine(BN254_ENGINE_COSTS, allowed=("serial",), **point)
-        with pytest.raises(TypeError):
-            choose_engine(
-                BN254_ENGINE_COSTS, corrections={"parallel": 100.0}, **point
-            )
-
-    def test_cost_model_file_of_the_previous_version_loads(self):
-        """``tests/data/cost_model_pr17.json`` is ``BN254_ENGINE_COSTS``
-        as the previous version saved it, with the three constants that
-        version still had; an operator's calibrated file keeps loading."""
-        import json
-
-        from repro.plan.cost import BN254_ENGINE_COSTS, EngineCostModel
-
-        path = _DATA / "cost_model_pr17.json"
-        retired = {"nested_compare", "delta_dispatch", "shard_dispatch"}
-        assert retired <= set(json.loads(path.read_text())["model"])
-        loaded = EngineCostModel.load(path)
-        assert loaded == BN254_ENGINE_COSTS
-        assert not retired & set(vars(loaded))
+            BatchedEngine(cost_model=repro.plan.cost.BN254_ENGINE_COSTS)
 
     def test_invalid_inputs(self):
-        from repro.plan.cost import estimate_engine_costs
-        from repro.errors import BenchmarkError
+        """The model keeps what the scatter estimate and the chain order
+        read; the six constants only the per-side price read are no
+        fields, and the model is no file format."""
+        from repro.plan.cost import EngineCostModel
 
-        with pytest.raises(BenchmarkError):
-            estimate_engine_costs(
-                self._model(), rows=-1, dimension=5, workers=2, batch_size=8
-            )
-        with pytest.raises(BenchmarkError):
-            estimate_engine_costs(
-                self._model(), rows=5, dimension=0, workers=2, batch_size=8
-            )
-
-
-class TestCalibration:
-    def test_calibrate_on_fast_backend(self):
-        from repro.bench.costmodel import calibrate_engine_cost_model
-        from repro.crypto.backend import FastBackend
-
-        model = calibrate_engine_cost_model(
-            FastBackend(), dimension=6, rows=16, repeats=2
+        base = dict(
+            backend="fast", miller_loop=1e-6, final_exponentiation=1e-6,
+            row_overhead=1e-6,
         )
-        assert model.backend == "fast"
-        assert model.miller_loop > 0
-        assert model.final_exponentiation > 0
-        assert model.prepared_miller_loop > 0
-        # Only the pairing constants are measured; what the pool
-        # charges is inherited from the backend's built-in model.
-        from repro.plan.cost import FAST_ENGINE_COSTS, estimate_engine_costs
-
-        assert model.chunk_overhead == FAST_ENGINE_COSTS.chunk_overhead
-        assert model.pool_spawn == FAST_ENGINE_COSTS.pool_spawn
-        est = estimate_engine_costs(
-            model, rows=256, dimension=6, workers=2, batch_size=64
-        )
-        assert 0.0 < est["batched"] < est["parallel"]
-
-    def test_calibrate_rejects_degenerate_shapes(self):
-        from repro.bench.costmodel import calibrate_engine_cost_model
-        from repro.crypto.backend import FastBackend
-        from repro.errors import BenchmarkError
-
-        with pytest.raises(BenchmarkError):
-            calibrate_engine_cost_model(FastBackend(), dimension=1)
-        with pytest.raises(BenchmarkError):
-            calibrate_engine_cost_model(FastBackend(), rows=0)
-
-
-class TestPlannerRecord:
-    """Predicted against actual, per side, with nothing learnt from it."""
-
-    def test_auto_engine_records_predicted_and_actual(self):
-        """End to end: every side's planner record carries both
-        estimates and the observed seconds — and the model the engine
-        prices with is the same object after the queries as before."""
-        import random
-
-        from repro.core.client import SecureJoinClient
-        from repro.core.engine import BatchedEngine
-        from repro.core.server import SecureJoinServer
-        from repro.db.query import JoinQuery
-        from repro.db.schema import Schema
-        from repro.db.table import Table
-
-        left = Table("L", Schema.of(("k", "int"), ("a", "str")),
-                     [(i % 5, f"a{i}") for i in range(30)])
-        right = Table("R", Schema.of(("k", "int"), ("b", "str")),
-                      [(i % 5, f"b{i}") for i in range(20)])
-        client = SecureJoinClient.for_tables(
-            [(left, "k"), (right, "k")], in_clause_limit=1,
-            rng=random.Random(3),
-        )
-        engine = BatchedEngine(batch_size=8)
-        server = SecureJoinServer(client.params, engine=engine, workers=2)
-        server.store(client.encrypt_table(left, "k"))
-        server.store(client.encrypt_table(right, "k"))
-        query = JoinQuery.build("L", "R", on=("k", "k"))
-        first = server.execute_join(client.create_query(query))
-        for _ in range(3):
-            result = server.execute_join(client.create_query(query))
-        assert len(result.stats.planner) == 2
-        for side, before in zip(result.stats.planner, first.stats.planner):
-            assert side["actual_seconds"] > 0.0
-            assert set(side["estimates"]) == {"batched", "parallel"}
-            assert side["chosen"] == "batched"
-            # Same inputs, same model: the fourth query is priced
-            # exactly as the first was.
-            assert side["estimates"] == before["estimates"]
-            assert "corrections" not in side
-        assert engine.cost_model is None
-        assert not hasattr(engine, "calibrator")
-        server.close()
+        EngineCostModel(**base)
+        for retired in (
+            "batch_overhead", "element_transport", "chunk_overhead",
+            "pool_spawn", "switch_margin", "prepared_miller_loop",
+        ):
+            with pytest.raises(TypeError):
+                EngineCostModel(**base, **{retired: 1.0})
+        assert not hasattr(EngineCostModel, "save")
+        assert not hasattr(EngineCostModel, "load")
 
 
 class TestMatcherCostModel:

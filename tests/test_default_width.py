@@ -7,10 +7,10 @@ sets count — and ``ExecutionService``, ``SecureJoinServer``,
 / ``--workers N`` still override.  The affinity is monkeypatched here,
 so every test reads the same on any machine:
 
-- one CPU: the inline path, nothing priced, nothing forked;
+- one CPU: the inline path, nothing decided, nothing forked;
 - two CPUs on BN254: both sides of a ``bn254_small``-shaped join run on
   the pool, and closing the server leaves no worker behind;
-- ``--cost-model`` is refused only when the width comes to 1.
+- ``--cost-model`` is no option, whatever the width comes to.
 """
 
 from __future__ import annotations
@@ -67,36 +67,31 @@ class TestDefaultWidth:
             assert shard.server.execution_service.worker_target == 3
 
 
-_WIDTH_1 = "the model prices nothing at width 1"
-_UNREADABLE = "cannot load cost model from missing.json"
-
-
 class TestCostModelOption:
-    """``--cost-model`` needs a pool to price: refused when the width,
-    given or defaulted, comes to 1 — and only then."""
+    """The backend decides pool or inline, so there is no model to load:
+    ``--cost-model`` is refused at every width, given or defaulted."""
 
     @pytest.mark.parametrize(
-        "cpus, options, complaint",
+        "cpus, options",
         [
-            ((0,), (), _WIDTH_1),
-            ((0, 1), ("--workers", "1"), _WIDTH_1),
-            ((0, 1), (), _UNREADABLE),
-            ((0,), ("--workers", "2"), _UNREADABLE),
+            ((0,), ()),
+            ((0, 1), ("--workers", "1")),
+            ((0, 1), ()),
+            ((0,), ("--workers", "2")),
         ],
         ids=["one-cpu", "workers-1", "two-cpus", "workers-2"],
     )
-    def test_refused_only_at_width_1(
-        self, monkeypatch, capsys, cpus, options, complaint
-    ):
+    def test_refused_at_any_width(self, monkeypatch, capsys, cpus, options):
         _cpus(monkeypatch, *cpus)
         params = {"num_attributes": 1, "in_clause_limit": 1}
-        status = serve([
-            "--params", json.dumps(params),
-            *options, "--cost-model", "missing.json",
-        ])
-        assert status == 2
-        assert capsys.readouterr().err.startswith(
-            f"bad --cost-model: {complaint}"
+        with pytest.raises(SystemExit) as refused:
+            serve([
+                "--params", json.dumps(params),
+                *options, "--cost-model", "missing.json",
+            ])
+        assert refused.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(
+            "unrecognized arguments: --cost-model missing.json"
         )
 
 
@@ -133,9 +128,8 @@ class TestBN254Default:
                 server.store(table)
             stats = server.execute_join(query).stats
             assert server.execution_service.started
+        # Both sides ran on the pool: an inline one would add
+        # "+batched".
         assert stats.engine_selected == "parallel"
-        assert [(side["rows"], side["workers"], side["chosen"])
-                for side in stats.planner] == [
-            (2, 2, "parallel"), (4, 2, "parallel"),
-        ]
+        assert (stats.pool_generation, stats.planner) == (1, None)
         assert multiprocessing.active_children() == children

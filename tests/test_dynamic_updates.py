@@ -12,6 +12,7 @@ from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.errors import QueryError, SchemaError
+from repro.shard import LocalShard, ShardCoordinator, partition_table
 
 
 def _setup(enable_prefilter=False, seed=31):
@@ -71,6 +72,38 @@ class TestInsert:
         with pytest.raises(QueryError):
             server.insert_row("R", ciphertext, payload, None)
 
+    @pytest.mark.parametrize("store", ["raw", "prepared", "shard"])
+    def test_a_rejected_insert_leaves_no_row(self, store):
+        """An insert refused for its tags changes nothing: no
+        ciphertext, payload or prepared row is appended, the version
+        stays, and an unfiltered join sees no ghost row."""
+        client, server = _setup(enable_prefilter=True)
+        host = server
+        if store == "prepared":
+            server.prepare_table("R")
+        elif store == "shard":
+            shard = LocalShard(client.params, workers=1)
+            for name in ("L", "R"):
+                (piece,) = partition_table(
+                    server.table(name), server.backend, 1
+                )
+                shard.store(piece)
+            host, server = ShardCoordinator([shard]), shard.server
+        ciphertext, payload, _ = client.encrypt_row_for("R", (1, "p"))
+        with pytest.raises(QueryError):
+            host.insert_row("R", ciphertext, payload, None)
+        table = server.table("R")
+        assert len(table.ciphertexts) == len(table.payloads) == 2
+        assert [len(tags) for tags in table.prefilter_tags.values()] == [2]
+        if store == "prepared":
+            assert len(table.prepared_rows) == 2
+        if store == "shard":
+            assert table.shard.global_indices == (0, 1)
+        assert server.table_version("R") == 0
+        assert _join_pairs(client, host) == [(0, 0), (1, 1)]
+        if store == "shard":
+            host.close()
+
     def test_insert_invalid_row_rejected(self):
         client, server = _setup()
         with pytest.raises(SchemaError):
@@ -100,6 +133,22 @@ class TestDelete:
         client, server = _setup()
         with pytest.raises(QueryError):
             server.delete_rows("L", [99])
+
+    def test_a_rejected_delete_tombstones_nothing(self):
+        """A delete refused for one index out of range tombstones none
+        of the others: the version stays, and a re-submitted cached
+        query agrees with a fresh one."""
+        client, server = _setup()
+        query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
+        assert server.execute_join(query).index_pairs == [(0, 0), (1, 1)]
+        with pytest.raises(QueryError):
+            server.delete_rows("R", [0, 99])
+        assert server.tombstoned_rows("R") == frozenset()
+        assert server.table_version("R") == 0
+        replay = server.execute_join(query)
+        assert replay.stats.series_cache_hits == 1
+        assert replay.index_pairs == [(0, 0), (1, 1)]
+        assert _join_pairs(client, server) == [(0, 0), (1, 1)]
 
     def test_delete_reduces_decryptions(self):
         client, server = _setup()

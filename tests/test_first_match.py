@@ -43,7 +43,7 @@ from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.plan.executor import ChainExecutor
 from repro.shard import LocalShard, ShardCoordinator, partition_table
-from tests.conftest import FORCE_POOL, bn254_small_join
+from tests.conftest import PoolEngine, bn254_small_join
 
 #: Rows per side: several chunks inline (1, 2, 4, 8, 5 at chunk size 8)
 #: and on the pool (eight chunks of at most 4 rows at width 2).
@@ -111,7 +111,7 @@ class TestFirstChunk:
                 engine, backend = inline, FastBackend()
                 spans = chunk_spans(ROWS, 8)
             else:
-                engine = BatchedEngine(8, cost_model=FORCE_POOL)
+                engine = PoolEngine(8)
                 engine.bind_service(service)
                 backend = paced_backend
                 spans = chunk_spans(ROWS, 4, width=2)
@@ -162,7 +162,7 @@ class TestFirstBatch:
         client, plain = _tables([i % 5 for i in range(ROWS)])
         with SecureJoinServer(
             client.params, backend=paced_backend, workers=2,
-            engine=BatchedEngine(8, cost_model=FORCE_POOL),
+            engine=PoolEngine(8),
         ) as server:
             for table in plain:
                 server.store(client.encrypt_table(table, "k"))

@@ -30,7 +30,7 @@ from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.net import RemoteJoinClient
 from repro.store.tables import save_encrypted_table
-from tests.conftest import FORCE_POOL
+from tests.conftest import bn254_small_join
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _SRC = _REPO_ROOT / "src"
@@ -267,22 +267,27 @@ class TestServerProcess:
             returncode = _finish(process)
         assert returncode == 0
 
-    def test_worker_pool_shuts_down_with_the_server(self, tmp_path):
-        client, paths = _dataset(tmp_path, n_rows=80)
-        # A calibration under which the pool always pays, so the
-        # server's two workers really fork.
-        model = tmp_path / "force-pool.json"
-        FORCE_POOL.save(model)
+    @pytest.mark.bn254
+    def test_worker_pool_shuts_down_with_the_server(
+        self, tmp_path, bn254_backend
+    ):
+        # On BN254 the pool pays, so the server's two workers really
+        # fork for a side of two rows or more.
+        client, tables, query = bn254_small_join(bn254_backend)
+        paths = []
+        for table in tables:
+            path = tmp_path / f"{table.name}.rprot"
+            save_encrypted_table(table, path, bn254_backend)
+            paths.append(path)
         baseline_pids = _python_pids()
         process, host, port = _launch(
-            tmp_path, client, paths,
-            "--workers", "2", "--cost-model", str(model),
+            tmp_path, client, paths, "--workers", "2",
         )
         try:
-            with RemoteJoinClient(host, port, client.scheme.backend) as rc:
-                result = rc.execute_join(_query(client))
+            with RemoteJoinClient(host, port, bn254_backend) as rc:
+                result = rc.execute_join(query)
                 assert result.index_pairs
-                assert "parallel" in result.stats.engine_selected
+                assert result.stats.engine_selected == "parallel"
         finally:
             process.send_signal(signal.SIGTERM)
             returncode = _finish(process, timeout=60)
@@ -330,14 +335,15 @@ class TestServerProcess:
                 ("--workers", "0"),
                 b"bad --workers: worker count must be at least 1",
             ),
-            # At one worker a model would price nothing.
+            # The backend decides pool or inline: there is no model to
+            # load, at any width.
             (
                 ("--workers", "1", "--cost-model", "model.json"),
-                b"bad --cost-model: the model prices nothing at width 1",
+                b"error: unrecognized arguments: --cost-model model.json",
             ),
             (
                 ("--workers", "2", "--cost-model", "missing.json"),
-                b"bad --cost-model: cannot load cost model from missing.json",
+                b"error: unrecognized arguments: --cost-model missing.json",
             ),
         ],
         ids=[
@@ -346,11 +352,11 @@ class TestServerProcess:
         ],
     )
     def test_bad_engine_options_fail_fast(self, options, complaint):
-        """The execution options — the pool's width and the model that
-        prices it — are refused before anything listens: one ``bad
-        --...`` line and exit code 2, no traceback, no service that
-        fails every query.  An engine name is no option at all: argparse
-        refuses it after its usage text."""
+        """The execution option — the pool's width — is refused before
+        anything listens: one ``bad --...`` line and exit code 2, no
+        traceback, no service that fails every query.  An engine name or
+        a cost model is no option at all: argparse refuses it after its
+        usage text."""
         process = self._run_cli("--params", _PARAMS_JSON, *options)
         assert process.returncode == 2
         assert b"Traceback" not in process.stderr

@@ -17,6 +17,7 @@ import pytest
 from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
 from repro.core.engine import BatchedEngine
+from repro.core.pipeline import round_robin
 from repro.core.server import SecureJoinServer
 from repro.db.matcher import (
     HashMatcher,
@@ -26,7 +27,7 @@ from repro.db.matcher import (
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
-from tests.conftest import FORCE_POOL
+from tests.conftest import PoolEngine
 
 try:
     from hypothesis import given, settings
@@ -39,12 +40,12 @@ except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
 def _engines():
     """Server arguments per engine, fresh engines each call (an engine
     keeps the pool of the first server bound to it): serial, inline,
-    on a two-worker pool in chunks of 4, and priced by the built-in
-    model at width 2."""
+    on a two-worker pool in chunks of 4, and decided by the backend at
+    width 2."""
     return (
         {"engine": SerialEngine()},
         {"engine": BatchedEngine(batch_size=3), "workers": 1},
-        {"engine": BatchedEngine(batch_size=8, cost_model=FORCE_POOL)},
+        {"engine": PoolEngine(batch_size=8)},
         {"engine": BatchedEngine(batch_size=3)},
     )
 
@@ -362,7 +363,7 @@ class TestEarlyEmission:
         co-admit them (concurrent_sides >= 2), on one pool generation."""
         client, server = _build(
             [i % 9 for i in range(90)], [i % 9 for i in range(90)],
-            engine=BatchedEngine(batch_size=8, cost_model=FORCE_POOL),
+            engine=PoolEngine(batch_size=8),
         )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
@@ -402,7 +403,7 @@ class TestEarlyEmission:
         coincide."""
         client, server = _build(
             [i % 4 for i in range(60)], [i % 4 for i in range(60)],
-            engine=BatchedEngine(batch_size=8, cost_model=FORCE_POOL),
+            engine=PoolEngine(batch_size=8),
         )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
@@ -424,27 +425,48 @@ class TestEarlyEmission:
             assert [len(cls) for cls in server.ledger.classes()] == [30] * 4
 
 
-# -- one matcher, never priced ---------------------------------------------
+# -- one matcher, never chosen ---------------------------------------------
 
 
 class TestOneMatcher:
     """A join matches by hash: no entry point takes an algorithm, and
-    the engine prices SJ.Dec only."""
+    the engine decides only where SJ.Dec runs."""
 
     def test_auto_engine_records_no_match_stage(self):
         # Tiny sides, where a priced matcher used to pick nested; two
-        # workers wide, so the engine prices every side.
+        # workers wide, so the engine decides every side.
         client, server = _build([1], [1, 2])
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         result = server.execute_join(query)
         assert result.index_pairs == [(0, 0)]
-        assert len(result.stats.planner) == 2
-        assert all("stage" not in record for record in result.stats.planner)
+        assert result.stats.engine_selected == "batched"
+        assert result.stats.planner is None
         with pytest.raises(TypeError):
             server.execute_join(query, algorithm="nested")
         with pytest.raises(TypeError):
             server.stream_join(query, algorithm="nested")
         server.close()
+
+
+# -- one dealing loop ------------------------------------------------------
+
+
+class TestRoundRobin:
+    """The join drive and a shard endpoint deal their sources through
+    the same :func:`~repro.core.pipeline.round_robin`."""
+
+    def test_one_event_per_source_per_round_until_all_are_dry(self):
+        events = list(round_robin(
+            [iter([1, 2, 3]), iter(["a"]), iter([10, 20]), iter([])]
+        ))
+        # The first round takes one event from every source.
+        assert events[:3] == [1, "a", 10]
+        assert sorted(map(str, events)) == sorted(
+            map(str, [1, 2, 3, "a", 10, 20])
+        )
+        # Each source's own order survives the dealing.
+        assert [e for e in events if e in (1, 2, 3)] == [1, 2, 3]
+        assert [e for e in events if e in (10, 20)] == [10, 20]
 
 
 # -- wire: pipeline stats -------------------------------------------------

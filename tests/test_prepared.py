@@ -339,7 +339,7 @@ class TestWindowedFixedBase:
 
 
 class TestEnginePreparedEquivalence:
-    """Serial, inline, priced and pooled runs yield identical handles on
+    """Serial, inline, decided and pooled runs yield identical handles on
     raw and prepared rows."""
 
     def _fixture(self):
@@ -353,8 +353,8 @@ class TestEnginePreparedEquivalence:
 
     @pytest.mark.parametrize("name", ["serial", "batched", "auto"])
     def test_inline_engines(self, name):
-        """``auto`` is the engine priced on a two-worker pool by the
-        built-in model, which keeps every fast-backend side inline."""
+        """``auto`` is the engine deciding on a two-worker pool, which
+        keeps every fast-backend side inline."""
         from repro.baselines import SerialEngine
         from repro.core.engine import BatchedEngine
         from repro.core.service import ExecutionService
@@ -387,11 +387,11 @@ class TestEnginePreparedEquivalence:
     def test_parallel_engine_pooled(self):
         from repro.core.engine import BatchedEngine
         from repro.core.service import ExecutionService
-        from tests.conftest import FORCE_POOL
+        from tests.conftest import PoolEngine
 
         backend, token, rows, prepared = self._fixture()
         with ExecutionService(workers=2) as service:
-            engine = BatchedEngine(batch_size=8, cost_model=FORCE_POOL)
+            engine = PoolEngine(batch_size=8)
             engine.bind_service(service)
             raw_handles, raw_report = engine.decrypt_handles(
                 backend, token, rows
@@ -414,17 +414,21 @@ class TestEnginePreparedEquivalence:
         assert again_report.preparations <= warm_report.preparations
 
     def test_auto_planner_records_prepared(self):
+        """The rule reads no row kind: a prepared side is decided as a
+        raw one is, and its report counts the replayed loops."""
         from repro.core.engine import BatchedEngine
         from repro.core.service import ExecutionService
 
         backend, token, rows, prepared = self._fixture()
         engine = BatchedEngine()
-        engine.bind_service(ExecutionService(workers=2))
-        _, report = engine.decrypt_handles(backend, token, prepared)
-        assert report.planner["prepared_rows"] is True
-        assert report.planner["prepared_miller_loops"] > 0
-        _, raw_report = engine.decrypt_handles(backend, token, rows)
-        assert raw_report.planner["prepared_rows"] is False
+        with ExecutionService(workers=2) as service:
+            engine.bind_service(service)
+            _, report = engine.decrypt_handles(backend, token, prepared)
+            _, raw_report = engine.decrypt_handles(backend, token, rows)
+            assert not service.started
+        assert report.selected == raw_report.selected == "batched"
+        assert report.prepared_miller_loops > 0
+        assert raw_report.prepared_miller_loops == 0
 
 
 class TestServerPreparedTables:
@@ -603,35 +607,3 @@ class TestStoredPreparedTables:
                 token, loaded.prepared_rows[row_index]
             )
             assert raw.to_bytes() == replayed.to_bytes()
-
-
-class TestCostModelPrepared:
-    def test_prepared_pricing_lowers_bn254_estimates(self):
-        from repro.plan.cost import BN254_ENGINE_COSTS, estimate_engine_costs
-
-        kwargs = dict(rows=64, dimension=8, workers=4, batch_size=16)
-        cold = estimate_engine_costs(BN254_ENGINE_COSTS, **kwargs)
-        warm = estimate_engine_costs(
-            BN254_ENGINE_COSTS, prepared=True, **kwargs
-        )
-        for engine in ("batched", "parallel"):
-            assert warm[engine] < cold[engine]
-
-    def test_choose_engine_accepts_prepared(self):
-        from repro.plan.cost import FAST_ENGINE_COSTS, choose_engine
-
-        choice, estimates = choose_engine(
-            FAST_ENGINE_COSTS, rows=32, dimension=4, workers=2,
-            batch_size=16, prepared=True,
-        )
-        assert choice in ("batched", "parallel")
-        assert set(estimates) == {"batched", "parallel"}
-
-    def test_calibration_learns_prepared_constant(self):
-        from repro.bench.costmodel import calibrate_engine_cost_model
-
-        model = calibrate_engine_cost_model(
-            FastBackend(), dimension=4, rows=8, repeats=1
-        )
-        assert model.prepared_miller_loop is not None
-        assert model.prepared_miller_loop > 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import json
 import random
 
 import pytest
@@ -25,13 +24,11 @@ from repro.core.server import SecureJoinServer
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
-from repro.errors import BenchmarkError
-from repro.plan.cost import EngineCostModel, default_engine_cost_model
 from repro.series.cache import SeriesCache, SeriesEntry, series_key
 from repro.shard.coordinator import LocalShard, ShardCoordinator
 from repro.shard.partition import partition_table
 from repro.store.wire import decode_frame, encode_final_frame
-from tests.conftest import FORCE_POOL, SERVER_SHAPES, server_shape
+from tests.conftest import SERVER_SHAPES, PoolEngine, server_shape
 
 LEFT_ROWS = [(1, "a0"), (2, "a1"), (3, "a2"), (2, "a3")]
 RIGHT_ROWS = [(2, "b0"), (3, "b1"), (4, "b2")]
@@ -250,13 +247,13 @@ class TestDeltaMaintenance:
         server.close()
 
     def test_small_delta_never_wakes_the_pool(self):
-        """No delta pricing is needed for this: however cheap the
-        model believes the pool to be, a one-row side runs inline — and
-        the stats say it ran inline — while the delta's empty side is
-        not priced at all.  The cold query ran on the pool; closed
-        after it, the pool stays closed through the delta."""
+        """No delta pricing is needed for this: even where the pool
+        always pays, a one-row side runs inline — and the stats say it
+        ran inline — while the delta's empty side is not decided at
+        all.  The cold query ran on the pool; closed after it, the pool
+        stays closed through the delta."""
         client, server = _setup(
-            workers=2, engine=BatchedEngine(cost_model=FORCE_POOL)
+            workers=2, engine=PoolEngine()
         )
         query = _query(client)
         assert server.execute_join(query).stats.engine_selected == "parallel"
@@ -268,16 +265,15 @@ class TestDeltaMaintenance:
         assert delta.stats.engine_selected == "batched"
         assert delta.stats.pool_generation == 0
         assert not server.execution_service.started
-        (record,) = delta.stats.planner
-        assert (record["rows"], record["chosen"]) == (1, "batched")
+        assert delta.stats.planner is None
         server.close()
 
     def test_a_refresh_with_nothing_to_decrypt_prices_nothing(self):
         """After a delete the re-submitted query refreshes, and both
-        sides it opens are empty: neither is priced, so no planner
-        record is filed and the pool is never asked."""
+        sides it opens are empty: neither is decided, so nothing is
+        selected and the pool is never asked."""
         client, server = _setup(
-            workers=2, engine=BatchedEngine(cost_model=FORCE_POOL)
+            workers=2, engine=PoolEngine()
         )
         query = _query(client)
         server.execute_join(query)
@@ -286,6 +282,7 @@ class TestDeltaMaintenance:
         refresh = server.execute_join(query)
         assert refresh.stats.series_cache_hits == 1
         assert refresh.stats.delta_rows == 0
+        assert refresh.stats.engine_selected == "batched"
         assert refresh.stats.planner is None
         assert not server.execution_service.started
         server.close()
@@ -382,35 +379,6 @@ class TestWireStats:
         )
 
 
-# -- cost-model persistence ----------------------------------------------
-
-
-class TestCostModelPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        model = default_engine_cost_model("fast")
-        path = tmp_path / "model.json"
-        model.save(path)
-        assert EngineCostModel.load(path) == model
-
-    def test_load_drops_unknown_keys(self, tmp_path):
-        model = default_engine_cost_model("fast")
-        path = tmp_path / "model.json"
-        model.save(path)
-        payload = json.loads(path.read_text())
-        payload["model"]["from_the_future"] = 1.0
-        path.write_text(json.dumps(payload))
-        assert EngineCostModel.load(path) == model
-
-    def test_load_rejects_wrong_format(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"format": "something-else", "model": {}}')
-        with pytest.raises(BenchmarkError):
-            EngineCostModel.load(path)
-        path.write_text("not json at all")
-        with pytest.raises(BenchmarkError):
-            EngineCostModel.load(path)
-
-
 # -- sharded series -------------------------------------------------------
 
 
@@ -504,8 +472,8 @@ class TestShardedSeries:
 #: How a server is built, per label: the host and its from-scratch
 #: mirror are both built so, and every one of them runs through the
 #: cache.  ``None`` is the default build, as wide as the CPUs the
-#: process may run on; ``auto`` prices every side with the built-in
-#: model at width 2; ``parallel`` sends every side of two rows or more
+#: process may run on; ``auto`` lets the backend decide every side at
+#: width 2; ``parallel`` sends every side of two rows or more
 #: to a two-worker pool.
 ENGINES = {
     None: lambda: {},
@@ -513,7 +481,7 @@ ENGINES = {
     "serial": lambda: {"engine": SerialEngine()},
     "batched": lambda: {"engine": BatchedEngine()},
     "parallel": lambda: {
-        "engine": BatchedEngine(batch_size=8, cost_model=FORCE_POOL),
+        "engine": PoolEngine(batch_size=8),
         "workers": 2,
     },
 }

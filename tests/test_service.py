@@ -32,7 +32,7 @@ from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.errors import QueryError
 from repro.series.cache import DEFAULT_SERIES_BUDGET
-from tests.conftest import FORCE_POOL, held_handles
+from tests.conftest import PoolEngine, held_handles
 
 
 def _alive_children() -> int:
@@ -98,7 +98,7 @@ def _pooled(chunk: int = 4) -> BatchedEngine:
     """An engine that sends every side of two rows or more to the
     pool, in chunks of at most ``chunk``; the pool's width is the
     ``workers=2`` of the server that binds it."""
-    return BatchedEngine(batch_size=2 * chunk, cost_model=FORCE_POOL)
+    return PoolEngine(batch_size=2 * chunk)
 
 
 class TestServiceExecution:
@@ -122,9 +122,9 @@ class TestServiceExecution:
 
     def test_lazy_start(self):
         """Constructing servers and services forks nothing, and neither
-        does a query whose sides all run inline: one-row sides under a
-        model that always prices the pool cheaper, or 40- and 20-row
-        sides under the fast backend's built-in model."""
+        does a query whose sides all run inline: one-row sides under an
+        engine that pools every side it may, or 40- and 20-row sides on
+        the fast backend, whose pool never pays."""
         for rows, right_rows, engine in (
             (1, 1, _pooled()), (40, None, BatchedEngine()),
         ):
@@ -137,9 +137,8 @@ class TestServiceExecution:
                 JoinQuery.build("L", "R", on=("k", "k"))
             )
             result = server.execute_join(query)
-            assert [side["chosen"] for side in result.stats.planner] == [
-                "batched", "batched",
-            ]
+            assert result.stats.engine_selected == "batched"
+            assert result.stats.planner is None
             assert result.stats.pool_generation == 0
             assert not server.execution_service.started
             server.close()
@@ -167,14 +166,14 @@ class TestServiceExecution:
 
     def test_the_servers_width_is_the_sides_width(self, sleeping_backend):
         """One width, set where the server is built: what ``python -m
-        repro.net --workers 3`` builds, under a cost model that prices
-        the pool cheaper, gives a 96-row side three workers.  The
+        repro.net --workers 3`` builds, with an engine that pools every
+        side it may, gives a 96-row side three workers.  The
         schedule cuts it into 15 slow chunks (1, 2, 4, 8, 16, then 22,
         15, 10, 6, 4, 3, 2, 1, 1, 1: never more than a third of the
         rows left); the right side, 7 rows, goes to the pool too, in
         chunks of 1, 2, 2, 1 and 1."""
         client, server = _fixture(
-            rows=96, right_rows=7, engine=BatchedEngine(cost_model=FORCE_POOL),
+            rows=96, right_rows=7, engine=PoolEngine(),
             workers=3, backend=sleeping_backend,
         )
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
@@ -231,7 +230,7 @@ class TestPoolReuse:
     def test_engine_named_at_construction_shares_pool(self):
         """The engine handed in at construction is bound once, to the
         server's own pool, and every query shares it."""
-        engine = BatchedEngine(cost_model=FORCE_POOL)
+        engine = PoolEngine()
         client, server = _fixture(engine=engine)
         query = JoinQuery.build("L", "R", on=("k", "k"))
         with server:

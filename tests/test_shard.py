@@ -52,8 +52,8 @@ from repro.shard import (
     validate_shard_layout,
 )
 from tests.conftest import (
-    FORCE_POOL,
     SERVER_SHAPES,
+    PoolEngine,
     held_handles,
     server_shape,
 )
@@ -69,16 +69,16 @@ except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
 #: How a fleet's shards are built, per label, as ``LocalShard``
 #: arguments.  Each shard gets a fresh engine: an engine stays bound to
 #: the first pool it is given, so shards must not share one.  ``None``
-#: is the default (one worker, every side inline); ``batched`` prices
-#: every side with the built-in model on two workers; ``parallel``
-#: sends every side of more than 32 rows to a two-worker pool; the
-#: property suite's two shapes pool sides of more than 2 rows.
+#: is the default build (as wide as the CPUs the process may run on);
+#: ``batched`` lets the backend decide every side on two workers;
+#: ``parallel`` sends every side of two rows or more to a two-worker pool, as the
+#: property suite's ``pooled`` shape does.
 SHARD_BUILDS = {
     None: lambda: {},
     "serial": lambda: {"engine": SerialEngine()},
     "batched": lambda: {"engine": BatchedEngine(), "workers": 2},
     "parallel": lambda: {
-        "engine": BatchedEngine(cost_model=FORCE_POOL), "workers": 2,
+        "engine": PoolEngine(), "workers": 2,
     },
     **{
         shape: (lambda shape=shape: server_shape(shape, batch_size=4))
