@@ -1,4 +1,4 @@
-"""Golden BN254 SJ.Enc and SJ.TokenGen bytes.
+"""Golden SJ.Enc and SJ.TokenGen bytes, on BN254 and on the fast backend.
 
 SJ.Enc is ``d`` fixed-base G2 powers per row and SJ.TokenGen ``d`` G1
 powers per table; both run through :class:`BN254Backend`'s fixed-base
@@ -8,10 +8,25 @@ tables and Jacobian sums that came before the signed 8-bit tables and
 the lock-step affine kernel; a change of table or kernel must reproduce
 them exactly, since a power is one affine point however it is summed.
 Two shapes: d = 5 (``m = 1, t = 1``, the ``bn254_small`` workload) and
-the paper's d = 19 (Customers, ``m = 8, t = 1``).  Regenerate (only
-after a deliberate change of scheme or encoding) with
+the paper's d = 19 (Customers, ``m = 8, t = 1``).
+
+``tests/data/sj_enc_fast.bin`` pins the fast backend's SJ.Enc bytes,
+which are the exponents ``w B*`` themselves, so a change in how the
+client builds them (the vector, the basis, the hashing) shows up here
+whatever the group kernel does:
+
+- 40 seeded TPC-H Orders rows at ``select_inproc``'s layout
+  (``m = 9, t = 1``), through ``SecureJoinClient.encrypt_table``;
+- the ``chain3_inproc`` layout (``m = 1, t = 10``): a table with
+  repeated keys, then two inserts through ``encrypt_row_for``;
+- rows narrower than m (padded attribute slots);
+- attribute and join values 1, True, 1.0, "1", b"1" and None side by
+  side, passed to :class:`SecureJoinScheme` directly (a typed column
+  cannot mix them): equal in Python, distinct embeddings.
+
+Regenerate (only after a deliberate change of scheme or encoding) with
 ``PYTHONPATH=src python tests/test_sj_enc_golden.py``, which names the
-sections whose bytes moved.
+sections whose bytes moved in each file.
 
 Beside the bytes, a property: ``g1_powers`` / ``g2_powers`` equal the
 NAF ladder of ``scalar_mul``, an independent path, on any exponent.
@@ -26,14 +41,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.client import SecureJoinClient
 from repro.core.scheme import SecureJoinParams, SecureJoinScheme
-from repro.crypto.backend import BN254Backend
+from repro.crypto.backend import BN254Backend, FastBackend
 from repro.crypto.curve import G1Point, G2Point
 from repro.crypto.params import CURVE_ORDER
-
-pytestmark = pytest.mark.bn254
+from repro.db.schema import Schema
+from repro.db.table import Table
+from repro.tpch import TPCHGenerator
 
 GOLDEN = Path(__file__).parent / "data" / "sj_enc_bn254.bin"
+FAST_GOLDEN = Path(__file__).parent / "data" / "sj_enc_fast.bin"
 
 #: (name, m, t, rows as (join value, attributes), token selections)
 _SHAPES = [
@@ -70,9 +88,80 @@ def _sections() -> dict[str, bytes]:
     return sections
 
 
+#: (name, m, t, rows as (join value, attributes)) for the scheme alone.
+_FAST_SCHEME_SHAPES = [
+    (
+        "narrow", 3, 2,
+        [(5, ["x"]), (5, []), (6, ["x", "y"]), (7, ["x", "y", "z"])],
+    ),
+    (
+        "mixed", 6, 2,
+        [
+            (1, [1, True, 1.0, "1", b"1", None]),
+            (True, [None, b"1", "1", 1.0, True, 1]),
+            (1.0, [1, 1, 1.0, 1.0, True, True]),
+            ("1", ["1", b"1", "1", b"1", None, None]),
+            (b"1", [0, False, 0.0, "", b"", None]),
+            (None, [2, 2.5, "2", b"2", False, 1]),
+        ],
+    ),
+]
+
+
+def _encoded(backend, ciphertexts) -> bytes:
+    return b"".join(
+        backend.encode_g2(element)
+        for ciphertext in ciphertexts
+        for element in ciphertext.elements
+    )
+
+
+def _fast_sections() -> dict[str, bytes]:
+    backend = FastBackend()
+    sections = {}
+    orders = TPCHGenerator(0.002, seed=1).orders()
+    orders = Table(orders.name, orders.schema, list(orders)[:40])
+    client = SecureJoinClient(
+        num_attributes=9, in_clause_limit=1, backend=backend,
+        rng=random.Random("sj.fast.orders"),
+    )
+    sections["orders_m9_t1"] = _encoded(
+        backend, client.encrypt_table(orders, "custkey").ciphertexts
+    )
+    keys = Table(
+        "T2", Schema.of(("k", "int"), ("v", "str")),
+        [(k, f"T2.{row}") for row, k in enumerate([3, 1, 3, 2, 1, 3])],
+    )
+    client = SecureJoinClient(
+        num_attributes=1, in_clause_limit=10, backend=backend,
+        rng=random.Random("sj.fast.chain"),
+    )
+    ciphertexts = client.encrypt_table(keys, "k").ciphertexts
+    ciphertexts += [
+        client.encrypt_row_for("T2", row)[0] for row in [(2, "x"), (3, "T2.0")]
+    ]
+    sections["chain_m1_t10"] = _encoded(backend, ciphertexts)
+    for name, m, t, rows in _FAST_SCHEME_SHAPES:
+        params = SecureJoinParams(m, t)
+        scheme = SecureJoinScheme(
+            params, backend, random.Random(f"sj.fast.{name}")
+        )
+        msk = scheme.setup()
+        sections[name] = _encoded(
+            backend,
+            [scheme.encrypt_row(msk, join, attributes) for join, attributes in rows],
+        )
+    return sections
+
+
 @pytest.fixture(scope="module")
 def sections() -> dict[str, bytes]:
     return _sections()
+
+
+@pytest.fixture(scope="module")
+def fast_sections() -> dict[str, bytes]:
+    return _fast_sections()
 
 
 _SECTION_SIZES = {
@@ -82,23 +171,49 @@ _SECTION_SIZES = {
     "token_d19": 19 * 64,
 }
 
+#: A fast element is 32 bytes; d = m(t + 1) + 3.
+_FAST_SECTION_SIZES = {
+    "orders_m9_t1": 40 * 21 * 32,
+    "chain_m1_t10": 8 * 14 * 32,
+    "narrow": 4 * 12 * 32,
+    "mixed": 6 * 21 * 32,
+}
 
-def _stored() -> dict[str, bytes]:
-    data = GOLDEN.read_bytes()
-    assert len(data) == sum(_SECTION_SIZES.values())
+
+def _stored(path=GOLDEN, sizes=_SECTION_SIZES) -> dict[str, bytes]:
+    data = path.read_bytes()
+    assert len(data) == sum(sizes.values())
     stored = {}
     offset = 0
-    for name, size in _SECTION_SIZES.items():
+    for name, size in sizes.items():
         stored[name] = data[offset:offset + size]
         offset += size
     return stored
 
 
+@pytest.mark.bn254
 @pytest.mark.parametrize("name", list(_SECTION_SIZES))
 def test_golden_bytes(sections, name):
     assert sections[name] == _stored()[name]
 
 
+@pytest.mark.parametrize("name", list(_FAST_SECTION_SIZES))
+def test_fast_golden_bytes(fast_sections, name):
+    assert fast_sections[name] == _stored(FAST_GOLDEN, _FAST_SECTION_SIZES)[name]
+
+
+def test_fast_golden_rows_are_distinct(fast_sections):
+    """No two stored rows coincide, not even rows of equal values: every
+    row is blinded by its own gamma_1, gamma_2."""
+    rows = [
+        data[i:i + 32 * 21]
+        for data in (fast_sections["orders_m9_t1"], fast_sections["mixed"])
+        for i in range(0, len(data), 32 * 21)
+    ]
+    assert len(set(rows)) == len(rows)
+
+
+@pytest.mark.bn254
 def test_golden_elements_are_points(sections):
     """Every stored element decodes on its curve, none is infinity, and
     no two are equal."""
@@ -135,6 +250,7 @@ _calls = st.lists(_exponents, min_size=1, max_size=3).map(
 )
 
 
+@pytest.mark.bn254
 @settings(max_examples=25, deadline=None)
 @given(exponents=_calls)
 def test_g1_powers_equal_scalar_mul(bn254_backend, exponents):
@@ -145,6 +261,7 @@ def test_g1_powers_equal_scalar_mul(bn254_backend, exponents):
     ]
 
 
+@pytest.mark.bn254
 @settings(max_examples=25, deadline=None)
 @given(exponents=_calls)
 def test_g2_powers_equal_scalar_mul(bn254_backend, exponents):
@@ -155,14 +272,16 @@ def test_g2_powers_equal_scalar_mul(bn254_backend, exponents):
     ]
 
 
-if __name__ == "__main__":
-    fresh = _sections()
-    before = _stored() if GOLDEN.exists() else {}
-    changed = [
-        name for name in _SECTION_SIZES if fresh[name] != before.get(name)
-    ]
-    GOLDEN.parent.mkdir(exist_ok=True)
-    blob = b"".join(fresh[name] for name in _SECTION_SIZES)
-    GOLDEN.write_bytes(blob)
-    print(f"wrote {GOLDEN} ({len(blob)} bytes)")
+def _regenerate(path, sizes, fresh) -> None:
+    before = _stored(path, sizes) if path.exists() else {}
+    changed = [name for name in sizes if fresh[name] != before.get(name)]
+    path.parent.mkdir(exist_ok=True)
+    blob = b"".join(fresh[name] for name in sizes)
+    path.write_bytes(blob)
+    print(f"wrote {path} ({len(blob)} bytes)")
     print("sections changed:", ", ".join(changed) or "none")
+
+
+if __name__ == "__main__":
+    _regenerate(GOLDEN, _SECTION_SIZES, _sections())
+    _regenerate(FAST_GOLDEN, _FAST_SECTION_SIZES, _fast_sections())
