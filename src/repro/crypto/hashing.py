@@ -28,7 +28,10 @@ def encode_value(value: Value) -> bytes:
     """Canonical, type-tagged byte encoding of a cell value.
 
     Type tags keep the embedding injective across types
-    (``1`` the int never collides with ``"1"`` the string).
+    (``1`` the int never collides with ``"1"`` the string).  Floats
+    encode as they compare: ``-0.0`` as ``0.0``, and NaN, which is
+    unequal to itself, is refused, since no deterministic encoding
+    could be unequal to itself too.
     """
     if value is None:
         return b"N:"
@@ -37,7 +40,9 @@ def encode_value(value: Value) -> bytes:
     if isinstance(value, int):
         return b"I:" + str(value).encode("ascii")
     if isinstance(value, float):
-        return b"F:" + struct.pack(">d", value)
+        if value != value:
+            raise ValueError("NaN has no encoding: it equals no value")
+        return b"F:" + struct.pack(">d", value + 0.0)
     if isinstance(value, bytes):
         return b"Y:" + value
     if isinstance(value, str):

@@ -13,6 +13,7 @@ from repro.core.server import SecureJoinServer
 from repro.crypto.hashing import derive_key, keyed_tag
 from repro.crypto.symmetric import SymmetricCipher
 from repro.db.database import Database
+from repro.db.join import hash_join
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
@@ -157,6 +158,64 @@ class TestEndToEnd:
         db.add_table(right)
         query = JoinQuery.build("L", "R", on=("city", "town"))
         _roundtrip(client, server, db, query)
+
+
+class TestFloatCells:
+    """Float cells embed as they compare: -0.0 is 0.0, and NaN, which
+    is unequal to itself, has no embedding at all."""
+
+    @staticmethod
+    def _tables():
+        schema = Schema.of(("k", "float"), ("v", "float"))
+        left = Table("L", schema, [(0.0, 0.0), (1.5, -0.0), (2.0, 1.5)])
+        right = Table("R", schema, [(-0.0, 2.5), (1.5, 0.0), (3.0, 1.5)])
+        return left, right
+
+    def _store(self, enable_prefilter=False):
+        left, right = self._tables()
+        client = SecureJoinClient.for_tables(
+            [(left, "k"), (right, "k")], in_clause_limit=2,
+            rng=random.Random(5), enable_prefilter=enable_prefilter,
+        )
+        server = SecureJoinServer(client.params, workers=1)
+        server.store(client.encrypt_table(left, "k"))
+        server.store(client.encrypt_table(right, "k"))
+        db = Database()
+        db.add_table(left)
+        db.add_table(right)
+        return client, server, db
+
+    def test_signed_zero_join_values_match_the_plaintext_join(self):
+        client, server, db = self._store()
+        left, right = self._tables()
+        query = JoinQuery.build("L", "R", on=("k", "k"))
+        result = server.execute_join(client.create_query(query))
+        truth = hash_join(left, right, "k", "k").index_pairs
+        assert truth == [(0, 0), (1, 1)]
+        assert sorted(result.index_pairs) == truth
+        _roundtrip(client, server, db, query)
+
+    @pytest.mark.parametrize("enable_prefilter", [False, True])
+    def test_signed_zero_in_selection_matches_the_plaintext(
+        self, enable_prefilter
+    ):
+        client, server, db = self._store(enable_prefilter)
+        for values in ([0.0], [-0.0]):
+            query = JoinQuery.build(
+                "L", "R", on=("k", "k"),
+                where_left={"v": values}, where_right={"v": values},
+            )
+            _, decrypted = _roundtrip(client, server, db, query)
+            assert decrypted.table.rows() == [(1.5, -0.0, 1.5, 0.0)]
+
+    def test_nan_cell_is_refused(self):
+        schema = Schema.of(("k", "float"), ("v", "str"))
+        table = Table("N", schema, [(1.0, "a"), (float("nan"), "b")])
+        client = SecureJoinClient.for_tables(
+            [(table, "k")], rng=random.Random(6)
+        )
+        with pytest.raises(ValueError, match="NaN"):
+            client.encrypt_table(table, "k")
 
 
 class TestPrefilter:

@@ -33,6 +33,27 @@ class TestEncodeValue:
         assert encode_value(1.5) == encode_value(1.5)
         assert encode_value(1.5) != encode_value(2.5)
 
+    def test_signed_zeros_encode_alike(self):
+        # -0.0 == 0.0 in Python and in the plaintext join.
+        assert encode_value(-0.0) == encode_value(0.0)
+        assert hash_to_zq(-0.0, CURVE_ORDER) == hash_to_zq(0.0, CURVE_ORDER)
+        assert encode_value(-0.0) != encode_value(0)
+
+    def test_nan_is_refused(self):
+        # NaN is unequal to itself: no deterministic encoding agrees.
+        for nan in (float("nan"), -float("nan"), float("inf") - float("inf")):
+            with pytest.raises(ValueError, match="NaN"):
+                encode_value(nan)
+
+    _floats = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, float("inf"), -float("inf")]),
+        st.floats(allow_nan=False),
+    )
+
+    @given(_floats, _floats)
+    def test_floats_encode_equal_iff_equal(self, a, b):
+        assert (encode_value(a) == encode_value(b)) == (a == b)
+
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
             encode_value([1, 2])
