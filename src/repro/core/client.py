@@ -225,16 +225,18 @@ class SecureJoinClient:
         attribute_indices = [
             table.schema.index_of(c) for c in attribute_columns
         ]
+        ciphertexts = self.scheme.encrypt_rows(
+            self.msk,
+            (
+                (row[join_index], [row[i] for i in attribute_indices])
+                for row in table
+            ),
+        )
         cipher = self._payload_cipher(table.name)
-        ciphertexts: list[SJRowCiphertext] = []
-        payloads: list[bytes] = []
-        for row in table:
-            join_value = row[join_index]
-            attributes = [row[i] for i in attribute_indices]
-            ciphertexts.append(
-                self.scheme.encrypt_row(self.msk, join_value, attributes)
-            )
-            payloads.append(cipher.encrypt(json.dumps(list(row)).encode("utf-8")))
+        payloads = [
+            cipher.encrypt(json.dumps(list(row)).encode("utf-8"))
+            for row in table
+        ]
         prefilter = None
         if self.enable_prefilter:
             prefilter = {}
@@ -274,8 +276,9 @@ class SecureJoinClient:
         attribute_indices = [
             encrypted.schema.index_of(c) for c in encrypted.attribute_columns
         ]
-        ciphertext = self.scheme.encrypt_row(
-            self.msk, row[join_index], [row[i] for i in attribute_indices]
+        [ciphertext] = self.scheme.encrypt_rows(
+            self.msk,
+            [(row[join_index], [row[i] for i in attribute_indices])],
         )
         payload = self._payload_cipher(table_name).encrypt(
             json.dumps(list(row)).encode("utf-8")

@@ -1,13 +1,30 @@
 """Vector encodings for the Secure Join scheme (Sections 4.1-4.3).
 
-The scheme operates on vectors of dimension ``m(t+1) + 3``::
+The scheme operates on vectors of dimension ``d = m(t+1) + 3``::
 
-    row    w = ( H(a0), g2*a1^0..g2*a1^t, ..., g2*am^0..g2*am^t, g1, 0 )
-    token  v = ( k,     p_{1,0}..p_{1,t}, ..., p_{m,0}..p_{m,t}, 0,  d )
+    row    w = ( H(a0), gamma_2*a1^0..gamma_2*a1^t, ...,
+                        gamma_2*am^0..gamma_2*am^t, gamma_1, 0     )
+    token  v = ( k,     p_{1,0}..p_{1,t},  ...,  p_{m,0}..p_{m,t},
+                                                 0,       delta )
 
-so that ``<v, w> = k*H(a0) + g2 * sum_i P_i(a_i)``, which collapses to
-the query-keyed join handle ``k*H(a0)`` exactly when every selection
-polynomial vanishes on the row's attribute values.
+so that ``<v, w> = k*H(a0) + gamma_2 * sum_i P_i(a_i)``, which
+collapses to the query-keyed join handle ``k*H(a0)`` exactly when every
+selection polynomial vanishes on the row's attribute values.
+``gamma_1`` and ``gamma_2`` are the row's blinding scalars and ``delta``
+the token's, all drawn fresh from Z_q.
+
+SJ.Enc raises g2 to ``w B*``.  Every power block of ``w`` opens with
+``gamma_2 * a^0 = gamma_2`` and the last slot is 0, so ``w B* = w' B'``
+with the ``d - m`` slots
+
+    w' = ( H(a0), gamma_2, gamma_2*a1^1..gamma_2*a1^t, ...,
+                           gamma_2*am^1..gamma_2*am^t, gamma_1 )
+
+against the rows of ``B'``: B*'s join row, the sum of its m ``a^0``
+rows, its ``a^j`` rows for j >= 1, and its ``gamma_1`` row
+(:meth:`VectorLayout.reduced_basis`).  The upload path builds ``w'``
+(:meth:`VectorLayout.reduced_row_vectors`); ``w`` itself
+(:meth:`VectorLayout.row_vector`) is the reference it is tested against.
 
 Attribute values are embedded into Z_q with a cryptographic hash
 (the paper's injective-embedding assumption); the join value uses a
@@ -17,11 +34,16 @@ separate hash domain.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.core.polynomials import ZqPolynomial, power_vector
-from repro.crypto.hashing import Value, hash_to_zq
+from repro.crypto.hashing import (
+    Value,
+    encode_value,
+    hash_bytes_to_zq,
+    hash_to_zq,
+)
 from repro.errors import SchemeError
 
 _JOIN_DOMAIN = b"repro.H.join"
@@ -62,6 +84,17 @@ class VectorLayout:
         return self.num_attributes * (self.degree + 1) + 3
 
     # -- row side ----------------------------------------------------------
+    def _padded(self, attribute_values: Sequence[Value]) -> list[Value]:
+        """The row's m attribute values, ``None`` past its own."""
+        if len(attribute_values) > self.num_attributes:
+            raise SchemeError(
+                f"{len(attribute_values)} attributes exceed layout m="
+                f"{self.num_attributes}"
+            )
+        return list(attribute_values) + [None] * (
+            self.num_attributes - len(attribute_values)
+        )
+
     def row_vector(
         self,
         join_value: Value,
@@ -69,23 +102,18 @@ class VectorLayout:
         q: int,
         rng: random.Random,
     ) -> list[int]:
-        """``w = (omega, gamma_1, 0)`` for one table row (SJ.Enc input).
+        """``w = (omega, gamma_1, 0)`` for one table row: the paper's
+        SJ.Enc input, kept as the reference for
+        :meth:`reduced_row_vectors`.
 
         ``attribute_values`` shorter than m are padded with ``None``
         (their power blocks still carry the per-row blinding, so they
         reveal nothing and pair to zero with zero polynomials).
         """
-        if len(attribute_values) > self.num_attributes:
-            raise SchemeError(
-                f"{len(attribute_values)} attributes exceed layout m="
-                f"{self.num_attributes}"
-            )
+        padded = self._padded(attribute_values)
         gamma_1 = rng.randrange(q)
         gamma_2 = rng.randrange(1, q)
         vector = [embed_join_value(join_value, q)]
-        padded = list(attribute_values) + [None] * (
-            self.num_attributes - len(attribute_values)
-        )
         for value in padded:
             embedded = embed_attribute(value, q)
             for p in power_vector(embedded, self.degree, q):
@@ -93,6 +121,80 @@ class VectorLayout:
         vector.append(gamma_1)
         vector.append(0)
         return vector
+
+    def reduced_basis(
+        self, rows: Sequence[Sequence[int]], q: int
+    ) -> tuple[tuple[int, ...], ...]:
+        """The columns of ``B'``, the ``d - m`` rows of ``B*`` (given as
+        its d ``rows``) that ``w'`` pairs with.
+
+        B*'s join row and ``gamma_1`` row stay; the m ``a^0`` rows, whose
+        slots always hold ``gamma_2``, are summed into one; the ``a^j``
+        rows for j >= 1 stay; the last row, whose slot is 0, drops.
+        """
+        block = self.degree + 1
+        heads = range(1, 1 + self.num_attributes * block, block)
+        folded = [sum(column) % q for column in zip(*(rows[i] for i in heads))]
+        kept = [rows[0], folded]
+        for head in heads:
+            kept.extend(rows[head + 1:head + block])
+        kept.append(rows[-2])
+        return tuple(zip(*kept))
+
+    def reduced_row_vectors(
+        self,
+        rows: Iterable[tuple[Value, Sequence[Value]]],
+        q: int,
+        rng: random.Random,
+    ) -> Iterator[list[int]]:
+        """``w'`` for each ``(join value, attribute values)`` row, in order.
+
+        Each row draws ``gamma_1`` then ``gamma_2`` exactly as
+        :meth:`row_vector` does, so ``w' B'`` equals ``w B*`` row for row
+        under the same rng.  Every row is checked and embedded before the
+        first draw, so a rejected row raises with no randomness drawn.
+
+        Each distinct join or attribute value is embedded once per call:
+        the memos are keyed by :func:`encode_value`, never by the value,
+        since ``1 == True == 1.0`` embed differently.  They are filled
+        and dropped before the caller builds the first ciphertext.  Memo
+        entries freed between a table's ciphertexts left holes that later
+        queries allocated into: on a 2-vCPU box ``chain3_inproc``'s first
+        match came 10-15 % later.
+        """
+        joins: dict[bytes, int] = {}
+        attributes: dict[bytes, int] = {}
+        embedded_rows = []
+        for join_value, attribute_values in rows:
+            padded = self._padded(attribute_values)
+            key = encode_value(join_value)
+            embedded = joins.get(key)
+            if embedded is None:
+                embedded = joins[key] = hash_bytes_to_zq(key, q, _JOIN_DOMAIN)
+            cells = [embedded]
+            for value in padded:
+                key = encode_value(value)
+                embedded = attributes.get(key)
+                if embedded is None:
+                    embedded = attributes[key] = hash_bytes_to_zq(
+                        key, q, _ATTR_DOMAIN
+                    )
+                cells.append(embedded)
+            embedded_rows.append(cells)
+        del joins, attributes
+        degree = range(self.degree)
+        for join, *cells in embedded_rows:
+            gamma_1 = rng.randrange(q)
+            gamma_2 = rng.randrange(1, q)
+            vector = [join, gamma_2]
+            for embedded in cells:
+                # gamma_2 * a^j for j = 1..t, one product each.
+                power = gamma_2
+                for _ in degree:
+                    power = power * embedded % q
+                    vector.append(power)
+            vector.append(gamma_1)
+            yield vector
 
     # -- token side ----------------------------------------------------------
     def selection_polynomials(

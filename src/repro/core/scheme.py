@@ -8,7 +8,8 @@ runs on the real BN254 pairing and on the fast exponent backend.
 Responsibility split (matching Figure 1):
 
 - *client, upload phase*: :meth:`SecureJoinScheme.setup`,
-  :meth:`SecureJoinScheme.encrypt_row`,
+  :meth:`SecureJoinScheme.encrypt_rows` (one row:
+  :meth:`SecureJoinScheme.encrypt_row`),
 - *client, query phase*: :meth:`SecureJoinScheme.new_query_key`,
   :meth:`SecureJoinScheme.token`,
 - *server, query phase*: :meth:`SecureJoinScheme.decrypt`,
@@ -18,8 +19,10 @@ Responsibility split (matching Figure 1):
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 from repro.core.encoding import VectorLayout
 from repro.crypto.backend import BilinearBackend, GTElement, get_backend
@@ -51,6 +54,13 @@ class SJMasterKey:
 
     params: SecureJoinParams
     ipe: IPEMasterKey
+
+    @cached_property
+    def reduced_basis(self) -> tuple[tuple[int, ...], ...]:
+        """The columns of ``B'`` (:meth:`VectorLayout.reduced_basis`),
+        built once per key."""
+        b_star = self.ipe.b_star
+        return self.params.layout.reduced_basis(b_star.rows(), b_star.q)
 
 
 @dataclass(frozen=True)
@@ -97,18 +107,41 @@ class SecureJoinScheme:
         """SJ.Setup: sample the bilinear group matrices ``(B, B*)``."""
         return SJMasterKey(self.params, self._ipe.setup())
 
+    def encrypt_rows(
+        self,
+        msk: SJMasterKey,
+        rows: Iterable[tuple[Value, Sequence[Value]]],
+    ) -> list[SJRowCiphertext]:
+        """SJ.Enc over a table: ``C_r = g2^{w_r B*}`` for each
+        ``(join value, attribute values)`` row, in order.
+
+        Computed as ``g2^{w'_r B'}`` on the ``d - m`` slots that are not
+        constant (see :mod:`repro.core.encoding`): the same exponents mod
+        q, so the same group elements.  Each distinct value is hashed
+        once per call, and the rng is drawn as ``len(rows)`` calls of
+        :meth:`encrypt_row` would draw it; a row with more than m
+        attributes raises before any row is drawn for.
+        """
+        self._check_msk(msk)
+        columns = msk.reduced_basis
+        q = self.backend.order
+        g2_powers = self.backend.g2_powers
+        return [
+            SJRowCiphertext(tuple(g2_powers(
+                [sum(map(mul, w, column)) % q for column in columns]
+            )))
+            for w in self._layout.reduced_row_vectors(rows, q, self.rng)
+        ]
+
     def encrypt_row(
         self,
         msk: SJMasterKey,
         join_value: Value,
         attribute_values: Sequence[Value],
     ) -> SJRowCiphertext:
-        """SJ.Enc: encrypt one row's join value and attribute powers."""
-        self._check_msk(msk)
-        w = self._layout.row_vector(
-            join_value, attribute_values, self.backend.order, self.rng
-        )
-        return SJRowCiphertext(self._ipe.encrypt(msk.ipe, w))
+        """SJ.Enc on one row: :meth:`encrypt_rows` of one."""
+        [ciphertext] = self.encrypt_rows(msk, [(join_value, attribute_values)])
+        return ciphertext
 
     # -- client, query phase ---------------------------------------------
     def new_query_key(self) -> int:

@@ -55,8 +55,7 @@ def hash_to_zq(value: Value, q: int, domain: bytes = b"repro.H") -> int:
 
     Uses SHA-512 over a domain-separated canonical encoding, reduced mod q.
     """
-    digest = hashlib.sha512(domain + b"|" + encode_value(value)).digest()
-    return int.from_bytes(digest, "big") % q
+    return hash_bytes_to_zq(encode_value(value), q, domain)
 
 
 def hash_bytes_to_zq(data: bytes, q: int, domain: bytes = b"repro.Hb") -> int:

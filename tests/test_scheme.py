@@ -11,9 +11,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.encoding as encoding
 from repro.core.scheme import SecureJoinParams, SecureJoinScheme
 from repro.crypto.backend import FastBackend
+from repro.crypto.hashing import encode_value
 from repro.errors import SchemeError
 
 
@@ -199,6 +203,115 @@ class TestSchemeMechanics:
         token = scheme.token(msk, {}, k)
         ct = scheme.encrypt_row(msk, 1, ["a", "b"])
         assert scheme.decrypt(token, ct) == scheme.decrypt(token, ct)
+
+
+#: Few values of every cell type, so rows repeat values and mix types
+#: that compare equal (1, True, 1.0) but embed apart.
+_cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.sampled_from([0.0, -0.0, 1.0, 1.5]),
+    st.sampled_from(["", "1", "a"]),
+    st.sampled_from([b"", b"1"]),
+)
+
+
+@st.composite
+def _tables(draw):
+    """``(m, t, rows)``: rows of at most m attributes, so some are padded."""
+    m = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 4))
+    rows = draw(st.lists(
+        st.tuples(_cells, st.lists(_cells, max_size=m)),
+        min_size=1, max_size=6,
+    ))
+    return m, t, rows
+
+
+def _reference(scheme, msk, rows, rng):
+    """The paper's SJ.Enc row by row: ``g2^{w B*}`` with ``w`` from
+    :meth:`VectorLayout.row_vector`."""
+    layout, q = scheme.params.layout, scheme.backend.order
+    return [
+        tuple(scheme.backend.g2_powers(msk.ipe.b_star.vec_mat(
+            layout.row_vector(join_value, attributes, q, rng)
+        )))
+        for join_value, attributes in rows
+    ]
+
+
+class TestEncryptRows:
+    """``encrypt_rows`` on the reduced basis is the paper's ``w B*``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(table=_tables(), seed=st.integers(0, 2**32))
+    def test_equals_w_times_b_star(self, table, seed):
+        m, t, rows = table
+        scheme = SecureJoinScheme(
+            SecureJoinParams(m, t), FastBackend(), random.Random(seed)
+        )
+        msk = scheme.setup()
+        rng = random.Random()
+        rng.setstate(scheme.rng.getstate())
+        expected = _reference(scheme, msk, rows, rng)
+        ciphertexts = scheme.encrypt_rows(msk, rows)
+        assert [c.elements for c in ciphertexts] == expected
+        assert scheme.rng.getstate() == rng.getstate()
+
+    def test_reduced_basis_has_d_minus_m_rows(self):
+        for m, t in [(1, 1), (1, 10), (8, 1), (9, 1), (3, 4)]:
+            scheme = SecureJoinScheme(
+                SecureJoinParams(m, t), FastBackend(), random.Random(m)
+            )
+            columns = scheme.setup().reduced_basis
+            d = scheme.params.dimension
+            assert len(columns) == d
+            assert {len(column) for column in columns} == {d - m}
+
+    def test_each_distinct_encoding_is_hashed_once(self, monkeypatch):
+        calls = []
+        real = encoding.hash_bytes_to_zq
+
+        def spy(data, q, domain):
+            calls.append((domain, data))
+            return real(data, q, domain)
+
+        monkeypatch.setattr(encoding, "hash_bytes_to_zq", spy)
+        scheme = SecureJoinScheme(
+            SecureJoinParams(3, 2), FastBackend(), random.Random(1)
+        )
+        msk = scheme.setup()
+        rows = [(1, [1, True]), (True, [1.0, 1]), (1, ["1", True, 1]),
+                (1.0, [])]
+        scheme.encrypt_rows(msk, rows)
+        assert len(calls) == len(set(calls))
+        joins = {encode_value(j) for j, _ in rows}
+        attributes = {
+            encode_value(v)
+            for _, values in rows
+            for v in list(values) + [None] * (3 - len(values))
+        }
+        assert sorted(data for _, data in calls) == sorted(
+            list(joins) + list(attributes)
+        )
+        # The memos belong to the call: a second call hashes again, here
+        # the join value 1 and the attributes 1, True and None.
+        scheme.encrypt_rows(msk, rows[:1])
+        assert len(calls) == len(joins) + len(attributes) + 4
+
+    def test_rejected_row_draws_no_randomness(self, scheme, msk):
+        state = scheme.rng.getstate()
+        for rows in ([(1, ["a", "b", "c"])], [(1, ["a"]), (2, ["a", "b", "c"])]):
+            with pytest.raises(SchemeError, match="exceed"):
+                scheme.encrypt_rows(msk, rows)
+            assert scheme.rng.getstate() == state
+
+    def test_encrypt_row_is_the_one_row_case(self, scheme, msk):
+        state = scheme.rng.getstate()
+        one = scheme.encrypt_row(msk, 4, ["a", 1.5])
+        scheme.rng.setstate(state)
+        assert scheme.encrypt_rows(msk, [(4, ["a", 1.5])]) == [one]
 
 
 @pytest.mark.bn254
