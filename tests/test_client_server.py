@@ -217,6 +217,15 @@ class TestFloatCells:
         with pytest.raises(ValueError, match="NaN"):
             client.encrypt_table(table, "k")
 
+    @pytest.mark.parametrize("enable_prefilter", [False, True])
+    def test_nan_in_clause_is_refused(self, enable_prefilter):
+        client, _, _ = self._store(enable_prefilter)
+        query = JoinQuery.build(
+            "L", "R", on=("k", "k"), where_left={"v": [float("nan")]}
+        )
+        with pytest.raises(ValueError, match="NaN"):
+            client.create_query(query)
+
 
 class TestPrefilter:
     def test_prefilter_reduces_decryptions(self):
