@@ -302,7 +302,8 @@ class TestEncryptRows:
 
     def test_rejected_row_draws_no_randomness(self, scheme, msk):
         state = scheme.rng.getstate()
-        for rows in ([(1, ["a", "b", "c"])], [(1, ["a"]), (2, ["a", "b", "c"])]):
+        too_wide = (2, ["a", "b", "c"])
+        for rows in ([too_wide], [(1, ["a"]), too_wide]):
             with pytest.raises(SchemeError, match="exceed"):
                 scheme.encrypt_rows(msk, rows)
             assert scheme.rng.getstate() == state

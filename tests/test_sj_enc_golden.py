@@ -149,7 +149,7 @@ def _fast_sections() -> dict[str, bytes]:
         msk = scheme.setup()
         sections[name] = _encoded(
             backend,
-            [scheme.encrypt_row(msk, join, attributes) for join, attributes in rows],
+            [scheme.encrypt_row(msk, join, values) for join, values in rows],
         )
     return sections
 
@@ -199,7 +199,8 @@ def test_golden_bytes(sections, name):
 
 @pytest.mark.parametrize("name", list(_FAST_SECTION_SIZES))
 def test_fast_golden_bytes(fast_sections, name):
-    assert fast_sections[name] == _stored(FAST_GOLDEN, _FAST_SECTION_SIZES)[name]
+    stored = _stored(FAST_GOLDEN, _FAST_SECTION_SIZES)
+    assert fast_sections[name] == stored[name]
 
 
 def test_fast_golden_rows_are_distinct(fast_sections):
