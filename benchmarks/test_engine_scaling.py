@@ -37,7 +37,7 @@ from repro.baselines import SerialEngine
 from repro.bench.workloads import build_encrypted_tpch, tpch_query
 from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
-from repro.core.service import chunk_spans
+from repro.core.service import ExecutionService, chunk_spans
 from tests.conftest import PoolEngine
 
 _SELECTIVITY = 1 / 12.5  # densest series: the most decryptions per query
@@ -58,13 +58,14 @@ _BUILDS = {
 _SERVERS: dict[tuple[float, str], SecureJoinServer] = {}
 
 
-def _build(workload, engine: str) -> SecureJoinServer:
-    """A server built as ``_BUILDS[engine]`` says over ``workload``'s
-    encrypted tables — without a series cache, like the workload's own:
-    a repeated query must measure SJ.Dec, not a replay."""
+def _build(workload, build: str, **overrides) -> SecureJoinServer:
+    """A server built as ``_BUILDS[build]`` says (and ``overrides``)
+    over ``workload``'s encrypted tables — without a series cache, like
+    the workload's own: a repeated query must measure SJ.Dec, not a
+    replay."""
     server = SecureJoinServer(
         workload.client.params, series_cache_bytes=None,
-        **_BUILDS[engine][0](),
+        **{**_BUILDS[build][0](), **overrides},
     )
     for name in ("Customers", "Orders"):
         server.store(workload.server.table(name))
@@ -81,12 +82,13 @@ def _server(workload, engine: str) -> SecureJoinServer:
 
 @pytest.fixture(autouse=True)
 def _close_cached_pools():
-    """Servers are cached module-wide; close any worker pool a test
-    warmed up so idle workers don't accumulate under the rest of the
-    session.  Pools restart lazily, so this is safe."""
+    """Servers are cached module-wide and hold the process's pools;
+    close any pool a test warmed up so idle workers don't accumulate
+    under the rest of the session.  Pools restart lazily, so this is
+    safe."""
     yield
     for server in _SERVERS.values():
-        server.close()
+        server.execution_service.close()
 
 
 @pytest.mark.parametrize("scale_factor", list(SCALE_FACTORS))
@@ -190,7 +192,7 @@ def test_warm_pool_beats_per_query_pool():
     encrypted_query = workload.client.create_query(
         tpch_query(_SELECTIVITY, in_clause_size=1)
     )
-    # Warm the server-owned pool once.
+    # Warm the process's pool once.
     server = _server(workload, "parallel")
     warm_result = server.execute_join(encrypted_query)
     known = _child_pids()
@@ -205,15 +207,21 @@ def test_warm_pool_beats_per_query_pool():
         assert not _child_pids() - known
 
         # Built (tables stored) before the clock starts: the gap under
-        # test is the fork, not the server's construction.
-        own_pool = _build(workload, "parallel")
+        # test is the fork, not the server's construction.  The
+        # process's pool is warm, so the engine is bound to a pool of
+        # its own first (an engine serves the first pool it is bound to).
+        own_pool = ExecutionService(workers=2)
+        engine = PoolEngine()
+        engine.bind_service(own_pool)
+        fresh = _build(workload, "parallel", engine=engine)
         start = time.perf_counter()
-        result = own_pool.execute_join(encrypted_query)
+        result = fresh.execute_join(encrypted_query)
         forked = _child_pids() - known
         own_pool.close()
         own_seconds.append(time.perf_counter() - start)
+        fresh.close()
         assert result.index_pairs == warm_result.index_pairs
-        assert len(forked) == own_pool.execution_service.worker_target
+        assert len(forked) == own_pool.worker_target
         assert not _child_pids() & forked
     print(
         f"\nwarm pool best {min(warm_seconds) * 1e3:.1f} ms, "
@@ -308,7 +316,6 @@ def test_pool_pays_in_cpu_seconds_at_the_papers_dimension():
     prepared rows are recorded (their worker-side cache is keyed to
     whichever worker last saw a row, so the speed-up moves with the
     preparations redone)."""
-    from repro.core.service import ExecutionService
     from repro.crypto.backend import BN254Backend
 
     backend = BN254Backend()

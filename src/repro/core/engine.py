@@ -9,14 +9,14 @@ exponentiation.  The chunks ramp 1, 2, 4, … rows up to the chunk size
 (:func:`~repro.core.service.chunk_spans`, the one place a side is cut,
 inline and on the pool alike), so a side's first handle — and a join's
 first match — waits for one row, not a whole chunk.  On a server at
-least two workers wide a side of two rows or more goes to the server's
-persistent worker pool (:class:`~repro.core.service.ExecutionService`)
-iff its backend's ``pool_pays`` says a pairing outweighs shipping its
+least two workers wide a side of two rows or more goes to the process's
+pool for its backend and width (:func:`~repro.core.service.process_pool`)
+iff the backend's ``pool_pays`` says a pairing outweighs shipping its
 row to a worker (:meth:`BatchedEngine.pools_side`): never on the fast
 backend, always on BN254.  The server's ``workers`` is the one
-execution setting, by default the CPUs the process may run on
-(:func:`~repro.core.service.default_width`); at width 1 nothing is
-decided and every side runs inline.  ``engine=`` on the server takes an
+execution setting, the pool's width, by default the CPUs the process
+may run on (:func:`~repro.core.service.default_width`); at width 1
+nothing is decided or forked.  ``engine=`` on the server takes an
 :class:`ExecutionEngine` instance: how an ablation's naive baseline
 (:class:`repro.baselines.SerialEngine`) gets in.
 
@@ -185,9 +185,9 @@ class ExecutionEngine(ABC):
 
 class BatchedEngine(ExecutionEngine):
     """Chunked multi-pairing decryption with shared final exponentiations,
-    on the server's worker pool when the backend's pairings pay for it.
+    on the process's worker pool when the backend's pairings pay for it.
 
-    A side runs inline, or on the pool (the owning server's, bound with
+    A side runs inline, or on the pool (the one its server bound with
     :meth:`bind_service` — the engine has no width of its own), in the
     chunks :func:`~repro.core.service.chunk_spans` cuts: 1, 2, 4, … rows
     up to ``batch_size`` inline, or up to ``batch_size // 2`` on the
@@ -205,16 +205,9 @@ class BatchedEngine(ExecutionEngine):
         self._service: ExecutionService | None = None
 
     def bind_service(self, service: ExecutionService) -> None:
-        """Attach the pool this engine should use.
-
-        A no-op while the engine is bound to a *live* pool, so a shared
-        service keeps winning; but a bound pool whose owner closed it is
-        abandoned in favor of the new one — reusing an engine with a
-        second server must not resurrect the first server's pool.
-        """
-        if self._service is None or (
-            self._service is not service and self._service.closed
-        ):
+        """Attach the pool this engine should use; the first one wins (a
+        closed pool restarts on its next side)."""
+        if self._service is None:
             self._service = service
 
     def pools_side(self, backend: BilinearBackend, rows: int) -> bool:

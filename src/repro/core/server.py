@@ -61,7 +61,7 @@ from repro.core.engine import (
 )
 from repro.core.pipeline import HandleSource, merge_sources
 from repro.core.scheme import SecureJoinParams, SecureJoinScheme, SJToken
-from repro.core.service import ExecutionService, QueryQoS
+from repro.core.service import QueryQoS, default_width, process_pool
 from repro.crypto.backend import BilinearBackend
 from repro.errors import DeadlineError, QueryError, SchemeError
 from repro.plan import (
@@ -100,8 +100,8 @@ class ServerStats:
     ``"scatter"``, a replay's ``"series"``.
     ``pool_generation`` / ``worker_restarts`` expose the persistent
     pool's lifecycle: the generation only moves when the pool is
-    actually (re)created, so equal generations across queries prove
-    worker reuse.
+    (re)created, so equal generations prove worker reuse; the restarts
+    are the pool's replacements while this query's sides were admitted.
 
     Pipeline fields: ``time_to_first_match`` is the wall-clock from
     execution start to the first emitted pair (0.0 when the join is
@@ -309,6 +309,13 @@ class _JoinHost:
     #: The host's own SJ.Dec engine; ``None`` on a host that decrypts
     #: nothing itself (a coordinator: each shard has its own).
     engine: ExecutionEngine | None = None
+
+    # -- lifecycle (each host's ``close`` releases what it holds) ----------
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- public entry points ----------------------------------------------
     def stream_join(self, query):
@@ -614,7 +621,10 @@ class _JoinHost:
 
 
 class SecureJoinServer(_JoinHost):
-    """Stores encrypted tables and executes encrypted equi-joins."""
+    """Stores encrypted tables and executes encrypted equi-joins on the
+    process pool ``workers`` wide (by default the CPUs the process may
+    run on) that every open server of that backend and width shares;
+    ``workers=1`` never forks."""
 
     def __init__(
         self,
@@ -636,14 +646,11 @@ class SecureJoinServer(_JoinHost):
             )
         # The server only needs public parameters — never the master key.
         self.scheme = SecureJoinScheme(params, backend)
-        # The server owns one persistent worker pool, ``workers`` wide
-        # (by default, the CPUs the process may run on), for its whole
-        # lifetime, and binds its engine to it.
-        # Construction is lazy — no process is forked until a side goes
-        # to the pool — and ``close()`` (or using the server as a
-        # context manager) tears it down.  Concurrent queries (and the
-        # two sides of one query) are co-admitted and interleave on it.
-        self.execution_service = ExecutionService(workers=workers)
+        self.execution_service = process_pool(
+            self.scheme.backend,
+            default_width() if workers is None else workers,
+        )
+        self._holds_pool = True
         if isinstance(engine, BatchedEngine):
             engine.bind_service(self.execution_service)
         self.engine = engine
@@ -667,16 +674,11 @@ class SecureJoinServer(_JoinHost):
         )
         self.ledger = LeakageLedger()
 
-    # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
-        """Shut down the server's worker pool.  Idempotent."""
-        self.execution_service.close()
-
-    def __enter__(self) -> "SecureJoinServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        """Let go of the pool; the last holder stops it.  Idempotent."""
+        if self._holds_pool:
+            self._holds_pool = False
+            self.execution_service.detach()
 
     @property
     def backend(self) -> BilinearBackend:

@@ -36,11 +36,11 @@ thread) records its result under the service lock, pumps again and
 wakes the waiting consumers; consumer threads shut executors down,
 *outside* the lock (:meth:`ExecutionService._reap`).
 
-The service is *owned* by :class:`~repro.core.server.SecureJoinServer`
-(bound to its engine), whose ``workers`` is the one place a pool's
-width is set; left out, it is :func:`default_width`, the CPUs the
-process may run on.  There is no process-wide pool: an engine nobody
-bound a service to runs inline.
+A pool is process state: every :class:`~repro.core.server.SecureJoinServer`
+binds its engine to :func:`process_pool`'s one service for its backend
+and ``workers`` (by default :func:`default_width`, the process's CPUs).
+The last open server holding it stops its workers, which restart
+lazily.  An engine nobody bound a service to runs inline.
 """
 
 from __future__ import annotations
@@ -297,12 +297,9 @@ class ExecutionService:
     pool was *not* recreated between queries).
     """
 
-    def __init__(self, workers: int | None = None, name: str | None = None):
+    def __init__(self, workers: int | None = None):
         if workers is not None and workers < 1:
             raise QueryError("worker count must be at least 1")
-        #: Optional label for pool-death error messages: every shard owns
-        #: a pool, and "the pool died" is not actionable without *whose*.
-        self.name = name
         #: The pool's width; by default :func:`default_width`.
         self.worker_target = (
             workers if workers is not None else default_width()
@@ -322,8 +319,6 @@ class ExecutionService:
         self._reaping = threading.Lock()
         #: What the pool was started on; ``None`` = not started.
         self._backend: BilinearBackend | None = None
-        #: True after :meth:`close` until the next (lazy) restart.
-        self.closed = False
         self._lock = threading.RLock()
         self._progress = threading.Condition(self._lock)
         #: Admitted sides, in rotation order.
@@ -332,6 +327,8 @@ class ExecutionService:
         self._pumping = False
         #: The current pool's workers, learned from their results.
         self._pids: set[int] = set()
+        #: Open servers holding this pool (:func:`process_pool`).
+        self._holders = 0
         self._rescues_since_progress = 0
 
     # -- lifecycle --------------------------------------------------------
@@ -349,9 +346,6 @@ class ExecutionService:
         (for lifecycle tests and diagnostics)."""
         with self._lock:
             return sorted(self._pids)
-
-    def _label(self) -> str:
-        return f" {self.name!r}" if self.name else ""
 
     @staticmethod
     def _backend_fingerprint(backend: BilinearBackend) -> tuple:
@@ -386,7 +380,6 @@ class ExecutionService:
             if self._backend is None:
                 self._backend = backend
                 self.generation += 1
-                self.closed = False
 
     def _retire_locked(self) -> None:
         if self._executor is not None:
@@ -422,13 +415,17 @@ class ExecutionService:
         with self._progress:
             self._retire_locked()
             self._backend = None
-            self.closed = True
             # Consumers blocked on in-flight sides must fail, not hang.
-            self._fail_sides_locked(
-                f"execution service{self._label()} was closed mid-side"
-            )
+            self._fail_sides_locked("execution service was closed mid-side")
             self._progress.notify_all()
         self._reap()
+
+    def detach(self) -> None:
+        """Drop one :func:`process_pool` hold; the last one closes."""
+        with _POOLS_LOCK:
+            self._holders -= 1
+            if self._holders == 0:
+                self.close()
 
     def __enter__(self) -> "ExecutionService":
         return self
@@ -543,7 +540,6 @@ class ExecutionService:
                 self._active.remove(side)
                 side.pending.clear()
                 side.report.workers_used = len(side.pids)
-                side.report.worker_restarts = self.worker_restarts
                 self._progress.notify_all()
         self._reap()
 
@@ -645,7 +641,7 @@ class ExecutionService:
                 side.rescue_budget -= 1
             if side.rescue_budget < 0 and side.error is None:
                 side.error = (
-                    f"execution-service{self._label()} workers keep dying "
+                    "execution-service workers keep dying "
                     f"(restarted {self.worker_restarts} total); refusing "
                     "to restart further for this side"
                 )
@@ -653,6 +649,8 @@ class ExecutionService:
             return
         self._retire_locked()
         self.worker_restarts += 1
+        for active in self._active:
+            active.report.worker_restarts += 1
         # The budget stops a chunk that kills every pool it meets; this
         # progress-free counter stops deaths no chunk causes (bad
         # environment, unpicklable backend) from forking forever.
@@ -667,3 +665,19 @@ class ExecutionService:
         for side in self._active:
             if not side.finished and side.error is None:
                 side.error = message
+
+
+_POOLS: dict[tuple, ExecutionService] = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def process_pool(backend: BilinearBackend, width: int) -> ExecutionService:
+    """The process's pool for ``backend``'s fingerprint, ``width`` wide,
+    built on first use and held until the caller's ``detach()``."""
+    key = (ExecutionService._backend_fingerprint(backend), width)
+    with _POOLS_LOCK:
+        pool = _POOLS.get(key)
+        if pool is None:
+            pool = _POOLS[key] = ExecutionService(workers=width)
+        pool._holders += 1
+    return pool

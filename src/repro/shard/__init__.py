@@ -2,9 +2,9 @@
 
 ``partition`` splits an encrypted table into per-shard tables with a
 process-independent hash (seeded blake2b — never Python's ``hash()``);
-``coordinator`` scatters SJ.Dec across per-shard execution pools and
-gathers the handle streams into one canonical matcher.  Remote shard
-endpoints live in :mod:`repro.net.shard`.
+``coordinator`` scatters SJ.Dec across the shards and gathers the
+handle streams into one canonical matcher.  Remote shard endpoints
+live in :mod:`repro.net.shard`.
 """
 
 from repro.shard.coordinator import LocalShard, ShardCoordinator

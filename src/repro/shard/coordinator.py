@@ -11,16 +11,13 @@ The coordinator therefore **scatters SJ.Dec and centralizes SJ.Match**
 the host seam:
 
 - ``_open_sources`` asks *every shard* for decrypt sources over the
-  query's distinct sides, each on the shard's own engine — and, on a
-  shard built at least two workers wide, its own
-  :class:`~repro.core.service.ExecutionService` pool (that is the
-  scale-out: n shards = n pools = n hosts' worth of cores) with the
-  query's priority/deadline QoS propagated into each admission
-  scheduler — and each translated to *global* row indices — so the
-  central executor sorts into the same canonical order, and the result
-  is **byte-identical to the unsharded join** no matter the shard
-  count, the partition skew, or how chunks interleaved (the property
-  the test suite pins);
+  query's distinct sides, each on the shard's own engine (in-process
+  shards share the process's pool; a remote one is another process
+  with its own) with the query's priority/deadline QoS, and each
+  translated to *global* row indices — so the central executor sorts
+  into the same canonical order, and the result is **byte-identical to
+  the unsharded join** no matter the shard count, the partition skew,
+  or how chunks interleaved (the property the test suite pins);
 - epochs / versions / tombstones are the per-shard values side by side;
 - payloads ride the scattered items and are retained on the series
   entry, because the coordinator holds no tables to re-read them from;
@@ -32,13 +29,13 @@ replay, delta refresh over only the rows the entry has never seen,
 deadline checks between merged events, release of every shard's
 admissions when the consumer abandons the stream — is the drive's.
 
-Failure semantics: a worker crash inside one shard's pool is rescued by
-that shard's own service, which replaces the pool and re-runs the lost
-chunks (invisible here but for ``worker_restarts``, result unchanged);
-a whole shard dying mid-stream — pool closed, endpoint unreachable —
-raises :class:`~repro.errors.ShardUnavailableError` naming the shard,
-after the drive's cleanup has closed every other shard's streams and
-released their admissions.  Deadline expiry stays a plain
+Failure semantics: a worker crash is rescued by the pool, which
+replaces its workers and re-runs the lost chunks (invisible here but
+for ``worker_restarts``, result unchanged); a whole shard dying
+mid-stream — its sides failing, its endpoint unreachable — raises
+:class:`~repro.errors.ShardUnavailableError` naming the shard, after
+the drive's cleanup has closed every other shard's streams and released
+their admissions.  Deadline expiry stays a plain
 :class:`~repro.errors.DeadlineError`.
 """
 
@@ -66,16 +63,15 @@ from repro.shard.partition import shard_of_bytes, shard_skew
 
 
 class LocalShard:
-    """One shard served in-process: its own tables, its own pool.
+    """One shard served in-process: its own tables, the process's pool.
 
-    Wraps a dedicated :class:`~repro.core.server.SecureJoinServer`
-    (and therefore a dedicated
-    :class:`~repro.core.service.ExecutionService`, ``workers`` wide —
-    by default as many as the CPUs the process may run on); only tables
-    split by :func:`~repro.shard.partition.partition_table` may be
-    stored, and every stored table must agree on the shard layout — a
-    descriptor from a different shard count or seed is rejected, which
-    is what makes repartitioning explicit rather than silent.
+    Wraps a dedicated :class:`~repro.core.server.SecureJoinServer`, on
+    the process pool ``workers`` wide (by default the CPUs the process
+    may run on) that every store of that backend and width shares; only
+    tables split by :func:`~repro.shard.partition.partition_table` may
+    be stored, and every stored table must agree on the shard layout —
+    a descriptor from a different shard count or seed is rejected,
+    which is what makes repartitioning explicit rather than silent.
     """
 
     def __init__(
@@ -90,7 +86,6 @@ class LocalShard:
         self.server = SecureJoinServer(
             params, backend=backend, engine=engine, workers=workers
         )
-        self.server.execution_service.name = name
         self._descriptors: dict[str, object] = {}
         self._layout: tuple[int, int, bytes] | None = None
 
@@ -242,9 +237,9 @@ class LocalShard:
         One :class:`~repro.core.pipeline.HandleSource` per entry of
         ``sides`` (the query's distinct ``(table, token)`` sides — a
         side shared by several chain positions is decrypted once per
-        shard), each on this shard's own engine and pool and emitting ``(global_row,
-        handle, payload)`` items: global indices via the shard
-        descriptor, so the coordinator's executor operates in the
+        shard), each on this shard's own engine and emitting
+        ``(global_row, handle, payload)`` items: global indices via the
+        shard descriptor, so the coordinator's executor operates in the
         single-store index space.  ``exclude_rows[i]`` holds the
         *global* rows the coordinator already has handles for on side
         ``i`` (the delta path): they are translated to shard-local
@@ -447,12 +442,6 @@ class ShardCoordinator(_JoinHost):
         """Close every shard (their pools / connections).  Idempotent."""
         for shard in self.shards:
             shard.close()
-
-    def __enter__(self) -> "ShardCoordinator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     @property
     def backend(self) -> BilinearBackend:

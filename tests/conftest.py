@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.core import service
 from repro.core.client import SecureJoinClient
 from repro.core.engine import DEFAULT_BATCH_SIZE, BatchedEngine
 from repro.crypto.backend import BN254Backend, FastBackend
@@ -43,6 +44,21 @@ def server_shape(shape: str, batch_size: int = DEFAULT_BATCH_SIZE) -> dict:
         "engine": PoolEngine(batch_size),
         "workers": 2,
     }
+
+
+@pytest.fixture(autouse=True)
+def _fresh_process_pools():
+    """Close and forget every process pool after each test, servers
+    left open included: a test backend's state (``CrashOnceBackend``'s
+    flag path) is not part of a pool's key, so no test may inherit
+    workers started on another test's backend instance, and each test's
+    pools start at generation 1."""
+    yield
+    with service._POOLS_LOCK:
+        pools = list(service._POOLS.values())
+        service._POOLS.clear()
+    for pool in pools:
+        pool.close()
 
 
 @pytest.fixture

@@ -10,23 +10,32 @@ so every test reads the same on any machine:
 - one CPU: the inline path, nothing decided, nothing forked;
 - two CPUs on BN254: both sides of a ``bn254_small``-shaped join run on
   the pool, and closing the server leaves no worker behind;
+- two CPUs, many stores: a two-shard fleet, and ``bn254_small``'s raw
+  and prepared stores, each share one pool and fork two workers, not
+  two per store; a ``workers=1`` store beside them forks nothing;
 - ``--cost-model`` is no option, whatever the width comes to.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
+import random
 
 import pytest
 
+from repro.core.client import SecureJoinClient
 from repro.core.scheme import SecureJoinParams
 from repro.core.server import SecureJoinServer
 from repro.core.service import ExecutionService, default_width
+from repro.db.query import JoinQuery
+from repro.db.schema import Schema
+from repro.db.table import Table
 from repro.net.__main__ import main as serve
-from repro.shard import LocalShard
-from tests.conftest import bn254_small_join
+from repro.shard import LocalShard, ShardCoordinator, partition_table
+from tests.conftest import bn254_small_join, held_handles
 
 PARAMS = SecureJoinParams(num_attributes=1, in_clause_limit=1)
 
@@ -133,3 +142,92 @@ class TestBN254Default:
         assert stats.engine_selected == "parallel"
         assert (stats.pool_generation, stats.planner) == (1, None)
         assert multiprocessing.active_children() == children
+
+
+def _new_children(before) -> int:
+    """Live child processes started since ``before``."""
+    return len(set(multiprocessing.active_children()) - set(before))
+
+
+@pytest.mark.bn254
+class TestOnePoolPerProcess:
+    """Every store of a backend at one width runs on one pool, so the
+    process forks that width's workers once, however many stores and
+    shards it holds."""
+
+    def test_a_two_shard_fleet_forks_one_pool(
+        self, monkeypatch, bn254_backend
+    ):
+        """Two ``LocalShard``s at the default width run an 8 x 8 join on
+        one pool: two workers while the fleet is open, not two per
+        shard, and the result a one-worker store computes."""
+        _cpus(monkeypatch, 0, 1)
+        schema = Schema.of(("k", "int"), ("v", "str"))
+        left = Table("L", schema, [(i % 4, f"l{i}") for i in range(8)])
+        right = Table("R", schema, [(i % 4, f"r{i}") for i in range(8)])
+        client = SecureJoinClient.for_tables(
+            [(left, "k"), (right, "k")], in_clause_limit=1,
+            backend=bn254_backend, rng=random.Random(32),
+        )
+        tables = [client.encrypt_table(t, "k") for t in (left, right)]
+        query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
+        inline = SecureJoinServer(
+            client.params, backend=bn254_backend, workers=1
+        )
+        for table in tables:
+            inline.store(table)
+        expected = inline.execute_join(query)
+        children = multiprocessing.active_children()
+        shards = [
+            LocalShard(client.params, backend=bn254_backend)
+            for _ in range(2)
+        ]
+        for table in tables:
+            for piece in partition_table(table, bn254_backend, 2):
+                shards[piece.shard.shard_index].store(piece)
+        with ShardCoordinator(shards) as fleet:
+            result = fleet.execute_join(query)
+            assert _new_children(children) == 2
+        assert "parallel" in result.stats.engine_selected
+        pool = shards[0].server.execution_service
+        assert shards[1].server.execution_service is pool
+        assert pool.worker_target == 2
+        assert result.index_pairs == expected.index_pairs
+        assert result.left_payloads == expected.left_payloads
+        assert result.right_payloads == expected.right_payloads
+
+    def test_raw_and_prepared_stores_share_one_pool(
+        self, monkeypatch, bn254_backend
+    ):
+        """``bn254_small``'s shape: a raw and a prepared store on one
+        backend, each running one join, fork one pool between them; a
+        ``workers=1`` store beside them forks nothing, and all three
+        compute the same handles."""
+        _cpus(monkeypatch, 0, 1)
+        client, tables, query = bn254_small_join(bn254_backend)
+        children = multiprocessing.active_children()
+        raw = SecureJoinServer(client.params, backend=bn254_backend)
+        prepared = SecureJoinServer(client.params, backend=bn254_backend)
+        inline = SecureJoinServer(
+            client.params, backend=bn254_backend, workers=1
+        )
+        for table in tables:
+            raw.store(table)
+            inline.store(table)
+            prepared.store(dataclasses.replace(table))
+            prepared.prepare_table(table.name)
+        results = [
+            store.execute_join(query) for store in (raw, prepared, inline)
+        ]
+        assert [r.stats.engine_selected for r in results[:2]] == [
+            "parallel", "parallel",
+        ]
+        assert results[2].stats.workers == 1
+        assert _new_children(children) <= 2
+        assert raw.execution_service is prepared.execution_service
+        assert not inline.execution_service.started
+        handles = [
+            held_handles(store, query) for store in (raw, prepared, inline)
+        ]
+        assert handles[0] == handles[1] == handles[2]
+        assert results[0].index_pairs == results[2].index_pairs

@@ -538,7 +538,7 @@ class TestPlanner:
         "engine_type", [PoolEngine, BatchedEngine], ids=["parallel", "auto"]
     )
     def test_unbound_pooled_engine_runs_inline(self, engine_type):
-        """There is no process-wide pool to fall back on: an engine no
+        """An unbound engine has no pool to fall back on: an engine no
         service was bound to — or bound to a pool one worker wide —
         decrypts inline and decides nothing, whether it sends every
         side it may to the pool (``parallel``) or the backend decides

@@ -229,7 +229,8 @@ class TestPoolReuse:
 
     def test_engine_named_at_construction_shares_pool(self):
         """The engine handed in at construction is bound once, to the
-        server's own pool, and every query shares it."""
+        process's pool for the server's backend and width, and every
+        query shares it."""
         engine = PoolEngine()
         client, server = _fixture(engine=engine)
         query = JoinQuery.build("L", "R", on=("k", "k"))
@@ -275,6 +276,22 @@ class TestCrashResilience:
             assert recovered.index_pairs == expected.index_pairs
             assert held_handles(server, query) == expected_handles
             assert server.execution_service.worker_restarts >= 1
+
+    def test_a_query_reports_only_its_own_restarts(self, crash_once_backend):
+        """``worker_restarts`` counts the pool replacements while the
+        query's sides were admitted, not the pool's lifetime total: a
+        clean query after a crashing one on the same server reports 0."""
+        client, server = _fixture(
+            rows=120, engine=_pooled(2), backend=crash_once_backend
+        )
+        query = JoinQuery.build("L", "R", on=("k", "k"))
+        with server:
+            crashed = server.execute_join(client.create_query(query))
+            clean = server.execute_join(client.create_query(query))
+        assert crashed.stats.worker_restarts == 1
+        assert clean.stats.worker_restarts == 0
+        assert clean.index_pairs == crashed.index_pairs
+        assert server.execution_service.worker_restarts == 1
 
 
 class TestConcurrentAdmission:
@@ -422,6 +439,26 @@ class TestLifecycle:
         assert not server.execution_service.started
         server.close()  # second close: no error, no effect
         server.close()
+
+    def test_the_last_server_to_close_stops_the_shared_pool(self):
+        """Servers of one backend and width share one pool: closing one
+        leaves it running for the other — however often it is closed —
+        and closing the last stops its workers."""
+        children = _alive_children()
+        client, server = _fixture(engine=_pooled())
+        sibling = _with_engine(client, server, _pooled())
+        pool = server.execution_service
+        assert sibling.execution_service is pool
+        query = JoinQuery.build("L", "R", on=("k", "k"))
+        sibling.execute_join(client.create_query(query))
+        server.close()
+        server.close()
+        assert pool.started
+        again = sibling.execute_join(client.create_query(query))
+        assert again.stats.pool_generation == 1
+        sibling.close()
+        assert not pool.started
+        assert _alive_children() == children
 
     def test_close_without_start_is_fine(self):
         service = ExecutionService(workers=2)

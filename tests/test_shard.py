@@ -11,11 +11,11 @@ The contracts under test:
 - **byte-identity** — the merged scatter-gather stream reassembles the
   *exact* single-store ``execute_join`` result (pairs and payloads) for
   any shard count, any skew, any engine, local or remote shards;
-- **fault tolerance** — a SIGKILLed worker inside one shard's pool is
-  rescued invisibly (result unchanged); a whole shard dying mid-stream
-  raises :class:`~repro.errors.ShardUnavailableError` naming the shard,
-  with every surviving shard's admissions released and flat process/FD
-  counts afterwards.
+- **fault tolerance** — a SIGKILLed worker inside the pool the shards
+  share is rescued invisibly (result unchanged); a whole shard dying
+  mid-stream raises :class:`~repro.errors.ShardUnavailableError` naming
+  the shard, with every surviving shard's admissions released and flat
+  process/FD counts afterwards.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -34,7 +35,7 @@ from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
 from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
-from repro.crypto.backend import get_backend
+from repro.crypto.backend import FastBackend, get_backend
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
@@ -67,8 +68,9 @@ except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
     HAVE_HYPOTHESIS = False
 
 #: How a fleet's shards are built, per label, as ``LocalShard``
-#: arguments.  Each shard gets a fresh engine: an engine stays bound to
-#: the first pool it is given, so shards must not share one.  ``None``
+#: arguments.  Each shard gets a fresh engine, bound to the process's
+#: pool for its backend and width — the pool every shard built alike
+#: shares (an engine serves the first pool it is bound to).  ``None``
 #: is the default build (as wide as the CPUs the process may run on);
 #: ``batched`` lets the backend decide every side on two workers;
 #: ``parallel`` sends every side of two rows or more to a two-worker pool, as the
@@ -86,6 +88,24 @@ SHARD_BUILDS = {
     },
 }
 ENGINES = (None, "serial", "batched", "parallel")
+
+
+class _DoomedBackend(FastBackend):
+    """The fast backend, slowed to 50 ms asleep per pooled chunk, whose
+    pooled chunks fail once the ``doom`` file exists: the shard built
+    on it dies mid-stream, and its type gives it a pool of its own."""
+
+    def __init__(self, doom):
+        super().__init__()
+        self.doom = str(doom)
+        self.builder_pid = os.getpid()
+
+    def pair_vectors_batch(self, g1_vector, g2_vectors):
+        if os.getpid() != self.builder_pid:
+            time.sleep(0.05)
+            if os.path.exists(self.doom):
+                raise RuntimeError("this shard's workers are doomed")
+        return super().pair_vectors_batch(g1_vector, g2_vectors)
 
 
 def _alive_children() -> int:
@@ -137,11 +157,13 @@ def _sharded(
     shard_backend=None,
 ):
     """Build ``n_shards`` local shards as ``SHARD_BUILDS[build]`` says
-    (decrypting on ``shard_backend``, when given), holding the
-    partitioned tables."""
+    (decrypting on ``shard_backend``, when given: one backend for all,
+    or a list with one per shard), holding the partitioned tables."""
+    if not isinstance(shard_backend, list):
+        shard_backend = [shard_backend] * n_shards
     shards = [
         LocalShard(
-            client.params, backend=shard_backend, name=f"shard-{i}",
+            client.params, backend=shard_backend[i], name=f"shard-{i}",
             **SHARD_BUILDS[build](),
         )
         for i in range(n_shards)
@@ -442,10 +464,9 @@ class TestScatterGather:
 
 class TestFaultInjection:
     def test_worker_sigkill_mid_scatter_is_rescued(self, crash_once_backend):
-        """SIGKILL one shard's pool worker while the scatter is in
-        flight: the shard's own rescue restarts its pool, the merged
-        result is byte-identical, and the restart is visible in the
-        stats."""
+        """SIGKILL a pool worker while the scatter is in flight: the
+        pool's rescue replaces its workers, the merged result is
+        byte-identical, and the restart is visible in the stats."""
         client, backend, tables, ref = _fixture(
             [i % 6 for i in range(72)], [i % 6 for i in range(72)]
         )
@@ -457,15 +478,16 @@ class TestFaultInjection:
             result = coordinator.execute_join(_query(client))
             _assert_identical(result, ref, 2)
             assert result.stats.worker_restarts >= 1
-            assert sum(
-                shard.server.execution_service.worker_restarts
-                for shard in shards
-            ) == 1
+            # Both shards run on the process's one pool, which was
+            # replaced once.
+            pools = {shard.server.execution_service for shard in shards}
+            assert [pool.worker_restarts for pool in pools] == [1]
 
-    def test_shard_death_mid_stream_raises_and_releases(self):
-        """Hard-kill one whole shard's pool mid-stream: the consumer
-        gets a ShardUnavailableError naming the shard, the surviving
-        shard's admissions are released, and no process or FD leaks."""
+    def test_shard_death_mid_stream_raises_and_releases(self, tmp_path):
+        """Kill one whole shard mid-stream — every chunk its workers
+        take after the first merged batch fails: the consumer gets a
+        ShardUnavailableError naming the shard, the surviving shard's
+        admissions are released, and no process or FD leaks."""
         children_before = _alive_children()
         fds_before = _open_fds()
         # Shard 1 gets nearly all rows, so after the first merged batch
@@ -478,15 +500,23 @@ class TestFaultInjection:
             [0 if i < 4 else 1 for i in range(left_n)],
             [0 if i < 4 else 1 for i in range(right_n)],
         ]
+        doom = tmp_path / "doom"
         shards = _sharded(
             client, backend, tables, 2, assignments=assignments,
-            build="parallel",
+            build="parallel", shard_backend=[None, _DoomedBackend(doom)],
+        )
+        # Shard 1's backend is a type of its own, so a pool of its own.
+        assert (
+            shards[0].server.execution_service
+            is not shards[1].server.execution_service
         )
         coordinator = ShardCoordinator(shards)
         stream = coordinator.stream_join(_query(client))
         next(stream)
-        shards[1].server.execution_service.close()
-        with pytest.raises(ShardUnavailableError, match="shard 1"):
+        doom.touch()
+        with pytest.raises(
+            ShardUnavailableError, match="shard 1(?s:.*)doomed"
+        ):
             while True:
                 next(stream)
         assert shards[0].server.execution_service.active_sides == 0
