@@ -5,9 +5,9 @@
 - :mod:`repro.core.encoding` — row vectors ``w`` and token vectors ``v``,
 - :mod:`repro.core.scheme` — the five algorithms SJ.Setup / SJ.Enc /
   SJ.TokenGen / SJ.Dec / SJ.Match (Section 4.3),
-- :mod:`repro.core.client` / :mod:`repro.core.server` — the outsourced-
-  database protocol built on the scheme (upload phase, query phase,
-  hash-join matching).
+- :mod:`repro.core.client` / :mod:`repro.core.server` /
+  :mod:`repro.core.storage` — the outsourced-database protocol built on
+  the scheme (upload phase, query phase, hash-join matching).
 """
 
 from repro.core.client import DecryptedJoinResult, SecureJoinClient

@@ -8,9 +8,8 @@ the sources; here is what it merges them with:
 
 - :class:`HandleSource` adapts one side's
   :class:`~repro.core.engine.HandleStream` to ``(positions, items)``
-  events — chunk offsets translated to the side's row indices (local on
-  a single store, *global* from a shard), tagged with every chain
-  position that consumes the side;
+  events — chunk offsets translated to the side's global rows, tagged
+  with every chain position that consumes the side;
 - :func:`round_robin` deals events from N sources in turn, and
   :func:`merge_sources` feeds them into one executor (a remote shard
   sends them as frames instead).  For inline sides the alternation
@@ -43,10 +42,9 @@ __all__ = ["HandleSource", "merge_sources", "round_robin"]
 class HandleSource:
     """One side's decrypt stream as a merge source.
 
-    Iteration yields ``(positions, items)`` per decrypted chunk: every
-    chain position in ``positions`` consumes the same items (the handle
-    pool's fan-out).  With ``payloads`` (aligned with ``rows``) each
-    item is ``(row, handle, payload)``; otherwise ``(row, handle)``.
+    Iteration yields ``(positions, items)`` per decrypted chunk, each
+    item ``(row, handle)``: every chain position in ``positions``
+    consumes the same items (the handle pool's fan-out).
 
     ``decrypted`` is how many rows the stream runs SJ.Dec over;
     ``reports`` holds the stream's
@@ -60,12 +58,10 @@ class HandleSource:
         positions: Sequence[int],
         stream: HandleStream,
         rows: Sequence[int],
-        payloads: Sequence[bytes] | None = None,
     ):
         self.positions = tuple(positions)
         self.stream = stream
         self.rows = rows
-        self.payloads = payloads
         self.decrypted = len(rows)
         self.reports: list = []
 
@@ -80,12 +76,7 @@ class HandleSource:
             raise
         start = chunk.start
         rows = self.rows[start:start + len(chunk.handles)]
-        if self.payloads is None:
-            items = list(zip(rows, chunk.handles))
-        else:
-            payloads = self.payloads[start:start + len(chunk.handles)]
-            items = list(zip(rows, chunk.handles, payloads))
-        return self.positions, items
+        return self.positions, list(zip(rows, chunk.handles))
 
     def close(self) -> None:
         self.stream.close()
@@ -117,9 +108,10 @@ def merge_sources(
     """Merge decrypt sources round-robin into ``executor``; a generator.
 
     Each source is an iterator of ``(positions, items)`` events —
-    ``items`` being ``(row, handle)`` or ``(row, handle, payload)``
-    tuples.  ``on_items`` sees every event before it is matched (the
-    drive finds equal handles and retains payloads there).  Yields lists
+    ``items`` being ``(row, handle)`` or, from a remote shard,
+    ``(row, handle, payload)`` tuples.  ``on_items`` sees every event
+    before it is matched (the drive finds equal handles and retains a
+    remote shard's payloads there).  Yields lists
     of newly completed chain tuples in discovery order and accumulates
     the stage wall-clock into ``stats.decrypt_seconds`` (waiting on the
     streams) and ``stats.match_seconds`` (inside the executor); the two

@@ -1,4 +1,4 @@
-"""The join drive, and the single store that hosts it.
+"""The join drive, and the coordinator of stores that hosts it.
 
 The server is the semi-honest adversary of the paper's model: it stores
 encrypted tables, applies tokens to produce per-row handles (SJ.Dec) and
@@ -9,9 +9,9 @@ selected, and over a *series* of queries the server may only ever learn
 the transitive closure of those patterns — the host's
 :class:`~repro.series.ledger.LeakageLedger` — so "decrypt the selected
 rows not yet seen under this token, match, link what was seen" is one
-operation, and :class:`_JoinHost` runs it for every public entry point
-(``stream_join`` / ``execute_join`` / ``stream_chain`` /
-``execute_chain``, here and on the shard coordinator):
+operation, and :class:`ShardCoordinator` runs it for every public entry
+point (``stream_join`` / ``execute_join`` / ``stream_chain`` /
+``execute_chain``):
 
 1. look the query up in the series cache and take its entry — or an
    *empty* one on a miss (a cold run is a refresh of an empty entry);
@@ -21,10 +21,10 @@ operation, and :class:`_JoinHost` runs it for every public entry point
    payloads are gathered once for the batches and the result alike, and
    nothing new is linked (a replay — it sorts nothing and allocates
    nothing per held handle);
-4. otherwise ask the host for decrypt sources over exactly the selected
-   rows the entry holds no handle for — all of them when it is empty —
-   one per distinct ``(table, token)`` side, and merge them round-robin
-   into the entry's :class:`~repro.plan.executor.ChainExecutor`
+4. otherwise ask every store for decrypt sources over exactly the
+   selected rows the entry holds no handle for — all of them when it is
+   empty — one per distinct ``(table, token)`` side, and merge them
+   round-robin into the entry's :class:`~repro.plan.executor.ChainExecutor`
    (:func:`~repro.core.pipeline.merge_sources`), re-checking the
    deadline between events and linking, even if abandoned, each fed row
    to the entry's rows with its handle;
@@ -33,37 +33,47 @@ operation, and :class:`_JoinHost` runs it for every public entry point
 
 A two-way join is the two-table chain run in the identity order; its
 public shape (:class:`MatchBatch`, right-major
-:class:`EncryptedJoinResult`) is produced at the API edge.  What differs
-between a store and a fleet is the *host seam* the drive calls:
-``table_epoch`` / ``table_version`` / ``tombstoned_rows`` per table,
-``_open_sources`` (a single store streams its own rows; a coordinator
-asks every shard), ``_payloads`` (the tables here; the entry's retained
-payload maps on a coordinator, which holds no tables) and ``_account``
-for scatter accounting.
+:class:`EncryptedJoinResult`) is produced at the API edge.
+
+The host drives stores (:class:`~repro.core.storage.LocalShard`, or a
+remote shard's proxy), every row they name a global row:
+:class:`SecureJoinServer`, the paper's single server, is the host over
+one store of whole tables, and a fleet the host over the pieces of a
+partition.  The drive reads them through one seam, whatever their
+number: per table the stores' summed epochs and versions and united
+tombstones; ``_open_sources`` (every store's sources, tagged so a
+failure names the shard); ``_payloads`` (lent by in-process stores;
+only a remote shard's items carry payloads, retained on the entry);
+``_account`` (shard loads, skew, one ``"scatter"`` record) and
+``_distinct_estimate`` (the stores' tag profiles).
 
 How SJ.Dec is issued is not a property of a query: a store has one
-:class:`~repro.core.engine.BatchedEngine`, one pool ``workers`` wide
-(``SecureJoinServer(workers=…)``) and one matcher, the paper's hash
-join — so every entry point takes the query and nothing else.
+:class:`~repro.core.engine.BatchedEngine`, one pool ``workers`` wide and
+one matcher, the paper's hash join — so every entry point takes the
+query and nothing else.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from repro.core.client import EncryptedTable, position_view
-from repro.core.engine import (
-    BatchedEngine,
-    EngineReport,
-    ExecutionEngine,
-    HandleStream,
-)
-from repro.core.pipeline import HandleSource, merge_sources
-from repro.core.scheme import SecureJoinParams, SecureJoinScheme, SJToken
-from repro.core.service import QueryQoS, default_width, process_pool
+from repro.core.engine import EngineReport, ExecutionEngine
+from repro.core.pipeline import merge_sources
+from repro.core.scheme import SecureJoinParams
+from repro.core.service import QueryQoS
+from repro.core.storage import LocalShard, check_layout
 from repro.crypto.backend import BilinearBackend
-from repro.errors import DeadlineError, QueryError, SchemeError
+from repro.errors import (
+    DeadlineError,
+    NetworkError,
+    QueryError,
+    SchemeError,
+    ShardUnavailableError,
+)
 from repro.plan import (
     MAX_CHAIN_TABLES,
     ChainExecutor,
@@ -111,12 +121,12 @@ class ServerStats:
     worker pool while this query ran (>= 2 proves interleaving, 0 means
     the query never used the pool).
 
-    Scatter-gather fields (set by the shard coordinator when it
-    scatters; 0 for a single-store join and for a replay, which asks no
-    shard): ``shards`` is how many shards served the query and
-    ``shard_skew`` the candidate-row imbalance across them (max
-    over mean; 1.0 = perfectly uniform) — what discounts the ideal
-    ``1/n`` speedup of the scatter.
+    Scatter-gather fields (set whenever the query opened a store — 1
+    and 1.0 on a single store, which is a one-shard fleet; 0 for a
+    replay, which asks no store): ``shards`` is how many shards served
+    the query and ``shard_skew`` the decrypted-row imbalance across
+    them (max over mean; 1.0 = perfectly uniform) — what discounts the
+    ideal ``1/n`` speedup of the scatter.
 
     Query-series fields: ``series_cache_hits`` is 1 when the query hit
     the server's cross-query cache (a warm replay or a delta refresh),
@@ -295,22 +305,114 @@ def _drain(events):
             return stop.value
 
 
-class _JoinHost:
-    """The one join drive (see the module docstring for its steps).
+def shard_skew(rows_per_shard: list[int]) -> float:
+    """Load imbalance: max over mean rows per shard (1.0 = uniform).
 
-    A host supplies the seam — ``backend``, ``series_cache``,
-    ``ledger``, ``table_epoch`` / ``table_version`` /
-    ``tombstoned_rows``, ``_open_sources``, ``_payloads`` — and inherits
-    the four public entry points.
+    The planner prices cross-shard parallelism with it — scatter
+    makespan is the *slowest* shard, so skew directly discounts the
+    ideal ``1/n`` speedup.
+    """
+    if not rows_per_shard:
+        return 1.0
+    mean = sum(rows_per_shard) / len(rows_per_shard)
+    if mean <= 0:
+        return 1.0
+    return max(rows_per_shard) / mean
+
+
+class _GuardedSource:
+    """Tags a shard's source so its failures name the shard.
+
+    Pool death (``QueryError`` from a closed/unrescuable service) and
+    transport loss (``NetworkError``) become
+    :class:`ShardUnavailableError`; deadline expiry passes through
+    untranslated — running out of time is a property of the query, not
+    of shard health.
     """
 
-    series_cache: SeriesCache | None
-    ledger: LeakageLedger
-    #: The host's own SJ.Dec engine; ``None`` on a host that decrypts
-    #: nothing itself (a coordinator: each shard has its own).
-    engine: ExecutionEngine | None = None
+    def __init__(self, ordinal: int, shard, source):
+        self.ordinal = ordinal
+        self.shard = shard
+        self.source = source
 
-    # -- lifecycle (each host's ``close`` releases what it holds) ----------
+    def __iter__(self) -> "_GuardedSource":
+        return self
+
+    def __next__(self):
+        try:
+            return next(self.source)
+        except (StopIteration, DeadlineError, ShardUnavailableError):
+            raise
+        except (QueryError, NetworkError) as error:
+            raise ShardUnavailableError(
+                f"shard {self._describe()} failed mid-scatter: {error}"
+            ) from error
+
+    def _describe(self) -> str:
+        name = getattr(self.shard, "name", None)
+        return f"{self.ordinal} ({name})" if name else str(self.ordinal)
+
+    def close(self) -> None:
+        self.source.close()
+
+    def __getattr__(self, name):
+        # positions / rows / decrypted / reports are the source's own.
+        return getattr(self.source, name)
+
+
+class _FleetPayloads(dict):
+    """One table's payloads by global row across several lenders — the
+    in-process shards' views, and the rows a remote shard's items
+    carried: each row is read through its lender once, then at dict
+    speed (a row's payload never changes within an epoch)."""
+
+    def __init__(self, lenders: list, epoch: int | None = None):
+        super().__init__()
+        self.lenders = lenders
+        self.epoch = epoch
+
+    def __missing__(self, row: int) -> bytes:
+        for lender in self.lenders:
+            payload = lender.get(row)
+            if payload is not None:
+                self[row] = payload
+                return payload
+        raise KeyError(row)
+
+
+class ShardCoordinator:
+    """The one join host: co-admits a query on every store it drives
+    and merges their match streams (see the module docstring)."""
+
+    def __init__(
+        self,
+        shards,
+        series_cache_bytes: int | None = DEFAULT_SERIES_BUDGET,
+    ):
+        if not shards:
+            raise SchemeError("a shard coordinator needs at least one shard")
+        self.shards = list(shards)
+        self.backend: BilinearBackend = self.shards[0].backend
+        self._check_layouts()
+        self._local = [
+            shard for shard in self.shards if isinstance(shard, LocalShard)
+        ]
+        self.ledger = LeakageLedger()
+        self._lent: dict[str, _FleetPayloads] = {}
+        # Series state is kept only when every store is in-process: a
+        # remote shard exposes no epochs, versions or tombstones, and a
+        # replay must never be stale.
+        self.series_cache: SeriesCache | None = (
+            SeriesCache(series_cache_bytes)
+            if series_cache_bytes and len(self._local) == len(self.shards)
+            else None
+        )
+
+    def close(self) -> None:
+        """Close every shard (their pools / connections).  Idempotent."""
+        for shard in self.shards:
+            shard.close()
+
     def __enter__(self):
         return self
 
@@ -325,8 +427,8 @@ class _JoinHost:
         order, with payloads) as soon as decrypted chunks complete the
         pairings, and returns the final :class:`EncryptedJoinResult` —
         canonical right-major order, byte-identical to the materialized
-        pass and, on a shard coordinator, to the single-store join over
-        the unpartitioned tables — as the generator's value
+        pass and, on a fleet, to the single-store join over the
+        unpartitioned tables — as the generator's value
         (``StopIteration.value``).  Closing the generator early releases
         every pool admission and still links, in the ledger, the rows
         whose computed handles coincide.
@@ -472,8 +574,8 @@ class _JoinHost:
                 if seen != code:
                     linked.extend((seen, code))
             if items and len(items[0]) == 3:
-                # A host without local tables retains the payloads that
-                # ride the items, per consuming position.
+                # Only a remote shard's items carry payloads: they are
+                # retained per consuming position.
                 for position in positions:
                     retained = entry.payloads[position]
                     for row, _, payload in items:
@@ -610,260 +712,92 @@ class _JoinHost:
         entry.executor = ChainExecutor(order)
         return entry.executor
 
-    # -- seam defaults -----------------------------------------------------
-    def _distinct_estimate(self, table_name: str, candidate_count: int):
-        """Estimated distinct join values among a side's candidates;
-        ``None`` = unknown (the estimators then assume all-distinct)."""
-        return None
-
-    def _account(self, stats: ServerStats, sources: list) -> None:
-        """Host-specific accounting over the sources a refresh drained."""
-
-
-class SecureJoinServer(_JoinHost):
-    """Stores encrypted tables and executes encrypted equi-joins on the
-    process pool ``workers`` wide (by default the CPUs the process may
-    run on) that every open server of that backend and width shares;
-    ``workers=1`` never forks."""
-
-    def __init__(
-        self,
-        params: SecureJoinParams,
-        backend: BilinearBackend | None = None,
-        engine: ExecutionEngine | None = None,
-        workers: int | None = None,
-        series_cache_bytes: int | None = DEFAULT_SERIES_BUDGET,
-    ):
-        # The engine every query runs on, fixed here and nowhere else —
-        # the resources it spends are the server's, so neither a caller
-        # nor a client picks per query.  An instance, never a name.
-        if engine is None:
-            engine = BatchedEngine()
-        elif not isinstance(engine, ExecutionEngine):
-            raise QueryError(
-                "engine must be an ExecutionEngine instance, not "
-                f"{type(engine).__name__} {engine!r}"
-            )
-        # The server only needs public parameters — never the master key.
-        self.scheme = SecureJoinScheme(params, backend)
-        self.execution_service = process_pool(
-            self.scheme.backend,
-            default_width() if workers is None else workers,
+    # -- the seam: what the drive reads of the stores ------------------------
+    def _check_layouts(self) -> None:
+        """Shard ``i`` must hold partition ``i`` of as many as there are
+        shards, all under one seed — checked wherever the fleet reads its
+        stores, since a shard may store its pieces after the fleet is
+        built.  A remote shard's layout is its endpoint's to enforce."""
+        layouts = [shard.layout for shard in self.shards]
+        seed = next(
+            (layout[2] for layout in layouts if layout is not None), None
         )
-        self._holds_pool = True
-        if isinstance(engine, BatchedEngine):
-            engine.bind_service(self.execution_service)
-        self.engine = engine
-        self._tables: dict[str, EncryptedTable] = {}
-        # Inverted index over pre-filter tags: table -> column -> tag -> rows.
-        self._tag_index: dict[str, dict[str, dict[bytes, list[int]]]] = {}
-        # Deleted row indices per table (tombstones).
-        self._tombstones: dict[str, set[int]] = {}
-        # Query-series maintenance state: per-table epochs (bumped when
-        # a table is re-stored wholesale — retained state is garbage)
-        # and versions (bumped per insert/delete — retained state is
-        # stale but delta-repairable), plus the cross-query cache
-        # itself.  ``series_cache_bytes`` is the memory budget knob;
-        # None or 0 disables series caching entirely.
-        self._epochs: dict[str, int] = {}
-        self._versions: dict[str, int] = {}
-        self.series_cache: SeriesCache | None = (
-            SeriesCache(series_cache_bytes)
-            if series_cache_bytes
-            else None
-        )
-        self.ledger = LeakageLedger()
-
-    def close(self) -> None:
-        """Let go of the pool; the last holder stops it.  Idempotent."""
-        if self._holds_pool:
-            self._holds_pool = False
-            self.execution_service.detach()
-
-    @property
-    def backend(self) -> BilinearBackend:
-        return self.scheme.backend
-
-    # -- storage ------------------------------------------------------------
-    def store(self, encrypted_table: EncryptedTable) -> None:
-        self._tables[encrypted_table.name] = encrypted_table
-        index: dict[str, dict[bytes, list[int]]] = {}
-        if encrypted_table.prefilter_tags:
-            for column, tags in encrypted_table.prefilter_tags.items():
-                postings: dict[bytes, list[int]] = {}
-                for row_index, tag in enumerate(tags):
-                    postings.setdefault(tag, []).append(row_index)
-                index[column] = postings
-        self._tag_index[encrypted_table.name] = index
-        # Re-storing replaces the table wholesale: a new epoch makes
-        # every retained series entry for it unreachable, the mutation
-        # counter restarts with the new contents, and the old table's
-        # tombstones name none of its rows.
-        name = encrypted_table.name
-        self._epochs[name] = self._epochs.get(name, 0) + 1
-        self._versions[name] = 0
-        self._tombstones.pop(name, None)
-        if self.series_cache is not None:
-            self.series_cache.invalidate_table(name)
+        for ordinal, layout in enumerate(layouts):
+            if layout is not None:
+                check_layout(
+                    (ordinal, len(layouts), seed), layout, f"shard {ordinal}"
+                )
 
     def table_epoch(self, name: str) -> int:
-        """The table's store generation (0 = never stored)."""
-        return self._epochs.get(name, 0)
+        """The stores' summed store generations of the table: any
+        wholesale re-store anywhere moves it."""
+        epoch = 0
+        for shard in self.shards:
+            epoch += shard.table_epoch(name)
+        return epoch
 
     def table_version(self, name: str) -> int:
-        """The table's mutation counter within its current epoch."""
-        return self._versions.get(name, 0)
+        """The stores' summed mutation counters of the table: any insert
+        or delete anywhere within the current epochs moves it."""
+        version = 0
+        for shard in self.shards:
+            version += shard.table_version(name)
+        return version
 
-    def table(self, name: str) -> EncryptedTable:
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise QueryError(f"server has no table {name!r}") from None
+    def tombstoned_rows(self, name: str) -> frozenset[int]:
+        """Deleted rows across the stores, in global rows."""
+        return reduce(or_, [s.tombstoned_rows(name) for s in self.shards])
 
-    def prepare_table(self, name: str) -> int:
-        """Precompute pairing coefficients for every row of a table.
-
-        After this, every query over the table replays stored line
-        coefficients instead of running full Miller loops (the
-        prepared-rows optimization — the precomputation depends only on
-        the stored ciphertext, never on the query token).  Idempotent;
-        returns the number of rows prepared by *this* call.
-        """
-        table = self.table(name)
-        backend = self.scheme.backend
-        if table.prepared_rows is None:
-            table.prepared_rows = []
-        prepared = 0
-        for ciphertext in table.ciphertexts[len(table.prepared_rows):]:
-            table.prepared_rows.append(
-                backend.prepare_row(ciphertext.elements)
-            )
-            prepared += 1
-        return prepared
-
-    # -- dynamic updates --------------------------------------------------
-    def insert_row(
-        self,
-        table_name: str,
-        ciphertext,
-        payload: bytes,
-        prefilter_tags: dict[str, bytes] | None = None,
-    ) -> int:
-        """Append one client-encrypted row; returns its row index.
-
-        The scheme is row-wise, so inserts are O(1): no existing
-        ciphertext is touched and future queries cover the new row
-        automatically.  A refused insert changes nothing.
-        """
-        table = self.table(table_name)
-        if table.prefilter_tags is not None and (
-            prefilter_tags is None
-            or set(prefilter_tags) != set(table.prefilter_tags)
-        ):
-            raise QueryError(
-                "insert into a pre-filtered table must carry tags for "
-                f"exactly the columns {sorted(table.prefilter_tags)}"
-            )
-        index = len(table.ciphertexts)
-        table.ciphertexts.append(ciphertext)
-        table.payloads.append(payload)
-        if table.prepared_rows is not None:
-            # Keep a prepared table warm: the new row gets its
-            # coefficients now, so future queries stay all-prepared.
-            table.prepared_rows.append(
-                self.scheme.backend.prepare_row(ciphertext.elements)
-            )
-        if table.prefilter_tags is not None:
-            for column, tag in prefilter_tags.items():
-                table.prefilter_tags[column].append(tag)
-                self._tag_index[table_name][column].setdefault(
-                    tag, []
-                ).append(index)
-        self._versions[table_name] = self._versions.get(table_name, 0) + 1
-        return index
-
-    def delete_rows(self, table_name: str, indices: list[int]) -> None:
-        """Tombstone rows: they stop participating in every future query.
-        A refused delete (any index out of range) tombstones none."""
-        table = self.table(table_name)
-        for index in indices:
-            if not 0 <= index < len(table.ciphertexts):
-                raise QueryError(
-                    f"row index {index} out of range for {table_name!r}"
-                )
-        self._tombstones.setdefault(table_name, set()).update(indices)
-        if indices:
-            self._versions[table_name] = (
-                self._versions.get(table_name, 0) + 1
-            )
-
-    def tombstoned_rows(self, table_name: str) -> frozenset[int]:
-        """The table's deleted row indices (delta-maintenance input)."""
-        return frozenset(self._tombstones.get(table_name, ()))
-
-    def _live(self, table_name: str, indices: list[int]) -> list[int]:
-        tombstones = self._tombstones.get(table_name)
-        if not tombstones:
-            return indices
-        return [i for i in indices if i not in tombstones]
-
-    # -- query execution ------------------------------------------------------
-    def _candidates(
-        self,
-        table: EncryptedTable,
-        prefilter: dict[str, frozenset[bytes]] | None,
-    ) -> list[int]:
-        """Row indices surviving the (optional) searchable pre-filter."""
-        if not prefilter:
-            return list(range(len(table)))
-        if table.prefilter_tags is None:
-            raise QueryError(
-                f"query carries pre-filter tokens but table {table.name!r} "
-                "was encrypted without pre-filter tags"
-            )
-        index = self._tag_index[table.name]
-        survivors: set[int] | None = None
-        for column, allowed in prefilter.items():
-            postings = index.get(column)
-            if postings is None:
-                raise QueryError(
-                    f"no pre-filter tags for column {column!r} in "
-                    f"table {table.name!r}"
-                )
-            matching: set[int] = set()
-            for tag in allowed:
-                matching.update(postings.get(tag, ()))
-            survivors = matching if survivors is None else survivors & matching
-            if not survivors:
-                return []
-        return sorted(survivors)
-
-    def _side_ciphertexts(
-        self,
-        table: EncryptedTable,
-        token: SJToken,
-        candidates: list[int],
-    ) -> list:
-        """The candidate rows' ciphertext vectors, validated for SJ.Dec."""
-        dimension = self.scheme.params.dimension
-        if len(token) != dimension:
-            raise SchemeError(
-                f"token dimension {len(token)} != scheme dimension {dimension}"
-            )
-        prepared = table.prepared_rows
-        ciphertexts = []
-        for index in candidates:
-            ciphertext = table.ciphertexts[index]
-            if len(ciphertext) != dimension:
-                raise SchemeError(
-                    f"ciphertext dimension {len(ciphertext)} != scheme "
-                    f"dimension {dimension}"
-                )
-            if prepared is not None and index < len(prepared):
-                ciphertexts.append(prepared[index])
+    def _payloads(self, query, entry) -> list:
+        """Payloads by chain position, lent by the in-process stores: one
+        store's stored list itself; an in-process fleet's view per table,
+        kept across queries; beside remote shards, a view that also
+        reads what their items carried, retained on the entry."""
+        columns = []
+        for name, retained in zip(query.tables, entry.payloads):
+            if len(self.shards) == len(self._local) == 1:
+                columns.append(self._local[0].lend_payloads(name))
+            elif len(self.shards) == len(self._local):
+                epoch = self.table_epoch(name)
+                view = self._lent.get(name)
+                if view is None or view.epoch != epoch:
+                    view = self._lent[name] = _FleetPayloads(
+                        [shard.lend_payloads(name) for shard in self._local],
+                        epoch,
+                    )
+                columns.append(view)
             else:
-                ciphertexts.append(ciphertext.elements)
-        return ciphertexts
+                columns.append(_FleetPayloads(
+                    [shard.lend_payloads(name) for shard in self._local]
+                    + [retained]
+                ))
+        return columns
+
+    def _open_sources(self, query, sides, exclude_rows, qos):
+        """Every shard's decrypt sources over the query's distinct sides
+        (each on the shard's own engine, in global rows), tagged with the
+        shard so a failure names it."""
+        self._check_layouts()
+        for ordinal, shard in enumerate(self.shards):
+            for source in shard.open_sources(
+                query, sides, exclude_rows, qos=qos
+            ):
+                yield _GuardedSource(ordinal, shard, source)
+
+    def _account(self, stats: ServerStats, sources: list) -> None:
+        """Per-shard decrypt loads and their skew, as one auditable
+        ``stage: "scatter"`` record beside the per-side engine records."""
+        shard_rows = [0] * len(self.shards)
+        for guarded in sources:
+            shard_rows[guarded.ordinal] += guarded.decrypted
+        stats.shards = len(shard_rows)
+        stats.shard_skew = shard_skew(shard_rows)
+        stats.record({
+            "stage": "scatter",
+            "shards": len(shard_rows),
+            "rows_per_shard": shard_rows,
+            "skew": stats.shard_skew,
+        })
 
     def _distinct_estimate(
         self, table_name: str, candidate_count: int
@@ -875,78 +809,116 @@ class SecureJoinServer(_JoinHost):
         set under a uniformity assumption.  The tags live on attribute
         columns, not the join column, so this is a diversity proxy —
         good enough to separate a near-key side from a heavily repeated
-        one, which is all the containment estimator needs.  ``None``
-        when the table carries no tags (assume all-distinct).
+        one, which is all the containment estimator needs.  The stores'
+        counts add up (the partitioner co-locates equal tags of its key
+        column).  ``None`` when a store cannot tell or the table carries
+        no tags (assume all-distinct).
         """
-        index = self._tag_index.get(table_name)
-        if not index:
+        profiles = [shard.tag_profile(table_name) for shard in self._local]
+        if len(profiles) < len(self.shards) or None in profiles:
             return None
-        table_rows = len(self.table(table_name))
+        table_rows = sum(rows for rows, _ in profiles)
         if table_rows == 0 or candidate_count == 0:
             return None
-        best = max(len(postings) for postings in index.values())
+        best = sum(distinct for _, distinct in profiles)
         return max(
             1,
             min(candidate_count, round(candidate_count * best / table_rows)),
         )
 
-    def _payloads(self, query, entry) -> list[list[bytes]]:
-        """Payloads by chain position: read from the stored tables."""
-        return [self.table(name).payloads for name in query.tables]
+    # -- dynamic updates --------------------------------------------------
+    def _stores(self, table_name: str) -> list[LocalShard]:
+        """The in-process stores holding the table (a write reaches no
+        remote shard); refuses a table none holds."""
+        self._check_layouts()
+        stores = [shard for shard in self._local if shard.holds(table_name)]
+        if not stores:
+            raise QueryError(f"server has no table {table_name!r}")
+        return stores
 
-    def _selected_rows(
-        self,
-        table: EncryptedTable,
-        prefilter: dict[str, frozenset[bytes]] | None,
-        exclude_rows=None,
-    ) -> list[int]:
-        """Live rows surviving the pre-filter, minus ``exclude_rows``."""
-        rows = self._live(table.name, self._candidates(table, prefilter))
-        if exclude_rows:
-            rows = [i for i in rows if i not in exclude_rows]
-        return rows
-
-    def _decrypt_stream(
-        self,
-        table: EncryptedTable,
-        token: SJToken,
-        rows: list[int],
-        qos: QueryQoS | None,
-    ) -> HandleStream:
-        return self.engine.decrypt_stream(
-            self.scheme.backend,
-            token.elements,
-            self._side_ciphertexts(table, token, rows),
-            qos=qos,
-        )
-
-    def open_side_stream(
+    def insert_row(
         self,
         table_name: str,
-        token: SJToken,
-        prefilter: dict[str, frozenset[bytes]] | None = None,
-        qos: QueryQoS | None = None,
-        exclude_rows: set[int] | None = None,
-    ) -> tuple[list[int], HandleStream]:
-        """Open one side's decrypt stream: ``(candidates, stream)``.
+        ciphertext,
+        payload: bytes,
+        prefilter_tags: dict[str, bytes] | None = None,
+    ) -> int:
+        """Insert one client-encrypted row; returns its global row.
 
-        The scatter building block: pre-filter and tombstones applied,
-        then SJ.Dec streamed through this server's engine (and pool).  A shard opens one such stream per side
-        for its coordinator, which merges every shard's chunks into a
-        single executor — the caller owns the stream and must close it.
-        ``exclude_rows`` drops already-decrypted rows from the stream
-        (the delta path: a coordinator with retained handles asks each
-        shard for only what it has not seen).
+        The row takes the next global row of the table and lands on the
+        store the partitioner's hash names (the key function of
+        :func:`~repro.shard.partition.partition_rows`, so a later
+        repartition reproduces the placement) — the one store, for whole
+        tables.  A refused insert changes nothing.
         """
-        table = self.table(table_name)
-        rows = self._selected_rows(table, prefilter, exclude_rows)
-        return rows, self._decrypt_stream(table, token, rows, qos)
+        stores = self._stores(table_name)
+        descriptor = stores[0].table(table_name).shard
+        target = stores[0]
+        if descriptor is not None:
+            index = descriptor.shard_of_row(
+                ciphertext, prefilter_tags, self.backend
+            )
+            target = self.shards[index]
+            if target not in stores:
+                raise QueryError(
+                    f"no in-process shard holds partition {index} of "
+                    f"{table_name!r}"
+                )
+        row = max(store.row_end(table_name) for store in stores)
+        return target.insert_row(
+            table_name, ciphertext, payload, prefilter_tags, row
+        )
 
-    def _open_sources(self, query, sides, exclude_rows, qos):
-        """One decrypt source per distinct side, over its selected rows
-        minus those the entry already holds a handle for."""
-        for side, held in zip(sides, exclude_rows):
-            table = self.table(side.table)
-            rows = self._selected_rows(table, side.prefilter, held)
-            stream = self._decrypt_stream(table, side.token, rows, qos)
-            yield HandleSource(side.positions, stream, rows)
+    def delete_rows(self, table_name: str, indices) -> int:
+        """Tombstone global rows wherever they live: they stop
+        participating in every future query.  Returns how many distinct
+        rows were deleted.  A refused delete (any row no store holds)
+        tombstones none."""
+        stores = self._stores(table_name)
+        owned: list[list[int]] = [[] for _ in stores]
+        for row in indices:
+            for mine, store in zip(owned, stores):
+                if store.local_row(table_name, row) is not None:
+                    mine.append(row)
+                    break
+            else:
+                raise QueryError(
+                    f"row index {row} out of range for {table_name!r}"
+                )
+        return sum(
+            store.delete_rows(table_name, mine)
+            for store, mine in zip(stores, owned)
+            if mine
+        )
+
+
+class SecureJoinServer(ShardCoordinator):
+    """The paper's server: the join drive over one in-process store of
+    whole tables, on the process pool ``workers`` wide (by default the
+    CPUs the process may run on) that every open store of that backend
+    and width shares; ``workers=1`` never forks."""
+
+    def __init__(
+        self,
+        params: SecureJoinParams,
+        backend: BilinearBackend | None = None,
+        engine: ExecutionEngine | None = None,
+        workers: int | None = None,
+        series_cache_bytes: int | None = DEFAULT_SERIES_BUDGET,
+    ):
+        store = LocalShard(params, backend, engine, workers)
+        super().__init__([store], series_cache_bytes)
+        # The store's own parts and reads, under the server's name.
+        self.scheme = store.scheme
+        self.engine = store.engine
+        self.execution_service = store.execution_service
+        self.table = store.table
+        self.prepare_table = store.prepare_table
+        self.open_side_stream = store.open_side_stream
+
+    def store(self, encrypted_table: EncryptedTable) -> None:
+        """Store (or replace wholesale) a table; retained series entries
+        over it are dropped now rather than at their next lookup."""
+        self.shards[0].store(encrypted_table)
+        if self.series_cache is not None:
+            self.series_cache.invalidate_table(encrypted_table.name)

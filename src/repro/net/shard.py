@@ -1,6 +1,6 @@
 """Remote shards: the scatter half of a join served over TCP.
 
-A :class:`ShardServiceServer` wraps one :class:`~repro.shard.LocalShard`
+A :class:`ShardServiceServer` serves one :class:`~repro.shard.LocalShard`
 behind a socket.  Every query it receives *is* a scatter request — a
 shard endpoint has no other contract, so no wire flag is needed: the
 response stream is a stream-header frame, one **scatter-chunk frame**
@@ -35,7 +35,7 @@ from repro.net.protocol import MAX_MESSAGE_SIZE, recv_message, send_message
 from repro.net.server import JoinServiceServer
 from repro.plan import group_chain_sides
 from repro.series.cache import series_key
-from repro.shard.coordinator import LocalShard, ShardCoordinator
+from repro.shard import LocalShard, ShardCoordinator
 from repro.store.wire import (
     ErrorFrame,
     ScatterChunkFrame,
@@ -54,9 +54,10 @@ class ShardServiceServer(JoinServiceServer):
     """A :class:`JoinServiceServer` whose queries scatter, not join.
 
     Reuses the whole connection/drain machinery of the join service;
-    only the per-query handler differs: instead of running the local
-    match pipeline it streams the shard's raw decrypt events so the
-    coordinator can match centrally, on the shard's own engine.
+    only the per-query handler differs: instead of running the match
+    pipeline it streams the store's raw decrypt events, each item with
+    its payload, so the coordinator can match centrally, on the store's
+    own engine.  Shutting the service down closes the store.
     """
 
     def __init__(
@@ -66,23 +67,27 @@ class ShardServiceServer(JoinServiceServer):
         port: int = 0,
         **kwargs,
     ):
-        super().__init__(shard.server, host=host, port=port, **kwargs)
-        self.shard = shard
+        super().__init__(shard, host=host, port=port, **kwargs)
 
     def _answer(self, query):
         """The encoded scatter frames for ``query``, lazily: every
         distinct side is opened (co-admitted on this shard's pool)
         before the stream header goes out, then their chunks are sent
         round-robin, then the per-side totals."""
-        backend = self.join_server.scheme.backend
-        sides = group_chain_sides(query, series_key(query, backend))
+        store = self.join_server
+        sides = group_chain_sides(query, series_key(query, store.backend))
         sources: list = []
         try:
-            for source in self.shard.open_sources(query, sides):
+            for source in store.open_sources(query, sides):
                 sources.append(source)
+            payloads = [store.lend_payloads(name) for name in query.tables]
             yield encode_stream_header(query.query_id, *query.tables)
             for positions, items in round_robin(sources):
-                yield encode_scatter_chunk(positions, items)
+                lent = payloads[positions[0]]
+                yield encode_scatter_chunk(
+                    positions,
+                    [(row, handle, lent[row]) for row, handle in items],
+                )
             yield encode_scatter_final(
                 ScatterFinalFrame(
                     candidates=[source.decrypted for source in sources],

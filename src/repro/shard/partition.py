@@ -22,8 +22,8 @@ therefore gathers *handle* streams and matches centrally (see
 
 Repartitioning is explicit: every partitioned table carries a
 :class:`ShardDescriptor` pinning the shard count and seed it was split
-under, and the coordinator refuses descriptors that disagree with its
-own layout — changing the shard count means calling
+under, and stores and fleets refuse descriptors that disagree with
+their own layout — changing the shard count means calling
 :func:`partition_table` again, never silently rehashing.
 """
 
@@ -75,6 +75,22 @@ class ShardDescriptor:
                 )
             previous = index
 
+    def shard_of_row(
+        self,
+        ciphertext,
+        prefilter_tags: dict[str, bytes] | None,
+        backend: BilinearBackend,
+    ) -> int:
+        """The shard an inserted row belongs to under this layout: the
+        placement :func:`partition_rows` gives a stored row."""
+        column = _key_column(prefilter_tags)
+        key = row_shard_key(
+            ciphertext,
+            None if column is None else prefilter_tags[column],
+            backend,
+        )
+        return shard_of_bytes(key, self.shard_count, self.seed)
+
 
 def validate_shard_layout(
     shard_index: int, shard_count: int, seed: bytes
@@ -114,21 +130,38 @@ def shard_of_bytes(key: bytes, shard_count: int, seed: bytes) -> int:
     return int.from_bytes(digest, "big") % shard_count
 
 
-def row_shard_keys(
-    table: EncryptedTable, backend: BilinearBackend
-) -> list[bytes]:
-    """Per-row stable bytes the partitioner hashes.
+def _key_column(prefilter_tags) -> str | None:
+    """The tagged column whose tag keys a row: the first in sorted
+    order, or none for an untagged table."""
+    return min(prefilter_tags) if prefilter_tags else None
 
-    Pre-filter tag of the first tagged column when present (equal
+
+def row_shard_key(
+    ciphertext, tag: bytes | None, backend: BilinearBackend
+) -> bytes:
+    """The stable bytes the partitioner hashes for one row.
+
+    The row's tag in the key column when the table is tagged (equal
     selection values co-locate); otherwise the row's encoded ciphertext
     vector (unique, stable, already server-held).
     """
-    if table.prefilter_tags:
-        column = sorted(table.prefilter_tags)[0]
-        return list(table.prefilter_tags[column])
+    if tag is not None:
+        return tag
+    return b"".join(backend.encode_g2(e) for e in ciphertext.elements)
+
+
+def row_shard_keys(
+    table: EncryptedTable, backend: BilinearBackend
+) -> list[bytes]:
+    """:func:`row_shard_key` of every row of ``table``."""
+    column = _key_column(table.prefilter_tags)
+    if column is None:
+        tags = [None] * len(table.ciphertexts)
+    else:
+        tags = table.prefilter_tags[column]
     return [
-        b"".join(backend.encode_g2(e) for e in ciphertext.elements)
-        for ciphertext in table.ciphertexts
+        row_shard_key(ciphertext, tag, backend)
+        for ciphertext, tag in zip(table.ciphertexts, tags)
     ]
 
 
@@ -210,18 +243,3 @@ def partition_table(
             ),
         ))
     return shards
-
-
-def shard_skew(rows_per_shard: list[int]) -> float:
-    """Load imbalance: max over mean rows per shard (1.0 = uniform).
-
-    The planner prices cross-shard parallelism with it — scatter
-    makespan is the *slowest* shard, so skew directly discounts the
-    ideal ``1/n`` speedup.
-    """
-    if not rows_per_shard:
-        return 1.0
-    mean = sum(rows_per_shard) / len(rows_per_shard)
-    if mean <= 0:
-        return 1.0
-    return max(rows_per_shard) / mean

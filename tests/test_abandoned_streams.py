@@ -79,7 +79,7 @@ def _build(sharded: bool, names):
     for table in encrypted:
         for piece in partition_table(table, backend, 2):
             shards[piece.shard.shard_index].store(piece)
-    pools = [shard.server.execution_service for shard in shards]
+    pools = [shard.execution_service for shard in shards]
     return client, ShardCoordinator(shards), pools, reference
 
 

@@ -62,7 +62,7 @@ class TestDefaultWidth:
             services = [
                 ExecutionService(),
                 server.execution_service,
-                shard.server.execution_service,
+                shard.execution_service,
             ]
             assert [s.worker_target for s in services] == [len(cpus)] * 3
             # Constructing forks nothing, whatever the width.
@@ -73,7 +73,7 @@ class TestDefaultWidth:
         with SecureJoinServer(PARAMS, workers=1) as server:
             assert server.execution_service.worker_target == 1
         with LocalShard(PARAMS, workers=3) as shard:
-            assert shard.server.execution_service.worker_target == 3
+            assert shard.execution_service.worker_target == 3
 
 
 class TestCostModelOption:
@@ -122,7 +122,7 @@ class TestBN254Default:
             )
             assert not server.execution_service.started
         assert (report.selected, report.planner) == ("", None)
-        assert result.stats.planner is None
+        assert [r["stage"] for r in result.stats.planner] == ["scatter"]
         assert (result.stats.workers, result.stats.pool_generation) == (1, 0)
         assert multiprocessing.active_children() == children
 
@@ -140,7 +140,8 @@ class TestBN254Default:
         # Both sides ran on the pool: an inline one would add
         # "+batched".
         assert stats.engine_selected == "parallel"
-        assert (stats.pool_generation, stats.planner) == (1, None)
+        assert stats.pool_generation == 1
+        assert [r["stage"] for r in stats.planner] == ["scatter"]
         assert multiprocessing.active_children() == children
 
 
@@ -189,8 +190,8 @@ class TestOnePoolPerProcess:
             result = fleet.execute_join(query)
             assert _new_children(children) == 2
         assert "parallel" in result.stats.engine_selected
-        pool = shards[0].server.execution_service
-        assert shards[1].server.execution_service is pool
+        pool = shards[0].execution_service
+        assert shards[1].execution_service is pool
         assert pool.worker_target == 2
         assert result.index_pairs == expected.index_pairs
         assert result.left_payloads == expected.left_payloads

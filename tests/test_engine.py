@@ -384,7 +384,7 @@ class TestAccounting:
         # Both sides ran on the pool: an inline one would add
         # "+batched".
         assert result.stats.engine_selected == "parallel"
-        assert result.stats.planner is None
+        assert [r["stage"] for r in result.stats.planner] == ["scatter"]
         assert result.stats.workers == 2
         assert result.stats.batches == 8 + 3
         assert result.stats.max_batch_size == 5
@@ -450,7 +450,7 @@ class TestPlanner:
         result = server.execute_join(encrypted)
         assert result.stats.engine == "batched"
         assert result.stats.engine_selected == "batched"
-        assert result.stats.planner is None
+        assert [r["stage"] for r in result.stats.planner] == ["scatter"]
         for name, token in (("L", encrypted.left_token),
                             ("R", encrypted.right_token)):
             rows = [row.elements for row in server.table(name).ciphertexts]
@@ -486,7 +486,7 @@ class TestPlanner:
             client, server, encrypted, BatchedEngine()
         )
         assert pooled.stats.engine_selected == "parallel"
-        assert batched.stats.planner is None
+        assert [r["stage"] for r in batched.stats.planner] == ["scatter"]
         assert pooled.index_pairs == batched.index_pairs
         assert pooled_handles == batched_handles
 
@@ -606,7 +606,7 @@ class TestPlanner:
             )).stats
             assert not built.execution_service.started
         assert stats.engine == stats.engine_selected == "batched"
-        assert stats.planner is None
+        assert [r["stage"] for r in stats.planner] == ["scatter"]
 
     def test_the_pool_is_priced_warm_before_it_starts(self):
         """The pool is persistent: its start is paid once per server,
@@ -690,7 +690,7 @@ def _default_builds(tables):
         with ShardCoordinator(shards) as coordinator:
             runs.append(coordinator.execute_join(join))
         assert runs[2].index_pairs == runs[0].index_pairs
-    return runs, [server] + [shard.server for shard in shards]
+    return runs, [server] + shards
 
 
 _DEFAULT_TABLES = [
@@ -715,7 +715,7 @@ class TestDefaultPath:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         children = multiprocessing.active_children()
         runs, servers = _default_builds(_DEFAULT_TABLES)
-        assert runs[0].stats.planner is None
+        assert [r["stage"] for r in runs[0].stats.planner] == ["scatter"]
         for result in runs:
             stats = result.stats
             assert stats.engine == stats.engine_selected == "batched"

@@ -251,7 +251,7 @@ class TestDefaultWidth:
             (tuple(map(bn254_backend.encode_g1, token.elements)), row_bytes)
             for token in (query.left_token, query.right_token)
         ]
-        assert inline.stats.planner is None
+        assert [r["stage"] for r in inline.stats.planner] == ["scatter"]
         assert pooled.tuples == inline.tuples
         assert pooled.payloads == inline.payloads
         assert sorted(pooled.index_pairs) == [(0, 0), (0, 2), (1, 1), (1, 3)]

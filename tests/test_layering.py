@@ -11,7 +11,10 @@ reads its ledger; nothing under ``src/`` imports a
 third-party package the requirements file does not name; every host
 answers a query through the same four one-argument entry points; a
 pool's width and transport are not parameters of anything; and there is
-one engine, exported under no other name.
+one engine, exported under no other name.  There is one join host, too:
+the single server is a one-shard fleet, ``core`` / ``plan`` / ``series``
+import nothing from ``shard`` or ``net``, and one class opens a query's
+decrypt sources.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import repro.core
 import repro.core.engine
 import repro.core.server
 from repro.core.engine import BatchedEngine
+from repro.core.scheme import SecureJoinParams
 from repro.core.server import SecureJoinServer
 from repro.core.service import ExecutionService
 from repro.net import RemoteJoinClient
@@ -127,6 +131,40 @@ def test_import_rule_holds_in_every_source_file():
             ):
                 offenders.append((str(path), f"function-level {module}"))
     assert not offenders
+
+
+@pytest.mark.parametrize("package", ["core", "plan", "series"])
+def test_the_join_host_imports_no_deployment(package):
+    """The store and the coordinator live below ``repro.shard`` and
+    ``repro.net``: nothing in these packages imports either, not even
+    lazily inside a function."""
+    offenders = [
+        (str(path.relative_to(_SRC)), module)
+        for path in sorted((_SRC / "repro" / package).rglob("*.py"))
+        for module, _ in _imports(path)
+        if module.split(".")[:2] in (["repro", "shard"], ["repro", "net"])
+    ]
+    assert not offenders
+
+
+def test_one_class_opens_a_querys_sources():
+    """One host implements the seam the drive calls: the single server
+    inherits it from the coordinator it is."""
+    definers = [
+        (str(path.relative_to(_SRC)), node.name)
+        for path in sorted((_SRC / "repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "_open_sources"
+            for item in node.body
+        )
+    ]
+    assert definers == [("repro/core/server.py", "ShardCoordinator")]
+    params = SecureJoinParams(num_attributes=1, in_clause_limit=1)
+    with SecureJoinServer(params, workers=1) as server:
+        assert isinstance(server, ShardCoordinator)
+        assert len(server.shards) == 1
 
 
 def test_every_third_party_import_is_declared():

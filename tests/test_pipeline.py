@@ -440,7 +440,7 @@ class TestOneMatcher:
         result = server.execute_join(query)
         assert result.index_pairs == [(0, 0)]
         assert result.stats.engine_selected == "batched"
-        assert result.stats.planner is None
+        assert [r["stage"] for r in result.stats.planner] == ["scatter"]
         with pytest.raises(TypeError):
             server.execute_join(query, algorithm="nested")
         with pytest.raises(TypeError):

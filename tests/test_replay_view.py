@@ -98,7 +98,7 @@ class _Fleet:
             self.shards[piece.shard.shard_index].store(piece)
 
     def size(self, name) -> int:
-        return 1 + max(s.max_global_index(name) for s in self.shards)
+        return max(s.row_end(name) for s in self.shards)
 
     def close(self) -> None:
         self.host.close()

@@ -21,7 +21,7 @@ from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
 from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
-from repro.db.query import JoinQuery
+from repro.db.query import ChainQuery, JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.series.cache import SeriesCache, SeriesEntry, series_key
@@ -265,7 +265,11 @@ class TestDeltaMaintenance:
         assert delta.stats.engine_selected == "batched"
         assert delta.stats.pool_generation == 0
         assert not server.execution_service.started
-        assert delta.stats.planner is None
+        # Nothing is priced: the one record is the store's scatter load.
+        assert delta.stats.planner == [{
+            "stage": "scatter", "shards": 1, "rows_per_shard": [1],
+            "skew": 1.0,
+        }]
         server.close()
 
     def test_a_refresh_with_nothing_to_decrypt_prices_nothing(self):
@@ -283,7 +287,10 @@ class TestDeltaMaintenance:
         assert refresh.stats.series_cache_hits == 1
         assert refresh.stats.delta_rows == 0
         assert refresh.stats.engine_selected == "batched"
-        assert refresh.stats.planner is None
+        assert refresh.stats.planner == [{
+            "stage": "scatter", "shards": 1, "rows_per_shard": [0],
+            "skew": 1.0,
+        }]
         assert not server.execution_service.started
         server.close()
 
@@ -464,6 +471,68 @@ class TestShardedSeries:
         assert len(refreshed.index_pairs) < len(cold.index_pairs)
         for shard in shards:
             shard.close()
+
+
+class TestAStoreLendsItsPayloads:
+    """A single store is a one-shard fleet, and its series entries still
+    hold no payload: the drive reads them from the stored tables.  The
+    footprint and the chain's plan are pinned at the values a store
+    had when it was not a fleet."""
+
+    #: ``series_cache.total_bytes`` after the series below.
+    TOTAL_BYTES = 48528
+    #: The cold chain's ``"plan"`` record (order and estimates).
+    PLAN = {
+        "stage": "plan",
+        "order": [1, 2, 0],
+        "nodes": [
+            {"build": [1], "probe": 2, "estimated_build": 30,
+             "estimated_matches": 80},
+            {"build": [1, 2], "probe": 0, "estimated_build": 80,
+             "estimated_matches": 320},
+        ],
+        "estimates": {
+            "0,1,2": 0.0001324, "1,0,2": 0.0001315,
+            "1,2,0": 0.0001135, "2,1,0": 0.0001146,
+        },
+    }
+
+    def test_cold_resubmit_insert_delete_resubmit(self):
+        tables = [
+            Table(name, Schema.of(("k", "int"), ("v", "str")),
+                  [(i % 5, f"{name}{i % 3}") for i in range(rows)])
+            for name, rows in (("T1", 12), ("T2", 30), ("T3", 8))
+        ]
+        client = SecureJoinClient.for_tables(
+            [(table, "k") for table in tables], in_clause_limit=2,
+            rng=random.Random(11), enable_prefilter=True,
+        )
+        server = SecureJoinServer(client.params, workers=1)
+        for table in tables:
+            server.store(client.encrypt_table(table, "k"))
+        pair = client.create_query(
+            JoinQuery.build("T1", "T2", on=("k", "k"))
+        )
+        chain = client.create_chain_query(
+            ChainQuery.build([("T1", "k"), ("T2", "k"), ("T3", "k")])
+        )
+        runs = []
+        for _ in range(2):
+            runs += [server.execute_join(pair), server.execute_chain(chain)]
+        server.insert_row("T2", *client.encrypt_row_for("T2", (1, "T21")))
+        server.delete_rows("T1", [0])
+        runs += [server.execute_join(pair), server.execute_chain(chain)]
+        assert [run.stats.series_cache_hits for run in runs] == [
+            0, 0, 1, 1, 1, 1
+        ]
+        assert [run.stats.delta_rows for run in runs[4:]] == [1, 1]
+        entries = list(server.series_cache._entries.values())
+        assert len(entries) == 2
+        for entry in entries:
+            assert entry.payloads == [{} for _ in entry.tables]
+        assert server.series_cache.total_bytes == self.TOTAL_BYTES
+        assert runs[1].stats.planner[0] == self.PLAN
+        server.close()
 
 
 # -- interleavings are byte-identical to from-scratch ---------------------

@@ -138,7 +138,7 @@ class TestServiceExecution:
             )
             result = server.execute_join(query)
             assert result.stats.engine_selected == "batched"
-            assert result.stats.planner is None
+            assert [r["stage"] for r in result.stats.planner] == ["scatter"]
             assert result.stats.pool_generation == 0
             assert not server.execution_service.started
             server.close()

@@ -278,12 +278,20 @@ class TestPartitionerDeterminism:
 
 
 class TestExplicitRepartitioning:
-    def test_unsharded_table_rejected_by_shard(self):
+    def test_unsharded_table_rejected_by_a_fleet(self):
+        """A store of whole tables is the one shard of one: it takes no
+        piece, and a wider fleet refuses it."""
         client, backend, tables, _ = _fixture([1, 2], [2, 3])
-        shard = LocalShard(client.params)
+        shards = [
+            LocalShard(client.params, name=f"s{i}") for i in range(2)
+        ]
+        shards[0].store(tables[0])
         with pytest.raises(SchemeError, match="partition_table"):
-            shard.store(tables[0])
-        shard.close()
+            shards[0].store(partition_table(tables[1], backend, 2)[0])
+        with pytest.raises(SchemeError, match="partition_table"):
+            ShardCoordinator(shards)
+        for shard in shards:
+            shard.close()
 
     def test_mixed_layouts_rejected_by_shard(self):
         client, backend, tables, _ = _fixture([1, 2, 3], [2, 3, 4])
@@ -318,10 +326,30 @@ class TestExplicitRepartitioning:
         for shard in shards:
             for table in tables:
                 shard.store(partition_table(table, backend, 2)[0])
-        with pytest.raises(SchemeError, match="same shard index"):
+        with pytest.raises(SchemeError, match="shard 1 is partition 0/2"):
             ShardCoordinator(shards)
         for shard in shards:
             shard.close()
+
+    def test_a_fleet_built_before_its_stores_checks_them(self):
+        """The layout is checked where the fleet reads its stores: two
+        shards that both store partition 0, after the coordinator was
+        built, are refused at the query — not answered with the rows
+        of partition 0 twice."""
+        client, backend, tables, _ = _fixture(range(12), range(12))
+        shards = [
+            LocalShard(client.params, name=f"s{i}") for i in range(2)
+        ]
+        with ShardCoordinator(shards) as coordinator:
+            for shard in shards:
+                for table in tables:
+                    shard.store(partition_table(table, backend, 2)[0])
+            with pytest.raises(SchemeError, match="shard 1 is partition 0/2"):
+                coordinator.execute_join(_query(client))
+            with pytest.raises(SchemeError, match="shard 1 is partition 0/2"):
+                coordinator.insert_row(
+                    "R", *client.encrypt_row_for("R", (1, "b"))
+                )
 
     def test_assignment_override_validated(self):
         client, backend, tables, _ = _fixture([1, 2, 3], [2, 3, 4])
@@ -405,7 +433,7 @@ class TestScatterGather:
             next(stream)  # at least one batch in flight
             stream.close()
             for shard in shards:
-                assert shard.server.execution_service.active_sides == 0
+                assert shard.execution_service.active_sides == 0
 
     def test_observations_cover_all_shards(self):
         """The coordinator sees what the single store sees: every
@@ -480,7 +508,7 @@ class TestFaultInjection:
             assert result.stats.worker_restarts >= 1
             # Both shards run on the process's one pool, which was
             # replaced once.
-            pools = {shard.server.execution_service for shard in shards}
+            pools = {shard.execution_service for shard in shards}
             assert [pool.worker_restarts for pool in pools] == [1]
 
     def test_shard_death_mid_stream_raises_and_releases(self, tmp_path):
@@ -507,8 +535,8 @@ class TestFaultInjection:
         )
         # Shard 1's backend is a type of its own, so a pool of its own.
         assert (
-            shards[0].server.execution_service
-            is not shards[1].server.execution_service
+            shards[0].execution_service
+            is not shards[1].execution_service
         )
         coordinator = ShardCoordinator(shards)
         stream = coordinator.stream_join(_query(client))
@@ -519,10 +547,30 @@ class TestFaultInjection:
         ):
             while True:
                 next(stream)
-        assert shards[0].server.execution_service.active_sides == 0
+        assert shards[0].execution_service.active_sides == 0
         coordinator.close()
         assert _alive_children() == children_before
         assert _open_fds() == fds_before
+
+    def test_a_single_server_failing_names_shard_0(self, tmp_path):
+        """A single server is a one-shard fleet: its pool failing
+        mid-query is the fleet's error, naming shard 0, and still a
+        QueryError."""
+        client, backend, tables, _ = _fixture(
+            [i % 4 for i in range(16)], [i % 4 for i in range(16)]
+        )
+        doom = tmp_path / "doom"
+        doom.touch()
+        with SecureJoinServer(
+            client.params, backend=_DoomedBackend(doom),
+            **SHARD_BUILDS["parallel"](),
+        ) as server:
+            for table in tables:
+                server.store(table)
+            with pytest.raises(
+                ShardUnavailableError, match="shard 0(?s:.*)doomed"
+            ):
+                server.execute_join(_query(client))
 
     def test_unavailable_error_is_not_raised_for_deadlines(self):
         """Deadline expiry is a property of the query, not shard death:
@@ -572,7 +620,7 @@ class TestRemoteShards:
         with ShardCoordinator([shards[0], remote]) as coordinator:
             with pytest.raises(ShardUnavailableError, match="unreachable"):
                 coordinator.execute_join(_query(client))
-            assert shards[0].server.execution_service.active_sides == 0
+            assert shards[0].execution_service.active_sides == 0
         shards[0].close()
 
     def test_remote_service_shutdown_mid_stream(self):
@@ -601,7 +649,7 @@ class TestRemoteShards:
         with pytest.raises(ShardUnavailableError):
             while True:
                 next(stream)
-        assert shards[0].server.execution_service.active_sides == 0
+        assert shards[0].execution_service.active_sides == 0
         coordinator.close()
         shards[0].close()
 
@@ -646,7 +694,7 @@ class TestRemoteShards:
                     coordinator.execute_join(_query(client))
                 assert isinstance(caught.value.__cause__, SchemeError)
                 assert (
-                    shards[0].server.execution_service.active_sides == 0
+                    shards[0].execution_service.active_sides == 0
                 )
         finally:
             listener.close()
