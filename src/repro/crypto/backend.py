@@ -4,8 +4,13 @@ The Secure Join scheme only needs four group operations:
 
 1. raise the G1 generator to vectors of exponents (tokens),
 2. raise the G2 generator to vectors of exponents (ciphertexts),
-3. pair two vectors (a product of pairings / one multi-pairing), and
+3. pair a token vector with each row vector of a chunk (SJ.Dec: one
+   product of pairings / multi-pairing per row), and
 4. compare / hash the resulting GT elements.
+
+Each backend implements SJ.Dec in one kernel,
+:meth:`BilinearBackend.pair_vectors_batch`; ``pair_vectors`` is its
+one-row case in the base class.
 
 :class:`BN254Backend` implements these on the real BN254 pairing built in
 this package.  :class:`FastBackend` implements them in the exponent group
@@ -14,7 +19,9 @@ this package.  :class:`FastBackend` implements them in the exponent group
 the exponents — but is functionally identical: two GT handles are equal
 exactly when the corresponding BN254 elements would be.  The fast backend
 exists so the paper's table-scale experiments (hundreds of thousands of
-rows) run in reasonable time in pure Python; see DESIGN.md §4.
+rows) run in reasonable time in pure Python; see DESIGN.md §4.  Its
+SJ.Dec row is one inner product mod q, and it counts the pairing work
+BN254 would do for the same call.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
+from operator import attrgetter, mul
 
 from repro.crypto.curve import (
     G1Point,
@@ -80,6 +88,18 @@ class BN254GT(GTElement):
         return f"BN254GT({self.to_bytes()[:8].hex()}...)"
 
 
+#: Bytes per fast-backend element, by modulus: worked out once per
+#: modulus, not once per handle or per encoded element.
+_WIDTHS: dict[int, int] = {}
+
+
+def _byte_width(modulus: int) -> int:
+    size = _WIDTHS.get(modulus)
+    if size is None:
+        size = _WIDTHS[modulus] = (modulus.bit_length() + 7) // 8
+    return size
+
+
 class FastGT(GTElement):
     """A GT element represented by its discrete logarithm."""
 
@@ -90,7 +110,8 @@ class FastGT(GTElement):
         self.modulus = modulus
 
     def to_bytes(self) -> bytes:
-        return self.value.to_bytes((self.modulus.bit_length() + 7) // 8, "big")
+        size = _WIDTHS.get(self.modulus) or _byte_width(self.modulus)
+        return self.value.to_bytes(size, "big")
 
     def __repr__(self) -> str:
         return f"FastGT({self.value})"
@@ -228,8 +249,26 @@ class BilinearBackend(ABC):
         """``[g2^e for e in exponents]``."""
 
     @abstractmethod
+    def pair_vectors_batch(
+        self, g1_vector: Sequence, g2_vectors: Sequence[Sequence]
+    ) -> list[GTElement]:
+        """One multi-pairing of ``g1_vector`` against *each* G2 vector.
+
+        This is SJ.Dec, and each backend's one kernel: the fixed vector
+        is the query token, each G2 vector is one row ciphertext (raw
+        elements, a :class:`PreparedRow`, or a mix), and every row costs
+        d Miller loops plus a *single* shared final exponentiation
+        (versus d full pairings on the naive per-pair path).  A 0 / the
+        point at infinity on either side is the identity: its pair is
+        skipped and not counted, and a row with no live pair is the GT
+        identity with no final exponentiation.  A row of another length
+        than the token raises :class:`~repro.errors.CryptoError`.
+        """
+
     def pair_vectors(self, g1_vector: Sequence, g2_vector: Sequence) -> GTElement:
-        """``prod_i e(g1_vector[i], g2_vector[i])`` (a multi-pairing)."""
+        """``prod_i e(g1_vector[i], g2_vector[i])`` (a multi-pairing):
+        the one-row case of :meth:`pair_vectors_batch`."""
+        return self.pair_vectors_batch(g1_vector, [g2_vector])[0]
 
     @abstractmethod
     def gt_identity(self) -> GTElement:
@@ -304,20 +343,6 @@ class BilinearBackend(ABC):
     @abstractmethod
     def decode_prepared(self, data: bytes):
         """Inverse of :meth:`encode_prepared` (validating)."""
-
-    def pair_vectors_batch(
-        self, g1_vector: Sequence, g2_vectors: Sequence[Sequence]
-    ) -> list[GTElement]:
-        """One multi-pairing of ``g1_vector`` against *each* G2 vector.
-
-        This is the batched SJ.Dec entry point: the fixed vector is the
-        query token, each G2 vector is one row ciphertext, and every row
-        costs d Miller loops plus a *single* shared final exponentiation
-        (versus d full pairings on the naive per-pair path).  The default
-        loops over :meth:`pair_vectors`, so any backend works; subclasses
-        may vectorize.
-        """
-        return [self.pair_vectors(g1_vector, g2) for g2 in g2_vectors]
 
 
 class _FixedBaseTable:
@@ -459,13 +484,6 @@ class BN254Backend(BilinearBackend):
     def g2_powers(self, exponents: Sequence[int]) -> list[G2Point]:
         return _fixed_base_table(G2Point).powers(exponents)
 
-    def pair_vectors(
-        self, g1_vector: Sequence[G1Point], g2_vector: Sequence
-    ) -> BN254GT:
-        """Multi-pairing over raw G2 points, prepared elements, or a mix:
-        the one-row case of :meth:`pair_vectors_batch`."""
-        return self.pair_vectors_batch(g1_vector, [g2_vector])[0]
-
     def pair_vectors_batch(
         self, g1_vector: Sequence[G1Point], g2_vectors: Sequence[Sequence]
     ) -> list[BN254GT]:
@@ -556,6 +574,9 @@ class BN254Backend(BilinearBackend):
         return 128
 
 
+_value = attrgetter("value")
+
+
 class FastBackend(BilinearBackend):
     """Insecure-fast backend: group elements are their discrete logs.
 
@@ -571,6 +592,7 @@ class FastBackend(BilinearBackend):
         if not is_probable_prime(modulus):
             raise CryptoError("FastBackend modulus must be prime")
         self._modulus = modulus
+        self._element_size = _byte_width(modulus)
         # Mirrors BN254's lazily cached e(g1, g2): the first
         # gt_generator_power pays (and counts) one pairing, the rest
         # only a GT exponentiation — same counts for the same calls.
@@ -588,18 +610,65 @@ class FastBackend(BilinearBackend):
         q = self._modulus
         return [e % q for e in exponents]
 
-    def pair_vectors(
-        self, g1_vector: Sequence[int], g2_vector: Sequence
-    ) -> FastGT:
-        if len(g1_vector) != len(g2_vector):
-            raise CryptoError("pairing vectors must have the same length")
-        # Model the op counts of the equivalent BN254 call: d Miller
-        # loops sharing one final exponentiation (a 0 exponent stands
-        # for the identity, which the real pairing would skip), with
-        # prepared elements counted on the replay counter like BN254.
+    def pair_vectors_batch(
+        self, g1_vector: Sequence[int], g2_vectors: Sequence[Sequence]
+    ) -> list[FastGT]:
+        """SJ.Dec for a chunk of rows, one inner product mod q per row.
+
+        The op counts model the equivalent BN254 call (DESIGN.md §4):
+        a row with no 0 on either side — every stored row against a
+        query token, in practice — costs ``sum(map(mul, …))``, d Miller
+        loops (replayed ones for a :class:`PreparedRow`, whose values
+        are its :class:`FastPrepared` values) and one final
+        exponentiation, counted once per chunk.  A row holding a 0 (the
+        identity, which the real pairing skips), a row mixing raw and
+        prepared elements, and every row against a token holding a 0
+        take :meth:`_pair_row`, pair by pair.  Tuples and lists alike.
+        """
         q = self._modulus
-        total = 0
-        raw = prepared = 0
+        d = len(g1_vector)
+        live_token = d > 0 and all(g1_vector)
+        handles = []
+        raw_rows = prepared_rows = raw = prepared = finals = 0
+        for row in g2_vectors:
+            if len(row) != d:
+                raise CryptoError("pairing vectors must have the same length")
+            if live_token:
+                try:
+                    if isinstance(row, PreparedRow):
+                        values = list(map(_value, row.prepared))
+                        if all(values):
+                            handles.append(
+                                FastGT(sum(map(mul, g1_vector, values)), q)
+                            )
+                            prepared_rows += 1
+                            continue
+                    elif all(row):
+                        handles.append(
+                            FastGT(sum(map(mul, g1_vector, row)), q)
+                        )
+                        raw_rows += 1
+                        continue
+                except (AttributeError, TypeError):
+                    pass  # raw and prepared elements in one row
+            total, row_raw, row_prepared = self._pair_row(g1_vector, row)
+            handles.append(FastGT(total, q))
+            raw += row_raw
+            prepared += row_prepared
+            if row_raw or row_prepared:
+                finals += 1
+        ops = self.ops
+        ops.miller_loops += raw + d * raw_rows
+        ops.prepared_miller_loops += prepared + d * prepared_rows
+        ops.final_exponentiations += finals + raw_rows + prepared_rows
+        return handles
+
+    @staticmethod
+    def _pair_row(g1_vector: Sequence[int], g2_vector: Sequence):
+        """One row pair by pair: ``(inner product, live raw pairs, live
+        prepared pairs)``, a pair with a 0 on either side not live.  The
+        reference :meth:`pair_vectors_batch` must agree with."""
+        total = raw = prepared = 0
         for a, b in zip(g1_vector, g2_vector):
             if isinstance(b, FastPrepared):
                 value = b.value
@@ -610,11 +679,7 @@ class FastBackend(BilinearBackend):
                 if a and value:
                     raw += 1
             total += a * value
-        self.ops.miller_loops += raw
-        self.ops.prepared_miller_loops += prepared
-        if raw or prepared:
-            self.ops.final_exponentiations += 1
-        return FastGT(total % q, q)
+        return total, raw, prepared
 
     def prepare_row(self, g2_vector: Sequence) -> PreparedRow:
         elements = tuple(g2_vector)
@@ -650,10 +715,6 @@ class FastBackend(BilinearBackend):
     def gt_pow(self, element: FastGT, exponent: int) -> FastGT:
         self.ops.gt_exponentiations += 1
         return FastGT(element.value * (exponent % self._modulus), self._modulus)
-
-    @property
-    def _element_size(self) -> int:
-        return (self._modulus.bit_length() + 7) // 8
 
     def encode_g1(self, element: int) -> bytes:
         return (element % self._modulus).to_bytes(self._element_size, "big")

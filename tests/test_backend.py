@@ -8,11 +8,15 @@ GT handles on both.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.backend import (
     BN254Backend,
     FastBackend,
     FastGT,
+    FastPrepared,
+    PreparedRow,
     get_backend,
 )
 from repro.crypto.params import CURVE_ORDER
@@ -69,6 +73,88 @@ class TestGetBackend:
     def test_types(self):
         assert isinstance(get_backend("fast"), FastBackend)
         assert isinstance(get_backend("bn254"), BN254Backend)
+
+
+#: A small field, so that a random element is 0 (the identity) often.
+_SMALL_Q = 7
+
+
+@st.composite
+def _chunks(draw):
+    """A token and a chunk of tuple, list, prepared and mixed rows, with
+    elements in ``[0, 2q)``: 0 is common, and q is live (not 0)."""
+    d = draw(st.integers(min_value=0, max_value=6))
+    vector = st.lists(
+        st.integers(min_value=0, max_value=2 * _SMALL_Q - 1),
+        min_size=d, max_size=d,
+    )
+    token = draw(vector)
+    rows = []
+    kinds = ["tuple", "list", "prepared", "mixed"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
+        values = draw(vector)
+        if kind == "tuple":
+            rows.append(tuple(values))
+        elif kind == "list":
+            rows.append(values)
+        elif kind == "prepared":
+            rows.append(PreparedRow(values, tuple(map(FastPrepared, values))))
+        else:
+            wrapped = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+            rows.append([
+                FastPrepared(value) if wrap else value
+                for value, wrap in zip(values, wrapped)
+            ])
+    return token, rows
+
+
+class TestFastKernel:
+    """``FastBackend.pair_vectors_batch`` against ``_pair_row``, the
+    pair-by-pair reference: same handle bytes, same five counters."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunk=_chunks())
+    def test_batch_equals_reference(self, chunk):
+        token, rows = chunk
+        backend = FastBackend(modulus=_SMALL_Q)
+        expected_handles = []
+        expected = [0] * 5
+        for row in rows:
+            total, raw, prepared = FastBackend._pair_row(token, row)
+            expected_handles.append(FastGT(total, _SMALL_Q).to_bytes())
+            expected[0] += raw
+            expected[1] += 1 if raw or prepared else 0
+            expected[2] += prepared
+        handles = backend.pair_vectors_batch(token, rows)
+        assert [gt.to_bytes() for gt in handles] == expected_handles
+        assert list(backend.ops.snapshot()) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(chunk=_chunks(), data=st.data())
+    def test_wrong_length_row_raises(self, chunk, data):
+        token, rows = chunk
+        at = data.draw(st.integers(min_value=0, max_value=len(rows)))
+        extra = data.draw(st.sampled_from(["tuple", "list", "prepared"]))
+        values = list(token) + [1]
+        wrong = {
+            "tuple": tuple(values),
+            "list": values,
+            "prepared": PreparedRow(values, tuple(map(FastPrepared, values))),
+        }[extra]
+        with pytest.raises(CryptoError):
+            FastBackend(modulus=_SMALL_Q).pair_vectors_batch(
+                token, rows[:at] + [wrong] + rows[at:]
+            )
+
+    def test_a_zero_is_no_live_pair(self):
+        """Zero-free rows beside rows with a 0: only live pairs count."""
+        backend = FastBackend(modulus=_SMALL_Q)
+        rows = [(1, 2, 3), (1, 0, 3), [0, 0, 0], PreparedRow(
+            (4, 0, 5), (FastPrepared(4), FastPrepared(0), FastPrepared(5))
+        )]
+        handles = backend.pair_vectors_batch([1, 1, 1], rows)
+        assert [gt.value for gt in handles] == [6, 4, 0, 2]
+        assert backend.ops.snapshot() == (5, 3, 2, 0, 0)
 
 
 class TestFastGTRepr:

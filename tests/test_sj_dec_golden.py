@@ -209,7 +209,9 @@ def test_golden_edge_counts(sections):
 if __name__ == "__main__":
     before = _stored() if GOLDEN.exists() else {}
     fresh = _sections()
-    changed = [name for name in _SECTION_SIZES if fresh[name] != before.get(name)]
+    changed = [
+        name for name in _SECTION_SIZES if fresh[name] != before.get(name)
+    ]
     GOLDEN.parent.mkdir(exist_ok=True)
     blob = b"".join(fresh[name] for name in _SECTION_SIZES)
     GOLDEN.write_bytes(blob)
