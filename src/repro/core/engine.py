@@ -6,7 +6,8 @@ engine, :class:`BatchedEngine`: it issues a side's rows in chunks
 through :meth:`~repro.crypto.backend.BilinearBackend.pair_vectors_batch`,
 so every row costs d Miller loops but only *one* shared final
 exponentiation.  On the fast backend a row is one inner product mod q,
-with those op counts modelled (added once per chunk).  The chunks ramp 1, 2, 4, … rows up to the chunk size
+with those op counts modelled (added once per chunk).  The chunks ramp
+1, 2, 4, … rows up to the chunk size
 (:func:`~repro.core.service.chunk_spans`, the one place a side is cut,
 inline and on the pool alike), so a side's first handle — and a join's
 first match — waits for one row, not a whole chunk.  On a server at

@@ -88,30 +88,18 @@ class BN254GT(GTElement):
         return f"BN254GT({self.to_bytes()[:8].hex()}...)"
 
 
-#: Bytes per fast-backend element, by modulus: worked out once per
-#: modulus, not once per handle or per encoded element.
-_WIDTHS: dict[int, int] = {}
-
-
-def _byte_width(modulus: int) -> int:
-    size = _WIDTHS.get(modulus)
-    if size is None:
-        size = _WIDTHS[modulus] = (modulus.bit_length() + 7) // 8
-    return size
-
-
 class FastGT(GTElement):
-    """A GT element represented by its discrete logarithm."""
+    """A GT element of a :class:`FastBackend`'s group, represented by its
+    discrete logarithm mod the group's order."""
 
-    __slots__ = ("value", "modulus")
+    __slots__ = ("value", "_size")
 
-    def __init__(self, value: int, modulus: int):
-        self.value = value % modulus
-        self.modulus = modulus
+    def __init__(self, value: int, group: FastBackend):
+        self.value = value % group._modulus
+        self._size = group._element_size
 
     def to_bytes(self) -> bytes:
-        size = _WIDTHS.get(self.modulus) or _byte_width(self.modulus)
-        return self.value.to_bytes(size, "big")
+        return self.value.to_bytes(self._size, "big")
 
     def __repr__(self) -> str:
         return f"FastGT({self.value})"
@@ -592,7 +580,7 @@ class FastBackend(BilinearBackend):
         if not is_probable_prime(modulus):
             raise CryptoError("FastBackend modulus must be prime")
         self._modulus = modulus
-        self._element_size = _byte_width(modulus)
+        self._element_size = (modulus.bit_length() + 7) // 8
         # Mirrors BN254's lazily cached e(g1, g2): the first
         # gt_generator_power pays (and counts) one pairing, the rest
         # only a GT exponentiation — same counts for the same calls.
@@ -625,42 +613,42 @@ class FastBackend(BilinearBackend):
         prepared elements, and every row against a token holding a 0
         take :meth:`_pair_row`, pair by pair.  Tuples and lists alike.
         """
-        q = self._modulus
         d = len(g1_vector)
         live_token = d > 0 and all(g1_vector)
         handles = []
-        raw_rows = prepared_rows = raw = prepared = finals = 0
+        raw = prepared = finals = 0
         for row in g2_vectors:
             if len(row) != d:
                 raise CryptoError("pairing vectors must have the same length")
             if live_token:
-                try:
-                    if isinstance(row, PreparedRow):
-                        values = list(map(_value, row.prepared))
-                        if all(values):
-                            handles.append(
-                                FastGT(sum(map(mul, g1_vector, values)), q)
-                            )
-                            prepared_rows += 1
-                            continue
-                    elif all(row):
+                if isinstance(row, PreparedRow):
+                    values = list(map(_value, row.prepared))
+                    if all(values):
                         handles.append(
-                            FastGT(sum(map(mul, g1_vector, row)), q)
+                            FastGT(sum(map(mul, g1_vector, values)), self)
                         )
-                        raw_rows += 1
+                        prepared += d
+                        finals += 1
                         continue
-                except (AttributeError, TypeError):
-                    pass  # raw and prepared elements in one row
+                elif all(row):
+                    try:
+                        total = sum(map(mul, g1_vector, row))
+                    except TypeError:  # a prepared element in a raw row
+                        pass
+                    else:
+                        handles.append(FastGT(total, self))
+                        raw += d
+                        finals += 1
+                        continue
             total, row_raw, row_prepared = self._pair_row(g1_vector, row)
-            handles.append(FastGT(total, q))
+            handles.append(FastGT(total, self))
             raw += row_raw
             prepared += row_prepared
             if row_raw or row_prepared:
                 finals += 1
-        ops = self.ops
-        ops.miller_loops += raw + d * raw_rows
-        ops.prepared_miller_loops += prepared + d * prepared_rows
-        ops.final_exponentiations += finals + raw_rows + prepared_rows
+        self.ops.miller_loops += raw
+        self.ops.prepared_miller_loops += prepared
+        self.ops.final_exponentiations += finals
         return handles
 
     @staticmethod
@@ -699,10 +687,10 @@ class FastBackend(BilinearBackend):
         return FastPrepared(self.decode_g1(data))
 
     def gt_identity(self) -> FastGT:
-        return FastGT(0, self._modulus)
+        return FastGT(0, self)
 
     def gt_mul(self, a: FastGT, b: FastGT) -> FastGT:
-        return FastGT(a.value + b.value, self._modulus)
+        return FastGT(a.value + b.value, self)
 
     def gt_generator_power(self, exponent: int) -> FastGT:
         if not self._gt_base_counted:
@@ -710,11 +698,11 @@ class FastBackend(BilinearBackend):
             self.ops.miller_loops += 1
             self.ops.final_exponentiations += 1
         self.ops.gt_exponentiations += 1
-        return FastGT(exponent, self._modulus)
+        return FastGT(exponent, self)
 
     def gt_pow(self, element: FastGT, exponent: int) -> FastGT:
         self.ops.gt_exponentiations += 1
-        return FastGT(element.value * (exponent % self._modulus), self._modulus)
+        return FastGT(element.value * (exponent % self._modulus), self)
 
     def encode_g1(self, element: int) -> bytes:
         return (element % self._modulus).to_bytes(self._element_size, "big")
