@@ -14,6 +14,11 @@ numbers: the per-decryption cost implied by the paper's Figure 3
 (runtime / analytic decryption count, ~21.3 ms) equals the paper's own
 Figure 2 decryption time (21.2 ms at t=1), and one constant explains
 all four reported Figure 3 corner points to < 1% relative error.
+
+The per-backend :class:`EngineCostModel` (a row's Miller loops, final
+exponentiation and overhead) lives here too, beside its one reader,
+:func:`estimate_scatter_costs`; ``perfbench/workloads.py`` imports
+:func:`default_engine_cost_model` from this module.
 """
 
 from __future__ import annotations
@@ -22,9 +27,6 @@ from dataclasses import dataclass
 
 from repro.bench.harness import BenchmarkRecord
 from repro.errors import BenchmarkError
-# ``default_engine_cost_model`` is re-exported: the gating benchmark
-# (perfbench/workloads.py) imports it from here.
-from repro.plan.cost import EngineCostModel, default_engine_cost_model
 
 # TPC-H row counts per unit scale factor.
 _CUSTOMERS_PER_SF = 150_000
@@ -123,11 +125,61 @@ def implied_paper_unit_cost() -> float:
     return sum(costs) / len(costs)
 
 
-# -- reporting with the runtime's cost model ------------------------------
-# The model itself, and the chain-order decision priced with it, are
-# the runtime's: :mod:`repro.plan.cost`.  What stays here is what only
-# a benchmark does with it — report a scatter estimate beside a
-# measured shard series.
+# -- the per-backend pairing model and the scatter estimate ---------------
+# The runtime prices nothing: the pool-or-inline rule is the backend's
+# ``pool_pays`` and a chain's order is a rule on candidate counts
+# (:func:`repro.plan.compile_plan`).  These constants are read only by
+# the scatter estimate reported beside a measured shard series.
+
+
+@dataclass(frozen=True)
+class EngineCostModel:
+    """Per-operation timings (seconds) of one backend's SJ.Dec.
+
+    One row costs ``d`` Miller loops (``miller_loop``), one shared
+    final exponentiation (``final_exponentiation``) and
+    ``row_overhead`` (:func:`estimate_scatter_costs`).
+    """
+
+    backend: str
+    miller_loop: float
+    final_exponentiation: float
+    row_overhead: float
+
+
+#: Defaults measured on the fast (exponent-group) backend: a pairing is
+#: a handful of modular multiplications.
+FAST_ENGINE_COSTS = EngineCostModel(
+    backend="fast",
+    miller_loop=3.5e-7,
+    final_exponentiation=1.5e-6,
+    row_overhead=1.5e-6,
+)
+
+#: Defaults for the pure-Python BN254 pairing, measured on the chunk
+#: kernel (dimension 8, 24 rows in one chunk, one 2-vCPU box at the
+#: faster of its two speeds).
+BN254_ENGINE_COSTS = EngineCostModel(
+    backend="bn254",
+    # One pair's share of a chunk's simultaneous loop: 88 line products
+    # and its twist steps, the inversions shared by the whole chunk.
+    miller_loop=1.9e-3,
+    # Solved from serial minus batched, so it also carries the
+    # squarings and inversions a lone pairing does not get to share.
+    final_exponentiation=7.5e-3,
+    row_overhead=1.5e-6,
+)
+
+_DEFAULT_ENGINE_COSTS = {
+    "fast": FAST_ENGINE_COSTS,
+    "bn254": BN254_ENGINE_COSTS,
+}
+
+
+def default_engine_cost_model(backend_name: str) -> EngineCostModel:
+    """The built-in cost model for a backend (fast-backend shape if unknown)."""
+    return _DEFAULT_ENGINE_COSTS.get(backend_name, FAST_ENGINE_COSTS)
+
 
 #: Per-shard coordination cost of a scatter-gather join (seconds):
 #: admitting the query on one more shard's pool and merging its chunk

@@ -44,8 +44,7 @@ number: per table the stores' summed epochs and versions and united
 tombstones; ``_open_sources`` (every store's sources, tagged so a
 failure names the shard); ``_payloads`` (lent by in-process stores;
 only a remote shard's items carry payloads, retained on the entry);
-``_account`` (shard loads, skew, one ``"scatter"`` record) and
-``_distinct_estimate`` (the stores' tag profiles).
+and ``_account`` (shard loads, skew, one ``"scatter"`` record).
 
 How SJ.Dec is issued is not a property of a query: a store has one
 :class:`~repro.core.engine.BatchedEngine`, one pool ``workers`` wide and
@@ -80,7 +79,6 @@ from repro.plan import (
     compile_plan,
     group_chain_sides,
 )
-from repro.plan.cost import default_engine_cost_model
 from repro.series.cache import (
     DEFAULT_SERIES_BUDGET,
     SeriesCache,
@@ -449,11 +447,12 @@ class ShardCoordinator:
         :class:`EncryptedChainResult` — canonical lexicographic tuple
         order — as the generator's value (``StopIteration.value``).
 
-        The join order is chosen per query by the cost-model planner
-        from prefilter-posting cardinality estimates (one incremental
-        hash matcher per plan node), and each distinct ``(table,
-        token)`` side is decrypted once however many positions consume
-        it (``stats.handle_pool_hits``).
+        The join order is chosen per query from the positions'
+        candidate counts (:func:`~repro.plan.compile_plan`: fewest
+        first, then toward the smaller neighbour; one incremental hash
+        matcher per plan node), and each distinct ``(table, token)``
+        side is decrypted once however many positions consume it
+        (``stats.handle_pool_hits``).
         """
         return (yield from self._drive(query, _ChainShape, True))
 
@@ -685,8 +684,9 @@ class ShardCoordinator:
 
     def _plan(self, entry, sources, stats):
         """Give an empty entry its executor.  A chain's join order is
-        priced from the candidate counts the opened sources already
-        know (a remote shard reports its counts only when it finishes)."""
+        chosen from the candidate counts the opened sources already
+        know (a remote shard reports its counts only when it finishes,
+        so its positions read 0)."""
         tables = entry.tables
         if len(tables) == 2:
             # One node, and the identity order keeps ``probes`` counting
@@ -698,15 +698,7 @@ class ShardCoordinator:
                 if source.rows is not None:
                     for position in source.positions:
                         counts[position] += len(source.rows)
-            distincts = [
-                self._distinct_estimate(name, count)
-                for name, count in zip(tables, counts)
-            ]
-            plan = compile_plan(
-                default_engine_cost_model(self.backend.name),
-                counts,
-                distincts,
-            )
+            plan = compile_plan(None, counts)
             stats.record(plan.record())
             order = plan.order
         entry.executor = ChainExecutor(order)
@@ -798,33 +790,6 @@ class ShardCoordinator:
             "rows_per_shard": shard_rows,
             "skew": stats.shard_skew,
         })
-
-    def _distinct_estimate(
-        self, table_name: str, candidate_count: int
-    ) -> int | None:
-        """Estimated distinct join values among a side's candidates.
-
-        Derived from the pre-filter posting profile: the most selective
-        indexed column's distinct-tag count, scaled to the candidate
-        set under a uniformity assumption.  The tags live on attribute
-        columns, not the join column, so this is a diversity proxy —
-        good enough to separate a near-key side from a heavily repeated
-        one, which is all the containment estimator needs.  The stores'
-        counts add up (the partitioner co-locates equal tags of its key
-        column).  ``None`` when a store cannot tell or the table carries
-        no tags (assume all-distinct).
-        """
-        profiles = [shard.tag_profile(table_name) for shard in self._local]
-        if len(profiles) < len(self.shards) or None in profiles:
-            return None
-        table_rows = sum(rows for rows, _ in profiles)
-        if table_rows == 0 or candidate_count == 0:
-            return None
-        best = sum(distinct for _, distinct in profiles)
-        return max(
-            1,
-            min(candidate_count, round(candidate_count * best / table_rows)),
-        )
 
     # -- dynamic updates --------------------------------------------------
     def _stores(self, table_name: str) -> list[LocalShard]:

@@ -314,17 +314,6 @@ class LocalShard:
             return table.payloads
         return _PiecePayloads(table.payloads, local)
 
-    def tag_profile(self, table_name: str) -> tuple[int, int] | None:
-        """``(rows, distinct tags)`` of the table's most diverse
-        pre-filter column; ``None`` when it carries no tags."""
-        index = self._tag_index.get(table_name)
-        if not index:
-            return None
-        return (
-            len(self.table(table_name)),
-            max(len(postings) for postings in index.values()),
-        )
-
     def _candidates(
         self,
         table: EncryptedTable,

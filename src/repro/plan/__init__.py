@@ -2,15 +2,11 @@
 
 The paper's workload is a *series* of equi-joins, and real analytic
 chains touch three or more tables.  This package turns an n-way chain
-spec into a priced, pipelined plan:
+spec into a pipelined left-deep plan:
 
-- :mod:`repro.plan.cost` — what the runtime prices, and with what: the
-  per-backend :class:`~repro.plan.cost.EngineCostModel` and the
-  join-order decision of a chain (imports nothing from ``repro.core``
-  or ``repro.bench``);
-- :mod:`repro.plan.planner` — compiles a chain of candidate
-  cardinalities into a left-deep join order via the cost model's
-  prefilter-posting estimates (:func:`~repro.plan.cost.choose_join_order`);
+- :mod:`repro.plan.planner` — the chain's join order, one rule on the
+  positions' candidate counts (:func:`~repro.plan.planner.compile_plan`:
+  fewest candidates first, then toward the smaller neighbour);
 - :mod:`repro.plan.executor` — the pipelined executor: each node's
   match increments cascade directly into the next node's incremental
   matcher, so there is no materialization barrier and the first full
@@ -22,18 +18,12 @@ spec into a priced, pipelined plan:
 
 from repro.plan.executor import ChainExecutor
 from repro.plan.handles import SideGroup, group_chain_sides
-from repro.plan.planner import (
-    MAX_CHAIN_TABLES,
-    JoinPlan,
-    PlanNode,
-    compile_plan,
-)
+from repro.plan.planner import MAX_CHAIN_TABLES, JoinPlan, compile_plan
 
 __all__ = [
     "ChainExecutor",
     "JoinPlan",
     "MAX_CHAIN_TABLES",
-    "PlanNode",
     "SideGroup",
     "compile_plan",
     "group_chain_sides",

@@ -1,18 +1,23 @@
-"""Tests for the join cost model and paper-shape extrapolation
-(:mod:`repro.bench.costmodel`), the built-in per-backend models
-(:mod:`repro.plan.cost`) and the pool-or-inline rule that needs none."""
+"""Tests for the join cost model and paper-shape extrapolation, the
+built-in per-backend models (both :mod:`repro.bench.costmodel`) and the
+pool-or-inline rule that needs none."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
 from pathlib import Path
 
 import pytest
 
-from repro.bench import experiments
+from repro.bench import costmodel, experiments
 from repro.bench.costmodel import (
+    BN254_ENGINE_COSTS,
+    FAST_ENGINE_COSTS,
     CostModel,
+    EngineCostModel,
     PAPER_FIGURE3_POINTS,
+    default_engine_cost_model,
     expected_decryptions,
     fit_join_cost,
     implied_paper_unit_cost,
@@ -147,19 +152,10 @@ class TestEngineCostModel:
     pricing each side with them."""
 
     def test_default_models_per_backend(self):
-        from repro.bench import costmodel
-        from repro.plan.cost import (
-            BN254_ENGINE_COSTS,
-            FAST_ENGINE_COSTS,
-            default_engine_cost_model,
-        )
-
         assert default_engine_cost_model("fast") is FAST_ENGINE_COSTS
         assert default_engine_cost_model("bn254") is BN254_ENGINE_COSTS
         # Unknown backends fall back to the fast-backend shape.
         assert default_engine_cost_model("???") is FAST_ENGINE_COSTS
-        # The name the gating benchmark imports is the runtime's own.
-        assert costmodel.default_engine_cost_model is default_engine_cost_model
 
     def test_two_candidate_rule_reproduces_the_three_candidate_decisions(self):
         """``tests/data/engine_decisions.bin`` holds what an earlier
@@ -283,23 +279,27 @@ class TestEngineCostModel:
         assert generations == [1, 1, 1]
 
     def test_retired_planner_inputs_are_refused(self):
-        """No per-side price is left to feed: the pricing functions are
-        gone, and a cost model handed to the engine is an error, not a
-        silently ignored keyword."""
-        import repro.plan.cost
+        """No per-side or chain-order price is left to feed: the pricing
+        functions and the runtime's cost module are gone, and a cost
+        model handed to the engine is an error, not a silently ignored
+        keyword."""
         from repro.core.engine import BatchedEngine
 
-        for name in ("choose_engine", "estimate_engine_costs"):
-            assert not hasattr(repro.plan.cost, name)
+        for name in (
+            "choose_engine", "estimate_engine_costs", "choose_join_order",
+            "estimate_match_cost", "estimate_plan_costs",
+        ):
+            assert not hasattr(costmodel, name)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.plan.cost")
         with pytest.raises(TypeError):
-            BatchedEngine(cost_model=repro.plan.cost.BN254_ENGINE_COSTS)
+            BatchedEngine(cost_model=BN254_ENGINE_COSTS)
 
     def test_invalid_inputs(self):
-        """The model keeps what the scatter estimate and the chain order
-        read; the six constants only the per-side price read are no
-        fields, and the model is no file format."""
-        from repro.plan.cost import EngineCostModel
-
+        """The model keeps what the scatter estimate reads; the six
+        constants only the per-side price read and the three only the
+        chain-order price read are no fields, and the model is no file
+        format."""
         base = dict(
             backend="fast", miller_loop=1e-6, final_exponentiation=1e-6,
             row_overhead=1e-6,
@@ -308,45 +308,10 @@ class TestEngineCostModel:
         for retired in (
             "batch_overhead", "element_transport", "chunk_overhead",
             "pool_spawn", "switch_margin", "prepared_miller_loop",
+            "hash_build", "hash_probe", "pair_emit",
         ):
             with pytest.raises(TypeError):
                 EngineCostModel(**base, **{retired: 1.0})
         assert not hasattr(EngineCostModel, "save")
         assert not hasattr(EngineCostModel, "load")
 
-
-class TestMatcherCostModel:
-    """Pricing one hash-match node, the unit of the join-order choice."""
-
-    def _model(self):
-        from repro.plan.cost import FAST_ENGINE_COSTS
-
-        return FAST_ENGINE_COSTS
-
-    def test_hash_cost_is_linear_in_rows(self):
-        from repro.plan.cost import estimate_match_cost
-
-        model = self._model()
-        small = estimate_match_cost(model, 100, 100)
-        large = estimate_match_cost(model, 200, 200)
-        assert small == pytest.approx(
-            100 * model.hash_build + 100 * model.hash_probe
-        )
-        assert large == pytest.approx(2 * small)
-
-    def test_expected_matches_are_charged(self):
-        from repro.plan.cost import estimate_match_cost
-
-        model = self._model()
-        without = estimate_match_cost(model, 50, 50, expected_matches=0)
-        with_matches = estimate_match_cost(model, 50, 50, expected_matches=10)
-        assert with_matches == pytest.approx(without + 10 * model.pair_emit)
-
-    def test_invalid_inputs(self):
-        from repro.plan.cost import estimate_match_cost
-        from repro.errors import BenchmarkError
-
-        with pytest.raises(BenchmarkError):
-            estimate_match_cost(self._model(), -1, 5)
-        with pytest.raises(BenchmarkError):
-            estimate_match_cost(self._model(), 5, 5, expected_matches=-1)

@@ -1,13 +1,14 @@
 """Which way the arrows point, and how few of them there are.
 
-``repro.bench`` reproduces the paper's figures *with* the runtime; what
-the runtime prices with lives in :mod:`repro.plan.cost`.  The arrow
-points one way: ``core`` / ``plan`` / ``shard`` / ``net`` (and
-everything below them) import nothing from ``repro.bench``, not even
-lazily inside a function.  The client module needs no engine, pool or
-shared memory — and the server, which does need a pool, needs neither
-shared memory nor the resource tracker, nor the leakage analysis that
-reads its ledger; nothing under ``src/`` imports a
+``repro.bench`` reproduces the paper's figures *with* the runtime, and
+the runtime prices nothing: the per-backend cost model lives in
+:mod:`repro.bench.costmodel`, beside the scatter estimate that reads
+it.  The arrow points one way: ``core`` / ``plan`` / ``shard`` /
+``net`` (and everything below them) import nothing from
+``repro.bench``, not even lazily inside a function.  The client module
+needs no engine, pool or shared memory — and the server, which does
+need a pool, needs neither shared memory nor the resource tracker, nor
+the leakage analysis that reads its ledger; nothing under ``src/`` imports a
 third-party package the requirements file does not name; every host
 answers a query through the same four one-argument entry points; a
 pool's width and transport are not parameters of anything; and there is
@@ -126,9 +127,7 @@ def test_import_rule_holds_in_every_source_file():
                 offenders.append((str(path), module))
             # Nothing imports the cost module lazily: there is no cycle
             # left to dodge.
-            if in_function and module in (
-                "repro.plan.cost", "repro.bench.costmodel"
-            ):
+            if in_function and module == "repro.bench.costmodel":
                 offenders.append((str(path), f"function-level {module}"))
     assert not offenders
 

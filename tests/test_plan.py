@@ -2,8 +2,10 @@
 
 The contract under test: an n-way chain query decrypts each distinct
 ``(table, token)`` side exactly once (the per-query handle pool),
-evaluates in the cost-model's chosen left-deep order, streams completed
-chain tuples incrementally, and — however the work is ordered, pooled,
+evaluates in the left-deep order the candidate counts choose (fewest
+first, then toward the smaller neighbour — which builds the fewest
+partial tuples on the chains pinned below), streams completed chain
+tuples incrementally, and — however the work is ordered, pooled,
 cached, sharded or shipped over the wire — the canonical result is
 byte-identical to the plaintext :func:`~repro.db.join.chain_join`
 ground truth.
@@ -12,6 +14,7 @@ ground truth.
 from __future__ import annotations
 
 import copy
+import itertools
 import random
 import threading
 
@@ -26,7 +29,8 @@ from repro.db.predicate import InPredicate
 from repro.db.query import ChainQuery, JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
-from repro.errors import BenchmarkError, QueryError
+from repro.bench.costmodel import default_engine_cost_model
+from repro.errors import QueryError
 from repro.net.client import RemoteJoinClient
 from repro.net.server import JoinServiceServer
 from repro.net.shard import ShardServiceServer, coordinator_from_shard_map
@@ -35,12 +39,6 @@ from repro.plan import (
     ChainExecutor,
     compile_plan,
     group_chain_sides,
-)
-from repro.plan.cost import (
-    choose_join_order,
-    default_engine_cost_model,
-    estimate_expected_matches,
-    estimate_plan_costs,
 )
 from repro.series.cache import series_key
 from repro.shard.coordinator import LocalShard, ShardCoordinator
@@ -128,61 +126,179 @@ def _assert_matches_plaintext(client, result, tables, deleted=None):
 
 
 class TestPlanner:
-    model = default_engine_cost_model("fast")
+    """The rule: fewest candidates first, then toward the neighbour
+    with fewer candidates, ties going left."""
 
-    def test_left_deep_orders_are_exhaustive(self):
-        # A chain of n tables has 2^(n-1) contiguous left-deep orders.
-        for n in (2, 3, 4, 5):
-            costs = estimate_plan_costs(self.model, [10] * n)
-            assert len(costs) == 2 ** (n - 1)
-            for order in costs:
-                lo = hi = order[0]
-                for position in order[1:]:
-                    assert position in (lo - 1, hi + 1)
-                    lo, hi = min(lo, position), max(hi, position)
+    @staticmethod
+    def _order(counts):
+        return compile_plan(None, counts).order
 
-    def test_chosen_order_is_argmin_of_published_estimates(self):
-        order, estimates = choose_join_order(
-            self.model, [50, 5000, 40], [4, 4, 4]
-        )
-        assert set(order) == {0, 1, 2}
-        assert set(estimates) == {
-            ",".join(map(str, o))
-            for o in ((0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0))
-        }
-        key = ",".join(map(str, order))
-        assert estimates[key] == min(estimates.values())
+    def test_starts_at_the_fewest_candidates(self):
+        assert self._order([50, 5, 40, 60])[0] == 1
+        assert self._order([9, 8, 7, 6, 5])[0] == 4
+        # The leftmost of equal minima.
+        assert self._order([5, 2, 9, 2])[0] == 1
+
+    def test_extends_toward_the_smaller_neighbour(self):
+        assert self._order([50, 5, 40, 60]) == (1, 2, 0, 3)
+        assert self._order([10, 70, 3, 20, 30]) == (2, 3, 4, 1, 0)
+        assert self._order([4, 6, 29]) == (0, 1, 2)
+        assert self._order([12, 30, 8]) == (2, 1, 0)
+
+    def test_ties_go_left(self):
+        assert self._order([7, 3, 7]) == (1, 0, 2)
+        assert self._order([1, 9, 0, 9, 1]) == (2, 1, 0, 3, 4)
 
     def test_uniform_cardinalities_keep_chain_order(self):
-        order, _ = choose_join_order(self.model, [30, 30, 30])
-        assert order == (0, 1, 2)
+        for n in range(2, MAX_CHAIN_TABLES + 1):
+            assert self._order([30] * n) == tuple(range(n))
+            # Unknown counts (a remote shard's) read 0.
+            assert self._order([0] * n) == tuple(range(n))
 
-    def test_expected_matches_containment(self):
-        # |R|*|S| / max(V(R), V(S)), clamped and conservative.
-        assert estimate_expected_matches(100, 100, 10, 20) == 500
-        assert estimate_expected_matches(100, 100) == 100
-        assert estimate_expected_matches(0, 100) == 0
-        assert estimate_expected_matches(10, 10, 1000, 1) == 10
-        with pytest.raises(BenchmarkError):
-            estimate_expected_matches(-1, 5)
+    def test_two_tables_keep_identity(self):
+        assert self._order([10, 1]) == (0, 1)
 
-    def test_compile_plan_nodes_follow_order(self):
-        plan = compile_plan(self.model, [50, 5000, 40], [4, 4, 4])
-        assert len(plan.nodes) == 2
+    def test_model_is_not_read(self):
+        model = default_engine_cost_model("fast")
+        for counts in ([50, 5000, 40], [3, 1, 2, 0]):
+            assert compile_plan(model, counts) == compile_plan(None, counts)
+
+    def test_left_deep_orders_are_exhaustive(self):
+        # A chain of n tables has 2^(n-1) contiguous left-deep orders,
+        # the ones the executor accepts; the work comparison below
+        # ranges over all of them.
+        for n in (2, 3, 4, 5):
+            accepted = []
+            for order in itertools.permutations(range(n)):
+                try:
+                    ChainExecutor(order)
+                except QueryError:
+                    continue
+                accepted.append(order)
+            assert len(accepted) == 2 ** (n - 1)
+            if n == 3:
+                assert sorted(accepted) == list(THREE_TABLE_ORDERS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.integers(0, 50), min_size=2, max_size=MAX_CHAIN_TABLES
+    ))
+    def test_compile_plan_nodes_follow_order(self, counts):
+        # Node j joins the interval order[:j + 1] with order[j + 1], an
+        # end of that interval's neighbourhood.
+        plan = compile_plan(None, counts)
         build = {plan.order[0]}
-        for node in plan.nodes:
-            assert set(node.build) == build
-            assert node.probe not in build
-            build.add(node.probe)
-        record = plan.record()
-        assert record["stage"] == "plan"
-        assert tuple(record["order"]) == plan.order
+        for probe in plan.order[1:]:
+            assert probe not in build
+            assert probe in (min(build) - 1, max(build) + 1)
+            build.add(probe)
+        assert plan.candidates == tuple(counts)
+        if len(counts) > 2:
+            assert plan.order[0] == counts.index(min(counts))
+        assert plan.record() == {
+            "stage": "plan",
+            "order": list(plan.order),
+            "candidates": list(counts),
+        }
 
     def test_compile_plan_rejects_bad_arity(self):
         with pytest.raises(QueryError):
-            compile_plan(self.model, [10])
+            compile_plan(None, [10])
         with pytest.raises(QueryError):
-            compile_plan(self.model, [10] * (MAX_CHAIN_TABLES + 1))
+            compile_plan(None, [10] * (MAX_CHAIN_TABLES + 1))
+
+
+#: Every contiguous left-deep order of a three-table chain.
+THREE_TABLE_ORDERS = ((0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0))
+
+
+def _partial_tuples(order, sides) -> int:
+    """The partial tuples a :class:`ChainExecutor` builds in ``order``:
+    the pairs of every node but the last.  ``sides[p]`` is position
+    ``p``'s ``(row, key)`` items."""
+    executor = ChainExecutor(order)
+    for position in order:
+        executor.feed(
+            position,
+            [(row, repr(key).encode()) for row, key in sides[position]],
+        )
+    return sum(matcher.stats.matches for matcher in executor.matchers[:-1])
+
+
+class TestOrderSavesWork:
+    """The order a server picks builds the fewest partial tuples of all
+    contiguous orders, counted on the plaintext keys of the candidates,
+    and the result is still :func:`chain_join`'s."""
+
+    def _check(self, tables, where=None):
+        client = SecureJoinClient.for_tables(
+            [(t, "k") for t in tables], in_clause_limit=2,
+            rng=random.Random(7), enable_prefilter=where is not None,
+        )
+        with SecureJoinServer(client.params, workers=1) as server:
+            for t in tables:
+                server.store(client.encrypt_table(t, "k"))
+            result = server.execute_chain(
+                _chain(client, [t.name for t in tables], where=where)
+            )
+        predicates = [
+            InPredicate("v", sel["v"]) if sel else None
+            for sel in where or [None] * len(tables)
+        ]
+        sides = [
+            [
+                (row, values[0])
+                for row, values in enumerate(table)
+                if predicate is None
+                or predicate.evaluate(values, table.schema)
+            ]
+            for table, predicate in zip(tables, predicates)
+        ]
+        (plan,) = [
+            record for record in result.stats.planner
+            if record["stage"] == "plan"
+        ]
+        built = {
+            order: _partial_tuples(order, sides)
+            for order in THREE_TABLE_ORDERS
+        }
+        assert built[tuple(plan["order"])] == min(built.values())
+        assert plan["candidates"] == [len(side) for side in sides]
+        reference = chain_join(tables, ["k"] * len(tables), predicates)
+        decrypted = client.decrypt_chain_result(result)
+        assert decrypted.index_tuples == reference.index_tuples
+        assert list(decrypted.table) == list(reference.table)
+        return built, tuple(plan["order"])
+
+    def test_unfiltered_chain(self):
+        tables = [
+            Table(name, Schema.of(("k", "int"), ("v", "str")),
+                  [(i % keys, f"{name}.{i}") for i in range(rows)])
+            for name, rows, keys in (
+                ("T1", 4, 8), ("T2", 6, 3), ("T3", 29, 2)
+            )
+        ]
+        built, order = self._check(tables)
+        assert built == {
+            (0, 1, 2): 6, (1, 0, 2): 6, (1, 2, 0): 58, (2, 1, 0): 58,
+        }
+        assert order == (0, 1, 2)
+
+    def test_prefiltered_chain_with_many_to_many_middle(self):
+        # Every key five times in the middle; the right end filtered to
+        # two rows, so starting there saves work the identity order does.
+        tables = [
+            Table(name, Schema.of(("k", "int"), ("v", "str")),
+                  [(i % 5, f"{name}.{i}") for i in range(rows)])
+            for name, rows in (("T1", 20), ("T2", 25), ("T3", 20))
+        ]
+        built, order = self._check(
+            tables, where=[None, None, {"v": ["T3.0", "T3.7"]}]
+        )
+        assert built == {
+            (0, 1, 2): 100, (1, 0, 2): 100, (1, 2, 0): 10, (2, 1, 0): 10,
+        }
+        assert order == (2, 1, 0)
 
 
 # -- executor --------------------------------------------------------------

@@ -476,26 +476,15 @@ class TestShardedSeries:
 class TestAStoreLendsItsPayloads:
     """A single store is a one-shard fleet, and its series entries still
     hold no payload: the drive reads them from the stored tables.  The
-    footprint and the chain's plan are pinned at the values a store
-    had when it was not a fleet."""
+    footprint is pinned at the value a store had when it was not a
+    fleet, and the chain's plan record as the order rule writes it."""
 
     #: ``series_cache.total_bytes`` after the series below.
     TOTAL_BYTES = 48528
-    #: The cold chain's ``"plan"`` record (order and estimates).
-    PLAN = {
-        "stage": "plan",
-        "order": [1, 2, 0],
-        "nodes": [
-            {"build": [1], "probe": 2, "estimated_build": 30,
-             "estimated_matches": 80},
-            {"build": [1, 2], "probe": 0, "estimated_build": 80,
-             "estimated_matches": 320},
-        ],
-        "estimates": {
-            "0,1,2": 0.0001324, "1,0,2": 0.0001315,
-            "1,2,0": 0.0001135, "2,1,0": 0.0001146,
-        },
-    }
+    #: The cold chain's ``"plan"`` record: the fewest candidates first
+    #: (T3), then T2.  (1, 2, 0) builds the same partial tuples, so the
+    #: footprint is the same under either order.
+    PLAN = {"stage": "plan", "order": [2, 1, 0], "candidates": [12, 30, 8]}
 
     def test_cold_resubmit_insert_delete_resubmit(self):
         tables = [
