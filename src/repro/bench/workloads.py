@@ -85,11 +85,6 @@ def build_encrypted_tpch(
     return workload
 
 
-def clear_cache() -> None:
-    """Drop cached encrypted databases (frees memory between experiments)."""
-    _CACHE.clear()
-
-
 def tpch_query(selectivity: float, in_clause_size: int = 1) -> JoinQuery:
     """The paper's benchmark query: join on custkey, filter by selectivity.
 

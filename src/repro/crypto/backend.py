@@ -26,7 +26,6 @@ BN254 would do for the same call.
 
 from __future__ import annotations
 
-import random
 import threading
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
@@ -740,9 +739,3 @@ def get_backend(name: str = "fast") -> BilinearBackend:
         _BACKENDS[name] = FastBackend() if name == "fast" else BN254Backend()
     return _BACKENDS[name]
 
-
-def random_rng(seed: int | None = None) -> random.Random:
-    """A seeded RNG; with ``seed=None`` uses OS entropy for the seed."""
-    if seed is None:
-        seed = random.SystemRandom().randrange(2**63)
-    return random.Random(seed)

@@ -32,9 +32,6 @@ class Database:
                 f"unknown table {name!r}; have {sorted(self._tables)}"
             ) from None
 
-    def table_names(self) -> list[str]:
-        return sorted(self._tables)
-
     def __contains__(self, name: str) -> bool:
         return name in self._tables
 

@@ -47,10 +47,6 @@ class Table:
         self.schema.validate_row(row)
         self._rows.append(row)
 
-    def insert_many(self, rows: Iterable[Sequence]) -> None:
-        for row in rows:
-            self.insert(row)
-
     # -- access ------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._rows)

@@ -67,9 +67,5 @@ class NetworkError(ReproError):
     arrived intact but does not decode."""
 
 
-class LeakageError(ReproError):
-    """Errors from the leakage analyzer (inconsistent traces...)."""
-
-
 class BenchmarkError(ReproError):
     """Errors from the benchmark harness (bad experiment parameters)."""

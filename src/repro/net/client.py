@@ -269,17 +269,6 @@ class RemoteJoinClient:
             except StopIteration as stop:
                 return stop.value
 
-    def stream_batches(self, query: EncryptedJoinQuery):
-        """Like :meth:`stream_join` but as a plain iterator of batches
-        (the final result is discarded) — convenient for consumers that
-        only want incremental rows."""
-        stream = self.stream_join(query)
-        while True:
-            try:
-                yield next(stream)
-            except StopIteration:
-                return
-
 
 __all__ = [
     "DEFAULT_BUFFERED_BATCHES",
