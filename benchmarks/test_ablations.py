@@ -1,11 +1,11 @@
-"""Ablations over the design choices DESIGN.md calls out.
+"""Ablations over the scheme's design choices.
 
 1. Pre-filter on/off — the paper's evaluation regime (SSE pre-filter,
    decrypt only selected rows) vs. the maximally private regime
    (decrypt everything).
 2. Backend — the identical scheme operation on the real BN254 pairing
-   vs. the fast exponent backend (quantifies the DESIGN.md §4
-   substitution).
+   vs. the fast exponent backend (quantifies the stand-in of README.md,
+   "Two backends").
 3. Multi-pairing — Secure Join decryption is a product of pairings;
    sharing one final exponentiation across the d Miller loops vs.
    computing d full pairings.

@@ -17,8 +17,8 @@ Quickstart::
                             where_right={"role": ["Tester"]})
     result = client.decrypt_result(server.execute_join(client.create_query(query)))
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record.
+README.md describes the system, section by section; its "Two backends"
+section holds the paper-versus-measured bridge.
 """
 
 from repro.core.client import (

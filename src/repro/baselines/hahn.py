@@ -18,7 +18,7 @@ Two structural properties matter for the reproduction:
    construction requires the left join column to be a primary key.
 
 KP-ABE itself is modeled by its observable behaviour (a keyed gate on
-the selection attributes); see DESIGN.md §4 for the substitution note.
+the selection attributes).
 """
 
 from __future__ import annotations

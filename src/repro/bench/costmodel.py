@@ -8,8 +8,8 @@ The server-side join cost decomposes as
 measurements by least squares).  Because ``decryptions`` is determined
 analytically by the workload — ``s * (|Customers| + |Orders|)`` with
 pre-filtering — the same model predicts what the runtime *would be* on
-hardware with a different per-decryption cost.  That is how
-EXPERIMENTS.md bridges our fast-backend numbers to the paper's C/BN254
+hardware with a different per-decryption cost.  That is how README.md
+("Two backends") bridges our fast-backend numbers to the paper's C/BN254
 numbers: the per-decryption cost implied by the paper's Figure 3
 (runtime / analytic decryption count, ~21.3 ms) equals the paper's own
 Figure 2 decryption time (21.2 ms at t=1), and one constant explains

@@ -4,8 +4,8 @@ Every driver returns an :class:`~repro.bench.harness.ExperimentResult`
 whose records carry the same parameters the paper sweeps, so the
 benchmark files and ``python -m repro.bench`` can print paper-style
 tables.  Absolute times differ from the paper (pure Python vs. the
-authors' C prototype — see EXPERIMENTS.md); the sweeps and trends are
-the reproduction target.
+authors' C prototype — see README.md, "Two backends"); the sweeps and
+trends are the reproduction target.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.leakage.analyzer import analyze_schemes
-from repro.tpch.generator import SELECTIVITY_VALUES, TPCHGenerator
+from repro.tpch.generator import SELECTIVITY_VALUES
 
 # A single Customers row (m = 8 non-join attributes), as in Figure 2.
 _CUSTOMERS_M = 8
@@ -421,7 +421,7 @@ def prefilter_ablation(
 def backend_ablation(repeats: int = 3, seed: int = 2) -> ExperimentResult:
     """Ablation: identical per-row crypto on BN254 vs. the fast backend.
 
-    Quantifies the substitution documented in DESIGN.md §4: what one row
+    Quantifies the fast backend's stand-in for BN254: what one row
     costs on the real pairing vs. the exponent-space backend.
     """
     result = ExperimentResult(name="backend_ablation")
@@ -435,24 +435,3 @@ def backend_ablation(repeats: int = 3, seed: int = 2) -> ExperimentResult:
             result.records.append(record)
     return result
 
-
-def minimum_rows_decrypted(
-    scale_factor: float = 0.01, selectivity: float = 1 / 100
-) -> dict:
-    """Sanity numbers for EXPERIMENTS.md: how many rows each query touches."""
-    generator = TPCHGenerator(scale_factor)
-    customers, orders = generator.both()
-    label_count_customers = sum(
-        1 for v in customers.column_values("selectivity")
-        if v == tpch_query(selectivity).left_selection.as_dict()["selectivity"][0]
-    )
-    label_count_orders = sum(
-        1 for v in orders.column_values("selectivity")
-        if v == tpch_query(selectivity).right_selection.as_dict()["selectivity"][0]
-    )
-    return {
-        "customers": len(customers),
-        "orders": len(orders),
-        "selected_customers": label_count_customers,
-        "selected_orders": label_count_orders,
-    }

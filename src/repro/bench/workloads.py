@@ -46,7 +46,7 @@ def build_encrypted_tpch(
 
     With ``prefilter=True`` the ``selectivity`` column carries searchable
     tags, reproducing the paper's evaluation regime where the server
-    decrypts only the selected fraction of rows (see DESIGN.md §4.3).
+    decrypts only the selected fraction of rows.
 
     ``series_cache`` defaults to *off*, unlike a production server: the
     figure drivers time repeated submissions of one encrypted query,

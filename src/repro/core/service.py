@@ -351,12 +351,7 @@ class ExecutionService:
     def _backend_fingerprint(backend: BilinearBackend) -> tuple:
         """What must match for pooled workers to be reusable: semantics,
         not identity (backends are stateless but for op counters)."""
-        return (
-            type(backend).__qualname__,
-            backend.name,
-            backend.order,
-            getattr(backend, "use_fast_pairing", None),
-        )
+        return (type(backend).__qualname__, backend.name, backend.order)
 
     def ensure_started(self, backend: BilinearBackend) -> None:
         """Start (or restart) the pool bound to ``backend``.

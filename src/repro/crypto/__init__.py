@@ -6,7 +6,10 @@ the paper depends on:
 - modular/number-theoretic primitives (:mod:`repro.crypto.numtheory`),
 - the BN254 extension-field tower (:mod:`repro.crypto.field`),
 - the BN254 groups G1/G2 (:mod:`repro.crypto.curve`),
-- the optimal-ate pairing (:mod:`repro.crypto.pairing`),
+- the optimal-ate pairing: the kernel every backend call runs
+  (:mod:`repro.crypto.pairing_fast`) and the textbook reference that
+  the tests and the multi-pairing ablation compare it with
+  (:mod:`repro.crypto.pairing`),
 - a backend abstraction exposing one bilinear-group API with a real
   (BN254) and an insecure-fast implementation
   (:mod:`repro.crypto.backend`),

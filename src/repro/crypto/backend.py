@@ -19,9 +19,9 @@ this package.  :class:`FastBackend` implements them in the exponent group
 the exponents — but is functionally identical: two GT handles are equal
 exactly when the corresponding BN254 elements would be.  The fast backend
 exists so the paper's table-scale experiments (hundreds of thousands of
-rows) run in reasonable time in pure Python; see DESIGN.md §4.  Its
-SJ.Dec row is one inner product mod q, and it counts the pairing work
-BN254 would do for the same call.
+rows) run in reasonable time in pure Python.  Its SJ.Dec row is one
+inner product mod q, and it counts the pairing work BN254 would do for
+the same call (README.md, "Two backends").
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.crypto.curve import (
 )
 from repro.crypto.field import Fp12
 from repro.crypto.numtheory import is_probable_prime
-from repro.crypto.pairing import multi_pairing, pairing
 from repro.crypto.pairing_fast import (
     PREPARED_ELEMENT_SIZE,
     G2Prepared,
@@ -110,9 +109,9 @@ class PairingOpCounter:
 
     ``miller_loops`` and ``final_exponentiations`` count what the BN254
     pairing actually executes for the observed call pattern; the fast
-    backend reports the *same* counts for the same calls (it is the
-    documented cost-model stand-in for BN254, see DESIGN.md §4), so
-    engine ablations measured on either backend agree.
+    backend reports the *same* counts for the same calls (README.md,
+    "Two backends": the same-counts contract), so engine ablations
+    measured on either backend agree.
 
     ``prepared_miller_loops`` counts Miller loops served by replaying a
     stored row's precomputation (:class:`~repro.crypto.pairing_fast.G2Prepared`)
@@ -171,8 +170,8 @@ class FastPrepared:
 
     There is nothing to precompute in the exponent group, but the marker
     lets the fast backend *count* prepared work exactly as BN254 would
-    for the same calls — keeping the DESIGN.md §4 same-counts contract
-    intact on the prepared path.
+    for the same calls — keeping the same-counts contract intact on the
+    prepared path.
     """
 
     __slots__ = ("value",)
@@ -415,9 +414,10 @@ def _fixed_base_table(group) -> _FixedBaseTable:
 class BN254Backend(BilinearBackend):
     """The real pairing backend (BN254 optimal ate).
 
-    ``use_fast_pairing`` selects the optimized Miller loop / final
-    exponentiation (:mod:`repro.crypto.pairing_fast`); the reference
-    implementation stays available for the correctness ablation.
+    Every pairing runs the optimized Miller loop and final
+    exponentiation of :mod:`repro.crypto.pairing_fast`.  The textbook
+    :mod:`repro.crypto.pairing` is not an option here: it is the oracle
+    the tests and the multi-pairing ablation compare against.
     """
 
     name = "bn254"
@@ -425,11 +425,10 @@ class BN254Backend(BilinearBackend):
     # of IPC: the pool pays from the second row on.
     pool_pays = True
 
-    def __init__(self, use_fast_pairing: bool = True):
+    def __init__(self):
         super().__init__()
         self._gt_base: Fp12 | None = None
         self._build_lock = threading.Lock()
-        self.use_fast_pairing = use_fast_pairing
 
     def __getstate__(self):
         # The GT base is a pure cache.  The execution service ships the
@@ -460,8 +459,9 @@ class BN254Backend(BilinearBackend):
                 if base is None:
                     self.ops.miller_loops += 1
                     self.ops.final_exponentiations += 1
-                    pair = pairing_fast if self.use_fast_pairing else pairing
-                    base = pair(G1Point.generator(), G2Point.generator())
+                    base = pairing_fast(
+                        G1Point.generator(), G2Point.generator()
+                    )
                     self._gt_base = base
         return base
 
@@ -499,11 +499,8 @@ class BN254Backend(BilinearBackend):
                 handles[slot] = self.gt_identity()
                 continue
             self.ops.final_exponentiations += 1
-            if self.use_fast_pairing or prepared:
-                rows.append(live)
-                slots.append(slot)
-            else:  # the correctness ablation; the reference has no replay
-                handles[slot] = BN254GT(multi_pairing(live))
+            rows.append(live)
+            slots.append(slot)
         for slot, value in zip(slots, multi_miller_rows(rows)):
             handles[slot] = BN254GT(final_exponentiation_fast(value))
         return handles
@@ -602,11 +599,11 @@ class FastBackend(BilinearBackend):
     ) -> list[FastGT]:
         """SJ.Dec for a chunk of rows, one inner product mod q per row.
 
-        The op counts model the equivalent BN254 call (DESIGN.md §4):
-        a row with no 0 on either side — every stored row against a
-        query token, in practice — costs ``sum(map(mul, …))``, d Miller
-        loops (replayed ones for a :class:`PreparedRow`, whose values
-        are its :class:`FastPrepared` values) and one final
+        The op counts model the equivalent BN254 call (the same-counts
+        contract): a row with no 0 on either side — every stored row
+        against a query token, in practice — costs ``sum(map(mul, …))``,
+        d Miller loops (replayed ones for a :class:`PreparedRow`, whose
+        values are its :class:`FastPrepared` values) and one final
         exponentiation, counted once per chunk.  A row holding a 0 (the
         identity, which the real pairing skips), a row mixing raw and
         prepared elements, and every row against a token holding a 0

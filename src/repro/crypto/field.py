@@ -243,10 +243,6 @@ class Fp6:
     def __mul__(self, other: "Fp6") -> "Fp6":
         return Fp6._from_flat(_mul6(*self._flat(), *other._flat()))
 
-    def mul_by_v(self) -> "Fp6":
-        """Multiply by the indeterminate ``v`` (``v^3 = xi``)."""
-        return Fp6(self.a2.mul_by_xi(), self.a0, self.a1)
-
     def inverse(self) -> "Fp6":
         return Fp6._from_flat(_inv6(*self._flat()))
 

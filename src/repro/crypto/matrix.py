@@ -209,17 +209,6 @@ class ZqMatrix:
                 result[j] += vi * bij
         return [x % q for x in result]
 
-    def mat_vec(self, vector: Sequence[int]) -> list[int]:
-        """Matrix times column-vector: ``B @ v`` over Z_q."""
-        if len(vector) != self.n_cols:
-            raise MatrixError(
-                f"vector length {len(vector)} != matrix cols {self.n_cols}"
-            )
-        q = self.q
-        return [
-            sum(a * b for a, b in zip(row, vector)) % q for row in self._rows
-        ]
-
 
 def inner_product(u: Sequence[int], v: Sequence[int], q: int) -> int:
     """``<u, v>`` over Z_q."""

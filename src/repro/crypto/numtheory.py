@@ -16,19 +16,6 @@ _SMALL_PRIMES = (
 )
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return ``(g, x, y)`` with ``a*x + b*y == g``."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-        old_t, t = t, old_t - quotient * t
-    return old_r, old_s, old_t
-
-
 def mod_inverse(a: int, modulus: int) -> int:
     """Return the inverse of ``a`` modulo ``modulus``.
 
@@ -115,77 +102,3 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
             return False
     return True
 
-
-def legendre_symbol(a: int, p: int) -> int:
-    """Return the Legendre symbol ``(a|p)`` for odd prime ``p``."""
-    a %= p
-    if a == 0:
-        return 0
-    result = pow(a, (p - 1) // 2, p)
-    return -1 if result == p - 1 else result
-
-
-def tonelli_shanks(a: int, p: int) -> int:
-    """Return a square root of ``a`` modulo the odd prime ``p``.
-
-    Raises :class:`FieldError` if ``a`` is a quadratic non-residue.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if legendre_symbol(a, p) != 1:
-        raise FieldError(f"{a} is not a quadratic residue modulo {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Factor p - 1 = q * 2**s with q odd.
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    # Find a non-residue z.
-    z = 2
-    while legendre_symbol(z, p) != -1:
-        z += 1
-    m = s
-    c = pow(z, q, p)
-    t = pow(a, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    while t != 1:
-        # Find least i with t^(2^i) == 1.
-        i = 0
-        t2i = t
-        while t2i != 1:
-            t2i = (t2i * t2i) % p
-            i += 1
-            if i == m:
-                raise FieldError("Tonelli-Shanks failed (input not a residue)")
-        b = pow(c, 1 << (m - i - 1), p)
-        m = i
-        c = (b * b) % p
-        t = (t * c) % p
-        r = (r * b) % p
-    return r
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Combine ``x ≡ r1 (mod m1)`` and ``x ≡ r2 (mod m2)`` for coprime moduli.
-
-    Returns ``(x, m1*m2)``.
-    """
-    g, p, _ = egcd(m1, m2)
-    if g != 1:
-        raise FieldError("CRT moduli must be coprime")
-    lcm = m1 * m2
-    x = (r1 + (r2 - r1) * p % m2 * m1) % lcm
-    return x, lcm
-
-
-def random_zq(modulus: int, rng: random.Random) -> int:
-    """Sample a uniform element of ``Z_modulus`` from ``rng``."""
-    return rng.randrange(modulus)
-
-
-def random_zq_nonzero(modulus: int, rng: random.Random) -> int:
-    """Sample a uniform element of ``Z_modulus \\ {0}`` from ``rng``."""
-    return rng.randrange(1, modulus)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.db.predicate import Predicate, TruePredicate
 from repro.db.schema import Schema
@@ -26,21 +26,6 @@ class Table:
         self._rows: list[Row] = []
         for row in rows:
             self.insert(row)
-
-    # -- construction ----------------------------------------------------
-    @staticmethod
-    def from_dicts(
-        name: str, schema: Schema, records: Iterable[Mapping[str, object]]
-    ) -> "Table":
-        """Build a table from dict records keyed by column names."""
-        table = Table(name, schema)
-        names = schema.names()
-        for record in records:
-            unknown = set(record) - set(names)
-            if unknown:
-                raise SchemaError(f"unknown columns in record: {sorted(unknown)}")
-            table.insert(tuple(record.get(n) for n in names))
-        return table
 
     def insert(self, row: Sequence) -> None:
         row = tuple(row)
@@ -87,15 +72,6 @@ class Table:
             for i, row in enumerate(self._rows)
             if predicate.evaluate(row, self.schema)
         ]
-
-    def project(self, columns: Sequence[str]) -> "Table":
-        """A new table with only the given columns."""
-        indices = [self.schema.index_of(c) for c in columns]
-        schema = Schema(tuple(self.schema.columns[i] for i in indices))
-        result = Table(self.name, schema)
-        for row in self._rows:
-            result._rows.append(tuple(row[i] for i in indices))
-        return result
 
     def rename(self, name: str) -> "Table":
         """Shallow copy with a different name (rows shared)."""

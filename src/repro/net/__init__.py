@@ -40,11 +40,7 @@ from repro.net.protocol import (
     send_message,
 )
 from repro.net.server import JoinServiceServer
-from repro.net.shard import (
-    RemoteShard,
-    ShardServiceServer,
-    coordinator_from_shard_map,
-)
+from repro.net.shard import RemoteShard, ShardServiceServer
 
 __all__ = [
     "JoinServiceServer",
@@ -52,7 +48,6 @@ __all__ = [
     "RemoteJoinClient",
     "RemoteShard",
     "ShardServiceServer",
-    "coordinator_from_shard_map",
     "recv_message",
     "send_message",
 ]

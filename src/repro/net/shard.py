@@ -13,7 +13,9 @@ longer chain scatter through the same frames.
 :class:`RemoteShard` is the coordinator-side proxy: it satisfies the
 same source protocol as a local shard, so
 :class:`~repro.shard.ShardCoordinator` mixes in-process and remote
-shards freely.  One TCP connection per query, opened when the
+shards freely: a fleet is ``ShardCoordinator([RemoteShard(host, port,
+backend), ...])``, shard ``i`` at position ``i``; no message describes
+one.  One TCP connection per query, opened when the
 coordinator scatters (that is the remote co-admission) and closed with
 the stream — abandoning a merge mid-flight drops the socket, which the
 shard's handler notices, releasing the shard's pool admissions.
@@ -35,12 +37,11 @@ from repro.net.protocol import MAX_MESSAGE_SIZE, recv_message, send_message
 from repro.net.server import JoinServiceServer
 from repro.plan import group_chain_sides
 from repro.series.cache import series_key
-from repro.shard import LocalShard, ShardCoordinator
+from repro.shard import LocalShard
 from repro.store.wire import (
     ErrorFrame,
     ScatterChunkFrame,
     ScatterFinalFrame,
-    ShardMapFrame,
     StreamHeaderFrame,
     decode_frame,
     encode_join_query,
@@ -157,36 +158,6 @@ class RemoteShard:
             source.close()
 
 
-def coordinator_from_shard_map(
-    shard_map: ShardMapFrame,
-    backend: BilinearBackend,
-    max_message_size: int = MAX_MESSAGE_SIZE,
-    connect_timeout: float = 10.0,
-) -> ShardCoordinator:
-    """Bootstrap a coordinator from a decoded ``shard_map`` frame.
-
-    The client-side consumer of the shard-map message: one
-    :class:`RemoteShard` per listed endpoint, ordered by shard index,
-    wrapped in a ready-to-query
-    :class:`~repro.shard.ShardCoordinator`.  The frame's layout
-    (count, seed, tables) was validated by the wire decoder; per-table
-    layout agreement is enforced server-side by each shard's own store.
-    Closing the returned coordinator closes every remote proxy.
-    """
-    shards = [
-        RemoteShard(
-            host,
-            port,
-            backend,
-            name=f"shard-{index}@{host}:{port}",
-            max_message_size=max_message_size,
-            connect_timeout=connect_timeout,
-        )
-        for index, (host, port) in enumerate(shard_map.endpoints)
-    ]
-    return ShardCoordinator(shards)
-
-
 class _RemoteScatterSource:
     """One scatter stream from one remote shard, as a merge source.
 
@@ -300,5 +271,4 @@ class _RemoteScatterSource:
 __all__ = [
     "RemoteShard",
     "ShardServiceServer",
-    "coordinator_from_shard_map",
 ]

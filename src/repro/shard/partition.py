@@ -18,7 +18,7 @@ values.  SJ ciphertexts are randomized, and handles exist only under a
 query token — so equal-key rows land on arbitrary shards, shard-local
 joins would silently miss cross-shard matches, and the coordinator
 therefore gathers *handle* streams and matches centrally (see
-:mod:`repro.shard.coordinator`).
+:mod:`repro.shard`).
 
 Repartitioning is explicit: every partitioned table carries a
 :class:`ShardDescriptor` pinning the shard count and seed it was split
@@ -36,13 +36,12 @@ from repro.core.client import EncryptedTable
 from repro.crypto.backend import BilinearBackend
 from repro.errors import SchemeError
 
-#: Hard bound on the shard count: wire decoders and constructors reject
+#: Hard bound on the shard count: the store decoder and constructors reject
 #: anything larger, so a hostile header cannot demand absurd fan-out.
 MAX_SHARD_COUNT = 1024
 
 #: Default partitioner seed.  Any bytes work; all parties (and all
-#: restarts) must agree on it, so it travels in the shard descriptor
-#: and the shard map.
+#: restarts) must agree on it, so it travels in the shard descriptor.
 DEFAULT_SEED = b"repro-shard-v1"
 
 _MAX_SEED_SIZE = 64

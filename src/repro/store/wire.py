@@ -23,9 +23,8 @@ What crosses the client/server boundary at query time:
   across frames.  Failures travel in-stream as an error frame;
 - the **scatter frames** (shard -> coordinator): scatter-chunk frames
   carrying one side's decrypted handle events with the chain positions
-  that consume them, a scatter-final frame with the per-side candidate
-  counts and engine reports, and the shard-map frame describing a
-  partitioned deployment.
+  that consume them, and a scatter-final frame with the per-side
+  candidate counts and engine reports.
 
 Together with :mod:`repro.store.tables` this lets the two parties run in
 separate processes (or machines) with nothing but byte strings between
@@ -60,7 +59,6 @@ from repro.core.server import (
     gather_payloads,
 )
 from repro.plan import MAX_CHAIN_TABLES
-from repro.shard.partition import MAX_SHARD_COUNT, validate_shard_layout
 from repro.crypto.backend import BilinearBackend
 from repro.errors import SchemeError
 from repro.store.codec import (
@@ -89,13 +87,8 @@ FRAME_STREAM_HEADER = "stream_header"
 FRAME_MATCH_BATCH = "match_batch"
 FRAME_FINAL = "final"
 FRAME_ERROR = "error"
-FRAME_SHARD_MAP = "shard_map"
 FRAME_SCATTER_CHUNK = "scatter_chunk"
 FRAME_SCATTER_FINAL = "scatter_final"
-
-#: Longest accepted hex-encoded partitioner seed in a shard-map frame
-#: (raw seed <= 64 bytes, mirroring the partitioner's own cap).
-_MAX_SEED_HEX = 128
 
 
 # -- header field validation ----------------------------------------------
@@ -522,22 +515,6 @@ def encode_error_frame(error_type: str, message: str) -> bytes:
 # -- scatter frames --------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class ShardMapFrame:
-    """A partitioned deployment: layout plus per-shard endpoints.
-
-    ``endpoints[i]`` is the ``(host, port)`` serving shard ``i``;
-    ``tables`` names the sharded tables the layout covers.  The seed and
-    count pin the partitioner, so a coordinator loading this map can
-    verify a row's placement rather than trust it.
-    """
-
-    shard_count: int
-    seed: bytes
-    tables: tuple[str, ...]
-    endpoints: tuple[tuple[str, int], ...]
-
-
 @dataclasses.dataclass
 class ScatterChunkFrame:
     """One shard's decrypt increment: global-index handle events.
@@ -560,20 +537,6 @@ class ScatterFinalFrame:
 
     candidates: list[int]
     reports: list[EngineReport | None]
-
-
-def encode_shard_map(shard_map: ShardMapFrame) -> bytes:
-    writer = Writer()
-    write_header(writer, _FRAME_MAGIC, _VERSION, {
-        "kind": FRAME_SHARD_MAP,
-        "shard_count": shard_map.shard_count,
-        "seed": shard_map.seed.hex(),
-        "tables": list(shard_map.tables),
-        "endpoints": [
-            [host, port] for host, port in shard_map.endpoints
-        ],
-    })
-    return writer.getvalue()
 
 
 def encode_scatter_chunk(positions, items: list) -> bytes:
@@ -601,48 +564,6 @@ def encode_scatter_final(final: ScatterFinalFrame) -> bytes:
         ],
     })
     return writer.getvalue()
-
-
-def _decode_shard_map(header: dict) -> ShardMapFrame:
-    shard_count = _as_int(
-        _require(header, "shard_count"), "shard_count", minimum=1
-    )
-    if shard_count > MAX_SHARD_COUNT:
-        raise SchemeError(
-            f"shard count {shard_count} exceeds the cap {MAX_SHARD_COUNT}"
-        )
-    seed_hex = _as_str(_require(header, "seed"), "seed")
-    if not seed_hex or len(seed_hex) > _MAX_SEED_HEX:
-        raise SchemeError("shard-map seed must be a short non-empty hex string")
-    try:
-        seed = bytes.fromhex(seed_hex)
-    except ValueError:
-        raise SchemeError("shard-map seed is not valid hex") from None
-    # A decodable seed must also be a *usable* one — same bounds the
-    # partitioner enforces.
-    validate_shard_layout(0, shard_count, seed)
-    tables = _as_str_list(_require(header, "tables"), "tables")
-    endpoints = _as_list(_require(header, "endpoints"), "endpoints")
-    if len(endpoints) != shard_count:
-        raise SchemeError(
-            f"shard map must carry exactly {shard_count} endpoints"
-        )
-    decoded = []
-    for endpoint in endpoints:
-        if not isinstance(endpoint, list) or len(endpoint) != 2:
-            raise SchemeError("each endpoint must be a [host, port] pair")
-        host, port = endpoint
-        _as_str(host, "endpoint host")
-        _as_int(port, "endpoint port", minimum=0)
-        if port > 65535:
-            raise SchemeError(f"endpoint port {port} outside [0, 65535]")
-        decoded.append((host, port))
-    return ShardMapFrame(
-        shard_count=shard_count,
-        seed=seed,
-        tables=tuple(tables),
-        endpoints=tuple(decoded),
-    )
 
 
 def _decode_scatter_chunk(reader: Reader, header: dict) -> ScatterChunkFrame:
@@ -740,7 +661,6 @@ def decode_frame(
     | MatchBatchFrame
     | FinalFrame
     | ErrorFrame
-    | ShardMapFrame
     | ScatterChunkFrame
     | ScatterFinalFrame
 ):
@@ -775,9 +695,6 @@ def decode_frame(
             ),
             message=_as_str(_require(header, "message"), "message"),
         )
-    if kind == FRAME_SHARD_MAP:
-        reader.expect_end()
-        return _decode_shard_map(header)
     if kind == FRAME_SCATTER_CHUNK:
         return _decode_scatter_chunk(reader, header)
     if kind == FRAME_SCATTER_FINAL:

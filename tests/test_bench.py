@@ -126,8 +126,3 @@ class TestExperimentDrivers:
     def test_leakage_example_numbers(self):
         timeline = experiments.leakage_example()
         assert timeline.summary()["securejoin"] == [0, 1, 2]
-
-    def test_minimum_rows_decrypted(self):
-        info = experiments.minimum_rows_decrypted(0.001, 1 / 100)
-        assert info["customers"] == 150
-        assert info["selected_customers"] == round(150 / 100)

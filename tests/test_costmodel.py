@@ -107,7 +107,7 @@ class TestPaperShape:
     def test_single_unit_cost_explains_figure3(self):
         """One per-decryption constant reproduces all four reported
         corner points of Figure 3 to within 5% — the 'shape holds'
-        claim of EXPERIMENTS.md, quantified."""
+        claim of README.md's "Two backends", quantified."""
         errors = paper_shape_errors()
         assert all(error < 0.05 for error in errors.values()), errors
 

@@ -90,11 +90,6 @@ class TestFp6:
         v3 = v * v * v
         assert v3 == Fp6(XI, Fp2.zero(), Fp2.zero())
 
-    def test_mul_by_v_matches(self):
-        a = _random_fp6()
-        v = Fp6(Fp2.zero(), Fp2.one(), Fp2.zero())
-        assert a.mul_by_v() == a * v
-
     def test_inverse(self):
         a = _random_fp6()
         assert a * a.inverse() == Fp6.one()

@@ -296,3 +296,37 @@ def test_every_host_answers_through_the_same_four_signatures(host):
     ):
         parameters = inspect.signature(getattr(host, name)).parameters
         assert list(parameters) == ["self", "query"], (host, name)
+
+
+#: A Markdown file name as code and docstrings cite it.
+_MARKDOWN_NAME = re.compile(r"[\w./-]+\.md\b")
+
+
+def _tracked_files() -> set[str]:
+    """Repository-relative paths of every tracked file (every file on
+    disk, outside a git checkout)."""
+    try:
+        listed = subprocess.run(
+            ["git", "ls-files", "-z"], cwd=_REPO_ROOT,
+            capture_output=True, check=True, timeout=60,
+        ).stdout.decode("utf-8")
+    except (OSError, subprocess.SubprocessError):
+        return {
+            path.relative_to(_REPO_ROOT).as_posix()
+            for path in _REPO_ROOT.rglob("*") if path.is_file()
+        }
+    return set(filter(None, listed.split("\0")))
+
+
+def test_cited_markdown_files_exist():
+    """A docstring or comment that sends the reader to a Markdown file
+    names one the repository holds (by its path from the root)."""
+    tracked = _tracked_files()
+    dangling = sorted(
+        (path.relative_to(_REPO_ROOT).as_posix(), name)
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in (_REPO_ROOT / top).rglob("*.py")
+        for name in _MARKDOWN_NAME.findall(path.read_text(encoding="utf-8"))
+        if name not in tracked
+    )
+    assert not dangling

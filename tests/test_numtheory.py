@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,25 +9,6 @@ from hypothesis import strategies as st
 from repro.crypto import numtheory as nt
 from repro.crypto.params import CURVE_ORDER, FIELD_MODULUS
 from repro.errors import FieldError
-
-
-class TestEgcd:
-    def test_bezout_identity(self):
-        g, x, y = nt.egcd(240, 46)
-        assert g == 2
-        assert 240 * x + 46 * y == g
-
-    def test_coprime(self):
-        g, x, y = nt.egcd(17, 31)
-        assert g == 1
-        assert 17 * x + 31 * y == 1
-
-    @given(st.integers(min_value=1, max_value=10**12),
-           st.integers(min_value=1, max_value=10**12))
-    def test_bezout_property(self, a, b):
-        g, x, y = nt.egcd(a, b)
-        assert a * x + b * y == g
-        assert a % g == 0 and b % g == 0
 
 
 class TestModInverse:
@@ -76,38 +55,6 @@ class TestPrimality:
             assert not nt.is_probable_prime(n), n
 
 
-class TestLegendreAndSqrt:
-    def test_legendre_values(self):
-        p = 23
-        residues = {pow(x, 2, p) for x in range(1, p)}
-        for a in range(1, p):
-            expected = 1 if a in residues else -1
-            assert nt.legendre_symbol(a, p) == expected
-
-    def test_sqrt_3_mod_4(self):
-        p = 23  # 23 % 4 == 3
-        r = nt.tonelli_shanks(2, p)
-        assert r * r % p == 2
-
-    def test_sqrt_1_mod_4(self):
-        p = 13  # 13 % 4 == 1
-        r = nt.tonelli_shanks(4, p)
-        assert r * r % p == 4
-
-    def test_sqrt_non_residue_raises(self):
-        with pytest.raises(FieldError):
-            nt.tonelli_shanks(5, 23)
-
-    def test_sqrt_zero(self):
-        assert nt.tonelli_shanks(0, 23) == 0
-
-    @given(st.integers(min_value=1, max_value=FIELD_MODULUS - 1))
-    def test_sqrt_of_square(self, x):
-        a = x * x % FIELD_MODULUS
-        r = nt.tonelli_shanks(a, FIELD_MODULUS)
-        assert r * r % FIELD_MODULUS == a
-
-
 class TestSignedWindowDigits:
     @given(st.integers(min_value=0, max_value=2**256),
            st.integers(min_value=2, max_value=5))
@@ -124,26 +71,3 @@ class TestSignedWindowDigits:
         with pytest.raises(FieldError):
             nt.signed_window_digits(-1, 3)
 
-
-class TestCrt:
-    def test_pair(self):
-        x, m = nt.crt_pair(2, 3, 3, 5)
-        assert m == 15
-        assert x % 3 == 2 and x % 5 == 3
-
-    def test_non_coprime_raises(self):
-        with pytest.raises(FieldError):
-            nt.crt_pair(1, 4, 3, 6)
-
-
-class TestSampling:
-    def test_random_zq_range(self):
-        rng = random.Random(1)
-        values = [nt.random_zq(97, rng) for _ in range(500)]
-        assert all(0 <= v < 97 for v in values)
-        assert len(set(values)) > 50
-
-    def test_random_nonzero(self):
-        rng = random.Random(2)
-        values = [nt.random_zq_nonzero(5, rng) for _ in range(200)]
-        assert all(1 <= v < 5 for v in values)

@@ -33,7 +33,7 @@ from repro.bench.costmodel import default_engine_cost_model
 from repro.errors import QueryError
 from repro.net.client import RemoteJoinClient
 from repro.net.server import JoinServiceServer
-from repro.net.shard import ShardServiceServer, coordinator_from_shard_map
+from repro.net.shard import RemoteShard, ShardServiceServer
 from repro.plan import (
     MAX_CHAIN_TABLES,
     ChainExecutor,
@@ -41,10 +41,8 @@ from repro.plan import (
     group_chain_sides,
 )
 from repro.series.cache import series_key
-from repro.shard.coordinator import LocalShard, ShardCoordinator
-from repro.shard.partition import partition_table
+from repro.shard import LocalShard, ShardCoordinator, partition_table
 from repro.store import wire
-from repro.store.wire import ShardMapFrame
 
 KEYS = tuple(range(4))
 
@@ -566,6 +564,15 @@ def _sharded(client, backend, encrypted, n_shards, workers=2):
     return ShardCoordinator(shards)
 
 
+def _remote_fleet(endpoints, backend):
+    """A coordinator over one :class:`RemoteShard` per endpoint, shard
+    ``i`` served at ``endpoints[i]``."""
+    return ShardCoordinator([
+        RemoteShard(host, port, backend, name=f"shard-{i}@{host}:{port}")
+        for i, (host, port) in enumerate(endpoints)
+    ])
+
+
 class TestShardedChains:
     @pytest.mark.parametrize("n_shards", [1, 2])
     def test_scatter_gather_parity(self, n_shards):
@@ -649,10 +656,10 @@ class TestShardedChains:
             assert_same_as_single_store(shrunk)
 
     def test_remote_fleet_serves_chains(self):
-        """Two remote shards behind ``coordinator_from_shard_map``
-        answer chains byte-identically to the single store — the
-        scatter frames are positional, so no code on that path knows
-        how many tables a query names."""
+        """Two remote shards behind one coordinator answer chains
+        byte-identically to the single store — the scatter frames are
+        positional, so no code on that path knows how many tables a
+        query names."""
         client, server, tables = _setup(seed=79)
         backend = server.scheme.backend
         encrypted = [copy.deepcopy(server.table(t.name)) for t in tables]
@@ -660,27 +667,13 @@ class TestShardedChains:
             LocalShard(client.params, workers=2, name=f"s{i}")
             for i in range(2)
         ]
-        seed = None
         for table in encrypted:
             for piece in partition_table(table, backend, 2):
                 shards[piece.shard.shard_index].store(piece)
-                seed = piece.shard.seed
         services = [ShardServiceServer(shard) for shard in shards]
         endpoints = [service.start() for service in services]
-        frame = wire.decode_frame(
-            wire.encode_shard_map(
-                ShardMapFrame(
-                    shard_count=2,
-                    seed=seed,
-                    tables=("T1", "T2", "T3"),
-                    endpoints=tuple(endpoints),
-                )
-            )
-        )
         try:
-            with server, coordinator_from_shard_map(
-                frame, backend
-            ) as coordinator:
+            with server, _remote_fleet(endpoints, backend) as coordinator:
                 for names in (["T1", "T2", "T3"], ["T1", "T2", "T1"]):
                     query = _chain(client, names)
                     reference = server.execute_chain(query)
@@ -711,7 +704,7 @@ class TestShardedChains:
             for service in services:
                 service.shutdown()
 
-    def test_coordinator_from_shard_map_joins(self):
+    def test_remote_fleet_joins(self):
         client, server, tables = _setup(sizes=(8, 6), seed=83)
         backend = server.scheme.backend
         encrypted = [copy.deepcopy(server.table(t.name)) for t in tables]
@@ -725,29 +718,13 @@ class TestShardedChains:
             LocalShard(client.params, workers=2, name=f"s{i}")
             for i in range(2)
         ]
-        seed = None
         for table in encrypted:
             for piece in partition_table(table, backend, 2):
                 shards[piece.shard.shard_index].store(piece)
-                seed = piece.shard.seed
         services = [ShardServiceServer(shard) for shard in shards]
         endpoints = [service.start() for service in services]
-        frame = wire.decode_frame(
-            wire.encode_shard_map(
-                ShardMapFrame(
-                    shard_count=2,
-                    seed=seed,
-                    tables=("T1", "T2"),
-                    endpoints=tuple(endpoints),
-                )
-            )
-        )
         try:
-            with coordinator_from_shard_map(frame, backend) as coordinator:
-                assert [s.name for s in coordinator.shards] == [
-                    f"shard-{i}@{host}:{port}"
-                    for i, (host, port) in enumerate(endpoints)
-                ]
+            with _remote_fleet(endpoints, backend) as coordinator:
                 result = coordinator.execute_join(
                     client.create_query(
                         JoinQuery.build("T1", "T2", on=("k", "k"))

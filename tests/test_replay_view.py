@@ -28,7 +28,7 @@ from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.plan import ChainExecutor
 from repro.series.cache import series_key
-from repro.shard.coordinator import LocalShard, ShardCoordinator
+from repro.shard import LocalShard, ShardCoordinator
 from repro.shard.partition import partition_table
 
 SCHEMA = Schema.of(("k", "int"), ("v", "str"))

@@ -25,7 +25,7 @@ from repro.db.query import ChainQuery, JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.series.cache import SeriesCache, SeriesEntry, series_key
-from repro.shard.coordinator import LocalShard, ShardCoordinator
+from repro.shard import LocalShard, ShardCoordinator
 from repro.shard.partition import partition_table
 from repro.store.wire import decode_frame, encode_final_frame
 from tests.conftest import SERVER_SHAPES, PoolEngine, server_shape

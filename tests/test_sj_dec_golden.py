@@ -7,7 +7,7 @@ chunk: the handle bytes of every row, then the five
 after each chunk of the :func:`~repro.core.service.chunk_spans` ramp
 (1, 2, 4, … 64 rows, 127 rows in seven chunks).  A change of kernel
 must reproduce both: the handles are the hash-join keys, and the counts
-are the DESIGN.md §4 same-counts contract with BN254.
+are the same-counts contract with BN254 (README.md, "Two backends").
 
 - ``select_inproc``'s layout (``m = 9, t = 1``, d = 21): TPC-H Orders
   rows through ``SecureJoinClient.encrypt_table``, a token selecting

@@ -42,17 +42,6 @@ class TestTable:
         with pytest.raises(SchemaError):
             people.insert(("x", "eve", 20))
 
-    def test_from_dicts(self):
-        schema = Schema.of(("a", "int"), ("b", "str"))
-        table = Table.from_dicts("t", schema, [{"a": 1, "b": "x"}, {"a": 2}])
-        assert table[0] == (1, "x")
-        assert table[1] == (2, None)
-
-    def test_from_dicts_unknown_column(self):
-        schema = Schema.of(("a", "int"))
-        with pytest.raises(SchemaError):
-            Table.from_dicts("t", schema, [{"z": 1}])
-
     def test_column_values(self, people):
         assert people.column_values("age") == [30, 25, 30, 40]
 
@@ -64,11 +53,6 @@ class TestTable:
     def test_matching_indices(self, people):
         assert people.matching_indices(EqPredicate("age", 30)) == [0, 2]
         assert people.matching_indices(None) == [0, 1, 2, 3]
-
-    def test_project(self, people):
-        names = people.project(["name"])
-        assert names.schema.names() == ("name",)
-        assert names[1] == ("bob",)
 
     def test_rename_shares_rows(self, people):
         other = people.rename("other")
