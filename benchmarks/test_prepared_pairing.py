@@ -54,9 +54,7 @@ def _microbench(backend: BN254Backend, dimension: int, rows: int) -> dict:
     warm_seconds = time.perf_counter() - start
     warm_ops = backend.ops.since(snapshot)
 
-    assert [gt.to_bytes() for gt in raw_handles] == [
-        gt.to_bytes() for gt in warm_handles
-    ]
+    assert raw_handles == warm_handles
     return {
         "dimension": dimension,
         "rows": rows,
@@ -104,9 +102,7 @@ def _repeated_query_series(
         warm_seconds.append(time.perf_counter() - start)
         warm_deltas.append(backend.ops.since(snapshot))
 
-    assert [gt.to_bytes() for gt in cold_handles] == [
-        gt.to_bytes() for gt in warm_handles
-    ]
+    assert cold_handles == warm_handles
     warm_median = statistics.median(warm_seconds)
     # Wall-clock-derived replay cost relative to a raw Miller loop.
     replay_ratio = (

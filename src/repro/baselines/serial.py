@@ -34,11 +34,16 @@ class SerialEngine(ExecutionEngine):
     def decrypt_stream(
         self, backend, token_elements, ciphertext_vectors, qos=None
     ):
+        # The side's end is fixed here: rows a store appends to a list
+        # it lent are not this side's.
+        rows = len(ciphertext_vectors)
+
         def run():
             miller_loops = 0
             final_exponentiations = 0
             prepared_miller_loops = 0
-            for offset, ciphertext in enumerate(ciphertext_vectors):
+            for offset in range(rows):
+                ciphertext = ciphertext_vectors[offset]
                 if qos is not None and qos.expired():
                     raise DeadlineError(
                         "query exceeded its deadline; serial side "
@@ -63,8 +68,8 @@ class SerialEngine(ExecutionEngine):
                 yield HandleChunk(offset, [accumulator.to_bytes()])
             return EngineReport(
                 engine=self.name,
-                batches=len(ciphertext_vectors),
-                max_batch_size=1 if ciphertext_vectors else 0,
+                batches=rows,
+                max_batch_size=1 if rows else 0,
                 workers=1,
                 miller_loops=miller_loops,
                 final_exponentiations=final_exponentiations,

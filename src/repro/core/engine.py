@@ -4,9 +4,10 @@ SJ.Dec over a candidate side is the server's hot path — one product of
 pairings per row, each row independent of the others.  A server has one
 engine, :class:`BatchedEngine`: it issues a side's rows in chunks
 through :meth:`~repro.crypto.backend.BilinearBackend.pair_vectors_batch`,
-so every row costs d Miller loops but only *one* shared final
-exponentiation.  On the fast backend a row is one inner product mod q,
-with those op counts modelled (added once per chunk).  The chunks ramp
+which returns the rows' handle bytes, so every row costs d Miller loops
+but only *one* shared final exponentiation.  On the fast backend a row
+is one inner product mod q, with those op counts modelled (added once
+per chunk).  The chunks ramp
 1, 2, 4, … rows up to the chunk size
 (:func:`~repro.core.service.chunk_spans`, the one place a side is cut,
 inline and on the pool alike), so a side's first handle — and a join's
@@ -225,13 +226,16 @@ class BatchedEngine(ExecutionEngine):
         service = self._service
         rows = len(ciphertext_vectors)
         # Unbound, one worker wide, or an empty side: nothing to decide.
+        # An inline side is cut now: rows a store appends to a list it
+        # lent are past the side's end.
         if service is None or service.worker_target < 2 or not rows:
-            return HandleStream(
-                self._inline(backend, token_elements, ciphertext_vectors, qos)
-            )
+            return HandleStream(self._inline(
+                backend, token_elements, ciphertext_vectors, rows, qos
+            ))
         if not self.pools_side(backend, rows):
             return HandleStream(self._inline(
-                backend, token_elements, ciphertext_vectors, qos, "batched"
+                backend, token_elements, ciphertext_vectors, rows, qos,
+                "batched",
             ))
         side = service.admit_side(
             backend,
@@ -248,9 +252,10 @@ class BatchedEngine(ExecutionEngine):
         )
 
     def _inline(
-        self, backend, token_elements, ciphertext_vectors, qos, selected=""
+        self, backend, token_elements, ciphertext_vectors, rows, qos,
+        selected="",
     ):
-        spans = chunk_spans(len(ciphertext_vectors), self.batch_size)
+        spans = chunk_spans(rows, self.batch_size)
         miller_loops = 0
         final_exponentiations = 0
         prepared_miller_loops = 0
@@ -261,14 +266,14 @@ class BatchedEngine(ExecutionEngine):
                     f"cancelled at row {start}"
                 )
             snapshot = backend.ops.snapshot()
-            gts = backend.pair_vectors_batch(
+            handles = backend.pair_vectors_batch(
                 token_elements, ciphertext_vectors[start:stop]
             )
             delta = backend.ops.since(snapshot)
             miller_loops += delta.miller_loops
             final_exponentiations += delta.final_exponentiations
             prepared_miller_loops += delta.prepared_miller_loops
-            yield HandleChunk(start, [gt.to_bytes() for gt in gts])
+            yield HandleChunk(start, handles)
         return EngineReport(
             engine=self.name,
             batches=len(spans),

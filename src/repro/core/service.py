@@ -203,9 +203,7 @@ def _decrypt_chunk(
         decode(backend, chunk[base:base + stride], dimension)
         for base in range(0, len(chunk), stride)
     ]
-    handles = [
-        gt.to_bytes() for gt in backend.pair_vectors_batch(token, rows)
-    ]
+    handles = backend.pair_vectors_batch(token, rows)
     return os.getpid(), handles, backend.ops.since(snapshot)
 
 
@@ -242,14 +240,14 @@ def _encode_rows(backend, ciphertext_vectors, dimension) -> bytes:
     """A side's rows as one flat buffer of encoded G2 elements."""
     parts = []
     for row in ciphertext_vectors:
-        if len(row) != dimension:
-            raise QueryError(
-                f"ciphertext dimension {len(row)} != token dimension "
-                f"{dimension}"
-            )
         # Prepared rows travel as their raw G2 elements; the worker
         # rebuilds (and caches) the precomputation on its side.
-        elements = row.elements if isinstance(row, PreparedRow) else row
+        elements = row.elements if type(row) is PreparedRow else row
+        if len(elements) != dimension:
+            raise QueryError(
+                f"ciphertext dimension {len(elements)} != token dimension "
+                f"{dimension}"
+            )
         for element in elements:
             parts.append(backend.encode_g2(element))
     return b"".join(parts)
@@ -453,7 +451,7 @@ class ExecutionService:
         # running on the pool.
         dimension = len(token_elements)
         prepared = n_rows > 0 and all(
-            isinstance(row, PreparedRow) for row in ciphertext_vectors
+            type(row) is PreparedRow for row in ciphertext_vectors
         )
         encoded = _encode_rows(backend, ciphertext_vectors, dimension)
         token_bytes = [backend.encode_g1(e) for e in token_elements]

@@ -15,6 +15,14 @@ numbers and the inverse map, built once at :meth:`LocalShard.store`, so
 an insert, a delete or an exclusion costs O(1) per row named.  A store
 holds one layout ``(shard index, shard count, seed)`` — whole tables
 are ``(0, 1, None)`` — and :func:`check_layout` refuses any other.
+
+Each table's SJ.Dec vectors — a row's ciphertext elements, or its
+:class:`~repro.crypto.backend.PreparedRow` once :meth:`LocalShard.prepare_table`
+has run — are kept in one list, and each row's dimension is checked
+once, when it is written (:meth:`LocalShard.store`,
+:meth:`LocalShard.insert_row`).  A side that reads every row of the
+table or piece is lent that list, and the piece's global rows, as they
+are; any other side is one comprehension over its candidates.
 """
 
 from __future__ import annotations
@@ -105,6 +113,10 @@ class LocalShard:
         # insert/delete: retained state is stale but delta-repairable).
         self._epochs: dict[str, int] = {}
         self._versions: dict[str, int] = {}
+        # Per table: each row's SJ.Dec vector, by local row (lent whole
+        # to a side that reads every row; rebuilt, never edited, but for
+        # an insert's append).
+        self._vectors: dict[str, list] = {}
         # Per stored piece: its rows' global numbers, and the inverse.
         self._global_rows: dict[str, list[int]] = {}
         self._local_rows: dict[str, dict[int, int]] = {}
@@ -129,18 +141,45 @@ class LocalShard:
         return self.scheme.backend
 
     # -- storage ------------------------------------------------------------
+    def _check_rows(self, ciphertexts) -> None:
+        """Refuse a row of another dimension than the scheme's: the
+        one check a row gets, at its write."""
+        dimension = self.scheme.params.dimension
+        for ciphertext in ciphertexts:
+            if len(ciphertext.elements) != dimension:
+                raise SchemeError(
+                    f"ciphertext dimension {len(ciphertext.elements)} != "
+                    f"scheme dimension {dimension}"
+                )
+
+    @staticmethod
+    def _vector_list(table: EncryptedTable) -> list:
+        """Each row's SJ.Dec vector: its prepared row where there is
+        one, its raw elements past them."""
+        prepared = table.prepared_rows or []
+        return prepared + [
+            ciphertext.elements
+            for ciphertext in table.ciphertexts[len(prepared):]
+        ]
+
     def store(self, encrypted_table: EncryptedTable) -> None:
-        """Store (or replace wholesale) a whole table or one piece."""
+        """Store (or replace wholesale) a whole table or one piece.  A
+        table holding a row of another dimension than the scheme's is
+        refused before anything is replaced.  The store writes to the
+        object it is given (an insert appends to its lists), so stores
+        that write each need a table object of their own."""
         descriptor = encrypted_table.shard
         layout = _WHOLE_TABLE_LAYOUT if descriptor is None else (
             descriptor.shard_index, descriptor.shard_count, descriptor.seed
         )
         name = encrypted_table.name
+        self._check_rows(encrypted_table.ciphertexts)
         if self.layout is None:
             self.layout = layout
         else:
             check_layout(self.layout, layout, f"table {name!r}")
         self._tables[name] = encrypted_table
+        self._vectors[name] = self._vector_list(encrypted_table)
         index: dict[str, dict[bytes, list[int]]] = {}
         if encrypted_table.prefilter_tags:
             for column, tags in encrypted_table.prefilter_tags.items():
@@ -217,6 +256,8 @@ class LocalShard:
                 backend.prepare_row(ciphertext.elements)
             )
             prepared += 1
+        # A new list: a side lent the old one reads on unchanged.
+        self._vectors[name] = self._vector_list(table)
         return prepared
 
     # -- dynamic updates --------------------------------------------------
@@ -235,7 +276,8 @@ class LocalShard:
         ciphertext is touched and future queries cover the new row
         automatically.  A piece takes any global row past its largest;
         a whole table's rows are its own, so it takes only the next.  A
-        refused insert changes nothing.
+        refused insert — a row of another dimension than the scheme's
+        included — changes nothing.
         """
         table = self.table(table_name)
         end = self.row_end(table_name)
@@ -255,15 +297,26 @@ class LocalShard:
                 "insert into a pre-filtered table must carry tags for "
                 f"exactly the columns {sorted(table.prefilter_tags)}"
             )
-        index = len(table.ciphertexts)
-        table.ciphertexts.append(ciphertext)
-        table.payloads.append(payload)
+        self._check_rows([ciphertext])
+        vectors = self._vectors[table_name]
+        if len(vectors) != len(table.ciphertexts):
+            # Another store wrote to this table object: the row would
+            # land at another place in the table than in what SJ.Dec
+            # reads.
+            raise SchemeError(
+                f"table {table_name!r} was written outside this store; "
+                "give each store a table object of its own"
+            )
+        vector = ciphertext.elements
         if table.prepared_rows is not None:
             # Keep a prepared table warm: the new row gets its
             # coefficients now, so future queries stay all-prepared.
-            table.prepared_rows.append(
-                self.scheme.backend.prepare_row(ciphertext.elements)
-            )
+            vector = self.scheme.backend.prepare_row(vector)
+            table.prepared_rows.append(vector)
+        index = len(table.ciphertexts)
+        table.ciphertexts.append(ciphertext)
+        table.payloads.append(payload)
+        vectors.append(vector)
         if table.prefilter_tags is not None:
             for column, tag in prefilter_tags.items():
                 table.prefilter_tags[column].append(tag)
@@ -319,9 +372,7 @@ class LocalShard:
         table: EncryptedTable,
         prefilter: dict[str, frozenset[bytes]] | None,
     ) -> list[int]:
-        """Row indices surviving the (optional) searchable pre-filter."""
-        if not prefilter:
-            return list(range(len(table)))
+        """Row indices surviving the searchable pre-filter."""
         if table.prefilter_tags is None:
             raise QueryError(
                 f"query carries pre-filter tokens but table {table.name!r} "
@@ -344,33 +395,6 @@ class LocalShard:
                 return []
         return sorted(survivors)
 
-    def _side_ciphertexts(
-        self,
-        table: EncryptedTable,
-        token: SJToken,
-        candidates: list[int],
-    ) -> list:
-        """The candidate rows' ciphertext vectors, validated for SJ.Dec."""
-        dimension = self.scheme.params.dimension
-        if len(token) != dimension:
-            raise SchemeError(
-                f"token dimension {len(token)} != scheme dimension {dimension}"
-            )
-        prepared = table.prepared_rows
-        ciphertexts = []
-        for index in candidates:
-            ciphertext = table.ciphertexts[index]
-            if len(ciphertext) != dimension:
-                raise SchemeError(
-                    f"ciphertext dimension {len(ciphertext)} != scheme "
-                    f"dimension {dimension}"
-                )
-            if prepared is not None and index < len(prepared):
-                ciphertexts.append(prepared[index])
-            else:
-                ciphertexts.append(ciphertext.elements)
-        return ciphertexts
-
     def open_side_stream(
         self,
         table_name: str,
@@ -388,28 +412,43 @@ class LocalShard:
         ``exclude_rows`` (global rows) drops already-decrypted rows
         from the stream — the delta path: a coordinator with retained
         handles asks for only what it has not seen.
+
+        A side that reads every row — no pre-filter, tombstone or
+        exclusion — is lent the store's own lists: the rows' vectors,
+        and a piece's global rows.  The engine only reads them, and a
+        later write appends past the side's end or replaces the list.
         """
         table = self.table(table_name)
-        rows = self._candidates(table, prefilter)
-        tombstones = self._tombstones.get(table_name)
-        if tombstones:
-            rows = [i for i in rows if i not in tombstones]
+        dimension = self.scheme.params.dimension
+        if len(token) != dimension:
+            raise SchemeError(
+                f"token dimension {len(token)} != scheme dimension {dimension}"
+            )
+        vectors = self._vectors[table_name]
         global_rows = self._global_rows.get(table_name)
-        if exclude_rows:
+        tombstones = self._tombstones.get(table_name)
+        if prefilter or tombstones or exclude_rows:
+            rows = (
+                self._candidates(table, prefilter) if prefilter
+                else range(len(vectors))
+            )
+            if tombstones:
+                rows = [i for i in rows if i not in tombstones]
+            if exclude_rows:
+                if global_rows is not None:
+                    local = self._local_rows[table_name]
+                    exclude_rows = {
+                        local[row] for row in exclude_rows if row in local
+                    }
+                rows = [i for i in rows if i not in exclude_rows]
+            vectors = [vectors[i] for i in rows]
             if global_rows is not None:
-                local = self._local_rows[table_name]
-                exclude_rows = {
-                    local[row] for row in exclude_rows if row in local
-                }
-            rows = [i for i in rows if i not in exclude_rows]
+                rows = [global_rows[i] for i in rows]
+        else:
+            rows = range(len(vectors)) if global_rows is None else global_rows
         stream = self.engine.decrypt_stream(
-            self.scheme.backend,
-            token.elements,
-            self._side_ciphertexts(table, token, rows),
-            qos=qos,
+            self.scheme.backend, token.elements, vectors, qos=qos
         )
-        if global_rows is not None:
-            rows = [global_rows[i] for i in rows]
         return rows, stream
 
     def open_sources(

@@ -9,8 +9,11 @@ The Secure Join scheme only needs four group operations:
 4. compare / hash the resulting GT elements.
 
 Each backend implements SJ.Dec in one kernel,
-:meth:`BilinearBackend.pair_vectors_batch`; ``pair_vectors`` is its
-one-row case in the base class.
+:meth:`BilinearBackend.pair_vectors_batch`, which returns each row's
+handle as its canonical GT bytes (the hash-join key); ``pair_vectors``
+— its one-row case, read back into a :class:`GTElement` through
+:meth:`BilinearBackend.gt_from_bytes` — and ``pair`` sit on top of it in
+the base class.
 
 :class:`BN254Backend` implements these on the real BN254 pairing built in
 this package.  :class:`FastBackend` implements them in the exponent group
@@ -237,8 +240,9 @@ class BilinearBackend(ABC):
     @abstractmethod
     def pair_vectors_batch(
         self, g1_vector: Sequence, g2_vectors: Sequence[Sequence]
-    ) -> list[GTElement]:
-        """One multi-pairing of ``g1_vector`` against *each* G2 vector.
+    ) -> list[bytes]:
+        """One multi-pairing of ``g1_vector`` against *each* G2 vector,
+        each returned as its handle: the GT element's canonical bytes.
 
         This is SJ.Dec, and each backend's one kernel: the fixed vector
         is the query token, each G2 vector is one row ciphertext (raw
@@ -254,7 +258,13 @@ class BilinearBackend(ABC):
     def pair_vectors(self, g1_vector: Sequence, g2_vector: Sequence) -> GTElement:
         """``prod_i e(g1_vector[i], g2_vector[i])`` (a multi-pairing):
         the one-row case of :meth:`pair_vectors_batch`."""
-        return self.pair_vectors_batch(g1_vector, [g2_vector])[0]
+        return self.gt_from_bytes(
+            self.pair_vectors_batch(g1_vector, [g2_vector])[0]
+        )
+
+    @abstractmethod
+    def gt_from_bytes(self, data: bytes) -> GTElement:
+        """The GT element whose :meth:`GTElement.to_bytes` is ``data``."""
 
     @abstractmethod
     def gt_identity(self) -> GTElement:
@@ -411,6 +421,12 @@ def _fixed_base_table(group) -> _FixedBaseTable:
     return table
 
 
+#: Bytes per Fp coefficient of a serialized Fp12, and the GT identity's
+#: handle (a row with no live pair).
+_FP_SIZE = 32
+_BN254_GT_ONE = Fp12.one().to_bytes()
+
+
 class BN254Backend(BilinearBackend):
     """The real pairing backend (BN254 optimal ate).
 
@@ -473,7 +489,7 @@ class BN254Backend(BilinearBackend):
 
     def pair_vectors_batch(
         self, g1_vector: Sequence[G1Point], g2_vectors: Sequence[Sequence]
-    ) -> list[BN254GT]:
+    ) -> list[bytes]:
         """SJ.Dec for a chunk of rows in one simultaneous Miller loop.
 
         Every live pair of every row goes through one kernel call:
@@ -483,7 +499,7 @@ class BN254Backend(BilinearBackend):
         inversion.  Each row's accumulated product is the same field
         element on every path, so handles stay byte-identical.
         """
-        handles: list[BN254GT | None] = [None] * len(g2_vectors)
+        handles: list[bytes | None] = [None] * len(g2_vectors)
         rows, slots = [], []
         for slot, g2_vector in enumerate(g2_vectors):
             if len(g1_vector) != len(g2_vector):
@@ -496,14 +512,22 @@ class BN254Backend(BilinearBackend):
             self.ops.miller_loops += len(live) - prepared
             self.ops.prepared_miller_loops += prepared
             if not live:
-                handles[slot] = self.gt_identity()
+                handles[slot] = _BN254_GT_ONE
                 continue
             self.ops.final_exponentiations += 1
             rows.append(live)
             slots.append(slot)
         for slot, value in zip(slots, multi_miller_rows(rows)):
-            handles[slot] = BN254GT(final_exponentiation_fast(value))
+            handles[slot] = final_exponentiation_fast(value).to_bytes()
         return handles
+
+    def gt_from_bytes(self, data: bytes) -> BN254GT:
+        if len(data) != 12 * _FP_SIZE:
+            raise CryptoError(f"a BN254 GT element is {12 * _FP_SIZE} bytes")
+        return BN254GT(Fp12.from_flat(tuple(
+            int.from_bytes(data[i:i + _FP_SIZE], "big")
+            for i in range(0, len(data), _FP_SIZE)
+        )))
 
     def prepare_row(self, g2_vector: Sequence) -> PreparedRow:
         elements = tuple(g2_vector)
@@ -596,8 +620,9 @@ class FastBackend(BilinearBackend):
 
     def pair_vectors_batch(
         self, g1_vector: Sequence[int], g2_vectors: Sequence[Sequence]
-    ) -> list[FastGT]:
-        """SJ.Dec for a chunk of rows, one inner product mod q per row.
+    ) -> list[bytes]:
+        """SJ.Dec for a chunk of rows, one inner product mod q per row,
+        each handle the product's fixed-width big-endian bytes.
 
         The op counts model the equivalent BN254 call (the same-counts
         contract): a row with no 0 on either side — every stored row
@@ -607,37 +632,43 @@ class FastBackend(BilinearBackend):
         exponentiation, counted once per chunk.  A row holding a 0 (the
         identity, which the real pairing skips), a row mixing raw and
         prepared elements, and every row against a token holding a 0
-        take :meth:`_pair_row`, pair by pair.  Tuples and lists alike.
+        take :meth:`_pair_row`, pair by pair.  A stored row's raw
+        elements are a tuple, tested for first; lists work alike.
         """
         d = len(g1_vector)
+        q = self._modulus
+        size = self._element_size
         live_token = d > 0 and all(g1_vector)
         handles = []
         raw = prepared = finals = 0
         for row in g2_vectors:
-            if len(row) != d:
-                raise CryptoError("pairing vectors must have the same length")
-            if live_token:
-                if isinstance(row, PreparedRow):
+            if type(row) is not tuple and isinstance(row, PreparedRow):
+                if len(row.prepared) != d:
+                    raise CryptoError(
+                        "pairing vectors must have the same length"
+                    )
+                if live_token:
                     values = list(map(_value, row.prepared))
                     if all(values):
-                        handles.append(
-                            FastGT(sum(map(mul, g1_vector, values)), self)
-                        )
+                        total = sum(map(mul, g1_vector, values))
+                        handles.append((total % q).to_bytes(size, "big"))
                         prepared += d
                         finals += 1
                         continue
-                elif all(row):
-                    try:
-                        total = sum(map(mul, g1_vector, row))
-                    except TypeError:  # a prepared element in a raw row
-                        pass
-                    else:
-                        handles.append(FastGT(total, self))
-                        raw += d
-                        finals += 1
-                        continue
+            elif len(row) != d:
+                raise CryptoError("pairing vectors must have the same length")
+            elif live_token and all(row):
+                try:
+                    total = sum(map(mul, g1_vector, row))
+                except TypeError:  # a prepared element in a raw row
+                    pass
+                else:
+                    handles.append((total % q).to_bytes(size, "big"))
+                    raw += d
+                    finals += 1
+                    continue
             total, row_raw, row_prepared = self._pair_row(g1_vector, row)
-            handles.append(FastGT(total, self))
+            handles.append((total % q).to_bytes(size, "big"))
             raw += row_raw
             prepared += row_prepared
             if row_raw or row_prepared:
@@ -681,6 +712,13 @@ class FastBackend(BilinearBackend):
 
     def decode_prepared(self, data: bytes) -> FastPrepared:
         return FastPrepared(self.decode_g1(data))
+
+    def gt_from_bytes(self, data: bytes) -> FastGT:
+        if len(data) != self._element_size:
+            raise CryptoError(
+                f"a fast-backend GT element is {self._element_size} bytes"
+            )
+        return FastGT(int.from_bytes(data, "big"), self)
 
     def gt_identity(self) -> FastGT:
         return FastGT(0, self)

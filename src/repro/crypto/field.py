@@ -100,11 +100,6 @@ class Fp2:
         inv_norm = mod_inverse(norm, P)
         return Fp2(self.c0 * inv_norm, -self.c1 * inv_norm)
 
-    def mul_by_xi(self) -> "Fp2":
-        """Multiply by the tower non-residue ``xi = 9 + u``."""
-        a0, a1 = self.c0, self.c1
-        return Fp2(XI_A0 * a0 - XI_A1 * a1, XI_A0 * a1 + XI_A1 * a0)
-
     def pow(self, exponent: int) -> "Fp2":
         if exponent < 0:
             return self.inverse().pow(-exponent)

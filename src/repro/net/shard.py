@@ -33,7 +33,7 @@ from repro.core.pipeline import round_robin
 from repro.crypto.backend import BilinearBackend
 from repro.errors import NetworkError, SchemeError, ShardUnavailableError
 from repro.net.client import _error_from_frame
-from repro.net.protocol import MAX_MESSAGE_SIZE, recv_message, send_message
+from repro.net.protocol import recv_message, send_message
 from repro.net.server import JoinServiceServer
 from repro.plan import group_chain_sides
 from repro.series.cache import series_key
@@ -49,6 +49,9 @@ from repro.store.wire import (
     encode_scatter_final,
     encode_stream_header,
 )
+
+#: Seconds a coordinator waits for a shard's connection to open.
+_CONNECT_TIMEOUT = 10.0
 
 
 class ShardServiceServer(JoinServiceServer):
@@ -125,15 +128,11 @@ class RemoteShard:
         port: int,
         backend: BilinearBackend,
         name: str | None = None,
-        max_message_size: int = MAX_MESSAGE_SIZE,
-        connect_timeout: float = 10.0,
     ):
         self.host = host
         self.port = port
         self.backend = backend
         self.name = name
-        self.max_message_size = max_message_size
-        self.connect_timeout = connect_timeout
         self._sources: set["_RemoteScatterSource"] = set()
 
     def describe(self) -> str:
@@ -182,7 +181,7 @@ class _RemoteScatterSource:
         self._got_header = False
         try:
             self._sock = socket.create_connection(
-                (shard.host, shard.port), timeout=shard.connect_timeout
+                (shard.host, shard.port), timeout=_CONNECT_TIMEOUT
             )
             self._sock.settimeout(None)
             try:
@@ -206,7 +205,7 @@ class _RemoteScatterSource:
             raise StopIteration
         while True:
             try:
-                data = recv_message(self._sock, self.shard.max_message_size)
+                data = recv_message(self._sock)
             except (OSError, NetworkError) as error:
                 self._fail(f"transport failed mid-scatter: {error}", error)
             if data is None:

@@ -61,10 +61,6 @@ class TestFp2:
         with pytest.raises(FieldError):
             Fp2.zero().inverse()
 
-    def test_mul_by_xi_matches_mul(self):
-        a = _random_fp2()
-        assert a.mul_by_xi() == a * XI
-
     def test_conjugate_is_frobenius(self):
         a = _random_fp2()
         assert a.conjugate() == a.pow(P)

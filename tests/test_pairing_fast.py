@@ -330,9 +330,7 @@ class TestChunkKernel:
         batch_ops = backend.ops.since(before)
         before = backend.ops.snapshot()
         singly = [backend.pair_vectors(token, row) for row in rows]
-        assert [gt.to_bytes() for gt in batched] == [
-            gt.to_bytes() for gt in singly
-        ]
+        assert batched == [gt.to_bytes() for gt in singly]
         assert batch_ops == backend.ops.since(before)
         live = [
             [q for s, q in zip(token_scalars, row)

@@ -205,9 +205,7 @@ class TestOpAccounting:
         prepared = backend.pair_vectors_batch(
             token, [backend.prepare_row(row) for row in rows]
         )
-        assert [gt.to_bytes() for gt in raw] == [
-            gt.to_bytes() for gt in prepared
-        ]
+        assert raw == prepared
         assert backend.ops.miller_loops == backend.ops.prepared_miller_loops
 
     @pytest.mark.bn254
@@ -219,9 +217,7 @@ class TestOpAccounting:
         prepared = backend.pair_vectors_batch(
             token, [backend.prepare_row(row) for row in rows]
         )
-        assert [gt.to_bytes() for gt in raw] == [
-            gt.to_bytes() for gt in prepared
-        ]
+        assert raw == prepared
         assert backend.ops.prepared_miller_loops == 4
         assert backend.ops.preparations == 4
 

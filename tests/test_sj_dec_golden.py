@@ -54,8 +54,7 @@ def _ramp(backend, token, rows) -> bytes:
     backend.ops.reset()
     handles, counts = [], []
     for start, stop in _SPANS:
-        gts = backend.pair_vectors_batch(token, rows[start:stop])
-        handles += [gt.to_bytes() for gt in gts]
+        handles += backend.pair_vectors_batch(token, rows[start:stop])
         counts.append(struct.pack(">5Q", *backend.ops.snapshot()))
     return b"".join(handles) + b"".join(counts)
 
@@ -132,7 +131,7 @@ def _sections() -> dict[str, bytes]:
     for name, vector in [("edge", token), ("edge_zero_token", zero_token)]:
         backend.ops.reset()
         handles = backend.pair_vectors_batch(vector, rows)
-        sections[name] = b"".join(gt.to_bytes() for gt in handles) + (
+        sections[name] = b"".join(handles) + (
             struct.pack(">5Q", *backend.ops.snapshot())
         )
     return sections
