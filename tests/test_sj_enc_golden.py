@@ -22,7 +22,15 @@ whatever the group kernel does:
 - rows narrower than m (padded attribute slots);
 - attribute and join values 1, True, 1.0, "1", b"1" and None side by
   side, passed to :class:`SecureJoinScheme` directly (a typed column
-  cannot mix them): equal in Python, distinct embeddings.
+  cannot mix them): equal in Python, distinct embeddings;
+- 2 048 seeded TPC-H Orders rows through ``encrypt_table`` at both
+  workload layouts (``select_inproc``'s m = 9, t = 1, and
+  ``chain3_inproc``'s m = 1, t = 10 on Orders' ``custkey`` and
+  ``comment``): tables large enough to be encrypted on the process's
+  worker pool, pinned as the SHA-256 of their element bytes beside the
+  client rng's next draw, so a table split into chunks must come out
+  byte for byte as one encrypted in a single pass, and must draw no
+  more and no less.
 
 Regenerate (only after a deliberate change of scheme or encoding) with
 ``PYTHONPATH=src python tests/test_sj_enc_golden.py``, which names the
@@ -34,6 +42,7 @@ NAF ladder of ``scalar_mul``, an independent path, on any exponent.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -141,6 +150,7 @@ def _fast_sections() -> dict[str, bytes]:
         client.encrypt_row_for("T2", row)[0] for row in [(2, "x"), (3, "T2.0")]
     ]
     sections["chain_m1_t10"] = _encoded(backend, ciphertexts)
+    sections.update(_pooled_sections(backend))
     for name, m, t, rows in _FAST_SCHEME_SHAPES:
         params = SecureJoinParams(m, t)
         scheme = SecureJoinScheme(
@@ -151,6 +161,40 @@ def _fast_sections() -> dict[str, bytes]:
             backend,
             [scheme.encrypt_row(msk, join, values) for join, values in rows],
         )
+    return sections
+
+
+#: Rows of the pooled-size sections.
+_POOLED_ROWS = 2048
+
+
+def _pooled_sections(backend) -> dict[str, bytes]:
+    """SHA-256 of a pooled-size table's element bytes, then the client
+    rng's next draw (32 bytes each), at the two workload layouts."""
+    orders = TPCHGenerator(0.002, seed=1).orders()
+    rows = list(orders)[:_POOLED_ROWS]
+    narrow = Schema.of(("custkey", "int"), ("comment", "str"))
+    custkey = orders.schema.index_of("custkey")
+    comment = orders.schema.index_of("comment")
+    tables = {
+        "pooled_m9_t1": (9, 1, Table(orders.name, orders.schema, rows)),
+        "pooled_m1_t10": (1, 10, Table(
+            orders.name, narrow,
+            [(row[custkey], row[comment]) for row in rows],
+        )),
+    }
+    sections = {}
+    for name, (m, t, table) in tables.items():
+        client = SecureJoinClient(
+            num_attributes=m, in_clause_limit=t, backend=backend,
+            rng=random.Random(f"sj.fast.{name}"),
+        )
+        encrypted = client.encrypt_table(table, "custkey")
+        digest = hashlib.sha256(
+            _encoded(backend, encrypted.ciphertexts)
+        ).digest()
+        draw = client.scheme.rng.randrange(backend.order)
+        sections[name] = digest + draw.to_bytes(32, "big")
     return sections
 
 
@@ -177,18 +221,24 @@ _FAST_SECTION_SIZES = {
     "chain_m1_t10": 8 * 14 * 32,
     "narrow": 4 * 12 * 32,
     "mixed": 6 * 21 * 32,
+    "pooled_m9_t1": 32 + 32,
+    "pooled_m1_t10": 32 + 32,
 }
 
 
-def _stored(path=GOLDEN, sizes=_SECTION_SIZES) -> dict[str, bytes]:
-    data = path.read_bytes()
-    assert len(data) == sum(sizes.values())
+def _split(data: bytes, sizes) -> dict[str, bytes]:
     stored = {}
     offset = 0
     for name, size in sizes.items():
         stored[name] = data[offset:offset + size]
         offset += size
     return stored
+
+
+def _stored(path=GOLDEN, sizes=_SECTION_SIZES) -> dict[str, bytes]:
+    data = path.read_bytes()
+    assert len(data) == sum(sizes.values())
+    return _split(data, sizes)
 
 
 @pytest.mark.bn254
@@ -274,7 +324,9 @@ def test_g2_powers_equal_scalar_mul(bn254_backend, exponents):
 
 
 def _regenerate(path, sizes, fresh) -> None:
-    before = _stored(path, sizes) if path.exists() else {}
+    # Split, not _stored: a file written before a section was added is
+    # shorter, and its sections read as changed.
+    before = _split(path.read_bytes(), sizes) if path.exists() else {}
     changed = [name for name in sizes if fresh[name] != before.get(name)]
     path.parent.mkdir(exist_ok=True)
     blob = b"".join(fresh[name] for name in sizes)
