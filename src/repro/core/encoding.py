@@ -22,8 +22,10 @@ with the ``d - m`` slots
 
 against the rows of ``B'``: B*'s join row, the sum of its m ``a^0``
 rows, its ``a^j`` rows for j >= 1, and its ``gamma_1`` row
-(:meth:`VectorLayout.reduced_basis`).  The upload path builds ``w'``
-(:meth:`VectorLayout.reduced_row_vectors`); ``w`` itself
+(:meth:`VectorLayout.reduced_basis`).  The upload path encodes every
+cell and draws every row's blinding first
+(:meth:`VectorLayout.encoded_cells`, :meth:`VectorLayout.row_draws`),
+then builds ``w'`` (:meth:`VectorLayout.reduced_vectors`); ``w`` itself
 (:meth:`VectorLayout.row_vector`) is the reference it is tested against.
 
 Attribute values are embedded into Z_q with a cryptographic hash
@@ -141,57 +143,83 @@ class VectorLayout:
         kept.append(rows[-2])
         return tuple(zip(*kept))
 
-    def reduced_row_vectors(
-        self,
-        rows: Iterable[tuple[Value, Sequence[Value]]],
-        q: int,
-        rng: random.Random,
+    def encoded_cells(
+        self, rows: Iterable[tuple[Value, Sequence[Value]]]
+    ) -> list[bytes]:
+        """Every row's m + 1 cell encodings (:func:`encode_value`: the
+        join value, then the attributes padded to m), end to end.
+
+        This is the share of SJ.Enc that can fail: a row with more than
+        m attributes, a NaN or a value of no supported type raises here,
+        in row order, before any row is drawn for.  Equal encodings are
+        one object, so a table's repeated values are held once.
+        """
+        interned: dict[bytes, bytes] = {}
+        intern = interned.setdefault
+        cells = []
+        append = cells.append
+        for join_value, attribute_values in rows:
+            key = encode_value(join_value)
+            append(intern(key, key))
+            for value in self._padded(attribute_values):
+                key = encode_value(value)
+                append(intern(key, key))
+        return cells
+
+    @staticmethod
+    def row_draws(rows: int, q: int, rng: random.Random) -> list[int]:
+        """``gamma_1`` then ``gamma_2`` for each of ``rows`` rows, in row
+        order: the draws ``rows`` calls of :meth:`row_vector` make."""
+        draws = []
+        for _ in range(rows):
+            draws.append(rng.randrange(q))
+            draws.append(rng.randrange(1, q))
+        return draws
+
+    def reduced_vectors(
+        self, cells: Sequence[bytes], draws: Sequence[int], q: int
     ) -> Iterator[list[int]]:
-        """``w'`` for each ``(join value, attribute values)`` row, in order.
+        """``w'`` for each row of :meth:`encoded_cells` under its
+        :meth:`row_draws`, in order: ``w' B'`` equals :meth:`row_vector`
+        ``B*`` row for row under the same rng.
 
-        Each row draws ``gamma_1`` then ``gamma_2`` exactly as
-        :meth:`row_vector` does, so ``w' B'`` equals ``w B*`` row for row
-        under the same rng.  Every row is checked and embedded before the
-        first draw, so a rejected row raises with no randomness drawn.
-
-        Each distinct join or attribute value is embedded once per call:
-        the memos are keyed by :func:`encode_value`, never by the value,
-        since ``1 == True == 1.0`` embed differently.  The memos and the
-        embeddings are complete before the caller builds the first
-        ciphertext and are freed after the last, in one piece.  Memory
-        freed between a table's ciphertexts left holes that later queries
-        allocated into: on a 2-vCPU box, ``chain3_inproc``'s first match
-        came 10-15 % later and ``series_mix``'s peak RSS was 4 % higher.
+        Each distinct join or attribute encoding is hashed once per call
+        (per chunk, where a table is cut): the memos are keyed by
+        :func:`encode_value`, never by the value, since ``1 == True ==
+        1.0`` embed differently.  The memos and the embeddings are
+        complete before the caller builds the first ciphertext and are
+        freed after the last, in one piece.  Memory freed between a
+        table's ciphertexts left holes that later queries allocated
+        into: on a 2-vCPU box, ``chain3_inproc``'s first match came
+        10-15 % later and ``series_mix``'s peak RSS was 4 % higher.
         """
         joins: dict[bytes, int] = {}
         attributes: dict[bytes, int] = {}
-        cells = []  # every row's m + 1 embeddings, end to end
-        for join_value, attribute_values in rows:
-            padded = self._padded(attribute_values)
-            key = encode_value(join_value)
-            embedded = joins.get(key)
-            if embedded is None:
-                embedded = joins[key] = hash_bytes_to_zq(key, q, _JOIN_DOMAIN)
-            cells.append(embedded)
-            for value in padded:
-                key = encode_value(value)
-                embedded = attributes.get(key)
-                if embedded is None:
-                    embedded = attributes[key] = hash_bytes_to_zq(
+        width = self.num_attributes + 1
+        embedded = []  # every row's m + 1 embeddings, end to end
+        for row in range(0, len(cells), width):
+            key = cells[row]
+            value = joins.get(key)
+            if value is None:
+                value = joins[key] = hash_bytes_to_zq(key, q, _JOIN_DOMAIN)
+            embedded.append(value)
+            for key in cells[row + 1:row + width]:
+                value = attributes.get(key)
+                if value is None:
+                    value = attributes[key] = hash_bytes_to_zq(
                         key, q, _ATTR_DOMAIN
                     )
-                cells.append(embedded)
+                embedded.append(value)
         degree = self.degree
-        width = self.num_attributes + 1
-        for row in range(0, len(cells), width):
-            gamma_1 = rng.randrange(q)
-            gamma_2 = rng.randrange(1, q)
-            vector = [cells[row], gamma_2]
-            for embedded in cells[row + 1:row + width]:
+        for row, gamma_1, gamma_2 in zip(
+            range(0, len(embedded), width), draws[::2], draws[1::2]
+        ):
+            vector = [embedded[row], gamma_2]
+            for value in embedded[row + 1:row + width]:
                 # gamma_2 * a^j for j = 1..t, one product each.
                 power = gamma_2
                 for _ in range(degree):
-                    power = power * embedded % q
+                    power = power * value % q
                     vector.append(power)
             vector.append(gamma_1)
             yield vector

@@ -9,7 +9,8 @@ Responsibility split (matching Figure 1):
 
 - *client, upload phase*: :meth:`SecureJoinScheme.setup`,
   :meth:`SecureJoinScheme.encrypt_rows` (one row:
-  :meth:`SecureJoinScheme.encrypt_row`),
+  :meth:`SecureJoinScheme.encrypt_row`; in chunks:
+  :meth:`SecureJoinScheme.encrypt_inputs`, then :func:`encrypt_chunk`),
 - *client, query phase*: :meth:`SecureJoinScheme.new_query_key`,
   :meth:`SecureJoinScheme.token`,
 - *server, query phase*: :meth:`SecureJoinScheme.decrypt`,
@@ -19,7 +20,7 @@ Responsibility split (matching Figure 1):
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -83,6 +84,31 @@ class SJToken:
         return len(self.elements)
 
 
+def encrypt_chunk(
+    backend: BilinearBackend,
+    layout: VectorLayout,
+    basis: Sequence[Sequence[int]],
+    cells: Sequence[bytes],
+    draws: Sequence[int],
+) -> Iterator[tuple]:
+    """The SJ.Enc kernel: each row's ciphertext elements, in order, for a
+    run of rows given their :meth:`SecureJoinScheme.encrypt_inputs`
+    (encoded cells, draws) and the key's reduced basis ``B'``
+    (:attr:`SJMasterKey.reduced_basis`).
+
+    Computed as ``g2^{w' B'}`` on the ``d - m`` slots that are not
+    constant (see :mod:`repro.core.encoding`): the same exponents mod q,
+    so the same group elements.  It draws nothing and checks nothing,
+    so a table cut into chunks gets the bytes it gets in one piece.
+    """
+    q = backend.order
+    g2_powers = backend.g2_powers
+    for w in layout.reduced_vectors(cells, draws, q):
+        yield tuple(g2_powers(
+            [sum(map(mul, w, column)) % q for column in basis]
+        ))
+
+
 class SecureJoinScheme:
     """The five algorithms of Secure Join, generic over the backend."""
 
@@ -107,6 +133,21 @@ class SecureJoinScheme:
         """SJ.Setup: sample the bilinear group matrices ``(B, B*)``."""
         return SJMasterKey(self.params, self._ipe.setup())
 
+    def encrypt_inputs(
+        self, rows: Iterable[tuple[Value, Sequence[Value]]]
+    ) -> tuple[list[bytes], list[int]]:
+        """The share of SJ.Enc that checks and draws, for each
+        ``(join value, attribute values)`` row: every cell's encoding,
+        then ``gamma_1, gamma_2`` per row from the scheme's rng, in row
+        order.  A rejected row raises before any row is drawn for.
+        :func:`encrypt_chunk` does the rest, on any cut of the rows."""
+        layout = self._layout
+        cells = layout.encoded_cells(rows)
+        rows_count = len(cells) // (layout.num_attributes + 1)
+        return cells, layout.row_draws(
+            rows_count, self.backend.order, self.rng
+        )
+
     def encrypt_rows(
         self,
         msk: SJMasterKey,
@@ -115,22 +156,20 @@ class SecureJoinScheme:
         """SJ.Enc over a table: ``C_r = g2^{w_r B*}`` for each
         ``(join value, attribute values)`` row, in order.
 
-        Computed as ``g2^{w'_r B'}`` on the ``d - m`` slots that are not
-        constant (see :mod:`repro.core.encoding`): the same exponents mod
-        q, so the same group elements.  Each distinct value is hashed
-        once per call, and the rng is drawn as ``len(rows)`` calls of
-        :meth:`encrypt_row` would draw it; a row with more than m
-        attributes raises before any row is drawn for.
+        :meth:`encrypt_inputs`, then :func:`encrypt_chunk` over all the
+        rows as one chunk.  Each distinct value is hashed once per chunk,
+        and the rng is drawn in row order as ``len(rows)`` calls of
+        :meth:`encrypt_row` would draw it, however the rows are cut; a
+        row with more than m attributes raises before any row is drawn
+        for.
         """
         self._check_msk(msk)
-        columns = msk.reduced_basis
-        q = self.backend.order
-        g2_powers = self.backend.g2_powers
         return [
-            SJRowCiphertext(tuple(g2_powers(
-                [sum(map(mul, w, column)) % q for column in columns]
-            )))
-            for w in self._layout.reduced_row_vectors(rows, q, self.rng)
+            SJRowCiphertext(elements)
+            for elements in encrypt_chunk(
+                self.backend, self._layout, msk.reduced_basis,
+                *self.encrypt_inputs(rows),
+            )
         ]
 
     def encrypt_row(

@@ -1,7 +1,15 @@
 """A persistent parallel execution service with multi-query admission.
 
 A long-lived :class:`~concurrent.futures.ProcessPoolExecutor` behind an
-admission scheduler that feeds the streaming pipeline:
+admission scheduler that feeds the streaming pipeline.
+
+A *side* is one run of rows, cut by :func:`chunk_spans`, that names the
+function a worker runs on each of its chunks.  A query's SJ.Dec side
+(:meth:`ExecutionService.admit_side`) names :func:`_decrypt_chunk`,
+which pairs the side's token with each row of the chunk.  A client's
+upload of a large table (:meth:`ExecutionService.admit_kernel`, from
+``SecureJoinClient.encrypt_table``) names the SJ.Enc kernel.  Every
+side gets the same pump, window and crash rescue:
 
 - **Chunk streams, not materialized sides.**  :meth:`admit_side`
   registers a side and :meth:`stream_chunks` yields decrypted chunks
@@ -22,9 +30,9 @@ admission scheduler that feeds the streaming pipeline:
 - **Lazy, persistent workers**: nothing is spawned at construction, the
   pool survives across queries (``generation`` only moves when the pool
   is started, restarted after :meth:`close`, or switched to another
-  backend), the backend ships once per worker, a chunk travels as one
-  contiguous ``bytes`` slice of its side's encoded rows beside the
-  side's encoded token, and ``close()`` is idempotent.
+  backend), the backend ships once per worker, an SJ.Dec chunk travels
+  as one contiguous ``bytes`` slice of its side's encoded rows beside
+  the side's encoded token, and ``close()`` is idempotent.
 - **A crash costs a retry, never an answer.**  A dying worker breaks
   the executor: every chunk it held is re-queued and the whole pool is
   replaced (``worker_restarts`` counts replacements, ``generation``
@@ -38,9 +46,10 @@ wakes the waiting consumers; consumer threads shut executors down,
 
 A pool is process state: every :class:`~repro.core.server.SecureJoinServer`
 binds its engine to :func:`process_pool`'s one service for its backend
-and ``workers`` (by default :func:`default_width`, the process's CPUs).
-The last open server holding it stops its workers, which restart
-lazily.  An engine nobody bound a service to runs inline.
+and ``workers`` (by default :func:`default_width`, the process's CPUs),
+and a client holds it for one large upload.  The last holder stops its
+workers, which restart lazily.  An engine nobody bound a service to
+runs inline.
 """
 
 from __future__ import annotations
@@ -187,24 +196,43 @@ def _prepared_row(
     return row
 
 
-def _decrypt_chunk(
-    token_bytes: Sequence[bytes], prepared: bool, chunk: bytes
-) -> tuple[int, list[bytes], PairingOpCounter]:
-    """Decrypt one chunk in a pooled worker: ``(pid, handles, the
-    pairing work it took)``.  The token is decoded per chunk: 46 µs at
-    the paper's d = 19 on BN254, against >= 400 ms of pairings."""
+def _in_worker(kernel, *args) -> tuple[int, object, PairingOpCounter]:
+    """``kernel(backend, *args)`` on this worker's backend: ``(pid, its
+    result, the pairing work it took)``, what the pump reads of every
+    chunk.  An upload's side names it, with ``repro.core.client``'s
+    SJ.Enc kernel as ``kernel``."""
     backend = _worker_backend
+    snapshot = backend.ops.snapshot()
+    result = kernel(backend, *args)
+    return os.getpid(), result, backend.ops.since(snapshot)
+
+
+def _pair_chunk(
+    backend: BilinearBackend,
+    token_bytes: Sequence[bytes],
+    prepared: bool,
+    chunk: bytes,
+) -> list[bytes]:
+    """The handles of one chunk of encoded rows.  The token is decoded
+    per chunk: 46 µs at the paper's d = 19 on BN254, against >= 400 ms
+    of pairings."""
     token = [backend.decode_g1(raw) for raw in token_bytes]
     dimension = len(token)
     stride = dimension * backend.g2_element_size
-    snapshot = backend.ops.snapshot()
     decode = _prepared_row if prepared else _decode_row
     rows = [
         decode(backend, chunk[base:base + stride], dimension)
         for base in range(0, len(chunk), stride)
     ]
-    handles = backend.pair_vectors_batch(token, rows)
-    return os.getpid(), handles, backend.ops.since(snapshot)
+    return backend.pair_vectors_batch(token, rows)
+
+
+def _decrypt_chunk(
+    token_bytes: Sequence[bytes], prepared: bool, chunk: bytes
+) -> tuple[int, list[bytes], PairingOpCounter]:
+    """An SJ.Dec side's worker: decrypt one chunk in a pooled worker,
+    ``(pid, handles, the pairing work it took)``."""
+    return _in_worker(_pair_chunk, token_bytes, prepared, chunk)
 
 
 def chunk_spans(rows: int, size: int, width: int = 1) -> list[tuple[int, int]]:
@@ -258,13 +286,13 @@ def _encode_rows(backend, ciphertext_vectors, dimension) -> bytes:
 
 @dataclass(eq=False)
 class _SideState:
-    """One admitted side: its encoded rows, chunk queue and progress."""
+    """One admitted side: its chunk queue and progress."""
 
-    #: ``(encoded token, prepared)``: what every chunk of this side
-    #: carries to its worker beside its rows.
+    #: ``(worker function, its arguments)``: what every chunk of this
+    #: side carries to its worker beside the chunk itself.
     call: tuple
-    #: ``(start row, encoded rows)`` chunks not yet handed to the pool
-    #: (a chunk a dead pool held comes back to the front).
+    #: ``(start row, chunk)`` pairs not yet handed to the pool (a chunk
+    #: a dead pool held comes back to the front).
     pending: deque
     rescue_budget: int
     qos: QueryQoS
@@ -435,9 +463,11 @@ class ExecutionService:
         batch_size: int,
         qos: QueryQoS | None = None,
     ) -> _SideState:
-        """Register one side with the scheduler; nothing is dispatched
-        until a side is pulled (:meth:`stream_chunks`), so sides opened
-        together are dealt together.
+        """Register one SJ.Dec side, ``token_elements`` against each of
+        ``ciphertext_vectors`` in chunks of at most ``batch_size`` rows;
+        nothing is dispatched until a side is pulled
+        (:meth:`stream_chunks`), so sides opened together are dealt
+        together.
 
         Returns a side handle to pass to :meth:`stream_chunks` (and, on
         abnormal exits, :meth:`release_side` — idempotent, and automatic
@@ -456,9 +486,46 @@ class ExecutionService:
         encoded = _encode_rows(backend, ciphertext_vectors, dimension)
         token_bytes = [backend.encode_g1(e) for e in token_elements]
         stride = dimension * backend.g2_element_size
-        pending: deque[tuple[int, bytes]] = deque(
-            (start, encoded[start * stride:stop * stride])
-            for start, stop in spans
+        return self._admit(
+            backend,
+            (_decrypt_chunk, token_bytes, prepared),
+            spans,
+            [encoded[start * stride:stop * stride] for start, stop in spans],
+            qos,
+        )
+
+    def admit_kernel(
+        self,
+        backend: BilinearBackend,
+        kernel,
+        arguments: tuple,
+        spans: Sequence[tuple[int, int]],
+        chunks: Sequence,
+    ) -> _SideState:
+        """Register a side whose chunks run ``kernel(backend, *arguments,
+        chunk)`` in a pooled worker, on that worker's backend:
+        ``chunks`` are the side's rows cut by ``spans``, and each chunk's
+        result is the kernel's.  An upload's SJ.Enc is such a side
+        (``repro.core.client``).  Returns a side handle, as
+        :meth:`admit_side` does."""
+        return self._admit(
+            backend, (_in_worker, kernel, *arguments), spans, chunks
+        )
+
+    def _admit(
+        self,
+        backend: BilinearBackend,
+        call: tuple,
+        spans: Sequence[tuple[int, int]],
+        chunks: Sequence,
+        qos: QueryQoS | None = None,
+    ) -> _SideState:
+        """Register one side with the scheduler: ``call`` is ``(worker,
+        *args)``, what the side names to run each of ``chunks`` (its
+        rows cut by ``spans``) in a pooled worker as ``worker(*args,
+        chunk)``, which returns ``(pid, result, pairing work)``."""
+        pending = deque(
+            (start, chunk) for (start, _), chunk in zip(spans, chunks)
         )
         with self._progress:
             self.ensure_started(backend)
@@ -467,7 +534,7 @@ class ExecutionService:
             # queries after the environment recovered.
             self._rescues_since_progress = 0
             side = _SideState(
-                call=(token_bytes, prepared),
+                call=call,
                 pending=pending,
                 rescue_budget=3 * self.worker_target + 5,
                 qos=qos if qos is not None else QueryQoS(),
@@ -489,10 +556,9 @@ class ExecutionService:
         return side
 
     # -- streaming --------------------------------------------------------
-    def stream_chunks(
-        self, side: _SideState
-    ) -> Iterator[tuple[int, list[bytes]]]:
-        """Yield ``(start_offset, handles)`` chunks as workers finish.
+    def stream_chunks(self, side: _SideState) -> Iterator[tuple[int, object]]:
+        """Yield ``(start_offset, result)`` chunks as workers finish (an
+        SJ.Dec side's results are its handles).
 
         Chunks arrive in completion order — callers that need row order
         sort by the start offset.  The first pull starts the pump (for
@@ -513,7 +579,7 @@ class ExecutionService:
                         )
                     if side.error is not None:
                         raise QueryError(
-                            f"pooled SJ.Dec side failed:\n{side.error}"
+                            f"pooled side failed:\n{side.error}"
                         )
                     items = list(side.completed)
                     side.completed.clear()
@@ -584,9 +650,7 @@ class ExecutionService:
                 executor = self._executor
                 chunk = side.pending.popleft()
                 try:
-                    future = executor.submit(
-                        _decrypt_chunk, *side.call, chunk[1]
-                    )
+                    future = executor.submit(*side.call, chunk[1])
                 except BrokenProcessPool:
                     # A worker died while the pool was idle.
                     self._chunk_lost_locked(executor, side, chunk)
@@ -610,14 +674,14 @@ class ExecutionService:
             elif error is not None:
                 side.error = "".join(traceback.format_exception(error))
             else:
-                pid, handles, ops = future.result()
+                pid, result, ops = future.result()
                 self._rescues_since_progress = 0
                 if executor is self._executor:
                     self._pids.add(pid)
                 if side in self._active:
                     side.pids.add(pid)
                     side.done_chunks += 1
-                    side.completed.append((chunk[0], handles))
+                    side.completed.append((chunk[0], result))
                     side.report.ops.add(ops)
             self._pump_locked()
             self._progress.notify_all()

@@ -354,7 +354,10 @@ class _FixedBaseTable:
     runs on the same kernel: the window bases by doubling, then all
     windows at once, entries ``h + 1 .. 2h`` as ``h * base`` plus
     entries ``1 .. h``, in seven rounds.  One table per group per
-    process (:func:`_fixed_base_table`); pooled workers never need one.
+    process (:func:`_fixed_base_table`): a pooled worker that runs SJ.Enc
+    chunks of a large upload builds its own G2 table at its first chunk
+    (≈ 83 ms) unless it was forked from a process that had built one
+    already; SJ.Dec chunks need none.
     """
 
     WINDOW = 8

@@ -5,8 +5,9 @@ the runtime prices nothing: the per-backend cost model lives in
 :mod:`repro.bench.costmodel`, beside the scatter estimate that reads
 it.  The arrow points one way: ``core`` / ``plan`` / ``shard`` /
 ``net`` (and everything below them) import nothing from
-``repro.bench``, not even lazily inside a function.  The client module
-needs no engine, pool or shared memory — and the server, which does
+``repro.bench``, not even lazily inside a function.  Importing the
+client module loads no engine, pool or shared memory (a large upload
+imports the pool when it runs) — and the server, which does
 need a pool, needs neither shared memory nor the resource tracker, nor
 the leakage analysis that reads its ledger; nothing under ``src/`` imports a
 third-party package the requirements file does not name; every host
