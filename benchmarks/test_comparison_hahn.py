@@ -45,7 +45,7 @@ def test_matcher_scaling(benchmark, scale_factor, algorithm):
     assert pairs
     assert pairs == workload.server.execute_join(
         workload.client.create_query(query)
-    ).index_pairs
+    ).tuples
 
 
 def test_comparison_counts_quadratic_vs_linear():

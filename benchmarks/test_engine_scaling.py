@@ -121,7 +121,7 @@ def test_batched_final_exponentiation_savings():
     batched = _server(workload, "batched").execute_join(encrypted_query)
 
     assert serial.stats.candidates_left >= 64  # a 64-handle (or larger) side
-    assert serial.index_pairs == batched.index_pairs
+    assert serial.tuples == batched.tuples
     assert batched.stats.final_exponentiations == batched.stats.decryptions
     assert (
         serial.stats.final_exponentiations
@@ -139,7 +139,7 @@ def test_parallel_engine_matches_batched_plan():
     parallel = _server(workload, "parallel").execute_join(encrypted_query)
 
     assert parallel.stats.engine_selected == "parallel"
-    assert parallel.index_pairs == batched.index_pairs
+    assert parallel.tuples == batched.tuples
     assert parallel.stats.final_exponentiations == (
         batched.stats.final_exponentiations
     )
@@ -167,7 +167,7 @@ def test_parallel_pool_persists_across_queries():
         warm = server.execute_join(encrypted_query)
         warm_seconds.append(time.perf_counter() - start)
         generations.append(warm.stats.pool_generation)
-        assert warm.index_pairs == cold.index_pairs
+        assert warm.tuples == cold.tuples
 
     # The same generation is the proof that no warm query re-spawned
     # the pool; how long each took is recorded.
@@ -220,7 +220,7 @@ def test_warm_pool_beats_per_query_pool():
         own_pool.close()
         own_seconds.append(time.perf_counter() - start)
         fresh.close()
-        assert result.index_pairs == warm_result.index_pairs
+        assert result.tuples == warm_result.tuples
         assert len(forked) == own_pool.worker_target
         assert not _child_pids() & forked
     print(
@@ -376,7 +376,7 @@ def test_auto_planner_is_never_slower_than_default():
         )
         batched = _server(workload, "batched").execute_join(encrypted_query)
         auto = _server(workload, "auto").execute_join(encrypted_query)
-        assert auto.index_pairs == batched.index_pairs
+        assert auto.tuples == batched.tuples
         # Every side decided inline: a pooled one would add
         # "+parallel", and the naive ablation baseline is never chosen.
         assert auto.stats.engine_selected == "batched"

@@ -150,7 +150,7 @@ def test_concurrent_admission_throughput():
     for slot, result in enumerate(results):
         assert result is not None
         if slot == 0:
-            assert result.index_pairs == reference.index_pairs
+            assert result.tuples == reference.tuples
         assert result.stats.matches == reference.stats.matches
     service = pooled.execution_service
     # One pool incarnation served every concurrent query: no per-query

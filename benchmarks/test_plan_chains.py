@@ -132,7 +132,7 @@ def _three_way_contrast(sizes) -> dict:
             start = time.perf_counter()
             j12 = baseline_server.execute_join(q12)
             j23 = baseline_server.execute_join(q23)
-            composed = _compose_pairs(j12.index_pairs, j23.index_pairs)
+            composed = _compose_pairs(j12.tuples, j23.tuples)
             baseline_seconds = time.perf_counter() - start
             baseline_ops = ops.since(snapshot)
             baseline_decryptions = (

@@ -124,9 +124,8 @@ def _scaling_series(rows: int, backend=None) -> dict:
     points = []
     for n_shards in _SHARD_SERIES:
         result, seconds = _sharded_run(client, resolved, tables, n_shards)
-        assert result.index_pairs == reference.index_pairs
-        assert result.left_payloads == reference.left_payloads
-        assert result.right_payloads == reference.right_payloads
+        assert result.tuples == reference.tuples
+        assert result.payloads == reference.payloads
         assert result.stats.shards == n_shards
         per_table = [
             [len(piece) for piece in
@@ -158,7 +157,7 @@ def _scaling_series(rows: int, backend=None) -> dict:
         "backend": resolved.name,
         "rows_per_side": rows,
         "distinct_keys": _DISTINCT_KEYS,
-        "matches": len(reference.index_pairs),
+        "matches": len(reference.tuples),
         "workers_per_shard": _WORKERS,
         "single_store_seconds": single_seconds,
         "series": points,
@@ -187,9 +186,8 @@ def test_sharded_byte_identity_bn254():
     backend = client.scheme.backend
     reference, _ = _single_store_run(client, tables)
     result, _ = _sharded_run(client, backend, tables, 2)
-    assert result.index_pairs == reference.index_pairs
-    assert result.left_payloads == reference.left_payloads
-    assert result.right_payloads == reference.right_payloads
+    assert result.tuples == reference.tuples
+    assert result.payloads == reference.payloads
 
 
 def collect_trajectory() -> dict:

@@ -77,7 +77,7 @@ def main() -> None:
     encrypted = [client.create_query(query) for query in queries]
     for i, (query, sent) in enumerate(zip(queries, encrypted), start=1):
         result = server.execute_join(sent)
-        decrypted = client.decrypt_result(result)
+        decrypted = client.decrypt_chain_result(result)
         print(f"t{i}: {query}")
         print(f"    {len(decrypted.table)} joined rows, "
               f"{result.stats.decryptions} decryptions\n")

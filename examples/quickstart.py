@@ -63,7 +63,7 @@ def main() -> None:
     result = server.execute_join(encrypted_query)
     print(f"Server stats: {result.stats}\n")
 
-    decrypted = client.decrypt_result(result)
+    decrypted = client.decrypt_chain_result(result)
     print("Decrypted join result (the paper's Table 3):")
     print(decrypted.table.pretty())
 

@@ -63,7 +63,7 @@ def main() -> None:
     print("Parsed:", query, "\n")
 
     result = server.execute_join(client.create_query(query))
-    decrypted = client.decrypt_result(result)
+    decrypted = client.decrypt_chain_result(result)
     print("Result:")
     print(decrypted.table.pretty())
 

@@ -61,7 +61,7 @@ def main() -> None:
     # Hop 1: Regions x Suppliers on rid.
     hop1 = JoinQuery.build("Regions", "Suppliers", on=("rid", "rid"),
                            where_left={"rname": ["north"]})
-    first = client.decrypt_result(
+    first = client.decrypt_chain_result(
         server.execute_join(client.create_query(hop1))
     )
     print("Hop 1 (Regions JOIN Suppliers WHERE rname = 'north'):")
@@ -70,7 +70,7 @@ def main() -> None:
     # Hop 2: Suppliers x Shipments on sid, restricted to urgent shipments.
     hop2 = JoinQuery.build("SuppliersBySid", "Shipments", on=("sid", "sid"),
                            where_right={"urgent": ["yes"]})
-    second = client.decrypt_result(
+    second = client.decrypt_chain_result(
         server.execute_join(client.create_query(hop2))
     )
     print("Hop 2 (Suppliers JOIN Shipments WHERE urgent = 'yes'):")

@@ -15,7 +15,9 @@ Quickstart::
     query = JoinQuery.build("Teams", "Employees", on=("key", "team"),
                             where_left={"name": ["Web Application"]},
                             where_right={"role": ["Tester"]})
-    result = client.decrypt_result(server.execute_join(client.create_query(query)))
+    result = client.decrypt_chain_result(
+        server.execute_join(client.create_query(query))
+    )
 
 README.md describes the system, section by section; its "Two backends"
 section holds the paper-versus-measured bridge.
@@ -23,7 +25,6 @@ section holds the paper-versus-measured bridge.
 
 from repro.core.client import (
     DecryptedChainResult,
-    DecryptedJoinResult,
     EncryptedChainQuery,
     EncryptedJoinQuery,
     EncryptedTable,
@@ -39,7 +40,6 @@ from repro.core.scheme import (
 from repro.core.server import (
     ChainMatchBatch,
     EncryptedChainResult,
-    EncryptedJoinResult,
     SecureJoinServer,
     ServerStats,
 )
@@ -60,11 +60,9 @@ __all__ = [
     "Column",
     "Database",
     "DecryptedChainResult",
-    "DecryptedJoinResult",
     "EncryptedChainQuery",
     "EncryptedChainResult",
     "EncryptedJoinQuery",
-    "EncryptedJoinResult",
     "EncryptedTable",
     "JoinPlan",
     "JoinQuery",

@@ -46,10 +46,10 @@ class SecureJoinAdapter(JoinScheme):
     def run_query(self, query: JoinQuery) -> SchemeAnswer:
         encrypted_query = self._client.create_query(query)
         result = self._server.execute_join(encrypted_query)
-        decrypted = self._client.decrypt_result(result)
+        decrypted = self._client.decrypt_chain_result(result)
         return SchemeAnswer(
             rows=decrypted.table.rows(),
-            index_pairs=list(result.index_pairs),
+            index_pairs=decrypted.index_tuples,
         )
 
     def revealed_pairs(self) -> set[Pair]:

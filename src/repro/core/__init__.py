@@ -10,7 +10,7 @@
   the scheme (upload phase, query phase, hash-join matching).
 """
 
-from repro.core.client import DecryptedJoinResult, SecureJoinClient
+from repro.core.client import DecryptedChainResult, SecureJoinClient
 from repro.core.engine import (
     BatchedEngine,
     ExecutionEngine,
@@ -27,21 +27,21 @@ from repro.core.scheme import (
     SJToken,
 )
 from repro.core.server import (
-    EncryptedJoinResult,
-    MatchBatch,
+    ChainMatchBatch,
+    EncryptedChainResult,
     SecureJoinServer,
     ServerStats,
 )
 
 __all__ = [
     "BatchedEngine",
-    "DecryptedJoinResult",
-    "EncryptedJoinResult",
+    "ChainMatchBatch",
+    "DecryptedChainResult",
+    "EncryptedChainResult",
     "ExecutionEngine",
     "ExecutionService",
     "HandleChunk",
     "HandleStream",
-    "MatchBatch",
     "SecureJoinClient",
     "SecureJoinParams",
     "SecureJoinScheme",

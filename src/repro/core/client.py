@@ -99,9 +99,10 @@ def position_view(name: str, position: int) -> property:
 
 
 class EncryptedJoinQuery(EncryptedChainQuery):
-    """The two-way join: the two-table chain, answered in right-major
-    pair order.  No fields of its own — only the pair names of the two
-    positions."""
+    """A two-way join's query as :meth:`SecureJoinClient.create_query`
+    returns it: the two-table chain query, with the pair names of its
+    two positions.  No fields of its own, and no other answer: the
+    server answers it like any chain query."""
 
     left_table = position_view("tables", 0)
     right_table = position_view("tables", 1)
@@ -109,14 +110,6 @@ class EncryptedJoinQuery(EncryptedChainQuery):
     right_token = position_view("tokens", 1)
     left_prefilter = position_view("prefilters", 0)
     right_prefilter = position_view("prefilters", 1)
-
-
-@dataclass
-class DecryptedJoinResult:
-    """The client-side plaintext view of a join result."""
-
-    table: Table
-    index_pairs: list[tuple[int, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -493,55 +486,18 @@ class SecureJoinClient:
         priority: int = 0,
         deadline: float | None = None,
     ) -> EncryptedJoinQuery:
-        """SJ.TokenGen for both tables under one fresh query key.
-
-        ``priority`` (higher runs sooner under contention) and
-        ``deadline`` (a relative time budget in seconds; the server
-        cancels the query when it is exhausted) are the query's
-        scheduling QoS — validated here so malformed values fail on the
-        client side instead of as a server-side decode error.
-        """
-        self._validate_qos(priority, deadline)
-        left = self._table(query.left_table)
-        right = self._table(query.right_table)
-        if query.left_join_column != left.join_column:
-            raise QueryError(
-                f"table {left.name!r} was encrypted with join column "
-                f"{left.join_column!r}, not {query.left_join_column!r}"
-            )
-        if query.right_join_column != right.join_column:
-            raise QueryError(
-                f"table {right.name!r} was encrypted with join column "
-                f"{right.join_column!r}, not {query.right_join_column!r}"
-            )
-        if query.max_in_size() > self.params.in_clause_limit:
-            raise QueryError(
-                f"IN clause of size {query.max_in_size()} exceeds the "
-                f"scheme bound t={self.params.in_clause_limit}"
-            )
-        query_key = self.scheme.new_query_key()
-        left_token = self.scheme.token(
-            self.msk,
-            self._selection_by_position(left, query.left_selection),
-            query_key,
-        )
-        right_token = self.scheme.token(
-            self.msk,
-            self._selection_by_position(right, query.right_selection),
-            query_key,
-        )
-        self._query_counter += 1
-        return EncryptedJoinQuery(
-            query_id=self._query_counter,
-            tables=(left.name, right.name),
-            tokens=(left_token, right_token),
-            prefilters=(
-                self._prefilter_tokens(left, query.left_selection),
-                self._prefilter_tokens(right, query.right_selection),
+        """SJ.TokenGen for a two-way join: :meth:`create_chain_query`
+        over its two positions, with their pair names."""
+        chain = self.create_chain_query(
+            ChainQuery(
+                tables=(query.left_table, query.right_table),
+                join_columns=(query.left_join_column, query.right_join_column),
+                selections=(query.left_selection, query.right_selection),
             ),
-            priority=priority,
-            deadline=float(deadline) if deadline is not None else None,
+            priority,
+            deadline,
         )
+        return EncryptedJoinQuery(**vars(chain))
 
     def create_chain_query(
         self,
@@ -556,7 +512,19 @@ class SecureJoinClient:
         handle pool build on.  Within one chain, repeated
         ``(table, selection)`` positions reuse the *same* token object
         (token generation is randomized, so regenerating would defeat
-        the server's byte-level side dedup without changing semantics).
+        the server's byte-level side dedup without changing semantics)
+        — except where every position is one ``(table, selection)``
+        with a non-empty selection.  Under one token a row the
+        selection rejects decrypts to a handle only that row has, at
+        every position reading it: where no other side's handle can
+        rule it out, it would join itself.  There each position gets a
+        token of its own.
+
+        ``priority`` (higher runs sooner under contention) and
+        ``deadline`` (a relative time budget in seconds; the server
+        cancels the query when it is exhausted) are the query's
+        scheduling QoS — validated here so malformed values fail on the
+        client side instead of as a server-side decode error.
         """
         self._validate_qos(priority, deadline)
         if query.max_in_size() > self.params.in_clause_limit:
@@ -573,13 +541,19 @@ class SecureJoinClient:
                     f"column {encrypted.join_column!r}, not {join_column!r}"
                 )
             encrypted_tables.append(encrypted)
+        keys = [
+            (encrypted.name, selection.in_clauses)
+            for encrypted, selection in zip(encrypted_tables, query.selections)
+        ]
+        shared = len(set(keys)) > 1 or not keys[0][1]
         query_key = self.scheme.new_query_key()
         token_cache: dict[tuple, SJToken] = {}
         tokens: list[SJToken] = []
         prefilters: list[dict[str, frozenset[bytes]] | None] = []
-        for encrypted, selection in zip(encrypted_tables, query.selections):
-            cache_key = (encrypted.name, selection.in_clauses)
-            token = token_cache.get(cache_key)
+        for cache_key, encrypted, selection in zip(
+            keys, encrypted_tables, query.selections
+        ):
+            token = token_cache.get(cache_key) if shared else None
             if token is None:
                 token = self.scheme.token(
                     self.msk,
@@ -603,20 +577,9 @@ class SecureJoinClient:
     def decrypt_match_batch(
         self, left_table: str, right_table: str, batch
     ) -> list[tuple]:
-        """Decrypt one streamed :class:`~repro.core.server.MatchBatch`:
+        """Decrypt one streamed match batch of a two-way join:
         :meth:`decrypt_chain_batch` over the two tables."""
         return self.decrypt_chain_batch((left_table, right_table), batch)
-
-    def stream_decrypt(self, left_table: str, right_table: str, batches):
-        """Decrypt streamed match batches lazily, yielding
-        ``(index_pairs, rows)`` per batch: :meth:`stream_decrypt_chain`
-        over the two tables."""
-        return self.stream_decrypt_chain((left_table, right_table), batches)
-
-    def decrypt_result(self, result) -> DecryptedJoinResult:
-        """Decrypt an :class:`~repro.core.server.EncryptedJoinResult`."""
-        chain = self.decrypt_chain_result(result)
-        return DecryptedJoinResult(chain.table, chain.index_tuples)
 
     def decrypt_chain_batch(
         self, tables: "tuple[str, ...] | list[str]", batch

@@ -31,9 +31,9 @@ point (``stream_join`` / ``execute_join`` / ``stream_chain`` /
 5. fold the sources' reports into one :class:`ServerStats`, then admit
    the entry to the cache or re-account it.
 
-A two-way join is the two-table chain run in the identity order; its
-public shape (:class:`MatchBatch`, right-major
-:class:`EncryptedJoinResult`) is produced at the API edge.
+A two-way join is the two-table chain, run in the identity order and
+answered like any chain: :class:`ChainMatchBatch` increments and the
+lexicographic :class:`EncryptedChainResult`.
 
 The host drives stores (:class:`~repro.core.storage.LocalShard`, or a
 remote shard's proxy), every row they name a global row:
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from repro.core.client import EncryptedTable, position_view
+from repro.core.client import EncryptedTable
 from repro.core.engine import EngineReport, ExecutionEngine
 from repro.core.pipeline import merge_sources
 from repro.core.scheme import SecureJoinParams
@@ -162,11 +162,12 @@ class ServerStats:
     series_cache_hits: int = 0
     delta_rows: int = 0
     reused_handles: int = 0
-    #: Multi-way plan fields (0 for a two-way join): ``plan_nodes`` is
-    #: the number of left-deep nodes the planner laid out (chain arity
-    #: minus one) and ``handle_pool_hits`` how many chain positions
-    #: were served from another position's decrypt stream instead of
-    #: opening their own (same table under byte-identical tokens).
+    #: Plan fields: ``plan_nodes`` is the number of left-deep nodes the
+    #: query's executor runs — the arity minus one on every query (1
+    #: for a two-way join) — and ``handle_pool_hits`` how many chain
+    #: positions were served from another position's decrypt stream
+    #: instead of opening their own (same table under byte-identical
+    #: tokens, as in a self-join without selections).
     plan_nodes: int = 0
     handle_pool_hits: int = 0
 
@@ -202,8 +203,7 @@ class ServerStats:
 class ChainMatchBatch:
     """One increment of a streamed join.
 
-    Yielded by :meth:`SecureJoinServer.stream_chain` (and, as its
-    two-table case :class:`MatchBatch`, by ``stream_join``):
+    Yielded by :meth:`SecureJoinServer.stream_chain` / ``stream_join``:
     ``tuples`` are completed chain tuples (one row index per chain
     position, positions in chain order) in discovery order (NOT the
     canonical order of the final result); ``payloads`` carries each
@@ -224,57 +224,6 @@ class EncryptedChainResult:
     tuples: list[tuple[int, ...]]
     payloads: list[tuple[bytes, ...]]
     stats: ServerStats
-
-
-class _PairViews:
-    """The pair names of a two-table batch or result.  Each payload
-    view builds its list once per access — read it once per batch."""
-
-    @property
-    def index_pairs(self) -> list[tuple[int, int]]:
-        return self.tuples
-
-    @property
-    def left_payloads(self) -> list[bytes]:
-        return [left for left, _ in self.payloads]
-
-    @property
-    def right_payloads(self) -> list[bytes]:
-        return [right for _, right in self.payloads]
-
-
-class MatchBatch(_PairViews, ChainMatchBatch):
-    """One increment of a streamed two-way join: the two-table
-    :class:`ChainMatchBatch`."""
-
-
-class EncryptedJoinResult(_PairViews, EncryptedChainResult):
-    """A two-way join's result: the two-table
-    :class:`EncryptedChainResult`, pairs in right-major order."""
-
-    left_table = position_view("tables", 0)
-    right_table = position_view("tables", 1)
-
-
-class _PairShape:
-    """The two-way join's public shape: :class:`MatchBatch` increments
-    and the right-major :class:`EncryptedJoinResult`."""
-
-    batch, result = MatchBatch, EncryptedJoinResult
-
-    @staticmethod
-    def canonical(executor) -> list[tuple[int, int]]:
-        # The single node's matcher keeps its own pairs right-major
-        # (sorted in place, and only when a pair arrived since).
-        return executor.matchers[0].finish()
-
-
-class _ChainShape:
-    """The multi-way chain's public shape: :class:`ChainMatchBatch`
-    increments and the lexicographic :class:`EncryptedChainResult`."""
-
-    batch, result = ChainMatchBatch, EncryptedChainResult
-    canonical = staticmethod(ChainExecutor.finish)
 
 
 def gather_payloads(tuples, payloads) -> list[tuple[bytes, ...]]:
@@ -418,34 +367,18 @@ class ShardCoordinator:
         self.close()
 
     # -- public entry points ----------------------------------------------
-    def stream_join(self, query):
-        """Run the join as a streaming pipeline; a generator.
-
-        Yields :class:`MatchBatch` increments (pairs in discovery
-        order, with payloads) as soon as decrypted chunks complete the
-        pairings, and returns the final :class:`EncryptedJoinResult` —
-        canonical right-major order, byte-identical to the materialized
-        pass and, on a fleet, to the single-store join over the
-        unpartitioned tables — as the generator's value
-        (``StopIteration.value``).  Closing the generator early releases
-        every pool admission and still links, in the ledger, the rows
-        whose computed handles coincide.
-        """
-        return (yield from self._drive(query, _PairShape, True))
-
-    def execute_join(self, query) -> EncryptedJoinResult:
-        """:meth:`stream_join` run to completion: only the final,
-        canonically ordered result is built (no per-batch payloads)."""
-        return _drain(self._drive(query, _PairShape, False))
-
     def stream_chain(self, query):
-        """Run a multi-way chain join as a streaming pipeline; a generator.
+        """Run a join as a streaming pipeline; a generator.
 
         Yields :class:`ChainMatchBatch` increments (completed chain
         tuples in discovery order, with payloads) as the left-deep
         pipeline completes them, and returns the final
         :class:`EncryptedChainResult` — canonical lexicographic tuple
-        order — as the generator's value (``StopIteration.value``).
+        order, byte-identical to the materialized pass and, on a fleet,
+        to the single-store join over the unpartitioned tables — as the
+        generator's value (``StopIteration.value``).  Closing the
+        generator early releases every pool admission and still links,
+        in the ledger, the rows whose computed handles coincide.
 
         The join order is chosen per query from the positions'
         candidate counts (:func:`~repro.plan.compile_plan`: fewest
@@ -454,17 +387,22 @@ class ShardCoordinator:
         side is decrypted once however many positions consume it
         (``stats.handle_pool_hits``).
         """
-        return (yield from self._drive(query, _ChainShape, True))
+        return (yield from self._drive(query, True))
 
     def execute_chain(self, query) -> EncryptedChainResult:
-        """:meth:`stream_chain` run to completion."""
-        return _drain(self._drive(query, _ChainShape, False))
+        """:meth:`stream_chain` run to completion: only the final,
+        canonically ordered result is built (no per-batch payloads)."""
+        return _drain(self._drive(query, False))
+
+    #: A two-way join is the two-table chain.
+    stream_join = stream_chain
+    execute_join = execute_chain
 
     # -- the drive ---------------------------------------------------------
-    def _drive(self, query, shape, streaming):
+    def _drive(self, query, streaming):
         """Steps 1–2: find the query's entry (or start an empty one),
         then refresh it under its lock.  Yields batches when
-        ``streaming``; returns the result ``shape`` builds."""
+        ``streaming``; returns the result."""
         tables = query.tables
         n = len(tables)
         if not 2 <= n <= MAX_CHAIN_TABLES:
@@ -506,14 +444,14 @@ class ShardCoordinator:
         try:
             return (
                 yield from self._refresh(
-                    query, entry, hit, versions, shape, streaming
+                    query, entry, hit, versions, streaming
                 )
             )
         finally:
             if hit:
                 entry.lock.release()
 
-    def _refresh(self, query, entry, hit, versions, shape, streaming):
+    def _refresh(self, query, entry, hit, versions, streaming):
         """Steps 2–5 over one entry (``hit``: it came from the cache)."""
         stats = ServerStats()
         tables = entry.tables
@@ -587,14 +525,14 @@ class ShardCoordinator:
         def batches(tuples: list, gathered: list):
             for start in range(0, len(tuples), _BATCH_SLICE):
                 stop = start + _BATCH_SLICE
-                yield shape.batch(tuples[start:stop], gathered[start:stop])
+                yield ChainMatchBatch(tuples[start:stop], gathered[start:stop])
 
         sources: list = []
         started = time.perf_counter()
         try:
             # Retained tuples stream first, so the union of the yielded
             # batches still equals the final result.
-            tuples = shape.canonical(executor) if hit else []
+            tuples = executor.finish() if hit else []
             if tuples:
                 emitted()
             if streaming or not stale:
@@ -632,7 +570,7 @@ class ShardCoordinator:
                     if streaming:
                         yield from batches(new, gather_payloads(new, payloads))
                 finish_at = time.perf_counter()
-                tuples = shape.canonical(executor)
+                tuples = executor.finish()
                 stats.match_seconds += time.perf_counter() - finish_at
                 gathered = gather_payloads(tuples, payloads)
         finally:
@@ -678,9 +616,8 @@ class ShardCoordinator:
             else:
                 entry.replays += 1
                 cache.stats.replays += 1
-        if shape is _ChainShape:
-            stats.plan_nodes = len(tables) - 1
-        return shape.result(tuple(tables), tuples, gathered, stats)
+        stats.plan_nodes = len(tables) - 1
+        return EncryptedChainResult(tuple(tables), tuples, gathered, stats)
 
     def _plan(self, entry, sources, stats):
         """Give an empty entry its executor.  A chain's join order is

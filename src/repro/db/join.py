@@ -34,26 +34,12 @@ class JoinStats:
 
 @dataclass
 class JoinResult:
-    """A joined table plus the matched row-index pairs and statistics."""
+    """A joined table plus the matched row-index pairs (sorted
+    lexicographically, as :func:`chain_join`'s tuples) and statistics."""
 
     table: Table
     index_pairs: list[tuple[int, int]] = field(default_factory=list)
     stats: JoinStats = field(default_factory=JoinStats)
-
-
-def joined_prefixes(
-    left_name: str,
-    right_name: str,
-    left_columns: set[str],
-    right_columns: set[str],
-) -> tuple[str, str]:
-    """Column prefixes for a join result: empty when nothing collides,
-    table names on collisions, numbered table names for self-joins."""
-    if not (left_columns & right_columns):
-        return "", ""
-    if left_name == right_name:
-        return f"{left_name}.1.", f"{right_name}.2."
-    return f"{left_name}.", f"{right_name}."
 
 
 def chain_prefixes(
@@ -62,11 +48,11 @@ def chain_prefixes(
 ) -> tuple[str, ...]:
     """Column prefixes for an n-way chain result.
 
-    The n-way generalization of :func:`joined_prefixes` — and the rule
-    the encrypted client's chain decryption shares, so plaintext
-    reference and decrypted output carry byte-identical schemas: no
-    prefixes while every table's columns are pairwise disjoint, else
-    table-name prefixes, with occurrence numbers on repeated tables.
+    The rule every join result's schema follows, plaintext and
+    decrypted alike, so reference and decrypted output carry
+    byte-identical schemas: no prefixes while every table's columns are
+    pairwise disjoint, else table-name prefixes, with occurrence
+    numbers on repeated tables.
     """
     seen: set[str] = set()
     disjoint = True
@@ -99,17 +85,6 @@ def chain_schema(names, schemas) -> Schema:
         for column in schema.columns:
             columns.append(Column(prefix + column.name, column.type))
     return Schema(tuple(columns))
-
-
-def _joined_schema(left: Table, right: Table) -> Schema:
-    """Concatenated schema with table-name prefixes on collisions."""
-    prefix_left, prefix_right = joined_prefixes(
-        left.name, right.name,
-        set(left.schema.names()), set(right.schema.names()),
-    )
-    return left.schema.concat(
-        right.schema, prefix_self=prefix_left, prefix_other=prefix_right
-    )
 
 
 def hash_join(
@@ -148,7 +123,10 @@ def hash_join(
     )
     pairs = matcher.finish()
 
-    result = Table("join", _joined_schema(left, right))
+    result = Table(
+        "join",
+        chain_schema((left.name, right.name), (left.schema, right.schema)),
+    )
     for i, j in pairs:
         result.insert(left_rows[i] + right_rows[j])
     stats = JoinStats(
@@ -169,9 +147,9 @@ def nested_loop_join(
 ) -> JoinResult:
     """The ``O(|left| * |right|)`` nested-loop equi-join.
 
-    Produces exactly the same rows as :func:`hash_join` (up to order);
-    its instrumented comparison count is what the Section 6.5 comparison
-    against Hahn et al. relies on.
+    Produces exactly the same rows as :func:`hash_join`, in the same
+    order; its instrumented comparison count is what the Section 6.5
+    comparison against Hahn et al. relies on.
     """
     left_predicate = left_predicate or TruePredicate()
     right_predicate = right_predicate or TruePredicate()
@@ -193,7 +171,10 @@ def nested_loop_join(
     )
     pairs = matcher.finish()
 
-    result = Table("join", _joined_schema(left, right))
+    result = Table(
+        "join",
+        chain_schema((left.name, right.name), (left.schema, right.schema)),
+    )
     for i, j in pairs:
         result.insert(left_rows[i] + right_rows[j])
     stats = JoinStats(

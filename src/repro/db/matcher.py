@@ -16,10 +16,9 @@ matching kernels live here, incremental by construction:
   is compared against everything seen on the other side.
 
 Emission order depends on arrival order, but :meth:`finish` returns the
-complete pairing in the **canonical right-major order** — sorted by
-(right index, left index) — which is exactly what the materialized
-build-then-probe pass produced, so streamed and materialized runs are
-byte-identical at the end.
+complete pairing sorted by ``(left index, right index)`` — the
+lexicographic order of the two-table chain — so streamed and
+materialized runs are byte-identical at the end.
 
 Accounting matches the materialized pass too, by charging the canonical
 algorithm rather than the arrival schedule:
@@ -39,9 +38,7 @@ chunks, and deleted rows are withdrawn with :meth:`retract_left` /
 (so it can never pair with future arrivals) and drop its emitted pairs.
 ``finish()`` is idempotent and re-callable, so every resume yields the
 canonical pairing of the *current* row set — byte-identical to a
-from-scratch join over the live rows — and it sorts only when a pair was
-emitted since the last call: a replay of an unchanged entry copies the
-standing order.
+from-scratch join over the live rows.
 """
 
 from __future__ import annotations
@@ -66,7 +63,7 @@ class IncrementalMatcher:
     join is over (handle bytes on the encrypted path, cell values on
     the plaintext path).  ``add_left`` / ``add_right`` return the pairs
     *newly completed* by that delivery, in discovery order;
-    :meth:`finish` returns every pair in canonical right-major order.
+    :meth:`finish` returns every pair in lexicographic order.
     """
 
     name = "abstract"
@@ -74,9 +71,6 @@ class IncrementalMatcher:
     def __init__(self) -> None:
         self.stats = MatcherStats()
         self._pairs: list[tuple[int, int]] = []
-        #: ``len(_pairs)`` when :meth:`finish` last sorted it; pairs only
-        #: arrive by append, so an equal length means "still sorted".
-        self._sorted = 0
 
     # -- feeding ----------------------------------------------------------
     def add_left(
@@ -114,11 +108,6 @@ class IncrementalMatcher:
         dropped: list[tuple[int, int]] = []
         for pair in self._pairs:
             (dropped if pair[position] in removed else kept).append(pair)
-        # Dropping keeps a sorted list sorted (and an unsorted one must
-        # not pass for sorted once its length falls back).
-        self._sorted = (
-            len(kept) if self._sorted == len(self._pairs) else -1
-        )
         self._pairs = kept
         self.stats.matches -= len(dropped)
         return dropped
@@ -136,18 +125,9 @@ class IncrementalMatcher:
         return self._pairs
 
     def finish(self) -> list[tuple[int, int]]:
-        """All pairs, sorted into the canonical right-major order.
-
-        Idempotent and re-callable: a retained matcher is finished once
-        per replay, after any delta feeding/retraction in between, and
-        re-sorts only if a pair arrived since the last call.  The list
-        returned is the caller's own.
-        """
-        pairs = self._pairs
-        if self._sorted != len(pairs):
-            pairs.sort(key=lambda pair: (pair[1], pair[0]))
-            self._sorted = len(pairs)
-        return list(pairs)
+        """All pairs, sorted lexicographically: a new list, the caller's
+        own, on every call."""
+        return sorted(self._pairs)
 
 
 class HashMatcher(IncrementalMatcher):

@@ -7,11 +7,12 @@ wire format of :mod:`repro.store.wire` over TCP with length-prefixed
 messages:
 
 - :class:`~repro.net.server.JoinServiceServer` — a thread-per-connection
-  endpoint that decodes queries (two-way joins and longer chains are
-  one message), runs
-  :meth:`~repro.core.server.SecureJoinServer.stream_join` /
-  ``stream_chain``, and emits the chunked result stream (stream-header / match-batch / final frames) so
-  remote clients receive matches while SJ.Dec is still running;
+  endpoint that decodes queries (a two-way join is the two-table
+  chain: one message, one answer order), runs
+  :meth:`~repro.core.server.SecureJoinServer.stream_chain`, and emits
+  the chunked result stream (stream-header / match-batch / final
+  frames) so remote clients receive matches while SJ.Dec is still
+  running;
 - :class:`~repro.net.client.RemoteJoinClient` — consumes the frame
   stream with bounded buffering (client-side backpressure) and
   reassembles the canonical result;

@@ -4,12 +4,12 @@
 :class:`~repro.net.server.JoinServiceServer`.  A query — two-way join
 or longer chain, one message either way — is encoded with
 :mod:`repro.store.wire`; the response is consumed as a *stream*:
-:meth:`RemoteJoinClient.stream_join` / ``stream_chain`` yield each match
-batch as its frame arrives — matched rows reach the caller while the
-server's SJ.Dec is still running — and return the reassembled canonical
-result as the generator's value, exactly like the in-process
-:meth:`~repro.core.server.SecureJoinServer.stream_join` /
-``stream_chain``.
+:meth:`RemoteJoinClient.stream_chain` (``stream_join`` is the same
+call) yields each match batch as its frame arrives — matched rows
+reach the caller while the server's SJ.Dec is still running — and
+returns the reassembled canonical result as the generator's value,
+exactly like the in-process
+:meth:`~repro.core.server.SecureJoinServer.stream_chain`.
 
 Backpressure: a reader thread pulls frames off the socket into a
 *bounded* buffer (``max_buffered_batches``).  When the consumer falls
@@ -25,12 +25,8 @@ import queue
 import socket
 import threading
 
-from repro.core.client import EncryptedChainQuery, EncryptedJoinQuery
-from repro.core.server import (
-    EncryptedChainResult,
-    EncryptedJoinResult,
-    MatchBatch,
-)
+from repro.core.client import EncryptedChainQuery
+from repro.core.server import EncryptedChainResult
 from repro.crypto.backend import BilinearBackend
 from repro.errors import NetworkError, QueryError, ReproError
 from repro.net.protocol import MAX_MESSAGE_SIZE, recv_message, send_message
@@ -115,11 +111,12 @@ class RemoteJoinClient:
         self.close()
 
     # -- queries ----------------------------------------------------------
-    def stream_join(self, query: EncryptedJoinQuery):
+    def stream_chain(self, query: EncryptedChainQuery):
         """Run a join remotely; a generator of streamed match batches.
 
-        Yields each :class:`MatchBatch` as its frame arrives and returns
-        the reassembled canonical :class:`EncryptedJoinResult` as the
+        Yields each :class:`~repro.core.server.ChainMatchBatch` as its
+        frame arrives and returns the reassembled canonical
+        :class:`~repro.core.server.EncryptedChainResult` as the
         generator's value (``StopIteration.value``).  Server-side
         failures re-raise locally as the matching
         :class:`~repro.errors.ReproError` subclass (e.g. a
@@ -129,22 +126,6 @@ class RemoteJoinClient:
         socket carries undelivered frames that can no longer be
         resynchronized) — use one client per abandoned stream, or drain.
         """
-        return self._stream_query(query)
-
-    def stream_chain(self, query: EncryptedChainQuery):
-        """Run a multi-way chain join remotely; a generator.
-
-        The same drive as :meth:`stream_join` — on the wire the query's
-        type, not the method, picks the shape of the answer: each
-        :class:`~repro.core.server.ChainMatchBatch` as its frame
-        arrives, then the reassembled canonical
-        :class:`~repro.core.server.EncryptedChainResult` as the
-        generator's value.
-        """
-        return self._stream_query(query)
-
-    def _stream_query(self, query):
-        """The one frame-stream drive, at the query's arity."""
         request = encode_join_query(query, self.backend)
         reassembler = StreamReassembler(query)
         with self._lock:
@@ -244,24 +225,15 @@ class RemoteJoinClient:
                 # query's pool admissions.
                 self.close()
 
-    def execute_join(self, query: EncryptedJoinQuery) -> EncryptedJoinResult:
-        """Run a join remotely, fully materialized.
-
-        Drains :meth:`stream_join` and returns the canonical result —
-        the remote mirror of the in-process
-        :meth:`~repro.core.server.SecureJoinServer.execute_join`.
-        """
-        stream = self.stream_join(query)
-        while True:
-            try:
-                next(stream)
-            except StopIteration as stop:
-                return stop.value
-
     def execute_chain(
         self, query: EncryptedChainQuery
     ) -> EncryptedChainResult:
-        """Run a multi-way chain join remotely, fully materialized."""
+        """Run a join remotely, fully materialized.
+
+        Drains :meth:`stream_chain` and returns the canonical result —
+        the remote mirror of the in-process
+        :meth:`~repro.core.server.SecureJoinServer.execute_chain`.
+        """
         stream = self.stream_chain(query)
         while True:
             try:
@@ -269,9 +241,12 @@ class RemoteJoinClient:
             except StopIteration as stop:
                 return stop.value
 
+    #: A two-way join is the two-table chain.
+    stream_join = stream_chain
+    execute_join = execute_chain
+
 
 __all__ = [
     "DEFAULT_BUFFERED_BATCHES",
-    "MatchBatch",
     "RemoteJoinClient",
 ]

@@ -15,7 +15,7 @@ message and one handler — it emits:
    the query failed (bad payload, unknown table, deadline exceeded...).
 
 Exposure policy: the socket can reach exactly ``decode_join_query`` →
-``stream_join`` / ``stream_chain`` (picked by the query's type), on the
+``stream_chain`` (a two-way join is the two-table chain), on the
 engine the operator built the server with.  Priority/deadline QoS from
 the query header feed the admission scheduler; pool controls, the
 choice of engine, the leakage ledger and store mutation are not
@@ -33,7 +33,6 @@ import socket
 import threading
 import time
 
-from repro.core.client import EncryptedJoinQuery
 from repro.core.server import SecureJoinServer
 from repro.errors import NetworkError, ReproError
 from repro.net.protocol import MAX_MESSAGE_SIZE, recv_message, send_message
@@ -217,12 +216,8 @@ class JoinServiceServer:
 
     def _answer(self, query):
         """The encoded frames answering ``query``, lazily: stream
-        header, one match batch per pipeline increment, final frame.
-        The query's type picks the order (and shape) it is answered in."""
-        if isinstance(query, EncryptedJoinQuery):
-            stream = self.join_server.stream_join(query)
-        else:
-            stream = self.join_server.stream_chain(query)
+        header, one match batch per pipeline increment, final frame."""
+        stream = self.join_server.stream_chain(query)
         # The stream's state: per chain position, the rows whose payload
         # an earlier frame carried — each travels once per answer.
         sent = [set() for _ in query.tables]

@@ -5,10 +5,7 @@ What crosses the client/server boundary at query time:
 - the **query** (client -> server): a table name, an SJ token and an
   optional pre-filter tag set *per chain position*, plus the query's
   scheduling QoS (``priority`` and a relative ``deadline``).  A two-way
-  join is the two-position case; its ``pair`` header flag is the only
-  thing that asks for the answer in the right-major pair order of
-  ``stream_join`` instead of the lexicographic order of
-  ``stream_chain``;
+  join is the two-position case, answered like any chain;
 - the **result stream frames** (server -> client): a stream-header
   frame, repeated match-batch frames carrying index tuples in discovery
   order, and a final frame carrying the canonical tuple order plus
@@ -47,14 +44,12 @@ import dataclasses
 import math
 from itertools import accumulate, chain
 
-from repro.core.client import EncryptedChainQuery, EncryptedJoinQuery
+from repro.core.client import EncryptedChainQuery
 from repro.core.engine import EngineReport
 from repro.core.scheme import SJToken
 from repro.core.server import (
     ChainMatchBatch,
     EncryptedChainResult,
-    EncryptedJoinResult,
-    MatchBatch,
     ServerStats,
     gather_payloads,
 )
@@ -74,7 +69,7 @@ _QUERY_MAGIC = b"RPROJQRY"
 _FRAME_MAGIC = b"RPROJFRM"
 #: The one wire version, stamped on every message of every kind; a
 #: peer speaking any other is rejected by :func:`read_header`.
-_VERSION = 10
+_VERSION = 11
 _TAG_SIZE = 32
 
 #: Priority magnitude cap: wire-supplied priorities are clamped into a
@@ -227,7 +222,6 @@ def encode_join_query(
     header = {
         "query_id": query.query_id,
         "tables": list(query.tables),
-        "pair": isinstance(query, EncryptedJoinQuery),
         "backend": backend.name,
         "g1_element_size": backend.g1_element_size,
         "prefilter_columns": prefilter_columns,
@@ -242,8 +236,7 @@ def encode_join_query(
 def decode_join_query(
     data: bytes, backend: BilinearBackend
 ) -> EncryptedChainQuery:
-    """Inverse of :func:`encode_join_query` (validating): an
-    :class:`EncryptedJoinQuery` when the ``pair`` flag is set."""
+    """Inverse of :func:`encode_join_query` (validating)."""
     reader = Reader(data)
     header = read_header(reader, _QUERY_MAGIC, _VERSION)
     header_backend = _as_str(_require(header, "backend"), "backend")
@@ -268,12 +261,6 @@ def decode_join_query(
             "parameterization)"
         )
     tables = _chain_tables(header)
-    pair = _require(header, "pair")
-    if not isinstance(pair, bool) or (pair and len(tables) != 2):
-        raise SchemeError(
-            "header field 'pair' must be a boolean, true only for a "
-            "two-table query"
-        )
     priority, deadline = _qos_fields(header)
     prefilter_columns = _as_list(
         _require(header, "prefilter_columns"), "prefilter_columns"
@@ -299,8 +286,7 @@ def decode_join_query(
             )
         })
     reader.expect_end()
-    query_type = EncryptedJoinQuery if pair else EncryptedChainQuery
-    return query_type(
+    return EncryptedChainQuery(
         query_id=_as_int(_require(header, "query_id"), "query_id"),
         tables=tables,
         tokens=tuple(tokens),
@@ -711,9 +697,7 @@ class StreamReassembler:
     dictates the canonical tuple order.  Feed each decoded batch frame
     to :meth:`add_batch` and close with :meth:`finish` — the result is
     byte-identical, up to run-dependent stats, to what the in-process
-    ``execute_join`` / ``execute_chain`` would have returned, and like
-    there the query's type picks the shape: :class:`MatchBatch` /
-    :class:`EncryptedJoinResult` for an :class:`EncryptedJoinQuery`.
+    ``execute_join`` / ``execute_chain`` would have returned.
     Every tuple naming a row gets the *same* ``bytes`` object for it.
     Every frame must answer *this* query: a frame or tuple of another
     arity, a row carried twice, a tuple naming a row no frame carried, a
@@ -724,11 +708,6 @@ class StreamReassembler:
 
     def __init__(self, query: EncryptedChainQuery):
         self._tables = tuple(query.tables)
-        pair = isinstance(query, EncryptedJoinQuery)
-        self._batch_type = MatchBatch if pair else ChainMatchBatch
-        self._result_type = (
-            EncryptedJoinResult if pair else EncryptedChainResult
-        )
         #: Per chain position, every row the stream carried so far.
         self._rows: list[dict[int, bytes]] = [{} for _ in self._tables]
         #: Every tuple delivered so far, with its resolved payloads.
@@ -736,7 +715,7 @@ class StreamReassembler:
 
     def add_batch(self, frame: MatchBatchFrame) -> ChainMatchBatch:
         """Check and retain one decoded batch frame; returns its batch,
-        payloads resolved, in the query's shape."""
+        payloads resolved."""
         arity = len(self._tables)
         tuples = frame.tuples
         if len(frame.rows) != arity or not set(map(len, tuples)) <= {arity}:
@@ -760,7 +739,7 @@ class StreamReassembler:
         delivered.update(zip(tuples, payloads))
         if len(delivered) != expected:
             raise SchemeError("stream delivered a tuple more than once")
-        return self._batch_type(tuples, payloads)
+        return ChainMatchBatch(tuples, payloads)
 
     def finish(self, final: FinalFrame) -> EncryptedChainResult:
         """The canonical result; consumes what the batches delivered."""
@@ -784,7 +763,7 @@ class StreamReassembler:
                 f"final frame names tuple {missing.args[0]} that no match "
                 "batch delivered, or names it twice"
             ) from None
-        return self._result_type(
+        return EncryptedChainResult(
             tables=self._tables,
             tuples=final.tuples,
             payloads=payloads,

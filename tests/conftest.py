@@ -173,7 +173,7 @@ def nested_rematch():
     """The Section 6.5 baseline on the very handles a server just matched
     by hash: ``rematch(server, query)`` feeds the two positions' held
     handles to a :class:`NestedMatcher` and returns it finished —
-    ``.finish()`` is its right-major pairing, ``.stats`` its quadratic
+    ``.finish()`` is its lexicographic pairing, ``.stats`` its quadratic
     comparison count."""
 
     def rematch(server, query) -> NestedMatcher:

@@ -89,13 +89,8 @@ def _nodes(host) -> set:
 
 
 def _identical(result, expected) -> bool:
-    fields = (
-        ("tuples", "payloads")
-        if hasattr(expected, "tuples")
-        else ("index_pairs", "left_payloads", "right_payloads")
-    )
-    return all(
-        getattr(result, name) == getattr(expected, name) for name in fields
+    return (result.tuples, result.payloads) == (
+        expected.tuples, expected.payloads
     )
 
 
@@ -132,7 +127,7 @@ def test_close_after_first_batch(sharded, arity, phase):
         stream = stream_of(query)
         first = next(stream)
         stream.close()
-        assert (first.index_pairs if arity == 2 else first.tuples)
+        assert first.tuples
         assert [pool.active_sides for pool in pools] == [0] * len(pools)
         # A cold run's first batch needed handles, and keys repeat, so
         # the partial feed linked rows; a hit's first batch is retained

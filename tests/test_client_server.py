@@ -56,7 +56,7 @@ def _setup(enable_prefilter=False, seed=1):
 def _roundtrip(client, server, db, query):
     encrypted = client.create_query(query)
     result = server.execute_join(encrypted)
-    decrypted = client.decrypt_result(result)
+    decrypted = client.decrypt_chain_result(result)
     truth = db.execute(query)
     assert sorted(decrypted.table.rows()) == sorted(truth.table.rows())
     return result, decrypted
@@ -103,11 +103,11 @@ class TestEndToEnd:
         query = JoinQuery.build("Teams", "Employees", on=("key", "team"))
         encrypted = client.create_query(query)
         hash_result = server.execute_join(encrypted)
-        decrypted = client.decrypt_result(hash_result)
+        decrypted = client.decrypt_chain_result(hash_result)
         truth = db.execute(query)
         assert sorted(decrypted.table.rows()) == sorted(truth.table.rows())
         nested_result = nested_rematch(server, encrypted)
-        assert hash_result.index_pairs == nested_result.finish()
+        assert hash_result.tuples == nested_result.finish()
         # Nested compares every candidate pair; the hash matcher does one
         # probe comparison per right row plus one per emitted pair.  On
         # this tiny workload (every probe matches) the counts tie; the
@@ -192,7 +192,7 @@ class TestFloatCells:
         result = server.execute_join(client.create_query(query))
         truth = hash_join(left, right, "k", "k").index_pairs
         assert truth == [(0, 0), (1, 1)]
-        assert sorted(result.index_pairs) == truth
+        assert result.tuples == truth
         _roundtrip(client, server, db, query)
 
     @pytest.mark.parametrize("enable_prefilter", [False, True])
@@ -240,7 +240,7 @@ class TestPrefilter:
         result_off = server_off.execute_join(client_off.create_query(query))
         assert result_on.stats.decryptions == 3   # 1 team + 2 testers
         assert result_off.stats.decryptions == 6  # everything
-        assert sorted(result_on.index_pairs) == sorted(result_off.index_pairs)
+        assert sorted(result_on.tuples) == sorted(result_off.tuples)
 
     def test_prefilter_same_answer(self):
         client, server, db = _setup(enable_prefilter=True)
@@ -351,7 +351,7 @@ class TestPayloads:
         left, right = result.payloads[0]
         result.payloads[0] = (b"\x00" * len(left), right)
         with pytest.raises(CryptoError):
-            client.decrypt_result(result)
+            client.decrypt_chain_result(result)
 
 
 @pytest.fixture
@@ -383,7 +383,7 @@ class TestResultMemo:
 
     def test_one_to_many_decrypts_each_distinct_payload_once(self, decrypt_spy):
         client, _, db, result = self._result()
-        decrypted = client.decrypt_result(result)
+        decrypted = client.decrypt_chain_result(result)
         distinct = {p for pair in result.payloads for p in pair}
         assert len(distinct) == 6
         assert sorted(decrypt_spy) == sorted(distinct)
@@ -393,11 +393,11 @@ class TestResultMemo:
 
     def test_second_decrypt_of_an_answer_runs_zero_decrypts(self, decrypt_spy):
         client, server, _, result = self._result()
-        first = client.decrypt_result(result)
+        first = client.decrypt_chain_result(result)
         del decrypt_spy[:]
-        again = client.decrypt_result(result)
+        again = client.decrypt_chain_result(result)
         # A re-submitted query returns the same stored payloads.
-        resubmitted = client.decrypt_result(
+        resubmitted = client.decrypt_chain_result(
             server.execute_join(client.create_query(self.QUERY))
         )
         assert decrypt_spy == []
@@ -406,13 +406,13 @@ class TestResultMemo:
 
     def test_tampered_payload_fails_beside_its_memoized_original(self):
         client, _, _, result = self._result()
-        client.decrypt_result(result)
+        client.decrypt_chain_result(result)
         entries = {name: dict(memo) for name, memo in client._memos.items()}
         left, right = result.payloads[0]
         tampered = bytes([left[0] ^ 0x01]) + left[1:]
         result.payloads[0] = (tampered, right)
         with pytest.raises(CryptoError):
-            client.decrypt_result(result)
+            client.decrypt_chain_result(result)
         # The failed decrypt admitted nothing; the original still sits.
         assert client._memos == entries
         assert left in client._memos["Teams"]
@@ -458,7 +458,7 @@ class TestResultMemo:
 
     def test_tables_holding_an_identical_blob_share_no_entry(self):
         client, _, _, result = self._result()
-        client.decrypt_result(result)
+        client.decrypt_chain_result(result)
         blob = result.payloads[0][0]
         assert blob in client._memos["Teams"]
         # The same bytes in the other table's position are decrypted

@@ -193,9 +193,8 @@ class TestOnePoolPerProcess:
         pool = shards[0].execution_service
         assert shards[1].execution_service is pool
         assert pool.worker_target == 2
-        assert result.index_pairs == expected.index_pairs
-        assert result.left_payloads == expected.left_payloads
-        assert result.right_payloads == expected.right_payloads
+        assert result.tuples == expected.tuples
+        assert result.payloads == expected.payloads
 
     def test_raw_and_prepared_stores_share_one_pool(
         self, monkeypatch, bn254_backend
@@ -231,4 +230,4 @@ class TestOnePoolPerProcess:
             held_handles(store, query) for store in (raw, prepared, inline)
         ]
         assert handles[0] == handles[1] == handles[2]
-        assert results[0].index_pairs == results[2].index_pairs
+        assert results[0].tuples == results[2].tuples

@@ -62,7 +62,7 @@ class _OnAFleet(_OnAStore):
 def _join_pairs(client, server, **where):
     query = JoinQuery.build("L", "R", on=("k", "k"), **where)
     return sorted(
-        server.execute_join(client.create_query(query)).index_pairs
+        server.execute_join(client.create_query(query)).tuples
     )
 
 
@@ -83,7 +83,7 @@ class TestInsert(_OnAStore):
         server.insert_row("R", ciphertext, payload, tags)
         query = JoinQuery.build("L", "R", on=("k", "k"))
         result = server.execute_join(client.create_query(query))
-        decrypted = client.decrypt_result(result)
+        decrypted = client.decrypt_chain_result(result)
         assert (3, "new", 3, "match") in decrypted.table.rows()
 
     def test_insert_with_prefilter_updates_index(self):
@@ -164,14 +164,14 @@ class TestDelete(_OnAStore):
         query agrees with a fresh one."""
         client, server = self._setup()
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
-        assert server.execute_join(query).index_pairs == [(0, 0), (1, 1)]
+        assert server.execute_join(query).tuples == [(0, 0), (1, 1)]
         with pytest.raises(QueryError):
             server.delete_rows("R", [0, 99])
         assert server.tombstoned_rows("R") == frozenset()
         assert server.table_version("R") == 0
         replay = server.execute_join(query)
         assert replay.stats.series_cache_hits == 1
-        assert replay.index_pairs == [(0, 0), (1, 1)]
+        assert replay.tuples == [(0, 0), (1, 1)]
         assert _join_pairs(client, server) == [(0, 0), (1, 1)]
 
     def test_delete_reduces_decryptions(self):

@@ -39,19 +39,32 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
     HAVE_HYPOTHESIS = False
 
-# Module-scoped ``(engine, server width)`` pairs, so the pooled
-# engine's persistent pool is spawned once and reused by every test (and
-# every Hypothesis example) — which is itself part of the contract under
-# test.  Each engine keeps the pool of the first server bound to it:
-# inline and undecided at width 1, decided by the backend at width 2
-# (the fast backend's pool never pays), and on the pool as
-# ``PoolEngine`` in chunks of up to 4.
-ENGINES = (
-    (SerialEngine(), 1),
-    (BatchedEngine(batch_size=3), 1),
-    (PoolEngine(batch_size=8), 2),
-    (BatchedEngine(batch_size=3), 2),
-)
+def _engines():
+    """Fresh ``(engine, server width)`` pairs: inline and undecided at
+    width 1, decided by the backend at width 2 (the fast backend's pool
+    never pays), and on the pool as ``PoolEngine`` in chunks of up to 4.
+
+    Fresh on every call: an engine keeps the pool of the first server
+    bound to it, and each test's pools are closed after it, so an engine
+    shared across tests would restart a closed pool outside the
+    process's registry, where nothing closes it.  Within one test every
+    pooled engine binds the same process pool, so its workers are
+    spawned once and reused by every Hypothesis example."""
+    return (
+        (SerialEngine(), 1),
+        (BatchedEngine(batch_size=3), 1),
+        (PoolEngine(batch_size=8), 2),
+        (BatchedEngine(batch_size=3), 2),
+    )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _no_orphaned_workers():
+    """No pool a test here forked outlives the module: there are no
+    more live children after it than before it."""
+    before = len(multiprocessing.active_children())
+    yield
+    assert len(multiprocessing.active_children()) <= before
 
 
 def _build(left_keys, right_keys, seed=7, num_attributes=1, in_clause_limit=2,
@@ -85,11 +98,11 @@ def _build(left_keys, right_keys, seed=7, num_attributes=1, in_clause_limit=2,
 
 
 def _expected_pairs(left_keys, right_keys):
-    """Right-major order, matching both matchers' output order."""
+    """Lexicographic order, the two-table chain's canonical order."""
     return [
         (i, j)
-        for j, rk in enumerate(right_keys)
         for i, lk in enumerate(left_keys)
+        for j, rk in enumerate(right_keys)
         if lk == rk
     ]
 
@@ -119,7 +132,7 @@ def _run_engines(client, server, query):
     """One fresh query per engine: ``(results, held handles)``."""
     runs = [
         _run(client, server, client.create_query(query), *engine)
-        for engine in ENGINES
+        for engine in _engines()
     ]
     return [result for result, _ in runs], [seen for _, seen in runs]
 
@@ -127,9 +140,8 @@ def _run_engines(client, server, query):
 def _assert_equivalent(results, handle_sets):
     base = results[0]
     for result in results[1:]:
-        assert result.index_pairs == base.index_pairs
-        assert result.left_payloads == base.left_payloads
-        assert result.right_payloads == base.right_payloads
+        assert result.tuples == base.tuples
+        assert result.payloads == base.payloads
         assert result.stats.matches == base.stats.matches
         assert result.stats.decryptions == base.stats.decryptions
     # Handles differ across queries (fresh query keys) but each engine
@@ -150,7 +162,7 @@ class TestEquivalence:
             query = JoinQuery.build("L", "R", on=("k", "k"))
             results, handle_sets = _run_engines(client, server, query)
             for result in results:
-                assert result.index_pairs == _expected_pairs(
+                assert result.tuples == _expected_pairs(
                     left_keys, right_keys
                 )
             _assert_equivalent(results, handle_sets)
@@ -161,7 +173,7 @@ class TestEquivalence:
         encrypted = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         handle_sets = [
             _run(client, server, encrypted, *engine)[1]
-            for engine in ENGINES
+            for engine in _engines()
         ]
         assert all(handles == handle_sets[0] for handles in handle_sets[1:])
 
@@ -178,8 +190,8 @@ class TestEquivalence:
         results, handle_sets = _run_engines(client, server, query)
         expected = _expected_pairs(left_keys, right_keys)
         for result in results:
-            assert result.index_pairs == expected
-            decrypted = client.decrypt_result(result)
+            assert result.tuples == expected
+            decrypted = client.decrypt_chain_result(result)
             assert len(decrypted.table) == len(expected)
         _assert_equivalent(results, handle_sets)
 
@@ -209,9 +221,9 @@ class TestEquivalence:
         shared = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         expected = _expected_pairs(left_keys, right_keys)
         handle_sets = []
-        for engine in ENGINES:
+        for engine in _engines():
             result, handles = _run(client, server, shared, *engine)
-            assert result.index_pairs == expected
+            assert result.tuples == expected
             handle_sets.append(handles)
         # One shared token: every engine must compute the same bytes.
         assert all(handles == handle_sets[0] for handles in handle_sets[1:])
@@ -234,9 +246,8 @@ class TestEquivalence:
                 results.append(server.execute_join(encrypted))
         assert results[0].stats.matches > 0
         for result in results[1:]:
-            assert result.index_pairs == results[0].index_pairs
-            assert result.left_payloads == results[0].left_payloads
-            assert result.right_payloads == results[0].right_payloads
+            assert result.tuples == results[0].tuples
+            assert result.payloads == results[0].payloads
 
 
 class TestChunking:
@@ -299,17 +310,17 @@ class TestChunking:
         assert chunk_spans(0, 4) == []
         client, server = _build([1, 2], [])
         query = JoinQuery.build("L", "R", on=("k", "k"))
-        for engine in ENGINES:
+        for engine in _engines():
             result, _ = _run(client, server, client.create_query(query), *engine)
-            assert result.index_pairs == []
+            assert result.tuples == []
             assert result.stats.candidates_right == 0
 
     def test_single_handle(self):
         client, server = _build([3], [3])
         query = JoinQuery.build("L", "R", on=("k", "k"))
-        for engine in ENGINES:
+        for engine in _engines():
             result, _ = _run(client, server, client.create_query(query), *engine)
-            assert result.index_pairs == [(0, 0)]
+            assert result.tuples == [(0, 0)]
 
     def test_batch_exceeds_side_size(self):
         client, server = _build(
@@ -352,7 +363,7 @@ class TestAccounting:
         serial, _ = _run(client, server, encrypted, SerialEngine())
         batched, _ = _run(client, server, encrypted, BatchedEngine())
 
-        assert serial.index_pairs == batched.index_pairs
+        assert serial.tuples == batched.tuples
         rows = serial.stats.decryptions
         assert rows == 64 + 8
         # Batched: exactly one shared final exponentiation per decrypted
@@ -487,7 +498,7 @@ class TestPlanner:
         )
         assert pooled.stats.engine_selected == "parallel"
         assert [r["stage"] for r in batched.stats.planner] == ["scatter"]
-        assert pooled.index_pairs == batched.index_pairs
+        assert pooled.tuples == batched.tuples
         assert pooled_handles == batched_handles
 
     def test_auto_as_server_default(self):
@@ -689,7 +700,7 @@ def _default_builds(tables):
                 shards[piece.shard.shard_index].store(piece)
         with ShardCoordinator(shards) as coordinator:
             runs.append(coordinator.execute_join(join))
-        assert runs[2].index_pairs == runs[0].index_pairs
+        assert runs[2].tuples == runs[0].tuples
     return runs, [server] + shards
 
 
@@ -788,7 +799,7 @@ class TestBN254CrossCheck:
             client, server, encrypted, BatchedEngine()
         )
 
-        assert serial.index_pairs == batched.index_pairs == [(0, 0)]
+        assert serial.tuples == batched.tuples == [(0, 0)]
         assert serial_handles == batched_handles
         # Real counts: serial pays one final exponentiation per Miller
         # loop, batched one per row.

@@ -79,12 +79,12 @@ def _drain(stream):
 def _assert_reference(client, plain, batches, result):
     """Streamed == materialized == the plaintext join, byte for byte."""
     reference = hash_join(*plain, "k", "k")
-    assert result.index_pairs == reference.index_pairs
+    assert result.tuples == reference.index_pairs
     assert sorted(
-        pair for batch in batches for pair in batch.index_pairs
-    ) == sorted(reference.index_pairs)
-    decrypted = client.decrypt_result(result)
-    assert decrypted.index_pairs == reference.index_pairs
+        pair for batch in batches for pair in batch.tuples
+    ) == reference.index_pairs
+    decrypted = client.decrypt_chain_result(result)
+    assert decrypted.index_tuples == reference.index_pairs
     assert decrypted.table.rows() == reference.table.rows()
 
 
@@ -151,7 +151,7 @@ class TestFirstBatch:
             stream = server.stream_join(query)
             first = next(stream)
             assert server.backend.ops.since(before).final_exponentiations == 2
-            assert first.index_pairs == [(0, 0)]
+            assert first.tuples == [(0, 0)]
             batches, result = _drain(stream)
             assert result.stats.final_exponentiations == 2 * ROWS
         _assert_reference(client, plain, [first, *batches], result)
@@ -170,7 +170,7 @@ class TestFirstBatch:
                 server.stream_join(client.create_query(JOIN))
             )
         assert result.stats.engine_selected == "parallel"
-        assert batches[0].index_pairs == [(0, 0)]
+        assert batches[0].tuples == [(0, 0)]
         _assert_reference(client, plain, batches, result)
 
     def test_fleet_first_batch_before_the_last_chunk(self):
@@ -191,9 +191,9 @@ class TestFirstBatch:
             stream = coordinator.stream_join(client.create_query(JOIN))
             first = next(stream)
             assert counted.ops.since(before).final_exponentiations == 2
-            assert len(first.index_pairs) == 1
+            assert len(first.tuples) == 1
             batches, result = _drain(stream)
-        assert len(result.index_pairs) == ROWS * ROWS
+        assert len(result.tuples) == ROWS * ROWS
         assert result.stats.shards == 2
         _assert_reference(client, plain, [first, *batches], result)
 
@@ -239,7 +239,7 @@ class TestDefaultWidth:
                 stream = server.stream_join(query)
                 first = next(stream)
                 assert sorted(fed) == [(0, 1), (1, 1)], workers
-                assert first.index_pairs == [(0, 0)]
+                assert first.tuples == [(0, 0)]
                 batches, result = _drain(stream)
             runs.append(result)
             stats = result.stats
@@ -254,4 +254,4 @@ class TestDefaultWidth:
         assert [r["stage"] for r in inline.stats.planner] == ["scatter"]
         assert pooled.tuples == inline.tuples
         assert pooled.payloads == inline.payloads
-        assert sorted(pooled.index_pairs) == [(0, 0), (0, 2), (1, 1), (1, 3)]
+        assert sorted(pooled.tuples) == [(0, 0), (0, 2), (1, 1), (1, 3)]

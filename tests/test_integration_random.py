@@ -59,7 +59,7 @@ def _run_both(left_rows, right_rows, left_sel, right_sel, prefilter, seed):
         where_left={"c": left_sel} if left_sel else None,
         where_right={"c": right_sel} if right_sel else None,
     )
-    encrypted = client.decrypt_result(
+    encrypted = client.decrypt_chain_result(
         server.execute_join(client.create_query(query))
     )
     db = Database()
@@ -114,7 +114,7 @@ class TestRandomWorkloads:
         left_side, right_side = side_handles(server, encrypted)
         nested.add_left(left_side)
         nested.add_right(right_side)
-        assert hash_result.index_pairs == nested.finish()
+        assert hash_result.tuples == nested.finish()
         assert nested.stats.comparisons == len(left_rows) * len(right_rows)
 
 
@@ -145,7 +145,7 @@ class TestSelfJoin:
             where_right={"kind": ["seller"]},
         )
         result = server.execute_join(client.create_query(query))
-        decrypted = client.decrypt_result(result)
+        decrypted = client.decrypt_chain_result(result)
 
         db = Database()
         db.add_table(people)
@@ -165,6 +165,6 @@ class TestSelfJoin:
         query = JoinQuery.build("N", "N", on=("v", "v"))
         result = server.execute_join(client.create_query(query))
         # Full self-join on v: rows (0,0), (0,1), (1,0), (1,1), (2,2).
-        assert sorted(result.index_pairs) == [
+        assert sorted(result.tuples) == [
             (0, 0), (0, 1), (1, 0), (1, 1), (2, 2),
         ]

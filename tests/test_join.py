@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db.database import Database
-from repro.db.join import (
-    chain_prefixes,
-    chain_schema,
-    hash_join,
-    joined_prefixes,
-    nested_loop_join,
-)
+from repro.db.join import chain_join, hash_join, nested_loop_join
 from repro.db.predicate import InPredicate
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
@@ -38,7 +32,8 @@ class TestHashJoin:
         left, right = _tables()
         result = hash_join(left, right, "k", "k")
         assert result.stats.output_rows == 5  # k=2 gives 2x2, k=3 gives 1
-        assert sorted(result.index_pairs) == [
+        # Lexicographic, the two-table chain's order.
+        assert result.index_pairs == [
             (1, 0), (1, 3), (2, 0), (2, 3), (3, 1),
         ]
 
@@ -76,8 +71,8 @@ class TestNestedLoopJoin:
         left, right = _tables()
         hash_result = hash_join(left, right, "k", "k")
         nested_result = nested_loop_join(left, right, "k", "k")
-        assert sorted(hash_result.index_pairs) == sorted(nested_result.index_pairs)
-        assert sorted(hash_result.table.rows()) == sorted(nested_result.table.rows())
+        assert hash_result.index_pairs == nested_result.index_pairs
+        assert hash_result.table.rows() == nested_result.table.rows()
 
     def test_quadratic_comparisons(self):
         left, right = _tables()
@@ -163,8 +158,9 @@ class TestDatabase:
 
 class TestJoinedSchemaIsTheTwoTableChainSchema:
     """The client decrypts a two-way result through the chain path, so
-    the chain prefix rule at n = 2 must be the two-way rule the
-    plaintext :func:`hash_join` reference applies."""
+    the plaintext :func:`hash_join` reference must carry the chain
+    prefix rule at n = 2 — and answer with chain_join's rows in
+    chain_join's order."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -172,16 +168,19 @@ class TestJoinedSchemaIsTheTwoTableChainSchema:
         columns=st.tuples(
             *[st.sets(st.sampled_from("kxyz"), min_size=1)] * 2
         ),
+        keys=st.lists(st.integers(0, 2), min_size=2, max_size=8),
     )
-    def test_prefixes_and_schema_agree(self, names, columns):
-        assert chain_prefixes(list(names), list(columns)) == joined_prefixes(
-            *names, *columns
-        )
-        left, right = (
-            Schema.of(*[(column, "int") for column in sorted(c)])
-            for c in columns
-        )
-        prefix_left, prefix_right = joined_prefixes(*names, *columns)
-        assert chain_schema(names, [left, right]) == left.concat(
-            right, prefix_self=prefix_left, prefix_other=prefix_right
-        )
+    def test_prefixes_and_schema_agree(self, names, columns, keys):
+        tables = [
+            Table(name, Schema.of(*[(c, "int") for c in sorted(cols)]))
+            for name, cols in zip(names, columns)
+        ]
+        for i, key in enumerate(keys):
+            table = tables[i % 2]
+            table.insert((key,) * len(table.schema))
+        joins = [sorted(cols)[0] for cols in columns]
+        pair = hash_join(*tables, *joins)
+        chain = chain_join(tables, joins)
+        assert pair.table.schema == chain.table.schema
+        assert pair.index_pairs == chain.index_tuples
+        assert pair.table.rows() == chain.table.rows()

@@ -16,7 +16,8 @@ pool's width and transport are not parameters of anything; and there is
 one engine, exported under no other name.  There is one join host, too:
 the single server is a one-shard fleet, ``core`` / ``plan`` / ``series``
 import nothing from ``shard`` or ``net``, and one class opens a query's
-decrypt sources.
+decrypt sources.  A two-way join is the two-table chain: its pair query
+is the client's view alone, and nothing under ``src/`` branches on it.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ with SecureJoinServer(client.params, workers=2) as server:
             shards[piece.shard.shard_index].store(piece)
     with ShardCoordinator(shards) as coordinator:
         sharded = coordinator.execute_join(join)
-    assert sharded.index_pairs == priced.index_pairs
+    assert sharded.tuples == priced.tuples
 print(sorted(name for name in sys.modules if name.startswith("repro.bench")))
 """
 
@@ -165,6 +166,45 @@ def test_one_class_opens_a_querys_sources():
     with SecureJoinServer(params, workers=1) as server:
         assert isinstance(server, ShardCoordinator)
         assert len(server.shards) == 1
+
+
+def _named(node, name: str) -> bool:
+    """Whether an expression names ``name`` (bare, or as an attribute)."""
+    return any(
+        (isinstance(sub, ast.Name) and sub.id == name)
+        or (isinstance(sub, ast.Attribute) and sub.attr == name)
+        for sub in ast.walk(node)
+    )
+
+
+def test_the_pair_query_is_only_the_clients_view():
+    """A two-way join is the two-table chain, answered in one order:
+    ``EncryptedJoinQuery``, the client's pair names for a two-table
+    query, is defined and built only in ``core/client.py``, and nothing
+    under ``src/`` tests a query for it — no second answer order has a
+    type to hang on."""
+    name = "EncryptedJoinQuery"
+    defined, built, tested = [], set(), []
+    for path in sorted((_SRC / "repro").rglob("*.py")):
+        where = str(path.relative_to(_SRC))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name == name:
+                defined.append(where)
+            elif isinstance(node, ast.Call) and _named(node.func, name):
+                built.add(where)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass")
+                and any(_named(arg, name) for arg in node.args[1:])
+            ) or (
+                isinstance(node, ast.Compare)
+                and any(_named(side, name) for side in node.comparators)
+            ):
+                tested.append((where, node.lineno))
+    assert defined == ["repro/core/client.py"]
+    assert built == {"repro/core/client.py"}
+    assert tested == []
 
 
 def test_every_third_party_import_is_declared():

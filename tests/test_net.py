@@ -25,7 +25,7 @@ import repro.core.service as service_module
 from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
 from repro.core.engine import BatchedEngine
-from repro.core.server import MatchBatch, SecureJoinServer, ServerStats
+from repro.core.server import ChainMatchBatch, SecureJoinServer, ServerStats
 from repro.core.service import ExecutionService, QueryQoS
 from repro.crypto.backend import FastBackend, PairingOpCounter
 from repro.db.query import ChainQuery, JoinQuery
@@ -113,18 +113,17 @@ class TestRemoteJoin:
         # The join spans multiple chunks: several match-batch frames
         # arrive before the final frame, and at least two carry pairs.
         assert len(batches) >= 2
-        assert sum(1 for b in batches if b.index_pairs) >= 2
-        assert sum(len(b.index_pairs) for b in batches) == len(
-            reference.index_pairs
+        assert sum(1 for b in batches if b.tuples) >= 2
+        assert sum(len(b.tuples) for b in batches) == len(
+            reference.tuples
         )
         # Reassembly is byte-identical to the in-process result modulo
         # the run-dependent stats block.
-        assert result.index_pairs == reference.index_pairs
-        assert result.left_payloads == reference.left_payloads
-        assert result.right_payloads == reference.right_payloads
+        assert result.tuples == reference.tuples
+        assert result.payloads == reference.payloads
         assert _normalize(result) == _normalize(reference)
         # The remote stats still describe a real execution.
-        assert result.stats.matches == len(reference.index_pairs)
+        assert result.stats.matches == len(reference.tuples)
 
     def test_execute_join_remote(self):
         client, server = _fixture(n_rows=6)
@@ -133,8 +132,8 @@ class TestRemoteJoin:
             host, port = service.address
             with RemoteJoinClient(host, port, client.scheme.backend) as rc:
                 result = rc.execute_join(_query(client))
-        assert result.index_pairs == reference.index_pairs
-        assert result.left_payloads == reference.left_payloads
+        assert result.tuples == reference.tuples
+        assert result.payloads == reference.payloads
 
     def test_connection_serves_many_queries(self):
         client, server = _fixture(n_rows=6)
@@ -143,7 +142,7 @@ class TestRemoteJoin:
             with RemoteJoinClient(host, port, client.scheme.backend) as rc:
                 first = rc.execute_join(_query(client))
                 second = rc.execute_join(_query(client))
-            assert first.index_pairs == second.index_pairs
+            assert first.tuples == second.tuples
             # The handler bumps the counter after sending the final
             # frame, so a fast client can observe the result first.
             deadline = time.monotonic() + 5.0
@@ -182,7 +181,7 @@ class TestRemoteJoin:
         assert not errors
         assert len(results) == 3
         for result in results.values():
-            assert result.index_pairs == reference.index_pairs
+            assert result.tuples == reference.tuples
 
     def test_single_connection_rejects_overlapping_streams(self):
         client, server = _fixture(n_rows=6)
@@ -220,7 +219,7 @@ class TestRemoteErrors:
                 # An in-band error leaves the connection in sync: the
                 # next query on the same connection succeeds.
                 good = rc.execute_join(_query(client))
-                assert good.index_pairs
+                assert good.tuples
 
     def test_undecodable_request_gets_error_frame(self):
         client, server = _fixture(n_rows=4)
@@ -279,7 +278,7 @@ class TestRemoteErrors:
                     rc.execute_join(query)
                 # Cancellation is in-band: the connection still serves.
                 good = rc.execute_join(_query(client))
-                assert good.index_pairs
+                assert good.tuples
 
 
 class TestReplayedAnswerIsFramed:
@@ -502,8 +501,8 @@ class TestBackpressure:
                         break
                     time.sleep(0.01)  # fall behind the producer
         assert len(batches) >= 2
-        assert result.index_pairs == reference.index_pairs
-        assert result.left_payloads == reference.left_payloads
+        assert result.tuples == reference.tuples
+        assert result.payloads == reference.payloads
 
     def test_bounded_buffer_rejects_nonsense_size(self):
         client, server = _fixture(n_rows=4)
@@ -535,7 +534,7 @@ class TestBackpressure:
             assert service.active_connections == 0
             # The service remains healthy for new clients.
             with RemoteJoinClient(host, port, client.scheme.backend) as rc2:
-                assert rc2.execute_join(_query(client)).index_pairs
+                assert rc2.execute_join(_query(client)).tuples
 
 
     def test_queries_served_counts_completed_streams_only(self):
@@ -546,7 +545,7 @@ class TestBackpressure:
         with JoinServiceServer(server) as service:
             host, port = service.address
             with RemoteJoinClient(host, port, backend) as rc:
-                assert rc.execute_join(_query(client)).index_pairs
+                assert rc.execute_join(_query(client)).tuples
                 unknown = dataclasses.replace(
                     _query(client), tables=("L", "NOPE")
                 )
@@ -556,9 +555,9 @@ class TestBackpressure:
             # An answer far larger than any socket buffer: the handler
             # is still blocked sending it when the client walks away.
             def flood(query):
-                yield MatchBatch([(0, 0)], [(bytes(32 << 20), b"")])
+                yield ChainMatchBatch([(0, 0)], [(bytes(32 << 20), b"")])
 
-            server.stream_join = flood
+            server.stream_chain = flood
             with socket.create_connection((host, port), timeout=10) as sock:
                 send_message(sock, encode_join_query(_query(client), backend))
                 opening = decode_frame(recv_message(sock))
@@ -610,9 +609,9 @@ class TestDrain:
             threading.Thread(target=trigger, daemon=True).start()
             batches, result = _drain(stream)
             # Drain let the in-flight stream run to completion.
-            assert result.index_pairs == reference.index_pairs
-            assert [first.index_pairs] + [
-                b.index_pairs for b in batches
+            assert result.tuples == reference.tuples
+            assert [first.tuples] + [
+                b.tuples for b in batches
             ]  # batches all arrived
             assert shutdown_done.wait(timeout=30)
         finally:

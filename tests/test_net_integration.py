@@ -186,8 +186,8 @@ class TestServerProcess:
             assert not errors
             assert len(results) == 3
             for result in results.values():
-                assert result.index_pairs == reference.index_pairs
-                assert result.left_payloads == reference.left_payloads
+                assert result.tuples == reference.tuples
+                assert result.payloads == reference.payloads
         finally:
             process.send_signal(signal.SIGTERM)
             returncode = _finish(process)
@@ -224,13 +224,13 @@ class TestServerProcess:
             process.send_signal(signal.SIGTERM)
             returncode = _finish(process)
         assert returncode == 0
-        assert batches[0].index_pairs == [(0, 0)]
+        assert batches[0].tuples == [(0, 0)]
         reference = hash_join(*_plain(40), "k", "k")
-        assert result.index_pairs == reference.index_pairs
+        assert result.tuples == reference.index_pairs
         assert sorted(
-            pair for batch in batches for pair in batch.index_pairs
-        ) == sorted(reference.index_pairs)
-        decrypted = client.decrypt_result(result)
+            pair for batch in batches for pair in batch.tuples
+        ) == reference.index_pairs
+        decrypted = client.decrypt_chain_result(result)
         assert decrypted.table.rows() == reference.table.rows()
 
     def test_sigterm_mid_stream_drains_gracefully(self, tmp_path):
@@ -257,10 +257,10 @@ class TestServerProcess:
                 except StopIteration as stop:
                     result = stop.value
                     break
-            assert result.index_pairs == reference.index_pairs
-            assert result.left_payloads == reference.left_payloads
-            assert sum(len(b.index_pairs) for b in batches) == len(
-                reference.index_pairs
+            assert result.tuples == reference.tuples
+            assert result.payloads == reference.payloads
+            assert sum(len(b.tuples) for b in batches) == len(
+                reference.tuples
             )
         finally:
             rc.close()
@@ -286,7 +286,7 @@ class TestServerProcess:
         try:
             with RemoteJoinClient(host, port, bn254_backend) as rc:
                 result = rc.execute_join(query)
-                assert result.index_pairs
+                assert result.tuples
                 assert result.stats.engine_selected == "parallel"
         finally:
             process.send_signal(signal.SIGTERM)

@@ -380,6 +380,6 @@ class TestSmallJoinOpCounts:
             before = bn254_backend.ops.snapshot()
             replay = server.execute_join(query)
             assert bn254_backend.ops.since(before).snapshot() == (0, 0, 0, 0, 0)
-        assert sorted(cold.index_pairs) == sorted(replay.index_pairs) == [
+        assert sorted(cold.tuples) == sorted(replay.tuples) == [
             (0, 0), (0, 2), (1, 1), (1, 3)
         ]

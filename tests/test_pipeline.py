@@ -54,11 +54,11 @@ def _engines():
 
 
 def _reference_pairs(left_keys, right_keys):
-    """The canonical build-then-probe result: right-major order."""
+    """The canonical result: lexicographic (left, right) order."""
     return [
         (i, j)
-        for j, rk in enumerate(right_keys)
         for i, lk in enumerate(left_keys)
+        for j, rk in enumerate(right_keys)
         if lk == rk
     ]
 
@@ -212,7 +212,8 @@ def _with_engine(client, server, engine=None, workers=2):
 def _materialized_reference(server, query, engine):
     """The pre-pipeline pass, reconstructed independently: decrypt both
     sides to completion (engine.decrypt_handles), then build-then-probe
-    hash match in canonical right-major order."""
+    hash match; pairs in canonical lexicographic order, with their
+    payload tuples."""
     left = server.table(query.left_table)
     right = server.table(query.right_table)
     backend = server.scheme.backend
@@ -227,14 +228,12 @@ def _materialized_reference(server, query, engine):
     buckets = {}
     for i, handle in enumerate(left_handles):
         buckets.setdefault(handle, []).append(i)
-    pairs = [
+    pairs = sorted(
         (i, j)
         for j, handle in enumerate(right_handles)
         for i in buckets.get(handle, ())
-    ]
-    return pairs, [left.payloads[i] for i, _ in pairs], [
-        right.payloads[j] for _, j in pairs
-    ]
+    )
+    return pairs, [(left.payloads[i], right.payloads[j]) for i, j in pairs]
 
 
 def _drain(generator):
@@ -253,24 +252,20 @@ class TestStreamedEquivalence:
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         with server:
             for built in _engines():
-                expected_pairs, expected_left, expected_right = (
-                    _materialized_reference(server, query, BatchedEngine(4))
+                expected_pairs, expected_payloads = _materialized_reference(
+                    server, query, BatchedEngine(4)
                 )
                 with _with_engine(client, server, **built) as sibling:
                     batches, result = _drain(sibling.stream_join(query))
-                assert result.index_pairs == expected_pairs
-                assert result.left_payloads == expected_left
-                assert result.right_payloads == expected_right
+                assert result.tuples == expected_pairs
+                assert result.payloads == expected_payloads
                 # The incremental emissions cover the final result exactly.
-                streamed = [
-                    pair for batch in batches for pair in batch.index_pairs
-                ]
-                assert sorted(streamed) == sorted(expected_pairs)
-                streamed_left = [
-                    payload for batch in batches
-                    for payload in batch.left_payloads
-                ]
-                assert sorted(streamed_left) == sorted(expected_left)
+                streamed = sorted(
+                    pair
+                    for batch in batches
+                    for pair in zip(batch.tuples, batch.payloads)
+                )
+                assert streamed == list(zip(expected_pairs, expected_payloads))
 
     @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
     @settings(max_examples=10, deadline=None)
@@ -289,18 +284,17 @@ class TestStreamedEquivalence:
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         reference = _reference_pairs(left_keys, right_keys)
         with server:
-            expected_pairs, expected_left, expected_right = (
-                _materialized_reference(server, query, BatchedEngine(3))
+            expected_pairs, expected_payloads = _materialized_reference(
+                server, query, BatchedEngine(3)
             )
             assert expected_pairs == reference
             for built in _engines():
                 with _with_engine(client, server, **built) as sibling:
                     batches, result = _drain(sibling.stream_join(query))
-                assert result.index_pairs == expected_pairs
-                assert result.left_payloads == expected_left
-                assert result.right_payloads == expected_right
+                assert result.tuples == expected_pairs
+                assert result.payloads == expected_payloads
                 streamed = [
-                    pair for batch in batches for pair in batch.index_pairs
+                    pair for batch in batches for pair in batch.tuples
                 ]
                 assert sorted(streamed) == sorted(expected_pairs)
 
@@ -313,9 +307,9 @@ class TestStreamedEquivalence:
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         hash_result = server.execute_join(query)
         nested = nested_rematch(server, query)
-        assert nested.finish() == hash_result.index_pairs
+        assert nested.finish() == hash_result.tuples
         assert nested.stats.comparisons == 4 * 4
-        assert hash_result.stats.comparisons == 4 + len(hash_result.index_pairs)
+        assert hash_result.stats.comparisons == 4 + len(hash_result.tuples)
         server.close()
 
 
@@ -331,7 +325,7 @@ class TestEarlyEmission:
         with server:
             batches, result = _drain(server.stream_join(query))
         assert len(batches) > 1
-        assert 0 < len(batches[0].index_pairs) < len(result.index_pairs)
+        assert 0 < len(batches[0].tuples) < len(result.tuples)
 
     def test_stage_timings_recorded(self):
         client, server = _build([i % 3 for i in range(30)],
@@ -373,15 +367,15 @@ class TestEarlyEmission:
             assert server.execution_service.peak_concurrent_sides >= 2
 
     def test_client_decrypts_streamed_batches(self):
-        """End-to-end streaming: the client turns every MatchBatch into
+        """End-to-end streaming: the client turns every ChainMatchBatch into
         plaintext rows, their union equals the materialized join, and
         the wrapped generator's final result is passed through."""
         client, server = _build([1, 2, 2, 3], [2, 2, 3, 4, 1])
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         reference = server.execute_join(query)
         streamed_rows = []
-        decrypting = client.stream_decrypt(
-            "L", "R", server.stream_join(query)
+        decrypting = client.stream_decrypt_chain(
+            ("L", "R"), server.stream_join(query)
         )
         while True:
             try:
@@ -391,9 +385,9 @@ class TestEarlyEmission:
                 break
             assert len(pairs) == len(rows)
             streamed_rows.extend(rows)
-        # stream_decrypt surfaces stream_join's final result.
-        assert result.index_pairs == reference.index_pairs
-        final = client.decrypt_result(result)
+        # stream_decrypt_chain surfaces stream_join's final result.
+        assert result.tuples == reference.tuples
+        final = client.decrypt_chain_result(result)
         assert sorted(streamed_rows) == sorted(final.table.rows())
         server.close()
 
@@ -421,7 +415,7 @@ class TestEarlyEmission:
             result = server.execute_join(query)
             with _with_engine(client, server, BatchedEngine(4)) as sibling:
                 reference = sibling.execute_join(query)
-            assert result.index_pairs == reference.index_pairs
+            assert result.tuples == reference.tuples
             assert [len(cls) for cls in server.ledger.classes()] == [30] * 4
 
 
@@ -438,7 +432,7 @@ class TestOneMatcher:
         client, server = _build([1], [1, 2])
         query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
         result = server.execute_join(query)
-        assert result.index_pairs == [(0, 0)]
+        assert result.tuples == [(0, 0)]
         assert result.stats.engine_selected == "batched"
         assert [r["stage"] for r in result.stats.planner] == ["scatter"]
         with pytest.raises(TypeError):

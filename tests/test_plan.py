@@ -415,11 +415,9 @@ class TestChainExecution:
                     JoinQuery.build("T1", "T2", on=("k", "k"))
                 )
             )
-            # Canonical orders differ (chain: lexicographic; join:
-            # right-major) but the match sets must be identical.
-            assert set(chain_result.tuples) == {
-                tuple(pair) for pair in join_result.index_pairs
-            }
+            # One canonical order: the join is the two-table chain.
+            assert join_result.tuples == chain_result.tuples
+            assert join_result.payloads == chain_result.payloads
 
     def test_chain_arity_bounds(self):
         client, server, _ = _setup(sizes=(4, 4), seed=43)
@@ -730,9 +728,8 @@ class TestShardedChains:
                         JoinQuery.build("T1", "T2", on=("k", "k"))
                     )
                 )
-                assert result.index_pairs == reference.index_pairs
-                assert result.left_payloads == reference.left_payloads
-                assert result.right_payloads == reference.right_payloads
+                assert result.tuples == reference.tuples
+                assert result.payloads == reference.payloads
         finally:
             for service in services:
                 service.shutdown()
@@ -791,7 +788,7 @@ class TestRemoteChains:
                         JoinQuery.build("T1", "T2", on=("k", "k"))
                     )
                 )
-                assert join_result.index_pairs
+                assert join_result.tuples
                 again = remote.execute_chain(
                     _chain(client, ["T1", "T2", "T3"])
                 )
@@ -954,18 +951,10 @@ class TestChainProperties:
             for i, lk in enumerate(left_keys)
             if lk == rk
         ]
-        assert joined.index_pairs == pairs  # right-major
-        assert chained.tuples == sorted(pairs)  # lexicographic
-        assert chained.payloads == [
-            (left_payload, right_payload)
-            for _, left_payload, right_payload in sorted(
-                zip(
-                    joined.index_pairs,
-                    joined.left_payloads,
-                    joined.right_payloads,
-                )
-            )
-        ]
+        # One answer order and one result type for both entry points.
+        assert type(joined) is type(chained)
+        assert joined.tuples == chained.tuples == sorted(pairs)
+        assert joined.payloads == chained.payloads
         for counter in (
             "miller_loops",
             "prepared_miller_loops",
@@ -973,6 +962,8 @@ class TestChainProperties:
             "decryptions",
             "probes",
             "comparisons",
+            "plan_nodes",
+            "handle_pool_hits",
         ):
             assert getattr(joined.stats, counter) == getattr(
                 chained.stats, counter

@@ -465,7 +465,7 @@ class TestServerPreparedTables:
             # Idempotent: nothing new to prepare.
             assert server.prepare_table("Teams") == 0
             warm = server.execute_join(client.create_query(query))
-        assert sorted(warm.index_pairs) == sorted(cold.index_pairs)
+        assert sorted(warm.tuples) == sorted(cold.tuples)
         assert warm.stats.miller_loops == 0
         assert warm.stats.prepared_miller_loops == cold.stats.miller_loops
 
@@ -492,7 +492,7 @@ class TestServerPreparedTables:
             result = server.execute_join(client.create_query(query))
         # The inserted row participates and the whole side stays on
         # the replay path.
-        assert (0, 4) in result.index_pairs
+        assert (0, 4) in result.tuples
         assert result.stats.miller_loops == 0
         assert result.stats.prepared_miller_loops > 0
 

@@ -244,49 +244,35 @@ class TestHeldHandles:
             deployed.close()
 
 
-class _CountingList(list):
-    """A pair list that counts how often it is sorted."""
-
-    sorts = 0
-
-    def sort(self, **kwargs):
-        self.sorts += 1
-        super().sort(**kwargs)
-
-
 class TestFinishedAnswerIsMemoized:
-    def test_matcher_sorts_only_after_a_new_pair(self):
+    def test_matcher_finish_is_lexicographic(self):
+        # The matcher keeps no sorted state: each call sorts its pairs
+        # into the two-table chain's order, after feeds and retractions
+        # alike (the executor memoizes the answer a replay reads).
         matcher = get_matcher("hash")
-        pairs = matcher._pairs = _CountingList()
         matcher.add_left([(0, b"x"), (1, b"y"), (2, b"x")])
         matcher.add_right([(1, b"x"), (0, b"y")])
-        expected = [(1, 0), (0, 1), (2, 1)]
-        assert matcher.finish() == expected and pairs.sorts == 1
+        expected = [(0, 1), (1, 0), (2, 1)]
         first = matcher.finish()
-        assert first == expected and pairs.sorts == 1
-        # The caller's own list: mutating it corrupts nothing.
+        assert first == expected
         first.clear()
-        assert matcher.finish() == expected and pairs.sorts == 1
+        assert matcher.finish() == expected
         matcher.add_left([(3, b"y")])
-        expected = [(1, 0), (3, 0), (0, 1), (2, 1)]
-        assert matcher.finish() == expected and pairs.sorts == 2
-        assert matcher.finish() == expected and pairs.sorts == 2
+        assert matcher.finish() == [(0, 1), (1, 0), (2, 1), (3, 0)]
 
     def test_matcher_retraction_keeps_order_and_never_fakes_it(self):
         matcher = get_matcher("hash")
         matcher.add_left([(0, b"x"), (1, b"x"), (2, b"x")])
         matcher.add_right([(1, b"x"), (0, b"x")])
         matcher.finish()
-        # Dropping from a sorted list leaves it sorted...
         matcher.retract_left([1])
-        assert matcher._sorted == len(matcher.pairs) == 4
-        assert matcher.finish() == [(0, 0), (2, 0), (0, 1), (2, 1)]
-        # ... but a list that grew unsorted and shrank back to its old
-        # length is not.
+        assert matcher.finish() == [(0, 0), (0, 1), (2, 0), (2, 1)]
+        # A pair list that grew and shrank back to its old length is
+        # answered in order too.
         matcher.add_left([(1, b"x"), (3, b"x")])
         matcher.retract_left([0, 2])
         assert len(matcher.pairs) == 4
-        assert matcher.finish() == [(1, 0), (3, 0), (1, 1), (3, 1)]
+        assert matcher.finish() == [(1, 0), (1, 1), (3, 0), (3, 1)]
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0), (1, 0, 2), (1, 2, 0)])
     def test_executor_expands_and_sorts_only_after_a_change(
@@ -350,16 +336,12 @@ class TestFinishedAnswerIsMemoized:
         assert finish(executor) == (shrunk, 0)
 
     def test_the_memo_is_charged_to_the_entry(self):
-        pair_only = ChainExecutor((0, 1))
         chained = ChainExecutor((0, 1))
         three = ChainExecutor((0, 1, 2))
-        for executor in (pair_only, chained, three):
+        for executor in (chained, three):
             for position in range(executor.arity):
                 executor.feed(position, [(r, b"h") for r in range(3)])
         baseline = chained.retained_bytes()
-        # The pair order is the matcher's own list, sorted in place.
-        pair_only.matchers[0].finish()
-        assert pair_only.retained_bytes() == baseline
         # The lexicographic order of a two-table chain is a second list
         # over the same nine pair objects: a slot each.
         assert len(chained.finish()) == 9
@@ -370,8 +352,9 @@ class TestFinishedAnswerIsMemoized:
         assert len(three.finish()) == 27
         assert three.retained_bytes() == before + 27 * (8 + 40 + 8 * 3)
 
-    def test_pair_and_chain_replay_one_entry_each_in_its_own_order(self):
-        # Keys laid out so that right-major and lexicographic differ.
+    def test_pair_and_chain_replay_in_one_order(self):
+        # Keys laid out so that right-major and lexicographic differ:
+        # only the lexicographic order is ever answered.
         tables = _tables()
         client = _client(tables)
         with SecureJoinServer(client.params) as server:
@@ -386,23 +369,18 @@ class TestFinishedAnswerIsMemoized:
             assert server.series_cache.stats.replays == 3
             for replay in (as_chain, as_pair, again):
                 assert replay.stats.engine == "series"
+                assert replay.tuples == cold.tuples
+                assert replay.payloads == cold.payloads
+            assert cold.tuples == sorted(cold.tuples)
             right_major = sorted(cold.tuples, key=lambda t: (t[1], t[0]))
-            assert cold.tuples == as_pair.tuples == right_major
-            assert as_chain.tuples == again.tuples == sorted(cold.tuples)
-            assert right_major != sorted(cold.tuples)
-            assert dict(zip(as_chain.tuples, as_chain.payloads)) == dict(
-                zip(cold.tuples, cold.payloads)
-            )
-            assert as_pair.payloads == cold.payloads
+            assert cold.tuples != right_major
 
-            # A feed between them invalidates both orders.
+            # A feed invalidates the finished answer for both.
             server.insert_row(
                 "T2", *client.encrypt_row_for("T2", (0, "T2.late"))
             )
             grown = server.execute_join(pair)
             grown_chain = server.execute_chain(same_tokens)
             assert len(grown.tuples) > len(cold.tuples)
-            assert grown_chain.tuples == sorted(grown.tuples)
-            assert grown.tuples == sorted(
-                grown.tuples, key=lambda t: (t[1], t[0])
-            )
+            assert grown.tuples == grown_chain.tuples == sorted(grown.tuples)
+            assert grown.payloads == grown_chain.payloads

@@ -73,9 +73,8 @@ def _mirror(client, server, **built):
 
 
 def _assert_identical(result, reference):
-    assert result.index_pairs == reference.index_pairs
-    assert result.left_payloads == reference.left_payloads
-    assert result.right_payloads == reference.right_payloads
+    assert result.tuples == reference.tuples
+    assert result.payloads == reference.payloads
     assert result.stats.matches == reference.stats.matches
 
 
@@ -143,9 +142,9 @@ class TestWarmReplay:
         cold = server.execute_join(query)
         batches, warm = _drain(server.stream_join(query))
         streamed = sorted(
-            pair for batch in batches for pair in batch.index_pairs
+            pair for batch in batches for pair in batch.tuples
         )
-        assert streamed == sorted(cold.index_pairs)
+        assert streamed == sorted(cold.tuples)
         _assert_identical(warm, cold)
         server.close()
 
@@ -214,8 +213,8 @@ class TestDeltaMaintenance:
         assert refreshed.stats.series_cache_hits == 1
         assert refreshed.stats.delta_rows == 0
         assert refreshed.stats.decryptions == 0
-        assert all(pair[1] != 0 for pair in refreshed.index_pairs)
-        assert len(refreshed.index_pairs) < len(cold.index_pairs)
+        assert all(pair[1] != 0 for pair in refreshed.tuples)
+        assert len(refreshed.tuples) < len(cold.tuples)
         scratch = _mirror(client, server)
         _assert_identical(refreshed, scratch.execute_join(query))
         scratch.close()
@@ -239,11 +238,11 @@ class TestDeltaMaintenance:
         cold = server.execute_join(query)
         server.insert_row("R", *client.encrypt_row_for("R", (1, "fresh")))
         batches, result = _drain(server.stream_join(query))
-        assert sorted(batches[0].index_pairs) == sorted(cold.index_pairs)
+        assert sorted(batches[0].tuples) == sorted(cold.tuples)
         streamed = sorted(
-            pair for batch in batches for pair in batch.index_pairs
+            pair for batch in batches for pair in batch.tuples
         )
-        assert streamed == sorted(result.index_pairs)
+        assert streamed == sorted(result.tuples)
         server.close()
 
     def test_small_delta_never_wakes_the_pool(self):
@@ -451,7 +450,7 @@ class TestShardedSeries:
             "R", *client2.encrypt_row_for("R", (2, "d"))
         )
         cold = cold_coord.execute_join(_query(client2))
-        assert sorted(delta.index_pairs) == sorted(cold.index_pairs)
+        assert sorted(delta.tuples) == sorted(cold.tuples)
         for shard in shards + cold_shards:
             shard.close()
 
@@ -467,8 +466,8 @@ class TestShardedSeries:
         assert since.miller_loops == 0
         assert refreshed.stats.series_cache_hits == 1
         assert refreshed.stats.delta_rows == 0
-        assert all(pair[1] != 0 for pair in refreshed.index_pairs)
-        assert len(refreshed.index_pairs) < len(cold.index_pairs)
+        assert all(pair[1] != 0 for pair in refreshed.tuples)
+        assert len(refreshed.tuples) < len(cold.tuples)
         for shard in shards:
             shard.close()
 
@@ -477,10 +476,12 @@ class TestAStoreLendsItsPayloads:
     """A single store is a one-shard fleet, and its series entries still
     hold no payload: the drive reads them from the stored tables.  The
     footprint is pinned at the value a store had when it was not a
-    fleet, and the chain's plan record as the order rule writes it."""
+    fleet, plus the two-way entry's finished answer (the executor's
+    list, a slot per pair: 69 pairs, 552 bytes), and the chain's plan
+    record as the order rule writes it."""
 
     #: ``series_cache.total_bytes`` after the series below.
-    TOTAL_BYTES = 48528
+    TOTAL_BYTES = 49080
     #: The cold chain's ``"plan"`` record: the fewest candidates first
     #: (T3), then T2.  (1, 2, 0) builds the same partial tuples, so the
     #: footprint is the same under either order.
@@ -515,6 +516,7 @@ class TestAStoreLendsItsPayloads:
             0, 0, 1, 1, 1, 1
         ]
         assert [run.stats.delta_rows for run in runs[4:]] == [1, 1]
+        assert len(runs[4].tuples) == 69
         entries = list(server.series_cache._entries.values())
         assert len(entries) == 2
         for entry in entries:
@@ -568,9 +570,9 @@ class TestSlicedReplay:
         cold = host.execute_join(query)
         batches, warm = _drain(host.stream_join(query))
         assert warm.stats.series_cache_hits == 1
-        assert [len(batch.index_pairs) for batch in batches] == [1024, 176]
-        streamed = [pair for batch in batches for pair in batch.index_pairs]
-        assert streamed == warm.index_pairs
+        assert [len(batch.tuples) for batch in batches] == [1024, 176]
+        streamed = [pair for batch in batches for pair in batch.tuples]
+        assert streamed == warm.tuples
         assert [
             payloads for batch in batches for payloads in batch.payloads
         ] == warm.payloads
@@ -596,15 +598,15 @@ class TestSlicedReplay:
         query = _query(client)
         batches, cold = _drain(host.stream_join(query))
         assert cold.stats.series_cache_hits == 0
-        sizes = [len(batch.index_pairs) for batch in batches]
-        assert sum(sizes) == len(cold.index_pairs) == 4800
+        sizes = [len(batch.tuples) for batch in batches]
+        assert sum(sizes) == len(cold.tuples) == 4800
         assert max(sizes) == 1024
         streamed = {
             pair: payloads
             for batch in batches
-            for pair, payloads in zip(batch.index_pairs, batch.payloads)
+            for pair, payloads in zip(batch.tuples, batch.payloads)
         }
-        assert streamed == dict(zip(cold.index_pairs, cold.payloads))
+        assert streamed == dict(zip(cold.tuples, cold.payloads))
         # With the entry dropped, the same query executes from
         # scratch, materialized.
         host.series_cache.clear()
@@ -682,8 +684,8 @@ class TestInterleavings:
             else:
                 cached = coordinator.execute_join(query)
                 cold = cold_coord.execute_join(query2)
-                assert sorted(cached.index_pairs) == sorted(
-                    cold.index_pairs
+                assert sorted(cached.tuples) == sorted(
+                    cold.tuples
                 )
                 assert cached.stats.matches == cold.stats.matches
         for shard in shards + cold_shards:
@@ -746,9 +748,9 @@ class TestInterleavings:
                     scratch.close()
             batches, streamed = _drain(server.stream_join(query))
             union = sorted(
-                pair for batch in batches for pair in batch.index_pairs
+                pair for batch in batches for pair in batch.tuples
             )
-            assert union == sorted(streamed.index_pairs)
+            assert union == sorted(streamed.tuples)
             scratch = _mirror(client, server)
             _assert_identical(streamed, scratch.execute_join(query))
             scratch.close()

@@ -47,7 +47,7 @@ class TestTagIndex:
         result = server.execute_join(client.create_query(query))
         # Only L row 2 matches (x AND q); it joins R row 0 on k=1.
         assert result.stats.candidates_left == 1
-        assert result.index_pairs == [(2, 0)]
+        assert result.tuples == [(2, 0)]
 
     def test_empty_intersection_short_circuits(self):
         client, server = _setup()
@@ -60,7 +60,7 @@ class TestTagIndex:
         assert result.stats.decryptions == len(
             server.table("R").ciphertexts
         )  # only the right side is decrypted
-        assert result.index_pairs == []
+        assert result.tuples == []
 
     def test_no_matching_tag_value(self):
         client, server = _setup()
@@ -83,7 +83,7 @@ class TestTagIndex:
                                 where_left={"c": ["x"]})
         original = server.execute_join(client.create_query(query))
         reloaded = fresh.execute_join(client.create_query(query))
-        assert sorted(original.index_pairs) == sorted(reloaded.index_pairs)
+        assert sorted(original.tuples) == sorted(reloaded.tuples)
         assert original.stats.candidates_left == reloaded.stats.candidates_left
 
 
@@ -167,7 +167,7 @@ class TestPrefilterMismatches:
         query = JoinQuery.build("L", "R", on=("k", "k"),
                                 where_left={"d": ["p"]})
         result = server.execute_join(client.create_query(query))
-        assert result.index_pairs == [(0, 0)]
+        assert result.tuples == [(0, 0)]
 
 
 class TestMatcherComparisonAccounting:

@@ -111,8 +111,8 @@ class TestServiceExecution:
         with server:
             pooled = server.execute_join(query)
             inline, inline_handles = _inline(client, server, query)
-            assert pooled.index_pairs == inline.index_pairs
-            assert pooled.left_payloads == inline.left_payloads
+            assert pooled.tuples == inline.tuples
+            assert pooled.payloads == inline.payloads
             # Same token => identical handle bytes computed per row.
             assert held_handles(server, query) == inline_handles
             assert (
@@ -180,7 +180,7 @@ class TestServiceExecution:
         with server:
             result = server.execute_join(query)
             expected, _ = _inline(client, server, query)
-        assert result.index_pairs == expected.index_pairs
+        assert result.tuples == expected.tuples
         assert result.stats.batches == 15 + 5
         assert result.stats.max_batch_size == 22
         assert result.stats.workers == 3
@@ -258,8 +258,8 @@ class TestCrashResilience:
             shared = client.create_query(query)
             expected, _ = _inline(client, server, shared)
             recovered = server.execute_join(shared)
-            assert recovered.index_pairs == expected.index_pairs
-            assert recovered.index_pairs == baseline.index_pairs
+            assert recovered.tuples == expected.tuples
+            assert recovered.tuples == baseline.tuples
             assert server.execution_service.worker_restarts >= 1
             # Same pool generation: restart, not re-creation.
             assert recovered.stats.pool_generation == 1
@@ -273,7 +273,7 @@ class TestCrashResilience:
         with server:
             expected, expected_handles = _inline(client, server, query)
             recovered = server.execute_join(query)
-            assert recovered.index_pairs == expected.index_pairs
+            assert recovered.tuples == expected.tuples
             assert held_handles(server, query) == expected_handles
             assert server.execution_service.worker_restarts >= 1
 
@@ -290,7 +290,7 @@ class TestCrashResilience:
             clean = server.execute_join(client.create_query(query))
         assert crashed.stats.worker_restarts == 1
         assert clean.stats.worker_restarts == 0
-        assert clean.index_pairs == crashed.index_pairs
+        assert clean.tuples == crashed.tuples
         assert server.execution_service.worker_restarts == 1
 
 
@@ -326,8 +326,8 @@ class TestConcurrentAdmission:
             assert errors == []
             for result in results:
                 assert result is not None
-                assert result.index_pairs == reference.index_pairs
-                assert result.left_payloads == reference.left_payloads
+                assert result.tuples == reference.tuples
+                assert result.payloads == reference.payloads
                 assert result.stats.pool_generation == 1
             service = server.execution_service
             assert service.generation == 1
@@ -371,7 +371,7 @@ class TestConcurrentAdmission:
             assert errors == []
             assert len(results) == 3
             for result in results:
-                assert result.index_pairs == reference.index_pairs
+                assert result.tuples == reference.tuples
             # Restart, not pool re-creation.
             assert service.generation == 1
             assert all(r.stats.pool_generation == 1 for r in results)
@@ -485,5 +485,5 @@ class TestLifecycle:
             assert first.stats.pool_generation == 1
         second = server.execute_join(client.create_query(query))
         assert second.stats.pool_generation == 2
-        assert second.index_pairs == first.index_pairs
+        assert second.tuples == first.tuples
         server.close()

@@ -187,9 +187,8 @@ def _drain(generator):
 
 
 def _assert_identical(result, ref, shards):
-    assert result.index_pairs == ref.index_pairs
-    assert result.left_payloads == ref.left_payloads
-    assert result.right_payloads == ref.right_payloads
+    assert result.tuples == ref.tuples
+    assert result.payloads == ref.payloads
     assert result.stats.shards == shards
     assert result.stats.candidates_left == ref.stats.candidates_left
     assert result.stats.candidates_right == ref.stats.candidates_right
@@ -391,14 +390,14 @@ class TestScatterGather:
             batches, result = _drain(coordinator.stream_join(_query(client)))
             _assert_identical(result, ref, 3)
             streamed = [
-                pair for batch in batches for pair in batch.index_pairs
+                pair for batch in batches for pair in batch.tuples
             ]
             # Discovery order differs from canonical; the set must not.
-            assert sorted(streamed) == sorted(ref.index_pairs)
+            assert sorted(streamed) == sorted(ref.tuples)
             assert len(streamed) == len(set(streamed))
+            payloads = dict(zip(ref.tuples, ref.payloads))
             for batch in batches:
-                assert len(batch.index_pairs) == len(batch.left_payloads)
-                assert len(batch.index_pairs) == len(batch.right_payloads)
+                assert batch.payloads == [payloads[t] for t in batch.tuples]
 
     def test_skewed_partition_still_identical(self):
         """All rows crammed onto one shard of two: maximal skew, same

@@ -97,7 +97,7 @@ class TestRowsAreCheckedAtTheWrite:
             replay = server.execute_join(query)
             assert replay.stats.series_cache_hits == 1
             assert replay.stats.decryptions == 0
-            assert replay.index_pairs == first.index_pairs
+            assert replay.tuples == first.tuples
 
     def test_a_first_refused_store_leaves_the_store_empty(self):
         client, tables = _client()

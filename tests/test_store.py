@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core.client import SecureJoinClient
+from repro.core.client import EncryptedChainQuery, SecureJoinClient
 from repro.core.server import SecureJoinServer
 from repro.crypto.backend import BN254Backend, FastBackend
 from repro.db.query import JoinQuery
@@ -153,8 +153,8 @@ class TestEncryptedTableFormat:
         server.store(load_encrypted_table(tmp_path / "r.etbl", backend))
         query = JoinQuery.build("L", "R", on=("k", "k"))
         result = server.execute_join(client.create_query(query))
-        assert sorted(result.index_pairs) == [(0, 0), (2, 0)]
-        decrypted = client.decrypt_result(result)
+        assert sorted(result.tuples) == [(0, 0), (2, 0)]
+        decrypted = client.decrypt_chain_result(result)
         assert len(decrypted.table) == 2
 
 
@@ -204,9 +204,8 @@ class TestShardedTableFormat:
             result = coordinator.execute_join(client.create_query(query))
         finally:
             coordinator.close()
-        assert result.index_pairs == reference.index_pairs
-        assert result.left_payloads == reference.left_payloads
-        assert result.right_payloads == reference.right_payloads
+        assert result.tuples == reference.tuples
+        assert result.payloads == reference.payloads
 
     def test_descriptor_row_count_mismatch_rejected_on_encode(self):
         from repro.shard import ShardDescriptor
@@ -271,11 +270,15 @@ class TestWireFormats:
         decoded = decode_join_query(
             encode_join_query(encrypted_query, backend), backend
         )
-        assert decoded.query_id == encrypted_query.query_id
-        assert decoded.left_token == encrypted_query.left_token
-        assert decoded.right_token == encrypted_query.right_token
-        assert decoded.left_prefilter == encrypted_query.left_prefilter
-        assert decoded.right_prefilter is None
+        # The server sees the two-table chain query; the pair names
+        # are the client's view of its positions.
+        assert type(decoded) is EncryptedChainQuery
+        assert vars(decoded) == vars(encrypted_query)
+        assert decoded.tokens == (
+            encrypted_query.left_token, encrypted_query.right_token
+        )
+        assert decoded.prefilters[0] == encrypted_query.left_prefilter
+        assert decoded.prefilters[1] is None
 
     def test_query_over_wire_executes(self):
         """Full split-process flow: bytes in, bytes out, decrypt."""
@@ -301,7 +304,7 @@ class TestWireFormats:
         reassembler = StreamReassembler(received)
         for batch in batches:
             reassembler.add_batch(batch)
-        decrypted = client.decrypt_result(reassembler.finish(final))
+        decrypted = client.decrypt_chain_result(reassembler.finish(final))
         assert len(decrypted.table) == 2
 
     def test_result_round_trip_preserves_stats(self):
@@ -313,7 +316,7 @@ class TestWireFormats:
         result = server.execute_join(client.create_query(query))
         decoded = decode_frame(encode_final_frame(result))
         assert decoded.stats == result.stats
-        assert decoded.tuples == result.index_pairs
+        assert decoded.tuples == result.tuples
 
     def test_query_backend_mismatch(self):
         client, _, _ = _fixture()
@@ -333,7 +336,7 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
     HAVE_HYPOTHESIS = False
 
-from repro.core.server import EncryptedJoinResult, ServerStats
+from repro.core.server import EncryptedChainResult, ServerStats
 
 
 def _planner_record(chosen: str, rows: int, estimate: float) -> dict:
@@ -401,7 +404,7 @@ class TestWireV2Stats:
             pool_generation=pool_generation,
             worker_restarts=worker_restarts,
         )
-        result = EncryptedJoinResult(
+        result = EncryptedChainResult(
             tables=("L", "R"),
             tuples=[(i, i + 1) for i in range(n_pairs)],
             payloads=[(b"l%d" % i, b"r%d" % i) for i in range(n_pairs)],
@@ -409,11 +412,11 @@ class TestWireV2Stats:
         )
         decoded = decode_frame(encode_final_frame(result))
         assert decoded.stats == stats
-        assert decoded.tuples == result.index_pairs
+        assert decoded.tuples == result.tuples
 
     def test_unknown_future_stats_fields_ignored(self):
         """The stats block is an open record: an unknown key is dropped."""
-        result = EncryptedJoinResult(
+        result = EncryptedChainResult(
             tables=("L", "R"), tuples=[], payloads=[], stats=ServerStats(),
         )
         blob = bytearray(encode_final_frame(result))

@@ -39,8 +39,6 @@ from repro.core.scheme import SJRowCiphertext, SJToken
 from repro.core.server import (
     ChainMatchBatch,
     EncryptedChainResult,
-    EncryptedJoinResult,
-    MatchBatch,
     ServerStats,
 )
 from repro.crypto.backend import get_backend
@@ -90,7 +88,7 @@ def _tags(*seeds: int) -> frozenset[bytes]:
     return frozenset(bytes([seed]) * 32 for seed in seeds)
 
 
-def _join_query(**overrides) -> EncryptedJoinQuery:
+def _join_query(**overrides) -> EncryptedChainQuery:
     fields = dict(
         query_id=7,
         tables=("L", "R"),
@@ -100,7 +98,7 @@ def _join_query(**overrides) -> EncryptedJoinQuery:
         deadline=12.5,
     )
     fields.update(overrides)
-    return EncryptedJoinQuery(**fields)
+    return EncryptedChainQuery(**fields)
 
 
 def _chain_query(arity: int = 5) -> EncryptedChainQuery:
@@ -117,11 +115,11 @@ def _chain_query(arity: int = 5) -> EncryptedChainQuery:
     )
 
 
-def _join_result() -> EncryptedJoinResult:
-    return EncryptedJoinResult(
+def _join_result() -> EncryptedChainResult:
+    return EncryptedChainResult(
         tables=("L", "R"),
-        tuples=[(0, 0), (2, 0), (1, 1)],
-        payloads=[(b"pl0", b"pr0"), (b"pl2", b"pr0"), (b"pl1", b"pr1")],
+        tuples=[(0, 0), (1, 1), (2, 0)],
+        payloads=[(b"pl0", b"pr0"), (b"pl1", b"pr1"), (b"pl2", b"pr0")],
         stats=ServerStats(matches=3, shards=3, shard_skew=1.5),
     )
 
@@ -515,18 +513,7 @@ class TestHostileCounts:
             decode_join_query(rewritten, BACKEND)
 
     @pytest.mark.parametrize(
-        "name, pair",
-        [("query_join", None), ("query_join", 1), ("query_join", "yes"),
-         ("query_chain5", True), ("query_chain5", 0)],
-    )
-    def test_query_pair_flag_validated(self, name, pair):
-        # The flag is a boolean, and only a two-table query may ask for
-        # the pair order.
-        with pytest.raises(SchemeError, match="pair"):
-            decode_join_query(_rewrite_header(SAMPLES[name], pair=pair), BACKEND)
-
-    @pytest.mark.parametrize(
-        "key", ["query_id", "tables", "pair", "backend", "g1_element_size",
+        "key", ["query_id", "tables", "backend", "g1_element_size",
                 "prefilter_columns", "priority", "deadline"],
     )
     def test_query_header_fields_are_all_required(self, key):
@@ -807,10 +794,8 @@ class TestRoundTrip:
         self, shape, priority, deadline, pair
     ):
         arity, tuples, payloads = shape
-        pair = pair and arity == 2
-        query_type = EncryptedJoinQuery if pair else EncryptedChainQuery
         template = _chain_query(arity)
-        query = query_type(
+        query = EncryptedChainQuery(
             query_id=len(tuples),
             tables=template.tables,
             tokens=template.tokens,
@@ -818,10 +803,21 @@ class TestRoundTrip:
             priority=priority,
             deadline=deadline,
         )
-        decoded = decode_join_query(encode_join_query(query, BACKEND), BACKEND)
-        assert decoded == query and type(decoded) is query_type
+        request = encode_join_query(query, BACKEND)
+        decoded = decode_join_query(request, BACKEND)
+        assert decoded == query and type(decoded) is EncryptedChainQuery
+        if pair and arity == 2:
+            # The client's pair view of a two-way join is the same
+            # message: nothing on the wire tells the two apart.
+            view = EncryptedJoinQuery(**vars(query))
+            assert encode_join_query(view, BACKEND) == request
+            assert (view.left_table, view.right_table) == query.tables
+            assert (view.left_token, view.right_token) == query.tokens
+            assert (
+                view.left_prefilter, view.right_prefilter
+            ) == query.prefilters
 
-        batch = (MatchBatch if pair else ChainMatchBatch)(tuples, payloads)
+        batch = ChainMatchBatch(tuples, payloads)
         frame = decode_frame(encode_match_batch(batch))
         assert isinstance(frame, MatchBatchFrame)
         assert frame.tuples == tuples
@@ -832,7 +828,7 @@ class TestRoundTrip:
                 list(rows) for rows in carried
             ]
 
-        result = (EncryptedJoinResult if pair else EncryptedChainResult)(
+        result = EncryptedChainResult(
             query.tables, tuples, payloads, ServerStats(matches=len(tuples))
         )
         final = decode_frame(encode_final_frame(result))
@@ -849,20 +845,6 @@ class TestRoundTrip:
         assert rebuilt == batch and type(rebuilt) is type(batch)
         assert reassembler.finish(final) == result
 
-        if pair:
-            # The pair names are views of the positional columns.
-            assert decoded.left_table == query.tables[0]
-            assert decoded.right_table == query.tables[1]
-            assert (decoded.left_token, decoded.right_token) == query.tokens
-            assert (
-                decoded.left_prefilter, decoded.right_prefilter
-            ) == query.prefilters
-            for shaped in (batch, result):
-                assert shaped.index_pairs == tuples
-                assert shaped.left_payloads == [p[0] for p in payloads]
-                assert shaped.right_payloads == [p[1] for p in payloads]
-            assert (result.left_table, result.right_table) == query.tables
-
     def test_shared_tokens_stay_byte_identical(self):
         # What the server's handle pool groups by survives the wire.
         decoded = decode_join_query(SAMPLES["query_chain5"], BACKEND)
@@ -870,14 +852,13 @@ class TestRoundTrip:
         assert decoded.tokens[0] != decoded.tokens[1]
 
     def test_empty_batch_round_trips(self):
-        for batch_type in (MatchBatch, ChainMatchBatch):
-            frame = decode_frame(encode_match_batch(batch_type([], [])))
-            assert frame == MatchBatchFrame([], [{}, {}])
-            # On a stream the state gives the arity, and stays empty.
-            sent = [set(), set(), set()]
-            frame = decode_frame(encode_match_batch(batch_type([], []), sent))
-            assert frame == MatchBatchFrame([], [{}, {}, {}])
-            assert sent == [set(), set(), set()]
+        frame = decode_frame(encode_match_batch(ChainMatchBatch([], [])))
+        assert frame == MatchBatchFrame([], [{}, {}])
+        # On a stream the state gives the arity, and stays empty.
+        sent = [set(), set(), set()]
+        frame = decode_frame(encode_match_batch(ChainMatchBatch([], []), sent))
+        assert frame == MatchBatchFrame([], [{}, {}, {}])
+        assert sent == [set(), set(), set()]
 
     def test_encoder_refuses_a_batch_that_does_not_fit_its_stream(self):
         with pytest.raises(SchemeError, match="mismatched payload counts"):
@@ -1004,19 +985,21 @@ class TestReassembler:
         reassembler = StreamReassembler(_join_query())
         first, second = _stream_frames(
             ChainMatchBatch(
-                [result.tuples[2], result.tuples[0]],
-                [result.payloads[2], result.payloads[0]],
+                [result.tuples[1], result.tuples[0]],
+                [result.payloads[1], result.payloads[0]],
             ),
-            ChainMatchBatch([result.tuples[1]], [result.payloads[1]]),
+            ChainMatchBatch([result.tuples[2]], [result.payloads[2]]),
         )
         assert second.rows == [{2: b"pl2"}, {}]
         reassembler.add_batch(first)
         last = reassembler.add_batch(second)
-        assert last == MatchBatch([result.tuples[1]], [result.payloads[1]])
+        assert last == ChainMatchBatch(
+            [result.tuples[2]], [result.payloads[2]]
+        )
         rebuilt = reassembler.finish(self._final(result))
         assert rebuilt == result
         # One object per row, however many tuples name it.
-        assert rebuilt.payloads[0][1] is rebuilt.payloads[1][1]
+        assert rebuilt.payloads[0][1] is rebuilt.payloads[2][1]
 
     def test_shape_follows_the_query_type(self):
         result = _chain_result()
@@ -1029,7 +1012,7 @@ class TestReassembler:
 
     def test_rejects_duplicate_and_miscounted_tuples(self):
         result = _join_result()
-        batch = MatchBatch([result.tuples[0]], [result.payloads[0]])
+        batch = ChainMatchBatch([result.tuples[0]], [result.payloads[0]])
         reassembler = StreamReassembler(_join_query())
         (frame,) = _stream_frames(batch)
         reassembler.add_batch(frame)
@@ -1045,11 +1028,11 @@ class TestReassembler:
         # Two self-contained frames are not one stream: the second
         # carries right row 0 again.
         reassembler.add_batch(decode_frame(encode_match_batch(
-            MatchBatch([result.tuples[0]], [result.payloads[0]])
+            ChainMatchBatch([result.tuples[0]], [result.payloads[0]])
         )))
         with pytest.raises(SchemeError, match="row more than once"):
             reassembler.add_batch(decode_frame(encode_match_batch(
-                MatchBatch([result.tuples[1]], [result.payloads[1]])
+                ChainMatchBatch([result.tuples[2]], [result.payloads[2]])
             )))
 
     def test_rejects_a_tuple_naming_a_row_no_frame_carried(self):
@@ -1064,7 +1047,7 @@ class TestReassembler:
     def test_rejects_final_naming_undelivered_tuple(self):
         result = _join_result()
         reassembler = StreamReassembler(_join_query())
-        (frame,) = _stream_frames(MatchBatch(
+        (frame,) = _stream_frames(ChainMatchBatch(
             [(90, 90), (91, 91), (92, 92)],
             [(b"x", b"x"), (b"y", b"y"), (b"z", b"z")],
         ))
@@ -1078,7 +1061,7 @@ class TestReassembler:
         # must be a permutation of what the batches delivered.
         reassembler = StreamReassembler(_join_query())
         (frame,) = _stream_frames(
-            MatchBatch([(0, 0), (1, 1)], [(b"a", b"b"), (b"c", b"d")])
+            ChainMatchBatch([(0, 0), (1, 1)], [(b"a", b"b"), (b"c", b"d")])
         )
         reassembler.add_batch(frame)
         with pytest.raises(SchemeError, match="twice"):
@@ -1125,6 +1108,17 @@ class TestOneVersion:
         assert blob[8] != VERSION
         with pytest.raises(SchemeError, match=f"only version {VERSION}"):
             _decode(name, bytes(blob))
+
+    def test_a_version_10_query_is_refused_by_name(self):
+        # Version 10 was the last whose query header carried the
+        # ``pair`` flag, which asked for a second answer order.
+        blob = bytearray(_rewrite_header(SAMPLES["query_join"], pair=True))
+        blob[8] = 10
+        with pytest.raises(
+            SchemeError, match="unsupported format version 10; .* only "
+            f"version {VERSION}"
+        ):
+            decode_join_query(bytes(blob), BACKEND)
 
     @pytest.mark.parametrize("offset", [-1, +1])
     def test_other_store_versions_rejected(self, offset):
