@@ -102,12 +102,3 @@ class Schema:
                     f"value {value!r} is not a {column.type} "
                     f"(column {column.name!r})"
                 )
-
-    def concat(self, other: "Schema", prefix_self: str = "", prefix_other: str = "") -> "Schema":
-        """Schema of a joined table, with optional disambiguating prefixes."""
-        columns = [
-            Column(prefix_self + c.name, c.type) for c in self.columns
-        ] + [
-            Column(prefix_other + c.name, c.type) for c in other.columns
-        ]
-        return Schema(tuple(columns))

@@ -71,17 +71,5 @@ class TestSchema:
         with pytest.raises(SchemaError):
             schema.validate_row(("not-an-int",))
 
-    def test_concat_with_prefixes(self):
-        left = Schema.of("id", "name")
-        right = Schema.of("id", "value")
-        joined = left.concat(right, "L.", "R.")
-        assert joined.names() == ("L.id", "L.name", "R.id", "R.value")
-
-    def test_concat_collision_without_prefix_rejected(self):
-        left = Schema.of("id")
-        right = Schema.of("id")
-        with pytest.raises(SchemaError):
-            left.concat(right)
-
     def test_len(self):
         assert len(Schema.of("a", "b")) == 2
