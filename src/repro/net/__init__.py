@@ -12,10 +12,11 @@ messages:
   :meth:`~repro.core.server.SecureJoinServer.stream_chain`, and emits
   the chunked result stream (stream-header / match-batch / final
   frames) so remote clients receive matches while SJ.Dec is still
-  running;
+  running; a connection carries each row's payload once per table
+  epoch;
 - :class:`~repro.net.client.RemoteJoinClient` — consumes the frame
-  stream with bounded buffering (client-side backpressure) and
-  reassembles the canonical result;
+  stream with bounded buffering (client-side backpressure), keeps the
+  connection's rows, and reassembles the canonical result;
 - ``python -m repro.net`` — a standalone server process with graceful
   SIGTERM drain;
 - :class:`~repro.net.shard.ShardServiceServer` /

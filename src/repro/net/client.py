@@ -11,6 +11,16 @@ returns the reassembled canonical result as the generator's value,
 exactly like the in-process
 :meth:`~repro.core.server.SecureJoinServer.stream_chain`.
 
+The connection carries each row's payload once per table epoch, so
+the client keeps the mirror of the server's row state: per table name,
+``row → payload`` for every row the connection has carried.  A stream
+header names the tables whose rows start over (their table was stored
+again), and the client forgets those first.  The state holds at most
+one payload per row of each table's current epoch — the same ``bytes``
+objects every answer on this connection hands out, so the client's
+result memo hits them by identity — and goes when the connection
+closes, is abandoned or drops.
+
 Backpressure: a reader thread pulls frames off the socket into a
 *bounded* buffer (``max_buffered_batches``).  When the consumer falls
 behind, the buffer fills and the reader stops pulling; the kernel
@@ -88,12 +98,16 @@ class RemoteJoinClient:
             pass
         self._busy = False
         self._lock = threading.Lock()
+        #: The connection's row state: per table name, every row the
+        #: server has carried on it in the table's current epoch.
+        self._rows: dict[str, dict[int, bytes]] = {}
 
     # -- lifecycle --------------------------------------------------------
     def close(self) -> None:
         """Close the connection.  Idempotent."""
         with self._lock:
             sock, self._sock = self._sock, None
+            self._rows = {}
         if sock is not None:
             try:
                 sock.close()
@@ -127,7 +141,6 @@ class RemoteJoinClient:
         resynchronized) — use one client per abandoned stream, or drain.
         """
         request = encode_join_query(query, self.backend)
-        reassembler = StreamReassembler(query)
         with self._lock:
             if self._sock is None:
                 raise NetworkError("client is closed")
@@ -138,6 +151,7 @@ class RemoteJoinClient:
                 )
             self._busy = True
             sock = self._sock
+            reassembler = StreamReassembler(query, self._rows)
         completed = False
         frames: queue.Queue = queue.Queue(maxsize=self.max_buffered_batches)
         abandoned = threading.Event()
@@ -199,6 +213,7 @@ class RemoteJoinClient:
                             f"stream answers query {frame.query_id}, "
                             f"expected {query.query_id}"
                         )
+                    reassembler.start(frame)
                     got_header = True
                     continue
                 if isinstance(frame, MatchBatchFrame):

@@ -6,25 +6,35 @@ One thread per connection; each connection serves any number of queries
 sequentially.  Per query — a two-way join or a longer chain, it is one
 message and one handler — it emits:
 
-1. one **stream-header frame** acknowledging the query,
+1. one **stream-header frame** acknowledging the query and naming the
+   tables whose carried rows start over,
 2. a **match-batch frame** per batch the streaming pipeline yields —
    index tuples in discovery order and the payloads of the rows this
-   stream has not carried yet, sent while SJ.Dec is still running,
-3. one **final frame** with the canonical tuple order and the
+   connection has not carried yet, sent while SJ.Dec is still running,
+3. one **final frame** with the tuple count and the
    :class:`~repro.core.server.ServerStats` — or an **error frame** if
    the query failed (bad payload, unknown table, deadline exceeded...).
+
+A connection carries each row's payload once per table epoch: it keeps,
+per table name, the epoch it last read and the rows it has sent since,
+so a re-submitted query ships its index tuples and no payload the client
+already holds.  When a table is stored again its epoch moves, its set is
+cleared, and the next stream header names it.  The state lives and dies
+with the connection.
 
 Exposure policy: the socket can reach exactly ``decode_join_query`` →
 ``stream_chain`` (a two-way join is the two-table chain), on the
 engine the operator built the server with.  Priority/deadline QoS from
 the query header feed the admission scheduler; pool controls, the
 choice of engine, the leakage ledger and store mutation are not
-reachable from the wire.
+reachable from the wire.  The per-connection row sets record only what
+the server itself sent on that connection.
 
 Graceful drain (:meth:`JoinServiceServer.shutdown`): stop accepting new
 connections, let in-flight query streams finish, close idle
-connections, then close the underlying worker pool.  This is what the
-``python -m repro.net`` process does on SIGTERM.
+connections, wait for every connection's handler to exit, then close
+the underlying worker pool.  This is what the ``python -m repro.net``
+process does on SIGTERM.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+import weakref
 
 from repro.core.server import SecureJoinServer
 from repro.errors import NetworkError, ReproError
@@ -54,8 +65,9 @@ class _Connection:
         #: True while a query stream is in flight on this connection —
         #: drain waits for busy connections and force-closes idle ones.
         self.busy = False
-        #: The serving thread: tracked here, so it goes with the connection.
-        self.handler: threading.Thread | None = None
+        #: What this connection has carried: per table name, the
+        #: table's epoch and the rows whose payload it has been sent.
+        self.rows: dict[str, tuple[int, set[int]]] = {}
 
 
 class JoinServiceServer:
@@ -80,6 +92,10 @@ class JoinServiceServer:
         self._accept_thread: threading.Thread | None = None
         self._lock = threading.Lock()
         self._connections: set[_Connection] = set()
+        #: Every handler thread that may still run: one leaves the set
+        #: only once nothing refers to its ``Thread`` any more, which
+        #: is after it has exited.  ``shutdown`` joins them all.
+        self._handlers: weakref.WeakSet[threading.Thread] = weakref.WeakSet()
         self._draining = threading.Event()
         self._started = False
         #: Completed query streams: answers whose closing frame was sent,
@@ -141,14 +157,15 @@ class JoinServiceServer:
                     continue
                 connection = _Connection(sock, peer)
                 self._connections.add(connection)
-                connection.handler = threading.Thread(
+                handler = threading.Thread(
                     target=self._serve_connection,
                     args=(connection,),
                     name=f"repro-net-conn-{peer}",
                     daemon=True,
                 )
-                # Under the lock: shutdown() joins registered handlers.
-                connection.handler.start()
+                # Under the lock: shutdown() joins every started handler.
+                self._handlers.add(handler)
+                handler.start()
 
     def _serve_connection(self, connection: _Connection) -> None:
         sock = connection.sock
@@ -167,7 +184,7 @@ class JoinServiceServer:
                         return
                     connection.busy = True
                 try:
-                    self._serve_query(sock, request)
+                    self._serve_query(connection, request)
                 except NetworkError:
                     # The client vanished mid-stream (or drain cut the
                     # socket); admissions were released by the finally
@@ -184,7 +201,7 @@ class JoinServiceServer:
             except OSError:  # pragma: no cover - already closed
                 pass
 
-    def _serve_query(self, sock: socket.socket, request: bytes) -> None:
+    def _serve_query(self, connection: _Connection, request: bytes) -> None:
         """Decode one query and send its answer, frame by frame.
 
         Library failures (codec, scheme, deadline) — at decode time or
@@ -192,13 +209,14 @@ class JoinServiceServer:
         so the client sees *why*; transport failures propagate and drop
         the connection.
         """
+        sock = connection.sock
         frames = None
         try:
             try:
                 query = decode_join_query(
                     request, self.join_server.scheme.backend
                 )
-                frames = self._answer(query)
+                frames = self._answer(query, connection.rows)
                 for frame in frames:
                     send_message(sock, frame)
             except ReproError as error:
@@ -214,15 +232,35 @@ class JoinServiceServer:
             if frames is not None:
                 frames.close()
 
-    def _answer(self, query):
+    def _answer(self, query, held: dict[str, tuple[int, set[int]]]):
         """The encoded frames answering ``query``, lazily: stream
-        header, one match batch per pipeline increment, final frame."""
+        header, one match batch per pipeline increment, final frame.
+
+        ``held`` is the connection's row state.  Each table's epoch is
+        read before the stream lends any payload, so a table stored
+        again mid-stream shows as a moved epoch on the next query and
+        restarts then."""
+        restart = []
+        by_table = {}
+        for name in dict.fromkeys(query.tables):
+            epoch = self.join_server.table_epoch(name)
+            entry = held.get(name)
+            if entry is None or entry[0] != epoch:
+                entry = (epoch, set())
+                restart.append(name)
+                # Epoch 0 is a table never stored: the query fails, and
+                # the connection keeps nothing for the name.
+                if epoch:
+                    held[name] = entry
+            by_table[name] = entry[1]
+        # Positions that name one table share its set: a row travels
+        # once for all of them.
+        sent = [by_table[name] for name in query.tables]
         stream = self.join_server.stream_chain(query)
-        # The stream's state: per chain position, the rows whose payload
-        # an earlier frame carried — each travels once per answer.
-        sent = [set() for _ in query.tables]
         try:
-            yield encode_stream_header(query.query_id, *query.tables)
+            yield encode_stream_header(
+                query.query_id, *query.tables, restart=restart
+            )
             while True:
                 try:
                     batch = next(stream)
@@ -266,7 +304,6 @@ class JoinServiceServer:
         # their sockets — their in-flight stream finishes first (drain)
         # or is cut (not drain).
         with self._lock:
-            handlers = [c.handler for c in self._connections]
             for connection in list(self._connections):
                 if not drain or not connection.busy:
                     _force_close(connection.sock)
@@ -280,6 +317,10 @@ class JoinServiceServer:
             with self._lock:
                 for connection in list(self._connections):
                     _force_close(connection.sock)
+        # Every handler, registered or already unregistered on its way
+        # out: none outlives shutdown (within the budget).
+        with self._lock:
+            handlers = list(self._handlers)
         for handler in handlers:
             handler.join(timeout=max(0.1, deadline - time.monotonic()))
         if self._accept_thread is not None:

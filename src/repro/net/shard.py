@@ -73,11 +73,13 @@ class ShardServiceServer(JoinServiceServer):
     ):
         super().__init__(shard, host=host, port=port, **kwargs)
 
-    def _answer(self, query):
+    def _answer(self, query, held):
         """The encoded scatter frames for ``query``, lazily: every
         distinct side is opened (co-admitted on this shard's pool)
         before the stream header goes out, then their chunks are sent
-        round-robin, then the per-side totals."""
+        round-robin, then the per-side totals.  Every item carries its
+        payload: a coordinator opens one connection per query, so the
+        connection's row state ``held`` is never read."""
         store = self.join_server
         sides = group_chain_sides(query, series_key(query, store.backend))
         sources: list = []

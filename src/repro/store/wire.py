@@ -7,17 +7,22 @@ What crosses the client/server boundary at query time:
   scheduling QoS (``priority`` and a relative ``deadline``).  A two-way
   join is the two-position case, answered like any chain;
 - the **result stream frames** (server -> client): a stream-header
-  frame, repeated match-batch frames carrying index tuples in discovery
-  order, and a final frame carrying the canonical tuple order plus
+  frame naming the tables whose carried rows start over, repeated
+  match-batch frames carrying index tuples in discovery order, and a
+  final frame carrying the tuple count plus
   :class:`~repro.core.server.ServerStats` — so a remote client receives
-  matched rows while SJ.Dec is still running.  Match batches are
-  **row-referenced**: a tuple names its rows, and a row's payload
-  travels once per stream, in the first frame whose tuples name it —
-  per chain position three runs (row indices in first-reference order,
-  payload lengths, the payloads concatenated).  The encoder is handed
-  the stream's set of delivered rows; :func:`decode_frame` stays
-  stateless and :class:`StreamReassembler` resolves rows to payloads
-  across frames.  Failures travel in-stream as an error frame;
+  matched rows while SJ.Dec is still running.  The canonical order is
+  lexicographic by definition, so the final frame does not repeat the
+  tuples: the receiver sorts what the batches delivered.  Match batches
+  are **row-referenced**: a tuple names its rows, and a row's payload
+  travels once per connection and table epoch, in the first frame whose
+  tuples name it — per chain position three runs (row indices in
+  first-reference order, payload lengths, the payloads concatenated).
+  The encoder is handed the sender's sets of delivered rows;
+  :func:`decode_frame` stays stateless and :class:`StreamReassembler`
+  resolves rows to payloads across frames (and, given the receiver's
+  row state, across the queries of one connection).  Failures travel
+  in-stream as an error frame;
 - the **scatter frames** (shard -> coordinator): scatter-chunk frames
   carrying one side's decrypted handle events with the chain positions
   that consume them, and a scatter-final frame with the per-side
@@ -69,7 +74,7 @@ _QUERY_MAGIC = b"RPROJQRY"
 _FRAME_MAGIC = b"RPROJFRM"
 #: The one wire version, stamped on every message of every kind; a
 #: peer speaking any other is rejected by :func:`read_header`.
-_VERSION = 11
+_VERSION = 12
 _TAG_SIZE = 32
 
 #: Priority magnitude cap: wire-supplied priorities are clamped into a
@@ -336,21 +341,10 @@ def _decode_record(record_type, value, key: str):
         raise SchemeError(f"{key} lacks a required field") from None
 
 
-def _rows(flat, arity: int) -> list[tuple]:
-    """Regroup a flat run into ``arity``-tuples: ``zip`` drawing
-    ``arity`` times per row from one shared iterator."""
-    return list(zip(*[iter(flat)] * arity))
-
-
-def _write_tuples(writer: Writer, tuples) -> None:
-    """The index tuples as one flat u32 run."""
-    writer.u32s(list(chain.from_iterable(tuples)))
-
-
 def _read_tuples(
-    reader: Reader, header: dict, key: str, arity: int
+    reader: Reader, header: dict, arity: int
 ) -> list[tuple[int, ...]]:
-    """Read ``header[key]`` index tuples of ``arity`` u32s each.
+    """Read ``header["n_tuples"]`` index tuples of ``arity`` u32s each.
 
     The count is header-supplied and therefore untrusted: a negative
     value must not silently yield an empty range, and an absurdly large
@@ -358,14 +352,15 @@ def _read_tuples(
     indices (4 bytes each), a floor that bounds any count a well-formed
     body could satisfy.
     """
-    count = _as_int(_require(header, key), key, minimum=0)
+    count = _as_int(_require(header, "n_tuples"), "n_tuples", minimum=0)
     if count * arity * 4 > reader.remaining:
         raise SchemeError(
             f"bad tuple count {count}: {count} index tuples need at "
             f"least {count * arity * 4} bytes, but only "
             f"{reader.remaining} remain"
         )
-    return _rows(reader.u32s(count * arity), arity)
+    # ``zip`` drawing ``arity`` times per tuple from one shared iterator.
+    return list(zip(*[iter(reader.u32s(count * arity))] * arity))
 
 
 # -- result stream frames --------------------------------------------------
@@ -373,10 +368,13 @@ def _read_tuples(
 
 @dataclasses.dataclass(frozen=True)
 class StreamHeaderFrame:
-    """Opens one result stream: identifies the query being answered."""
+    """Opens one result stream: identifies the query being answered,
+    and names the tables whose carried rows start over — the receiver
+    forgets every row of theirs it holds before the first batch."""
 
     query_id: int
     tables: tuple[str, ...]
+    restart: tuple[str, ...] = ()
 
 
 @dataclasses.dataclass
@@ -384,7 +382,7 @@ class MatchBatchFrame:
     """One streamed increment, as decoded: the index tuples (discovery
     order, at the arity of the query being answered) and, per chain
     position, ``{row: payload}`` for the rows this frame carries — the
-    ones its stream had not carried before.  A tuple may name a row an
+    ones its sender had not carried before.  A tuple may name a row an
     earlier frame carried; :class:`StreamReassembler` resolves those."""
 
     tuples: list[tuple[int, ...]]
@@ -393,15 +391,15 @@ class MatchBatchFrame:
 
 @dataclasses.dataclass
 class FinalFrame:
-    """Closes a stream: canonical tuple order plus the server stats.
+    """Closes a stream: the tuple count plus the server stats.
 
-    Payloads already travelled in the match-batch frames;
-    :class:`StreamReassembler` stitches them back into the canonical
-    order this frame dictates.
+    Tuples and payloads already travelled in the match-batch frames;
+    :class:`StreamReassembler` sorts them into the canonical
+    (lexicographic) order and checks the count.
     """
 
     tables: tuple[str, ...]
-    tuples: list[tuple[int, ...]]
+    n_tuples: int
     stats: ServerStats
 
 
@@ -413,12 +411,15 @@ class ErrorFrame:
     message: str
 
 
-def encode_stream_header(query_id: int, *tables: str) -> bytes:
+def encode_stream_header(
+    query_id: int, *tables: str, restart: tuple[str, ...] = ()
+) -> bytes:
     writer = Writer()
     write_header(writer, _FRAME_MAGIC, _VERSION, {
         "kind": FRAME_STREAM_HEADER,
         "query_id": query_id,
         "tables": list(tables),
+        "restart": list(restart),
     })
     return writer.getvalue()
 
@@ -427,14 +428,15 @@ def encode_match_batch(
     batch: ChainMatchBatch, sent: list[set[int]] | None = None
 ) -> bytes:
     """One match-batch frame: the tuples as one flat u32 run, then per
-    chain position the rows this stream has not carried yet — their
+    chain position the rows its sender has not carried yet — their
     indices in first-reference order, their payload lengths, their
     payloads concatenated.
 
-    ``sent`` is the stream's state: per position, the rows earlier
+    ``sent`` is the sender's state: per position, the rows earlier
     frames delivered; the rows this frame carries are added to it.
-    Without it the frame starts from a fresh state and is
-    self-contained.
+    Positions that name one table may share one set, and then a row
+    travels once for all of them.  Without it the frame starts from a
+    fresh state and is self-contained.
     """
     tuples = batch.tuples
     if len(batch.payloads) != len(tuples):
@@ -454,9 +456,11 @@ def encode_match_batch(
     ):
         # First-reference order, each row once; a row's payload is its
         # stored blob, the same bytes in every tuple that names it.
-        new = dict(zip(rows, payloads))
-        for row in delivered.intersection(new):
-            del new[row]
+        new = {
+            row: payload
+            for row, payload in zip(rows, payloads)
+            if row not in delivered
+        }
         delivered.update(new)
         fresh.append(new)
     fresh += [{}] * (len(sent) - len(fresh))
@@ -467,7 +471,7 @@ def encode_match_batch(
         "n_tuples": len(tuples),
         "n_rows": [len(new) for new in fresh],
     })
-    _write_tuples(writer, tuples)
+    writer.u32s(list(chain.from_iterable(tuples)))
     for new in fresh:
         writer.u32s(list(new))
         writer.u32s(list(map(len, new.values())))
@@ -476,7 +480,7 @@ def encode_match_batch(
 
 
 def encode_final_frame(result: EncryptedChainResult) -> bytes:
-    """The stream's closing frame: canonical tuples + stats, no payloads."""
+    """The stream's closing frame: the tuple count and the stats."""
     writer = Writer()
     write_header(writer, _FRAME_MAGIC, _VERSION, {
         "kind": FRAME_FINAL,
@@ -484,7 +488,6 @@ def encode_final_frame(result: EncryptedChainResult) -> bytes:
         "n_tuples": len(result.tuples),
         "stats": dataclasses.asdict(result.stats),
     })
-    _write_tuples(writer, result.tuples)
     return writer.getvalue()
 
 
@@ -611,7 +614,7 @@ def _decode_match_batch(reader: Reader, header: dict) -> MatchBatchFrame:
         raise SchemeError(
             f"batch arity {arity} exceeds the cap {MAX_CHAIN_TABLES}"
         )
-    tuples = _read_tuples(reader, header, "n_tuples", arity)
+    tuples = _read_tuples(reader, header, arity)
     n_rows = [
         _as_int(count, "n_rows", minimum=0)
         for count in _as_list(_require(header, "n_rows"), "n_rows")
@@ -656,19 +659,29 @@ def decode_frame(
     kind = _as_str(_require(header, "kind"), "kind")
     if kind == FRAME_STREAM_HEADER:
         reader.expect_end()
+        tables = _chain_tables(header)
+        restart = _as_str_list(_require(header, "restart"), "restart")
+        if len(set(restart)) != len(restart) or not set(tables).issuperset(
+            restart
+        ):
+            raise SchemeError(
+                f"stream header restarts {restart}: each of the tables "
+                f"{list(tables)} it names at most once"
+            )
         return StreamHeaderFrame(
             query_id=_as_int(_require(header, "query_id"), "query_id"),
-            tables=_chain_tables(header),
+            tables=tables,
+            restart=tuple(restart),
         )
     if kind == FRAME_MATCH_BATCH:
         return _decode_match_batch(reader, header)
     if kind == FRAME_FINAL:
-        tables = _chain_tables(header)
-        tuples = _read_tuples(reader, header, "n_tuples", len(tables))
         reader.expect_end()
         return FinalFrame(
-            tables=tables,
-            tuples=tuples,
+            tables=_chain_tables(header),
+            n_tuples=_as_int(
+                _require(header, "n_tuples"), "n_tuples", minimum=0
+            ),
             stats=_decode_record(
                 ServerStats, _require(header, "stats"), "stats"
             ),
@@ -693,25 +706,55 @@ class StreamReassembler:
     """Rebuild the canonical answer to ``query`` from its frame stream.
 
     Match-batch frames deliver tuples in discovery order and each row's
-    payload once, in the first frame that names it; the final frame
-    dictates the canonical tuple order.  Feed each decoded batch frame
-    to :meth:`add_batch` and close with :meth:`finish` — the result is
+    payload once, in the first frame that names it; the canonical order
+    is lexicographic, so :meth:`finish` sorts what the batches
+    delivered, and the final frame says how many tuples that must be.
+    Open with :meth:`start` (optional), feed each decoded batch frame to
+    :meth:`add_batch` and close with :meth:`finish` — the result is
     byte-identical, up to run-dependent stats, to what the in-process
     ``execute_join`` / ``execute_chain`` would have returned.
-    Every tuple naming a row gets the *same* ``bytes`` object for it.
-    Every frame must answer *this* query: a frame or tuple of another
-    arity, a row carried twice, a tuple naming a row no frame carried, a
-    tuple delivered twice, a final frame naming other tables, another
-    count, or anything but a permutation of the delivered tuples, all
-    raise :class:`~repro.errors.SchemeError`.
+
+    Rows resolve through ``rows``, the receiver's row state: per table
+    name, ``{row: payload}`` for every row the sender carried, so the
+    positions that name one table read one map.  A connection keeps one
+    such state across its queries (:class:`~repro.net.RemoteJoinClient`
+    does), and the sender carries a row only once per table epoch; built
+    without one, the reassembler starts empty.  Every tuple naming a row
+    — in this answer and in every later one read through the same state
+    — gets the *same* ``bytes`` object for it.
+
+    Every frame must answer *this* query: a header naming other tables
+    or restarting one the query does not name, a frame or tuple of
+    another arity, a row carried twice, a tuple naming a row no frame
+    carried, a tuple delivered twice, a final frame naming other tables
+    or another count, all raise :class:`~repro.errors.SchemeError`.
     """
 
-    def __init__(self, query: EncryptedChainQuery):
+    def __init__(
+        self,
+        query: EncryptedChainQuery,
+        rows: dict[str, dict[int, bytes]] | None = None,
+    ):
         self._tables = tuple(query.tables)
-        #: Per chain position, every row the stream carried so far.
-        self._rows: list[dict[int, bytes]] = [{} for _ in self._tables]
+        self._held = {} if rows is None else rows
+        #: Per chain position, its table's map in the row state.
+        self._rows = [self._held.setdefault(name, {}) for name in self._tables]
         #: Every tuple delivered so far, with its resolved payloads.
         self._delivered: dict[tuple[int, ...], tuple[bytes, ...]] = {}
+
+    def start(self, header: StreamHeaderFrame) -> None:
+        """Check the stream header; forget the rows of the tables it
+        restarts."""
+        if header.tables != self._tables or not set(
+            self._tables
+        ).issuperset(header.restart):
+            raise SchemeError(
+                f"stream header over {header.tables} restarting "
+                f"{header.restart} opens no answer to a query over "
+                f"{self._tables}"
+            )
+        for name in header.restart:
+            self._held[name].clear()
 
     def add_batch(self, frame: MatchBatchFrame) -> ChainMatchBatch:
         """Check and retain one decoded batch frame; returns its batch,
@@ -742,30 +785,22 @@ class StreamReassembler:
         return ChainMatchBatch(tuples, payloads)
 
     def finish(self, final: FinalFrame) -> EncryptedChainResult:
-        """The canonical result; consumes what the batches delivered."""
+        """The canonical result: the delivered tuples, sorted."""
         if tuple(final.tables) != self._tables:
             raise SchemeError(
                 f"final frame answers a query over {tuple(final.tables)}, "
                 f"expected {self._tables}"
             )
         delivered = self._delivered
-        if len(final.tuples) != len(delivered):
+        if final.n_tuples != len(delivered):
             raise SchemeError(
                 f"stream delivered {len(delivered)} tuples but the "
-                f"final frame claims {len(final.tuples)}"
+                f"final frame claims {final.n_tuples}"
             )
-        try:
-            # Equal counts, and each delivered tuple can be taken once:
-            # only a permutation of them gets through.
-            payloads = list(map(delivered.pop, final.tuples))
-        except KeyError as missing:
-            raise SchemeError(
-                f"final frame names tuple {missing.args[0]} that no match "
-                "batch delivered, or names it twice"
-            ) from None
+        tuples = sorted(delivered)
         return EncryptedChainResult(
             tables=self._tables,
-            tuples=final.tuples,
-            payloads=payloads,
+            tuples=tuples,
+            payloads=list(map(delivered.__getitem__, tuples)),
             stats=final.stats,
         )

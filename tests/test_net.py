@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import operator
 import random
 import socket
 import threading
@@ -52,6 +53,7 @@ from repro.store.wire import (
     decode_frame,
     encode_join_query,
 )
+from tests.conftest import SleepingBackend
 
 
 def _fixture(n_rows=12, batch_size=3, seed=17, **server_kwargs):
@@ -337,6 +339,7 @@ class TestReplayedAnswerIsFramed:
         ) == sorted(replay.tuples)
         assert replay.tuples == cold.tuples
         assert replay.payloads == cold.payloads
+        _assert_same_objects(replay, cold)
 
     @pytest.mark.parametrize("arity", [2, 3], ids=["join", "chain3"])
     def test_cold_increment_fits_the_message_limit(self, arity):
@@ -365,6 +368,14 @@ class TestReplayedAnswerIsFramed:
         assert len(cold.tuples) == 6000
         assert replay.tuples == cold.tuples
         assert replay.payloads == cold.payloads
+        _assert_same_objects(replay, cold)
+
+
+def _assert_same_objects(replay, cold):
+    """The replay carried no payload: the connection resolved every row
+    to the very ``bytes`` object the cold answer received."""
+    for again, before in zip(replay.payloads, cold.payloads):
+        assert all(map(operator.is_, again, before))
 
 
 class _CountingSocket:
@@ -383,9 +394,96 @@ class _CountingSocket:
         return getattr(self._sock, name)
 
 
+@dataclasses.dataclass
+class _Answer:
+    """One query's answer on a :class:`_RawConnection`, counted."""
+
+    header: StreamHeaderFrame
+    result: object
+    #: Rows whose payload the answer carried, and their payload bytes.
+    rows: int
+    payload_bytes: int
+    #: Every other byte the socket carried for the answer.
+    framing: int
+    frames: int
+    error: ErrorFrame | None = None
+
+
+class _RawConnection:
+    """A connection driven frame by frame on a real socket, the
+    client's row state kept beside it, counting every byte received."""
+
+    def __init__(self, address, backend):
+        self.sock = _CountingSocket(
+            socket.create_connection(address, timeout=30)
+        )
+        self.backend = backend
+        self.held: dict[str, dict[int, bytes]] = {}
+
+    def ask(self, query) -> _Answer:
+        before = self.sock.received
+        send_message(self.sock, encode_join_query(query, self.backend))
+        header = decode_frame(recv_message(self.sock))
+        assert isinstance(header, StreamHeaderFrame)
+        reassembler = StreamReassembler(query, self.held)
+        reassembler.start(header)
+        rows = payload_bytes = frames = 0
+        while True:
+            frame = decode_frame(recv_message(self.sock))
+            frames += 1
+            if isinstance(frame, (FinalFrame, ErrorFrame)):
+                break
+            rows += sum(map(len, frame.rows))
+            payload_bytes += sum(
+                len(payload)
+                for carried in frame.rows
+                for payload in carried.values()
+            )
+            reassembler.add_batch(frame)
+        failed = isinstance(frame, ErrorFrame)
+        return _Answer(
+            header=header,
+            result=None if failed else reassembler.finish(frame),
+            rows=rows,
+            payload_bytes=payload_bytes,
+            framing=self.sock.received - before - payload_bytes,
+            frames=frames,
+            error=frame if failed else None,
+        )
+
+    def __enter__(self) -> "_RawConnection":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.sock.close()
+
+
+def _served(tables, seed=29, **server_kwargs):
+    """A client for ``tables`` (joined on ``k``), and a server storing
+    them; returns ``(client, server, encrypted tables)``."""
+    client = SecureJoinClient.for_tables(
+        [(t, "k") for t in tables], in_clause_limit=1,
+        rng=random.Random(seed),
+    )
+    encrypted = [client.encrypt_table(t, "k") for t in tables]
+    server = SecureJoinServer(client.params, **server_kwargs)
+    for table in encrypted:
+        server.store(table)
+    return client, server, encrypted
+
+
+def _reference(client, encrypted, query):
+    """The in-process answer over the same stored tables, uncached."""
+    with SecureJoinServer(client.params, series_cache_bytes=0) as server:
+        for table in encrypted:
+            server.store(table)
+        return server.execute_chain(query)
+
+
 class TestEachRowTravelsOnce:
-    """A stream carries each matched row's payload once, however many
-    tuples name the row — counted on a real socket, byte for byte."""
+    """A connection carries each matched row's payload once per table
+    epoch, however many tuples and queries name the row — counted on a
+    real socket, byte for byte."""
 
     def test_payload_bytes_on_the_socket_are_the_distinct_rows(self):
         # 50 x 60 rows under one key: 3000 tuples name 110 rows.
@@ -395,69 +493,199 @@ class TestEachRowTravelsOnce:
                   [(7, f"{name}.{i}" * (1 + i % 5)) for i in range(size)])
             for name, size in sizes.items()
         ]
-        client = SecureJoinClient.for_tables(
-            [(t, "k") for t in tables], in_clause_limit=1,
-            rng=random.Random(29),
-        )
-        encrypted = [client.encrypt_table(t, "k") for t in tables]
-        distinct = sum(len(p) for e in encrypted for p in e.payloads)
-        server = SecureJoinServer(client.params)
-        for table in encrypted:
-            server.store(table)
+        client, server, encrypted = _served(tables)
+        t1, t2 = (e.payloads for e in encrypted)
+        narrow = client.create_query(JoinQuery.build(
+            "T1", "T2", on=("k", "k"), where_left={"v": ["T1.0"]}
+        ))
         query = client.create_query(JoinQuery.build("T1", "T2", on=("k", "k")))
-        request = encode_join_query(query, client.scheme.backend)
-        answers = []
         with server, JoinServiceServer(server) as service:
-            with socket.create_connection(service.address, timeout=30) as raw:
-                sock = _CountingSocket(raw)
-                for _ in ("cold", "replayed"):
-                    before = sock.received
-                    send_message(sock, request)
-                    opening = decode_frame(recv_message(sock))
-                    assert isinstance(opening, StreamHeaderFrame)
-                    reassembler = StreamReassembler(query)
-                    carried = rows = frames = 0
-                    while True:
-                        frame = decode_frame(recv_message(sock))
-                        frames += 1
-                        if isinstance(frame, FinalFrame):
-                            break
-                        carried += sum(
-                            len(payload)
-                            for held in frame.rows
-                            for payload in held.values()
-                        )
-                        rows += sum(map(len, frame.rows))
-                        reassembler.add_batch(frame)
-                    answers.append(reassembler.finish(frame))
-                    # Every payload byte of every matched row, once.
-                    assert (rows, carried) == (110, distinct)
-                    # The rest of what the socket carried is framing:
-                    # the index tuples twice (batches, final order), an
-                    # index and a length per carried row, a length
-                    # prefix and a header per message.
-                    framing = sock.received - before - carried
-                    assert framing >= 2 * 3000 * 2 * 4 + 110 * 8
-                    assert framing <= 2 * 3000 * 2 * 4 + 110 * 8 + (
-                        (frames + 1) * 160 + 1500
-                    )
-        cold, replayed = answers
-        assert (cold.stats.series_cache_hits,
-                replayed.stats.series_cache_hits) == (0, 1)
-        assert len(cold.tuples) == 3000
-        assert replayed.tuples == cold.tuples
-        assert replayed.payloads == cold.payloads
-        assert sum(
-            len(payload) for combo in cold.payloads for payload in combo
-        ) > 25 * distinct
-        reference = SecureJoinServer(client.params, series_cache_bytes=0)
-        with reference:
-            for table in encrypted:
-                reference.store(table)
-            expected = reference.execute_join(query)
-        assert (cold.tuples, cold.payloads) == (
-            expected.tuples, expected.payloads
+            with _RawConnection(
+                service.address, client.scheme.backend
+            ) as connection:
+                first = connection.ask(narrow)
+                cold = connection.ask(query)
+                replayed = connection.ask(query)
+            with _RawConnection(
+                service.address, client.scheme.backend
+            ) as other:
+                fresh = other.ask(query)
+        # A connection's first stream restarts every table it names.
+        assert first.header.restart == ("T1", "T2")
+        assert (first.rows, first.payload_bytes) == (
+            61, len(t1[0]) + sum(map(len, t2))
         )
+        # The wider query carries only the rows the narrow one did not
+        # match: T1's other 49, and none of T2's.
+        assert cold.header.restart == ()
+        assert (cold.rows, cold.payload_bytes) == (
+            49, sum(map(len, t1[1:]))
+        )
+        # A replay carries no payload, and no final tuple run: the
+        # index tuples once (in the batches), a header per message.
+        assert (replayed.rows, replayed.payload_bytes) == (0, 0)
+        assert replayed.header.restart == ()
+        assert 3000 * 2 * 4 <= replayed.framing <= 3000 * 2 * 4 + (
+            (replayed.frames + 1) * 160 + 1500
+        )
+        # A second connection starts over: every matched row, once.
+        assert fresh.header.restart == ("T1", "T2")
+        assert (fresh.rows, fresh.payload_bytes) == (
+            110, sum(map(len, t1)) + sum(map(len, t2))
+        )
+        assert fresh.framing <= 3000 * 2 * 4 + 110 * 8 + (
+            (fresh.frames + 1) * 160 + 1500
+        )
+        assert (cold.result.stats.series_cache_hits,
+                replayed.result.stats.series_cache_hits) == (0, 1)
+        expected = _reference(client, encrypted, query)
+        for answer in (cold, replayed, fresh):
+            assert answer.result.tuples == expected.tuples
+            assert answer.result.payloads == expected.payloads
+        assert len(expected.tuples) == 3000
+        # One connection hands out one object per row, in every answer.
+        _assert_same_objects(replayed.result, cold.result)
+
+    def test_a_table_stored_again_restarts_on_the_connection(self):
+        keys = [i % 3 for i in range(9)]
+        left = Table("L", Schema.of(("k", "int"), ("a", "str")),
+                     [(k, f"a{i}") for i, k in enumerate(keys)])
+        right = Table("R", Schema.of(("k", "int"), ("b", "str")),
+                      [(k, f"b{i}") for i, k in enumerate(keys)])
+        # The same keys at the same rows, other values.
+        moved = Table("R", right.schema,
+                      [(k, f"moved{i}") for i, k in enumerate(keys)])
+        client, server, encrypted = _served([left, right])
+        query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
+        with server, JoinServiceServer(server) as service:
+            with _RawConnection(
+                service.address, client.scheme.backend
+            ) as connection:
+                before = connection.ask(query)
+                encrypted[1] = client.encrypt_table(moved, "k")
+                server.store(encrypted[1])
+                after = connection.ask(query)
+        assert before.header.restart == ("L", "R")
+        assert after.header.restart == ("R",)
+        # R's rows travel again, L's do not.
+        assert after.rows == len(moved)
+        assert after.payload_bytes == sum(map(len, encrypted[1].payloads))
+        expected = _reference(client, encrypted, query)
+        assert after.result.tuples == expected.tuples
+        assert after.result.payloads == expected.payloads
+        decrypted = client.decrypt_chain_result(after.result).table.rows()
+        assert {row[3] for row in decrypted} == {
+            f"moved{i}" for i in range(len(keys))
+        }
+
+    def test_an_inserted_row_travels_once_and_a_deleted_row_never(self):
+        keys = [i % 3 for i in range(9)]
+        left = Table("L", Schema.of(("k", "int"), ("a", "str")),
+                     [(k, f"a{i}") for i, k in enumerate(keys)])
+        right = Table("R", Schema.of(("k", "int"), ("b", "str")),
+                      [(k, f"b{i}") for i, k in enumerate(keys)])
+        client, server, encrypted = _served([left, right])
+        query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
+        with server, JoinServiceServer(server) as service:
+            with _RawConnection(
+                service.address, client.scheme.backend
+            ) as connection:
+                cold = connection.ask(query)
+                ciphertext, payload, tags = client.encrypt_row_for(
+                    "R", (1, "late")
+                )
+                inserted = server.insert_row("R", ciphertext, payload, tags)
+                server.delete_rows("L", [4])
+                after = connection.ask(query)
+                again = connection.ask(query)
+            expected = server.execute_chain(query)
+        assert cold.rows == 18
+        # Inserts and deletes move no epoch: nothing restarts, and the
+        # one new row is the one payload carried.
+        assert after.header.restart == again.header.restart == ()
+        assert (after.rows, after.payload_bytes) == (1, len(payload))
+        assert (again.rows, again.payload_bytes) == (0, 0)
+        for answer in (after, again):
+            assert answer.result.tuples == expected.tuples
+            assert answer.result.payloads == expected.payloads
+            assert all(combo[0] != 4 for combo in answer.result.tuples)
+            assert sum(
+                combo[1] == inserted for combo in answer.result.tuples
+            ) == keys.count(1) - 1
+
+    def test_a_table_named_twice_carries_each_row_once(self):
+        keys = [i % 4 for i in range(12)]
+        t = Table("T", Schema.of(("k", "int"), ("v", "str")),
+                  [(k, f"t{i}") for i, k in enumerate(keys)])
+        u = Table("U", Schema.of(("k", "int"), ("w", "str")),
+                  [(k, f"u{i}") for i, k in enumerate(keys[:6])])
+        client, server, encrypted = _served([t, u])
+        self_join = client.create_query(
+            JoinQuery.build("T", "T", on=("k", "k"))
+        )
+        chain = client.create_chain_query(
+            ChainQuery.build([("T", "k"), ("U", "k"), ("T", "k")])
+        )
+        with server, JoinServiceServer(server) as service:
+            with _RawConnection(
+                service.address, client.scheme.backend
+            ) as connection:
+                paired = connection.ask(self_join)
+                chained = connection.ask(chain)
+            with _RawConnection(
+                service.address, client.scheme.backend
+            ) as other:
+                alone = other.ask(chain)
+        t_bytes = sum(map(len, encrypted[0].payloads))
+        u_bytes = sum(map(len, encrypted[1].payloads))
+        # Two positions, one table: each of T's 12 rows once.
+        assert paired.header.restart == ("T",)
+        assert (paired.rows, paired.payload_bytes) == (12, t_bytes)
+        # The chain after it carries only U's rows ...
+        assert chained.header.restart == ("U",)
+        assert (chained.rows, chained.payload_bytes) == (6, u_bytes)
+        # ... and on a fresh connection T's rows once, not twice.
+        assert alone.header.restart == ("T", "U")
+        assert (alone.rows, alone.payload_bytes) == (18, t_bytes + u_bytes)
+        for answer, query in (
+            (paired, self_join), (chained, chain), (alone, chain)
+        ):
+            expected = _reference(client, encrypted, query)
+            assert answer.result.tuples == expected.tuples
+            assert answer.result.payloads == expected.payloads
+
+    def test_a_deadline_error_mid_stream_leaves_the_rows_in_step(self):
+        # Each chunk sleeps 50 ms, so the answer's first batches leave
+        # well before its deadline passes and its last chunks never run.
+        client, server = _fixture(
+            n_rows=12, backend=SleepingBackend(), workers=1
+        )
+        late = _query(client, deadline=0.25)
+        query = _query(client)
+        encrypted = [server.table("L"), server.table("R")]
+        with server, JoinServiceServer(server) as service:
+            with _RawConnection(
+                service.address, client.scheme.backend
+            ) as connection:
+                failed = connection.ask(late)
+                good = connection.ask(query)
+            with RemoteJoinClient(
+                *service.address, client.scheme.backend
+            ) as rc:
+                stream = rc.stream_join(late)
+                assert next(stream).tuples
+                with pytest.raises(DeadlineError, match="deadline"):
+                    _drain_started(stream)
+                remote = rc.execute_join(query)
+        assert failed.error.error_type == "DeadlineError"
+        assert 0 < failed.rows < 24
+        # The good answer carries exactly the rows the failed one had
+        # not, and resolves the others from what the connection holds.
+        assert failed.rows + good.rows == 24
+        expected = _reference(client, encrypted, query)
+        for result in (good.result, remote):
+            assert result.tuples == expected.tuples
+            assert result.payloads == expected.payloads
 
 
 # -- the engine is the operator's ---------------------------------------------
@@ -642,7 +870,64 @@ class TestDrain:
         service.shutdown()
 
 
+class _SlowClose:
+    """A socket whose ``close`` takes 0.3 s: its handler is still alive
+    after the connection has left the server's registry."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+
+    def close(self) -> None:
+        time.sleep(0.3)
+        self._sock.close()
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class _SlowClosingListener:
+    """A listener that hands out :class:`_SlowClose` sockets."""
+
+    def __init__(self, listener: socket.socket):
+        self._listener = listener
+
+    def accept(self):
+        sock, peer = self._listener.accept()
+        return _SlowClose(sock), peer
+
+    def __getattr__(self, name):
+        return getattr(self._listener, name)
+
+
 class TestHandlerTracking:
+    def test_no_handler_outlives_shutdown(self, monkeypatch):
+        """Clients that hung up just before ``shutdown`` leave handlers
+        on their way out, already unregistered: shutdown joins them."""
+        create_server = socket.create_server
+        monkeypatch.setattr(
+            socket, "create_server",
+            lambda *args, **kwargs: _SlowClosingListener(
+                create_server(*args, **kwargs)
+            ),
+        )
+        before = set(threading.enumerate())
+        client, server = _fixture(n_rows=4)
+        service = JoinServiceServer(server)
+        host, port = service.start()
+        for _ in range(3):
+            with RemoteJoinClient(host, port, client.scheme.backend) as rc:
+                rc.execute_join(_query(client))
+        deadline = time.monotonic() + 10
+        while service.active_connections and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert service.active_connections == 0
+        service.shutdown()
+        assert not [
+            thread.name
+            for thread in set(threading.enumerate()) - before
+            if thread.name.startswith("repro-net-conn-")
+        ]
+
     def test_finished_handlers_are_not_retained(self):
         """A long-lived server keeps a handler ``Thread`` per *live*
         connection, not one per connection ever accepted."""

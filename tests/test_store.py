@@ -316,7 +316,7 @@ class TestWireFormats:
         result = server.execute_join(client.create_query(query))
         decoded = decode_frame(encode_final_frame(result))
         assert decoded.stats == result.stats
-        assert decoded.tuples == result.tuples
+        assert decoded.n_tuples == len(result.tuples)
 
     def test_query_backend_mismatch(self):
         client, _, _ = _fixture()
@@ -412,7 +412,7 @@ class TestWireV2Stats:
         )
         decoded = decode_frame(encode_final_frame(result))
         assert decoded.stats == stats
-        assert decoded.tuples == result.tuples
+        assert decoded.n_tuples == n_pairs
 
     def test_unknown_future_stats_fields_ignored(self):
         """The stats block is an open record: an unknown key is dropped."""

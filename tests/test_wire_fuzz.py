@@ -139,7 +139,7 @@ def _samples() -> dict[str, bytes]:
     return {
         "query_join": encode_join_query(_join_query(), BACKEND),
         "query_chain5": encode_join_query(_chain_query(5), BACKEND),
-        "stream_header": encode_stream_header(7, "L", "R"),
+        "stream_header": encode_stream_header(7, "L", "R", restart=("R",)),
         "match_batch": encode_match_batch(ChainMatchBatch(
             tuples=[chain.tuples[2], chain.tuples[0]],
             payloads=[chain.payloads[2], chain.payloads[0]],
@@ -298,8 +298,8 @@ class TestCorruption:
         ]),
         fields=st.dictionaries(
             st.sampled_from([
-                "query_id", "tables", "arity", "n_tuples", "stats",
-                "positions", "n_rows", "candidates", "reports",
+                "query_id", "tables", "restart", "arity", "n_tuples",
+                "stats", "positions", "n_rows", "candidates", "reports",
             ]),
             st.one_of(
                 st.none(),
@@ -367,9 +367,7 @@ class TestHostileCounts:
             decode_frame(hostile)
 
     @pytest.mark.parametrize("count", [10**6, 2**31, 2**61])
-    @pytest.mark.parametrize(
-        "name, key", [("match_batch", "n_tuples"), ("final", "n_tuples")],
-    )
+    @pytest.mark.parametrize("name, key", [("match_batch", "n_tuples")])
     def test_oversized_tuple_count_rejected_before_read(
         self, name, key, count
     ):
@@ -474,12 +472,22 @@ class TestHostileCounts:
         with pytest.raises(SchemeError, match="tables"):
             decode_frame(_rewrite_header(SAMPLES[name], tables=tables))
 
-    @pytest.mark.parametrize("tables", [["T0", "T1"], ["T0", "T1"] * 2])
-    def test_final_tables_must_fit_the_tuple_run(self, tables):
-        # A valid table list of the wrong length mis-sizes the tuple
-        # run: trailing bytes or a short read, never a mis-parse.
-        with pytest.raises(SchemeError):
-            decode_frame(_rewrite_header(SAMPLES["final"], tables=tables))
+    @pytest.mark.parametrize(
+        "restart",
+        [["X"], ["R", "R"], ["L", "R", "X"], "R", [1], None, [["R"]]],
+    )
+    def test_header_restarts_only_tables_it_names(self, restart):
+        # Each named table at most once, and nothing else.
+        with pytest.raises(SchemeError, match="restart"):
+            decode_frame(
+                _rewrite_header(SAMPLES["stream_header"], restart=restart)
+            )
+
+    def test_final_frame_carries_no_tuple_run(self):
+        # The count is the whole answer the frame gives: a body after
+        # the header is trailing bytes.
+        with pytest.raises(SchemeError, match="trailing"):
+            decode_frame(SAMPLES["final"] + b"\x00" * 12)
 
     def test_query_g1_size_mismatch_is_a_clear_error(self):
         # A query built by a differently parameterized backend must fail
@@ -770,6 +778,21 @@ def _arity_and_rows(draw, max_size=6):
     return arity, tuples, payloads
 
 
+def _distinct_tables(arity: int) -> tuple[str, ...]:
+    return tuple(f"T{position}" for position in range(arity))
+
+
+def _canonical(tables, tuples, payloads) -> EncryptedChainResult:
+    """The answer as a host gives it: tuples in lexicographic order."""
+    order = sorted(range(len(tuples)), key=tuples.__getitem__)
+    return EncryptedChainResult(
+        tables,
+        [tuples[i] for i in order],
+        [payloads[i] for i in order],
+        ServerStats(matches=len(tuples)),
+    )
+
+
 def _first_reference_rows(tuples, payloads, arity) -> list[dict[int, bytes]]:
     """Per position, ``{row: payload}`` in first-reference order: what a
     self-contained frame of these tuples carries."""
@@ -828,11 +851,12 @@ class TestRoundTrip:
                 list(rows) for rows in carried
             ]
 
-        result = EncryptedChainResult(
-            query.tables, tuples, payloads, ServerStats(matches=len(tuples))
-        )
+        # Distinct tables: a self-contained frame carries a row per
+        # position, and positions naming one table share its rows.
+        query = dataclasses.replace(query, tables=_distinct_tables(arity))
+        result = _canonical(query.tables, tuples, payloads)
         final = decode_frame(encode_final_frame(result))
-        assert final == FinalFrame(query.tables, tuples, result.stats)
+        assert final == FinalFrame(query.tables, len(tuples), result.stats)
 
         if not tuples:
             # Nothing to read the arity from: the stream's state says.
@@ -884,7 +908,9 @@ class TestRoundTrip:
             ChainMatchBatch(tuples[start:stop], payloads[start:stop])
             for start, stop in zip(bounds, bounds[1:])
         ]
-        query = dataclasses.replace(_chain_query(arity), query_id=1)
+        query = dataclasses.replace(
+            _chain_query(arity), query_id=1, tables=_distinct_tables(arity)
+        )
         sent = [set() for _ in range(arity)]
         frames = [
             decode_frame(encode_match_batch(batch, sent)) for batch in batches
@@ -909,13 +935,9 @@ class TestRoundTrip:
                         combo[position], blobs[position]
                     )
                     assert shared is blobs[position]
-        order = data.draw(st.permutations(range(len(tuples))))
-        result = EncryptedChainResult(
-            query.tables,
-            [tuples[i] for i in order],
-            [payloads[i] for i in order],
-            ServerStats(matches=len(tuples)),
-        )
+        # The canonical order is the sorted one, whatever the discovery
+        # order the batches delivered.
+        result = _canonical(query.tables, tuples, payloads)
         final = decode_frame(encode_final_frame(result))
         assert reassembler.finish(final) == result
         # The stateless path: each frame encoded without stream state
@@ -931,6 +953,9 @@ class TestRoundTrip:
         assert decode_frame(
             encode_stream_header(42, "A", "B", "A")
         ) == StreamHeaderFrame(42, ("A", "B", "A"))
+        assert decode_frame(
+            encode_stream_header(42, "A", "B", "A", restart=("B", "A"))
+        ) == StreamHeaderFrame(42, ("A", "B", "A"), ("B", "A"))
         assert decode_frame(
             encode_error_frame("DeadlineError", "late")
         ) == ErrorFrame("DeadlineError", "late")
@@ -1044,31 +1069,6 @@ class TestReassembler:
             with pytest.raises(SchemeError, match="no frame carried"):
                 reassembler.add_batch(MatchBatchFrame([combo], [{}, {}]))
 
-    def test_rejects_final_naming_undelivered_tuple(self):
-        result = _join_result()
-        reassembler = StreamReassembler(_join_query())
-        (frame,) = _stream_frames(ChainMatchBatch(
-            [(90, 90), (91, 91), (92, 92)],
-            [(b"x", b"x"), (b"y", b"y"), (b"z", b"z")],
-        ))
-        reassembler.add_batch(frame)
-        with pytest.raises(SchemeError, match="no match batch delivered"):
-            reassembler.finish(self._final(result))
-
-    def test_rejects_final_naming_a_delivered_tuple_twice(self):
-        # The count is right and every named tuple was delivered, but
-        # one is named twice in place of the other: the final order
-        # must be a permutation of what the batches delivered.
-        reassembler = StreamReassembler(_join_query())
-        (frame,) = _stream_frames(
-            ChainMatchBatch([(0, 0), (1, 1)], [(b"a", b"b"), (b"c", b"d")])
-        )
-        reassembler.add_batch(frame)
-        with pytest.raises(SchemeError, match="twice"):
-            reassembler.finish(
-                FinalFrame(("L", "R"), [(0, 0), (0, 0)], ServerStats())
-            )
-
     def test_rejects_drifting_arity(self):
         reassembler = StreamReassembler(_join_query())
         with pytest.raises(SchemeError, match="arity"):
@@ -1087,6 +1087,161 @@ class TestReassembler:
         for tables in (("L", "X"), ("L", "R", "L")):
             with pytest.raises(SchemeError, match="expected"):
                 reassembler.finish(FinalFrame(tables, [], ServerStats()))
+
+
+# -- a connection's row state -------------------------------------------------
+
+
+def _connection_frames() -> list[tuple[str, bytes]]:
+    """Two answers on one connection, as the server frames them: the
+    first restarts both tables and carries every row it names; the
+    second names rows the first carried, one new row of ``R``, and
+    carries only that one."""
+    held = {"L": set(), "R": set()}
+    sent = [held["L"], held["R"]]
+    first = _join_result()
+    second = EncryptedChainResult(
+        tables=("L", "R"),
+        tuples=[(0, 0), (1, 3), (2, 0)],
+        payloads=[(b"pl0", b"pr0"), (b"pl1", b"pr3"), (b"pl2", b"pr0")],
+        stats=ServerStats(matches=3),
+    )
+    return [
+        ("header", encode_stream_header(7, "L", "R", restart=("L", "R"))),
+        ("batch", encode_match_batch(ChainMatchBatch(
+            first.tuples[2:], first.payloads[2:]
+        ), sent)),
+        ("batch", encode_match_batch(ChainMatchBatch(
+            first.tuples[:2], first.payloads[:2]
+        ), sent)),
+        ("final", encode_final_frame(first)),
+        ("header", encode_stream_header(7, "L", "R")),
+        ("batch", encode_match_batch(ChainMatchBatch(
+            second.tuples, second.payloads
+        ), sent)),
+        ("final", encode_final_frame(second)),
+    ]
+
+
+CONNECTION = _connection_frames()
+
+
+def _replay_connection(frames) -> list[EncryptedChainResult]:
+    """Read a connection's frames as the client does: one row state,
+    one reassembler per answer."""
+    held: dict[str, dict[int, bytes]] = {}
+    answers = []
+    reassembler = None
+    for blob in frames:
+        frame = decode_frame(blob)
+        if isinstance(frame, StreamHeaderFrame):
+            reassembler = StreamReassembler(_join_query(), held)
+            reassembler.start(frame)
+        elif isinstance(frame, MatchBatchFrame) and reassembler is not None:
+            reassembler.add_batch(frame)
+        elif isinstance(frame, FinalFrame) and reassembler is not None:
+            answers.append(reassembler.finish(frame))
+            reassembler = None
+        else:
+            raise SchemeError(f"out of place: {type(frame).__name__}")
+    return answers
+
+
+class TestConnectionRows:
+    """A connection carries each row once per table epoch: the receiver
+    resolves later answers through the rows earlier ones carried, and
+    anything a hostile sender does to that state is a SchemeError."""
+
+    def test_later_answers_resolve_through_earlier_rows(self):
+        blobs = [blob for _, blob in CONNECTION]
+        first, second = _replay_connection(blobs)
+        assert first == _join_result()
+        assert second.tuples == [(0, 0), (1, 3), (2, 0)]
+        assert second.payloads == [
+            (b"pl0", b"pr0"), (b"pl1", b"pr3"), (b"pl2", b"pr0")
+        ]
+        # The second answer's batch carried only the new row.
+        assert decode_frame(CONNECTION[5][1]).rows == [{}, {3: b"pr3"}]
+        # One object per row across the connection's answers.
+        assert second.payloads[0][0] is first.payloads[0][0]
+        assert second.payloads[2][1] is first.payloads[2][1]
+
+    def test_positions_naming_one_table_share_its_rows(self):
+        shared = set()
+        batch = ChainMatchBatch(
+            [(0, 1), (1, 0), (1, 1)],
+            [(b"t0", b"t1"), (b"t1", b"t0"), (b"t1", b"t1")],
+        )
+        frame = decode_frame(encode_match_batch(batch, [shared, shared]))
+        assert frame.rows == [{0: b"t0", 1: b"t1"}, {}]
+        assert shared == {0, 1}
+        query = _join_query(tables=("T", "T"))
+        reassembler = StreamReassembler(query)
+        assert reassembler.add_batch(frame) == batch
+        final = FinalFrame(("T", "T"), 3, ServerStats())
+        assert reassembler.finish(final).tuples == batch.tuples
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            StreamHeaderFrame(7, ("L", "X"), ("X",)),
+            StreamHeaderFrame(7, ("L", "R", "L"), ()),
+            StreamHeaderFrame(7, ("L", "R"), ("X",)),
+        ],
+    )
+    def test_a_header_restarting_another_querys_table_is_refused(
+        self, header
+    ):
+        with pytest.raises(SchemeError, match="opens no answer"):
+            StreamReassembler(_join_query()).start(header)
+
+    def test_a_batch_naming_a_row_never_carried_is_refused(self):
+        # The second answer alone, on a connection that never carried
+        # the first: its batch names rows no frame carried.
+        blobs = [blob for _, blob in CONNECTION]
+        with pytest.raises(SchemeError, match="no frame carried"):
+            _replay_connection(blobs[4:])
+
+    def test_a_restart_forgets_the_tables_rows(self):
+        blobs = [blob for _, blob in CONNECTION]
+        restarted = encode_stream_header(7, "L", "R", restart=("R",))
+        with pytest.raises(SchemeError, match="no frame carried"):
+            _replay_connection(blobs[:4] + [restarted] + blobs[5:])
+
+    def test_a_row_carried_again_within_its_epoch_is_refused(self):
+        blobs = [blob for _, blob in CONNECTION]
+        again = encode_match_batch(ChainMatchBatch(
+            [(0, 0)], [(b"pl0", b"pr0")]
+        ))
+        with pytest.raises(SchemeError, match="row more than once"):
+            _replay_connection(blobs[:5] + [again])
+
+    @pytest.mark.parametrize("claim", [0, 2, 4, 10**9])
+    def test_a_final_count_other_than_delivered_is_refused(self, claim):
+        blobs = [blob for _, blob in CONNECTION]
+        hostile = _rewrite_header(blobs[6], n_tuples=claim)
+        with pytest.raises(SchemeError, match="claims"):
+            _replay_connection(blobs[:6] + [hostile])
+
+    @pytest.mark.parametrize("position", range(len(CONNECTION)))
+    def test_a_truncated_frame_is_refused(self, position):
+        blobs = [blob for _, blob in CONNECTION]
+        for cut in range(len(blobs[position])):
+            hostile = list(blobs)
+            hostile[position] = blobs[position][:cut]
+            with pytest.raises(SchemeError):
+                _replay_connection(hostile)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bit_flips_anywhere_on_the_connection(self, data):
+        blobs = [blob for _, blob in CONNECTION]
+        position = data.draw(st.integers(0, len(blobs) - 1))
+        offset = data.draw(st.integers(0, len(blobs[position]) - 1))
+        corrupted = bytearray(blobs[position])
+        corrupted[offset] ^= 1 << data.draw(st.integers(0, 7))
+        blobs[position] = bytes(corrupted)
+        _assert_only_scheme_error(_replay_connection, blobs)
 
 
 # -- one version ---------------------------------------------------------------
@@ -1119,6 +1274,31 @@ class TestOneVersion:
             f"version {VERSION}"
         ):
             decode_join_query(bytes(blob), BACKEND)
+
+    def test_a_version_11_query_is_refused_by_name(self):
+        # Version 11 answered with a stateless stream: a client speaking
+        # it would hold no rows across queries.
+        blob = bytearray(SAMPLES["query_join"])
+        blob[8] = 11
+        with pytest.raises(
+            SchemeError, match="unsupported format version 11; .* only "
+            f"version {VERSION}"
+        ):
+            decode_join_query(bytes(blob), BACKEND)
+
+    def test_a_version_11_frame_is_refused_by_name(self):
+        # A version-11 final frame repeated the answer's tuple run.
+        writer = Writer()
+        write_header(writer, b"RPROJFRM", 11, {
+            "kind": "final", "tables": ["L", "R"], "n_tuples": 1,
+            "stats": {},
+        })
+        writer.u32s([0, 0])
+        with pytest.raises(
+            SchemeError, match="unsupported format version 11; .* only "
+            f"version {VERSION}"
+        ):
+            decode_frame(writer.getvalue())
 
     @pytest.mark.parametrize("offset", [-1, +1])
     def test_other_store_versions_rejected(self, offset):
