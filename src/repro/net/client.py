@@ -16,10 +16,12 @@ the client keeps the mirror of the server's row state: per table name,
 ``row → payload`` for every row the connection has carried.  A stream
 header names the tables whose rows start over (their table was stored
 again), and the client forgets those first.  The state holds at most
-one payload per row of each table's current epoch — the same ``bytes``
-objects every answer on this connection hands out, so the client's
-result memo hits them by identity — and goes when the connection
-closes, is abandoned or drops.
+one payload per row of the epoch last seen on this connection for each
+table — a table stored again keeps its old rows here until a query
+naming it restarts it — and they are the same ``bytes`` objects every
+answer on this connection hands out, so the client's result memo hits
+them by identity.  The state goes when the connection closes, is
+abandoned or drops.
 
 Backpressure: a reader thread pulls frames off the socket into a
 *bounded* buffer (``max_buffered_batches``).  When the consumer falls
@@ -99,7 +101,7 @@ class RemoteJoinClient:
         self._busy = False
         self._lock = threading.Lock()
         #: The connection's row state: per table name, every row the
-        #: server has carried on it in the table's current epoch.
+        #: server has carried on it in the epoch last seen here.
         self._rows: dict[str, dict[int, bytes]] = {}
 
     # -- lifecycle --------------------------------------------------------
@@ -151,7 +153,7 @@ class RemoteJoinClient:
                 )
             self._busy = True
             sock = self._sock
-            reassembler = StreamReassembler(query, self._rows)
+            rows = self._rows
         completed = False
         frames: queue.Queue = queue.Queue(maxsize=self.max_buffered_batches)
         abandoned = threading.Event()
@@ -191,7 +193,7 @@ class RemoteJoinClient:
         try:
             send_message(sock, request)
             reader.start()
-            got_header = False
+            reassembler = None
             while True:
                 kind, payload = frames.get()
                 if kind == "error":
@@ -202,7 +204,7 @@ class RemoteJoinClient:
                     # the connection stays usable for the next query.
                     completed = True
                     raise _error_from_frame(frame)
-                if not got_header:
+                if reassembler is None:
                     if not isinstance(frame, StreamHeaderFrame):
                         raise NetworkError(
                             "stream did not open with a stream-header "
@@ -213,8 +215,7 @@ class RemoteJoinClient:
                             f"stream answers query {frame.query_id}, "
                             f"expected {query.query_id}"
                         )
-                    reassembler.start(frame)
-                    got_header = True
+                    reassembler = StreamReassembler(query, frame, rows)
                     continue
                 if isinstance(frame, MatchBatchFrame):
                     yield reassembler.add_batch(frame)

@@ -7,20 +7,23 @@ sequentially.  Per query — a two-way join or a longer chain, it is one
 message and one handler — it emits:
 
 1. one **stream-header frame** acknowledging the query and naming the
-   tables whose carried rows start over,
+   tables whose carried rows start over, sent once the pipeline has its
+   first batch (or its result),
 2. a **match-batch frame** per batch the streaming pipeline yields —
    index tuples in discovery order and the payloads of the rows this
    connection has not carried yet, sent while SJ.Dec is still running,
 3. one **final frame** with the tuple count and the
    :class:`~repro.core.server.ServerStats` — or an **error frame** if
-   the query failed (bad payload, unknown table, deadline exceeded...).
+   the query failed (bad payload, unknown table, deadline exceeded...);
+   a query that fails before its first batch gets the error frame alone.
 
 A connection carries each row's payload once per table epoch: it keeps,
 per table name, the epoch it last read and the rows it has sent since,
 so a re-submitted query ships its index tuples and no payload the client
 already holds.  When a table is stored again its epoch moves, its set is
-cleared, and the next stream header names it.  The state lives and dies
-with the connection.
+cleared, and the next stream header names it; a table stored again
+while a query's pipeline starts restarts in that query's header and in
+the next one's.  The state lives and dies with the connection.
 
 Exposure policy: the socket can reach exactly ``decode_join_query`` →
 ``stream_chain`` (a two-way join is the two-table chain), on the
@@ -236,38 +239,45 @@ class JoinServiceServer:
         """The encoded frames answering ``query``, lazily: stream
         header, one match batch per pipeline increment, final frame.
 
-        ``held`` is the connection's row state.  Each table's epoch is
-        read before the stream lends any payload, so a table stored
-        again mid-stream shows as a moved epoch on the next query and
-        restarts then."""
-        restart = []
-        by_table = {}
-        for name in dict.fromkeys(query.tables):
-            epoch = self.join_server.table_epoch(name)
-            entry = held.get(name)
-            if entry is None or entry[0] != epoch:
-                entry = (epoch, set())
-                restart.append(name)
-                # Epoch 0 is a table never stored: the query fails, and
-                # the connection keeps nothing for the name.
-                if epoch:
-                    held[name] = entry
-            by_table[name] = entry[1]
-        # Positions that name one table share its set: a row travels
-        # once for all of them.
-        sent = [by_table[name] for name in query.tables]
-        stream = self.join_server.stream_chain(query)
+        ``held`` is the connection's row state: per table name, the
+        epoch its rows were sent in and the set of them.  A row in the
+        set is not carried again, so the payload lists the drive reads
+        must be of that epoch.  The stream is therefore advanced to its
+        first batch (or its result) — by then the drive has lent every
+        list it reads — before the header goes out, and each table's
+        epoch is read before and after that.  A table stored again in
+        between restarts, and is recorded under the first epoch read,
+        so the next query restarts it again."""
+        server = self.join_server
+        epochs = {name: server.table_epoch(name) for name in query.tables}
+        stream = server.stream_chain(query)
         try:
+            batch, result = _advance(stream)
+            restart = []
+            by_table = {}
+            for name, epoch in epochs.items():
+                entry = held.get(name)
+                if (
+                    entry is None
+                    or entry[0] != epoch
+                    or server.table_epoch(name) != epoch
+                ):
+                    entry = (epoch, set())
+                    restart.append(name)
+                    # Epoch 0 is a table never stored: the connection
+                    # keeps nothing for the name.
+                    if epoch:
+                        held[name] = entry
+                by_table[name] = entry[1]
+            # Positions that name one table share its set: a row travels
+            # once for all of them.
+            sent = [by_table[name] for name in query.tables]
             yield encode_stream_header(
                 query.query_id, *query.tables, restart=restart
             )
-            while True:
-                try:
-                    batch = next(stream)
-                except StopIteration as stop:
-                    result = stop.value
-                    break
+            while batch is not None:
                 yield encode_match_batch(batch, sent)
+                batch, result = _advance(stream)
             yield encode_final_frame(result)
         finally:
             stream.close()
@@ -327,6 +337,15 @@ class JoinServiceServer:
             self._accept_thread.join(timeout=2.0)
         # Streams done (or cut): now the pool can go.
         self.join_server.close()
+
+
+def _advance(stream):
+    """``(batch, None)`` for the stream's next batch, ``(None, result)``
+    once it returns."""
+    try:
+        return next(stream), None
+    except StopIteration as stop:
+        return None, stop.value
 
 
 def _force_close(sock: socket.socket) -> None:

@@ -705,23 +705,24 @@ def decode_frame(
 class StreamReassembler:
     """Rebuild the canonical answer to ``query`` from its frame stream.
 
-    Match-batch frames deliver tuples in discovery order and each row's
-    payload once, in the first frame that names it; the canonical order
-    is lexicographic, so :meth:`finish` sorts what the batches
-    delivered, and the final frame says how many tuples that must be.
-    Open with :meth:`start` (optional), feed each decoded batch frame to
-    :meth:`add_batch` and close with :meth:`finish` — the result is
-    byte-identical, up to run-dependent stats, to what the in-process
+    Built from the stream's header frame, it takes each decoded batch
+    frame in :meth:`add_batch` and closes with :meth:`finish`.  Match-batch
+    frames deliver tuples in discovery order and each row's payload once,
+    in the first frame that names it; the canonical order is
+    lexicographic, so :meth:`finish` sorts what the batches delivered,
+    and the final frame says how many tuples that must be.  The result
+    is byte-identical, up to run-dependent stats, to what the in-process
     ``execute_join`` / ``execute_chain`` would have returned.
 
     Rows resolve through ``rows``, the receiver's row state: per table
     name, ``{row: payload}`` for every row the sender carried, so the
     positions that name one table read one map.  A connection keeps one
     such state across its queries (:class:`~repro.net.RemoteJoinClient`
-    does), and the sender carries a row only once per table epoch; built
-    without one, the reassembler starts empty.  Every tuple naming a row
-    — in this answer and in every later one read through the same state
-    — gets the *same* ``bytes`` object for it.
+    does), and the sender carries a row only once per table epoch; the
+    header's ``restart`` tables are forgotten first.  Built without one,
+    the reassembler starts empty.  Every tuple naming a row — in this
+    answer and in every later one read through the same state — gets the
+    *same* ``bytes`` object for it.
 
     Every frame must answer *this* query: a header naming other tables
     or restarting one the query does not name, a frame or tuple of
@@ -733,18 +734,10 @@ class StreamReassembler:
     def __init__(
         self,
         query: EncryptedChainQuery,
+        header: StreamHeaderFrame,
         rows: dict[str, dict[int, bytes]] | None = None,
     ):
         self._tables = tuple(query.tables)
-        self._held = {} if rows is None else rows
-        #: Per chain position, its table's map in the row state.
-        self._rows = [self._held.setdefault(name, {}) for name in self._tables]
-        #: Every tuple delivered so far, with its resolved payloads.
-        self._delivered: dict[tuple[int, ...], tuple[bytes, ...]] = {}
-
-    def start(self, header: StreamHeaderFrame) -> None:
-        """Check the stream header; forget the rows of the tables it
-        restarts."""
         if header.tables != self._tables or not set(
             self._tables
         ).issuperset(header.restart):
@@ -753,8 +746,13 @@ class StreamReassembler:
                 f"{header.restart} opens no answer to a query over "
                 f"{self._tables}"
             )
+        held = {} if rows is None else rows
         for name in header.restart:
-            self._held[name].clear()
+            held.pop(name, None)
+        #: Per chain position, its table's map in the row state.
+        self._rows = [held.setdefault(name, {}) for name in self._tables]
+        #: Every tuple delivered so far, with its resolved payloads.
+        self._delivered: dict[tuple[int, ...], tuple[bytes, ...]] = {}
 
     def add_batch(self, frame: MatchBatchFrame) -> ChainMatchBatch:
         """Check and retain one decoded batch frame; returns its batch,

@@ -398,7 +398,7 @@ class _CountingSocket:
 class _Answer:
     """One query's answer on a :class:`_RawConnection`, counted."""
 
-    header: StreamHeaderFrame
+    header: StreamHeaderFrame | None
     result: object
     #: Rows whose payload the answer carried, and their payload bytes.
     rows: int
@@ -424,9 +424,13 @@ class _RawConnection:
         before = self.sock.received
         send_message(self.sock, encode_join_query(query, self.backend))
         header = decode_frame(recv_message(self.sock))
-        assert isinstance(header, StreamHeaderFrame)
-        reassembler = StreamReassembler(query, self.held)
-        reassembler.start(header)
+        if isinstance(header, ErrorFrame):
+            # A query that fails before its first batch gets no header.
+            return _Answer(
+                header=None, result=None, rows=0, payload_bytes=0,
+                framing=self.sock.received - before, frames=1, error=header,
+            )
+        reassembler = StreamReassembler(query, header, self.held)
         rows = payload_bytes = frames = 0
         while True:
             frame = decode_frame(recv_message(self.sock))
@@ -574,6 +578,55 @@ class TestEachRowTravelsOnce:
         assert after.result.tuples == expected.tuples
         assert after.result.payloads == expected.payloads
         decrypted = client.decrypt_chain_result(after.result).table.rows()
+        assert {row[3] for row in decrypted} == {
+            f"moved{i}" for i in range(len(keys))
+        }
+
+    def test_a_store_racing_the_query_start_restarts_the_table(
+        self, monkeypatch
+    ):
+        # R is stored again right after the service reads its epoch for
+        # the second query, before the pipeline lends R's payloads: the
+        # answer must be the new table's, not rows the connection holds.
+        keys = [i % 3 for i in range(9)]
+        left = Table("L", Schema.of(("k", "int"), ("a", "str")),
+                     [(k, f"a{i}") for i, k in enumerate(keys)])
+        right = Table("R", Schema.of(("k", "int"), ("b", "str")),
+                      [(k, f"b{i}") for i, k in enumerate(keys)])
+        moved = Table("R", right.schema,
+                      [(k, f"moved{i}") for i, k in enumerate(keys)])
+        client, server, encrypted = _served([left, right])
+        query = client.create_query(JoinQuery.build("L", "R", on=("k", "k")))
+        read_epoch = server.table_epoch
+        pending = []
+
+        def racing_epoch(name):
+            epoch = read_epoch(name)
+            if name == "R" and pending:
+                server.store(pending.pop())
+            return epoch
+
+        monkeypatch.setattr(server, "table_epoch", racing_epoch)
+        with server, JoinServiceServer(server) as service:
+            with _RawConnection(
+                service.address, client.scheme.backend
+            ) as connection:
+                before = connection.ask(query)
+                encrypted[1] = client.encrypt_table(moved, "k")
+                pending.append(encrypted[1])
+                during = connection.ask(query)
+                after = connection.ask(query)
+        assert before.header.restart == ("L", "R")
+        # The store landed between the two epoch reads: R restarts, and
+        # again on the next query, which sees an epoch the connection
+        # did not record.
+        assert during.header.restart == after.header.restart == ("R",)
+        expected = _reference(client, encrypted, query)
+        for answer in (during, after):
+            assert answer.rows == len(moved)
+            assert answer.result.tuples == expected.tuples
+            assert answer.result.payloads == expected.payloads
+        decrypted = client.decrypt_chain_result(during.result).table.rows()
         assert {row[3] for row in decrypted} == {
             f"moved{i}" for i in range(len(keys))
         }

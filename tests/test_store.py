@@ -27,6 +27,7 @@ from repro.store.wire import (
     encode_final_frame,
     encode_join_query,
     encode_match_batch,
+    encode_stream_header,
 )
 
 
@@ -293,15 +294,17 @@ class TestWireFormats:
         received = decode_join_query(wire_query, backend)
         stream = server.stream_join(received)
         sent = [set(), set()]
-        wire_frames = []
+        wire_frames = [
+            encode_stream_header(received.query_id, *received.tables)
+        ]
         while True:
             try:
                 wire_frames.append(encode_match_batch(next(stream), sent))
             except StopIteration as stop:
                 wire_frames.append(encode_final_frame(stop.value))
                 break
-        *batches, final = map(decode_frame, wire_frames)
-        reassembler = StreamReassembler(received)
+        header, *batches, final = map(decode_frame, wire_frames)
+        reassembler = StreamReassembler(received, header)
         for batch in batches:
             reassembler.add_batch(batch)
         decrypted = client.decrypt_chain_result(reassembler.finish(final))

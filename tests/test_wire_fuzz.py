@@ -782,6 +782,12 @@ def _distinct_tables(arity: int) -> tuple[str, ...]:
     return tuple(f"T{position}" for position in range(arity))
 
 
+def _reassembler(query, rows=None) -> StreamReassembler:
+    """A reassembler opened by the stream header answering ``query``."""
+    header = StreamHeaderFrame(query.query_id, tuple(query.tables))
+    return StreamReassembler(query, header, rows)
+
+
 def _canonical(tables, tuples, payloads) -> EncryptedChainResult:
     """The answer as a host gives it: tuples in lexicographic order."""
     order = sorted(range(len(tuples)), key=tuples.__getitem__)
@@ -864,7 +870,7 @@ class TestRoundTrip:
                 encode_match_batch(batch, [set() for _ in range(arity)])
             )
             assert frame == MatchBatchFrame([], [{}] * arity)
-        reassembler = StreamReassembler(query)
+        reassembler = _reassembler(query)
         rebuilt = reassembler.add_batch(frame)
         assert rebuilt == batch and type(rebuilt) is type(batch)
         assert reassembler.finish(final) == result
@@ -896,56 +902,72 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_stream_of_batches_round_trips(self, data):
-        """A stream with recurring rows: every payload travels once,
-        the reassembled batches and result equal the input, and every
-        tuple naming a row shares one ``bytes`` object for it."""
-        arity, tuples, payloads = data.draw(_arity_and_rows(max_size=14))
+        """A stream with recurring rows, over a chain that names a table
+        at more than one position: every row's payload travels once per
+        table, the reassembled batches and result equal the input, and
+        every tuple naming a row shares one ``bytes`` object for it."""
+        arity, tuples, _ = data.draw(_arity_and_rows(max_size=14))
         cuts = sorted(data.draw(st.lists(
             st.integers(0, len(tuples)), max_size=4
         )))
+        query = dataclasses.replace(_chain_query(arity), query_id=1)
+        tables = query.tables
+        # One stored blob per (table, row), whichever positions name it.
+        stored: dict[str, dict[int, bytes]] = {name: {} for name in tables}
+        for combo in tuples:
+            for name, row in zip(tables, combo):
+                if row not in stored[name]:
+                    stored[name][row] = data.draw(st.binary(max_size=12))
+        payloads = [
+            tuple(stored[name][row] for name, row in zip(tables, combo))
+            for combo in tuples
+        ]
         bounds = [0, *cuts, len(tuples)]
         batches = [
             ChainMatchBatch(tuples[start:stop], payloads[start:stop])
             for start, stop in zip(bounds, bounds[1:])
         ]
-        query = dataclasses.replace(
-            _chain_query(arity), query_id=1, tables=_distinct_tables(arity)
-        )
-        sent = [set() for _ in range(arity)]
+        # The sender's state as a server keeps it: one set per table.
+        by_table = {name: set() for name in tables}
+        sent = [by_table[name] for name in tables]
         frames = [
             decode_frame(encode_match_batch(batch, sent)) for batch in batches
         ]
-        stored = _first_reference_rows(tuples, payloads, arity)
-        assert sent == [set(held) for held in stored]
-        # Each row exactly once over the whole stream.
-        for position, held in enumerate(stored):
+        assert by_table == {name: set(rows) for name, rows in stored.items()}
+        # Each row of each table exactly once over the whole stream.
+        for name, rows in stored.items():
             carried = [
-                row for frame in frames for row in frame.rows[position]
+                row
+                for frame in frames
+                for position in range(arity)
+                if tables[position] == name
+                for row in frame.rows[position]
             ]
-            assert sorted(carried) == sorted(held)
+            assert sorted(carried) == sorted(rows)
         assert all(len(frame.rows) == arity for frame in frames)
-        reassembler = StreamReassembler(query)
+        held: dict[str, dict[int, bytes]] = {}
+        reassembler = _reassembler(query, held)
         rebuilt = [reassembler.add_batch(frame) for frame in frames]
         assert rebuilt == batches
-        for position in range(arity):
-            objects: dict[int, bytes] = {}
-            for batch in rebuilt:
-                for combo, blobs in zip(batch.tuples, batch.payloads):
-                    shared = objects.setdefault(
-                        combo[position], blobs[position]
-                    )
-                    assert shared is blobs[position]
+        assert held == stored
+        objects: dict[tuple[str, int], bytes] = {}
+        for batch in rebuilt:
+            for combo, blobs in zip(batch.tuples, batch.payloads):
+                for name, row, blob in zip(tables, combo, blobs):
+                    assert objects.setdefault((name, row), blob) is blob
         # The canonical order is the sorted one, whatever the discovery
         # order the batches delivered.
-        result = _canonical(query.tables, tuples, payloads)
+        result = _canonical(tables, tuples, payloads)
         final = decode_frame(encode_final_frame(result))
         assert reassembler.finish(final) == result
         # The stateless path: each frame encoded without stream state
-        # is self-contained and resolves, alone, to the same batch.
+        # is self-contained — a row per position — and resolves, alone
+        # and over distinct tables, to the same batch.
+        distinct = dataclasses.replace(query, tables=_distinct_tables(arity))
         for batch in batches:
             alone = decode_frame(encode_match_batch(batch))
             if batch.tuples:
-                assert StreamReassembler(query).add_batch(alone) == batch
+                assert _reassembler(distinct).add_batch(alone) == batch
             else:
                 assert alone == MatchBatchFrame([], [{}, {}])
 
@@ -1007,7 +1029,7 @@ class TestReassembler:
         result = _join_result()
         # Deliver the pairs across two batches in scrambled order; the
         # second names a right row the first already carried.
-        reassembler = StreamReassembler(_join_query())
+        reassembler = _reassembler(_join_query())
         first, second = _stream_frames(
             ChainMatchBatch(
                 [result.tuples[1], result.tuples[0]],
@@ -1029,7 +1051,7 @@ class TestReassembler:
     def test_shape_follows_the_query_type(self):
         result = _chain_result()
         query = dataclasses.replace(_chain_query(3), tables=result.tables)
-        reassembler = StreamReassembler(query)
+        reassembler = _reassembler(query)
         batch = ChainMatchBatch(result.tuples, result.payloads)
         (frame,) = _stream_frames(batch)
         assert reassembler.add_batch(frame) == batch
@@ -1038,7 +1060,7 @@ class TestReassembler:
     def test_rejects_duplicate_and_miscounted_tuples(self):
         result = _join_result()
         batch = ChainMatchBatch([result.tuples[0]], [result.payloads[0]])
-        reassembler = StreamReassembler(_join_query())
+        reassembler = _reassembler(_join_query())
         (frame,) = _stream_frames(batch)
         reassembler.add_batch(frame)
         # Again, naming the rows already carried and carrying none.
@@ -1049,7 +1071,7 @@ class TestReassembler:
 
     def test_rejects_a_row_carried_by_two_frames(self):
         result = _join_result()
-        reassembler = StreamReassembler(_join_query())
+        reassembler = _reassembler(_join_query())
         # Two self-contained frames are not one stream: the second
         # carries right row 0 again.
         reassembler.add_batch(decode_frame(encode_match_batch(
@@ -1061,7 +1083,7 @@ class TestReassembler:
             )))
 
     def test_rejects_a_tuple_naming_a_row_no_frame_carried(self):
-        reassembler = StreamReassembler(_join_query())
+        reassembler = _reassembler(_join_query())
         reassembler.add_batch(
             MatchBatchFrame([(0, 0)], [{0: b"pl0"}, {0: b"pr0"}])
         )
@@ -1070,7 +1092,7 @@ class TestReassembler:
                 reassembler.add_batch(MatchBatchFrame([combo], [{}, {}]))
 
     def test_rejects_drifting_arity(self):
-        reassembler = StreamReassembler(_join_query())
+        reassembler = _reassembler(_join_query())
         with pytest.raises(SchemeError, match="arity"):
             reassembler.add_batch(MatchBatchFrame(
                 [(0, 1, 2)], [{0: b"a"}, {1: b"b"}, {2: b"c"}]
@@ -1083,10 +1105,10 @@ class TestReassembler:
             )
 
     def test_rejects_final_for_other_tables(self):
-        reassembler = StreamReassembler(_join_query())
+        reassembler = _reassembler(_join_query())
         for tables in (("L", "X"), ("L", "R", "L")):
             with pytest.raises(SchemeError, match="expected"):
-                reassembler.finish(FinalFrame(tables, [], ServerStats()))
+                reassembler.finish(FinalFrame(tables, 0, ServerStats()))
 
 
 # -- a connection's row state -------------------------------------------------
@@ -1135,8 +1157,7 @@ def _replay_connection(frames) -> list[EncryptedChainResult]:
     for blob in frames:
         frame = decode_frame(blob)
         if isinstance(frame, StreamHeaderFrame):
-            reassembler = StreamReassembler(_join_query(), held)
-            reassembler.start(frame)
+            reassembler = StreamReassembler(_join_query(), frame, held)
         elif isinstance(frame, MatchBatchFrame) and reassembler is not None:
             reassembler.add_batch(frame)
         elif isinstance(frame, FinalFrame) and reassembler is not None:
@@ -1176,7 +1197,7 @@ class TestConnectionRows:
         assert frame.rows == [{0: b"t0", 1: b"t1"}, {}]
         assert shared == {0, 1}
         query = _join_query(tables=("T", "T"))
-        reassembler = StreamReassembler(query)
+        reassembler = _reassembler(query)
         assert reassembler.add_batch(frame) == batch
         final = FinalFrame(("T", "T"), 3, ServerStats())
         assert reassembler.finish(final).tuples == batch.tuples
@@ -1193,7 +1214,7 @@ class TestConnectionRows:
         self, header
     ):
         with pytest.raises(SchemeError, match="opens no answer"):
-            StreamReassembler(_join_query()).start(header)
+            StreamReassembler(_join_query(), header)
 
     def test_a_batch_naming_a_row_never_carried_is_refused(self):
         # The second answer alone, on a connection that never carried
