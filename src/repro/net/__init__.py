@@ -14,9 +14,9 @@ messages:
   frames) so remote clients receive matches while SJ.Dec is still
   running; a connection carries each row's payload once per table
   epoch;
-- :class:`~repro.net.client.RemoteJoinClient` — consumes the frame
-  stream with bounded buffering (client-side backpressure), keeps the
-  connection's rows, and reassembles the canonical result;
+- :class:`~repro.net.client.RemoteJoinClient` — pulls the frame
+  stream in the caller's thread (the TCP window is the backpressure),
+  keeps the connection's rows, and reassembles the canonical result;
 - ``python -m repro.net`` — a standalone server process with graceful
   SIGTERM drain;
 - :class:`~repro.net.shard.ShardServiceServer` /
@@ -24,7 +24,8 @@ messages:
   store behind a socket and its coordinator-side proxy (scatter-chunk
   / scatter-final frames), so a
   :class:`~repro.shard.ShardCoordinator` mixes local and remote
-  shards freely.
+  shards freely; the proxy reads its answer with the client's one
+  answer reader.
 
 Exposure policy (after the FateForger encrypted-deployment notes): only
 the query/result API is externally consumable.  A remote peer can send

@@ -23,22 +23,20 @@ answer on this connection hands out, so the client's result memo hits
 them by identity.  The state goes when the connection closes, is
 abandoned or drops.
 
-Backpressure: a reader thread pulls frames off the socket into a
-*bounded* buffer (``max_buffered_batches``).  When the consumer falls
-behind, the buffer fills and the reader stops pulling; the kernel
-receive window then fills and the server's send blocks — flow control
-end to end, so a slow consumer never forces the client to buffer an
-unbounded result.
+Backpressure is the kernel's: frames are pulled off the socket in the
+caller's thread, one per step of the stream, so a consumer that falls
+behind stops reading, the TCP receive window fills and the server's
+send blocks.  The client buffers no frame ahead of its consumer and
+starts no thread.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import threading
 
 from repro.core.client import EncryptedChainQuery
-from repro.core.server import EncryptedChainResult
+from repro.core.server import EncryptedChainResult, _drain
 from repro.crypto.backend import BilinearBackend
 from repro.errors import NetworkError, QueryError, ReproError
 from repro.net.protocol import MAX_MESSAGE_SIZE, recv_message, send_message
@@ -52,9 +50,56 @@ from repro.store.wire import (
     encode_join_query,
 )
 
-#: How many decoded frames the reader thread may buffer ahead of the
-#: consumer before it stops pulling from the socket.
-DEFAULT_BUFFERED_BATCHES = 8
+#: Seconds a client waits for a connection to open.
+_CONNECT_TIMEOUT = 10.0
+
+
+def connect(host: str, port: int) -> socket.socket:
+    """Open a blocking TCP connection to a service endpoint."""
+    sock = socket.create_connection((host, port), timeout=_CONNECT_TIMEOUT)
+    sock.settimeout(None)
+    # The query is one small message the server waits on; Nagle would
+    # hold it hostage to the previous stream's ACKs.
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def answer_frames(
+    sock: socket.socket, query_id: int, max_size: int = MAX_MESSAGE_SIZE
+):
+    """The decoded frames answering query ``query_id``, pulled off
+    ``sock`` one per step in the caller's thread.
+
+    The first frame is the stream header for ``query_id`` or an error
+    frame (a query that fails before its first batch gets the error
+    frame alone); exactly one header is allowed.  Every frame after it,
+    error frames included, is the caller's to dispatch, and the caller
+    stops pulling at the terminal frame.  A connection closed before
+    that, or a header missing, repeated or for another query, raises
+    :class:`~repro.errors.NetworkError`; a frame that does not decode
+    raises :class:`~repro.errors.SchemeError`.
+    """
+    opened = False
+    while True:
+        data = recv_message(sock, max_size)
+        if data is None:
+            raise NetworkError("server closed the connection mid-stream")
+        frame = decode_frame(data)
+        if isinstance(frame, StreamHeaderFrame):
+            if opened:
+                raise NetworkError("a second stream-header frame mid-stream")
+            if frame.query_id != query_id:
+                raise NetworkError(
+                    f"stream answers query {frame.query_id}, "
+                    f"expected {query_id}"
+                )
+            opened = True
+        elif not opened and not isinstance(frame, ErrorFrame):
+            raise NetworkError(
+                "stream did not open with a stream-header frame "
+                f"(got {type(frame).__name__})"
+            )
+        yield frame
 
 
 def _error_from_frame(frame: ErrorFrame) -> ReproError:
@@ -77,27 +122,11 @@ class RemoteJoinClient:
         host: str,
         port: int,
         backend: BilinearBackend,
-        max_buffered_batches: int = DEFAULT_BUFFERED_BATCHES,
         max_message_size: int = MAX_MESSAGE_SIZE,
-        connect_timeout: float = 10.0,
     ):
-        if max_buffered_batches < 1:
-            raise NetworkError("max_buffered_batches must be at least 1")
         self.backend = backend
-        self.max_buffered_batches = max_buffered_batches
         self.max_message_size = max_message_size
-        self._sock: socket.socket | None = socket.create_connection(
-            (host, port), timeout=connect_timeout
-        )
-        self._sock.settimeout(None)
-        try:
-            # The query is one small message the server waits on; Nagle
-            # would hold it hostage to the previous stream's ACKs.
-            self._sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
-        except OSError:  # pragma: no cover - non-TCP test doubles
-            pass
+        self._sock: socket.socket | None = connect(host, port)
         self._busy = False
         self._lock = threading.Lock()
         #: The connection's row state: per table name, every row the
@@ -155,83 +184,32 @@ class RemoteJoinClient:
             sock = self._sock
             rows = self._rows
         completed = False
-        frames: queue.Queue = queue.Queue(maxsize=self.max_buffered_batches)
-        abandoned = threading.Event()
-
-        def put(item) -> None:
-            # Bounded put that gives up once the consumer is gone, so an
-            # abandoned stream can never wedge the reader thread.
-            while not abandoned.is_set():
-                try:
-                    frames.put(item, timeout=0.1)
-                    return
-                except queue.Full:
-                    continue
-
-        def read_frames() -> None:
-            try:
-                while not abandoned.is_set():
-                    data = recv_message(sock, self.max_message_size)
-                    if data is None:
-                        put((
-                            "error",
-                            NetworkError(
-                                "server closed the connection mid-stream"
-                            ),
-                        ))
-                        return
-                    frame = decode_frame(data)
-                    put(("frame", frame))
-                    if isinstance(frame, (FinalFrame, ErrorFrame)):
-                        return
-            except ReproError as error:
-                put(("error", error))
-
-        reader = threading.Thread(
-            target=read_frames, name="repro-net-reader", daemon=True
-        )
         try:
             send_message(sock, request)
-            reader.start()
             reassembler = None
-            while True:
-                kind, payload = frames.get()
-                if kind == "error":
-                    raise payload
-                frame = payload
+            for frame in answer_frames(
+                sock, query.query_id, self.max_message_size
+            ):
                 if isinstance(frame, ErrorFrame):
                     # An error frame terminates the response cleanly;
                     # the connection stays usable for the next query.
                     completed = True
                     raise _error_from_frame(frame)
-                if reassembler is None:
-                    if not isinstance(frame, StreamHeaderFrame):
-                        raise NetworkError(
-                            "stream did not open with a stream-header "
-                            f"frame (got {type(frame).__name__})"
-                        )
-                    if frame.query_id != query.query_id:
-                        raise NetworkError(
-                            f"stream answers query {frame.query_id}, "
-                            f"expected {query.query_id}"
-                        )
+                if isinstance(frame, StreamHeaderFrame):
                     reassembler = StreamReassembler(query, frame, rows)
-                    continue
-                if isinstance(frame, MatchBatchFrame):
+                elif isinstance(frame, MatchBatchFrame):
                     yield reassembler.add_batch(frame)
-                    continue
-                if isinstance(frame, FinalFrame):
+                elif isinstance(frame, FinalFrame):
                     completed = True
                     return reassembler.finish(frame)
-                raise NetworkError(
-                    f"unexpected mid-stream frame {type(frame).__name__}"
-                )
+                else:
+                    raise NetworkError(
+                        f"unexpected mid-stream frame {type(frame).__name__}"
+                    )
         finally:
-            abandoned.set()
             if completed:
-                # Reader exited after the terminal frame; the connection
-                # is at a message boundary and reusable.
-                reader.join(timeout=5.0)
+                # The terminal frame was read: the connection is at a
+                # message boundary and reusable.
                 with self._lock:
                     self._busy = False
             else:
@@ -250,12 +228,7 @@ class RemoteJoinClient:
         the remote mirror of the in-process
         :meth:`~repro.core.server.SecureJoinServer.execute_chain`.
         """
-        stream = self.stream_chain(query)
-        while True:
-            try:
-                next(stream)
-            except StopIteration as stop:
-                return stop.value
+        return _drain(self.stream_chain(query))
 
     #: A two-way join is the two-table chain.
     stream_join = stream_chain
@@ -263,6 +236,5 @@ class RemoteJoinClient:
 
 
 __all__ = [
-    "DEFAULT_BUFFERED_BATCHES",
     "RemoteJoinClient",
 ]

@@ -1,9 +1,12 @@
 """The streamed join service: a TCP endpoint over the wire format.
 
-:class:`JoinServiceServer` wraps a
-:class:`~repro.core.server.SecureJoinServer` behind a listening socket.
-One thread per connection; each connection serves any number of queries
-sequentially.  Per query — a two-way join or a longer chain, it is one
+:class:`JoinServiceServer` puts a join host behind a listening socket:
+a :class:`~repro.core.server.SecureJoinServer`, or a
+:class:`~repro.core.server.ShardCoordinator` over in-process shards.  A
+fleet with a :class:`~repro.net.shard.RemoteShard` cannot be served: the
+shard wire carries no table epochs, and the connection's row state
+needs them.  One thread per connection; each connection serves any
+number of queries sequentially.  Per query — a two-way join or a longer chain, it is one
 message and one handler — it emits:
 
 1. one **stream-header frame** acknowledging the query and naming the
@@ -42,12 +45,13 @@ process does on SIGTERM.
 
 from __future__ import annotations
 
+import logging
 import socket
 import threading
 import time
 import weakref
 
-from repro.core.server import SecureJoinServer
+from repro.core.server import ShardCoordinator
 from repro.errors import NetworkError, ReproError
 from repro.net.protocol import MAX_MESSAGE_SIZE, recv_message, send_message
 from repro.store.wire import (
@@ -57,6 +61,8 @@ from repro.store.wire import (
     encode_match_batch,
     encode_stream_header,
 )
+
+_log = logging.getLogger(__name__)
 
 
 class _Connection:
@@ -78,11 +84,10 @@ class JoinServiceServer:
 
     def __init__(
         self,
-        join_server: SecureJoinServer,
+        join_server: ShardCoordinator,
         host: str = "127.0.0.1",
         port: int = 0,
         max_message_size: int = MAX_MESSAGE_SIZE,
-        backlog: int = 32,
         drain_timeout: float = 30.0,
     ):
         self.join_server = join_server
@@ -90,7 +95,6 @@ class JoinServiceServer:
         self.drain_timeout = drain_timeout
         self._host = host
         self._port = port
-        self._backlog = backlog
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._lock = threading.Lock()
@@ -110,9 +114,7 @@ class JoinServiceServer:
         """Bind, listen, and start accepting.  Returns ``(host, port)``."""
         if self._started:
             raise NetworkError("server already started")
-        listener = socket.create_server(
-            (self._host, self._port), backlog=self._backlog, reuse_port=False
-        )
+        listener = socket.create_server((self._host, self._port))
         self._listener = listener
         self._started = True
         self._accept_thread = threading.Thread(
@@ -209,23 +211,27 @@ class JoinServiceServer:
 
         Library failures (codec, scheme, deadline) — at decode time or
         mid-flight — terminate the response in-band with an error frame
-        so the client sees *why*; transport failures propagate and drop
-        the connection.
+        so the client sees *why*; any other failure of the host is a
+        ``QueryError`` frame naming only the exception's class (its
+        traceback goes to this module's log).  Transport failures
+        propagate and drop the connection.
         """
         sock = connection.sock
         frames = None
         try:
             try:
-                query = decode_join_query(
-                    request, self.join_server.scheme.backend
-                )
+                query = decode_join_query(request, self.join_server.backend)
                 frames = self._answer(query, connection.rows)
                 for frame in frames:
                     send_message(sock, frame)
-            except ReproError as error:
-                send_message(
-                    sock, encode_error_frame(type(error).__name__, str(error))
-                )
+            except Exception as error:
+                if isinstance(error, ReproError):
+                    kind, message = type(error).__name__, str(error)
+                else:
+                    _log.exception("query failed inside the host")
+                    kind = "QueryError"
+                    message = f"internal error ({type(error).__name__})"
+                send_message(sock, encode_error_frame(kind, message))
                 return
             with self._lock:
                 self.queries_served += 1

@@ -18,7 +18,10 @@ backend), ...])``, shard ``i`` at position ``i``; no message describes
 one.  One TCP connection per query, opened when the
 coordinator scatters (that is the remote co-admission) and closed with
 the stream — abandoning a merge mid-flight drops the socket, which the
-shard's handler notices, releasing the shard's pool admissions.
+shard's handler notices, releasing the shard's pool admissions.  The
+proxy pulls its answer in the coordinator's thread with the join
+client's reader (:func:`~repro.net.client.answer_frames`); it starts
+no thread.
 
 Exposure policy is inherited from :mod:`repro.net`: a shard socket can
 reach exactly ``decode_join_query`` → ``open_sources``; store
@@ -27,31 +30,24 @@ mutation, pool controls and the leakage ledger are not on the wire.
 
 from __future__ import annotations
 
-import socket
-
 from repro.core.pipeline import round_robin
 from repro.crypto.backend import BilinearBackend
 from repro.errors import NetworkError, SchemeError, ShardUnavailableError
-from repro.net.client import _error_from_frame
-from repro.net.protocol import recv_message, send_message
+from repro.net.client import _error_from_frame, answer_frames, connect
+from repro.net.protocol import send_message
 from repro.net.server import JoinServiceServer
 from repro.plan import group_chain_sides
 from repro.series.cache import series_key
-from repro.shard import LocalShard
 from repro.store.wire import (
     ErrorFrame,
     ScatterChunkFrame,
     ScatterFinalFrame,
     StreamHeaderFrame,
-    decode_frame,
     encode_join_query,
     encode_scatter_chunk,
     encode_scatter_final,
     encode_stream_header,
 )
-
-#: Seconds a coordinator waits for a shard's connection to open.
-_CONNECT_TIMEOUT = 10.0
 
 
 class ShardServiceServer(JoinServiceServer):
@@ -61,17 +57,9 @@ class ShardServiceServer(JoinServiceServer):
     only the per-query handler differs: instead of running the match
     pipeline it streams the store's raw decrypt events, each item with
     its payload, so the coordinator can match centrally, on the store's
-    own engine.  Shutting the service down closes the store.
+    own engine.  It serves a :class:`~repro.shard.LocalShard`; shutting
+    the service down closes the store.
     """
-
-    def __init__(
-        self,
-        shard: LocalShard,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        **kwargs,
-    ):
-        super().__init__(shard, host=host, port=port, **kwargs)
 
     def _answer(self, query, held):
         """The encoded scatter frames for ``query``, lazily: every
@@ -179,68 +167,39 @@ class _RemoteScatterSource:
         self.query = query
         self.decrypted: int | None = None
         self.reports: list = []
-        self._sock: socket.socket | None = None
-        self._got_header = False
+        self._sock = None
         try:
-            self._sock = socket.create_connection(
-                (shard.host, shard.port), timeout=_CONNECT_TIMEOUT
-            )
-            self._sock.settimeout(None)
-            try:
-                self._sock.setsockopt(
-                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                )
-            except OSError:  # pragma: no cover - non-TCP test doubles
-                pass
+            self._sock = connect(shard.host, shard.port)
             send_message(self._sock, encode_join_query(query, shard.backend))
         except (OSError, NetworkError) as error:
             self.close()
             raise ShardUnavailableError(
                 f"shard {shard.describe()} unreachable: {error}"
             ) from error
+        self._frames = answer_frames(self._sock, query.query_id)
 
     def __iter__(self) -> "_RemoteScatterSource":
         return self
 
     def __next__(self):
-        if self.decrypted is not None or self._sock is None:
+        if self._sock is None:  # closed, or the scatter-final arrived
             raise StopIteration
         while True:
             try:
-                data = recv_message(self._sock)
-            except (OSError, NetworkError) as error:
-                self._fail(f"transport failed mid-scatter: {error}", error)
-            if data is None:
-                self._fail("closed the connection mid-scatter", None)
-            try:
-                frame = decode_frame(data)
+                frame = next(self._frames)
             except SchemeError as error:
                 self._fail(f"sent an undecodable frame: {error}", error)
+            except NetworkError as error:
+                self._fail(f"failed mid-scatter: {error}", error)
             if isinstance(frame, ErrorFrame):
                 self.close()
                 raise _error_from_frame(frame)
-            if not self._got_header:
-                if not isinstance(frame, StreamHeaderFrame):
-                    self._fail(
-                        "did not open with a stream-header frame "
-                        f"(got {type(frame).__name__})",
-                        None,
-                    )
-                if frame.query_id != self.query.query_id:
-                    self._fail(
-                        f"answered query {frame.query_id}, expected "
-                        f"{self.query.query_id}",
-                        None,
-                    )
-                self._got_header = True
-                continue
             if isinstance(frame, ScatterChunkFrame):
                 if max(frame.positions) >= len(self.query.tables):
                     self._fail(
                         f"sent a chunk for chain positions "
                         f"{frame.positions} of a "
-                        f"{len(self.query.tables)}-table query",
-                        None,
+                        f"{len(self.query.tables)}-table query"
                     )
                 return frame.positions, frame.items
             if isinstance(frame, ScatterFinalFrame):
@@ -248,12 +207,12 @@ class _RemoteScatterSource:
                 self.reports = frame.reports
                 self.close()
                 raise StopIteration
-            self._fail(
-                f"sent an unexpected mid-scatter {type(frame).__name__}",
-                None,
-            )
+            if not isinstance(frame, StreamHeaderFrame):
+                self._fail(
+                    f"sent an unexpected mid-scatter {type(frame).__name__}"
+                )
 
-    def _fail(self, message: str, cause: Exception | None):
+    def _fail(self, message: str, cause: Exception | None = None):
         self.close()
         raise ShardUnavailableError(
             f"shard {self.shard.describe()} {message}"

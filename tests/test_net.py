@@ -3,13 +3,14 @@
 Covers the full remote-join path over real sockets: streamed
 match-batch delivery (multiple frames before the final frame,
 byte-identical reassembly against the in-process result), in-band
-error reporting, client-side backpressure, the operator's engine,
+error reporting, backpressure from a slow consumer, the operator's engine,
 QoS threading (priority-preferring dispatch, deadline cancellation)
 and graceful drain.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
 import operator
@@ -26,7 +27,12 @@ import repro.core.service as service_module
 from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
 from repro.core.engine import BatchedEngine
-from repro.core.server import ChainMatchBatch, SecureJoinServer, ServerStats
+from repro.core.server import (
+    ChainMatchBatch,
+    SecureJoinServer,
+    ServerStats,
+    ShardCoordinator,
+)
 from repro.core.service import ExecutionService, QueryQoS
 from repro.crypto.backend import FastBackend, PairingOpCounter
 from repro.db.query import ChainQuery, JoinQuery
@@ -44,6 +50,7 @@ from repro.net import (
     recv_message,
     send_message,
 )
+from repro.shard import LocalShard, partition_table
 from repro.store.wire import (
     ErrorFrame,
     FinalFrame,
@@ -281,6 +288,62 @@ class TestRemoteErrors:
                 # Cancellation is in-band: the connection still serves.
                 good = rc.execute_join(_query(client))
                 assert good.tuples
+
+
+class TestServedHosts:
+    """A join service serves any in-process host, and a host's failure
+    outside the library's errors is an in-band ``QueryError``."""
+
+    def test_an_in_process_fleet_answers_as_the_single_store(self):
+        client, server = _fixture(n_rows=12)
+        backend = server.backend
+        shards = [LocalShard(client.params, name=f"s{i}") for i in range(2)]
+        for name in ("L", "R"):
+            table = copy.deepcopy(server.table(name))
+            for piece in partition_table(table, backend, 2):
+                shards[piece.shard.shard_index].store(piece)
+        reference = server.execute_join(_query(client))
+        with JoinServiceServer(ShardCoordinator(shards)) as service:
+            host, port = service.address
+            with RemoteJoinClient(host, port, backend) as rc:
+                result = rc.execute_join(_query(client))
+        assert result.stats.shards == 2
+        assert result.tuples == reference.tuples
+        assert result.payloads == reference.payloads
+
+    def test_a_host_failure_is_a_query_error_and_the_connection_serves_on(
+        self, monkeypatch
+    ):
+        client, server = _fixture(n_rows=12)
+        reference = server.execute_join(_query(client))
+        stream_chain = server.stream_chain
+        failed = []
+
+        def fails_once_after_a_batch(query):
+            stream = stream_chain(query)
+            if failed:
+                return stream
+
+            def failing():
+                yield next(stream)
+                stream.close()
+                failed.append(query)
+                raise RuntimeError("host bug holding a secret")
+
+            return failing()
+
+        monkeypatch.setattr(server, "stream_chain", fails_once_after_a_batch)
+        with JoinServiceServer(server) as service:
+            host, port = service.address
+            with RemoteJoinClient(host, port, client.scheme.backend) as rc:
+                with pytest.raises(QueryError, match="RuntimeError") as caught:
+                    rc.execute_join(_query(client))
+                assert "secret" not in str(caught.value)
+                assert not rc.closed
+                result = rc.execute_join(_query(client))
+        assert failed
+        assert result.tuples == reference.tuples
+        assert result.payloads == reference.payloads
 
 
 class TestReplayedAnswerIsFramed:
@@ -769,9 +832,7 @@ class TestBackpressure:
         reference = server.execute_join(_query(client))
         with JoinServiceServer(server) as service:
             host, port = service.address
-            with RemoteJoinClient(
-                host, port, client.scheme.backend, max_buffered_batches=1
-            ) as rc:
+            with RemoteJoinClient(host, port, client.scheme.backend) as rc:
                 stream = rc.stream_join(_query(client))
                 batches = []
                 while True:
@@ -784,16 +845,6 @@ class TestBackpressure:
         assert len(batches) >= 2
         assert result.tuples == reference.tuples
         assert result.payloads == reference.payloads
-
-    def test_bounded_buffer_rejects_nonsense_size(self):
-        client, server = _fixture(n_rows=4)
-        with JoinServiceServer(server) as service:
-            host, port = service.address
-            with pytest.raises(NetworkError, match="at least 1"):
-                RemoteJoinClient(
-                    host, port, client.scheme.backend,
-                    max_buffered_batches=0,
-                )
 
     def test_abandoned_stream_closes_connection_and_releases(self):
         client, server = _fixture(n_rows=15, batch_size=2)

@@ -23,13 +23,14 @@ from pathlib import Path
 import pytest
 
 from repro.core.client import SecureJoinClient
-from repro.core.server import SecureJoinServer
+from repro.core.server import SecureJoinServer, ShardCoordinator
 from repro.db.join import hash_join
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
-from repro.net import RemoteJoinClient
-from repro.store.tables import save_encrypted_table
+from repro.net import RemoteJoinClient, RemoteShard
+from repro.shard import partition_table
+from repro.store.tables import load_encrypted_table, save_encrypted_table
 from tests.conftest import bn254_small_join
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -77,14 +78,43 @@ def _params_json(client) -> str:
     })
 
 
-def _launch(tmp_path, client, paths, *extra):
-    """Start ``python -m repro.net``; return (process, host, port)."""
+#: A shard endpoint process, taking ``python -m repro.net``'s
+#: ``--params`` / ``--table`` / ``--port`` / ``--port-file``: it serves
+#: one ``LocalShard`` until its stdin closes.
+_SHARD_SERVICE = """
+import argparse, json, os, sys
+from repro.core.scheme import SecureJoinParams
+from repro.net import ShardServiceServer
+from repro.shard import LocalShard
+from repro.store.tables import load_encrypted_table
+
+parser = argparse.ArgumentParser()
+parser.add_argument("--params")
+parser.add_argument("--table", action="append")
+parser.add_argument("--port", type=int)
+parser.add_argument("--port-file")
+args = parser.parse_args()
+shard = LocalShard(SecureJoinParams(**json.loads(args.params)))
+for path in args.table:
+    shard.store(load_encrypted_table(path, shard.backend))
+with ShardServiceServer(shard, port=args.port) as service:
+    host, port = service.address
+    with open(args.port_file + ".tmp", "w") as handle:
+        handle.write(f"{host}:{port}\\n")
+    os.replace(args.port_file + ".tmp", args.port_file)
+    sys.stdin.read()
+"""
+
+
+def _launch(tmp_path, client, paths, *extra, program=("-m", "repro.net")):
+    """Start ``python -m repro.net`` (or ``program``); return (process,
+    host, port)."""
     port_file = tmp_path / "service.port"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_SRC)
     process = subprocess.Popen(
         [
-            sys.executable, "-m", "repro.net",
+            sys.executable, *program,
             "--params", _params_json(client),
             "--table", str(paths[0]),
             "--table", str(paths[1]),
@@ -94,6 +124,7 @@ def _launch(tmp_path, client, paths, *extra):
         ],
         env=env,
         cwd=_REPO_ROOT,
+        stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
@@ -127,8 +158,6 @@ def _finish(process, timeout=30) -> int:
 
 
 def _reference(client, paths):
-    from repro.store.tables import load_encrypted_table
-
     server = SecureJoinServer(client.params)
     backend = client.scheme.backend
     for path in paths:
@@ -155,6 +184,87 @@ def _python_pids() -> set[int]:
         if "python" in comm:
             pids.add(int(pid))
     return pids
+
+
+class TestNoThreadPerQuery:
+    """A remote answer is read in the caller's thread.  The endpoint runs
+    in a child process, so every thread here is the consumer's; none may
+    be alive, in any state of a query, that was not alive before it (a
+    set, not a count: a thread some earlier test left may end
+    meanwhile)."""
+
+    @staticmethod
+    def _new_threads_in_each_state(stream_of):
+        """The threads that are alive and were not alive before the
+        query: while its first batch is held, after draining it, and
+        after abandoning a second one."""
+        before = set(threading.enumerate())
+
+        def new():
+            return [t.name for t in threading.enumerate() if t not in before]
+
+        seen = {}
+        stream = stream_of()
+        next(stream)
+        seen["holding the first batch"] = new()
+        batches = 1
+        while True:
+            try:
+                next(stream)
+                batches += 1
+            except StopIteration:
+                break
+        seen["drained"] = new()
+        stream = stream_of()
+        next(stream)
+        stream.close()
+        seen["abandoned"] = new()
+        assert batches >= 2
+        return seen
+
+    def test_join_client(self, tmp_path):
+        client, paths = _dataset(tmp_path, n_rows=200)
+        process, host, port = _launch(tmp_path, client, paths)
+        try:
+            with RemoteJoinClient(host, port, client.scheme.backend) as rc:
+                seen = self._new_threads_in_each_state(
+                    lambda: rc.stream_join(_query(client))
+                )
+                assert rc.closed  # abandoning dropped the connection
+        finally:
+            process.send_signal(signal.SIGTERM)
+            returncode = _finish(process)
+        assert seen == {
+            "holding the first batch": [], "drained": [], "abandoned": [],
+        }
+        assert returncode == 0
+
+    def test_remote_shard_scatter(self, tmp_path):
+        client, paths = _dataset(tmp_path, n_rows=200)
+        backend = client.scheme.backend
+        pieces = []
+        for path in paths:
+            (piece,) = partition_table(
+                load_encrypted_table(path, backend), backend, 1
+            )
+            pieces.append(path.with_suffix(".piece.rprot"))
+            save_encrypted_table(piece, pieces[-1], backend)
+        process, host, port = _launch(
+            tmp_path, client, pieces, program=("-c", _SHARD_SERVICE)
+        )
+        try:
+            with ShardCoordinator(
+                [RemoteShard(host, port, backend, name="child")]
+            ) as fleet:
+                seen = self._new_threads_in_each_state(
+                    lambda: fleet.stream_join(_query(client))
+                )
+        finally:
+            returncode = _finish(process)
+        assert seen == {
+            "holding the first batch": [], "drained": [], "abandoned": [],
+        }
+        assert returncode == 0
 
 
 class TestServerProcess:
@@ -241,9 +351,7 @@ class TestServerProcess:
         process, host, port = _launch(
             tmp_path, client, paths, "--drain-timeout", "60",
         )
-        rc = RemoteJoinClient(
-            host, port, client.scheme.backend, max_buffered_batches=1
-        )
+        rc = RemoteJoinClient(host, port, client.scheme.backend)
         try:
             stream = rc.stream_join(_query(client))
             batches = [next(stream)]  # the stream is live

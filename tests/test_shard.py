@@ -20,10 +20,12 @@ The contracts under test:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
 import random
+import socket
 import subprocess
 import sys
 import threading
@@ -34,13 +36,19 @@ import pytest
 from repro.baselines import SerialEngine
 from repro.core.client import SecureJoinClient
 from repro.core.engine import BatchedEngine
-from repro.core.server import SecureJoinServer
+from repro.core.server import ChainMatchBatch, SecureJoinServer
 from repro.crypto.backend import FastBackend, get_backend
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
-from repro.errors import SchemeError, ShardUnavailableError
-from repro.net import RemoteShard, ShardServiceServer
+from repro.errors import NetworkError, SchemeError, ShardUnavailableError
+from repro.net import (
+    RemoteJoinClient,
+    RemoteShard,
+    ShardServiceServer,
+    recv_message,
+    send_message,
+)
 from repro.shard import (
     DEFAULT_SEED,
     LocalShard,
@@ -52,6 +60,7 @@ from repro.shard import (
     shard_skew,
     validate_shard_layout,
 )
+from repro.store import wire
 from tests.conftest import (
     SERVER_SHAPES,
     PoolEngine,
@@ -175,6 +184,36 @@ def _sharded(
         ):
             shards[piece.shard.shard_index].store(piece)
     return shards
+
+
+@contextlib.contextmanager
+def _fake_endpoint(backend, messages, hang_up=False):
+    """A listener standing in for a service endpoint; yields its
+    ``(host, port)``.  It accepts one connection, reads the query, sends
+    ``messages(query)`` and then holds the socket until the peer drops
+    it — or, with ``hang_up``, hangs up at once (by ``shutdown``: a pool
+    worker forked meanwhile holds a copy of the socket, and a ``close``
+    alone would leave the connection open)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        sock, _ = listener.accept()
+        with sock:
+            query = wire.decode_join_query(recv_message(sock), backend)
+            for message in messages(query):
+                send_message(sock, message)
+            if hang_up:
+                sock.shutdown(socket.SHUT_RDWR)
+            else:
+                sock.recv(1)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[:2]
+    finally:
+        listener.close()
+        thread.join(timeout=5.0)
 
 
 def _drain(generator):
@@ -659,45 +698,30 @@ class TestRemoteShards:
         coordinator must raise a ShardUnavailableError matching
         ``match`` (a codec SchemeError as its cause) and the surviving
         local shard must release its admissions."""
-        import socket as socket_module
-
-        from repro.net import recv_message, send_message
-        from repro.store import wire
-
         client, backend, tables, _ = _fixture(
             [i % 4 for i in range(40)], [i % 4 for i in range(40)]
         )
         shards = _sharded(client, backend, tables, 2, build="parallel")
-        listener = socket_module.create_server(("127.0.0.1", 0))
 
-        def fake_endpoint():
-            sock, _ = listener.accept()
-            with sock:
-                query = wire.decode_join_query(recv_message(sock), backend)
-                send_message(
-                    sock,
-                    wire.encode_stream_header(query.query_id, *query.tables),
-                )
-                send_message(sock, answer(wire))
-                sock.recv(1)  # hold the socket until the proxy drops it
+        def messages(query):
+            return [
+                wire.encode_stream_header(query.query_id, *query.tables),
+                answer(wire),
+            ]
 
-        thread = threading.Thread(target=fake_endpoint, daemon=True)
-        thread.start()
-        host, port = listener.getsockname()[:2]
-        remote = RemoteShard(host, port, backend, name="garbler")
         try:
-            with ShardCoordinator([shards[0], remote]) as coordinator:
-                with pytest.raises(
-                    ShardUnavailableError, match=match
-                ) as caught:
-                    coordinator.execute_join(_query(client))
-                assert isinstance(caught.value.__cause__, SchemeError)
-                assert (
-                    shards[0].execution_service.active_sides == 0
-                )
+            with _fake_endpoint(backend, messages) as (host, port):
+                remote = RemoteShard(host, port, backend, name="garbler")
+                with ShardCoordinator([shards[0], remote]) as coordinator:
+                    with pytest.raises(
+                        ShardUnavailableError, match=match
+                    ) as caught:
+                        coordinator.execute_join(_query(client))
+                    assert isinstance(caught.value.__cause__, SchemeError)
+                    assert (
+                        shards[0].execution_service.active_sides == 0
+                    )
         finally:
-            listener.close()
-            thread.join(timeout=5.0)
             shards[0].close()
 
     def test_garbage_from_a_shard_is_a_named_shard_failure(self):
@@ -732,3 +756,84 @@ class TestRemoteShards:
         self._against_a_fake_endpoint(
             mistyped, "garbler.*undecodable.*batches"
         )
+
+
+# -- the answer reader's stream protocol -----------------------------------
+
+
+def _header(query, query_id=None):
+    return wire.encode_stream_header(
+        query.query_id if query_id is None else query_id, *query.tables
+    )
+
+
+#: Ways an endpoint can break the stream protocol: what it sends, given
+#: the query and a batch frame of the consumer's kind, before it hangs
+#: up (a consumer reads a violation before the end of the stream), and
+#: what the reader then reports.
+_VIOLATIONS = {
+    "batch before the header": (
+        lambda query, batch: [batch],
+        "did not open with a stream-header frame",
+    ),
+    "header for another query": (
+        lambda query, batch: [_header(query, query.query_id + 1)],
+        "answers query",
+    ),
+    "second header mid-stream": (
+        lambda query, batch: [_header(query), batch, _header(query)],
+        "second stream-header",
+    ),
+    "eof mid-stream": (
+        lambda query, batch: [_header(query), batch],
+        "closed the connection mid-stream",
+    ),
+}
+
+
+class TestStreamProtocolViolations:
+    """The join client and the remote shard read their answers with one
+    reader: an answer must open with one stream header for this query
+    and run to its terminal frame.  Each violation is a transport
+    failure — a ``NetworkError`` that closes the client, a
+    ``ShardUnavailableError`` naming the shard that releases the
+    surviving shard's admissions."""
+
+    @pytest.mark.parametrize("violation", list(_VIOLATIONS))
+    def test_join_client(self, violation):
+        client, backend, _, _ = _fixture([1, 2], [1, 2])
+        answer, complaint = _VIOLATIONS[violation]
+        batch = wire.encode_match_batch(
+            ChainMatchBatch(tuples=[(0, 0)], payloads=[(b"l0", b"r0")])
+        )
+        with _fake_endpoint(
+            backend, lambda query: answer(query, batch), hang_up=True
+        ) as (host, port):
+            rc = RemoteJoinClient(host, port, backend)
+            with pytest.raises(NetworkError, match=complaint):
+                rc.execute_join(_query(client))
+            assert rc.closed
+
+    @pytest.mark.parametrize("violation", list(_VIOLATIONS))
+    def test_remote_shard(self, violation):
+        client, backend, tables, _ = _fixture(
+            [i % 4 for i in range(40)], [i % 4 for i in range(40)]
+        )
+        shards = _sharded(client, backend, tables, 2, build="parallel")
+        answer, complaint = _VIOLATIONS[violation]
+        batch = wire.encode_scatter_chunk((0,), [(1, b"handle", b"l1")])
+        try:
+            with _fake_endpoint(
+                backend, lambda query: answer(query, batch), hang_up=True
+            ) as (host, port):
+                remote = RemoteShard(host, port, backend, name="breaker")
+                with ShardCoordinator([shards[0], remote]) as coordinator:
+                    with pytest.raises(
+                        ShardUnavailableError,
+                        match=f"shard breaker .*{complaint}",
+                    ) as caught:
+                        coordinator.execute_join(_query(client))
+                    assert isinstance(caught.value.__cause__, NetworkError)
+                    assert shards[0].execution_service.active_sides == 0
+        finally:
+            shards[0].close()
