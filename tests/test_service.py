@@ -18,6 +18,7 @@ import multiprocessing
 import os
 import random
 import signal
+import socket
 import threading
 import time
 
@@ -459,6 +460,34 @@ class TestLifecycle:
         sibling.close()
         assert not pool.started
         assert _alive_children() == children
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/<pid>/fd"
+    )
+    def test_a_worker_holds_no_socket(self):
+        """Workers fork at the first pooled chunk, so each inherits what
+        the process has open then: here a listener and both ends of a
+        connection.  None of them may stay open in a worker — a peer
+        would never see the hang-up while a worker holds its end."""
+        client, server = _fixture(engine=_pooled())
+        query = JoinQuery.build("L", "R", on=("k", "k"))
+        listener = socket.create_server(("127.0.0.1", 0))
+        left, right = socket.socketpair()
+        with server, listener, left, right:
+            server.execute_join(client.create_query(query))
+            pids = server.execution_service.worker_pids()
+            assert len(pids) == 2
+            held = {}
+            for pid in pids:
+                fd_dir = f"/proc/{pid}/fd"
+                targets = []
+                for fd in os.listdir(fd_dir):
+                    try:
+                        targets.append(os.readlink(f"{fd_dir}/{fd}"))
+                    except FileNotFoundError:
+                        continue
+                held[pid] = [t for t in targets if t.startswith("socket:")]
+            assert held == {pid: [] for pid in pids}
 
     def test_close_without_start_is_fine(self):
         service = ExecutionService(workers=2)
