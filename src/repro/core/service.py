@@ -57,6 +57,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import stat
 import threading
 import time
 import traceback
@@ -158,11 +159,37 @@ _worker_backend: BilinearBackend | None = None
 _worker_prepared: dict[bytes, PreparedRow] = {}
 
 
+def _close_inherited_sockets() -> None:
+    """Let go of every socket the worker inherited from the process it
+    forked from — a server's listener and connections, a coordinator's
+    links to its shards: while a worker holds one, its peer never sees
+    the parent hang up.  The worker's own channels are pipes.  Each
+    socket's descriptor is pointed at ``/dev/null`` rather than closed,
+    so the stale socket object the fork copied can never close a
+    descriptor the worker opens later under the same number."""
+    try:
+        descriptors = [int(fd) for fd in os.listdir("/proc/self/fd")]
+    except FileNotFoundError:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in descriptors:
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+            except OSError:
+                # The listing's own descriptor, closed once it was read.
+                continue
+    finally:
+        os.close(null)
+
+
 def _init_worker(backend: BilinearBackend) -> None:
     """The executor's initializer: the backend ships once per worker and
     lives as long as it does, with fresh caches and op counters (a
-    forked worker inherits its parent's)."""
+    forked worker inherits its parent's), and no inherited socket."""
     global _worker_backend
+    _close_inherited_sockets()
     backend.ops.reset()
     _worker_backend = backend
     _worker_prepared.clear()
