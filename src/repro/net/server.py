@@ -68,9 +68,8 @@ _log = logging.getLogger(__name__)
 class _Connection:
     """One accepted client connection and its serving state."""
 
-    def __init__(self, sock: socket.socket, peer):
+    def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.peer = peer
         #: True while a query stream is in flight on this connection —
         #: drain waits for busy connections and force-closes idle ones.
         self.busy = False
@@ -104,7 +103,6 @@ class JoinServiceServer:
         #: is after it has exited.  ``shutdown`` joins them all.
         self._handlers: weakref.WeakSet[threading.Thread] = weakref.WeakSet()
         self._draining = threading.Event()
-        self._started = False
         #: Completed query streams: answers whose closing frame was sent,
         #: not error replies or streams the client abandoned.
         self.queries_served = 0
@@ -112,11 +110,9 @@ class JoinServiceServer:
     # -- lifecycle --------------------------------------------------------
     def start(self) -> tuple[str, int]:
         """Bind, listen, and start accepting.  Returns ``(host, port)``."""
-        if self._started:
+        if self._listener is not None:
             raise NetworkError("server already started")
-        listener = socket.create_server((self._host, self._port))
-        self._listener = listener
-        self._started = True
+        self._listener = socket.create_server((self._host, self._port))
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-net-accept", daemon=True
         )
@@ -150,17 +146,14 @@ class JoinServiceServer:
             except OSError:
                 # Listener closed: shutdown in progress.
                 return
-            try:
-                # Frames are small and latency-sensitive: without this,
-                # Nagle + delayed ACK can stall each one ~40ms.
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:  # pragma: no cover - non-TCP test doubles
-                pass
+            # Frames are small and latency-sensitive: without this,
+            # Nagle + delayed ACK can stall each one ~40ms.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
                 if self._draining.is_set():
                     sock.close()
                     continue
-                connection = _Connection(sock, peer)
+                connection = _Connection(sock)
                 self._connections.add(connection)
                 handler = threading.Thread(
                     target=self._serve_connection,
