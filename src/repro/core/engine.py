@@ -155,6 +155,11 @@ class ExecutionEngine(ABC):
     ) -> HandleStream:
         """A stream of decrypted chunks for the side, in completion order.
 
+        ``ciphertext_vectors`` is the side as its store lends it: a
+        sequence whose length, fixed when the stream opens, is the
+        side's, read by slices (a pre-filtered side's vectors are
+        gathered slice by slice, so read each chunk's once).
+
         ``qos`` carries the owning query's priority and absolute
         deadline: a pooled side threads it into the admission scheduler
         (dispatch preference / mid-flight cancellation), an inline side

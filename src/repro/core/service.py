@@ -291,13 +291,21 @@ def max_span(spans: Sequence[tuple[int, int]]) -> int:
     return max((stop - start for start, stop in spans), default=0)
 
 
-def _encode_rows(backend, ciphertext_vectors, dimension) -> bytes:
-    """A side's rows as one flat buffer of encoded G2 elements."""
+def _encode_rows(
+    backend, ciphertext_vectors, dimension
+) -> tuple[bytes, bool]:
+    """A side's rows as one flat buffer of encoded G2 elements, read in
+    one pass, and whether every row is prepared."""
     parts = []
+    prepared = True
     for row in ciphertext_vectors:
         # Prepared rows travel as their raw G2 elements; the worker
         # rebuilds (and caches) the precomputation on its side.
-        elements = row.elements if type(row) is PreparedRow else row
+        if type(row) is PreparedRow:
+            elements = row.elements
+        else:
+            elements = row
+            prepared = False
         if len(elements) != dimension:
             raise QueryError(
                 f"ciphertext dimension {len(elements)} != token dimension "
@@ -305,7 +313,7 @@ def _encode_rows(backend, ciphertext_vectors, dimension) -> bytes:
             )
         for element in elements:
             parts.append(backend.encode_g2(element))
-    return b"".join(parts)
+    return b"".join(parts), prepared
 
 
 # -- main-process side ----------------------------------------------------
@@ -507,10 +515,9 @@ class ExecutionService:
         # keeps a large admission from stalling the queries already
         # running on the pool.
         dimension = len(token_elements)
-        prepared = n_rows > 0 and all(
-            type(row) is PreparedRow for row in ciphertext_vectors
+        encoded, prepared = _encode_rows(
+            backend, ciphertext_vectors, dimension
         )
-        encoded = _encode_rows(backend, ciphertext_vectors, dimension)
         token_bytes = [backend.encode_g1(e) for e in token_elements]
         stride = dimension * backend.g2_element_size
         return self._admit(

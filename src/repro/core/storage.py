@@ -22,10 +22,14 @@ has run — are kept in one list, and each row's dimension is checked
 once, when it is written (:meth:`LocalShard.store`,
 :meth:`LocalShard.insert_row`).  A side that reads every row of the
 table or piece is lent that list, and the piece's global rows, as they
-are; any other side is one comprehension over its candidates.
+are.  Any other side is lent a :class:`_RowView` of them through its
+candidate rows, which the engine reads one chunk at a time: opening a
+side gathers nothing.
 """
 
 from __future__ import annotations
+
+from itertools import chain, filterfalse
 
 from repro.core.client import EncryptedTable
 from repro.core.engine import BatchedEngine, ExecutionEngine
@@ -67,6 +71,35 @@ class _PiecePayloads:
     def get(self, row: int) -> bytes | None:
         index = self.local.get(row)
         return None if index is None else self.payloads[index]
+
+
+class _RowView:
+    """``items[i]`` for each ``i`` of ``index[:length]``, read in place:
+    a slice is gathered when it is asked for, so a side's vectors and
+    global rows are read one chunk at a time.  ``length`` fixes the
+    side's end when it opens: ``index`` may be a list the store keeps
+    appending to."""
+
+    __slots__ = ("items", "index", "length")
+
+    def __init__(self, items, index, length: int):
+        self.items = items
+        self.index = index
+        self.length = length
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(self.length)
+            return list(
+                map(self.items.__getitem__, self.index[start:stop:step])
+            )
+        return self.items[self.index[range(self.length)[key]]]
+
+    def __iter__(self):
+        return map(self.items.__getitem__, self.index[:self.length])
 
 
 class LocalShard:
@@ -370,16 +403,22 @@ class LocalShard:
     def _candidates(
         self,
         table: EncryptedTable,
-        prefilter: dict[str, frozenset[bytes]] | None,
+        prefilter: dict[str, frozenset[bytes]],
     ) -> list[int]:
-        """Row indices surviving the searchable pre-filter."""
+        """The local rows the searchable pre-filter lets through,
+        ascending.  One tag of one column is that tag's postings list,
+        lent as the store keeps it (sorted by construction: built in
+        row order, appended to by inserts), so the caller cuts it to its
+        length and never writes to it.  Several tags of a column (an IN
+        clause) are their postings merged, several columns the
+        intersection of theirs."""
         if table.prefilter_tags is None:
             raise QueryError(
                 f"query carries pre-filter tokens but table {table.name!r} "
                 "was encrypted without pre-filter tags"
             )
         index = self._tag_index[table.name]
-        survivors: set[int] | None = None
+        columns = []
         for column, allowed in prefilter.items():
             postings = index.get(column)
             if postings is None:
@@ -387,13 +426,18 @@ class LocalShard:
                     f"no pre-filter tags for column {column!r} in "
                     f"table {table.name!r}"
                 )
-            matching: set[int] = set()
-            for tag in allowed:
-                matching.update(postings.get(tag, ()))
-            survivors = matching if survivors is None else survivors & matching
-            if not survivors:
+            matching = [postings[tag] for tag in allowed if tag in postings]
+            if not matching:
                 return []
-        return sorted(survivors)
+            # A row has one tag per column, so the lists are disjoint;
+            # sorting their concatenation merges the sorted runs.
+            columns.append(
+                matching[0] if len(matching) == 1
+                else sorted(chain.from_iterable(matching))
+            )
+        if len(columns) == 1:
+            return columns[0]
+        return sorted(set(columns[0]).intersection(*columns[1:]))
 
     def open_side_stream(
         self,
@@ -415,8 +459,13 @@ class LocalShard:
 
         A side that reads every row — no pre-filter, tombstone or
         exclusion — is lent the store's own lists: the rows' vectors,
-        and a piece's global rows.  The engine only reads them, and a
-        later write appends past the side's end or replaces the list.
+        and a piece's global rows.  Any other side is lent a
+        :class:`_RowView` of each through its candidates, cut to their
+        number now: the engine reads a vector, and the
+        pipeline a global row, when its chunk comes.  Tombstones and
+        exclusions are dropped from the candidates in one pass.  The
+        engine only reads, and a later write appends past the side's
+        end or replaces the list.
         """
         table = self.table(table_name)
         dimension = self.scheme.params.dimension
@@ -428,22 +477,27 @@ class LocalShard:
         global_rows = self._global_rows.get(table_name)
         tombstones = self._tombstones.get(table_name)
         if prefilter or tombstones or exclude_rows:
-            rows = (
+            local = (
                 self._candidates(table, prefilter) if prefilter
                 else range(len(vectors))
             )
-            if tombstones:
-                rows = [i for i in rows if i not in tombstones]
-            if exclude_rows:
-                if global_rows is not None:
-                    local = self._local_rows[table_name]
-                    exclude_rows = {
-                        local[row] for row in exclude_rows if row in local
-                    }
-                rows = [i for i in rows if i not in exclude_rows]
-            vectors = [vectors[i] for i in rows]
-            if global_rows is not None:
-                rows = [global_rows[i] for i in rows]
+            if tombstones or exclude_rows:
+                if tombstones:
+                    local = filterfalse(tombstones.__contains__, local)
+                if exclude_rows:
+                    if global_rows is not None:
+                        held = self._local_rows[table_name]
+                        exclude_rows = {
+                            held[row] for row in exclude_rows if row in held
+                        }
+                    local = filterfalse(exclude_rows.__contains__, local)
+                local = list(local)
+            length = len(local)
+            if global_rows is None:
+                # A whole table's rows are their own global numbers.
+                global_rows = range(len(vectors))
+            rows = _RowView(global_rows, local, length)
+            vectors = _RowView(vectors, local, length)
         else:
             rows = range(len(vectors)) if global_rows is None else global_rows
         stream = self.engine.decrypt_stream(

@@ -76,8 +76,7 @@ def series_key(query, backend) -> bytes:
         name = table_name.encode("utf-8")
         digest.update(len(name).to_bytes(4, "big"))
         digest.update(name)
-        for element in token.elements:
-            digest.update(backend.encode_g1(element))
+        digest.update(b"".join(map(backend.encode_g1, token.elements)))
         if prefilter is None:
             digest.update(b"\x00")
         else:
