@@ -155,10 +155,10 @@ class ExecutionEngine(ABC):
     ) -> HandleStream:
         """A stream of decrypted chunks for the side, in completion order.
 
-        ``ciphertext_vectors`` is the side as its store lends it: a
-        sequence whose length, fixed when the stream opens, is the
-        side's, read by slices (a pre-filtered side's vectors are
-        gathered slice by slice, so read each chunk's once).
+        ``ciphertext_vectors`` is the side as its store lends it: its
+        length, fixed when the stream opens, is the side's, and it is
+        read by slices.  A pre-filtered side's view gathers a slice when
+        it is asked for, so an engine reads each chunk's vectors once.
 
         ``qos`` carries the owning query's priority and absolute
         deadline: a pooled side threads it into the admission scheduler

@@ -494,9 +494,11 @@ class LocalShard:
                 local = list(local)
             length = len(local)
             if global_rows is None:
-                # A whole table's rows are their own global numbers.
-                global_rows = range(len(vectors))
-            rows = _RowView(global_rows, local, length)
+                # A whole table's rows are their own global numbers:
+                # the candidates themselves, cut to the side's end.
+                rows = _RowView(local, range(length), length)
+            else:
+                rows = _RowView(global_rows, local, length)
             vectors = _RowView(vectors, local, length)
         else:
             rows = range(len(vectors)) if global_rows is None else global_rows

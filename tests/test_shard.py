@@ -191,9 +191,8 @@ def _fake_endpoint(backend, messages, hang_up=False):
     """A listener standing in for a service endpoint; yields its
     ``(host, port)``.  It accepts one connection, reads the query, sends
     ``messages(query)`` and then holds the socket until the peer drops
-    it — or, with ``hang_up``, hangs up at once (by ``shutdown``: a pool
-    worker forked meanwhile holds a copy of the socket, and a ``close``
-    alone would leave the connection open)."""
+    it — or, with ``hang_up``, hangs up at once (by ``shutdown``, which
+    reaches the peer whoever else holds the descriptor)."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve():
