@@ -76,7 +76,8 @@ def series_key(query, backend) -> bytes:
         name = table_name.encode("utf-8")
         digest.update(len(name).to_bytes(4, "big"))
         digest.update(name)
-        digest.update(b"".join(map(backend.encode_g1, token.elements)))
+        for element in token.elements:
+            digest.update(backend.encode_g1(element))
         if prefilter is None:
             digest.update(b"\x00")
         else:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import hashlib
 import random
 
 import pytest
@@ -25,12 +24,7 @@ from repro.core.server import SecureJoinServer
 from repro.db.query import ChainQuery, JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
-from repro.series.cache import (
-    SIDE_DIGEST_SIZE,
-    SeriesCache,
-    SeriesEntry,
-    series_key,
-)
+from repro.series.cache import SeriesCache, SeriesEntry, series_key
 from repro.shard import LocalShard, ShardCoordinator
 from repro.shard.partition import partition_table
 from repro.store.wire import decode_frame, encode_final_frame
@@ -103,45 +97,6 @@ class TestSeriesKey:
         query = _query(client)
         assert series_key(query, backend) == series_key(query, backend)
         server.close()
-
-    def test_key_hashes_what_it_did_element_by_element(self):
-        """The key's bytes are those of the per-element reference: each
-        token element, table name and tag fed to the digest alone."""
-
-        def reference(query, backend):
-            digests = []
-            for name, token, prefilter in zip(
-                query.tables, query.tokens, query.prefilters
-            ):
-                digest = hashlib.blake2b(digest_size=SIDE_DIGEST_SIZE)
-                raw = name.encode("utf-8")
-                digest.update(len(raw).to_bytes(4, "big"))
-                digest.update(raw)
-                for element in token.elements:
-                    digest.update(backend.encode_g1(element))
-                if prefilter is None:
-                    digest.update(b"\x00")
-                else:
-                    digest.update(b"\x01")
-                    for column in sorted(prefilter):
-                        raw = column.encode("utf-8")
-                        digest.update(len(raw).to_bytes(4, "big"))
-                        digest.update(raw)
-                        for tag in sorted(prefilter[column]):
-                            digest.update(tag)
-                digests.append(digest.digest())
-            return b"".join(digests)
-
-        client, server = _setup(enable_prefilter=True)
-        backend = server.scheme.backend
-        with server:
-            for where in (None, {"a": ["a1", "a3"]}):
-                query = client.create_query(JoinQuery.build(
-                    "L", "R", on=("k", "k"), where_left=where
-                ))
-                assert series_key(query, backend) == reference(
-                    query, backend
-                )
 
     def test_fresh_tokens_fresh_key(self):
         # create_query draws fresh randomness, so two submissions of the
