@@ -328,17 +328,19 @@ class TestTheLentListFollowsTheStore:
             assert stats.miller_loops == 11 * dimension
 
 
-def _where_k(*values):
-    """``L ⋈ R`` with ``L.a IN values``: ``L.a`` is the row number mod
-    3, so one value lets rows through in the middle of the table."""
+def _where_a(*values):
+    """``L ⋈ R`` with ``L.a IN ("a{v}" for v in values)``: ``L.a`` is
+    ``"a{row mod 3}"``, so one value lets rows through all along the
+    table."""
     return JoinQuery.build(
         "L", "R", on=("k", "k"), where_left={"a": [f"a{v}" for v in values]}
     )
 
 
 def _mod_client():
-    """Like :func:`_client`, with ``L.a`` = row mod 3 (12 rows), so a
-    pre-filter lets several rows through: ``(client, encrypted L)``."""
+    """Like :func:`_client`, with ``L.a`` = ``"a{row mod 3}"`` (12
+    rows), so a pre-filter lets several rows through: ``(client,
+    encrypted L)``."""
     left = Table("L", Schema.of(("k", "int"), ("a", "str")),
                  [(i % 4, f"a{i % 3}") for i in range(12)])
     right = Table("R", Schema.of(("k", "int"), ("b", "str")),
@@ -369,7 +371,7 @@ class TestAPrefilteredSideIsReadChunkByChunk:
             store.delete_rows("L", deleted)
             counter = store._vectors["L"] = _ReadCounter(store._vectors["L"])
             engine.counter = counter
-            query = client.create_query(_where_k(*values))
+            query = client.create_query(_where_a(*values))
             rows, stream = store.open_side_stream(
                 "L", query.tokens[0], query.prefilters[0]
             )
@@ -395,7 +397,7 @@ class TestAPrefilteredSideIsReadChunkByChunk:
 
     def test_a_pieces_global_rows_are_read_per_chunk(self):
         client, encrypted = _mod_client()
-        query = client.create_query(_where_k(1, 2))
+        query = client.create_query(_where_a(1, 2))
         pieces = partition_table(encrypted, client.scheme.backend, 2)
         for piece in pieces:
             with LocalShard(client.params, workers=1) as store:
@@ -420,7 +422,7 @@ class TestAPrefilteredSideIsReadChunkByChunk:
         client, encrypted = _mod_client()
         with LocalShard(client.params, workers=1) as store:
             store.store(encrypted)
-            query = client.create_query(_where_k(1))
+            query = client.create_query(_where_a(1))
             rows, stream = store.open_side_stream(
                 "L", query.tokens[0], query.prefilters[0]
             )
