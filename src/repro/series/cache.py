@@ -30,7 +30,11 @@ Keying and invalidation semantics:
   (bumped per insert/delete: the entry is stale but delta-repairable).
 - Memory is bounded by a **byte budget**: entries are accounted by
   their retained handle bytes, pair state, finished answer and
-  withdrawn rows, and evicted LRU.
+  withdrawn rows, and evicted by a segmented LRU.  A stored entry is
+  on *probation*; a hit (a replay or a delta refresh: proven re-use)
+  makes it *protected*.  Victims come from probation first, so a
+  stream of one-shot queries cannot push out the series that keep
+  coming back.
 
 Concurrency: the cache's own map is lock-protected, and every entry
 carries its own lock — the drive holds it across a replay or a delta
@@ -179,12 +183,21 @@ class SeriesCacheStats:
     lock_contention: int = 0
 
 
-class SeriesCache:
-    """A byte-budgeted LRU over :class:`SeriesEntry` values.
+#: The share of the budget the protected segment may hold.
+_PROTECTED_SHARE = 0.8
 
-    ``budget_bytes`` bounds the *accounted* retained bytes; inserting
-    or refreshing an entry evicts least-recently-used others until the
-    total fits.  An entry that alone exceeds the whole budget is not
+
+class SeriesCache:
+    """A byte-budgeted segmented LRU over :class:`SeriesEntry` values.
+
+    ``budget_bytes`` bounds the *accounted* retained bytes.  A stored
+    entry goes on *probation*; its first hit promotes it to the
+    *protected* segment.  Protected holds at most ``_PROTECTED_SHARE``
+    of the budget: past that, its least-recent entry is demoted to the
+    most-recent end of probation.  Inserting or refreshing an entry
+    evicts others — probation's least-recent first, then protected's —
+    until the total fits; the entry just stored or refreshed is never
+    its own victim.  An entry that alone exceeds the whole budget is not
     retained at all — the query still runs, it just won't replay.
     """
 
@@ -192,8 +205,13 @@ class SeriesCache:
         if budget_bytes < 0:
             raise ValueError("series cache budget must be >= 0")
         self.budget_bytes = budget_bytes
-        self._entries: "OrderedDict[bytes, SeriesEntry]" = OrderedDict()
+        #: Every live entry, whichever segment it is in.
+        self._entries: dict[bytes, SeriesEntry] = {}
+        #: Each segment's keys, least recent first.
+        self._probation: "OrderedDict[bytes, None]" = OrderedDict()
+        self._protected: "OrderedDict[bytes, None]" = OrderedDict()
         self._bytes = 0
+        self._protected_bytes = 0
         self._lock = threading.Lock()
         self.stats = SeriesCacheStats()
 
@@ -209,7 +227,8 @@ class SeriesCache:
 
     # -- lookup / insert --------------------------------------------------
     def lookup(self, key: bytes, epochs) -> SeriesEntry | None:
-        """The entry for ``key``, LRU-bumped — or ``None`` on a miss.
+        """The entry for ``key``, made the most recent protected one — or
+        ``None`` on a miss.
 
         ``epochs`` is the caller's current per-table store-generation
         pair; an entry built against different epochs is dropped (the
@@ -225,37 +244,53 @@ class SeriesCache:
                 self._evict(key, invalidation=True)
                 self.stats.misses += 1
                 return None
-            self._entries.move_to_end(key)
+            if key in self._protected:
+                self._protected.move_to_end(key)
+            else:
+                del self._probation[key]
+                self._protected[key] = None
+                self._protected_bytes += entry.byte_size
+                self._demote()
             self.stats.hits += 1
             return entry
 
     def store(self, entry: SeriesEntry) -> bool:
-        """Insert (or replace) an entry; returns False if it was too
-        large to retain under the budget."""
+        """Insert (or replace) an entry on probation; returns False if it
+        was too large to retain under the budget."""
         entry.recompute_bytes()
         with self._lock:
-            if entry.key in self._entries:
-                self._evict(entry.key)
+            self._evict(entry.key)
             if entry.byte_size > self.budget_bytes:
                 return False
             self._entries[entry.key] = entry
+            self._probation[entry.key] = None
             self._bytes += entry.byte_size
             self._enforce_budget(keep=entry.key)
             return True
 
     def reaccount(self, entry: SeriesEntry) -> None:
         """Re-charge a refreshed entry's bytes and re-enforce the budget
-        (the entry may have grown past it and be evicted here)."""
+        (the entry may have grown past it and be evicted here).  An entry
+        that is no longer the live one under its key — evicted, or
+        replaced by a cold run of the same query while it refreshed — is
+        not charged."""
         with self._lock:
-            if entry.key not in self._entries:
+            key = entry.key
+            if self._entries.get(key) is not entry:
                 return
-            self._bytes -= entry.byte_size
-            self._bytes += entry.recompute_bytes()
-            self._entries.move_to_end(entry.key)
+            charged = entry.byte_size
+            grown = entry.recompute_bytes() - charged
+            self._bytes += grown
+            if key in self._protected:
+                self._protected_bytes += grown
+                self._protected.move_to_end(key)
+                self._demote()
+            else:
+                self._probation.move_to_end(key)
             if entry.byte_size > self.budget_bytes:
-                self._evict(entry.key)
+                self._evict(key)
                 return
-            self._enforce_budget(keep=entry.key)
+            self._enforce_budget(keep=key)
 
     # -- invalidation / eviction ------------------------------------------
     def invalidate_table(self, table_name: str) -> int:
@@ -280,22 +315,32 @@ class SeriesCache:
         if entry is None:
             return
         self._bytes -= entry.byte_size
+        if key in self._protected:
+            del self._protected[key]
+            self._protected_bytes -= entry.byte_size
+        else:
+            del self._probation[key]
         if invalidation:
             self.stats.invalidations += 1
         else:
             self.stats.evictions += 1
 
+    def _demote(self) -> None:
+        """Move protected's least-recent entries to the most-recent end
+        of probation until protected is within its share."""
+        cap = self.budget_bytes * _PROTECTED_SHARE
+        while self._protected_bytes > cap:
+            key, _ = self._protected.popitem(last=False)
+            self._protected_bytes -= self._entries[key].byte_size
+            self._probation[key] = None
+
     def _enforce_budget(self, keep: bytes) -> None:
+        """Evict others until the total fits: probation's least-recent
+        first, then protected's, never ``keep`` (which fits alone)."""
         while self._bytes > self.budget_bytes and len(self._entries) > 1:
-            oldest = next(iter(self._entries))
-            if oldest == keep:
-                # The protected entry is the oldest: rotate it out of
-                # the firing line and evict the next-oldest instead.
-                self._entries.move_to_end(oldest)
-                oldest = next(iter(self._entries))
-            self._evict(oldest)
-        if self._bytes > self.budget_bytes:
-            # Only the protected entry remains and it still does not
-            # fit; store() pre-filters this case, but a refresh can
-            # grow an entry past the budget.
-            self._evict(keep)
+            self._evict(next(
+                key
+                for segment in (self._probation, self._protected)
+                for key in segment
+                if key != keep
+            ))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +356,255 @@ class TestEviction:
         )
         assert not cache.store(entry)
         assert cache.lookup(b"k" * 32, (1, 1)) is None
+
+
+
+def _one_payload_bytes():
+    entry = SeriesEntry(b"", ("L",))
+    entry.payloads[0][0] = b""
+    return entry.recompute_bytes()
+
+
+#: What an entry holding one empty retained payload accounts.
+_ONE_PAYLOAD = _one_payload_bytes()
+#: One size unit for the policy tests' entries.
+U = 2000
+
+
+def _resize(entry, size):
+    """Make ``entry`` account ``size`` bytes at its next recompute (its
+    charged ``byte_size`` is left to the cache)."""
+    entry.payloads[0] = {0: b"\0" * (size - _ONE_PAYLOAD)}
+
+
+def _entry(key, size=U, tables=("L", "R")):
+    entry = SeriesEntry(key, tables, epochs=(1,) * len(tables))
+    _resize(entry, size)
+    return entry
+
+
+def _live(cache):
+    return set(cache._entries)
+
+
+def _assert_accounted(cache):
+    live = list(cache._entries.values())
+    assert cache.total_bytes == sum(entry.byte_size for entry in live)
+    assert cache.total_bytes <= cache.budget_bytes
+    assert len(cache) == len(live)
+
+
+class TestSegmentedEviction:
+    """A stored entry is on probation, a hit protects it, and victims
+    come from probation first."""
+
+    def test_resubmitted_entry_outlives_one_shots(self):
+        cache = SeriesCache(budget_bytes=10 * U)
+        cache.store(_entry(b"series"))
+        assert cache.lookup(b"series", (1, 1)) is not None
+        # One-shot queries whose bytes together exceed the budget.
+        for i in range(12):
+            cache.store(_entry(b"once%d" % i))
+        assert cache.stats.evictions >= 3
+        assert cache.lookup(b"series", (1, 1)) is not None
+        _assert_accounted(cache)
+
+    def test_protected_holds_at_most_its_share(self):
+        cache = SeriesCache(budget_bytes=10 * U)
+        keys = [b"p%d" % i for i in range(9)]
+        for key in keys:
+            cache.store(_entry(key))
+        for key in keys:
+            cache.lookup(key, (1, 1))
+            protected = sum(
+                cache._entries[key].byte_size for key in cache._protected
+            )
+            assert protected <= 0.8 * cache.budget_bytes
+        # The ninth promotion demoted the least recent protected entry.
+        assert list(cache._probation) == [keys[0]]
+        assert list(cache._protected) == keys[1:]
+        # ... which is the next victim.
+        cache.store(_entry(b"new", 2 * U))
+        assert _live(cache) == set(keys[1:]) | {b"new"}
+        _assert_accounted(cache)
+
+    def test_stored_entry_is_not_its_own_victim(self):
+        # The new entry is alone on probation: the victim is protected.
+        cache = SeriesCache(budget_bytes=4 * U)
+        cache.store(_entry(b"old"))
+        cache.lookup(b"old", (1, 1))
+        cache.store(_entry(b"new", 3 * U + U // 2))
+        assert _live(cache) == {b"new"}
+        _assert_accounted(cache)
+
+    def test_refreshed_protected_entry_is_not_its_own_victim(self):
+        cache = SeriesCache(budget_bytes=10 * U)
+        refreshed = _entry(b"refreshed")
+        cache.store(refreshed)
+        for i in range(3):
+            cache.store(_entry(b"once%d" % i))
+        # The refreshed entry is the least recent one of all.
+        assert cache.lookup(b"refreshed", (1, 1)) is refreshed
+        _resize(refreshed, 7 * U + U // 2)
+        cache.reaccount(refreshed)
+        assert _live(cache) == {b"refreshed", b"once1", b"once2"}
+        assert list(cache._protected) == [b"refreshed"]
+        _assert_accounted(cache)
+
+    def test_protected_entry_grown_past_the_budget_is_evicted(self):
+        cache = SeriesCache(budget_bytes=10 * U)
+        grown = _entry(b"grown")
+        cache.store(grown)
+        cache.store(_entry(b"other"))
+        cache.lookup(b"grown", (1, 1))
+        _resize(grown, 11 * U)
+        cache.reaccount(grown)
+        assert _live(cache) == {b"other"}
+        assert cache._protected_bytes == 0
+        _assert_accounted(cache)
+
+    def test_invalidation_drops_both_segments(self):
+        cache = SeriesCache(budget_bytes=10 * U)
+        for key, tables in (
+            (b"L-protected", ("L", "R")),
+            (b"L-probation", ("R", "L")),
+            (b"X-protected", ("X", "Y")),
+            (b"X-probation", ("X", "Y")),
+        ):
+            cache.store(_entry(key, tables=tables))
+        cache.lookup(b"L-protected", (1, 1))
+        cache.lookup(b"X-protected", (1, 1))
+        assert cache.invalidate_table("L") == 2
+        assert _live(cache) == {b"X-protected", b"X-probation"}
+        _assert_accounted(cache)
+        # An epoch mismatch drops the entry from either segment.
+        assert cache.lookup(b"X-protected", (2, 1)) is None
+        assert cache.lookup(b"X-probation", (2, 1)) is None
+        assert len(cache) == 0
+        assert cache.stats.invalidations == 4
+        _assert_accounted(cache)
+        for key in (b"a", b"b"):
+            cache.store(_entry(key))
+        cache.lookup(b"a", (1, 1))
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.total_bytes == cache._protected_bytes == 0
+        assert not cache._probation and not cache._protected
+
+
+class TestReaccountReplaced:
+    """A refresh that finishes after a cold run of the same query stored
+    a new entry under its key must not charge the old entry."""
+
+    def test_replaced_entry_is_not_charged(self):
+        cache = SeriesCache(budget_bytes=8 * U)
+        old = _entry(b"query")
+        cache.store(old)
+        assert cache.lookup(b"query", (1, 1)) is old
+        new = _entry(b"query")
+        cache.store(new)
+        _resize(old, 3 * U)
+        cache.reaccount(old)
+        assert cache._entries[b"query"] is new
+        _assert_accounted(cache)
+        # Grown past the budget, the old entry still leaves the new one.
+        _resize(old, 9 * U)
+        cache.reaccount(old)
+        assert cache._entries[b"query"] is new
+        _assert_accounted(cache)
+
+    def test_refresh_racing_a_cold_run_of_the_same_query(self):
+        client, server = _setup()
+        cache = server.series_cache
+        query = _query(client)
+        server.execute_join(query)
+        server.insert_row("R", *client.encrypt_row_for("R", (2, "fresh")))
+        # The stale entry's delta refresh holds its lock mid-stream ...
+        refresh = server.stream_join(query)
+        next(refresh)
+        (stale,) = cache._entries.values()
+        # ... so the same query on a second thread runs cold and stores
+        # a new entry under the same key.
+        racer = threading.Thread(target=server.execute_join, args=(query,))
+        racer.start()
+        racer.join()
+        assert cache.stats.lock_contention == 1
+        (fresh,) = cache._entries.values()
+        assert fresh is not stale
+        _, result = _drain(refresh)
+        assert result.stats.delta_rows == 1
+        assert cache._entries[stale.key] is fresh
+        _assert_accounted(cache)
+        server.close()
+
+
+class TestAccountingInvariant:
+    """Random store / hit / stale-epoch lookup / grow-and-reaccount /
+    invalidate / clear sequences against a dict model of what may be
+    live."""
+
+    TABLES = (("L", "R"), ("R", "S"), ("S", "L"))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bytes_match_live_entries(self, seed):
+        rng = random.Random(seed)
+        cache = SeriesCache(budget_bytes=12 * U)
+        keys = [b"q%d" % i for i in range(12)]
+        model = {}
+        made = []
+        for _ in range(300):
+            op = rng.random()
+            key = rng.choice(keys)
+            if op < 0.35:
+                entry = _entry(
+                    key,
+                    rng.randrange(_ONE_PAYLOAD, 3 * U),
+                    rng.choice(self.TABLES),
+                )
+                made.append(entry)
+                if cache.store(entry):
+                    model[key] = entry
+                else:
+                    model.pop(key, None)
+            elif op < 0.6:
+                hit = cache.lookup(key, (1, 1))
+                assert hit is None or model.get(key) is hit
+            elif op < 0.7:
+                assert cache.lookup(key, (2, 2)) is None
+                model.pop(key, None)
+            elif op < 0.9 and made:
+                # Any entry ever made: live, evicted or replaced.
+                entry = rng.choice(made)
+                _resize(entry, rng.randrange(_ONE_PAYLOAD, 14 * U))
+                cache.reaccount(entry)
+            elif op < 0.97:
+                table = rng.choice("LRS")
+                cache.invalidate_table(table)
+                model = {
+                    key: entry
+                    for key, entry in model.items()
+                    if table not in entry.tables
+                }
+            else:
+                cache.clear()
+                model = {}
+            live = {
+                key: entry
+                for key, entry in model.items()
+                if cache._entries.get(key) is entry
+            }
+            assert set(cache._entries) == set(live)
+            assert len(cache) == len(live)
+            assert cache.total_bytes == sum(
+                entry.byte_size for entry in live.values()
+            )
+            assert cache.total_bytes <= cache.budget_bytes
+            assert set(cache._probation) | set(cache._protected) == set(live)
+            assert not set(cache._probation) & set(cache._protected)
+            assert cache._protected_bytes == sum(
+                live[key].byte_size for key in cache._protected
+            )
+            assert cache._protected_bytes <= 0.8 * cache.budget_bytes
 
 
 # -- wire stats round-trip ------------------------------------------------
