@@ -11,6 +11,10 @@ import os
 
 import pytest
 
+# Every benchmark, like every unit test, ends with no more live
+# children, open descriptors or non-daemon threads than it began with.
+from tests.conftest import no_leaks  # noqa: F401
+
 FULL = os.environ.get("REPRO_BENCH_FULL", "") == "1"
 
 SCALE_FACTORS = (

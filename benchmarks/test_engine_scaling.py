@@ -80,6 +80,17 @@ def _server(workload, engine: str) -> SecureJoinServer:
     return _SERVERS[key]
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _close_cached_servers():
+    """The ``parallel`` servers hold the process's pool for their
+    module; let go of it at the end, or the workers a later large
+    upload forks there would outlive that upload."""
+    yield
+    for server in _SERVERS.values():
+        server.close()
+    _SERVERS.clear()
+
+
 @pytest.fixture(autouse=True)
 def _close_cached_pools():
     """Servers are cached module-wide and hold the process's pools;

@@ -126,10 +126,10 @@ def implied_paper_unit_cost() -> float:
 
 
 # -- the per-backend pairing model and the scatter estimate ---------------
-# The runtime prices nothing: the pool-or-inline rule is the backend's
-# ``pool_pays`` and a chain's order is a rule on candidate counts
-# (:func:`repro.plan.compile_plan`).  These constants are read only by
-# the scatter estimate reported beside a measured shard series.
+# The runtime prices nothing: pool or inline is one rule on each
+# backend's row floors (:func:`repro.crypto.backend.goes_to_pool`) and a
+# chain's order one on candidate counts (:func:`repro.plan.compile_plan`).
+# These constants are read only by the scatter estimate of a shard series.
 
 
 @dataclass(frozen=True)

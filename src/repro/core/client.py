@@ -24,7 +24,7 @@ from repro.core.scheme import (
     SJToken,
     encrypt_chunk,
 )
-from repro.crypto.backend import BilinearBackend
+from repro.crypto.backend import SJ_ENC, BilinearBackend, goes_to_pool
 from repro.crypto.hashing import PrekeyedHmac, derive_key
 from repro.crypto.symmetric import SymmetricCipher
 from repro.db.join import chain_schema
@@ -123,15 +123,6 @@ class DecryptedChainResult:
 #: Bound on the result memo, in retained payload (ciphertext) bytes,
 #: summed over a client's tables; at the cap the memo is cleared whole.
 _MEMO_PAYLOAD_BYTES = 8 << 20
-
-#: Rows from which :meth:`SecureJoinClient.encrypt_table` spreads SJ.Enc
-#: over the process's pool, when the process may run on two CPUs or
-#: more: the fast backend's break-even on a 2-vCPU box, where starting
-#: and stopping a two-worker pool took about 15 ms and TPC-H Orders
-#: rows took 1.14x their inline time pooled at 256 rows, 0.89x at 384
-#: and 0.80x at 512.  On BN254 a worker may also build its G2
-#: fixed-base table (about 83 ms), against 7-10 ms a row at d = 19.
-_POOLED_ENC_ROWS = 512
 
 #: The largest chunk of a pooled upload (:func:`chunk_spans`): each one
 #: carries ``B'`` and hashes its own distinct values.
@@ -297,12 +288,12 @@ class SecureJoinClient:
         each row's draws (:meth:`SecureJoinScheme.encrypt_inputs`).  The
         rest — hashing, ``w' B'`` and the group powers
         (:func:`~repro.core.scheme.encrypt_chunk`), then the payload
-        cipher — runs over the whole table inline.  From
-        ``_POOLED_ENC_ROWS`` rows, on a process that may run on two CPUs
-        or more, it runs as :func:`_encrypt_chunk` over
-        :func:`~repro.core.service.chunk_spans` chunks on the process's
-        pool (:func:`~repro.core.service.process_pool`, held for this
-        call only).  The ciphertexts are the same bytes either way, and
+        cipher — runs over the whole table inline, or, where
+        :func:`~repro.crypto.backend.goes_to_pool` sends SJ.Enc of its
+        rows to the process's pool, as :func:`_encrypt_chunk` over
+        :func:`~repro.core.service.chunk_spans` chunks there
+        (:func:`~repro.core.service.process_pool`, held for this call
+        only).  The ciphertexts are the same bytes either way, and
         the rng ends where ``len(table)`` calls of
         :meth:`SecureJoinScheme.encrypt_row` would leave it.
         """
@@ -313,12 +304,16 @@ class SecureJoinClient:
         )
         layout, basis = self.params.layout, self.msk.reduced_basis
         payload_key = self._payload_key(table.name)
-        pooled = None
-        if len(table) >= _POOLED_ENC_ROWS:
-            pooled = self._encrypt_pooled(
-                (layout, basis, payload_key), cells, draws, list(table)
+        from repro.core.service import default_width
+
+        width = default_width()
+        floors = self.scheme.backend.pool_floors
+        if goes_to_pool(floors, SJ_ENC, len(table), width):
+            ciphertexts, payloads = self._encrypt_pooled(
+                (layout, basis, payload_key), cells, draws, list(table),
+                width,
             )
-        if pooled is None:
+        else:
             # Each ciphertext right after its elements, then the
             # payloads: the allocation order the query phase was tuned on.
             ciphertexts = [
@@ -328,8 +323,6 @@ class SecureJoinClient:
                 )
             ]
             payloads = _encrypt_payloads(payload_key, table)
-        else:
-            ciphertexts, payloads = pooled
         prefilter = None
         if plan.tagged is not None:
             prefilter = {}
@@ -349,25 +342,22 @@ class SecureJoinClient:
         self._plans[table.name] = plan
         return encrypted
 
-    def _encrypt_pooled(self, arguments, cells, draws, rows):
+    def _encrypt_pooled(self, arguments, cells, draws, rows, width):
         """``(ciphertexts, payloads)`` of ``encrypt_table``'s rows from
-        the process's pool, one side cut by
-        :func:`~repro.core.service.chunk_spans`, or ``None`` where the
-        process may run on one CPU only.  The pool is held for this
-        call: if nothing else holds it, its workers stop before this
-        returns.  A chunk a dying worker held runs again on the same
-        inputs, so it yields the same ciphertexts."""
-        from repro.core.service import chunk_spans, default_width, process_pool
+        the process's pool ``width`` wide, one side cut by
+        :func:`~repro.core.service.chunk_spans`.  The pool is held for
+        this call: if nothing else holds it, its workers stop before
+        this returns.  A chunk a dying worker held runs again on the
+        same inputs, so it yields the same ciphertexts."""
+        from repro.core.service import chunk_spans, process_pool
 
-        width = default_width()
-        if width < 2:
-            return None
         backend = self.scheme.backend
         stride = self.params.num_attributes + 1
         spans = chunk_spans(len(rows), _ENC_CHUNK_ROWS, width)
         ciphertexts: list = [None] * len(rows)
         payloads: list = [None] * len(rows)
         pool = process_pool(backend, width)
+        pool.attach()
         try:
             # Only the side holds a chunk's inputs, so each one is
             # freed once its result is in.

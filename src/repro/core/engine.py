@@ -11,17 +11,16 @@ per chunk).  The chunks ramp
 1, 2, 4, … rows up to the chunk size
 (:func:`~repro.core.service.chunk_spans`, the one place a side is cut,
 inline and on the pool alike), so a side's first handle — and a join's
-first match — waits for one row, not a whole chunk.  On a server at
-least two workers wide a side of two rows or more goes to the process's
-pool for its backend and width (:func:`~repro.core.service.process_pool`)
-iff the backend's ``pool_pays`` says a pairing outweighs shipping its
-row to a worker (:meth:`BatchedEngine.pools_side`): never on the fast
-backend, always on BN254.  The server's ``workers`` is the one
-execution setting, the pool's width, by default the CPUs the process
-may run on (:func:`~repro.core.service.default_width`); at width 1
-nothing is decided or forked.  ``engine=`` on the server takes an
-:class:`ExecutionEngine` instance: how an ablation's naive baseline
-(:class:`repro.baselines.SerialEngine`) gets in.
+first match — waits for one row, not a whole chunk.  A side goes to
+the process's pool for its backend and width
+(:func:`~repro.core.service.process_pool`) iff
+:func:`~repro.crypto.backend.goes_to_pool` sends it there, on the
+backend's SJ.Dec row floor: never on the fast backend, from two rows on
+BN254.  The server's ``workers`` is the one execution setting, the
+pool's width, by default the CPUs the process may run on
+(:func:`~repro.core.service.default_width`).  ``engine=`` on the server
+takes an :class:`ExecutionEngine` instance: how an ablation's naive
+baseline (:class:`repro.baselines.SerialEngine`) gets in.
 
 The interface is :meth:`ExecutionEngine.decrypt_stream`: a
 :class:`HandleStream` of :class:`HandleChunk` batches emitted *as they
@@ -50,7 +49,7 @@ from repro.core.service import (
     chunk_spans,
     max_span,
 )
-from repro.crypto.backend import BilinearBackend
+from repro.crypto.backend import SJ_DEC, BilinearBackend, goes_to_pool
 from repro.errors import DeadlineError, QueryError
 
 #: The largest inline chunk when a batching engine is built without an
@@ -64,10 +63,8 @@ DEFAULT_BATCH_SIZE = 64
 class EngineReport:
     """What one engine invocation did, for ``ServerStats`` accounting.
 
-    ``selected`` is what executed the side when the engine decided
-    between pool and inline: ``"parallel"`` for a side that ran on the
-    pool, ``"batched"`` for one that ran inline; it stays empty when
-    nothing was decided (a server one worker wide, or an empty side).
+    ``selected`` is ``"parallel"`` for a side that ran on the pool, and
+    empty for one that ran inline.
     ``planner`` is always ``None``: the scatter-final frame still
     carries the slot, so a report encodes as it did.
     ``pool_generation`` / ``worker_restarts`` / ``concurrent_sides``
@@ -193,7 +190,7 @@ class ExecutionEngine(ABC):
 
 class BatchedEngine(ExecutionEngine):
     """Chunked multi-pairing decryption with shared final exponentiations,
-    on the process's worker pool when the backend's pairings pay for it.
+    on the process's worker pool from the backend's SJ.Dec row floor.
 
     A side runs inline, or on the pool (the one its server bound with
     :meth:`bind_service` — the engine has no width of its own), in the
@@ -218,29 +215,23 @@ class BatchedEngine(ExecutionEngine):
         if self._service is None:
             self._service = service
 
-    def pools_side(self, backend: BilinearBackend, rows: int) -> bool:
-        """Whether a side of ``rows`` rows goes to a pool at least two
-        workers wide: a single row is one chunk, which no worker can
-        share, and from two rows up it is the backend's ``pool_pays``
-        (a pairing against what shipping its row costs)."""
-        return rows >= 2 and backend.pool_pays
+    def pool_floors(self, backend: BilinearBackend) -> dict:
+        """The floors :func:`~repro.crypto.backend.goes_to_pool` reads
+        for this engine's sides: the backend's."""
+        return backend.pool_floors
 
     def decrypt_stream(
         self, backend, token_elements, ciphertext_vectors, qos=None
     ):
         service = self._service
         rows = len(ciphertext_vectors)
-        # Unbound, one worker wide, or an empty side: nothing to decide.
         # An inline side is cut now: rows a store appends to a list it
         # lent are past the side's end.
-        if service is None or service.worker_target < 2 or not rows:
+        if service is None or not goes_to_pool(
+            self.pool_floors(backend), SJ_DEC, rows, service.worker_target
+        ):
             return HandleStream(self._inline(
                 backend, token_elements, ciphertext_vectors, rows, qos
-            ))
-        if not self.pools_side(backend, rows):
-            return HandleStream(self._inline(
-                backend, token_elements, ciphertext_vectors, rows, qos,
-                "batched",
             ))
         side = service.admit_side(
             backend,
@@ -256,10 +247,7 @@ class BatchedEngine(ExecutionEngine):
             on_close=lambda: service.release_side(side),
         )
 
-    def _inline(
-        self, backend, token_elements, ciphertext_vectors, rows, qos,
-        selected="",
-    ):
+    def _inline(self, backend, token_elements, ciphertext_vectors, rows, qos):
         spans = chunk_spans(rows, self.batch_size)
         miller_loops = 0
         final_exponentiations = 0
@@ -287,7 +275,6 @@ class BatchedEngine(ExecutionEngine):
             miller_loops=miller_loops,
             final_exponentiations=final_exponentiations,
             prepared_miller_loops=prepared_miller_loops,
-            selected=selected,
         )
 
     def _pooled(self, service, side):

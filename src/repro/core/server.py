@@ -43,7 +43,7 @@ partition.  The drive reads them through one seam, whatever their
 number: per table the stores' summed epochs and versions and united
 tombstones; ``_open_sources`` (every store's sources, tagged so a
 failure names the shard); ``_payloads`` (lent by in-process stores;
-only a remote shard's items carry payloads, retained on the entry);
+only a remote shard's items carry payloads, kept in the query's view);
 and ``_account`` (shard loads, skew, one ``"scatter"`` record).
 
 How SJ.Dec is issued is not a property of a query: a store has one
@@ -308,10 +308,10 @@ class _GuardedSource:
 
 
 class _FleetPayloads(dict):
-    """One table's payloads by global row across several lenders — the
-    in-process shards' views, and the rows a remote shard's items
-    carried: each row is read through its lender once, then at dict
-    speed (a row's payload never changes within an epoch)."""
+    """One table's payloads by global row across the in-process shards'
+    views — each row read through its lender once, then at dict speed
+    (a row's payload never changes within an epoch) — and, written in,
+    the rows a remote shard's items carried."""
 
     def __init__(self, lenders: list, epoch: int | None = None):
         super().__init__()
@@ -458,7 +458,7 @@ class ShardCoordinator:
         cache = self.series_cache
         executor = entry.executor
         stale = executor is None or entry.versions != versions
-        payloads = self._payloads(query, entry)
+        payloads = self._payloads(query)
         # The relative deadline is stamped against this host's clock at
         # admission.  Pooled engines thread the QoS into the admission
         # scheduler, inline engines check it between chunks, and the
@@ -488,8 +488,6 @@ class ShardCoordinator:
                             code = row * width + slots[position]
                             entry.withdrawn[held[row]] = code
                         executor.retract(position, new)
-                        for row in new:
-                            entry.payloads[position].pop(row, None)
                         applied |= new
                 first.update(entry.withdrawn)
                 for side in entry.sides:
@@ -511,12 +509,12 @@ class ShardCoordinator:
                 if seen != code:
                     linked.extend((seen, code))
             if items and len(items[0]) == 3:
-                # Only a remote shard's items carry payloads: they are
-                # retained per consuming position.
+                # Only a remote shard's items carry payloads: they go
+                # into this query's own view of each consuming position.
                 for position in positions:
-                    retained = entry.payloads[position]
+                    column = payloads[position]
                     for row, _, payload in items:
-                        retained[row] = payload
+                        column[row] = payload
 
         def emitted() -> None:
             if not stats.time_to_first_match:
@@ -677,13 +675,13 @@ class ShardCoordinator:
         """Deleted rows across the stores, in global rows."""
         return reduce(or_, [s.tombstoned_rows(name) for s in self.shards])
 
-    def _payloads(self, query, entry) -> list:
+    def _payloads(self, query) -> list:
         """Payloads by chain position, lent by the in-process stores: one
         store's stored list itself; an in-process fleet's view per table,
-        kept across queries; beside remote shards, a view that also
-        reads what their items carried, retained on the entry."""
+        kept across queries; beside remote shards, a view per position
+        for this query, which also holds what their items carried."""
         columns = []
-        for name, retained in zip(query.tables, entry.payloads):
+        for name in query.tables:
             if len(self.shards) == len(self._local) == 1:
                 columns.append(self._local[0].lend_payloads(name))
             elif len(self.shards) == len(self._local):
@@ -698,7 +696,6 @@ class ShardCoordinator:
             else:
                 columns.append(_FleetPayloads(
                     [shard.lend_payloads(name) for shard in self._local]
-                    + [retained]
                 ))
         return columns
 

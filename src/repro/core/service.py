@@ -44,12 +44,12 @@ thread) records its result under the service lock, pumps again and
 wakes the waiting consumers; consumer threads shut executors down,
 *outside* the lock (:meth:`ExecutionService._reap`).
 
-A pool is process state: every :class:`~repro.core.server.SecureJoinServer`
-binds its engine to :func:`process_pool`'s one service for its backend
-and ``workers`` (by default :func:`default_width`, the process's CPUs),
-and a client holds it for one large upload.  The last holder stops its
-workers, which restart lazily.  An engine nobody bound a service to
-runs inline.
+A pool is process state: :func:`process_pool` keeps one service per
+backend and ``workers`` (by default :func:`default_width`, the process's
+CPUs).  A store whose sides can go there holds it and binds its engine
+to it (``LocalShard``), and a client holds it for one large upload; the
+last holder's :meth:`~ExecutionService.detach` stops its workers, which
+restart lazily.  An engine nobody bound a service to runs inline.
 """
 
 from __future__ import annotations
@@ -388,7 +388,7 @@ class ExecutionService:
         self._pumping = False
         #: The current pool's workers, learned from their results.
         self._pids: set[int] = set()
-        #: Open servers holding this pool (:func:`process_pool`).
+        #: Open holders of this pool (:meth:`attach`).
         self._holders = 0
         self._rescues_since_progress = 0
 
@@ -476,8 +476,13 @@ class ExecutionService:
             self._progress.notify_all()
         self._reap()
 
+    def attach(self) -> None:
+        """Hold the pool: it runs until the last holder's :meth:`detach`."""
+        with _POOLS_LOCK:
+            self._holders += 1
+
     def detach(self) -> None:
-        """Drop one :func:`process_pool` hold; the last one closes."""
+        """Drop one :meth:`attach` hold; the last one closes."""
         with _POOLS_LOCK:
             self._holders -= 1
             if self._holders == 0:
@@ -764,11 +769,11 @@ _POOLS_LOCK = threading.Lock()
 
 def process_pool(backend: BilinearBackend, width: int) -> ExecutionService:
     """The process's pool for ``backend``'s fingerprint, ``width`` wide,
-    built on first use and held until the caller's ``detach()``."""
+    built on first use; a caller that runs sides on it holds it
+    (:meth:`~ExecutionService.attach`) until its ``detach()``."""
     key = (ExecutionService._backend_fingerprint(backend), width)
     with _POOLS_LOCK:
         pool = _POOLS.get(key)
         if pool is None:
             pool = _POOLS[key] = ExecutionService(workers=width)
-        pool._holders += 1
     return pool

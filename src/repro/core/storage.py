@@ -36,7 +36,7 @@ from repro.core.engine import BatchedEngine, ExecutionEngine
 from repro.core.pipeline import HandleSource
 from repro.core.scheme import SecureJoinParams, SecureJoinScheme, SJToken
 from repro.core.service import QueryQoS, default_width, process_pool
-from repro.crypto.backend import BilinearBackend
+from repro.crypto.backend import SJ_DEC, BilinearBackend, goes_to_pool
 from repro.errors import QueryError, SchemeError
 
 #: The layout of a store of whole tables: the one shard of one.
@@ -105,7 +105,8 @@ class _RowView:
 class LocalShard:
     """One in-process store on the process pool ``workers`` wide (by
     default the CPUs the process may run on) that every store of that
-    backend and width shares; ``workers=1`` never forks."""
+    backend and width shares, held only if a side can go there: never
+    with the fast backend's default engine, nor at ``workers=1``."""
 
     def __init__(
         self,
@@ -128,12 +129,15 @@ class LocalShard:
         self.name = name
         # The store only needs public parameters — never the master key.
         self.scheme = SecureJoinScheme(params, backend)
-        self.execution_service = process_pool(
-            self.scheme.backend,
-            default_width() if workers is None else workers,
+        width = default_width() if workers is None else workers
+        self.execution_service = process_pool(self.scheme.backend, width)
+        # Held, with the engine bound to it, only if a side of some size
+        # goes there: else an upload's workers would outlive the upload.
+        self._holds_pool = isinstance(engine, BatchedEngine) and goes_to_pool(
+            engine.pool_floors(self.backend), SJ_DEC, float("inf"), width
         )
-        self._holds_pool = True
-        if isinstance(engine, BatchedEngine):
+        if self._holds_pool:
+            self.execution_service.attach()
             engine.bind_service(self.execution_service)
         self.engine = engine
         self._tables: dict[str, EncryptedTable] = {}

@@ -212,14 +212,28 @@ class PreparedRow(Sequence):
         return self.prepared[index]
 
 
+#: The kernels a worker pool runs, as ``pool_floors`` names them: SJ.Dec
+#: (:meth:`BilinearBackend.pair_vectors_batch`) over a query's side, and
+#: SJ.Enc (:func:`repro.core.scheme.encrypt_chunk`) over an upload.
+SJ_DEC = "sj_dec"
+SJ_ENC = "sj_enc"
+
+
+def goes_to_pool(floors, kernel: str, rows: int, width: int) -> bool:
+    """The one pool-or-inline rule, for SJ.Dec and SJ.Enc alike: whether
+    a side of ``rows`` rows of ``kernel`` runs on a pool ``width``
+    workers wide.  ``floors`` is a backend's ``pool_floors``."""
+    floor = floors[kernel]
+    return width >= 2 and floor is not None and rows >= floor
+
+
 class BilinearBackend(ABC):
     """The group-operation interface the Secure Join scheme is generic over."""
 
     name: str
-    #: Whether a pairing costs enough against shipping its row to a
-    #: worker process that a side of two rows or more runs faster on the
-    #: server's pool than inline (:class:`~repro.core.engine.BatchedEngine`).
-    pool_pays: bool = False
+    #: Per pooled kernel, the rows from which a side of it goes to a pool
+    #: (:func:`goes_to_pool`), or ``None`` for never.
+    pool_floors: dict[str, int | None]
 
     def __init__(self):
         self.ops = PairingOpCounter()
@@ -440,9 +454,11 @@ class BN254Backend(BilinearBackend):
     """
 
     name = "bn254"
-    # Milliseconds of pure-Python pairing per row against microseconds
-    # of IPC: the pool pays from the second row on.
-    pool_pays = True
+    # SJ.Dec: milliseconds of pure-Python pairing a row against
+    # microseconds of IPC, from a side's second row (one row is one
+    # chunk, which no worker can share).  SJ.Enc: 7-10 ms a row at d = 19
+    # against a worker's G2 fixed-base table build (about 83 ms).
+    pool_floors = {SJ_DEC: 2, SJ_ENC: 512}
 
     def __init__(self):
         super().__init__()
@@ -597,6 +613,11 @@ class FastBackend(BilinearBackend):
     """
 
     name = "fast"
+    # SJ.Dec: a row's inner product mod q costs less than shipping it to
+    # a worker.  SJ.Enc: the break-even on a 2-vCPU box, where TPC-H
+    # Orders took 1.14x their inline time pooled at 256 rows, 0.89x at
+    # 384 and 0.80x at 512, a two-worker pool's 15 ms start-stop included.
+    pool_floors = {SJ_DEC: None, SJ_ENC: 512}
 
     def __init__(self, modulus: int = CURVE_ORDER):
         super().__init__()

@@ -55,9 +55,9 @@ DEFAULT_SERIES_BUDGET = 64 * 1024 * 1024
 #: Bytes of the key contributed by each chain position.
 SIDE_DIGEST_SIZE = 32
 
-#: Accounting overhead charged per retained payload or withdrawn handle
-#: beyond its bytes (dict slot, int, bytes header) and per entry.
-_PAYLOAD_OVERHEAD = 96
+#: Accounting overhead charged per withdrawn handle beyond its bytes
+#: (dict slot, int, bytes header) and per entry.
+_HANDLE_OVERHEAD = 96
 _ENTRY_OVERHEAD = 1024
 
 
@@ -107,7 +107,6 @@ class SeriesEntry:
         "sides",
         "executor",
         "withdrawn",
-        "payloads",
         "applied_tombstones",
         "lock",
         "byte_size",
@@ -136,10 +135,6 @@ class SeriesEntry:
         #: len(tables) + slot``) for every row a delete withdrew, so a
         #: later refresh can link to it.  It grows with deletes alone.
         self.withdrawn: dict[bytes, int] = {}
-        #: position -> {row index -> payload bytes}: only populated by
-        #: holders that cannot re-read payloads from local tables (the
-        #: shard coordinator); the single-store server leaves it empty.
-        self.payloads: list[dict[int, bytes]] = [{} for _ in self.tables]
         #: position -> tombstoned row indices already withdrawn (or
         #: known never-fed), so each delete is applied exactly once.
         self.applied_tombstones: list[set[int]] = [
@@ -155,11 +150,8 @@ class SeriesEntry:
         total = _ENTRY_OVERHEAD
         if self.executor is not None:
             total += self.executor.retained_bytes()
-        for position_payloads in self.payloads:
-            for payload in position_payloads.values():
-                total += len(payload) + _PAYLOAD_OVERHEAD
         for handle in self.withdrawn:
-            total += len(handle) + _PAYLOAD_OVERHEAD
+            total += len(handle) + _HANDLE_OVERHEAD
         self.byte_size = total
         return total
 

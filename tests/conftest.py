@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 import signal
+import threading
 import time
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from repro.core import service
 from repro.core.client import SecureJoinClient
 from repro.core.engine import DEFAULT_BATCH_SIZE, BatchedEngine
-from repro.crypto.backend import BN254Backend, FastBackend
+from repro.crypto.backend import SJ_DEC, BN254Backend, FastBackend
 from repro.db.matcher import NestedMatcher
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
@@ -20,12 +22,13 @@ from repro.db.table import Table
 from repro.series.cache import series_key
 
 class PoolEngine(BatchedEngine):
-    """The engine as if every backend's pool paid: on a server two
-    workers wide, every side of two rows or more goes to the pool — how
-    tests reach the pool on the fast backend, whose pool never pays."""
+    """The engine as if every backend's SJ.Dec floor were BN254's, two
+    rows: on a server two workers wide, every side of two rows or more
+    goes to the pool — how tests reach the pool on the fast backend,
+    whose SJ.Dec never pools.  The rule is still ``goes_to_pool``."""
 
-    def pools_side(self, backend, rows):
-        return rows >= 2
+    def pool_floors(self, backend):
+        return {**backend.pool_floors, SJ_DEC: 2}
 
 
 #: The two server shapes the property suites sample: one worker wide
@@ -46,8 +49,61 @@ def server_shape(shape: str, batch_size: int = DEFAULT_BATCH_SIZE) -> dict:
     }
 
 
+def descriptor_targets(pid="self") -> list[str]:
+    """What a process's open descriptors point at (``[]`` where the
+    platform has no ``/proc``)."""
+    fd_dir = f"/proc/{pid}/fd"
+    if not os.path.isdir(fd_dir):
+        return []
+    targets = []
+    for fd in os.listdir(fd_dir):
+        try:
+            targets.append(os.readlink(f"{fd_dir}/{fd}"))
+        except OSError:
+            continue
+    return targets
+
+
+def _resources() -> dict[str, int]:
+    """The three things a test must not end with more of than it began."""
+    return {
+        "live children": len(multiprocessing.active_children()),
+        "open descriptors": len(descriptor_targets()),
+        "non-daemon threads": sum(
+            not thread.daemon for thread in threading.enumerate()
+        ),
+    }
+
+
 @pytest.fixture(autouse=True)
-def _fresh_process_pools():
+def no_leaks():
+    """Fail a test that ends with more live children, open descriptors
+    or non-daemon threads than it started with, or that leaves a child
+    holding a socket (a peer would never see that socket hang up).  In
+    ``tests/`` it measures after ``_fresh_process_pools`` has closed the
+    test's pools, so a pool the test left open counts only if closing
+    it leaves something behind."""
+    before = _resources()
+    yield
+    after = _resources()
+    grown = {
+        name: (before[name], count)
+        for name, count in after.items() if count > before[name]
+    }
+    assert not grown, f"the test ended with more than it began: {grown}"
+    sockets = {
+        child.pid: held
+        for child in multiprocessing.active_children()
+        if (held := [
+            target for target in descriptor_targets(child.pid)
+            if target.startswith("socket:")
+        ])
+    }
+    assert not sockets, f"children hold sockets: {sockets}"
+
+
+@pytest.fixture(autouse=True)
+def _fresh_process_pools(no_leaks):
     """Close and forget every process pool after each test, servers
     left open included: a test backend's state (``CrashOnceBackend``'s
     flag path) is not part of a pool's key, so no test may inherit

@@ -25,7 +25,7 @@ from repro.bench.costmodel import (
     predict_with_unit_cost,
 )
 from repro.bench.harness import BenchmarkRecord
-from repro.crypto.backend import FastBackend
+from repro.crypto.backend import SJ_DEC, FastBackend, goes_to_pool
 from repro.errors import BenchmarkError
 
 _DATA = Path(__file__).parent / "data"
@@ -133,9 +133,9 @@ class TestPaperShape:
 
 
 class _PayingBackend(FastBackend):
-    """The fast backend as if its pool paid, as BN254's does."""
+    """The fast backend with BN254's SJ.Dec floor: two rows."""
 
-    pool_pays = True
+    pool_floors = {**FastBackend.pool_floors, SJ_DEC: 2}
 
 
 def _side(backend, rows: int, dimension: int = 5):
@@ -162,11 +162,10 @@ class TestEngineCostModel:
         planner — three candidates, ``select_engine`` over ``allowed=
         ("batched", "parallel")``, no corrections — decided at 22 960
         points per built-in model (one bit per point, 1 = parallel).
-        The engine only ever decides on a warm pool at least two
+        That planner only ever decided on a warm pool at least two
         workers wide, for a side of two rows or more: on that reachable
-        subset, 8 526 points per backend, the backend's ``pool_pays``
-        must decide every point the same way."""
-        from repro.core.engine import BatchedEngine
+        subset, 8 526 points per backend, ``goes_to_pool`` on the
+        backend's SJ.Dec floor must decide every point the same way."""
         from repro.crypto.backend import BN254Backend
 
         golden = (_DATA / "engine_decisions.bin").read_bytes()
@@ -179,7 +178,6 @@ class TestEngineCostModel:
             (False, True),
         ))
         assert len(grid) == 45_920 == 8 * len(golden)
-        engine = BatchedEngine()
         reachable = {"fast": 0, "bn254": 0}
         parallel = {"fast": 0, "bn254": 0}
         for index, point in enumerate(grid):
@@ -189,7 +187,9 @@ class TestEngineCostModel:
             expected = (golden[index // 8] >> (7 - index % 8)) & 1
             # The class attribute is the rule's input: no backend (and
             # no BN254 table) needs building.
-            assert engine.pools_side(backend, rows) == bool(expected), point
+            assert goes_to_pool(
+                backend.pool_floors, SJ_DEC, rows, workers
+            ) == bool(expected), point
             reachable[backend.name] += 1
             parallel[backend.name] += expected
         assert reachable == {"fast": 8_526, "bn254": 8_526}
@@ -198,12 +198,10 @@ class TestEngineCostModel:
     def test_parallel_wins_when_compute_dominates(self):
         """A BN254 pairing is milliseconds of pure Python against
         microseconds of IPC: from two rows up its sides go to the pool."""
-        from repro.core.engine import BatchedEngine
         from repro.crypto.backend import BN254Backend
 
-        engine = BatchedEngine()
-        assert BN254Backend.pool_pays
-        assert [engine.pools_side(BN254Backend, rows)
+        assert BN254Backend.pool_floors[SJ_DEC] == 2
+        assert [goes_to_pool(BN254Backend.pool_floors, SJ_DEC, rows, 2)
                 for rows in (1, 2, 64)] == [False, True, True]
 
     def test_transport_dominates_on_fast_backend(self):
@@ -212,7 +210,7 @@ class TestEngineCostModel:
         from repro.core.engine import BatchedEngine
         from repro.core.service import ExecutionService
 
-        assert not FastBackend.pool_pays
+        assert FastBackend.pool_floors[SJ_DEC] is None
         backend = FastBackend()
         token, rows = _side(backend, 40)
         engine = BatchedEngine(batch_size=8)
@@ -222,12 +220,12 @@ class TestEngineCostModel:
                 _, report = engine.decrypt_handles(
                     backend, token, rows[:count]
                 )
-                assert report.selected == "batched"
+                assert report.selected == ""
             assert not service.started
 
     def test_single_worker_never_parallel(self):
-        """One worker wide, nothing is decided: even a backend whose
-        pool pays runs inline."""
+        """One worker wide, nothing goes to the pool: even a backend
+        with an SJ.Dec floor runs inline."""
         from repro.core.engine import BatchedEngine
         from repro.core.service import ExecutionService
 
@@ -242,7 +240,7 @@ class TestEngineCostModel:
 
     def test_zero_rows_tie_goes_to_batched(self):
         """An empty side is nothing to share: it runs inline and
-        selects nothing, even where the pool pays."""
+        selects nothing, even under an SJ.Dec floor of two."""
         from repro.core.engine import BatchedEngine
         from repro.core.service import ExecutionService
 

@@ -2,7 +2,7 @@
 accounting, and the one pool-or-inline rule.
 
 The contract under test: the naive serial baseline and the one engine —
-inline, decided at width two, or on the pool — return *byte-identical*
+inline, at width two, or on the pool — return *byte-identical*
 join results (index pairs, payloads and observed handles) for every
 workload, while their ``ServerStats`` expose the different pairing-work
 profiles — the batched path shares one final exponentiation per row
@@ -13,6 +13,7 @@ runs one server per engine over the same encrypted tables.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import random
@@ -20,11 +21,13 @@ import random
 import pytest
 
 from repro.baselines import SerialEngine
+from repro.core import engine as engine_module
+from repro.core import storage as storage_module
 from repro.core.client import SecureJoinClient
 from repro.core.engine import BatchedEngine
 from repro.core.server import SecureJoinServer
 from repro.core.service import ExecutionService, chunk_spans
-from repro.crypto.backend import FastBackend
+from repro.crypto.backend import SJ_DEC, FastBackend, goes_to_pool
 from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
@@ -40,9 +43,9 @@ except ImportError:  # pragma: no cover - hypothesis is an optional dev dep
     HAVE_HYPOTHESIS = False
 
 def _engines():
-    """Fresh ``(engine, server width)`` pairs: inline and undecided at
-    width 1, decided by the backend at width 2 (the fast backend's pool
-    never pays), and on the pool as ``PoolEngine`` in chunks of up to 4.
+    """Fresh ``(engine, server width)`` pairs: inline at width 1, inline
+    at width 2 too (the fast backend's SJ.Dec never pools), and on the
+    pool as ``PoolEngine`` in chunks of up to 4.
 
     Fresh on every call: an engine keeps the pool of the first server
     bound to it, and each test's pools are closed after it, so an engine
@@ -209,8 +212,9 @@ class TestEquivalence:
         self, num_attributes, in_clause_limit, left_size, right_size,
         key_space, seed,
     ):
-        """Serial, inline, decided and pooled runs are byte-identical
-        for random scheme dimensions (m, t) and candidate counts."""
+        """Serial, inline (width 1 or 2) and pooled runs are
+        byte-identical for random scheme dimensions (m, t) and
+        candidate counts."""
         rng = random.Random(seed)
         left_keys = [rng.randrange(key_space) for _ in range(left_size)]
         right_keys = [rng.randrange(key_space) for _ in range(right_size)]
@@ -440,20 +444,35 @@ class TestAccounting:
 
 
 class _PayingBackend(FastBackend):
-    """The fast backend as if its pool paid, as BN254's does."""
+    """The fast backend with BN254's SJ.Dec floor: two rows."""
 
-    pool_pays = True
+    pool_floors = {**FastBackend.pool_floors, SJ_DEC: 2}
+
+
+def _spy_rule(monkeypatch) -> list:
+    """Every answer ``goes_to_pool`` gives an engine or a store, as
+    ``(kernel, rows, width, answer)``."""
+    answers = []
+
+    def spy(floors, kernel, rows, width):
+        answer = goes_to_pool(floors, kernel, rows, width)
+        answers.append((kernel, rows, width, answer))
+        return answer
+
+    for module in (engine_module, storage_module):
+        monkeypatch.setattr(module, "goes_to_pool", spy)
+    return answers
 
 
 class TestPlanner:
-    """The one rule: on a server at least two workers wide, a side goes
-    to the pool iff it has two rows or more and its backend's pool
-    pays; every non-empty side is decided, and ``selected`` says what
-    ran it."""
+    """The one rule: on a pool at least two workers wide, a side goes
+    there iff it has as many rows as its backend's SJ.Dec floor (two
+    on BN254, none on the fast backend); ``selected`` says whether it
+    ran there."""
 
     def test_auto_records_planner_inputs_per_side(self):
-        """At width 2 on the fast backend every side with rows is
-        decided, and runs inline; no per-side record is filed."""
+        """At width 2 on the fast backend every side runs inline and
+        the store holds no pool; no per-side record is filed."""
         client, server = _build(
             [i % 4 for i in range(20)], [0, 1, 2, 3], workers=2
         )
@@ -468,7 +487,7 @@ class TestPlanner:
             _, report = server.engine.decrypt_handles(
                 server.backend, token.elements, rows
             )
-            assert (report.selected, report.workers) == ("batched", 1)
+            assert (report.selected, report.workers) == ("", 1)
         assert not server.execution_service.started
         server.close()
 
@@ -580,10 +599,10 @@ class TestPlanner:
         assert not service.started
 
     def test_a_one_row_side_reports_what_ran(self):
-        """On a two-worker pool where the pool always pays, every side
+        """On a two-worker pool with an SJ.Dec floor of two, every side
         of two rows or more goes to the pool and a one-row side — one
         chunk, which no worker can share — runs inline; ``selected``
-        names the engine that produced the side's chunks."""
+        says which ran on the pool."""
         client, server = _build([i % 4 for i in range(12)], [0, 1, 2])
         encrypted = client.create_query(
             JoinQuery.build("L", "R", on=("k", "k"))
@@ -604,7 +623,7 @@ class TestPlanner:
                 pooled = report.pool_generation == 1
                 assert pooled == (count >= 2), count
                 assert report.planner is None
-                assert report.selected == ("parallel" if pooled else "batched")
+                assert report.selected == ("parallel" if pooled else "")
         # Through a server: two one-row sides run inline, and the stats
         # say so.
         small_client, small = _build([1], [1])
@@ -622,7 +641,7 @@ class TestPlanner:
     def test_the_pool_is_priced_warm_before_it_starts(self):
         """The pool is persistent: its start is paid once per server,
         so the rule does not ask whether it has started — the first
-        side of a backend whose pool pays goes to a pool not yet
+        side of a backend with an SJ.Dec floor goes to a pool not yet
         forked, and the fast backend's stays inline however warm."""
         client, server = _build([i % 4 for i in range(12)], [0, 1, 2])
         encrypted = client.create_query(
@@ -638,7 +657,7 @@ class TestPlanner:
             engine.bind_service(service)
             _, report = engine.decrypt_handles(server.backend, token, rows)
             assert not service.started
-            assert report.selected == "batched"
+            assert report.selected == ""
             paying = BatchedEngine(batch_size=8)
             paying.bind_service(service)
             handles, report = paying.decrypt_handles(
@@ -651,18 +670,13 @@ class TestPlanner:
             )
             # Warm now: the fast backend's side still runs inline.
             _, report = engine.decrypt_handles(server.backend, token, rows)
-            assert (report.selected, report.pool_generation) == (
-                "batched", 0,
-            )
+            assert (report.selected, report.pool_generation) == ("", 0)
 
-    def test_an_empty_side_is_not_priced(self, monkeypatch):
-        """No rows, no decision: an empty side never asks the rule and
-        selects nothing."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("an empty side was decided")
-
+    def test_an_empty_side_is_not_priced(self):
+        """No rows, nothing to share: an empty side is under every
+        floor, so it runs inline and selects nothing, on a pool where
+        every side of two rows goes."""
         engine = PoolEngine()
-        monkeypatch.setattr(engine, "pools_side", refuse)
         with ExecutionService(workers=2) as service:
             engine.bind_service(service)
             handles, report = engine.decrypt_handles(
@@ -714,15 +728,13 @@ _DEFAULT_TABLES = [
 class TestDefaultPath:
     """Built with default arguments — every server and shard the
     benchmark builds — a store is as wide as the CPUs the process may
-    run on.  On one CPU the engine runs its inline loop after one width
-    check and decides nothing; on two it decides every side, and on the
-    fast backend, whose pool never pays, keeps every one inline."""
+    run on.  On the fast backend, whose SJ.Dec never pools, each store
+    asks the rule once, when it is built, is told no side of any size
+    goes to the pool, and holds none: every side runs inline, on one
+    CPU or two."""
 
     def test_default_builds_never_consult_the_model(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the rule consulted at width 1")
-
-        monkeypatch.setattr(BatchedEngine, "pools_side", refuse)
+        answers = _spy_rule(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         children = multiprocessing.active_children()
         runs, servers = _default_builds(_DEFAULT_TABLES)
@@ -739,26 +751,21 @@ class TestDefaultPath:
             # The generation moves when a pool starts; closing does not
             # reset it.
             assert server.execution_service.generation == 0
+        # The server and the two shards, each once, when it is built.
+        assert answers == [(SJ_DEC, math.inf, 1, False)] * 3
         assert multiprocessing.active_children() == children
 
     def test_two_cpu_default_builds_price_every_side_inline(
         self, monkeypatch
     ):
-        """Two CPUs, default builds: every side with rows is decided at
-        width 2 and runs inline on the fast backend, so no worker is
-        forked and the answers are the one-CPU ones."""
+        """Two CPUs, default builds: at width 2 the fast backend's SJ.Dec
+        still never pools, so no store holds a pool, no worker is forked
+        and the answers are the one-CPU ones."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         narrow, _ = _default_builds(_DEFAULT_TABLES)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         children = multiprocessing.active_children()
-        decided = []
-        pools_side = BatchedEngine.pools_side
-
-        def spy(engine, backend, rows):
-            decided.append(rows)
-            return pools_side(engine, backend, rows)
-
-        monkeypatch.setattr(BatchedEngine, "pools_side", spy)
+        answers = _spy_rule(monkeypatch)
         runs, servers = _default_builds(_DEFAULT_TABLES)
         for result, reference in zip(runs, narrow):
             assert result.tuples == reference.tuples
@@ -766,12 +773,13 @@ class TestDefaultPath:
             assert stats.engine == stats.engine_selected == "batched"
             assert (stats.workers, stats.pool_generation) == (1, 0)
             assert all("stage" in record for record in stats.planner or ())
-        # One decision per (side, shard) that had rows: the join's two
-        # sides, the chain's three, each shard's two.
-        assert len(decided) == 2 + 3 + 4 and all(decided)
+        # One answer per store, when it is built: no side of any size
+        # goes, so no store binds its engine and no side asks again.
+        assert answers == [(SJ_DEC, math.inf, 2, False)] * 3
         for server in servers:
             assert server.execution_service.worker_target == 2
             assert server.execution_service.generation == 0
+            assert server.execution_service._holders == 0
         assert multiprocessing.active_children() == children
 
 

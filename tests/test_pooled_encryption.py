@@ -1,14 +1,16 @@
 """SJ.Enc of a large table on the process's worker pool.
 
-From ``_POOLED_ENC_ROWS`` rows, on a process that may run on two CPUs
-or more, ``SecureJoinClient.encrypt_table`` encodes every cell and
-draws every row's blinding in the parent, in row order, then runs the
-upload kernel over ``chunk_spans`` chunks on ``process_pool``'s pool.
+From the backend's SJ.Enc row floor (``pool_floors``), on a process
+that may run on two CPUs or more, ``SecureJoinClient.encrypt_table``
+encodes every cell and draws every row's blinding in the parent, in
+row order, then runs the upload kernel over ``chunk_spans`` chunks on
+``process_pool``'s pool.
 These tests pin what that must not change: the ciphertexts and the rng
 stream of a row-by-row ``encrypt_row`` run, the pre-filter tags and the
 payloads; a bad row fails before anything is drawn or dispatched; a
 worker crash costs a retry, not a byte; and a client that held the pool
-alone leaves no worker and no descriptor behind.  The width is pinned
+alone leaves no worker and no descriptor behind, also beside an open
+store whose sides never use the pool.  The width is pinned
 by patching ``os.sched_getaffinity``, so the pooled path runs on a
 one-CPU box too.
 """
@@ -23,19 +25,21 @@ import signal
 
 import pytest
 
-from repro.core import client as client_module
 from repro.core import service
 from repro.core.client import SecureJoinClient
-from repro.crypto.backend import FastBackend
+from repro.core.server import SecureJoinServer
+from repro.crypto.backend import SJ_ENC, BN254Backend, FastBackend
 from repro.crypto.hashing import derive_key, keyed_tag
 from repro.crypto.symmetric import SymmetricCipher
+from repro.db.query import JoinQuery
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.errors import SchemeError
 from repro.tpch import TPCHGenerator
+from tests.conftest import PoolEngine
 
 _SECRET = b"pooled-encryption".ljust(32, b".")
-_FLOOR = client_module._POOLED_ENC_ROWS
+_FLOOR = FastBackend.pool_floors[SJ_ENC]
 
 
 def _cpus(monkeypatch, count: int) -> None:
@@ -80,7 +84,9 @@ def _children() -> set[int]:
 
 def _pool(backend, width: int = 2) -> service.ExecutionService:
     """Hold the pool the client will use, so the test can read it."""
-    return service.process_pool(backend, width)
+    pool = service.process_pool(backend, width)
+    pool.attach()
+    return pool
 
 
 class TestSameBytesAsRowByRow:
@@ -281,13 +287,54 @@ class TestNothingOutlivesTheCall:
         # Started once per call, stopped after each.
         assert (pool.generation, pool.started) == (2, False)
 
+    def test_a_store_that_never_pools_holds_nothing(self, monkeypatch):
+        """A fast-backend store built first, with the default engine,
+        holds no pool: its SJ.Dec never goes there.  So an upload of the
+        floor's rows beside it is the pool's only holder, and stops its
+        workers before it returns."""
+        _cpus(monkeypatch, 2)
+        client = _client()
+        children = _children()
+        with SecureJoinServer(client.params) as server:
+            encrypted = client.encrypt_table(_orders(_FLOOR), "custkey")
+            assert _children() == children
+            (pool,) = service._POOLS.values()
+            assert pool is server.execution_service
+            assert (pool.generation, pool.started) == (1, False)
+            server.store(encrypted)
+
+    def test_a_store_that_pools_keeps_its_workers(self, monkeypatch):
+        """A store whose sides go to the pool holds it from the start:
+        the workers an upload forks stay for its queries, and two
+        queries run on one pool generation."""
+        _cpus(monkeypatch, 2)
+        schema = Schema.of(("k", "int"), ("v", "str"))
+        big = Table("T", schema, [(k % 7, f"t{k}") for k in range(_FLOOR)])
+        small = Table("U", schema, [(k, f"u{k}") for k in range(7)])
+        client = _client(m=1, t=1)
+        children = _children()
+        with SecureJoinServer(
+            client.params, engine=PoolEngine(), series_cache_bytes=None
+        ) as server:
+            for table in (big, small):
+                server.store(client.encrypt_table(table, "k"))
+            assert server.execution_service.started
+            assert _children() > children
+            query = client.create_query(
+                JoinQuery.build("T", "U", on=("k", "k"))
+            )
+            stats = [server.execute_join(query).stats for _ in range(2)]
+        assert [s.engine_selected for s in stats] == ["parallel"] * 2
+        assert [s.pool_generation for s in stats] == [1, 1]
+        assert _children() == children
+
 
 @pytest.mark.bn254
 def test_bn254_pooled_equals_row_by_row(monkeypatch, bn254_backend):
     """(e) On real G2 powers at d = 5, with the floor lowered: the
     points the workers raise are the row-by-row ones."""
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(client_module, "_POOLED_ENC_ROWS", 4)
+    monkeypatch.setitem(BN254Backend.pool_floors, SJ_ENC, 4)
     schema = Schema.of(("k", "int"), ("v", "str"))
     table = Table("T", schema, [(k % 3, f"v{k}") for k in range(9)])
     client = _client(bn254_backend, m=1, t=1)

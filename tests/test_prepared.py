@@ -374,7 +374,7 @@ class TestEnginePreparedEquivalence:
         )
         assert not service.started
         if name == "auto":
-            assert raw_report.selected == warm_report.selected == "batched"
+            assert raw_report.selected == warm_report.selected == ""
         assert raw_handles == warm_handles
         assert raw_report.prepared_miller_loops == 0
         assert warm_report.miller_loops == 0
@@ -410,8 +410,8 @@ class TestEnginePreparedEquivalence:
         assert again_report.preparations <= warm_report.preparations
 
     def test_auto_planner_records_prepared(self):
-        """The rule reads no row kind: a prepared side is decided as a
-        raw one is, and its report counts the replayed loops."""
+        """The rule reads no row kind: a prepared side runs where a raw
+        one does, and its report counts the replayed loops."""
         from repro.core.engine import BatchedEngine
         from repro.core.service import ExecutionService
 
@@ -422,7 +422,7 @@ class TestEnginePreparedEquivalence:
             _, report = engine.decrypt_handles(backend, token, prepared)
             _, raw_report = engine.decrypt_handles(backend, token, rows)
             assert not service.started
-        assert report.selected == raw_report.selected == "batched"
+        assert report.selected == raw_report.selected == ""
         assert report.prepared_miller_loops > 0
         assert raw_report.prepared_miller_loops == 0
 

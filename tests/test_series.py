@@ -359,14 +359,14 @@ class TestEviction:
 
 
 
-def _one_payload_bytes():
+def _one_handle_bytes():
     entry = SeriesEntry(b"", ("L",))
-    entry.payloads[0][0] = b""
+    entry.withdrawn[b""] = 0
     return entry.recompute_bytes()
 
 
-#: What an entry holding one empty retained payload accounts.
-_ONE_PAYLOAD = _one_payload_bytes()
+#: What an entry holding one empty withdrawn handle accounts.
+_ONE_HANDLE = _one_handle_bytes()
 #: One size unit for the policy tests' entries.
 U = 2000
 
@@ -374,7 +374,7 @@ U = 2000
 def _resize(entry, size):
     """Make ``entry`` account ``size`` bytes at its next recompute (its
     charged ``byte_size`` is left to the cache)."""
-    entry.payloads[0] = {0: b"\0" * (size - _ONE_PAYLOAD)}
+    entry.withdrawn = {b"\0" * (size - _ONE_HANDLE): 0}
 
 
 def _entry(key, size=U, tables=("L", "R")):
@@ -558,7 +558,7 @@ class TestAccountingInvariant:
             if op < 0.35:
                 entry = _entry(
                     key,
-                    rng.randrange(_ONE_PAYLOAD, 3 * U),
+                    rng.randrange(_ONE_HANDLE, 3 * U),
                     rng.choice(self.TABLES),
                 )
                 made.append(entry)
@@ -575,7 +575,7 @@ class TestAccountingInvariant:
             elif op < 0.9 and made:
                 # Any entry ever made: live, evicted or replaced.
                 entry = rng.choice(made)
-                _resize(entry, rng.randrange(_ONE_PAYLOAD, 14 * U))
+                _resize(entry, rng.randrange(_ONE_HANDLE, 14 * U))
                 cache.reaccount(entry)
             elif op < 0.97:
                 table = rng.choice("LRS")
@@ -723,8 +723,9 @@ class TestShardedSeries:
 
 
 class TestAStoreLendsItsPayloads:
-    """A single store is a one-shard fleet, and its series entries still
-    hold no payload: the drive reads them from the stored tables.  The
+    """A single store is a one-shard fleet, and the drive reads its
+    payloads from the stored tables (a series entry has no payload
+    slot).  The
     footprint is pinned at the value a store had when it was not a
     fleet, plus the two-way entry's finished answer (the executor's
     list, a slot per pair: 69 pairs, 552 bytes), and the chain's plan
@@ -767,10 +768,7 @@ class TestAStoreLendsItsPayloads:
         ]
         assert [run.stats.delta_rows for run in runs[4:]] == [1, 1]
         assert len(runs[4].tuples) == 69
-        entries = list(server.series_cache._entries.values())
-        assert len(entries) == 2
-        for entry in entries:
-            assert entry.payloads == [{} for _ in entry.tables]
+        assert len(server.series_cache._entries) == 2
         assert server.series_cache.total_bytes == self.TOTAL_BYTES
         assert runs[1].stats.planner[0] == self.PLAN
         server.close()

@@ -33,7 +33,7 @@ from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.errors import QueryError
 from repro.series.cache import DEFAULT_SERIES_BUDGET
-from tests.conftest import PoolEngine, held_handles
+from tests.conftest import PoolEngine, descriptor_targets, held_handles
 
 
 def _alive_children() -> int:
@@ -477,16 +477,13 @@ class TestLifecycle:
             server.execute_join(client.create_query(query))
             pids = server.execution_service.worker_pids()
             assert len(pids) == 2
-            held = {}
-            for pid in pids:
-                fd_dir = f"/proc/{pid}/fd"
-                targets = []
-                for fd in os.listdir(fd_dir):
-                    try:
-                        targets.append(os.readlink(f"{fd_dir}/{fd}"))
-                    except FileNotFoundError:
-                        continue
-                held[pid] = [t for t in targets if t.startswith("socket:")]
+            held = {
+                pid: [
+                    target for target in descriptor_targets(pid)
+                    if target.startswith("socket:")
+                ]
+                for pid in pids
+            }
             assert held == {pid: [] for pid in pids}
 
     def test_close_without_start_is_fine(self):
